@@ -9,13 +9,21 @@ use spannerlib_covid::classify::CovidStatus;
 use spannerlib_covid::corpus::generate_corpus;
 use spannerlib_covid::native::NativePipeline;
 use spannerlib_covid::spanner::SpannerPipeline;
+use spannerlog_engine::TraceLevel;
 
 #[test]
 fn pipelines_agree_on_corpus() {
     let docs = generate_corpus(120, 2024);
     let native = NativePipeline::new().classify_corpus(&docs);
-    let mut spanner = SpannerPipeline::new().expect("pipeline builds");
+    let mut spanner = SpannerPipeline::with_tracing(TraceLevel::Summary).expect("pipeline builds");
     let rewritten = spanner.classify_corpus(&docs).expect("classification runs");
+
+    // The program has no recursion, so the engine reaches this result in
+    // one firing per rule.
+    let rules = spannerlib_covid::spanner::RULES.matches("<-").count() as u64;
+    let profile = spanner.profile().expect("traced run");
+    assert_eq!((rules, profile.rule_firings), (23, 23));
+    assert_eq!(profile.rounds, 17, "one round per head predicate");
 
     assert_eq!(native.len(), rewritten.len());
     for (n, s) in native.iter().zip(&rewritten) {

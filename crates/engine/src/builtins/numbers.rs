@@ -22,7 +22,7 @@ fn both_int(a: &Value, b: &Value) -> bool {
 
 /// Installs the arithmetic builtins.
 pub fn install(registry: &mut Registry) {
-    registry.register_closure("add", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("add", Some(2), |args, _ctx| {
         Ok(vec![vec![if both_int(&args[0], &args[1]) {
             Value::Int(args[0].as_int().unwrap() + args[1].as_int().unwrap())
         } else {
@@ -30,7 +30,7 @@ pub fn install(registry: &mut Registry) {
         }]])
     });
 
-    registry.register_closure("sub", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("sub", Some(2), |args, _ctx| {
         Ok(vec![vec![if both_int(&args[0], &args[1]) {
             Value::Int(args[0].as_int().unwrap() - args[1].as_int().unwrap())
         } else {
@@ -38,7 +38,7 @@ pub fn install(registry: &mut Registry) {
         }]])
     });
 
-    registry.register_closure("mul", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("mul", Some(2), |args, _ctx| {
         Ok(vec![vec![if both_int(&args[0], &args[1]) {
             Value::Int(args[0].as_int().unwrap() * args[1].as_int().unwrap())
         } else {
@@ -46,7 +46,7 @@ pub fn install(registry: &mut Registry) {
         }]])
     });
 
-    registry.register_closure("div", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("div", Some(2), |args, _ctx| {
         let b = num("div", &args[1])?;
         if b == 0.0 {
             return Err(EngineError::IeRuntime {

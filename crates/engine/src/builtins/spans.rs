@@ -27,7 +27,7 @@ fn span_arg(function: &str, v: &Value) -> Result<Span> {
 /// Installs the span builtins.
 pub fn install(registry: &mut Registry) {
     // contains(outer, inner): filter — outer span contains inner span.
-    registry.register_closure("contains", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("contains", Some(2), |args, _ctx| {
         let outer = span_arg("contains", &args[0])?;
         let inner = span_arg("contains", &args[1])?;
         Ok(filter_output(outer.contains(&inner)))
@@ -36,41 +36,41 @@ pub fn install(registry: &mut Registry) {
     // contained_in(inner, outer): the flipped reading, matching the
     // argument order of the paper's example `contains(pos, s)` where the
     // *scope* s contains the cursor pos.
-    registry.register_closure("contained_in", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("contained_in", Some(2), |args, _ctx| {
         let inner = span_arg("contained_in", &args[0])?;
         let outer = span_arg("contained_in", &args[1])?;
         Ok(filter_output(outer.contains(&inner)))
     });
 
-    registry.register_closure("overlaps", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("overlaps", Some(2), |args, _ctx| {
         let a = span_arg("overlaps", &args[0])?;
         let b = span_arg("overlaps", &args[1])?;
         Ok(filter_output(a.overlaps(&b)))
     });
 
-    registry.register_closure("precedes", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("precedes", Some(2), |args, _ctx| {
         let a = span_arg("precedes", &args[0])?;
         let b = span_arg("precedes", &args[1])?;
         Ok(filter_output(a.precedes(&b)))
     });
 
     // same_doc(a, b): filter — both spans point into one document.
-    registry.register_closure("same_doc", Some(2), |args, _ctx| {
+    registry.register_closure_uncached("same_doc", Some(2), |args, _ctx| {
         let a = span_arg("same_doc", &args[0])?;
         let b = span_arg("same_doc", &args[1])?;
         Ok(filter_output(a.doc == b.doc))
     });
 
     // span_start/span_end/span_len: span -> int.
-    registry.register_closure("span_start", Some(1), |args, _ctx| {
+    registry.register_closure_uncached("span_start", Some(1), |args, _ctx| {
         let s = span_arg("span_start", &args[0])?;
         Ok(vec![vec![Value::Int(s.start as i64)]])
     });
-    registry.register_closure("span_end", Some(1), |args, _ctx| {
+    registry.register_closure_uncached("span_end", Some(1), |args, _ctx| {
         let s = span_arg("span_end", &args[0])?;
         Ok(vec![vec![Value::Int(s.end as i64)]])
     });
-    registry.register_closure("span_len", Some(1), |args, _ctx| {
+    registry.register_closure_uncached("span_len", Some(1), |args, _ctx| {
         let s = span_arg("span_len", &args[0])?;
         Ok(vec![vec![Value::Int(s.len() as i64)]])
     });

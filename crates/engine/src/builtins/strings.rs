@@ -33,14 +33,14 @@ fn as_text(function: &str, v: &Value, ctx: &IeContext<'_>) -> Result<String> {
 /// Installs the string builtins.
 pub fn install(registry: &mut Registry) {
     // concat(a, b) -> (a ++ b)
-    registry.register_closure("concat", Some(2), |args, ctx| {
+    registry.register_closure_uncached("concat", Some(2), |args, ctx| {
         let a = as_text("concat", &args[0], ctx)?;
         let b = as_text("concat", &args[1], ctx)?;
         Ok(vec![vec![Value::str(format!("{a}{b}"))]])
     });
 
     // format(template, x1, …, xn) -> (filled) — `{}` placeholders.
-    registry.register_closure("format", None, |args, ctx| {
+    registry.register_closure_uncached("format", None, |args, ctx| {
         let template = args
             .first()
             .and_then(Value::as_str)
@@ -130,17 +130,17 @@ pub fn install(registry: &mut Registry) {
     });
 
     // starts_with / ends_with / str_contains: boolean filters.
-    registry.register_closure("starts_with", Some(2), |args, ctx| {
+    registry.register_closure_uncached("starts_with", Some(2), |args, ctx| {
         let s = as_text("starts_with", &args[0], ctx)?;
         let prefix = as_text("starts_with", &args[1], ctx)?;
         Ok(filter_output(s.starts_with(&prefix)))
     });
-    registry.register_closure("ends_with", Some(2), |args, ctx| {
+    registry.register_closure_uncached("ends_with", Some(2), |args, ctx| {
         let s = as_text("ends_with", &args[0], ctx)?;
         let suffix = as_text("ends_with", &args[1], ctx)?;
         Ok(filter_output(s.ends_with(&suffix)))
     });
-    registry.register_closure("str_contains", Some(2), |args, ctx| {
+    registry.register_closure_uncached("str_contains", Some(2), |args, ctx| {
         let s = as_text("str_contains", &args[0], ctx)?;
         let needle = as_text("str_contains", &args[1], ctx)?;
         Ok(filter_output(s.contains(&needle)))

@@ -1,22 +1,29 @@
-//! Bottom-up fixpoint evaluation: naive and semi-naive.
+//! Bottom-up evaluation, component by component: naive and semi-naive.
 //!
-//! The paper's implementation "extended the naive bottom-up evaluation
-//! method to include evaluation of IE clauses" (§3.1). [`EvalStrategy::Naive`]
-//! reproduces that; [`EvalStrategy::SemiNaive`] is the standard delta
-//! refinement (Green et al., *Datalog and Recursive Query Processing*),
-//! kept behaviourally identical — the equivalence is property-tested —
-//! and benchmarked as ablation A in EXPERIMENTS.md.
+//! The program arrives as the components of its predicate dependency
+//! graph, dependencies first ([`crate::strata`]). The paper's
+//! implementation "extended the naive bottom-up evaluation method to
+//! include evaluation of IE clauses" (§3.1). [`EvalStrategy::Naive`]
+//! reproduces that: every component loops until a round derives nothing
+//! new. [`EvalStrategy::SemiNaive`] fires the rules of a non-recursive
+//! component exactly once — nothing they read can still change — and
+//! runs the standard delta refinement (Green et al., *Datalog and
+//! Recursive Query Processing*) on recursive ones. The two are kept
+//! behaviourally identical — the equivalence is property-tested — which
+//! makes the naive strategy the reference the shortcuts are checked
+//! against.
 //!
-//! Evaluation respects the session's [`EvalLimits`]: a bound on fixpoint
-//! rounds guards against runaway recursion, a bound on materialized
-//! tuples guards against blow-up — both surface as
-//! [`EngineError::LimitExceeded`], attributed to the culprit rule.
+//! Evaluation respects the session's [`EvalLimits`]: a bound on the
+//! rounds of recursive components guards against runaway recursion, a
+//! bound on materialized tuples guards against blow-up — both surface
+//! as [`EngineError::LimitExceeded`], attributed to the culprit rule.
 //!
 //! Every run is threaded through a [`RunTrace`] (see `spannerlib_trace`):
 //! at `TraceLevel::Off` each call is a branch; at `Summary` per-rule and
 //! per-IE counters and wall times accumulate; at `Spans` the hierarchy
 //! execute → stratum → round → rule → join / IE batch is recorded as
-//! timed span events.
+//! timed span events — a component is what the trace crate calls a
+//! *stratum*: components are the finest stratification.
 
 use crate::database::Database;
 use crate::error::{EngineError, LimitCulprit, Result};
@@ -24,7 +31,8 @@ use crate::ie::{DocsHandle, SharedDocs};
 use crate::optimizer::IndexCache;
 use crate::plan::{self, ExecCtx, ParExec, ParTally, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
-use rustc_hash::{FxHashMap, FxHashSet};
+use crate::strata::Component;
+use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
 use spannerlib_core::Relation;
 use spannerlib_par::ThreadPool;
@@ -35,11 +43,12 @@ use std::sync::atomic::Ordering;
 /// Fixpoint algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Re-evaluate every rule against full relations each round.
-    #[default]
+    /// Re-evaluate every rule of a component against full relations
+    /// until a round derives nothing new.
     Naive,
-    /// Evaluate rule variants against per-round deltas of recursive
-    /// predicates.
+    /// Fire non-recursive components once; evaluate rule variants
+    /// against per-round deltas inside recursive ones.
+    #[default]
     SemiNaive,
 }
 
@@ -47,7 +56,8 @@ pub enum EvalStrategy {
 /// Configured through `SessionBuilder`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalLimits {
-    /// Maximum fixpoint rounds summed across all strata.
+    /// Maximum fixpoint rounds summed across the recursive components
+    /// (a non-recursive component cannot run away and is not charged).
     pub max_rounds: Option<usize>,
     /// Maximum newly materialized tuples across the whole run.
     pub max_rows: Option<usize>,
@@ -108,9 +118,14 @@ impl EvalLimits {
     /// The round bound trips *between* rounds, so `rule` is the last
     /// rule that derived new tuples — the one still driving the
     /// fixpoint.
-    fn check(&self, stats: &EvalStats, rule: Option<&RulePlan>) -> Result<()> {
+    fn check(
+        &self,
+        stats: &EvalStats,
+        charged_rounds: usize,
+        rule: Option<&RulePlan>,
+    ) -> Result<()> {
         if let Some(max) = self.max_rounds {
-            if stats.rounds > max {
+            if charged_rounds > max {
                 return Err(EngineError::LimitExceeded {
                     resource: "fixpoint rounds",
                     limit: max,
@@ -142,7 +157,8 @@ impl EvalLimits {
 /// Counters filled during evaluation (consumed by benches and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Fixpoint rounds across all strata.
+    /// Rounds across all components (one per non-recursive component
+    /// under [`EvalStrategy::SemiNaive`]).
     pub rounds: usize,
     /// Rule-plan executions (including semi-naive variants).
     pub rule_firings: usize,
@@ -171,39 +187,32 @@ pub struct EvalCtx<'a> {
     pub pool: Option<&'a ThreadPool>,
 }
 
-/// The trace scope of one stratum: the run collector plus the stratum's
-/// index, span, and per-rule profiling handles.
-struct StratumScope<'a, 'b> {
+/// The state of one evaluation run, shared by every component.
+struct Run<'a> {
+    strategy: EvalStrategy,
+    limits: EvalLimits,
     trace: &'a mut RunTrace,
-    stratum: usize,
-    rule_ids: &'b [usize],
-    span: SpanId,
-    /// Evaluation-wide scan-index cache (`None` with the planner off).
-    indexes: Option<&'b RefCell<IndexCache>>,
-    /// Parallel-execution environment (`None` runs fully serial).
-    par: Option<ParExec<'b>>,
-    /// Shared evaluation-wide counters.
-    tally: &'b ParTally,
-    /// Wall-clock budget of the run (`None` = unlimited).
-    deadline: Option<EvalDeadline>,
+    stats: EvalStats,
+    /// Rounds charged against [`EvalLimits::max_rounds`].
+    charged_rounds: usize,
+    /// The execution environment of a full firing; delta variants
+    /// override `delta_at` and `deltas`.
+    exec: ExecCtx<'a>,
 }
 
-impl StratumScope<'_, '_> {
-    /// Checks the round-level limits: counters first, then the
-    /// wall-clock budget, both blaming the driving rule.
-    fn check_round(
-        &self,
-        limits: &EvalLimits,
-        stats: &EvalStats,
-        rule: Option<&RulePlan>,
-    ) -> Result<()> {
-        limits.check(stats, rule)?;
-        match self.deadline {
-            Some(d) => d.check(rule),
-            None => Ok(()),
-        }
-    }
+/// The component a [`Run`] is currently evaluating: its index, span,
+/// and per-rule profiling handles.
+struct Scope<'a> {
+    component: &'a Component,
+    index: usize,
+    rule_ids: Vec<usize>,
+    span: SpanId,
+    /// Last rule to derive a new tuple — the round-limit culprit.
+    driver: Option<usize>,
 }
+
+/// Per-round deltas of a recursive component's predicates.
+type Deltas = FxHashMap<String, Relation>;
 
 /// Whether the compile-time split-correctness analysis cleared `rule`
 /// for shard-parallel execution.
@@ -211,10 +220,12 @@ fn rule_is_parallel(rule: &RulePlan) -> bool {
     rule.opt.as_ref().is_some_and(|o| o.split.is_parallel())
 }
 
-/// Runs all strata to fixpoint, inserting derived tuples into `db`.
-/// `ctx.cache`, when set, memoizes IE calls across rounds and runs.
-/// Progress is reported through `trace` (free when tracing is off); on
-/// a limit abort the trace keeps the partial per-stratum progress.
+/// Evaluates `components` in order, inserting derived tuples into `db`.
+/// A non-recursive component is complete after each of its rules fires
+/// once; a recursive one runs to fixpoint. `ctx.cache`, when set,
+/// memoizes IE calls across rounds and runs. Progress is reported
+/// through `trace` (free when tracing is off); on a limit abort the
+/// trace keeps the partial per-component progress.
 ///
 /// With a pool configured and at least one split-correct rule, the
 /// documents move behind a [`SharedDocs`] lock for the duration of the
@@ -224,11 +235,11 @@ fn rule_is_parallel(rule: &RulePlan) -> bool {
 /// (see the threading contract in `crate::session`).
 pub fn evaluate(
     db: &mut Database,
-    strata: &[Vec<RulePlan>],
+    components: &[Component],
     ctx: &EvalCtx<'_>,
     trace: &mut RunTrace,
 ) -> Result<EvalStats> {
-    let any_parallel = strata.iter().flatten().any(rule_is_parallel);
+    let any_parallel = rules_of(components).any(rule_is_parallel);
     match ctx.pool.filter(|_| any_parallel) {
         Some(pool) => {
             let shared = SharedDocs::new(std::mem::take(&mut db.docs));
@@ -236,99 +247,226 @@ pub fn evaluate(
                 pool,
                 docs: &shared,
             };
-            let result = evaluate_impl(db, strata, ctx, trace, Some(par));
+            let result = evaluate_impl(db, components, ctx, trace, Some(par));
             db.docs = shared.into_inner();
             result
         }
-        None => evaluate_impl(db, strata, ctx, trace, None),
+        None => evaluate_impl(db, components, ctx, trace, None),
     }
+}
+
+fn rules_of(components: &[Component]) -> impl Iterator<Item = &RulePlan> {
+    components.iter().flat_map(|c| &c.rules)
 }
 
 /// [`evaluate`] proper, after the document-store mode (exclusive vs
 /// shared) has been fixed for the run.
 fn evaluate_impl(
     db: &mut Database,
-    strata: &[Vec<RulePlan>],
+    components: &[Component],
     ctx: &EvalCtx<'_>,
     trace: &mut RunTrace,
     par: Option<ParExec<'_>>,
 ) -> Result<EvalStats> {
-    let mut stats = EvalStats::default();
     let tally = ParTally::default();
-    let deadline = EvalDeadline::start(&ctx.limits);
     let stolen_before = par.map_or(0, |p| p.pool.stats().stolen);
-    // Folds the run's parallel counters into the trace — on both the
-    // success and the abort path, like the index-cache counters.
-    let par_summary = |trace: &mut RunTrace, tally: &ParTally| {
-        let Some(p) = par else { return };
-        let serial_rules = strata
-            .iter()
-            .flatten()
-            .filter(|r| !rule_is_parallel(r))
-            .count() as u64;
-        trace.parallel_summary(
+    // One scan-index cache per evaluation run: relations only grow
+    // while a run executes (derived state was cleared before it), so
+    // indexes keyed by (relation, row count, key columns) stay valid
+    // across fixpoint rounds, rules, and components.
+    let index_cache = RefCell::new(IndexCache::default());
+    let no_deltas = Deltas::default();
+    let mut run = Run {
+        strategy: ctx.strategy,
+        limits: ctx.limits,
+        trace,
+        stats: EvalStats::default(),
+        charged_rounds: 0,
+        exec: ExecCtx {
+            registry: ctx.registry,
+            delta_at: None,
+            deltas: &no_deltas,
+            cache: ctx.cache,
+            planner: ctx.planner,
+            indexes: ctx.planner.then_some(&index_cache),
+            par,
+            tally: &tally,
+            deadline: EvalDeadline::start(&ctx.limits),
+        },
+    };
+    let root = run.trace.open(NO_SPAN, SpanKind::Execute, || {
+        format!("evaluate ({} components)", components.len())
+    });
+    let result = components
+        .iter()
+        .enumerate()
+        .try_for_each(|(index, component)| run.component(db, component, index, root));
+    if result.is_ok() {
+        run.trace.close(root);
+    }
+    // The planner and parallel counters fold into the trace on both the
+    // success and the abort path.
+    let ic = index_cache.borrow();
+    run.trace.index_cache(ic.hits, ic.builds);
+    if let Some(p) = par {
+        run.trace.parallel_summary(
             p.pool.workers() as u64,
             tally.shard_tasks.load(Ordering::Relaxed),
             tally.ie_batches.load(Ordering::Relaxed),
             p.pool.stats().stolen.saturating_sub(stolen_before),
-            serial_rules,
+            rules_of(components)
+                .filter(|r| !rule_is_parallel(r))
+                .count() as u64,
         );
-    };
-    // One scan-index cache per evaluation run: relations only grow
-    // while a run executes (derived state was cleared before it), so
-    // indexes keyed by (relation, row count, key columns) stay valid
-    // across fixpoint rounds, rules, and strata.
-    let index_cache = RefCell::new(IndexCache::default());
-    let indexes = ctx.planner.then_some(&index_cache);
-    let root = trace.open(NO_SPAN, SpanKind::Execute, || {
-        format!("evaluate ({} strata)", strata.len())
-    });
-    for (si, stratum) in strata.iter().enumerate() {
-        let rule_ids: Vec<usize> = stratum
-            .iter()
-            .map(|r| trace.register_rule(si, &r.head_predicate, &r.source, r.line as u32))
-            .collect();
-        let t0 = trace.now_ns();
-        let span = trace.open(root, SpanKind::Stratum, || {
-            format!("stratum {si} ({} rules)", stratum.len())
-        });
-        let mut scope = StratumScope {
-            trace,
-            stratum: si,
-            rule_ids: &rule_ids,
-            span,
-            indexes,
-            par,
-            tally: &tally,
-            deadline,
-        };
-        let result = match ctx.strategy {
-            EvalStrategy::Naive => naive_stratum(db, stratum, ctx, &mut stats, &mut scope),
-            EvalStrategy::SemiNaive => seminaive_stratum(db, stratum, ctx, &mut stats, &mut scope),
-        };
-        trace.stratum_done(si, t0);
-        trace.close(span);
-        if let Err(e) = result {
-            let ic = index_cache.borrow();
-            trace.index_cache(ic.hits, ic.builds);
-            par_summary(trace, &tally);
-            return Err(e);
-        }
     }
-    trace.close(root);
-    let ic = index_cache.borrow();
-    trace.index_cache(ic.hits, ic.builds);
-    par_summary(trace, &tally);
-    Ok(stats)
+    result.map(|()| run.stats)
 }
 
-/// Callback invoked for each genuinely new tuple a rule firing inserts.
-type OnNewTuple<'a> = &'a mut dyn FnMut(&mut Database, &spannerlib_core::Tuple) -> Result<()>;
+impl Run<'_> {
+    /// Evaluates one component under its own trace scope.
+    fn component(
+        &mut self,
+        db: &mut Database,
+        component: &Component,
+        index: usize,
+        root: SpanId,
+    ) -> Result<()> {
+        let rules = &component.rules;
+        let rule_ids = rules
+            .iter()
+            .map(|r| {
+                self.trace
+                    .register_rule(index, &r.head_predicate, &r.source, r.line as u32)
+            })
+            .collect();
+        let t0 = self.trace.now_ns();
+        let span = self.trace.open(root, SpanKind::Stratum, || {
+            format!("component {index} ({} rules)", rules.len())
+        });
+        let mut scope = Scope {
+            component,
+            index,
+            rule_ids,
+            span,
+            driver: None,
+        };
+        let result = match (self.strategy, component.recursive) {
+            (EvalStrategy::Naive, _) => self.naive(db, &mut scope),
+            (EvalStrategy::SemiNaive, false) => self.round(db, &mut scope, None, None).map(drop),
+            (EvalStrategy::SemiNaive, true) => self.seminaive(db, &mut scope),
+        };
+        self.trace.stratum_done(index, t0);
+        self.trace.close(span);
+        result
+    }
+
+    /// The paper's loop: every rule against the full relations, until a
+    /// round derives nothing new.
+    fn naive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
+        while self.round(db, scope, None, None)? {}
+        Ok(())
+    }
+
+    /// Round 1 fires every rule in full (everything read from outside
+    /// the component is complete; its own relations hold at most
+    /// imported facts) and seeds the deltas with what was new. Each
+    /// later round fires, per rule and per scan over a predicate of the
+    /// component, the variant with that scan reading the delta.
+    fn seminaive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
+        let mut deltas = Deltas::default();
+        self.round(db, scope, None, Some(&mut deltas))?;
+        while deltas.values().any(|d| !d.is_empty()) {
+            let mut next = Deltas::default();
+            self.round(db, scope, Some(&deltas), Some(&mut next))?;
+            deltas = next;
+        }
+        Ok(())
+    }
+
+    /// One round over the component's rules: full firings, or — given
+    /// `deltas` — the delta variants. New tuples are also collected into
+    /// `next`, when set. Checks the run's limits once the round is over
+    /// and returns whether anything new was derived.
+    fn round(
+        &mut self,
+        db: &mut Database,
+        scope: &mut Scope<'_>,
+        deltas: Option<&Deltas>,
+        mut next: Option<&mut Deltas>,
+    ) -> Result<bool> {
+        let component = scope.component;
+        self.stats.rounds += 1;
+        // Only a recursive component can run away; a long chain of
+        // non-recursive ones must not trip the guard meant for that.
+        self.charged_rounds += usize::from(component.recursive);
+        self.trace.round(scope.index);
+        let rounds = self.stats.rounds;
+        let round_span = self
+            .trace
+            .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
+        let mut changed = false;
+        for (ri, rule) in component.rules.iter().enumerate() {
+            // `None` is the full firing; `Some(i)` the variant whose
+            // scan at step `i` reads the delta.
+            let variants: Vec<Option<usize>> = match deltas {
+                None => vec![None],
+                Some(_) => rule
+                    .steps
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| match s {
+                        Step::Scan { relation, .. } if component.derives(relation) => Some(Some(i)),
+                        _ => None,
+                    })
+                    .collect(),
+            };
+            for delta_at in variants {
+                let exec = ExecCtx {
+                    delta_at,
+                    deltas: deltas.unwrap_or(self.exec.deltas),
+                    ..self.exec
+                };
+                let rule_span = self
+                    .trace
+                    .open(round_span, SpanKind::Rule, || rule.source.clone());
+                let mut tr = TraceCtx {
+                    trace: &mut *self.trace,
+                    rule: scope.rule_ids[ri],
+                    parent: rule_span,
+                };
+                let fired = fire_rule(
+                    db,
+                    rule,
+                    &exec,
+                    self.limits,
+                    &mut self.stats,
+                    &mut tr,
+                    next.as_deref_mut(),
+                );
+                self.trace.close(rule_span);
+                if fired? {
+                    changed = true;
+                    scope.driver = Some(ri);
+                }
+            }
+        }
+        self.trace.close(round_span);
+        let driver = scope.driver.map(|ri| &component.rules[ri]);
+        self.limits
+            .check(&self.stats, self.charged_rounds, driver)?;
+        if let Some(d) = self.exec.deadline {
+            d.check(driver)?;
+        }
+        Ok(changed)
+    }
+}
 
 /// Executes one rule plan and inserts its derivations, reporting the
 /// firing to the trace (also on the limit-abort path, so an aborted run
-/// still profiles the culprit's partial work). Returns whether any
-/// tuple was new.
+/// still profiles the culprit's partial work). Genuinely new tuples are
+/// also copied into `next`'s delta of the head, when set — one tuple
+/// clone each, which a firing nobody takes deltas from is spared.
+/// Returns whether any tuple was new.
 fn fire_rule(
     db: &mut Database,
     rule: &RulePlan,
@@ -336,9 +474,7 @@ fn fire_rule(
     limits: EvalLimits,
     stats: &mut EvalStats,
     tr: &mut TraceCtx<'_>,
-    // Called once per genuinely new tuple (semi-naive delta seeding);
-    // `None` skips the tuple clone the callback would need.
-    mut on_new: Option<OnNewTuple<'_>>,
+    mut next: Option<&mut Deltas>,
 ) -> Result<bool> {
     stats.rule_firings += 1;
     let t0 = tr.trace.now_ns();
@@ -364,11 +500,14 @@ fn fire_rule(
     let mut new_n = 0u64;
     let mut limit_err = None;
     for tuple in derived {
-        let inserted = match &mut on_new {
-            Some(f) => {
+        let inserted = match &mut next {
+            Some(next) => {
                 let inserted = db.insert_derived(&rule.head_predicate, tuple.clone())?;
                 if inserted {
-                    f(db, &tuple)?;
+                    let schema = db.relation(&rule.head_predicate)?.schema();
+                    next.entry(rule.head_predicate.clone())
+                        .or_insert_with(|| Relation::new(schema.clone()))
+                        .insert(tuple)?;
                 }
                 inserted
             }
@@ -388,180 +527,4 @@ fn fire_rule(
         Some(e) => Err(e),
         None => Ok(new_n > 0),
     }
-}
-
-fn naive_stratum(
-    db: &mut Database,
-    rules: &[RulePlan],
-    ctx: &EvalCtx<'_>,
-    stats: &mut EvalStats,
-    scope: &mut StratumScope<'_, '_>,
-) -> Result<()> {
-    let no_deltas: FxHashMap<String, Relation> = FxHashMap::default();
-    let exec = ExecCtx {
-        registry: ctx.registry,
-        delta_at: None,
-        deltas: &no_deltas,
-        cache: ctx.cache,
-        planner: ctx.planner,
-        indexes: scope.indexes,
-        par: scope.par,
-        tally: scope.tally,
-        deadline: scope.deadline,
-    };
-    // Last rule to derive a new tuple — the round-limit culprit.
-    let mut driver: Option<usize> = None;
-    loop {
-        stats.rounds += 1;
-        scope.trace.round(scope.stratum);
-        let rounds = stats.rounds;
-        let round_span = scope
-            .trace
-            .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
-        let mut changed = false;
-        for (ri, rule) in rules.iter().enumerate() {
-            let rule_span = scope
-                .trace
-                .open(round_span, SpanKind::Rule, || rule.source.clone());
-            let mut tr = TraceCtx {
-                trace: &mut *scope.trace,
-                rule: scope.rule_ids[ri],
-                parent: rule_span,
-            };
-            let fired = fire_rule(db, rule, &exec, ctx.limits, stats, &mut tr, None);
-            scope.trace.close(rule_span);
-            if fired? {
-                changed = true;
-                driver = Some(ri);
-            }
-        }
-        scope.trace.close(round_span);
-        scope.check_round(&ctx.limits, stats, driver.map(|ri| &rules[ri]))?;
-        if !changed {
-            return Ok(());
-        }
-    }
-}
-
-fn seminaive_stratum(
-    db: &mut Database,
-    rules: &[RulePlan],
-    ctx: &EvalCtx<'_>,
-    stats: &mut EvalStats,
-    scope: &mut StratumScope<'_, '_>,
-) -> Result<()> {
-    // Heads of this stratum: atoms over them are "recursive" here.
-    let heads: FxHashSet<&str> = rules.iter().map(|r| r.head_predicate.as_str()).collect();
-
-    // Round 1: full evaluation of every rule (relations of lower strata
-    // are complete; recursive relations start empty or with imported
-    // facts). New tuples seed the deltas.
-    let mut deltas: FxHashMap<String, Relation> = FxHashMap::default();
-    let no_deltas: FxHashMap<String, Relation> = FxHashMap::default();
-    let mut driver: Option<usize> = None;
-    stats.rounds += 1;
-    scope.trace.round(scope.stratum);
-    let round_span = scope
-        .trace
-        .open(scope.span, SpanKind::Round, || "round 1".to_string());
-    for (ri, rule) in rules.iter().enumerate() {
-        let exec = ExecCtx {
-            registry: ctx.registry,
-            delta_at: None,
-            deltas: &no_deltas,
-            cache: ctx.cache,
-            planner: ctx.planner,
-            indexes: scope.indexes,
-            par: scope.par,
-            tally: scope.tally,
-            deadline: scope.deadline,
-        };
-        let rule_span = scope
-            .trace
-            .open(round_span, SpanKind::Rule, || rule.source.clone());
-        let mut tr = TraceCtx {
-            trace: &mut *scope.trace,
-            rule: scope.rule_ids[ri],
-            parent: rule_span,
-        };
-        let head = rule.head_predicate.clone();
-        let mut seed = |db: &mut Database, tuple: &spannerlib_core::Tuple| {
-            let rel = db.relation(&head)?;
-            deltas
-                .entry(head.clone())
-                .or_insert_with(|| Relation::new(rel.schema().clone()))
-                .insert(tuple.clone())?;
-            Ok(())
-        };
-        let fired = fire_rule(db, rule, &exec, ctx.limits, stats, &mut tr, Some(&mut seed));
-        scope.trace.close(rule_span);
-        if fired? {
-            driver = Some(ri);
-        }
-    }
-    scope.trace.close(round_span);
-    scope.check_round(&ctx.limits, stats, driver.map(|ri| &rules[ri]))?;
-
-    // Subsequent rounds: for each rule and each scan step over a
-    // recursive predicate, run the variant with that step reading the
-    // delta. Rules without recursive scans fired completely in round 1.
-    while deltas.values().any(|d| !d.is_empty()) {
-        stats.rounds += 1;
-        scope.trace.round(scope.stratum);
-        let rounds = stats.rounds;
-        let round_span = scope
-            .trace
-            .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
-        let mut next_deltas: FxHashMap<String, Relation> = FxHashMap::default();
-        for (ri, rule) in rules.iter().enumerate() {
-            let recursive_steps: Vec<usize> = rule
-                .steps
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    Step::Scan { relation, .. } if heads.contains(relation.as_str()) => Some(i),
-                    _ => None,
-                })
-                .collect();
-            for step_idx in recursive_steps {
-                let exec = ExecCtx {
-                    registry: ctx.registry,
-                    delta_at: Some(step_idx),
-                    deltas: &deltas,
-                    cache: ctx.cache,
-                    planner: ctx.planner,
-                    indexes: scope.indexes,
-                    par: scope.par,
-                    tally: scope.tally,
-                    deadline: scope.deadline,
-                };
-                let rule_span = scope
-                    .trace
-                    .open(round_span, SpanKind::Rule, || rule.source.clone());
-                let mut tr = TraceCtx {
-                    trace: &mut *scope.trace,
-                    rule: scope.rule_ids[ri],
-                    parent: rule_span,
-                };
-                let head = rule.head_predicate.clone();
-                let mut seed = |db: &mut Database, tuple: &spannerlib_core::Tuple| {
-                    let rel = db.relation(&head)?;
-                    next_deltas
-                        .entry(head.clone())
-                        .or_insert_with(|| Relation::new(rel.schema().clone()))
-                        .insert(tuple.clone())?;
-                    Ok(())
-                };
-                let fired = fire_rule(db, rule, &exec, ctx.limits, stats, &mut tr, Some(&mut seed));
-                scope.trace.close(rule_span);
-                if fired? {
-                    driver = Some(ri);
-                }
-            }
-        }
-        scope.trace.close(round_span);
-        scope.check_round(&ctx.limits, stats, driver.map(|ri| &rules[ri]))?;
-        deltas = next_deltas;
-    }
-    Ok(())
 }

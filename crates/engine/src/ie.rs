@@ -203,13 +203,18 @@ pub trait IeFunction: Send + Sync {
     /// use it for validation.
     fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput>;
 
-    /// Whether results may be memoized by the session's IE cache.
+    /// Whether results are memoized by the session's IE cache.
     ///
     /// Defaults to `true`: the IE contract (paper §3.3) is a *stateless*
     /// mapping from inputs to output rows, which makes memoization
-    /// transparent. Override to `false` for functions that break the
-    /// contract on purpose (clocks, RNGs, external lookups that must
-    /// stay fresh) — or register closures via `register_uncached`.
+    /// transparent. Override to `false` when memoizing is wrong *or
+    /// costs more than the call*: functions that break the contract on
+    /// purpose (clocks, RNGs, external lookups that must stay fresh),
+    /// and functions as cheap as the constant-time builtins, which a
+    /// memo probe and insert would outweigh several times over — or
+    /// register closures via `register_uncached`. An uncached function
+    /// is called once per binding row, and the planner keeps its
+    /// position in the rule body (it may be order-sensitive).
     fn cacheable(&self) -> bool {
         true
     }
@@ -235,8 +240,8 @@ where
         }
     }
 
-    /// Wraps a closure whose results must never be memoized (it is not
-    /// a pure function of its arguments).
+    /// Wraps a closure whose results are never memoized: it is not a
+    /// pure function of its arguments, or cheaper to call than to look up.
     pub fn uncached(arity: Option<usize>, f: F) -> Self {
         ClosureIe {
             arity,

@@ -6,25 +6,27 @@
 //! ## Architecture
 //!
 //! ```text
-//!  source cell ──parse──▶ AST ──safety──▶ RulePlan ──stratify──▶ strata
+//!  source cell ──parse──▶ AST ──safety──▶ RulePlan ──stratify──▶ components
 //!                                            │                    │
-//!            IE registry (builtins + host closures)         eval (naive /
-//!                                            │               semi-naive)
+//!            IE registry (builtins + host closures)         eval (fire once /
+//!                                            │               semi-naive rounds)
 //!                                            ▼                    │
 //!                             binding-row pipeline ◀──────────────┘
-//!                      (scan-join · IE call · negation · compare)
+//!                     (scan-join · IE call · anti-join · compare)
 //!                                            │
 //!                              head projection / aggregation
 //! ```
 //!
 //! * [`safety`] implements the paper's semantic safety checker, which
 //!   also derives the IE execution order inside each rule body (§3.1).
-//! * [`strata`] stratifies negation and aggregation (extensions beyond
-//!   the paper's core, documented in DESIGN.md).
-//! * [`eval`] provides naive bottom-up evaluation — the algorithm the
-//!   paper's implementation uses — and the semi-naive refinement, kept
-//!   observationally equivalent (property-tested) and compared in the
-//!   benches.
+//! * [`strata`] splits the program into the components of its predicate
+//!   dependency graph, in dependency order, rejecting negation or
+//!   aggregation inside one (extensions beyond the paper's core,
+//!   documented in DESIGN.md).
+//! * [`eval`] fires the rules of a non-recursive component once and runs
+//!   semi-naive rounds inside recursive ones; naive bottom-up evaluation
+//!   — the algorithm the paper's implementation uses — is kept
+//!   observationally equivalent (property-tested) as the reference.
 //! * [`builtins`] registers the `rgx` family and the string/span/number
 //!   helper functions the paper's examples assume.
 //! * [`Session`] is the host-facing object: import/export DataFrames,

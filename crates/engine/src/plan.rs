@@ -434,7 +434,7 @@ fn run_steps(
             }
             Step::Negation { relation, terms } => {
                 let rel = relations.get(relation.as_str()).unwrap_or(&empty);
-                rows.retain(|row| !exists_match(rel, terms, row));
+                anti_join(&mut rows, rel, terms);
             }
             Step::Compare { left, op, right } => {
                 let mut filtered = Vec::with_capacity(rows.len());
@@ -1039,6 +1039,41 @@ fn unify_values(row: &Row, terms: &[PTerm], values: &[Value]) -> Option<Row> {
     Some(extended)
 }
 
+/// Hash anti-join for `not relation(terms)`: drops every row for which
+/// `rel` holds a matching tuple. The non-wildcard columns form the key;
+/// the relation's key set is built once for the step and probed once
+/// per row.
+fn anti_join(rows: &mut Vec<Row>, rel: &Relation, terms: &[PTerm]) {
+    // Relations are uniform in arity: either every tuple can match or
+    // none can.
+    if rel.is_empty() || rel.schema().arity() != terms.len() {
+        return;
+    }
+    let key_cols: Vec<usize> = (0..terms.len())
+        .filter(|&c| terms[c] != PTerm::Wildcard)
+        .collect();
+    let keys: FxHashSet<Vec<&Value>> = rel
+        .iter()
+        .map(|tuple| key_cols.iter().map(|&c| &tuple[c]).collect())
+        .collect();
+    rows.retain(|row| {
+        // Constants as written, variables as the row binds them; an
+        // unbound variable matches nothing.
+        let key: Option<Vec<&Value>> = key_cols
+            .iter()
+            .map(|&c| match &terms[c] {
+                PTerm::Const(v) => Some(v),
+                PTerm::Var(v) => row[*v].as_ref(),
+                PTerm::Wildcard => None,
+            })
+            .collect();
+        !key.is_some_and(|key| keys.contains(&key))
+    });
+}
+
+/// The definition [`anti_join`] is tested against: a scan of the whole
+/// relation per row.
+#[cfg(test)]
 fn exists_match(rel: &Relation, terms: &[PTerm], row: &Row) -> bool {
     rel.iter().any(|tuple| {
         tuple.arity() == terms.len()
@@ -1050,15 +1085,13 @@ fn exists_match(rel: &Relation, terms: &[PTerm], row: &Row) -> bool {
     })
 }
 
-fn dedupe(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        if seen.insert(r.clone()) {
-            out.push(r);
-        }
-    }
-    out
+/// Drops repeated rows, keeping first occurrences in order.
+fn dedupe(mut rows: Vec<Row>) -> Vec<Row> {
+    let mut seen: FxHashSet<&Row> = FxHashSet::default();
+    let first: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
+    let mut first = first.into_iter();
+    rows.retain(|_| first.next().expect("one flag per row"));
+    rows
 }
 
 /// Projects binding rows through the head, grouping if any aggregate
@@ -1173,4 +1206,55 @@ fn project_head(
         out.push(Tuple::new(tuple));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use spannerlib_core::{Schema, ValueType};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hash anti-join keeps exactly the rows for which a scan
+        /// of the whole relation finds no match — over wildcards,
+        /// constants, repeated and unbound variables, and term lists
+        /// whose length is not the relation's arity.
+        #[test]
+        fn anti_join_agrees_with_exists_match(
+            arity in 1usize..4,
+            tuples in prop::collection::vec(prop::collection::vec(0i64..4, 3), 0..12),
+            terms in prop::collection::vec((0u8..4, 0i64..4), 1..5),
+            rows in prop::collection::vec(prop::collection::vec(0i64..5, 3), 0..10),
+        ) {
+            let mut rel = Relation::new(Schema::new(vec![ValueType::Int; arity]));
+            for t in &tuples {
+                rel.insert(Tuple::new(t[..arity].iter().map(|&v| Value::Int(v))))
+                    .unwrap();
+            }
+            let terms: Vec<PTerm> = terms
+                .iter()
+                .map(|&(kind, n)| match kind {
+                    0 => PTerm::Wildcard,
+                    1 => PTerm::Const(Value::Int(n)),
+                    _ => PTerm::Var(n as usize % 3),
+                })
+                .collect();
+            // 4 stands for "unbound".
+            let rows: Vec<Row> = rows
+                .iter()
+                .map(|r| r.iter().map(|&v| (v < 4).then_some(Value::Int(v))).collect())
+                .collect();
+
+            let expected: Vec<Row> = rows
+                .iter()
+                .filter(|row| !exists_match(&rel, &terms, row))
+                .cloned()
+                .collect();
+            let mut kept = rows.clone();
+            anti_join(&mut kept, &rel, &terms);
+            prop_assert_eq!(&kept, &expected, "terms {:?}", terms);
+        }
+    }
 }

@@ -13,12 +13,11 @@
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::optimizer::SplitClass;
-use crate::plan::RulePlan;
 use crate::query::run_query;
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
 use crate::session::Session;
-use crate::strata::stratify;
+use crate::strata::{stratify, Component};
 use rustc_hash::FxHashSet;
 use spannerlib_core::{DocumentStore, Relation, Span};
 use spannerlib_dataframe::{DataFrame, FromRow};
@@ -43,8 +42,9 @@ static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 pub struct CompiledProgram {
     /// Instance id, unique per compilation (fingerprints evaluation).
     pub(crate) id: u64,
-    /// Stratified, executable rule plans.
-    pub(crate) strata: Vec<Vec<RulePlan>>,
+    /// Executable rule plans, grouped into the components of the
+    /// dependency graph in evaluation order.
+    pub(crate) components: Vec<Component>,
     /// Extensional relations the program reads (sorted): the only
     /// relations whose mutation can change derived content.
     pub(crate) input_relations: Vec<String>,
@@ -75,7 +75,7 @@ pub struct ShardRule {
 /// informational — evaluation consults the per-rule verdicts directly.
 #[derive(Debug, Clone, Default)]
 pub struct ShardPlan {
-    /// One verdict per compiled rule, in stratum order.
+    /// One verdict per compiled rule, in evaluation order.
     pub rules: Vec<ShardRule>,
 }
 
@@ -146,11 +146,11 @@ impl CompiledProgram {
             .collect();
         input_relations.sort_unstable();
 
-        let strata = stratify(plans)?;
+        let components = stratify(plans)?;
         let shard_plan = ShardPlan {
-            rules: strata
+            rules: components
                 .iter()
-                .flatten()
+                .flat_map(|c| &c.rules)
                 .map(|plan| {
                     let split = plan.opt.as_ref().map(|o| o.split).unwrap_or_default();
                     let (doc_var, reason) = match split {
@@ -172,20 +172,21 @@ impl CompiledProgram {
 
         Ok(CompiledProgram {
             id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
-            strata,
+            components,
             input_relations,
             shard_plan,
         })
     }
 
-    /// Number of strata.
-    pub fn strata_count(&self) -> usize {
-        self.strata.len()
+    /// Number of components of the predicate dependency graph that
+    /// carry rules — the evaluation steps of the program.
+    pub fn component_count(&self) -> usize {
+        self.components.len()
     }
 
     /// Number of compiled rules.
     pub fn rule_count(&self) -> usize {
-        self.strata.iter().map(Vec::len).sum()
+        self.components.iter().map(|c| c.rules.len()).sum()
     }
 
     /// The extensional relations this program reads, sorted by name.

@@ -120,7 +120,7 @@ pub struct SessionBuilder {
 impl Default for SessionBuilder {
     fn default() -> Self {
         SessionBuilder {
-            strategy: EvalStrategy::SemiNaive,
+            strategy: EvalStrategy::default(),
             limits: EvalLimits::default(),
             registry: Registry::new(),
             ie_cache_capacity: DEFAULT_IE_CACHE_BYTES,
@@ -147,8 +147,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Bounds the number of fixpoint rounds per evaluation (guards
-    /// runaway recursion in long-lived serving sessions).
+    /// Bounds the number of fixpoint rounds per evaluation, summed over
+    /// the program's recursive components (guards runaway recursion in
+    /// long-lived serving sessions; rules outside recursion fire once
+    /// and are not counted).
     pub fn max_fixpoint_rounds(mut self, rounds: usize) -> SessionBuilder {
         self.limits.max_rounds = Some(rounds);
         self
@@ -994,7 +996,7 @@ impl Session {
         let prefilter_before = spannerlib_regex::prefilter::stats();
         let result = evaluate(
             db,
-            &program.strata,
+            &program.components,
             &EvalCtx {
                 registry: &self.registry,
                 strategy: self.strategy,
@@ -1006,7 +1008,7 @@ impl Session {
             &mut trace,
         );
         // Capture the profile before propagating errors: an aborted run
-        // leaves its partial per-stratum progress in `profile()`.
+        // leaves its partial per-component progress in `profile()`.
         if let Some(mut profile) = trace.finish(result.as_ref().err().map(|e| e.to_string())) {
             let prefilter_after = spannerlib_regex::prefilter::stats();
             profile.prefilter_searches = prefilter_after.searches - prefilter_before.searches;

@@ -1,82 +1,149 @@
 //! Stratification of rule sets.
 //!
 //! Negation and aggregation must not feed back into themselves through
-//! recursion. The classical stratification condition is computed here: a
-//! predicate's stratum must be ≥ the strata of its positive dependencies
-//! and > the strata of its negated/aggregated dependencies. If no
-//! assignment exists, the program is rejected.
+//! recursion. The finest stratification is computed here: one stratum
+//! per strongly connected *component* of the predicate dependency graph,
+//! in dependency order. A negated/aggregated dependency inside a
+//! component is the unstratifiable case and rejects the program.
+//!
+//! Components are also what tells the evaluator where a fixpoint is
+//! needed at all (Peterfreund et al., *Recursive Programs for Document
+//! Spanners*): only a component that depends on itself iterates; every
+//! other one is complete after its rules fire once.
 
 use crate::error::{EngineError, Result};
 use crate::plan::RulePlan;
 use rustc_hash::FxHashMap;
 
-/// Groups rule plans into evaluation strata, bottom-up.
-///
-/// Each stratum is evaluated to fixpoint before the next begins, so a
-/// rule reading a negated/aggregated predicate sees its final content.
-pub fn stratify(plans: Vec<RulePlan>) -> Result<Vec<Vec<RulePlan>>> {
-    // Collect predicates: heads and dependencies.
-    let mut stratum: FxHashMap<String, usize> = FxHashMap::default();
+/// The rules deriving one strongly connected component of the predicate
+/// dependency graph — all rules of a head land in the same component.
+#[derive(Debug, Clone)]
+pub struct Component {
+    /// The component's rules, in program order.
+    pub rules: Vec<RulePlan>,
+    /// Whether some rule reads a predicate of this same component, so
+    /// evaluation must iterate to a fixpoint. Otherwise every body
+    /// predicate is complete beforehand and one firing per rule is all.
+    pub recursive: bool,
+}
+
+impl Component {
+    /// Whether `predicate` is derived by this component's rules.
+    pub fn derives(&self, predicate: &str) -> bool {
+        self.rules.iter().any(|r| r.head_predicate == predicate)
+    }
+}
+
+/// Groups rule plans into components, dependencies first: by the time a
+/// component is evaluated, every predicate it reads from outside itself
+/// — in particular every negated/aggregated one — has its final content.
+pub fn stratify(plans: Vec<RulePlan>) -> Result<Vec<Component>> {
+    // Nodes are predicates, numbered by first appearance so the output
+    // order is a function of the program text alone.
+    let mut node_of: FxHashMap<&str, usize> = FxHashMap::default();
     for p in &plans {
-        stratum.entry(p.head_predicate.clone()).or_insert(0);
-        for (dep, _) in &p.dependencies {
-            stratum.entry(dep.clone()).or_insert(0);
+        for name in std::iter::once(&p.head_predicate).chain(p.dependencies.iter().map(|(d, _)| d))
+        {
+            let next = node_of.len();
+            node_of.entry(name.as_str()).or_insert(next);
         }
     }
-    let n = stratum.len().max(1);
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); node_of.len()];
+    for p in &plans {
+        let head = node_of[p.head_predicate.as_str()];
+        edges[head].extend(p.dependencies.iter().map(|(d, _)| node_of[d.as_str()]));
+    }
+    let component_of = tarjan(&edges);
 
-    // Iterate the constraint system to fixpoint; more than n·n updates
-    // means a negative cycle.
-    let mut updates = 0usize;
-    loop {
-        let mut changed = false;
-        for p in &plans {
-            let head_stratum = stratum[&p.head_predicate];
-            let mut required = head_stratum;
-            for (dep, negative) in &p.dependencies {
-                let dep_stratum = stratum[dep];
-                let needed = if *negative {
-                    dep_stratum + 1
-                } else {
-                    dep_stratum
-                };
-                required = required.max(needed);
+    // Tarjan numbers components in completion order — a component closes
+    // only after everything it reaches has — which is evaluation order.
+    // Predicates without rules (extensional inputs) leave empty slots.
+    let n_components = component_of.iter().map(|c| c + 1).max().unwrap_or(0);
+    let mut slots: Vec<Component> = (0..n_components)
+        .map(|_| Component {
+            rules: Vec::new(),
+            recursive: false,
+        })
+        .collect();
+    let mut slot_of: Vec<usize> = Vec::with_capacity(plans.len());
+    for p in &plans {
+        let slot = component_of[node_of[p.head_predicate.as_str()]];
+        for (dep, negative) in &p.dependencies {
+            if component_of[node_of[dep.as_str()]] != slot {
+                continue;
             }
-            if required > head_stratum {
-                if required >= n {
-                    return Err(EngineError::NotStratifiable(format!(
-                        "predicate {:?} depends on itself through negation or aggregation",
-                        p.head_predicate
-                    )));
-                }
-                stratum.insert(p.head_predicate.clone(), required);
-                changed = true;
-                updates += 1;
-                if updates > n * n + n {
-                    return Err(EngineError::NotStratifiable(
-                        "stratum constraints do not converge".into(),
-                    ));
-                }
+            if *negative {
+                return Err(EngineError::NotStratifiable(format!(
+                    "predicate {:?} depends on itself through negation or aggregation",
+                    p.head_predicate
+                )));
             }
+            slots[slot].recursive = true;
         }
-        if !changed {
-            break;
-        }
+        slot_of.push(slot);
     }
+    for (p, slot) in plans.into_iter().zip(slot_of) {
+        slots[slot].rules.push(p);
+    }
+    slots.retain(|c| !c.rules.is_empty());
+    Ok(slots)
+}
 
-    // Bucket rules by their head's stratum.
-    let max_stratum = plans
-        .iter()
-        .map(|p| stratum[&p.head_predicate])
-        .max()
-        .unwrap_or(0);
-    let mut buckets: Vec<Vec<RulePlan>> = (0..=max_stratum).map(|_| Vec::new()).collect();
-    for p in plans {
-        let s = stratum[&p.head_predicate];
-        buckets[s].push(p);
+/// Tarjan's strongly-connected-components algorithm over adjacency
+/// lists, returning each node's component number. Components are
+/// numbered in completion order (a component's successors get lower
+/// numbers). Iterative: rule chains come from user programs and may be
+/// arbitrarily long.
+fn tarjan(edges: &[Vec<usize>]) -> Vec<usize> {
+    const UNVISITED: usize = usize::MAX;
+    let n = edges.len();
+    let mut index = vec![UNVISITED; n];
+    let mut low = vec![0usize; n];
+    let mut component = vec![UNVISITED; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut next_component = 0usize;
+    // (node, next outgoing edge to look at)
+    let mut work: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNVISITED {
+            continue;
+        }
+        work.push((root, 0));
+        while let Some(&mut (v, ref mut edge)) = work.last_mut() {
+            if *edge == 0 {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+            }
+            if let Some(&w) = edges[v].get(*edge) {
+                *edge += 1;
+                if index[w] == UNVISITED {
+                    work.push((w, 0));
+                } else if component[w] == UNVISITED {
+                    // Visited but not yet closed: `w` is on the stack.
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            work.pop();
+            if let Some(&(parent, _)) = work.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    component[w] = next_component;
+                    if w == v {
+                        break;
+                    }
+                }
+                next_component += 1;
+            }
+        }
     }
-    // Drop empty leading/inner buckets only if fully empty program.
-    Ok(buckets)
+    component
 }
 
 #[cfg(test)]
@@ -97,27 +164,39 @@ mod tests {
         }
     }
 
+    /// `(heads of the component's rules, recursive)` per component.
+    fn shape(components: &[Component]) -> Vec<(Vec<&str>, bool)> {
+        components
+            .iter()
+            .map(|c| {
+                let heads = c.rules.iter().map(|r| r.head_predicate.as_str()).collect();
+                (heads, c.recursive)
+            })
+            .collect()
+    }
+
     #[test]
     fn positive_recursion_in_one_stratum() {
-        let strata = stratify(vec![
+        let components = stratify(vec![
             plan("Path", &[("Edge", false)]),
             plan("Path", &[("Path", false), ("Edge", false)]),
         ])
         .unwrap();
-        assert_eq!(strata.len(), 1);
-        assert_eq!(strata[0].len(), 2);
+        assert_eq!(shape(&components), [(vec!["Path", "Path"], true)]);
     }
 
     #[test]
     fn negation_pushes_to_later_stratum() {
-        let strata = stratify(vec![
-            plan("Reach", &[("Edge", false)]),
+        // Listed consumer-first: order follows dependencies, not text.
+        let components = stratify(vec![
             plan("Unreach", &[("Node", false), ("Reach", true)]),
+            plan("Reach", &[("Edge", false)]),
         ])
         .unwrap();
-        assert_eq!(strata.len(), 2);
-        assert_eq!(strata[0][0].head_predicate, "Reach");
-        assert_eq!(strata[1][0].head_predicate, "Unreach");
+        assert_eq!(
+            shape(&components),
+            [(vec!["Reach"], false), (vec!["Unreach"], false)]
+        );
     }
 
     #[test]
@@ -133,31 +212,117 @@ mod tests {
     }
 
     #[test]
+    fn negation_inside_a_positive_cycle_rejected() {
+        // A → B → C → A positively, and C also negates A.
+        let err = stratify(vec![
+            plan("A", &[("B", false)]),
+            plan("B", &[("C", false)]),
+            plan("C", &[("A", false), ("E", false)]),
+            plan("C", &[("E", false), ("A", true)]),
+        ])
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            EngineError::NotStratifiable(
+                "predicate \"C\" depends on itself through negation or aggregation".into()
+            )
+            .to_string()
+        );
+    }
+
+    #[test]
     fn aggregation_behaves_like_negation() {
-        // Aggregation over a predicate in the same recursive component is
-        // encoded as a negative dependency by the safety pass; here we
-        // just confirm the stratifier separates it.
-        let strata = stratify(vec![
+        // Aggregation over a predicate is encoded as a negative
+        // dependency by the safety pass: fine across components,
+        // rejected inside one.
+        let components = stratify(vec![
             plan("Base", &[("Edge", false)]),
             plan("Summary", &[("Base", true)]), // agg-marked dep
         ])
         .unwrap();
-        assert_eq!(strata.len(), 2);
+        assert_eq!(
+            shape(&components),
+            [(vec!["Base"], false), (vec!["Summary"], false)]
+        );
+        assert!(stratify(vec![
+            plan("Base", &[("Edge", false), ("Summary", false)]),
+            plan("Summary", &[("Base", true)]),
+        ])
+        .is_err());
     }
 
     #[test]
     fn chain_of_negations_builds_strata() {
-        let strata = stratify(vec![
+        let components = stratify(vec![
+            plan("C", &[("B", true)]),
             plan("A", &[("E", false)]),
             plan("B", &[("A", true)]),
-            plan("C", &[("B", true)]),
         ])
         .unwrap();
-        assert_eq!(strata.len(), 3);
+        assert_eq!(
+            shape(&components),
+            [(vec!["A"], false), (vec!["B"], false), (vec!["C"], false)]
+        );
+    }
+
+    #[test]
+    fn covid_shaped_chain_is_one_non_recursive_component_per_head() {
+        // Positive and negative edges alike only order the chain; the
+        // same-head rules (`Ignored`, `Evidence`) stay together.
+        let components = stratify(vec![
+            plan("Sent", &[("Notes", false)]),
+            plan("Mention", &[("Sent", false)]),
+            plan("Ignored", &[("Mention", false), ("Section", false)]),
+            plan("Ignored", &[("Mention", false), ("Policy", false)]),
+            plan("Negated", &[("Mention", false), ("Ignored", true)]),
+            plan("Evidence", &[("Negated", false)]),
+            plan("Evidence", &[("Mention", false), ("Negated", true)]),
+            plan("Count", &[("Evidence", true)]),
+        ])
+        .unwrap();
+        assert_eq!(
+            shape(&components),
+            [
+                (vec!["Sent"], false),
+                (vec!["Mention"], false),
+                (vec!["Ignored", "Ignored"], false),
+                (vec!["Negated"], false),
+                (vec!["Evidence", "Evidence"], false),
+                (vec!["Count"], false),
+            ]
+        );
+    }
+
+    #[test]
+    fn mutual_recursion_shares_a_component() {
+        let components = stratify(vec![
+            plan("Top", &[("Even", false)]),
+            plan("Even", &[("Zero", false)]),
+            plan("Even", &[("Odd", false), ("Succ", false)]),
+            plan("Odd", &[("Even", false), ("Succ", false)]),
+        ])
+        .unwrap();
+        assert_eq!(
+            shape(&components),
+            [(vec!["Even", "Even", "Odd"], true), (vec!["Top"], false)]
+        );
+    }
+
+    #[test]
+    fn long_rule_chains_do_not_recurse_on_the_call_stack() {
+        let n = 20_000;
+        let plans = (0..n)
+            .map(|i| plan(&format!("P{}", i + 1), &[(&format!("P{i}"), false)]))
+            .rev()
+            .collect();
+        let components = stratify(plans).unwrap();
+        assert_eq!(components.len(), n);
+        assert_eq!(components[0].rules[0].head_predicate, "P1");
+        assert!(components.iter().all(|c| !c.recursive));
     }
 
     #[test]
     fn empty_program() {
-        assert_eq!(stratify(vec![]).unwrap().len(), 1);
+        assert!(stratify(vec![]).unwrap().is_empty());
     }
 }

@@ -176,6 +176,27 @@ fn uncached_closures_bypass_the_memo() {
     assert_eq!(session.stats().cache.hits, 0);
 }
 
+/// The constant-time builtins are registered uncached — a memo probe
+/// costs more than they do — so a rule calling them leaves the memo
+/// holding only what the expensive functions produced.
+#[test]
+fn cheap_builtins_bypass_the_memo() {
+    let mut session = Session::new();
+    session
+        .run(
+            r#"new Texts(str)
+Texts("aa b aaa") Texts("a bb")
+Run(b, n) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) -> (b),
+             format("{}:{}", b, n) -> (k), starts_with(k, "0"), add(n, 1) -> (m), m > 1"#,
+        )
+        .unwrap();
+    let rows: Vec<(i64, i64)> = session.export_typed("?Run(b, n)").unwrap();
+    assert_eq!(rows, [(0, 1), (0, 2)]);
+    let cache = session.stats().cache;
+    assert_eq!((cache.misses, cache.hits), (2, 0), "one rgx call per text");
+    assert_eq!(cache.entries, 2);
+}
+
 /// Binding rows that share an argument tuple are deduplicated into one
 /// call for cacheable functions — but an *uncached* function is invoked
 /// once per row (its repeated calls may legitimately differ).

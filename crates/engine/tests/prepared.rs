@@ -487,11 +487,15 @@ fn snapshot_fingerprint_tracks_read_relations_only() {
 /// Serving-shaped churn: one writer keeps importing and publishing new
 /// snapshots while reader threads execute against whichever snapshot is
 /// current. Every observation must be internally consistent (a snapshot
-/// of `n` inputs always yields exactly `n * n` join rows).
+/// of `n` inputs always yields exactly `n * n` join rows). The writer
+/// keeps churning until every reader has read under it at least once,
+/// however late the scheduler starts them.
 #[test]
 fn writer_churn_under_concurrent_snapshot_readers() {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::RwLock;
+
+    const READERS: usize = 4;
 
     let mut session = Session::new();
     session.run("new V(int)\nD(x, y) <- V(x), V(y)").unwrap();
@@ -500,13 +504,15 @@ fn writer_churn_under_concurrent_snapshot_readers() {
     let published: RwLock<Arc<(usize, Snapshot)>> =
         RwLock::new(Arc::new((1, session.snapshot().unwrap())));
     let stop = AtomicBool::new(false);
+    let readers_under_way = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        let readers: Vec<_> = (0..4)
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let published = &published;
                 let stop = &stop;
                 let query = &query;
+                let readers_under_way = &readers_under_way;
                 scope.spawn(move || {
                     let mut executions = 0usize;
                     while !stop.load(Ordering::SeqCst) {
@@ -515,6 +521,9 @@ fn writer_churn_under_concurrent_snapshot_readers() {
                         let frame = snapshot.execute(query).unwrap();
                         assert_eq!(frame.num_rows(), n * n, "torn snapshot at n={n}");
                         executions += 1;
+                        if executions == 1 {
+                            readers_under_way.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
                     executions
                 })
@@ -523,15 +532,19 @@ fn writer_churn_under_concurrent_snapshot_readers() {
 
         // The writer churns imports and republishes; readers are never
         // blocked and never observe a half-applied import.
-        for n in 2..=20usize {
+        for n in (2..=20usize).cycle() {
             let rows: Vec<(i64,)> = (0..n as i64).map(|i| (i,)).collect();
             session.import_typed("V", rows).unwrap();
             let snapshot = session.snapshot().unwrap();
             *published.write().unwrap() = Arc::new((n, snapshot));
+            if n == 20 && readers_under_way.load(Ordering::SeqCst) == READERS {
+                break;
+            }
         }
         stop.store(true, Ordering::SeqCst);
-        let total: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total > 0, "readers must have made progress");
+        for reader in readers {
+            assert!(reader.join().unwrap() > 0, "every reader read under churn");
+        }
     });
 }
 

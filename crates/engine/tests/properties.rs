@@ -21,6 +21,23 @@ fn load_graph(session: &mut Session, edges: &[(u8, u8)]) {
     }
 }
 
+/// The named relations a graph `program` derives over `edges` under
+/// `strategy`.
+fn derive(
+    strategy: EvalStrategy,
+    edges: &[(u8, u8)],
+    program: &str,
+    relations: &[&str],
+) -> Vec<Vec<spannerlib_core::Tuple>> {
+    let mut session = Session::with_strategy(strategy);
+    load_graph(&mut session, edges);
+    session.run(program).unwrap();
+    relations
+        .iter()
+        .map(|name| session.relation(name).unwrap().sorted_tuples())
+        .collect()
+}
+
 /// Random short documents over a tiny alphabet, exercising matches,
 /// non-matches, and empty texts.
 fn texts_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -76,6 +93,76 @@ fn import_texts(session: &mut Session, texts: &[Vec<u8>], round: usize) {
         .unwrap();
 }
 
+/// A relation's tuples with spans rendered as resolved text + offsets:
+/// shard workers race to intern documents, so raw doc ids differ from
+/// run to run without being observably different.
+fn canonical(session: &mut Session, name: &str) -> Vec<Vec<String>> {
+    let mut rows: Vec<Vec<String>> = session
+        .relation(name)
+        .unwrap()
+        .sorted_tuples()
+        .iter()
+        .map(|t| {
+            t.values()
+                .iter()
+                .map(|v| match v {
+                    Value::Span(s) => format!(
+                        "{:?}[{}..{}]",
+                        session.span_text(s).unwrap(),
+                        s.start,
+                        s.end
+                    ),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// One rule of a random layered program over `Edge`: which lower
+/// predicate feeds it, how the head variable is reached, and which
+/// lower predicates it negates.
+type RuleSpec = (u8, u8, Vec<u8>);
+
+/// Renders heads `P0..Pn`, each with one or more rules. A rule reads a
+/// lower predicate (or `Node`), optionally steps through `Edge` — from
+/// that predicate or from its own head (recursion) — and negates lower
+/// predicates, so negation chains run as deep as the program.
+/// `not Edge(v, v)` stands in below `P0`.
+fn layered_program(heads: &[Vec<RuleSpec>]) -> String {
+    let mut program = String::from("Node(x) <- Edge(x, _)\nNode(y) <- Edge(_, y)\n");
+    let lower = |i: usize, pick: u8| match pick as usize % (i + 1) {
+        0 => "Node".to_string(),
+        k => format!("P{}", k - 1),
+    };
+    for (i, rules) in heads.iter().enumerate() {
+        for (src, shape, negated) in rules {
+            let (body, v) = match shape {
+                0 => (format!("{}(x)", lower(i, *src)), "x"),
+                1 => (format!("{}(x), Edge(x, y)", lower(i, *src)), "y"),
+                _ => (format!("P{i}(x), Edge(x, y)"), "y"),
+            };
+            let mut rule = format!("P{i}({v}) <- {body}");
+            for n in negated {
+                match *n as usize % (i + 1) {
+                    0 => rule.push_str(&format!(", not Edge({v}, {v})")),
+                    k => rule.push_str(&format!(", not P{}({v})", k - 1)),
+                }
+            }
+            program.push_str(&rule);
+            program.push('\n');
+        }
+    }
+    program
+}
+
+fn layered_program_strategy() -> impl Strategy<Value = Vec<Vec<RuleSpec>>> {
+    let rule = (0u8..6, 0u8..3, prop::collection::vec(0u8..6, 0..3));
+    prop::collection::vec(prop::collection::vec(rule, 1..4), 1..6)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -98,7 +185,7 @@ proptest! {
         );
     }
 
-    /// Same-generation: a classic mutual-recursion workload.
+    /// Same-generation: recursion through a three-way join.
     #[test]
     fn strategies_agree_on_same_generation(edges in edges_strategy()) {
         let program = "
@@ -115,6 +202,21 @@ proptest! {
         prop_assert_eq!(
             naive.relation("Sg").unwrap().sorted_tuples(),
             semi.relation("Sg").unwrap().sorted_tuples()
+        );
+    }
+
+    /// Mutual recursion: two predicates in one component, each fed only
+    /// by the other's delta.
+    #[test]
+    fn strategies_agree_on_mutual_recursion(edges in edges_strategy()) {
+        let program = "
+            Even(0) <- Edge(0, _)
+            Odd(y) <- Even(x), Edge(x, y)
+            Even(y) <- Odd(x), Edge(x, y)
+        ";
+        prop_assert_eq!(
+            derive(EvalStrategy::Naive, &edges, program, &["Even", "Odd"]),
+            derive(EvalStrategy::SemiNaive, &edges, program, &["Even", "Odd"])
         );
     }
 
@@ -140,6 +242,25 @@ proptest! {
         );
     }
 
+    /// Random layered programs — multi-rule heads, negation chains,
+    /// recursive and non-recursive components side by side: the
+    /// fire-once shortcut and the delta loop derive what the naive loop
+    /// derives, relation for relation.
+    #[test]
+    fn strategies_agree_on_random_layered_programs(
+        edges in edges_strategy(),
+        heads in layered_program_strategy(),
+    ) {
+        let program = layered_program(&heads);
+        let names: Vec<String> = (0..heads.len()).map(|i| format!("P{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        prop_assert_eq!(
+            derive(EvalStrategy::Naive, &edges, &program, &names),
+            derive(EvalStrategy::SemiNaive, &edges, &program, &names),
+            "program:\n{}", program
+        );
+    }
+
     /// The IE memo is semantically invisible: cache-on and cache-off
     /// sessions agree tuple-for-tuple on random programs over random
     /// documents, across re-imports that exercise warm-path replay.
@@ -160,8 +281,8 @@ proptest! {
             }
             for name in relations {
                 prop_assert_eq!(
-                    cached.relation(name).unwrap().sorted_tuples(),
-                    uncached.relation(name).unwrap().sorted_tuples(),
+                    canonical(&mut cached, name),
+                    canonical(&mut uncached, name),
                     "relation {} diverged on round {}", name, round
                 );
             }
@@ -202,9 +323,7 @@ proptest! {
 
     /// Planner equivalence on IE-heavy programs: reordering around
     /// (cacheable and uncacheable) IE calls and negation never changes
-    /// the derived relations. Spans are compared by their resolved text
-    /// and offsets, not raw doc ids: a reordered run may intern the same
-    /// documents under different ids without being observably different.
+    /// the derived relations.
     #[test]
     fn planner_on_and_off_agree_on_ie_programs(
         texts in texts_strategy(),
@@ -217,30 +336,6 @@ proptest! {
         import_texts(&mut off, &texts, 0);
         on.run(program).unwrap();
         off.run(program).unwrap();
-        let canonical = |session: &mut Session, name: &str| -> Vec<Vec<String>> {
-            let mut rows: Vec<Vec<String>> = session
-                .relation(name)
-                .unwrap()
-                .sorted_tuples()
-                .iter()
-                .map(|t| {
-                    t.values()
-                        .iter()
-                        .map(|v| match v {
-                            Value::Span(s) => format!(
-                                "{:?}[{}..{}]",
-                                session.span_text(s).unwrap(),
-                                s.start,
-                                s.end
-                            ),
-                            other => format!("{other:?}"),
-                        })
-                        .collect()
-                })
-                .collect();
-            rows.sort();
-            rows
-        };
         for name in relations {
             prop_assert_eq!(
                 canonical(&mut on, name),
@@ -254,8 +349,6 @@ proptest! {
     /// `parallelism(k)` agrees tuple-for-tuple with a pinned-serial
     /// session on random IE programs over random documents, for several
     /// worker counts (including ones exceeding the document count).
-    /// Spans canonicalize by resolved text and offsets: shard execution
-    /// may intern documents under different ids.
     #[test]
     fn parallelism_is_semantically_invisible(
         texts in texts_strategy(),
@@ -267,30 +360,6 @@ proptest! {
             import_texts(&mut session, &texts, 0);
             session.run(program).unwrap();
             session
-        };
-        let canonical = |session: &mut Session, name: &str| -> Vec<Vec<String>> {
-            let mut rows: Vec<Vec<String>> = session
-                .relation(name)
-                .unwrap()
-                .sorted_tuples()
-                .iter()
-                .map(|t| {
-                    t.values()
-                        .iter()
-                        .map(|v| match v {
-                            Value::Span(s) => format!(
-                                "{:?}[{}..{}]",
-                                session.span_text(s).unwrap(),
-                                s.start,
-                                s.end
-                            ),
-                            other => format!("{other:?}"),
-                        })
-                        .collect()
-                })
-                .collect();
-            rows.sort();
-            rows
         };
         let mut serial = run(0);
         for workers in [2usize, 4, 7] {

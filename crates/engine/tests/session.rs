@@ -426,7 +426,51 @@ fn eval_stats_populated() {
         )
         .unwrap();
     session.ensure_evaluated().unwrap();
-    let stats = session.stats();
-    assert!(stats.eval.rounds >= 2);
-    assert!(stats.eval.tuples_new >= 3);
+    // Round 1 derives all three paths (the second rule already sees the
+    // first one's inserts); round 2 re-derives them and stops.
+    let eval = session.stats().eval;
+    assert_eq!((eval.rounds, eval.rule_firings, eval.tuples_new), (2, 4, 3));
+}
+
+/// A program without recursion needs no fixpoint: every rule fires
+/// exactly once, one round per component, whatever mix of joins,
+/// negation, multi-rule heads and aggregation connects them. The naive
+/// strategy pays the confirming second round everywhere.
+#[test]
+fn non_recursive_program_fires_every_rule_once() {
+    let program = r#"
+        new Edge(int, int)
+        Edge(1, 2) Edge(2, 3) Edge(3, 1) Edge(3, 4)
+        Node(x) <- Edge(x, _)
+        Node(y) <- Edge(_, y)
+        Leaf(x) <- Node(x), not Edge(x, _)
+        Inner(x) <- Node(x), not Leaf(x)
+        TwoHop(x, z) <- Edge(x, y), Edge(y, z), not Edge(x, z)
+        Busy(x) <- Inner(x), TwoHop(x, _)
+        Busy(x) <- Inner(x), TwoHop(_, x)
+        Stats(count(x)) <- Busy(x)
+    "#;
+    let mut session = Session::new();
+    session.run(program).unwrap();
+    let compiled = session.prepare_program().unwrap();
+    let (rules, components) = (
+        compiled.program().rule_count(),
+        compiled.program().component_count(),
+    );
+    assert_eq!((rules, components), (8, 6));
+    session.ensure_evaluated().unwrap();
+    let eval = session.stats().eval;
+    assert_eq!((eval.rule_firings, eval.rounds), (rules, components));
+    let busy: Vec<(i64,)> = session.export_typed("?Stats(n)").unwrap();
+    assert_eq!(busy, vec![(3,)]);
+
+    let mut naive = Session::with_strategy(EvalStrategy::Naive);
+    naive.run(program).unwrap();
+    naive.ensure_evaluated().unwrap();
+    let eval = naive.stats().eval;
+    assert_eq!(
+        (eval.rule_firings, eval.rounds),
+        (2 * rules, 2 * components)
+    );
+    assert_eq!(naive.export_typed::<(i64,)>("?Stats(n)").unwrap(), busy);
 }

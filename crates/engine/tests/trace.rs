@@ -9,8 +9,8 @@ use spannerlog_engine::{EngineError, EvalStats, EvalStrategy, RingTracer, Sessio
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Transitive closure over a six-node chain: two strata worth of work
-/// packed into one, with recursion deep enough to need several rounds.
+/// Transitive closure over a six-edge chain: one recursive component,
+/// deep enough to need several rounds.
 const TC_PROGRAM: &str = "new Edge(int, int)
 Edge(1, 2) Edge(2, 3) Edge(3, 4) Edge(4, 5) Edge(5, 6) Edge(6, 7)
 Path(x, y) <- Edge(x, y)
@@ -33,6 +33,11 @@ fn profile_counters_agree_with_eval_stats() {
 
     let profile = session.profile().expect("Summary level yields a profile");
     let eval: EvalStats = session.stats().eval;
+    // Round 1 fires both rules in full (paths of length 1 and 2); each
+    // later round fires the recursive rule's one delta variant and finds
+    // the next length, until round 6 finds nothing.
+    assert_eq!((eval.rounds, eval.rule_firings), (6, 7));
+    assert_eq!((eval.tuples_derived, eval.tuples_new), (26, 21));
     assert_eq!(profile.rounds, eval.rounds as u64);
     assert_eq!(profile.rule_firings, eval.rule_firings as u64);
     assert_eq!(profile.tuples_derived, eval.tuples_derived as u64);
@@ -167,9 +172,52 @@ fn round_limit_abort_names_the_driving_rule_and_keeps_partial_profile() {
     let profile = session.profile().expect("aborted run keeps its profile");
     let error = profile.error.as_deref().unwrap();
     assert!(error.contains("fixpoint rounds"), "{error}");
-    assert!(profile.rounds >= 2);
+    assert_eq!(profile.rounds, 3);
     assert!(profile.strata[0].rules.iter().any(|r| r.firings > 0));
     assert!(profile.render().contains("aborted"));
+}
+
+/// The round limit guards recursion, so only recursive components are
+/// charged against it: a chain of non-recursive components longer than
+/// the limit evaluates, and recursion behind it still trips the limit
+/// on its own third round, blamed on the same rule as without the chain.
+#[test]
+fn round_limit_charges_only_recursive_components() {
+    let chain = "new Edge(int, int)
+Edge(1, 2) Edge(2, 3) Edge(3, 4) Edge(4, 5) Edge(5, 6) Edge(6, 7)
+A(x) <- Edge(x, _)
+B(x) <- A(x), not Edge(x, 7)
+C(x) <- B(x), not A(7)
+D(x) <- C(x)
+E(count(x)) <- D(x)";
+    let mut session = Session::builder()
+        .max_fixpoint_rounds(2)
+        .tracing(TraceLevel::Summary)
+        .build();
+    session.run(chain).unwrap();
+    assert_eq!(session.export_typed::<(i64,)>("?E(n)").unwrap(), [(5,)]);
+    assert_eq!(session.stats().eval.rounds, 5);
+
+    session
+        .run("Path(x, y) <- D(x), Edge(x, y)\nPath(x, z) <- Path(x, y), Edge(y, z)")
+        .unwrap();
+    let err = session.export("?Path(x, y)").unwrap_err();
+    let EngineError::LimitExceeded {
+        resource,
+        limit,
+        culprit,
+    } = &err
+    else {
+        panic!("expected LimitExceeded, got {err:?}");
+    };
+    assert_eq!((*resource, *limit), ("fixpoint rounds", 2));
+    assert_eq!(culprit.head, "Path");
+    assert!(
+        culprit.source.contains("Path(x, y), Edge(y, z)"),
+        "{culprit:?}"
+    );
+    // Five uncharged rounds, then the three of `Path`.
+    assert_eq!(session.profile().unwrap().rounds, 8);
 }
 
 #[test]

@@ -92,6 +92,7 @@ impl Json {
     /// ```
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -181,6 +182,8 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -314,9 +317,10 @@ impl Parser<'_> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let code =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                    char::from_u32(code)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -332,13 +336,15 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, escape
+                    // or control character in one slice. All three are
+                    // ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -436,11 +442,38 @@ mod tests {
             "1 2",
             "\"bad \\q\"",
             "\u{1}",
+            // A high surrogate must be followed by a low one.
+            r#""\ud83d\u0041""#,
+            r#""\ud83d""#,
         ] {
             assert!(Json::parse(src).is_err(), "{src:?} should fail");
         }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err(), "depth cap");
+    }
+
+    /// String bodies are copied run by run, never re-validated from the
+    /// cursor to the end of the input: a megabyte of text must parse in
+    /// time linear in its size, not quadratic (which takes many seconds).
+    #[test]
+    fn a_megabyte_of_strings_parses_in_linear_time() {
+        let note = "Patient é tested positive; \\\"quoted\\\" — 😀\\n".repeat(12);
+        let rows: Vec<String> = (0..2_000)
+            .map(|i| format!(r#"["d{i}","{note}"]"#))
+            .collect();
+        let body = format!(r#"{{"relation":"Notes","rows":[{}]}}"#, rows.join(","));
+        assert!(body.len() > 1_000_000, "{} bytes", body.len());
+
+        let start = std::time::Instant::now();
+        let v = Json::parse(&body).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_millis() < 500, "took {elapsed:?}");
+
+        let parsed_rows = v.get("rows").unwrap().as_array().unwrap();
+        assert_eq!(parsed_rows.len(), 2_000);
+        let text = parsed_rows[7].as_array().unwrap()[1].as_str().unwrap();
+        assert!(text.starts_with("Patient é tested positive; \"quoted\" — 😀\nPatient"));
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct EvalProfile {
     pub request_ids: Vec<String>,
     /// Total evaluation wall time, in nanoseconds.
     pub total_ns: u64,
-    /// Fixpoint rounds across all strata.
+    /// Rounds across all strata (a stratum without recursion takes one).
     pub rounds: u64,
     /// Rule-plan executions across all strata and rounds.
     pub rule_firings: u64,
@@ -36,7 +36,9 @@ pub struct EvalProfile {
     /// Set when the run aborted (e.g. a limit was exceeded): the
     /// profile then reflects the *partial* progress up to the abort.
     pub error: Option<String>,
-    /// Per-stratum breakdown, in execution order.
+    /// Per-stratum breakdown, in execution order. The engine evaluates
+    /// the finest stratification: one stratum per strongly connected
+    /// component of the predicate dependency graph.
     pub strata: Vec<StratumProfile>,
     /// Per-IE-function call statistics, sorted by name.
     pub ie_functions: Vec<IeFunctionProfile>,
