@@ -22,9 +22,8 @@ fn bench_covid_pipeline(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    let mut pipeline =
-                        SpannerPipeline::with_config(TraceLevel::Off, true, Some(workers))
-                            .expect("pipeline builds");
+                    let mut pipeline = SpannerPipeline::with_config(TraceLevel::Off, Some(workers))
+                        .expect("pipeline builds");
                     black_box(
                         pipeline
                             .classify_corpus(&corpus)

@@ -19,7 +19,7 @@ use std::net::SocketAddr;
 /// and prepares `?Status(d, s)` over the wire, and runs one warm-up
 /// execute so the benched requests read a published snapshot.
 fn boot() -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
-    let session = SpannerPipeline::with_config(TraceLevel::Off, true, None)
+    let session = SpannerPipeline::with_config(TraceLevel::Off, None)
         .expect("pipeline builds")
         .into_session();
     let server = Server::bind(

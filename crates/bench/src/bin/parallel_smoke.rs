@@ -67,9 +67,8 @@ fn measure_arm(
     corpus: &[CorpusDoc],
     workers: usize,
 ) -> (u128, Vec<spannerlib_covid::classify::DocumentResult>) {
-    let build = || {
-        SpannerPipeline::with_config(TraceLevel::Off, true, Some(workers)).expect("pipeline builds")
-    };
+    let build =
+        || SpannerPipeline::with_config(TraceLevel::Off, Some(workers)).expect("pipeline builds");
     let ns = measure(build, |pipeline| {
         black_box(pipeline.classify_corpus(corpus).expect("corpus classifies"));
     });

@@ -119,7 +119,7 @@ fn main() {
 
     // The serving session is the full clinical pipeline; the server
     // owns it and every mutation below travels over the wire.
-    let session = SpannerPipeline::with_config(TraceLevel::Off, true, None)
+    let session = SpannerPipeline::with_config(TraceLevel::Off, None)
         .expect("pipeline builds")
         .into_session();
     let server = Server::bind(

@@ -173,8 +173,8 @@ pub fn cache_tick(session: &mut spannerlog_engine::Session, round: i64) {
         .unwrap();
 }
 
-/// The join-ordering workload of the planner bench (`planner_smoke` /
-/// `bench_planner`): textual order joins the two big relations first
+/// The join-ordering workload (`perfbench`'s `tc_join` runs it): textual
+/// order joins the two big relations first
 /// (quadratic intermediate, `rows²/50` bindings); cost order starts
 /// from the 5-row `C`, keeping every intermediate at a few hundred
 /// rows.
@@ -198,32 +198,6 @@ pub fn load_join_workload(session: &mut spannerlog_engine::Session, rows: usize)
     for z in 0..5 {
         session.add_fact("C", [Value::Int(z)]).unwrap();
     }
-}
-
-/// The prefilter workload: a literal-prefixed pattern that never occurs
-/// in [`email_document`] text, so the prefilter prunes every search
-/// while the bare PikeVM pays a full scan of each document.
-pub const RARE_PATTERN: &str = "error: [a-z]+";
-
-/// A session holding `docs` synthetic email documents for the
-/// [`RARE_PATTERN`] extraction workload.
-pub fn rare_pattern_session(
-    docs: usize,
-    words_per_doc: usize,
-    planner: bool,
-) -> spannerlog_engine::Session {
-    let mut session = spannerlog_engine::Session::builder()
-        .planner(planner)
-        .build();
-    session
-        .import_typed(
-            "Texts",
-            (0..docs)
-                .map(|i| (format!("doc-{i}"), email_document(words_per_doc, i as u64)))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-    session
 }
 
 #[cfg(test)]

@@ -175,31 +175,6 @@ impl IeMemo {
         }
     }
 
-    /// Probes a whole batch of keys under the *one* lock acquisition
-    /// the caller already holds, returning one slot per key in order.
-    ///
-    /// This is the contention-aware path for parallel evaluation: a
-    /// rule firing with `n` distinct argument tuples pays one
-    /// `Mutex<IeMemo>` round-trip for all its probes instead of `n`
-    /// (and the misses are then computed off-lock, on worker threads,
-    /// before a single [`IeMemo::insert_batch`]).
-    pub fn get_batch(&mut self, keys: &[MemoKey]) -> Vec<Option<Arc<MemoOutput>>> {
-        keys.iter().map(|key| self.get(key)).collect()
-    }
-
-    /// Inserts a batch of computed results under one lock acquisition.
-    /// Each entry behaves exactly like an [`IeMemo::insert`]; entries
-    /// later in the batch are more recent for LRU purposes.
-    pub fn insert_batch(
-        &mut self,
-        entries: impl IntoIterator<Item = (MemoKey, Arc<MemoOutput>)>,
-        doc_bytes: impl Fn(DocId) -> usize,
-    ) {
-        for (key, output) in entries {
-            self.insert(key, output, &doc_bytes);
-        }
-    }
-
     /// Stores a call result, evicting least-recently-used entries until
     /// the budget holds. An entry larger than the whole budget is
     /// rejected (counted in [`CacheStats::oversized`]); re-inserting an
@@ -360,25 +335,6 @@ mod tests {
     /// Insert with no interned documents in play (scalar workloads).
     fn put(memo: &mut IeMemo, key: MemoKey, output: Arc<MemoOutput>) {
         memo.insert(key, output, |_| 0);
-    }
-
-    #[test]
-    fn batch_probe_and_insert_match_singles() {
-        let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, key("f", 1), rows(10));
-        let probes = memo.get_batch(&[key("f", 1), key("f", 2), key("f", 1)]);
-        assert_eq!(probes.len(), 3);
-        assert_eq!(*probes[0].as_ref().expect("hit").clone(), *rows(10));
-        assert!(probes[1].is_none());
-        assert!(probes[2].is_some());
-        memo.insert_batch([(key("f", 2), rows(20)), (key("f", 3), rows(30))], |_| 0);
-        assert_eq!(*memo.get(&key("f", 2)).expect("inserted"), *rows(20));
-        assert_eq!(*memo.get(&key("f", 3)).expect("inserted"), *rows(30));
-        let stats = memo.stats();
-        assert_eq!(stats.insertions, 3);
-        // The only miss was `f(2)` inside the batch probe.
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 4);
     }
 
     #[test]

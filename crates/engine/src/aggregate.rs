@@ -207,7 +207,7 @@ pub fn builtin_conversions() -> Vec<(String, Arc<dyn Conversion>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spannerlib_core::DocumentStore;
+    use crate::ie::SharedDocs;
 
     fn agg(name: &str) -> Arc<dyn AggFunction> {
         builtin_aggregates()
@@ -278,10 +278,10 @@ mod tests {
 
     #[test]
     fn str_conversion_resolves_spans() {
-        let mut docs = DocumentStore::new();
-        let id = docs.intern("hello");
-        let span = docs.span(id, 1, 4).unwrap();
-        let ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let id = docs.write().intern("hello");
+        let span = docs.read().span(id, 1, 4).unwrap();
+        let ctx = IeContext::new(&docs);
         assert_eq!(
             conv("str").convert(&Value::Span(span), &ctx).unwrap(),
             Value::str("ell")
@@ -294,10 +294,10 @@ mod tests {
 
     #[test]
     fn len_conversion() {
-        let mut docs = DocumentStore::new();
-        let id = docs.intern("hello");
-        let span = docs.span(id, 0, 2).unwrap();
-        let ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let id = docs.write().intern("hello");
+        let span = docs.read().span(id, 0, 2).unwrap();
+        let ctx = IeContext::new(&docs);
         assert_eq!(
             conv("len").convert(&Value::Span(span), &ctx).unwrap(),
             Value::Int(2)

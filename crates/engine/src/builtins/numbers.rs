@@ -91,14 +91,13 @@ pub fn install(registry: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::{IeContext, IeOutput};
-    use spannerlib_core::DocumentStore;
+    use crate::ie::{IeContext, IeOutput, SharedDocs};
 
     fn call(name: &str, args: &[Value]) -> Result<IeOutput> {
         let registry = Registry::new();
         let f = registry.ie(name).unwrap().clone();
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         f.call(args, 1, &mut ctx)
     }
 

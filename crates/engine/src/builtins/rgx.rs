@@ -184,9 +184,9 @@ pub fn install(registry: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spannerlib_core::DocumentStore;
+    use crate::ie::SharedDocs;
 
-    fn call(name: &str, args: &[Value], n_outputs: usize, docs: &mut DocumentStore) -> IeOutput {
+    fn call(name: &str, args: &[Value], n_outputs: usize, docs: &SharedDocs) -> IeOutput {
         let registry = Registry::new();
         let f = registry.ie(name).unwrap().clone();
         let mut ctx = IeContext::new(docs);
@@ -195,14 +195,14 @@ mod tests {
 
     #[test]
     fn paper_example_via_ie_function() {
-        let mut docs = DocumentStore::new();
+        let docs = SharedDocs::default();
         let rows = call(
             "rgx",
             &[Value::str("x{a+}c+y{b+}"), Value::str("acb aacccbbb")],
             2,
-            &mut docs,
+            &docs,
         );
-        let doc = docs.lookup("acb aacccbbb").unwrap();
+        let doc = docs.read().lookup("acb aacccbbb").unwrap();
         assert_eq!(
             rows,
             vec![
@@ -220,12 +220,12 @@ mod tests {
 
     #[test]
     fn rgx_string_returns_text() {
-        let mut docs = DocumentStore::new();
+        let docs = SharedDocs::default();
         let rows = call(
             "rgx_string",
             &[Value::str("x{a+}c+y{b+}"), Value::str("acb aacccbbb")],
             2,
-            &mut docs,
+            &docs,
         );
         assert_eq!(
             rows,
@@ -238,31 +238,26 @@ mod tests {
 
     #[test]
     fn group_free_pattern_yields_whole_match() {
-        let mut docs = DocumentStore::new();
-        let rows = call("rgx", &[Value::str("b+"), Value::str("abba")], 1, &mut docs);
-        let doc = docs.lookup("abba").unwrap();
+        let docs = SharedDocs::default();
+        let rows = call("rgx", &[Value::str("b+"), Value::str("abba")], 1, &docs);
+        let doc = docs.read().lookup("abba").unwrap();
         assert_eq!(rows, vec![vec![Value::Span(Span::new(doc, 1, 3))]]);
     }
 
     #[test]
     fn span_input_offsets_results_into_original_doc() {
-        let mut docs = DocumentStore::new();
-        let id = docs.intern("zzz abba zzz");
-        let scope = docs.span(id, 4, 9).unwrap(); // "abba "
-        let rows = call("rgx", &[Value::str("b+"), Value::Span(scope)], 1, &mut docs);
+        let docs = SharedDocs::default();
+        let id = docs.write().intern("zzz abba zzz");
+        let scope = docs.read().span(id, 4, 9).unwrap(); // "abba "
+        let rows = call("rgx", &[Value::str("b+"), Value::Span(scope)], 1, &docs);
         assert_eq!(rows, vec![vec![Value::Span(Span::new(id, 5, 7))]]);
     }
 
     #[test]
     fn all_matches_mode_is_superset() {
-        let mut docs = DocumentStore::new();
-        let find = call("rgx", &[Value::str("a+"), Value::str("aaa")], 1, &mut docs);
-        let all = call(
-            "rgx_all",
-            &[Value::str("a+"), Value::str("aaa")],
-            1,
-            &mut docs,
-        );
+        let docs = SharedDocs::default();
+        let find = call("rgx", &[Value::str("a+"), Value::str("aaa")], 1, &docs);
+        let all = call("rgx_all", &[Value::str("a+"), Value::str("aaa")], 1, &docs);
         assert_eq!(find.len(), 1);
         assert_eq!(all.len(), 6);
         for row in &find {
@@ -272,13 +267,13 @@ mod tests {
 
     #[test]
     fn is_match_filters() {
-        let mut docs = DocumentStore::new();
+        let docs = SharedDocs::default();
         assert_eq!(
             call(
                 "rgx_is_match",
                 &[Value::str("b+"), Value::str("abc")],
                 0,
-                &mut docs
+                &docs
             )
             .len(),
             1
@@ -288,7 +283,7 @@ mod tests {
                 "rgx_is_match",
                 &[Value::str("z"), Value::str("abc")],
                 0,
-                &mut docs
+                &docs
             )
             .len(),
             0
@@ -299,8 +294,8 @@ mod tests {
     fn wrong_output_arity_is_an_error() {
         let registry = Registry::new();
         let f = registry.ie("rgx").unwrap().clone();
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         let err = f
             .call(&[Value::str("x{a}y{b}"), Value::str("ab")], 1, &mut ctx)
             .unwrap_err();
@@ -311,8 +306,8 @@ mod tests {
     fn bad_pattern_reports() {
         let registry = Registry::new();
         let f = registry.ie("rgx").unwrap().clone();
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         let err = f
             .call(&[Value::str("a("), Value::str("x")], 1, &mut ctx)
             .unwrap_err();
@@ -321,32 +316,35 @@ mod tests {
 
     #[test]
     fn scalar_only_modes_do_not_intern_string_arguments() {
-        let mut docs = DocumentStore::new();
+        let docs = SharedDocs::default();
         call(
             "rgx_string",
             &[Value::str("(a+)"), Value::str("aa scalar outputs")],
             1,
-            &mut docs,
+            &docs,
         );
         call(
             "rgx_is_match",
             &[Value::str("a+"), Value::str("aa filter only")],
             0,
-            &mut docs,
+            &docs,
         );
         // Span mode with zero matches: still nothing to point a span at.
         call(
             "rgx",
             &[Value::str("zzz"), Value::str("no match here")],
             1,
-            &mut docs,
+            &docs,
         );
-        assert!(docs.is_empty(), "no span was produced, nothing interned");
+        assert!(
+            docs.read().is_empty(),
+            "no span was produced, nothing interned"
+        );
 
         // Span mode with matches interns exactly the one argument.
-        call("rgx", &[Value::str("a+"), Value::str("aa")], 1, &mut docs);
-        assert_eq!(docs.len(), 1);
-        assert!(docs.lookup("aa").is_some());
+        call("rgx", &[Value::str("a+"), Value::str("aa")], 1, &docs);
+        assert_eq!(docs.read().len(), 1);
+        assert!(docs.read().lookup("aa").is_some());
     }
 
     #[test]

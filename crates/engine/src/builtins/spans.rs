@@ -108,14 +108,13 @@ pub fn install(registry: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::{IeContext, IeOutput};
-    use spannerlib_core::DocumentStore;
+    use crate::ie::{IeContext, IeOutput, SharedDocs};
 
-    fn setup() -> (Registry, DocumentStore) {
-        (Registry::new(), DocumentStore::new())
+    fn setup() -> (Registry, SharedDocs) {
+        (Registry::new(), SharedDocs::default())
     }
 
-    fn call(registry: &Registry, docs: &mut DocumentStore, name: &str, args: &[Value]) -> IeOutput {
+    fn call(registry: &Registry, docs: &SharedDocs, name: &str, args: &[Value]) -> IeOutput {
         let f = registry.ie(name).unwrap().clone();
         let mut ctx = IeContext::new(docs);
         f.call(args, 1, &mut ctx).unwrap()
@@ -123,78 +122,70 @@ mod tests {
 
     #[test]
     fn containment_filters() {
-        let (r, mut docs) = setup();
-        let id = docs.intern("0123456789");
-        let outer = Value::Span(docs.span(id, 0, 8).unwrap());
-        let inner = Value::Span(docs.span(id, 2, 5).unwrap());
+        let (r, docs) = setup();
+        let id = docs.write().intern("0123456789");
+        let outer = Value::Span(docs.read().span(id, 0, 8).unwrap());
+        let inner = Value::Span(docs.read().span(id, 2, 5).unwrap());
         assert_eq!(
-            call(&r, &mut docs, "contains", &[outer.clone(), inner.clone()]).len(),
+            call(&r, &docs, "contains", &[outer.clone(), inner.clone()]).len(),
             1
         );
         assert_eq!(
-            call(&r, &mut docs, "contains", &[inner.clone(), outer.clone()]).len(),
+            call(&r, &docs, "contains", &[inner.clone(), outer.clone()]).len(),
             0
         );
-        assert_eq!(
-            call(&r, &mut docs, "contained_in", &[inner, outer]).len(),
-            1
-        );
+        assert_eq!(call(&r, &docs, "contained_in", &[inner, outer]).len(), 1);
     }
 
     #[test]
     fn overlap_and_precede() {
-        let (r, mut docs) = setup();
-        let id = docs.intern("0123456789");
-        let a = Value::Span(docs.span(id, 0, 4).unwrap());
-        let b = Value::Span(docs.span(id, 2, 6).unwrap());
-        let c = Value::Span(docs.span(id, 6, 9).unwrap());
+        let (r, docs) = setup();
+        let id = docs.write().intern("0123456789");
+        let a = Value::Span(docs.read().span(id, 0, 4).unwrap());
+        let b = Value::Span(docs.read().span(id, 2, 6).unwrap());
+        let c = Value::Span(docs.read().span(id, 6, 9).unwrap());
         assert_eq!(
-            call(&r, &mut docs, "overlaps", &[a.clone(), b.clone()]).len(),
+            call(&r, &docs, "overlaps", &[a.clone(), b.clone()]).len(),
             1
         );
         assert_eq!(
-            call(&r, &mut docs, "overlaps", &[a.clone(), c.clone()]).len(),
+            call(&r, &docs, "overlaps", &[a.clone(), c.clone()]).len(),
             0
         );
-        assert_eq!(call(&r, &mut docs, "precedes", &[a, c]).len(), 1);
+        assert_eq!(call(&r, &docs, "precedes", &[a, c]).len(), 1);
     }
 
     #[test]
     fn accessors() {
-        let (r, mut docs) = setup();
-        let id = docs.intern("0123456789");
-        let s = Value::Span(docs.span(id, 2, 7).unwrap());
+        let (r, docs) = setup();
+        let id = docs.write().intern("0123456789");
+        let s = Value::Span(docs.read().span(id, 2, 7).unwrap());
         assert_eq!(
-            call(&r, &mut docs, "span_start", std::slice::from_ref(&s))[0][0],
+            call(&r, &docs, "span_start", std::slice::from_ref(&s))[0][0],
             Value::Int(2)
         );
         assert_eq!(
-            call(&r, &mut docs, "span_end", std::slice::from_ref(&s))[0][0],
+            call(&r, &docs, "span_end", std::slice::from_ref(&s))[0][0],
             Value::Int(7)
         );
-        assert_eq!(call(&r, &mut docs, "span_len", &[s])[0][0], Value::Int(5));
+        assert_eq!(call(&r, &docs, "span_len", &[s])[0][0], Value::Int(5));
     }
 
     #[test]
     fn expand_clamps_to_document() {
-        let (r, mut docs) = setup();
-        let id = docs.intern("0123456789");
-        let s = Value::Span(docs.span(id, 4, 6).unwrap());
-        let out = call(
-            &r,
-            &mut docs,
-            "expand",
-            &[s, Value::Int(100), Value::Int(2)],
-        );
+        let (r, docs) = setup();
+        let id = docs.write().intern("0123456789");
+        let s = Value::Span(docs.read().span(id, 4, 6).unwrap());
+        let out = call(&r, &docs, "expand", &[s, Value::Int(100), Value::Int(2)]);
         let span = *out[0][0].as_span().unwrap();
         assert_eq!((span.start, span.end), (0, 8));
     }
 
     #[test]
     fn non_span_argument_errors() {
-        let (r, mut docs) = setup();
+        let (r, docs) = setup();
         let f = r.ie("contains").unwrap().clone();
-        let mut ctx = IeContext::new(&mut docs);
+        let mut ctx = IeContext::new(&docs);
         assert!(f
             .call(&[Value::Int(1), Value::Int(2)], 0, &mut ctx)
             .is_err());

@@ -150,14 +150,13 @@ pub fn install(registry: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::IeOutput;
-    use spannerlib_core::DocumentStore;
+    use crate::ie::{IeOutput, SharedDocs};
 
     fn call(name: &str, args: &[Value]) -> Result<IeOutput> {
         let registry = Registry::new();
         let f = registry.ie(name).unwrap().clone();
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         f.call(args, 1, &mut ctx)
     }
 
@@ -177,10 +176,10 @@ mod tests {
     fn concat_accepts_spans() {
         let registry = Registry::new();
         let f = registry.ie("concat").unwrap().clone();
-        let mut docs = DocumentStore::new();
-        let id = docs.intern("hello world");
-        let span = docs.span(id, 0, 5).unwrap();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let id = docs.write().intern("hello world");
+        let span = docs.read().span(id, 0, 5).unwrap();
+        let mut ctx = IeContext::new(&docs);
         let out = f
             .call(&[Value::Span(span), Value::str("!")], 1, &mut ctx)
             .unwrap();

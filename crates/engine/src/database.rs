@@ -202,12 +202,9 @@ impl Database {
         self.relations.iter()
     }
 
-    /// Splits the database into a shared view of the relations and an
-    /// exclusive handle on the document store — the aliasing pattern of
-    /// plan execution, where IE functions intern documents while scans
-    /// read relations.
-    pub fn split_mut(&mut self) -> (&FxHashMap<String, Relation>, &mut DocumentStore) {
-        (&self.relations, &mut self.docs)
+    /// The relations by name, as plan execution reads them.
+    pub fn relations(&self) -> &FxHashMap<String, Relation> {
+        &self.relations
     }
 }
 

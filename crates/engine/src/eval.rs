@@ -4,14 +4,18 @@
 //! graph, dependencies first ([`crate::strata`]). The paper's
 //! implementation "extended the naive bottom-up evaluation method to
 //! include evaluation of IE clauses" (§3.1). [`EvalStrategy::Naive`]
-//! reproduces that: every component loops until a round derives nothing
-//! new. [`EvalStrategy::SemiNaive`] fires the rules of a non-recursive
-//! component exactly once — nothing they read can still change — and
-//! runs the standard delta refinement (Green et al., *Datalog and
-//! Recursive Query Processing*) on recursive ones. The two are kept
-//! behaviourally identical — the equivalence is property-tested — which
-//! makes the naive strategy the reference the shortcuts are checked
-//! against.
+//! reproduces that and nothing else: every component loops until a
+//! round derives nothing new, rule bodies run in the order safety
+//! analysis emitted, every scan builds and drops its own index, and
+//! all of it happens on the calling thread. [`EvalStrategy::SemiNaive`]
+//! is the production evaluator: it fires the rules of a non-recursive
+//! component exactly once — nothing they read can still change — runs
+//! the standard delta refinement (Green et al., *Datalog and Recursive
+//! Query Processing*) on recursive ones, orders steps by estimated
+//! cost, reuses scan indexes across the run, and shards split-correct
+//! rules over the session's pool. The two are kept behaviourally
+//! identical — the equivalence is property-tested — which makes the
+//! naive strategy the one reference every shortcut is checked against.
 //!
 //! Evaluation respects the session's [`EvalLimits`]: a bound on the
 //! rounds of recursive components guards against runaway recursion, a
@@ -27,9 +31,9 @@
 
 use crate::database::Database;
 use crate::error::{EngineError, LimitCulprit, Result};
-use crate::ie::{DocsHandle, SharedDocs};
+use crate::ie::SharedDocs;
 use crate::optimizer::IndexCache;
-use crate::plan::{self, ExecCtx, ParExec, ParTally, RulePlan, Step, TraceCtx};
+use crate::plan::{self, ExecCtx, ParTally, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
 use crate::strata::Component;
 use rustc_hash::FxHashMap;
@@ -43,11 +47,13 @@ use std::sync::atomic::Ordering;
 /// Fixpoint algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Re-evaluate every rule of a component against full relations
-    /// until a round derives nothing new.
+    /// The reference: re-evaluate every rule of a component against
+    /// full relations until a round derives nothing new, steps in
+    /// textual order, an index per scan, on the calling thread.
     Naive,
-    /// Fire non-recursive components once; evaluate rule variants
-    /// against per-round deltas inside recursive ones.
+    /// Production: fire non-recursive components once, evaluate rule
+    /// variants against per-round deltas inside recursive ones; order
+    /// steps by cost, reuse scan indexes, shard split-correct rules.
     #[default]
     SemiNaive,
 }
@@ -179,11 +185,10 @@ pub struct EvalCtx<'a> {
     pub limits: EvalLimits,
     /// IE memo table, when enabled.
     pub cache: Option<&'a SharedIeMemo>,
-    /// Cost-based step ordering + scan-index reuse
-    /// (`SessionBuilder::planner`; on by default).
-    pub planner: bool,
     /// Worker pool for split-correct parallel evaluation
-    /// (`SessionBuilder::parallelism`); `None` runs fully serial.
+    /// (`SessionBuilder::parallelism`); `None` — and
+    /// [`EvalStrategy::Naive`] with or without one — runs every firing
+    /// on the calling thread.
     pub pool: Option<&'a ThreadPool>,
 }
 
@@ -220,6 +225,22 @@ fn rule_is_parallel(rule: &RulePlan) -> bool {
     rule.opt.as_ref().is_some_and(|o| o.split.is_parallel())
 }
 
+/// The document store on loan to one evaluation: behind the
+/// [`SharedDocs`] lock while rules fire, moved back into the database
+/// when the guard drops — on return, on error, and when an IE function's
+/// panic unwinds through the run (from the calling thread or re-raised
+/// from a shard), so spans handed out before the run keep resolving.
+struct LentDocs<'a> {
+    db: &'a mut Database,
+    docs: SharedDocs,
+}
+
+impl Drop for LentDocs<'_> {
+    fn drop(&mut self) {
+        self.db.docs = std::mem::take(&mut *self.docs.write());
+    }
+}
+
 /// Evaluates `components` in order, inserting derived tuples into `db`.
 /// A non-recursive component is complete after each of its rules fires
 /// once; a recursive one runs to fixpoint. `ctx.cache`, when set,
@@ -227,49 +248,25 @@ fn rule_is_parallel(rule: &RulePlan) -> bool {
 /// through `trace` (free when tracing is off); on a limit abort the
 /// trace keeps the partial per-component progress.
 ///
-/// With a pool configured and at least one split-correct rule, the
-/// documents move behind a [`SharedDocs`] lock for the duration of the
-/// run so shard workers can resolve and intern concurrently, and move
-/// back afterwards. If a worker task panics, the panic propagates and
-/// the store is *not* restored — the session is considered poisoned
-/// (see the threading contract in `crate::session`).
+/// For the duration of the run the documents sit behind a
+/// [`SharedDocs`] lock — IE functions resolve and intern through it on
+/// the calling thread exactly as on shard workers — and move back on
+/// every exit (see the threading contract in `crate::session`).
 pub fn evaluate(
     db: &mut Database,
     components: &[Component],
     ctx: &EvalCtx<'_>,
     trace: &mut RunTrace,
 ) -> Result<EvalStats> {
-    let any_parallel = rules_of(components).any(rule_is_parallel);
-    match ctx.pool.filter(|_| any_parallel) {
-        Some(pool) => {
-            let shared = SharedDocs::new(std::mem::take(&mut db.docs));
-            let par = ParExec {
-                pool,
-                docs: &shared,
-            };
-            let result = evaluate_impl(db, components, ctx, trace, Some(par));
-            db.docs = shared.into_inner();
-            result
-        }
-        None => evaluate_impl(db, components, ctx, trace, None),
-    }
-}
-
-fn rules_of(components: &[Component]) -> impl Iterator<Item = &RulePlan> {
-    components.iter().flat_map(|c| &c.rules)
-}
-
-/// [`evaluate`] proper, after the document-store mode (exclusive vs
-/// shared) has been fixed for the run.
-fn evaluate_impl(
-    db: &mut Database,
-    components: &[Component],
-    ctx: &EvalCtx<'_>,
-    trace: &mut RunTrace,
-    par: Option<ParExec<'_>>,
-) -> Result<EvalStats> {
+    let lent = LentDocs {
+        docs: SharedDocs::new(std::mem::take(&mut db.docs)),
+        db,
+    };
+    let db = &mut *lent.db;
+    let production = ctx.strategy == EvalStrategy::SemiNaive;
+    let pool = ctx.pool.filter(|_| production);
     let tally = ParTally::default();
-    let stolen_before = par.map_or(0, |p| p.pool.stats().stolen);
+    let stolen_before = pool.map_or(0, |p| p.stats().stolen);
     // One scan-index cache per evaluation run: relations only grow
     // while a run executes (derived state was cleared before it), so
     // indexes keyed by (relation, row count, key columns) stay valid
@@ -287,9 +284,9 @@ fn evaluate_impl(
             delta_at: None,
             deltas: &no_deltas,
             cache: ctx.cache,
-            planner: ctx.planner,
-            indexes: ctx.planner.then_some(&index_cache),
-            par,
+            indexes: production.then_some(&index_cache),
+            docs: &lent.docs,
+            pool,
             tally: &tally,
             deadline: EvalDeadline::start(&ctx.limits),
         },
@@ -308,13 +305,15 @@ fn evaluate_impl(
     // success and the abort path.
     let ic = index_cache.borrow();
     run.trace.index_cache(ic.hits, ic.builds);
-    if let Some(p) = par {
+    if let Some(pool) = pool {
         run.trace.parallel_summary(
-            p.pool.workers() as u64,
+            pool.workers() as u64,
             tally.shard_tasks.load(Ordering::Relaxed),
             tally.ie_batches.load(Ordering::Relaxed),
-            p.pool.stats().stolen.saturating_sub(stolen_before),
-            rules_of(components)
+            pool.stats().stolen.saturating_sub(stolen_before),
+            components
+                .iter()
+                .flat_map(|c| &c.rules)
                 .filter(|r| !rule_is_parallel(r))
                 .count() as u64,
         );
@@ -478,17 +477,7 @@ fn fire_rule(
 ) -> Result<bool> {
     stats.rule_firings += 1;
     let t0 = tr.trace.now_ns();
-    let derived = {
-        let (relations, docs) = db.split_mut();
-        // On the parallel path the live store sits behind the shared
-        // lock (`db.docs` is empty until `evaluate` restores it).
-        let mut handle = match exec.par {
-            Some(p) => DocsHandle::Shared(p.docs),
-            None => DocsHandle::Exclusive(docs),
-        };
-        plan::execute_with(rule, relations, &mut handle, exec, tr)
-    };
-    let derived = match derived {
+    let derived = match plan::execute_with(rule, db.relations(), exec, tr) {
         Ok(d) => d,
         Err(e) => {
             tr.trace.rule_fired(tr.rule, 0, 0, t0);

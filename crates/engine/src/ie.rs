@@ -17,100 +17,45 @@ use spannerlib_cache::{MemoKey, SharedIeMemo};
 use spannerlib_core::{DocId, DocumentStore, Span, Value};
 use std::sync::Arc;
 
-/// A document store shared across shard workers during a parallel
-/// evaluation. Readers (span resolution, text lookup) take the lock
-/// shared; interning new documents takes it exclusively. Interning is
-/// content-addressed and therefore idempotent, so two workers racing to
-/// intern the same text converge on one id.
+/// The session's document store as every IE call sees it: behind a
+/// read-write lock for the whole of an evaluation, on the calling thread
+/// as much as on shard workers. Readers (span resolution, text lookup)
+/// take the lock shared; interning new documents takes it exclusively.
+/// Interning is content-addressed and therefore idempotent, so two
+/// workers racing to intern the same text converge on one id.
 pub type SharedDocs = RwLock<DocumentStore>;
 
-/// Uniform access to the session's document store from both evaluation
-/// modes: the serial path owns the store exclusively (no locking), while
-/// shard workers on the parallel path share it behind a [`SharedDocs`]
-/// lock. All IE plumbing routes through this handle so the two paths
-/// run the same code.
-pub enum DocsHandle<'a> {
-    /// Serial evaluation: the caller holds the store exclusively, and
-    /// every access is a direct (lock-free) borrow.
-    Exclusive(&'a mut DocumentStore),
-    /// Parallel evaluation: shard workers share the store; each access
-    /// takes the read or write lock for its own duration only.
-    Shared(&'a SharedDocs),
-}
-
-impl DocsHandle<'_> {
-    /// Runs `f` with shared (read) access to the store.
-    pub fn with_store<R>(&self, f: impl FnOnce(&DocumentStore) -> R) -> R {
-        match self {
-            DocsHandle::Exclusive(d) => f(d),
-            DocsHandle::Shared(l) => f(&l.read()),
-        }
-    }
-
-    /// Runs `f` with exclusive (write) access to the store.
-    pub fn with_store_mut<R>(&mut self, f: impl FnOnce(&mut DocumentStore) -> R) -> R {
-        match self {
-            DocsHandle::Exclusive(d) => f(d),
-            DocsHandle::Shared(l) => f(&mut l.write()),
-        }
-    }
-
-    /// A shorter-lived handle on the same store — the handle analogue
-    /// of reborrowing a `&mut`.
-    pub fn reborrow(&mut self) -> DocsHandle<'_> {
-        match self {
-            DocsHandle::Exclusive(d) => DocsHandle::Exclusive(d),
-            DocsHandle::Shared(l) => DocsHandle::Shared(l),
-        }
-    }
-}
-
-/// Execution context handed to every IE call.
+/// Execution context handed to every IE call. Each store access locks
+/// for its own duration only, so a function may be invoked concurrently
+/// on distinct argument tuples.
 pub struct IeContext<'a> {
-    docs: DocsHandle<'a>,
+    docs: &'a SharedDocs,
 }
 
 impl<'a> IeContext<'a> {
-    /// Wraps an exclusively held document store (the serial path).
-    pub fn new(docs: &'a mut DocumentStore) -> Self {
-        IeContext {
-            docs: DocsHandle::Exclusive(docs),
-        }
-    }
-
-    /// Wraps a document store shared across shard workers; each store
-    /// access locks for its own duration only.
-    pub fn shared(docs: &'a SharedDocs) -> Self {
-        IeContext {
-            docs: DocsHandle::Shared(docs),
-        }
-    }
-
-    /// Wraps an existing handle (either mode).
-    pub(crate) fn from_handle(docs: DocsHandle<'a>) -> Self {
+    /// Wraps the shared document store.
+    pub fn new(docs: &'a SharedDocs) -> Self {
         IeContext { docs }
     }
 
     /// Resolves a span to its substring.
     pub fn span_text(&self, span: &Span) -> Result<String> {
-        Ok(self
-            .docs
-            .with_store(|d| d.span_text(span).map(|s| s.to_string()))?)
+        Ok(self.docs.read().span_text(span)?.to_string())
     }
 
     /// Resolves a document id to its full text.
     pub fn doc_text(&self, id: DocId) -> Result<Arc<str>> {
-        Ok(self.docs.with_store(|d| d.resolve(id).cloned())?)
+        Ok(self.docs.read().resolve(id)?.clone())
     }
 
     /// Interns a text, returning its document id (idempotent).
     pub fn intern(&mut self, text: &str) -> DocId {
-        self.docs.with_store_mut(|d| d.intern(text))
+        self.docs.write().intern(text)
     }
 
     /// Creates a checked span over an interned document.
     pub fn make_span(&self, doc: DocId, start: usize, end: usize) -> Result<Span> {
-        Ok(self.docs.with_store(|d| d.span(doc, start, end))?)
+        Ok(self.docs.read().span(doc, start, end)?)
     }
 
     /// Resolves a `str`-or-`span` value to a [`TextArg`] — the common
@@ -127,9 +72,7 @@ impl<'a> IeContext<'a> {
                 origin: None,
             }),
             Value::Span(span) => Ok(TextArg {
-                text: self
-                    .docs
-                    .with_store(|d| d.span_text(span).map(Arc::<str>::from))?,
+                text: Arc::from(self.docs.read().span_text(span)?),
                 origin: Some((span.doc, span.start_usize())),
             }),
             other => Err(EngineError::IeRuntime {
@@ -183,7 +126,7 @@ impl TextArg {
         if let Some(origin) = self.origin {
             return origin;
         }
-        let doc = ctx.docs.with_store_mut(|d| d.intern_arc(self.text.clone()));
+        let doc = ctx.docs.write().intern_arc(self.text.clone());
         self.origin = Some((doc, 0));
         (doc, 0)
     }
@@ -193,6 +136,12 @@ impl TextArg {
 pub type IeOutput = Vec<Vec<Value>>;
 
 /// A registered IE function.
+///
+/// `call` may run concurrently on distinct argument tuples — shard
+/// workers share one function object, hence `Send + Sync`. It reaches
+/// the document store only through its [`IeContext`], which takes the
+/// store's lock per access: the discipline is the same on the calling
+/// thread of a `parallelism(0)` session as on a many-core host.
 pub trait IeFunction: Send + Sync {
     /// Number of inputs, or `None` for variadic functions (e.g. `format`).
     fn input_arity(&self) -> Option<usize>;
@@ -278,33 +227,33 @@ where
 /// `Some(true)` hit, `Some(false)` miss, `None` when the call bypassed
 /// the memo entirely.
 ///
-/// Lock order on the shared path: the memo lock is taken first and the
-/// docs lock (inside the byte-charging closure) second; nothing in the
-/// engine takes them in the opposite order.
+/// Lock order: the memo lock is taken first and the docs lock (inside
+/// the byte-charging closure) second; nothing in the engine takes them
+/// in the opposite order.
 pub(crate) fn cached_ie_call(
     f: &dyn IeFunction,
     name: &str,
     args: &[Value],
     n_outputs: usize,
-    docs: &mut DocsHandle<'_>,
+    docs: &SharedDocs,
     cache: Option<&SharedIeMemo>,
 ) -> Result<(Arc<IeOutput>, Option<bool>)> {
+    let call = || {
+        f.call(args, n_outputs, &mut IeContext::new(docs))
+            .map(Arc::new)
+    };
     let Some(cache) = cache.filter(|_| f.cacheable()) else {
-        let mut ctx = IeContext::from_handle(docs.reborrow());
-        return Ok((Arc::new(f.call(args, n_outputs, &mut ctx)?), None));
+        return Ok((call()?, None));
     };
     let key = MemoKey::new(name, args, n_outputs);
     if let Some(hit) = cache.lock().get(&key) {
         return Ok((hit, Some(true)));
     }
-    let out = {
-        let mut ctx = IeContext::from_handle(docs.reborrow());
-        Arc::new(f.call(args, n_outputs, &mut ctx)?)
-    };
+    let out = call()?;
     // Entries are GC roots, so the memo charges each entry the full
     // text of every document its spans pin.
     cache.lock().insert(key, out.clone(), |id| {
-        docs.with_store(|d| d.resolve(id).map(|t| t.len()).unwrap_or(0))
+        docs.read().resolve(id).map(|t| t.len()).unwrap_or(0)
     });
     Ok((out, Some(false)))
 }
@@ -325,8 +274,8 @@ mod tests {
 
     #[test]
     fn context_interns_and_resolves() {
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         let id = ctx.intern("hello world");
         let span = ctx.make_span(id, 0, 5).unwrap();
         assert_eq!(ctx.span_text(&span).unwrap(), "hello");
@@ -335,20 +284,20 @@ mod tests {
 
     #[test]
     fn text_argument_interns_strings() {
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         let (text, doc, base) = ctx.text_argument(&Value::str("abc")).unwrap();
         assert_eq!(text, "abc");
         assert_eq!(base, 0);
-        assert_eq!(docs.text(doc), "abc");
+        assert_eq!(docs.read().text(doc), "abc");
     }
 
     #[test]
     fn text_argument_offsets_spans() {
-        let mut docs = DocumentStore::new();
-        let id = docs.intern("xxabcxx");
-        let span = docs.span(id, 2, 5).unwrap();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let id = docs.write().intern("xxabcxx");
+        let span = docs.read().span(id, 2, 5).unwrap();
+        let mut ctx = IeContext::new(&docs);
         let (text, doc, base) = ctx.text_argument(&Value::Span(span)).unwrap();
         assert_eq!(text, "abc");
         assert_eq!(doc, id);
@@ -357,44 +306,47 @@ mod tests {
 
     #[test]
     fn text_argument_rejects_ints() {
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         assert!(ctx.text_argument(&Value::Int(3)).is_err());
     }
 
     #[test]
     fn lazy_text_arg_does_not_intern_until_doc_base() {
-        let mut docs = DocumentStore::new();
-        let mut arg = {
-            let ctx = IeContext::new(&mut docs);
-            ctx.text_arg(&Value::str("scalar only")).unwrap()
-        };
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
+        let mut arg = ctx.text_arg(&Value::str("scalar only")).unwrap();
         assert_eq!(arg.text(), "scalar only");
-        assert!(docs.is_empty(), "no span requested, nothing interned");
+        assert!(
+            docs.read().is_empty(),
+            "no span requested, nothing interned"
+        );
 
-        let mut ctx = IeContext::new(&mut docs);
         let mut arg2 = ctx.text_arg(&Value::str("scalar only")).unwrap();
         let (doc, base) = arg2.doc_base(&mut ctx);
         assert_eq!(base, 0);
-        assert_eq!(docs.text(doc), "scalar only");
-        assert_eq!(docs.len(), 1);
+        assert_eq!(docs.read().text(doc), "scalar only");
+        assert_eq!(docs.read().len(), 1);
         // Redundant: arg was dropped uninterned; doc_base is idempotent.
-        let mut ctx = IeContext::new(&mut docs);
         let _ = arg.doc_base(&mut ctx);
-        assert_eq!(docs.len(), 1);
+        assert_eq!(docs.read().len(), 1);
     }
 
     #[test]
     fn lazy_text_arg_keeps_span_origin() {
-        let mut docs = DocumentStore::new();
-        let id = docs.intern("xxabcxx");
-        let span = docs.span(id, 2, 5).unwrap();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let id = docs.write().intern("xxabcxx");
+        let span = docs.read().span(id, 2, 5).unwrap();
+        let mut ctx = IeContext::new(&docs);
         let mut arg = ctx.text_arg(&Value::Span(span)).unwrap();
         assert_eq!(arg.text(), "abc");
         let (doc, base) = arg.doc_base(&mut ctx);
         assert_eq!((doc, base), (id, 2));
-        assert_eq!(docs.len(), 1, "span arguments never intern a new doc");
+        assert_eq!(
+            docs.read().len(),
+            1,
+            "span arguments never intern a new doc"
+        );
     }
 
     #[test]
@@ -411,8 +363,8 @@ mod tests {
             let n = args[0].as_int().unwrap();
             Ok((0..n).map(|i| vec![Value::Int(i)]).collect())
         });
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         let out = f.call(&[Value::Int(3)], 1, &mut ctx).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(f.input_arity(), Some(1));

@@ -53,7 +53,7 @@ pub mod strata;
 pub use database::Database;
 pub use error::{EngineError, LimitCulprit, Result};
 pub use eval::{EvalLimits, EvalStats, EvalStrategy};
-pub use ie::{filter_output, DocsHandle, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
+pub use ie::{filter_output, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
 pub use optimizer::SplitClass;
 pub use prepared::{
     CompiledProgram, PreparedProgram, PreparedQuery, ShardPlan, ShardRule, Snapshot,

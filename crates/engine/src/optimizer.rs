@@ -15,8 +15,8 @@
 //!   first, then IE calls whose inputs are bound, then scans by
 //!   estimated fan-out (relation size discounted per bound join
 //!   column). Barriers are never crossed in either direction.
-//! * [`IndexCache`] keeps the hash indexes [`crate::plan`] builds for
-//!   scan joins alive for the whole evaluation run, keyed by
+//! * [`IndexCache`] keeps the hash indexes scan joins probe
+//!   ([`build_index`]) alive for the whole evaluation run, keyed by
 //!   `(relation, row count, key columns)`. Within one run relations
 //!   only grow (their extensional generation is fixed and derived
 //!   inserts are append-only), so the row count is a faithful
@@ -26,13 +26,14 @@
 //! Any permutation respecting the `needs ⊆ bound` invariant and the
 //! barriers is observationally equivalent: scans, negations, and
 //! comparisons are pure, joins commute, and the head projection works
-//! on set semantics. The `planner_on_off_agree` property test
-//! (`crates/engine/tests/properties.rs`) pins that equivalence.
+//! on set semantics. The `production_agrees_with_reference_*` property
+//! tests (`crates/engine/tests/properties.rs`) pin that equivalence
+//! against `EvalStrategy::Naive`, which never reorders.
 
 use crate::plan::{PTerm, RulePlan, Step};
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
-use spannerlib_core::{Tuple, Value};
+use spannerlib_core::{Relation, Tuple, Value};
 use std::rc::Rc;
 
 /// Per-step scheduling metadata (see [`annotate`]).
@@ -389,57 +390,45 @@ pub fn describe(
     parts.join(" ⋈ ")
 }
 
-/// An owned hash index over one relation, keyed by a fixed set of
-/// columns. Shared via `Rc` between the cache and the borrowing scan.
-#[derive(Debug)]
-pub struct TupleIndex {
-    /// Arity of the indexed tuples (uniform per relation). Checked
-    /// against the scan's term count on reuse so an arity-mismatched
-    /// plan errors exactly like the uncached path.
-    pub arity: usize,
-    /// Key projection → tuples with that projection.
-    pub map: FxHashMap<Vec<Value>, Vec<Tuple>>,
+/// An owned hash index over one relation: the projection on a fixed
+/// set of key columns → the tuples with that projection. Owned (values
+/// are `Arc`-backed, so clones are cheap) because a cached index
+/// outlives the borrow of the relation it was built from.
+pub type TupleIndex = FxHashMap<Vec<Value>, Vec<Tuple>>;
+
+/// Indexes `rel` on `key_cols`.
+pub fn build_index(rel: &Relation, key_cols: &[usize]) -> TupleIndex {
+    let mut index = TupleIndex::default();
+    for tuple in rel.iter() {
+        let key = key_cols.iter().map(|&c| tuple[c].clone()).collect();
+        index.entry(key).or_default().push(tuple.clone());
+    }
+    index
 }
 
-/// Per-evaluation cache of scan-join indexes (see module docs for why
-/// the row count is a sound within-run generation stand-in).
+/// Per-evaluation memo of [`build_index`] (see module docs for why the
+/// row count is a sound within-run generation stand-in).
 #[derive(Debug, Default)]
 pub struct IndexCache {
     entries: FxHashMap<(String, usize, Vec<usize>), Rc<TupleIndex>>,
-    /// Lookups answered from the cache.
+    /// Requests answered from the cache.
     pub hits: u64,
     /// Indexes built (cache misses).
     pub builds: u64,
 }
 
 impl IndexCache {
-    /// Returns the cached index for `(relation, rows, key_cols)`.
-    pub fn lookup(
-        &mut self,
-        relation: &str,
-        rows: usize,
-        key_cols: &[usize],
-    ) -> Option<Rc<TupleIndex>> {
-        let found = self
-            .entries
-            .get(&(relation.to_string(), rows, key_cols.to_vec()))
-            .cloned();
-        if found.is_some() {
+    /// The index of `rel` (stored under the name `relation`) on
+    /// `key_cols`, built on first request.
+    pub fn index(&mut self, relation: &str, rel: &Relation, key_cols: &[usize]) -> Rc<TupleIndex> {
+        let key = (relation.to_string(), rel.len(), key_cols.to_vec());
+        if let Some(index) = self.entries.get(&key) {
             self.hits += 1;
+            return index.clone();
         }
-        found
-    }
-
-    /// Stores a freshly built index.
-    pub fn store(
-        &mut self,
-        relation: &str,
-        rows: usize,
-        key_cols: Vec<usize>,
-        index: Rc<TupleIndex>,
-    ) {
         self.builds += 1;
-        self.entries
-            .insert((relation.to_string(), rows, key_cols), index);
+        let index = Rc::new(build_index(rel, key_cols));
+        self.entries.insert(key, index.clone());
+        index
     }
 }

@@ -8,20 +8,18 @@
 //! IE call).
 
 use crate::error::{EngineError, Result};
-use crate::ie::{cached_ie_call, DocsHandle, IeContext, IeFunction, IeOutput, SharedDocs};
+use crate::ie::{cached_ie_call, IeContext, IeOutput, SharedDocs};
 use crate::optimizer::{self, IndexCache, RuleOpt, SplitClass, TupleIndex};
 use crate::registry::Registry;
 use rustc_hash::{FxHashMap, FxHashSet};
-use spannerlib_cache::{MemoKey, SharedIeMemo};
-use spannerlib_core::{DocumentStore, Relation, Tuple, Value};
+use spannerlib_cache::SharedIeMemo;
+use spannerlib_core::{Relation, Tuple, Value};
 use spannerlib_par::ThreadPool;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use spannerlog_parser::CmpOp;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A term resolved against the rule's variable table.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,31 +126,19 @@ type Row = Vec<Option<Value>>;
 
 /// Evaluation-wide counters that shard workers race on during parallel
 /// firings — relaxed atomics, folded into the (single-threaded) trace
-/// once per rule firing. Cheap enough to keep on the serial path too,
-/// so both paths run identical accounting code.
+/// once per rule firing.
 #[derive(Debug, Default)]
 pub struct ParTally {
     /// Relation rows scanned by join steps.
     pub rows_scanned: AtomicU64,
-    /// IE batch steps executed (per shard on the parallel path).
+    /// IE batch steps executed (once per shard of a sharded firing).
     pub ie_batches: AtomicU64,
     /// Shard tasks spawned for split-correct rule firings.
     pub shard_tasks: AtomicU64,
 }
 
-/// The parallel-execution environment: present when the session built a
-/// worker pool and moved the document store behind the shared lock for
-/// the duration of the evaluation.
-#[derive(Clone, Copy)]
-pub struct ParExec<'a> {
-    /// The session's work-stealing pool.
-    pub pool: &'a ThreadPool,
-    /// The document store, shared across shard workers.
-    pub docs: &'a SharedDocs,
-}
-
-/// The execution environment of [`execute`], bundled so the signature
-/// stays within clippy's argument budget as instrumentation grew.
+/// The execution environment of [`execute_with`], bundled so the
+/// signature stays within clippy's argument budget.
 pub struct ExecCtx<'a> {
     /// IE / aggregate / conversion registry.
     pub registry: &'a Registry,
@@ -163,15 +149,17 @@ pub struct ExecCtx<'a> {
     pub deltas: &'a FxHashMap<String, Relation>,
     /// IE memo table, when enabled.
     pub cache: Option<&'a SharedIeMemo>,
-    /// Whether the cost-based planner reorders annotated rule bodies.
-    pub planner: bool,
-    /// Evaluation-wide scan-index cache (planner on); `None` falls back
-    /// to building a fresh borrowed index per scan. Single-threaded by
-    /// design — shard workers always run with `None`.
+    /// The production evaluator's scan-index memo. `None` is the
+    /// reference configuration (`EvalStrategy::Naive`): steps run in the
+    /// order safety analysis emitted and every scan builds and drops its
+    /// own index. Single-threaded by design — shard workers, whose step
+    /// order is already fixed, run with `None` too.
     pub indexes: Option<&'a RefCell<IndexCache>>,
-    /// Parallel-execution environment; `None` pins every firing to the
-    /// serial path.
-    pub par: Option<ParExec<'a>>,
+    /// The document store, behind its lock for the whole evaluation.
+    pub docs: &'a SharedDocs,
+    /// The session's work-stealing pool; `None` keeps every firing on
+    /// the calling thread.
+    pub pool: Option<&'a ThreadPool>,
     /// Shared evaluation-wide counters.
     pub tally: &'a ParTally,
     /// Wall-clock budget of the run (`EvalLimits::max_millis`), checked
@@ -179,7 +167,7 @@ pub struct ExecCtx<'a> {
     pub deadline: Option<crate::eval::EvalDeadline>,
 }
 
-/// Where one [`execute`] call reports its trace data: the run's
+/// Where one [`execute_with`] call reports its trace data: the run's
 /// collector, the rule's profiling handle, and the enclosing rule span.
 pub struct TraceCtx<'a> {
     /// The evaluation run's collector.
@@ -196,29 +184,17 @@ pub struct TraceCtx<'a> {
 /// evaluation). `ctx.cache`, when set, memoizes IE calls across rows,
 /// reruns, and executions. Join and IE-batch work is reported through
 /// `tr` (every call is a no-op when tracing is off).
-pub fn execute(
-    plan: &RulePlan,
-    relations: &FxHashMap<String, Relation>,
-    docs: &mut DocumentStore,
-    ctx: &ExecCtx<'_>,
-    tr: &mut TraceCtx<'_>,
-) -> Result<Vec<Tuple>> {
-    let mut handle = DocsHandle::Exclusive(docs);
-    execute_with(plan, relations, &mut handle, ctx, tr)
-}
-
-/// [`execute`] over a [`DocsHandle`], so the evaluator can run the same
-/// code whether the document store is held exclusively (serial) or
-/// shared behind a lock (parallel). When `ctx.par` is set and the rule
-/// was classified split-correct, the binding rows are partitioned on
-/// the rule's document variable after the serial prefix binds it, and
-/// the remaining steps run shard-parallel on the pool; shard results
-/// merge back in shard index order (stable document order), so the
-/// derived tuple *set* is identical to the serial path's.
+///
+/// A rule classified split-correct runs in two parts: a prefix, up to
+/// the step that binds the rule's document variable, and the remaining
+/// steps once per bin of the rows partitioned on that variable
+/// (`run_sharded`) — on the pool when there is one and more than one
+/// bin, on the calling thread otherwise. Shard results merge back in
+/// shard index order (stable document order), so the derived tuple
+/// *set* does not depend on the number of bins.
 pub fn execute_with(
     plan: &RulePlan,
     relations: &FxHashMap<String, Relation>,
-    docs: &mut DocsHandle<'_>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Vec<Tuple>> {
@@ -240,7 +216,7 @@ pub fn execute_with(
         map.get(relation.as_str()).map_or(0, Relation::len)
     };
 
-    let order: Vec<usize> = match plan.opt.as_ref().filter(|_| ctx.planner) {
+    let order: Vec<usize> = match plan.opt.as_ref().filter(|_| ctx.indexes.is_some()) {
         Some(opt) => {
             let order = optimizer::order_steps(plan, opt, scan_rows);
             tr.trace
@@ -251,38 +227,31 @@ pub fn execute_with(
     };
 
     let scanned_before = ctx.tally.rows_scanned.load(Ordering::Relaxed);
-    let split = plan.opt.as_ref().map(|o| o.split).unwrap_or_default();
-    let result = match (ctx.par, split) {
-        (Some(par), SplitClass::Parallel { doc_var }) => {
-            // Serial prefix: run steps in order until the document
-            // variable is bound, then shard the surviving rows.
-            let opt = plan.opt.as_ref().expect("split verdict implies annotation");
+    let result = match plan.opt.as_ref() {
+        Some(RuleOpt {
+            steps,
+            split: SplitClass::Parallel { doc_var },
+        }) => {
+            // Prefix: run steps in order until the document variable is
+            // bound, then shard the surviving rows.
             let mut bound = vec![false; n_vars];
             let mut split_at = order.len();
             for (pos, &i) in order.iter().enumerate() {
-                for &v in &opt.steps[i].binds {
+                for &v in &steps[i].binds {
                     if let Some(b) = bound.get_mut(v) {
                         *b = true;
                     }
                 }
-                if bound.get(doc_var) == Some(&true) {
+                if bound.get(*doc_var) == Some(&true) {
                     split_at = pos + 1;
                     break;
                 }
             }
-            run_steps(plan, &order[..split_at], rows, relations, docs, ctx, tr).and_then(|seeded| {
-                run_sharded(
-                    plan,
-                    &order[split_at..],
-                    seeded,
-                    relations,
-                    ctx,
-                    tr,
-                    ShardExec { par, doc_var },
-                )
-            })
+            let (prefix, suffix) = order.split_at(split_at);
+            run_steps(plan, prefix, rows, relations, ctx, tr)
+                .and_then(|seeded| run_sharded(plan, suffix, seeded, relations, ctx, tr, *doc_var))
         }
-        _ => run_steps(plan, &order, rows, relations, docs, ctx, tr),
+        _ => run_steps(plan, &order, rows, relations, ctx, tr),
     };
     // Rows scanned flow through the shared tally (shard workers race on
     // it) and fold into the trace once per firing.
@@ -293,19 +262,17 @@ pub fn execute_with(
             .load(Ordering::Relaxed)
             .saturating_sub(scanned_before),
     );
-    project_head(plan, result?, docs, ctx.registry)
+    project_head(plan, result?, ctx.docs, ctx.registry)
 }
 
-/// Runs the pipeline steps selected by `order` over `rows`. This is the
-/// single-threaded core both paths share: the serial path passes the
-/// full order, the parallel path passes the prefix (exclusively) and
-/// then the suffix once per shard (with `ctx.par = None`).
+/// Runs the pipeline steps selected by `order` over `rows`: the whole
+/// order of a serial rule, the prefix of a split-correct one, and its
+/// suffix once per shard.
 fn run_steps(
     plan: &RulePlan,
     order: &[usize],
     mut rows: Vec<Row>,
     relations: &FxHashMap<String, Relation>,
-    docs: &mut DocsHandle<'_>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Vec<Row>> {
@@ -330,13 +297,9 @@ fn run_steps(
                     .trace
                     .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
                 // Deltas share their relation's name but mutate between
-                // rounds, so only full-relation scans hit the cache.
-                let joined = match ctx.indexes.filter(|_| !is_delta) {
-                    Some(cache) => {
-                        scan_join_indexed(plan, rows, rel, terms, relation, &mut cache.borrow_mut())
-                    }
-                    None => scan_join(plan, rows, rel, terms, relation),
-                };
+                // rounds, so only full-relation scans go through the memo.
+                let cache = ctx.indexes.filter(|_| !is_delta);
+                let joined = scan_join(plan, rows, rel, terms, relation, cache);
                 tr.trace.close(span);
                 rows = joined?;
             }
@@ -400,35 +363,21 @@ fn run_steps(
                 // Error paths may leak `span`; RunTrace::finish (and,
                 // on shard forks, merge_fork) closes leaked spans at
                 // the abort timestamp.
-                let next = match ctx.par.filter(|_| batch && groups.len() >= 2) {
-                    Some(par) => {
-                        ie_groups_parallel(function, &*f, outputs, groups, par, ctx.cache, tr)?
-                    }
-                    None => {
-                        let mut next = Vec::new();
-                        for (args, group_rows) in groups {
-                            let t0 = tr.trace.now_ns();
-                            let (out_rows, memo_hit) = cached_ie_call(
-                                &*f,
-                                function,
-                                &args,
-                                outputs.len(),
-                                docs,
-                                ctx.cache,
-                            )?;
-                            tr.trace.ie_call(function, memo_hit, t0);
-                            check_output_arity(function, outputs.len(), &out_rows)?;
-                            for row in group_rows {
-                                for out in out_rows.iter() {
-                                    if let Some(extended) = unify_values(&row, outputs, out) {
-                                        next.push(extended);
-                                    }
-                                }
+                let mut next = Vec::new();
+                for (args, group_rows) in groups {
+                    let t0 = tr.trace.now_ns();
+                    let (out_rows, memo_hit) =
+                        cached_ie_call(&*f, function, &args, outputs.len(), ctx.docs, ctx.cache)?;
+                    tr.trace.ie_call(function, memo_hit, t0);
+                    check_output_arity(function, outputs.len(), &out_rows)?;
+                    for row in group_rows {
+                        for out in out_rows.iter() {
+                            if let Some(extended) = unify_values(&row, outputs, out) {
+                                next.push(extended);
                             }
                         }
-                        next
                     }
-                };
+                }
                 tr.trace.close(span);
                 rows = dedupe(next);
             }
@@ -469,110 +418,12 @@ fn check_output_arity(function: &str, expected: usize, out_rows: &IeOutput) -> R
     Ok(())
 }
 
-/// Evaluates the distinct argument groups of one cacheable IE batch on
-/// the pool: one memo probe for the whole batch, misses computed
-/// concurrently (each worker locking the shared store only around
-/// individual accesses), one memo insert for all results, and a serial
-/// unify pass in group order so error precedence and row order match
-/// the serial path exactly.
-fn ie_groups_parallel(
-    function: &str,
-    f: &dyn IeFunction,
-    outputs: &[PTerm],
-    groups: Vec<(Vec<Value>, Vec<Row>)>,
-    par: ParExec<'_>,
-    cache: Option<&SharedIeMemo>,
-    tr: &mut TraceCtx<'_>,
-) -> Result<Vec<Row>> {
-    type Slot = Option<(Result<Arc<IeOutput>>, Option<bool>, u64)>;
-    let n_outputs = outputs.len();
-    let keys: Option<Vec<MemoKey>> = cache.map(|_| {
-        groups
-            .iter()
-            .map(|(args, _)| MemoKey::new(function, args, n_outputs))
-            .collect()
-    });
-    let mut slots: Vec<Slot> = match (cache, &keys) {
-        (Some(c), Some(keys)) => c
-            .lock()
-            .get_batch(keys)
-            .into_iter()
-            .map(|hit| hit.map(|out| (Ok(out), Some(true), 0)))
-            .collect(),
-        _ => (0..groups.len()).map(|_| None).collect(),
-    };
-    let memoized = cache.is_some();
-    let mut misses: Vec<(&mut Slot, &Vec<Value>)> = slots
-        .iter_mut()
-        .zip(&groups)
-        .filter(|(slot, _)| slot.is_none())
-        .map(|(slot, (args, _))| (slot, args))
-        .collect();
-    if !misses.is_empty() {
-        // Coarse tasks: one per ~equal share of the misses, at most two
-        // per worker — per-call spawning would swamp cheap IE calls in
-        // scheduling cost.
-        let chunk = misses
-            .len()
-            .div_ceil(par.pool.workers().saturating_mul(2).max(1));
-        par.pool.scope(|s| {
-            for chunk in misses.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for (slot, args) in chunk {
-                        let t0 = Instant::now();
-                        let mut ie_ctx = IeContext::shared(par.docs);
-                        let res = f.call(args, n_outputs, &mut ie_ctx).map(Arc::new);
-                        let memo_hit = if memoized { Some(false) } else { None };
-                        **slot = Some((res, memo_hit, t0.elapsed().as_nanos() as u64));
-                    }
-                });
-            }
-        });
-    }
-    if let (Some(c), Some(keys)) = (cache, keys) {
-        // Memo lock first, docs lock (inside the byte-charging closure)
-        // second — the same order as `cached_ie_call`.
-        let computed = keys
-            .into_iter()
-            .zip(&slots)
-            .filter_map(|(k, slot)| match slot {
-                Some((Ok(out), Some(false), _)) => Some((k, out.clone())),
-                _ => None,
-            });
-        c.lock().insert_batch(computed, |id| {
-            par.docs.read().resolve(id).map(|t| t.len()).unwrap_or(0)
-        });
-    }
-    let mut next = Vec::new();
-    for ((_args, group_rows), slot) in groups.into_iter().zip(slots) {
-        let (res, memo_hit, dur_ns) = slot.expect("pool scope computed every group");
-        tr.trace.ie_call_ns(function, memo_hit, dur_ns);
-        let out_rows = res?;
-        check_output_arity(function, n_outputs, &out_rows)?;
-        for row in group_rows {
-            for out in out_rows.iter() {
-                if let Some(extended) = unify_values(&row, outputs, out) {
-                    next.push(extended);
-                }
-            }
-        }
-    }
-    Ok(next)
-}
-
-/// The shard decision bundle handed to [`run_sharded`], keeping its
-/// signature within clippy's argument budget.
-struct ShardExec<'a> {
-    par: ParExec<'a>,
-    doc_var: usize,
-}
-
-/// Runs the post-split suffix of a split-correct rule shard-parallel:
-/// partitions `rows` on the document variable, forks a trace per shard,
-/// evaluates each shard on the pool (sharing the locked document
-/// store), and merges results and traces back in shard index order.
-/// The first shard error (in that stable order) wins, matching the
-/// serial path's error determinism.
+/// Runs the post-split suffix of a split-correct rule over the bins of
+/// `rows` partitioned on the document variable. One bin — no pool, one
+/// document, one row — runs on the calling thread. More fork a trace
+/// per shard, evaluate each shard on the pool, and merge results and
+/// traces back in shard index order; the first shard error (in that
+/// stable order) wins, matching the one-bin error determinism.
 fn run_sharded(
     plan: &RulePlan,
     suffix: &[usize],
@@ -580,39 +431,36 @@ fn run_sharded(
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
-    shard: ShardExec<'_>,
+    doc_var: usize,
 ) -> Result<Vec<Row>> {
-    let ShardExec { par, doc_var } = shard;
     if suffix.is_empty() {
         return Ok(rows);
     }
-    let mut bins = partition_rows(
-        rows,
-        doc_var,
-        par.docs,
-        par.pool.workers().saturating_mul(2),
-    );
-    if bins.len() <= 1 {
-        let rows = bins.pop().unwrap_or_default();
-        let mut handle = DocsHandle::Shared(par.docs);
-        return run_steps(plan, suffix, rows, relations, &mut handle, ctx, tr);
-    }
+    let target = ctx.pool.map_or(1, |p| p.workers().saturating_mul(2));
+    let mut bins = partition_rows(rows, doc_var, ctx.docs, target);
+    let pool = match ctx.pool {
+        Some(pool) if bins.len() > 1 => pool,
+        _ => {
+            let rows = bins.pop().unwrap_or_default();
+            return run_steps(plan, suffix, rows, relations, ctx, tr);
+        }
+    };
     ctx.tally
         .shard_tasks
         .fetch_add(bins.len() as u64, Ordering::Relaxed);
-    // Shard tasks must not capture `ctx` itself: its index-cache handle
+    // Shard tasks must not capture `ctx` itself: its index-memo handle
     // is single-threaded by design (`RefCell`), so the relevant fields
-    // are rebundled per shard with `indexes: None, par: None`.
+    // are rebundled per shard with `indexes: None, pool: None`.
     let registry = ctx.registry;
     let delta_at = ctx.delta_at;
     let deltas = ctx.deltas;
     let cache = ctx.cache;
-    let planner = ctx.planner;
+    let docs = ctx.docs;
     let tally = ctx.tally;
     let deadline = ctx.deadline;
     let mut slots: Vec<Option<(Result<Vec<Row>>, RunTrace)>> =
         (0..bins.len()).map(|_| None).collect();
-    par.pool.scope(|s| {
+    pool.scope(|s| {
         for (i, (slot, bin)) in slots.iter_mut().zip(bins).enumerate() {
             let mut fork = tr.trace.fork();
             s.spawn(move || {
@@ -624,9 +472,9 @@ fn run_sharded(
                     delta_at,
                     deltas,
                     cache,
-                    planner,
                     indexes: None,
-                    par: None,
+                    docs,
+                    pool: None,
                     tally,
                     deadline,
                 };
@@ -635,15 +483,7 @@ fn run_sharded(
                     rule: 0,
                     parent: span,
                 };
-                let res = run_steps(
-                    plan,
-                    suffix,
-                    bin,
-                    relations,
-                    &mut DocsHandle::Shared(par.docs),
-                    &shard_ctx,
-                    &mut shard_tr,
-                );
+                let res = run_steps(plan, suffix, bin, relations, &shard_ctx, &mut shard_tr);
                 fork.close(span);
                 *slot = Some((res, fork));
             });
@@ -856,46 +696,45 @@ fn compare(a: &Value, b: &Value, op: CmpOp) -> Result<bool> {
 ///
 /// Columns whose term is a constant or an already-bound variable form the
 /// join key; remaining variable columns bind new variables (repeated new
-/// variables unify left-to-right). The bound-variable set is uniform
-/// across rows at any step, so it is read off the first row.
+/// variables unify left-to-right). Constants participate as ordinary key
+/// columns, so rules filtering the same columns with *different*
+/// constants share an index. With `cache`, the index is taken from (or
+/// built into) the evaluation's [`IndexCache`]; without, it is built
+/// here and dropped on return.
 fn scan_join(
     plan: &RulePlan,
     rows: Vec<Row>,
     rel: &Relation,
     terms: &[PTerm],
     relation: &str,
+    cache: Option<&RefCell<IndexCache>>,
 ) -> Result<Vec<Row>> {
-    let key_cols = join_key_cols(&rows[0], terms);
-
-    // Build an index over relation tuples keyed by the join columns.
-    let mut index: FxHashMap<Vec<&Value>, Vec<&Tuple>> = FxHashMap::default();
-    'tuples: for tuple in rel.iter() {
-        if tuple.arity() != terms.len() {
-            return Err(EngineError::Arity {
-                relation: relation.to_string(),
-                expected: terms.len(),
-                actual: tuple.arity(),
-            });
-        }
-        for &c in &key_cols {
-            if let PTerm::Const(v) = &terms[c] {
-                if &tuple[c] != v {
-                    continue 'tuples;
-                }
-            }
-        }
-        let key: Vec<&Value> = key_cols.iter().map(|&c| &tuple[c]).collect();
-        index.entry(key).or_default().push(tuple);
+    if rel.is_empty() {
+        return Ok(Vec::new());
     }
+    // Relations are uniform in arity: either every tuple fits the terms
+    // or none does.
+    if rel.schema().arity() != terms.len() {
+        return Err(EngineError::Arity {
+            relation: relation.to_string(),
+            expected: terms.len(),
+            actual: rel.schema().arity(),
+        });
+    }
+    let key_cols = join_key_cols(&rows[0], terms);
+    let index: Rc<TupleIndex> = match cache {
+        Some(cache) => cache.borrow_mut().index(relation, rel, &key_cols),
+        None => Rc::new(optimizer::build_index(rel, &key_cols)),
+    };
 
     let mut out = Vec::new();
     for row in &rows {
-        let mut key: Vec<&Value> = Vec::with_capacity(key_cols.len());
+        let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
         for &c in &key_cols {
             key.push(match &terms[c] {
-                PTerm::Const(v) => v,
+                PTerm::Const(v) => v.clone(),
                 PTerm::Var(v) => row[*v]
-                    .as_ref()
+                    .clone()
                     .ok_or_else(|| join_key_unbound(plan, relation, &terms[c]))?,
                 PTerm::Wildcard => return Err(join_key_unbound(plan, relation, &terms[c])),
             });
@@ -936,82 +775,6 @@ fn join_key_unbound(plan: &RulePlan, relation: &str, t: &PTerm) -> EngineError {
         plan,
         format!("join key {what} of scan over {relation:?} is unbound"),
     )
-}
-
-/// [`scan_join`] against the per-evaluation [`IndexCache`]: the index
-/// is owned (keys cloned, `Arc`-backed values so clones are cheap) and
-/// keyed by `(relation, row count, key columns)`, making it reusable
-/// across fixpoint rounds and sibling rules — including rules that
-/// filter the same columns with *different* constants, since constants
-/// participate as ordinary key columns.
-fn scan_join_indexed(
-    plan: &RulePlan,
-    rows: Vec<Row>,
-    rel: &Relation,
-    terms: &[PTerm],
-    relation: &str,
-    cache: &mut IndexCache,
-) -> Result<Vec<Row>> {
-    if rel.is_empty() {
-        return Ok(Vec::new());
-    }
-    let key_cols = join_key_cols(&rows[0], terms);
-
-    let index: Rc<TupleIndex> = match cache.lookup(relation, rel.len(), &key_cols) {
-        Some(ix) => ix,
-        None => {
-            let mut map: FxHashMap<Vec<Value>, Vec<Tuple>> = FxHashMap::default();
-            for tuple in rel.iter() {
-                if tuple.arity() != terms.len() {
-                    return Err(EngineError::Arity {
-                        relation: relation.to_string(),
-                        expected: terms.len(),
-                        actual: tuple.arity(),
-                    });
-                }
-                let key: Vec<Value> = key_cols.iter().map(|&c| tuple[c].clone()).collect();
-                map.entry(key).or_default().push(tuple.clone());
-            }
-            let ix = Rc::new(TupleIndex {
-                arity: terms.len(),
-                map,
-            });
-            cache.store(relation, rel.len(), key_cols.clone(), ix.clone());
-            ix
-        }
-    };
-    // A cache hit with a different term count is the arity-mismatch
-    // case the build path reports; surface the same error.
-    if index.arity != terms.len() {
-        return Err(EngineError::Arity {
-            relation: relation.to_string(),
-            expected: terms.len(),
-            actual: index.arity,
-        });
-    }
-
-    let mut out = Vec::new();
-    for row in &rows {
-        let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-        for &c in &key_cols {
-            key.push(match &terms[c] {
-                PTerm::Const(v) => v.clone(),
-                PTerm::Var(v) => row[*v]
-                    .clone()
-                    .ok_or_else(|| join_key_unbound(plan, relation, &terms[c]))?,
-                PTerm::Wildcard => return Err(join_key_unbound(plan, relation, &terms[c])),
-            });
-        }
-        let Some(candidates) = index.map.get(&key) else {
-            continue;
-        };
-        for tuple in candidates {
-            if let Some(extended) = unify_values(row, terms, tuple.values()) {
-                out.push(extended);
-            }
-        }
-    }
-    Ok(dedupe(out))
 }
 
 /// Unifies concrete `values` against `terms`, extending `row` where a
@@ -1099,7 +862,7 @@ fn dedupe(mut rows: Vec<Row>) -> Vec<Row> {
 fn project_head(
     plan: &RulePlan,
     rows: Vec<Row>,
-    docs: &mut DocsHandle<'_>,
+    docs: &SharedDocs,
     registry: &Registry,
 ) -> Result<Vec<Tuple>> {
     let var_value = |row: &Row, v: usize| -> Result<Value> {
@@ -1191,7 +954,7 @@ fn project_head(
                     // outermost-first as written.
                     for conv_name in conversions.iter().rev() {
                         let conv = registry.conversion(conv_name)?;
-                        let ctx = IeContext::from_handle(docs.reborrow());
+                        let ctx = IeContext::new(docs);
                         values = values
                             .iter()
                             .map(|v| conv.convert(v, &ctx))

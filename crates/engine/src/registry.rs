@@ -107,8 +107,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::filter_output;
-    use spannerlib_core::DocumentStore;
+    use crate::ie::{filter_output, SharedDocs};
 
     #[test]
     fn builtins_present() {
@@ -136,8 +135,8 @@ mod tests {
             Ok(filter_output(args[0].as_int().unwrap() % 2 == 0))
         });
         let f = r.ie("is_even").unwrap().clone();
-        let mut docs = DocumentStore::new();
-        let mut ctx = IeContext::new(&mut docs);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
         assert_eq!(f.call(&[Value::Int(4)], 0, &mut ctx).unwrap().len(), 1);
         assert_eq!(f.call(&[Value::Int(3)], 0, &mut ctx).unwrap().len(), 0);
     }

@@ -1,5 +1,5 @@
 //! The [`Session`]: the object that "facilitates communication between
-//! the [host] and Spannerlog runtimes" (paper §3.2).
+//! the \[host\] and Spannerlog runtimes" (paper §3.2).
 //!
 //! A session owns the fact database, the rule set, and the IE registry.
 //! The paper's four verbs still drive it, as thin wrappers over the
@@ -33,16 +33,19 @@
 //! *Evaluation* scales through [`SessionBuilder::parallelism`]: rules
 //! the compile-time split-correctness analysis clears (see
 //! `CompiledProgram::shard_plan`) shard their firings by document
-//! across an internal work-stealing pool (`spannerlib_par`), with the
-//! document store behind a read-write lock and the IE memo behind its
-//! usual mutex for the duration of the run. Parallel and serial runs
-//! derive identical tuple *sets* (property-tested). Registered IE
-//! functions must therefore be `Send + Sync` (the trait already
-//! requires it) and must tolerate concurrent invocation on distinct
-//! argument tuples. If an IE function panics on a worker thread, the
-//! panic propagates to the driving thread after sibling shards drain,
-//! and the session's document store may be left empty — treat a session
-//! that panicked mid-evaluation as poisoned and discard it.
+//! across an internal work-stealing pool (`spannerlib_par`). Every
+//! evaluation — sharded or not — keeps the document store behind a
+//! read-write lock and the IE memo behind its usual mutex for the
+//! duration of the run, so an IE function meets the same locking
+//! discipline under `parallelism(0)` as on a many-core host. Parallel
+//! and serial runs derive identical tuple *sets* (property-tested).
+//! Registered IE functions must therefore be `Send + Sync` (the trait
+//! already requires it) and must tolerate concurrent invocation on
+//! distinct argument tuples. If an IE function panics, the panic
+//! propagates to the driving thread (after sibling shards drain, when
+//! it happened on a worker); the document store is back in the session
+//! by then and derived relations are recomputed by the next evaluation,
+//! so a host that catches the unwind can keep using the session.
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
@@ -113,7 +116,6 @@ pub struct SessionBuilder {
     trace_level: TraceLevel,
     tracer: Option<Arc<dyn Tracer>>,
     trace_buffer_bytes: usize,
-    planner: bool,
     parallelism: Option<usize>,
 }
 
@@ -128,7 +130,6 @@ impl Default for SessionBuilder {
             trace_level: TraceLevel::Off,
             tracer: None,
             trace_buffer_bytes: 0,
-            planner: true,
             parallelism: None,
         }
     }
@@ -140,8 +141,11 @@ impl SessionBuilder {
         SessionBuilder::default()
     }
 
-    /// Selects the fixpoint strategy (naive reproduces the paper's
-    /// implementation; see ablation A).
+    /// Selects the evaluator: [`EvalStrategy::SemiNaive`] (the default)
+    /// is the production path; [`EvalStrategy::Naive`] is the reference
+    /// it is tested against — the paper's loop-until-unchanged, rule
+    /// bodies in textual order, no index reuse, no sharding (see
+    /// ablation A).
     pub fn strategy(mut self, strategy: EvalStrategy) -> SessionBuilder {
         self.strategy = strategy;
         self
@@ -227,27 +231,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Toggles the cost-based query planner (on by default): per-firing
-    /// join reordering by estimated cardinality and reuse of scan-join
-    /// hash indexes across fixpoint rounds and rules. Planner-on and
-    /// planner-off evaluations derive identical relations (property-
-    /// tested); turning it off is an escape hatch for benchmarking
-    /// (`planner_smoke` runs the A/B) or for debugging plans in textual
-    /// atom order.
-    pub fn planner(mut self, enabled: bool) -> SessionBuilder {
-        self.planner = enabled;
-        self
-    }
-
     /// Sets the number of worker threads for split-correct parallel
     /// evaluation (default: the machine's available parallelism). Rule
     /// firings the compile-time analysis clears as split-correct are
-    /// sharded by document across this many workers; `0` or `1` pins
-    /// every evaluation to the serial path. The pool is built lazily,
-    /// on the first evaluation of a program with at least one
-    /// split-correct rule; parallel and serial evaluation derive
-    /// identical tuple sets (property-tested). See the module docs'
-    /// threading contract.
+    /// sharded by document across this many workers; `0` or `1` keeps
+    /// every firing on the calling thread (one shard), as does
+    /// [`EvalStrategy::Naive`]. The pool is built lazily, on the first
+    /// evaluation of a program with at least one split-correct rule;
+    /// parallel and serial evaluation derive identical tuple sets
+    /// (property-tested). See the module docs' threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
         self.parallelism = Some(workers);
         self
@@ -317,7 +309,6 @@ impl SessionBuilder {
             tracer: self.tracer,
             trace_buffer_bytes: self.trace_buffer_bytes,
             last_profile: None,
-            planner: self.planner,
             parallelism: self
                 .parallelism
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
@@ -373,8 +364,6 @@ pub struct Session {
     /// Profile of the most recent fixpoint run (including aborted ones);
     /// `None` until a run happens with tracing at `Summary` or above.
     last_profile: Option<Arc<EvalProfile>>,
-    /// Cost-based planner toggle ([`SessionBuilder::planner`]).
-    planner: bool,
     /// Worker count for split-correct parallel evaluation
     /// ([`SessionBuilder::parallelism`]); `0`/`1` = serial.
     parallelism: usize,
@@ -1002,7 +991,6 @@ impl Session {
                 strategy: self.strategy,
                 limits: self.limits,
                 cache: self.ie_cache.as_ref(),
-                planner: self.planner,
                 pool,
             },
             &mut trace,

@@ -164,3 +164,47 @@ fn parallelism_zero_stays_serial() {
     assert_eq!(profile.par_shards, 0);
     assert!(!profile.render().contains("par:"));
 }
+
+/// An IE function that panics mid-evaluation — on a shard worker or on
+/// the calling thread — unwinds to the host, and the document store is
+/// back in the session when it gets there: spans handed out before the
+/// run still resolve, and the session evaluates the next program.
+#[test]
+fn doc_store_survives_a_panicking_ie_function() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    for workers in [4, 0] {
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .register("boom", Some(1), |args, _| match args[0].as_str() {
+                Some(text) if text.contains("beta7") => panic!("boom"),
+                _ => Ok(vec![vec![Value::Int(1)]]),
+            })
+            .build();
+        load(&mut session);
+        let doc = session.intern("held by the host");
+        let held = session.make_span(doc, 0, 4).unwrap();
+
+        session
+            .run("Bad(d, x) <- Texts(d, t), boom(t) -> (x)")
+            .unwrap();
+        let program = session.prepare_program().unwrap();
+        assert_eq!(program.program().shard_plan().parallel_rules(), 1);
+        let unwound = catch_unwind(AssertUnwindSafe(|| session.ensure_evaluated()));
+        assert!(unwound.is_err(), "the panic reaches the host");
+
+        assert_eq!(session.span_text(&held).unwrap(), "held");
+        session.clear_rules();
+        session.run(MIXED_RULES).unwrap();
+        let mut fresh = Session::builder().parallelism(workers).build();
+        load(&mut fresh);
+        fresh.run(MIXED_RULES).unwrap();
+        for name in ["Word", "Cnt", "Shared", "Cross"] {
+            assert_eq!(
+                canonical(&mut session, name),
+                canonical(&mut fresh, name),
+                "relation {name} after the unwind, parallelism({workers})"
+            );
+        }
+    }
+}

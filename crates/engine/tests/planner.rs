@@ -1,14 +1,16 @@
 //! Cost-based planner integration tests: step ordering by estimated
 //! cardinality, index reuse across fixpoint rounds, trace surfacing of
 //! plan choices, and the structured-error degradation path for malformed
-//! plans (which safety analysis never produces, but `plan::execute` must
-//! reject instead of panicking).
+//! plans (which safety analysis never produces, but `plan::execute_with`
+//! must reject instead of panicking).
 
 use rustc_hash::FxHashMap;
-use spannerlib_core::{DocumentStore, Relation, Value};
-use spannerlib_trace::{RunTrace, TraceLevel, NO_SPAN};
+use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
+use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, NO_SPAN};
+use spannerlog_engine::optimizer::{self, IndexCache};
 use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
-use spannerlog_engine::{optimizer, EngineError, Registry, Session};
+use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs};
+use std::cell::RefCell;
 
 /// A hand-built (unannotated) plan skeleton for malformed-plan tests.
 fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePlan {
@@ -24,21 +26,33 @@ fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePl
     }
 }
 
-/// Runs a plan against an empty database and returns its error.
-fn run_expect_err(plan: &RulePlan) -> EngineError {
+/// Where one scan of [`run_expect_err`] reads: the full relations
+/// (through `indexes`, when given) or, for the scan at step 0, `deltas`.
+#[derive(Default)]
+struct Inputs<'a> {
+    relations: FxHashMap<String, Relation>,
+    deltas: FxHashMap<String, Relation>,
+    delta_at: Option<usize>,
+    indexes: Option<&'a RefCell<IndexCache>>,
+}
+
+/// Runs a plan and returns its error.
+fn run_expect_err(plan: &RulePlan, inputs: &Inputs<'_>) -> EngineError {
+    run(plan, inputs).expect_err("malformed plan must error, not panic")
+}
+
+fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Vec<Tuple>, EngineError> {
     let registry = Registry::new();
-    let relations: FxHashMap<String, Relation> = FxHashMap::default();
-    let deltas: FxHashMap<String, Relation> = FxHashMap::default();
-    let mut docs = DocumentStore::new();
+    let docs = SharedDocs::default();
     let tally = ParTally::default();
     let ctx = ExecCtx {
         registry: &registry,
-        delta_at: None,
-        deltas: &deltas,
+        delta_at: inputs.delta_at,
+        deltas: &inputs.deltas,
         cache: None,
-        planner: true,
-        indexes: None,
-        par: None,
+        indexes: inputs.indexes,
+        docs: &docs,
+        pool: None,
         tally: &tally,
         deadline: None,
     };
@@ -48,8 +62,7 @@ fn run_expect_err(plan: &RulePlan) -> EngineError {
         rule: 0,
         parent: NO_SPAN,
     };
-    plan::execute(plan, &relations, &mut docs, &ctx, &mut tr)
-        .expect_err("malformed plan must error, not panic")
+    plan::execute_with(plan, &inputs.relations, &ctx, &mut tr)
 }
 
 fn assert_internal(err: EngineError, detail_fragment: &str) {
@@ -79,20 +92,20 @@ fn out_of_range_var_index_is_an_internal_error() {
         vec![HeadOut::Var(0)],
         &["x"],
     );
-    assert_internal(run_expect_err(&plan), "out of range");
+    assert_internal(run_expect_err(&plan, &Inputs::default()), "out of range");
 }
 
 #[test]
 fn out_of_range_head_var_is_an_internal_error() {
     let plan = bare_plan(vec![], vec![HeadOut::Var(3)], &["x"]);
-    assert_internal(run_expect_err(&plan), "out of range");
+    assert_internal(run_expect_err(&plan, &Inputs::default()), "out of range");
 }
 
 #[test]
 fn unbound_head_var_is_an_internal_error() {
     // No step binds x, but the head projects it.
     let plan = bare_plan(vec![], vec![HeadOut::Var(0)], &["x"]);
-    assert_internal(run_expect_err(&plan), "unbound");
+    assert_internal(run_expect_err(&plan, &Inputs::default()), "unbound");
 }
 
 #[test]
@@ -108,7 +121,7 @@ fn unbound_ie_input_is_an_internal_error() {
         vec![HeadOut::Const(Value::Int(1))],
         &["p", "t"],
     );
-    assert_internal(run_expect_err(&plan), "unbound");
+    assert_internal(run_expect_err(&plan, &Inputs::default()), "unbound");
 }
 
 #[test]
@@ -122,7 +135,7 @@ fn unbound_compare_operand_is_an_internal_error() {
         vec![HeadOut::Const(Value::Int(1))],
         &["x"],
     );
-    assert_internal(run_expect_err(&plan), "unbound");
+    assert_internal(run_expect_err(&plan, &Inputs::default()), "unbound");
 }
 
 #[test]
@@ -198,7 +211,7 @@ Path(x, y) <- Edge(x, y)
 Path(x, z) <- Path(x, y), Edge(y, z)";
     let mut on = Session::builder().tracing(TraceLevel::Summary).build();
     on.run(program).unwrap();
-    let rows_on = on.relation("Path").unwrap().sorted_tuples();
+    assert_eq!(on.relation("Path").unwrap().len(), 15);
     let profile = on.profile().expect("summary tracing yields a profile");
     assert!(profile.index_builds > 0, "planner builds scan indexes");
     assert!(
@@ -210,17 +223,96 @@ Path(x, z) <- Path(x, y), Edge(y, z)";
     let table = profile.render();
     assert!(table.contains("plan:"), "per-rule plan lines:\n{table}");
     assert!(table.contains("indexes built"), "planner summary:\n{table}");
+}
 
-    // Planner off: same relation, no planner activity in the profile.
-    let mut off = Session::builder()
-        .planner(false)
-        .tracing(TraceLevel::Summary)
-        .build();
-    off.run(program).unwrap();
-    assert_eq!(rows_on, off.relation("Path").unwrap().sorted_tuples());
-    let profile = off.profile().unwrap();
-    assert_eq!((profile.index_builds, profile.index_hits), (0, 0));
-    assert!(!profile.render().contains("plan:"));
+/// `EvalStrategy::Naive` is the reference configuration: the same
+/// relations, but no step leaves its textual position, no index is
+/// kept, and nothing is sharded even with a pool's worth of workers.
+#[test]
+fn naive_strategy_never_reorders_and_never_shards() {
+    let program = r#"new Pats(str)
+Pats("b+")
+Word(d, w) <- Texts(d, t), rgx_string("([a-z]+)", t) -> (w)
+Late(d, p) <- Texts(d, _), Pats(p)"#;
+    let run = |strategy: EvalStrategy| {
+        let mut session = Session::builder()
+            .strategy(strategy)
+            .parallelism(4)
+            .tracing(TraceLevel::Summary)
+            .build();
+        let texts = [
+            ("d1", "alpha beta"),
+            ("d2", "gamma delta"),
+            ("d3", "epsilon"),
+        ];
+        session.import_typed("Texts", texts.to_vec()).unwrap();
+        session.run(program).unwrap();
+        let rows = ["Word", "Late"].map(|name| session.relation(name).unwrap().sorted_tuples());
+        (rows, session.profile().expect("summary tracing"))
+    };
+    let plans = |profile: &EvalProfile| -> Vec<String> {
+        let rules = profile.strata.iter().flat_map(|s| &s.rules);
+        rules.map(|r| r.plan.clone()).collect()
+    };
+    let (rows, production) = run(EvalStrategy::SemiNaive);
+    let (reference_rows, reference) = run(EvalStrategy::Naive);
+    assert_eq!(rows, reference_rows);
+
+    // The program gives production something to move and to shard…
+    assert!(plans(&production).iter().any(|p| p.contains('*')));
+    assert!(production.par_shards > 0, "{production:?}");
+    // …and the reference does neither.
+    assert!(plans(&reference).iter().all(|p| !p.contains('*')));
+    assert_eq!((reference.index_builds, reference.index_hits), (0, 0));
+    assert_eq!((reference.par_workers, reference.par_shards), (0, 0));
+}
+
+/// A scan whose term count is not the relation's arity is the same
+/// `EngineError::Arity` whichever way the scan gets its index: built
+/// into the cache, found in the cache, or built for a delta and dropped.
+#[test]
+fn arity_mismatch_is_one_error_on_every_scan_route() {
+    let mut rel = Relation::new(Schema::new(vec![ValueType::Int; 2]));
+    rel.insert(Tuple::new([Value::Int(1), Value::Int(2)]))
+        .unwrap();
+    let scan = |terms: Vec<PTerm>| {
+        let head = vec![HeadOut::Var(0)];
+        let scan = Step::Scan {
+            relation: "R".into(),
+            terms,
+        };
+        bare_plan(vec![scan], head, &["x", "y", "z"])
+    };
+    let fits = scan(vec![PTerm::Var(0), PTerm::Var(1)]);
+    let too_wide = scan(vec![PTerm::Var(0), PTerm::Var(1), PTerm::Var(2)]);
+    let named = |rel: &Relation| FxHashMap::from_iter([("R".to_string(), rel.clone())]);
+    let assert_arity = |err: EngineError, route: &str| {
+        let same = matches!(
+            &err,
+            EngineError::Arity { relation, expected: 3, actual: 2 } if relation == "R"
+        );
+        assert!(same, "{route}: {err:?}");
+    };
+
+    let indexes = RefCell::new(IndexCache::default());
+    let cached = Inputs {
+        relations: named(&rel),
+        indexes: Some(&indexes),
+        ..Inputs::default()
+    };
+    assert_arity(run_expect_err(&too_wide, &cached), "first build");
+    // Both plans key the scan on no column, so the well-formed one
+    // leaves behind exactly the entry the malformed one looks up.
+    assert_eq!(run(&fits, &cached).unwrap().len(), 1);
+    assert_eq!(indexes.borrow().builds, 1);
+    assert_arity(run_expect_err(&too_wide, &cached), "cache hit");
+
+    let delta = Inputs {
+        deltas: named(&rel),
+        delta_at: Some(0),
+        ..Inputs::default()
+    };
+    assert_arity(run_expect_err(&too_wide, &delta), "delta scan");
 }
 
 #[test]

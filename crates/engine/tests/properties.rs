@@ -1,7 +1,8 @@
-//! Property tests for the engine: the two evaluation strategies must be
-//! observationally equivalent on random Datalog programs, aggregation
-//! must match a hand-rolled reference on random inputs, and the IE memo
-//! cache must be semantically invisible (cache-on ≡ cache-off).
+//! Property tests for the engine: the production evaluator must be
+//! observationally equivalent to the naive reference on random Datalog
+//! and IE programs, aggregation must match a hand-rolled reference on
+//! random inputs, and the IE memo cache must be semantically invisible
+//! (cache-on ≡ cache-off).
 
 use proptest::prelude::*;
 use spannerlib_core::Value;
@@ -292,15 +293,12 @@ proptest! {
         prop_assert!(stats.hits + stats.misses > 0);
     }
 
-    /// The cost-based planner is semantically invisible: planner-on and
-    /// planner-off sessions agree tuple-for-tuple on random recursive
-    /// graph programs (exercising join reordering and index reuse across
-    /// fixpoint rounds) under both evaluation strategies.
+    /// The production evaluator — delta rounds, cost-ordered steps, scan
+    /// indexes reused across rounds — agrees tuple-for-tuple with the
+    /// reference (`EvalStrategy::Naive`: textual order, an index per
+    /// scan) on random recursive graph programs with negation.
     #[test]
-    fn planner_on_and_off_agree_on_graphs(
-        edges in edges_strategy(),
-        seminaive in any::<bool>(),
-    ) {
+    fn production_agrees_with_reference_on_graphs(edges in edges_strategy()) {
         let program = "
             Path(x, y) <- Edge(x, y)
             Path(x, z) <- Path(x, y), Edge(y, z)
@@ -308,39 +306,32 @@ proptest! {
             Node(y) <- Edge(_, y)
             Dead(x) <- Node(x), not Path(x, x)
         ";
-        let strategy = if seminaive { EvalStrategy::SemiNaive } else { EvalStrategy::Naive };
-        let run = |planner: bool| {
-            let mut session = Session::builder().strategy(strategy).planner(planner).build();
-            load_graph(&mut session, &edges);
-            session.run(program).unwrap();
-            (
-                session.relation("Path").unwrap().sorted_tuples(),
-                session.relation("Dead").unwrap().sorted_tuples(),
-            )
-        };
-        prop_assert_eq!(run(true), run(false));
+        prop_assert_eq!(
+            derive(EvalStrategy::SemiNaive, &edges, program, &["Path", "Dead"]),
+            derive(EvalStrategy::Naive, &edges, program, &["Path", "Dead"])
+        );
     }
 
-    /// Planner equivalence on IE-heavy programs: reordering around
-    /// (cacheable and uncacheable) IE calls and negation never changes
+    /// Production ≡ reference on IE-heavy programs: reordering around
+    /// IE calls and negation, and sharding by document, never change
     /// the derived relations.
     #[test]
-    fn planner_on_and_off_agree_on_ie_programs(
+    fn production_agrees_with_reference_on_ie_programs(
         texts in texts_strategy(),
         prog in 0usize..IE_PROGRAMS.len(),
     ) {
         let (program, relations) = IE_PROGRAMS[prog];
-        let mut on = Session::new();
-        let mut off = Session::builder().planner(false).build();
-        import_texts(&mut on, &texts, 0);
-        import_texts(&mut off, &texts, 0);
-        on.run(program).unwrap();
-        off.run(program).unwrap();
+        let mut production = Session::new();
+        let mut reference = Session::with_strategy(EvalStrategy::Naive);
+        import_texts(&mut production, &texts, 0);
+        import_texts(&mut reference, &texts, 0);
+        production.run(program).unwrap();
+        reference.run(program).unwrap();
         for name in relations {
             prop_assert_eq!(
-                canonical(&mut on, name),
-                canonical(&mut off, name),
-                "relation {} diverged with planner on", name
+                canonical(&mut production, name),
+                canonical(&mut reference, name),
+                "relation {} diverged from the reference", name
             );
         }
     }

@@ -20,35 +20,19 @@
 //!
 //! Process-wide counters record how many searches consulted a prefilter
 //! and how many were pruned without launching the VM at all; the engine's
-//! trace layer surfaces both in evaluation profiles, and
-//! [`set_enabled`]`(false)` turns prefiltering off globally so benchmarks
-//! can A/B it.
+//! trace layer surfaces both in evaluation profiles.
 
 use crate::ast::Ast;
 use crate::nfa::Program;
 use crate::pikevm::{self, SearchResult};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Longest literal we bother materializing for a counted repetition, so
 /// `a{1000000}` doesn't allocate a megabyte of needle.
 const MAX_REPEAT_LITERAL: usize = 64;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static SEARCHES: AtomicU64 = AtomicU64::new(0);
 static PRUNED: AtomicU64 = AtomicU64::new(0);
-
-/// Globally enables or disables prefiltering (on by default).
-///
-/// Disabling never changes match results — only how they are computed —
-/// so the toggle exists purely for benchmarking and debugging.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether prefiltering is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Snapshot of the process-wide prefilter counters.
 ///

@@ -6,7 +6,7 @@ use crate::error::RegexError;
 use crate::nfa::Program;
 use crate::parser::{parse, ParsedPattern};
 use crate::pikevm;
-use crate::prefilter::{self, Prefilter};
+use crate::prefilter::Prefilter;
 
 /// A compiled regex formula.
 ///
@@ -126,10 +126,10 @@ impl Regex {
         self.prefilter.as_ref()
     }
 
-    /// Single scan entry point: routes through the prefilter when one
-    /// exists and prefiltering is globally enabled.
+    /// Single scan entry point: routes through the prefilter when the
+    /// pattern has one.
     fn search_at(&self, text: &str, start: usize) -> Option<pikevm::SearchResult> {
-        match self.prefilter.as_ref().filter(|_| prefilter::enabled()) {
+        match &self.prefilter {
             Some(pf) => pf.search(&self.program, text, start),
             None => pikevm::search(&self.program, text, start),
         }

@@ -94,7 +94,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Timeout semantics (sockets with a read timeout): before any byte of
 /// the request arrives a timeout yields [`ReadOutcome::IdleTick`]; once
 /// partially received, the parser keeps waiting for up to
-/// [`MAX_STALL_TICKS`] timeouts, then fails with 408.
+/// `MAX_STALL_TICKS` timeouts, then fails with 408.
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> ReadOutcome {
     // Accumulate the head (request line + headers) up to CRLFCRLF.
     let mut head: Vec<u8> = Vec::new();

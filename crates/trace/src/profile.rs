@@ -47,7 +47,8 @@ pub struct EvalProfile {
     /// Span events dropped by the ring buffer's byte budget.
     pub spans_dropped: u64,
     /// Scan-join index lookups answered by the planner's per-run index
-    /// cache (zero with the planner off).
+    /// cache (zero under the engine's reference strategy, which keeps
+    /// no index).
     pub index_hits: u64,
     /// Scan-join indexes the run actually built (cache misses).
     pub index_builds: u64,
@@ -102,9 +103,9 @@ pub struct RuleProfile {
     /// Wall time across all firings, in nanoseconds.
     pub total_ns: u64,
     /// The step order the planner chose for the rule's first firing,
-    /// with estimated input cardinalities (empty when the planner is
-    /// off or the run was untraced). Steps that moved relative to the
-    /// textual body are starred.
+    /// with estimated input cardinalities (empty under the reference
+    /// strategy, which plans nothing, or when the run was untraced).
+    /// Steps that moved relative to the textual body are starred.
     pub plan: String,
 }
 
@@ -348,7 +349,7 @@ impl EvalProfile {
     /// Exports the profile as JSON lines: one `profile` record, then
     /// one record per rule, IE function, and span. Each line is a
     /// self-contained JSON object with a `"type"` discriminator and a
-    /// `"schema"` version ([`PROFILE_JSON_SCHEMA`]), so the output
+    /// `"schema"` version (`PROFILE_JSON_SCHEMA`), so the output
     /// streams into `jq`/pandas without a wrapping array and consumers
     /// of the slow-query log can detect format changes.
     ///
