@@ -2,7 +2,9 @@
 //!
 //! * `compile` — pattern → NFA cost (amortized away by the IE cache).
 //! * `findall/*` — leftmost-first scan over growing documents: expected
-//!   linear in document length.
+//!   linear in document length. `findall/class_led/*` is the case no
+//!   literal prefix can rescue (`\w+@\w+\.com`): the DFA front walks
+//!   every byte, so its throughput is the matcher's, not `str::find`'s.
 //! * `allmatches/*` — formal spanner semantics on the quadratic-output
 //!   worst case (`x{a+}` over `aⁿ`): expected superlinear, which is the
 //!   semantic price of ⟦γ⟧(d) enumeration.
@@ -35,6 +37,14 @@ fn bench_findall(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(doc.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &doc, |b, d| {
             b.iter(|| re.find_iter(black_box(d)).count())
+        });
+    }
+    let class_led = Regex::new(r"\w+@\w+\.com").unwrap();
+    for words in [500usize, 2_000, 8_000] {
+        let doc = email_document(words, 99);
+        group.throughput(Throughput::Bytes(doc.len() as u64));
+        group.bench_with_input(BenchmarkId::new("class_led", words), &doc, |b, d| {
+            b.iter(|| class_led.find_iter(black_box(d)).count())
         });
     }
     group.finish();

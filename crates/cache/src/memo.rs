@@ -16,9 +16,10 @@
 
 use crate::stats::CacheStats;
 use parking_lot::Mutex;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use spannerlib_core::{DocId, Value};
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Cached output rows, shaped exactly like the engine's `IeOutput`.
@@ -29,21 +30,38 @@ pub type MemoOutput = Vec<Vec<Value>>;
 pub type SharedIeMemo = Arc<Mutex<IeMemo>>;
 
 /// The content address of one IE invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The hash of the contents is computed once, at construction: a key
+/// carries whole document texts, and the table hashes it on `get`, on
+/// `insert` and again every time the map grows. Fields are private so
+/// the stored hash cannot go stale.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoKey {
+    /// Hash of the three fields below; compared first, so unequal keys
+    /// rarely reach the text comparison.
+    hash: u64,
     /// Registered function name.
-    pub function: Arc<str>,
+    function: Arc<str>,
     /// Concrete argument values of the call.
-    pub args: Vec<Value>,
+    args: Vec<Value>,
     /// Output arity expected by the calling IE atom (functions like
     /// `rgx` validate and shape output against it).
-    pub n_outputs: usize,
+    n_outputs: usize,
+}
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl MemoKey {
     /// Builds a key from a call site.
     pub fn new(function: &str, args: &[Value], n_outputs: usize) -> MemoKey {
+        let mut hasher = FxHasher::default();
+        (function, args, n_outputs).hash(&mut hasher);
         MemoKey {
+            hash: hasher.finish(),
             function: Arc::from(function),
             args: args.to_vec(),
             n_outputs,
@@ -348,6 +366,23 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(stats.entries, 1);
         assert!(stats.bytes > 0);
+    }
+
+    #[test]
+    fn stored_hash_addresses_the_key_and_contents_decide_equality() {
+        let text = "a document text ".repeat(128);
+        let a = MemoKey::new("rgx", &[Value::str("p"), Value::str(text.as_str())], 1);
+        let b = MemoKey::new("rgx", &[Value::str("p"), Value::str(text.as_str())], 1);
+        assert_eq!(a, b);
+        assert_eq!(a.hash, b.hash);
+        let mut memo = IeMemo::new(1 << 20);
+        put(&mut memo, a.clone(), rows(1));
+        assert!(memo.get(&b).is_some());
+        // Two keys that collide on the hash are still two addresses.
+        let mut forged = MemoKey::new("rgx", &[Value::str("p"), Value::str("other")], 1);
+        forged.hash = a.hash;
+        assert_ne!(a, forged);
+        assert!(memo.get(&forged).is_none());
     }
 
     #[test]

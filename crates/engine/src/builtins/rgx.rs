@@ -17,7 +17,9 @@
 //!
 //! Compiled patterns are cached per function instance, keyed by pattern
 //! text — rules typically call `rgx` with a constant pattern over many
-//! documents.
+//! documents. The cache is bounded ([`PATTERN_CACHE_CAP`]): a rule that
+//! binds its pattern from data recompiles what was evicted instead of
+//! growing the registry.
 
 use crate::error::{EngineError, Result};
 use crate::ie::{filter_output, IeContext, IeFunction, IeOutput};
@@ -41,6 +43,12 @@ enum Mode {
     IsMatch,
 }
 
+/// Most compiled patterns one function instance keeps. A rule that
+/// binds the pattern from data (`P(p), Docs(d, t), rgx(p, t) -> (s)`)
+/// sees as many patterns as `P` has rows, and every resident `Regex`
+/// owns its DFA caches, so the cache must not grow with the data.
+const PATTERN_CACHE_CAP: usize = 256;
+
 /// Shared regex IE implementation parameterized by [`Mode`].
 struct RgxFunction {
     mode: Mode,
@@ -63,7 +71,15 @@ impl RgxFunction {
             function: "rgx".into(),
             msg: format!("bad pattern {pattern:?}: {e}"),
         })?);
-        self.cache.lock().insert(pattern.to_string(), re.clone());
+        let mut cache = self.cache.lock();
+        if cache.len() >= PATTERN_CACHE_CAP {
+            // Any victim will do: an evicted pattern that comes back is
+            // compiled again, nothing else changes.
+            if let Some(victim) = cache.keys().next().cloned() {
+                cache.remove(&victim);
+            }
+        }
+        cache.insert(pattern.to_string(), re.clone());
         Ok(re)
     }
 }
@@ -352,6 +368,99 @@ mod tests {
         let f = RgxFunction::new(Mode::FindSpans);
         let a = f.compiled("a+").unwrap();
         let b = f.compiled("a+").unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn every_mode_over_a_span_of_multibyte_text() {
+        let docs = SharedDocs::default();
+        let text = "日本 née ann@é.com — bob@work.com; 😀 eve@x.com";
+        let id = docs.write().intern(text);
+        let from = text.find("ann").unwrap();
+        let to = text.find("; ").unwrap();
+        let scope = Value::Span(docs.read().span(id, from, to).unwrap());
+        let pattern = Value::str(r"(\w+)@(\w+)\.com");
+
+        // Offsets land in the original document, past the multi-byte prefix.
+        let bob = text.find("bob").unwrap();
+        let rows = call("rgx", &[pattern.clone(), scope.clone()], 2, &docs);
+        assert_eq!(
+            rows,
+            vec![vec![
+                Value::Span(Span::new(id, bob, bob + 3)),
+                Value::Span(Span::new(id, bob + 4, bob + 8)),
+            ]]
+        );
+        let rows = call("rgx_string", &[pattern.clone(), scope.clone()], 2, &docs);
+        assert_eq!(rows, vec![vec![Value::str("bob"), Value::str("work")]]);
+        assert_eq!(
+            call("rgx_is_match", &[pattern.clone(), scope], 0, &docs).len(),
+            1
+        );
+
+        // A class-led pattern without groups, across 2-, 3- and 4-byte
+        // characters of the whole document (`\w` is ASCII: `ann@é` is out).
+        let rows = call(
+            "rgx",
+            &[Value::str(r"[^ ]+@\w+"), Value::str(text)],
+            1,
+            &docs,
+        );
+        let eve = text.find("eve").unwrap();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Span(Span::new(id, bob, bob + 8))],
+                vec![Value::Span(Span::new(id, eve, eve + 5))],
+            ]
+        );
+        let before = text.find(" née").unwrap();
+        let head = Value::Span(docs.read().span(id, 0, before).unwrap());
+        assert!(call("rgx_is_match", &[pattern, head], 0, &docs).is_empty());
+    }
+
+    #[test]
+    fn a_group_that_does_not_participate_is_an_error() {
+        let registry = Registry::new();
+        let docs = SharedDocs::default();
+        for name in ["rgx", "rgx_string"] {
+            let f = registry.ie(name).unwrap().clone();
+            let mut ctx = IeContext::new(&docs);
+            let err = f
+                .call(&[Value::str("(a)|(b)"), Value::str("xxb")], 2, &mut ctx)
+                .unwrap_err();
+            let EngineError::IeRuntime { function, msg } = err else {
+                panic!("expected IeRuntime, got {err:?}");
+            };
+            assert_eq!(function, "rgx");
+            assert_eq!(
+                msg,
+                "a capture group did not participate in the match; \
+                 use alternation inside the group instead"
+            );
+        }
+    }
+
+    #[test]
+    fn pattern_cache_is_bounded() {
+        let f = RgxFunction::new(Mode::FindStrings);
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
+        for i in 0..10 * PATTERN_CACHE_CAP {
+            // Patterns bound from data: each one distinct, each one right.
+            let pattern = format!("k{i}=(\\d+)");
+            let text = format!("k{i}=7 k{}=8 k{i}=9", i + 1);
+            let rows = f
+                .call(&[Value::str(pattern), Value::str(text)], 1, &mut ctx)
+                .unwrap();
+            assert_eq!(rows, vec![vec![Value::str("7")], vec![Value::str("9")]]);
+            assert!(f.cache.lock().len() <= PATTERN_CACHE_CAP);
+        }
+        assert_eq!(f.cache.lock().len(), PATTERN_CACHE_CAP);
+        // A resident pattern is still served from the cache.
+        let resident = f.cache.lock().keys().next().cloned().unwrap();
+        let a = f.compiled(&resident).unwrap();
+        let b = f.compiled(&resident).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 }

@@ -18,7 +18,10 @@ const MAX_PROGRAM_SIZE: usize = 100_000;
 
 /// Compiles a parsed pattern into an executable NFA program.
 pub fn compile(parsed: &ParsedPattern) -> Result<Program, RegexError> {
-    let mut c = Compiler { insts: Vec::new() };
+    let mut c = Compiler {
+        insts: Vec::new(),
+        reversed: false,
+    };
     // Entry chain: Save(0) → body → Save(1) → Match.
     let match_state = c.push(Inst::Match)?;
     let save_end = c.push(Inst::Save {
@@ -40,8 +43,32 @@ pub fn compile(parsed: &ParsedPattern) -> Result<Program, RegexError> {
     Ok(program)
 }
 
+/// Compiles the pattern read right to left, without capture slots: the
+/// program the reverse DFA walks backwards from a match's end to find
+/// its start. Reversal flips concatenations and nothing else; which
+/// branch or repetition count a match prefers does not change *whether*
+/// a span matches, so priorities are carried over but never consulted.
+pub(crate) fn compile_reversed(parsed: &ParsedPattern) -> Result<Program, RegexError> {
+    let mut c = Compiler {
+        insts: Vec::new(),
+        reversed: true,
+    };
+    let match_state = c.push(Inst::Match)?;
+    let start = c.emit(&parsed.ast, match_state)?;
+    let program = Program {
+        insts: c.insts,
+        start,
+        slot_count: 0,
+        group_names: Vec::new(),
+    };
+    debug_assert_eq!(program.validate(), Ok(()));
+    Ok(program)
+}
+
 struct Compiler {
     insts: Vec<Inst>,
+    /// Emit each concatenation back to front and drop the `Save`s.
+    reversed: bool,
 }
 
 impl Compiler {
@@ -71,10 +98,17 @@ impl Compiler {
                 next: k,
             }),
             Ast::Concat(parts) => {
-                // Fold right so each part continues into the next.
+                // Fold so each part continues into the one that follows
+                // it in reading direction.
                 let mut cont = k;
-                for part in parts.iter().rev() {
-                    cont = self.emit(part, cont)?;
+                if self.reversed {
+                    for part in parts {
+                        cont = self.emit(part, cont)?;
+                    }
+                } else {
+                    for part in parts.iter().rev() {
+                        cont = self.emit(part, cont)?;
+                    }
                 }
                 Ok(cont)
             }
@@ -99,6 +133,7 @@ impl Compiler {
                 max,
                 greedy,
             } => self.emit_repeat(node, *min, *max, *greedy, k),
+            Ast::Group { node, .. } if self.reversed => self.emit(node, k),
             Ast::Group { index, node, .. } => {
                 let open_slot = (2 * index) as u16;
                 let close = self.push(Inst::Save {
@@ -237,6 +272,29 @@ mod tests {
         let big = "(?:(?:(?:a{100}){100}){100})";
         let parsed = parse(big).unwrap();
         assert!(compile(&parsed).is_err());
+    }
+
+    #[test]
+    fn reversed_program_reads_right_to_left_without_saves() {
+        let p = compile_reversed(&parse("x{ab}c+").unwrap()).unwrap();
+        assert_eq!(p.validate(), Ok(()));
+        assert_eq!(p.slot_count, 0);
+        assert!(!p.insts.iter().any(|i| matches!(i, Inst::Save { .. })));
+        // Follow the only path from the start: c (loop), then b, then a.
+        let mut order = Vec::new();
+        let mut pc = p.start;
+        loop {
+            pc = match p.inst(pc) {
+                Inst::Char { c, next } => {
+                    order.push(*c);
+                    *next
+                }
+                Inst::Split { secondary, .. } => *secondary,
+                Inst::Match => break,
+                other => panic!("unexpected {other:?}"),
+            };
+        }
+        assert_eq!(order, vec!['c', 'b', 'a']);
     }
 
     #[test]

@@ -27,19 +27,41 @@
 //! automaton level; natural join, selection, union at the relation level)
 //! that make the representation closed under the relational operators.
 //!
-//! Internals: patterns parse to an [`ast::Ast`], compile to a Thompson NFA
-//! with capture slots ([`nfa::Program`]), and execute on a Pike VM
-//! ([`pikevm`]) or an all-configurations simulator ([`allmatches`]). A
-//! literal [`prefilter`] extracted from the AST lets the scanning entry
-//! points launch the VM only at candidate offsets. A brute-force
-//! backtracking [`oracle`] ships with the crate as the reference
-//! semantics for tests.
+//! Internals: patterns parse to an [`ast::Ast`] and compile to a Thompson
+//! NFA with capture slots ([`nfa::Program`]). A scan ([`Regex::find_iter`],
+//! [`Regex::captures_iter`], [`Regex::is_match`]) then goes through four
+//! stages, each skipped when it has nothing to add:
+//!
+//! 1. the literal [`prefilter`] extracted from the AST rejects a text
+//!    that lacks a required literal, or names the only offsets a match
+//!    can start at;
+//! 2. a lazily determinised **forward DFA** over the same program — its
+//!    states are the Pike VM's priority-ordered thread lists without the
+//!    slots, so leftmost-first semantics carry over — finds where the
+//!    match ends (`is_match` stops here, at the first accepting state);
+//! 3. a **reverse DFA** over the reversed pattern, run backwards from
+//!    that end, finds where it starts;
+//! 4. the Pike VM ([`pikevm`]) runs once, anchored inside that window,
+//!    to assign the capture groups — only if the pattern has any.
+//!
+//! Patterns with look-around assertions (`\b`, `\B`, `^`, `$`) build no
+//! DFA — what an assertion sees is not a function of the state — and
+//! scan with the Pike VM as before; that is the only fallback. DFA
+//! states are cached per scan in scratch pooled inside the `Regex`
+//! (concurrent scans of a shared `Regex` each hold their own), at most
+//! 128 KiB per direction: a pattern whose DFA outgrows the budget has
+//! its cache emptied and rebuilt as the scan goes on, which costs time,
+//! never memory or correctness. [`Regex::all_matches`] is a different
+//! algorithm, the all-configurations simulator in [`allmatches`]. A
+//! brute-force backtracking [`oracle`] ships with the crate as the
+//! reference semantics for tests.
 
 pub mod algebra;
 pub mod allmatches;
 pub mod ast;
 pub mod classes;
 pub mod compile;
+mod dfa;
 pub mod error;
 pub mod nfa;
 pub mod oracle;

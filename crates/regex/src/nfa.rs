@@ -134,6 +134,39 @@ impl Program {
     }
 }
 
+/// The set of states visited while one thread list (or DFA state) is
+/// built. Emptying it bumps a stamp instead of touching the vector, so a
+/// step over a 100 000-state program costs what it visits, not what the
+/// program holds.
+#[derive(Debug, Default)]
+pub(crate) struct Visited {
+    /// `stamps[pc] == stamp` marks `pc` a member.
+    stamps: Vec<u32>,
+    stamp: u32,
+}
+
+impl Visited {
+    /// Empties the set and makes room for the states of `program`.
+    pub(crate) fn reset(&mut self, program: &Program) {
+        if self.stamps.len() < program.len() {
+            self.stamps.resize(program.len(), 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamps.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Adds `pc`; `false` if it was a member already.
+    pub(crate) fn insert(&mut self, pc: StateId) -> bool {
+        let stamp = &mut self.stamps[pc as usize];
+        let new = *stamp != self.stamp;
+        *stamp = self.stamp;
+        new
+    }
+}
+
 /// Evaluates a zero-width assertion at byte position `at` of `text`,
 /// where `prev` is the character immediately before `at` (if any) and
 /// `next` the character starting at `at` (if any).

@@ -1,4 +1,12 @@
-//! Pike VM: leftmost-first (Perl/Python) matching in `O(n · m)` time.
+//! Pike VM: the capture resolver and the reference matcher —
+//! leftmost-first (Perl/Python) matching in `O(n · m)` time.
+//!
+//! [`crate::Regex`] no longer scans with this machine: the lazy DFA (the
+//! crate's `dfa` module) finds where a match lies, and the VM runs once,
+//! anchored inside that window, to assign the capture groups. The
+//! unanchored [`search`] stays as the reference the DFA is tested
+//! against and as the one fallback for patterns with look-around
+//! assertions, which the DFA does not model.
 //!
 //! Thread lists keep **priority order**: threads created earlier in a step
 //! outrank later ones, `Split` pushes its primary branch first, and new
@@ -7,13 +15,15 @@
 //! alternatives a backtracking engine would never explore — while
 //! higher-priority threads keep running and may supersede the match.
 //! The result is the match Python's `re` would produce.
+//!
+//! Capture slots live in one flat slab per thread list (thread `i` owns
+//! `slots[i * slot_count..][..slot_count]`), and both lists, the closure
+//! stack and the slot buffers are per-thread scratch reused across
+//! calls: a run allocates nothing once the scratch has grown to the
+//! program's size.
 
-use crate::nfa::{assertion_holds, Inst, Program, StateId};
-use std::rc::Rc;
-
-/// Capture slots of one thread. `Rc` keeps thread forking cheap; a `Save`
-/// clones only when the slots are shared (copy-on-write).
-type Slots = Rc<Vec<Option<u32>>>;
+use crate::nfa::{assertion_holds, Inst, Program, StateId, Visited};
+use std::cell::RefCell;
 
 /// A successful search: the final capture slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,211 +36,269 @@ pub struct SearchResult {
 impl SearchResult {
     /// Byte range of group `k`, if it participated in the match.
     pub fn group(&self, k: usize) -> Option<(usize, usize)> {
-        let start = (*self.slots.get(2 * k)?)?;
-        let end = (*self.slots.get(2 * k + 1)?)?;
-        Some((start as usize, end as usize))
+        group_of(&self.slots, k)
     }
 }
 
-struct Thread {
-    pc: StateId,
-    slots: Slots,
+fn group_of(slots: &[Option<u32>], k: usize) -> Option<(usize, usize)> {
+    let start = (*slots.get(2 * k)?)?;
+    let end = (*slots.get(2 * k + 1)?)?;
+    Some((start as usize, end as usize))
 }
 
 /// One scan step's worth of threads plus the per-step dedupe set.
+#[derive(Default)]
 struct ThreadList {
-    threads: Vec<Thread>,
-    seen: Vec<bool>,
+    /// Program counters in priority order.
+    pcs: Vec<StateId>,
+    /// `slot_count` capture slots per thread, back to back.
+    slots: Vec<Option<u32>>,
+    seen: Visited,
 }
 
 impl ThreadList {
-    fn new(n_states: usize) -> Self {
-        ThreadList {
-            threads: Vec::new(),
-            seen: vec![false; n_states],
-        }
+    fn clear(&mut self, program: &Program) {
+        self.pcs.clear();
+        self.slots.clear();
+        self.seen.reset(program);
     }
+}
 
-    fn clear(&mut self) {
-        self.threads.clear();
-        self.seen.iter_mut().for_each(|s| *s = false);
-    }
+/// What [`add_thread`] still has to do.
+enum Frame {
+    /// Visit this state with the working slots as they are.
+    Explore(StateId),
+    /// Undo a `Save` once everything behind it has been visited.
+    Restore { slot: usize, old: Option<u32> },
+}
+
+#[derive(Default)]
+struct Scratch {
+    clist: ThreadList,
+    nlist: ThreadList,
+    stack: Vec<Frame>,
+    /// Slots of the thread whose closure is being added.
+    working: Vec<Option<u32>>,
+    /// Slots of the best match so far; the result of a successful run.
+    matched: Vec<Option<u32>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The character context assertions are evaluated in.
+#[derive(Clone, Copy)]
+struct Position {
+    at: usize,
+    prev: Option<char>,
+    next: Option<char>,
 }
 
 /// Executes `program` over `text` starting the scan at byte `from`.
 ///
 /// Returns the leftmost-first match at or after `from`, or `None`.
 pub fn search(program: &Program, text: &str, from: usize) -> Option<SearchResult> {
-    search_impl(program, text, from, false)
+    with_match(program, text, from, text.len(), false, |slots| {
+        SearchResult {
+            slots: slots.to_vec(),
+        }
+    })
 }
 
 /// Executes `program` over `text` with the match **anchored** at byte `at`:
 /// only matches starting exactly at `at` are found, with the same Perl
 /// priority among them as [`search`] would apply.
 ///
-/// The prefilter uses this to launch the VM only at candidate offsets; it
-/// returns as soon as the thread list drains, so a failed launch costs
+/// It returns as soon as the thread list drains, so a failed launch costs
 /// `O(m)` in the pattern rather than `O(n · m)` in the text.
 pub fn search_anchored(program: &Program, text: &str, at: usize) -> Option<SearchResult> {
-    search_impl(program, text, at, true)
+    with_match(program, text, at, text.len(), true, |slots| SearchResult {
+        slots: slots.to_vec(),
+    })
 }
 
-fn search_impl(program: &Program, text: &str, from: usize, anchored: bool) -> Option<SearchResult> {
-    debug_assert!(text.is_char_boundary(from));
-    let mut clist = ThreadList::new(program.len());
-    let mut nlist = ThreadList::new(program.len());
-    let mut matched: Option<Slots> = None;
+/// [`search`] / [`search_anchored`] that consumes no character at or
+/// past byte `end` and writes the groups (0 = whole match) into `groups`
+/// when given. Returns the whole match.
+///
+/// Stopping at the end of a window the DFA found loses nothing: the
+/// leftmost-first match is the last one the full run records, it is
+/// recorded at the step its end is reached, and the run up to that step
+/// does not depend on what follows.
+pub(crate) fn search_into(
+    program: &Program,
+    text: &str,
+    from: usize,
+    end: usize,
+    anchored: bool,
+    groups: Option<&mut Vec<Option<(usize, usize)>>>,
+) -> Option<(usize, usize)> {
+    with_match(program, text, from, end, anchored, |slots| {
+        if let Some(groups) = groups {
+            groups.clear();
+            groups.extend((0..slots.len() / 2).map(|k| group_of(slots, k)));
+        }
+        group_of(slots, 0).expect("group 0 is set on a match")
+    })
+}
 
-    // Step positions: every char boundary from `from` to text.len(),
-    // inclusive. `chars[k]` is the character consumed at step k.
-    let tail = &text[from..];
-    let mut prev_char: Option<char> = if from == 0 {
-        None
-    } else {
-        text[..from].chars().next_back()
+fn with_match<T>(
+    program: &Program,
+    text: &str,
+    from: usize,
+    end: usize,
+    anchored: bool,
+    found: impl FnOnce(&[Option<u32>]) -> T,
+) -> Option<T> {
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        run(program, text, from, end, anchored, scratch).then(|| found(&scratch.matched))
+    })
+}
+
+/// Runs the VM; on success the match's slots are in `scratch.matched`.
+fn run(
+    program: &Program,
+    text: &str,
+    from: usize,
+    end: usize,
+    anchored: bool,
+    scratch: &mut Scratch,
+) -> bool {
+    debug_assert!(text.is_char_boundary(from) && from <= end && end <= text.len());
+    let Scratch {
+        clist,
+        nlist,
+        stack,
+        working,
+        matched,
+    } = scratch;
+    let width = program.slot_count;
+    clist.clear(program);
+    nlist.clear(program);
+    working.clear();
+    working.resize(width, None);
+    let mut found = false;
+
+    let mut here = Position {
+        at: from,
+        prev: text[..from].chars().next_back(),
+        next: text[from..].chars().next(),
     };
-
-    let mut iter = tail.char_indices();
-    let mut at = from;
-    let mut cur_char = iter.next().map(|(_, c)| c);
     loop {
         // Seed a new scan start unless a match was already found (leftmost
         // priority: existing threads started earlier, so they come first).
         // Anchored runs seed once, at `from` only.
-        if matched.is_none() && (!anchored || at == from) {
-            let slots = Rc::new(vec![None; program.slot_count]);
+        if !found && (!anchored || here.at == from) {
+            working.fill(None);
             add_thread(
                 program,
-                &mut clist,
+                clist,
+                stack,
+                working,
                 program.start,
-                slots,
-                at,
                 text.len(),
-                prev_char,
-                cur_char,
+                here,
             );
         }
         // An empty thread list means done when no new seeds can revive it:
         // after a match in the unanchored case, always in the anchored one.
-        if clist.threads.is_empty() && (matched.is_some() || anchored) {
+        if clist.pcs.is_empty() && (found || anchored) {
             break;
         }
 
-        let next_at = at + cur_char.map_or(1, char::len_utf8);
-        let next_char = iter.next().map(|(_, c)| c);
-        for i in 0..clist.threads.len() {
-            let pc = clist.threads[i].pc;
-            match program.inst(pc) {
-                Inst::Char { c, next } => {
-                    if cur_char == Some(*c) {
-                        let slots = clist.threads[i].slots.clone();
-                        add_thread(
-                            program,
-                            &mut nlist,
-                            *next,
-                            slots,
-                            next_at,
-                            text.len(),
-                            cur_char,
-                            next_char,
-                        );
-                    }
-                }
-                Inst::Class { set, next } => {
-                    if cur_char.is_some_and(|c| set.contains(c)) {
-                        let slots = clist.threads[i].slots.clone();
-                        add_thread(
-                            program,
-                            &mut nlist,
-                            *next,
-                            slots,
-                            next_at,
-                            text.len(),
-                            cur_char,
-                            next_char,
-                        );
-                    }
-                }
-                Inst::Any { next } => {
-                    if cur_char.is_some_and(|c| c != '\n') {
-                        let slots = clist.threads[i].slots.clone();
-                        add_thread(
-                            program,
-                            &mut nlist,
-                            *next,
-                            slots,
-                            next_at,
-                            text.len(),
-                            cur_char,
-                            next_char,
-                        );
-                    }
-                }
+        // The character this step consumes; none at the window's end.
+        let cur = here.next.filter(|_| here.at < end);
+        let next_at = here.at + cur.map_or(0, char::len_utf8);
+        let there = Position {
+            at: next_at,
+            prev: cur,
+            next: text[next_at..].chars().next(),
+        };
+        for i in 0..clist.pcs.len() {
+            let slots = &clist.slots[i * width..(i + 1) * width];
+            let next = match program.inst(clist.pcs[i]) {
+                Inst::Char { c, next } => (cur == Some(*c)).then_some(*next),
+                Inst::Class { set, next } => cur.is_some_and(|c| set.contains(c)).then_some(*next),
+                Inst::Any { next } => cur.is_some_and(|c| c != '\n').then_some(*next),
                 Inst::Match => {
-                    matched = Some(clist.threads[i].slots.clone());
+                    matched.clear();
+                    matched.extend_from_slice(slots);
+                    found = true;
                     // Lower-priority threads are alternatives a backtracker
                     // would never reach; drop them permanently.
                     break;
                 }
                 // Saves/Splits/Asserts were resolved by add_thread.
                 Inst::Save { .. } | Inst::Split { .. } | Inst::Assert { .. } => unreachable!(),
+            };
+            if let Some(next) = next {
+                working.copy_from_slice(slots);
+                add_thread(program, nlist, stack, working, next, text.len(), there);
             }
         }
 
-        std::mem::swap(&mut clist, &mut nlist);
-        nlist.clear();
-
-        if cur_char.is_none() {
+        std::mem::swap(clist, nlist);
+        nlist.clear(program);
+        if cur.is_none() {
             break;
         }
-        prev_char = cur_char;
-        cur_char = next_char;
-        at = next_at;
-        if clist.threads.is_empty() && (matched.is_some() || anchored) {
-            break;
-        }
+        here = there;
     }
-
-    matched.map(|slots| SearchResult {
-        slots: slots.as_ref().clone(),
-    })
+    found
 }
 
 /// Adds `pc`'s epsilon closure to `list` in priority order, resolving
 /// `Split`/`Save`/`Assert` eagerly so the main loop only sees consuming
-/// instructions and `Match`.
-#[allow(clippy::too_many_arguments)]
+/// instructions and `Match`. `working` holds the slots the closure
+/// starts from and is returned unchanged; the explicit stack keeps deep
+/// programs (counted repetitions expand to long `Split` chains) off the
+/// call stack.
 fn add_thread(
     program: &Program,
     list: &mut ThreadList,
+    stack: &mut Vec<Frame>,
+    working: &mut [Option<u32>],
     pc: StateId,
-    slots: Slots,
-    at: usize,
     len: usize,
-    prev: Option<char>,
-    next: Option<char>,
+    pos: Position,
 ) {
-    if list.seen[pc as usize] {
-        return;
-    }
-    list.seen[pc as usize] = true;
-    match program.inst(pc) {
-        Inst::Split { primary, secondary } => {
-            add_thread(program, list, *primary, slots.clone(), at, len, prev, next);
-            add_thread(program, list, *secondary, slots, at, len, prev, next);
-        }
-        Inst::Save { slot, next: n } => {
-            let mut new_slots = slots.as_ref().clone();
-            new_slots[*slot as usize] = Some(at as u32);
-            add_thread(program, list, *n, Rc::new(new_slots), at, len, prev, next);
-        }
-        Inst::Assert { kind, next: n } => {
-            if assertion_holds(*kind, at, len, prev, next) {
-                add_thread(program, list, *n, slots, at, len, prev, next);
+    stack.push(Frame::Explore(pc));
+    while let Some(frame) = stack.pop() {
+        let pc = match frame {
+            Frame::Restore { slot, old } => {
+                working[slot] = old;
+                continue;
             }
+            Frame::Explore(pc) => pc,
+        };
+        if !list.seen.insert(pc) {
+            continue;
         }
-        Inst::Char { .. } | Inst::Class { .. } | Inst::Any { .. } | Inst::Match => {
-            list.threads.push(Thread { pc, slots });
+        match program.inst(pc) {
+            Inst::Split { primary, secondary } => {
+                stack.push(Frame::Explore(*secondary));
+                stack.push(Frame::Explore(*primary));
+            }
+            Inst::Save { slot, next } => {
+                let slot = *slot as usize;
+                stack.push(Frame::Restore {
+                    slot,
+                    old: working[slot],
+                });
+                working[slot] = Some(pos.at as u32);
+                stack.push(Frame::Explore(*next));
+            }
+            Inst::Assert { kind, next } => {
+                if assertion_holds(*kind, pos.at, len, pos.prev, pos.next) {
+                    stack.push(Frame::Explore(*next));
+                }
+            }
+            Inst::Char { .. } | Inst::Class { .. } | Inst::Any { .. } | Inst::Match => {
+                list.pcs.push(pc);
+                list.slots.extend_from_slice(working);
+            }
         }
     }
 }
@@ -390,5 +458,46 @@ mod tests {
         assert_eq!(find("a{2,3}", "aaaa"), Some((0, 3)));
         assert_eq!(find("a{2,3}?", "aaaa"), Some((0, 2)));
         assert_eq!(find("a{5}", "aaaa"), None);
+    }
+
+    #[test]
+    fn a_window_end_stops_the_run_without_changing_the_match() {
+        let program = compile(&parse("(a+)(b*)").unwrap()).unwrap();
+        let text = "xaabbb";
+        let mut groups = Vec::new();
+        // The full run and the run confined to the match's own window agree.
+        let whole = search_into(&program, text, 1, text.len(), true, Some(&mut groups));
+        assert_eq!(whole, Some((1, 6)));
+        let full = groups.clone();
+        assert_eq!(
+            search_into(&program, text, 1, 6, true, Some(&mut groups)),
+            Some((1, 6))
+        );
+        assert_eq!(groups, full);
+        assert_eq!(groups, vec![Some((1, 6)), Some((1, 3)), Some((3, 6))]);
+        // A shorter window only offers what ends inside it.
+        assert_eq!(search_into(&program, text, 1, 4, true, None), Some((1, 4)));
+    }
+
+    #[test]
+    fn assertions_at_a_window_end_see_the_real_text() {
+        let program = compile(&parse(r"a+\b").unwrap()).unwrap();
+        // "aa" ends at 2, where 'a' follows: no boundary inside the word.
+        assert_eq!(search_into(&program, "aaa b", 0, 2, true, None), None);
+        assert_eq!(
+            search_into(&program, "aaa b", 0, 3, true, None),
+            Some((0, 3))
+        );
+    }
+
+    #[test]
+    fn deep_split_chains_do_not_recurse() {
+        // 30 000 optional copies in a row: one closure visits them all.
+        let program = compile(&parse("(?:a?){30000}b").unwrap()).unwrap();
+        let text = "a".repeat(10) + "b";
+        assert_eq!(
+            search_anchored(&program, &text, 0).unwrap().group(0),
+            Some((0, 11))
+        );
     }
 }

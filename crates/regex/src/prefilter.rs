@@ -1,25 +1,26 @@
-//! Literal prefiltering: skip the Pike VM when a cheap substring scan
+//! Literal prefiltering: skip the matcher when a cheap substring scan
 //! proves no match can exist.
 //!
 //! [`Prefilter::build`] walks the parsed [`Ast`] and extracts either a
 //! **required prefix** — a literal every match must start with — or a
 //! **required infix** — a literal every match must contain somewhere. At
-//! search time the prefix variant launches the VM *anchored* at each
+//! search time the prefix variant launches the matcher *anchored* at each
 //! prefix occurrence (located with `str::find`, which runs a fast
-//! substring algorithm instead of the `O(n · m)` VM scan); the infix
-//! variant rejects a document outright when the literal is absent.
+//! substring algorithm instead of walking an automaton over the text);
+//! the infix variant rejects a document outright when the literal is
+//! absent.
 //!
-//! Correctness: a prefilter never changes results, it only skips VM work
-//! that provably cannot produce a match. The leftmost-first contract is
+//! Correctness: a prefilter never changes results, it only skips matcher
+//! work that provably cannot produce a match. The leftmost-first contract is
 //! preserved by the prefix variant because every match start is a prefix
 //! occurrence, so the first occurrence at which an anchored run succeeds
-//! *is* the leftmost match, and the anchored VM keeps Perl priority among
+//! *is* the leftmost match, and the anchored run keeps Perl priority among
 //! the matches starting there (property-tested against the backtracking
 //! oracle in `tests/properties.rs`). Patterns that can match the empty
 //! string match *everywhere* and therefore never get a prefilter.
 //!
 //! Process-wide counters record how many searches consulted a prefilter
-//! and how many were pruned without launching the VM at all; the engine's
+//! and how many were pruned without launching the matcher at all; the engine's
 //! trace layer surfaces both in evaluation profiles.
 
 use crate::ast::Ast;
@@ -91,12 +92,32 @@ impl Prefilter {
     /// Prefiltered equivalent of [`pikevm::search`]: same result, less
     /// VM work. Updates the process-wide counters.
     pub fn search(&self, program: &Program, text: &str, from: usize) -> Option<SearchResult> {
+        self.search_with(text, from, |at, anchored| {
+            if anchored {
+                pikevm::search_anchored(program, text, at)
+            } else {
+                pikevm::search(program, text, at)
+            }
+        })
+    }
+
+    /// Drives any matcher through the prefilter: `run(at, anchored)` is
+    /// asked for the match starting exactly at `at` (at each occurrence
+    /// of a required prefix) or for the leftmost match at or after `at`
+    /// (once, when a required infix is present). Updates the
+    /// process-wide counters.
+    pub(crate) fn search_with<T>(
+        &self,
+        text: &str,
+        from: usize,
+        mut run: impl FnMut(usize, bool) -> Option<T>,
+    ) -> Option<T> {
         SEARCHES.fetch_add(1, Ordering::Relaxed);
         match self {
             Prefilter::Prefix(lit) => {
                 // Candidate starts are exactly the occurrences of the
-                // prefix; `str::find` locates them far faster than
-                // seeding the VM at every position.
+                // prefix; `str::find` locates them far faster than any
+                // automaton walks the text.
                 let step = lit.chars().next().map_or(1, char::len_utf8);
                 let mut at = from;
                 let mut launched = false;
@@ -109,7 +130,7 @@ impl Prefilter {
                     };
                     let pos = at + off;
                     launched = true;
-                    if let Some(r) = pikevm::search_anchored(program, text, pos) {
+                    if let Some(r) = run(pos, true) {
                         return Some(r);
                     }
                     // Occurrences may overlap; resume one char past this
@@ -119,7 +140,7 @@ impl Prefilter {
             }
             Prefilter::Infix(lit) => {
                 if text[from..].contains(lit.as_str()) {
-                    pikevm::search(program, text, from)
+                    run(from, false)
                 } else {
                     PRUNED.fetch_add(1, Ordering::Relaxed);
                     None

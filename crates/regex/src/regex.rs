@@ -2,11 +2,13 @@
 
 use crate::allmatches::{all_matches, all_matches_bounded, AllMatch};
 use crate::compile::compile;
+use crate::dfa::{self, Dfa};
 use crate::error::RegexError;
 use crate::nfa::Program;
 use crate::parser::{parse, ParsedPattern};
 use crate::pikevm;
 use crate::prefilter::Prefilter;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A compiled regex formula.
 ///
@@ -15,14 +17,39 @@ use crate::prefilter::Prefilter;
 /// docs: [`Regex::find_iter`] (Python-style scanning, used by the `rgx` IE
 /// function) and [`Regex::all_matches`] (formal spanner semantics, used by
 /// `rgx_all` and the spanner algebra).
-#[derive(Debug, Clone)]
+///
+/// A `Regex` is `Send + Sync` and meant to be shared (`Arc<Regex>`):
+/// the lazily built DFA states live in caches that a scan checks out of
+/// an internal pool for its duration, so concurrent scans never wait on
+/// one another beyond that hand-over. The pool grows to the largest
+/// number of scans that ever ran at once; a clone starts with an empty
+/// one.
+#[derive(Debug)]
 pub struct Regex {
     pattern: String,
     parsed: ParsedPattern,
     program: Program,
     /// Literal obligation extracted at compile time; lets the scanning
-    /// entry points skip VM launches (see [`crate::prefilter`]).
+    /// entry points skip matcher launches (see [`crate::prefilter`]).
     prefilter: Option<Prefilter>,
+    /// Locates matches; `None` for patterns with look-around assertions,
+    /// which stay on the Pike VM.
+    dfa: Option<Dfa>,
+    /// Idle DFA caches.
+    pool: Mutex<Vec<dfa::Cache>>,
+}
+
+impl Clone for Regex {
+    fn clone(&self) -> Regex {
+        Regex {
+            pattern: self.pattern.clone(),
+            parsed: self.parsed.clone(),
+            program: self.program.clone(),
+            prefilter: self.prefilter.clone(),
+            dfa: self.dfa.clone(),
+            pool: Mutex::default(),
+        }
+    }
 }
 
 /// A single match: the byte range of group 0.
@@ -81,17 +108,106 @@ impl Captures {
     }
 }
 
+/// What a search has to deliver beyond "where".
+enum Want<'g> {
+    /// Whether any match exists; the returned span is not the match's.
+    Existence,
+    /// The span of the leftmost-first match.
+    Span,
+    /// The span, and every group (0 = whole match) written here.
+    Groups(&'g mut Vec<Option<(usize, usize)>>),
+}
+
+/// One scan's hold on a DFA cache, returned to the pool on drop.
+struct Searcher<'r> {
+    regex: &'r Regex,
+    cache: Option<dfa::Cache>,
+}
+
+impl<'r> Searcher<'r> {
+    fn new(regex: &'r Regex) -> Searcher<'r> {
+        let cache = regex.dfa.as_ref().map(|_| {
+            let idle = regex.idle_caches().pop();
+            idle.unwrap_or_default()
+        });
+        Searcher { regex, cache }
+    }
+
+    /// Single scan entry point: literal prefilter, then the DFA window —
+    /// forward for the end, backwards for the start — and, only when
+    /// groups are wanted and the pattern has any, one anchored Pike VM
+    /// run inside that window.
+    fn search_at(&mut self, text: &str, from: usize, mut want: Want<'_>) -> Option<(usize, usize)> {
+        let regex = self.regex;
+        let cache = &mut self.cache;
+        let mut run = |at: usize, anchored: bool| {
+            let (Some(dfa), Some(cache)) = (&regex.dfa, cache.as_mut()) else {
+                // The one fallback: look-around assertions depend on the
+                // neighbouring characters, which DFA states do not record.
+                let groups = match &mut want {
+                    Want::Groups(groups) => Some(&mut **groups),
+                    _ => None,
+                };
+                return pikevm::search_into(&regex.program, text, at, text.len(), anchored, groups);
+            };
+            let earliest = matches!(want, Want::Existence);
+            let end = dfa.find_end(&regex.program, cache, text, at, anchored, earliest)?;
+            if earliest {
+                return Some((at, end));
+            }
+            let start = if anchored {
+                at
+            } else {
+                dfa.find_start(cache, text, at, end)
+            };
+            if let Want::Groups(groups) = &mut want {
+                if regex.group_count() == 0 {
+                    groups.clear();
+                    groups.push(Some((start, end)));
+                } else {
+                    let whole =
+                        pikevm::search_into(&regex.program, text, start, end, true, Some(groups));
+                    debug_assert_eq!(whole, Some((start, end)));
+                }
+            }
+            Some((start, end))
+        };
+        match &regex.prefilter {
+            Some(prefilter) => prefilter.search_with(text, from, run),
+            None => run(from, false),
+        }
+    }
+}
+
+impl Drop for Searcher<'_> {
+    fn drop(&mut self) {
+        // A cache abandoned mid-update by a panic is not worth keeping.
+        if let (Some(cache), false) = (self.cache.take(), std::thread::panicking()) {
+            self.regex.idle_caches().push(cache);
+        }
+    }
+}
+
 impl Regex {
+    /// The pool. Its only updates are `push` and `pop`, which leave it
+    /// valid at every step, so a poisoned lock is still good to use.
+    fn idle_caches(&self) -> MutexGuard<'_, Vec<dfa::Cache>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Parses and compiles `pattern`.
     pub fn new(pattern: &str) -> Result<Regex, RegexError> {
         let parsed = parse(pattern)?;
         let program = compile(&parsed)?;
         let prefilter = Prefilter::build(&parsed.ast);
+        let dfa = Dfa::new(&program, &parsed);
         Ok(Regex {
             pattern: pattern.to_string(),
             parsed,
             program,
             prefilter,
+            dfa,
+            pool: Mutex::default(),
         })
     }
 
@@ -126,18 +242,12 @@ impl Regex {
         self.prefilter.as_ref()
     }
 
-    /// Single scan entry point: routes through the prefilter when the
-    /// pattern has one.
-    fn search_at(&self, text: &str, start: usize) -> Option<pikevm::SearchResult> {
-        match &self.prefilter {
-            Some(pf) => pf.search(&self.program, text, start),
-            None => pikevm::search(&self.program, text, start),
-        }
-    }
-
-    /// Whether the pattern matches anywhere in `text`.
+    /// Whether the pattern matches anywhere in `text`. Stops at the first
+    /// accepting state instead of settling which match is leftmost-first.
     pub fn is_match(&self, text: &str) -> bool {
-        self.search_at(text, 0).is_some()
+        Searcher::new(self)
+            .search_at(text, 0, Want::Existence)
+            .is_some()
     }
 
     /// Leftmost-first match, if any.
@@ -147,10 +257,9 @@ impl Regex {
 
     /// Leftmost-first match at or after byte `start`.
     pub fn find_at(&self, text: &str, start: usize) -> Option<Match> {
-        self.search_at(text, start).map(|r| {
-            let (s, e) = r.group(0).expect("group 0 set");
-            Match { start: s, end: e }
-        })
+        Searcher::new(self)
+            .search_at(text, start, Want::Span)
+            .map(|(start, end)| Match { start, end })
     }
 
     /// Leftmost-first captures, if any.
@@ -160,28 +269,26 @@ impl Regex {
 
     /// Leftmost-first captures at or after byte `start`.
     pub fn captures_at(&self, text: &str, start: usize) -> Option<Captures> {
-        self.search_at(text, start).map(|r| Captures {
-            groups: (0..=self.group_count()).map(|k| r.group(k)).collect(),
-        })
+        let mut groups = Vec::new();
+        Searcher::new(self).search_at(text, start, Want::Groups(&mut groups))?;
+        Some(Captures { groups })
     }
 
     /// Non-overlapping leftmost-first scan (Python `re.finditer`).
     pub fn find_iter<'r, 't>(&'r self, text: &'t str) -> FindIter<'r, 't> {
         FindIter {
-            regex: self,
+            searcher: Searcher::new(self),
             text,
-            pos: 0,
-            done: false,
+            pos: Some(0),
         }
     }
 
     /// Non-overlapping scan yielding captures.
     pub fn captures_iter<'r, 't>(&'r self, text: &'t str) -> CapturesIter<'r, 't> {
         CapturesIter {
-            regex: self,
+            searcher: Searcher::new(self),
             text,
-            pos: 0,
-            done: false,
+            pos: Some(0),
         }
     }
 
@@ -199,68 +306,56 @@ impl Regex {
 
 /// Iterator over non-overlapping matches.
 pub struct FindIter<'r, 't> {
-    regex: &'r Regex,
+    searcher: Searcher<'r>,
     text: &'t str,
-    pos: usize,
-    done: bool,
+    /// Where the next search starts; `None` once the scan is over.
+    pos: Option<usize>,
 }
 
 impl Iterator for FindIter<'_, '_> {
     type Item = Match;
 
     fn next(&mut self) -> Option<Match> {
-        let (m, next_pos, done) = step(self.regex, self.text, self.pos, self.done)?;
-        self.pos = next_pos;
-        self.done = done;
-        Some(Match {
-            start: m.whole().start,
-            end: m.whole().end,
-        })
+        let (start, end) = self.searcher.search_at(self.text, self.pos?, Want::Span)?;
+        self.pos = resume_after(self.text, start, end);
+        Some(Match { start, end })
     }
 }
 
 /// Iterator over non-overlapping captures.
 pub struct CapturesIter<'r, 't> {
-    regex: &'r Regex,
+    searcher: Searcher<'r>,
     text: &'t str,
-    pos: usize,
-    done: bool,
+    pos: Option<usize>,
 }
 
 impl Iterator for CapturesIter<'_, '_> {
     type Item = Captures;
 
     fn next(&mut self) -> Option<Captures> {
-        let (m, next_pos, done) = step(self.regex, self.text, self.pos, self.done)?;
-        self.pos = next_pos;
-        self.done = done;
-        Some(m)
+        let mut groups = Vec::with_capacity(self.searcher.regex.group_count() + 1);
+        let want = Want::Groups(&mut groups);
+        let (start, end) = self.searcher.search_at(self.text, self.pos?, want)?;
+        self.pos = resume_after(self.text, start, end);
+        Some(Captures { groups })
     }
 }
 
-/// Shared scan step: find at `pos`, compute the next scan position using
-/// the empty-match advance rule (Python semantics: after an empty match,
-/// skip one character).
-fn step(regex: &Regex, text: &str, pos: usize, done: bool) -> Option<(Captures, usize, bool)> {
-    if done {
-        return None;
-    }
-    let caps = regex.captures_at(text, pos)?;
-    let m = caps.whole();
-    if m.end > m.start {
-        Some((caps, m.end, false))
+/// Where the scan resumes after the match `start..end`, or `None` when it
+/// is over. Python semantics: after an empty match, skip one character.
+fn resume_after(text: &str, start: usize, end: usize) -> Option<usize> {
+    if end > start {
+        Some(end)
     } else {
-        // Empty match: advance one char; flag completion at text end.
-        match text[m.end..].chars().next() {
-            Some(c) => Some((caps, m.end + c.len_utf8(), false)),
-            None => Some((caps, m.end, true)),
-        }
+        let skipped = text[end..].chars().next()?;
+        Some(end + skipped.len_utf8())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfa::ab_text;
 
     fn spans(pattern: &str, text: &str) -> Vec<(usize, usize)> {
         Regex::new(pattern)
@@ -381,5 +476,163 @@ mod tests {
                 "findall row {row:?} missing from all_matches"
             );
         }
+    }
+
+    /// Spans of the non-overlapping scan driven by hand over the
+    /// reference matcher.
+    fn reference_spans(re: &Regex, text: &str) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut pos = Some(0);
+        while let Some(from) = pos {
+            let Some(found) = pikevm::search(re.program(), text, from) else {
+                break;
+            };
+            let (start, end) = found.group(0).unwrap();
+            out.push((start, end));
+            pos = resume_after(text, start, end);
+        }
+        out
+    }
+
+    #[test]
+    fn empty_matches_skip_one_whole_character() {
+        // After an empty match the scan resumes one *character* on.
+        assert_eq!(spans("a*", "éa日"), vec![(0, 0), (2, 3), (3, 3), (6, 6)]);
+        assert_eq!(spans("", "é"), vec![(0, 0), (2, 2)]);
+        let re = Regex::new("(a*)(b?)").unwrap();
+        let rows: Vec<Vec<_>> = re
+            .captures_iter("ab😀")
+            .map(|c| c.explicit_groups().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Some((0, 1)), Some((1, 2))],
+                vec![Some((2, 2)), Some((2, 2))],
+                vec![Some((6, 6)), Some((6, 6))],
+            ]
+        );
+    }
+
+    #[test]
+    fn look_around_patterns_take_the_pike_vm() {
+        let text = "a cat sat on concatenated cats; cat";
+        for pattern in [
+            r"\bcat\b",
+            r"\Bcat",
+            r"(c)at\B",
+            "^a",
+            "cat$",
+            r"\b(\w+) (\w+)\b",
+        ] {
+            let re = Regex::new(pattern).unwrap();
+            assert!(re.dfa.is_none(), "{pattern} has an assertion");
+            let found: Vec<_> = re.find_iter(text).map(|m| (m.start, m.end)).collect();
+            assert_eq!(found, reference_spans(&re, text), "{pattern}");
+            assert!(!found.is_empty(), "{pattern}");
+            for caps in re.captures_iter(text) {
+                let expected = pikevm::search(re.program(), text, caps.whole().start).unwrap();
+                for k in 0..caps.len() {
+                    assert_eq!(caps.group(k), expected.group(k), "{pattern} group {k}");
+                }
+            }
+            assert!(re.is_match(text));
+            // No DFA, no cache to pool.
+            assert!(re.pool.lock().unwrap().is_empty());
+        }
+        assert!(Regex::new("cat").unwrap().dfa.is_some());
+    }
+
+    #[test]
+    fn overflowing_the_state_budget_changes_no_row() {
+        // 2^15 reachable DFA states; the cache holds far fewer.
+        let re = Regex::new("(a|b)*?(a(a|b){14})").unwrap();
+        let text = ab_text(30_000, 0x9E37_79B9_7F4A_7C15);
+        let found: Vec<_> = re.find_iter(&text).map(|m| (m.start, m.end)).collect();
+        assert_eq!(found, reference_spans(&re, &text));
+        assert!(found.len() > 100);
+        for caps in re.captures_iter(&text).take(50) {
+            let expected = pikevm::search(re.program(), &text, caps.whole().start).unwrap();
+            for k in 0..caps.len() {
+                assert_eq!(caps.group(k), expected.group(k));
+            }
+        }
+        let pool = re.pool.lock().unwrap();
+        assert_eq!(pool.len(), 1, "sequential scans share one cache");
+        assert!(pool[0].emptied() > 0, "the scan must overflow the cache");
+        assert!(pool[0].words() <= 2 * dfa::CACHE_BUDGET_WORDS);
+    }
+
+    #[test]
+    fn is_match_agrees_with_find() {
+        let cases = [
+            (r"\w+@\w+\.com", "write ann@gmail.com", true),
+            (r"\w+@\w+\.com", "write ann@gmail.org", false),
+            ("error: [a-z]+", "error: 42, error: disk", true),
+            ("error: [a-z]+", "error: 42", false),
+            (r"\bcat\b", "concatenate", false),
+            ("a*", "", true),
+            ("[^a]日", "a日 b日", true),
+        ];
+        for (pattern, text, expected) in cases {
+            let re = Regex::new(pattern).unwrap();
+            assert_eq!(re.is_match(text), expected, "{pattern} on {text:?}");
+            assert_eq!(re.find(text).is_some(), expected, "{pattern} on {text:?}");
+        }
+    }
+
+    #[test]
+    fn threads_scan_through_one_shared_regex() {
+        use std::sync::{Arc, Barrier};
+        const THREADS: usize = 2;
+        let re = Arc::new(Regex::new(r"(\w+)@(\w+)\.com").unwrap());
+        let texts: Vec<String> = (0..200)
+            .map(|i| {
+                format!(
+                    "{} u{i}@host{i}.com é {} v{i}@x.org w@y.com",
+                    ab_text(i, 7),
+                    i
+                )
+            })
+            .collect();
+        let expected: Vec<Vec<Captures>> = texts
+            .iter()
+            .map(|t| Regex::new(re.pattern()).unwrap().captures_iter(t).collect())
+            .collect();
+        // Every thread holds a scan open when the others start theirs, so
+        // each must have checked out a cache of its own.
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    let mut first = re.captures_iter(&texts[0]);
+                    assert_eq!(first.next().as_ref(), expected[0].first());
+                    barrier.wait();
+                    for (text, rows) in texts.iter().zip(&expected) {
+                        let found: Vec<Captures> = re.captures_iter(text).collect();
+                        assert_eq!(&found, rows);
+                        assert!(re.is_match(text));
+                    }
+                    barrier.wait();
+                });
+            }
+        });
+        let idle = re.pool.lock().unwrap().len();
+        assert!(
+            (THREADS..=2 * THREADS).contains(&idle),
+            "one cache per concurrent scan, reused across documents: {idle}"
+        );
+    }
+
+    #[test]
+    fn regex_is_send_sync_and_clones_start_cold() {
+        fn assert_send_sync<T: Send + Sync + Clone>() {}
+        assert_send_sync::<Regex>();
+        let re = Regex::new("a+").unwrap();
+        assert!(re.is_match("caa"));
+        assert_eq!(re.pool.lock().unwrap().len(), 1);
+        let copy = re.clone();
+        assert!(copy.pool.lock().unwrap().is_empty());
+        assert_eq!(copy.find("caa"), re.find("caa"));
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! Patterns are generated as ASTs over a small alphabet, rendered through
 //! `Display`, and re-parsed — so these tests simultaneously exercise the
-//! printer/parser round-trip, the compiler, the Pike VM, and the
-//! all-matches simulator.
+//! printer/parser round-trip, the compiler, the DFA front, the Pike VM,
+//! and the all-matches simulator.
 
 use proptest::prelude::*;
 use spannerlib_regex::ast::Ast;
+use spannerlib_regex::classes::{ClassRange, ClassSet};
 use spannerlib_regex::oracle::{oracle_all_matches, oracle_find_iter};
-use spannerlib_regex::Regex;
+use spannerlib_regex::{pikevm, AllMatch, Regex};
 
 /// Random pattern AST over {a, b, c}: small enough that the exponential
 /// oracle stays fast, rich enough to cover alternation, repetition,
@@ -18,9 +19,7 @@ fn ast_strategy() -> impl Strategy<Value = Ast> {
     let leaf = prop_oneof![
         4 => prop_oneof![Just('a'), Just('b'), Just('c')].prop_map(Ast::Literal),
         1 => Just(Ast::AnyChar),
-        1 => Just(Ast::Class(spannerlib_regex::classes::ClassSet::from_ranges([
-            spannerlib_regex::classes::ClassRange::new('a', 'b')
-        ]))),
+        1 => Just(Ast::Class(ClassSet::from_ranges([ClassRange::new('a', 'b')]))),
         1 => Just(Ast::Empty),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
@@ -67,12 +66,14 @@ fn renumber(ast: &mut Ast, next: &mut u32) {
     }
 }
 
+fn rendered(mut ast: Ast) -> String {
+    let mut next = 1;
+    renumber(&mut ast, &mut next);
+    ast.to_string()
+}
+
 fn pattern_strategy() -> impl Strategy<Value = String> {
-    ast_strategy().prop_map(|mut ast| {
-        let mut next = 1;
-        renumber(&mut ast, &mut next);
-        ast.to_string()
-    })
+    ast_strategy().prop_map(rendered)
 }
 
 fn text_strategy() -> impl Strategy<Value = String> {
@@ -81,6 +82,110 @@ fn text_strategy() -> impl Strategy<Value = String> {
         0..10,
     )
     .prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Wider pattern ASTs for the three-matcher differential: multi-byte
+/// literals, `\w` `\d` `[^a]` `.`, counted and lazy repetition, nested
+/// and optional groups, alternation with empty branches.
+fn wide_ast_strategy() -> impl Strategy<Value = Ast> {
+    let literal = prop_oneof![
+        Just('a'),
+        Just('b'),
+        Just('c'),
+        Just(' '),
+        Just('é'),
+        Just('日')
+    ];
+    let class = prop_oneof![
+        Just(ClassSet::word()),
+        Just(ClassSet::digit()),
+        Just(ClassSet::single('a').negate()),
+        Just(ClassSet::from_ranges([ClassRange::new('a', 'b')])),
+    ];
+    let leaf = prop_oneof![
+        5 => literal.prop_map(Ast::Literal),
+        1 => Just(Ast::AnyChar),
+        3 => class.prop_map(Ast::Class),
+        1 => Just(Ast::Empty),
+    ];
+    leaf.prop_recursive(4, 32, 4, |inner| {
+        prop_oneof![
+            3 => prop::collection::vec(inner.clone(), 1..4).prop_map(Ast::concat),
+            2 => prop::collection::vec(inner.clone(), 1..4).prop_map(Ast::alternation),
+            3 => (
+                inner.clone(),
+                0u32..4,
+                prop::option::of(0u32..4),
+                any::<bool>()
+            )
+                .prop_map(|(node, min, extra, greedy)| Ast::Repeat {
+                    node: Box::new(node),
+                    min,
+                    max: extra.map(|e| min + e),
+                    greedy,
+                }),
+            2 => inner.prop_map(|node| Ast::Group {
+                index: 1, // renumbered by `rendered`
+                name: None,
+                node: Box::new(node)
+            }),
+        ]
+    })
+}
+
+/// Texts that cross UTF-8 boundaries and are long enough to revisit DFA
+/// states: mostly a few hundred characters, sometimes a handful (the
+/// only size the exponential backtracking oracle can be asked about).
+fn wide_text_strategy() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        4 => Just('a'),
+        3 => Just('b'),
+        2 => Just('c'),
+        2 => Just(' '),
+        1 => Just('7'),
+        1 => Just('_'),
+        1 => Just('\n'),
+        1 => Just('é'),
+        1 => Just('日'),
+        1 => Just('😀'),
+    ];
+    prop_oneof![
+        1 => prop::collection::vec(ch.clone(), 0..9),
+        2 => prop::collection::vec(ch, 0..300),
+    ]
+    .prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Longest text, in characters, the backtracking oracle is run on.
+const ORACLE_MAX_CHARS: usize = 8;
+
+fn row(groups: impl Fn(usize) -> Option<(usize, usize)>, group_count: usize) -> AllMatch {
+    let (start, end) = groups(0).expect("group 0 set on a match");
+    AllMatch {
+        start,
+        end,
+        groups: (1..=group_count).map(groups).collect(),
+    }
+}
+
+/// The non-overlapping scan driven by hand over `pikevm::search`, with
+/// Python's rule for resuming after an empty match.
+fn pikevm_scan(re: &Regex, text: &str) -> Vec<AllMatch> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while let Some(found) = pikevm::search(re.program(), text, pos) {
+        let m = row(|k| found.group(k), re.group_count());
+        pos = match text[m.end..].chars().next() {
+            _ if m.end > m.start => m.end,
+            Some(c) => m.end + c.len_utf8(),
+            None => text.len() + 1,
+        };
+        out.push(m);
+        if pos > text.len() {
+            break;
+        }
+    }
+    out
 }
 
 proptest! {
@@ -193,6 +298,57 @@ proptest! {
         let spans1: Vec<_> = first.find_iter(&text).collect();
         let spans2: Vec<_> = second.find_iter(&text).collect();
         prop_assert_eq!(spans1, spans2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// One differential over all three matchers: the production scan
+    /// (prefilter → DFA window → Pike VM for the groups), the Pike VM
+    /// driven by hand, and — where it can afford the text — the
+    /// backtracking oracle give the same spans, the same groups, in the
+    /// same order; a search from any char boundary lands on the same
+    /// match; `is_match` says whether there is one.
+    #[test]
+    fn dfa_front_agrees_with_pikevm_and_oracle(
+        pattern in wide_ast_strategy().prop_map(rendered),
+        text in wide_text_strategy(),
+    ) {
+        let re = Regex::new(&pattern).expect("generated pattern parses");
+        let actual: Vec<_> = re
+            .captures_iter(&text)
+            .map(|c| row(|k| c.group(k), re.group_count()))
+            .collect();
+        let by_hand = pikevm_scan(&re, &text);
+        prop_assert_eq!(&actual, &by_hand, "pattern {:?} text {:?}", pattern, text);
+        let spans: Vec<_> = re.find_iter(&text).map(|m| (m.start, m.end)).collect();
+        let expected_spans: Vec<_> = by_hand.iter().map(|m| (m.start, m.end)).collect();
+        prop_assert_eq!(spans, expected_spans, "pattern {:?} text {:?}", pattern, text);
+        prop_assert_eq!(re.is_match(&text), !by_hand.is_empty());
+        if text.chars().count() <= ORACLE_MAX_CHARS {
+            let oracle = oracle_find_iter(re.parsed(), &text);
+            prop_assert_eq!(&actual, &oracle, "pattern {:?} text {:?}", pattern, text);
+        }
+
+        // Every boundary of a short text, a spread of them in a long one.
+        let boundaries: Vec<usize> =
+            (0..=text.len()).filter(|&i| text.is_char_boundary(i)).collect();
+        let stride = (boundaries.len() / 16).max(1);
+        for &from in boundaries.iter().step_by(stride) {
+            let expected = pikevm::search(re.program(), &text, from)
+                .map(|found| row(|k| found.group(k), re.group_count()));
+            let captures = re
+                .captures_at(&text, from)
+                .map(|c| row(|k| c.group(k), re.group_count()));
+            prop_assert_eq!(
+                &captures, &expected,
+                "pattern {:?} text {:?} from {}", pattern, text, from
+            );
+            let found = re.find_at(&text, from).map(|m| (m.start, m.end));
+            prop_assert_eq!(found, expected.map(|m| (m.start, m.end)));
+            prop_assert_eq!(re.is_match(&text[from..]), re.find(&text[from..]).is_some());
+        }
     }
 }
 
