@@ -70,6 +70,11 @@ impl DataFrame {
         &self.names
     }
 
+    /// The columns, aligned with [`DataFrame::column_names`].
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.columns.first().map_or(0, Column::len)

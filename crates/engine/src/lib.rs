@@ -58,6 +58,7 @@ pub use optimizer::SplitClass;
 pub use prepared::{
     CompiledProgram, PreparedProgram, PreparedQuery, ShardPlan, ShardRule, Snapshot,
 };
+pub use query::{QueryPlan, Selection};
 pub use registry::Registry;
 pub use session::{Session, SessionBuilder, SessionStats, DEFAULT_IE_CACHE_BYTES};
 // The cache subsystem's user-facing vocabulary, re-exported so hosts

@@ -35,6 +35,8 @@ use crate::registry::Registry;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, Tuple, Value};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Per-step scheduling metadata (see [`annotate`]).
 #[derive(Debug, Clone, Default)]
@@ -430,5 +432,48 @@ impl IndexCache {
         let index = Rc::new(build_index(rel, key_cols));
         self.entries.insert(key, index.clone());
         index
+    }
+}
+
+/// `(relation, key columns)`.
+type IndexKey = (String, Vec<usize>);
+
+/// The [`build_index`] memo of one *frozen* database: what
+/// [`IndexCache`] is to an evaluation run, a `Snapshot` and its clones
+/// share one of these across reader threads. Nothing under it mutates,
+/// so the key needs no generation; each `(relation, key columns)` index
+/// is built at most once, under the write lock, and probed under the
+/// read lock from then on.
+#[derive(Debug, Default)]
+pub struct SharedIndexes {
+    entries: RwLock<FxHashMap<IndexKey, Arc<TupleIndex>>>,
+    builds: AtomicU64,
+}
+
+impl SharedIndexes {
+    /// The index of `rel` (stored under the name `relation`) on
+    /// `key_cols`, built on first request.
+    pub fn index(&self, relation: &str, rel: &Relation, key_cols: &[usize]) -> Arc<TupleIndex> {
+        // The map only ever gains finished entries, so a lock poisoned
+        // by a panicking builder still guards a valid map.
+        let key = (relation.to_string(), key_cols.to_vec());
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(index) = entries.get(&key) {
+            return index.clone();
+        }
+        drop(entries);
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        entries
+            .entry(key)
+            .or_insert_with(|| {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                Arc::new(build_index(rel, key_cols))
+            })
+            .clone()
+    }
+
+    /// Indexes built so far.
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
     }
 }

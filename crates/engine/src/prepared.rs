@@ -11,9 +11,9 @@
 //! freezes a fully evaluated database for lock-free concurrent reads.
 
 use crate::database::Database;
-use crate::error::{EngineError, Result};
-use crate::optimizer::SplitClass;
-use crate::query::run_query;
+use crate::error::Result;
+use crate::optimizer::{SharedIndexes, SplitClass};
+use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
 use crate::session::Session;
@@ -21,18 +21,9 @@ use crate::strata::{stratify, Component};
 use rustc_hash::FxHashSet;
 use spannerlib_core::{DocumentStore, Relation, Span};
 use spannerlib_dataframe::{DataFrame, FromRow};
-use spannerlog_parser::{parse_program, Query, Rule, Statement};
+use spannerlog_parser::Rule;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Parses `source` expecting exactly one query statement.
-pub(crate) fn parse_single_query(source: &str) -> Result<Query> {
-    let program = parse_program(source)?;
-    let [Statement::Query(q)] = &program.statements[..] else {
-        return Err(EngineError::NotAQuery(source.trim().to_string()));
-    };
-    Ok(q.clone())
-}
 
 static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -214,7 +205,7 @@ impl PreparedProgram {
     /// [`PreparedQuery`] bound to this program.
     pub fn query(&self, query_src: &str) -> Result<PreparedQuery> {
         Ok(PreparedQuery {
-            query: parse_single_query(query_src)?,
+            plan: QueryPlan::parse(query_src)?,
             source: query_src.to_string(),
             program: self.inner.clone(),
         })
@@ -241,7 +232,7 @@ impl PreparedProgram {
 /// stale derivations do not.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
-    pub(crate) query: Query,
+    pub(crate) plan: QueryPlan,
     pub(crate) source: String,
     pub(crate) program: Arc<CompiledProgram>,
 }
@@ -252,7 +243,7 @@ impl PreparedQuery {
     /// evaluation of this program.
     pub fn execute(&self, session: &mut Session) -> Result<DataFrame> {
         session.ensure_evaluated_with(&self.program)?;
-        run_query(session.database(), &self.query)
+        run_query(session.database(), &self.plan, None)
     }
 
     /// Like [`PreparedQuery::execute`], converting each row via
@@ -264,6 +255,11 @@ impl PreparedQuery {
     /// The original query source text.
     pub fn source(&self) -> &str {
         &self.source
+    }
+
+    /// The compiled query, as [`Snapshot::select`] takes it.
+    pub fn plan(&self) -> &QueryPlan {
+        &self.plan
     }
 
     /// The program this query was prepared against.
@@ -281,6 +277,9 @@ impl PreparedQuery {
 #[derive(Clone)]
 pub struct Snapshot {
     db: Arc<Database>,
+    /// Hash indexes over `db`, built on first use by a constant-bearing
+    /// query and shared by every clone of this snapshot.
+    indexes: Arc<SharedIndexes>,
     /// The originating session's IE memo, shared for observability:
     /// snapshot queries are pure reads that never invoke IE functions,
     /// but handing the memo over lets serving threads watch hit rates
@@ -326,6 +325,7 @@ impl Snapshot {
     ) -> Snapshot {
         Snapshot {
             db,
+            indexes: Arc::default(),
             cache,
             profile,
             fingerprint,
@@ -374,7 +374,7 @@ impl Snapshot {
 
     /// Evaluates a query string against the frozen data.
     pub fn export(&self, query_src: &str) -> Result<DataFrame> {
-        run_query(&self.db, &parse_single_query(query_src)?)
+        run_query(&self.db, &QueryPlan::parse(query_src)?, Some(&self.indexes))
     }
 
     /// Like [`Snapshot::export`], converting each row via [`FromRow`].
@@ -383,14 +383,33 @@ impl Snapshot {
     }
 
     /// Executes a prepared query. The snapshot is already evaluated, so
-    /// this skips even the fingerprint check — it is a pure indexed read.
+    /// this skips even the fingerprint check — it is a pure read, and an
+    /// indexed one when the query carries a constant: the matching
+    /// tuples come from a hash index on the bound columns (built on the
+    /// first such query, then shared with every clone of the snapshot),
+    /// otherwise from one pass over the relation; only they are sorted
+    /// and projected.
     pub fn execute(&self, query: &PreparedQuery) -> Result<DataFrame> {
-        run_query(&self.db, &query.query)
+        run_query(&self.db, &query.plan, Some(&self.indexes))
+    }
+
+    /// Starts answering `plan` without materialising anything: the
+    /// returned [`Selection`] counts its rows before it sorts or clones
+    /// them, so a caller with a row cap or a matching version token can
+    /// stop early. `select(plan)?.into_frame()` is [`Snapshot::execute`].
+    pub fn select<'a>(&'a self, plan: &'a QueryPlan) -> Result<Selection<'a>> {
+        select(&self.db, plan, Some(&self.indexes))
     }
 
     /// Like [`Snapshot::execute`], converting each row via [`FromRow`].
     pub fn execute_typed<T: FromRow>(&self, query: &PreparedQuery) -> Result<Vec<T>> {
         Ok(self.execute(query)?.to_typed()?)
+    }
+
+    /// How many `(relation, bound columns)` indexes queries have built
+    /// over this snapshot so far; each is built once and then shared.
+    pub fn index_builds(&self) -> u64 {
+        self.indexes.builds()
     }
 
     /// Reads a relation by name (empty if it does not exist).

@@ -51,10 +51,8 @@ use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::eval::{evaluate, EvalCtx, EvalLimits, EvalStats, EvalStrategy};
 use crate::ie::{IeContext, IeFunction, IeOutput};
-use crate::prepared::{
-    parse_single_query, CompiledProgram, PreparedProgram, PreparedQuery, Snapshot,
-};
-use crate::query::run_query;
+use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
+use crate::query::{run_query, QueryPlan};
 use crate::registry::Registry;
 use crate::safety::constant_value;
 use parking_lot::Mutex;
@@ -594,9 +592,9 @@ impl Session {
     /// `self.prepare(query_src)?.execute(self)`, re-parsing the query
     /// each call. Serving paths should prepare once instead.
     pub fn export(&mut self, query_src: &str) -> Result<DataFrame> {
-        let query = parse_single_query(query_src)?;
+        let plan = QueryPlan::parse(query_src)?;
         self.ensure_evaluated()?;
-        run_query(&self.db, &query)
+        run_query(&self.db, &plan, None)
     }
 
     /// Like [`Session::export`], converting each row into a typed host
@@ -631,7 +629,7 @@ impl Session {
                 }
                 Statement::Query(q) => {
                     self.ensure_evaluated()?;
-                    let df = run_query(&self.db, &q)?;
+                    let df = run_query(&self.db, &QueryPlan::compile(&q), None)?;
                     outputs.push((q, df));
                 }
             }

@@ -474,3 +474,53 @@ fn non_recursive_program_fires_every_rule_once() {
     );
     assert_eq!(naive.export_typed::<(i64,)>("?Stats(n)").unwrap(), busy);
 }
+
+/// An answer with no rows keeps the relation's column types — whether
+/// the relation is declared or derived, whole or filtered — so it can
+/// go back in where it came from; only a relation the session has never
+/// seen has nothing but the string fallback to offer.
+#[test]
+fn an_empty_export_is_typed_from_the_schema() {
+    let mut session = Session::new();
+    session
+        .run(
+            r#"
+            new Reading(str, int, float)
+            Reading("a", 1, 0.5)
+            High(k, n) <- Reading(k, n, x), x > 10.0
+            Tok(k, s) <- Reading(k, _, _), rgx("z+", k) -> (s)
+            "#,
+        )
+        .unwrap();
+
+    let filtered = session.export(r#"?Reading("nobody", n, x)"#).unwrap();
+    assert_eq!(filtered.num_rows(), 0);
+    assert_eq!(
+        filtered.schema().types(),
+        &[ValueType::Int, ValueType::Float]
+    );
+    let rows: Vec<(i64, f64)> = session.export_typed(r#"?Reading("nobody", n, x)"#).unwrap();
+    assert!(rows.is_empty());
+
+    // The empty frame imports into a relation of the same shape; with
+    // all-string columns this was a schema error.
+    session.run("new Archive(int, float)").unwrap();
+    session.import_dataframe(&filtered, "Archive").unwrap();
+    assert_eq!(
+        session
+            .export_typed::<(i64, f64)>("?Archive(n, x)")
+            .unwrap(),
+        vec![]
+    );
+
+    // Derived relations that produced no tuple do not exist: fallback.
+    for query in ["?High(k, n)", "?Tok(k, s)", "?Unseen(a, b)"] {
+        let df = session.export(query).unwrap();
+        assert_eq!(df.num_rows(), 0, "{query}");
+        assert_eq!(
+            df.schema().types(),
+            &[ValueType::Str, ValueType::Str],
+            "{query}"
+        );
+    }
+}

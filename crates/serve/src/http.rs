@@ -9,6 +9,8 @@
 //! semantics); [`Request::wants_close`] reports the client's choice.
 
 use std::io::{self, BufRead, Read, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Total bytes allowed for the request line plus all headers.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -248,6 +250,27 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// A response body: bytes of its own, or bytes a cache also holds —
+/// sent from where they are, not copied per response.
+#[derive(Debug, Clone)]
+pub enum Body {
+    /// Rendered for this response.
+    Owned(Vec<u8>),
+    /// Rendered once, shared by every response that carries it.
+    Shared(Arc<[u8]>),
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(bytes) => bytes,
+        }
+    }
+}
+
 /// A response under construction.
 #[derive(Debug)]
 pub struct Response {
@@ -256,16 +279,21 @@ pub struct Response {
     /// Extra headers (`Content-Type`, `ETag`, …).
     pub headers: Vec<(String, String)>,
     /// The body.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl Response {
     /// A JSON response.
     pub fn json(status: u16, body: String) -> Response {
+        Response::json_body(status, Body::Owned(body.into_bytes()))
+    }
+
+    /// A JSON response over an already rendered body.
+    pub fn json_body(status: u16, body: Body) -> Response {
         Response {
             status,
             headers: vec![("Content-Type".into(), "application/json".into())],
-            body: body.into_bytes(),
+            body,
         }
     }
 

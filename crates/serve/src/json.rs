@@ -118,7 +118,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact rendering to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -162,22 +163,32 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal.
-fn write_escaped(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal. Runs that need no escaping are
+/// copied whole; every byte that does need it is ASCII, so a run always
+/// ends on a character boundary.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut clean = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x20.. => continue,
+            _ => None,
+        };
+        out.push_str(&s[clean..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        clean = i + 1;
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 

@@ -3,16 +3,17 @@
 use crate::catalog::IeSpec;
 use crate::config::ServeConfig;
 use crate::error::ApiError;
-use crate::http::{self, ReadOutcome, Request, Response};
-use crate::json::Json;
+use crate::http::{self, Body, ReadOutcome, Request, Response};
+use crate::json::{write_escaped, Json};
 use crate::log::{now_micros, LogSink};
-use crate::state::{writer_loop, Cmd, Published, Reply, ServerState};
+use crate::state::{writer_loop, CachedBody, Cmd, Published, Reply, ServerState};
 use parking_lot::RwLock;
 use spannerlib_core::Value;
-use spannerlib_dataframe::DataFrame;
+use spannerlib_dataframe::{Column, DataFrame};
 use spannerlib_trace::{encode_prometheus, MetricsRegistry};
-use spannerlog_engine::{Session, Snapshot};
+use spannerlog_engine::{PreparedQuery, QueryPlan, Selection, Session};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,10 +111,7 @@ impl Server {
         let instance = (now_micros() as u32) ^ std::process::id().rotate_left(16);
         let state = Arc::new(ServerState {
             cfg,
-            published: RwLock::new(Arc::new(Published {
-                snapshot,
-                version: 0,
-            })),
+            published: RwLock::new(Arc::new(Published::new(snapshot, 0))),
             prepared: RwLock::new(HashMap::new()),
             write_version: AtomicU64::new(0),
             cmd_tx: parking_lot::Mutex::new(Some(cmd_tx)),
@@ -408,6 +406,16 @@ fn healthz(state: &ServerState) -> Result<Response, ApiError> {
 /// `GET /metrics` — Prometheus text-format exposition over every
 /// counter, gauge, and latency histogram in the server's registry.
 fn metrics(state: &ServerState) -> Result<Response, ApiError> {
+    // What the current publish has built for its readers so far.
+    let published = state.published.read().clone();
+    state
+        .metrics
+        .gauge("execute_body_cache_entries")
+        .set(published.cached_bodies() as i64);
+    state
+        .metrics
+        .gauge("snapshot_index_builds")
+        .set(published.snapshot.index_builds() as i64);
     let body = encode_prometheus(&state.metrics.snapshot());
     Ok(Response {
         status: 200,
@@ -415,7 +423,7 @@ fn metrics(state: &ServerState) -> Result<Response, ApiError> {
             "Content-Type".into(),
             "text/plain; version=0.0.4; charset=utf-8".into(),
         )],
-        body: body.into_bytes(),
+        body: Body::Owned(body.into_bytes()),
     })
 }
 
@@ -529,6 +537,22 @@ fn prepare(req: &Request, state: &ServerState) -> Result<Response, ApiError> {
     Ok(ok_body(state, vec![]))
 }
 
+/// What an `/execute` body names.
+enum Target<'a> {
+    /// `{"prepared": name}`, resolved in the prepared-query table.
+    Prepared(&'a str, Arc<PreparedQuery>),
+    /// `{"query": "?R(x)"}`, parsed for this request.
+    AdHoc(QueryPlan),
+}
+
+/// How far the answer to an `/execute` exists.
+enum Answer<'a> {
+    /// Rendered earlier in this publish.
+    Rendered(CachedBody),
+    /// Resolved against the snapshot; no row read yet.
+    Selected(Selection<'a>),
+}
+
 /// `POST /execute` — `{"prepared": name}` or `{"query": "?R(x)"}`, plus
 /// optional `deadline_ms` and `max_rows`.
 fn execute(req: &Request, state: &ServerState, ctx: &mut ReqCtx) -> Result<Response, ApiError> {
@@ -558,9 +582,9 @@ fn execute(req: &Request, state: &ServerState, ctx: &mut ReqCtx) -> Result<Respo
     };
 
     let published = current_published(state, deadline, Some(ctx.id.clone()))?;
-    ctx.etag = Some(published.etag());
+    ctx.etag = Some(published.etag.clone());
     ctx.eval_seq = Some(published.snapshot.eval_seq());
-    let frame = if let Some(name) = json.get("prepared").and_then(Json::as_str) {
+    let target = if let Some(name) = json.get("prepared").and_then(Json::as_str) {
         let Some(query) = state.prepared.read().get(name).cloned() else {
             return Err(ApiError::new(
                 404,
@@ -568,36 +592,75 @@ fn execute(req: &Request, state: &ServerState, ctx: &mut ReqCtx) -> Result<Respo
                 format!("no prepared query named {name:?}"),
             ));
         };
-        published.snapshot.execute(&query)
+        Target::Prepared(name, query)
     } else if let Some(query_src) = json.get("query").and_then(Json::as_str) {
-        published.snapshot.export(query_src)
+        Target::AdHoc(QueryPlan::parse(query_src).map_err(|e| ApiError::from_engine(&e))?)
     } else {
         return Err(ApiError::bad_request(
             "body must carry \"prepared\" (a name) or \"query\" (a query string)",
         ));
     };
-    let frame = frame.map_err(|e| ApiError::from_engine(&e))?;
+
+    // The request is valid from here on; what remains is how much of
+    // the answer has to exist to settle it. A body this publish already
+    // rendered knows its row count; otherwise `max_rows` costs a filter,
+    // a matching `If-None-Match` nothing, and only a `200` a frame.
+    let cached = match &target {
+        Target::Prepared(name, query) => published.cached_body(name, query),
+        Target::AdHoc(_) => None,
+    };
+    let mut answer = match cached {
+        Some(hit) => Answer::Rendered(hit),
+        None => {
+            let plan = match &target {
+                Target::Prepared(_, query) => query.plan(),
+                Target::AdHoc(plan) => plan,
+            };
+            let selection = published.snapshot.select(plan);
+            Answer::Selected(selection.map_err(|e| ApiError::from_engine(&e))?)
+        }
+    };
     if let Some(cap) = max_rows {
-        if frame.num_rows() > cap {
+        let rows = match &mut answer {
+            Answer::Rendered(hit) => hit.rows,
+            Answer::Selected(selection) => selection.num_rows(),
+        };
+        if rows > cap {
             return Err(ApiError::new(
                 429,
                 "too_many_rows",
-                format!(
-                    "result has {} rows, request admitted at most {cap}",
-                    frame.num_rows()
-                ),
+                format!("result has {rows} rows, request admitted at most {cap}"),
             ));
         }
     }
-    let etag = published.etag();
-    if req.header("if-none-match") == Some(etag.as_str()) {
+    if req.header("if-none-match") == Some(published.etag.as_str()) {
         return Ok(Response {
             status: 304,
-            headers: vec![("ETag".into(), etag)],
-            body: Vec::new(),
+            headers: vec![("ETag".into(), published.etag.clone())],
+            body: Body::Owned(Vec::new()),
         });
     }
-    Ok(Response::json(200, render_frame(&frame, &published).render()).with_header("ETag", etag))
+    let body = match answer {
+        Answer::Rendered(hit) => {
+            state.metrics.counter("execute_body_cache_hits").inc();
+            Body::Shared(hit.body)
+        }
+        Answer::Selected(selection) => {
+            let frame = selection
+                .into_frame()
+                .map_err(|e| ApiError::from_engine(&e))?;
+            let text = encode_frame(&frame, &published).into_bytes();
+            match &target {
+                Target::Prepared(name, query) => {
+                    let body: Arc<[u8]> = text.into();
+                    published.cache_body(name, query, body.clone(), frame.num_rows());
+                    Body::Shared(body)
+                }
+                Target::AdHoc(_) => Body::Owned(text),
+            }
+        }
+    };
+    Ok(Response::json_body(200, body).with_header("ETag", published.etag.clone()))
 }
 
 /// The freshest snapshot consistent with all applied mutations: the
@@ -639,51 +702,59 @@ fn current_published(
     }
 }
 
-/// Serializes a result frame:
-/// `{"columns": […], "rows": [[…]], "row_count": n, "version": v, "fingerprint": "…"}`.
-fn render_frame(frame: &DataFrame, published: &Published) -> Json {
-    let rows = frame
-        .iter_rows()
-        .map(|row| {
-            Json::Arr(
-                row.iter()
-                    .map(|v| value_json(v, &published.snapshot))
-                    .collect(),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "columns".into(),
-            Json::Arr(frame.column_names().iter().map(Json::str).collect()),
-        ),
-        ("rows".into(), Json::Arr(rows)),
-        ("row_count".into(), Json::Int(frame.num_rows() as i64)),
-        ("version".into(), Json::Int(published.version as i64)),
-        (
-            "fingerprint".into(),
-            Json::str(format!("{:016x}", published.snapshot.fingerprint())),
-        ),
-    ])
-}
-
-/// Serializes one cell; spans resolve their text against the snapshot's
-/// frozen document store.
-fn value_json(v: &Value, snapshot: &Snapshot) -> Json {
-    match v {
-        Value::Str(s) => Json::str(&**s),
-        Value::Int(n) => Json::Int(*n),
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Float(x) => Json::Float(*x),
-        Value::Span(span) => Json::Obj(vec![
-            ("start".into(), Json::Int(span.start_usize() as i64)),
-            ("end".into(), Json::Int(span.end_usize() as i64)),
-            (
-                "text".into(),
-                snapshot.span_text(span).map_or(Json::Null, Json::str),
-            ),
-        ]),
+/// Serializes a result frame —
+/// `{"columns": […], "rows": [[…]], "row_count": n, "version": v, "fingerprint": "…"}`
+/// — straight into the response text, reading each cell from its typed
+/// column; spans resolve their text against the snapshot's frozen
+/// document store as they are written.
+fn encode_frame(frame: &DataFrame, published: &Published) -> String {
+    let docs = published.snapshot.docs();
+    let mut out = String::with_capacity(128 + 24 * frame.num_rows() * frame.num_columns());
+    out.push_str("{\"columns\":[");
+    for (i, name) in frame.column_names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(&mut out, name);
     }
+    out.push_str("],\"rows\":[");
+    for row in 0..frame.num_rows() {
+        out.push_str(if row > 0 { ",[" } else { "[" });
+        for (i, column) in frame.columns().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match column {
+                Column::Str(cells) => write_escaped(&mut out, &cells[row]),
+                Column::Int(cells) => Json::Int(cells[row]).write(&mut out),
+                Column::Bool(cells) => Json::Bool(cells[row]).write(&mut out),
+                Column::Float(cells) => Json::Float(cells[row]).write(&mut out),
+                Column::Span(cells) => {
+                    let span = &cells[row];
+                    let _ = write!(
+                        out,
+                        "{{\"start\":{},\"end\":{},\"text\":",
+                        span.start_usize(),
+                        span.end_usize()
+                    );
+                    match docs.span_text(span) {
+                        Ok(text) => write_escaped(&mut out, text),
+                        Err(_) => out.push_str("null"),
+                    }
+                    out.push('}');
+                }
+            }
+        }
+        out.push(']');
+    }
+    let _ = write!(
+        out,
+        "],\"row_count\":{},\"version\":{},\"fingerprint\":\"{:016x}\"}}",
+        frame.num_rows(),
+        published.version,
+        published.snapshot.fingerprint()
+    );
+    out
 }
 
 /// `GET /profile` — per-route latency histograms, request counters,
@@ -737,4 +808,98 @@ fn profile(state: &ServerState) -> Result<Response, ApiError> {
         ("eval_profile".into(), eval_profile),
     ]);
     Ok(Response::json(200, body.render()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spannerlog_engine::Snapshot;
+
+    /// The `Json` tree `/execute` rendered its answer through before the
+    /// direct encoder; kept as the reference for its bytes.
+    fn render_frame(frame: &DataFrame, published: &Published) -> Json {
+        let rows = frame
+            .iter_rows()
+            .map(|row| {
+                Json::Arr(
+                    row.iter()
+                        .map(|v| value_json(v, &published.snapshot))
+                        .collect(),
+                )
+            })
+            .collect();
+        Json::Obj(vec![
+            (
+                "columns".into(),
+                Json::Arr(frame.column_names().iter().map(Json::str).collect()),
+            ),
+            ("rows".into(), Json::Arr(rows)),
+            ("row_count".into(), Json::Int(frame.num_rows() as i64)),
+            ("version".into(), Json::Int(published.version as i64)),
+            (
+                "fingerprint".into(),
+                Json::str(format!("{:016x}", published.snapshot.fingerprint())),
+            ),
+        ])
+    }
+
+    fn value_json(v: &Value, snapshot: &Snapshot) -> Json {
+        match v {
+            Value::Str(s) => Json::str(&**s),
+            Value::Int(n) => Json::Int(*n),
+            Value::Bool(b) => Json::Bool(*b),
+            Value::Float(x) => Json::Float(*x),
+            Value::Span(span) => Json::Obj(vec![
+                ("start".into(), Json::Int(span.start_usize() as i64)),
+                ("end".into(), Json::Int(span.end_usize() as i64)),
+                (
+                    "text".into(),
+                    snapshot.span_text(span).map_or(Json::Null, Json::str),
+                ),
+            ]),
+        }
+    }
+
+    #[test]
+    fn direct_encoder_writes_the_bytes_the_json_tree_rendered() {
+        let mut session = Session::new();
+        session
+            .run(
+                "new T(str, int, bool, float)\nS(t, s) <- T(t, _, _, _), rgx(\"\\\\w+\", t) -> (s)",
+            )
+            .unwrap();
+        let texts = [
+            "plain words",
+            "quote \" backslash \\ tab \t newline \n",
+            "ctrl \u{1}\u{1f} é 😀 \u{7f}",
+            "",
+        ];
+        for (i, text) in texts.iter().enumerate() {
+            let cells = [
+                Value::str(*text),
+                Value::Int(i as i64 - 2),
+                Value::Bool(i % 2 == 0),
+                Value::Float([0.5, -3.0, f64::NAN, f64::INFINITY][i]),
+            ];
+            session.add_fact("T", cells).unwrap();
+        }
+        let published = Published::new(session.snapshot().unwrap(), 7);
+        for query in [
+            "?T(t, n, b, x)",
+            "?S(t, s)",
+            "?S(_, s)",
+            "?T(t, 99, b, x)",
+            "?T(\"\", _, _, _)",
+            "?Unseen(a)",
+        ] {
+            let frame = published.snapshot.export(query).unwrap();
+            assert_eq!(
+                encode_frame(&frame, &published),
+                render_frame(&frame, &published).render(),
+                "{query}"
+            );
+        }
+        let spans = published.snapshot.export("?S(t, s)").unwrap();
+        assert!(spans.num_rows() >= 6, "the span rows exist: {spans}");
+    }
 }

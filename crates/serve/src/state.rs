@@ -45,13 +45,64 @@ pub(crate) struct Published {
     pub snapshot: Snapshot,
     /// The [`ServerState::write_version`] this snapshot reflects.
     pub version: u64,
+    /// Strong-validator ETag combining the publish version with the
+    /// engine's evaluation fingerprint.
+    pub etag: String,
+    /// The rendered answer of every *prepared* query this publish has
+    /// served, by prepared name: at most one entry per name the
+    /// operator prepared, and gone with the `Published` at the next
+    /// publish. Ad-hoc query strings never enter it.
+    bodies: parking_lot::Mutex<HashMap<String, CachedBody>>,
+}
+
+/// One rendered `/execute` answer.
+#[derive(Clone)]
+pub(crate) struct CachedBody {
+    /// The query the body answers; a name prepared again points at a
+    /// different one, which makes the entry a miss.
+    query: Arc<PreparedQuery>,
+    /// The response body, shared with every response that sends it.
+    pub body: Arc<[u8]>,
+    /// Its `row_count`, for `max_rows`.
+    pub rows: usize,
 }
 
 impl Published {
-    /// Strong-validator ETag combining the publish version with the
-    /// engine's evaluation fingerprint.
-    pub fn etag(&self) -> String {
-        format!("\"v{}-{:016x}\"", self.version, self.snapshot.fingerprint())
+    /// Wraps a fresh snapshot; nothing is rendered yet.
+    pub fn new(snapshot: Snapshot, version: u64) -> Published {
+        Published {
+            etag: format!("\"v{version}-{:016x}\"", snapshot.fingerprint()),
+            snapshot,
+            version,
+            bodies: parking_lot::Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The body rendered earlier for the prepared query `name`, if it
+    /// still is `query`.
+    pub fn cached_body(&self, name: &str, query: &Arc<PreparedQuery>) -> Option<CachedBody> {
+        let bodies = self.bodies.lock();
+        bodies
+            .get(name)
+            .filter(|hit| Arc::ptr_eq(&hit.query, query))
+            .cloned()
+    }
+
+    /// Keeps `body` as the answer of the prepared query `name`.
+    pub fn cache_body(&self, name: &str, query: &Arc<PreparedQuery>, body: Arc<[u8]>, rows: usize) {
+        self.bodies.lock().insert(
+            name.to_string(),
+            CachedBody {
+                query: query.clone(),
+                body,
+                rows,
+            },
+        );
+    }
+
+    /// Number of rendered bodies held.
+    pub fn cached_bodies(&self) -> usize {
+        self.bodies.lock().len()
     }
 }
 
@@ -338,7 +389,7 @@ fn refresh(session: &mut Session, state: &ServerState, waiters: Vec<RefreshWaite
                 .metrics
                 .gauge("published_eval_seq")
                 .set(snapshot.eval_seq() as i64);
-            let published = Arc::new(Published { snapshot, version });
+            let published = Arc::new(Published::new(snapshot, version));
             *state.published.write() = published.clone();
             for w in live {
                 let _ = w.reply.send(Ok(published.clone()));
