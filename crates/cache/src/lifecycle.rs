@@ -20,7 +20,7 @@
 //! tombstones (loud errors, never aliased).
 
 use rustc_hash::FxHashMap;
-use spannerlib_core::{DocId, Tuple, Value};
+use spannerlib_core::{DocId, Value};
 
 /// When the engine should compact the document store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,8 +79,8 @@ impl DocRefCounts {
     }
 
     /// Retains every document referenced by a tuple.
-    pub fn retain_tuple(&mut self, tuple: &Tuple) {
-        for v in tuple.values() {
+    pub fn retain_tuple(&mut self, tuple: &[Value]) {
+        for v in tuple {
             self.retain_value(v);
         }
     }
@@ -105,7 +105,7 @@ impl DocRefCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spannerlib_core::Span;
+    use spannerlib_core::{Span, Tuple};
 
     #[test]
     fn threshold_policy_arms_above_watermark() {
@@ -125,7 +125,7 @@ mod tests {
             Value::Span(Span::new(doc, 5, 9)),
             Value::Int(42),
         ]);
-        refs.retain_tuple(&tuple);
+        refs.retain_tuple(tuple.values());
         assert_eq!(refs.count(doc), 2);
         assert!(refs.is_live(doc));
         assert!(!refs.is_live(DocId::from_index(0)));

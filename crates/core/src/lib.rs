@@ -14,7 +14,9 @@
 //! * [`Value`] — the dynamically-typed cell of a Spannerlog relation
 //!   (string, span, int, bool, float) with a *total* order so relations can
 //!   be sorted deterministically;
-//! * [`Relation`] / [`Tuple`] — set-semantics relations over a [`Schema`];
+//! * [`Relation`] / [`Tuple`] — set-semantics relations over a [`Schema`],
+//!   stored flat: [`Rows`] is the row arena, [`RowTable`] its hash table
+//!   of row ids;
 //! * [`CoreError`] — shared error type.
 //!
 //! Everything higher in the stack (the regex-formula engine, the Spannerlog
@@ -23,6 +25,7 @@
 pub mod doc;
 pub mod error;
 pub mod relation;
+pub mod rows;
 pub mod schema;
 pub mod span;
 pub mod tuple;
@@ -31,6 +34,7 @@ pub mod value;
 pub use doc::{CompactionReport, DocId, DocShard, DocumentStore};
 pub use error::CoreError;
 pub use relation::Relation;
+pub use rows::{hash_cells, RowTable, Rows};
 pub use schema::{Schema, ValueType};
 pub use span::Span;
 pub use tuple::Tuple;

@@ -1,28 +1,37 @@
-//! Relations: typed sets of tuples.
+//! Relations: typed sets of tuples, stored as an append-only row arena.
 //!
-//! Spannerlog semantics is pure set semantics — derivation order never
-//! produces duplicates — so the backing store is a hash set. Export paths
-//! ([`Relation::sorted_tuples`]) sort so output is deterministic.
+//! Spannerlog semantics is pure set semantics, so a relation is its
+//! distinct rows: one flat [`Rows`] store of `len × arity` cells plus a
+//! [`RowTable`] of row ids that inserts are deduplicated through. Rows
+//! keep insertion order, so a *row id* — a row's position — is stable
+//! for exactly as long as the relation only grows: what a round of
+//! evaluation appended is a range of ids, and an index over the first
+//! `n` rows is extended, not rebuilt, when more arrive. Removal compacts
+//! and renumbers. Export paths ([`Relation::sorted_tuples`]) sort.
 
 use crate::error::CoreError;
+use crate::rows::{hash_cells, RowTable, Rows};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use rustc_hash::FxHashSet;
+use crate::value::Value;
 use std::fmt;
 
 /// A set of tuples conforming to a [`Schema`].
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     schema: Schema,
-    tuples: FxHashSet<Tuple>,
+    rows: Rows,
+    /// Every row id of `rows`, under the hash of the whole row.
+    table: RowTable,
 }
 
 impl Relation {
     /// Creates an empty relation with the given schema.
     pub fn new(schema: Schema) -> Self {
         Relation {
+            rows: Rows::new(schema.arity()),
             schema,
-            tuples: FxHashSet::default(),
+            table: RowTable::default(),
         }
     }
 
@@ -46,96 +55,81 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
+    }
+
+    /// The arena: rows by id, in insertion order.
+    pub fn rows(&self) -> &Rows {
+        &self.rows
     }
 
     /// Inserts a tuple after validating it against the schema. Returns
     /// `true` when the tuple was new.
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool, CoreError> {
-        tuple.check_schema(&self.schema)?;
-        Ok(self.tuples.insert(tuple))
+        self.insert_row(tuple.values())
     }
 
-    /// Inserts a tuple that is already known to match the schema (hot path
-    /// inside the engine, where rule heads are type-checked statically).
-    pub fn insert_unchecked(&mut self, tuple: Tuple) -> bool {
-        debug_assert!(tuple.check_schema(&self.schema).is_ok());
-        self.tuples.insert(tuple)
+    /// Inserts a row of borrowed cells after validating it against the
+    /// schema; the cells are cloned only if the row is new.
+    pub fn insert_row(&mut self, row: &[Value]) -> Result<bool, CoreError> {
+        self.schema.check(row)?;
+        Ok(self.rows.push_distinct(&mut self.table, row.iter()))
+    }
+
+    /// The id of the row equal to `row`, if the relation holds one.
+    pub fn row_id(&self, row: &[Value]) -> Option<usize> {
+        let rows = &self.rows;
+        self.table.find(hash_cells(row), |id| rows.row(id) == row)
     }
 
     /// Whether the relation contains `tuple`.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples.contains(tuple)
+        self.row_id(tuple.values()).is_some()
     }
 
-    /// Removes one tuple. Returns `true` when it was present (used by the
-    /// engine to retract rule-derived tuples from relations that are also
-    /// extensional, keeping host-asserted facts).
+    /// Removes one tuple. Returns `true` when it was present. Linear in
+    /// the relation: drop many rows with one [`Relation::retain`].
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        self.tuples.remove(tuple)
+        let found = self.row_id(tuple.values());
+        found
+            .inspect(|&gone| self.retain(|id, _| id != gone))
+            .is_some()
     }
 
-    /// Iterates over tuples in arbitrary (hash) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+    /// Keeps the rows `keep(id, row)` holds for, in order; the rows
+    /// after a dropped one get new ids.
+    pub fn retain(&mut self, keep: impl FnMut(usize, &[Value]) -> bool) {
+        self.rows.retain(keep);
+        self.table = RowTable::default();
+        for (id, row) in self.rows.iter().enumerate() {
+            self.table.find_or_insert(hash_cells(row), id, |_| false);
+        }
+    }
+
+    /// Iterates over rows in insertion order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone {
+        self.rows.iter()
     }
 
     /// All tuples, sorted lexicographically — the deterministic export
     /// order used by `Session::export` and the DataFrame bridge.
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self.tuples.iter().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Set union with another relation of the same schema. Returns the
-    /// number of tuples that were new.
-    pub fn union_in_place(&mut self, other: &Relation) -> Result<usize, CoreError> {
-        if other.schema != self.schema {
-            return Err(CoreError::ArityMismatch {
-                expected: self.schema.arity(),
-                actual: other.schema.arity(),
-            });
-        }
-        let before = self.tuples.len();
-        for t in other.iter() {
-            self.tuples.insert(t.clone());
-        }
-        Ok(self.tuples.len() - before)
-    }
-
-    /// Tuples of `self` that are not in `other` (set difference); schemas
-    /// must match.
-    pub fn difference(&self, other: &Relation) -> Result<Relation, CoreError> {
-        if other.schema != self.schema {
-            return Err(CoreError::ArityMismatch {
-                expected: self.schema.arity(),
-                actual: other.schema.arity(),
-            });
-        }
-        let mut out = Relation::new(self.schema.clone());
-        for t in self.iter() {
-            if !other.contains(t) {
-                out.tuples.insert(t.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Removes all tuples, keeping the schema.
-    pub fn clear(&mut self) {
-        self.tuples.clear();
+        let mut rows: Vec<&[Value]> = self.iter().collect();
+        rows.sort_unstable();
+        rows.into_iter().map(|r| Tuple::new(r.to_vec())).collect()
     }
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.tuples == other.tuples
+        self.schema == other.schema
+            && self.len() == other.len()
+            && self.iter().all(|row| other.row_id(row).is_some())
     }
 }
 
@@ -203,31 +197,6 @@ mod tests {
             .map(|t| t[0].as_int().unwrap())
             .collect();
         assert_eq!(sorted, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn union_counts_new_tuples() {
-        let mut a = Relation::from_tuples(int_schema(1), [t(&[1]), t(&[2])]).unwrap();
-        let b = Relation::from_tuples(int_schema(1), [t(&[2]), t(&[3])]).unwrap();
-        assert_eq!(a.union_in_place(&b).unwrap(), 1);
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn union_rejects_schema_mismatch() {
-        let mut a = Relation::new(int_schema(1));
-        let b = Relation::new(int_schema(2));
-        assert!(a.union_in_place(&b).is_err());
-    }
-
-    #[test]
-    fn difference_removes_shared() {
-        let a = Relation::from_tuples(int_schema(1), [t(&[1]), t(&[2]), t(&[3])]).unwrap();
-        let b = Relation::from_tuples(int_schema(1), [t(&[2])]).unwrap();
-        let d = a.difference(&b).unwrap();
-        assert_eq!(d.len(), 2);
-        assert!(d.contains(&t(&[1])));
-        assert!(!d.contains(&t(&[2])));
     }
 
     #[test]

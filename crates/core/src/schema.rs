@@ -4,6 +4,8 @@
 //! either *str* or *span*"; the implementation additionally supports the
 //! numeric primitives the paper mentions as a natural extension.
 
+use crate::error::CoreError;
+use crate::value::Value;
 use std::fmt;
 use std::str::FromStr;
 
@@ -87,6 +89,26 @@ impl Schema {
     /// The type of column `i`, if it exists.
     pub fn column(&self, i: usize) -> Option<ValueType> {
         self.types.get(i).copied()
+    }
+
+    /// Checks a row against the schema: arity and per-column types.
+    pub fn check(&self, row: &[Value]) -> Result<(), CoreError> {
+        if row.len() != self.arity() {
+            return Err(CoreError::ArityMismatch {
+                expected: self.arity(),
+                actual: row.len(),
+            });
+        }
+        for (i, (v, t)) in row.iter().zip(&self.types).enumerate() {
+            if v.value_type() != *t {
+                return Err(CoreError::TypeMismatch {
+                    column: i,
+                    expected: *t,
+                    actual: v.value_type(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// A new schema consisting of the columns selected by `indices`,

@@ -1,23 +1,21 @@
 //! Tuples: fixed-arity sequences of [`Value`]s.
 //!
-//! Tuples flow through every join and IE-function call, so they use a
-//! `SmallVec` with inline capacity for the common short arities — most
-//! Spannerlog relations in the paper's examples have 1–4 columns.
+//! A `Tuple` is the *owned* row at the API edge — what a host inserts,
+//! what `Relation::sorted_tuples` hands back. It is a heap `Vec` per
+//! tuple, which is why nothing inside the system stores rows this way:
+//! relations and rule bodies keep them flat (see [`crate::rows`]) and
+//! pass `&[Value]` slices around.
 
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::CoreError;
-use smallvec::SmallVec;
 use std::fmt;
 use std::ops::Index;
-
-/// Inline capacity: tuples up to this arity avoid a heap allocation.
-const INLINE: usize = 4;
 
 /// A relation tuple.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tuple {
-    values: SmallVec<[Value; INLINE]>,
+    values: Vec<Value>,
 }
 
 impl Tuple {
@@ -78,22 +76,7 @@ impl Tuple {
 
     /// Checks this tuple against a schema: arity and per-column types.
     pub fn check_schema(&self, schema: &Schema) -> Result<(), CoreError> {
-        if self.arity() != schema.arity() {
-            return Err(CoreError::ArityMismatch {
-                expected: schema.arity(),
-                actual: self.arity(),
-            });
-        }
-        for (i, (v, t)) in self.values.iter().zip(schema.types()).enumerate() {
-            if v.value_type() != *t {
-                return Err(CoreError::TypeMismatch {
-                    column: i,
-                    expected: *t,
-                    actual: v.value_type(),
-                });
-            }
-        }
-        Ok(())
+        schema.check(&self.values)
     }
 
     /// Iterates over the values.
@@ -115,6 +98,12 @@ impl Index<usize> for Tuple {
     }
 }
 
+impl AsRef<[Value]> for Tuple {
+    fn as_ref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
         Tuple::new(iter)
@@ -123,7 +112,7 @@ impl FromIterator<Value> for Tuple {
 
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
-        Tuple::new(values)
+        Tuple { values }
     }
 }
 

@@ -204,31 +204,6 @@ fn sorted_tuples_is_deterministic_regardless_of_insert_order() {
     assert_eq!(firsts, vec![1, 1, 2, 3]);
 }
 
-#[test]
-fn union_deduplicates_and_counts_new_tuples() {
-    let schema = Schema::new(vec![ValueType::Int]);
-    let mut a = Relation::from_tuples(
-        schema.clone(),
-        [Tuple::new([Value::Int(1)]), Tuple::new([Value::Int(2)])],
-    )
-    .unwrap();
-    let b = Relation::from_tuples(
-        schema,
-        [Tuple::new([Value::Int(2)]), Tuple::new([Value::Int(3)])],
-    )
-    .unwrap();
-    let added = a.union_in_place(&b).unwrap();
-    assert_eq!(added, 1, "only the genuinely new tuple counts");
-    assert_eq!(a.len(), 3);
-}
-
-#[test]
-fn union_requires_matching_schemas() {
-    let mut a = Relation::new(Schema::new(vec![ValueType::Int]));
-    let b = Relation::new(Schema::new(vec![ValueType::Str]));
-    assert!(a.union_in_place(&b).is_err());
-}
-
 // ---------------------------------------------------------------------
 // Value total order (what makes sorted_tuples well-defined)
 // ---------------------------------------------------------------------

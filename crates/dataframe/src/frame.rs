@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::error::FrameError;
-use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
+use spannerlib_core::{Relation, Schema, Value, ValueType};
 use std::fmt;
 
 /// A named-column, typed, row-aligned table.
@@ -226,7 +226,7 @@ impl DataFrame {
     pub fn to_relation(&self) -> Relation {
         let mut rel = Relation::new(self.schema());
         for row in self.iter_rows() {
-            rel.insert_unchecked(Tuple::new(row));
+            rel.insert_row(&row).expect("rows have the frame's schema");
         }
         rel
     }

@@ -10,7 +10,7 @@
 
 use crate::error::{EngineError, Result};
 use rustc_hash::{FxHashMap, FxHashSet};
-use spannerlib_core::{DocumentStore, Relation, Schema, Tuple};
+use spannerlib_core::{DocumentStore, Relation, Schema, Tuple, Value};
 
 /// The fact store of one session.
 #[derive(Debug, Default, Clone)]
@@ -24,12 +24,13 @@ pub struct Database {
     /// Monotone tick backing the generation counters.
     tick: u64,
     /// Per-tuple provenance for relations that are both extensional and
-    /// rule heads: tuples the *fixpoint* inserted (as opposed to
-    /// host-asserted facts). [`Database::clear_derived`] retracts
-    /// exactly these, so re-imports of a rule's inputs no longer leave
-    /// stale derived tuples behind. Purely derived relations need no
-    /// marks — they are dropped wholesale.
-    derived_marks: FxHashMap<String, FxHashSet<Tuple>>,
+    /// rule heads: the row ids of the tuples the *fixpoint* inserted (as
+    /// opposed to host-asserted facts). [`Database::clear_derived`]
+    /// retracts exactly these, so re-imports of a rule's inputs no
+    /// longer leave stale derived tuples behind. Row ids hold because
+    /// nothing else removes rows from a relation in place. Purely
+    /// derived relations need no marks — they are dropped wholesale.
+    derived_marks: FxHashMap<String, FxHashSet<usize>>,
     /// Interned documents; spans in any relation point here.
     pub docs: DocumentStore,
 }
@@ -111,60 +112,46 @@ impl Database {
     /// relation's generation; derived inserts (the fixpoint hot path) do
     /// not.
     pub fn insert(&mut self, name: &str, tuple: Tuple) -> Result<bool> {
-        // A fact assertion overrides derived provenance: even if a rule
-        // once derived this tuple, it now survives clear_derived.
-        if let Some(marks) = self.derived_marks.get_mut(name) {
-            marks.remove(&tuple);
-        }
-        let new = self.insert_impl(name, tuple)?;
+        let new = self.insert_row(name, tuple.values())?;
         if new && self.extensional.contains_key(name) {
             self.bump(name);
+        } else if let Some(marks) = self.derived_marks.get_mut(name) {
+            // A fact assertion overrides derived provenance: even if a
+            // rule once derived this tuple, it now survives
+            // clear_derived.
+            if let Some(id) = self.relations[name].row_id(tuple.values()) {
+                marks.remove(&id);
+            }
         }
         Ok(new)
     }
 
-    /// Inserts a tuple derived by the fixpoint. Unlike
-    /// [`Database::insert`] it never bumps a generation counter —
-    /// derived content is a function of the EDB and the program, so it
-    /// must not invalidate the evaluation fingerprint — and new tuples
-    /// landing in an *extensional* relation are marked with derived
-    /// provenance so the next [`Database::clear_derived`] retracts them.
-    pub fn insert_derived(&mut self, name: &str, tuple: Tuple) -> Result<bool> {
-        if self.extensional.contains_key(name) {
-            // Duplicates are the steady state of fixpoint rounds; skip
-            // the provenance-mark clone (and the insert) for them.
-            if self
-                .relations
-                .get(name)
-                .is_some_and(|rel| rel.contains(&tuple))
-            {
-                return Ok(false);
-            }
-            let new = self.insert_impl(name, tuple.clone())?;
-            if new {
-                self.derived_marks
-                    .entry(name.to_string())
-                    .or_default()
-                    .insert(tuple);
-            }
-            return Ok(new);
+    /// Inserts a row derived by the fixpoint, cloning its cells only if
+    /// it is new. Unlike [`Database::insert`] it never bumps a
+    /// generation counter — derived content is a function of the EDB
+    /// and the program, so it must not invalidate the evaluation
+    /// fingerprint — and new rows landing in an *extensional* relation
+    /// are marked with derived provenance so the next
+    /// [`Database::clear_derived`] retracts them.
+    pub fn insert_derived(&mut self, name: &str, row: impl AsRef<[Value]>) -> Result<bool> {
+        let new = self.insert_row(name, row.as_ref())?;
+        if new && self.extensional.contains_key(name) {
+            let id = self.relations[name].len() - 1;
+            self.derived_marks
+                .entry(name.to_string())
+                .or_default()
+                .insert(id);
         }
-        self.insert_impl(name, tuple)
+        Ok(new)
     }
 
-    fn insert_impl(&mut self, name: &str, tuple: Tuple) -> Result<bool> {
+    fn insert_row(&mut self, name: &str, row: &[Value]) -> Result<bool> {
         if let Some(rel) = self.relations.get_mut(name) {
-            return Ok(rel.insert(tuple)?);
+            return Ok(rel.insert_row(row)?);
         }
-        let schema = Schema::new(
-            tuple
-                .values()
-                .iter()
-                .map(|v| v.value_type())
-                .collect::<Vec<_>>(),
-        );
-        let mut rel = Relation::new(schema);
-        rel.insert(tuple)?;
+        let types: Vec<_> = row.iter().map(Value::value_type).collect();
+        let mut rel = Relation::new(Schema::new(types));
+        rel.insert_row(row)?;
         self.relations.insert(name.to_string(), rel);
         Ok(true)
     }
@@ -178,10 +165,8 @@ impl Database {
         self.relations
             .retain(|name, _| self.extensional.contains_key(name));
         for (name, marks) in self.derived_marks.drain() {
-            if let Some(rel) = self.relations.get_mut(&name) {
-                for tuple in &marks {
-                    rel.remove(tuple);
-                }
+            if let Some(rel) = self.relations.get_mut(&name).filter(|_| !marks.is_empty()) {
+                rel.retain(|id, _| !marks.contains(&id));
             }
         }
     }

@@ -38,10 +38,9 @@ use crate::registry::Registry;
 use crate::strata::Component;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
-use spannerlib_core::Relation;
 use spannerlib_par::ThreadPool;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
-use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 /// Fixpoint algorithm selection.
@@ -68,14 +67,16 @@ pub struct EvalLimits {
     /// Maximum newly materialized tuples across the whole run.
     pub max_rows: Option<usize>,
     /// Wall-clock budget in milliseconds for the whole run (checked
-    /// between fixpoint rounds and before each IE batch).
+    /// between fixpoint rounds, before each IE batch, and every few
+    /// thousand rows inside a join).
     pub max_millis: Option<u64>,
 }
 
 /// The wall-clock budget of one evaluation run
 /// ([`EvalLimits::max_millis`]), anchored when the run starts. Checked
-/// once per fixpoint round and once per IE batch — the two places an
-/// evaluation can sink unbounded time — so an overrun surfaces as
+/// once per fixpoint round, once per IE batch, and every few thousand
+/// candidate rows inside a join loop — the three places an evaluation
+/// can sink unbounded time — so an overrun surfaces as
 /// [`EngineError::LimitExceeded`] naming the rule that was executing,
 /// not as a hung serving request.
 #[derive(Debug, Clone, Copy)]
@@ -201,7 +202,7 @@ struct Run<'a> {
     /// Rounds charged against [`EvalLimits::max_rounds`].
     charged_rounds: usize,
     /// The execution environment of a full firing; delta variants
-    /// override `delta_at` and `deltas`.
+    /// override `delta`.
     exec: ExecCtx<'a>,
 }
 
@@ -216,8 +217,9 @@ struct Scope<'a> {
     driver: Option<usize>,
 }
 
-/// Per-round deltas of a recursive component's predicates.
-type Deltas = FxHashMap<String, Relation>;
+/// Per-round deltas of a recursive component's predicates: the row ids
+/// a round appended to each (relations are append-only arenas).
+type Deltas = FxHashMap<String, Range<usize>>;
 
 /// Whether the compile-time split-correctness analysis cleared `rule`
 /// for shard-parallel execution.
@@ -269,10 +271,9 @@ pub fn evaluate(
     let stolen_before = pool.map_or(0, |p| p.stats().stolen);
     // One scan-index cache per evaluation run: relations only grow
     // while a run executes (derived state was cleared before it), so
-    // indexes keyed by (relation, row count, key columns) stay valid
+    // row ids are stable and an index is extended, never rebuilt,
     // across fixpoint rounds, rules, and components.
-    let index_cache = RefCell::new(IndexCache::default());
-    let no_deltas = Deltas::default();
+    let index_cache = IndexCache::default();
     let mut run = Run {
         strategy: ctx.strategy,
         limits: ctx.limits,
@@ -281,8 +282,7 @@ pub fn evaluate(
         charged_rounds: 0,
         exec: ExecCtx {
             registry: ctx.registry,
-            delta_at: None,
-            deltas: &no_deltas,
+            delta: None,
             cache: ctx.cache,
             indexes: production.then_some(&index_cache),
             docs: &lent.docs,
@@ -303,8 +303,8 @@ pub fn evaluate(
     }
     // The planner and parallel counters fold into the trace on both the
     // success and the abort path.
-    let ic = index_cache.borrow();
-    run.trace.index_cache(ic.hits, ic.builds);
+    run.trace
+        .index_cache(index_cache.hits(), index_cache.builds());
     if let Some(pool) = pool {
         run.trace.parallel_summary(
             pool.workers() as u64,
@@ -351,7 +351,7 @@ impl Run<'_> {
         };
         let result = match (self.strategy, component.recursive) {
             (EvalStrategy::Naive, _) => self.naive(db, &mut scope),
-            (EvalStrategy::SemiNaive, false) => self.round(db, &mut scope, None, None).map(drop),
+            (EvalStrategy::SemiNaive, false) => self.round(db, &mut scope, None).map(drop),
             (EvalStrategy::SemiNaive, true) => self.seminaive(db, &mut scope),
         };
         self.trace.stratum_done(index, t0);
@@ -362,36 +362,39 @@ impl Run<'_> {
     /// The paper's loop: every rule against the full relations, until a
     /// round derives nothing new.
     fn naive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
-        while self.round(db, scope, None, None)? {}
+        while self.round(db, scope, None)? {}
         Ok(())
     }
 
     /// Round 1 fires every rule in full (everything read from outside
     /// the component is complete; its own relations hold at most
-    /// imported facts) and seeds the deltas with what was new. Each
-    /// later round fires, per rule and per scan over a predicate of the
-    /// component, the variant with that scan reading the delta.
+    /// imported facts). Each later round fires, per rule and per scan
+    /// over a predicate of the component, the variant with that scan
+    /// reading the delta: the rows the round before appended.
     fn seminaive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
-        let mut deltas = Deltas::default();
-        self.round(db, scope, None, Some(&mut deltas))?;
-        while deltas.values().any(|d| !d.is_empty()) {
-            let mut next = Deltas::default();
-            self.round(db, scope, Some(&deltas), Some(&mut next))?;
-            deltas = next;
+        let len = |db: &Database, head: &str| db.relation(head).map_or(0, |rel| rel.len());
+        let heads = scope.component.rules.iter().map(|r| &r.head_predicate);
+        let mut deltas: Deltas = heads.map(|h| (h.clone(), 0..len(db, h))).collect();
+        self.round(db, scope, None)?;
+        loop {
+            for (head, delta) in &mut deltas {
+                *delta = delta.end..len(db, head);
+            }
+            if deltas.values().all(Range::is_empty) {
+                return Ok(());
+            }
+            self.round(db, scope, Some(&deltas))?;
         }
-        Ok(())
     }
 
     /// One round over the component's rules: full firings, or — given
-    /// `deltas` — the delta variants. New tuples are also collected into
-    /// `next`, when set. Checks the run's limits once the round is over
-    /// and returns whether anything new was derived.
+    /// `deltas` — the delta variants. Checks the run's limits once the
+    /// round is over and returns whether anything new was derived.
     fn round(
         &mut self,
         db: &mut Database,
         scope: &mut Scope<'_>,
         deltas: Option<&Deltas>,
-        mut next: Option<&mut Deltas>,
     ) -> Result<bool> {
         let component = scope.component;
         self.stats.rounds += 1;
@@ -405,26 +408,21 @@ impl Run<'_> {
             .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
         let mut changed = false;
         for (ri, rule) in component.rules.iter().enumerate() {
-            // `None` is the full firing; `Some(i)` the variant whose
-            // scan at step `i` reads the delta.
-            let variants: Vec<Option<usize>> = match deltas {
+            // `None` is the full firing; `Some((i, delta))` the variant
+            // whose scan at step `i` — over a predicate of the component
+            // — reads only `delta`.
+            let variants: Vec<Option<(usize, Range<usize>)>> = match deltas {
                 None => vec![None],
-                Some(_) => rule
-                    .steps
-                    .iter()
-                    .enumerate()
+                Some(deltas) => (rule.steps.iter().enumerate())
                     .filter_map(|(i, s)| match s {
-                        Step::Scan { relation, .. } if component.derives(relation) => Some(Some(i)),
+                        Step::Scan { relation, .. } => Some((i, deltas.get(relation)?.clone())),
                         _ => None,
                     })
+                    .map(Some)
                     .collect(),
             };
-            for delta_at in variants {
-                let exec = ExecCtx {
-                    delta_at,
-                    deltas: deltas.unwrap_or(self.exec.deltas),
-                    ..self.exec
-                };
+            for delta in variants {
+                let exec = ExecCtx { delta, ..self.exec };
                 let rule_span = self
                     .trace
                     .open(round_span, SpanKind::Rule, || rule.source.clone());
@@ -433,15 +431,7 @@ impl Run<'_> {
                     rule: scope.rule_ids[ri],
                     parent: rule_span,
                 };
-                let fired = fire_rule(
-                    db,
-                    rule,
-                    &exec,
-                    self.limits,
-                    &mut self.stats,
-                    &mut tr,
-                    next.as_deref_mut(),
-                );
+                let fired = fire_rule(db, rule, &exec, self.limits, &mut self.stats, &mut tr);
                 self.trace.close(rule_span);
                 if fired? {
                     changed = true;
@@ -460,12 +450,11 @@ impl Run<'_> {
     }
 }
 
-/// Executes one rule plan and inserts its derivations, reporting the
-/// firing to the trace (also on the limit-abort path, so an aborted run
-/// still profiles the culprit's partial work). Genuinely new tuples are
-/// also copied into `next`'s delta of the head, when set — one tuple
-/// clone each, which a firing nobody takes deltas from is spared.
-/// Returns whether any tuple was new.
+/// Executes one rule plan and inserts its derivations — the new ones go
+/// to the end of the head's arena, which is all a delta needs —
+/// reporting the firing to the trace (also on the limit-abort path, so
+/// an aborted run still profiles the culprit's partial work). Returns
+/// whether any tuple was new.
 fn fire_rule(
     db: &mut Database,
     rule: &RulePlan,
@@ -473,7 +462,6 @@ fn fire_rule(
     limits: EvalLimits,
     stats: &mut EvalStats,
     tr: &mut TraceCtx<'_>,
-    mut next: Option<&mut Deltas>,
 ) -> Result<bool> {
     stats.rule_firings += 1;
     let t0 = tr.trace.now_ns();
@@ -485,35 +473,19 @@ fn fire_rule(
         }
     };
     stats.tuples_derived += derived.len();
-    let derived_n = derived.len() as u64;
-    let mut new_n = 0u64;
-    let mut limit_err = None;
-    for tuple in derived {
-        let inserted = match &mut next {
-            Some(next) => {
-                let inserted = db.insert_derived(&rule.head_predicate, tuple.clone())?;
-                if inserted {
-                    let schema = db.relation(&rule.head_predicate)?.schema();
-                    next.entry(rule.head_predicate.clone())
-                        .or_insert_with(|| Relation::new(schema.clone()))
-                        .insert(tuple)?;
-                }
-                inserted
-            }
-            None => db.insert_derived(&rule.head_predicate, tuple)?,
-        };
-        if inserted {
+    let new_before = stats.tuples_new;
+    let mut within = Ok(());
+    for row in derived.iter() {
+        if db.insert_derived(&rule.head_predicate, row)? {
             stats.tuples_new += 1;
-            new_n += 1;
-            if let Err(e) = limits.check_rows(stats, Some(rule)) {
-                limit_err = Some(e);
+            within = limits.check_rows(stats, Some(rule));
+            if within.is_err() {
                 break;
             }
         }
     }
-    tr.trace.rule_fired(tr.rule, derived_n, new_n, t0);
-    match limit_err {
-        Some(e) => Err(e),
-        None => Ok(new_n > 0),
-    }
+    let new_n = stats.tuples_new - new_before;
+    tr.trace
+        .rule_fired(tr.rule, derived.len() as u64, new_n as u64, t0);
+    within.map(|()| new_n > 0)
 }

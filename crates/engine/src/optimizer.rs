@@ -15,13 +15,14 @@
 //!   first, then IE calls whose inputs are bound, then scans by
 //!   estimated fan-out (relation size discounted per bound join
 //!   column). Barriers are never crossed in either direction.
-//! * [`IndexCache`] keeps the hash indexes scan joins probe
-//!   ([`build_index`]) alive for the whole evaluation run, keyed by
-//!   `(relation, row count, key columns)`. Within one run relations
+//! * [`IndexCache`] keeps the hash indexes keyed scan joins probe
+//!   ([`TupleIndex`]: key → row ids) alive for the whole evaluation
+//!   run, one per `(relation, key columns)`. Within one run relations
 //!   only grow (their extensional generation is fixed and derived
-//!   inserts are append-only), so the row count is a faithful
-//!   within-run generation: fixpoint rounds and sibling rules reuse
-//!   identical indexes instead of rebuilding them.
+//!   inserts append to the arena), so row ids are stable and an index
+//!   is *extended* by the rows appended since it was last asked for:
+//!   fixpoint rounds and sibling rules share it, and a recursive
+//!   relation is never re-indexed from its first row.
 //!
 //! Any permutation respecting the `needs ⊆ bound` invariant and the
 //! barriers is observationally equivalent: scans, negations, and
@@ -33,8 +34,7 @@
 use crate::plan::{PTerm, RulePlan, Step};
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
-use spannerlib_core::{Relation, Tuple, Value};
-use std::rc::Rc;
+use spannerlib_core::{hash_cells, Relation, RowTable, Rows, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -392,87 +392,116 @@ pub fn describe(
     parts.join(" ⋈ ")
 }
 
-/// An owned hash index over one relation: the projection on a fixed
-/// set of key columns → the tuples with that projection. Owned (values
-/// are `Arc`-backed, so clones are cheap) because a cached index
-/// outlives the borrow of the relation it was built from.
-pub type TupleIndex = FxHashMap<Vec<Value>, Vec<Tuple>>;
-
-/// Indexes `rel` on `key_cols`.
-pub fn build_index(rel: &Relation, key_cols: &[usize]) -> TupleIndex {
-    let mut index = TupleIndex::default();
-    for tuple in rel.iter() {
-        let key = key_cols.iter().map(|&c| tuple[c].clone()).collect();
-        index.entry(key).or_default().push(tuple.clone());
-    }
-    index
+/// A hash index over a run of consecutive rows of one row store: the
+/// projection on the key columns → the ids of the rows with it,
+/// ascending. It holds row ids, never cells — keys are hashed and
+/// compared in the store, which every call is handed again — so it
+/// stays valid while the store only grows.
+#[derive(Debug, Clone, Default)]
+pub struct TupleIndex {
+    key_cols: Vec<usize>,
+    /// The next row id to take in.
+    end: usize,
+    /// Group numbers, under the hash of the group's key.
+    keys: RowTable,
+    /// Per distinct key, in order of first appearance: its row ids.
+    groups: Vec<Vec<usize>>,
 }
 
-/// Per-evaluation memo of [`build_index`] (see module docs for why the
-/// row count is a sound within-run generation stand-in).
-#[derive(Debug, Default)]
-pub struct IndexCache {
-    entries: FxHashMap<(String, usize, Vec<usize>), Rc<TupleIndex>>,
-    /// Requests answered from the cache.
-    pub hits: u64,
-    /// Indexes built (cache misses).
-    pub builds: u64,
-}
-
-impl IndexCache {
-    /// The index of `rel` (stored under the name `relation`) on
-    /// `key_cols`, built on first request.
-    pub fn index(&mut self, relation: &str, rel: &Relation, key_cols: &[usize]) -> Rc<TupleIndex> {
-        let key = (relation.to_string(), rel.len(), key_cols.to_vec());
-        if let Some(index) = self.entries.get(&key) {
-            self.hits += 1;
-            return index.clone();
-        }
-        self.builds += 1;
-        let index = Rc::new(build_index(rel, key_cols));
-        self.entries.insert(key, index.clone());
+impl TupleIndex {
+    /// Indexes the rows of `rows` with ids in `range` on `key_cols`.
+    pub fn build(rows: &Rows, range: std::ops::Range<usize>, key_cols: &[usize]) -> TupleIndex {
+        let mut index = TupleIndex {
+            key_cols: key_cols.to_vec(),
+            end: range.start,
+            ..TupleIndex::default()
+        };
+        index.extend(rows, range.end);
         index
+    }
+
+    /// Takes in the rows up to id `end` that are not indexed yet.
+    pub fn extend(&mut self, rows: &Rows, end: usize) {
+        for id in self.end..end {
+            let row = rows.row(id);
+            let hash = hash_cells(self.key_cols.iter().map(|&c| &row[c]));
+            let same_key = |g: usize| {
+                let first = rows.row(self.groups[g][0]);
+                self.key_cols.iter().all(|&c| first[c] == row[c])
+            };
+            match self.keys.find_or_insert(hash, self.groups.len(), same_key) {
+                Some(g) => self.groups[g].push(id),
+                None => self.groups.push(vec![id]),
+            }
+            self.end = id + 1;
+        }
+    }
+
+    /// The row ids of every distinct key, keys by first appearance.
+    pub fn groups(&self) -> &[Vec<usize>] {
+        &self.groups
+    }
+
+    /// The ids of the rows whose key is `key`: a cell per key column.
+    pub fn get<'a>(&self, rows: &Rows, key: impl Iterator<Item = &'a Value> + Clone) -> &[usize] {
+        let group = self.keys.find(hash_cells(key.clone()), |g| {
+            let first = rows.row(self.groups[g][0]);
+            self.key_cols.iter().map(|&c| &first[c]).eq(key.clone())
+        });
+        group.map_or(&[], |g| &self.groups[g])
     }
 }
 
 /// `(relation, key columns)`.
 type IndexKey = (String, Vec<usize>);
 
-/// The [`build_index`] memo of one *frozen* database: what
-/// [`IndexCache`] is to an evaluation run, a `Snapshot` and its clones
-/// share one of these across reader threads. Nothing under it mutates,
-/// so the key needs no generation; each `(relation, key columns)` index
-/// is built at most once, under the write lock, and probed under the
-/// read lock from then on.
+/// The hash indexes over one database's relations: an evaluation run
+/// has one, and a `Snapshot` and its clones share one across reader
+/// threads. Relations only grow while a run executes (see the module
+/// docs) and not at all once frozen, so no index is ever rebuilt: a
+/// request that finds one short of the relation's rows extends it, under
+/// the write lock — in place, as nothing holds an index from one firing
+/// to the next; every other request takes the read lock only.
 #[derive(Debug, Default)]
-pub struct SharedIndexes {
+pub struct IndexCache {
     entries: RwLock<FxHashMap<IndexKey, Arc<TupleIndex>>>,
+    hits: AtomicU64,
     builds: AtomicU64,
 }
 
-impl SharedIndexes {
+impl IndexCache {
     /// The index of `rel` (stored under the name `relation`) on
-    /// `key_cols`, built on first request.
+    /// `key_cols`, covering every row `rel` holds now.
     pub fn index(&self, relation: &str, rel: &Relation, key_cols: &[usize]) -> Arc<TupleIndex> {
-        // The map only ever gains finished entries, so a lock poisoned
-        // by a panicking builder still guards a valid map.
+        // Indexes take in rows one at a time, so a lock poisoned by a
+        // panicking builder still guards a valid map.
         let key = (relation.to_string(), key_cols.to_vec());
         let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        if let Some(index) = entries.get(&key) {
+        if let Some(index) = entries.get(&key).filter(|ix| ix.end == rel.len()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return index.clone();
         }
         drop(entries);
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        entries
-            .entry(key)
-            .or_insert_with(|| {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                Arc::new(build_index(rel, key_cols))
-            })
-            .clone()
+        let found = match entries.contains_key(&key) {
+            true => &self.hits,
+            false => &self.builds,
+        };
+        found.fetch_add(1, Ordering::Relaxed);
+        let empty = || Arc::new(TupleIndex::build(rel.rows(), 0..0, key_cols));
+        let index = entries.entry(key).or_insert_with(empty);
+        if index.end < rel.len() {
+            Arc::make_mut(index).extend(rel.rows(), rel.len());
+        }
+        index.clone()
     }
 
-    /// Indexes built so far.
+    /// Requests answered by an index that already existed.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Indexes created.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }

@@ -2,23 +2,31 @@
 //!
 //! A [`RulePlan`] is a rule whose body has been reordered by the safety
 //! checker ([`crate::safety`]) into an executable pipeline over *binding
-//! rows* — partial assignments of the rule's variables (`None` =
-//! unbound). Each [`Step`] either extends the bindings (relation
-//! scan-join, IE call) or filters them (negation, comparison, zero-output
-//! IE call).
+//! rows* — partial assignments of the rule's variables. Each [`Step`]
+//! either extends the bindings (relation scan-join, IE call) or filters
+//! them (negation, comparison, zero-output IE call).
+//!
+//! The pipeline runs batch-at-a-time over flat storage: a step's binding
+//! rows are one [`Rows`] of `rows × n_vars` cells, a scan reads the
+//! relation's arena (or a delta: a range of its row ids), and the head
+//! projection writes one more flat batch for the evaluator to insert. A
+//! batch holds no row twice — so an uncacheable IE function runs once
+//! per distinct binding — but only the steps that can *create* a repeat
+//! pay for a dedupe: a scan with a `_` column, and every IE step. The
+//! others map distinct rows to distinct rows, and the head relation's
+//! insert catches what the projection folds.
 
 use crate::error::{EngineError, Result};
-use crate::ie::{cached_ie_call, IeContext, IeOutput, SharedDocs};
+use crate::ie::{cached_ie_call, IeContext, SharedDocs};
 use crate::optimizer::{self, IndexCache, RuleOpt, SplitClass, TupleIndex};
 use crate::registry::Registry;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
-use spannerlib_core::{Relation, Tuple, Value};
+use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_par::ThreadPool;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use spannerlog_parser::CmpOp;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A term resolved against the rule's variable table.
@@ -121,8 +129,18 @@ impl RulePlan {
     }
 }
 
-/// A binding row: `None` = variable not yet bound.
-type Row = Vec<Option<Value>>;
+/// A batch of binding rows. *Which* variables are bound is the same for
+/// every row, so it is kept once; the other cells hold [`UNBOUND`].
+struct Batch {
+    rows: Rows,
+    bound: Vec<bool>,
+}
+
+/// The filler in the cells of variables no step has bound yet.
+static UNBOUND: Value = Value::Bool(false);
+
+/// Candidate rows a join loop examines between two looks at the clock.
+const DEADLINE_STRIDE: usize = 4096;
 
 /// Evaluation-wide counters that shard workers race on during parallel
 /// firings — relaxed atomics, folded into the (single-threaded) trace
@@ -142,19 +160,17 @@ pub struct ParTally {
 pub struct ExecCtx<'a> {
     /// IE / aggregate / conversion registry.
     pub registry: &'a Registry,
-    /// Step index whose scan reads from `deltas` instead of `relations`
-    /// (semi-naive evaluation); `None` for a full evaluation.
-    pub delta_at: Option<usize>,
-    /// Per-round deltas of recursive predicates.
-    pub deltas: &'a FxHashMap<String, Relation>,
+    /// Semi-naive evaluation: the step whose scan reads only a delta —
+    /// the row ids the last round appended to its relation. `None` for
+    /// a full evaluation.
+    pub delta: Option<(usize, Range<usize>)>,
     /// IE memo table, when enabled.
     pub cache: Option<&'a SharedIeMemo>,
-    /// The production evaluator's scan-index memo. `None` is the
-    /// reference configuration (`EvalStrategy::Naive`): steps run in the
-    /// order safety analysis emitted and every scan builds and drops its
-    /// own index. Single-threaded by design — shard workers, whose step
-    /// order is already fixed, run with `None` too.
-    pub indexes: Option<&'a RefCell<IndexCache>>,
+    /// The production evaluator's scan indexes, shared with its shard
+    /// workers. `None` is the reference configuration
+    /// (`EvalStrategy::Naive`): steps run in the order safety analysis
+    /// emitted and every keyed scan builds and drops its own index.
+    pub indexes: Option<&'a IndexCache>,
     /// The document store, behind its lock for the whole evaluation.
     pub docs: &'a SharedDocs,
     /// The session's work-stealing pool; `None` keeps every firing on
@@ -163,7 +179,7 @@ pub struct ExecCtx<'a> {
     /// Shared evaluation-wide counters.
     pub tally: &'a ParTally,
     /// Wall-clock budget of the run (`EvalLimits::max_millis`), checked
-    /// before each IE batch; `None` = unlimited.
+    /// before each IE batch and inside join loops; `None` = unlimited.
     pub deadline: Option<crate::eval::EvalDeadline>,
 }
 
@@ -179,11 +195,11 @@ pub struct TraceCtx<'a> {
 }
 
 /// Executes `plan` against the given relations, returning the derived
-/// head tuples. `ctx.delta_at`, when set, makes the scan at that step
-/// index read from `ctx.deltas` instead of `relations` (semi-naive
-/// evaluation). `ctx.cache`, when set, memoizes IE calls across rows,
-/// reruns, and executions. Join and IE-batch work is reported through
-/// `tr` (every call is a no-op when tracing is off).
+/// head rows, repeats included. `ctx.delta`, when set, restricts one
+/// scan to a run of row ids (semi-naive evaluation). `ctx.cache`, when
+/// set, memoizes IE calls across rows, reruns, and executions. Join and
+/// IE-batch work is reported through `tr` (every call is a no-op when
+/// tracing is off).
 ///
 /// A rule classified split-correct runs in two parts: a prefix, up to
 /// the step that binds the rule's document variable, and the remaining
@@ -197,23 +213,24 @@ pub fn execute_with(
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
-) -> Result<Vec<Tuple>> {
+) -> Result<Rows> {
     validate_var_indexes(plan)?;
     let n_vars = plan.var_names.len();
-    let rows: Vec<Row> = vec![vec![None; n_vars]];
+    let mut rows = Rows::new(n_vars);
+    rows.push(std::iter::repeat_n(&UNBOUND, n_vars));
+    let bound = vec![false; n_vars];
+    let batch = Batch { rows, bound };
 
     // Delta-aware cardinality of the relation scanned by step `i` —
     // the planner's cost input and the trace's estimate column.
     let scan_rows = |i: usize| -> usize {
-        let Some(Step::Scan { relation, .. }) = plan.steps.get(i) else {
-            return 0;
-        };
-        let map = if ctx.delta_at == Some(i) {
-            ctx.deltas
-        } else {
-            relations
-        };
-        map.get(relation.as_str()).map_or(0, Relation::len)
+        match (&ctx.delta, plan.steps.get(i)) {
+            (Some((at, delta)), _) if *at == i => delta.len(),
+            (_, Some(Step::Scan { relation, .. })) => {
+                relations.get(relation).map_or(0, Relation::len)
+            }
+            _ => 0,
+        }
     };
 
     let order: Vec<usize> = match plan.opt.as_ref().filter(|_| ctx.indexes.is_some()) {
@@ -234,24 +251,16 @@ pub fn execute_with(
         }) => {
             // Prefix: run steps in order until the document variable is
             // bound, then shard the surviving rows.
-            let mut bound = vec![false; n_vars];
-            let mut split_at = order.len();
-            for (pos, &i) in order.iter().enumerate() {
-                for &v in &steps[i].binds {
-                    if let Some(b) = bound.get_mut(v) {
-                        *b = true;
-                    }
-                }
-                if bound.get(*doc_var) == Some(&true) {
-                    split_at = pos + 1;
-                    break;
-                }
-            }
+            let binds_doc = |&i: &usize| steps[i].binds.contains(doc_var);
+            let split_at = order
+                .iter()
+                .position(binds_doc)
+                .map_or(order.len(), |p| p + 1);
             let (prefix, suffix) = order.split_at(split_at);
-            run_steps(plan, prefix, rows, relations, ctx, tr)
+            run_steps(plan, prefix, batch, relations, ctx, tr)
                 .and_then(|seeded| run_sharded(plan, suffix, seeded, relations, ctx, tr, *doc_var))
         }
-        _ => run_steps(plan, &order, rows, relations, ctx, tr),
+        _ => run_steps(plan, &order, batch, relations, ctx, tr),
     };
     // Rows scanned flow through the shared tally (shard workers race on
     // it) and fold into the trace once per firing.
@@ -262,46 +271,51 @@ pub fn execute_with(
             .load(Ordering::Relaxed)
             .saturating_sub(scanned_before),
     );
-    project_head(plan, result?, ctx.docs, ctx.registry)
+    project_head(plan, &result?, ctx.docs, ctx.registry)
 }
 
-/// Runs the pipeline steps selected by `order` over `rows`: the whole
+impl Batch {
+    /// Marks the variables `step` binds.
+    fn bind(&mut self, step: &Step) {
+        if let Step::Scan { terms, .. } | Step::Ie { outputs: terms, .. } = step {
+            for t in terms {
+                if let PTerm::Var(v) = t {
+                    self.bound[*v] = true;
+                }
+            }
+        }
+    }
+}
+
+/// Runs the pipeline steps selected by `order` over `batch`: the whole
 /// order of a serial rule, the prefix of a split-correct one, and its
 /// suffix once per shard.
 fn run_steps(
     plan: &RulePlan,
     order: &[usize],
-    mut rows: Vec<Row>,
+    mut batch: Batch,
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
-) -> Result<Vec<Row>> {
-    let empty = Relation::new(spannerlib_core::Schema::empty());
+) -> Result<Batch> {
     for &i in order {
         let step = &plan.steps[i];
-        if rows.is_empty() {
-            return Ok(Vec::new());
+        if batch.rows.is_empty() {
+            batch.bind(step);
+            continue;
         }
         match step {
             Step::Scan { relation, terms } => {
-                let is_delta = ctx.delta_at == Some(i);
-                let rel = if is_delta {
-                    ctx.deltas.get(relation.as_str()).unwrap_or(&empty)
-                } else {
-                    relations.get(relation.as_str()).unwrap_or(&empty)
-                };
-                ctx.tally
-                    .rows_scanned
-                    .fetch_add(rel.len() as u64, Ordering::Relaxed);
                 let span = tr
                     .trace
                     .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
-                // Deltas share their relation's name but mutate between
-                // rounds, so only full-relation scans go through the memo.
-                let cache = ctx.indexes.filter(|_| !is_delta);
-                let joined = scan_join(plan, rows, rel, terms, relation, cache);
+                let delta = ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone());
+                let joined = match relations.get(relation) {
+                    Some(rel) => scan_join(plan, relation, terms, &batch, rel, delta, ctx),
+                    None => Ok(Rows::new(batch.rows.width())),
+                };
                 tr.trace.close(span);
-                rows = joined?;
+                batch.rows = joined?;
             }
             Step::Ie {
                 function,
@@ -309,201 +323,167 @@ fn run_steps(
                 outputs,
             } => {
                 // IE calls are where evaluation sinks open-ended time
-                // (user code, regex scans), so the wall-clock budget is
-                // re-checked at every batch boundary.
+                // (user code, regex scans): re-check the budget.
                 if let Some(d) = ctx.deadline {
                     d.check(Some(plan))?;
                 }
                 let f = ctx.registry.ie(function)?.clone();
-                // Batch rows by their concrete argument tuple:
-                // *cacheable* IE functions are stateless, so each
-                // distinct tuple is invoked (or memo-probed) exactly
-                // once even when many binding rows agree on the inputs.
-                // Uncacheable functions keep one call per row — their
-                // whole point is that repeated calls may differ.
-                let batch = f.cacheable();
-                let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-                let mut by_args: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-                for row in rows {
-                    let mut args: Vec<Value> = Vec::with_capacity(inputs.len());
-                    for t in inputs {
-                        args.push(match t {
-                            PTerm::Var(v) => row[*v].clone().ok_or_else(|| {
-                                internal(
-                                    plan,
-                                    format!(
-                                        "input {} of IE function {function:?} is unbound",
-                                        var_name(plan, *v)
-                                    ),
-                                )
-                            })?,
-                            PTerm::Const(c) => c.clone(),
-                            PTerm::Wildcard => {
-                                return Err(internal(
-                                    plan,
-                                    format!("wildcard input to IE function {function:?}"),
-                                ))
-                            }
-                        });
-                    }
-                    match by_args.get(&args).filter(|_| batch) {
-                        Some(&g) => groups[g].1.push(row),
-                        None => {
-                            if batch {
-                                by_args.insert(args.clone(), groups.len());
-                            }
-                            groups.push((args, vec![row]));
-                        }
-                    }
+                let role = format!("input of IE function {function:?}");
+                for t in inputs {
+                    operand(plan, t, &batch.bound, &role)?;
                 }
+                // Batch rows by their argument tuple: *cacheable* IE
+                // functions are stateless, so each distinct tuple is
+                // invoked (or memo-probed) once. Uncacheable ones keep
+                // one call per row — repeated calls may differ.
+                let var = |t: &PTerm| match t {
+                    PTerm::Var(v) => Some(*v),
+                    _ => None,
+                };
+                let arg_vars: Vec<usize> = inputs.iter().filter_map(var).collect();
+                let rows = &batch.rows;
+                let by_args = f
+                    .cacheable()
+                    .then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
+                let groups = by_args.as_ref().map_or(rows.len(), |ix| ix.groups().len());
                 ctx.tally.ie_batches.fetch_add(1, Ordering::Relaxed);
                 let span = tr.trace.open(tr.parent, SpanKind::IeBatch, || {
-                    format!("{function} ×{}", groups.len())
+                    format!("{function} ×{groups}")
                 });
                 // Error paths may leak `span`; RunTrace::finish (and,
                 // on shard forks, merge_fork) closes leaked spans at
                 // the abort timestamp.
-                let mut next = Vec::new();
-                for (args, group_rows) in groups {
+                let cols = Columns::of(outputs, &batch.bound);
+                let mut next = Rows::new(rows.width());
+                // Output rows can repeat and a `_` can fold distinct
+                // ones: always dedupe.
+                let mut seen = Some(RowTable::default());
+                for g in 0..groups {
+                    let solo = [g];
+                    let members = by_args.as_ref().map_or(&solo[..], |ix| &ix.groups()[g]);
+                    let first = rows.row(members[0]);
+                    let call_args: Vec<Value> =
+                        inputs.iter().map(|t| cell(t, first).clone()).collect();
                     let t0 = tr.trace.now_ns();
+                    let n = outputs.len();
                     let (out_rows, memo_hit) =
-                        cached_ie_call(&*f, function, &args, outputs.len(), ctx.docs, ctx.cache)?;
+                        cached_ie_call(&*f, function, &call_args, n, ctx.docs, ctx.cache)?;
                     tr.trace.ie_call(function, memo_hit, t0);
-                    check_output_arity(function, outputs.len(), &out_rows)?;
-                    for row in group_rows {
-                        for out in out_rows.iter() {
-                            if let Some(extended) = unify_values(&row, outputs, out) {
-                                next.push(extended);
-                            }
+                    if let Some(out) = out_rows.iter().find(|out| out.len() != n) {
+                        return Err(EngineError::IeOutputArity {
+                            function: function.to_string(),
+                            expected: n,
+                            actual: out.len(),
+                        });
+                    }
+                    for input in members.iter().map(|&r| rows.row(r)) {
+                        for out in out_rows.iter().filter(|out| cols.key_holds(input, out)) {
+                            cols.emit(input, out, &mut next, &mut seen);
                         }
                     }
                 }
                 tr.trace.close(span);
-                rows = dedupe(next);
+                batch.rows = next;
             }
             Step::Negation { relation, terms } => {
-                let rel = relations.get(relation.as_str()).unwrap_or(&empty);
-                anti_join(&mut rows, rel, terms);
+                if let Some(rel) = relations.get(relation) {
+                    anti_join(&mut batch, rel, terms);
+                }
             }
             Step::Compare { left, op, right } => {
-                let mut filtered = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let keep = {
-                        let a = term_value(left, &row, plan)?;
-                        let b = term_value(right, &row, plan)?;
-                        compare(a, b, *op)?
-                    };
-                    if keep {
-                        filtered.push(row);
-                    }
+                operand(plan, left, &batch.bound, "comparison operand")?;
+                operand(plan, right, &batch.bound, "comparison operand")?;
+                let mut failed = None;
+                batch.rows.retain(|_, row| {
+                    compare(cell(left, row), cell(right, row), *op).unwrap_or_else(|e| {
+                        failed.get_or_insert(e);
+                        false
+                    })
+                });
+                if let Some(e) = failed {
+                    return Err(e);
                 }
-                rows = filtered;
             }
         }
+        batch.bind(step);
     }
-    Ok(rows)
-}
-
-/// Rejects IE outputs whose arity disagrees with the calling atom.
-fn check_output_arity(function: &str, expected: usize, out_rows: &IeOutput) -> Result<()> {
-    for out in out_rows.iter() {
-        if out.len() != expected {
-            return Err(EngineError::IeOutputArity {
-                function: function.to_string(),
-                expected,
-                actual: out.len(),
-            });
-        }
-    }
-    Ok(())
+    Ok(batch)
 }
 
 /// Runs the post-split suffix of a split-correct rule over the bins of
-/// `rows` partitioned on the document variable. One bin — no pool, one
+/// `batch` partitioned on the document variable. One bin — no pool, one
 /// document, one row — runs on the calling thread. More fork a trace
 /// per shard, evaluate each shard on the pool, and merge results and
 /// traces back in shard index order; the first shard error (in that
-/// stable order) wins, matching the one-bin error determinism.
+/// stable order) wins, matching the one-bin error determinism. Rows of
+/// different bins differ in the document variable: no dedupe on merge.
 fn run_sharded(
     plan: &RulePlan,
     suffix: &[usize],
-    rows: Vec<Row>,
+    batch: Batch,
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
     doc_var: usize,
-) -> Result<Vec<Row>> {
-    if suffix.is_empty() {
-        return Ok(rows);
-    }
+) -> Result<Batch> {
     let target = ctx.pool.map_or(1, |p| p.workers().saturating_mul(2));
+    let Batch { rows, bound } = batch;
+    let shard = |rows: Rows| Batch {
+        rows,
+        bound: bound.clone(),
+    };
+    let mut merged = Rows::new(rows.width());
     let mut bins = partition_rows(rows, doc_var, ctx.docs, target);
     let pool = match ctx.pool {
-        Some(pool) if bins.len() > 1 => pool,
+        Some(pool) if bins.len() > 1 && !suffix.is_empty() => pool,
         _ => {
-            let rows = bins.pop().unwrap_or_default();
-            return run_steps(plan, suffix, rows, relations, ctx, tr);
+            let batch = shard(bins.pop().unwrap_or(merged));
+            return run_steps(plan, suffix, batch, relations, ctx, tr);
         }
     };
     ctx.tally
         .shard_tasks
         .fetch_add(bins.len() as u64, Ordering::Relaxed);
-    // Shard tasks must not capture `ctx` itself: its index-memo handle
-    // is single-threaded by design (`RefCell`), so the relevant fields
-    // are rebundled per shard with `indexes: None, pool: None`.
-    let registry = ctx.registry;
-    let delta_at = ctx.delta_at;
-    let deltas = ctx.deltas;
-    let cache = ctx.cache;
-    let docs = ctx.docs;
-    let tally = ctx.tally;
-    let deadline = ctx.deadline;
-    let mut slots: Vec<Option<(Result<Vec<Row>>, RunTrace)>> =
-        (0..bins.len()).map(|_| None).collect();
+    let shard_ctx = &ExecCtx {
+        delta: ctx.delta.clone(),
+        pool: None,
+        ..*ctx
+    };
+    let mut slots: Vec<Option<(Result<Batch>, RunTrace)>> = (0..bins.len()).map(|_| None).collect();
     pool.scope(|s| {
         for (i, (slot, bin)) in slots.iter_mut().zip(bins).enumerate() {
             let mut fork = tr.trace.fork();
+            let bin = shard(bin);
             s.spawn(move || {
                 let span = fork.open(NO_SPAN, SpanKind::Shard, || {
-                    format!("shard {i} ({} rows)", bin.len())
+                    format!("shard {i} ({} rows)", bin.rows.len())
                 });
-                let shard_ctx = ExecCtx {
-                    registry,
-                    delta_at,
-                    deltas,
-                    cache,
-                    indexes: None,
-                    docs,
-                    pool: None,
-                    tally,
-                    deadline,
-                };
                 let mut shard_tr = TraceCtx {
                     trace: &mut fork,
                     rule: 0,
                     parent: span,
                 };
-                let res = run_steps(plan, suffix, bin, relations, &shard_ctx, &mut shard_tr);
+                let res = run_steps(plan, suffix, bin, relations, shard_ctx, &mut shard_tr);
                 fork.close(span);
                 *slot = Some((res, fork));
             });
         }
     });
-    let mut merged: Vec<Row> = Vec::new();
-    let mut first_err: Option<EngineError> = None;
+    let mut shards = Vec::new();
     for slot in slots {
         let (res, fork) = slot.expect("pool scope ran every shard task");
         tr.trace.merge_fork(tr.rule, tr.parent, fork);
-        match res {
-            Ok(rows) if first_err.is_none() => merged.extend(rows),
-            Err(e) if first_err.is_none() => first_err = Some(e),
-            _ => {}
-        }
+        shards.push(res);
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(dedupe(merged)),
+    for shard in shards.into_iter().collect::<Result<Vec<Batch>>>()? {
+        merged.append(shard.rows);
     }
+    let mut done = Batch {
+        rows: merged,
+        bound,
+    };
+    suffix.iter().for_each(|&i| done.bind(&plan.steps[i]));
+    Ok(done)
 }
 
 /// Partitions binding rows on the document variable for shard-parallel
@@ -512,68 +492,47 @@ fn run_sharded(
 /// order); any other value mix falls back to greedy weight-balanced
 /// binning keyed on the value itself, so rows over the same document
 /// always land in the same shard.
-fn partition_rows(
-    rows: Vec<Row>,
-    doc_var: usize,
-    docs: &SharedDocs,
-    target: usize,
-) -> Vec<Vec<Row>> {
+fn partition_rows(rows: Rows, doc_var: usize, docs: &SharedDocs, target: usize) -> Vec<Rows> {
     if target <= 1 || rows.len() <= 1 {
         return vec![rows];
     }
-    let all_spans = rows
-        .iter()
-        .all(|r| matches!(r.get(doc_var), Some(Some(Value::Span(_)))));
-    if all_spans {
+    let doc_of = |row: &[Value]| match &row[doc_var] {
+        Value::Span(span) => Some(span.doc),
+        _ => None,
+    };
+    let (mut bin_of, mut n) = (Vec::new(), 0);
+    if rows.iter().all(|row| doc_of(row).is_some()) {
         let shards = docs.read().shards(target);
-        if shards.len() > 1 {
-            let mut bins: Vec<Vec<Row>> = (0..shards.len()).map(|_| Vec::new()).collect();
-            for row in rows {
-                let Some(Value::Span(span)) = &row[doc_var] else {
-                    unreachable!("all_spans checked above");
-                };
-                let slot = shards
-                    .iter()
-                    .position(|s| s.contains(span.doc))
-                    .unwrap_or(0);
-                bins[slot].push(row);
-            }
-            bins.retain(|b| !b.is_empty());
-            return bins;
-        }
         // A store too small to split (e.g. one huge document) falls
         // through to value-keyed binning over the span values.
+        if shards.len() > 1 {
+            let slot = |doc| shards.iter().position(|s| s.contains(doc)).unwrap_or(0);
+            bin_of = rows.iter().filter_map(doc_of).map(slot).collect();
+            n = shards.len();
+        }
     }
-    // Group rows by the document variable's value, then greedily pack
-    // each group into the lightest bin (deterministic: groups keep
-    // first-appearance order, ties prefer the lowest bin index).
-    let mut group_of: FxHashMap<Option<Value>, usize> = FxHashMap::default();
-    let mut groups: Vec<(u64, Vec<Row>)> = Vec::new();
-    for row in rows {
-        let key = row.get(doc_var).cloned().flatten();
-        let g = match group_of.get(&key) {
-            Some(&g) => g,
-            None => {
-                let weight = match &key {
-                    Some(Value::Str(s)) => s.len() as u64,
-                    Some(Value::Span(s)) => s.len() as u64,
-                    _ => 1,
-                }
-                .max(1);
-                group_of.insert(key, groups.len());
-                groups.push((weight, Vec::new()));
-                groups.len() - 1
-            }
-        };
-        groups[g].1.push(row);
+    if n == 0 {
+        // Group rows by the document variable's value, then greedily
+        // pack each group into the lightest bin (deterministic: groups
+        // keep first-appearance order, ties prefer the lowest bin index).
+        let groups = TupleIndex::build(&rows, 0..rows.len(), &[doc_var]);
+        n = target.min(groups.groups().len());
+        let mut load = vec![0u64; n];
+        bin_of = vec![0; rows.len()];
+        for members in groups.groups() {
+            let weight = match &rows.row(members[0])[doc_var] {
+                Value::Str(s) => s.len().max(1),
+                Value::Span(s) => s.len().max(1),
+                _ => 1,
+            };
+            let lightest = (0..n).min_by_key(|&i| (load[i], i)).expect("n >= 1");
+            load[lightest] += weight as u64;
+            members.iter().for_each(|&r| bin_of[r] = lightest);
+        }
     }
-    let n = target.min(groups.len());
-    let mut bins: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-    let mut weights = vec![0u64; n];
-    for (w, group_rows) in groups {
-        let lightest = (0..n).min_by_key(|&i| (weights[i], i)).expect("n >= 1");
-        weights[lightest] += w;
-        bins[lightest].extend(group_rows);
+    let mut bins: Vec<Rows> = (0..n).map(|_| Rows::new(rows.width())).collect();
+    for (row, bin) in rows.iter().zip(bin_of) {
+        bins[bin].push(row);
     }
     bins.retain(|b| !b.is_empty());
     bins
@@ -593,72 +552,57 @@ fn internal(plan: &RulePlan, detail: String) -> EngineError {
     }
 }
 
-/// Variable name for diagnostics; tolerates out-of-range indexes.
-fn var_name(plan: &RulePlan, v: usize) -> String {
-    match plan.var_names.get(v) {
-        Some(name) => format!("{name:?}"),
-        None => format!("#{v}"),
-    }
-}
-
 /// One cheap pass over the plan so every raw `row[v]` index below is in
 /// range: a malformed plan (variable index past the variable table)
 /// degrades to [`EngineError::Internal`] instead of an index panic.
 fn validate_var_indexes(plan: &RulePlan) -> Result<()> {
     let n = plan.var_names.len();
-    let check = |terms: &[PTerm]| -> Result<()> {
-        for t in terms {
-            if let PTerm::Var(v) = t {
-                if *v >= n {
-                    return Err(internal(
-                        plan,
-                        format!("variable index {v} out of range ({n} variables)"),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    };
-    for step in &plan.steps {
+    let terms = plan.steps.iter().flat_map(|step| -> Vec<&PTerm> {
         match step {
-            Step::Scan { terms, .. } | Step::Negation { terms, .. } => check(terms)?,
+            Step::Scan { terms, .. } | Step::Negation { terms, .. } => terms.iter().collect(),
             Step::Ie {
                 inputs, outputs, ..
-            } => {
-                check(inputs)?;
-                check(outputs)?;
-            }
-            Step::Compare { left, op: _, right } => {
-                check(std::slice::from_ref(left))?;
-                check(std::slice::from_ref(right))?;
-            }
+            } => inputs.iter().chain(outputs).collect(),
+            Step::Compare { left, right, .. } => vec![left, right],
         }
+    });
+    let body_vars = terms.filter_map(|t| match t {
+        PTerm::Var(v) => Some(*v),
+        _ => None,
+    });
+    let head_vars = plan.head.iter().filter_map(|h| match h {
+        HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => Some(*v),
+        HeadOut::Const(_) => None,
+    });
+    match body_vars.chain(head_vars).find(|&v| v >= n) {
+        Some(v) => Err(internal(
+            plan,
+            format!("variable index {v} out of range ({n} variables)"),
+        )),
+        None => Ok(()),
     }
-    for h in &plan.head {
-        let v = match h {
-            HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => *v,
-            HeadOut::Const(_) => continue,
-        };
-        if v >= n {
-            return Err(internal(
-                plan,
-                format!("head variable index {v} out of range ({n} variables)"),
-            ));
-        }
-    }
-    Ok(())
 }
 
-fn term_value<'r>(t: &'r PTerm, row: &'r Row, plan: &RulePlan) -> Result<&'r Value> {
+/// The cell of binding row `row` that `t` stands for: its constant, or
+/// its variable's column (`_`, which [`operand`] rejects, has none).
+fn cell<'a>(t: &'a PTerm, row: &'a [Value]) -> &'a Value {
     match t {
-        PTerm::Var(v) => row[*v].as_ref().ok_or_else(|| {
-            internal(
-                plan,
-                format!("comparison operand {} is unbound", var_name(plan, *v)),
-            )
-        }),
-        PTerm::Const(c) => Ok(c),
-        PTerm::Wildcard => Err(internal(plan, "wildcard comparison operand".to_string())),
+        PTerm::Const(c) => c,
+        PTerm::Var(v) => &row[*v],
+        PTerm::Wildcard => &UNBOUND,
+    }
+}
+
+/// Checks that `t` has a value in every row of a batch binding `bound`;
+/// `role` names the term in the error a malformed plan gets otherwise.
+fn operand(plan: &RulePlan, t: &PTerm, bound: &[bool], role: &str) -> Result<()> {
+    match t {
+        PTerm::Var(v) if !bound[*v] => Err(internal(
+            plan,
+            format!("{role} {:?} is unbound", plan.var_names[*v]),
+        )),
+        PTerm::Wildcard => Err(internal(plan, format!("{role} is a wildcard"))),
+        _ => Ok(()),
     }
 }
 
@@ -692,25 +636,104 @@ fn compare(a: &Value, b: &Value, op: CmpOp) -> Result<bool> {
     })
 }
 
-/// Hash join of binding rows with a relation.
+/// How the columns of one atom — a scan's or negation's terms, an IE
+/// call's outputs — meet a batch.
+struct Columns<'p> {
+    /// `(column, the cell it must equal)`: constants and bound
+    /// variables. A scan's join key.
+    key: Vec<(usize, &'p PTerm)>,
+    /// `(column, earlier column)`: a variable the atom binds twice.
+    same: Vec<(usize, usize)>,
+    /// Per variable: the column that binds it here, if one does.
+    binds: Vec<Option<usize>>,
+    /// Whether a column is `_`: tuples differing only there extend a
+    /// binding row identically.
+    wildcard: bool,
+}
+
+impl<'p> Columns<'p> {
+    fn of(terms: &'p [PTerm], bound: &[bool]) -> Columns<'p> {
+        let mut cols = Columns {
+            key: Vec::new(),
+            same: Vec::new(),
+            binds: vec![None; bound.len()],
+            wildcard: false,
+        };
+        for (c, t) in terms.iter().enumerate() {
+            match t {
+                PTerm::Wildcard => cols.wildcard = true,
+                PTerm::Var(v) if !bound[*v] => match cols.binds[*v] {
+                    Some(first) => cols.same.push((c, first)),
+                    None => cols.binds[*v] = Some(c),
+                },
+                _ => cols.key.push((c, t)),
+            }
+        }
+        cols
+    }
+
+    fn key_cols(&self) -> Vec<usize> {
+        self.key.iter().map(|&(c, _)| c).collect()
+    }
+
+    /// The key cells of binding row `input`, in key order.
+    fn key_of<'r>(&'r self, input: &'r [Value]) -> impl Iterator<Item = &'r Value> + Clone {
+        self.key.iter().map(move |(_, t)| cell(t, input))
+    }
+
+    /// Whether `tuple` agrees with `input` on the key columns (a fact
+    /// already when an index on them found it).
+    fn key_holds(&self, input: &[Value], tuple: &[Value]) -> bool {
+        self.key.iter().all(|&(c, t)| tuple[c] == *cell(t, input))
+    }
+
+    /// Appends `input` extended by what `tuple` binds, unless `tuple`
+    /// disagrees with itself on a twice-bound variable — or `seen`, the
+    /// table of `out`'s rows, has the row already.
+    fn emit(&self, input: &[Value], tuple: &[Value], out: &mut Rows, seen: &mut Option<RowTable>) {
+        if self.same.iter().any(|&(a, b)| tuple[a] != tuple[b]) {
+            return;
+        }
+        let binds = self.binds.iter().zip(input);
+        let cells = binds.map(|(from, cell)| from.map_or(cell, |c| &tuple[c]));
+        match seen {
+            Some(seen) => drop(out.push_distinct(seen, cells)),
+            None => out.push(cells),
+        }
+    }
+}
+
+/// Hash join of a batch with a relation — all its rows, or `delta`.
 ///
 /// Columns whose term is a constant or an already-bound variable form the
 /// join key; remaining variable columns bind new variables (repeated new
 /// variables unify left-to-right). Constants participate as ordinary key
 /// columns, so rules filtering the same columns with *different*
-/// constants share an index. With `cache`, the index is taken from (or
-/// built into) the evaluation's [`IndexCache`]; without, it is built
-/// here and dropped on return.
+/// constants share an index. A scan without a key walks the rows. A
+/// keyed one probes an index of row ids: the run's cached one for a
+/// whole-relation scan (a delta is other rows every round), else one
+/// built here and dropped on return. Distinct binding rows extended by
+/// distinct tuples are distinct unless a `_` hides the difference: only
+/// then is the output deduplicated.
 fn scan_join(
     plan: &RulePlan,
-    rows: Vec<Row>,
-    rel: &Relation,
-    terms: &[PTerm],
     relation: &str,
-    cache: Option<&RefCell<IndexCache>>,
-) -> Result<Vec<Row>> {
-    if rel.is_empty() {
-        return Ok(Vec::new());
+    terms: &[PTerm],
+    batch: &Batch,
+    rel: &Relation,
+    delta: Option<Range<usize>>,
+    ctx: &ExecCtx<'_>,
+) -> Result<Rows> {
+    let cache = ctx.indexes.filter(|_| delta.is_none());
+    let range = delta.map_or(0..rel.len(), |d| {
+        d.start.min(rel.len())..d.end.min(rel.len())
+    });
+    ctx.tally
+        .rows_scanned
+        .fetch_add(range.len() as u64, Ordering::Relaxed);
+    let mut out = Rows::new(batch.rows.width());
+    if range.is_empty() {
+        return Ok(out);
     }
     // Relations are uniform in arity: either every tuple fits the terms
     // or none does.
@@ -721,252 +744,120 @@ fn scan_join(
             actual: rel.schema().arity(),
         });
     }
-    let key_cols = join_key_cols(&rows[0], terms);
-    let index: Rc<TupleIndex> = match cache {
-        Some(cache) => cache.borrow_mut().index(relation, rel, &key_cols),
-        None => Rc::new(optimizer::build_index(rel, &key_cols)),
+    let cols = Columns::of(terms, &batch.bound);
+    let mut seen = cols.wildcard.then(RowTable::default);
+    let rows = rel.rows();
+    // One firing's join can outgrow any budget between two rounds.
+    let mut examined = 0usize;
+    let mut emit = |input: &[Value], tuple: &[Value]| {
+        cols.emit(input, tuple, &mut out, &mut seen);
+        examined += 1;
+        match ctx.deadline {
+            Some(d) if examined.is_multiple_of(DEADLINE_STRIDE) => d.check(Some(plan)),
+            _ => Ok(()),
+        }
     };
-
-    let mut out = Vec::new();
-    for row in &rows {
-        let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-        for &c in &key_cols {
-            key.push(match &terms[c] {
-                PTerm::Const(v) => v.clone(),
-                PTerm::Var(v) => row[*v]
-                    .clone()
-                    .ok_or_else(|| join_key_unbound(plan, relation, &terms[c]))?,
-                PTerm::Wildcard => return Err(join_key_unbound(plan, relation, &terms[c])),
-            });
+    if cols.key.is_empty() {
+        for input in batch.rows.iter() {
+            rows.range(range.clone())
+                .try_for_each(|tuple| emit(input, tuple))?;
         }
-        let Some(candidates) = index.get(&key) else {
-            continue;
-        };
-        for tuple in candidates {
-            if let Some(extended) = unify_values(row, terms, tuple.values()) {
-                out.push(extended);
-            }
-        }
+        return Ok(out);
     }
-    Ok(dedupe(out))
-}
-
-/// The join-key columns of a scan: constants plus already-bound
-/// variables. The bound-variable set is uniform across rows at any
-/// step, so it is read off `first`.
-fn join_key_cols(first: &Row, terms: &[PTerm]) -> Vec<usize> {
-    let mut key_cols: Vec<usize> = Vec::new();
-    for (c, t) in terms.iter().enumerate() {
-        match t {
-            PTerm::Const(_) => key_cols.push(c),
-            PTerm::Var(v) if first[*v].is_some() => key_cols.push(c),
-            _ => {}
-        }
-    }
-    key_cols
-}
-
-fn join_key_unbound(plan: &RulePlan, relation: &str, t: &PTerm) -> EngineError {
-    let what = match t {
-        PTerm::Var(v) => format!("variable {}", var_name(plan, *v)),
-        _ => "wildcard".to_string(),
+    let index = match cache {
+        Some(cache) => cache.index(relation, rel, &cols.key_cols()),
+        None => TupleIndex::build(rows, range, &cols.key_cols()).into(),
     };
-    internal(
-        plan,
-        format!("join key {what} of scan over {relation:?} is unbound"),
-    )
-}
-
-/// Unifies concrete `values` against `terms`, extending `row` where a
-/// variable is unbound and filtering where it is bound or constant.
-fn unify_values(row: &Row, terms: &[PTerm], values: &[Value]) -> Option<Row> {
-    let mut extended = row.clone();
-    for (c, t) in terms.iter().enumerate() {
-        match t {
-            PTerm::Wildcard => {}
-            PTerm::Const(v) => {
-                if &values[c] != v {
-                    return None;
-                }
-            }
-            PTerm::Var(v) => match &extended[*v] {
-                Some(existing) => {
-                    if existing != &values[c] {
-                        return None;
-                    }
-                }
-                None => extended[*v] = Some(values[c].clone()),
-            },
-        }
+    for input in batch.rows.iter() {
+        let mut matching = index.get(rows, cols.key_of(input)).iter();
+        matching.try_for_each(|&id| emit(input, rows.row(id)))?;
     }
-    Some(extended)
+    Ok(out)
 }
 
 /// Hash anti-join for `not relation(terms)`: drops every row for which
 /// `rel` holds a matching tuple. The non-wildcard columns form the key;
-/// the relation's key set is built once for the step and probed once
+/// the relation is indexed on them once for the step and probed once
 /// per row.
-fn anti_join(rows: &mut Vec<Row>, rel: &Relation, terms: &[PTerm]) {
+fn anti_join(batch: &mut Batch, rel: &Relation, terms: &[PTerm]) {
+    let cols = Columns::of(terms, &batch.bound);
     // Relations are uniform in arity: either every tuple can match or
-    // none can.
-    if rel.is_empty() || rel.schema().arity() != terms.len() {
+    // none can. And a variable nothing has bound matches nothing.
+    let unbound = cols.binds.iter().any(Option::is_some);
+    if unbound || rel.is_empty() || rel.schema().arity() != terms.len() {
         return;
     }
-    let key_cols: Vec<usize> = (0..terms.len())
-        .filter(|&c| terms[c] != PTerm::Wildcard)
-        .collect();
-    let keys: FxHashSet<Vec<&Value>> = rel
-        .iter()
-        .map(|tuple| key_cols.iter().map(|&c| &tuple[c]).collect())
-        .collect();
-    rows.retain(|row| {
-        // Constants as written, variables as the row binds them; an
-        // unbound variable matches nothing.
-        let key: Option<Vec<&Value>> = key_cols
-            .iter()
-            .map(|&c| match &terms[c] {
-                PTerm::Const(v) => Some(v),
-                PTerm::Var(v) => row[*v].as_ref(),
-                PTerm::Wildcard => None,
-            })
-            .collect();
-        !key.is_some_and(|key| keys.contains(&key))
-    });
+    let index = TupleIndex::build(rel.rows(), 0..rel.len(), &cols.key_cols());
+    let matched = |row: &[Value]| !index.get(rel.rows(), cols.key_of(row)).is_empty();
+    batch.rows.retain(|_, row| !matched(row));
 }
 
-/// The definition [`anti_join`] is tested against: a scan of the whole
-/// relation per row.
-#[cfg(test)]
-fn exists_match(rel: &Relation, terms: &[PTerm], row: &Row) -> bool {
-    rel.iter().any(|tuple| {
-        tuple.arity() == terms.len()
-            && terms.iter().enumerate().all(|(c, t)| match t {
-                PTerm::Wildcard => true,
-                PTerm::Const(v) => &tuple[c] == v,
-                PTerm::Var(v) => Some(&tuple[c]) == row[*v].as_ref(),
-            })
-    })
-}
-
-/// Drops repeated rows, keeping first occurrences in order.
-fn dedupe(mut rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: FxHashSet<&Row> = FxHashSet::default();
-    let first: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
-    let mut first = first.into_iter();
-    rows.retain(|_| first.next().expect("one flag per row"));
-    rows
-}
-
-/// Projects binding rows through the head, grouping if any aggregate
-/// column is present.
+/// Projects a batch through the head, grouping if any aggregate column
+/// is present.
 fn project_head(
     plan: &RulePlan,
-    rows: Vec<Row>,
+    batch: &Batch,
     docs: &SharedDocs,
     registry: &Registry,
-) -> Result<Vec<Tuple>> {
-    let var_value = |row: &Row, v: usize| -> Result<Value> {
-        row[v].clone().ok_or_else(|| {
-            internal(
-                plan,
-                format!("head variable {} is unbound", var_name(plan, v)),
-            )
-        })
+) -> Result<Rows> {
+    let mut out = Rows::new(plan.head.len());
+    if batch.rows.is_empty() {
+        return Ok(out);
+    }
+    // One cell per head column; an aggregate column reads its variable.
+    let as_term = |h: &HeadOut| match h {
+        HeadOut::Const(c) => PTerm::Const(c.clone()),
+        HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => PTerm::Var(*v),
     };
-
+    let head: Vec<PTerm> = plan.head.iter().map(as_term).collect();
+    for t in &head {
+        operand(plan, t, &batch.bound, "head variable")?;
+    }
+    let project = |row| head.iter().map(move |t| cell(t, row));
     if !plan.has_aggregation() {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut values = Vec::with_capacity(plan.head.len());
-            for h in &plan.head {
-                values.push(match h {
-                    HeadOut::Var(v) => var_value(&row, *v)?,
-                    HeadOut::Const(c) => c.clone(),
-                    HeadOut::Aggregate { .. } => {
-                        return Err(internal(
-                            plan,
-                            "aggregate head column outside the group-by path".to_string(),
-                        ))
-                    }
-                });
-            }
-            out.push(Tuple::new(values));
-        }
+        batch.rows.iter().for_each(|row| out.push(project(row)));
         return Ok(out);
     }
 
     // Group-by: key = non-aggregate head columns; each aggregate folds
     // the distinct (key, agg-vars) projections (set semantics — see
-    // DESIGN.md §4 "aggregation semantics").
-    let agg_vars: Vec<usize> = plan
-        .head
-        .iter()
-        .filter_map(|h| match h {
-            HeadOut::Aggregate { var, .. } => Some(*var),
-            _ => None,
-        })
-        .collect();
-
-    let mut groups: FxHashMap<Vec<Value>, Vec<Vec<Value>>> = FxHashMap::default();
-    let mut seen: FxHashSet<(Vec<Value>, Vec<Value>)> = FxHashSet::default();
-    let mut group_order: Vec<Vec<Value>> = Vec::new();
-    for row in &rows {
-        let mut key: Vec<Value> = Vec::with_capacity(plan.head.len());
-        for h in &plan.head {
-            match h {
-                HeadOut::Var(v) => key.push(var_value(row, *v)?),
-                HeadOut::Const(c) => key.push(c.clone()),
-                HeadOut::Aggregate { .. } => {}
-            }
-        }
-        let aggs: Vec<Value> = agg_vars
-            .iter()
-            .map(|&v| var_value(row, v))
-            .collect::<Result<_>>()?;
-        if seen.insert((key.clone(), aggs.clone())) {
-            if !groups.contains_key(&key) {
-                group_order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(aggs);
-        }
+    // DESIGN.md §4 "aggregation semantics"), grouped on the key columns.
+    let mut distinct = Rows::new(plan.head.len());
+    let mut seen = RowTable::default();
+    for row in batch.rows.iter() {
+        distinct.push_distinct(&mut seen, project(row));
     }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for key in group_order {
-        let members = &groups[&key];
-        let mut tuple: Vec<Value> = Vec::with_capacity(plan.head.len());
-        let mut key_iter = key.iter();
-        let mut agg_idx = 0usize;
-        for h in &plan.head {
-            match h {
-                HeadOut::Var(_) | HeadOut::Const(_) => {
-                    let v = key_iter.next().ok_or_else(|| {
-                        internal(plan, "group key shorter than head projection".to_string())
-                    })?;
-                    tuple.push(v.clone());
-                }
-                HeadOut::Aggregate {
-                    func, conversions, ..
-                } => {
-                    let mut values: Vec<Value> =
-                        members.iter().map(|m| m[agg_idx].clone()).collect();
-                    // Conversions apply innermost-first; they are stored
-                    // outermost-first as written.
-                    for conv_name in conversions.iter().rev() {
-                        let conv = registry.conversion(conv_name)?;
-                        let ctx = IeContext::new(docs);
-                        values = values
-                            .iter()
-                            .map(|v| conv.convert(v, &ctx))
-                            .collect::<Result<_>>()?;
-                    }
-                    let agg = registry.aggregate(func)?;
-                    tuple.push(agg.apply(&values)?);
-                    agg_idx += 1;
-                }
+    let is_key = |c: &usize| !matches!(plan.head[*c], HeadOut::Aggregate { .. });
+    let key_cols: Vec<usize> = (0..plan.head.len()).filter(is_key).collect();
+    let groups = TupleIndex::build(&distinct, 0..distinct.len(), &key_cols);
+    let mut tuple: Vec<Value> = Vec::with_capacity(plan.head.len());
+    for members in groups.groups() {
+        for (c, h) in plan.head.iter().enumerate() {
+            let HeadOut::Aggregate {
+                func, conversions, ..
+            } = h
+            else {
+                tuple.push(distinct.row(members[0])[c].clone());
+                continue;
+            };
+            let mut values: Vec<Value> = members
+                .iter()
+                .map(|&m| distinct.row(m)[c].clone())
+                .collect();
+            // Conversions apply innermost-first; they are stored
+            // outermost-first as written.
+            for conv_name in conversions.iter().rev() {
+                let conv = registry.conversion(conv_name)?;
+                let ctx = IeContext::new(docs);
+                values = values
+                    .iter()
+                    .map(|v| conv.convert(v, &ctx))
+                    .collect::<Result<_>>()?;
             }
+            tuple.push(registry.aggregate(func)?.apply(&values)?);
         }
-        out.push(Tuple::new(tuple));
+        out.push(&tuple);
+        tuple.clear();
     }
     Ok(out)
 }
@@ -975,10 +866,289 @@ fn project_head(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use spannerlib_core::{Schema, ValueType};
+    use spannerlib_core::{hash_cells, Schema, Tuple, ValueType};
+    use std::collections::BTreeSet;
+
+    /// A partial assignment of a rule's variables.
+    type Env = Vec<Option<Value>>;
+
+    /// Five integers whose one-cell rows hash to consecutive numbers —
+    /// one [`RowTable`] tag, one home slot — so that every
+    /// single-column key these tests probe with collides with the
+    /// others and only the cell comparison tells them apart. Fx ends on
+    /// `(state ^ cell) * SEED`, a bijection of the cell: stepping its
+    /// pre-image by SEED⁻¹ steps the hash by one.
+    fn colliding_ints() -> [i64; 5] {
+        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        // Newton's iteration doubles the correct low bits of SEED⁻¹.
+        let inv = (0..6).fold(1u64, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(SEED.wrapping_mul(inv)))
+        });
+        let hash = |v: i64| hash_cells([&Value::Int(v)]);
+        let state = hash(0).wrapping_mul(inv);
+        let ints =
+            [0u64, 1, 2, 3, 4].map(|k| (state ^ state.wrapping_add(inv.wrapping_mul(k))) as i64);
+        let tags: BTreeSet<u64> = ints.iter().map(|&v| hash(v) >> 32).collect();
+        assert_eq!(tags.len(), 1, "Fx changed; rebuild the colliding family");
+        ints
+    }
+
+    fn term(kind: u8, n: usize, ints: &[i64; 5]) -> PTerm {
+        match kind {
+            0 => PTerm::Wildcard,
+            1 => PTerm::Const(Value::Int(ints[n])),
+            _ => PTerm::Var(n % 4),
+        }
+    }
+
+    fn relation(arity: usize, tuples: &[Vec<usize>], ints: &[i64; 5]) -> Relation {
+        let mut rel = Relation::new(Schema::new(vec![ValueType::Int; arity]));
+        for t in tuples {
+            rel.insert(Tuple::new(t[..arity].iter().map(|&v| Value::Int(ints[v]))))
+                .unwrap();
+        }
+        rel
+    }
+
+    /// Whether `rel` holds a tuple matching `terms` under `env`; an
+    /// unbound variable matches nothing.
+    fn exists_match(rel: &Relation, terms: &[PTerm], env: &Env) -> bool {
+        rel.iter().any(|tuple| {
+            tuple.len() == terms.len()
+                && terms.iter().zip(tuple).all(|(t, cell)| match t {
+                    PTerm::Wildcard => true,
+                    PTerm::Const(v) => v == cell,
+                    PTerm::Var(v) => env[*v].as_ref() == Some(cell),
+                })
+        })
+    }
+
+    /// `env` extended so that `terms` match `tuple`, if they can.
+    fn unify(terms: &[PTerm], tuple: &[Value], env: &Env) -> Option<Env> {
+        let mut env = env.clone();
+        for (t, cell) in terms.iter().zip(tuple) {
+            match t {
+                PTerm::Wildcard => {}
+                PTerm::Const(v) if v == cell => {}
+                PTerm::Var(v) if env[*v].as_ref().is_none_or(|b| b == cell) => {
+                    env[*v] = Some(cell.clone())
+                }
+                _ => return None,
+            }
+        }
+        Some(env)
+    }
+
+    /// What `execute_with` is held to: the head tuples of `plan` by
+    /// definition — every combination of one tuple per positive atom
+    /// (the atom at `delta`'s step from that run of rows only) that
+    /// unifies, minus those a negation or comparison rejects.
+    fn nested_loops(
+        plan: &RulePlan,
+        relations: &FxHashMap<String, Relation>,
+        delta: &Option<(usize, Range<usize>)>,
+    ) -> BTreeSet<Vec<Value>> {
+        let mut envs: Vec<Env> = vec![vec![None; plan.var_names.len()]];
+        for (i, step) in plan.steps.iter().enumerate() {
+            let Step::Scan { relation, terms } = step else {
+                continue;
+            };
+            let rel = &relations[relation];
+            let range = match delta {
+                Some((at, range)) if *at == i => range.clone(),
+                _ => 0..rel.len(),
+            };
+            let matches = |env: &Env| -> Vec<Env> {
+                let rows = rel.rows().range(range.clone());
+                rows.filter_map(|tuple| unify(terms, tuple, env)).collect()
+            };
+            envs = envs.iter().flat_map(matches).collect();
+        }
+        let value = |t: &PTerm, env: &Env| match t {
+            PTerm::Var(v) => env[*v].clone().expect("safe body"),
+            PTerm::Const(c) => c.clone(),
+            PTerm::Wildcard => unreachable!("no wildcard operands are generated"),
+        };
+        envs.retain(|env| {
+            plan.steps.iter().all(|step| match step {
+                Step::Negation { relation, terms } => {
+                    !exists_match(&relations[relation], terms, env)
+                }
+                Step::Compare { left, op, right } => {
+                    compare(&value(left, env), &value(right, env), *op).unwrap()
+                }
+                _ => true,
+            })
+        });
+        let head = |env: &Env| -> Vec<Value> {
+            let cell = |h: &HeadOut| match h {
+                HeadOut::Var(v) => value(&PTerm::Var(*v), env),
+                HeadOut::Const(c) => c.clone(),
+                HeadOut::Aggregate { .. } => unreachable!("no aggregates are generated"),
+            };
+            plan.head.iter().map(cell).collect()
+        };
+        envs.iter().map(head).collect()
+    }
+
+    /// A generated atom: `(relation, [(term kind, n); arity], negated)`.
+    type Atom = (usize, Vec<(u8, usize)>, bool);
+
+    /// A safe rule over `R0..R2` out of raw picks: positive atoms first
+    /// (at least one), then negations, then comparisons; whatever would
+    /// read a variable no positive atom binds reads something else.
+    fn safe_plan(
+        arities: &[usize],
+        atoms: &[Atom],
+        compares: &[(usize, u8, usize)],
+        head: &[(bool, usize)],
+        ints: &[i64; 5],
+    ) -> RulePlan {
+        let atom = |&(rel, ref picks, _): &Atom| {
+            let terms = picks[..arities[rel]].iter();
+            let terms: Vec<PTerm> = terms.map(|&(kind, n)| term(kind, n, ints)).collect();
+            (format!("R{rel}"), terms)
+        };
+        let mut steps: Vec<Step> = Vec::new();
+        let mut scanned = Batch {
+            rows: Rows::new(4),
+            bound: vec![false; 4],
+        };
+        let positive = |&(i, a): &(usize, &Atom)| i == 0 || !a.2;
+        for (_, a) in atoms.iter().enumerate().filter(positive) {
+            let (relation, terms) = atom(a);
+            steps.push(Step::Scan { relation, terms });
+            scanned.bind(&steps[steps.len() - 1]);
+        }
+        let bound = scanned.bound;
+        for (_, a) in atoms.iter().enumerate().filter(|a| !positive(a)) {
+            let (relation, mut terms) = atom(a);
+            for t in &mut terms {
+                if matches!(t, PTerm::Var(v) if !bound[*v]) {
+                    *t = PTerm::Wildcard;
+                }
+            }
+            steps.push(Step::Negation { relation, terms });
+        }
+        let constant = |n: usize| PTerm::Const(Value::Int(ints[n % 5]));
+        let var_or_constant = |v: usize| match bound[v % 4] {
+            true => PTerm::Var(v % 4),
+            false => constant(v),
+        };
+        for &(left, op, right) in compares {
+            let ops = [
+                CmpOp::Eq,
+                CmpOp::Neq,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            steps.push(Step::Compare {
+                left: var_or_constant(left),
+                op: ops[usize::from(op) % 6],
+                // Two operand shapes: variable–variable and variable–constant.
+                right: if op < 6 {
+                    var_or_constant(right)
+                } else {
+                    constant(right)
+                },
+            });
+        }
+        let head = head
+            .iter()
+            .map(|&(is_var, n)| match var_or_constant(n) {
+                PTerm::Var(v) if is_var => HeadOut::Var(v),
+                _ => HeadOut::Const(Value::Int(ints[n])),
+            })
+            .collect();
+        RulePlan {
+            head_predicate: "H".into(),
+            steps,
+            head,
+            var_names: ["a", "b", "c", "d"].map(String::from).to_vec(),
+            line: 1,
+            source: "H(..) <- generated".into(),
+            dependencies: Vec::new(),
+            opt: None,
+        }
+    }
+
+    fn execute(
+        plan: &RulePlan,
+        relations: &FxHashMap<String, Relation>,
+        delta: &Option<(usize, Range<usize>)>,
+        indexes: Option<&IndexCache>,
+    ) -> BTreeSet<Vec<Value>> {
+        let (registry, docs, tally) = (Registry::new(), SharedDocs::default(), ParTally::default());
+        let ctx = ExecCtx {
+            registry: &registry,
+            delta: delta.clone(),
+            cache: None,
+            indexes,
+            docs: &docs,
+            pool: None,
+            tally: &tally,
+            deadline: None,
+        };
+        let mut trace = RunTrace::disabled();
+        let mut tr = TraceCtx {
+            trace: &mut trace,
+            rule: 0,
+            parent: NO_SPAN,
+        };
+        let derived = execute_with(plan, relations, &ctx, &mut tr).unwrap();
+        derived.iter().map(<[Value]>::to_vec).collect()
+    }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `execute_with` — in textual order with an index per scan, and
+        /// planned with the run's extended indexes — derives exactly
+        /// the head tuples the definition gives, over constants,
+        /// wildcards, variables repeated within an atom, negation and
+        /// comparisons, for full firings and delta variants. Production
+        /// and `EvalStrategy::Naive` share `run_steps`, so holding them
+        /// to each other cannot see a bug in it; this can. (Planted to
+        /// check that it does: a delta range taken one row short, and
+        /// `TupleIndex::group_of` accepting the first candidate its
+        /// table offers without comparing key cells.)
+        #[test]
+        fn execute_with_agrees_with_nested_loops(
+            arities in prop::collection::vec(1usize..4, 3),
+            tuples in prop::collection::vec(
+                prop::collection::vec(prop::collection::vec(0usize..5, 3), 0..9), 3),
+            atoms in prop::collection::vec(
+                (0usize..3, prop::collection::vec((0u8..6, 0usize..5), 3), any::<bool>()), 1..5),
+            compares in prop::collection::vec((0usize..4, 0u8..12, 0usize..5), 0..3),
+            head in prop::collection::vec((any::<bool>(), 0usize..5), 0..4),
+            delta in prop::option::of((0usize..4, 0usize..9, 0usize..9)),
+        ) {
+            let ints = colliding_ints();
+            let relations: FxHashMap<String, Relation> = (0..3)
+                .map(|r| (format!("R{r}"), relation(arities[r], &tuples[r], &ints)))
+                .collect();
+            let mut plan = safe_plan(&arities, &atoms, &compares, &head, &ints);
+            // A delta: some run of the rows of one positive atom.
+            let scans = plan.steps.iter().filter(|s| matches!(s, Step::Scan { .. })).count();
+            let delta = delta.map(|(at, from, len)| {
+                let Step::Scan { relation, .. } = &plan.steps[at % scans] else {
+                    unreachable!("scans come first")
+                };
+                let rows = relations[relation].len();
+                let from = from % (rows + 1);
+                (at % scans, from..from + len % (rows - from + 1))
+            });
+            let expected = nested_loops(&plan, &relations, &delta);
+            prop_assert_eq!(&execute(&plan, &relations, &delta, None), &expected, "reference");
+            optimizer::annotate(&mut plan, &Registry::new());
+            let indexes = IndexCache::default();
+            for _ in 0..2 {
+                let got = execute(&plan, &relations, &delta, Some(&indexes));
+                prop_assert_eq!(&got, &expected, "planned: {:?}", plan.steps);
+            }
+        }
 
         /// The hash anti-join keeps exactly the rows for which a scan
         /// of the whole relation finds no match — over wildcards,
@@ -987,37 +1157,28 @@ mod tests {
         #[test]
         fn anti_join_agrees_with_exists_match(
             arity in 1usize..4,
-            tuples in prop::collection::vec(prop::collection::vec(0i64..4, 3), 0..12),
-            terms in prop::collection::vec((0u8..4, 0i64..4), 1..5),
-            rows in prop::collection::vec(prop::collection::vec(0i64..5, 3), 0..10),
+            tuples in prop::collection::vec(prop::collection::vec(0usize..4, 3), 0..12),
+            terms in prop::collection::vec((0u8..4, 0usize..4), 1..5),
+            rows in prop::collection::vec(prop::collection::vec(0usize..4, 3), 0..10),
+            bound in prop::collection::vec(any::<bool>(), 4),
         ) {
-            let mut rel = Relation::new(Schema::new(vec![ValueType::Int; arity]));
-            for t in &tuples {
-                rel.insert(Tuple::new(t[..arity].iter().map(|&v| Value::Int(v))))
-                    .unwrap();
+            let ints = colliding_ints();
+            let rel = relation(arity, &tuples, &ints);
+            let terms: Vec<PTerm> = terms.iter().map(|&(kind, n)| term(kind, n, &ints)).collect();
+            let mut batch = Rows::new(4);
+            for r in &rows {
+                batch.push(&(0..4).map(|v| Value::Int(ints[r[v % 3]])).collect::<Vec<_>>());
             }
-            let terms: Vec<PTerm> = terms
+            let env = |row: &[Value]| -> Env {
+                (0..4).map(|v| bound[v].then(|| row[v].clone())).collect()
+            };
+            let expected: Vec<&[Value]> = batch
                 .iter()
-                .map(|&(kind, n)| match kind {
-                    0 => PTerm::Wildcard,
-                    1 => PTerm::Const(Value::Int(n)),
-                    _ => PTerm::Var(n as usize % 3),
-                })
+                .filter(|row| !exists_match(&rel, &terms, &env(row)))
                 .collect();
-            // 4 stands for "unbound".
-            let rows: Vec<Row> = rows
-                .iter()
-                .map(|r| r.iter().map(|&v| (v < 4).then_some(Value::Int(v))).collect())
-                .collect();
-
-            let expected: Vec<Row> = rows
-                .iter()
-                .filter(|row| !exists_match(&rel, &terms, row))
-                .cloned()
-                .collect();
-            let mut kept = rows.clone();
+            let mut kept = Batch { rows: batch.clone(), bound: bound.clone() };
             anti_join(&mut kept, &rel, &terms);
-            prop_assert_eq!(&kept, &expected, "terms {:?}", terms);
+            prop_assert_eq!(kept.rows.iter().collect::<Vec<_>>(), expected, "terms {:?}", terms);
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::optimizer::{SharedIndexes, SplitClass};
+use crate::optimizer::{IndexCache, SplitClass};
 use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
@@ -279,7 +279,7 @@ pub struct Snapshot {
     db: Arc<Database>,
     /// Hash indexes over `db`, built on first use by a constant-bearing
     /// query and shared by every clone of this snapshot.
-    indexes: Arc<SharedIndexes>,
+    indexes: Arc<IndexCache>,
     /// The originating session's IE memo, shared for observability:
     /// snapshot queries are pure reads that never invoke IE functions,
     /// but handing the memo over lets serving threads watch hit rates

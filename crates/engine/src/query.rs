@@ -9,22 +9,22 @@
 //! Once the fixpoint is materialised a query is a plain selection plus
 //! projection, and it is evaluated as one: a [`QueryPlan`] holds
 //! everything that depends only on the query text, a [`Selection`]
-//! picks the matching tuples *by reference*, and only those survivors
-//! are sorted (by the full tuple, so the order is that of
-//! `Relation::sorted_tuples`) and have their projected cells cloned.
-//! Over a frozen database (a `Snapshot`) a constant-bearing query does
-//! not even scan: it probes a hash index on its bound columns, built on
-//! first use and shared by every reader ([`SharedIndexes`]). A live
-//! `Session`, whose database still mutates, takes the scan.
+//! picks the matching rows *by reference* into the relation's arena,
+//! and only those survivors are sorted (by the full row, so the order
+//! is that of `Relation::sorted_tuples`) and have their projected cells
+//! cloned. Over a frozen database (a `Snapshot`) a constant-bearing
+//! query does not even scan: it probes a hash index of row ids on its
+//! bound columns, built on first use and shared by every reader
+//! ([`IndexCache`]). A live `Session`, whose database still mutates,
+//! takes the scan.
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
-use crate::optimizer::SharedIndexes;
+use crate::optimizer::IndexCache;
 use crate::safety::constant_value;
-use spannerlib_core::{Relation, Tuple, Value, ValueType};
+use spannerlib_core::{Relation, Value, ValueType};
 use spannerlib_dataframe::{Column, DataFrame, FrameError};
 use spannerlog_parser::{parse_program, Query, Statement, Term};
-use std::borrow::Cow;
 
 /// A query compiled once: the parts of `?R(t1, …, tn)` that do not
 /// depend on the data. A `PreparedQuery` carries one; an ad-hoc query
@@ -83,13 +83,13 @@ impl QueryPlan {
         Ok(QueryPlan::compile(query))
     }
 
-    fn matches(&self, tuple: &Tuple) -> bool {
+    fn matches(&self, tuple: &[Value]) -> bool {
         let mut bound = self.bound_cols.iter().zip(&self.bound_vals);
         bound.all(|(&col, value)| tuple[col] == *value) && self.unifies(tuple)
     }
 
     /// Whether `tuple` satisfies the repeated-variable equalities.
-    fn unifies(&self, tuple: &Tuple) -> bool {
+    fn unifies(&self, tuple: &[Value]) -> bool {
         self.equalities.iter().all(|&(a, b)| tuple[a] == tuple[b])
     }
 }
@@ -108,10 +108,10 @@ pub struct Selection<'a> {
     /// empty rather than an error.
     relation: Option<&'a Relation>,
     /// The frozen database's indexes; a live session has none.
-    indexes: Option<&'a SharedIndexes>,
-    /// Borrowed from the relation after a scan, owned (cloned out of an
-    /// index bucket) after a probe.
-    survivors: Option<Vec<Cow<'a, Tuple>>>,
+    indexes: Option<&'a IndexCache>,
+    /// Rows of the relation's arena, found by a scan or through the row
+    /// ids of an index.
+    survivors: Option<Vec<&'a [Value]>>,
 }
 
 /// Starts answering `plan` against `db`. With `indexes` — which must
@@ -120,7 +120,7 @@ pub struct Selection<'a> {
 pub fn select<'a>(
     db: &'a Database,
     plan: &'a QueryPlan,
-    indexes: Option<&'a SharedIndexes>,
+    indexes: Option<&'a IndexCache>,
 ) -> Result<Selection<'a>> {
     let relation = match db.relation(&plan.predicate) {
         Ok(relation) => Some(relation),
@@ -148,7 +148,7 @@ pub fn select<'a>(
 pub fn run_query(
     db: &Database,
     plan: &QueryPlan,
-    indexes: Option<&SharedIndexes>,
+    indexes: Option<&IndexCache>,
 ) -> Result<DataFrame> {
     select(db, plan, indexes)?.into_frame()
 }
@@ -156,7 +156,7 @@ pub fn run_query(
 impl<'a> Selection<'a> {
     /// The matching tuples, found on first use. A boolean query needs
     /// one witness, not all of them.
-    fn survivors(&mut self) -> &mut Vec<Cow<'a, Tuple>> {
+    fn survivors(&mut self) -> &mut Vec<&'a [Value]> {
         let (plan, relation, indexes) = (self.plan, self.relation, self.indexes);
         self.survivors.get_or_insert_with(|| {
             let Some(relation) = relation else {
@@ -170,19 +170,18 @@ impl<'a> Selection<'a> {
             match indexes {
                 Some(indexes) if !plan.bound_cols.is_empty() => {
                     let index = indexes.index(&plan.predicate, relation, &plan.bound_cols);
-                    let bucket = index.get(&plan.bound_vals[..]);
-                    let matching = bucket.into_iter().flatten();
+                    let matching = index.get(relation.rows(), plan.bound_vals.iter());
                     matching
+                        .iter()
+                        .map(|&id| relation.rows().row(id))
                         .filter(|tuple| plan.unifies(tuple))
                         .take(limit)
-                        .map(|tuple| Cow::Owned(tuple.clone()))
                         .collect()
                 }
                 _ => relation
                     .iter()
                     .filter(|tuple| plan.matches(tuple))
                     .take(limit)
-                    .map(Cow::Borrowed)
                     .collect(),
             }
         })
@@ -239,7 +238,7 @@ impl<'a> Selection<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spannerlib_core::Schema;
+    use spannerlib_core::{Schema, Tuple};
 
     fn run(db: &Database, src: &str) -> Result<DataFrame> {
         run_query(db, &QueryPlan::parse(src)?, None)

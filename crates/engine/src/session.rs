@@ -166,7 +166,8 @@ impl SessionBuilder {
 
     /// Bounds the wall-clock time of one evaluation, in milliseconds.
     /// The budget is anchored when the fixpoint starts and checked once
-    /// per fixpoint round and once per IE batch; an overrun surfaces as
+    /// per fixpoint round, once per IE batch, and every few thousand
+    /// candidate rows inside a join; an overrun surfaces as
     /// [`EngineError::LimitExceeded`] naming the rule that was executing
     /// (resource `"eval wall-clock millis"`). This is the primitive
     /// per-request deadlines in a serving front end build on — see

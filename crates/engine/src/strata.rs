@@ -27,13 +27,6 @@ pub struct Component {
     pub recursive: bool,
 }
 
-impl Component {
-    /// Whether `predicate` is derived by this component's rules.
-    pub fn derives(&self, predicate: &str) -> bool {
-        self.rules.iter().any(|r| r.head_predicate == predicate)
-    }
-}
-
 /// Groups rule plans into components, dependencies first: by the time a
 /// component is evaluated, every predicate it reads from outside itself
 /// — in particular every negated/aggregated one — has its final content.

@@ -199,13 +199,15 @@ Run(b, n) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) ->
 
 /// Binding rows that share an argument tuple are deduplicated into one
 /// call for cacheable functions — but an *uncached* function is invoked
-/// once per row (its repeated calls may legitimately differ).
+/// once per row (its repeated calls may legitimately differ). Once per
+/// *distinct* row, that is: a scan whose `_` column folds three tuples
+/// into one binding hands the function one row, cached or not.
 #[test]
 fn shared_argument_rows_batch_only_for_cacheable_functions() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn run_with(register_uncached: bool) -> usize {
+    fn run_with(register_uncached: bool, rule: &str) -> usize {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = calls.clone();
         let f = move |args: &[spannerlib_core::Value],
@@ -224,13 +226,29 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
         session
             .import_typed("S", vec![(7i64, 1i64), (7, 2), (7, 3)])
             .unwrap();
-        session.run("D(a, y) <- S(a, b), probe(a) -> (y)").unwrap();
+        session.run(rule).unwrap();
         session.ensure_evaluated().unwrap();
         calls.load(Ordering::SeqCst)
     }
 
-    assert_eq!(run_with(false), 1, "cacheable: one call per distinct tuple");
-    assert_eq!(run_with(true), 3, "uncached: one call per binding row");
+    let named = "D(a, y) <- S(a, b), probe(a) -> (y)";
+    assert_eq!(
+        run_with(false, named),
+        1,
+        "cacheable: one call per distinct tuple"
+    );
+    assert_eq!(
+        run_with(true, named),
+        3,
+        "uncached: one call per binding row"
+    );
+    let folded = "D(a, y) <- S(a, _), probe(a) -> (y)";
+    assert_eq!(run_with(false, folded), 1);
+    assert_eq!(
+        run_with(true, folded),
+        1,
+        "uncached: the three tuples are one binding"
+    );
 }
 
 /// Compaction keeps every id a live span references (across extensional

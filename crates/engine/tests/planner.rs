@@ -5,12 +5,11 @@
 //! must reject instead of panicking).
 
 use rustc_hash::FxHashMap;
-use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
+use spannerlib_core::{Relation, Rows, Schema, Tuple, Value, ValueType};
 use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, NO_SPAN};
 use spannerlog_engine::optimizer::{self, IndexCache};
 use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
 use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs};
-use std::cell::RefCell;
 
 /// A hand-built (unannotated) plan skeleton for malformed-plan tests.
 fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePlan {
@@ -27,13 +26,13 @@ fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePl
 }
 
 /// Where one scan of [`run_expect_err`] reads: the full relations
-/// (through `indexes`, when given) or, for the scan at step 0, `deltas`.
+/// (through `indexes`, when given) or, for the scan at the step `delta`
+/// names, that run of row ids.
 #[derive(Default)]
 struct Inputs<'a> {
     relations: FxHashMap<String, Relation>,
-    deltas: FxHashMap<String, Relation>,
-    delta_at: Option<usize>,
-    indexes: Option<&'a RefCell<IndexCache>>,
+    delta: Option<(usize, std::ops::Range<usize>)>,
+    indexes: Option<&'a IndexCache>,
 }
 
 /// Runs a plan and returns its error.
@@ -41,14 +40,13 @@ fn run_expect_err(plan: &RulePlan, inputs: &Inputs<'_>) -> EngineError {
     run(plan, inputs).expect_err("malformed plan must error, not panic")
 }
 
-fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Vec<Tuple>, EngineError> {
+fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     let registry = Registry::new();
     let docs = SharedDocs::default();
     let tally = ParTally::default();
     let ctx = ExecCtx {
         registry: &registry,
-        delta_at: inputs.delta_at,
-        deltas: &inputs.deltas,
+        delta: inputs.delta.clone(),
         cache: None,
         indexes: inputs.indexes,
         docs: &docs,
@@ -268,23 +266,27 @@ Late(d, p) <- Texts(d, _), Pats(p)"#;
 }
 
 /// A scan whose term count is not the relation's arity is the same
-/// `EngineError::Arity` whichever way the scan gets its index: built
-/// into the cache, found in the cache, or built for a delta and dropped.
+/// `EngineError::Arity` whichever way the scan gets at its rows: a walk
+/// of the arena, an index built into the cache, one found in the cache,
+/// or one built for a delta and dropped.
 #[test]
 fn arity_mismatch_is_one_error_on_every_scan_route() {
     let mut rel = Relation::new(Schema::new(vec![ValueType::Int; 2]));
     rel.insert(Tuple::new([Value::Int(1), Value::Int(2)]))
         .unwrap();
     let scan = |terms: Vec<PTerm>| {
-        let head = vec![HeadOut::Var(0)];
+        let head = vec![HeadOut::Var(1)];
         let scan = Step::Scan {
             relation: "R".into(),
             terms,
         };
         bare_plan(vec![scan], head, &["x", "y", "z"])
     };
-    let fits = scan(vec![PTerm::Var(0), PTerm::Var(1)]);
-    let too_wide = scan(vec![PTerm::Var(0), PTerm::Var(1), PTerm::Var(2)]);
+    // A constant keys the scan on column 0; without one it has no key.
+    let keyed = PTerm::Const(Value::Int(1));
+    let fits = scan(vec![keyed.clone(), PTerm::Var(1)]);
+    let too_wide = scan(vec![keyed, PTerm::Var(1), PTerm::Var(2)]);
+    let unkeyed = scan(vec![PTerm::Var(0), PTerm::Var(1), PTerm::Var(2)]);
     let named = |rel: &Relation| FxHashMap::from_iter([("R".to_string(), rel.clone())]);
     let assert_arity = |err: EngineError, route: &str| {
         let same = matches!(
@@ -294,25 +296,28 @@ fn arity_mismatch_is_one_error_on_every_scan_route() {
         assert!(same, "{route}: {err:?}");
     };
 
-    let indexes = RefCell::new(IndexCache::default());
+    let indexes = IndexCache::default();
     let cached = Inputs {
         relations: named(&rel),
         indexes: Some(&indexes),
         ..Inputs::default()
     };
+    assert_arity(run_expect_err(&unkeyed, &cached), "arena walk");
+    assert_eq!(indexes.builds(), 0, "a key-less scan needs no index");
     assert_arity(run_expect_err(&too_wide, &cached), "first build");
-    // Both plans key the scan on no column, so the well-formed one
+    // Both plans key the scan on column 0, so the well-formed one
     // leaves behind exactly the entry the malformed one looks up.
     assert_eq!(run(&fits, &cached).unwrap().len(), 1);
-    assert_eq!(indexes.borrow().builds, 1);
+    assert_eq!(indexes.builds(), 1);
     assert_arity(run_expect_err(&too_wide, &cached), "cache hit");
 
     let delta = Inputs {
-        deltas: named(&rel),
-        delta_at: Some(0),
+        relations: named(&rel),
+        delta: Some((0, 0..1)),
         ..Inputs::default()
     };
     assert_arity(run_expect_err(&too_wide, &delta), "delta scan");
+    assert_eq!(run(&fits, &delta).unwrap().len(), 1);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use spannerlib_core::{DocId, Relation, Schema, Span, Tuple, Value, ValueType};
 use spannerlib_dataframe::DataFrame;
-use spannerlog_engine::optimizer::SharedIndexes;
+use spannerlog_engine::optimizer::IndexCache;
 use spannerlog_engine::query::{run_query, QueryPlan};
 use spannerlog_engine::safety::constant_value;
 use spannerlog_engine::{Database, EngineError, Result};
@@ -41,7 +41,7 @@ fn reference(db: &Database, query: &Query) -> Result<DataFrame> {
             }
         }
     }
-    let matches = |tuple: &Tuple| -> bool {
+    let matches = |tuple: &[Value]| -> bool {
         query.terms.iter().enumerate().all(|(i, t)| match t {
             Term::Wildcard => true,
             Term::Const(c) => tuple[i] == constant_value(c),
@@ -58,7 +58,7 @@ fn reference(db: &Database, query: &Query) -> Result<DataFrame> {
     let names: Vec<String> = var_cols.iter().map(|(v, _)| v.clone()).collect();
     let mut rows: Vec<Vec<Value>> = Vec::new();
     for tuple in relation.sorted_tuples() {
-        if matches(&tuple) {
+        if matches(tuple.values()) {
             rows.push(var_cols.iter().map(|&(_, i)| tuple[i].clone()).collect());
         }
     }
@@ -167,7 +167,7 @@ proptest! {
     fn run_query_agrees_with_sort_then_filter(case in case_strategy()) {
         let (db, query) = build(&case);
         let plan = QueryPlan::compile(&query);
-        let indexes = SharedIndexes::default();
+        let indexes = IndexCache::default();
         let expected = reference(&db, &query);
         for (route, indexes) in [("scan", None), ("index", Some(&indexes)), ("index again", Some(&indexes))] {
             let actual = run_query(&db, &plan, indexes);

@@ -26,8 +26,10 @@
 //!   the writer.
 //! * **Deadlines** — `deadline_ms` becomes an engine wall-clock budget
 //!   (`SessionBuilder::max_eval_millis`) checked between fixpoint
-//!   rounds and before each IE batch; overruns return 503 naming the
-//!   culprit rule.
+//!   rounds, before each IE batch, and every few thousand candidate
+//!   rows inside a join — so one IE-free rule with a huge join cannot
+//!   hold the writer past it; overruns return 503 naming the culprit
+//!   rule.
 //! * **Admission control** — `max_materialized_rows` overruns return
 //!   429 with the culprit rule; oversized bodies 413; chunked transfer
 //!   411.
