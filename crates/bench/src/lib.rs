@@ -1,55 +1,17 @@
 //! # spannerlib-bench
 //!
-//! Shared workload generators for the benchmark harness.
-//!
 //! The paper is a demonstration with one quantitative artifact (Table 1,
 //! regenerated by the `table1` binary) and explicitly defers performance
 //! work (§6: "SpannerLib does not yet put an emphasis on processing
-//! performance"). The Criterion benches therefore measure the things
-//! DESIGN.md lists as ablations: naive vs semi-naive evaluation, findall
-//! vs all-matches regex semantics, declarative-vs-imperative pipeline
-//! overhead, and IE-call plumbing cost. The `experiments` binary runs
-//! every reproduced artifact and prints paper-vs-measured output for
-//! EXPERIMENTS.md.
+//! performance"). The `experiments` binary runs every reproduced
+//! artifact plus three ablations and prints paper-vs-measured output.
+//!
+//! Everything the repository *measures* lives in `perfbench/`; this
+//! library holds the workload generators its `tc_join` workload and
+//! `experiments` share.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Deterministic synthetic document: lowercase words with emails
-/// sprinkled in at a fixed rate (for extraction workloads).
-pub fn email_document(words: usize, seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let vocab = [
-        "lorem",
-        "ipsum",
-        "dolor",
-        "sit",
-        "amet",
-        "consectetur",
-        "adipiscing",
-        "elit",
-        "sed",
-        "tempor",
-    ];
-    let users = ["ann", "bob", "carol", "dave", "eve"];
-    let domains = ["gmail", "work", "mail", "example"];
-    let mut out = String::new();
-    for i in 0..words {
-        if i > 0 {
-            out.push(' ');
-        }
-        if rng.gen_ratio(1, 12) {
-            out.push_str(&format!(
-                "{}@{}.com",
-                users[rng.gen_range(0..users.len())],
-                domains[rng.gen_range(0..domains.len())]
-            ));
-        } else {
-            out.push_str(vocab[rng.gen_range(0..vocab.len())]);
-        }
-    }
-    out
-}
 
 /// A document of `n` copies of character `c` (worst case for all-matches
 /// enumeration of `a+`-style patterns).
@@ -91,87 +53,12 @@ pub fn load_edges(session: &mut spannerlog_engine::Session, edges: &[(i64, i64)]
     }
 }
 
-/// The transitive-closure program used by the engine benches.
+/// The transitive-closure program (`perfbench`'s `tc_join` and ablation A
+/// of `experiments` run it).
 pub const TC_PROGRAM: &str = "
     Path(x, y) <- Edge(x, y)
     Path(x, z) <- Path(x, y), Edge(y, z)
 ";
-
-/// The email-extraction query used by the prepared-vs-export bench.
-pub const EMAIL_QUERY: &str = r#"?Gmail(d, usr)"#;
-
-/// A session loaded with `docs` synthetic email documents and a small
-/// multi-rule extraction program — the serving workload of the
-/// prepared-vs-export bench (`bench_prepared` / `prepared_smoke`).
-pub fn email_session(docs: usize, words_per_doc: usize) -> spannerlog_engine::Session {
-    let mut session = spannerlog_engine::Session::new();
-    session
-        .import_typed(
-            "Texts",
-            (0..docs)
-                .map(|i| (format!("doc-{i}"), email_document(words_per_doc, i as u64)))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-    session
-        .run(
-            r#"
-            Email(d, usr, dom) <- Texts(d, t),
-                                  rgx_string("(\w+)@(\w+)\.\w+", t) -> (usr, dom)
-            Gmail(d, usr) <- Email(d, usr, "gmail")
-            Senders(d, count(u)) <- Email(d, u, dom)
-        "#,
-        )
-        .unwrap();
-    session
-}
-
-/// The repeated-document serving workload of the IE-cache bench
-/// (`cache_smoke` / `bench_cache`): a fixed corpus of documents, an
-/// rgx-extraction program, and a `Tick` relation the program reads so
-/// each [`tick`](cache_tick) forces a full fixpoint rerun over the
-/// *same* documents — cold sessions re-pay extraction every round, warm
-/// ones serve it from the memo.
-pub fn cache_churn_session(
-    docs: usize,
-    words_per_doc: usize,
-    ie_cache_bytes: usize,
-) -> (spannerlog_engine::Session, spannerlog_engine::PreparedQuery) {
-    let mut session = spannerlog_engine::Session::builder()
-        .ie_cache_capacity(ie_cache_bytes)
-        .build();
-    session
-        .import_typed(
-            "Texts",
-            (0..docs)
-                .map(|i| (format!("doc-{i}"), email_document(words_per_doc, i as u64)))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-    session.run("new Tick(int)").unwrap();
-    session
-        .run(
-            r#"
-            Ticked(x) <- Tick(x)
-            Email(d, usr, dom) <- Texts(d, t),
-                                  rgx_string("(\w+)@(\w+)\.\w+", t) -> (usr, dom)
-            Mention(d, s) <- Texts(d, t), rgx("@(\w+)", t) -> (s)
-            Senders(d, count(u)) <- Email(d, u, dom)
-        "#,
-        )
-        .unwrap();
-    let query = session.prepare("?Email(d, usr, dom)").unwrap();
-    (session, query)
-}
-
-/// Invalidates the evaluation fingerprint of a [`cache_churn_session`]
-/// without touching its documents: the next execution reruns the whole
-/// fixpoint, re-issuing every IE call.
-pub fn cache_tick(session: &mut spannerlog_engine::Session, round: i64) {
-    session
-        .add_fact("Tick", [spannerlib_core::Value::Int(round)])
-        .unwrap();
-}
 
 /// The join-ordering workload (`perfbench`'s `tc_join` runs it): textual
 /// order joins the two big relations first
@@ -203,19 +90,57 @@ pub fn load_join_workload(session: &mut spannerlog_engine::Session, rows: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spannerlog_engine::Session;
 
     #[test]
     fn generators_are_deterministic() {
-        assert_eq!(email_document(50, 1), email_document(50, 1));
-        assert_ne!(email_document(50, 1), email_document(50, 2));
         assert_eq!(chain_graph(3), vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(uniform_document('a', 4), "aaaa");
         assert_eq!(random_graph(5, 9, 3), random_graph(5, 9, 3));
     }
 
+    /// `perfbench`'s `tc_join` oracle recomputes truth from whatever
+    /// graph it is handed: a changed RNG stream or node range would keep
+    /// it green while changing the work and breaking comparability with
+    /// `perfbench/history.jsonl`.
     #[test]
-    fn email_documents_contain_emails() {
-        let doc = email_document(600, 7);
-        assert!(doc.contains("@"));
+    fn random_graph_output_is_pinned() {
+        let graph = random_graph(600, 1200, 7);
+        assert_eq!(graph.len(), 1200);
+        assert_eq!(&graph[..3], &[(461, 116), (578, 156), (142, 465)]);
+        let checksum = graph.iter().fold(0u64, |h, &(a, b)| {
+            h.wrapping_mul(1_000_003)
+                .wrapping_add(a as u64 * 600 + b as u64)
+        });
+        assert_eq!(checksum, 6_311_500_302_637_875_676);
+    }
+
+    #[test]
+    fn tc_program_closes_a_chain() {
+        let mut session = Session::new();
+        load_edges(&mut session, &chain_graph(40));
+        session.run(TC_PROGRAM).unwrap();
+        // 41 nodes on a line: every ordered pair i < j is a path.
+        assert_eq!(session.relation("Path").unwrap().len(), 820);
+    }
+
+    #[test]
+    fn join_workload_matches_a_nested_loop() {
+        let mut session = Session::new();
+        load_join_workload(&mut session, 200);
+        session.run(JOIN_PROGRAM).unwrap();
+        let mut derived = session.export_typed::<(i64, i64)>("?Q(x, z)").unwrap();
+        derived.sort_unstable();
+        // Q(x, z) <- A(x, x % 50), B(z % 50, z), C(z) with C = {0..5}.
+        let mut expected = Vec::new();
+        for x in 0..200i64 {
+            for z in 0..200i64 {
+                if x % 50 == z % 50 && z < 5 {
+                    expected.push((x, z));
+                }
+            }
+        }
+        assert_eq!(derived, expected);
+        assert_eq!(derived.len(), 20);
     }
 }

@@ -298,33 +298,6 @@ impl IeMemo {
             }
         }
     }
-
-    /// Drops entries that reference any document for which `dead`
-    /// returns `true`. Not needed for the engine's standard compaction
-    /// (memo entries are roots there), but lets aggressive callers
-    /// reclaim memo-pinned documents first and compact second.
-    pub fn purge_docs(&mut self, dead: impl Fn(DocId) -> bool) -> usize {
-        let refs_dead = |values: &[Value]| {
-            values.iter().any(|v| match v {
-                Value::Span(s) => dead(s.doc),
-                _ => false,
-            })
-        };
-        let mut victims: Vec<Arc<MemoKey>> = Vec::new();
-        for (key, entry) in &self.entries {
-            if refs_dead(&key.args) || entry.output.iter().any(|row| refs_dead(row)) {
-                victims.push(key.clone());
-            }
-        }
-        for key in &victims {
-            if let Some(entry) = self.entries.remove(key) {
-                self.lru.remove(&entry.tick);
-                self.bytes -= entry.bytes;
-                self.stats.evictions += 1;
-            }
-        }
-        victims.len()
-    }
 }
 
 // The memo crosses threads behind `SharedIeMemo` (`Arc<Mutex<..>>`),
@@ -520,20 +493,5 @@ mod tests {
         assert!(memo.get(&key("g", 1)).is_some(), "g stays warm");
         assert!(memo.get(&key("f", 1)).is_none());
         assert_eq!(memo.purge_function("absent"), 0);
-    }
-
-    #[test]
-    fn purge_docs_drops_entries_referencing_dead_docs() {
-        let mut memo = IeMemo::new(1 << 20);
-        let dead = DocId::from_index(7);
-        put(
-            &mut memo,
-            MemoKey::new("f", &[Value::Int(0)], 1),
-            Arc::new(vec![vec![Value::Span(Span::new(dead, 0, 1))]]),
-        );
-        put(&mut memo, key("f", 1), rows(1));
-        assert_eq!(memo.purge_docs(|id| id == dead), 1);
-        assert_eq!(memo.len(), 1);
-        assert!(memo.get(&key("f", 1)).is_some());
     }
 }

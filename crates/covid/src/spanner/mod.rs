@@ -65,29 +65,16 @@ impl SpannerPipeline {
     /// [`SpannerPipeline::profile`] then holds the per-rule breakdown
     /// of the fixpoint that classified the batch.
     pub fn with_tracing(level: TraceLevel) -> Result<SpannerPipeline> {
-        SpannerPipeline::with_config(level, None)
-    }
-
-    /// Full-control constructor: tracing at `level` and evaluation
-    /// `parallelism` (`None` keeps the session default of one worker
-    /// per core; `Some(0)`/`Some(1)` keep every firing on the calling
-    /// thread) — the knob `parallel_smoke` and the benches use to price
-    /// the shard-parallel evaluator on the clinical workload.
-    /// Production callers want the defaults ([`SpannerPipeline::new`]).
-    pub fn with_config(level: TraceLevel, parallelism: Option<usize>) -> Result<SpannerPipeline> {
         // Corpus batches repeat documents across classify_corpus calls
         // in notebook-style use, so keep the IE memo on (default
         // capacity) and let doc-store GC reclaim texts of replaced
         // corpora once they outgrow a clinical-corpus-sized watermark.
-        let mut builder = Session::builder()
+        let mut session = Session::builder()
             .doc_gc(spannerlog_engine::DocGc::Threshold {
                 bytes: 32 * 1024 * 1024,
             })
-            .tracing(level);
-        if let Some(workers) = parallelism {
-            builder = builder.parallelism(workers);
-        }
-        let mut session = builder.build();
+            .tracing(level)
+            .build();
 
         // Target matcher from CSV.
         let targets_df = DataFrame::from_csv(TARGETS_CSV)?;

@@ -209,18 +209,6 @@ impl DataFrame {
         self.iter_rows().map(|row| T::from_row(&row)).collect()
     }
 
-    /// Builds a frame from typed host rows via [`IntoRows`] (tuples of
-    /// primitives, or anything implementing [`IntoRow`]).
-    ///
-    /// [`IntoRow`]: crate::row::IntoRow
-    /// [`IntoRows`]: crate::row::IntoRows
-    pub fn from_typed<R>(names: Vec<String>, rows: R) -> Result<DataFrame, FrameError>
-    where
-        R: crate::row::IntoRows,
-    {
-        DataFrame::from_rows(names, rows.into_rows())
-    }
-
     /// Converts the frame into an engine [`Relation`] (set semantics —
     /// duplicate rows collapse).
     pub fn to_relation(&self) -> Relation {

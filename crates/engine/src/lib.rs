@@ -68,6 +68,5 @@ pub use spannerlib_core::CompactionReport;
 // Observability vocabulary from the trace crate, re-exported so hosts
 // configure tracing and consume profiles without a direct dependency.
 pub use spannerlib_trace::{
-    EvalProfile, IeFunctionProfile, NullTracer, RingTracer, RuleProfile, SpanEvent, SpanKind,
-    StratumProfile, TraceLevel, Tracer,
+    EvalProfile, IeFunctionProfile, RuleProfile, SpanEvent, SpanKind, StratumProfile, TraceLevel,
 };

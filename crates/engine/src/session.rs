@@ -61,7 +61,7 @@ use spannerlib_core::{
     CompactionReport, DocId, DocumentStore, Relation, Schema, Span, Tuple, Value,
 };
 use spannerlib_dataframe::{DataFrame, FromRow, IntoRows};
-use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, Tracer};
+use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES};
 use spannerlog_parser::{parse_program, Query, Rule, Statement};
 use std::sync::Arc;
 
@@ -112,8 +112,6 @@ pub struct SessionBuilder {
     ie_cache_capacity: usize,
     doc_gc: DocGc,
     trace_level: TraceLevel,
-    tracer: Option<Arc<dyn Tracer>>,
-    trace_buffer_bytes: usize,
     parallelism: Option<usize>,
 }
 
@@ -126,8 +124,6 @@ impl Default for SessionBuilder {
             ie_cache_capacity: DEFAULT_IE_CACHE_BYTES,
             doc_gc: DocGc::Disabled,
             trace_level: TraceLevel::Off,
-            tracer: None,
-            trace_buffer_bytes: 0,
             parallelism: None,
         }
     }
@@ -218,18 +214,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Attaches a long-lived [`Tracer`] sink: after every evaluation the
-    /// session feeds it the run's span events and [`EvalProfile`]. The
-    /// effective level of each run is the *maximum* of the builder's
-    /// [`SessionBuilder::tracing`] level and the tracer's own
-    /// [`Tracer::level`], so attaching e.g. a
-    /// `RingTracer::new(TraceLevel::Spans, …)` turns recording on by
-    /// itself.
-    pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> SessionBuilder {
-        self.tracer = Some(tracer);
-        self
-    }
-
     /// Sets the number of worker threads for split-correct parallel
     /// evaluation (default: the machine's available parallelism). Rule
     /// firings the compile-time analysis clears as split-correct are
@@ -241,15 +225,6 @@ impl SessionBuilder {
     /// (property-tested). See the module docs' threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
         self.parallelism = Some(workers);
-        self
-    }
-
-    /// Byte budget of the per-run span ring buffer (`0`, the default,
-    /// selects `spannerlib_trace::DEFAULT_SPAN_BUFFER_BYTES`). Only
-    /// relevant at [`TraceLevel::Spans`]; when the buffer fills, the
-    /// *oldest* spans of the run are dropped first.
-    pub fn trace_buffer_bytes(mut self, bytes: usize) -> SessionBuilder {
-        self.trace_buffer_bytes = bytes;
         self
     }
 
@@ -305,8 +280,6 @@ impl SessionBuilder {
             doc_gc: self.doc_gc,
             gc_rearm_bytes: 0,
             trace_level: self.trace_level,
-            tracer: self.tracer,
-            trace_buffer_bytes: self.trace_buffer_bytes,
             last_profile: None,
             parallelism: self
                 .parallelism
@@ -354,12 +327,8 @@ pub struct Session {
     /// that permanently exceeds the watermark does not degenerate into
     /// a full no-op mark-and-sweep on every mutation.
     gc_rearm_bytes: usize,
-    /// The session's own trace level knob ([`SessionBuilder::tracing`]).
+    /// How much each evaluation records ([`SessionBuilder::tracing`]).
     trace_level: TraceLevel,
-    /// Optional long-lived telemetry sink; may raise the effective level.
-    tracer: Option<Arc<dyn Tracer>>,
-    /// Span ring-buffer budget per run (`0` = library default).
-    trace_buffer_bytes: usize,
     /// Profile of the most recent fixpoint run (including aborted ones);
     /// `None` until a run happens with tracing at `Summary` or above.
     last_profile: Option<Arc<EvalProfile>>,
@@ -404,12 +373,6 @@ impl Session {
         Session::builder().strategy(strategy).build()
     }
 
-    /// Switches the evaluation strategy; forces re-evaluation.
-    pub fn set_strategy(&mut self, strategy: EvalStrategy) {
-        self.strategy = strategy;
-        self.last_eval = None;
-    }
-
     /// Adjusts the wall-clock budget of *subsequent* evaluations (see
     /// [`SessionBuilder::max_eval_millis`]); `None` removes the limit.
     /// Serving front ends call this per request to turn a client
@@ -431,8 +394,9 @@ impl Session {
     /// Statistics of the session, without resetting anything. The two
     /// halves deliberately cover different windows:
     ///
-    /// * `eval` describes only the **most recent** fixpoint run (all
-    ///   zero if evaluation was skipped because nothing changed);
+    /// * `eval` describes only the **most recent** fixpoint run — a
+    ///   call that skipped evaluation because nothing changed keeps the
+    ///   previous run's counters, as [`Session::profile`] does;
     /// * `cache` is **cumulative over the session's lifetime** (the memo
     ///   table outlives individual runs by design).
     ///
@@ -846,13 +810,6 @@ impl Session {
         Ok(self.db.relation_or_empty(name))
     }
 
-    /// Exports a relation by name into a DataFrame with given column
-    /// names.
-    pub fn export_relation(&mut self, name: &str, columns: Vec<String>) -> Result<DataFrame> {
-        let rel = self.relation(name)?;
-        Ok(DataFrame::from_relation(columns, &rel)?)
-    }
-
     // ------------------------------------------------------------------
     // Document store access (spans created by host code)
     // ------------------------------------------------------------------
@@ -964,8 +921,7 @@ impl Session {
                 return Ok(());
             }
         }
-        let level = self.effective_trace_level();
-        let mut trace = RunTrace::new(level, self.trace_buffer_bytes);
+        let mut trace = RunTrace::new(self.trace_level, DEFAULT_SPAN_BUFFER_BYTES);
         self.eval_seq += 1;
         trace.serving_context(self.eval_seq, std::mem::take(&mut self.pending_request_ids));
         // The pool is built lazily: sessions whose programs never clear
@@ -1000,14 +956,7 @@ impl Session {
             let prefilter_after = spannerlib_regex::prefilter::stats();
             profile.prefilter_searches = prefilter_after.searches - prefilter_before.searches;
             profile.prefilter_pruned = prefilter_after.pruned - prefilter_before.pruned;
-            let profile = Arc::new(profile);
-            if let Some(tracer) = &self.tracer {
-                for span in &profile.spans {
-                    tracer.record_span(span);
-                }
-                tracer.record_profile(&profile);
-            }
-            self.last_profile = Some(profile);
+            self.last_profile = Some(Arc::new(profile));
         }
         self.last_stats = result?;
         // Generations are read *after* the run: rules may derive into
@@ -1030,15 +979,6 @@ impl Session {
             input_gens,
         });
         Ok(())
-    }
-
-    /// The level evaluations actually record at: the builder knob or
-    /// the attached tracer's request, whichever is higher.
-    fn effective_trace_level(&self) -> TraceLevel {
-        match &self.tracer {
-            Some(t) => self.trace_level.max(t.level()),
-            None => self.trace_level,
-        }
     }
 
     /// Read access to the database for prepared-query execution.

@@ -1,13 +1,13 @@
 //! Observability integration tests: `EvalProfile` agreement with
 //! `EvalStats`, partial profiles and culprit attribution on aborted
-//! runs, tracer sinks, stats draining, span-buffer budgets, and the
-//! property that tracing never changes query results.
+//! runs, stats draining, the span-buffer budget, and the property that
+//! tracing never changes query results.
 
 use proptest::prelude::*;
-use spannerlib_trace::{SpanKind, TraceLevel, NO_SPAN};
-use spannerlog_engine::{EngineError, EvalStats, EvalStrategy, RingTracer, Session};
+use spannerlib_core::Value;
+use spannerlib_trace::{SpanKind, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES, NO_SPAN};
+use spannerlog_engine::{EngineError, EvalStats, EvalStrategy, Session};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Transitive closure over a six-edge chain: one recursive component,
 /// deep enough to need several rounds.
@@ -294,18 +294,26 @@ fn snapshot_carries_the_producing_runs_profile() {
 
 #[test]
 fn span_buffer_budget_bounds_resident_spans_under_churn() {
-    let budget = 2 * 1024;
-    let mut session = Session::builder()
-        .tracing(TraceLevel::Spans)
-        .trace_buffer_bytes(budget)
-        .build();
-    session.run(TC_PROGRAM).unwrap();
-    session.export("?Path(x, y)").unwrap();
+    // Single-source reachability down a long chain: one round per edge,
+    // a handful of spans per round, few tuples.
+    let mut session = traced_session(TraceLevel::Spans);
+    session
+        .run("new Edge(int, int) new Start(int) Start(0)")
+        .unwrap();
+    for i in 0..4_000 {
+        let edge = [Value::Int(i), Value::Int(i + 1)];
+        session.add_fact("Edge", edge).unwrap();
+    }
+    session
+        .run("Reach(x) <- Start(x)\nReach(y) <- Reach(x), Edge(x, y)")
+        .unwrap();
+    session.export("?Reach(x)").unwrap();
 
+    let budget = DEFAULT_SPAN_BUFFER_BYTES;
     let profile = session.profile().unwrap();
     assert!(
         profile.spans_dropped > 0,
-        "a deep recursion overflows a {budget}-byte ring"
+        "a deep recursion overflows the {budget}-byte ring"
     );
     let resident: usize = profile.spans.iter().map(|s| s.bytes()).sum();
     assert!(
@@ -338,29 +346,6 @@ fn take_stats_drains_activity_but_keeps_residency() {
     );
     // A second drain with no evaluation in between is all zero activity.
     assert_eq!(session.take_stats().eval, EvalStats::default());
-}
-
-#[test]
-fn ring_tracer_attached_to_an_untraced_session_turns_recording_on() {
-    let tracer = Arc::new(RingTracer::new(TraceLevel::Spans, 64 * 1024));
-    let mut session = Session::builder().tracer(tracer.clone()).build();
-    session.run(EMAIL_PROGRAM).unwrap();
-    session.export("?R(usr, dom)").unwrap();
-
-    // The tracer's requested level won: spans were recorded and the
-    // profile was aggregated into the metrics registry.
-    assert!(!tracer.spans().is_empty());
-    let metrics = tracer.metrics();
-    assert_eq!(metrics.counter("evals").get(), 1);
-    assert_eq!(metrics.counter("evals_aborted").get(), 0);
-    assert!(metrics.counter("rule_firings").get() > 0);
-    assert!(metrics.counter("ie.rgx_string.calls").get() > 0);
-    assert_eq!(metrics.histogram("eval_ns").snapshot().count, 1);
-
-    // Mutating the input re-evaluates and keeps aggregating.
-    session.run(r#"Texts("also eve@mail.net")"#).unwrap();
-    session.export("?R(usr, dom)").unwrap();
-    assert_eq!(metrics.counter("evals").get(), 2);
 }
 
 #[test]

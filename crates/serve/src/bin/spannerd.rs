@@ -20,15 +20,16 @@ use spannerlib_serve::{signal, ServeConfig, Server};
 use spannerlog_engine::{Session, TraceLevel};
 use std::time::Duration;
 
+const USAGE: &str = "usage: spannerd [--addr HOST:PORT] [--workers N] [--parallelism N]\n\
+     \u{20}               [--deadline-ms N] [--max-eval-millis N] [--max-rows N]\n\
+     \u{20}               [--max-body-bytes N] [--idle-timeout-ms N] [--trace]\n\
+     \u{20}               [--access-log PATH|stderr] [--slow-eval-ms N]\n\
+     \u{20}               [--slow-log PATH|stderr]";
+
+/// A bad flag or value: the error and the usage on stderr, exit 2.
 fn usage(error: &str) -> ! {
     eprintln!("spannerd: {error}");
-    eprintln!(
-        "usage: spannerd [--addr HOST:PORT] [--workers N] [--parallelism N]\n\
-         \u{20}               [--deadline-ms N] [--max-eval-millis N] [--max-rows N]\n\
-         \u{20}               [--max-body-bytes N] [--idle-timeout-ms N] [--trace]\n\
-         \u{20}               [--access-log PATH|stderr] [--slow-eval-ms N]\n\
-         \u{20}               [--slow-log PATH|stderr]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -67,7 +68,10 @@ fn main() {
             "--slow-eval-ms" => cfg.slow_eval_ms = Some(parse("--slow-eval-ms", args.next())),
             "--slow-log" => cfg.slow_log = Some(parse("--slow-log", args.next())),
             "--trace" => trace = true,
-            "--help" | "-h" => usage("help requested"),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             other => usage(&format!("unknown flag {other:?}")),
         }
     }

@@ -119,6 +119,20 @@ fn full_lifecycle_register_import_prepare_execute() {
         .sum();
     assert!(execute_count >= 3, "{endpoints:?}");
 
+    // /metrics after real traffic is a well-formed Prometheus body that
+    // carries the request, evaluation and read-path families.
+    let metrics = client.get("/metrics").expect("metrics").body;
+    let expo = spannerlib_trace::check_exposition(&metrics)
+        .unwrap_or_else(|e| panic!("/metrics does not parse: {e}\n{metrics}"));
+    assert!(expo.samples > 0, "{metrics}");
+    for family in [
+        "# TYPE http_requests_total counter",
+        "# TYPE evals_total counter",
+        "# TYPE snapshot_index_builds gauge",
+    ] {
+        assert!(metrics.contains(family), "{family} missing:\n{metrics}");
+    }
+
     handle.shutdown();
     thread.join().unwrap();
 }

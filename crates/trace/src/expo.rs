@@ -259,9 +259,9 @@ fn check_labels(s: &str, line_no: usize) -> Result<&str, String> {
 /// comments declare known types, sample lines have a well-formed
 /// metric name, optional label block, and a numeric value (integer,
 /// float, or `+Inf`/`-Inf`/`NaN`). Returns counts on success and the
-/// first offending line on failure. Used by the serving smoke bench
-/// and CI to gate live `/metrics` bodies, and by proptests to close
-/// the loop on [`encode_prometheus`].
+/// first offending line on failure. Used by `spannerlib-serve`'s
+/// end-to-end test to check a live `/metrics` body, and by proptests to
+/// close the loop on [`encode_prometheus`].
 pub fn check_exposition(body: &str) -> Result<ExpositionStats, String> {
     let mut stats = ExpositionStats::default();
     for (idx, line) in body.lines().enumerate() {

@@ -2,7 +2,7 @@
 //!
 //! Structured tracing, metrics, and per-rule profiling for the
 //! Spannerlog engine — the measurement substrate behind
-//! `Session::profile()` and the `trace_smoke` / `bench_trace` tooling.
+//! `Session::profile()` and `spannerd`'s `/metrics`.
 //!
 //! The crate is deliberately **zero-dependency** (std only) and splits
 //! into four layers:
@@ -20,10 +20,10 @@
 //!   [`EvalProfile::to_json_lines`]): the per-run report — per-rule
 //!   wall time, firings, tuple and join-row counts, per-IE-function
 //!   call / memo-hit / latency statistics.
-//! - **Sinks** ([`Tracer`], [`NullTracer`], [`RingTracer`],
-//!   [`MetricsRegistry`]): long-lived, thread-safe receivers that
-//!   aggregate profiles across runs into counters, gauges, and
-//!   fixed-bucket latency [`Histogram`]s with p50/p90/p99.
+//! - **Metrics** ([`MetricsRegistry`], [`encode_prometheus`]): a
+//!   long-lived, thread-safe registry of counters, gauges, and
+//!   fixed-bucket latency [`Histogram`]s with p50/p90/p99 that a host
+//!   feeds from each run's profile, and its text exposition.
 //!
 //! ```
 //! use spannerlib_trace::{RunTrace, SpanKind, TraceLevel, NO_SPAN};
@@ -49,7 +49,6 @@ mod profile;
 mod ring;
 mod run;
 mod span;
-mod tracer;
 
 pub use expo::{check_exposition, encode_prometheus, sanitize_metric_name, ExpositionStats};
 pub use metrics::{
@@ -60,4 +59,3 @@ pub use profile::{fmt_ns, EvalProfile, IeFunctionProfile, RuleProfile, StratumPr
 pub use ring::SpanRing;
 pub use run::{RunTrace, DEFAULT_SPAN_BUFFER_BYTES};
 pub use span::{SpanEvent, SpanId, SpanKind, TraceLevel, NO_SPAN};
-pub use tracer::{NullTracer, RingTracer, Tracer};

@@ -132,10 +132,12 @@ pub const PROFILE_JSON_SCHEMA: u32 = 1;
 
 /// Formats nanoseconds compactly: `17ns`, `3.4µs`, `1.2ms`, `5.0s`.
 pub fn fmt_ns(ns: u64) -> String {
+    // A unit ends where its printed value would round up to 1000.0, so
+    // 999 950 ns reads `1.0ms`, never `1000.0µs`.
     match ns {
         0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
+        1_000..=999_949 => format!("{:.1}µs", ns as f64 / 1e3),
+        999_950..=999_949_999 => format!("{:.1}ms", ns as f64 / 1e6),
         _ => format!("{:.2}s", ns as f64 / 1e9),
     }
 }
@@ -604,5 +606,15 @@ mod tests {
         assert_eq!(fmt_ns(3_400), "3.4µs");
         assert_eq!(fmt_ns(1_200_000), "1.2ms");
         assert_eq!(fmt_ns(5_000_000_000), "5.00s");
+        // The unit is chosen from the rounded value at both boundaries.
+        assert_eq!(fmt_ns(999), "999ns");
+        assert_eq!(fmt_ns(1_000), "1.0µs");
+        assert_eq!(fmt_ns(999_949), "999.9µs");
+        assert_eq!(fmt_ns(999_950), "1.0ms");
+        assert_eq!(fmt_ns(1_000_000), "1.0ms");
+        assert_eq!(fmt_ns(999_949_999), "999.9ms");
+        assert_eq!(fmt_ns(999_950_000), "1.00s");
+        assert_eq!(fmt_ns(999_999_999), "1.00s");
+        assert_eq!(fmt_ns(1_000_000_000), "1.00s");
     }
 }

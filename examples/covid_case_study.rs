@@ -4,8 +4,9 @@
 //! Runs the imperative pipeline and its SpannerLib rewrite over the same
 //! synthetic corpus, verifies they agree, compares both against the gold
 //! labels, prints the surveillance statistics from both sides (explicit
-//! folds vs aggregation rules), and finishes with the Table 1
-//! lines-of-code audit.
+//! folds vs aggregation rules), shows where the declarative evaluation
+//! spent its time (the per-rule `EvalProfile`), and finishes with the
+//! Table 1 lines-of-code audit.
 //!
 //! Run with: `cargo run --example covid_case_study`
 
@@ -14,6 +15,7 @@ use spannerlib::covid::loc;
 use spannerlib::covid::native::report::SurveillanceReport;
 use spannerlib::covid::native::NativePipeline;
 use spannerlib::covid::spanner::SpannerPipeline;
+use spannerlib::TraceLevel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let docs = generate_corpus(100, 42);
@@ -32,8 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let native_acc = native.accuracy(&docs);
 
     // SpannerLib rewrite.
-    let mut spanner = SpannerPipeline::new()?;
+    let mut spanner = SpannerPipeline::with_tracing(TraceLevel::Summary)?;
     let spanner_results = spanner.classify_corpus(&docs)?;
+    let profile = spanner.profile().expect("tracing is on");
     let spanner_acc = spanner.accuracy(&docs)?;
 
     let agree = native_results
@@ -57,6 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = spanner.session_mut().snapshot()?;
     let counts = snapshot.execute(&count_query)?;
     println!("Same numbers from the Spannerlog aggregation rule\n  StatusCount(s, count(d)) <- Status(d, s):\n{counts}\n");
+
+    // Where the fixpoint that classified the corpus spent its time.
+    println!("{}", profile.render());
 
     // Table 1.
     println!("{}", loc::render_table1());

@@ -1,5 +1,5 @@
-//! Observability with `spannerlib_trace`: per-rule profiling, span
-//! capture, and a cross-run metrics sink.
+//! Observability with `spannerlib_trace`: per-rule profiling and span
+//! capture.
 //!
 //! Datalog hides the execution plan on purpose — which is exactly why a
 //! slow program is hard to reason about from the rules alone. The trace
@@ -9,26 +9,15 @@
 //!   dormant probes), `Summary` (per-rule counters and wall times), or
 //!   `Spans` (plus a byte-bounded ring of hierarchical span events);
 //! * `Session::profile()` — the `EvalProfile` of the latest fixpoint,
-//!   renderable as a table or exportable as JSON lines;
-//! * `SessionBuilder::tracer(...)` — a `Tracer` sink (here a
-//!   `RingTracer`) that aggregates profiles across runs into counters
-//!   and latency histograms.
+//!   renderable as a table or exportable as JSON lines.
 //!
 //! Run with: `cargo run --example tracing`
 
 use spannerlib::prelude::*;
-use spannerlib::RingTracer;
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Build: profile every evaluation, and keep cross-run metrics in
-    //    an attached RingTracer. The session knob and the tracer's
-    //    requested level combine by maximum, so either alone suffices.
-    let tracer = Arc::new(RingTracer::new(TraceLevel::Spans, 64 * 1024));
-    let mut session = Session::builder()
-        .tracing(TraceLevel::Spans)
-        .tracer(tracer.clone())
-        .build();
+    // 1. Build: profile every evaluation and record its spans.
+    let mut session = Session::builder().tracing(TraceLevel::Spans).build();
 
     // 2. A program with something to measure: recursive reachability
     //    plus a regex extraction, so the profile shows joins, rounds,
@@ -62,24 +51,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for line in json.lines().take(2) {
         println!("{line}");
     }
-
-    // 5. The tracer aggregates across runs: mutate an input, rerun, and
-    //    the counters keep climbing while the ring holds recent spans.
-    session.import_typed("Texts", vec![("d3", "late mail from zed@mail.net")])?;
-    session.export("?Email(d, usr, dom)")?;
-    let metrics = tracer.metrics();
-    println!("-- cross-run metrics --");
-    for (name, value) in metrics.counters() {
-        println!("{name:>28} = {value}");
-    }
-    let eval_ns = metrics.histogram("eval_ns").snapshot();
-    println!(
-        "evals: {} (p50 {}, p99 {}), spans resident: {}",
-        eval_ns.count,
-        spannerlib::trace::fmt_ns(eval_ns.p50()),
-        spannerlib::trace::fmt_ns(eval_ns.p99()),
-        tracer.spans().len(),
-    );
-    assert_eq!(metrics.counter("evals").get(), 2);
     Ok(())
 }

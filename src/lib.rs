@@ -131,8 +131,8 @@ pub use spannerlog_parser as parser;
 pub use spannerlib_core::{DocId, DocumentStore, Relation, Schema, Span, Tuple, Value, ValueType};
 pub use spannerlib_dataframe::DataFrame;
 pub use spannerlog_engine::{
-    CacheStats, DocGc, EvalProfile, PreparedProgram, PreparedQuery, RingTracer, Session,
-    SessionBuilder, SessionStats, Snapshot, TraceLevel, Tracer,
+    CacheStats, DocGc, EvalProfile, PreparedProgram, PreparedQuery, Session, SessionBuilder,
+    SessionStats, Snapshot, TraceLevel,
 };
 
 /// Everything a typical embedding needs, in one import.
