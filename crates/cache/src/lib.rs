@@ -18,15 +18,16 @@
 //!    ([`CacheStats`]).
 //! 2. **Document accumulation** — the engine's `DocumentStore` interns
 //!    every text an IE function touches and never forgets it. The
-//!    [`lifecycle`] module supplies the policy ([`DocGc`]) and the
-//!    reference-counting scratchpad ([`DocRefCounts`]) the engine uses
-//!    to compact the store epoch-wise: documents referenced by no live
-//!    relation and no memo entry are tombstoned, releasing their text.
+//!    [`lifecycle`] module supplies the policy ([`DocGc`]) by which the
+//!    engine compacts the store epoch-wise: documents referenced by no
+//!    relation are tombstoned, releasing their text.
 //!
-//! The two halves cooperate: memo entries are GC *roots* (a cached
-//! output may contain spans into documents no relation currently
-//! references), and the memo's byte budget therefore also bounds how
-//! much document text the cache can pin.
+//! The two halves meet in one place: relations are the only roots of a
+//! document, so after a compaction pass the memo drops every entry
+//! that names a dropped document ([`IeMemo::retain_docs`]) — an entry
+//! dies with its document instead of outliving it. What bounds memory
+//! is the [`DocGc`] watermark plus the memo's byte budget over keys and
+//! outputs.
 //!
 //! This crate is engine-agnostic: it depends only on the core value
 //! model, and the engine crate wires it into evaluation, the session
@@ -36,6 +37,6 @@ pub mod lifecycle;
 pub mod memo;
 pub mod stats;
 
-pub use lifecycle::{DocGc, DocRefCounts};
+pub use lifecycle::DocGc;
 pub use memo::{IeMemo, MemoKey, SharedIeMemo};
 pub use stats::CacheStats;

@@ -4,15 +4,21 @@
 //! of output rows, so `(function name, argument values, output arity)`
 //! fully determines the result — document texts are immutable once
 //! interned, and compaction never reuses a `DocId`, so a span argument
-//! pins its content for as long as the entry can be observed. The memo
+//! names the same content for as long as its document lives. The memo
 //! therefore caches outputs across fixpoint reruns *and* across
 //! `PreparedQuery` executions, trading a byte budget for the dominant
 //! cost of warm-path serving: re-running extraction over documents the
 //! session has already seen.
 //!
-//! Eviction is LRU over a configurable byte budget. Sizes are estimated
-//! (string payloads + enum footprints + a fixed per-entry overhead);
-//! the point is a stable bound, not an exact allocator accounting.
+//! An entry keeps no document alive. Relations are the only roots of
+//! the document store; when a compaction pass drops a document, the
+//! engine calls [`IeMemo::retain_docs`] and every entry whose key or
+//! output names it dies with it.
+//!
+//! Eviction is LRU over a configurable byte budget, charged for keys
+//! and outputs. Sizes are estimated (string payloads, enum footprints
+//! and a fixed per-entry overhead); the point is a stable bound, not an
+//! exact allocator accounting.
 
 use crate::stats::CacheStats;
 use parking_lot::Mutex;
@@ -197,34 +203,8 @@ impl IeMemo {
     /// the budget holds. An entry larger than the whole budget is
     /// rejected (counted in [`CacheStats::oversized`]); re-inserting an
     /// existing key replaces it.
-    ///
-    /// `doc_bytes` resolves a document id to its text length. Every
-    /// *distinct* document a span in the key or output references is
-    /// charged in full: resident entries are GC roots that pin their
-    /// documents against compaction, so the byte budget must account
-    /// for the pinned text — a 40-byte span over a 4 KiB note costs
-    /// 4 KiB, not `size_of::<Value>()` — or span-keyed workloads could
-    /// root unbounded document memory from a "small" cache.
-    pub fn insert(
-        &mut self,
-        key: MemoKey,
-        output: Arc<MemoOutput>,
-        doc_bytes: impl Fn(DocId) -> usize,
-    ) {
-        let mut pinned_docs: FxHashSet<DocId> = FxHashSet::default();
-        let mut collect = |values: &[Value]| {
-            for v in values {
-                if let Value::Span(s) = v {
-                    pinned_docs.insert(s.doc);
-                }
-            }
-        };
-        collect(&key.args);
-        for row in output.iter() {
-            collect(row);
-        }
-        let pinned_bytes: usize = pinned_docs.into_iter().map(doc_bytes).sum();
-        let entry_bytes = key.bytes() + output_bytes(&output) + pinned_bytes + ENTRY_OVERHEAD;
+    pub fn insert(&mut self, key: MemoKey, output: Arc<MemoOutput>) {
+        let entry_bytes = key.bytes() + output_bytes(&output) + ENTRY_OVERHEAD;
         if entry_bytes > self.budget {
             self.stats.oversized += 1;
             return;
@@ -262,41 +242,37 @@ impl IeMemo {
         self.bytes = 0;
     }
 
+    /// Drops the entries `dead` picks, returning how many were removed.
+    fn purge(&mut self, dead: impl Fn(&MemoKey, &MemoOutput) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|key, entry| {
+            let dead = dead(key, &entry.output);
+            if dead {
+                self.lru.remove(&entry.tick);
+                self.bytes -= entry.bytes;
+            }
+            !dead
+        });
+        before - self.entries.len()
+    }
+
     /// Drops every entry cached under `function`, returning how many
     /// were removed. Called by the engine when a function is
     /// (re-)registered: a new body invalidates all addresses under that
     /// name, while entries of unrelated functions stay warm.
     pub fn purge_function(&mut self, function: &str) -> usize {
-        let victims: Vec<Arc<MemoKey>> = self
-            .entries
-            .keys()
-            .filter(|k| k.function.as_ref() == function)
-            .cloned()
-            .collect();
-        for key in &victims {
-            if let Some(entry) = self.entries.remove(key) {
-                self.lru.remove(&entry.tick);
-                self.bytes -= entry.bytes;
-            }
-        }
-        victims.len()
+        self.purge(|key, _| key.function.as_ref() == function)
     }
 
-    /// Marks every `DocId` reachable from resident entries — span
-    /// arguments in keys and spans in cached output rows. Cached
-    /// entries are GC *roots*: compaction must not tombstone a document
-    /// a cached output still points into.
-    pub fn mark_doc_roots(&self, refs: &mut crate::DocRefCounts) {
-        for (key, entry) in &self.entries {
-            for v in &key.args {
-                refs.retain_value(v);
-            }
-            for row in entry.output.iter() {
-                for v in row {
-                    refs.retain_value(v);
-                }
-            }
-        }
+    /// Drops every entry that names a document outside `live` — by a
+    /// span argument of its key or a span in its output rows —
+    /// returning how many were removed. Called by the engine after a
+    /// compaction pass, so that no entry outlives a document: a dead
+    /// `DocId` is never handed out again, and equal text interned anew
+    /// gets a fresh one.
+    pub fn retain_docs(&mut self, live: &FxHashSet<DocId>) -> usize {
+        let dead = |v: &Value| matches!(v, Value::Span(s) if !live.contains(&s.doc));
+        self.purge(|key, output| key.args.iter().chain(output.iter().flatten()).any(dead))
     }
 }
 
@@ -312,8 +288,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DocRefCounts;
-    use spannerlib_core::{DocId, Span};
+    use spannerlib_core::Span;
 
     fn key(name: &str, n: i64) -> MemoKey {
         MemoKey::new(name, &[Value::Int(n)], 1)
@@ -323,16 +298,11 @@ mod tests {
         Arc::new(vec![vec![Value::Int(n)]])
     }
 
-    /// Insert with no interned documents in play (scalar workloads).
-    fn put(memo: &mut IeMemo, key: MemoKey, output: Arc<MemoOutput>) {
-        memo.insert(key, output, |_| 0);
-    }
-
     #[test]
     fn hit_returns_shared_output_and_counts() {
         let mut memo = IeMemo::new(1 << 20);
         assert!(memo.get(&key("f", 1)).is_none());
-        put(&mut memo, key("f", 1), rows(10));
+        memo.insert(key("f", 1), rows(10));
         let hit = memo.get(&key("f", 1)).expect("hit");
         assert_eq!(*hit, vec![vec![Value::Int(10)]]);
         let stats = memo.stats();
@@ -349,7 +319,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.hash, b.hash);
         let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, a.clone(), rows(1));
+        memo.insert(a.clone(), rows(1));
         assert!(memo.get(&b).is_some());
         // Two keys that collide on the hash are still two addresses.
         let mut forged = MemoKey::new("rgx", &[Value::str("p"), Value::str("other")], 1);
@@ -361,7 +331,7 @@ mod tests {
     #[test]
     fn distinct_arities_are_distinct_addresses() {
         let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, MemoKey::new("f", &[Value::Int(1)], 1), rows(1));
+        memo.insert(MemoKey::new("f", &[Value::Int(1)], 1), rows(1));
         assert!(memo.get(&MemoKey::new("f", &[Value::Int(1)], 2)).is_none());
     }
 
@@ -370,11 +340,11 @@ mod tests {
         // Budget fits exactly two of these entries.
         let one = key("f", 1).bytes() + output_bytes(&rows(0)) + ENTRY_OVERHEAD;
         let mut memo = IeMemo::new(2 * one);
-        put(&mut memo, key("f", 1), rows(1));
-        put(&mut memo, key("f", 2), rows(2));
+        memo.insert(key("f", 1), rows(1));
+        memo.insert(key("f", 2), rows(2));
         // Touch 1 so 2 becomes the LRU victim.
         assert!(memo.get(&key("f", 1)).is_some());
-        put(&mut memo, key("f", 3), rows(3));
+        memo.insert(key("f", 3), rows(3));
         assert_eq!(memo.len(), 2);
         assert!(memo.get(&key("f", 2)).is_none(), "victim was evicted");
         assert!(memo.get(&key("f", 1)).is_some());
@@ -387,7 +357,7 @@ mod tests {
     fn oversized_entries_are_rejected_not_thrashed() {
         let mut memo = IeMemo::new(ENTRY_OVERHEAD + 8);
         let big = Arc::new(vec![vec![Value::str("x".repeat(1024))]]);
-        put(&mut memo, key("f", 1), big);
+        memo.insert(key("f", 1), big);
         assert!(memo.is_empty());
         assert_eq!(memo.stats().oversized, 1);
         assert_eq!(memo.stats().evictions, 0);
@@ -396,9 +366,9 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_leaking_bytes() {
         let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, key("f", 1), rows(1));
+        memo.insert(key("f", 1), rows(1));
         let bytes_once = memo.bytes();
-        put(&mut memo, key("f", 1), rows(2));
+        memo.insert(key("f", 1), rows(2));
         assert_eq!(memo.len(), 1);
         assert_eq!(memo.bytes(), bytes_once);
         assert_eq!(*memo.get(&key("f", 1)).unwrap(), vec![vec![Value::Int(2)]]);
@@ -407,7 +377,7 @@ mod tests {
     #[test]
     fn clear_keeps_lifetime_counters() {
         let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, key("f", 1), rows(1));
+        memo.insert(key("f", 1), rows(1));
         memo.get(&key("f", 1));
         memo.clear();
         assert!(memo.is_empty());
@@ -420,7 +390,7 @@ mod tests {
     #[test]
     fn take_stats_drains_activity_keeps_residency() {
         let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, key("f", 1), rows(1));
+        memo.insert(key("f", 1), rows(1));
         memo.get(&key("f", 1));
         memo.get(&key("f", 2));
         let taken = memo.take_stats();
@@ -433,59 +403,36 @@ mod tests {
     }
 
     #[test]
-    fn doc_roots_cover_keys_and_outputs() {
+    fn entries_die_with_the_documents_they_name() {
         let mut memo = IeMemo::new(1 << 20);
-        let (d1, d2) = (DocId::from_index(1), DocId::from_index(2));
-        put(
-            &mut memo,
-            MemoKey::new("f", &[Value::Span(Span::new(d1, 0, 1))], 1),
-            Arc::new(vec![vec![Value::Span(Span::new(d2, 0, 2))]]),
-        );
-        let mut refs = DocRefCounts::new();
-        memo.mark_doc_roots(&mut refs);
-        assert!(refs.is_live(d1));
-        assert!(refs.is_live(d2));
-        assert!(!refs.is_live(DocId::from_index(3)));
-    }
-
-    #[test]
-    fn span_entries_are_charged_their_pinned_document_text() {
-        // Entries root their documents against GC, so a tiny span over
-        // a big doc must cost the doc, not the span.
-        let doc = DocId::from_index(0);
-        let doc_len = 4096usize;
-        let budget = 2 * (doc_len + 512);
-        let mut memo = IeMemo::new(budget);
-        for i in 0..4 {
-            memo.insert(
-                MemoKey::new("f", &[Value::Span(Span::new(doc, i, i + 1))], 1),
-                rows(i as i64),
-                |_| doc_len,
-            );
-        }
-        assert!(
-            memo.len() <= 2,
-            "budget fits two doc-pinning entries, kept {}",
-            memo.len()
-        );
-        assert!(memo.bytes() <= memo.budget());
-        assert!(memo.stats().evictions >= 2);
-        // The same span twice pins the doc once per entry, not per value.
-        let mut single = IeMemo::new(budget);
-        single.insert(
-            MemoKey::new("g", &[Value::Span(Span::new(doc, 0, 1))], 1),
-            Arc::new(vec![vec![Value::Span(Span::new(doc, 0, 1))]]),
-            |_| doc_len,
-        );
-        assert!(single.bytes() < doc_len + 512);
+        let span = |doc: u32| Value::Span(Span::new(DocId::from_index(doc), 0, 1));
+        let out = |v: Value| Arc::new(vec![vec![Value::Int(0)], vec![v]]);
+        memo.insert(MemoKey::new("by_key", &[span(1)], 1), rows(1));
+        memo.insert(key("by_output", 2), out(span(2)));
+        memo.insert(MemoKey::new("both_live", &[span(3)], 1), out(span(4)));
+        memo.insert(MemoKey::new("text", &[Value::str("t")], 1), rows(5));
+        let bytes_before = memo.bytes();
+        let live: FxHashSet<DocId> = [3, 4].into_iter().map(DocId::from_index).collect();
+        assert_eq!(memo.retain_docs(&live), 2);
+        assert!(memo.get(&MemoKey::new("by_key", &[span(1)], 1)).is_none());
+        assert!(memo.get(&key("by_output", 2)).is_none());
+        assert!(memo
+            .get(&MemoKey::new("both_live", &[span(3)], 1))
+            .is_some());
+        assert!(memo
+            .get(&MemoKey::new("text", &[Value::str("t")], 1))
+            .is_some());
+        assert_eq!((memo.len(), memo.lru.len()), (2, 2));
+        assert!(memo.bytes() < bytes_before);
+        assert_eq!(memo.retain_docs(&live), 0);
     }
 
     #[test]
     fn purge_function_is_name_scoped() {
         let mut memo = IeMemo::new(1 << 20);
-        put(&mut memo, key("f", 1), rows(1));
-        put(&mut memo, key("f", 2), rows(2));
-        put(&mut memo, key("g", 1), rows(3));
+        memo.insert(key("f", 1), rows(1));
+        memo.insert(key("f", 2), rows(2));
+        memo.insert(key("g", 1), rows(3));
         let bytes_before = memo.bytes();
         assert_eq!(memo.purge_function("f"), 2);
         assert_eq!(memo.len(), 1);

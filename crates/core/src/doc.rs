@@ -166,7 +166,8 @@ impl DocumentStore {
     ///
     /// The caller is responsible for passing a `live` predicate that
     /// covers *every* id still reachable from its data structures (the
-    /// engine marks spans in all relations plus IE-memo entries).
+    /// engine marks the spans of all relations, and drops the IE-memo
+    /// entries that name a removed document).
     pub fn compact(&mut self, live: impl Fn(DocId) -> bool) -> CompactionReport {
         let mut removed_docs = 0;
         let mut reclaimed_bytes = 0;
@@ -231,75 +232,6 @@ impl DocumentStore {
             .iter()
             .enumerate()
             .filter_map(|(i, t)| Some((DocId(i as u32), t.as_ref()?)))
-    }
-
-    /// Partitions the store into at most `n` contiguous shards of live
-    /// documents, balanced by **text bytes** rather than by document
-    /// count — one giant note must not ride along with a full share of
-    /// small ones. Shards cover disjoint, ascending slot ranges (stable
-    /// doc-id order, so parallel per-shard results merge
-    /// deterministically) and tombstoned slots contribute nothing.
-    ///
-    /// Fewer than `n` shards come back when the store has fewer live
-    /// documents — a single document is never split.
-    pub fn shards(&self, n: usize) -> Vec<DocShard> {
-        let mut shards = Vec::new();
-        if n == 0 || self.by_content.is_empty() {
-            return shards;
-        }
-        let target = self.live_bytes.div_ceil(n).max(1);
-        let mut current: Option<DocShard> = None;
-        for (i, slot) in self.texts.iter().enumerate() {
-            let Some(text) = slot else { continue };
-            let weight = text.len().max(1);
-            match current.as_mut() {
-                // Close a shard once it has met its byte share — unless
-                // doing so would mint more than `n` shards total.
-                Some(shard) if shard.bytes + weight > target && shards.len() + 1 < n => {
-                    shards.push(current.take().expect("shard is live"));
-                }
-                _ => {}
-            }
-            let shard = current.get_or_insert(DocShard {
-                start_slot: i,
-                end_slot: i,
-                docs: 0,
-                bytes: 0,
-            });
-            shard.end_slot = i + 1;
-            shard.docs += 1;
-            shard.bytes += weight;
-        }
-        if let Some(shard) = current {
-            shards.push(shard);
-        }
-        shards
-    }
-}
-
-/// One contiguous slice of a [`DocumentStore`], produced by
-/// [`DocumentStore::shards`]. Identifies documents by their slot range
-/// so a span's `DocId` maps to its shard with a binary search over
-/// `start_slot`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DocShard {
-    /// First slot of the range (inclusive). May point at a tombstone;
-    /// only live slots in the range belong to the shard.
-    pub start_slot: usize,
-    /// One past the last slot of the range (exclusive).
-    pub end_slot: usize,
-    /// Live documents inside the range.
-    pub docs: usize,
-    /// Live text bytes inside the range (empty texts count 1 so that a
-    /// store of empty documents still partitions).
-    pub bytes: usize,
-}
-
-impl DocShard {
-    /// Whether `id` falls in this shard's slot range.
-    pub fn contains(&self, id: DocId) -> bool {
-        let slot = id.index() as usize;
-        self.start_slot <= slot && slot < self.end_slot
     }
 }
 
@@ -437,81 +369,6 @@ mod tests {
         assert_eq!(new.index() as usize, store.slots() - 1);
         assert!(store.resolve(old).is_err());
         assert_eq!(store.text(new), "text");
-    }
-
-    #[test]
-    fn shards_of_empty_store_are_empty() {
-        let store = DocumentStore::new();
-        assert!(store.shards(4).is_empty());
-        assert!(store.shards(0).is_empty());
-        // Fully compacted == empty for sharding purposes.
-        let mut compacted = DocumentStore::new();
-        compacted.intern("gone");
-        compacted.compact(|_| false);
-        assert!(compacted.shards(4).is_empty());
-    }
-
-    #[test]
-    fn shards_balance_by_bytes_not_count() {
-        let mut store = DocumentStore::new();
-        // One giant doc followed by eight small ones: a by-count split
-        // into two shards would put the giant plus three smalls on one
-        // side. By-bytes, the giant stands alone.
-        store.intern(&"x".repeat(8_000));
-        for i in 0..8 {
-            store.intern(&format!("small doc {i} {}", "y".repeat(100)));
-        }
-        let shards = store.shards(2);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].docs, 1, "giant doc gets its own shard");
-        assert_eq!(shards[1].docs, 8);
-        assert!(shards[0].bytes > shards[1].bytes);
-        // Ranges are contiguous, ascending, and cover every live slot.
-        assert_eq!(shards[0].start_slot, 0);
-        assert_eq!(shards[0].end_slot, shards[1].start_slot);
-        assert_eq!(shards[1].end_slot, store.slots());
-        let total_docs: usize = shards.iter().map(|s| s.docs).sum();
-        assert_eq!(total_docs, store.len());
-    }
-
-    #[test]
-    fn shards_never_exceed_n_and_never_split_a_doc() {
-        let mut store = DocumentStore::new();
-        store.intern("only one");
-        let shards = store.shards(8);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].docs, 1);
-
-        for i in 0..100 {
-            store.intern(&format!("doc {i}"));
-        }
-        let shards = store.shards(7);
-        assert_eq!(shards.len(), 7);
-        let total: usize = shards.iter().map(|s| s.docs).sum();
-        assert_eq!(total, store.len());
-    }
-
-    #[test]
-    fn shards_skip_tombstoned_ids_after_compact() {
-        let mut store = DocumentStore::new();
-        let mut keep = Vec::new();
-        for i in 0..12 {
-            let id = store.intern(&format!("document number {i}"));
-            if i % 3 == 0 {
-                keep.push(id);
-            }
-        }
-        store.compact(|id| keep.contains(&id));
-        let shards = store.shards(2);
-        let total_docs: usize = shards.iter().map(|s| s.docs).sum();
-        assert_eq!(total_docs, keep.len());
-        let live_bytes: usize = store.iter().map(|(_, t)| t.len().max(1)).sum();
-        let shard_bytes: usize = shards.iter().map(|s| s.bytes).sum();
-        assert_eq!(shard_bytes, live_bytes);
-        // Every kept id maps into exactly one shard.
-        for &id in &keep {
-            assert_eq!(shards.iter().filter(|s| s.contains(id)).count(), 1);
-        }
     }
 
     #[test]

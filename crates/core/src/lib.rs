@@ -31,7 +31,7 @@ pub mod span;
 pub mod tuple;
 pub mod value;
 
-pub use doc::{CompactionReport, DocId, DocShard, DocumentStore};
+pub use doc::{CompactionReport, DocId, DocumentStore};
 pub use error::CoreError;
 pub use relation::Relation;
 pub use rows::{hash_cells, RowTable, Rows};

@@ -81,16 +81,6 @@ impl<'a> IeContext<'a> {
             }),
         }
     }
-
-    /// Eager variant of [`IeContext::text_arg`]: resolves to
-    /// `(text, doc, base_offset)`, interning string arguments
-    /// immediately. Prefer `text_arg` in functions that may not emit
-    /// spans over the text.
-    pub fn text_argument(&mut self, v: &Value) -> Result<(String, DocId, usize)> {
-        let mut arg = self.text_arg(v)?;
-        let (doc, base) = arg.doc_base(self);
-        Ok((arg.text().to_string(), doc, base))
-    }
 }
 
 /// A text-typed IE argument resolved by [`IeContext::text_arg`].
@@ -152,18 +142,21 @@ pub trait IeFunction: Send + Sync {
     /// use it for validation.
     fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput>;
 
-    /// Whether results are memoized by the session's IE cache.
+    /// Whether results may be reused: kept in the session's IE memo,
+    /// and shared by the rows of a batch that carry the same argument
+    /// vector. It means nothing else.
     ///
     /// Defaults to `true`: the IE contract (paper §3.3) is a *stateless*
-    /// mapping from inputs to output rows, which makes memoization
-    /// transparent. Override to `false` when memoizing is wrong *or
-    /// costs more than the call*: functions that break the contract on
-    /// purpose (clocks, RNGs, external lookups that must stay fresh),
-    /// and functions as cheap as the constant-time builtins, which a
-    /// memo probe and insert would outweigh several times over — or
-    /// register closures via `register_uncached`. An uncached function
-    /// is called once per binding row, and the planner keeps its
-    /// position in the rule body (it may be order-sensitive).
+    /// mapping from inputs to output rows, which makes reuse
+    /// transparent. Override to `false` when reuse is wrong *or costs
+    /// more than the call*: functions whose answer must stay fresh
+    /// (clocks, RNGs, external lookups), and functions as cheap as the
+    /// constant-time builtins, which a memo probe and insert would
+    /// outweigh several times over — or register closures via
+    /// `register_uncached`. An uncached function is called once per
+    /// distinct binding row of its step's input and its results are
+    /// never stored; *where* in the rule body that happens is the
+    /// planner's choice, as for every other step.
     fn cacheable(&self) -> bool {
         true
     }
@@ -226,10 +219,6 @@ where
 /// The second return value reports the memo outcome for tracing:
 /// `Some(true)` hit, `Some(false)` miss, `None` when the call bypassed
 /// the memo entirely.
-///
-/// Lock order: the memo lock is taken first and the docs lock (inside
-/// the byte-charging closure) second; nothing in the engine takes them
-/// in the opposite order.
 pub(crate) fn cached_ie_call(
     f: &dyn IeFunction,
     name: &str,
@@ -250,11 +239,7 @@ pub(crate) fn cached_ie_call(
         return Ok((hit, Some(true)));
     }
     let out = call()?;
-    // Entries are GC roots, so the memo charges each entry the full
-    // text of every document its spans pin.
-    cache.lock().insert(key, out.clone(), |id| {
-        docs.read().resolve(id).map(|t| t.len()).unwrap_or(0)
-    });
+    cache.lock().insert(key, out.clone());
     Ok((out, Some(false)))
 }
 
@@ -283,32 +268,31 @@ mod tests {
     }
 
     #[test]
-    fn text_argument_interns_strings() {
+    fn text_arg_interns_strings_at_doc_base() {
         let docs = SharedDocs::default();
         let mut ctx = IeContext::new(&docs);
-        let (text, doc, base) = ctx.text_argument(&Value::str("abc")).unwrap();
-        assert_eq!(text, "abc");
-        assert_eq!(base, 0);
+        let mut arg = ctx.text_arg(&Value::str("abc")).unwrap();
+        let (doc, base) = arg.doc_base(&mut ctx);
+        assert_eq!((arg.text(), base), ("abc", 0));
         assert_eq!(docs.read().text(doc), "abc");
     }
 
     #[test]
-    fn text_argument_offsets_spans() {
+    fn text_arg_offsets_spans() {
         let docs = SharedDocs::default();
         let id = docs.write().intern("xxabcxx");
         let span = docs.read().span(id, 2, 5).unwrap();
         let mut ctx = IeContext::new(&docs);
-        let (text, doc, base) = ctx.text_argument(&Value::Span(span)).unwrap();
-        assert_eq!(text, "abc");
-        assert_eq!(doc, id);
-        assert_eq!(base, 2);
+        let mut arg = ctx.text_arg(&Value::Span(span)).unwrap();
+        assert_eq!(arg.text(), "abc");
+        assert_eq!(arg.doc_base(&mut ctx), (id, 2));
     }
 
     #[test]
-    fn text_argument_rejects_ints() {
+    fn text_arg_rejects_ints() {
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        assert!(ctx.text_argument(&Value::Int(3)).is_err());
+        let ctx = IeContext::new(&docs);
+        assert!(ctx.text_arg(&Value::Int(3)).is_err());
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Cost-based step ordering and per-execution index reuse.
+//! The body scheduler — safety analysis and cost-based planning are
+//! one greedy loop at two costs — and per-execution index reuse.
 //!
-//! Safety analysis ([`crate::safety`]) emits each rule body as a
-//! *correct* pipeline — every step's variables are bound by the time it
-//! runs — but in textual atom order. This module adds the planner on
-//! top of that invariant:
+//! A body order is *safe* when every step's needed variables are bound
+//! by the steps before it (paper §3.1), and [`schedule`] is the only
+//! loop that picks a next step: the runnable one of least cost, ties to
+//! the lowest index.
 //!
-//! * [`annotate`] runs once per rule at compile time (from
-//!   `CompiledProgram::compile`) and records, per step, which variables
-//!   it **needs** bound, which it can **bind**, and whether it is an
-//!   ordering **barrier** (an uncacheable IE call: invoked once per
-//!   binding row, so its observable behaviour depends on its position).
-//! * [`order_steps`] runs per rule firing, when relation cardinalities
-//!   are known, and greedily picks the cheapest runnable step: filters
-//!   first, then IE calls whose inputs are bound, then scans by
-//!   estimated fan-out (relation size discounted per bound join
-//!   column). Barriers are never crossed in either direction.
+//! * [`crate::safety`] calls it once per rule at **uniform cost**: the
+//!   lexicographically least safe order of the body as written, which
+//!   the plan stores its steps in and `EvalStrategy::Naive` executes;
+//!   a body without one is an unsafe rule. The metadata it scheduled by
+//!   ([`StepMeta`]: the variables a step **needs** bound and those it
+//!   can **bind**) stays on the plan ([`RuleOpt`]).
+//! * [`order_steps`] calls it per rule firing, when cardinalities are
+//!   known, at the **cardinality cost**: filters first, then IE calls,
+//!   then scans by estimated fan-out (relation size discounted per
+//!   bound join column).
 //! * [`IndexCache`] keeps the hash indexes keyed scan joins probe
 //!   ([`TupleIndex`]: key → row ids) alive for the whole evaluation
 //!   run, one per `(relation, key columns)`. Within one run relations
@@ -24,30 +25,49 @@
 //!   fixpoint rounds and sibling rules share it, and a recursive
 //!   relation is never re-indexed from its first row.
 //!
-//! Any permutation respecting the `needs ⊆ bound` invariant and the
-//! barriers is observationally equivalent: scans, negations, and
-//! comparisons are pure, joins commute, and the head projection works
-//! on set semantics. The `production_agrees_with_reference_*` property
-//! tests (`crates/engine/tests/properties.rs`) pin that equivalence
-//! against `EvalStrategy::Naive`, which never reorders.
+//! Every safe order is observationally equivalent: scans, negations
+//! and comparisons are pure, IE functions are stateless mappings of
+//! their inputs (§3.3) whether or not their results are memoised, joins
+//! commute, and the head projection works on set semantics. The
+//! `production_agrees_with_reference_*` property tests
+//! (`crates/engine/tests/properties.rs`) pin that equivalence against
+//! `EvalStrategy::Naive`, which never reorders.
 
 use crate::plan::{PTerm, RulePlan, Step};
-use crate::registry::Registry;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{hash_cells, Relation, RowTable, Rows, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Per-step scheduling metadata (see [`annotate`]).
+/// Per-step scheduling metadata, as [`schedule`] reads it.
 #[derive(Debug, Clone, Default)]
 pub struct StepMeta {
     /// Variables that must already be bound for the step to run.
     pub needs: Vec<usize>,
     /// Variables the step can bind.
     pub binds: Vec<usize>,
-    /// Whether the step pins the relative order of everything around it
-    /// (uncacheable IE calls — one invocation per row, order-sensitive).
-    pub barrier: bool,
+}
+
+impl StepMeta {
+    /// What `step` needs bound and what it binds.
+    pub fn of(step: &Step) -> StepMeta {
+        let mut meta = StepMeta::default();
+        match step {
+            Step::Scan { terms, .. } => term_vars(terms, &mut meta.binds),
+            Step::Ie {
+                inputs, outputs, ..
+            } => {
+                term_vars(inputs, &mut meta.needs);
+                term_vars(outputs, &mut meta.binds);
+            }
+            Step::Negation { terms, .. } => term_vars(terms, &mut meta.needs),
+            Step::Compare { left, op: _, right } => {
+                term_vars(std::slice::from_ref(left), &mut meta.needs);
+                term_vars(std::slice::from_ref(right), &mut meta.needs);
+            }
+        }
+        meta
+    }
 }
 
 /// Compile-time planner annotation of one rule, stored on
@@ -70,9 +90,9 @@ pub struct RuleOpt {
 /// IE call is rooted at a single scan variable (the *document
 /// variable*), so partitioning binding rows by that variable's document
 /// provably commutes with the remaining steps. Everything else —
-/// aggregation (which folds across documents), uncacheable IE calls
-/// (order-sensitive), cross-document joins feeding IE — falls back to
-/// the serial path with a human-readable reason.
+/// aggregation (which folds across documents), cross-document joins
+/// feeding IE — falls back to the serial path with a human-readable
+/// reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitClass {
     /// Shard-parallel: binding rows may be partitioned on `doc_var`
@@ -113,42 +133,20 @@ fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {
     }
 }
 
-/// Computes and stores the scheduling metadata for `plan`. Called once
-/// from `CompiledProgram::compile`; plans without the annotation (e.g.
-/// hand-built) simply execute in textual order.
-pub fn annotate(plan: &mut RulePlan, registry: &Registry) {
-    let steps: Vec<StepMeta> = plan
-        .steps
-        .iter()
-        .map(|step| {
-            let mut meta = StepMeta::default();
-            match step {
-                Step::Scan { terms, .. } => term_vars(terms, &mut meta.binds),
-                Step::Ie {
-                    function,
-                    inputs,
-                    outputs,
-                } => {
-                    term_vars(inputs, &mut meta.needs);
-                    term_vars(outputs, &mut meta.binds);
-                    // Unknown functions stay conservative barriers; the
-                    // execute-time registry lookup reports the error.
-                    meta.barrier = registry
-                        .ie(function)
-                        .map(|f| !f.cacheable())
-                        .unwrap_or(true);
-                }
-                Step::Negation { terms, .. } => term_vars(terms, &mut meta.needs),
-                Step::Compare { left, op: _, right } => {
-                    term_vars(std::slice::from_ref(left), &mut meta.needs);
-                    term_vars(std::slice::from_ref(right), &mut meta.needs);
-                }
-            }
-            meta
-        })
-        .collect();
-    let split = classify(plan, &steps);
-    plan.opt = Some(RuleOpt { steps, split });
+impl RuleOpt {
+    /// The annotation of `plan`, given the metadata of its steps.
+    pub fn new(plan: &RulePlan, steps: Vec<StepMeta>) -> RuleOpt {
+        let split = classify(plan, &steps);
+        RuleOpt { steps, split }
+    }
+}
+
+/// Annotates a hand-built plan as it stands; [`crate::safety::analyze`]
+/// returns its plans annotated. A plan without the annotation executes
+/// in textual order on the calling thread.
+pub fn annotate(plan: &mut RulePlan) {
+    let steps = plan.steps.iter().map(StepMeta::of).collect();
+    plan.opt = Some(RuleOpt::new(plan, steps));
 }
 
 /// Split-correctness analysis (see [`SplitClass`]). Walks the body in
@@ -158,109 +156,55 @@ pub fn annotate(plan: &mut RulePlan, registry: &Registry) {
 /// exactly one root — that root's first IE input variable becomes the
 /// document variable the shards partition on.
 fn classify(plan: &RulePlan, metas: &[StepMeta]) -> SplitClass {
+    let serial = |reason| SplitClass::Serial { reason };
     if plan.has_aggregation() {
-        return SplitClass::Serial {
-            reason: "aggregation folds across documents",
-        };
-    }
-    if metas.iter().any(|m| m.barrier) {
-        return SplitClass::Serial {
-            reason: "order-sensitive (uncacheable) IE call",
-        };
+        return serial("aggregation folds across documents");
     }
     if !plan.steps.iter().any(|s| matches!(s, Step::Ie { .. })) {
-        return SplitClass::Serial {
-            reason: "no IE step to parallelize",
-        };
+        return serial("no IE step to parallelize");
     }
     // For each variable: the index of the scan step that (transitively)
     // produced it, or `None` while unbound.
     let mut var_root: Vec<Option<usize>> = vec![None; plan.var_names.len()];
-    let mut ie_root: Option<usize> = None;
-    let mut doc_var: Option<usize> = None;
-    for (i, step) in plan.steps.iter().enumerate() {
-        match step {
-            Step::Scan { terms, .. } => {
-                for t in terms {
-                    if let PTerm::Var(v) = t {
-                        if let Some(slot) = var_root.get_mut(*v) {
-                            if slot.is_none() {
-                                *slot = Some(i);
-                            }
-                        }
-                    }
-                }
-            }
-            Step::Ie {
-                inputs, outputs, ..
-            } => {
+    // The root of the IE calls so far, and the document variable.
+    let mut doc: Option<(usize, usize)> = None;
+    for (i, (step, meta)) in plan.steps.iter().zip(metas).enumerate() {
+        let root = match step {
+            Step::Scan { .. } => i,
+            Step::Ie { .. } => {
                 let mut roots: Vec<usize> = Vec::new();
-                let mut first_var: Option<usize> = None;
-                for t in inputs {
-                    if let PTerm::Var(v) = t {
-                        first_var.get_or_insert(*v);
-                        match var_root.get(*v).copied().flatten() {
-                            Some(r) => {
-                                if !roots.contains(&r) {
-                                    roots.push(r);
-                                }
-                            }
-                            None => {
-                                return SplitClass::Serial {
-                                    reason: "IE input not rooted at a scan",
-                                }
-                            }
-                        }
+                for &v in &meta.needs {
+                    match var_root.get(v).copied().flatten() {
+                        Some(r) if roots.contains(&r) => {}
+                        Some(r) => roots.push(r),
+                        None => return serial("IE input not rooted at a scan"),
                     }
                 }
-                let root = match roots[..] {
-                    [] => {
-                        return SplitClass::Serial {
-                            reason: "IE call with constant-only inputs",
-                        }
-                    }
-                    [r] => r,
-                    _ => {
-                        return SplitClass::Serial {
-                            reason: "cross-document join feeds an IE call",
-                        }
-                    }
-                };
-                match ie_root {
-                    None => {
-                        ie_root = Some(root);
-                        doc_var = first_var;
-                    }
-                    Some(r) if r != root => {
-                        return SplitClass::Serial {
-                            reason: "IE calls rooted at different scans",
-                        }
-                    }
-                    Some(_) => {}
+                match (&roots[..], doc) {
+                    ([], _) => return serial("IE call with constant-only inputs"),
+                    ([r], None) => doc = Some((*r, meta.needs[0])),
+                    ([r], Some((root, _))) if *r == root => {}
+                    ([_], _) => return serial("IE calls rooted at different scans"),
+                    _ => return serial("cross-document join feeds an IE call"),
                 }
-                for t in outputs {
-                    if let PTerm::Var(v) = t {
-                        if let Some(slot) = var_root.get_mut(*v) {
-                            if slot.is_none() {
-                                *slot = Some(root);
-                            }
-                        }
-                    }
-                }
+                roots[0]
             }
-            Step::Negation { .. } | Step::Compare { .. } => {}
+            Step::Negation { .. } | Step::Compare { .. } => continue,
+        };
+        for &v in &meta.binds {
+            if let Some(slot @ None) = var_root.get_mut(v) {
+                *slot = Some(root);
+            }
         }
     }
-    match doc_var {
-        Some(doc_var) => SplitClass::Parallel { doc_var },
-        None => SplitClass::Serial {
-            reason: "IE call with constant-only inputs",
-        },
+    match doc {
+        Some((_, doc_var)) => SplitClass::Parallel { doc_var },
+        None => serial("IE call with constant-only inputs"),
     }
 }
 
-/// Assumed output rows per input row of a cacheable IE call — a handful
-/// of matches per document. Scans estimating a larger fan-out run after
+/// Assumed output rows per input row of an IE call — a handful of
+/// matches per document. Scans estimating a larger fan-out run after
 /// the IE call; smaller ones run before it.
 const IE_FANOUT: usize = 4;
 
@@ -297,74 +241,56 @@ fn step_cost(
     }
 }
 
-/// Greedily orders the steps of `plan` by estimated cost, returning a
-/// permutation of the original step indices. `scan_rows(i)` reports the
-/// (delta-aware) cardinality of the relation scanned by step `i`.
-///
-/// Steps become *runnable* once their needed variables are bound;
-/// uncacheable IE calls split the body into segments that are ordered
-/// independently, so nothing migrates across them. The permutation
-/// always exists: the textual order itself satisfies the binding
-/// invariant, so the lowest unscheduled original index is runnable at
-/// every point (ties prefer it, keeping the choice deterministic).
+/// The scheduler: an order of the steps `metas` describes in which
+/// every step's needed variables are bound by the steps before it. Each
+/// pick is the runnable step of least `cost(step, bound variables)`,
+/// ties to the lowest index; when none is runnable no such order
+/// exists, and the pending steps come back as the error.
+pub fn schedule(
+    metas: &[StepMeta],
+    n_vars: usize,
+    mut cost: impl FnMut(usize, &[bool]) -> usize,
+) -> Result<Vec<usize>, Vec<usize>> {
+    let mut order = Vec::with_capacity(metas.len());
+    let mut bound = vec![false; n_vars];
+    let mut pending: Vec<usize> = (0..metas.len()).collect();
+    while !pending.is_empty() {
+        let is_bound = |v: &usize| bound.get(*v) == Some(&true);
+        let runnable = pending
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| metas[i].needs.iter().all(is_bound));
+        // `min_by_key` keeps the first of equal minima: the lowest index.
+        let Some((at, _)) = runnable.min_by_key(|&(_, &i)| cost(i, &bound)) else {
+            return Err(pending);
+        };
+        let pick = pending.remove(at);
+        for &v in &metas[pick].binds {
+            if let Some(b) = bound.get_mut(v) {
+                *b = true;
+            }
+        }
+        order.push(pick);
+    }
+    Ok(order)
+}
+
+/// Orders the steps of `plan` for one firing: [`schedule`] at the
+/// cardinality cost, `scan_rows(i)` being the (delta-aware) cardinality
+/// of the relation step `i` scans. A plan from safety analysis always
+/// has an order — the stored one is safe; a malformed hand-built one
+/// keeps its textual order, and execution reports what is wrong.
 pub fn order_steps(
     plan: &RulePlan,
     opt: &RuleOpt,
     mut scan_rows: impl FnMut(usize) -> usize,
 ) -> Vec<usize> {
-    let n = plan.steps.len();
-    if n <= 1 || opt.steps.len() != n {
-        return (0..n).collect();
+    let textual = || (0..plan.steps.len()).collect();
+    if opt.steps.len() != plan.steps.len() {
+        return textual();
     }
-    let mut order = Vec::with_capacity(n);
-    let mut bound = vec![false; plan.var_names.len()];
-    let mut emitted = vec![false; n];
-    // Segment boundaries: barriers pin themselves and fence both sides.
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo..n).find(|&i| opt.steps[i].barrier).unwrap_or(n);
-        // Order the pure segment [lo, hi).
-        while order.len() < hi {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, &done) in emitted.iter().enumerate().take(hi).skip(lo) {
-                if done {
-                    continue;
-                }
-                let meta = &opt.steps[i];
-                if !meta.needs.iter().all(|&v| bound.get(v) == Some(&true)) {
-                    continue;
-                }
-                let cost = step_cost(&plan.steps[i], i, &bound, &mut scan_rows);
-                if best.is_none_or(|(c, _)| cost < c) {
-                    best = Some((cost, i));
-                }
-            }
-            // Unreachable for safety-produced plans; bail out to textual
-            // order for anything malformed (execute reports the error).
-            let Some((_, pick)) = best else {
-                return (0..n).collect();
-            };
-            emitted[pick] = true;
-            for &v in &opt.steps[pick].binds {
-                if let Some(b) = bound.get_mut(v) {
-                    *b = true;
-                }
-            }
-            order.push(pick);
-        }
-        // Emit the barrier itself in place.
-        if hi < n {
-            emitted[hi] = true;
-            for &v in &opt.steps[hi].binds {
-                if let Some(b) = bound.get_mut(v) {
-                    *b = true;
-                }
-            }
-            order.push(hi);
-        }
-        lo = hi + 1;
-    }
-    order
+    let cost = |i: usize, bound: &[bool]| step_cost(&plan.steps[i], i, bound, &mut scan_rows);
+    schedule(&opt.steps, plan.var_names.len(), cost).unwrap_or_else(|_| textual())
 }
 
 /// Renders a chosen order as a one-line plan description for the trace,

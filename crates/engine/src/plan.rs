@@ -1,6 +1,6 @@
 //! Compiled rule plans and their execution.
 //!
-//! A [`RulePlan`] is a rule whose body has been reordered by the safety
+//! A [`RulePlan`] is a rule whose body has been scheduled by the safety
 //! checker ([`crate::safety`]) into an executable pipeline over *binding
 //! rows* — partial assignments of the rule's variables. Each [`Step`]
 //! either extends the bindings (relation scan-join, IE call) or filters
@@ -10,7 +10,7 @@
 //! rows are one [`Rows`] of `rows × n_vars` cells, a scan reads the
 //! relation's arena (or a delta: a range of its row ids), and the head
 //! projection writes one more flat batch for the evaluator to insert. A
-//! batch holds no row twice — so an uncacheable IE function runs once
+//! batch holds no row twice — so an uncached IE function runs once
 //! per distinct binding — but only the steps that can *create* a repeat
 //! pay for a dedupe: a scan with a `_` column, and every IE step. The
 //! others map distinct rows to distinct rows, and the head relation's
@@ -26,6 +26,7 @@ use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_par::ThreadPool;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use spannerlog_parser::CmpOp;
+use std::fmt::Display;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,9 +115,9 @@ pub struct RulePlan {
     /// `(predicate, through_negation_or_aggregation)` dependencies for
     /// stratification.
     pub dependencies: Vec<(String, bool)>,
-    /// Planner annotation ([`crate::optimizer::annotate`]), filled at
-    /// compile time. `None` (e.g. for hand-built plans) executes the
-    /// steps in textual order.
+    /// Planner annotation: safety analysis fills it, and
+    /// [`crate::optimizer::annotate`] for a hand-built plan. `None`
+    /// executes the steps in textual order.
     pub opt: Option<RuleOpt>,
 }
 
@@ -328,14 +329,14 @@ fn run_steps(
                     d.check(Some(plan))?;
                 }
                 let f = ctx.registry.ie(function)?.clone();
-                let role = format!("input of IE function {function:?}");
                 for t in inputs {
-                    operand(plan, t, &batch.bound, &role)?;
+                    let role = format_args!("input of IE function {function:?}");
+                    operand(plan, t, &batch.bound, role)?;
                 }
-                // Batch rows by their argument tuple: *cacheable* IE
-                // functions are stateless, so each distinct tuple is
-                // invoked (or memo-probed) once. Uncacheable ones keep
-                // one call per row — repeated calls may differ.
+                // Batch rows by their argument tuple: a *cacheable*
+                // function's results may be reused, so each distinct
+                // tuple is invoked (or memo-probed) once. An uncached
+                // one is called once per row of the batch.
                 let var = |t: &PTerm| match t {
                     PTerm::Var(v) => Some(*v),
                     _ => None,
@@ -412,7 +413,7 @@ fn run_steps(
 
 /// Runs the post-split suffix of a split-correct rule over the bins of
 /// `batch` partitioned on the document variable. One bin — no pool, one
-/// document, one row — runs on the calling thread. More fork a trace
+/// document value, one row — runs on the calling thread. More fork a trace
 /// per shard, evaluate each shard on the pool, and merge results and
 /// traces back in shard index order; the first shard error (in that
 /// stable order) wins, matching the one-bin error determinism. Rows of
@@ -433,9 +434,9 @@ fn run_sharded(
         bound: bound.clone(),
     };
     let mut merged = Rows::new(rows.width());
-    let mut bins = partition_rows(rows, doc_var, ctx.docs, target);
+    let mut bins = partition_rows(rows, doc_var, target);
     let pool = match ctx.pool {
-        Some(pool) if bins.len() > 1 && !suffix.is_empty() => pool,
+        Some(pool) if bins.len() > 1 => pool,
         _ => {
             let batch = shard(bins.pop().unwrap_or(merged));
             return run_steps(plan, suffix, batch, relations, ctx, tr);
@@ -487,54 +488,34 @@ fn run_sharded(
 }
 
 /// Partitions binding rows on the document variable for shard-parallel
-/// execution. When every row binds the variable to a span, the store's
-/// balanced byte-weight shards drive the split (stable document-id
-/// order); any other value mix falls back to greedy weight-balanced
-/// binning keyed on the value itself, so rows over the same document
-/// always land in the same shard.
-fn partition_rows(rows: Rows, doc_var: usize, docs: &SharedDocs, target: usize) -> Vec<Rows> {
+/// execution into at most `target` bins, none empty. Rows are grouped
+/// by the variable's value — whatever its kind: rows over the same
+/// document always share a bin — and each group goes to the lightest
+/// bin so far, weighed by the text the value spans (deterministic:
+/// groups keep first-appearance order, ties prefer the lowest bin, and
+/// the first `n` groups each open one).
+fn partition_rows(rows: Rows, doc_var: usize, target: usize) -> Vec<Rows> {
     if target <= 1 || rows.len() <= 1 {
         return vec![rows];
     }
-    let doc_of = |row: &[Value]| match &row[doc_var] {
-        Value::Span(span) => Some(span.doc),
-        _ => None,
-    };
-    let (mut bin_of, mut n) = (Vec::new(), 0);
-    if rows.iter().all(|row| doc_of(row).is_some()) {
-        let shards = docs.read().shards(target);
-        // A store too small to split (e.g. one huge document) falls
-        // through to value-keyed binning over the span values.
-        if shards.len() > 1 {
-            let slot = |doc| shards.iter().position(|s| s.contains(doc)).unwrap_or(0);
-            bin_of = rows.iter().filter_map(doc_of).map(slot).collect();
-            n = shards.len();
-        }
-    }
-    if n == 0 {
-        // Group rows by the document variable's value, then greedily
-        // pack each group into the lightest bin (deterministic: groups
-        // keep first-appearance order, ties prefer the lowest bin index).
-        let groups = TupleIndex::build(&rows, 0..rows.len(), &[doc_var]);
-        n = target.min(groups.groups().len());
-        let mut load = vec![0u64; n];
-        bin_of = vec![0; rows.len()];
-        for members in groups.groups() {
-            let weight = match &rows.row(members[0])[doc_var] {
-                Value::Str(s) => s.len().max(1),
-                Value::Span(s) => s.len().max(1),
-                _ => 1,
-            };
-            let lightest = (0..n).min_by_key(|&i| (load[i], i)).expect("n >= 1");
-            load[lightest] += weight as u64;
-            members.iter().for_each(|&r| bin_of[r] = lightest);
-        }
+    let groups = TupleIndex::build(&rows, 0..rows.len(), &[doc_var]);
+    let n = target.min(groups.groups().len());
+    let mut load = vec![0u64; n];
+    let mut bin_of = vec![0; rows.len()];
+    for members in groups.groups() {
+        let weight = match &rows.row(members[0])[doc_var] {
+            Value::Str(s) => s.len().max(1),
+            Value::Span(s) => s.len().max(1),
+            _ => 1,
+        };
+        let lightest = (0..n).min_by_key(|&i| (load[i], i)).expect("n >= 1");
+        load[lightest] += weight as u64;
+        members.iter().for_each(|&r| bin_of[r] = lightest);
     }
     let mut bins: Vec<Rows> = (0..n).map(|_| Rows::new(rows.width())).collect();
     for (row, bin) in rows.iter().zip(bin_of) {
         bins[bin].push(row);
     }
-    bins.retain(|b| !b.is_empty());
     bins
 }
 
@@ -595,7 +576,7 @@ fn cell<'a>(t: &'a PTerm, row: &'a [Value]) -> &'a Value {
 
 /// Checks that `t` has a value in every row of a batch binding `bound`;
 /// `role` names the term in the error a malformed plan gets otherwise.
-fn operand(plan: &RulePlan, t: &PTerm, bound: &[bool], role: &str) -> Result<()> {
+fn operand(plan: &RulePlan, t: &PTerm, bound: &[bool], role: impl Display) -> Result<()> {
     match t {
         PTerm::Var(v) if !bound[*v] => Err(internal(
             plan,
@@ -865,8 +846,9 @@ fn project_head(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::StepMeta;
     use proptest::prelude::*;
-    use spannerlib_core::{hash_cells, Schema, Tuple, ValueType};
+    use spannerlib_core::{hash_cells, DocId, Schema, Span, Tuple, ValueType};
     use std::collections::BTreeSet;
 
     /// A partial assignment of a rule's variables.
@@ -1101,8 +1083,134 @@ mod tests {
         derived.iter().map(<[Value]>::to_vec).collect()
     }
 
+    /// Whatever kind of value the document variable holds, the bins
+    /// are a partition of the rows that never splits a value, none is
+    /// empty, there are `target` of them unless the values run out
+    /// first, and they are balanced by text bytes rather than by count.
+    #[test]
+    fn partition_rows_bins_by_value_whatever_its_kind() {
+        let span = |doc: usize, len| Value::Span(Span::new(DocId::from_index(doc as u32), 0, len));
+        let text = |i: usize| Value::str(format!("note {i}"));
+        let mixed = |i: usize| match i % 3 {
+            0 => span(i % 2, 7),
+            1 => text(i % 2),
+            _ => Value::Int((i % 2) as i64),
+        };
+        let columns: [Vec<Value>; 4] = [
+            (0..12).map(|i| span(i % 5, 10)).collect(),
+            (0..12).map(|i| text(i % 5)).collect(),
+            (0..12).map(|i| Value::Int((i % 5) as i64)).collect(),
+            (0..12).map(mixed).collect(),
+        ];
+        for (column, target) in columns.iter().flat_map(|c| [2, 3, 8].map(|t| (c, t))) {
+            let mut rows = Rows::new(2);
+            for (i, v) in column.iter().enumerate() {
+                rows.push(&[Value::Int(i as i64), v.clone()]);
+            }
+            let bins = partition_rows(rows, 1, target);
+            let distinct: BTreeSet<&Value> = column.iter().collect();
+            assert_eq!(bins.len(), target.min(distinct.len()), "{column:?}");
+            assert!(bins.iter().all(|bin| !bin.is_empty()));
+            let ids = bins
+                .iter()
+                .flat_map(|bin| bin.iter().map(|row| row[0].as_int()));
+            let mut ids: Vec<Option<i64>> = ids.collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..12).map(Some).collect::<Vec<_>>());
+            for v in distinct {
+                let holds = |bin: &&Rows| bin.iter().any(|row| row[1] == *v);
+                assert_eq!(bins.iter().filter(holds).count(), 1, "{v:?} in {column:?}");
+            }
+        }
+        // One giant note and eight small ones: split by count, the giant
+        // would ride with three of the small; by bytes it stands alone.
+        let mut rows = Rows::new(1);
+        rows.push(&[Value::str("x".repeat(8_000))]);
+        for i in 0..8 {
+            rows.push(&[Value::str(format!("small {i} {}", "y".repeat(100)))]);
+        }
+        let bins = partition_rows(rows, 0, 2);
+        assert_eq!(bins.iter().map(Rows::len).collect::<Vec<_>>(), [1, 8]);
+    }
+
+    /// Extends `order` to the lexicographically least order of `0..n`
+    /// whose every prefix `is_safe`, by exhaustive search.
+    fn least_safe_order(
+        n: usize,
+        is_safe: &dyn Fn(&[usize]) -> bool,
+        order: &mut Vec<usize>,
+    ) -> bool {
+        if order.len() == n {
+            return true;
+        }
+        for i in (0..n).filter(|i| !order.contains(i)).collect::<Vec<_>>() {
+            order.push(i);
+            if is_safe(order) && least_safe_order(n, is_safe, order) {
+                return true;
+            }
+            order.pop();
+        }
+        false
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one scheduler, held to the definition over bodies written
+        /// in any order — IE steps included, which can leave a body
+        /// without a safe order: at uniform cost (safety analysis) it
+        /// returns the lexicographically least order with `needs ⊆
+        /// bound` at every step and is stuck iff there is none; at the
+        /// cardinality cost (a firing) its order is a permutation with
+        /// the same invariant.
+        #[test]
+        fn one_scheduler_serves_safety_and_planning(
+            arities in prop::collection::vec(1usize..4, 3),
+            atoms in prop::collection::vec(
+                (0usize..3, prop::collection::vec((0u8..6, 0usize..5), 3), any::<bool>()), 1..3),
+            compares in prop::collection::vec((0usize..4, 0u8..12, 0usize..5), 0..3),
+            ies in prop::collection::vec(
+                (prop::collection::vec(0usize..6, 0..3), prop::collection::vec(0usize..6, 0..3)), 0..4),
+            keys in prop::collection::vec(any::<u8>(), 7),
+            sizes in prop::collection::vec(0usize..5000, 7),
+        ) {
+            let mut plan = safe_plan(&arities, &atoms, &compares, &[], &colliding_ints());
+            // Variables 4 and 5 are bound by IE outputs or not at all.
+            plan.var_names = (0..6).map(|v| format!("v{v}")).collect();
+            let vars = |vs: &Vec<usize>| vs.iter().map(|&v| PTerm::Var(v)).collect();
+            plan.steps.extend(ies.iter().map(|(inputs, outputs)| Step::Ie {
+                function: "f".into(),
+                inputs: vars(inputs),
+                outputs: vars(outputs),
+            }));
+            let mut keyed: Vec<(u8, Step)> = keys.into_iter().zip(plan.steps).collect();
+            keyed.sort_by_key(|(key, _)| *key);
+            plan.steps = keyed.into_iter().map(|(_, step)| step).collect();
+
+            let metas: Vec<StepMeta> = plan.steps.iter().map(StepMeta::of).collect();
+            let is_safe = |order: &[usize]| {
+                let mut bound = [false; 6];
+                order.iter().all(|&i| {
+                    let runnable = metas[i].needs.iter().all(|&v| bound[v]);
+                    metas[i].binds.iter().for_each(|&v| bound[v] = true);
+                    runnable
+                })
+            };
+            let n = metas.len();
+            let mut least = Vec::new();
+            let exists = least_safe_order(n, &is_safe, &mut least);
+            match optimizer::schedule(&metas, 6, |_, _| 0) {
+                Ok(order) => prop_assert_eq!((exists, &order), (true, &least), "{:?}", plan.steps),
+                Err(pending) => prop_assert!(!exists, "stuck on {:?} of {:?}", pending, plan.steps),
+            }
+            optimizer::annotate(&mut plan);
+            let opt = plan.opt.as_ref().expect("annotated");
+            let planned = optimizer::order_steps(&plan, opt, |i| sizes[i]);
+            let mut sorted = planned.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+            prop_assert!(is_safe(&planned) || !exists, "{:?} of {:?}", planned, plan.steps);
+        }
 
         /// `execute_with` — in textual order with an index per scan, and
         /// planned with the run's extended indexes — derives exactly
@@ -1142,7 +1250,7 @@ mod tests {
             });
             let expected = nested_loops(&plan, &relations, &delta);
             prop_assert_eq!(&execute(&plan, &relations, &delta, None), &expected, "reference");
-            optimizer::annotate(&mut plan, &Registry::new());
+            optimizer::annotate(&mut plan);
             let indexes = IndexCache::default();
             for _ in 0..2 {
                 let got = execute(&plan, &relations, &delta, Some(&indexes));

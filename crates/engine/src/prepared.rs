@@ -109,15 +109,10 @@ impl CompiledProgram {
             relations: &relation_names,
             registry,
         };
-        let mut plans = rules
+        let plans = rules
             .iter()
             .map(|r| analyze(r, &ctx))
             .collect::<Result<Vec<_>>>()?;
-        // Planner annotation: per-step binding/barrier metadata, so the
-        // execute-time cost ordering pays no analysis per firing.
-        for plan in &mut plans {
-            crate::optimizer::annotate(plan, registry);
-        }
 
         // Every predicate a rule depends on is a fingerprint input —
         // including rule heads. Derived inserts bypass the generation
@@ -283,10 +278,9 @@ pub struct Snapshot {
     /// The originating session's IE memo, shared for observability:
     /// snapshot queries are pure reads that never invoke IE functions,
     /// but handing the memo over lets serving threads watch hit rates
-    /// via [`Snapshot::cache_stats`]. (Document rooting is the
-    /// *session's* concern — its compaction marks memo roots through
-    /// its own handle, and a snapshot's frozen store is never
-    /// compacted.)
+    /// via [`Snapshot::cache_stats`]. (A snapshot's frozen store is
+    /// never compacted; the session's compaction prunes the memo
+    /// through its own handle.)
     cache: Option<spannerlib_cache::SharedIeMemo>,
     /// Profile of the fixpoint run that produced the frozen state
     /// (`None` when the session evaluated with tracing off).

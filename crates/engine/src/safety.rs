@@ -11,19 +11,23 @@
 //! 3. every head variable (including aggregated ones) must be bound by
 //!    the positive body.
 //!
-//! The checker greedily schedules body elements (source order among the
-//! schedulable), which simultaneously *derives the IE execution order*
-//! and rejects unsafe rules — e.g. circular IE dependencies such as
-//! `f(x) -> (y), g(y) -> (x)` with neither `x` nor `y` otherwise bound.
+//! The checker lowers the body to plan steps as written and hands them
+//! to the planner's scheduler ([`optimizer::schedule`]) at uniform
+//! cost — the first schedulable element in source order, again and
+//! again — which *derives the IE execution order* and rejects unsafe
+//! rules in one pass: e.g. circular IE dependencies such as
+//! `f(x) -> (y), g(y) -> (x)` with neither `x` nor `y` otherwise bound
+//! leave the scheduler stuck.
 //!
 //! Atoms written relation-style whose predicate is actually a registered
-//! IE function (`contains(pos, s)` in the paper's §4.1) are rewritten
-//! into zero-output IE atoms here.
+//! IE function (`contains(pos, s)` in the paper's §4.1) are lowered to
+//! zero-output IE steps here.
 
 use crate::error::{EngineError, Result};
+use crate::optimizer::{self, RuleOpt, StepMeta};
 use crate::plan::{HeadOut, PTerm, RulePlan, Step};
 use crate::registry::Registry;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use spannerlib_core::Value;
 use spannerlog_parser::{BodyElem, Constant, HeadTerm, Rule, Term};
 
@@ -46,205 +50,145 @@ pub struct SafetyContext<'a> {
     pub registry: &'a Registry,
 }
 
-/// Analyzes one rule: checks safety and produces the executable plan.
+/// The index of variable `name` in the rule's variable table, which
+/// grows in first-mention order.
+fn var_index(names: &mut Vec<String>, name: &str) -> usize {
+    names.iter().position(|n| n == name).unwrap_or_else(|| {
+        names.push(name.to_string());
+        names.len() - 1
+    })
+}
+
+fn pterm(names: &mut Vec<String>, t: &Term) -> PTerm {
+    match t {
+        Term::Variable(v) => PTerm::Var(var_index(names, v)),
+        Term::Wildcard => PTerm::Wildcard,
+        Term::Const(c) => PTerm::Const(constant_value(c)),
+    }
+}
+
+/// Lowers one body element to its plan step, resolving its predicate.
+fn lower(
+    b: &BodyElem,
+    line: usize,
+    ctx: &SafetyContext<'_>,
+    names: &mut Vec<String>,
+) -> Result<Step> {
+    let mut terms = |ts: &[Term]| ts.iter().map(|t| pterm(names, t)).collect();
+    Ok(match b {
+        BodyElem::Relation(a) if ctx.relations.contains(&a.predicate) => Step::Scan {
+            relation: a.predicate.clone(),
+            terms: terms(&a.terms),
+        },
+        // A relation-style atom over an IE function name: a filter.
+        BodyElem::Relation(a) if ctx.registry.has_ie(&a.predicate) => Step::Ie {
+            function: a.predicate.clone(),
+            inputs: terms(&a.terms),
+            outputs: Vec::new(),
+        },
+        BodyElem::Relation(a) => return Err(EngineError::UnknownPredicate(a.predicate.clone())),
+        BodyElem::Negated(a) if ctx.relations.contains(&a.predicate) => Step::Negation {
+            relation: a.predicate.clone(),
+            terms: terms(&a.terms),
+        },
+        BodyElem::Negated(a) => return Err(EngineError::UnknownRelation(a.predicate.clone())),
+        BodyElem::Ie(ie) => {
+            if !ctx.registry.has_ie(&ie.function) {
+                return Err(EngineError::UnknownIeFunction(ie.function.clone()));
+            }
+            // Static input-arity check when declared.
+            if let Some(expected) = ctx.registry.ie(&ie.function)?.input_arity() {
+                if ie.inputs.len() != expected {
+                    return Err(EngineError::IeArity {
+                        function: ie.function.clone(),
+                        expected,
+                        actual: ie.inputs.len(),
+                    });
+                }
+            }
+            // Wildcards cannot be IE inputs (nothing to pass).
+            if ie.inputs.iter().any(|t| matches!(t, Term::Wildcard)) {
+                let msg = format!("IE function {:?} has a wildcard input", ie.function);
+                return Err(EngineError::Unsafe { line, msg });
+            }
+            Step::Ie {
+                function: ie.function.clone(),
+                inputs: terms(&ie.inputs),
+                outputs: terms(&ie.outputs),
+            }
+        }
+        BodyElem::Comparison { left, op, right } => Step::Compare {
+            left: pterm(names, left),
+            op: *op,
+            right: pterm(names, right),
+        },
+    })
+}
+
+/// Analyzes one rule: checks safety and produces the executable plan,
+/// its steps stored in the order they were scheduled and annotated with
+/// the metadata the planner reschedules them by.
 pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
     let unsafe_err = |msg: String| EngineError::Unsafe {
         line: rule.line,
         msg,
     };
-
-    // Variable table: name → index, in first-mention order (head first so
-    // diagnostics read naturally).
-    let mut vars: FxHashMap<String, usize> = FxHashMap::default();
     let mut var_names: Vec<String> = Vec::new();
-    let var_index =
-        |name: &str, vars: &mut FxHashMap<String, usize>, var_names: &mut Vec<String>| {
-            if let Some(&i) = vars.get(name) {
-                return i;
-            }
-            let i = var_names.len();
-            vars.insert(name.to_string(), i);
-            var_names.push(name.to_string());
-            i
-        };
+    let lowered = rule
+        .body
+        .iter()
+        .map(|b| lower(b, rule.line, ctx, &mut var_names));
+    let steps: Vec<Step> = lowered.collect::<Result<_>>()?;
+    let metas: Vec<StepMeta> = steps.iter().map(StepMeta::of).collect();
 
-    // Resolve body elements, rewriting relation-style atoms over IE
-    // function names into zero-output IE atoms (filters).
-    #[derive(Debug)]
-    enum Elem {
-        Scan {
-            relation: String,
-            terms: Vec<Term>,
-        },
-        Ie {
-            function: String,
-            inputs: Vec<Term>,
-            outputs: Vec<Term>,
-        },
-        Neg {
-            relation: String,
-            terms: Vec<Term>,
-        },
-        Cmp {
-            left: Term,
-            op: spannerlog_parser::CmpOp,
-            right: Term,
-        },
-    }
-
-    let mut elems: Vec<Elem> = Vec::new();
-    for b in &rule.body {
-        match b {
-            BodyElem::Relation(a) => {
-                if ctx.relations.contains(&a.predicate) {
-                    elems.push(Elem::Scan {
-                        relation: a.predicate.clone(),
-                        terms: a.terms.clone(),
-                    });
-                } else if ctx.registry.has_ie(&a.predicate) {
-                    elems.push(Elem::Ie {
-                        function: a.predicate.clone(),
-                        inputs: a.terms.clone(),
-                        outputs: Vec::new(),
-                    });
-                } else {
-                    return Err(EngineError::UnknownPredicate(a.predicate.clone()));
-                }
-            }
-            BodyElem::Negated(a) => {
-                if !ctx.relations.contains(&a.predicate) {
-                    return Err(EngineError::UnknownRelation(a.predicate.clone()));
-                }
-                elems.push(Elem::Neg {
-                    relation: a.predicate.clone(),
-                    terms: a.terms.clone(),
-                });
-            }
-            BodyElem::Ie(ie) => {
-                if !ctx.registry.has_ie(&ie.function) {
-                    return Err(EngineError::UnknownIeFunction(ie.function.clone()));
-                }
-                // Static input-arity check when declared.
-                if let Some(expected) = ctx.registry.ie(&ie.function)?.input_arity() {
-                    if ie.inputs.len() != expected {
-                        return Err(EngineError::IeArity {
-                            function: ie.function.clone(),
-                            expected,
-                            actual: ie.inputs.len(),
-                        });
-                    }
-                }
-                // Wildcards cannot be IE inputs (nothing to pass).
-                if ie.inputs.iter().any(|t| matches!(t, Term::Wildcard)) {
-                    return Err(unsafe_err(format!(
-                        "IE function {:?} has a wildcard input",
-                        ie.function
-                    )));
-                }
-                elems.push(Elem::Ie {
-                    function: ie.function.clone(),
-                    inputs: ie.inputs.clone(),
-                    outputs: ie.outputs.clone(),
-                });
-            }
-            BodyElem::Comparison { left, op, right } => elems.push(Elem::Cmp {
-                left: left.clone(),
-                op: *op,
-                right: right.clone(),
-            }),
-        }
-    }
-
-    let term_vars = |terms: &[Term]| -> Vec<String> {
-        terms
-            .iter()
-            .filter_map(|t| match t {
-                Term::Variable(v) => Some(v.clone()),
-                _ => None,
-            })
-            .collect()
+    // Which variables the steps at `scheduled` leave bound.
+    let bound_by = |scheduled: &[usize]| {
+        let mut bound = vec![false; var_names.len()];
+        let binds = scheduled.iter().flat_map(|&i| &metas[i].binds);
+        binds.for_each(|&v| bound[v] = true);
+        bound
     };
-
-    // Greedy scheduling: repeatedly pick the first schedulable element.
-    let mut bound: FxHashSet<String> = FxHashSet::default();
-    let mut scheduled: Vec<Elem> = Vec::new();
-    let mut pending: Vec<Elem> = elems;
-    while !pending.is_empty() {
-        let pick = pending.iter().position(|e| match e {
-            Elem::Scan { .. } => true,
-            Elem::Ie { inputs, .. } => term_vars(inputs).iter().all(|v| bound.contains(v)),
-            Elem::Neg { terms, .. } => term_vars(terms).iter().all(|v| bound.contains(v)),
-            Elem::Cmp { left, right, .. } => {
-                let mut ts = Vec::new();
-                if let Term::Variable(v) = left {
-                    ts.push(v.clone());
-                }
-                if let Term::Variable(v) = right {
-                    ts.push(v.clone());
-                }
-                ts.iter().all(|v| bound.contains(v))
-            }
-        });
-        let Some(i) = pick else {
-            let blocked: Vec<String> = pending
-                .iter()
-                .map(|e| match e {
-                    Elem::Scan { relation, .. } => relation.clone(),
-                    Elem::Ie {
-                        function, inputs, ..
-                    } => {
-                        let missing: Vec<String> = term_vars(inputs)
-                            .into_iter()
-                            .filter(|v| !bound.contains(v))
-                            .collect();
-                        format!("{function} (unbound inputs: {})", missing.join(", "))
-                    }
-                    Elem::Neg { relation, terms } => {
-                        let missing: Vec<String> = term_vars(terms)
-                            .into_iter()
-                            .filter(|v| !bound.contains(v))
-                            .collect();
-                        format!("not {relation} (unbound: {})", missing.join(", "))
-                    }
-                    Elem::Cmp { left, op, right } => format!("{left} {op} {right}"),
-                })
-                .collect();
-            return Err(unsafe_err(format!(
-                "no safe evaluation order: cannot schedule {}",
-                blocked.join("; ")
-            )));
+    let order = optimizer::schedule(&metas, var_names.len(), |_, _| 0).map_err(|pending| {
+        let scheduled: Vec<usize> = (0..steps.len()).filter(|i| !pending.contains(i)).collect();
+        let bound = bound_by(&scheduled);
+        let missing = |terms: &[PTerm]| {
+            let unbound = terms.iter().filter_map(|t| match t {
+                PTerm::Var(v) if !bound[*v] => Some(var_names[*v].as_str()),
+                _ => None,
+            });
+            unbound.collect::<Vec<_>>().join(", ")
         };
-        let e = pending.remove(i);
-        match &e {
-            Elem::Scan { terms, .. } => {
-                for v in term_vars(terms) {
-                    bound.insert(v);
-                }
+        let blocked = pending.iter().map(|&i| match &steps[i] {
+            Step::Scan { relation, .. } => relation.clone(),
+            Step::Ie {
+                function, inputs, ..
+            } => format!("{function} (unbound inputs: {})", missing(inputs)),
+            Step::Negation { relation, terms } => {
+                format!("not {relation} (unbound: {})", missing(terms))
             }
-            Elem::Ie { outputs, .. } => {
-                for v in term_vars(outputs) {
-                    bound.insert(v);
-                }
-            }
-            Elem::Neg { .. } | Elem::Cmp { .. } => {}
-        }
-        scheduled.push(e);
-    }
+            Step::Compare { .. } => rule.body[i].to_string(),
+        });
+        let blocked: Vec<String> = blocked.collect();
+        unsafe_err(format!(
+            "no safe evaluation order: cannot schedule {}",
+            blocked.join("; ")
+        ))
+    })?;
+    let bound = bound_by(&order);
 
     // Head checks: wildcards rejected; every variable bound.
     let mut head: Vec<HeadOut> = Vec::new();
+    let mut bound_var =
+        |v: &str| Some(var_index(&mut var_names, v)).filter(|&i| bound.get(i) == Some(&true));
     for t in &rule.head_terms {
         match t {
             HeadTerm::Term(Term::Wildcard) => {
                 return Err(unsafe_err("wildcard in rule head".into()))
             }
             HeadTerm::Term(Term::Variable(v)) => {
-                if !bound.contains(v) {
-                    return Err(unsafe_err(format!(
-                        "head variable {v:?} is not bound by the body"
-                    )));
-                }
-                head.push(HeadOut::Var(var_index(v, &mut vars, &mut var_names)));
+                head.push(HeadOut::Var(bound_var(v).ok_or_else(|| {
+                    unsafe_err(format!("head variable {v:?} is not bound by the body"))
+                })?))
             }
             HeadTerm::Term(Term::Const(c)) => head.push(HeadOut::Const(constant_value(c))),
             HeadTerm::Aggregate {
@@ -257,75 +201,40 @@ pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
                 for c in conversions {
                     ctx.registry.conversion(c)?;
                 }
-                if !bound.contains(var) {
-                    return Err(unsafe_err(format!(
+                let var = bound_var(var).ok_or_else(|| {
+                    unsafe_err(format!(
                         "aggregated variable {var:?} is not bound by the body"
-                    )));
-                }
+                    ))
+                })?;
                 head.push(HeadOut::Aggregate {
                     func: func.clone(),
                     conversions: conversions.clone(),
-                    var: var_index(var, &mut vars, &mut var_names),
+                    var,
                 });
             }
         }
     }
 
-    // Build plan steps with variable indices.
-    let mut pterm = |t: &Term| -> PTerm {
-        match t {
-            Term::Variable(v) => PTerm::Var(var_index(v, &mut vars, &mut var_names)),
-            Term::Wildcard => PTerm::Wildcard,
-            Term::Const(c) => PTerm::Const(constant_value(c)),
-        }
-    };
-    let mut steps: Vec<Step> = Vec::new();
-    let mut dependencies: Vec<(String, bool)> = Vec::new();
     let negative_deps = rule.has_aggregation();
-    for e in &scheduled {
-        match e {
-            Elem::Scan { relation, terms } => {
-                dependencies.push((relation.clone(), negative_deps));
-                steps.push(Step::Scan {
-                    relation: relation.clone(),
-                    terms: terms.iter().map(&mut pterm).collect(),
-                });
-            }
-            Elem::Ie {
-                function,
-                inputs,
-                outputs,
-            } => steps.push(Step::Ie {
-                function: function.clone(),
-                inputs: inputs.iter().map(&mut pterm).collect(),
-                outputs: outputs.iter().map(&mut pterm).collect(),
-            }),
-            Elem::Neg { relation, terms } => {
-                dependencies.push((relation.clone(), true));
-                steps.push(Step::Negation {
-                    relation: relation.clone(),
-                    terms: terms.iter().map(&mut pterm).collect(),
-                });
-            }
-            Elem::Cmp { left, op, right } => steps.push(Step::Compare {
-                left: pterm(left),
-                op: *op,
-                right: pterm(right),
-            }),
-        }
-    }
-
-    Ok(RulePlan {
+    let pick = |i: &usize| (steps[*i].clone(), metas[*i].clone());
+    let (steps, metas): (Vec<Step>, Vec<StepMeta>) = order.iter().map(pick).unzip();
+    let dependencies = steps.iter().filter_map(|step| match step {
+        Step::Scan { relation, .. } => Some((relation.clone(), negative_deps)),
+        Step::Negation { relation, .. } => Some((relation.clone(), true)),
+        _ => None,
+    });
+    let mut plan = RulePlan {
         head_predicate: rule.head_predicate.clone(),
+        dependencies: dependencies.collect(),
         steps,
         head,
         var_names,
         line: rule.line,
         source: rule.to_string(),
-        dependencies,
-        // Filled by `optimizer::annotate` during program compilation.
         opt: None,
-    })
+    };
+    plan.opt = Some(RuleOpt::new(&plan, metas));
+    Ok(plan)
 }
 
 #[cfg(test)]

@@ -56,7 +56,8 @@ use crate::query::{run_query, QueryPlan};
 use crate::registry::Registry;
 use crate::safety::constant_value;
 use parking_lot::Mutex;
-use spannerlib_cache::{CacheStats, DocGc, DocRefCounts, IeMemo, SharedIeMemo};
+use rustc_hash::FxHashSet;
+use spannerlib_cache::{CacheStats, DocGc, IeMemo, SharedIeMemo};
 use spannerlib_core::{
     CompactionReport, DocId, DocumentStore, Relation, Schema, Span, Tuple, Value,
 };
@@ -195,8 +196,9 @@ impl SessionBuilder {
     /// Configures automatic document-store compaction. With
     /// [`DocGc::Threshold`], `remove_relation` and replacing imports
     /// trigger a compaction pass once live document text exceeds the
-    /// watermark, tombstoning documents referenced by no relation and
-    /// no memo entry. Default: [`DocGc::Disabled`] (compaction only via
+    /// watermark, tombstoning documents referenced by no relation (and
+    /// dropping the memo entries that name them). Default:
+    /// [`DocGc::Disabled`] (compaction only via
     /// [`Session::compact_docs`]).
     pub fn doc_gc(mut self, policy: DocGc) -> SessionBuilder {
         self.doc_gc = policy;
@@ -475,8 +477,8 @@ impl Session {
     }
 
     /// Drops every memoized IE result (counters survive). Rarely needed
-    /// — keys are content-addressed — but useful to release memory
-    /// pinned by the cache in one step.
+    /// — keys are content-addressed — but useful to release the memory
+    /// the cache holds in one step.
     pub fn clear_ie_cache(&mut self) {
         if let Some(cache) = &self.ie_cache {
             cache.lock().clear();
@@ -839,28 +841,25 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Compacts the document store now: documents referenced by no span
-    /// in any relation (extensional or derived) and no resident IE-memo
-    /// entry are tombstoned and their text released. Surviving ids are
-    /// unchanged, so spans held by the host stay valid; the store's
-    /// epoch is bumped. Snapshots taken earlier keep their own frozen
-    /// store (copy-on-write).
+    /// in any relation (extensional or derived) are tombstoned and
+    /// their text released, and the IE memo drops every entry that
+    /// names one — relations are the only roots, so an entry dies with
+    /// its document. Surviving ids are unchanged, so spans held by the
+    /// host stay valid; the store's epoch is bumped. Snapshots taken
+    /// earlier keep their own frozen store (copy-on-write).
     ///
     /// When everything is live the pass returns a zero report *without*
     /// touching the store — in particular, without forcing the
     /// copy-on-write database clone a live [`Snapshot`] would otherwise
     /// pay — and the epoch stays put.
     pub fn compact_docs(&mut self) -> CompactionReport {
-        let mut refs = DocRefCounts::new();
+        let mut live: FxHashSet<DocId> = FxHashSet::default();
         for (_, relation) in self.db.iter() {
-            for tuple in relation.iter() {
-                refs.retain_tuple(tuple);
-            }
-        }
-        if let Some(cache) = &self.ie_cache {
-            cache.lock().mark_doc_roots(&mut refs);
+            let spans = relation.iter().flatten().filter_map(Value::as_span);
+            live.extend(spans.map(|span| span.doc));
         }
         let docs = &self.db.docs;
-        let report = if docs.iter().all(|(id, _)| refs.is_live(id)) {
+        let report = if docs.iter().all(|(id, _)| live.contains(&id)) {
             CompactionReport {
                 epoch: docs.epoch(),
                 removed_docs: 0,
@@ -869,7 +868,10 @@ impl Session {
                 live_bytes: docs.bytes(),
             }
         } else {
-            self.db_mut().docs.compact(|id| refs.is_live(id))
+            if let Some(cache) = &self.ie_cache {
+                cache.lock().retain_docs(&live);
+            }
+            self.db_mut().docs.compact(|id| live.contains(&id))
         };
         if let DocGc::Threshold { bytes } = self.doc_gc {
             self.gc_rearm_bytes = report.live_bytes + bytes;

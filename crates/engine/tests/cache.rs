@@ -1,7 +1,8 @@
 //! Integration tests for the `spannerlib_cache` subsystem: memoized IE
 //! evaluation (hit accounting, invalidation on re-registration) and the
-//! refcounted document-store lifecycle (bounded memory under long-lived
-//! churn, compaction correctness, snapshot sharing).
+//! document-store lifecycle (bounded memory under long-lived churn,
+//! compaction correctness, memo entries dying with their documents,
+//! snapshot sharing).
 
 use spannerlog_engine::{DocGc, Session};
 
@@ -58,8 +59,8 @@ fn long_lived_churn_keeps_doc_store_bounded() {
         total_text_bytes > 180 * 1024,
         "workload too small to prove anything"
     );
-    // Bounded: watermark + one in-flight document + memo-pinned docs
-    // (the memo's byte budget also bounds what it can root).
+    // Bounded: watermark + one in-flight document, with the memo's
+    // budget to spare — the memo keeps no document alive.
     let bound = GC_WATERMARK + MEMO_BUDGET + 8 * 1024;
     assert!(
         peak_bytes < bound,
@@ -72,7 +73,6 @@ fn long_lived_churn_keeps_doc_store_bounded() {
 
     // The derived relation still roots the final round's document —
     // compaction is exact, not eager.
-    session.clear_ie_cache();
     let partial = session.compact_docs();
     assert_eq!(partial.kept_docs, 1, "Code(d, s) spans pin the last doc");
 
@@ -251,6 +251,51 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
     );
 }
 
+/// Relations are the only roots of a document: once no relation holds a
+/// span into it, compaction drops it although the memo remembers calls
+/// over it — keyed by its text or by a span into it — and those entries
+/// go with it. The same text imported again is a new document: the
+/// calls miss, the spans they return resolve.
+#[test]
+fn memo_entries_die_with_their_documents() {
+    let both = vec![("keep", "alpha beta"), ("drop", "gamma delta")];
+    let mut session = Session::new();
+    session.import_typed("Texts", both.clone()).unwrap();
+    session
+        .run(
+            r#"Line(d, s) <- Texts(d, t), rgx("[a-z ]+", t) -> (s)
+Word(d, w) <- Line(d, s), rgx("[a-z]+", s) -> (w)"#,
+        )
+        .unwrap();
+    session.ensure_evaluated().unwrap();
+    let cold = session.stats().cache;
+    assert_eq!(
+        (cold.misses, cold.entries),
+        (4, 4),
+        "per text: by string, by span"
+    );
+    let dropped = session.docs().lookup("gamma delta").unwrap();
+
+    session.import_typed("Texts", both[..1].to_vec()).unwrap();
+    session.ensure_evaluated().unwrap();
+    let report = session.compact_docs();
+    assert_eq!((report.removed_docs, report.kept_docs), (1, 1));
+    assert_eq!(session.docs().bytes(), "alpha beta".len());
+    assert_eq!(session.stats().cache.entries, 2);
+
+    session.import_typed("Texts", both).unwrap();
+    let words = session.relation("Word").unwrap();
+    let warm = session.stats().cache;
+    assert_eq!((warm.misses, warm.entries), (cold.misses + 2, 4));
+    assert_ne!(session.docs().lookup("gamma delta"), Some(dropped));
+    let texts = words
+        .iter()
+        .map(|row| session.span_text(row[1].as_span().unwrap()));
+    let mut texts: Vec<String> = texts.collect::<Result<_, _>>().unwrap();
+    texts.sort();
+    assert_eq!(texts, ["alpha", "beta", "delta", "gamma"]);
+}
+
 /// Compaction keeps every id a live span references (across extensional
 /// *and* derived relations), and snapshots share the memo read-only.
 #[test]
@@ -272,7 +317,7 @@ fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
     assert_eq!(session.docs().len(), 2);
 
     // Re-import without the second text: its spans die with the next
-    // fixpoint; clearing the memo drops the last roots.
+    // fixpoint, and they were its last roots.
     session
         .import_typed(
             "Texts",
@@ -280,7 +325,6 @@ fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
         )
         .unwrap();
     session.ensure_evaluated().unwrap();
-    session.clear_ie_cache();
     let report = session.compact_docs();
     assert_eq!(report.removed_docs, 1);
     assert_eq!(session.docs().len(), 1);

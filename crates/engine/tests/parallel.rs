@@ -72,6 +72,35 @@ fn shard_plan_classifies_rules() {
     assert_eq!(cross.reason, Some("cross-document join feeds an IE call"));
 }
 
+/// An uncached function is classified by its roots like any other: the
+/// constant-time builtins — off the memo because a probe costs more
+/// than they do — leave a rule whose IE calls all hang off one scan
+/// split-correct (the shape of `covid.slog`'s `EvidenceKey`), and
+/// sharding it changes nothing.
+#[test]
+fn uncached_builtins_shard_like_any_ie_call() {
+    let rules = r#"
+Mention(d, m) <- Texts(d, t), rgx("beta[0-9]+", t) -> (m)
+MentionKey(d, k) <- Mention(d, m), span_start(m) -> (ms), span_end(m) -> (me),
+                    format("{}|{}|{}", d, ms, me) -> (k)
+"#;
+    let run = |workers: usize| {
+        let mut session = Session::builder().parallelism(workers).build();
+        load(&mut session);
+        session.run(rules).unwrap();
+        session
+    };
+    let mut parallel = run(4);
+    let program = parallel.prepare_program().unwrap();
+    let verdicts = &program.program().shard_plan().rules;
+    let key = verdicts.iter().find(|r| r.head == "MentionKey").unwrap();
+    assert!(key.parallel, "{key:?}");
+    assert_eq!((key.doc_var.as_deref(), key.reason), (Some("m"), None));
+    let keys = canonical(&mut parallel, "MentionKey");
+    assert_eq!(keys.len(), 12);
+    assert_eq!(keys, canonical(&mut run(0), "MentionKey"));
+}
+
 /// Canonicalized tuples (spans resolved to text + offsets: doc ids are
 /// not stable across sessions).
 fn canonical(session: &mut Session, name: &str) -> Vec<Vec<String>> {

@@ -6,10 +6,11 @@
 
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, Rows, Schema, Tuple, Value, ValueType};
+use spannerlib_par::ThreadPool;
 use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, NO_SPAN};
-use spannerlog_engine::optimizer::{self, IndexCache};
+use spannerlog_engine::optimizer::{self, IndexCache, RuleOpt, StepMeta};
 use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
-use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs};
+use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs, SplitClass};
 
 /// A hand-built (unannotated) plan skeleton for malformed-plan tests.
 fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePlan {
@@ -33,6 +34,7 @@ struct Inputs<'a> {
     relations: FxHashMap<String, Relation>,
     delta: Option<(usize, std::ops::Range<usize>)>,
     indexes: Option<&'a IndexCache>,
+    pool: Option<&'a ThreadPool>,
 }
 
 /// Runs a plan and returns its error.
@@ -50,7 +52,7 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
         cache: None,
         indexes: inputs.indexes,
         docs: &docs,
-        pool: None,
+        pool: inputs.pool,
         tally: &tally,
         deadline: None,
     };
@@ -155,8 +157,7 @@ fn order_steps_moves_selective_scan_first() {
         vec![HeadOut::Var(0), HeadOut::Var(2)],
         &["x", "y", "z"],
     );
-    let registry = Registry::new();
-    optimizer::annotate(&mut plan, &registry);
+    optimizer::annotate(&mut plan);
     let opt = plan.opt.clone().unwrap();
     let sizes = |i: usize| if i == 0 { 1000 } else { 4 };
     assert_eq!(optimizer::order_steps(&plan, &opt, sizes), vec![1, 0]);
@@ -191,14 +192,45 @@ fn filters_run_before_scans_once_runnable() {
         vec![HeadOut::Var(1)],
         &["x", "y"],
     );
-    let registry = Registry::new();
-    optimizer::annotate(&mut plan, &registry);
+    optimizer::annotate(&mut plan);
     let opt = plan.opt.clone().unwrap();
     assert_eq!(
         optimizer::order_steps(&plan, &opt, |_| 100),
         vec![0, 2, 1],
         "the comparison must be hoisted ahead of the second scan"
     );
+}
+
+/// A split-correct plan whose last step binds the document variable
+/// leaves the shards nothing to run — `classify` never emits one, a
+/// caller of `execute_with` can. Its rows come back from every bin, not
+/// from the last one alone.
+#[test]
+fn an_empty_suffix_keeps_every_bin() {
+    let mut rel = Relation::new(Schema::new(vec![ValueType::Int]));
+    for i in 0..8 {
+        rel.insert(Tuple::new([Value::Int(i)])).unwrap();
+    }
+    let scan = Step::Scan {
+        relation: "R".into(),
+        terms: vec![PTerm::Var(0)],
+    };
+    let mut plan = bare_plan(vec![scan], vec![HeadOut::Var(0)], &["t"]);
+    let binds_t = StepMeta {
+        needs: Vec::new(),
+        binds: vec![0],
+    };
+    plan.opt = Some(RuleOpt {
+        steps: vec![binds_t],
+        split: SplitClass::Parallel { doc_var: 0 },
+    });
+    let pool = ThreadPool::new(2);
+    let sharded = Inputs {
+        relations: FxHashMap::from_iter([("R".to_string(), rel)]),
+        pool: Some(&pool),
+        ..Inputs::default()
+    };
+    assert_eq!(run(&plan, &sharded).unwrap().len(), 8);
 }
 
 #[test]

@@ -53,7 +53,8 @@ fn render_text(codes: &[u8]) -> String {
 }
 
 /// Random IE-heavy program shapes: span extraction with joins, scalar
-/// extraction with aggregation, boolean filters with negation.
+/// extraction with aggregation, boolean filters with negation, uncached
+/// builtins amid scans.
 const IE_PROGRAMS: &[(&str, &[&str])] = &[
     (
         r#"
@@ -77,6 +78,19 @@ const IE_PROGRAMS: &[(&str, &[&str])] = &[
         Mark(d, s) <- Texts(d, t), HasX(d), rgx("x", t) -> (s)
         "#,
         &["HasX", "Plain", "Mark"],
+    ),
+    // Uncached builtins between two scans: the planner may move them
+    // like any other step, and `Key` — every IE call rooted at its
+    // first scan — is sharded.
+    (
+        r#"
+        A(d, s) <- Texts(d, t), rgx("a+", t) -> (s)
+        W(d, s) <- Texts(d, t), rgx("[ab]+", t) -> (s)
+        Key(d, k) <- A(d, s), span_start(s) -> (b), format("{}@{}", d, b) -> (k), W(d, s)
+        In(d, k) <- W(d, w), span_start(w) -> (b), A(d, s), contains(w, s),
+                    format("{}@{}", d, b) -> (k)
+        "#,
+        &["Key", "In"],
     ),
 ];
 

@@ -52,9 +52,9 @@
 //! 128 KiB per direction: a pattern whose DFA outgrows the budget has
 //! its cache emptied and rebuilt as the scan goes on, which costs time,
 //! never memory or correctness. [`Regex::all_matches`] is a different
-//! algorithm, the all-configurations simulator in [`allmatches`]. A
-//! brute-force backtracking [`oracle`] ships with the crate as the
-//! reference semantics for tests.
+//! algorithm, the all-configurations simulator in [`allmatches`]. The
+//! reference semantics both are tested against is a brute-force
+//! backtracking oracle that lives with the tests (`tests/oracle`).
 
 pub mod algebra;
 pub mod allmatches;
@@ -64,7 +64,6 @@ pub mod compile;
 mod dfa;
 pub mod error;
 pub mod nfa;
-pub mod oracle;
 pub mod parser;
 pub mod pikevm;
 pub mod prefilter;

@@ -2,8 +2,8 @@
 //!
 //! Two independent implementations of the two matching semantics, written
 //! for obviousness rather than speed, used by unit and property tests to
-//! cross-check the Pike VM ([`crate::pikevm`]) and the all-configurations
-//! simulator ([`crate::allmatches`]):
+//! cross-check the Pike VM (`spannerlib_regex::pikevm`) and the
+//! all-configurations simulator (`spannerlib_regex::allmatches`):
 //!
 //! * [`oracle_find_iter`] — classic recursive *backtracking* in priority
 //!   order (greedy tries longer first, alternation tries branches in
@@ -12,11 +12,11 @@
 //! * [`oracle_all_matches`] — exhaustive enumeration of every accepting
 //!   parse of every substring.
 
-use crate::allmatches::AllMatch;
-use crate::ast::Ast;
-use crate::nfa::assertion_holds;
-use crate::parser::ParsedPattern;
 use rustc_hash::FxHashSet;
+use spannerlib_regex::allmatches::AllMatch;
+use spannerlib_regex::ast::Ast;
+use spannerlib_regex::nfa::assertion_holds;
+use spannerlib_regex::parser::ParsedPattern;
 
 type Caps = Vec<Option<(usize, usize)>>;
 
@@ -50,13 +50,13 @@ impl Text {
         i.checked_sub(1).and_then(|p| self.chars.get(p).copied())
     }
 
-    fn assertion(&self, kind: crate::ast::AnchorKind, pos: usize) -> bool {
+    fn assertion(&self, kind: spannerlib_regex::ast::AnchorKind, pos: usize) -> bool {
         assertion_holds(kind, pos, self.len(), self.prev(pos), self.at(pos))
     }
 }
 
 /// Every `(start, end, groups)` of the leftmost-first non-overlapping scan,
-/// in byte offsets — reference for [`crate::Regex::find_iter`].
+/// in byte offsets — reference for `Regex::find_iter`.
 pub fn oracle_find_iter(parsed: &ParsedPattern, text: &str) -> Vec<AllMatch> {
     let t = Text::new(text);
     let n_groups = parsed.group_names.len();
@@ -75,7 +75,7 @@ pub fn oracle_find_iter(parsed: &ParsedPattern, text: &str) -> Vec<AllMatch> {
 }
 
 /// Every accepting run of every substring, in byte offsets — reference for
-/// [`crate::Regex::all_matches`]. Sorted and deduplicated.
+/// `Regex::all_matches`. Sorted and deduplicated.
 pub fn oracle_all_matches(parsed: &ParsedPattern, text: &str) -> Vec<AllMatch> {
     let t = Text::new(text);
     let n_groups = parsed.group_names.len();
@@ -353,7 +353,7 @@ fn enum_set(t: &Text, ast: &Ast, pos: usize, caps: &Caps) -> FxHashSet<(usize, C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use spannerlib_regex::parser::parse;
 
     fn find_all(pattern: &str, text: &str) -> Vec<(usize, usize)> {
         oracle_find_iter(&parse(pattern).unwrap(), text)

@@ -6,10 +6,12 @@
 //! printer/parser round-trip, the compiler, the DFA front, the Pike VM,
 //! and the all-matches simulator.
 
+mod oracle;
+
+use oracle::{oracle_all_matches, oracle_find_iter};
 use proptest::prelude::*;
 use spannerlib_regex::ast::Ast;
 use spannerlib_regex::classes::{ClassRange, ClassSet};
-use spannerlib_regex::oracle::{oracle_all_matches, oracle_find_iter};
 use spannerlib_regex::{pikevm, AllMatch, Regex};
 
 /// Random pattern AST over {a, b, c}: small enough that the exponential

@@ -181,11 +181,19 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> ReadOutcome 
     {
         return bad(411, "chunked bodies are not accepted; send Content-Length");
     }
-    let content_length = match req.header("content-length") {
+    // The body is framed by *the* Content-Length: two that disagree
+    // would let the surplus bytes pass for the next request.
+    let lengths = req.headers.iter().filter(|(k, _)| k == "content-length");
+    let mut lengths = lengths.map(|(_, v)| v.as_str());
+    let content_length = match lengths.next() {
         None => 0,
+        Some(v) if lengths.any(|other| other != v) => {
+            return bad(400, "conflicting Content-Length headers");
+        }
+        // 1*DIGIT: `usize::from_str` by itself takes a sign.
         Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return bad(400, format!("invalid Content-Length {v:?}")),
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return bad(400, format!("invalid Content-Length {v:?}")),
         },
     };
     if content_length > max_body {
@@ -397,6 +405,30 @@ mod tests {
             assert!(
                 matches!(out, ReadOutcome::Bad { status: 400, .. }),
                 "{out:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn content_length_must_be_one_unsigned_number() {
+        let post = |lengths: &[&str]| {
+            let headers = lengths.iter().map(|v| format!("Content-Length:{v}\r\n"));
+            let head = format!("POST /x HTTP/1.1\r\n{}\r\n", headers.collect::<String>());
+            let raw = format!("{head}helloGET /smuggled HTTP/1.1\r\n\r\n");
+            read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        };
+        for accepted in [&["5"][..], &["5", "5"], &[" 5 "]] {
+            let out = post(accepted);
+            assert!(
+                matches!(&out, ReadOutcome::Request(req) if req.body == b"hello"),
+                "{accepted:?}: {out:?}"
+            );
+        }
+        for rejected in [&["5", "50"][..], &["50", "5"], &["+5"], &["5, 5"], &[""]] {
+            let out = post(rejected);
+            assert!(
+                matches!(out, ReadOutcome::Bad { status: 400, .. }),
+                "{rejected:?}: {out:?}"
             );
         }
     }

@@ -382,18 +382,4 @@ mod tests {
         assert!(check_exposition("name{k=\"v\"} +Inf\n").is_ok());
         assert!(check_exposition("name 3 12345\n").is_ok());
     }
-
-    #[test]
-    fn delta_windows_subtract() {
-        let reg = MetricsRegistry::new();
-        reg.counter("reqs").add(10);
-        reg.histogram("lat").record(100);
-        let t0 = reg.snapshot();
-        reg.counter("reqs").add(5);
-        reg.histogram("lat").record(200);
-        let window = reg.snapshot().delta(&t0);
-        assert_eq!(window.counters[0].value, 5);
-        assert_eq!(window.histograms[0].value.count, 1);
-        assert_eq!(window.histograms[0].value.sum, 200);
-    }
 }

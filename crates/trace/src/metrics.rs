@@ -328,17 +328,9 @@ pub struct Series<T> {
     pub value: T,
 }
 
-impl<T> Series<T> {
-    fn same_series<U>(&self, other: &Series<U>) -> bool {
-        self.name == other.name && self.labels == other.labels
-    }
-}
-
 /// A point-in-time copy of every series in a [`MetricsRegistry`] —
 /// the input to the Prometheus exposition encoder
-/// ([`crate::encode_prometheus`]) and the unit of delta windows:
-/// [`MetricsSnapshot::delta`] subtracts an earlier snapshot so scrape
-/// intervals can be turned into rates.
+/// ([`crate::encode_prometheus`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter series, ordered by (name, label-set registration order).
@@ -347,69 +339,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<Series<i64>>,
     /// Histogram series, same order contract.
     pub histograms: Vec<Series<HistogramSnapshot>>,
-}
-
-impl MetricsSnapshot {
-    /// The window between `earlier` and `self`: counters and histogram
-    /// buckets/counts/sums subtract (saturating — a restarted registry
-    /// reads as a fresh window, never as underflow); gauges keep the
-    /// current value (they are instantaneous, not cumulative). Series
-    /// absent from `earlier` pass through whole.
-    ///
-    /// ```
-    /// use spannerlib_trace::MetricsRegistry;
-    /// let reg = MetricsRegistry::new();
-    /// reg.counter("reqs").add(5);
-    /// let t0 = reg.snapshot();
-    /// reg.counter("reqs").add(3);
-    /// let window = reg.snapshot().delta(&t0);
-    /// assert_eq!(window.counters[0].value, 3);
-    /// ```
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|s| {
-                let before = earlier
-                    .counters
-                    .iter()
-                    .find(|e| e.same_series(s))
-                    .map_or(0, |e| e.value);
-                Series {
-                    name: s.name.clone(),
-                    labels: s.labels.clone(),
-                    value: s.value.saturating_sub(before),
-                }
-            })
-            .collect();
-        let gauges = self.gauges.clone();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|s| {
-                let mut value = s.value.clone();
-                if let Some(e) = earlier.histograms.iter().find(|e| e.same_series(s)) {
-                    for (b, prev) in value.buckets.iter_mut().zip(e.value.buckets.iter()) {
-                        *b = b.saturating_sub(*prev);
-                    }
-                    value.count = value.count.saturating_sub(e.value.count);
-                    value.sum = value.sum.saturating_sub(e.value.sum);
-                    // `max` cannot be windowed from cumulative state; the
-                    // lifetime max is the best available bound.
-                }
-                Series {
-                    name: s.name.clone(),
-                    labels: s.labels.clone(),
-                    value,
-                }
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
 }
 
 /// A named registry of [`Counter`]s, [`Gauge`]s, and [`Histogram`]s,
@@ -547,8 +476,7 @@ impl MetricsRegistry {
     }
 
     /// A structured point-in-time copy of every series — the input to
-    /// the exposition encoder and to [`MetricsSnapshot::delta`] rate
-    /// windows.
+    /// the exposition encoder.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let labels = lock(&self.labels);
         let counters = lock(&self.counters)

@@ -15,8 +15,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // thin wrapper over host code, as the paper prescribes).
     let mut session = Session::builder()
         .register("sents", Some(1), |args, ctx| {
-            let (text, doc, base) = ctx.text_argument(&args[0])?;
-            Ok(split_sentences(&text)
+            let mut text = ctx.text_arg(&args[0])?;
+            let (doc, base) = text.doc_base(ctx);
+            Ok(split_sentences(text.text())
                 .into_iter()
                 .map(|s| vec![Value::Span(Span::new(doc, base + s.start, base + s.end))])
                 .collect())

@@ -10,7 +10,8 @@
 //!   `(function, args) → output rows`; warm reruns replay extraction
 //!   instead of recomputing it (watch the hit counters climb);
 //! * `doc_gc` — threshold-triggered compaction that tombstones
-//!   documents no live span references, bounding resident text.
+//!   documents no relation holds a span into, bounding resident text;
+//!   the memo entries over a dropped document go with it.
 //!
 //! Run with: `cargo run --example serving_cache`
 
@@ -18,9 +19,9 @@ use spannerlib::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build: memoized IE evaluation and automatic doc-store
-    //    compaction past a 256 KiB watermark. The memo budget matters
-    //    to the GC too: resident entries are GC roots, so the budget
-    //    also bounds how much document text the cache can pin.
+    //    compaction past a 256 KiB watermark. The two bounds add up:
+    //    the memo's budget counts its keys and outputs, the watermark
+    //    the document text, and the memo keeps no document alive.
     let mut session = Session::builder()
         .ie_cache_capacity(64 * 1024)
         .doc_gc(DocGc::Threshold { bytes: 256 * 1024 })
@@ -83,14 +84,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.docs().epoch(),
     );
 
-    // 5. Explicit compaction reports exactly what a pass reclaims —
-    //    here after dropping the memo's roots, so only documents with
-    //    spans in live relations survive.
-    session.clear_ie_cache();
+    // 5. Explicit compaction reports exactly what a pass reclaims:
+    //    only documents with spans in live relations survive, and the
+    //    memo forgets the calls over the others.
+    let entries = session.stats().cache.entries;
     let report = session.compact_docs();
     println!(
-        "manual pass: removed {} docs, reclaimed {} bytes, {} bytes live",
-        report.removed_docs, report.reclaimed_bytes, report.live_bytes,
+        "manual pass: removed {} docs, reclaimed {} bytes, {} bytes live; memo entries {} -> {}",
+        report.removed_docs,
+        report.reclaimed_bytes,
+        report.live_bytes,
+        entries,
+        session.stats().cache.entries,
     );
     Ok(())
 }

@@ -11,8 +11,9 @@ use spannerlib::prelude::*;
 fn scenario_basic_task_identical_sentences() {
     let mut session = Session::new();
     session.register("sents", Some(1), |args, ctx| {
-        let (text, doc, base) = ctx.text_argument(&args[0])?;
-        Ok(spannerlib::nlp::split_sentences(&text)
+        let mut text = ctx.text_arg(&args[0])?;
+        let (doc, base) = text.doc_base(ctx);
+        Ok(spannerlib::nlp::split_sentences(text.text())
             .into_iter()
             .map(|s| {
                 vec![Value::Span(spannerlib::Span::new(
