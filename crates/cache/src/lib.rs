@@ -13,9 +13,9 @@
 //!    function on each binding row, even though IE functions are
 //!    *stateless* mappings from inputs to output relations. The
 //!    [`IeMemo`] is a content-addressed memo table over
-//!    `(function, argument values, output arity)` with a byte-budgeted
-//!    LRU eviction policy and hit/miss/eviction counters
-//!    ([`CacheStats`]).
+//!    `(function, argument values, output arity)` under a byte budget
+//!    — an insert that would overflow it empties the table — with
+//!    hit/miss/eviction counters ([`CacheStats`]).
 //! 2. **Document accumulation** — the engine's `DocumentStore` interns
 //!    every text an IE function touches and never forgets it. The
 //!    [`lifecycle`] module supplies the policy ([`DocGc`]) by which the
@@ -37,6 +37,6 @@ pub mod lifecycle;
 pub mod memo;
 pub mod stats;
 
-pub use lifecycle::DocGc;
+pub use lifecycle::{DocGc, DOC_GC_WATERMARK_BYTES};
 pub use memo::{IeMemo, MemoKey, SharedIeMemo};
 pub use stats::CacheStats;

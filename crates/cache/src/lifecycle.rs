@@ -17,6 +17,10 @@
 //! survivors are stable, and ids of removed documents become permanent
 //! tombstones (loud errors, never aliased).
 
+/// The watermark this workspace's long-lived sessions (`spannerd`,
+/// `SpannerPipeline`) run [`DocGc::Threshold`] at: a clinical corpus.
+pub const DOC_GC_WATERMARK_BYTES: usize = 32 * 1024 * 1024;
+
 /// When the engine should compact the document store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DocGc {

@@ -15,16 +15,18 @@
 //! engine calls [`IeMemo::retain_docs`] and every entry whose key or
 //! output names it dies with it.
 //!
-//! Eviction is LRU over a configurable byte budget, charged for keys
-//! and outputs. Sizes are estimated (string payloads, enum footprints
-//! and a fixed per-entry overhead); the point is a stable bound, not an
-//! exact allocator accounting.
+//! The table lives under a configurable byte budget, charged for keys
+//! and outputs; an insert that would overflow it empties the table and
+//! starts over, as `regex::dfa::Cache` does with its states. It keeps no
+//! recency order: an evaluation re-scans every live document in the
+//! same order, so one would drop first what the next round asks for
+//! first. Sizes are estimated (string payloads, enum footprints and a
+//! fixed per-entry overhead): a stable bound, not allocator accounting.
 
 use crate::stats::CacheStats;
 use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use spannerlib_core::{DocId, Value};
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -73,10 +75,6 @@ impl MemoKey {
             n_outputs,
         }
     }
-
-    fn bytes(&self) -> usize {
-        self.function.len() + self.args.iter().map(value_bytes).sum::<usize>()
-    }
 }
 
 /// Approximate resident size of one value: enum footprint plus owned
@@ -89,36 +87,29 @@ fn value_bytes(v: &Value) -> usize {
         }
 }
 
-fn output_bytes(rows: &MemoOutput) -> usize {
-    rows.iter()
-        .map(|row| row.iter().map(value_bytes).sum::<usize>())
-        .sum()
-}
-
 /// Fixed per-entry overhead charged on top of key/output payloads
-/// (hash-map slot, LRU index entry, `Arc` headers).
+/// (hash-map slot, key and row vectors, the output's `Arc` header).
 const ENTRY_OVERHEAD: usize = 128;
+
+/// What one entry is charged against the budget.
+fn entry_bytes(key: &MemoKey, output: &MemoOutput) -> usize {
+    let values = key.args.iter().chain(output.iter().flatten());
+    ENTRY_OVERHEAD + key.function.len() + values.map(value_bytes).sum::<usize>()
+}
 
 struct MemoEntry {
     output: Arc<MemoOutput>,
     bytes: usize,
-    tick: u64,
-    /// The map key, shared with the LRU index so recency refreshes on
-    /// the hit path never deep-clone the key.
-    key: Arc<MemoKey>,
 }
 
-/// A byte-budgeted LRU memo table for IE call results.
+/// A byte-budgeted memo table for IE call results.
 ///
 /// Lookups return shared `Arc` handles so hits never deep-copy output
 /// rows. The table is single-threaded by itself; wrap it in
 /// [`SharedIeMemo`] for the session/snapshot sharing pattern.
 pub struct IeMemo {
-    entries: FxHashMap<Arc<MemoKey>, MemoEntry>,
-    /// LRU index: recency tick → key. Ticks are unique, so this is a
-    /// total order; the smallest tick is the eviction victim.
-    lru: BTreeMap<u64, Arc<MemoKey>>,
-    tick: u64,
+    entries: FxHashMap<MemoKey, MemoEntry>,
+    /// Sum of `MemoEntry::bytes` over `entries`; never above `budget`.
     bytes: usize,
     budget: usize,
     stats: CacheStats,
@@ -131,8 +122,6 @@ impl IeMemo {
     pub fn new(budget_bytes: usize) -> IeMemo {
         IeMemo {
             entries: FxHashMap::default(),
-            lru: BTreeMap::new(),
-            tick: 0,
             bytes: 0,
             budget: budget_bytes,
             stats: CacheStats::default(),
@@ -169,90 +158,48 @@ impl IeMemo {
         }
     }
 
-    /// Returns the current stats and resets the *activity* counters
-    /// (hits, misses, insertions, evictions, oversized) to zero. The
-    /// residency figures (`entries`/`bytes`) are reported as-is and
-    /// kept — they describe state, not activity.
-    pub fn take_stats(&mut self) -> CacheStats {
-        let out = self.stats();
-        self.stats = CacheStats::default();
-        out
-    }
-
-    /// Looks up a call, counting a hit or miss and refreshing recency
-    /// on hit.
+    /// Looks up a call, counting a hit or miss.
     pub fn get(&mut self, key: &MemoKey) -> Option<Arc<MemoOutput>> {
-        let next_tick = self.tick + 1;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                self.tick = next_tick;
-                self.lru.remove(&entry.tick);
-                entry.tick = next_tick;
-                self.lru.insert(next_tick, entry.key.clone());
-                self.stats.hits += 1;
-                Some(entry.output.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let hit = self.entries.get(key).map(|entry| entry.output.clone());
+        self.stats.hits += u64::from(hit.is_some());
+        self.stats.misses += u64::from(hit.is_none());
+        hit
     }
 
-    /// Stores a call result, evicting least-recently-used entries until
-    /// the budget holds. An entry larger than the whole budget is
-    /// rejected (counted in [`CacheStats::oversized`]); re-inserting an
-    /// existing key replaces it.
+    /// Stores a call result. An entry larger than the whole budget is
+    /// rejected (counted in [`CacheStats::oversized`]); one that would
+    /// carry the table past the budget empties the table first (every
+    /// entry dropped that way is counted in [`CacheStats::evictions`]);
+    /// re-inserting an existing key replaces it.
     pub fn insert(&mut self, key: MemoKey, output: Arc<MemoOutput>) {
-        let entry_bytes = key.bytes() + output_bytes(&output) + ENTRY_OVERHEAD;
-        if entry_bytes > self.budget {
+        let bytes = entry_bytes(&key, &output);
+        if bytes > self.budget {
             self.stats.oversized += 1;
             return;
         }
         if let Some(old) = self.entries.remove(&key) {
-            self.lru.remove(&old.tick);
             self.bytes -= old.bytes;
         }
-        self.bytes += entry_bytes;
-        self.tick += 1;
-        let key = Arc::new(key);
-        self.lru.insert(self.tick, key.clone());
-        self.entries.insert(
-            key.clone(),
-            MemoEntry {
-                output,
-                bytes: entry_bytes,
-                tick: self.tick,
-                key,
-            },
-        );
-        self.stats.insertions += 1;
-        while self.bytes > self.budget {
-            let (_, victim) = self.lru.pop_first().expect("bytes > 0 implies entries");
-            let evicted = self.entries.remove(&victim).expect("lru and map agree");
-            self.bytes -= evicted.bytes;
-            self.stats.evictions += 1;
+        if self.bytes + bytes > self.budget {
+            self.stats.evictions += self.entries.len() as u64;
+            self.clear();
         }
+        self.bytes += bytes;
+        self.entries.insert(key, MemoEntry { output, bytes });
+        self.stats.insertions += 1;
     }
 
     /// Drops every entry (keeps lifetime counters).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.entries.clear();
-        self.lru.clear();
         self.bytes = 0;
     }
 
     /// Drops the entries `dead` picks, returning how many were removed.
     fn purge(&mut self, dead: impl Fn(&MemoKey, &MemoOutput) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|key, entry| {
-            let dead = dead(key, &entry.output);
-            if dead {
-                self.lru.remove(&entry.tick);
-                self.bytes -= entry.bytes;
-            }
-            !dead
-        });
+        self.entries.retain(|key, entry| !dead(key, &entry.output));
+        self.bytes = self.entries.values().map(|entry| entry.bytes).sum();
         before - self.entries.len()
     }
 
@@ -336,20 +283,23 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_first() {
+    fn overflow_empties_the_table_and_keeps_the_bound() {
         // Budget fits exactly two of these entries.
-        let one = key("f", 1).bytes() + output_bytes(&rows(0)) + ENTRY_OVERHEAD;
+        let one = entry_bytes(&key("f", 1), &rows(0));
         let mut memo = IeMemo::new(2 * one);
         memo.insert(key("f", 1), rows(1));
         memo.insert(key("f", 2), rows(2));
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(memo.get(&key("f", 1)).is_some());
+        // Replacing a resident key is not an overflow.
+        memo.insert(key("f", 2), rows(20));
+        assert_eq!((memo.len(), memo.bytes()), (2, 2 * one));
+        assert_eq!(memo.stats().evictions, 0);
+        // A third entry is: both residents go, the newcomer stays.
         memo.insert(key("f", 3), rows(3));
-        assert_eq!(memo.len(), 2);
-        assert!(memo.get(&key("f", 2)).is_none(), "victim was evicted");
-        assert!(memo.get(&key("f", 1)).is_some());
+        assert_eq!((memo.len(), memo.bytes()), (1, one));
+        assert!(memo.get(&key("f", 1)).is_none());
+        assert!(memo.get(&key("f", 2)).is_none());
         assert!(memo.get(&key("f", 3)).is_some());
-        assert_eq!(memo.stats().evictions, 1);
+        assert_eq!(memo.stats().evictions, 2);
         assert!(memo.bytes() <= memo.budget());
     }
 
@@ -388,21 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn take_stats_drains_activity_keeps_residency() {
-        let mut memo = IeMemo::new(1 << 20);
-        memo.insert(key("f", 1), rows(1));
-        memo.get(&key("f", 1));
-        memo.get(&key("f", 2));
-        let taken = memo.take_stats();
-        assert_eq!((taken.hits, taken.misses, taken.insertions), (1, 1, 1));
-        assert_eq!(taken.entries, 1);
-        let after = memo.stats();
-        assert_eq!((after.hits, after.misses, after.insertions), (0, 0, 0));
-        assert_eq!(after.entries, 1, "residency survives the drain");
-        assert!(after.bytes > 0);
-    }
-
-    #[test]
     fn entries_die_with_the_documents_they_name() {
         let mut memo = IeMemo::new(1 << 20);
         let span = |doc: u32| Value::Span(Span::new(DocId::from_index(doc), 0, 1));
@@ -422,7 +357,7 @@ mod tests {
         assert!(memo
             .get(&MemoKey::new("text", &[Value::str("t")], 1))
             .is_some());
-        assert_eq!((memo.len(), memo.lru.len()), (2, 2));
+        assert_eq!(memo.len(), 2);
         assert!(memo.bytes() < bytes_before);
         assert_eq!(memo.retain_docs(&live), 0);
     }
@@ -440,5 +375,78 @@ mod tests {
         assert!(memo.get(&key("g", 1)).is_some(), "g stays warm");
         assert!(memo.get(&key("f", 1)).is_none());
         assert_eq!(memo.purge_function("absent"), 0);
+    }
+
+    /// Model-based check of the byte bound: random operation sequences
+    /// against a plain map that applies the same policy by hand, at
+    /// budgets from one entry to more than the key space needs.
+    #[test]
+    fn random_operation_sequences_agree_with_a_model_and_keep_the_bound() {
+        // An LCG's high bits: the crate has no RNG dependency and needs none.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            *state >> 24
+        }
+        let doc_id = |doc: u64| DocId::from_index(doc as u32);
+        let span = |doc: u64| Value::Span(Span::new(doc_id(doc), 0, 1));
+        // 2 functions x 6 documents in the key, one of 6 documents and
+        // a text of some length in the output.
+        let call = |r: u64| {
+            let docs = [r / 2 % 6, r / 12 % 6];
+            let key = MemoKey::new(["f", "g"][(r % 2) as usize], &[span(docs[0])], 1);
+            let text = Value::str("x".repeat((r / 72 % 40) as usize));
+            (key, vec![vec![span(docs[1]), text]], docs)
+        };
+        // The largest entry: every budget below admits every call.
+        let one = entry_bytes(&call(72 * 39).0, &call(72 * 39).1);
+        let mut overflows = 0;
+        for case in 0..200u64 {
+            let mut rng = case;
+            let mut memo = IeMemo::new(one + (next(&mut rng) % 30) as usize * one / 2);
+            // key -> (output, bytes, documents named)
+            let mut model: FxHashMap<MemoKey, (MemoOutput, usize, [u64; 2])> = FxHashMap::default();
+            let mut evictions = 0;
+            for _ in 0..120 {
+                let r = next(&mut rng);
+                let (key, output, docs) = call(r / 8);
+                let (bytes, len) = (entry_bytes(&key, &output), model.len());
+                match r % 8 {
+                    0..=3 => {
+                        memo.insert(key.clone(), Arc::new(output.clone()));
+                        model.remove(&key);
+                        if model.values().map(|e| e.1).sum::<usize>() + bytes > memo.budget() {
+                            evictions += model.drain().count() as u64;
+                        }
+                        assert_eq!(memo.get(&key).as_deref(), Some(&output), "case {case}");
+                        model.insert(key, (output, bytes, docs));
+                    }
+                    4 | 5 => {
+                        let hit = memo.get(&key);
+                        assert_eq!(hit.as_deref(), model.get(&key).map(|e| &e.0), "case {case}");
+                    }
+                    6 => {
+                        let live = |doc: &u64| r >> (8 + doc) & 1 == 1;
+                        model.retain(|_, e| e.2.iter().all(live));
+                        let live = (0..6).filter(live).map(doc_id).collect();
+                        assert_eq!(memo.retain_docs(&live), len - model.len(), "case {case}");
+                    }
+                    _ => {
+                        model.retain(|k, _| k.function != key.function);
+                        let purged = memo.purge_function(&key.function);
+                        assert_eq!(purged, len - model.len(), "case {case}");
+                    }
+                }
+                let sum: usize = memo.entries.values().map(|e| e.bytes).sum();
+                let modelled: usize = model.values().map(|e| e.1).sum();
+                let stats = memo.stats();
+                assert!(sum <= memo.budget(), "case {case}");
+                assert_eq!((sum, memo.len()), (modelled, model.len()), "case {case}");
+                assert_eq!((memo.bytes(), stats.bytes), (sum, sum), "case {case}");
+                assert_eq!(stats.entries, memo.len(), "case {case}");
+                assert_eq!((stats.evictions, stats.oversized), (evictions, 0));
+            }
+            overflows += evictions;
+        }
+        assert!(overflows > 0, "no budget was small enough to overflow");
     }
 }

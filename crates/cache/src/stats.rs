@@ -2,7 +2,7 @@
 
 /// Counters describing one [`crate::IeMemo`]'s lifetime activity —
 /// exposed through `Session::stats()` so serving paths can watch hit
-/// rates and eviction pressure without instrumenting IE functions.
+/// rates and budget overflows without instrumenting IE functions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the memo table.
@@ -12,7 +12,7 @@ pub struct CacheStats {
     /// Entries stored (one per miss of a cacheable call that fit the
     /// budget).
     pub insertions: u64,
-    /// Entries dropped by LRU pressure.
+    /// Entries dropped when the table overflowed its budget.
     pub evictions: u64,
     /// Entries rejected outright because a single entry exceeded the
     /// whole byte budget.

@@ -68,10 +68,10 @@ impl SpannerPipeline {
         // Corpus batches repeat documents across classify_corpus calls
         // in notebook-style use, so keep the IE memo on (default
         // capacity) and let doc-store GC reclaim texts of replaced
-        // corpora once they outgrow a clinical-corpus-sized watermark.
+        // corpora once they outgrow the watermark.
         let mut session = Session::builder()
             .doc_gc(spannerlog_engine::DocGc::Threshold {
-                bytes: 32 * 1024 * 1024,
+                bytes: spannerlog_engine::DOC_GC_WATERMARK_BYTES,
             })
             .tracing(level)
             .build();

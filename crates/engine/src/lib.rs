@@ -63,7 +63,7 @@ pub use registry::Registry;
 pub use session::{Session, SessionBuilder, SessionStats, DEFAULT_IE_CACHE_BYTES};
 // The cache subsystem's user-facing vocabulary, re-exported so hosts
 // configure sessions without depending on spannerlib-cache directly.
-pub use spannerlib_cache::{CacheStats, DocGc};
+pub use spannerlib_cache::{CacheStats, DocGc, DOC_GC_WATERMARK_BYTES};
 pub use spannerlib_core::CompactionReport;
 // Observability vocabulary from the trace crate, re-exported so hosts
 // configure tracing and consume profiles without a direct dependency.

@@ -400,31 +400,12 @@ impl Session {
     ///   call that skipped evaluation because nothing changed keeps the
     ///   previous run's counters, as [`Session::profile`] does;
     /// * `cache` is **cumulative over the session's lifetime** (the memo
-    ///   table outlives individual runs by design).
-    ///
-    /// Use [`Session::take_stats`] for a read that also resets both
-    /// windows, e.g. to meter individual requests in a serving loop.
+    ///   table outlives individual runs by design); meter a window by
+    ///   subtracting two reads.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             eval: self.last_stats,
             cache: self.cache_stats(),
-        }
-    }
-
-    /// Returns the current [`SessionStats`] and resets both halves in
-    /// the same call: the eval counters go back to zero and the IE
-    /// cache's lifetime counters restart (resident `entries`/`bytes`
-    /// are *kept* — they describe state, not activity). Two consecutive
-    /// `take_stats` calls with no evaluation in between therefore
-    /// return activity counters of zero.
-    pub fn take_stats(&mut self) -> SessionStats {
-        SessionStats {
-            eval: std::mem::take(&mut self.last_stats),
-            cache: self
-                .ie_cache
-                .as_ref()
-                .map(|c| c.lock().take_stats())
-                .unwrap_or_default(),
         }
     }
 
@@ -474,15 +455,6 @@ impl Session {
             .as_ref()
             .map(|c| c.lock().stats())
             .unwrap_or_default()
-    }
-
-    /// Drops every memoized IE result (counters survive). Rarely needed
-    /// — keys are content-addressed — but useful to release the memory
-    /// the cache holds in one step.
-    pub fn clear_ie_cache(&mut self) {
-        if let Some(cache) = &self.ie_cache {
-            cache.lock().clear();
-        }
     }
 
     /// Marks compile-relevant state (rules, registrations, relation name

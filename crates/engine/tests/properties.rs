@@ -278,33 +278,46 @@ proptest! {
 
     /// The IE memo is semantically invisible: cache-on and cache-off
     /// sessions agree tuple-for-tuple on random programs over random
-    /// documents, across re-imports that exercise warm-path replay.
+    /// documents, across re-imports that exercise warm-path replay —
+    /// at the default budget and at one of a few hundred bytes, which
+    /// holds one to five entries and so empties mid-evaluation.
     #[test]
     fn cache_on_and_off_agree_tuple_for_tuple(
         texts in texts_strategy(),
         prog in 0usize..IE_PROGRAMS.len(),
+        tiny_budget in 250usize..1200,
     ) {
         let (program, relations) = IE_PROGRAMS[prog];
-        let mut cached = Session::new();
         let mut uncached = Session::builder().ie_cache_capacity(0).build();
+        let mut cached = [
+            Session::new(),
+            Session::builder().ie_cache_capacity(tiny_budget).build(),
+        ];
         for round in 0..3 {
-            import_texts(&mut cached, &texts, round);
             import_texts(&mut uncached, &texts, round);
             if round == 0 {
-                cached.run(program).unwrap();
                 uncached.run(program).unwrap();
             }
-            for name in relations {
-                prop_assert_eq!(
-                    canonical(&mut cached, name),
-                    canonical(&mut uncached, name),
-                    "relation {} diverged on round {}", name, round
-                );
+            for session in &mut cached {
+                import_texts(session, &texts, round);
+                if round == 0 {
+                    session.run(program).unwrap();
+                }
+                for name in relations {
+                    prop_assert_eq!(
+                        canonical(session, name),
+                        canonical(&mut uncached, name),
+                        "relation {} diverged on round {}", name, round
+                    );
+                }
             }
         }
-        // The cached session actually exercised the memo.
-        let stats = cached.stats().cache;
-        prop_assert!(stats.hits + stats.misses > 0);
+        // The cached sessions actually exercised the memo, the tiny
+        // one inside its budget.
+        let [roomy, tiny] = cached.map(|session| session.stats().cache);
+        prop_assert!(roomy.hits + roomy.misses > 0);
+        prop_assert_eq!(tiny.hits + tiny.misses, roomy.hits + roomy.misses);
+        prop_assert!(tiny.bytes <= tiny_budget, "{:?}", tiny);
     }
 
     /// The production evaluator — delta rounds, cost-ordered steps, scan

@@ -325,30 +325,6 @@ fn span_buffer_budget_bounds_resident_spans_under_churn() {
 }
 
 #[test]
-fn take_stats_drains_activity_but_keeps_residency() {
-    let mut session = Session::new();
-    session.run(EMAIL_PROGRAM).unwrap();
-    session.export("?R(usr, dom)").unwrap();
-
-    let first = session.take_stats();
-    assert!(first.eval.rule_firings > 0);
-    assert!(first.cache.insertions > 0);
-
-    let after = session.stats();
-    assert_eq!(after.eval, EvalStats::default());
-    assert_eq!(
-        (after.cache.hits, after.cache.misses, after.cache.insertions),
-        (0, 0, 0)
-    );
-    assert_eq!(
-        after.cache.entries, first.cache.entries,
-        "residency is state, not activity"
-    );
-    // A second drain with no evaluation in between is all zero activity.
-    assert_eq!(session.take_stats().eval, EvalStats::default());
-}
-
-#[test]
 fn profile_renders_a_table_and_exports_json_lines() {
     let mut session = traced_session(TraceLevel::Spans);
     session.run(TC_PROGRAM).unwrap();

@@ -17,7 +17,7 @@
 //! listener closes, `/healthz` turns 503, in-flight requests finish.
 
 use spannerlib_serve::{signal, ServeConfig, Server};
-use spannerlog_engine::{Session, TraceLevel};
+use spannerlog_engine::{DocGc, Session, TraceLevel, DOC_GC_WATERMARK_BYTES};
 use std::time::Duration;
 
 const USAGE: &str = "usage: spannerd [--addr HOST:PORT] [--workers N] [--parallelism N]\n\
@@ -42,6 +42,14 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
         .unwrap_or_else(|_| usage(&format!("invalid value {value:?} for {flag}")))
 }
 
+/// A millisecond budget: zero would fail every request it applies to.
+fn parse_millis(flag: &str, value: Option<String>) -> u64 {
+    match parse(flag, value) {
+        0 => usage(&format!("{flag} must be at least 1")),
+        millis => millis,
+    }
+}
+
 fn main() {
     let mut cfg = ServeConfig {
         addr: "127.0.0.1:7171".into(),
@@ -55,9 +63,11 @@ fn main() {
             "--addr" => cfg.addr = parse("--addr", args.next()),
             "--workers" => cfg.workers = parse("--workers", args.next()),
             "--parallelism" => parallelism = Some(parse("--parallelism", args.next())),
-            "--deadline-ms" => cfg.default_deadline_ms = Some(parse("--deadline-ms", args.next())),
+            "--deadline-ms" => {
+                cfg.default_deadline_ms = Some(parse_millis("--deadline-ms", args.next()))
+            }
             "--max-eval-millis" => {
-                cfg.max_eval_millis = Some(parse("--max-eval-millis", args.next()))
+                cfg.max_eval_millis = Some(parse_millis("--max-eval-millis", args.next()))
             }
             "--max-rows" => cfg.max_materialized_rows = Some(parse("--max-rows", args.next())),
             "--max-body-bytes" => cfg.max_body_bytes = parse("--max-body-bytes", args.next()),
@@ -76,7 +86,11 @@ fn main() {
         }
     }
 
-    let mut builder = Session::builder();
+    // Clients import for as long as the daemon lives: texts no relation
+    // names any more go, and their memo entries with them.
+    let mut builder = Session::builder().doc_gc(DocGc::Threshold {
+        bytes: DOC_GC_WATERMARK_BYTES,
+    });
     if let Some(n) = parallelism {
         builder = builder.parallelism(n);
     }

@@ -376,19 +376,18 @@ fn refresh(session: &mut Session, state: &ServerState, waiters: Vec<RefreshWaite
     match outcome {
         Ok(snapshot) => {
             state.metrics.counter("evals_total").inc();
-            let cache = snapshot.cache_stats();
-            state
-                .metrics
-                .gauge("ie_cache_entries")
-                .set(cache.entries as i64);
-            state
-                .metrics
-                .gauge("ie_cache_bytes")
-                .set(cache.bytes as i64);
-            state
-                .metrics
-                .gauge("published_eval_seq")
-                .set(snapshot.eval_seq() as i64);
+            let (cache, docs) = (snapshot.cache_stats(), session.docs());
+            for (name, value) in [
+                ("ie_cache_entries", cache.entries as i64),
+                ("ie_cache_bytes", cache.bytes as i64),
+                ("ie_cache_evictions_total", cache.evictions as i64),
+                ("docstore_bytes", docs.bytes() as i64),
+                ("docstore_docs", docs.len() as i64),
+                ("docstore_epoch", docs.epoch() as i64),
+                ("published_eval_seq", snapshot.eval_seq() as i64),
+            ] {
+                state.metrics.gauge(name).set(value);
+            }
             let published = Arc::new(Published::new(snapshot, version));
             *state.published.write() = published.clone();
             for w in live {

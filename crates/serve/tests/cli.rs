@@ -22,7 +22,13 @@ fn help_goes_to_stdout_and_exits_zero() {
 
 #[test]
 fn bad_flags_and_values_go_to_stderr_and_exit_two() {
-    for args in [&["--bogus"][..], &["--workers", "x"]] {
+    // A zero deadline or evaluation cap would fail every request.
+    for args in [
+        &["--bogus"][..],
+        &["--workers", "x"],
+        &["--deadline-ms", "0"],
+        &["--max-eval-millis", "0"],
+    ] {
         let out = spannerd(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: spannerd"));

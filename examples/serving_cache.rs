@@ -17,13 +17,15 @@
 
 use spannerlib::prelude::*;
 
+const MEMO_BUDGET: usize = 64 * 1024;
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build: memoized IE evaluation and automatic doc-store
     //    compaction past a 256 KiB watermark. The two bounds add up:
     //    the memo's budget counts its keys and outputs, the watermark
     //    the document text, and the memo keeps no document alive.
     let mut session = Session::builder()
-        .ie_cache_capacity(64 * 1024)
+        .ie_cache_capacity(MEMO_BUDGET)
         .doc_gc(DocGc::Threshold { bytes: 256 * 1024 })
         .build();
 
@@ -67,6 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    execute → remove; span outputs intern each document (the
     //    `Mention` rule), and the GC threshold keeps resident text
     //    bounded where the old append-only store grew without limit.
+    //    The memo is keyed by those 2 KB texts, so the stream overflows
+    //    its 64 KiB: each time it would, the table is emptied instead.
     let mut peak = 0usize;
     for round in 0..200 {
         let mut unique = format!("ticket {round}: contact user{round}@host{round}.example now ");
@@ -83,6 +87,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         peak,
         session.docs().epoch(),
     );
+    let cache = session.stats().cache;
+    println!(
+        "memo under churn: {} entries dropped on overflow, {} of {} budget bytes resident",
+        cache.evictions, cache.bytes, MEMO_BUDGET,
+    );
+    assert!(peak < 256 * 1024 + 8 * 1024, "watermark + one document");
+    assert!(cache.evictions > 0 && cache.bytes <= MEMO_BUDGET);
 
     // 5. Explicit compaction reports exactly what a pass reclaims:
     //    only documents with spans in live relations survive, and the
