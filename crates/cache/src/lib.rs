@@ -12,10 +12,11 @@
 //! 1. **Recomputation** — every fixpoint rerun re-invokes each IE
 //!    function on each binding row, even though IE functions are
 //!    *stateless* mappings from inputs to output relations. The
-//!    [`IeMemo`] is a content-addressed memo table over
-//!    `(function, argument values, output arity)` under a byte budget
-//!    — an insert that would overflow it empties the table — with
-//!    hit/miss/eviction counters ([`CacheStats`]).
+//!    [`IeMemo`] is a content-addressed memo over
+//!    `(function, argument values, output arity)`, kept in one pair of
+//!    row arenas per function and probed once per batch of calls, under
+//!    a byte budget — a store that would overflow it empties the memo —
+//!    with hit/miss/eviction counters ([`CacheStats`]).
 //! 2. **Document accumulation** — the engine's `DocumentStore` interns
 //!    every text an IE function touches and never forgets it. The
 //!    [`lifecycle`] module supplies the policy ([`DocGc`]) by which the
@@ -38,5 +39,5 @@ pub mod memo;
 pub mod stats;
 
 pub use lifecycle::{DocGc, DOC_GC_WATERMARK_BYTES};
-pub use memo::{IeMemo, MemoKey, SharedIeMemo};
+pub use memo::{IeMemo, SharedIeMemo};
 pub use stats::CacheStats;

@@ -10,106 +10,148 @@
 //! cost of warm-path serving: re-running extraction over documents the
 //! session has already seen.
 //!
+//! Entries live in arenas, one table per `(function, argument count,
+//! output arity)`: the argument vectors of a table are the rows of one
+//! [`Rows`] with a [`RowTable`] over them, the output rows of all its
+//! entries sit back to back in a second `Rows`, and an entry is a range
+//! of that store's row ids — the shape relations have. Nothing is
+//! allocated per entry, a key owns nothing (a probe hands over borrowed
+//! cells), and a table drops as a handful of vectors.
+//!
 //! An entry keeps no document alive. Relations are the only roots of
 //! the document store; when a compaction pass drops a document, the
 //! engine calls [`IeMemo::retain_docs`] and every entry whose key or
 //! output names it dies with it.
 //!
-//! The table lives under a configurable byte budget, charged for keys
-//! and outputs; an insert that would overflow it empties the table and
+//! The memo lives under a configurable byte budget, charged for keys
+//! and outputs; a store that would overflow it empties every table and
 //! starts over, as `regex::dfa::Cache` does with its states. It keeps no
 //! recency order: an evaluation re-scans every live document in the
 //! same order, so one would drop first what the next round asks for
 //! first. Sizes are estimated (string payloads, enum footprints and a
-//! fixed per-entry overhead): a stable bound, not allocator accounting.
+//! fixed per-entry share of the index): a stable bound, not allocator
+//! accounting.
 
 use crate::stats::CacheStats;
 use parking_lot::Mutex;
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
-use spannerlib_core::{DocId, Value};
-use std::hash::{Hash, Hasher};
+use rustc_hash::FxHashSet;
+use spannerlib_core::{hash_cells, DocId, RowTable, Rows, Value};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Cached output rows, shaped exactly like the engine's `IeOutput`.
-pub type MemoOutput = Vec<Vec<Value>>;
-
 /// The memo handle shared between a session, its evaluation runs, and
-/// its snapshots.
+/// its snapshots. An evaluation takes the lock twice per batch of IE
+/// calls — once to look every distinct argument vector up, once to
+/// store what the misses returned — never once per call, and never
+/// across a call.
 pub type SharedIeMemo = Arc<Mutex<IeMemo>>;
 
-/// The content address of one IE invocation.
-///
-/// The hash of the contents is computed once, at construction: a key
-/// carries whole document texts, and the table hashes it on `get`, on
-/// `insert` and again every time the map grows. Fields are private so
-/// the stored hash cannot go stale.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoKey {
-    /// Hash of the three fields below; compared first, so unequal keys
-    /// rarely reach the text comparison.
-    hash: u64,
-    /// Registered function name.
-    function: Arc<str>,
-    /// Concrete argument values of the call.
-    args: Vec<Value>,
-    /// Output arity expected by the calling IE atom (functions like
-    /// `rgx` validate and shape output against it).
-    n_outputs: usize,
+/// Charged per entry on top of its cells: its range of output rows and
+/// its slot in the half-full index.
+const ENTRY_BYTES: usize = std::mem::size_of::<Range<u32>>() + 2 * std::mem::size_of::<u64>();
+
+/// What an entry of these cells — its arguments and its output rows —
+/// is charged against the budget: per cell the enum footprint plus the
+/// payload of a string (spans, ints, bools, floats own no heap).
+fn entry_bytes<'a>(cells: impl Iterator<Item = &'a Value>) -> usize {
+    let cell = |v: &Value| std::mem::size_of::<Value>() + v.as_str().map_or(0, str::len);
+    ENTRY_BYTES + cells.map(cell).sum::<usize>()
 }
 
-impl Hash for MemoKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+/// The entries of one `(function, argument count, output arity)`.
+struct Table {
+    function: String,
+    /// One row per entry: its argument vector. Row id = entry id.
+    args: Rows,
+    /// The entry ids, under [`hash_cells`] of their argument vectors.
+    index: RowTable,
+    /// The output rows of every entry, back to back.
+    outputs: Rows,
+    /// Per entry: its rows of `outputs`.
+    spans: Vec<Range<u32>>,
+}
+
+impl Table {
+    fn new(function: &str, n_args: usize, n_outputs: usize) -> Table {
+        Table {
+            function: function.to_string(),
+            args: Rows::new(n_args),
+            index: RowTable::default(),
+            outputs: Rows::new(n_outputs),
+            spans: Vec::new(),
+        }
+    }
+
+    fn is(&self, function: &str, n_args: usize, n_outputs: usize) -> bool {
+        (self.args.width(), self.outputs.width()) == (n_args, n_outputs)
+            && self.function == function
+    }
+
+    /// The entry whose argument vector is `args`, hashing to `hash`.
+    fn find<'a>(&self, hash: u64, args: impl Iterator<Item = &'a Value> + Clone) -> Option<usize> {
+        self.index
+            .find(hash, |id| self.args.row(id).iter().eq(args.clone()))
+    }
+
+    /// The output rows of entry `id`.
+    fn output(&self, id: usize) -> impl ExactSizeIterator<Item = &[Value]> + Clone {
+        let span = &self.spans[id];
+        self.outputs.range(span.start as usize..span.end as usize)
+    }
+
+    /// The cells entry `id` is charged for.
+    fn cells(&self, id: usize) -> impl Iterator<Item = &Value> {
+        self.args.row(id).iter().chain(self.output(id).flatten())
+    }
+
+    /// Adds an entry for an argument vector the table does not hold.
+    fn push<'a>(
+        &mut self,
+        hash: u64,
+        args: impl Iterator<Item = &'a Value>,
+        output: impl Iterator<Item = &'a [Value]>,
+    ) {
+        let row_id = |rows: &Rows| u32::try_from(rows.len()).expect("table rows fit 32 bits");
+        let start = row_id(&self.outputs);
+        output.for_each(|row| self.outputs.push(row));
+        self.spans.push(start..row_id(&self.outputs));
+        self.index.find_or_insert(hash, self.args.len(), |_| false);
+        self.args.push(args);
+    }
+
+    /// Rebuilds the table from the entries `keep(self, entry id)`
+    /// accepts — unless that is all of them — and returns the bytes the
+    /// others were charged.
+    fn retain(&mut self, keep: impl Fn(&Table, usize) -> bool) -> usize {
+        let entries = 0..self.spans.len();
+        if entries.clone().all(|id| keep(self, id)) {
+            return 0;
+        }
+        let mut kept = Table::new(&self.function, self.args.width(), self.outputs.width());
+        let mut freed = 0;
+        for id in entries {
+            if keep(self, id) {
+                let args = self.args.row(id).iter();
+                kept.push(hash_cells(args.clone()), args, self.output(id));
+            } else {
+                freed += entry_bytes(self.cells(id));
+            }
+        }
+        *self = kept;
+        freed
     }
 }
 
-impl MemoKey {
-    /// Builds a key from a call site.
-    pub fn new(function: &str, args: &[Value], n_outputs: usize) -> MemoKey {
-        let mut hasher = FxHasher::default();
-        (function, args, n_outputs).hash(&mut hasher);
-        MemoKey {
-            hash: hasher.finish(),
-            function: Arc::from(function),
-            args: args.to_vec(),
-            n_outputs,
-        }
-    }
-}
-
-/// Approximate resident size of one value: enum footprint plus owned
-/// string payload (spans, ints, bools, floats carry no heap payload).
-fn value_bytes(v: &Value) -> usize {
-    std::mem::size_of::<Value>()
-        + match v {
-            Value::Str(s) => s.len(),
-            _ => 0,
-        }
-}
-
-/// Fixed per-entry overhead charged on top of key/output payloads
-/// (hash-map slot, key and row vectors, the output's `Arc` header).
-const ENTRY_OVERHEAD: usize = 128;
-
-/// What one entry is charged against the budget.
-fn entry_bytes(key: &MemoKey, output: &MemoOutput) -> usize {
-    let values = key.args.iter().chain(output.iter().flatten());
-    ENTRY_OVERHEAD + key.function.len() + values.map(value_bytes).sum::<usize>()
-}
-
-struct MemoEntry {
-    output: Arc<MemoOutput>,
-    bytes: usize,
-}
-
-/// A byte-budgeted memo table for IE call results.
+/// A byte-budgeted memo of IE call results, kept in per-function
+/// arenas (see the module docs).
 ///
-/// Lookups return shared `Arc` handles so hits never deep-copy output
-/// rows. The table is single-threaded by itself; wrap it in
+/// A lookup copies the rows of a hit into the caller's batch; a store
+/// copies them in. The memo is single-threaded by itself; wrap it in
 /// [`SharedIeMemo`] for the session/snapshot sharing pattern.
 pub struct IeMemo {
-    entries: FxHashMap<MemoKey, MemoEntry>,
-    /// Sum of `MemoEntry::bytes` over `entries`; never above `budget`.
+    /// A handful: found by walking.
+    tables: Vec<Table>,
+    /// Sum of [`entry_bytes`] over every entry; never above `budget`.
     bytes: usize,
     budget: usize,
     stats: CacheStats,
@@ -117,11 +159,11 @@ pub struct IeMemo {
 
 impl IeMemo {
     /// An empty memo with the given byte budget. A budget of zero
-    /// caches nothing (every insert is rejected as oversized), but
+    /// caches nothing (every store is rejected as oversized), but
     /// callers normally gate the whole cache off instead.
     pub fn new(budget_bytes: usize) -> IeMemo {
         IeMemo {
-            entries: FxHashMap::default(),
+            tables: Vec::new(),
             bytes: 0,
             budget: budget_bytes,
             stats: CacheStats::default(),
@@ -140,67 +182,106 @@ impl IeMemo {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.tables.iter().map(|t| t.spans.len()).sum()
     }
 
     /// Whether the memo holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Lifetime counters, with `entries`/`bytes` reflecting the current
     /// residency.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            entries: self.entries.len(),
+            entries: self.len(),
             bytes: self.bytes,
             ..self.stats
         }
     }
 
-    /// Looks up a call, counting a hit or miss.
-    pub fn get(&mut self, key: &MemoKey) -> Option<Arc<MemoOutput>> {
-        let hit = self.entries.get(key).map(|entry| entry.output.clone());
+    /// Looks up the call `function(args)` at the output arity
+    /// `out.width()`, counting a hit or miss. A hit appends the cached
+    /// rows to `out` and returns their row ids there.
+    pub fn lookup<'a>(
+        &mut self,
+        function: &str,
+        args: impl ExactSizeIterator<Item = &'a Value> + Clone,
+        out: &mut Rows,
+    ) -> Option<Range<usize>> {
+        let mut tables = self.tables.iter();
+        let hit = tables
+            .find(|t| t.is(function, args.len(), out.width()))
+            .and_then(|t| Some((t, t.find(hash_cells(args.clone()), args)?)));
         self.stats.hits += u64::from(hit.is_some());
         self.stats.misses += u64::from(hit.is_none());
-        hit
+        let (table, id) = hit?;
+        let start = out.len();
+        table.output(id).for_each(|row| out.push(row));
+        Some(start..out.len())
     }
 
-    /// Stores a call result. An entry larger than the whole budget is
-    /// rejected (counted in [`CacheStats::oversized`]); one that would
-    /// carry the table past the budget empties the table first (every
-    /// entry dropped that way is counted in [`CacheStats::evictions`]);
-    /// re-inserting an existing key replaces it.
-    pub fn insert(&mut self, key: MemoKey, output: Arc<MemoOutput>) {
-        let bytes = entry_bytes(&key, &output);
+    /// Stores the result of the call `function(args)`: the rows of
+    /// `rows` with ids in `output`. An entry larger than the whole
+    /// budget is rejected (counted in [`CacheStats::oversized`]); one
+    /// that would carry the memo past the budget empties it first
+    /// (every entry dropped that way is counted in
+    /// [`CacheStats::evictions`]); storing under a resident key replaces
+    /// its rows.
+    pub fn store<'a>(
+        &mut self,
+        function: &str,
+        args: impl ExactSizeIterator<Item = &'a Value> + Clone,
+        rows: &'a Rows,
+        output: Range<usize>,
+    ) {
+        let output = rows.range(output);
+        let bytes = entry_bytes(args.clone().chain(output.clone().flatten()));
         if bytes > self.budget {
             self.stats.oversized += 1;
             return;
         }
-        if let Some(old) = self.entries.remove(&key) {
-            self.bytes -= old.bytes;
+        self.stats.insertions += 1;
+        let hash = hash_cells(args.clone());
+        let (n_args, n_outputs) = (args.len(), rows.width());
+        let is_table = |t: &Table| t.is(function, n_args, n_outputs);
+        if let Some(table) = self.tables.iter_mut().find(|t| is_table(t)) {
+            if let Some(id) = table.find(hash, args.clone()) {
+                // Two shards that missed one key both store it — the
+                // same rows, a stateless function being what it is.
+                if table.output(id).eq(output.clone()) {
+                    return;
+                }
+                self.bytes -= table.retain(|_, entry| entry != id);
+            }
         }
         if self.bytes + bytes > self.budget {
-            self.stats.evictions += self.entries.len() as u64;
+            self.stats.evictions += self.len() as u64;
             self.clear();
         }
+        let at = self.tables.iter().position(is_table).unwrap_or_else(|| {
+            self.tables.push(Table::new(function, n_args, n_outputs));
+            self.tables.len() - 1
+        });
+        self.tables[at].push(hash, args, output);
         self.bytes += bytes;
-        self.entries.insert(key, MemoEntry { output, bytes });
-        self.stats.insertions += 1;
     }
 
     /// Drops every entry (keeps lifetime counters).
     fn clear(&mut self) {
-        self.entries.clear();
+        self.tables.clear();
         self.bytes = 0;
     }
 
-    /// Drops the entries `dead` picks, returning how many were removed.
-    fn purge(&mut self, dead: impl Fn(&MemoKey, &MemoOutput) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|key, entry| !dead(key, &entry.output));
-        self.bytes = self.entries.values().map(|entry| entry.bytes).sum();
-        before - self.entries.len()
+    /// Drops the entries `keep(table, entry id)` rejects (and a table
+    /// left without any), returning how many went.
+    fn retain(&mut self, keep: impl Fn(&Table, usize) -> bool) -> usize {
+        let before = self.len();
+        for table in &mut self.tables {
+            self.bytes -= table.retain(&keep);
+        }
+        self.tables.retain(|t| !t.spans.is_empty());
+        before - self.len()
     }
 
     /// Drops every entry cached under `function`, returning how many
@@ -208,7 +289,7 @@ impl IeMemo {
     /// (re-)registered: a new body invalidates all addresses under that
     /// name, while entries of unrelated functions stay warm.
     pub fn purge_function(&mut self, function: &str) -> usize {
-        self.purge(|key, _| key.function.as_ref() == function)
+        self.retain(|table, _| table.function != function)
     }
 
     /// Drops every entry that names a document outside `live` — by a
@@ -219,7 +300,7 @@ impl IeMemo {
     /// gets a fresh one.
     pub fn retain_docs(&mut self, live: &FxHashSet<DocId>) -> usize {
         let dead = |v: &Value| matches!(v, Value::Span(s) if !live.contains(&s.doc));
-        self.purge(|key, output| key.args.iter().chain(output.iter().flatten()).any(dead))
+        self.retain(|table, id| !table.cells(id).any(dead))
     }
 }
 
@@ -235,79 +316,126 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rustc_hash::FxHashMap;
     use spannerlib_core::Span;
 
-    fn key(name: &str, n: i64) -> MemoKey {
-        MemoKey::new(name, &[Value::Int(n)], 1)
+    type Output = Vec<Vec<Value>>;
+
+    /// Stores `output` — rows of `n` cells, after one of another call.
+    fn store_at(
+        memo: &mut IeMemo,
+        function: &str,
+        args: &[Value],
+        n: usize,
+        output: &[Vec<Value>],
+    ) {
+        let mut rows = Rows::new(n);
+        rows.push(&vec![Value::Bool(false); n]);
+        output.iter().for_each(|row| rows.push(row));
+        memo.store(function, args.iter(), &rows, 1..rows.len());
     }
 
-    fn rows(n: i64) -> Arc<MemoOutput> {
-        Arc::new(vec![vec![Value::Int(n)]])
+    fn store(memo: &mut IeMemo, function: &str, args: &[Value], output: &[Vec<Value>]) {
+        store_at(
+            memo,
+            function,
+            args,
+            output.first().map_or(0, Vec::len),
+            output,
+        );
+    }
+
+    /// The rows cached for `function(args)` at output arity `n`.
+    fn lookup(memo: &mut IeMemo, function: &str, args: &[Value], n: usize) -> Option<Output> {
+        // Rows of another batch come first: a hit is a range, not the lot.
+        let mut out = Rows::new(n);
+        out.push(&vec![Value::Bool(true); n]);
+        let hit = memo.lookup(function, args.iter(), &mut out)?;
+        assert_eq!((hit.start, hit.end), (1, out.len()));
+        Some(out.range(hit).map(<[Value]>::to_vec).collect())
+    }
+
+    fn int(n: i64) -> Vec<Value> {
+        vec![Value::Int(n)]
+    }
+
+    /// What [`store`]ing `output` under `args` is charged.
+    fn charged(args: &[Value], output: &[Vec<Value>]) -> usize {
+        entry_bytes(args.iter().chain(output.iter().flatten()))
     }
 
     #[test]
     fn hit_returns_shared_output_and_counts() {
         let mut memo = IeMemo::new(1 << 20);
-        assert!(memo.get(&key("f", 1)).is_none());
-        memo.insert(key("f", 1), rows(10));
-        let hit = memo.get(&key("f", 1)).expect("hit");
-        assert_eq!(*hit, vec![vec![Value::Int(10)]]);
+        assert!(lookup(&mut memo, "f", &int(1), 1).is_none());
+        store(&mut memo, "f", &int(1), &[int(10), int(11)]);
+        assert_eq!(
+            lookup(&mut memo, "f", &int(1), 1),
+            Some(vec![int(10), int(11)])
+        );
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(stats.entries, 1);
-        assert!(stats.bytes > 0);
+        assert_eq!(stats.bytes, charged(&int(1), &[int(10), int(11)]));
     }
 
     #[test]
     fn stored_hash_addresses_the_key_and_contents_decide_equality() {
         let text = "a document text ".repeat(128);
-        let a = MemoKey::new("rgx", &[Value::str("p"), Value::str(text.as_str())], 1);
-        let b = MemoKey::new("rgx", &[Value::str("p"), Value::str(text.as_str())], 1);
-        assert_eq!(a, b);
-        assert_eq!(a.hash, b.hash);
+        let key = |text: &str| [Value::str("p"), Value::str(text)];
         let mut memo = IeMemo::new(1 << 20);
-        memo.insert(a.clone(), rows(1));
-        assert!(memo.get(&b).is_some());
-        // Two keys that collide on the hash are still two addresses.
-        let mut forged = MemoKey::new("rgx", &[Value::str("p"), Value::str("other")], 1);
-        forged.hash = a.hash;
-        assert_ne!(a, forged);
-        assert!(memo.get(&forged).is_none());
+        store(&mut memo, "rgx", &key(&text), &[int(1)]);
+        // Another allocation of the same cells is the same address …
+        assert!(lookup(&mut memo, "rgx", &key(&text), 1).is_some());
+        // … and neither a prefix of them, nor other cells, nor another
+        // function is.
+        assert!(lookup(&mut memo, "rgx", &key(&text)[..1], 1).is_none());
+        assert!(lookup(&mut memo, "rgx", &key(&text.replace('a', "b")), 1).is_none());
+        assert!(lookup(&mut memo, "rgx_string", &key(&text), 1).is_none());
     }
 
     #[test]
     fn distinct_arities_are_distinct_addresses() {
         let mut memo = IeMemo::new(1 << 20);
-        memo.insert(MemoKey::new("f", &[Value::Int(1)], 1), rows(1));
-        assert!(memo.get(&MemoKey::new("f", &[Value::Int(1)], 2)).is_none());
+        store(&mut memo, "f", &int(1), &[int(1)]);
+        assert!(lookup(&mut memo, "f", &int(1), 2).is_none());
+        // An empty output is an entry like any other, at its arity.
+        store(&mut memo, "f", &int(1), &[]);
+        assert_eq!(lookup(&mut memo, "f", &int(1), 0), Some(vec![]));
+        assert_eq!(lookup(&mut memo, "f", &int(1), 1), Some(vec![int(1)]));
     }
 
     #[test]
     fn overflow_empties_the_table_and_keeps_the_bound() {
         // Budget fits exactly two of these entries.
-        let one = entry_bytes(&key("f", 1), &rows(0));
+        let one = charged(&int(1), &[int(0)]);
         let mut memo = IeMemo::new(2 * one);
-        memo.insert(key("f", 1), rows(1));
-        memo.insert(key("f", 2), rows(2));
+        store(&mut memo, "f", &int(1), &[int(1)]);
+        store(&mut memo, "f", &int(2), &[int(2)]);
         // Replacing a resident key is not an overflow.
-        memo.insert(key("f", 2), rows(20));
+        store(&mut memo, "f", &int(2), &[int(20)]);
         assert_eq!((memo.len(), memo.bytes()), (2, 2 * one));
         assert_eq!(memo.stats().evictions, 0);
-        // A third entry is: both residents go, the newcomer stays.
-        memo.insert(key("f", 3), rows(3));
+        // A third entry is: both residents go — whatever their function
+        // — and the newcomer stays.
+        store(&mut memo, "g", &int(3), &[int(3)]);
         assert_eq!((memo.len(), memo.bytes()), (1, one));
-        assert!(memo.get(&key("f", 1)).is_none());
-        assert!(memo.get(&key("f", 2)).is_none());
-        assert!(memo.get(&key("f", 3)).is_some());
+        assert!(lookup(&mut memo, "f", &int(1), 1).is_none());
+        assert!(lookup(&mut memo, "f", &int(2), 1).is_none());
+        assert!(lookup(&mut memo, "g", &int(3), 1).is_some());
         assert_eq!(memo.stats().evictions, 2);
         assert!(memo.bytes() <= memo.budget());
     }
 
     #[test]
     fn oversized_entries_are_rejected_not_thrashed() {
-        let mut memo = IeMemo::new(ENTRY_OVERHEAD + 8);
-        let big = Arc::new(vec![vec![Value::str("x".repeat(1024))]]);
-        memo.insert(key("f", 1), big);
+        let mut memo = IeMemo::new(ENTRY_BYTES + 8);
+        store(
+            &mut memo,
+            "f",
+            &int(1),
+            &[vec![Value::str("x".repeat(1024))]],
+        );
         assert!(memo.is_empty());
         assert_eq!(memo.stats().oversized, 1);
         assert_eq!(memo.stats().evictions, 0);
@@ -316,19 +444,38 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_leaking_bytes() {
         let mut memo = IeMemo::new(1 << 20);
-        memo.insert(key("f", 1), rows(1));
+        store(&mut memo, "f", &int(0), &[int(0)]);
+        store(&mut memo, "f", &int(1), &[int(1)]);
         let bytes_once = memo.bytes();
-        memo.insert(key("f", 1), rows(2));
-        assert_eq!(memo.len(), 1);
-        assert_eq!(memo.bytes(), bytes_once);
-        assert_eq!(*memo.get(&key("f", 1)).unwrap(), vec![vec![Value::Int(2)]]);
+        store(&mut memo, "f", &int(1), &[int(2)]);
+        assert_eq!((memo.len(), memo.bytes()), (2, bytes_once));
+        assert_eq!(lookup(&mut memo, "f", &int(1), 1), Some(vec![int(2)]));
+        assert_eq!(lookup(&mut memo, "f", &int(0), 1), Some(vec![int(0)]));
+    }
+
+    /// Two shards that miss one key at once both call the function and
+    /// both store what it returned: one entry, charged once.
+    #[test]
+    fn two_stores_of_one_missed_key_are_one_entry() {
+        let mut memo = IeMemo::new(1 << 20);
+        let output = [vec![Value::str("sentence"), Value::Int(1)]];
+        for _shard in 0..2 {
+            assert!(lookup(&mut memo, "f", &int(1), 2).is_none());
+        }
+        for _shard in 0..2 {
+            store(&mut memo, "f", &int(1), &output);
+        }
+        assert_eq!((memo.len(), memo.bytes()), (1, charged(&int(1), &output)));
+        assert_eq!(lookup(&mut memo, "f", &int(1), 2), Some(output.to_vec()));
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 2, 2));
     }
 
     #[test]
     fn clear_keeps_lifetime_counters() {
         let mut memo = IeMemo::new(1 << 20);
-        memo.insert(key("f", 1), rows(1));
-        memo.get(&key("f", 1));
+        store(&mut memo, "f", &int(1), &[int(1)]);
+        lookup(&mut memo, "f", &int(1), 1);
         memo.clear();
         assert!(memo.is_empty());
         assert_eq!(memo.bytes(), 0);
@@ -341,23 +488,25 @@ mod tests {
     fn entries_die_with_the_documents_they_name() {
         let mut memo = IeMemo::new(1 << 20);
         let span = |doc: u32| Value::Span(Span::new(DocId::from_index(doc), 0, 1));
-        let out = |v: Value| Arc::new(vec![vec![Value::Int(0)], vec![v]]);
-        memo.insert(MemoKey::new("by_key", &[span(1)], 1), rows(1));
-        memo.insert(key("by_output", 2), out(span(2)));
-        memo.insert(MemoKey::new("both_live", &[span(3)], 1), out(span(4)));
-        memo.insert(MemoKey::new("text", &[Value::str("t")], 1), rows(5));
+        let out = |v: Value| [int(0), vec![v]];
+        store(&mut memo, "by_key", &[span(1)], &[int(1)]);
+        store(&mut memo, "by_output", &int(2), &out(span(2)));
+        store(&mut memo, "by_output", &int(3), &out(span(4)));
+        store(&mut memo, "both_live", &[span(3)], &out(span(4)));
+        store(&mut memo, "text", &[Value::str("t")], &[int(5)]);
         let bytes_before = memo.bytes();
         let live: FxHashSet<DocId> = [3, 4].into_iter().map(DocId::from_index).collect();
         assert_eq!(memo.retain_docs(&live), 2);
-        assert!(memo.get(&MemoKey::new("by_key", &[span(1)], 1)).is_none());
-        assert!(memo.get(&key("by_output", 2)).is_none());
-        assert!(memo
-            .get(&MemoKey::new("both_live", &[span(3)], 1))
-            .is_some());
-        assert!(memo
-            .get(&MemoKey::new("text", &[Value::str("t")], 1))
-            .is_some());
-        assert_eq!(memo.len(), 2);
+        assert!(lookup(&mut memo, "by_key", &[span(1)], 1).is_none());
+        assert!(lookup(&mut memo, "by_output", &int(2), 1).is_none());
+        // The neighbours of a dropped entry survive its table's rebuild.
+        assert_eq!(
+            lookup(&mut memo, "by_output", &int(3), 1),
+            Some(out(span(4)).to_vec())
+        );
+        assert!(lookup(&mut memo, "both_live", &[span(3)], 1).is_some());
+        assert!(lookup(&mut memo, "text", &[Value::str("t")], 1).is_some());
+        assert_eq!(memo.len(), 3);
         assert!(memo.bytes() < bytes_before);
         assert_eq!(memo.retain_docs(&live), 0);
     }
@@ -365,15 +514,21 @@ mod tests {
     #[test]
     fn purge_function_is_name_scoped() {
         let mut memo = IeMemo::new(1 << 20);
-        memo.insert(key("f", 1), rows(1));
-        memo.insert(key("f", 2), rows(2));
-        memo.insert(key("g", 1), rows(3));
+        store(&mut memo, "f", &int(1), &[int(1)]);
+        store(&mut memo, "f", &int(2), &[int(2)]);
+        store(
+            &mut memo,
+            "f",
+            &int(2),
+            &[vec![Value::Int(2), Value::Int(2)]],
+        );
+        store(&mut memo, "g", &int(1), &[int(3)]);
         let bytes_before = memo.bytes();
-        assert_eq!(memo.purge_function("f"), 2);
+        assert_eq!(memo.purge_function("f"), 3);
         assert_eq!(memo.len(), 1);
         assert!(memo.bytes() < bytes_before);
-        assert!(memo.get(&key("g", 1)).is_some(), "g stays warm");
-        assert!(memo.get(&key("f", 1)).is_none());
+        assert!(lookup(&mut memo, "g", &int(1), 1).is_some(), "g stays warm");
+        assert!(lookup(&mut memo, "f", &int(1), 1).is_none());
         assert_eq!(memo.purge_function("absent"), 0);
     }
 
@@ -389,40 +544,47 @@ mod tests {
         }
         let doc_id = |doc: u64| DocId::from_index(doc as u32);
         let span = |doc: u64| Value::Span(Span::new(doc_id(doc), 0, 1));
-        // 2 functions x 6 documents in the key, one of 6 documents and
-        // a text of some length in the output.
+        // 2 functions x 6 documents in the key; up to 3 rows naming one
+        // of 6 documents next to a text of some length in the output.
         let call = |r: u64| {
             let docs = [r / 2 % 6, r / 12 % 6];
-            let key = MemoKey::new(["f", "g"][(r % 2) as usize], &[span(docs[0])], 1);
+            let key = (["f", "g"][(r % 2) as usize], span(docs[0]));
             let text = Value::str("x".repeat((r / 72 % 40) as usize));
-            (key, vec![vec![span(docs[1]), text]], docs)
+            let output: Output = vec![vec![span(docs[1]), text]; (r / 2880 % 4) as usize];
+            (key, output, docs)
         };
         // The largest entry: every budget below admits every call.
-        let one = entry_bytes(&call(72 * 39).0, &call(72 * 39).1);
+        let largest = call(72 * 39 + 2880 * 3);
+        let one = charged(&[largest.0 .1], &largest.1);
         let mut overflows = 0;
         for case in 0..200u64 {
             let mut rng = case;
             let mut memo = IeMemo::new(one + (next(&mut rng) % 30) as usize * one / 2);
             // key -> (output, bytes, documents named)
-            let mut model: FxHashMap<MemoKey, (MemoOutput, usize, [u64; 2])> = FxHashMap::default();
+            let mut model: FxHashMap<(&str, Value), (Output, usize, Vec<u64>)> =
+                FxHashMap::default();
             let mut evictions = 0;
             for _ in 0..120 {
                 let r = next(&mut rng);
                 let (key, output, docs) = call(r / 8);
-                let (bytes, len) = (entry_bytes(&key, &output), model.len());
+                let (function, args) = (key.0, [key.1.clone()]);
+                let (bytes, len) = (charged(&args, &output), model.len());
                 match r % 8 {
                     0..=3 => {
-                        memo.insert(key.clone(), Arc::new(output.clone()));
+                        store_at(&mut memo, function, &args, 2, &output);
                         model.remove(&key);
                         if model.values().map(|e| e.1).sum::<usize>() + bytes > memo.budget() {
                             evictions += model.drain().count() as u64;
                         }
-                        assert_eq!(memo.get(&key).as_deref(), Some(&output), "case {case}");
-                        model.insert(key, (output, bytes, docs));
+                        let hit = lookup(&mut memo, function, &args, 2);
+                        assert_eq!(hit.as_ref(), Some(&output), "case {case}");
+                        // An output without rows names only its key's document.
+                        let named = docs[..1 + usize::from(!output.is_empty())].to_vec();
+                        model.insert(key, (output, bytes, named));
                     }
                     4 | 5 => {
-                        let hit = memo.get(&key);
-                        assert_eq!(hit.as_deref(), model.get(&key).map(|e| &e.0), "case {case}");
+                        let hit = lookup(&mut memo, function, &args, 2);
+                        assert_eq!(hit.as_ref(), model.get(&key).map(|e| &e.0), "case {case}");
                     }
                     6 => {
                         let live = |doc: &u64| r >> (8 + doc) & 1 == 1;
@@ -431,12 +593,15 @@ mod tests {
                         assert_eq!(memo.retain_docs(&live), len - model.len(), "case {case}");
                     }
                     _ => {
-                        model.retain(|k, _| k.function != key.function);
-                        let purged = memo.purge_function(&key.function);
+                        model.retain(|k, _| k.0 != function);
+                        let purged = memo.purge_function(function);
                         assert_eq!(purged, len - model.len(), "case {case}");
                     }
                 }
-                let sum: usize = memo.entries.values().map(|e| e.bytes).sum();
+                let table_bytes = |t: &Table| -> usize {
+                    (0..t.spans.len()).map(|id| entry_bytes(t.cells(id))).sum()
+                };
+                let sum: usize = memo.tables.iter().map(table_bytes).sum();
                 let modelled: usize = model.values().map(|e| e.1).sum();
                 let stats = memo.stats();
                 assert!(sum <= memo.budget(), "case {case}");
@@ -444,6 +609,11 @@ mod tests {
                 assert_eq!((memo.bytes(), stats.bytes), (sum, sum), "case {case}");
                 assert_eq!(stats.entries, memo.len(), "case {case}");
                 assert_eq!((stats.evictions, stats.oversized), (evictions, 0));
+                // A rebuild leaves no dead row behind in an arena.
+                for t in &memo.tables {
+                    let live: usize = t.spans.iter().map(|s| s.len()).sum();
+                    assert_eq!((t.outputs.len(), t.args.len()), (live, t.spans.len()));
+                }
             }
             overflows += evictions;
         }

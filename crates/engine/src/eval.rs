@@ -67,14 +67,14 @@ pub struct EvalLimits {
     /// Maximum newly materialized tuples across the whole run.
     pub max_rows: Option<usize>,
     /// Wall-clock budget in milliseconds for the whole run (checked
-    /// between fixpoint rounds, before each IE batch, and every few
+    /// between fixpoint rounds, before each IE call, and every few
     /// thousand rows inside a join).
     pub max_millis: Option<u64>,
 }
 
 /// The wall-clock budget of one evaluation run
 /// ([`EvalLimits::max_millis`]), anchored when the run starts. Checked
-/// once per fixpoint round, once per IE batch, and every few thousand
+/// once per fixpoint round, before every IE call, and every few thousand
 /// candidate rows inside a join loop — the three places an evaluation
 /// can sink unbounded time — so an overrun surfaces as
 /// [`EngineError::LimitExceeded`] naming the rule that was executing,

@@ -9,11 +9,11 @@
 //!
 //! Functions receive an [`IeContext`] giving access to the session's
 //! document store, so they can resolve spans to text and mint spans over
-//! new or existing documents.
+//! new or existing documents. How calls are batched, memoised and
+//! bounded in time is the business of the rule executor (`plan.rs`).
 
 use crate::error::{EngineError, Result};
 use parking_lot::RwLock;
-use spannerlib_cache::{MemoKey, SharedIeMemo};
 use spannerlib_core::{DocId, DocumentStore, Span, Value};
 use std::sync::Arc;
 
@@ -154,9 +154,11 @@ pub trait IeFunction: Send + Sync {
     /// constant-time builtins, which a memo probe and insert would
     /// outweigh several times over — or register closures via
     /// `register_uncached`. An uncached function is called once per
-    /// distinct binding row of its step's input and its results are
-    /// never stored; *where* in the rule body that happens is the
-    /// planner's choice, as for every other step.
+    /// distinct binding row of its step's input — per shard, when the
+    /// firing is sharded — and its results are never stored; *where* in
+    /// the rule body that happens is the planner's choice, as for every
+    /// other step. A cacheable one may still be called twice for one
+    /// argument vector, by two shards that miss it at once.
     fn cacheable(&self) -> bool {
         true
     }
@@ -208,39 +210,6 @@ where
     fn cacheable(&self) -> bool {
         self.cacheable
     }
-}
-
-/// Invokes `f` on one argument tuple through the session's memo table:
-/// a hit replays the cached rows without re-entering the function; a
-/// miss calls it and stores the result. Uncacheable functions and
-/// cache-off sessions fall straight through. The memo lock is never
-/// held across the user function.
-///
-/// The second return value reports the memo outcome for tracing:
-/// `Some(true)` hit, `Some(false)` miss, `None` when the call bypassed
-/// the memo entirely.
-pub(crate) fn cached_ie_call(
-    f: &dyn IeFunction,
-    name: &str,
-    args: &[Value],
-    n_outputs: usize,
-    docs: &SharedDocs,
-    cache: Option<&SharedIeMemo>,
-) -> Result<(Arc<IeOutput>, Option<bool>)> {
-    let call = || {
-        f.call(args, n_outputs, &mut IeContext::new(docs))
-            .map(Arc::new)
-    };
-    let Some(cache) = cache.filter(|_| f.cacheable()) else {
-        return Ok((call()?, None));
-    };
-    let key = MemoKey::new(name, args, n_outputs);
-    if let Some(hit) = cache.lock().get(&key) {
-        return Ok((hit, Some(true)));
-    }
-    let out = call()?;
-    cache.lock().insert(key, out.clone());
-    Ok((out, Some(false)))
 }
 
 /// Helper for boolean *filter* functions (zero outputs): `true` keeps the

@@ -76,8 +76,8 @@ impl StepMeta {
 pub struct RuleOpt {
     /// One entry per plan step, in plan order.
     pub steps: Vec<StepMeta>,
-    /// Split-correctness verdict: may the rule's firings be sharded by
-    /// document and evaluated on worker threads?
+    /// Split-correctness verdict: may the rule's firings be sharded and
+    /// evaluated on worker threads?
     pub split: SplitClass,
 }
 
@@ -87,18 +87,22 @@ pub struct RuleOpt {
 /// the whole-corpus result).
 ///
 /// The analysis is conservative: a rule is `Parallel` only when every
-/// IE call is rooted at a single scan variable (the *document
-/// variable*), so partitioning binding rows by that variable's document
-/// provably commutes with the remaining steps. Everything else —
+/// IE call is rooted at a single scan, the one that binds the *document
+/// variable*. A firing then splits that scan: each shard reads a range
+/// of its row ids and runs the rest of the body over them — every step
+/// maps a binding row to rows, so the union over any partition of the
+/// scanned rows is the whole firing's result. Everything else —
 /// aggregation (which folds across documents), cross-document joins
 /// feeding IE — falls back to the serial path with a human-readable
 /// reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitClass {
-    /// Shard-parallel: binding rows may be partitioned on `doc_var`
-    /// (a plan variable index) and evaluated per shard.
+    /// Shard-parallel: the first scan to bind `doc_var` (a plan
+    /// variable index) is the one a firing splits by row-id range. It
+    /// names a scan, not a partition key: rows of one document may fall
+    /// into different shards.
     Parallel {
-        /// Index of the document variable the shards partition on.
+        /// Index of the document variable, which names the scan to split.
         doc_var: usize,
     },
     /// Serial fallback, with the reason the analysis rejected sharding.
@@ -154,7 +158,7 @@ pub fn annotate(plan: &mut RulePlan) {
 /// it: scans root their own variables, IE outputs inherit the root of
 /// the IE inputs. A rule shards cleanly iff every IE call is fed from
 /// exactly one root — that root's first IE input variable becomes the
-/// document variable the shards partition on.
+/// document variable, whose scan the shards split.
 fn classify(plan: &RulePlan, metas: &[StepMeta]) -> SplitClass {
     let serial = |reason| SplitClass::Serial { reason };
     if plan.has_aggregation() {

@@ -15,9 +15,15 @@
 //! pay for a dedupe: a scan with a `_` column, and every IE step. The
 //! others map distinct rows to distinct rows, and the head relation's
 //! insert catches what the projection folds.
+//!
+//! Every step maps one binding row to rows, against relations that are
+//! complete while the rule fires. A firing of a split-correct rule is
+//! therefore cut into *shards* — ranges of the row ids one of its scans
+//! reads — each of which runs scan, IE calls and head projection on a
+//! pool worker, start to finish (`run_sharded`).
 
 use crate::error::{EngineError, Result};
-use crate::ie::{cached_ie_call, IeContext, SharedDocs};
+use crate::ie::{IeContext, SharedDocs};
 use crate::optimizer::{self, IndexCache, RuleOpt, SplitClass, TupleIndex};
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
@@ -180,7 +186,7 @@ pub struct ExecCtx<'a> {
     /// Shared evaluation-wide counters.
     pub tally: &'a ParTally,
     /// Wall-clock budget of the run (`EvalLimits::max_millis`), checked
-    /// before each IE batch and inside join loops; `None` = unlimited.
+    /// before each IE call and inside join loops; `None` = unlimited.
     pub deadline: Option<crate::eval::EvalDeadline>,
 }
 
@@ -202,13 +208,11 @@ pub struct TraceCtx<'a> {
 /// IE-batch work is reported through `tr` (every call is a no-op when
 /// tracing is off).
 ///
-/// A rule classified split-correct runs in two parts: a prefix, up to
-/// the step that binds the rule's document variable, and the remaining
-/// steps once per bin of the rows partitioned on that variable
-/// (`run_sharded`) — on the pool when there is one and more than one
-/// bin, on the calling thread otherwise. Shard results merge back in
-/// shard index order (stable document order), so the derived tuple
-/// *set* does not depend on the number of bins.
+/// A rule classified split-correct runs in two parts: on the caller the
+/// steps ordered before the scan that binds the rule's document
+/// variable, and then that scan, every later step and the head
+/// projection once per *shard* — a contiguous range of the scanned
+/// relation's row ids (`run_sharded`).
 pub fn execute_with(
     plan: &RulePlan,
     relations: &FxHashMap<String, Relation>,
@@ -243,26 +247,22 @@ pub fn execute_with(
         }
         None => (0..plan.steps.len()).collect(),
     };
+    // Where a split-correct rule shards: the first scan binding its
+    // document variable.
+    let split_at = match plan.opt.as_ref().map(|opt| opt.split) {
+        Some(SplitClass::Parallel { doc_var }) => order.iter().position(|&i| {
+            matches!(&plan.steps[i], Step::Scan { terms, .. } if terms.contains(&PTerm::Var(doc_var)))
+        }),
+        _ => None,
+    };
 
     let scanned_before = ctx.tally.rows_scanned.load(Ordering::Relaxed);
-    let result = match plan.opt.as_ref() {
-        Some(RuleOpt {
-            steps,
-            split: SplitClass::Parallel { doc_var },
-        }) => {
-            // Prefix: run steps in order until the document variable is
-            // bound, then shard the surviving rows.
-            let binds_doc = |&i: &usize| steps[i].binds.contains(doc_var);
-            let split_at = order
-                .iter()
-                .position(binds_doc)
-                .map_or(order.len(), |p| p + 1);
-            let (prefix, suffix) = order.split_at(split_at);
-            run_steps(plan, prefix, batch, relations, ctx, tr)
-                .and_then(|seeded| run_sharded(plan, suffix, seeded, relations, ctx, tr, *doc_var))
-        }
-        _ => run_steps(plan, &order, batch, relations, ctx, tr),
-    };
+    let (prefix, sharded) = order.split_at(split_at.unwrap_or(order.len()));
+    let derived =
+        run_steps(plan, prefix, batch, relations, ctx, tr).and_then(|batch| match sharded {
+            [] => project_head(plan, &batch, ctx.docs, ctx.registry),
+            _ => run_sharded(plan, sharded, &batch, relations, ctx, tr),
+        });
     // Rows scanned flow through the shared tally (shard workers race on
     // it) and fold into the trace once per firing.
     tr.trace.join_scanned(
@@ -272,7 +272,7 @@ pub fn execute_with(
             .load(Ordering::Relaxed)
             .saturating_sub(scanned_before),
     );
-    project_head(plan, &result?, ctx.docs, ctx.registry)
+    derived
 }
 
 impl Batch {
@@ -289,8 +289,8 @@ impl Batch {
 }
 
 /// Runs the pipeline steps selected by `order` over `batch`: the whole
-/// order of a serial rule, the prefix of a split-correct one, and its
-/// suffix once per shard.
+/// order of a serial rule, the steps a split-correct one runs before it
+/// shards, and those after its sharded scan once per shard.
 fn run_steps(
     plan: &RulePlan,
     order: &[usize],
@@ -307,85 +307,14 @@ fn run_steps(
         }
         match step {
             Step::Scan { relation, terms } => {
-                let span = tr
-                    .trace
-                    .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
                 let delta = ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone());
-                let joined = match relations.get(relation) {
-                    Some(rel) => scan_join(plan, relation, terms, &batch, rel, delta, ctx),
-                    None => Ok(Rows::new(batch.rows.width())),
-                };
-                tr.trace.close(span);
-                batch.rows = joined?;
+                batch.rows = scan_step(plan, (relation, terms), &batch, delta, relations, ctx, tr)?;
             }
             Step::Ie {
                 function,
                 inputs,
                 outputs,
-            } => {
-                // IE calls are where evaluation sinks open-ended time
-                // (user code, regex scans): re-check the budget.
-                if let Some(d) = ctx.deadline {
-                    d.check(Some(plan))?;
-                }
-                let f = ctx.registry.ie(function)?.clone();
-                for t in inputs {
-                    let role = format_args!("input of IE function {function:?}");
-                    operand(plan, t, &batch.bound, role)?;
-                }
-                // Batch rows by their argument tuple: a *cacheable*
-                // function's results may be reused, so each distinct
-                // tuple is invoked (or memo-probed) once. An uncached
-                // one is called once per row of the batch.
-                let var = |t: &PTerm| match t {
-                    PTerm::Var(v) => Some(*v),
-                    _ => None,
-                };
-                let arg_vars: Vec<usize> = inputs.iter().filter_map(var).collect();
-                let rows = &batch.rows;
-                let by_args = f
-                    .cacheable()
-                    .then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
-                let groups = by_args.as_ref().map_or(rows.len(), |ix| ix.groups().len());
-                ctx.tally.ie_batches.fetch_add(1, Ordering::Relaxed);
-                let span = tr.trace.open(tr.parent, SpanKind::IeBatch, || {
-                    format!("{function} ×{groups}")
-                });
-                // Error paths may leak `span`; RunTrace::finish (and,
-                // on shard forks, merge_fork) closes leaked spans at
-                // the abort timestamp.
-                let cols = Columns::of(outputs, &batch.bound);
-                let mut next = Rows::new(rows.width());
-                // Output rows can repeat and a `_` can fold distinct
-                // ones: always dedupe.
-                let mut seen = Some(RowTable::default());
-                for g in 0..groups {
-                    let solo = [g];
-                    let members = by_args.as_ref().map_or(&solo[..], |ix| &ix.groups()[g]);
-                    let first = rows.row(members[0]);
-                    let call_args: Vec<Value> =
-                        inputs.iter().map(|t| cell(t, first).clone()).collect();
-                    let t0 = tr.trace.now_ns();
-                    let n = outputs.len();
-                    let (out_rows, memo_hit) =
-                        cached_ie_call(&*f, function, &call_args, n, ctx.docs, ctx.cache)?;
-                    tr.trace.ie_call(function, memo_hit, t0);
-                    if let Some(out) = out_rows.iter().find(|out| out.len() != n) {
-                        return Err(EngineError::IeOutputArity {
-                            function: function.to_string(),
-                            expected: n,
-                            actual: out.len(),
-                        });
-                    }
-                    for input in members.iter().map(|&r| rows.row(r)) {
-                        for out in out_rows.iter().filter(|out| cols.key_holds(input, out)) {
-                            cols.emit(input, out, &mut next, &mut seen);
-                        }
-                    }
-                }
-                tr.trace.close(span);
-                batch.rows = next;
-            }
+            } => batch.rows = ie_join(plan, (function, inputs, outputs), &batch, ctx, tr)?,
             Step::Negation { relation, terms } => {
                 if let Some(rel) = relations.get(relation) {
                     anti_join(&mut batch, rel, terms);
@@ -411,112 +340,111 @@ fn run_steps(
     Ok(batch)
 }
 
-/// Runs the post-split suffix of a split-correct rule over the bins of
-/// `batch` partitioned on the document variable. One bin — no pool, one
-/// document value, one row — runs on the calling thread. More fork a trace
-/// per shard, evaluate each shard on the pool, and merge results and
-/// traces back in shard index order; the first shard error (in that
-/// stable order) wins, matching the one-bin error determinism. Rows of
-/// different bins differ in the document variable: no dedupe on merge.
-fn run_sharded(
+/// The scan `relation(terms)` joined with `batch` under its trace span:
+/// over `range` of the relation's row ids — a delta, a shard — or all.
+fn scan_step(
     plan: &RulePlan,
-    suffix: &[usize],
-    batch: Batch,
+    (relation, terms): (&str, &[PTerm]),
+    batch: &Batch,
+    range: Option<Range<usize>>,
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
-    doc_var: usize,
-) -> Result<Batch> {
-    let target = ctx.pool.map_or(1, |p| p.workers().saturating_mul(2));
-    let Batch { rows, bound } = batch;
-    let shard = |rows: Rows| Batch {
-        rows,
-        bound: bound.clone(),
+) -> Result<Rows> {
+    let span = tr
+        .trace
+        .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
+    let joined = match relations.get(relation) {
+        Some(rel) => scan_join(plan, relation, terms, batch, rel, range, ctx),
+        None => Ok(Rows::new(batch.rows.width())),
     };
-    let mut merged = Rows::new(rows.width());
-    let mut bins = partition_rows(rows, doc_var, target);
+    tr.trace.close(span);
+    joined
+}
+
+/// How many shards a split-correct firing cuts per pool worker: a few,
+/// so that stealing evens out the ranges that hold the long documents.
+const SHARDS_PER_WORKER: usize = 4;
+
+/// Runs the sharded part of a split-correct rule — `order[0]`, the scan
+/// that binds its document variable, the steps after it and the head
+/// projection — once per shard, returning the head rows in shard order.
+/// A shard is a contiguous range of the row ids that scan reads: of its
+/// delta when this firing is that scan's delta variant, else of the
+/// whole relation (a delta on another scan holds alongside). A rule
+/// body maps a binding row to rows against relations that are complete
+/// while the rule fires, so any partition of the rows is split-correct.
+/// Shards borrow `batch`, what the steps before left. One shard — no
+/// pool, a single row to scan — runs on the calling thread; more fork a
+/// trace each, run on the pool, and merge rows and traces back in shard
+/// order, the first error in that stable order winning.
+fn run_sharded(
+    plan: &RulePlan,
+    order: &[usize],
+    batch: &Batch,
+    relations: &FxHashMap<String, Relation>,
+    ctx: &ExecCtx<'_>,
+    tr: &mut TraceCtx<'_>,
+) -> Result<Rows> {
+    let mut merged = Rows::new(plan.head.len());
+    let scan = &plan.steps[order[0]];
+    let Step::Scan { relation, terms } = scan else {
+        return Err(internal(plan, "a firing shards at a scan".to_string()));
+    };
+    let delta = ctx.delta.as_ref().filter(|d| d.0 == order[0]);
+    let delta = delta.map(|d| d.1.clone());
+    let whole = 0..relations.get(relation).map_or(0, Relation::len);
+    let scanned = delta.clone().unwrap_or(whole);
+    if batch.rows.is_empty() || scanned.is_empty() {
+        return Ok(merged);
+    }
+    let shard = |range: Option<Range<usize>>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
+        let mut shard = Batch {
+            rows: scan_step(plan, (relation, terms), batch, range, relations, ctx, tr)?,
+            bound: batch.bound.clone(),
+        };
+        shard.bind(scan);
+        let shard = run_steps(plan, &order[1..], shard, relations, ctx, tr)?;
+        project_head(plan, &shard, ctx.docs, ctx.registry)
+    };
+    let shards = ctx.pool.map_or(1, |p| p.workers() * SHARDS_PER_WORKER);
+    let rows = scanned.len().div_ceil(shards);
     let pool = match ctx.pool {
-        Some(pool) if bins.len() > 1 => pool,
-        _ => {
-            let batch = shard(bins.pop().unwrap_or(merged));
-            return run_steps(plan, suffix, batch, relations, ctx, tr);
-        }
+        Some(pool) if rows < scanned.len() => pool,
+        _ => return shard(delta, tr),
     };
+    let ranges = (scanned.clone().step_by(rows)).map(|from| from..scanned.end.min(from + rows));
+    let mut slots: Vec<_> = ranges.map(|range| (range, None)).collect();
     ctx.tally
         .shard_tasks
-        .fetch_add(bins.len() as u64, Ordering::Relaxed);
-    let shard_ctx = &ExecCtx {
-        delta: ctx.delta.clone(),
-        pool: None,
-        ..*ctx
-    };
-    let mut slots: Vec<Option<(Result<Batch>, RunTrace)>> = (0..bins.len()).map(|_| None).collect();
+        .fetch_add(slots.len() as u64, Ordering::Relaxed);
     pool.scope(|s| {
-        for (i, (slot, bin)) in slots.iter_mut().zip(bins).enumerate() {
-            let mut fork = tr.trace.fork();
-            let bin = shard(bin);
+        for (i, (range, slot)) in slots.iter_mut().enumerate() {
+            let (mut fork, shard) = (tr.trace.fork(), &shard);
             s.spawn(move || {
-                let span = fork.open(NO_SPAN, SpanKind::Shard, || {
-                    format!("shard {i} ({} rows)", bin.rows.len())
-                });
+                let label = || format!("shard {i} (rows {}..{})", range.start, range.end);
+                let span = fork.open(NO_SPAN, SpanKind::Shard, label);
                 let mut shard_tr = TraceCtx {
                     trace: &mut fork,
                     rule: 0,
                     parent: span,
                 };
-                let res = run_steps(plan, suffix, bin, relations, shard_ctx, &mut shard_tr);
+                let rows = shard(Some(range.clone()), &mut shard_tr);
                 fork.close(span);
-                *slot = Some((res, fork));
+                *slot = Some((rows, fork));
             });
         }
     });
-    let mut shards = Vec::new();
-    for slot in slots {
-        let (res, fork) = slot.expect("pool scope ran every shard task");
+    let mut results = Vec::new();
+    for (_, slot) in slots {
+        let (rows, fork) = slot.expect("pool scope ran every shard task");
         tr.trace.merge_fork(tr.rule, tr.parent, fork);
-        shards.push(res);
+        results.push(rows);
     }
-    for shard in shards.into_iter().collect::<Result<Vec<Batch>>>()? {
-        merged.append(shard.rows);
+    for rows in results {
+        merged.append(rows?);
     }
-    let mut done = Batch {
-        rows: merged,
-        bound,
-    };
-    suffix.iter().for_each(|&i| done.bind(&plan.steps[i]));
-    Ok(done)
-}
-
-/// Partitions binding rows on the document variable for shard-parallel
-/// execution into at most `target` bins, none empty. Rows are grouped
-/// by the variable's value — whatever its kind: rows over the same
-/// document always share a bin — and each group goes to the lightest
-/// bin so far, weighed by the text the value spans (deterministic:
-/// groups keep first-appearance order, ties prefer the lowest bin, and
-/// the first `n` groups each open one).
-fn partition_rows(rows: Rows, doc_var: usize, target: usize) -> Vec<Rows> {
-    if target <= 1 || rows.len() <= 1 {
-        return vec![rows];
-    }
-    let groups = TupleIndex::build(&rows, 0..rows.len(), &[doc_var]);
-    let n = target.min(groups.groups().len());
-    let mut load = vec![0u64; n];
-    let mut bin_of = vec![0; rows.len()];
-    for members in groups.groups() {
-        let weight = match &rows.row(members[0])[doc_var] {
-            Value::Str(s) => s.len().max(1),
-            Value::Span(s) => s.len().max(1),
-            _ => 1,
-        };
-        let lightest = (0..n).min_by_key(|&i| (load[i], i)).expect("n >= 1");
-        load[lightest] += weight as u64;
-        members.iter().for_each(|&r| bin_of[r] = lightest);
-    }
-    let mut bins: Vec<Rows> = (0..n).map(|_| Rows::new(rows.width())).collect();
-    for (row, bin) in rows.iter().zip(bin_of) {
-        bins[bin].push(row);
-    }
-    bins
+    Ok(merged)
 }
 
 /// A structured "the plan violated a binding invariant" error — the
@@ -756,6 +684,124 @@ fn scan_join(
     Ok(out)
 }
 
+/// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
+/// binding row extended by the rows the function returns for its
+/// argument vector (new output variables bind; bound ones and constants
+/// filter). A *cacheable* function's results may be reused, so rows are
+/// grouped by argument vector and each group is looked up or called
+/// once; an uncached one is called once per row.
+///
+/// Cached, uncached and cache-off sessions share this one path. With a
+/// memo the step takes its lock once to look every group up — by the
+/// borrowed cells of the group's first row: a probe builds no key — and
+/// copy the rows of the hits into the batch's own store, calls the
+/// misses with no lock held, and takes the lock once more to store what
+/// they returned. A row of the wrong arity fails the step before its
+/// call is stored. IE calls are where evaluation sinks open-ended time
+/// (user code, regex scans): the wall-clock budget is checked before
+/// each.
+fn ie_join(
+    plan: &RulePlan,
+    (function, inputs, outputs): (&str, &[PTerm], &[PTerm]),
+    batch: &Batch,
+    ctx: &ExecCtx<'_>,
+    tr: &mut TraceCtx<'_>,
+) -> Result<Rows> {
+    let f = ctx.registry.ie(function)?;
+    for t in inputs {
+        let role = format_args!("input of IE function {function:?}");
+        operand(plan, t, &batch.bound, role)?;
+    }
+    let var = |t: &PTerm| match t {
+        PTerm::Var(v) => Some(*v),
+        _ => None,
+    };
+    let arg_vars: Vec<usize> = inputs.iter().filter_map(var).collect();
+    let (rows, n) = (&batch.rows, outputs.len());
+    let by_args = (f.cacheable()).then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
+    let groups = by_args.as_ref().map_or(rows.len(), |ix| ix.groups().len());
+    let args = |g: usize| {
+        let first = rows.row(by_args.as_ref().map_or(g, |ix| ix.groups()[g][0]));
+        inputs.iter().map(move |t| cell(t, first))
+    };
+    ctx.tally.ie_batches.fetch_add(1, Ordering::Relaxed);
+    // Error paths may leak `span`; RunTrace::finish (and, on shard
+    // forks, merge_fork) closes leaked spans at the abort timestamp.
+    let span = tr.trace.open(tr.parent, SpanKind::IeBatch, || {
+        format!("{function} ×{groups}")
+    });
+
+    // The output rows of every group, and which of them are whose.
+    let mut returned = Rows::new(n);
+    let mut rows_of: Vec<Range<usize>> = vec![0..0; groups];
+    let mut misses: Vec<usize> = Vec::new();
+    let memo = ctx.cache.filter(|_| f.cacheable());
+    let t0 = tr.trace.now_ns();
+    let mut probe = memo.map(|memo| memo.lock());
+    for (g, rows_of) in rows_of.iter_mut().enumerate() {
+        let hit = probe
+            .as_mut()
+            .and_then(|memo| memo.lookup(function, args(g), &mut returned));
+        match hit {
+            Some(hit) => *rows_of = hit,
+            None => misses.push(g),
+        }
+    }
+    drop(probe);
+    let each = tr.trace.now_ns().saturating_sub(t0) / groups.max(1) as u64;
+    (misses.len()..groups).for_each(|_| tr.trace.ie_call_ns(function, Some(true), each));
+
+    let mut call_args: Vec<Value> = Vec::with_capacity(inputs.len());
+    let mut called = 0;
+    let outcome = misses.iter().try_for_each(|&g| {
+        if let Some(d) = ctx.deadline {
+            d.check(Some(plan))?;
+        }
+        call_args.clear();
+        call_args.extend(args(g).cloned());
+        let t0 = tr.trace.now_ns();
+        let out = f.call(&call_args, n, &mut IeContext::new(ctx.docs))?;
+        tr.trace.ie_call(function, memo.map(|_| false), t0);
+        if let Some(row) = out.iter().find(|row| row.len() != n) {
+            return Err(EngineError::IeOutputArity {
+                function: function.to_string(),
+                expected: n,
+                actual: row.len(),
+            });
+        }
+        rows_of[g].start = returned.len();
+        out.iter().for_each(|row| returned.push(row));
+        rows_of[g].end = returned.len();
+        called += 1;
+        Ok(())
+    });
+    // What was paid for before a call failed is kept.
+    if let Some(mut memo) = memo.map(|memo| memo.lock()) {
+        for &g in &misses[..called] {
+            memo.store(function, args(g), &returned, rows_of[g].clone());
+        }
+    }
+    outcome?;
+
+    let cols = Columns::of(outputs, &batch.bound);
+    let mut next = Rows::new(rows.width());
+    // Output rows can repeat and a `_` can fold distinct ones: always
+    // dedupe.
+    let mut seen = Some(RowTable::default());
+    for (g, rows_of) in rows_of.into_iter().enumerate() {
+        let solo = [g];
+        let members = by_args.as_ref().map_or(&solo[..], |ix| &ix.groups()[g]);
+        for input in members.iter().map(|&r| rows.row(r)) {
+            let out_rows = returned.range(rows_of.clone());
+            for out in out_rows.filter(|out| cols.key_holds(input, out)) {
+                cols.emit(input, out, &mut next, &mut seen);
+            }
+        }
+    }
+    tr.trace.close(span);
+    Ok(next)
+}
+
 /// Hash anti-join for `not relation(terms)`: drops every row for which
 /// `rel` holds a matching tuple. The non-wildcard columns form the key;
 /// the relation is indexed on them once for the step and probed once
@@ -848,7 +894,7 @@ mod tests {
     use super::*;
     use crate::optimizer::StepMeta;
     use proptest::prelude::*;
-    use spannerlib_core::{hash_cells, DocId, Schema, Span, Tuple, ValueType};
+    use spannerlib_core::{hash_cells, Schema, Tuple, ValueType};
     use std::collections::BTreeSet;
 
     /// A partial assignment of a rule's variables.
@@ -1081,56 +1127,6 @@ mod tests {
         };
         let derived = execute_with(plan, relations, &ctx, &mut tr).unwrap();
         derived.iter().map(<[Value]>::to_vec).collect()
-    }
-
-    /// Whatever kind of value the document variable holds, the bins
-    /// are a partition of the rows that never splits a value, none is
-    /// empty, there are `target` of them unless the values run out
-    /// first, and they are balanced by text bytes rather than by count.
-    #[test]
-    fn partition_rows_bins_by_value_whatever_its_kind() {
-        let span = |doc: usize, len| Value::Span(Span::new(DocId::from_index(doc as u32), 0, len));
-        let text = |i: usize| Value::str(format!("note {i}"));
-        let mixed = |i: usize| match i % 3 {
-            0 => span(i % 2, 7),
-            1 => text(i % 2),
-            _ => Value::Int((i % 2) as i64),
-        };
-        let columns: [Vec<Value>; 4] = [
-            (0..12).map(|i| span(i % 5, 10)).collect(),
-            (0..12).map(|i| text(i % 5)).collect(),
-            (0..12).map(|i| Value::Int((i % 5) as i64)).collect(),
-            (0..12).map(mixed).collect(),
-        ];
-        for (column, target) in columns.iter().flat_map(|c| [2, 3, 8].map(|t| (c, t))) {
-            let mut rows = Rows::new(2);
-            for (i, v) in column.iter().enumerate() {
-                rows.push(&[Value::Int(i as i64), v.clone()]);
-            }
-            let bins = partition_rows(rows, 1, target);
-            let distinct: BTreeSet<&Value> = column.iter().collect();
-            assert_eq!(bins.len(), target.min(distinct.len()), "{column:?}");
-            assert!(bins.iter().all(|bin| !bin.is_empty()));
-            let ids = bins
-                .iter()
-                .flat_map(|bin| bin.iter().map(|row| row[0].as_int()));
-            let mut ids: Vec<Option<i64>> = ids.collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..12).map(Some).collect::<Vec<_>>());
-            for v in distinct {
-                let holds = |bin: &&Rows| bin.iter().any(|row| row[1] == *v);
-                assert_eq!(bins.iter().filter(holds).count(), 1, "{v:?} in {column:?}");
-            }
-        }
-        // One giant note and eight small ones: split by count, the giant
-        // would ride with three of the small; by bytes it stands alone.
-        let mut rows = Rows::new(1);
-        rows.push(&[Value::str("x".repeat(8_000))]);
-        for i in 0..8 {
-            rows.push(&[Value::str(format!("small {i} {}", "y".repeat(100)))]);
-        }
-        let bins = partition_rows(rows, 0, 2);
-        assert_eq!(bins.iter().map(Rows::len).collect::<Vec<_>>(), [1, 8]);
     }
 
     /// Extends `order` to the lexicographically least order of `0..n`

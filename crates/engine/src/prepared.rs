@@ -53,8 +53,8 @@ pub struct ShardRule {
     pub source: String,
     /// Whether the rule may run shard-parallel.
     pub parallel: bool,
-    /// For parallel rules: the name of the document variable the shards
-    /// partition on.
+    /// For parallel rules: the name of the document variable, whose
+    /// scan the shards split by row range.
     pub doc_var: Option<String>,
     /// For serial rules: why the analysis rejected sharding.
     pub reason: Option<&'static str>,

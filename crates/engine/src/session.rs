@@ -32,11 +32,12 @@
 //! freezes an evaluated database into a `Send + Sync` [`Snapshot`].
 //! *Evaluation* scales through [`SessionBuilder::parallelism`]: rules
 //! the compile-time split-correctness analysis clears (see
-//! `CompiledProgram::shard_plan`) shard their firings by document
-//! across an internal work-stealing pool (`spannerlib_par`). Every
-//! evaluation — sharded or not — keeps the document store behind a
-//! read-write lock and the IE memo behind its usual mutex for the
-//! duration of the run, so an IE function meets the same locking
+//! `CompiledProgram::shard_plan`) shard their firings — by row range
+//! of the scan that binds the document variable — across an internal
+//! work-stealing pool (`spannerlib_par`). Every evaluation — sharded
+//! or not — keeps the document store behind a read-write lock and the
+//! IE memo behind its usual mutex (taken twice per batch of IE calls,
+//! never across one) for the duration of the run, so an IE function meets the same locking
 //! discipline under `parallelism(0)` as on a many-core host. Parallel
 //! and serial runs derive identical tuple *sets* (property-tested).
 //! Registered IE functions must therefore be `Send + Sync` (the trait
@@ -163,7 +164,7 @@ impl SessionBuilder {
 
     /// Bounds the wall-clock time of one evaluation, in milliseconds.
     /// The budget is anchored when the fixpoint starts and checked once
-    /// per fixpoint round, once per IE batch, and every few thousand
+    /// per fixpoint round, before every IE call, and every few thousand
     /// candidate rows inside a join; an overrun surfaces as
     /// [`EngineError::LimitExceeded`] naming the rule that was executing
     /// (resource `"eval wall-clock millis"`). This is the primitive
@@ -219,7 +220,7 @@ impl SessionBuilder {
     /// Sets the number of worker threads for split-correct parallel
     /// evaluation (default: the machine's available parallelism). Rule
     /// firings the compile-time analysis clears as split-correct are
-    /// sharded by document across this many workers; `0` or `1` keeps
+    /// sharded by row range across this many workers; `0` or `1` keeps
     /// every firing on the calling thread (one shard), as does
     /// [`EvalStrategy::Naive`]. The pool is built lazily, on the first
     /// evaluation of a program with at least one split-correct rule;

@@ -201,13 +201,16 @@ Run(b, n) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) ->
 /// call for cacheable functions — but an *uncached* function is invoked
 /// once per row (its repeated calls may legitimately differ). Once per
 /// *distinct* row, that is: a scan whose `_` column folds three tuples
-/// into one binding hands the function one row, cached or not.
+/// into one binding hands the function one row, cached or not. Both
+/// hold per shard: a sharded firing cuts the scanned rows into ranges,
+/// and rows of different ranges meet only in the memo, which two shards
+/// can miss at once.
 #[test]
 fn shared_argument_rows_batch_only_for_cacheable_functions() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn run_with(register_uncached: bool, rule: &str) -> usize {
+    fn run_with(workers: usize, register_uncached: bool, rule: &str) -> usize {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = calls.clone();
         let f = move |args: &[spannerlib_core::Value],
@@ -216,7 +219,7 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
             seen.fetch_add(1, Ordering::SeqCst);
             Ok(vec![vec![args[0].clone()]])
         };
-        let builder = Session::builder();
+        let builder = Session::builder().parallelism(workers);
         let mut session = if register_uncached {
             builder.register_uncached("probe", Some(1), f).build()
         } else {
@@ -228,27 +231,75 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
             .unwrap();
         session.run(rule).unwrap();
         session.ensure_evaluated().unwrap();
+        assert_eq!(session.relation("D").unwrap().len(), 1, "{rule}");
         calls.load(Ordering::SeqCst)
     }
 
     let named = "D(a, y) <- S(a, b), probe(a) -> (y)";
     assert_eq!(
-        run_with(false, named),
+        run_with(0, false, named),
         1,
         "cacheable: one call per distinct tuple"
     );
     assert_eq!(
-        run_with(true, named),
+        run_with(0, true, named),
         3,
         "uncached: one call per binding row"
     );
     let folded = "D(a, y) <- S(a, _), probe(a) -> (y)";
-    assert_eq!(run_with(false, folded), 1);
+    assert_eq!(run_with(0, false, folded), 1);
     assert_eq!(
-        run_with(true, folded),
+        run_with(0, true, folded),
         1,
         "uncached: the three tuples are one binding"
     );
+    // Two workers cut the three rows into three shards.
+    for rule in [named, folded] {
+        assert!((1..=3).contains(&run_with(2, false, rule)), "{rule}");
+        assert_eq!(run_with(2, true, rule), 3, "{rule}");
+    }
+}
+
+/// A call whose output has the wrong arity fails its rule before
+/// anything of it reaches the memo: no entry stays resident under a key
+/// that could only ever fail again, and re-registering the function
+/// corrected evaluates cleanly.
+#[test]
+fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
+    use spannerlib_core::Value;
+    use spannerlog_engine::EngineError;
+
+    for workers in [0, 2] {
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .register("pair", Some(1), |args, _| {
+                Ok(vec![vec![
+                    args[0].clone(),
+                    args[0].clone(),
+                    args[0].clone(),
+                ]])
+            })
+            .build();
+        session
+            .import_typed("N", (0..6i64).map(|n| (n,)).collect::<Vec<_>>())
+            .unwrap();
+        session
+            .run("P(x, a, b) <- N(x), pair(x) -> (a, b)")
+            .unwrap();
+        let err = session.ensure_evaluated().unwrap_err();
+        assert!(
+            matches!(&err, EngineError::IeOutputArity { function, expected: 2, actual: 3 } if function == "pair"),
+            "{err:?}"
+        );
+        let cache = session.stats().cache;
+        assert_eq!((cache.entries, cache.bytes), (0, 0), "{cache:?}");
+
+        session.register("pair", Some(1), |args, _| {
+            Ok(vec![vec![args[0].clone(), Value::Int(1)]])
+        });
+        assert_eq!(session.relation("P").unwrap().len(), 6);
+        assert_eq!(session.stats().cache.entries, 6);
+    }
 }
 
 /// Relations are the only roots of a document: once no relation holds a

@@ -365,17 +365,35 @@ proptest! {
 
     /// Split-correct parallel evaluation is semantically invisible:
     /// `parallelism(k)` agrees tuple-for-tuple with a pinned-serial
-    /// session on random IE programs over random documents, for several
-    /// worker counts (including ones exceeding the document count).
+    /// session on random IE programs for several worker counts
+    /// (including ones exceeding the row count). Shards are ranges of
+    /// the scanned rows, so the rows are made to cut badly: several per
+    /// document, a text under more than one document, and counts that
+    /// are no multiple of a range. The last program is recursive
+    /// through IE steps: a shard range cuts a delta (`Sub`), and holds
+    /// on one scan while a delta restricts another (`Walk`).
     #[test]
     fn parallelism_is_semantically_invisible(
         texts in texts_strategy(),
-        prog in 0usize..IE_PROGRAMS.len(),
+        rows in prop::collection::vec((0u8..3, 0usize..6), 1..14),
+        prog in 0usize..=IE_PROGRAMS.len(),
     ) {
-        let (program, relations) = IE_PROGRAMS[prog];
+        const RECURSIVE: (&str, &[&str]) = (
+            r#"
+            Tok(d, s) <- Texts(d, t), rgx("[ab]+", t) -> (s)
+            Sub(d, s) <- Tok(d, s)
+            Sub(d, p) <- Sub(d, s), rgx("a+|b+", s) -> (p)
+            Walk(d, s) <- Texts(d, t), rgx("a+", t) -> (s)
+            Walk(d, p) <- Walk(d, s), Texts(d, t), rgx("b+", t) -> (p)
+            "#,
+            &["Sub", "Walk"],
+        );
+        let (program, relations) = IE_PROGRAMS.get(prog).copied().unwrap_or(RECURSIVE);
         let run = |workers: usize| {
             let mut session = Session::builder().parallelism(workers).build();
-            import_texts(&mut session, &texts, 0);
+            let text = |i: usize| render_text(&texts[i % texts.len()]);
+            let rows = rows.iter().map(|&(d, i)| (format!("d{d}"), text(i)));
+            session.import_typed("Texts", rows.collect::<Vec<_>>()).unwrap();
             session.run(program).unwrap();
             session
         };

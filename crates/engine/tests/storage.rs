@@ -195,3 +195,44 @@ fn wall_clock_budget_interrupts_one_large_join() {
     assert!(culprit.source.contains("N(x), N(y), N(z)"), "{culprit:?}");
     assert!(took < Duration::from_secs(2), "gave up after {took:?}");
 }
+
+/// One IE step over many rows is a single batch: the look at the clock
+/// before it sees a fresh budget. The loop over its calls must look
+/// again — on the calling thread and in every shard.
+#[test]
+fn wall_clock_budget_interrupts_one_slow_ie_batch() {
+    for workers in [0, 2] {
+        let mut session = Session::builder()
+            .max_eval_millis(20)
+            .parallelism(workers)
+            .register("slow", Some(1), |args, _| {
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(vec![vec![args[0].clone()]])
+            })
+            .build();
+        session.run("new N(int)").unwrap();
+        for i in 0..200 {
+            session.add_fact("N", [Value::Int(i)]).unwrap();
+        }
+        session.run("Slow(x, y) <- N(x), slow(x) -> (y)").unwrap();
+        let started = Instant::now();
+        let err = session.ensure_evaluated().unwrap_err();
+        let took = started.elapsed();
+        let EngineError::LimitExceeded {
+            resource,
+            limit,
+            culprit,
+        } = &err
+        else {
+            panic!("expected LimitExceeded, got {err:?}");
+        };
+        assert_eq!((*resource, *limit), ("eval wall-clock millis", 20));
+        assert_eq!(culprit.head, "Slow");
+        assert!(culprit.source.contains("slow(x)"), "{culprit:?}");
+        // 200 calls are 400 ms of sleep (200 over two lanes).
+        assert!(
+            took < Duration::from_millis(100),
+            "parallelism({workers}) gave up after {took:?}"
+        );
+    }
+}

@@ -26,7 +26,7 @@
 //!   the writer.
 //! * **Deadlines** — `deadline_ms` becomes an engine wall-clock budget
 //!   (`SessionBuilder::max_eval_millis`) checked between fixpoint
-//!   rounds, before each IE batch, and every few thousand candidate
+//!   rounds, before each IE call, and every few thousand candidate
 //!   rows inside a join — so one IE-free rule with a huge join cannot
 //!   hold the writer past it; overruns return 503 naming the culprit
 //!   rule.

@@ -50,15 +50,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // The compile-time verdicts: which rules shard, which run serial
-    // (and why). The two `rgx_string` rules partition on their text
-    // variable; the join has no IE call to parallelize, and the
-    // aggregation folds across documents.
+    // (and why). The two `rgx_string` rules split the scan that binds
+    // their text variable into row ranges; the join has no IE call to
+    // parallelize, and the aggregation folds across documents.
     let program = session.prepare_program()?;
     println!("shard plan:");
     for rule in &program.program().shard_plan().rules {
         match (&rule.doc_var, rule.reason) {
             (Some(var), _) if rule.parallel => {
-                println!("  parallel  {:<6} partitions on `{var}`", rule.head)
+                println!("  parallel  {:<6} splits the scan of `{var}`", rule.head)
             }
             (_, Some(reason)) => println!("  serial    {:<6} {reason}", rule.head),
             _ => println!("  serial    {:<6}", rule.head),
