@@ -736,6 +736,16 @@ impl Session {
         self.invalidate_program();
     }
 
+    /// Removes the rules loaded after the first `len` — what a host
+    /// that checks a cell's rules when it loads them (`prepare_program`)
+    /// calls to take a rejected cell back out.
+    pub fn truncate_rules(&mut self, len: usize) {
+        if len < self.rules.len() {
+            self.rules.truncate(len);
+            self.invalidate_program();
+        }
+    }
+
     /// Number of rules currently loaded.
     pub fn rule_count(&self) -> usize {
         self.rules.len()

@@ -335,6 +335,27 @@ fn clear_rules_keeps_facts() {
     assert_eq!(session.export("?S(x)").unwrap().num_rows(), 1);
 }
 
+/// truncate_rules takes a rejected cell back out: the rules loaded
+/// before it evaluate again.
+#[test]
+fn truncate_rules_takes_a_rejected_cell_back_out() {
+    let mut session = Session::new();
+    session.run("new S(int)\nS(1)\nD(x) <- S(x)").unwrap();
+    let loaded = session.rule_count();
+    session
+        .run("Bad(x, y) <- S(x)\nAlso(x) <- S(x)")
+        .expect("run only stores rules");
+    assert!(session.prepare_program().is_err());
+    assert!(session.export("?D(x)").is_err(), "one bad rule fails all");
+    session.truncate_rules(loaded);
+    assert_eq!(session.rule_count(), loaded);
+    assert_eq!(session.export("?D(x)").unwrap().num_rows(), 1);
+    assert_eq!(session.export("?Also(x)").unwrap().num_rows(), 0);
+    // Past the end there is nothing to drop.
+    session.truncate_rules(loaded + 5);
+    assert_eq!(session.rule_count(), loaded);
+}
+
 /// Builder-configured resource limits abort runaway evaluations.
 #[test]
 fn limits_abort_runaway_evaluation() {

@@ -8,8 +8,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7171`; port `0` picks an ephemeral
     /// port (read it back from [`crate::Server::local_addr`]).
     pub addr: String,
-    /// Connection-handler threads (the writer thread is extra). `0`
-    /// means one per available core. Each *active* keep-alive
+    /// Connection-handler threads; a request runs — evaluation
+    /// included — on the handler of its connection. `0` means one per
+    /// available core. Each *active* keep-alive
     /// connection occupies a worker, but idle connections are closed
     /// after [`ServeConfig::idle_timeout_ms`], so workers recycle; size
     /// this to the expected number of concurrently active clients.

@@ -10,9 +10,10 @@
 //!
 //! ```text
 //!                    ┌────────────────────────────┐
-//!   POST /register ──┤                            │
-//!   POST /import   ──┤  mpsc → writer thread      │  owns the Session;
-//!   POST /prepare  ──┤  (mutations, in order)     │  evaluates lazily
+//!   POST /register ──┤  checkout → the Session    │  one request holds
+//!   POST /import   ──┤  (called on the handler's  │  it at a time, others
+//!   POST /prepare  ──┤  own thread, then put back)│  wait ≤ their deadline
+//!   stale /execute ──┤  evaluates lazily          │
 //!                    └─────────────┬──────────────┘
 //!                                  │ publish (RwLock<Arc<_>> swap)
 //!                    ┌─────────────▼──────────────┐
@@ -21,22 +22,27 @@
 //!   GET  /healthz    └────────────────────────────┘
 //! ```
 //!
-//! * **Single writer, snapshot readers** — mutations serialize through
-//!   one command thread; `/execute` never blocks on (or is blocked by)
-//!   the writer.
+//! * **One session, snapshot readers** — a request that mutates or
+//!   evaluates checks the session out and puts it back, also when a
+//!   registered IE function panics under it (that request reads 500,
+//!   the next one finds a working session); `/execute` over a current
+//!   publish never waits for it.
 //! * **Deadlines** — `deadline_ms` becomes an engine wall-clock budget
 //!   (`SessionBuilder::max_eval_millis`) checked between fixpoint
 //!   rounds, before each IE call, and every few thousand candidate
 //!   rows inside a join — so one IE-free rule with a huge join cannot
-//!   hold the writer past it; overruns return 503 naming the culprit
-//!   rule.
+//!   hold the session past it; overruns return 503 naming the culprit
+//!   rule, and so does a wait for the session that outlasts the
+//!   deadline.
 //! * **Admission control** — `max_materialized_rows` overruns return
 //!   429 with the culprit rule; oversized bodies 413; chunked transfer
 //!   411.
 //! * **Cross-request IE batching** — concurrent `/execute` requests
-//!   that observe a stale snapshot coalesce into a single evaluation,
-//!   whose plan-level IE batching and shared memo serve them all (see
-//!   [`mod@self`]'s `state` module docs).
+//!   that observe a stale snapshot take turns on the session: the
+//!   first evaluates and publishes, the others find the publish
+//!   current, so one evaluation — with its plan-level IE batching and
+//!   shared memo — serves them all (see [`mod@self`]'s `state` module
+//!   docs).
 //!
 //! ## Example
 //!

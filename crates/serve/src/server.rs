@@ -1,36 +1,27 @@
 //! The listener, router, and endpoint handlers.
 
-use crate::catalog::IeSpec;
+use crate::catalog::{self, IeSpec};
 use crate::config::ServeConfig;
 use crate::error::ApiError;
 use crate::http::{self, Body, ReadOutcome, Request, Response};
 use crate::json::{write_escaped, Json};
 use crate::log::{now_micros, LogSink};
-use crate::state::{writer_loop, CachedBody, Cmd, Published, Reply, ServerState};
-use parking_lot::RwLock;
-use spannerlib_core::Value;
+use crate::state::{CachedBody, Published, ServerState};
+use spannerlib_core::{Relation, Schema, Value};
 use spannerlib_dataframe::{Column, DataFrame};
-use spannerlib_trace::{encode_prometheus, MetricsRegistry};
+use spannerlib_trace::encode_prometheus;
 use spannerlog_engine::{PreparedQuery, QueryPlan, Selection, Session};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Socket read timeout: the tick at which idle keep-alive connections
 /// re-check the drain flag.
 const READ_TICK: Duration = Duration::from_millis(250);
-
-/// Extra wait beyond a request's deadline for the writer's reply. The
-/// engine notices the wall-clock overrun at its next deadline check (a
-/// fixpoint-round boundary or IE batch), which can land slightly after
-/// the deadline itself; waiting this bounded grace converts a generic
-/// timeout into a structured error naming the culprit rule.
-const REPLY_GRACE: Duration = Duration::from_millis(1500);
 
 /// A bound spannerd server. Construct with [`Server::bind`], then run
 /// the accept loop with [`Server::serve`] (blocks until
@@ -39,7 +30,6 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     state: Arc<ServerState>,
-    writer: Option<std::thread::JoinHandle<()>>,
 }
 
 /// A cheap handle for observing and stopping a running [`Server`] from
@@ -78,7 +68,7 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds `cfg.addr` and moves `session` onto the writer thread. The
+    /// Binds `cfg.addr` and takes `session` into the server's state. The
     /// session is evaluated once here so the first `/execute` finds a
     /// published snapshot.
     pub fn bind(mut session: Session, cfg: ServeConfig) -> io::Result<Server> {
@@ -89,7 +79,6 @@ impl Server {
         let snapshot = session
             .snapshot()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let (cmd_tx, cmd_rx) = mpsc::channel();
         let access_log = match &cfg.access_log {
             Some(spec) => Some(Arc::new(LogSink::open(spec)?)),
             None => None,
@@ -106,39 +95,19 @@ impl Server {
         } else {
             None
         };
-        // Differentiates minted request ids across restarts: wall clock
-        // microseconds folded with the pid.
-        let instance = (now_micros() as u32) ^ std::process::id().rotate_left(16);
-        let state = Arc::new(ServerState {
-            cfg,
-            published: RwLock::new(Arc::new(Published::new(snapshot, 0))),
-            prepared: RwLock::new(HashMap::new()),
-            write_version: AtomicU64::new(0),
-            cmd_tx: parking_lot::Mutex::new(Some(cmd_tx)),
-            accepting: AtomicBool::new(true),
-            metrics: MetricsRegistry::new(),
-            access_log,
-            slow_log,
-            instance,
-            request_seq: AtomicU64::new(0),
-        });
+        let state = Arc::new(ServerState::new(
+            cfg, session, snapshot, access_log, slow_log,
+        ));
         // Pool capacity as a gauge, so `connections_active` reads as an
         // occupancy ratio on a dashboard.
         state
             .metrics
             .gauge("pool_workers")
             .set(state.cfg.effective_workers() as i64);
-        let writer = std::thread::Builder::new()
-            .name("spannerd-writer".into())
-            .spawn({
-                let state = state.clone();
-                move || writer_loop(session, cmd_rx, state)
-            })?;
         Ok(Server {
             listener,
             addr,
             state,
-            writer: Some(writer),
         })
     }
 
@@ -157,9 +126,9 @@ impl Server {
 
     /// Runs the accept loop, fanning connections across a
     /// `spannerlib_par` pool. Returns after [`ServerHandle::shutdown`]:
-    /// in-flight connections drain (the pool scope waits for them), the
-    /// command queue closes, and the writer thread exits.
-    pub fn serve(mut self) -> io::Result<()> {
+    /// in-flight connections drain (the pool scope waits for them) and
+    /// the session is dropped.
+    pub fn serve(self) -> io::Result<()> {
         let pool = spannerlib_par::ThreadPool::new(self.state.cfg.effective_workers());
         let state = &self.state;
         pool.scope(|scope| {
@@ -172,12 +141,7 @@ impl Server {
                 scope.spawn(move || handle_connection(stream, &state));
             }
         });
-        // All connection handlers have returned; close the command
-        // queue so the writer loop ends, then reap it.
-        self.state.cmd_tx.lock().take();
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
+        self.state.retire_session();
         Ok(())
     }
 }
@@ -292,7 +256,11 @@ fn route(req: &Request, state: &ServerState) -> Response {
         etag: None,
         eval_seq: None,
     };
-    let (route_label, result) = match (req.method.as_str(), req.path.as_str()) {
+    // A handler that panics — a registered closure is arbitrary host
+    // code — has already returned the session (`Checkout`'s drop runs
+    // while unwinding): the request is answered 500, the connection and
+    // the daemon carry on.
+    let dispatch = || match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => ("/healthz", healthz(state)),
         ("GET", "/metrics") => ("/metrics", metrics(state)),
         ("GET", "/profile") => ("/profile", profile(state)),
@@ -321,6 +289,11 @@ fn route(req: &Request, state: &ServerState) -> Response {
             )),
         ),
     };
+    let (route_label, result) = catch_unwind(AssertUnwindSafe(dispatch)).unwrap_or_else(|_| {
+        state.metrics.counter("handler_panics_total").inc();
+        let message = "the request handler panicked; the session is back in service";
+        ("other", Err(ApiError::new(500, "internal", message)))
+    });
     let mut resp = match result {
         Ok(resp) => resp,
         Err(mut err) => {
@@ -374,17 +347,6 @@ fn body_json(req: &Request) -> Result<Json, ApiError> {
     Json::parse(text).map_err(|e| ApiError::bad_request(format!("invalid JSON body: {e}")))
 }
 
-/// Sends one command to the writer thread and waits for its reply.
-fn roundtrip<T>(state: &ServerState, build: impl FnOnce(Reply<T>) -> Cmd) -> Result<T, ApiError> {
-    let (tx, rx) = mpsc::sync_channel(1);
-    state
-        .sender()?
-        .send(build(tx))
-        .map_err(|_| ApiError::new(503, "draining", "server is shutting down"))?;
-    rx.recv()
-        .map_err(|_| ApiError::new(500, "internal", "writer thread is gone"))?
-}
-
 fn ok_body(state: &ServerState, extra: Vec<(String, Json)>) -> Response {
     let mut members = vec![
         ("ok".to_string(), Json::Bool(true)),
@@ -432,11 +394,28 @@ fn metrics(state: &ServerState) -> Result<Response, ApiError> {
 fn register(req: &Request, state: &ServerState) -> Result<Response, ApiError> {
     let json = body_json(req)?;
     if let Some(rules) = json.get("rules").and_then(Json::as_str) {
-        let source = rules.to_string();
-        roundtrip(state, |reply| Cmd::Run { source, reply })?;
+        let mut session = state.checkout(None)?;
+        let loaded = session.rule_count();
+        // The cell's rules are compiled here, not at the next
+        // `/execute`: nothing on the wire removes a rule, so one that
+        // cannot compile would fail every later evaluation.
+        let outcome = session.run(rules).and_then(|_| {
+            if session.rule_count() > loaded {
+                session.prepare_program()?;
+            }
+            Ok(())
+        });
+        if outcome.is_err() {
+            session.truncate_rules(loaded);
+        }
+        // Declarations and facts ahead of a failing statement stay.
+        session.mark_changed();
+        outcome.map_err(|e| ApiError::from_engine(&e))?;
     } else if let Some(ie) = json.get("ie") {
         let spec = parse_ie_spec(ie)?;
-        roundtrip(state, |reply| Cmd::RegisterIe { spec, reply })?;
+        let mut session = state.checkout(None)?;
+        catalog::register_ie(&mut session, &spec)?;
+        session.mark_changed();
     } else {
         return Err(ApiError::bad_request(
             "body must carry \"rules\" (a source cell) or \"ie\" (a catalog spec)",
@@ -479,34 +458,44 @@ fn import(req: &Request, state: &ServerState) -> Result<Response, ApiError> {
     let Some(rows_json) = json.get("rows").and_then(Json::as_array) else {
         return Err(ApiError::bad_request("\"rows\" must be an array of arrays"));
     };
-    let mut rows = Vec::with_capacity(rows_json.len());
+    // Built before the session is taken: schema from the first row,
+    // every later row checked against it.
+    let mut built: Option<Relation> = None;
+    let mut cells = Vec::new();
     for (i, row) in rows_json.iter().enumerate() {
-        let Some(cells) = row.as_array() else {
+        let Some(row) = row.as_array() else {
             return Err(ApiError::bad_request(format!("row {i} is not an array")));
         };
-        let mut out = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
-            match cell_value(cell) {
-                Some(v) => out.push(v),
-                None => {
-                    return Err(ApiError::bad_request(format!(
-                        "row {i} column {j}: cells must be strings, integers, floats, or booleans"
-                    )))
-                }
-            }
+        cells.clear();
+        for (j, cell) in row.iter().enumerate() {
+            cells.push(cell_value(cell).ok_or_else(|| {
+                ApiError::bad_request(format!(
+                    "row {i} column {j}: cells must be strings, integers, floats, or booleans"
+                ))
+            })?);
         }
-        rows.push(out);
+        built
+            .get_or_insert_with(|| {
+                Relation::new(Schema::new(
+                    cells.iter().map(Value::value_type).collect::<Vec<_>>(),
+                ))
+            })
+            .insert_row(&cells)
+            .map_err(|e| ApiError::bad_request(format!("row {i}: {e}")))?;
     }
-    let count = rows.len();
-    let relation = relation.to_string();
-    roundtrip(state, |reply| Cmd::Import {
-        relation,
-        rows,
-        reply,
-    })?;
+    let mut session = state.checkout(None)?;
+    match built {
+        Some(built) => session.import_relation(relation, built),
+        // No row to take a schema from: the relation must exist, and is
+        // cleared.
+        None => session.import_typed(relation, Vec::<(i64,)>::new()),
+    }
+    .map_err(|e| ApiError::from_engine(&e))?;
+    session.mark_changed();
+    drop(session);
     Ok(ok_body(
         state,
-        vec![("rows".into(), Json::Int(count as i64))],
+        vec![("rows".into(), Json::Int(rows_json.len() as i64))],
     ))
 }
 
@@ -532,8 +521,14 @@ fn prepare(req: &Request, state: &ServerState) -> Result<Response, ApiError> {
             "\"name\" and \"query\" must be strings",
         ));
     };
-    let (name, query) = (name.to_string(), query.to_string());
-    roundtrip(state, |reply| Cmd::Prepare { name, query, reply })?;
+    let prepared = state
+        .checkout(None)?
+        .prepare(query)
+        .map_err(|e| ApiError::from_engine(&e))?;
+    state
+        .prepared
+        .write()
+        .insert(name.to_string(), Arc::new(prepared));
     Ok(ok_body(state, vec![]))
 }
 
@@ -581,7 +576,7 @@ fn execute(req: &Request, state: &ServerState, ctx: &mut ReqCtx) -> Result<Respo
         },
     };
 
-    let published = current_published(state, deadline, Some(ctx.id.clone()))?;
+    let published = state.fresh_published(deadline, &ctx.id)?;
     ctx.etag = Some(published.etag.clone());
     ctx.eval_seq = Some(published.snapshot.eval_seq());
     let target = if let Some(name) = json.get("prepared").and_then(Json::as_str) {
@@ -661,45 +656,6 @@ fn execute(req: &Request, state: &ServerState, ctx: &mut ReqCtx) -> Result<Respo
         }
     };
     Ok(Response::json_body(200, body).with_header("ETag", published.etag.clone()))
-}
-
-/// The freshest snapshot consistent with all applied mutations: the
-/// published one when current, otherwise one produced by a (coalesced)
-/// refresh round-trip through the writer. `request_id` rides along so
-/// the evaluation's profile records which requests it served.
-fn current_published(
-    state: &ServerState,
-    deadline: Option<Instant>,
-    request_id: Option<String>,
-) -> Result<Arc<Published>, ApiError> {
-    let current = state.published.read().clone();
-    if current.version == state.version() {
-        return Ok(current);
-    }
-    let (tx, rx) = mpsc::sync_channel(1);
-    state
-        .sender()?
-        .send(Cmd::Refresh {
-            deadline,
-            request_id,
-            reply: tx,
-        })
-        .map_err(|_| ApiError::new(503, "draining", "server is shutting down"))?;
-    match deadline {
-        None => rx
-            .recv()
-            .map_err(|_| ApiError::new(500, "internal", "writer thread is gone"))?,
-        Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now()) + REPLY_GRACE)
-        {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(ApiError::deadline(
-                "deadline expired waiting for evaluation",
-            )),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(ApiError::new(500, "internal", "writer thread is gone"))
-            }
-        },
-    }
 }
 
 /// Serializes a result frame —

@@ -1,42 +1,40 @@
-//! Shared server state, the single-writer command thread, and the
-//! refresh coalescer.
+//! Shared server state: the session behind a checkout, and the
+//! publish every reader shares.
 //!
-//! ## Single writer, lock-free readers
+//! ## One session, checked out by the request that needs it
 //!
-//! The [`Session`] is owned by one command thread; every mutation
-//! (`/register`, `/import`, `/prepare`) serializes through an mpsc
-//! channel. Readers never touch the session: `/execute` runs against
-//! the latest [`Published`] snapshot behind an `RwLock<Arc<_>>` swap —
-//! the lock is held only for the pointer clone, so concurrent executes
-//! neither block each other nor the writer.
+//! The [`Session`] sits in a slot. A handler that mutates it
+//! (`/register`, `/import`, `/prepare`) or has to evaluate it (a stale
+//! `/execute`) takes it out with [`ServerState::checkout`], calls it on
+//! its own thread and — on return or unwind — puts it back; a request
+//! waits for the slot no longer than its own deadline. Readers never
+//! touch the session: `/execute` runs against the latest [`Published`]
+//! snapshot behind an `RwLock<Arc<_>>` swap — the lock is held only
+//! for the pointer clone, so concurrent executes neither block each
+//! other nor the request that holds the session.
 //!
 //! ## Lazy evaluation = cross-request IE batching
 //!
 //! Mutations apply immediately but do **not** evaluate; they only bump
-//! [`ServerState::write_version`]. The first `/execute` to observe a
-//! stale snapshot sends [`Cmd::Refresh`], and the writer drains its
-//! whole queue before evaluating: every concurrent execute waiting on
-//! the same churn becomes one fixpoint run. Inside that run `plan.rs`
-//! already batches cacheable IE calls per distinct argument tuple and
-//! probes the shared memo — so IE work that N requests would have paid
-//! for separately is paid once, which is this module's answer to
-//! cross-request IE batching (the `execute_coalesced` counter reports
-//! how often it happens).
+//! the write version. The first `/execute` to observe a stale snapshot
+//! checks the session out, evaluates and publishes; every execute that
+//! waited behind it finds the publish current when its turn comes and
+//! reads it — N requests waiting on the same churn cost one fixpoint
+//! run (the `execute_coalesced` counter reports how often it happens).
+//! Inside that run `plan.rs` already batches cacheable IE calls per
+//! distinct argument tuple and probes the shared memo.
 
-use crate::catalog::{self, IeSpec};
 use crate::config::ServeConfig;
 use crate::error::ApiError;
 use crate::json::Json;
 use crate::log::{now_micros, LogSink};
 use parking_lot::RwLock;
-use spannerlib_core::Value;
-use spannerlib_dataframe::DataFrame;
 use spannerlib_trace::MetricsRegistry;
 use spannerlog_engine::{PreparedQuery, Session, Snapshot};
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One atomically-published evaluation result.
@@ -106,60 +104,7 @@ impl Published {
     }
 }
 
-/// A reply slot for one queued command. `sync_channel(1)` never blocks
-/// the writer's send even if the requester already gave up.
-pub(crate) type Reply<T> = SyncSender<Result<T, ApiError>>;
-
-/// Commands the writer thread consumes.
-pub(crate) enum Cmd {
-    /// Run a source cell (rules, declarations, facts).
-    Run {
-        /// Spannerlog source text.
-        source: String,
-        /// Completion signal.
-        reply: Reply<()>,
-    },
-    /// Register a catalog IE function.
-    RegisterIe {
-        /// The declarative spec.
-        spec: IeSpec,
-        /// Completion signal.
-        reply: Reply<()>,
-    },
-    /// Import rows as a relation.
-    Import {
-        /// Relation name.
-        relation: String,
-        /// Rows (schema from the first row; empty re-uses the
-        /// relation's existing schema).
-        rows: Vec<Vec<Value>>,
-        /// Completion signal.
-        reply: Reply<()>,
-    },
-    /// Compile and store a named prepared query.
-    Prepare {
-        /// Name executes refer to.
-        name: String,
-        /// Query source, e.g. `?Status(d, s)`.
-        query: String,
-        /// Completion signal.
-        reply: Reply<()>,
-    },
-    /// Evaluate pending churn and publish a fresh snapshot.
-    Refresh {
-        /// The requester's absolute deadline, if it has one.
-        deadline: Option<Instant>,
-        /// The requester's serving request id: attributed to the
-        /// coalesced evaluation's `EvalProfile` so a slow rule is
-        /// traceable back to the requests that paid for it.
-        request_id: Option<String>,
-        /// Receives the published snapshot (or the evaluation error).
-        reply: Reply<Arc<Published>>,
-    },
-}
-
-/// State shared between the acceptor, connection handlers, and the
-/// writer thread.
+/// State shared between the acceptor and the connection handlers.
 pub(crate) struct ServerState {
     /// Immutable configuration.
     pub cfg: ServeConfig,
@@ -167,12 +112,15 @@ pub(crate) struct ServerState {
     pub published: RwLock<Arc<Published>>,
     /// Named prepared queries (`/prepare` inserts, `/execute` reads).
     pub prepared: RwLock<HashMap<String, Arc<PreparedQuery>>>,
-    /// Bumped by the writer after each applied mutation; a published
-    /// version behind it means `/execute` must request a refresh.
-    pub write_version: AtomicU64,
-    /// Handlers clone a sender per mutation; dropped on shutdown so the
-    /// writer loop ends.
-    pub cmd_tx: parking_lot::Mutex<Option<Sender<Cmd>>>,
+    /// Bumped under a checkout ([`Checkout::mark_changed`]); a published
+    /// version behind it means `/execute` must evaluate.
+    write_version: AtomicU64,
+    /// The session — `None` while a request has it checked out, and
+    /// after [`ServerState::retire_session`]. The lock is held only to
+    /// move the session in or out, never across a call into it.
+    session: Mutex<Option<Session>>,
+    /// Signalled each time the session comes back.
+    session_returned: Condvar,
     /// `false` once shutdown begins: the acceptor stops, keep-alive
     /// connections close after the in-flight request, `/healthz` turns
     /// 503.
@@ -186,12 +134,81 @@ pub(crate) struct ServerState {
     pub slow_log: Option<Arc<LogSink>>,
     /// Process-unique fingerprint mixed into minted request ids, so ids
     /// from successive server instances don't collide in shared logs.
-    pub instance: u32,
+    instance: u32,
     /// Monotonic counter for minted request ids.
-    pub request_seq: AtomicU64,
+    request_seq: AtomicU64,
+}
+
+/// The session, out of its slot for one request. Dropping the guard —
+/// unwinding included — puts the session back under the configured
+/// evaluation budget and wakes one waiter; the engine's threading
+/// contract (`session.rs`) keeps a session usable after an IE panic
+/// unwound through it.
+pub(crate) struct Checkout<'a> {
+    state: &'a ServerState,
+    session: Option<Session>,
+}
+
+impl Checkout<'_> {
+    /// Records that the session changed (or may have): the current
+    /// publish is stale from here on.
+    pub fn mark_changed(&self) {
+        self.state.write_version.fetch_add(1, Ordering::Release);
+    }
+}
+
+impl Deref for Checkout<'_> {
+    type Target = Session;
+
+    fn deref(&self) -> &Session {
+        self.session.as_ref().expect("held until drop")
+    }
+}
+
+impl DerefMut for Checkout<'_> {
+    fn deref_mut(&mut self) -> &mut Session {
+        self.session.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        if let Some(session) = &mut self.session {
+            session.set_max_eval_millis(self.state.cfg.max_eval_millis);
+        }
+        *self.state.slot() = self.session.take();
+        self.state.session_returned.notify_one();
+    }
 }
 
 impl ServerState {
+    /// Serving state over `session`, whose evaluated `snapshot` becomes
+    /// publish 0.
+    pub fn new(
+        cfg: ServeConfig,
+        session: Session,
+        snapshot: Snapshot,
+        access_log: Option<Arc<LogSink>>,
+        slow_log: Option<Arc<LogSink>>,
+    ) -> ServerState {
+        ServerState {
+            cfg,
+            published: RwLock::new(Arc::new(Published::new(snapshot, 0))),
+            prepared: RwLock::new(HashMap::new()),
+            write_version: AtomicU64::new(0),
+            session: Mutex::new(Some(session)),
+            session_returned: Condvar::new(),
+            accepting: AtomicBool::new(true),
+            metrics: MetricsRegistry::new(),
+            access_log,
+            slow_log,
+            // Differentiates minted request ids across restarts: wall
+            // clock microseconds folded with the pid.
+            instance: (now_micros() as u32) ^ std::process::id().rotate_left(16),
+            request_seq: AtomicU64::new(0),
+        }
+    }
+
     /// Mints a request id for a request that arrived without an
     /// `X-Request-Id` header: `{instance:08x}-{seq:x}`.
     pub fn mint_request_id(&self) -> String {
@@ -204,203 +221,117 @@ impl ServerState {
         self.write_version.load(Ordering::Acquire)
     }
 
-    /// A sender for the writer's command queue, or an error once the
-    /// server is shutting down.
-    pub fn sender(&self) -> Result<Sender<Cmd>, ApiError> {
-        self.cmd_tx
-            .lock()
-            .clone()
-            .ok_or_else(|| ApiError::new(503, "draining", "server is shutting down"))
+    /// The session slot. A poisoned lock is taken anyway: all that ever
+    /// happens under it is an `Option` moving in or out, so the slot is
+    /// valid at every step.
+    fn slot(&self) -> MutexGuard<'_, Option<Session>> {
+        self.session.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
 
-/// The writer thread: owns the session, applies mutations in arrival
-/// order, and coalesces refresh requests into single evaluations. Ends
-/// when every sender is dropped.
-pub(crate) fn writer_loop(mut session: Session, rx: Receiver<Cmd>, state: Arc<ServerState>) {
-    session.set_max_materialized_rows(state.cfg.max_materialized_rows);
-    session.set_max_eval_millis(state.cfg.max_eval_millis);
-    while let Ok(first) = rx.recv() {
-        let mut waiters = Vec::new();
-        let mut queue = Some(first);
-        while let Some(cmd) = queue.take() {
-            match cmd {
-                Cmd::Run { source, reply } => {
-                    let result = session
-                        .run(&source)
-                        .map(|_| ())
-                        .map_err(|e| ApiError::from_engine(&e));
-                    state.write_version.fetch_add(1, Ordering::Release);
-                    let _ = reply.send(result);
-                }
-                Cmd::RegisterIe { spec, reply } => {
-                    let result = catalog::register_ie(&mut session, &spec);
-                    state.write_version.fetch_add(1, Ordering::Release);
-                    let _ = reply.send(result);
-                }
-                Cmd::Import {
-                    relation,
-                    rows,
-                    reply,
-                } => {
-                    let result = import(&mut session, &relation, rows);
-                    state.write_version.fetch_add(1, Ordering::Release);
-                    let _ = reply.send(result);
-                }
-                Cmd::Prepare { name, query, reply } => {
-                    let result = match session.prepare(&query) {
-                        Ok(pq) => {
-                            state.prepared.write().insert(name, Arc::new(pq));
-                            Ok(())
-                        }
-                        Err(e) => Err(ApiError::from_engine(&e)),
-                    };
-                    let _ = reply.send(result);
-                }
-                Cmd::Refresh {
-                    deadline,
-                    request_id,
-                    reply,
-                } => waiters.push(RefreshWaiter {
-                    deadline,
-                    request_id,
-                    reply,
-                }),
+    /// Takes the session out of its slot, waiting for the request that
+    /// holds it no longer than `deadline` (`503 deadline` once that
+    /// passes).
+    pub fn checkout(&self, deadline: Option<Instant>) -> Result<Checkout<'_>, ApiError> {
+        let mut slot = self.slot();
+        loop {
+            if let Some(session) = slot.take() {
+                return Ok(Checkout {
+                    state: self,
+                    session: Some(session),
+                });
             }
-            // Drain whatever arrived meanwhile: mutations apply before
-            // the batch's single evaluation, refreshes join it.
-            queue = rx.try_recv().ok();
-        }
-        if !waiters.is_empty() {
-            refresh(&mut session, &state, waiters);
-        }
-    }
-}
-
-/// Applies one `/import` body. Schema comes from the first row; an
-/// empty import clears an existing relation (engine semantics).
-fn import(session: &mut Session, relation: &str, rows: Vec<Vec<Value>>) -> Result<(), ApiError> {
-    if rows.is_empty() {
-        return session
-            .import_typed(relation, Vec::<(i64,)>::new())
-            .map_err(|e| ApiError::from_engine(&e));
-    }
-    let names = (0..rows[0].len()).map(|i| format!("c{i}")).collect();
-    let df = DataFrame::from_rows(names, rows)
-        .map_err(|e| ApiError::bad_request(format!("malformed rows: {e}")))?;
-    session
-        .import_dataframe(&df, relation)
-        .map_err(|e| ApiError::from_engine(&e))
-}
-
-/// One `/execute` request queued on the writer for a fresh snapshot.
-pub(crate) struct RefreshWaiter {
-    /// The requester's absolute deadline, if it has one.
-    deadline: Option<Instant>,
-    /// Its serving request id (attributed to the evaluation).
-    request_id: Option<String>,
-    /// Reply slot.
-    reply: Reply<Arc<Published>>,
-}
-
-/// Runs (at most) one evaluation for a batch of refresh waiters and
-/// publishes the result.
-fn refresh(session: &mut Session, state: &ServerState, waiters: Vec<RefreshWaiter>) {
-    let now = Instant::now();
-    let mut live = Vec::new();
-    for w in waiters {
-        match w.deadline {
-            Some(d) if d <= now => {
-                let _ = w.reply.send(Err(ApiError::deadline(
-                    "deadline expired while queued for evaluation",
-                )));
-            }
-            _ => live.push(w),
+            slot = match deadline {
+                None => self
+                    .session_returned
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(ApiError::deadline(
+                            "deadline expired waiting for the session",
+                        ));
+                    }
+                    let waited = self.session_returned.wait_timeout(slot, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
     }
-    let Some(extra) = live.len().checked_sub(1) else {
-        return; // every waiter's deadline already expired
-    };
-    if extra > 0 {
-        state.metrics.counter("execute_coalesced").add(extra as u64);
-    }
-    state
-        .metrics
-        .gauge("eval_waiters_last")
-        .set(live.len() as i64);
 
-    // Version to stamp on the publish — read *before* evaluating, so a
-    // mutation racing in mid-eval leaves the published version behind
-    // `write_version` and the next execute triggers another refresh.
-    let version = state.version();
-    {
-        let current = state.published.read().clone();
+    /// Drops the session once the last handler has returned, so its
+    /// worker pool and IE functions do not outlive `serve()` in a
+    /// process that keeps a `ServerHandle`.
+    pub fn retire_session(&self) {
+        let session = self.slot().take();
+        drop(session);
+    }
+
+    /// The freshest snapshot consistent with all applied mutations: the
+    /// published one when current, otherwise the one this request — or
+    /// a request it waited behind — evaluates and publishes under a
+    /// checkout. `request_id` is attributed to the evaluation's
+    /// `EvalProfile`, so a slow rule is traceable back to the request
+    /// that paid for it.
+    pub fn fresh_published(
+        &self,
+        deadline: Option<Instant>,
+        request_id: &str,
+    ) -> Result<Arc<Published>, ApiError> {
+        let current = self.published.read().clone();
+        if current.version == self.version() {
+            return Ok(current);
+        }
+        let mut session = self.checkout(deadline)?;
+        // Versions only move under a checkout: whatever is read from
+        // here on stays true until the guard drops.
+        let version = self.version();
+        let current = self.published.read().clone();
         if current.version == version {
-            for w in live {
-                let _ = w.reply.send(Ok(current.clone()));
-            }
-            return;
+            self.metrics.counter("execute_coalesced").inc();
+            return Ok(current);
         }
-    }
 
-    // Evaluation budget: the config cap, tightened to the laxest waiter
-    // deadline when *every* waiter carries one (a deadline-free waiter
-    // is entitled to the full cap).
-    let laxest: Option<u64> = if live.iter().all(|w| w.deadline.is_some()) {
-        live.iter()
-            .filter_map(|w| w.deadline)
-            .map(|d| (d.saturating_duration_since(now).as_millis() as u64).max(1))
-            .max()
-    } else {
-        None
-    };
-    let budget = match (state.cfg.max_eval_millis, laxest) {
-        (Some(cap), Some(req)) => Some(cap.min(req)),
-        (Some(cap), None) => Some(cap),
-        (None, req) => req,
-    };
-    let request_ids: Vec<String> = live.iter().filter_map(|w| w.request_id.clone()).collect();
-    session.set_request_ids(request_ids.clone());
-    session.set_max_eval_millis(budget);
-    let eval_start = Instant::now();
-    let outcome = session.snapshot();
-    let eval_wall = eval_start.elapsed();
-    session.set_max_eval_millis(state.cfg.max_eval_millis);
+        // Evaluation budget: the config cap, tightened to what is left
+        // of this request's deadline.
+        let left = deadline.map(|d| {
+            let left = d.saturating_duration_since(Instant::now());
+            (left.as_millis() as u64).max(1)
+        });
+        session.set_max_eval_millis(match (self.cfg.max_eval_millis, left) {
+            (Some(cap), Some(left)) => Some(cap.min(left)),
+            (cap, left) => cap.or(left),
+        });
+        session.set_request_ids(vec![request_id.to_string()]);
+        let eval_start = Instant::now();
+        let outcome = session.snapshot();
+        let eval_wall = eval_start.elapsed();
 
-    state
-        .metrics
-        .histogram("eval_duration_ns")
-        .record(eval_wall.as_nanos() as u64);
-    slow_query_log(session, state, eval_wall, &request_ids, outcome.is_err());
+        self.metrics
+            .histogram("eval_duration_ns")
+            .record(eval_wall.as_nanos() as u64);
+        slow_query_log(&session, self, eval_wall, request_id, outcome.is_err());
 
-    match outcome {
-        Ok(snapshot) => {
-            state.metrics.counter("evals_total").inc();
-            let (cache, docs) = (snapshot.cache_stats(), session.docs());
-            for (name, value) in [
-                ("ie_cache_entries", cache.entries as i64),
-                ("ie_cache_bytes", cache.bytes as i64),
-                ("ie_cache_evictions_total", cache.evictions as i64),
-                ("docstore_bytes", docs.bytes() as i64),
-                ("docstore_docs", docs.len() as i64),
-                ("docstore_epoch", docs.epoch() as i64),
-                ("published_eval_seq", snapshot.eval_seq() as i64),
-            ] {
-                state.metrics.gauge(name).set(value);
-            }
-            let published = Arc::new(Published::new(snapshot, version));
-            *state.published.write() = published.clone();
-            for w in live {
-                let _ = w.reply.send(Ok(published.clone()));
-            }
+        let snapshot = outcome.map_err(|e| {
+            self.metrics.counter("eval_errors_total").inc();
+            ApiError::from_engine(&e)
+        })?;
+        self.metrics.counter("evals_total").inc();
+        let (cache, docs) = (snapshot.cache_stats(), session.docs());
+        for (name, value) in [
+            ("ie_cache_entries", cache.entries as i64),
+            ("ie_cache_bytes", cache.bytes as i64),
+            ("ie_cache_evictions_total", cache.evictions as i64),
+            ("docstore_bytes", docs.bytes() as i64),
+            ("docstore_docs", docs.len() as i64),
+            ("docstore_epoch", docs.epoch() as i64),
+            ("published_eval_seq", snapshot.eval_seq() as i64),
+        ] {
+            self.metrics.gauge(name).set(value);
         }
-        Err(e) => {
-            state.metrics.counter("eval_errors_total").inc();
-            let err = ApiError::from_engine(&e);
-            for w in live {
-                let _ = w.reply.send(Err(err.clone()));
-            }
-        }
+        let published = Arc::new(Published::new(snapshot, version));
+        *self.published.write() = published.clone();
+        Ok(published)
     }
 }
 
@@ -413,7 +344,7 @@ fn slow_query_log(
     session: &Session,
     state: &ServerState,
     eval_wall: std::time::Duration,
-    request_ids: &[String],
+    request_id: &str,
     errored: bool,
 ) {
     let Some(threshold) = state.cfg.slow_eval_ms else {
@@ -444,10 +375,7 @@ fn slow_query_log(
         ),
         ("threshold_ms".into(), Json::Int(threshold as i64)),
         ("errored".into(), Json::Bool(errored)),
-        (
-            "request_ids".into(),
-            Json::Arr(request_ids.iter().map(Json::str).collect()),
-        ),
+        ("request_ids".into(), Json::Arr(vec![Json::str(request_id)])),
         ("profile".into(), profile),
     ]));
 }

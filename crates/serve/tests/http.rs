@@ -1,10 +1,12 @@
 //! End-to-end tests: a real spannerd over a real socket, driven by the
 //! crate's own client.
 
+use spannerlib_core::Value;
 use spannerlib_serve::{Client, Json, ServeConfig, Server, ServerHandle};
 use spannerlog_engine::Session;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Boots a server on an ephemeral port; returns its address, handle,
@@ -41,6 +43,15 @@ fn post(client: &mut Client, path: &str, body: &str) -> (u16, Json) {
 
 fn error_kind(json: &Json) -> Option<&str> {
     json.get("error")?.get("kind")?.as_str()
+}
+
+/// The value of the unlabeled series `name` on `/metrics` (0 before its
+/// first use).
+fn metric(client: &mut Client, name: &str) -> f64 {
+    let body = client.get("/metrics").expect("metrics").body;
+    body.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0.0)
 }
 
 #[test]
@@ -293,9 +304,8 @@ fn deadline_overrun_is_503_naming_the_culprit_rule() {
     assert_eq!(status, 503, "{body:?}");
     let err = body.get("error").unwrap();
     assert_eq!(err.get("kind").unwrap().as_str(), Some("deadline"));
-    // The writer's evaluation hit the engine wall-clock limit, so the
-    // culprit rule travels through (the handler waits a grace window
-    // beyond the deadline for exactly this).
+    // The request's own evaluation hit the engine wall-clock limit, so
+    // the handler has the culprit rule first-hand.
     assert_eq!(err.get("rule").unwrap().as_str(), Some("Slow"), "{body:?}");
     assert!(
         start.elapsed() < Duration::from_secs(5),
@@ -558,4 +568,230 @@ fn graceful_shutdown_drains_in_flight_requests_and_healthz_turns_503() {
         TcpStream::connect(addr).is_err(),
         "listener must be gone after drain"
     );
+}
+
+/// Before the session was checked out by the request that needs it, it
+/// lived on a writer thread that the panic below killed: the second
+/// `/import` of this test read `500 writer thread is gone` or `503
+/// server is shutting down`, as did every mutation and stale `/execute`
+/// after it, while `/healthz` kept answering 200.
+#[test]
+fn a_panicking_ie_function_fails_its_own_request_and_no_other() {
+    let session = Session::builder()
+        .register_uncached("fragile", Some(1), |args, _ctx| {
+            assert!(args[0] != Value::Int(13), "fragile(13)");
+            Ok(vec![vec![args[0].clone()]])
+        })
+        .build();
+    let (addr, handle, thread) = boot(session, ServeConfig::default());
+    let mut client = Client::new(addr);
+    let (status, _) = post(
+        &mut client,
+        "/register",
+        r#"{"rules": "new In(int)\nOut(y) <- In(x), fragile(x) -> (y)"}"#,
+    );
+    assert_eq!(status, 200);
+    post(
+        &mut client,
+        "/import",
+        r#"{"relation": "In", "rows": [[13]]}"#,
+    );
+
+    let resp = client
+        .request(
+            "POST",
+            "/execute",
+            &[("X-Request-Id", "doomed-13")],
+            Some(r#"{"query": "?Out(y)"}"#),
+        )
+        .unwrap();
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    let body = resp.json().unwrap();
+    assert_eq!(error_kind(&body), Some("internal"), "{body:?}");
+    assert_eq!(resp.header("x-request-id"), Some("doomed-13"));
+    let echoed = body.get("error").unwrap().get("request_id").unwrap();
+    assert_eq!(echoed.as_str(), Some("doomed-13"));
+
+    // The session is back in its slot and evaluates again.
+    let (status, body) = post(
+        &mut client,
+        "/import",
+        r#"{"relation": "In", "rows": [[2]]}"#,
+    );
+    assert_eq!(status, 200, "{body:?}");
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?Out(y)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("rows").unwrap().render(), "[[2]]");
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    assert_eq!(metric(&mut client, "handler_panics_total"), 1.0);
+
+    // `boot`'s thread expects `serve()` to return `Ok`: no panic is
+    // left for the pool scope to re-raise.
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// With the writer queue, B below was answered `503 deadline expired
+/// while queued for evaluation` only when A's evaluation ended — 400 ms
+/// after it was sent, eight times its deadline: its refresh sat in the
+/// queue behind A's.
+#[test]
+fn a_deadline_is_a_deadline_while_another_request_evaluates() {
+    // `sleepy` says when A's evaluation is inside it, so B is sent
+    // while the session is checked out, not merely "a bit later".
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let session = Session::builder()
+        .register_uncached("sleepy", Some(1), move |args, _ctx| {
+            let _ = entered_tx.send(());
+            std::thread::sleep(Duration::from_millis(400));
+            Ok(vec![vec![args[0].clone()]])
+        })
+        .build();
+    let (addr, handle, thread) = boot(session, ServeConfig::default());
+    let mut client = Client::new(addr);
+    post(
+        &mut client,
+        "/register",
+        r#"{"rules": "new In(int)\nSlow(y) <- In(x), sleepy(x) -> (y)"}"#,
+    );
+    post(
+        &mut client,
+        "/import",
+        r#"{"relation": "In", "rows": [[1]]}"#,
+    );
+
+    let a = std::thread::spawn(move || {
+        post(
+            &mut Client::new(addr),
+            "/execute",
+            r#"{"query": "?Slow(y)"}"#,
+        )
+    });
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("A's evaluation reaches sleepy");
+    let sent = Instant::now();
+    let (status, body) = post(
+        &mut client,
+        "/execute",
+        r#"{"query": "?Slow(y)", "deadline_ms": 50}"#,
+    );
+    let answered = sent.elapsed();
+    assert_eq!(status, 503, "{body:?}");
+    assert_eq!(error_kind(&body), Some("deadline"), "{body:?}");
+    assert!(
+        answered < Duration::from_millis(250),
+        "a 50 ms deadline answered after {answered:?}"
+    );
+
+    let (status, body) = a.join().expect("A's thread");
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// What the writer queue was for — N stale readers, one evaluation —
+/// holds without it (this test passes before and after): the readers
+/// take turns on the session and all but the first find the publish
+/// current.
+#[test]
+fn stale_readers_of_one_import_share_one_evaluation() {
+    const READERS: usize = 6;
+    let (addr, handle, thread) = boot(sleepy_session(200), ServeConfig::default());
+    let mut client = Client::new(addr);
+    post(
+        &mut client,
+        "/register",
+        r#"{"rules": "new In(int)\nSlow(y) <- In(x), sleepy(x) -> (y)"}"#,
+    );
+    post(&mut client, "/execute", r#"{"query": "?Slow(y)"}"#);
+    let evals = metric(&mut client, "evals_total");
+    let coalesced = metric(&mut client, "execute_coalesced");
+    post(
+        &mut client,
+        "/import",
+        r#"{"relation": "In", "rows": [[1]]}"#,
+    );
+
+    let start = Arc::new(Barrier::new(READERS));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::new(addr);
+                // Connected before the barrier: the six executes below
+                // are sent within the 200 ms the first one evaluates.
+                client.get("/healthz").expect("healthz");
+                start.wait();
+                post(&mut client, "/execute", r#"{"query": "?Slow(y)"}"#)
+            })
+        })
+        .collect();
+    let mut versions = Vec::new();
+    for reader in readers {
+        let (status, body) = reader.join().expect("reader thread");
+        assert_eq!(status, 200, "{body:?}");
+        assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+        versions.push(body.get("version").unwrap().as_i64().unwrap());
+    }
+    assert!(versions.iter().all(|v| *v == versions[0]), "{versions:?}");
+    assert_eq!(metric(&mut client, "evals_total") - evals, 1.0);
+    let coalesced = metric(&mut client, "execute_coalesced") - coalesced;
+    assert!(
+        coalesced >= 4.0,
+        "{coalesced} of 5 waiting readers coalesced"
+    );
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// `/register` used to answer `200` to the unsafe rule below —
+/// `Session::run` only stores rules — and from then on every
+/// `/execute`, `?Good(x)` included, and every later valid rule read
+/// `400 unsafe rule (line 1): head variable "y" is not bound by the
+/// body`, with nothing on the wire to take the rule back out.
+#[test]
+fn a_rule_that_does_not_compile_is_refused_at_register_and_leaves_no_trace() {
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let (status, _) = post(
+        &mut client,
+        "/register",
+        r#"{"rules": "new S(str)\nS(\"a\")\nGood(x) <- S(x)"}"#,
+    );
+    assert_eq!(status, 200);
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?Good(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+
+    let (status, body) = post(
+        &mut client,
+        "/register",
+        r#"{"rules": "Bad(x, y) <- S(x)"}"#,
+    );
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(error_kind(&body), Some("bad_request"));
+    let message = body.get("error").unwrap().get("message").unwrap();
+    assert!(
+        message.as_str().unwrap().contains("head variable \"y\""),
+        "{message:?}"
+    );
+
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?Good(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+    let (status, body) = post(&mut client, "/register", r#"{"rules": "Fine(x) <- S(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?Fine(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+    // The refused rule derives nothing: it is not in the program.
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?Bad(x, y)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(0));
+
+    handle.shutdown();
+    thread.join().unwrap();
 }

@@ -275,3 +275,66 @@ fn only_prepared_names_enter_the_body_cache() {
     handle.shutdown();
     thread.join().unwrap();
 }
+
+/// A mutation the session refused changed nothing, so it publishes
+/// nothing. (Every command used to bump the write version: the `400`s
+/// below made the next `/execute` evaluate, mint a new ETag and start
+/// from an empty index set and body cache.)
+#[test]
+fn a_refused_mutation_publishes_nothing() {
+    let (addr, handle, thread) = boot();
+    let mut client = Client::new(addr);
+    load_pairs(&mut client, 0);
+    ok(
+        &mut client,
+        "/prepare",
+        r#"{"name": "all", "query": "?E(k, v)"}"#,
+    );
+    let first = ok(&mut client, "/execute", r#"{"prepared": "all"}"#);
+    ok(&mut client, "/execute", r#"{"query": "?E(\"k3\", v)"}"#);
+    let version = |resp: &ClientResponse| resp.json().unwrap().get("version").unwrap().as_i64();
+    assert_eq!(metric(&mut client, "snapshot_index_builds"), 1.0);
+    let hits = metric(&mut client, "execute_body_cache_hits");
+    let evals = metric(&mut client, "evals_total");
+
+    for (path, body, needle) in [
+        // Schema mismatch: E is (str, int).
+        (
+            "/import",
+            r#"{"relation": "E", "rows": [[1, "k"]]}"#,
+            "schema",
+        ),
+        // Ragged and mixed-type rows are refused before the session is
+        // taken, naming row and column.
+        (
+            "/import",
+            r#"{"relation": "E", "rows": [["k", 1], ["k"]]}"#,
+            "row 1",
+        ),
+        (
+            "/import",
+            r#"{"relation": "E", "rows": [["k", 1], ["k", 2], ["k", "x"]]}"#,
+            "row 2: type mismatch in column 1",
+        ),
+        (
+            "/register",
+            r#"{"ie": {"name": "broken", "pattern": "(oops"}}"#,
+            "bad pattern",
+        ),
+    ] {
+        let resp = post(&mut client, path, body);
+        assert_eq!(resp.status, 400, "{path} {body}: {}", resp.body);
+        assert!(resp.body.contains(needle), "{needle:?} in {}", resp.body);
+    }
+
+    let again = ok(&mut client, "/execute", r#"{"prepared": "all"}"#);
+    assert_eq!(again.header("etag"), first.header("etag"));
+    assert_eq!(version(&again), version(&first));
+    assert_eq!(again.body, first.body);
+    assert_eq!(metric(&mut client, "execute_body_cache_hits"), hits + 1.0);
+    assert_eq!(metric(&mut client, "snapshot_index_builds"), 1.0);
+    assert_eq!(metric(&mut client, "evals_total"), evals);
+
+    handle.shutdown();
+    thread.join().unwrap();
+}

@@ -15,8 +15,8 @@ use spannerlib::serve::{Client, Json, ServeConfig, Server};
 use spannerlib::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Boot. The server takes ownership of the session; every
-    //    mutation from here on serializes through its writer thread.
+    // 1. Boot. The server takes ownership of the session; from here
+    //    on one request at a time checks it out to mutate or evaluate.
     let server = Server::bind(Session::new(), ServeConfig::default())?;
     let addr = server.local_addr();
     let handle = server.handle();
