@@ -305,7 +305,7 @@ impl IeMemo {
 }
 
 // The memo crosses threads behind `SharedIeMemo` (`Arc<Mutex<..>>`),
-// and parallel evaluation probes it from pool workers. Keep that
+// and parallel evaluation probes it from shard threads. Keep that
 // contract checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

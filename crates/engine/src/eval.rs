@@ -13,7 +13,7 @@
 //! the standard delta refinement (Green et al., *Datalog and Recursive
 //! Query Processing*) on recursive ones, orders steps by estimated
 //! cost, reuses scan indexes across the run, and shards split-correct
-//! rules over the session's pool. The two are kept behaviourally
+//! rules across the session's lanes. The two are kept behaviourally
 //! identical — the equivalence is property-tested — which makes the
 //! naive strategy the one reference every shortcut is checked against.
 //!
@@ -38,7 +38,6 @@ use crate::registry::Registry;
 use crate::strata::Component;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
-use spannerlib_par::ThreadPool;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -186,11 +185,11 @@ pub struct EvalCtx<'a> {
     pub limits: EvalLimits,
     /// IE memo table, when enabled.
     pub cache: Option<&'a SharedIeMemo>,
-    /// Worker pool for split-correct parallel evaluation
-    /// (`SessionBuilder::parallelism`); `None` — and
-    /// [`EvalStrategy::Naive`] with or without one — runs every firing
-    /// on the calling thread.
-    pub pool: Option<&'a ThreadPool>,
+    /// Lanes for split-correct parallel evaluation, the calling thread
+    /// included (`SessionBuilder::parallelism`); below 2 — and
+    /// [`EvalStrategy::Naive`] at any count — every firing runs on the
+    /// calling thread.
+    pub workers: usize,
 }
 
 /// The state of one evaluation run, shared by every component.
@@ -266,9 +265,8 @@ pub fn evaluate(
     };
     let db = &mut *lent.db;
     let production = ctx.strategy == EvalStrategy::SemiNaive;
-    let pool = ctx.pool.filter(|_| production);
+    let workers = if production { ctx.workers } else { 0 };
     let tally = ParTally::default();
-    let stolen_before = pool.map_or(0, |p| p.stats().stolen);
     // One scan-index cache per evaluation run: relations only grow
     // while a run executes (derived state was cleared before it), so
     // row ids are stable and an index is extended, never rebuilt,
@@ -286,7 +284,7 @@ pub fn evaluate(
             cache: ctx.cache,
             indexes: production.then_some(&index_cache),
             docs: &lent.docs,
-            pool,
+            workers,
             tally: &tally,
             deadline: EvalDeadline::start(&ctx.limits),
         },
@@ -305,12 +303,11 @@ pub fn evaluate(
     // success and the abort path.
     run.trace
         .index_cache(index_cache.hits(), index_cache.builds());
-    if let Some(pool) = pool {
+    if workers > 1 {
         run.trace.parallel_summary(
-            pool.workers() as u64,
+            workers as u64,
             tally.shard_tasks.load(Ordering::Relaxed),
             tally.ie_batches.load(Ordering::Relaxed),
-            pool.stats().stolen.saturating_sub(stolen_before),
             components
                 .iter()
                 .flat_map(|c| &c.rules)

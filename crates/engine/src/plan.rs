@@ -19,8 +19,8 @@
 //! Every step maps one binding row to rows, against relations that are
 //! complete while the rule fires. A firing of a split-correct rule is
 //! therefore cut into *shards* — ranges of the row ids one of its scans
-//! reads — each of which runs scan, IE calls and head projection on a
-//! pool worker, start to finish (`run_sharded`).
+//! reads — each of which runs scan, IE calls and head projection on one
+//! lane, start to finish (`run_sharded`).
 
 use crate::error::{EngineError, Result};
 use crate::ie::{IeContext, SharedDocs};
@@ -29,7 +29,6 @@ use crate::registry::Registry;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
-use spannerlib_par::ThreadPool;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use spannerlog_parser::CmpOp;
 use std::fmt::Display;
@@ -180,9 +179,9 @@ pub struct ExecCtx<'a> {
     pub indexes: Option<&'a IndexCache>,
     /// The document store, behind its lock for the whole evaluation.
     pub docs: &'a SharedDocs,
-    /// The session's work-stealing pool; `None` keeps every firing on
-    /// the calling thread.
-    pub pool: Option<&'a ThreadPool>,
+    /// Lanes a split-correct firing's shards run on, the calling thread
+    /// included; below 2 every firing stays on the calling thread.
+    pub workers: usize,
     /// Shared evaluation-wide counters.
     pub tally: &'a ParTally,
     /// Wall-clock budget of the run (`EvalLimits::max_millis`), checked
@@ -362,10 +361,6 @@ fn scan_step(
     joined
 }
 
-/// How many shards a split-correct firing cuts per pool worker: a few,
-/// so that stealing evens out the ranges that hold the long documents.
-const SHARDS_PER_WORKER: usize = 4;
-
 /// Runs the sharded part of a split-correct rule — `order[0]`, the scan
 /// that binds its document variable, the steps after it and the head
 /// projection — once per shard, returning the head rows in shard order.
@@ -374,10 +369,11 @@ const SHARDS_PER_WORKER: usize = 4;
 /// whole relation (a delta on another scan holds alongside). A rule
 /// body maps a binding row to rows against relations that are complete
 /// while the rule fires, so any partition of the rows is split-correct.
-/// Shards borrow `batch`, what the steps before left. One shard — no
-/// pool, a single row to scan — runs on the calling thread; more fork a
-/// trace each, run on the pool, and merge rows and traces back in shard
-/// order, the first error in that stable order winning.
+/// Shards borrow `batch`, what the steps before left. One shard — fewer
+/// than two lanes, a single row to scan — runs on the calling thread;
+/// more fork a trace each, run on `spannerlib_par::map_ranges` lanes,
+/// and merge rows and traces back in shard order, the first error in
+/// that stable order winning.
 fn run_sharded(
     plan: &RulePlan,
     order: &[usize],
@@ -407,37 +403,28 @@ fn run_sharded(
         let shard = run_steps(plan, &order[1..], shard, relations, ctx, tr)?;
         project_head(plan, &shard, ctx.docs, ctx.registry)
     };
-    let shards = ctx.pool.map_or(1, |p| p.workers() * SHARDS_PER_WORKER);
-    let rows = scanned.len().div_ceil(shards);
-    let pool = match ctx.pool {
-        Some(pool) if rows < scanned.len() => pool,
-        _ => return shard(delta, tr),
-    };
-    let ranges = (scanned.clone().step_by(rows)).map(|from| from..scanned.end.min(from + rows));
-    let mut slots: Vec<_> = ranges.map(|range| (range, None)).collect();
+    if ctx.workers < 2 || scanned.len() < 2 {
+        return shard(delta, tr);
+    }
+    let trace = &*tr.trace;
+    let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |i, range| {
+        let mut fork = trace.fork();
+        let label = || format!("shard {i} (rows {}..{})", range.start, range.end);
+        let span = fork.open(NO_SPAN, SpanKind::Shard, label);
+        let mut shard_tr = TraceCtx {
+            trace: &mut fork,
+            rule: 0,
+            parent: span,
+        };
+        let rows = shard(Some(range), &mut shard_tr);
+        fork.close(span);
+        (rows, fork)
+    });
     ctx.tally
         .shard_tasks
-        .fetch_add(slots.len() as u64, Ordering::Relaxed);
-    pool.scope(|s| {
-        for (i, (range, slot)) in slots.iter_mut().enumerate() {
-            let (mut fork, shard) = (tr.trace.fork(), &shard);
-            s.spawn(move || {
-                let label = || format!("shard {i} (rows {}..{})", range.start, range.end);
-                let span = fork.open(NO_SPAN, SpanKind::Shard, label);
-                let mut shard_tr = TraceCtx {
-                    trace: &mut fork,
-                    rule: 0,
-                    parent: span,
-                };
-                let rows = shard(Some(range.clone()), &mut shard_tr);
-                fork.close(span);
-                *slot = Some((rows, fork));
-            });
-        }
-    });
+        .fetch_add(shards.len() as u64, Ordering::Relaxed);
     let mut results = Vec::new();
-    for (_, slot) in slots {
-        let (rows, fork) = slot.expect("pool scope ran every shard task");
+    for (rows, fork) in shards {
         tr.trace.merge_fork(tr.rule, tr.parent, fork);
         results.push(rows);
     }
@@ -1115,7 +1102,7 @@ mod tests {
             cache: None,
             indexes,
             docs: &docs,
-            pool: None,
+            workers: 0,
             tally: &tally,
             deadline: None,
         };

@@ -33,8 +33,9 @@
 //! *Evaluation* scales through [`SessionBuilder::parallelism`]: rules
 //! the compile-time split-correctness analysis clears (see
 //! `CompiledProgram::shard_plan`) shard their firings — by row range
-//! of the scan that binds the document variable — across an internal
-//! work-stealing pool (`spannerlib_par`). Every evaluation — sharded
+//! of the scan that binds the document variable — across the driving
+//! thread and threads scoped to the firing (`spannerlib_par`), so no
+//! thread outlives the call that spawned it. Every evaluation — sharded
 //! or not — keeps the document store behind a read-write lock and the
 //! IE memo behind its usual mutex (taken twice per batch of IE calls,
 //! never across one) for the duration of the run, so an IE function meets the same locking
@@ -44,7 +45,7 @@
 //! already requires it) and must tolerate concurrent invocation on
 //! distinct argument tuples. If an IE function panics, the panic
 //! propagates to the driving thread (after sibling shards drain, when
-//! it happened on a worker); the document store is back in the session
+//! it happened on a spawned thread); the document store is back in the session
 //! by then and derived relations are recomputed by the next evaluation,
 //! so a host that catches the unwind can keep using the session.
 
@@ -217,15 +218,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the number of worker threads for split-correct parallel
-    /// evaluation (default: the machine's available parallelism). Rule
-    /// firings the compile-time analysis clears as split-correct are
-    /// sharded by row range across this many workers; `0` or `1` keeps
-    /// every firing on the calling thread (one shard), as does
-    /// [`EvalStrategy::Naive`]. The pool is built lazily, on the first
-    /// evaluation of a program with at least one split-correct rule;
-    /// parallel and serial evaluation derive identical tuple sets
-    /// (property-tested). See the module docs' threading contract.
+    /// Sets how many threads split-correct parallel evaluation uses,
+    /// the calling thread included (default: the machine's available
+    /// parallelism). Rule firings the compile-time analysis clears as
+    /// split-correct are sharded by row range across the calling thread
+    /// and `workers − 1` threads spawned for the firing; `0` or `1`
+    /// keeps every firing on the calling thread (one shard), as does
+    /// [`EvalStrategy::Naive`]. Parallel and serial evaluation derive
+    /// identical tuple sets (property-tested). See the module docs'
+    /// threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
         self.parallelism = Some(workers);
         self
@@ -287,7 +288,6 @@ impl SessionBuilder {
             parallelism: self
                 .parallelism
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-            pool: None,
             eval_seq: 0,
             pending_request_ids: Vec::new(),
         }
@@ -335,12 +335,9 @@ pub struct Session {
     /// Profile of the most recent fixpoint run (including aborted ones);
     /// `None` until a run happens with tracing at `Summary` or above.
     last_profile: Option<Arc<EvalProfile>>,
-    /// Worker count for split-correct parallel evaluation
-    /// ([`SessionBuilder::parallelism`]); `0`/`1` = serial.
+    /// Lanes for split-correct parallel evaluation, the calling thread
+    /// included ([`SessionBuilder::parallelism`]); `0`/`1` = serial.
     parallelism: usize,
-    /// Lazily built work-stealing pool — `Some` after the first
-    /// evaluation that had a split-correct rule to shard.
-    pool: Option<spannerlib_par::ThreadPool>,
     /// Monotonic count of fixpoint runs actually executed (skipped
     /// evaluations do not bump it). Stamped onto each run's
     /// [`EvalProfile`] and onto snapshots, so serving layers can
@@ -909,14 +906,13 @@ impl Session {
         let mut trace = RunTrace::new(self.trace_level, DEFAULT_SPAN_BUFFER_BYTES);
         self.eval_seq += 1;
         trace.serving_context(self.eval_seq, std::mem::take(&mut self.pending_request_ids));
-        // The pool is built lazily: sessions whose programs never clear
-        // the split-correctness analysis (or with parallelism 0/1)
-        // never spawn a thread.
-        let wants_par = self.parallelism >= 2 && program.shard_plan.parallel_rules() > 0;
-        if wants_par && self.pool.is_none() {
-            self.pool = Some(spannerlib_par::ThreadPool::new(self.parallelism));
-        }
-        let pool = self.pool.as_ref().filter(|_| wants_par);
+        // A program no rule of which clears the split-correctness
+        // analysis runs serially and reports no `par:` line.
+        let workers = if program.shard_plan.parallel_rules() > 0 {
+            self.parallelism
+        } else {
+            0
+        };
         let db = Arc::make_mut(&mut self.db);
         db.clear_derived();
         self.last_eval = None;
@@ -931,7 +927,7 @@ impl Session {
                 strategy: self.strategy,
                 limits: self.limits,
                 cache: self.ie_cache.as_ref(),
-                pool,
+                workers,
             },
             &mut trace,
         );

@@ -177,7 +177,7 @@ fn profile_reports_parallel_summary() {
     assert!(table.contains("par:"), "parallel summary line:\n{table}");
 }
 
-/// `parallelism(0)` pins evaluation serial: no pool, no parallel
+/// `parallelism(0)` pins evaluation serial: no shard, no parallel
 /// counters, no `par:` line.
 #[test]
 fn parallelism_zero_stays_serial() {
@@ -192,6 +192,42 @@ fn parallelism_zero_stays_serial() {
     assert_eq!(profile.par_workers, 0);
     assert_eq!(profile.par_shards, 0);
     assert!(!profile.render().contains("par:"));
+}
+
+/// `parallelism(n)` counts the calling thread: at 2, shards run on the
+/// caller and at most one more thread (a pool with a helping caller ran
+/// them on 3); at 0, on the caller alone.
+#[test]
+fn parallelism_counts_the_calling_thread() {
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::{self, ThreadId};
+
+    for (lanes, most) in [(2, 2), (0, 1)] {
+        let seen: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+        let record = Arc::clone(&seen);
+        let mut session = Session::builder()
+            .parallelism(lanes)
+            .register("probe", Some(1), move |_, _| {
+                record.lock().unwrap().insert(thread::current().id());
+                thread::sleep(std::time::Duration::from_millis(1));
+                Ok(vec![vec![Value::Int(1)]])
+            })
+            .build();
+        let texts: Vec<_> = (0..24)
+            .map(|i| (format!("d{i}"), format!("text {i}")))
+            .collect();
+        session.import_typed("Texts", texts).unwrap();
+        session
+            .run("Seen(d, x) <- Texts(d, t), probe(t) -> (x)")
+            .unwrap();
+        let program = session.prepare_program().unwrap();
+        assert_eq!(program.program().shard_plan().parallel_rules(), 1);
+        assert_eq!(session.relation("Seen").unwrap().len(), 24);
+        let seen = seen.lock().unwrap();
+        assert!(seen.contains(&thread::current().id()), "{seen:?}");
+        assert!(seen.len() <= most, "parallelism({lanes}) ran on {seen:?}");
+    }
 }
 
 /// An IE function that panics mid-evaluation — on a shard worker or on

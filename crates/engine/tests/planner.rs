@@ -6,7 +6,6 @@
 
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, Rows, Schema, Tuple, Value, ValueType};
-use spannerlib_par::ThreadPool;
 use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, NO_SPAN};
 use spannerlog_engine::optimizer::{self, IndexCache, RuleOpt, StepMeta};
 use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
@@ -34,7 +33,7 @@ struct Inputs<'a> {
     relations: FxHashMap<String, Relation>,
     delta: Option<(usize, std::ops::Range<usize>)>,
     indexes: Option<&'a IndexCache>,
-    pool: Option<&'a ThreadPool>,
+    workers: usize,
 }
 
 /// Runs a plan and returns its error.
@@ -52,7 +51,7 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
         cache: None,
         indexes: inputs.indexes,
         docs: &docs,
-        pool: inputs.pool,
+        workers: inputs.workers,
         tally: &tally,
         deadline: None,
     };
@@ -224,10 +223,9 @@ fn an_empty_suffix_keeps_every_bin() {
         steps: vec![binds_t],
         split: SplitClass::Parallel { doc_var: 0 },
     });
-    let pool = ThreadPool::new(2);
     let sharded = Inputs {
         relations: FxHashMap::from_iter([("R".to_string(), rel)]),
-        pool: Some(&pool),
+        workers: 2,
         ..Inputs::default()
     };
     assert_eq!(run(&plan, &sharded).unwrap().len(), 8);
@@ -257,7 +255,7 @@ Path(x, z) <- Path(x, y), Edge(y, z)";
 
 /// `EvalStrategy::Naive` is the reference configuration: the same
 /// relations, but no step leaves its textual position, no index is
-/// kept, and nothing is sharded even with a pool's worth of workers.
+/// kept, and nothing is sharded even with four lanes to shard across.
 #[test]
 fn naive_strategy_never_reorders_and_never_shards() {
     let program = r#"new Pats(str)

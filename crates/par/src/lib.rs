@@ -1,479 +1,173 @@
-//! A zero-dependency work-stealing thread pool with a scoped spawn API.
+//! Shard-parallel map over a range of row ids, on scoped threads.
 //!
-//! The pool exists so the engine can shard per-document work across
-//! cores without pulling in an external runtime (the workspace vendors
-//! every dependency; this crate uses only `std`). The design is the
-//! classic fixed-worker work-stealing scheme:
-//!
-//! * **Fixed worker set** — `ThreadPool::new(n)` spawns `n` OS threads
-//!   that live until the pool is dropped (drop joins them).
-//! * **Per-worker deques with steal-half** — spawned tasks are dealt
-//!   round-robin onto per-worker queues; a worker that runs dry steals
-//!   roughly *half* of a victim's queue in one lock acquisition, so a
-//!   skewed distribution rebalances in `O(log tasks)` steals instead of
-//!   one lock round-trip per task.
-//! * **Park / unpark idling** — idle workers sleep on a condvar. A
-//!   generation counter guards against lost wakeups: every push bumps
-//!   it, and a worker only parks if the generation is unchanged since
-//!   its last (empty-handed) search for work.
-//! * **Scoped spawns** — [`ThreadPool::scope`] mirrors
-//!   `std::thread::scope`: tasks may borrow from the caller's stack
-//!   (no `'static` bound) because `scope` does not return until every
-//!   spawned task has finished.
-//! * **Panic propagation** — a panicking task is caught on the worker,
-//!   the first payload is kept, and `scope` re-raises it on the caller
-//!   thread after all sibling tasks have drained.
-//!
-//! The caller of [`ThreadPool::scope`] *helps*: while waiting for its
-//! tasks it steals and runs queued work instead of blocking, so a
-//! `scope` over `n` tasks uses `workers + 1` lanes.
+//! The engine shards a split-correct rule firing by row range of one
+//! scan, and the list of ranges is fixed before any of them runs — so
+//! it needs a counter, not a scheduler. [`map_ranges`] cuts the range
+//! into contiguous pieces; the caller and a few `std::thread::scope`
+//! threads each claim the next piece from one atomic counter until
+//! none is left. Threads live for one call: nothing is pooled, nothing
+//! outlives the borrow, and the crate holds no `unsafe`.
 //!
 //! ```
-//! use spannerlib_par::ThreadPool;
-//!
-//! let pool = ThreadPool::new(4);
-//! let data = vec![1u64, 2, 3, 4, 5, 6, 7, 8];
-//! let mut sums = vec![0u64; 4];
-//! pool.scope(|s| {
-//!     for (slot, chunk) in sums.iter_mut().zip(data.chunks(2)) {
-//!         s.spawn(move || *slot = chunk.iter().sum());
-//!     }
+//! let words = ["alpha", "beta", "gamma", "delta", "epsilon"];
+//! let lens = spannerlib_par::map_ranges(2, 0..words.len(), |_, rows| {
+//!     words[rows].iter().map(|w| w.len()).sum::<usize>()
 //! });
-//! assert_eq!(sums.iter().sum::<u64>(), 36);
+//! assert_eq!(lens.iter().sum::<usize>(), 26);
 //! ```
 
-use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::ops::Range;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A queued unit of work. Lifetime-erased: see the safety comment in
-/// [`Scope::spawn`].
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// Pieces cut per lane: a few, so a lane that drew the long documents
+/// leaves the rest of the range to the others.
+const PIECES_PER_LANE: usize = 4;
 
-/// Locks a mutex, shrugging off poisoning (a panicking task has already
-/// recorded its payload; the queues themselves stay structurally valid).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Park/unpark coordination. `generation` increments on every push so a
-/// worker can detect "work arrived between my empty search and my park";
-/// `parked` counts waiting workers so pushes skip the wake syscall when
-/// every worker is already busy.
-#[derive(Default)]
-struct SleepState {
-    generation: u64,
-    shutdown: bool,
-    parked: usize,
-}
-
-struct Shared {
-    /// One FIFO deque per worker. Spawns are dealt round-robin; owners
-    /// pop from the front, thieves split off the back half.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    sleep: Mutex<SleepState>,
-    wakeup: Condvar,
-    /// Round-robin cursor for spawn placement.
-    next: AtomicUsize,
-    executed: AtomicU64,
-    stolen: AtomicU64,
-}
-
-impl Shared {
-    fn push(&self, task: Task) {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        lock(&self.queues[slot]).push_back(task);
-        let mut s = lock(&self.sleep);
-        s.generation = s.generation.wrapping_add(1);
-        let any_parked = s.parked > 0;
-        drop(s);
-        if any_parked {
-            self.wakeup.notify_one();
-        }
+/// Applies `f` to each of up to `lanes × PIECES_PER_LANE` contiguous
+/// pieces of `rows` — `f(i, piece)` for the `i`-th piece — and returns
+/// the results in piece order.
+///
+/// The lanes are the calling thread plus `lanes − 1` scoped threads
+/// (never more threads than pieces); each claims the next unclaimed
+/// piece until none is left. With `lanes ≤ 1` or a single piece every
+/// piece runs on the caller and nothing is spawned, and a thread that
+/// fails to spawn is skipped: the lanes that exist claim its pieces.
+/// A panic in `f` re-raises on the caller once every lane has stopped,
+/// so the other lanes finish every piece not yet claimed first.
+pub fn map_ranges<R, F>(lanes: usize, rows: Range<usize>, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, Range<usize>) -> R + Sync,
+{
+    let len = rows.len();
+    if len == 0 {
+        return Vec::new();
     }
-
-    /// Pops local work for worker `home`, else steals. A worker thief
-    /// takes half the victim's queue (keeping the rest for later); a
-    /// homeless thief (the helping `scope` caller) takes a single task.
-    fn find_task(&self, home: Option<usize>) -> Option<Task> {
-        if let Some(i) = home {
-            if let Some(task) = lock(&self.queues[i]).pop_front() {
-                return Some(task);
-            }
-        }
-        let n = self.queues.len();
-        let start = home.map_or(0, |i| i + 1);
-        for offset in 0..n {
-            let victim = (start + offset) % n;
-            if Some(victim) == home {
-                continue;
-            }
-            let mut q = lock(&self.queues[victim]);
-            let len = q.len();
-            if len == 0 {
-                continue;
-            }
-            let take = if home.is_some() { len.div_ceil(2) } else { 1 };
-            let mut grabbed = q.split_off(len - take);
-            drop(q);
-            self.stolen
-                .fetch_add(grabbed.len() as u64, Ordering::Relaxed);
-            let first = grabbed.pop_front().expect("take >= 1");
-            if !grabbed.is_empty() {
-                if let Some(i) = home {
-                    lock(&self.queues[i]).append(&mut grabbed);
-                    // The transferred surplus is stealable work again.
-                    let mut s = lock(&self.sleep);
-                    s.generation = s.generation.wrapping_add(1);
-                    let any_parked = s.parked > 0;
-                    drop(s);
-                    if any_parked {
-                        self.wakeup.notify_one();
-                    }
-                }
-            }
-            return Some(first);
-        }
-        None
+    let size = len.div_ceil(lanes.max(1).saturating_mul(PIECES_PER_LANE));
+    let pieces = len.div_ceil(size);
+    let piece = |i: usize| {
+        let start = rows.start + i * size;
+        start..rows.end.min(start + size)
+    };
+    if lanes <= 1 || pieces == 1 {
+        return (0..pieces).map(|i| f(i, piece(i))).collect();
     }
-
-    fn run(&self, task: Task) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        task();
-    }
-
-    fn worker_loop(&self, index: usize) {
+    // Relaxed: the counter hands out indexes and publishes no data;
+    // results come back through `join` and the end of the scope.
+    let next = AtomicUsize::new(0);
+    let lane = || {
+        let mut done = Vec::new();
         loop {
-            // Snapshot the generation *before* searching: a push that
-            // races with the search bumps it, and the re-check below
-            // turns the would-be park into another search.
-            let seen = lock(&self.sleep).generation;
-            if let Some(task) = self.find_task(Some(index)) {
-                self.run(task);
-                continue;
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= pieces {
+                return done;
             }
-            let mut s = lock(&self.sleep);
-            if s.shutdown {
-                return;
-            }
-            if s.generation != seen {
-                continue;
-            }
-            s.parked += 1;
-            let mut guard = self.wakeup.wait(s).unwrap_or_else(|e| e.into_inner());
-            guard.parked -= 1;
-            drop(guard);
+            done.push((i, f(i, piece(i))));
         }
-    }
-}
-
-/// Counters accumulated over the pool's lifetime (relaxed atomics;
-/// exact once the pool is idle).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks run to completion (by workers or by helping callers).
-    pub executed: u64,
-    /// Tasks that migrated off the queue they were dealt onto.
-    pub stolen: u64,
-}
-
-/// A fixed-size work-stealing thread pool. See the [module docs](self)
-/// for the design.
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawns a pool of `workers` OS threads (clamped to at least 1).
-    pub fn new(workers: usize) -> ThreadPool {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(SleepState::default()),
-            wakeup: Condvar::new(),
-            next: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("spannerlib-par-{i}"))
-                    .spawn(move || shared.worker_loop(i))
-                    .expect("spawn pool worker")
-            })
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..lanes.min(pieces))
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, lane).ok())
             .collect();
-        ThreadPool { shared, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Lifetime counters (tasks executed, tasks stolen).
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            executed: self.shared.executed.load(Ordering::Relaxed),
-            stolen: self.shared.stolen.load(Ordering::Relaxed),
+        let mut done = lane();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
         }
-    }
-
-    /// Runs `f` with a [`Scope`] on which tasks borrowing from the
-    /// caller's environment can be spawned. Returns only after every
-    /// spawned task has finished; the caller helps run queued tasks
-    /// while it waits. If `f` or any task panicked, the (first) panic
-    /// is re-raised here — after all sibling tasks have drained, so
-    /// borrowed data is never observed by a still-running task.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-    {
-        let state = Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-        });
-        let scope = Scope {
-            shared: &self.shared,
-            state: state.clone(),
-            scope: PhantomData,
-            env: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Help until the scope's tasks are all done. `pending` counts
-        // queued *and* running tasks, so once it hits zero no task can
-        // re-raise it (only `f` — already returned — and running tasks
-        // spawn).
-        while state.pending.load(Ordering::SeqCst) > 0 {
-            if let Some(task) = self.shared.find_task(None) {
-                self.shared.run(task);
-                continue;
-            }
-            let guard = lock(&state.done);
-            if state.pending.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            let guard = state.done_cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-            drop(guard);
-        }
-        match result {
-            Err(payload) => resume_unwind(payload),
-            Ok(value) => {
-                if let Some(payload) = lock(&state.panic).take() {
-                    resume_unwind(payload);
-                }
-                value
-            }
-        }
-    }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut s = lock(&self.shared.sleep);
-            s.shutdown = true;
-        }
-        self.wakeup_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl ThreadPool {
-    fn wakeup_all(&self) {
-        self.shared.wakeup.notify_all();
-    }
-}
-
-struct ScopeState {
-    /// Tasks spawned but not yet finished (queued or running).
-    pending: AtomicUsize,
-    /// First panic payload raised by a task of this scope.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    done: Mutex<()>,
-    done_cv: Condvar,
-}
-
-/// Spawn handle passed to the closure of [`ThreadPool::scope`].
-/// Mirrors `std::thread::Scope`: `'scope` is the lifetime of the scope
-/// itself, `'env` the (longer) lifetime of borrowed environment data.
-pub struct Scope<'scope, 'env: 'scope> {
-    shared: &'scope Arc<Shared>,
-    state: Arc<ScopeState>,
-    /// Invariance over both lifetimes, exactly like `std::thread::Scope`.
-    scope: PhantomData<&'scope mut &'scope ()>,
-    env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope> Scope<'scope, '_> {
-    /// Queues `f` on the pool. The task may borrow anything that
-    /// outlives the scope; it runs on a worker thread (or on the
-    /// caller, which helps while waiting).
-    pub fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        let state = self.state.clone();
-        state.pending.fetch_add(1, Ordering::SeqCst);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = lock(&state.panic);
-                slot.get_or_insert(payload);
-                drop(slot);
-            }
-            if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last task out: take the done lock so the notify cannot
-                // slip between the caller's pending re-check and its wait.
-                let _guard = lock(&state.done);
-                state.done_cv.notify_all();
-            }
-        });
-        // SAFETY: the task is erased to 'static so it can sit on the
-        // queue, but every borrow it captures outlives 'scope, and
-        // `ThreadPool::scope` does not return (or unwind) until
-        // `pending` reaches zero — i.e. until this closure has run to
-        // completion and dropped. This is the same argument that makes
-        // `std::thread::scope` sound.
-        let job: Task = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.shared.push(job);
-    }
-}
-
-// The pool is handed by reference to worker shards; these bounds are
-// what the engine's parallel evaluation relies on.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ThreadPool>();
-    assert_send_sync::<PoolStats>();
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Barrier;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
+
+    /// Every row of `rows`, collected from the pieces `map_ranges`
+    /// handed out, with the piece indexes it returned.
+    fn covered(lanes: usize, rows: Range<usize>) -> (Vec<usize>, Vec<usize>) {
+        let pieces = map_ranges(lanes, rows, |i, piece| (i, piece));
+        let order = pieces.iter().map(|(i, _)| *i).collect();
+        (order, pieces.into_iter().flat_map(|(_, p)| p).collect())
+    }
+
+    /// The threads `map_ranges` ran `f` on.
+    fn threads(lanes: usize, rows: Range<usize>) -> HashSet<ThreadId> {
+        let seen = Mutex::new(HashSet::new());
+        map_ranges(lanes, rows, |_, _| {
+            seen.lock().unwrap().insert(thread::current().id());
+            thread::sleep(Duration::from_millis(1));
+        });
+        seen.into_inner().unwrap()
+    }
 
     #[test]
     fn executes_every_task_once() {
-        let pool = ThreadPool::new(4);
-        let counter = AtomicU32::new(0);
-        pool.scope(|s| {
-            for _ in 0..100 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert!(pool.stats().executed >= 100);
+        for (lanes, rows) in [(2, 0..100), (3, 5..6), (4, 10..17), (2, 0..8), (8, 3..1000)] {
+            let (order, covered) = covered(lanes, rows.clone());
+            assert_eq!(covered, rows.clone().collect::<Vec<_>>(), "{lanes} lanes");
+            assert_eq!(order, (0..order.len()).collect::<Vec<_>>());
+            assert!(order.len() <= lanes * PIECES_PER_LANE);
+        }
     }
 
     #[test]
     fn tasks_borrow_the_callers_stack() {
-        let pool = ThreadPool::new(3);
         let words = ["alpha", "beta", "gamma", "delta"];
-        let mut lens = vec![0usize; words.len()];
-        pool.scope(|s| {
-            for (slot, word) in lens.iter_mut().zip(words.iter()) {
-                s.spawn(move || *slot = word.len());
-            }
-        });
+        let lens = map_ranges(2, 0..words.len(), |_, rows| words[rows][0].len());
         assert_eq!(lens, vec![5, 4, 5, 5]);
     }
 
     #[test]
-    fn idle_workers_steal_queued_tasks() {
-        let pool = ThreadPool::new(2);
-        // Round-robin deals tasks 1 and 3 onto the same queue; task 1
-        // blocks its worker on the barrier, so task 3 (the barrier's
-        // second party) can only run via a steal (worker 2 or the
-        // helping caller).
-        let barrier = Barrier::new(2);
-        pool.scope(|s| {
-            s.spawn(|| {
-                barrier.wait();
-            });
-            s.spawn(|| {});
-            s.spawn(|| {
-                barrier.wait();
-            });
+    fn an_empty_range_runs_nothing() {
+        let runs = AtomicUsize::new(0);
+        let out: Vec<()> = map_ranges(4, 7..7, |_, _| {
+            runs.fetch_add(1, Ordering::Relaxed);
         });
-        assert!(pool.stats().stolen >= 1, "stats: {:?}", pool.stats());
-    }
-
-    #[test]
-    fn panics_propagate_after_siblings_finish() {
-        let pool = ThreadPool::new(2);
-        let finished = AtomicU32::new(0);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("boom"));
-                for _ in 0..16 {
-                    s.spawn(|| {
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        let payload = outcome.expect_err("scope re-raises the task panic");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "boom");
-        // Every sibling ran to completion before the panic surfaced.
-        assert_eq!(finished.load(Ordering::Relaxed), 16);
-        // The pool survives a panicked scope.
-        let ok = AtomicU32::new(0);
-        pool.scope(|s| {
-            s.spawn(|| {
-                ok.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn nested_spawns_from_running_tasks_complete() {
-        let pool = ThreadPool::new(2);
-        let counter = AtomicU32::new(0);
-        pool.scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
+        assert!(out.is_empty());
+        assert_eq!(runs.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.workers(), 1);
-        let mut hit = false;
-        pool.scope(|s| s.spawn(|| hit = true));
-        assert!(hit);
+        let caller = HashSet::from([thread::current().id()]);
+        assert_eq!(threads(0, 0..20), caller);
+        assert_eq!(threads(1, 0..20), caller);
+        assert_eq!(threads(4, 9..10), caller, "a single row is a single piece");
+        assert_eq!(covered(0, 0..20).1, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
-    fn scope_returns_the_closure_value() {
-        let pool = ThreadPool::new(2);
-        let n = pool.scope(|s| {
-            s.spawn(|| {});
-            42
-        });
-        assert_eq!(n, 42);
+    fn more_lanes_than_pieces_cover_every_row_once() {
+        let (order, rows) = covered(1_000_000, 0..10);
+        assert_eq!(order.len(), 10);
+        assert_eq!(rows, (0..10).collect::<Vec<_>>());
+        assert!(threads(1_000, 0..3).len() <= 3);
+    }
+
+    #[test]
+    fn panics_propagate_after_siblings_finish() {
+        let finished = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            map_ranges(2, 0..16, |i, _| {
+                if i == 0 {
+                    panic!("boom");
+                }
+                // Keeps the other lane busy when the panic lands; the
+                // assertion below holds whichever lane takes piece 0.
+                thread::sleep(Duration::from_millis(1));
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = outcome.expect_err("map_ranges re-raises the piece's panic");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom"));
+        // Every other piece ran to completion before the panic surfaced.
+        assert_eq!(finished.load(Ordering::Relaxed), 7);
     }
 }

@@ -8,12 +8,14 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7171`; port `0` picks an ephemeral
     /// port (read it back from [`crate::Server::local_addr`]).
     pub addr: String,
-    /// Connection-handler threads; a request runs — evaluation
+    /// Connection-handler threads, spawned by [`crate::Server::serve`]
+    /// and joined when it returns; a request runs — evaluation
     /// included — on the handler of its connection. `0` means one per
-    /// available core. Each *active* keep-alive
-    /// connection occupies a worker, but idle connections are closed
-    /// after [`ServeConfig::idle_timeout_ms`], so workers recycle; size
-    /// this to the expected number of concurrently active clients.
+    /// available core. Each *active* keep-alive connection occupies a
+    /// handler while later ones wait in the accept queue, but idle
+    /// connections are closed after [`ServeConfig::idle_timeout_ms`],
+    /// so handlers recycle; size this to the expected number of
+    /// concurrently active clients.
     pub workers: usize,
     /// Largest accepted request body; beyond it the request is refused
     /// with 413 before evaluation starts.
@@ -29,8 +31,8 @@ pub struct ServeConfig {
     /// overruns surface as HTTP 429 naming the culprit rule.
     pub max_materialized_rows: Option<usize>,
     /// Close a keep-alive connection after this long with no request on
-    /// it, freeing its pool worker for other clients. `None` keeps idle
-    /// connections open forever (each then pins a worker for its
+    /// it, freeing its handler thread for other clients. `None` keeps
+    /// idle connections open forever (each then pins a handler for its
     /// lifetime). Enforcement granularity is the 250 ms socket read
     /// tick.
     pub idle_timeout_ms: Option<u64>,
@@ -67,7 +69,8 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The effective worker count (resolving `0` to the core count).
+    /// The effective handler-thread count (resolving `0` to the core
+    /// count).
     pub fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers

@@ -18,8 +18,10 @@
 //!                                  │ publish (RwLock<Arc<_>> swap)
 //!                    ┌─────────────▼──────────────┐
 //!   POST /execute ───┤  latest Snapshot (+ETag)   │  lock-free reads,
-//!   GET  /profile ───┤  prepared-query table      │  spannerlib_par pool
+//!   GET  /profile ───┤  prepared-query table      │  one per handler
 //!   GET  /healthz    └────────────────────────────┘
+//!
+//!   accept loop (the caller of serve) ──mpsc──▶ `workers` handler threads
 //! ```
 //!
 //! * **One session, snapshot readers** — a request that mutates or

@@ -16,7 +16,8 @@ use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Socket read timeout: the tick at which idle keep-alive connections
@@ -98,8 +99,9 @@ impl Server {
         let state = Arc::new(ServerState::new(
             cfg, session, snapshot, access_log, slow_log,
         ));
-        // Pool capacity as a gauge, so `connections_active` reads as an
-        // occupancy ratio on a dashboard.
+        // Handler threads as a gauge (named for the pool they replaced),
+        // so `connections_active` reads as an occupancy ratio on a
+        // dashboard.
         state
             .metrics
             .gauge("pool_workers")
@@ -124,25 +126,51 @@ impl Server {
         }
     }
 
-    /// Runs the accept loop, fanning connections across a
-    /// `spannerlib_par` pool. Returns after [`ServerHandle::shutdown`]:
-    /// in-flight connections drain (the pool scope waits for them) and
-    /// the session is dropped.
+    /// Runs the accept loop on the calling thread and hands accepted
+    /// connections, through one queue, to `cfg.effective_workers()`
+    /// handler threads. Returns after [`ServerHandle::shutdown`]: the
+    /// queue closes, every handler finishes the connections it holds or
+    /// finds queued, and the session is dropped. A handler thread that
+    /// fails to spawn returns its error once the others have stopped.
     pub fn serve(self) -> io::Result<()> {
-        let pool = spannerlib_par::ThreadPool::new(self.state.cfg.effective_workers());
-        let state = &self.state;
-        pool.scope(|scope| {
+        let state = &*self.state;
+        let (queue, accepted) = mpsc::channel();
+        let accepted = &Mutex::new(accepted);
+        let served = std::thread::scope(move |scope| {
+            for i in 0..state.cfg.effective_workers() {
+                std::thread::Builder::new()
+                    .name(format!("spannerd-handler-{i}"))
+                    .spawn_scoped(scope, move || handle_queue(accepted, state))?;
+            }
             for conn in self.listener.incoming() {
                 if !state.accepting.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                let state = Arc::clone(state);
-                scope.spawn(move || handle_connection(stream, &state));
+                let _ = queue.send(stream);
             }
+            // `queue` drops here — also on the early return above — so
+            // the handlers run dry and the scope joins them.
+            Ok(())
         });
-        self.state.retire_session();
-        Ok(())
+        state.retire_session();
+        served
+    }
+}
+
+/// One handler thread: takes accepted connections off the queue —
+/// holding its lock only for the `recv` — and serves each to its end,
+/// until the accept loop closes the queue and nothing is left in it.
+fn handle_queue(accepted: &Mutex<Receiver<TcpStream>>, state: &ServerState) {
+    loop {
+        let next = accepted
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        match next {
+            Ok(stream) => handle_connection(stream, state),
+            Err(_) => return,
+        }
     }
 }
 
@@ -158,7 +186,7 @@ impl Drop for ConnectionGuard<'_> {
 
 /// Serves one keep-alive connection until close, error, idle timeout,
 /// or drain. Idle connections are closed after
-/// `cfg.idle_timeout_ms` so they stop pinning a pool worker; the
+/// `cfg.idle_timeout_ms` so they stop pinning a handler thread; the
 /// bundled [`crate::Client`] transparently reconnects, so well-behaved
 /// clients never observe the close.
 fn handle_connection(stream: TcpStream, state: &ServerState) {
@@ -188,7 +216,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
             ReadOutcome::IdleTick => {
                 // Idle keep-alive connections close themselves once the
                 // server starts draining, or once they exceed the idle
-                // timeout (freeing their pool worker).
+                // timeout (freeing their handler thread).
                 if !state.accepting.load(Ordering::SeqCst) {
                     return;
                 }

@@ -260,7 +260,7 @@ impl ServerState {
     }
 
     /// Drops the session once the last handler has returned, so its
-    /// worker pool and IE functions do not outlive `serve()` in a
+    /// registered IE functions and memo do not outlive `serve()` in a
     /// process that keeps a `ServerHandle`.
     pub fn retire_session(&self) {
         let session = self.slot().take();

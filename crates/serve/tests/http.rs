@@ -19,9 +19,9 @@ fn boot(
         session,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            // A keep-alive connection occupies a pool worker for its
-            // lifetime; size the pool above any test's connection count
-            // so the tests cannot starve on small CI hosts.
+            // A keep-alive connection occupies a handler thread for its
+            // lifetime; spawn more handlers than any test opens
+            // connections so the tests cannot starve on small CI hosts.
             workers: cfg.workers.max(12),
             ..cfg
         },
@@ -625,8 +625,8 @@ fn a_panicking_ie_function_fails_its_own_request_and_no_other() {
     assert_eq!(client.get("/healthz").unwrap().status, 200);
     assert_eq!(metric(&mut client, "handler_panics_total"), 1.0);
 
-    // `boot`'s thread expects `serve()` to return `Ok`: no panic is
-    // left for the pool scope to re-raise.
+    // `boot`'s thread expects `serve()` to return `Ok`: no handler
+    // thread died of the panic, so the scope joins them all cleanly.
     handle.shutdown();
     thread.join().unwrap();
 }

@@ -15,7 +15,7 @@ fn boot() -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
         Session::new(),
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            // A keep-alive connection holds a pool worker for its
+            // A keep-alive connection holds a handler thread for its
             // lifetime: one per reader plus the test's own.
             workers: READERS + 4,
             ..ServeConfig::default()

@@ -57,14 +57,17 @@ pub struct EvalProfile {
     /// Prefiltered searches resolved to "no match" without running the
     /// regex VM at all.
     pub prefilter_pruned: u64,
-    /// Worker threads the run's pool had available (zero = the run was
-    /// fully serial and the `par:` line is omitted).
+    /// Lanes split-correct firings ran on, the calling thread included
+    /// (zero = the run was fully serial and the `par:` line is omitted).
     pub par_workers: u64,
     /// Shard tasks executed by split-correct parallel rule firings.
     pub par_shards: u64,
     /// IE-call batches executed across the run's rule firings.
     pub par_ie_batches: u64,
-    /// Tasks that migrated between worker queues (work stealing).
+    /// Always 0. Shards are claimed from one counter, so no task ever
+    /// migrates between queues; the field and its `par_stolen` JSON key
+    /// stay only because `perfbench` (which a change may not edit
+    /// without re-baselining) reads them. ROADMAP item 1(g) removes them.
     pub par_stolen: u64,
     /// Rules the split-correctness analysis forced onto the serial path.
     pub par_serial_rules: u64,
@@ -286,12 +289,8 @@ impl EvalProfile {
         if self.par_workers > 0 {
             let _ = writeln!(
                 out,
-                "par: {} workers | {} shard tasks ({} stolen), {} ie batches | {} serial-fallback rules",
-                self.par_workers,
-                self.par_shards,
-                self.par_stolen,
-                self.par_ie_batches,
-                self.par_serial_rules,
+                "par: {} workers | {} shard tasks, {} ie batches | {} serial-fallback rules",
+                self.par_workers, self.par_shards, self.par_ie_batches, self.par_serial_rules,
             );
         }
         if !self.ie_functions.is_empty() {
@@ -519,7 +518,7 @@ mod tests {
             par_workers: 4,
             par_shards: 8,
             par_ie_batches: 3,
-            par_stolen: 2,
+            par_stolen: 0,
             par_serial_rules: 1,
         }
     }
@@ -533,9 +532,8 @@ mod tests {
         assert!(table.contains("plan: In[10] ⋈ f()"));
         assert!(table.contains("planner: 2 indexes built, 6 reused"));
         assert!(table.contains("prefilter: 10 searches, 4 pruned (40%)"));
-        assert!(table.contains(
-            "par: 4 workers | 8 shard tasks (2 stolen), 3 ie batches | 1 serial-fallback rules"
-        ));
+        assert!(table
+            .contains("par: 4 workers | 8 shard tasks, 3 ie batches | 1 serial-fallback rules"));
     }
 
     #[test]

@@ -78,7 +78,6 @@ struct EvalTotals {
     par_workers: u64,
     par_shards: u64,
     par_ie_batches: u64,
-    par_stolen: u64,
     par_serial_rules: u64,
 }
 
@@ -270,17 +269,16 @@ impl RunTrace {
         entry.latency.record(dur_ns);
     }
 
-    /// Accumulates one parallel-evaluation summary: pool `workers` (kept
-    /// as a max — the pool does not change size mid-run), shard tasks
-    /// executed, off-thread IE batches, tasks stolen between workers,
-    /// and rules the split-correctness analysis kept serial (a property
-    /// of the program, kept as a max rather than summed per run).
+    /// Accumulates one parallel-evaluation summary: lanes the shards
+    /// ran on (`workers`, the calling thread included; kept as a max),
+    /// shard tasks executed, IE batches, and rules the
+    /// split-correctness analysis kept serial (a property of the
+    /// program, kept as a max rather than summed per run).
     pub fn parallel_summary(
         &mut self,
         workers: u64,
         shards: u64,
         ie_batches: u64,
-        stolen: u64,
         serial_rules: u64,
     ) {
         if !self.enabled() {
@@ -289,7 +287,6 @@ impl RunTrace {
         self.totals.par_workers = self.totals.par_workers.max(workers);
         self.totals.par_shards += shards;
         self.totals.par_ie_batches += ie_batches;
-        self.totals.par_stolen += stolen;
         self.totals.par_serial_rules = self.totals.par_serial_rules.max(serial_rules);
     }
 
@@ -496,7 +493,7 @@ impl RunTrace {
             par_workers: self.totals.par_workers,
             par_shards: self.totals.par_shards,
             par_ie_batches: self.totals.par_ie_batches,
-            par_stolen: self.totals.par_stolen,
+            par_stolen: 0,
             par_serial_rules: self.totals.par_serial_rules,
         })
     }
@@ -650,13 +647,13 @@ mod tests {
     #[test]
     fn parallel_summary_accumulates_and_reaches_the_profile() {
         let mut trace = RunTrace::new(TraceLevel::Summary, 0);
-        trace.parallel_summary(4, 6, 2, 1, 3);
-        trace.parallel_summary(4, 2, 1, 0, 3);
+        trace.parallel_summary(4, 6, 2, 3);
+        trace.parallel_summary(4, 2, 1, 3);
         let p = trace.finish(None).unwrap();
         assert_eq!(p.par_workers, 4);
         assert_eq!(p.par_shards, 8);
         assert_eq!(p.par_ie_batches, 3);
-        assert_eq!(p.par_stolen, 1);
+        assert_eq!(p.par_stolen, 0);
         assert_eq!(p.par_serial_rules, 3);
     }
 

@@ -5,9 +5,10 @@
 //! Neven — "Split-Correctness in Information Extraction"): running the
 //! extractor per document shard and unioning the outputs equals running
 //! it over the whole corpus. The engine proves that property per rule
-//! at compile time and runs the cleared rules across a work-stealing
-//! pool; everything else silently falls back to the serial path with
-//! identical results.
+//! at compile time and cuts each firing of a cleared rule into row
+//! ranges that the calling thread and threads scoped to the firing
+//! claim one at a time; everything else silently falls back to the
+//! serial path with identical results.
 //!
 //! Run with: `cargo run --example parallel_extraction`
 
@@ -32,9 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    // `parallelism` defaults to one worker per core; 0 or 1 pins the
-    // session serial. Results are identical either way — parallelism is
-    // property-tested to be semantically invisible.
+    // `parallelism` counts threads, the calling one included, and
+    // defaults to one per core; 0 or 1 pins the session serial. Results
+    // are identical either way — parallelism is property-tested to be
+    // semantically invisible.
     let mut session = Session::builder()
         .parallelism(4)
         .tracing(TraceLevel::Summary)
@@ -68,9 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let busiest = session.export("?Load(u, n)")?;
     println!("\nper-unit error load:\n{busiest}");
 
-    // The evaluation profile's `par:` line reports workers, shard
-    // tasks (and how many were stolen across workers), IE batches, and
-    // serial-fallback rule count.
+    // The evaluation profile's `par:` line reports threads, shard
+    // tasks, IE batches, and serial-fallback rule count.
     if let Some(profile) = session.profile() {
         for line in profile.render().lines() {
             if line.trim_start().starts_with("par:") {
