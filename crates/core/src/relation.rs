@@ -97,18 +97,36 @@ impl Relation {
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
         let found = self.row_id(tuple.values());
         found
-            .inspect(|&gone| self.retain(|id, _| id != gone))
+            .inspect(|&gone| drop(self.retain(|id, _| id != gone)))
             .is_some()
     }
 
     /// Keeps the rows `keep(id, row)` holds for, in order; the rows
-    /// after a dropped one get new ids.
-    pub fn retain(&mut self, keep: impl FnMut(usize, &[Value]) -> bool) {
-        self.rows.retain(keep);
-        self.table = RowTable::default();
-        for (id, row) in self.rows.iter().enumerate() {
-            self.table.find_or_insert(hash_cells(row), id, |_| false);
+    /// after a dropped one get new ids. Returns the new id of every old
+    /// row (`None` for a dropped one), for whatever indexes the old ids.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize, &[Value]) -> bool) -> Vec<Option<usize>> {
+        let mut new_ids: Vec<Option<usize>> = vec![None; self.len()];
+        let mut kept = 0;
+        self.rows.retain(|id, row| {
+            let keeps = keep(id, row);
+            if keeps {
+                new_ids[id] = Some(kept);
+                kept += 1;
+            }
+            keeps
+        });
+        self.table = self.table.renumber(|id| new_ids[id]);
+        new_ids
+    }
+
+    /// The rows with ids in `ids`, as a relation of the same schema.
+    pub fn subset(&self, ids: impl IntoIterator<Item = usize>) -> Relation {
+        let mut out = Relation::new(self.schema.clone());
+        for id in ids {
+            out.rows
+                .push_distinct(&mut out.table, self.rows.row(id).iter());
         }
+        out
     }
 
     /// Iterates over rows in insertion order.
@@ -183,6 +201,14 @@ mod tests {
         assert!(!r.remove(&t(&[1])));
         assert_eq!(r.len(), 1);
         assert!(r.contains(&t(&[2])));
+    }
+
+    #[test]
+    fn subset_keeps_the_schema_and_the_picked_rows() {
+        let r = Relation::from_tuples(int_schema(1), [t(&[1]), t(&[2]), t(&[3])]).unwrap();
+        let picked = r.subset([2, 0]);
+        assert_eq!(picked.schema(), r.schema());
+        assert_eq!(picked.sorted_tuples(), [t(&[1]), t(&[3])]);
     }
 
     #[test]

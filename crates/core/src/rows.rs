@@ -149,6 +149,24 @@ impl RowTable {
         }
     }
 
+    /// The table of the ids `renumber` keeps, under their new ids. A slot
+    /// keeps its tag, so no row is hashed again.
+    pub fn renumber(&self, mut renumber: impl FnMut(usize) -> Option<usize>) -> RowTable {
+        let mut out = RowTable {
+            slots: vec![VACANT; self.slots.len()],
+            len: 0,
+        };
+        for &slot in self.slots.iter().filter(|&&slot| slot != VACANT) {
+            if let Some(id) = renumber(slot as u32 as usize) {
+                if let Err(at) = out.probe(slot, |_| false) {
+                    out.slots[at] = slot >> 32 << 32 | id as u64;
+                    out.len += 1;
+                }
+            }
+        }
+        out
+    }
+
     /// The id stored under `hash` for which `eq` holds.
     pub fn find(&self, hash: u64, eq: impl FnMut(usize) -> bool) -> Option<usize> {
         self.slots.first()?;
@@ -236,6 +254,22 @@ mod tests {
             .collect();
         assert_eq!(pushed, [true, true, false, true, false]);
         assert_eq!(rows.len(), 3);
+    }
+
+    #[test]
+    fn renumbered_tables_find_the_kept_ids_under_their_new_ones() {
+        let mut table = RowTable::default();
+        for id in 0..20u64 {
+            assert_eq!(
+                table.find_or_insert(id << 40 | 7, id as usize, |_| false),
+                None
+            );
+        }
+        let odd = table.renumber(|id| (id % 2 == 1).then_some(id / 2));
+        for id in 0..20u64 {
+            let found = odd.find(id << 40 | 7, |new| new == id as usize / 2);
+            assert_eq!(found, (id % 2 == 1).then_some(id as usize / 2), "{id}");
+        }
     }
 
     #[test]

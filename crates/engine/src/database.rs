@@ -9,8 +9,10 @@
 //! `dirty` flag.
 
 use crate::error::{EngineError, Result};
+use crate::optimizer::IndexCache;
 use rustc_hash::{FxHashMap, FxHashSet};
 use spannerlib_core::{DocumentStore, Relation, Schema, Tuple, Value};
+use std::sync::Arc;
 
 /// The fact store of one session.
 #[derive(Debug, Default, Clone)]
@@ -28,9 +30,15 @@ pub struct Database {
     /// opposed to host-asserted facts). [`Database::clear_derived`]
     /// retracts exactly these, so re-imports of a rule's inputs no
     /// longer leave stale derived tuples behind. Row ids hold because
-    /// nothing else removes rows from a relation in place. Purely
-    /// derived relations need no marks — they are dropped wholesale.
+    /// nothing else removes rows from a relation in place (maintenance,
+    /// which does, never runs over such a relation). Purely derived
+    /// relations need no marks — they are dropped wholesale.
     derived_marks: FxHashMap<String, FxHashSet<usize>>,
+    /// Hash indexes over `relations`, valid through every mutation. An
+    /// evaluation run borrows them and keeps them valid itself; a
+    /// maintained run hands them back for the next, which reads the
+    /// database it updates from through them.
+    pub(crate) indexes: IndexCache,
     /// Interned documents; spans in any relation point here.
     pub docs: DocumentStore,
 }
@@ -72,6 +80,7 @@ impl Database {
             .insert(name.to_string(), relation.schema().clone());
         self.relations.insert(name.to_string(), relation);
         self.derived_marks.remove(name);
+        self.indexes.forget(name);
         self.bump(name);
     }
 
@@ -162,13 +171,67 @@ impl Database {
     /// the fixpoint put there — host-asserted facts and documents are
     /// preserved.
     pub fn clear_derived(&mut self) {
-        self.relations
-            .retain(|name, _| self.extensional.contains_key(name));
+        self.relations.retain(|name, _| {
+            let keep = self.extensional.contains_key(name);
+            if !keep {
+                self.indexes.forget(name);
+            }
+            keep
+        });
         for (name, marks) in self.derived_marks.drain() {
             if let Some(rel) = self.relations.get_mut(&name).filter(|_| !marks.is_empty()) {
-                rel.retain(|id, _| !marks.contains(&id));
+                let new_ids = rel.retain(|id, _| !marks.contains(&id));
+                self.indexes.renumber(&name, &new_ids);
             }
         }
+    }
+
+    /// A copy that leaves out what [`Database::clear_derived`] would drop
+    /// from it — for a full evaluation over a database a snapshot still
+    /// shares, which would otherwise copy every derived row to drop it.
+    fn without_derived(&self) -> Database {
+        let mut copy = Database {
+            relations: (self.relations.iter())
+                .filter(|(name, _)| self.extensional.contains_key(*name))
+                .map(|(name, rel)| (name.clone(), rel.clone()))
+                .collect(),
+            extensional: self.extensional.clone(),
+            generations: self.generations.clone(),
+            tick: self.tick,
+            derived_marks: self.derived_marks.clone(),
+            indexes: IndexCache::default(),
+            docs: self.docs.clone(),
+        };
+        copy.clear_derived();
+        copy
+    }
+
+    /// Removes the rows of `gone` — all of them when `None` — from the
+    /// derived relation `name`, and drops the relation once it is empty,
+    /// as a full evaluation that derives nothing into it leaves it
+    /// absent. Returns the new id of every old row, for the indexes of
+    /// whoever holds them — an evaluation run, which has borrowed the
+    /// database's.
+    pub(crate) fn remove_derived(
+        &mut self,
+        name: &str,
+        gone: Option<&Relation>,
+    ) -> Vec<Option<usize>> {
+        let Some(rel) = self.relations.get_mut(name) else {
+            return Vec::new();
+        };
+        let mut keep = vec![gone.is_some(); rel.len()];
+        for id in gone
+            .into_iter()
+            .flat_map(|gone| gone.iter().filter_map(|row| rel.row_id(row)))
+        {
+            keep[id] = false;
+        }
+        let new_ids = rel.retain(|id, _| keep[id]);
+        if rel.is_empty() {
+            self.relations.remove(name);
+        }
+        new_ids
     }
 
     /// Removes a relation entirely. Returns `true` when it existed.
@@ -176,6 +239,7 @@ impl Database {
         let existed = self.relations.remove(name).is_some();
         self.extensional.remove(name);
         self.derived_marks.remove(name);
+        self.indexes.forget(name);
         if existed {
             self.bump(name);
         }
@@ -191,6 +255,18 @@ impl Database {
     pub fn relations(&self) -> &FxHashMap<String, Relation> {
         &self.relations
     }
+}
+
+/// `db` without its derived rows and shared with nobody, as a full
+/// evaluation starts from: cleared in place, or — when a snapshot still
+/// shares it — replaced by a copy of what it keeps, not of everything.
+pub(crate) fn cleared(db: &mut Arc<Database>) -> &mut Database {
+    if Arc::get_mut(db).is_none() {
+        *db = Arc::new(db.without_derived());
+    }
+    let db = Arc::make_mut(db);
+    db.clear_derived();
+    db
 }
 
 #[cfg(test)]
@@ -318,6 +394,21 @@ mod tests {
             db.relation("E").unwrap().contains(&t(&[1])),
             "replacement content is all fact-provenance"
         );
+    }
+
+    #[test]
+    fn without_derived_copies_what_clear_derived_keeps() {
+        let mut db = Database::new();
+        db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
+        db.insert("E", t(&[1])).unwrap();
+        db.insert_derived("E", t(&[2])).unwrap();
+        db.insert_derived("D", t(&[3])).unwrap();
+        db.docs.intern("kept");
+        let copy = db.without_derived();
+        db.clear_derived();
+        assert_eq!(copy.relations(), db.relations());
+        assert_eq!(copy.generation("E"), db.generation("E"));
+        assert_eq!(copy.docs.lookup("kept"), db.docs.lookup("kept"));
     }
 
     #[test]

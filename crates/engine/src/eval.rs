@@ -32,6 +32,7 @@
 use crate::database::Database;
 use crate::error::{EngineError, LimitCulprit, Result};
 use crate::ie::SharedDocs;
+use crate::maintain::{EvalMode, Maintenance};
 use crate::optimizer::IndexCache;
 use crate::plan::{self, ExecCtx, ParTally, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
@@ -172,6 +173,9 @@ pub struct EvalStats {
     pub tuples_derived: usize,
     /// Tuples that were actually new.
     pub tuples_new: usize,
+    /// Whether the run re-derived everything or maintained the previous
+    /// result, and why or from how many changed rows.
+    pub mode: EvalMode,
 }
 
 /// Everything one evaluation run needs besides the database, the
@@ -193,7 +197,7 @@ pub struct EvalCtx<'a> {
 }
 
 /// The state of one evaluation run, shared by every component.
-struct Run<'a> {
+pub(crate) struct Run<'a> {
     strategy: EvalStrategy,
     limits: EvalLimits,
     trace: &'a mut RunTrace,
@@ -201,15 +205,15 @@ struct Run<'a> {
     /// Rounds charged against [`EvalLimits::max_rounds`].
     charged_rounds: usize,
     /// The execution environment of a full firing; delta variants
-    /// override `delta`.
-    exec: ExecCtx<'a>,
+    /// override `delta`, maintenance variants `seed`.
+    pub(crate) exec: ExecCtx<'a>,
 }
 
 /// The component a [`Run`] is currently evaluating: its index, span,
 /// and per-rule profiling handles.
-struct Scope<'a> {
-    component: &'a Component,
-    index: usize,
+pub(crate) struct Scope<'a> {
+    pub(crate) component: &'a Component,
+    pub(crate) index: usize,
     rule_ids: Vec<usize>,
     span: SpanId,
     /// Last rule to derive a new tuple — the round-limit culprit.
@@ -218,7 +222,12 @@ struct Scope<'a> {
 
 /// Per-round deltas of a recursive component's predicates: the row ids
 /// a round appended to each (relations are append-only arenas).
-type Deltas = FxHashMap<String, Range<usize>>;
+pub(crate) type Deltas = FxHashMap<String, Range<usize>>;
+
+/// One rule firing of a round: the index of the rule in its component,
+/// the plan that runs — the rule's own or a variant of it — and where
+/// its scans read.
+pub(crate) type Firing<'p, 'x> = (usize, &'p RulePlan, ExecCtx<'x>);
 
 /// Whether the compile-time split-correctness analysis cleared `rule`
 /// for shard-parallel execution.
@@ -226,19 +235,31 @@ fn rule_is_parallel(rule: &RulePlan) -> bool {
     rule.opt.as_ref().is_some_and(|o| o.split.is_parallel())
 }
 
-/// The document store on loan to one evaluation: behind the
-/// [`SharedDocs`] lock while rules fire, moved back into the database
-/// when the guard drops — on return, on error, and when an IE function's
-/// panic unwinds through the run (from the calling thread or re-raised
-/// from a shard), so spans handed out before the run keep resolving.
-struct LentDocs<'a> {
+/// The document store and the indexes on loan to one evaluation: the
+/// documents behind the [`SharedDocs`] lock while rules fire, both moved
+/// back into the database when the guard drops — on return, on error,
+/// and when an IE function's panic unwinds through the run (from the
+/// calling thread or re-raised from a shard), so spans handed out before
+/// the run keep resolving. The run keeps the indexes valid: it only
+/// appends rows, or renumbers the indexes of what it shrinks. A full
+/// run's indexes go with it (`keep` unset): only the run after a
+/// maintained one reads the database through them again.
+struct Lent<'a> {
     db: &'a mut Database,
     docs: SharedDocs,
+    indexes: IndexCache,
+    keep: bool,
 }
 
-impl Drop for LentDocs<'_> {
+impl Drop for Lent<'_> {
     fn drop(&mut self) {
         self.db.docs = std::mem::take(&mut *self.docs.write());
+        let indexes = std::mem::take(&mut self.indexes);
+        self.db.indexes = if self.keep {
+            indexes
+        } else {
+            IndexCache::default()
+        };
     }
 }
 
@@ -252,26 +273,44 @@ impl Drop for LentDocs<'_> {
 /// For the duration of the run the documents sit behind a
 /// [`SharedDocs`] lock — IE functions resolve and intern through it on
 /// the calling thread exactly as on shard workers — and move back on
-/// every exit (see the threading contract in `crate::session`).
+/// every exit (see the threading contract in `crate::session`), as do
+/// the database's indexes, which the run reads and extends.
 pub fn evaluate(
     db: &mut Database,
     components: &[Component],
     ctx: &EvalCtx<'_>,
     trace: &mut RunTrace,
 ) -> Result<EvalStats> {
-    let lent = LentDocs {
+    run(db, components, ctx, trace, None)
+}
+
+/// [`evaluate`] — or, given `maintenance`, the update of the derived
+/// relations `db` already holds to the inputs it holds now, component by
+/// component from the rows that changed (`crate::maintain`).
+pub(crate) fn run(
+    db: &mut Database,
+    components: &[Component],
+    ctx: &EvalCtx<'_>,
+    trace: &mut RunTrace,
+    mut maintenance: Option<Maintenance<'_>>,
+) -> Result<EvalStats> {
+    let lent = Lent {
         docs: SharedDocs::new(std::mem::take(&mut db.docs)),
+        indexes: std::mem::take(&mut db.indexes),
+        keep: maintenance.is_some(),
         db,
     };
     let db = &mut *lent.db;
     let production = ctx.strategy == EvalStrategy::SemiNaive;
     let workers = if production { ctx.workers } else { 0 };
     let tally = ParTally::default();
-    // One scan-index cache per evaluation run: relations only grow
-    // while a run executes (derived state was cleared before it), so
-    // row ids are stable and an index is extended, never rebuilt,
-    // across fixpoint rounds, rules, and components.
-    let index_cache = IndexCache::default();
+    // The database's indexes serve the whole run: relations only grow
+    // while it executes (derived state was cleared before it, or
+    // maintenance renumbers what it shrinks), so row ids are stable and
+    // an index is extended, never rebuilt, across fixpoint rounds, rules,
+    // and components.
+    let index_cache = &lent.indexes;
+    let (hits, builds) = (index_cache.hits(), index_cache.builds());
     let mut run = Run {
         strategy: ctx.strategy,
         limits: ctx.limits,
@@ -281,8 +320,9 @@ pub fn evaluate(
         exec: ExecCtx {
             registry: ctx.registry,
             delta: None,
+            seed: None,
             cache: ctx.cache,
-            indexes: production.then_some(&index_cache),
+            indexes: production.then_some(index_cache),
             docs: &lent.docs,
             workers,
             tally: &tally,
@@ -292,17 +332,16 @@ pub fn evaluate(
     let root = run.trace.open(NO_SPAN, SpanKind::Execute, || {
         format!("evaluate ({} components)", components.len())
     });
-    let result = components
-        .iter()
-        .enumerate()
-        .try_for_each(|(index, component)| run.component(db, component, index, root));
+    let result = (components.iter().enumerate()).try_for_each(|(index, component)| {
+        run.component(db, component, index, root, maintenance.as_mut())
+    });
     if result.is_ok() {
         run.trace.close(root);
     }
     // The planner and parallel counters fold into the trace on both the
     // success and the abort path.
-    run.trace
-        .index_cache(index_cache.hits(), index_cache.builds());
+    let (hits, builds) = (index_cache.hits() - hits, index_cache.builds() - builds);
+    run.trace.index_cache(hits, builds);
     if workers > 1 {
         run.trace.parallel_summary(
             workers as u64,
@@ -319,13 +358,15 @@ pub fn evaluate(
 }
 
 impl Run<'_> {
-    /// Evaluates one component under its own trace scope.
+    /// Evaluates — or maintains — one component under its own trace
+    /// scope.
     fn component(
         &mut self,
         db: &mut Database,
         component: &Component,
         index: usize,
         root: SpanId,
+        maintenance: Option<&mut Maintenance<'_>>,
     ) -> Result<()> {
         let rules = &component.rules;
         let rule_ids = rules
@@ -346,10 +387,11 @@ impl Run<'_> {
             span,
             driver: None,
         };
-        let result = match (self.strategy, component.recursive) {
-            (EvalStrategy::Naive, _) => self.naive(db, &mut scope),
-            (EvalStrategy::SemiNaive, false) => self.round(db, &mut scope, None).map(drop),
-            (EvalStrategy::SemiNaive, true) => self.seminaive(db, &mut scope),
+        let result = match (maintenance, self.strategy, component.recursive) {
+            (Some(maintenance), ..) => maintenance.component(self, db, &mut scope),
+            (None, EvalStrategy::Naive, _) => self.naive(db, &mut scope),
+            (None, EvalStrategy::SemiNaive, false) => self.round(db, &mut scope, None).map(drop),
+            (None, EvalStrategy::SemiNaive, true) => self.seminaive(db, &mut scope),
         };
         self.trace.stratum_done(index, t0);
         self.trace.close(span);
@@ -365,17 +407,27 @@ impl Run<'_> {
 
     /// Round 1 fires every rule in full (everything read from outside
     /// the component is complete; its own relations hold at most
-    /// imported facts). Each later round fires, per rule and per scan
-    /// over a predicate of the component, the variant with that scan
-    /// reading the delta: the rows the round before appended.
-    fn seminaive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
-        let len = |db: &Database, head: &str| db.relation(head).map_or(0, |rel| rel.len());
-        let heads = scope.component.rules.iter().map(|r| &r.head_predicate);
-        let mut deltas: Deltas = heads.map(|h| (h.clone(), 0..len(db, h))).collect();
+    /// imported facts), and the delta loop takes it from there.
+    pub(crate) fn seminaive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
+        let ends = head_ends(db, scope);
         self.round(db, scope, None)?;
+        self.delta_rounds(db, scope, ends)
+    }
+
+    /// The delta loop of a recursive component, once its heads have grown
+    /// past `ends`: each round fires, per rule and per scan over a
+    /// predicate of the component, the variant with that scan reading
+    /// the delta — the rows the round before appended — until a round
+    /// appends nothing.
+    pub(crate) fn delta_rounds(
+        &mut self,
+        db: &mut Database,
+        scope: &mut Scope<'_>,
+        mut deltas: Deltas,
+    ) -> Result<()> {
         loop {
             for (head, delta) in &mut deltas {
-                *delta = delta.end..len(db, head);
+                *delta = delta.end..db.relation(head).map_or(0, |rel| rel.len());
             }
             if deltas.values().all(Range::is_empty) {
                 return Ok(());
@@ -385,26 +437,15 @@ impl Run<'_> {
     }
 
     /// One round over the component's rules: full firings, or — given
-    /// `deltas` — the delta variants. Checks the run's limits once the
-    /// round is over and returns whether anything new was derived.
+    /// `deltas` — the delta variants.
     fn round(
         &mut self,
         db: &mut Database,
         scope: &mut Scope<'_>,
         deltas: Option<&Deltas>,
     ) -> Result<bool> {
-        let component = scope.component;
-        self.stats.rounds += 1;
-        // Only a recursive component can run away; a long chain of
-        // non-recursive ones must not trip the guard meant for that.
-        self.charged_rounds += usize::from(component.recursive);
-        self.trace.round(scope.index);
-        let rounds = self.stats.rounds;
-        let round_span = self
-            .trace
-            .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
-        let mut changed = false;
-        for (ri, rule) in component.rules.iter().enumerate() {
+        let mut firings = Vec::new();
+        for (ri, rule) in scope.component.rules.iter().enumerate() {
             // `None` is the full firing; `Some((i, delta))` the variant
             // whose scan at step `i` — over a predicate of the component
             // — reads only `delta`.
@@ -418,22 +459,61 @@ impl Run<'_> {
                     .map(Some)
                     .collect(),
             };
-            for delta in variants {
+            firings.extend(variants.into_iter().map(|delta| {
                 let exec = ExecCtx { delta, ..self.exec };
-                let rule_span = self
-                    .trace
-                    .open(round_span, SpanKind::Rule, || rule.source.clone());
-                let mut tr = TraceCtx {
-                    trace: &mut *self.trace,
-                    rule: scope.rule_ids[ri],
-                    parent: rule_span,
-                };
-                let fired = fire_rule(db, rule, &exec, self.limits, &mut self.stats, &mut tr);
-                self.trace.close(rule_span);
-                if fired? {
-                    changed = true;
-                    scope.driver = Some(ri);
-                }
+                (ri, rule, exec)
+            }));
+        }
+        self.fire_round(db, None, scope, firings)
+    }
+
+    /// One round of `firings`, which read `reads` — `db` when `None` —
+    /// and insert what they derive into `db`. Checks the run's limits
+    /// once the round is over and returns whether anything new was
+    /// derived; a round with nothing to fire is no round.
+    pub(crate) fn fire_round(
+        &mut self,
+        db: &mut Database,
+        reads: Option<&Database>,
+        scope: &mut Scope<'_>,
+        firings: Vec<Firing<'_, '_>>,
+    ) -> Result<bool> {
+        if firings.is_empty() {
+            return Ok(false);
+        }
+        let component = scope.component;
+        self.stats.rounds += 1;
+        // Only a recursive component can run away; a long chain of
+        // non-recursive ones must not trip the guard meant for that.
+        self.charged_rounds += usize::from(component.recursive);
+        self.trace.round(scope.index);
+        let rounds = self.stats.rounds;
+        let round_span = self
+            .trace
+            .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
+        let mut changed = false;
+        for (ri, plan, exec) in firings {
+            let rule_span = self
+                .trace
+                .open(round_span, SpanKind::Rule, || plan.source.clone());
+            let mut tr = TraceCtx {
+                trace: &mut *self.trace,
+                rule: scope.rule_ids[ri],
+                parent: rule_span,
+            };
+            let fired = fire_rule(
+                reads,
+                db,
+                plan,
+                &exec,
+                self.limits,
+                &mut self.stats,
+                &mut tr,
+            );
+            self.trace.close(rule_span);
+            if fired? {
+                changed = true;
+                scope.driver = Some(ri);
             }
         }
         self.trace.close(round_span);
@@ -447,12 +527,13 @@ impl Run<'_> {
     }
 }
 
-/// Executes one rule plan and inserts its derivations — the new ones go
-/// to the end of the head's arena, which is all a delta needs —
-/// reporting the firing to the trace (also on the limit-abort path, so
-/// an aborted run still profiles the culprit's partial work). Returns
-/// whether any tuple was new.
+/// Executes one rule plan over `reads` (`db` when `None`) and inserts its
+/// derivations into `db` — the new ones go to the end of the head's
+/// arena, which is all a delta needs — reporting the firing to the trace
+/// (also on the limit-abort path, so an aborted run still profiles the
+/// culprit's partial work). Returns whether any tuple was new.
 fn fire_rule(
+    reads: Option<&Database>,
     db: &mut Database,
     rule: &RulePlan,
     exec: &ExecCtx<'_>,
@@ -462,7 +543,8 @@ fn fire_rule(
 ) -> Result<bool> {
     stats.rule_firings += 1;
     let t0 = tr.trace.now_ns();
-    let derived = match plan::execute_with(rule, db.relations(), exec, tr) {
+    let relations = reads.unwrap_or(db).relations();
+    let derived = match plan::execute_with(rule, relations, exec, tr) {
         Ok(d) => d,
         Err(e) => {
             tr.trace.rule_fired(tr.rule, 0, 0, t0);
@@ -485,4 +567,12 @@ fn fire_rule(
     tr.trace
         .rule_fired(tr.rule, derived.len() as u64, new_n as u64, t0);
     within.map(|()| new_n > 0)
+}
+
+/// The current end of every head relation of the scope's component: the
+/// deltas the delta loop starts from.
+pub(crate) fn head_ends(db: &Database, scope: &Scope<'_>) -> Deltas {
+    let heads = scope.component.rules.iter().map(|r| &r.head_predicate);
+    let len = |head: &str| db.relation(head).map_or(0, |rel| rel.len());
+    heads.map(|h| (h.clone(), 0..len(h))).collect()
 }

@@ -27,6 +27,9 @@
 //!   semi-naive rounds inside recursive ones; naive bottom-up evaluation
 //!   — the algorithm the paper's implementation uses — is kept
 //!   observationally equivalent (property-tested) as the reference.
+//! * [`maintain`] updates the derived relations after a write from the
+//!   input rows that changed (delete-and-rederive, the delta loop)
+//!   instead of evaluating again from scratch.
 //! * [`builtins`] registers the `rgx` family and the string/span/number
 //!   helper functions the paper's examples assume.
 //! * [`Session`] is the host-facing object: import/export DataFrames,
@@ -41,6 +44,7 @@ pub mod database;
 pub mod error;
 pub mod eval;
 pub mod ie;
+pub mod maintain;
 pub mod optimizer;
 pub mod plan;
 pub mod prepared;
@@ -54,6 +58,7 @@ pub use database::Database;
 pub use error::{EngineError, LimitCulprit, Result};
 pub use eval::{EvalLimits, EvalStats, EvalStrategy};
 pub use ie::{filter_output, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
+pub use maintain::{EvalMode, FullReason};
 pub use optimizer::SplitClass;
 pub use prepared::{
     CompiledProgram, PreparedProgram, PreparedQuery, ShardPlan, ShardRule, Snapshot,

@@ -1,0 +1,592 @@
+//! Incremental maintenance: after a write, a `SemiNaive` session updates
+//! the derived relations it holds from the input rows that changed,
+//! instead of dropping them and deriving everything again.
+//!
+//! The session keeps the database as of its last successful evaluation
+//! — the *old* database, an `Arc` its snapshots already share, unless
+//! no evaluation of the program can be maintained (`basis`). When the
+//! program is the one that evaluation ran and only input relations
+//! moved, the rows each moved input gained and lost — a diff of its old
+//! and new rows, so an identical re-import changes nothing — seed the
+//! update. Every component, in evaluation order, turns the changes of
+//! what it reads into the changes of its heads, which seed the
+//! components that read those; a component no seed reaches is left
+//! alone.
+//!
+//! * A non-recursive component runs delete-and-rederive (DRed; Gupta,
+//!   Mumick & Subrahmanian, SIGMOD 1993) over *seeded variants*: a rule
+//!   with one of its atoms reading the rows that changed. A negated atom
+//!   is a seed like a positive one with the roles swapped — rows it gains
+//!   delete, rows it loses insert — and its variant joins a positive scan
+//!   of them to the rule, negation included.
+//!   1. Over-delete: the variants whose atom reads what it lost, every
+//!      other atom reading the old database, derive each head one of
+//!      whose old derivations no longer holds. An atom that binds head
+//!      variables over-deletes by key instead: every head that agrees
+//!      with a lost row there, a superset found by index lookups without
+//!      calling an IE function again.
+//!   2. Those heads leave the relation.
+//!   3. Rederive: the ones a `Cand(head) ⋈ body` plan still derives over
+//!      the new database come back.
+//!   4. Insert: the variants whose atom reads what it gained, every other
+//!      atom reading the new database, add the new derivations.
+//! * A recursive component that only gained input rows continues the
+//!   semi-naive delta loop from its seeded variants (Peterfreund et al.,
+//!   *Recursive Programs for Document Spanners*, for spanner programs).
+//! * An aggregating component, a recursive one that lost input rows, and
+//!   one a key would over-delete most of derive their heads again from
+//!   their maintained inputs.
+//!
+//! The over-delete calls IE functions over removed rows again and needs
+//! the answers the old run got — mostly from the memo — and the document
+//! ids their spans name: maintenance takes every IE function for pure
+//! and every document id for stable, and [`FullReason`] names each case
+//! where that, or anything else it relies on, does not hold. A
+//! maintained run fires on the calling thread.
+
+use crate::database::Database;
+use crate::error::Result;
+use crate::eval::{self, EvalCtx, EvalStats, EvalStrategy, Firing, Run, Scope};
+use crate::optimizer::{self, IndexCache, TupleIndex};
+use crate::plan::{ExecCtx, HeadOut, PTerm, RulePlan, Step};
+use crate::prepared::CompiledProgram;
+use crate::registry::Registry;
+use crate::strata::Component;
+use rustc_hash::FxHashMap;
+use spannerlib_core::{Relation, Value};
+use spannerlib_trace::{EvalProfile, RunTrace};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Why an evaluation derived everything again from its inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FullReason {
+    /// The session had not evaluated yet.
+    FirstEvaluation,
+    /// The rules, the registrations or the relation names changed since
+    /// the last evaluation, or it evaluated another program.
+    ProgramChanged,
+    /// The session evaluates with `EvalStrategy::Naive`, the reference.
+    NaiveStrategy,
+    /// The last evaluation failed or was aborted, so the derived
+    /// relations are partial.
+    PreviousRunFailed,
+    /// A rule derives into an extensional relation, where facts and
+    /// derived rows share one relation.
+    InputIsRuleHead,
+    /// The program calls an IE function the host registered as not
+    /// reusable (`register_uncached`): called again over a removed row,
+    /// it may not answer what it answered then.
+    UncachedFunction,
+    /// A compaction pass ran since the last evaluation: a removed row may
+    /// name a document that is gone.
+    DocumentsCompacted,
+    /// `Session::set_tracing` changed the trace level, which asks for
+    /// the profile of a full run.
+    TracingChanged,
+}
+
+impl FullReason {
+    /// A short description, as profiles print it.
+    pub fn describe(self) -> &'static str {
+        match self {
+            FullReason::FirstEvaluation => "first evaluation",
+            FullReason::ProgramChanged => "program changed",
+            FullReason::NaiveStrategy => "naive strategy",
+            FullReason::PreviousRunFailed => "previous run failed",
+            FullReason::InputIsRuleHead => "input relation is a rule head",
+            FullReason::UncachedFunction => "program calls an uncached IE function",
+            FullReason::DocumentsCompacted => "documents compacted",
+            FullReason::TracingChanged => "trace level changed",
+        }
+    }
+}
+
+/// How an evaluation brought the derived relations up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvalMode {
+    /// Every derived relation dropped and derived again from the inputs.
+    Full(FullReason),
+    /// The derived relations updated from the input rows that changed.
+    Maintained {
+        /// Input rows added since the last evaluation.
+        added: usize,
+        /// Input rows removed since the last evaluation.
+        removed: usize,
+    },
+}
+
+impl Default for EvalMode {
+    fn default() -> Self {
+        EvalMode::Full(FullReason::FirstEvaluation)
+    }
+}
+
+impl EvalMode {
+    /// Writes the mode onto the run's profile.
+    pub(crate) fn record(self, profile: &mut EvalProfile) {
+        match self {
+            EvalMode::Full(reason) => profile.full_reason = Some(reason.describe().to_string()),
+            EvalMode::Maintained { added, removed } => {
+                profile.maintained = true;
+                profile.seed_rows_added = added as u64;
+                profile.seed_rows_removed = removed as u64;
+            }
+        }
+    }
+}
+
+/// The plans maintenance fires for one rule besides the rule itself,
+/// compiled once per program.
+#[derive(Debug)]
+pub(crate) struct RuleVariants {
+    /// `Cand(head) ⋈ body`: the rule behind a scan of candidate heads at
+    /// step 0, which binds the head variables a body scan binds. `None`
+    /// for an aggregating rule, which is recomputed.
+    rederive: Option<RulePlan>,
+    /// Per negated atom, by step: the rule with a positive scan of the
+    /// atom, over the rows its relation gained or lost, after its last
+    /// step. The negation stays: with a `_` in it, a lost row need not
+    /// make it hold, nor a gained one make it fail.
+    negated: Vec<(usize, RulePlan)>,
+    /// Per atom that binds head variables, by step: `(atom column, head
+    /// column)` for each. A derivation through a row of the atom derives
+    /// a head that agrees with the row there.
+    keys: Vec<(usize, Vec<(usize, usize)>)>,
+}
+
+/// The variants of every rule of `components`, in their order.
+pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
+    let of = |rule: &RulePlan| {
+        let with = |at: usize, scan: Step| {
+            let mut plan = rule.clone();
+            plan.steps.insert(at, scan);
+            optimizer::annotate(&mut plan);
+            plan
+        };
+        // A head variable only an IE output binds is no join key: the
+        // plan would pair every candidate with every binding of the rest
+        // of the body. Reading it as `_` rederives, instead, every head
+        // the candidates' other columns reach — more than the candidates,
+        // but all of it derivable.
+        let scanned = |v: &usize| {
+            let scans = rule.steps.iter().filter_map(|s| match s {
+                Step::Scan { terms, .. } => Some(terms),
+                _ => None,
+            });
+            scans.flatten().any(|t| *t == PTerm::Var(*v))
+        };
+        let head: Option<Vec<PTerm>> = (rule.head.iter())
+            .map(|h| match h {
+                HeadOut::Var(v) if scanned(v) => Some(PTerm::Var(*v)),
+                HeadOut::Var(_) => Some(PTerm::Wildcard),
+                HeadOut::Const(c) => Some(PTerm::Const(c.clone())),
+                HeadOut::Aggregate { .. } => None,
+            })
+            .collect();
+        let relation = rule.head_predicate.clone();
+        let negated = (rule.steps.iter().enumerate()).filter_map(|(i, step)| match step {
+            Step::Negation { relation, terms } => {
+                let (relation, terms) = (relation.clone(), terms.clone());
+                Some((i, with(rule.steps.len(), Step::Scan { relation, terms })))
+            }
+            _ => None,
+        });
+        let head_col = |t: &PTerm| {
+            (rule.head.iter())
+                .position(|h| matches!((h, t), (HeadOut::Var(h), PTerm::Var(v)) if h == v))
+        };
+        let keys = (rule.steps.iter().enumerate()).filter_map(|(i, step)| match step {
+            Step::Scan { terms, .. } | Step::Negation { terms, .. } => {
+                let cols = terms.iter().enumerate();
+                let cols: Vec<_> = cols.filter_map(|(c, t)| Some((c, head_col(t)?))).collect();
+                (!cols.is_empty()).then_some((i, cols))
+            }
+            _ => None,
+        });
+        RuleVariants {
+            rederive: head.map(|terms| with(0, Step::Scan { relation, terms })),
+            negated: negated.collect(),
+            keys: keys.collect(),
+        }
+    };
+    let rules = |c: &Component| c.rules.iter().map(of).collect();
+    components.iter().map(rules).collect()
+}
+
+/// The rows a relation gained and lost since the last evaluation.
+#[derive(Debug)]
+struct Change {
+    added: Relation,
+    removed: Relation,
+}
+
+impl Change {
+    /// `None` when nothing changed.
+    fn of(added: Relation, removed: Relation) -> Option<Change> {
+        (!added.is_empty() || !removed.is_empty()).then_some(Change { added, removed })
+    }
+
+    /// What `new` holds and `old` lacks, and the reverse — hashing each
+    /// row of `new` once, and none of `old`.
+    fn between(old: Option<&Relation>, new: Option<&Relation>) -> Option<Change> {
+        let mut kept = vec![false; old.map_or(0, Relation::len)];
+        let mut lacks = |row: &[Value]| match old.and_then(|old| old.row_id(row)) {
+            Some(id) => {
+                kept[id] = true;
+                false
+            }
+            None => true,
+        };
+        let added = new.map_or_else(Relation::default, |new| {
+            new.subset((0..new.len()).filter(|&id| lacks(new.rows().row(id))))
+        });
+        let removed = old.map_or_else(Relation::default, |old| {
+            old.subset((0..old.len()).filter(|&id| !kept[id]))
+        });
+        Change::of(added, removed)
+    }
+}
+
+/// The rows of `rel` with ids in `ids` that `other` lacks.
+fn missing(rel: Option<&Relation>, ids: Range<usize>, other: Option<&Relation>) -> Relation {
+    let Some(rel) = rel else {
+        return Relation::default();
+    };
+    let lacks = |id: &usize| other.is_none_or(|other| other.row_id(rel.rows().row(*id)).is_none());
+    rel.subset(ids.filter(lacks))
+}
+
+/// What a maintained evaluation starts from: the database the last one
+/// left and what each moved input gained and lost since.
+pub(crate) struct Seeds {
+    old: Arc<Database>,
+    changes: FxHashMap<String, Change>,
+}
+
+/// What the evaluation of `program` that just left `db` hands the next
+/// one to maintain: `db` itself — or, when no evaluation of `program`
+/// under `strategy` can be maintained whatever the inputs do, why not,
+/// so that the session holds no second reference and a write changes
+/// `db` in place. A registration or a new rule resets it
+/// ([`FullReason::ProgramChanged`]).
+pub(crate) fn basis(
+    db: &Arc<Database>,
+    program: &CompiledProgram,
+    registry: &Registry,
+    strategy: EvalStrategy,
+) -> std::result::Result<Arc<Database>, FullReason> {
+    if strategy == EvalStrategy::Naive {
+        return Err(FullReason::NaiveStrategy);
+    }
+    let mut rules = program.components.iter().flat_map(|c| &c.rules);
+    if rules.clone().any(|r| db.is_extensional(&r.head_predicate)) {
+        return Err(FullReason::InputIsRuleHead);
+    }
+    let impure = |s: &Step| matches!(s, Step::Ie { function, .. } if !registry.is_pure(function));
+    if rules.any(|r| r.steps.iter().any(impure)) {
+        return Err(FullReason::UncachedFunction);
+    }
+    Ok(Arc::clone(db))
+}
+
+/// The seeds of the next evaluation of `program` over `db`, or why it
+/// must run in full. `old` is the [`basis`] the previous evaluation left,
+/// and `last` the id of the program that evaluation ran and the
+/// generations of its inputs then.
+pub(crate) fn seeds(
+    old: std::result::Result<Arc<Database>, FullReason>,
+    last: Option<(u64, &[u64])>,
+    db: &Database,
+    program: &CompiledProgram,
+) -> std::result::Result<Seeds, FullReason> {
+    let old = old?;
+    let inputs = &program.input_relations;
+    let same = |&(id, gens): &(u64, &[u64])| id == program.id && gens.len() == inputs.len();
+    let (_, gens) = last.filter(same).ok_or(FullReason::ProgramChanged)?;
+    if old.docs.epoch() != db.docs.epoch() {
+        return Err(FullReason::DocumentsCompacted);
+    }
+    let moved = inputs
+        .iter()
+        .zip(gens)
+        .filter(|(name, gen)| db.generation(name) != **gen);
+    let change = |name: &String| Change::between(old.relations().get(name), db.relation(name).ok());
+    let changes = moved.filter_map(|(name, _)| Some((name.clone(), change(name)?)));
+    let changes = changes.collect();
+    Ok(Seeds { old, changes })
+}
+
+impl Seeds {
+    /// The mode the maintained run reports.
+    pub(crate) fn mode(&self) -> EvalMode {
+        let count =
+            |side: fn(&Change) -> &Relation| self.changes.values().map(|c| side(c).len()).sum();
+        EvalMode::Maintained {
+            added: count(|c| &c.added),
+            removed: count(|c| &c.removed),
+        }
+    }
+
+    /// Brings the derived relations of `db` — the old database's, under
+    /// the inputs `db` holds now — up to date under `program`.
+    pub(crate) fn run(
+        self,
+        db: &mut Database,
+        program: &CompiledProgram,
+        ctx: &EvalCtx<'_>,
+        trace: &mut RunTrace,
+    ) -> Result<EvalStats> {
+        // `db` copied the old database's indexes along with its rows when
+        // the write copied them; the old one hands them over, and builds
+        // what few an exact over-delete asks it for again.
+        self.old.indexes.clear();
+        let maintenance = Maintenance {
+            old: &self.old,
+            variants: &program.variants,
+            changes: self.changes,
+        };
+        // Firings over a few changed rows: a shard's fixed cost (a thread,
+        // a trace fork and a batch per range) outweighs what another lane
+        // saves them — on the two-core reference host even the insertions
+        // of 24 new notes run faster on one.
+        let ctx = EvalCtx { workers: 0, ..*ctx };
+        eval::run(db, &program.components, &ctx, trace, Some(maintenance))
+    }
+}
+
+/// The state of one maintained evaluation.
+pub(crate) struct Maintenance<'a> {
+    /// The database the run updates from, read through its own indexes.
+    old: &'a Database,
+    variants: &'a [Vec<RuleVariants>],
+    /// What every input and every head maintained so far gained and
+    /// lost: the seeds of the components after.
+    changes: FxHashMap<String, Change>,
+}
+
+impl Maintenance<'_> {
+    /// Maintains the scope's component and records what its heads
+    /// gained and lost.
+    pub(crate) fn component(
+        &mut self,
+        run: &mut Run<'_>,
+        db: &mut Database,
+        scope: &mut Scope<'_>,
+    ) -> Result<()> {
+        let component = scope.component;
+        let old_exec = ExecCtx {
+            delta: None,
+            indexes: Some(&self.old.indexes),
+            ..run.exec
+        };
+        let losses = self.seeded(scope.index, component, false);
+        let gains = self.seeded(scope.index, component, true);
+        if losses.is_empty() && gains.is_empty() {
+            return Ok(());
+        }
+        let gains = gains.iter().map(|s| s.firing(&run.exec)).collect();
+        let recompute = component.recursive && !losses.is_empty();
+        if recompute || component.rules.iter().any(RulePlan::has_aggregation) {
+            return self.recompute(run, db, scope);
+        }
+        if component.recursive {
+            let ends = eval::head_ends(db, scope);
+            run.fire_round(db, None, scope, gains)?;
+            run.delta_rounds(db, scope, ends.clone())?;
+            for (head, Range { end, .. }) in ends {
+                let rel = db.relation(&head).ok();
+                let grown = end..rel.map_or(end, Relation::len);
+                self.record(
+                    &head,
+                    Change::of(missing(rel, grown, None), Relation::default()),
+                );
+            }
+            return Ok(());
+        }
+
+        // Delete and rederive; a non-recursive component has one head,
+        // which holds its old rows until the removal below. A lost row of
+        // an atom that binds head variables over-deletes by key; when a
+        // key reaches most of the head, so would the rederivation, and
+        // deriving the head again costs less.
+        let head = &component.rules[0].head_predicate;
+        let old_head = db.relation(head).ok().zip(run.exec.indexes);
+        let by_key = |s: &Seeded<'_>| old_head.and_then(|(old, ix)| s.by_key(head, old, ix));
+        let keyed: Vec<_> = losses.iter().map(by_key).collect();
+        let most = old_head.map_or(0, |(old, _)| old.len()) / 2;
+        if keyed.iter().flatten().any(|heads| heads.len() > most) {
+            return self.recompute(run, db, scope);
+        }
+        let mut over = Database::new();
+        let mut exact = Vec::new();
+        for (seeded, keyed) in losses.iter().zip(keyed) {
+            match keyed {
+                Some(heads) => heads
+                    .iter()
+                    .try_for_each(|row| over.insert_derived(head, row).map(drop))?,
+                None => exact.push(seeded.firing(&old_exec)),
+            }
+        }
+        run.fire_round(&mut over, Some(self.old), scope, exact)?;
+        let over = over.relation(head).ok();
+        if let Some(over) = over {
+            let new_ids = db.remove_derived(head, Some(over));
+            renumber(run, head, &new_ids);
+        }
+        // What the head holds past `kept` is rederived or inserted — and
+        // a rederivation may reach heads the old database lacked.
+        let kept = db.relation(head).map_or(0, Relation::len);
+        if let Some(over) = over {
+            let rederive = self.variants[scope.index].iter().enumerate();
+            let rederive = rederive.filter_map(|(ri, variants)| {
+                let exec = ExecCtx {
+                    delta: None,
+                    seed: Some((0, over)),
+                    ..run.exec
+                };
+                Some((ri, variants.rederive.as_ref()?, exec))
+            });
+            let rederive = rederive.collect();
+            run.fire_round(db, None, scope, rederive)?;
+        }
+        run.fire_round(db, None, scope, gains)?;
+        let (old, new) = (self.old.relations().get(head), db.relation(head).ok());
+        let added = missing(new, kept..new.map_or(0, Relation::len), old);
+        let removed = missing(over, 0..over.map_or(0, Relation::len), new);
+        self.record(head, Change::of(added, removed));
+        Ok(())
+    }
+
+    /// The seeded variants of the rules of `component` — the one at
+    /// `index`: per atom reading a changed relation, the plan with a scan
+    /// of what it lost or, for `gains`, what it gained (the other way
+    /// round for a negated atom).
+    fn seeded<'s>(
+        &'s self,
+        index: usize,
+        component: &'s Component,
+        gains: bool,
+    ) -> Vec<Seeded<'s>> {
+        let mut seeded = Vec::new();
+        let rules = component.rules.iter().zip(&self.variants[index]);
+        for (ri, (rule, variants)) in rules.enumerate() {
+            for (i, step) in rule.steps.iter().enumerate() {
+                let (relation, terms, plan, at, positive) = match step {
+                    Step::Scan { relation, terms } => (relation, terms, rule, i, true),
+                    Step::Negation { relation, terms } => {
+                        let negated = variants.negated.iter().find(|(at, _)| *at == i);
+                        let Some((_, plan)) = negated else { continue };
+                        (relation, terms, plan, rule.steps.len(), false)
+                    }
+                    _ => continue,
+                };
+                let Some(change) = self.changes.get(relation) else {
+                    continue;
+                };
+                let rows = match positive == gains {
+                    true => &change.added,
+                    false => &change.removed,
+                };
+                // A relation of another arity fails the exact firing, which
+                // says so.
+                let key = variants.keys.iter().find(|(at, _)| *at == i);
+                let key = key.filter(|_| rows.schema().arity() == terms.len());
+                if !rows.is_empty() {
+                    let key = key.map(|(_, cols)| &cols[..]);
+                    seeded.push(Seeded {
+                        rule: ri,
+                        plan,
+                        at,
+                        rows,
+                        key,
+                    });
+                }
+            }
+        }
+        seeded
+    }
+
+    /// Derives the heads of the scope's component again from their
+    /// maintained inputs and records what they gained and lost.
+    fn recompute(
+        &mut self,
+        run: &mut Run<'_>,
+        db: &mut Database,
+        scope: &mut Scope<'_>,
+    ) -> Result<()> {
+        let heads = eval::head_ends(db, scope);
+        for head in heads.keys() {
+            let new_ids = db.remove_derived(head, None);
+            renumber(run, head, &new_ids);
+        }
+        run.seminaive(db, scope)?;
+        for head in heads.keys() {
+            let old = self.old.relations().get(head);
+            self.record(head, Change::between(old, db.relation(head).ok()));
+        }
+        Ok(())
+    }
+
+    /// Keeps what `head` gained and lost for the components after.
+    fn record(&mut self, head: &str, change: Option<Change>) {
+        if let Some(change) = change {
+            self.changes.insert(head.to_string(), change);
+        }
+    }
+}
+
+/// One atom of a rule over the rows its relation gained or lost.
+struct Seeded<'s> {
+    /// The rule's index in its component.
+    rule: usize,
+    /// The plan whose scan at step `at` reads `rows`.
+    plan: &'s RulePlan,
+    at: usize,
+    rows: &'s Relation,
+    /// `(atom column, head column)` per head variable the atom binds.
+    key: Option<&'s [(usize, usize)]>,
+}
+
+impl<'s> Seeded<'s> {
+    /// The variant's firing under `exec`.
+    fn firing(&self, exec: &ExecCtx<'s>) -> Firing<'s, 's> {
+        let exec = ExecCtx {
+            delta: None,
+            seed: Some((self.at, self.rows)),
+            ..*exec
+        };
+        (self.rule, self.plan, exec)
+    }
+
+    /// The over-delete by key, for an atom that binds head variables:
+    /// every head of `old` — stored as `head`, indexed by `indexes` —
+    /// that agrees with one of the rows on them, which is all a
+    /// derivation through the rows can have derived, found without
+    /// calling an IE function again. `None` when the atom binds no head
+    /// variable.
+    fn by_key<'h>(
+        &self,
+        head: &str,
+        old: &'h Relation,
+        indexes: &IndexCache,
+    ) -> Option<Vec<&'h [Value]>> {
+        let key = self.key?;
+        let head_cols: Vec<usize> = key.iter().map(|&(_, h)| h).collect();
+        let atom_cols: Vec<usize> = key.iter().map(|&(c, _)| c).collect();
+        let index = indexes.index(head, old, &head_cols);
+        let rows = self.rows.rows();
+        let keys = TupleIndex::build(rows, 0..rows.len(), &atom_cols);
+        let firsts = keys.groups().iter().map(|ids| rows.row(ids[0]));
+        let found = firsts.map(|row| index.get(old.rows(), atom_cols.iter().map(|&c| &row[c])));
+        Some(found.flatten().map(|&id| old.rows().row(id)).collect())
+    }
+}
+
+/// Carries the run's indexes of `relation` through the renumbering of
+/// its rows.
+fn renumber(run: &Run<'_>, relation: &str, new_ids: &[Option<usize>]) {
+    if let Some(indexes) = run.exec.indexes {
+        indexes.renumber(relation, new_ids);
+    }
+}

@@ -16,14 +16,16 @@
 //!   known, at the **cardinality cost**: filters first, then IE calls,
 //!   then scans by estimated fan-out (relation size discounted per
 //!   bound join column).
-//! * [`IndexCache`] keeps the hash indexes keyed scan joins probe
-//!   ([`TupleIndex`]: key → row ids) alive for the whole evaluation
-//!   run, one per `(relation, key columns)`. Within one run relations
-//!   only grow (their extensional generation is fixed and derived
-//!   inserts append to the arena), so row ids are stable and an index
-//!   is *extended* by the rows appended since it was last asked for:
-//!   fixpoint rounds and sibling rules share it, and a recursive
-//!   relation is never re-indexed from its first row.
+//! * [`IndexCache`] keeps the hash indexes keyed scan joins and
+//!   anti-joins probe ([`TupleIndex`]: key → row ids) alive for a whole
+//!   evaluation run — and, after a maintained one, for the next — one per
+//!   `(relation, key columns)`. Relations mostly grow (derived inserts
+//!   append to the arena), so row ids are stable and an index is
+//!   *extended* by the rows appended since it was last asked for:
+//!   fixpoint rounds, sibling rules and maintained evaluations share it,
+//!   and a recursive relation is never re-indexed from its first row. A
+//!   relation that is replaced drops its indexes; one that loses rows
+//!   renumbers them.
 //!
 //! Every safe order is observationally equivalent: scans, negations
 //! and comparisons are pure, IE functions are stateless mappings of
@@ -372,6 +374,23 @@ impl TupleIndex {
         &self.groups
     }
 
+    /// Follows its store through a renumbering: `new_ids[id]` is the new
+    /// id of row `id`, `None` once it is gone, and the kept rows keep
+    /// their order. No key is hashed again.
+    pub(crate) fn renumber(&mut self, new_ids: &[Option<usize>]) {
+        let mut new_group = Vec::with_capacity(self.groups.len());
+        let mut kept = 0;
+        self.groups.retain_mut(|ids| {
+            ids.retain_mut(|id| new_ids[*id].map(|new| *id = new).is_some());
+            let keeps = !ids.is_empty();
+            new_group.push(keeps.then_some(kept));
+            kept += usize::from(keeps);
+            keeps
+        });
+        self.keys = self.keys.renumber(|g| new_group[g]);
+        self.end = new_ids[..self.end].iter().flatten().count();
+    }
+
     /// The ids of the rows whose key is `key`: a cell per key column.
     pub fn get<'a>(&self, rows: &Rows, key: impl Iterator<Item = &'a Value> + Clone) -> &[usize] {
         let group = self.keys.find(hash_cells(key.clone()), |g| {
@@ -385,18 +404,32 @@ impl TupleIndex {
 /// `(relation, key columns)`.
 type IndexKey = (String, Vec<usize>);
 
-/// The hash indexes over one database's relations: an evaluation run
-/// has one, and a `Snapshot` and its clones share one across reader
-/// threads. Relations only grow while a run executes (see the module
-/// docs) and not at all once frozen, so no index is ever rebuilt: a
-/// request that finds one short of the relation's rows extends it, under
-/// the write lock — in place, as nothing holds an index from one firing
-/// to the next; every other request takes the read lock only.
+/// The hash indexes over one database's relations: a `Database` carries
+/// one, which its evaluation runs borrow and a maintained run hands on to
+/// the next, and a `Snapshot` and its clones share one across reader
+/// threads. Relations
+/// only grow while a run executes (see the module docs; a maintained run
+/// renumbers what it shrinks) and not at all once frozen, so no index is
+/// ever rebuilt: a request that finds one short of the relation's rows
+/// extends it, under the write lock — in place unless a clone of the
+/// cache shares it; every other request takes the read lock only.
 #[derive(Debug, Default)]
 pub struct IndexCache {
     entries: RwLock<FxHashMap<IndexKey, Arc<TupleIndex>>>,
     hits: AtomicU64,
     builds: AtomicU64,
+}
+
+impl Clone for IndexCache {
+    /// The same indexes — shared until either cache changes one — and no
+    /// requests counted yet.
+    fn clone(&self) -> Self {
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
+        IndexCache {
+            entries: RwLock::new(entries.clone()),
+            ..IndexCache::default()
+        }
+    }
 }
 
 impl IndexCache {
@@ -426,6 +459,31 @@ impl IndexCache {
         index.clone()
     }
 
+    /// Drops every index of `relation`, whose rows were replaced.
+    pub(crate) fn forget(&self, relation: &str) {
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        entries.retain(|(name, _), _| name != relation);
+    }
+
+    /// Follows `relation` through a renumbering of its rows (see
+    /// [`TupleIndex::renumber`]).
+    pub(crate) fn renumber(&self, relation: &str, new_ids: &[Option<usize>]) {
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        for ((name, _), index) in entries.iter_mut() {
+            if name == relation {
+                Arc::make_mut(index).renumber(new_ids);
+            }
+        }
+    }
+
+    /// Drops every index, so that the indexes a clone of this cache
+    /// shares with it are the clone's alone, to extend and renumber in
+    /// place.
+    pub(crate) fn clear(&self) {
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        entries.clear();
+    }
+
     /// Requests answered by an index that already existed.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -434,5 +492,33 @@ impl IndexCache {
     /// Indexes created.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spannerlib_core::{Schema, Tuple, ValueType};
+
+    /// An index carried through a removal answers every key as one built
+    /// over the rows left — groups that lose every row included — and
+    /// keeps taking in rows appended after.
+    #[test]
+    fn a_renumbered_index_equals_a_rebuilt_one() {
+        let row = |k: i64, v: i64| Tuple::new([Value::Int(k), Value::Int(v)]);
+        let schema = Schema::new(vec![ValueType::Int; 2]);
+        let tuples = (0..40).map(|v| row(v % 7, v));
+        let mut rel = Relation::from_tuples(schema, tuples).unwrap();
+        let mut index = TupleIndex::build(rel.rows(), 0..30, &[0]);
+        let new_ids = rel.retain(|_, r| r[0] != Value::Int(3) && r[1].as_int().unwrap() % 5 != 0);
+        index.renumber(&new_ids);
+        rel.insert(row(3, 100)).unwrap();
+        index.extend(rel.rows(), rel.len());
+        let rebuilt = TupleIndex::build(rel.rows(), 0..rel.len(), &[0]);
+        for k in 0..8 {
+            let key = [Value::Int(k)];
+            let ids = |ix: &TupleIndex| ix.get(rel.rows(), key.iter()).to_vec();
+            assert_eq!(ids(&index), ids(&rebuilt), "key {k}");
+        }
     }
 }

@@ -170,6 +170,11 @@ pub struct ExecCtx<'a> {
     /// the row ids the last round appended to its relation. `None` for
     /// a full evaluation.
     pub delta: Option<(usize, Range<usize>)>,
+    /// Incremental maintenance: the step whose scan reads this relation —
+    /// the rows a write changed, or the heads a rederivation rechecks —
+    /// in place of the one it names. The planner starts from it. `None`
+    /// outside maintenance.
+    pub seed: Option<(usize, &'a Relation)>,
     /// IE memo table, when enabled.
     pub cache: Option<&'a SharedIeMemo>,
     /// The production evaluator's scan indexes, shared with its shard
@@ -226,9 +231,11 @@ pub fn execute_with(
     let batch = Batch { rows, bound };
 
     // Delta-aware cardinality of the relation scanned by step `i` —
-    // the planner's cost input and the trace's estimate column.
+    // the planner's cost input and the trace's estimate column. A seed
+    // is the change a firing starts from: it reads as free.
     let scan_rows = |i: usize| -> usize {
         match (&ctx.delta, plan.steps.get(i)) {
+            _ if ctx.seed.is_some_and(|(at, _)| at == i) => 0,
             (Some((at, delta)), _) if *at == i => delta.len(),
             (_, Some(Step::Scan { relation, .. })) => {
                 relations.get(relation).map_or(0, Relation::len)
@@ -306,8 +313,8 @@ fn run_steps(
         }
         match step {
             Step::Scan { relation, terms } => {
-                let delta = ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone());
-                batch.rows = scan_step(plan, (relation, terms), &batch, delta, relations, ctx, tr)?;
+                let (rel, range) = scan_source(i, relation, relations, ctx);
+                batch.rows = scan_step(plan, (relation, terms), &batch, rel, range, ctx, tr)?;
             }
             Step::Ie {
                 function,
@@ -316,7 +323,8 @@ fn run_steps(
             } => batch.rows = ie_join(plan, (function, inputs, outputs), &batch, ctx, tr)?,
             Step::Negation { relation, terms } => {
                 if let Some(rel) = relations.get(relation) {
-                    anti_join(&mut batch, rel, terms);
+                    let cached = ctx.indexes.map(|cache| (cache, relation.as_str()));
+                    anti_join(&mut batch, rel, terms, cached);
                 }
             }
             Step::Compare { left, op, right } => {
@@ -339,21 +347,41 @@ fn run_steps(
     Ok(batch)
 }
 
-/// The scan `relation(terms)` joined with `batch` under its trace span:
-/// over `range` of the relation's row ids — a delta, a shard — or all.
+/// What the scan of `relation` at step `i` reads: the firing's seed,
+/// all of it, when the seed is at `i` — as a range, so that no index of
+/// the run's, which are per relation name, answers for it — else the
+/// relation, over the firing's delta when that is at `i`.
+fn scan_source<'r>(
+    i: usize,
+    relation: &str,
+    relations: &'r FxHashMap<String, Relation>,
+    ctx: &ExecCtx<'r>,
+) -> (Option<&'r Relation>, Option<Range<usize>>) {
+    match ctx.seed {
+        Some((at, seed)) if at == i => (Some(seed), Some(0..seed.len())),
+        _ => (
+            relations.get(relation),
+            ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone()),
+        ),
+    }
+}
+
+/// The scan `relation(terms)` of `rel` joined with `batch` under its
+/// trace span: over `range` of the relation's row ids — a delta, a
+/// shard, a seed — or all.
 fn scan_step(
     plan: &RulePlan,
     (relation, terms): (&str, &[PTerm]),
     batch: &Batch,
+    rel: Option<&Relation>,
     range: Option<Range<usize>>,
-    relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Rows> {
     let span = tr
         .trace
         .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
-    let joined = match relations.get(relation) {
+    let joined = match rel {
         Some(rel) => scan_join(plan, relation, terms, batch, rel, range, ctx),
         None => Ok(Rows::new(batch.rows.width())),
     };
@@ -365,7 +393,7 @@ fn scan_step(
 /// that binds its document variable, the steps after it and the head
 /// projection — once per shard, returning the head rows in shard order.
 /// A shard is a contiguous range of the row ids that scan reads: of its
-/// delta when this firing is that scan's delta variant, else of the
+/// delta or its seed when the firing restricts that scan, else of the
 /// whole relation (a delta on another scan holds alongside). A rule
 /// body maps a binding row to rows against relations that are complete
 /// while the rule fires, so any partition of the rows is split-correct.
@@ -387,16 +415,14 @@ fn run_sharded(
     let Step::Scan { relation, terms } = scan else {
         return Err(internal(plan, "a firing shards at a scan".to_string()));
     };
-    let delta = ctx.delta.as_ref().filter(|d| d.0 == order[0]);
-    let delta = delta.map(|d| d.1.clone());
-    let whole = 0..relations.get(relation).map_or(0, Relation::len);
-    let scanned = delta.clone().unwrap_or(whole);
+    let (rel, delta) = scan_source(order[0], relation, relations, ctx);
+    let scanned = delta.clone().unwrap_or(0..rel.map_or(0, Relation::len));
     if batch.rows.is_empty() || scanned.is_empty() {
         return Ok(merged);
     }
     let shard = |range: Option<Range<usize>>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
         let mut shard = Batch {
-            rows: scan_step(plan, (relation, terms), batch, range, relations, ctx, tr)?,
+            rows: scan_step(plan, (relation, terms), batch, rel, range, ctx, tr)?,
             bound: batch.bound.clone(),
         };
         shard.bind(scan);
@@ -791,9 +817,15 @@ fn ie_join(
 
 /// Hash anti-join for `not relation(terms)`: drops every row for which
 /// `rel` holds a matching tuple. The non-wildcard columns form the key;
-/// the relation is indexed on them once for the step and probed once
-/// per row.
-fn anti_join(batch: &mut Batch, rel: &Relation, terms: &[PTerm]) {
+/// the relation is indexed on them — by the run's cache, given it and
+/// the name `rel` is stored under, else for the step alone — and probed
+/// once per row.
+fn anti_join(
+    batch: &mut Batch,
+    rel: &Relation,
+    terms: &[PTerm],
+    cached: Option<(&IndexCache, &str)>,
+) {
     let cols = Columns::of(terms, &batch.bound);
     // Relations are uniform in arity: either every tuple can match or
     // none can. And a variable nothing has bound matches nothing.
@@ -801,7 +833,10 @@ fn anti_join(batch: &mut Batch, rel: &Relation, terms: &[PTerm]) {
     if unbound || rel.is_empty() || rel.schema().arity() != terms.len() {
         return;
     }
-    let index = TupleIndex::build(rel.rows(), 0..rel.len(), &cols.key_cols());
+    let index = match cached {
+        Some((cache, relation)) => cache.index(relation, rel, &cols.key_cols()),
+        None => TupleIndex::build(rel.rows(), 0..rel.len(), &cols.key_cols()).into(),
+    };
     let matched = |row: &[Value]| !index.get(rel.rows(), cols.key_of(row)).is_empty();
     batch.rows.retain(|_, row| !matched(row));
 }
@@ -1099,6 +1134,7 @@ mod tests {
         let ctx = ExecCtx {
             registry: &registry,
             delta: delta.clone(),
+            seed: None,
             cache: None,
             indexes,
             docs: &docs,
@@ -1267,9 +1303,12 @@ mod tests {
                 .iter()
                 .filter(|row| !exists_match(&rel, &terms, &env(row)))
                 .collect();
-            let mut kept = Batch { rows: batch.clone(), bound: bound.clone() };
-            anti_join(&mut kept, &rel, &terms);
-            prop_assert_eq!(kept.rows.iter().collect::<Vec<_>>(), expected, "terms {:?}", terms);
+            let indexes = IndexCache::default();
+            for cached in [None, Some((&indexes, "R"))] {
+                let mut kept = Batch { rows: batch.clone(), bound: bound.clone() };
+                anti_join(&mut kept, &rel, &terms, cached);
+                prop_assert_eq!(kept.rows.iter().collect::<Vec<_>>(), expected.clone(), "terms {:?}", terms);
+            }
         }
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::database::Database;
 use crate::error::Result;
+use crate::maintain::{self, RuleVariants};
 use crate::optimizer::{IndexCache, SplitClass};
 use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
@@ -41,6 +42,9 @@ pub struct CompiledProgram {
     pub(crate) input_relations: Vec<String>,
     /// Per-rule split-correctness verdicts, for introspection.
     pub(crate) shard_plan: ShardPlan,
+    /// Per component, per rule: the plans incremental maintenance fires
+    /// besides the rule's own.
+    pub(crate) variants: Vec<Vec<RuleVariants>>,
 }
 
 /// One rule's split-correctness verdict, as recorded on a
@@ -158,6 +162,7 @@ impl CompiledProgram {
 
         Ok(CompiledProgram {
             id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
+            variants: maintain::variants(&components),
             components,
             input_relations,
             shard_plan,

@@ -4,13 +4,17 @@ use crate::aggregate::{builtin_aggregates, builtin_conversions, AggFunction, Con
 use crate::builtins::install_builtins;
 use crate::error::{EngineError, Result};
 use crate::ie::{ClosureIe, IeContext, IeFunction, IeOutput};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use spannerlib_core::Value;
 use std::sync::Arc;
 
 /// The session-wide registry of callable host functionality.
 pub struct Registry {
     ie: FxHashMap<String, Arc<dyn IeFunction>>,
+    /// IE functions the host registered as not reusable, which the
+    /// engine cannot take for pure. The builtins are not reused only
+    /// because they are cheaper than a memo probe.
+    unreusable: FxHashSet<String>,
     aggregates: FxHashMap<String, Arc<dyn AggFunction>>,
     conversions: FxHashMap<String, Arc<dyn Conversion>>,
 }
@@ -28,10 +32,12 @@ impl Registry {
     pub fn new() -> Self {
         let mut r = Registry {
             ie: FxHashMap::default(),
+            unreusable: FxHashSet::default(),
             aggregates: FxHashMap::default(),
             conversions: FxHashMap::default(),
         };
         install_builtins(&mut r);
+        r.unreusable.clear();
         for (name, agg) in builtin_aggregates() {
             r.aggregates.insert(name, agg);
         }
@@ -43,7 +49,19 @@ impl Registry {
 
     /// Registers (or replaces) an IE function object.
     pub fn register_ie(&mut self, name: &str, f: Arc<dyn IeFunction>) {
+        match f.cacheable() {
+            true => self.unreusable.remove(name),
+            false => self.unreusable.insert(name.to_string()),
+        };
         self.ie.insert(name.to_string(), f);
+    }
+
+    /// Whether `name` may be taken for a pure function of its arguments:
+    /// a builtin, or a host function registered as reusable. Incremental
+    /// maintenance re-derives what a removed row derived by calling
+    /// functions again and expects the same answers.
+    pub(crate) fn is_pure(&self, name: &str) -> bool {
+        !self.unreusable.contains(name)
     }
 
     /// Registers a closure as an IE function — the `session.register(foo,

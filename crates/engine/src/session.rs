@@ -21,7 +21,10 @@
 //!    exactly once, yielding a [`PreparedQuery`] / [`PreparedProgram`];
 //! 3. [`PreparedQuery::execute`] runs repeatedly against freshly
 //!    imported relations — per-relation generation counters skip the
-//!    fixpoint whenever no input relation changed;
+//!    fixpoint whenever no input relation changed, and otherwise a
+//!    `SemiNaive` session maintains the derived relations from the rows
+//!    that changed (`crate::maintain`), falling back to a full
+//!    evaluation in the cases [`FullReason`] names;
 //! 4. [`Session::snapshot`] freezes the evaluated state into a
 //!    `Send + Sync` [`Snapshot`] for lock-free concurrent reads.
 //!
@@ -29,7 +32,11 @@
 //!
 //! One thread drives a session at a time; concurrency enters at two
 //! deliberate seams. *Reads* scale through [`Session::snapshot`], which
-//! freezes an evaluated database into a `Send + Sync` [`Snapshot`].
+//! freezes an evaluated database into a `Send + Sync` [`Snapshot`] — the
+//! `Arc` the session also keeps as the state its next maintained
+//! evaluation updates from, so the first write after an evaluation
+//! copies the database once, snapshot or not (unless the program can
+//! never be maintained: see `maintain::basis`).
 //! *Evaluation* scales through [`SessionBuilder::parallelism`]: rules
 //! the compile-time split-correctness analysis clears (see
 //! `CompiledProgram::shard_plan`) shard their firings — by row range
@@ -46,13 +53,14 @@
 //! distinct argument tuples. If an IE function panics, the panic
 //! propagates to the driving thread (after sibling shards drain, when
 //! it happened on a spawned thread); the document store is back in the session
-//! by then and derived relations are recomputed by the next evaluation,
-//! so a host that catches the unwind can keep using the session.
+//! by then and derived relations are recomputed in full by the next
+//! evaluation, so a host that catches the unwind can keep using the session.
 
-use crate::database::Database;
+use crate::database::{cleared, Database};
 use crate::error::{EngineError, Result};
 use crate::eval::{evaluate, EvalCtx, EvalLimits, EvalStats, EvalStrategy};
 use crate::ie::{IeContext, IeFunction, IeOutput};
+use crate::maintain::{self, EvalMode, FullReason, Seeds};
 use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 use crate::query::{run_query, QueryPlan};
 use crate::registry::Registry;
@@ -223,8 +231,9 @@ impl SessionBuilder {
     /// parallelism). Rule firings the compile-time analysis clears as
     /// split-correct are sharded by row range across the calling thread
     /// and `workers − 1` threads spawned for the firing; `0` or `1`
-    /// keeps every firing on the calling thread (one shard), as does
-    /// [`EvalStrategy::Naive`]. Parallel and serial evaluation derive
+    /// keeps every firing on the calling thread (one shard), as do
+    /// [`EvalStrategy::Naive`] and a maintained evaluation, whose firings
+    /// cover a few changed rows. Parallel and serial evaluation derive
     /// identical tuple sets (property-tested). See the module docs'
     /// threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
@@ -271,6 +280,7 @@ impl SessionBuilder {
             .then(|| Arc::new(Mutex::new(IeMemo::new(self.ie_cache_capacity))));
         Session {
             db: Arc::new(Database::new()),
+            basis: Err(FullReason::FirstEvaluation),
             registry: self.registry,
             rules: Vec::new(),
             strategy: self.strategy,
@@ -296,10 +306,14 @@ impl SessionBuilder {
 
 /// An embedded Spannerlog engine instance.
 pub struct Session {
-    /// Copy-on-write: snapshots share this `Arc`; the first mutation
-    /// after a snapshot clones the database once (`Arc::make_mut`), so
-    /// `Session::snapshot` itself is O(1).
+    /// Copy-on-write: snapshots and `basis` share this `Arc`; the first
+    /// mutation after an evaluation clones the database once
+    /// (`Arc::make_mut`), so `Session::snapshot` itself is O(1).
     db: Arc<Database>,
+    /// The database as of the last successful evaluation, which the next
+    /// one maintains — or why that one must run in full, in which case
+    /// the session keeps no second reference to it.
+    basis: std::result::Result<Arc<Database>, FullReason>,
     registry: Registry,
     rules: Vec<Rule>,
     strategy: EvalStrategy,
@@ -419,12 +433,13 @@ impl Session {
     }
 
     /// Changes the trace level of subsequent evaluations and forces the
-    /// next query to re-evaluate (so a freshly enabled level yields a
-    /// profile without requiring an input mutation).
+    /// next query to re-evaluate in full (so a freshly enabled level
+    /// yields a profile without requiring an input mutation).
     pub fn set_tracing(&mut self, level: TraceLevel) {
         if self.trace_level != level {
             self.trace_level = level;
             self.last_eval = None;
+            self.basis = Err(FullReason::TracingChanged);
         }
     }
 
@@ -456,10 +471,15 @@ impl Session {
     }
 
     /// Marks compile-relevant state (rules, registrations, relation name
-    /// set) as changed.
+    /// set) as changed. The next evaluation runs in full — even that of
+    /// a program prepared before, which may call a function registered
+    /// since.
     fn invalidate_program(&mut self) {
         self.rules_gen += 1;
         self.compiled = None;
+        if self.basis.is_ok() {
+            self.basis = Err(FullReason::ProgramChanged);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -882,10 +902,13 @@ impl Session {
         self.ensure_evaluated_with(&program)
     }
 
-    /// Runs the fixpoint for `program` unless its fingerprint — the
-    /// program identity plus the generations of every input relation —
-    /// matches the previous run, in which case derived state is already
-    /// current and the call is O(|inputs|).
+    /// Brings the derived state up to date with `program`: nothing to do
+    /// when its fingerprint — the program identity plus the generations
+    /// of every input relation — matches the previous run (O(|inputs|));
+    /// otherwise a maintained evaluation from the input rows that changed
+    /// since, or, in the cases [`FullReason`] names, a full one. A full
+    /// evaluation over a database a snapshot shares copies only the
+    /// extensional relations and the documents.
     pub(crate) fn ensure_evaluated_with(&mut self, program: &Arc<CompiledProgram>) -> Result<()> {
         if let Some(fp) = &self.last_eval {
             if fp.program_id == program.id
@@ -913,33 +936,37 @@ impl Session {
         } else {
             0
         };
-        let db = Arc::make_mut(&mut self.db);
-        db.clear_derived();
-        self.last_eval = None;
+        let old = std::mem::replace(&mut self.basis, Err(FullReason::PreviousRunFailed));
+        let last = self.last_eval.take();
+        let last = last.as_ref().map(|fp| (fp.program_id, &fp.input_gens[..]));
+        let seeds = maintain::seeds(old, last, &self.db, program);
+        let mode = seeds
+            .as_ref()
+            .map_or_else(|r| EvalMode::Full(*r), Seeds::mode);
+        let ctx = EvalCtx {
+            registry: &self.registry,
+            strategy: self.strategy,
+            limits: self.limits,
+            cache: self.ie_cache.as_ref(),
+            workers,
+        };
         // The regex prefilter counters are process-wide; deltas around
         // the run attribute its share to this profile.
         let prefilter_before = spannerlib_regex::prefilter::stats();
-        let result = evaluate(
-            db,
-            &program.components,
-            &EvalCtx {
-                registry: &self.registry,
-                strategy: self.strategy,
-                limits: self.limits,
-                cache: self.ie_cache.as_ref(),
-                workers,
-            },
-            &mut trace,
-        );
+        let result = match seeds {
+            Ok(seeds) => seeds.run(Arc::make_mut(&mut self.db), program, &ctx, &mut trace),
+            Err(_) => evaluate(cleared(&mut self.db), &program.components, &ctx, &mut trace),
+        };
         // Capture the profile before propagating errors: an aborted run
         // leaves its partial per-component progress in `profile()`.
         if let Some(mut profile) = trace.finish(result.as_ref().err().map(|e| e.to_string())) {
             let prefilter_after = spannerlib_regex::prefilter::stats();
             profile.prefilter_searches = prefilter_after.searches - prefilter_before.searches;
             profile.prefilter_pruned = prefilter_after.pruned - prefilter_before.pruned;
+            mode.record(&mut profile);
             self.last_profile = Some(Arc::new(profile));
         }
-        self.last_stats = result?;
+        self.last_stats = EvalStats { mode, ..result? };
         // Generations are read *after* the run: rules may derive into
         // extensional heads, and those inserts must not look like fresh
         // external mutations on the next call.
@@ -959,6 +986,7 @@ impl Session {
             program_id: program.id,
             input_gens,
         });
+        self.basis = maintain::basis(&self.db, program, &self.registry, self.strategy);
         Ok(())
     }
 

@@ -4,7 +4,7 @@
 //! compaction correctness, memo entries dying with their documents,
 //! snapshot sharing).
 
-use spannerlog_engine::{DocGc, Session};
+use spannerlog_engine::{DocGc, EvalMode, FullReason, Session};
 
 /// One synthetic "clinical note"-sized document, unique per round.
 fn churn_doc(round: usize) -> String {
@@ -84,7 +84,9 @@ fn long_lived_churn_keeps_doc_store_bounded() {
 }
 
 /// Cold/warm accounting: re-running the fixpoint over unchanged
-/// documents serves IE calls from the memo, and the counters say so.
+/// documents serves IE calls from the memo, and the counters say so. A
+/// write to an input is maintained and asks the memo nothing about the
+/// unchanged documents; a rule change reruns everything.
 #[test]
 fn warm_reruns_hit_the_memo() {
     let mut session = Session::new();
@@ -103,7 +105,8 @@ fn warm_reruns_hit_the_memo() {
     session
         .run(r#"Email(d, s) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (s)"#)
         .unwrap();
-    // A side relation the program reads, so bumping it forces reruns.
+    // A side relation new rules can read: each one changes the program,
+    // which forces a full rerun.
     session.run("new Tick(int)\nTicked(x) <- Tick(x)").unwrap();
     let query = session.prepare("?Email(d, s)").unwrap();
 
@@ -113,9 +116,12 @@ fn warm_reruns_hit_the_memo() {
     assert_eq!(after_cold.hits, 0);
 
     for i in 0..5 {
-        session.add_fact("Tick", [i64::from(i).into()]).unwrap();
+        session.run(&format!("Ticked{i}(x) <- Tick(x)")).unwrap();
+        let query = session.prepare("?Email(d, s)").unwrap();
         let warm = query.execute(&mut session).unwrap();
         assert_eq!(warm, cold);
+        let mode = session.stats().eval.mode;
+        assert_eq!(mode, EvalMode::Full(FullReason::ProgramChanged));
     }
     let after_warm = session.stats().cache;
     assert!(

@@ -48,6 +48,7 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     let ctx = ExecCtx {
         registry: &registry,
         delta: inputs.delta.clone(),
+        seed: None,
         cache: None,
         indexes: inputs.indexes,
         docs: &docs,

@@ -5,8 +5,8 @@
 //! (cache-on ≡ cache-off).
 
 use proptest::prelude::*;
-use spannerlib_core::Value;
-use spannerlog_engine::{EvalStrategy, Session};
+use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
+use spannerlog_engine::{EvalMode, EvalStrategy, Session};
 
 /// Random edge relation over a small node universe.
 fn edges_strategy() -> impl Strategy<Value = Vec<(u8, u8)>> {
@@ -137,33 +137,50 @@ fn canonical(session: &mut Session, name: &str) -> Vec<Vec<String>> {
 }
 
 /// One rule of a random layered program over `Edge`: which lower
-/// predicate feeds it, how the head variable is reached, and which
-/// lower predicates it negates.
+/// predicate feeds it, how the head is reached, and which lower
+/// predicates it negates.
 type RuleSpec = (u8, u8, Vec<u8>);
 
 /// Renders heads `P0..Pn`, each with one or more rules. A rule reads a
 /// lower predicate (or `Node`), optionally steps through `Edge` — from
 /// that predicate or from its own head (recursion) — and negates lower
 /// predicates, so negation chains run as deep as the program.
-/// `not Edge(v, v)` stands in below `P0`.
+/// `not Edge(v, v)` stands in below `P0`. The draws of
+/// [`extended_layered_program_strategy`] reach further: shape 3 steps
+/// through `Edge` and then the pure, memoised IE function `range`, which
+/// alone binds the head, shape 4 counts the lower predicate, and
+/// negation picks 6 and 7 read `not Edge(v, _)` and `not Step(_, v)`
+/// (`Step` is `Edge` joined with itself).
 fn layered_program(heads: &[Vec<RuleSpec>]) -> String {
-    let mut program = String::from("Node(x) <- Edge(x, _)\nNode(y) <- Edge(_, y)\n");
+    let mut program = String::from(
+        "Node(x) <- Edge(x, _)\nNode(y) <- Edge(_, y)\nStep(x, z) <- Edge(x, y), Edge(y, z)\n",
+    );
     let lower = |i: usize, pick: u8| match pick as usize % (i + 1) {
         0 => "Node".to_string(),
         k => format!("P{}", k - 1),
     };
     for (i, rules) in heads.iter().enumerate() {
         for (src, shape, negated) in rules {
-            let (body, v) = match shape {
-                0 => (format!("{}(x)", lower(i, *src)), "x"),
-                1 => (format!("{}(x), Edge(x, y)", lower(i, *src)), "y"),
-                _ => (format!("P{i}(x), Edge(x, y)"), "y"),
+            let (head, body, v) = match shape {
+                0 => ("x", format!("{}(x)", lower(i, *src)), "x"),
+                1 => ("y", format!("{}(x), Edge(x, y)", lower(i, *src)), "y"),
+                2 => ("y", format!("P{i}(x), Edge(x, y)"), "y"),
+                3 => (
+                    "y",
+                    format!("{}(x), Edge(x, z), range(z) -> (y)", lower(i, *src)),
+                    "y",
+                ),
+                _ => ("count(x)", format!("{}(x)", lower(i, *src)), "x"),
             };
-            let mut rule = format!("P{i}({v}) <- {body}");
+            let mut rule = format!("P{i}({head}) <- {body}");
             for n in negated {
-                match *n as usize % (i + 1) {
-                    0 => rule.push_str(&format!(", not Edge({v}, {v})")),
-                    k => rule.push_str(&format!(", not P{}({v})", k - 1)),
+                match *n {
+                    6 => rule.push_str(&format!(", not Edge({v}, _)")),
+                    7 => rule.push_str(&format!(", not Step(_, {v})")),
+                    n => match n as usize % (i + 1) {
+                        0 => rule.push_str(&format!(", not Edge({v}, {v})")),
+                        k => rule.push_str(&format!(", not P{}({v})", k - 1)),
+                    },
                 }
             }
             program.push_str(&rule);
@@ -173,9 +190,91 @@ fn layered_program(heads: &[Vec<RuleSpec>]) -> String {
     program
 }
 
+/// The first three shapes and six negation picks of [`layered_program`]:
+/// deep negation chains, and recursion in a third of the rules.
 fn layered_program_strategy() -> impl Strategy<Value = Vec<Vec<RuleSpec>>> {
-    let rule = (0u8..6, 0u8..3, prop::collection::vec(0u8..6, 0..3));
+    layered_program_draws(3, 6)
+}
+
+/// Every shape and negation pick of [`layered_program`].
+fn extended_layered_program_strategy() -> impl Strategy<Value = Vec<Vec<RuleSpec>>> {
+    layered_program_draws(5, 8)
+}
+
+fn layered_program_draws(shapes: u8, picks: u8) -> impl Strategy<Value = Vec<Vec<RuleSpec>>> {
+    let rule = (0u8..6, 0u8..shapes, prop::collection::vec(0u8..picks, 0..3));
     prop::collection::vec(prop::collection::vec(rule, 1..4), 1..6)
+}
+
+/// One write to the inputs of a layered program: `(kind, edges)`. Kind 0
+/// inserts the edges (`add_fact`), 1 replaces `Edge` by them
+/// (`import_relation`), 2 deletes the edges leaving the first nodes of
+/// the first two (`import_typed` of the rest), and 3 imports `Texts`
+/// again without its first `edges.len()` documents.
+type Write = (u8, Vec<(u8, u8)>);
+
+fn writes_strategy() -> impl Strategy<Value = Vec<Write>> {
+    prop::collection::vec((0u8..4, edges_strategy()), 1..6)
+}
+
+/// What a sequence of writes left in the inputs of a layered program
+/// joined with an IE program over `Texts`.
+#[derive(Debug, Default)]
+struct Inputs {
+    edges: std::collections::BTreeSet<(u8, u8)>,
+    /// How many leading documents `Texts` skips ([`import_texts`]).
+    skip: usize,
+}
+
+impl Inputs {
+    /// Applies `write` here and, through the verb it names, to `session`.
+    fn write(&mut self, session: &mut Session, texts: &[Vec<u8>], (kind, picks): &Write) {
+        let int = |n: u8| Value::Int(i64::from(n));
+        match kind {
+            0 => {
+                self.edges.extend(picks);
+                for &(a, b) in picks {
+                    session.add_fact("Edge", [int(a), int(b)]).unwrap();
+                }
+            }
+            1 => {
+                self.edges = picks.iter().copied().collect();
+                let rows = self
+                    .edges
+                    .iter()
+                    .map(|&(a, b)| Tuple::new([int(a), int(b)]));
+                let edge = Relation::from_tuples(Schema::new(vec![ValueType::Int; 2]), rows);
+                session.import_relation("Edge", edge.unwrap()).unwrap();
+            }
+            2 => {
+                let from: Vec<u8> = picks.iter().take(2).map(|&(a, _)| a).collect();
+                self.edges.retain(|(a, _)| !from.contains(a));
+                let rows = self
+                    .edges
+                    .iter()
+                    .map(|&(a, b)| (i64::from(a), i64::from(b)));
+                session
+                    .import_typed("Edge", rows.collect::<Vec<_>>())
+                    .unwrap();
+            }
+            _ => {
+                self.skip = picks.len();
+                import_texts(session, texts, self.skip);
+            }
+        }
+    }
+
+    /// A fresh `Naive` session over these inputs, running `program`.
+    fn reference(&self, texts: &[Vec<u8>], program: &str) -> Session {
+        let mut session = Session::with_strategy(EvalStrategy::Naive);
+        load_graph(
+            &mut session,
+            &self.edges.iter().copied().collect::<Vec<_>>(),
+        );
+        import_texts(&mut session, texts, self.skip);
+        session.run(program).unwrap();
+        session
+    }
 }
 
 proptest! {
@@ -274,6 +373,54 @@ proptest! {
             derive(EvalStrategy::SemiNaive, &edges, &program, &names),
             "program:\n{}", program
         );
+    }
+
+    /// The model-based oracle of incremental maintenance: a session kept
+    /// across a random sequence of inserts, replacements and deletions —
+    /// through `add_fact`, `import_relation` and `import_typed` — holds
+    /// after every write what a fresh `EvalStrategy::Naive` session
+    /// derives from the same inputs, relation for relation, spans
+    /// compared by their text. The program is a random layered one
+    /// (negation, aggregation, recursion, the memoised `range`) joined
+    /// with an IE program over `Texts`, and every write that moves an
+    /// input is maintained, not evaluated again in full.
+    #[test]
+    fn maintained_sessions_match_a_fresh_reference(
+        heads in extended_layered_program_strategy(),
+        edges in edges_strategy(),
+        texts in texts_strategy(),
+        prog in 0usize..IE_PROGRAMS.len(),
+        writes in writes_strategy(),
+    ) {
+        let (ie_program, ie_relations) = IE_PROGRAMS[prog];
+        let program = format!("{}{ie_program}", layered_program(&heads));
+        let mut names: Vec<String> = (0..heads.len()).map(|i| format!("P{i}")).collect();
+        names.extend(["Node".into(), "Step".into()]);
+        names.extend(ie_relations.iter().map(|name| name.to_string()));
+        let mut inputs = Inputs { edges: edges.iter().copied().collect(), skip: 0 };
+        let mut session = Session::new();
+        load_graph(&mut session, &edges);
+        import_texts(&mut session, &texts, 0);
+        session.run(&program).unwrap();
+        for step in 0..=writes.len() {
+            if let Some(write) = step.checked_sub(1).map(|w| &writes[w]) {
+                inputs.write(&mut session, &texts, write);
+            }
+            let seq = session.eval_seq();
+            let mut reference = inputs.reference(&texts, &program);
+            for name in &names {
+                prop_assert_eq!(
+                    canonical(&mut session, name),
+                    canonical(&mut reference, name),
+                    "relation {} after {} of {:?}, at {:?}\nprogram:\n{}",
+                    name, step, writes, inputs, program
+                );
+            }
+            let mode = session.stats().eval.mode;
+            if step > 0 && session.eval_seq() > seq {
+                prop_assert!(matches!(mode, EvalMode::Maintained { .. }), "{:?}", mode);
+            }
+        }
     }
 
     /// The IE memo is semantically invisible: cache-on and cache-off

@@ -30,7 +30,7 @@ use crate::json::Json;
 use crate::log::{now_micros, LogSink};
 use parking_lot::RwLock;
 use spannerlib_trace::MetricsRegistry;
-use spannerlog_engine::{PreparedQuery, Session, Snapshot};
+use spannerlog_engine::{EvalMode, PreparedQuery, Session, Snapshot};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -303,6 +303,7 @@ impl ServerState {
             (cap, left) => cap.or(left),
         });
         session.set_request_ids(vec![request_id.to_string()]);
+        let eval_seq = session.eval_seq();
         let eval_start = Instant::now();
         let outcome = session.snapshot();
         let eval_wall = eval_start.elapsed();
@@ -317,6 +318,14 @@ impl ServerState {
             ApiError::from_engine(&e)
         })?;
         self.metrics.counter("evals_total").inc();
+        // Of those, the evaluations that updated the derived state from
+        // the rows a write changed instead of deriving it again.
+        let maintained = self.metrics.counter("evals_maintained_total");
+        if session.eval_seq() > eval_seq
+            && matches!(session.stats().eval.mode, EvalMode::Maintained { .. })
+        {
+            maintained.inc();
+        }
         let (cache, docs) = (snapshot.cache_stats(), session.docs());
         for (name, value) in [
             ("ie_cache_entries", cache.entries as i64),

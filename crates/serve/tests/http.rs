@@ -748,6 +748,48 @@ fn stale_readers_of_one_import_share_one_evaluation() {
     thread.join().unwrap();
 }
 
+/// A churn cycle — `/import` a changed relation, `/execute` — updates
+/// the derived state from the rows that changed instead of evaluating
+/// again: over N cycles after the set-up, `evals_maintained_total`
+/// grows by exactly N, as `evals_total` does.
+#[test]
+fn churn_cycles_are_maintained_evaluations() {
+    const CYCLES: usize = 5;
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let import = |client: &mut Client, first: usize| {
+        let rows: Vec<String> = (first..first + 4)
+            .map(|n| format!(r#"["d{n}", "note {n} and more"]"#))
+            .collect();
+        let body = format!(r#"{{"relation": "Doc", "rows": [{}]}}"#, rows.join(", "));
+        assert_eq!(post(client, "/import", &body).0, 200);
+    };
+    let words = r#"{"query": "?Word(d, w)"}"#;
+    let (status, _) = post(
+        &mut client,
+        "/register",
+        r#"{"rules": "new Doc(str, str)\nWord(d, w) <- Doc(d, t), rgx_string(\"[a-z]+\", t) -> (w)"}"#,
+    );
+    assert_eq!(status, 200);
+    import(&mut client, 0);
+    assert_eq!(post(&mut client, "/execute", words).0, 200);
+    let evals = metric(&mut client, "evals_total");
+    let maintained = metric(&mut client, "evals_maintained_total");
+
+    for cycle in 1..=CYCLES {
+        import(&mut client, cycle);
+        let (status, body) = post(&mut client, "/execute", words);
+        assert_eq!(status, 200, "{body:?}");
+        assert_eq!(body.get("row_count").unwrap(), &Json::Int(12));
+    }
+    assert_eq!(metric(&mut client, "evals_total") - evals, CYCLES as f64);
+    let maintained = metric(&mut client, "evals_maintained_total") - maintained;
+    assert_eq!(maintained, CYCLES as f64);
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
 /// `/register` used to answer `200` to the unsafe rule below —
 /// `Session::run` only stores rules — and from then on every
 /// `/execute`, `?Good(x)` included, and every later valid rule read

@@ -36,6 +36,19 @@ pub struct EvalProfile {
     /// Set when the run aborted (e.g. a limit was exceeded): the
     /// profile then reflects the *partial* progress up to the abort.
     pub error: Option<String>,
+    /// Whether the run updated the previous result from the input rows
+    /// that changed (maintained) instead of deriving everything again
+    /// from the inputs (full).
+    pub maintained: bool,
+    /// Why a full run could not maintain the previous result (`None` for
+    /// a maintained run, and for a profile built by hand).
+    pub full_reason: Option<String>,
+    /// Input rows a maintained run started from: added since the
+    /// previous evaluation.
+    pub seed_rows_added: u64,
+    /// Input rows a maintained run started from: removed since the
+    /// previous evaluation.
+    pub seed_rows_removed: u64,
     /// Per-stratum breakdown, in execution order. The engine evaluates
     /// the finest stratification: one stratum per strongly connected
     /// component of the predicate dependency graph.
@@ -166,6 +179,11 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// `s` as a JSON string literal, or `null`.
+fn json_opt(s: &Option<String>) -> String {
+    s.as_deref().map_or_else(|| "null".to_string(), json_str)
+}
+
 /// Pads `s` to `w` columns, left-aligned.
 fn pad(s: &str, w: usize) -> String {
     format!("{s:<w$}")
@@ -177,6 +195,19 @@ fn rpad(s: &str, w: usize) -> String {
 }
 
 impl EvalProfile {
+    /// How the run reached its result, as the summary line prints it:
+    /// `maintained (+24 −24 seed rows)` or `full (program changed)`.
+    pub fn mode(&self) -> String {
+        match (self.maintained, &self.full_reason) {
+            (true, _) => format!(
+                "maintained (+{} −{} seed rows)",
+                self.seed_rows_added, self.seed_rows_removed
+            ),
+            (false, Some(reason)) => format!("full ({reason})"),
+            (false, None) => "full".to_string(),
+        }
+    }
+
     /// Renders the profile as a fixed-width table — per-rule rows
     /// grouped by stratum, followed by per-IE-function rows.
     ///
@@ -211,8 +242,9 @@ impl EvalProfile {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "evaluation: {} | {} strata, {} rounds, {} firings, {} derived ({} new)",
+            "evaluation: {} | {} | {} strata, {} rounds, {} firings, {} derived ({} new)",
             fmt_ns(self.total_ns),
+            self.mode(),
             self.strata.len(),
             self.rounds,
             self.rule_firings,
@@ -376,7 +408,8 @@ impl EvalProfile {
              \"index_builds\":{},\"prefilter_searches\":{},\
              \"prefilter_pruned\":{},\"par_workers\":{},\"par_shards\":{},\
              \"par_ie_batches\":{},\"par_stolen\":{},\
-             \"par_serial_rules\":{},\"error\":{}}}",
+             \"par_serial_rules\":{},\"mode\":{},\"full_reason\":{},\
+             \"seed_rows_added\":{},\"seed_rows_removed\":{},\"error\":{}}}",
             self.eval_seq,
             request_ids,
             json_str(self.level.name()),
@@ -396,10 +429,15 @@ impl EvalProfile {
             self.par_ie_batches,
             self.par_stolen,
             self.par_serial_rules,
-            match &self.error {
-                Some(e) => json_str(e),
-                None => "null".to_string(),
-            },
+            json_str(if self.maintained {
+                "maintained"
+            } else {
+                "full"
+            }),
+            json_opt(&self.full_reason),
+            self.seed_rows_added,
+            self.seed_rows_removed,
+            json_opt(&self.error),
         );
         for stratum in &self.strata {
             for rule in &stratum.rules {
@@ -479,6 +517,10 @@ mod tests {
             tuples_derived: 20,
             tuples_new: 12,
             error: None,
+            maintained: true,
+            full_reason: None,
+            seed_rows_added: 24,
+            seed_rows_removed: 23,
             strata: vec![StratumProfile {
                 index: 0,
                 rounds: 3,
@@ -534,6 +576,30 @@ mod tests {
         assert!(table.contains("prefilter: 10 searches, 4 pruned (40%)"));
         assert!(table
             .contains("par: 4 workers | 8 shard tasks, 3 ie batches | 1 serial-fallback rules"));
+    }
+
+    #[test]
+    fn summary_line_and_json_say_which_path_ran() {
+        let maintained = sample();
+        assert!(maintained
+            .render()
+            .lines()
+            .next()
+            .unwrap()
+            .contains("| maintained (+24 −23 seed rows) |"));
+        let line = maintained.to_json_lines();
+        assert!(line.contains(
+            "\"mode\":\"maintained\",\"full_reason\":null,\"seed_rows_added\":24,\"seed_rows_removed\":23"
+        ));
+        let full = EvalProfile {
+            maintained: false,
+            full_reason: Some("program changed".into()),
+            ..sample()
+        };
+        assert!(full.render().contains("| full (program changed) |"));
+        assert!(full
+            .to_json_lines()
+            .contains("\"mode\":\"full\",\"full_reason\":\"program changed\""));
     }
 
     #[test]

@@ -480,6 +480,11 @@ impl RunTrace {
             tuples_derived: self.totals.tuples_derived,
             tuples_new: self.totals.tuples_new,
             error,
+            // Filled by the session, which knows which path it took.
+            maintained: false,
+            full_reason: None,
+            seed_rows_added: 0,
+            seed_rows_removed: 0,
             strata,
             ie_functions: self.ie.into_values().collect(),
             spans,

@@ -2,13 +2,15 @@
 //! IE evaluation plus document-store garbage collection.
 //!
 //! A serving session that streams batches for hours faces two costs the
-//! notebook workflow never sees: re-paying spanner evaluation on every
-//! fixpoint rerun, and a document store that only ever grows. This
-//! example wires both knobs of the cache subsystem:
+//! notebook workflow never sees: re-paying spanner evaluation for every
+//! write, and a document store that only ever grows. A write is
+//! maintained — only the rows it changed are extracted again — and this
+//! example wires both knobs of the cache subsystem on top:
 //!
 //! * `ie_cache_capacity` — a byte-budgeted memo over
-//!   `(function, args) → output rows`; warm reruns replay extraction
-//!   instead of recomputing it (watch the hit counters climb);
+//!   `(function, args) → output rows`; a document that comes back, or
+//!   goes (its extraction is replayed to retract what it derived), is
+//!   answered from the memo (watch the hit counters climb);
 //! * `doc_gc` — threshold-triggered compaction that tombstones
 //!   documents no relation holds a span into, bounding resident text;
 //!   the memo entries over a dropped document go with it.
@@ -42,28 +44,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let emails = session.prepare("?Email(d, usr, dom)")?;
 
-    // 3. Serve: every request appends an audit fact (so the fingerprint
-    //    changes and the fixpoint reruns), but the documents repeat —
-    //    exactly the shape where the memo pays.
+    // 3. Serve: every request re-imports the corpus and appends an audit
+    //    fact, and every other one rewrites Wednesday's note. The session
+    //    maintains each write: an identical re-import extracts nothing,
+    //    and a rewrite extracts only the note that changed — from the
+    //    memo, since the two versions alternate.
     let corpus = vec![
         ("mon", "status from ann@gmail.com and bob@work.org"),
         ("tue", "ann@gmail.com pinged eve@mail.net again"),
         ("wed", "quiet day, no addresses"),
     ];
+    let mut maintained = 0;
     for request in 0..50i64 {
-        session.import_typed("Texts", corpus.clone())?;
+        let mut batch = corpus.clone();
+        if request % 2 == 1 {
+            batch[2].1 = "wed: zed@post.org wrote back";
+        }
+        session.import_typed("Texts", batch)?;
         session.add_fact("Audit", [Value::Int(request)])?;
         let out = emails.execute(&mut session)?;
-        assert_eq!(out.num_rows(), 4);
+        assert_eq!(out.num_rows(), 4 + request as usize % 2);
+        maintained += usize::from(matches!(
+            session.stats().eval.mode,
+            EvalMode::Maintained { .. }
+        ));
     }
     let stats = session.stats();
     println!(
-        "after 50 requests: {} IE hits, {} misses ({:.0}% hit rate), {} memo bytes",
+        "after 50 requests: {maintained} maintained evaluations, {} IE hits, {} misses \
+         ({:.0}% hit rate), {} memo bytes",
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.hit_rate() * 100.0,
         stats.cache.bytes,
     );
+    assert_eq!(maintained, 49, "every request after the first evaluation");
+    assert!(stats.cache.hits > stats.cache.misses);
 
     // 4. Churn: stream 200 *distinct* documents through import →
     //    execute → remove; span outputs intern each document (the

@@ -140,7 +140,8 @@ pub mod prelude {
     pub use crate::core::{DocumentStore, Relation, Schema, Span, Tuple, Value, ValueType};
     pub use crate::dataframe::{DataFrame, FromRow, FromValue, IntoRow, IntoRows, IntoValue};
     pub use crate::engine::{
-        CacheStats, DocGc, EngineError, EvalProfile, EvalStrategy, IeFunction, PreparedProgram,
-        PreparedQuery, Session, SessionBuilder, SessionStats, Snapshot, TraceLevel,
+        CacheStats, DocGc, EngineError, EvalMode, EvalProfile, EvalStrategy, IeFunction,
+        PreparedProgram, PreparedQuery, Session, SessionBuilder, SessionStats, Snapshot,
+        TraceLevel,
     };
 }
