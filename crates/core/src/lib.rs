@@ -11,9 +11,10 @@
 //!   of the paper's worked example in §2);
 //! * [`DocumentStore`] / [`DocId`] — interned document texts, so spans stay
 //!   three machine words and identical texts share one id;
-//! * [`Value`] — the dynamically-typed cell of a Spannerlog relation
-//!   (string, span, int, bool, float) with a *total* order so relations can
-//!   be sorted deterministically;
+//! * [`Value`] — the dynamically-typed two-word cell of a Spannerlog
+//!   relation (string, span, int, bool, float) with a *total* order so
+//!   relations can be sorted deterministically; a string is a [`Str`],
+//!   which carries the hash of its bytes;
 //! * [`Relation`] / [`Tuple`] — set-semantics relations over a [`Schema`],
 //!   stored flat: [`Rows`] is the row arena, [`RowTable`] its hash table
 //!   of row ids;
@@ -38,4 +39,4 @@ pub use rows::{hash_cells, RowTable, Rows};
 pub use schema::{Schema, ValueType};
 pub use span::Span;
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Str, Value};

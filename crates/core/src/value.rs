@@ -6,22 +6,123 @@
 //! [`Value`] covers strings, spans, 64-bit integers, booleans, and floats.
 //!
 //! Relations are *sets* that must be sortable for deterministic export, so
-//! `Value` implements a **total** order (floats are ordered by
-//! `f64::total_cmp`, and values of different types order by a fixed type
-//! rank).
+//! `Value` implements a **total** order (strings by their bytes, floats by
+//! `f64::total_cmp`, and values of different types by a fixed type rank).
+//!
+//! A cell is two words (16 bytes). A string is a [`Str`]: one pointer to
+//! its shared text and the hash of that text, taken once from its bytes
+//! when the string is made. Hashing a string cell — to dedupe a row,
+//! group a batch or probe the IE memo — therefore costs one word, however
+//! long the document, and two strings with different hashes compare
+//! unequal without reading their bytes.
 
 use crate::schema::ValueType;
 use crate::span::Span;
+use rustc_hash::FxHasher;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// A single cell value in a relation.
+/// An immutable shared string that carries the hash of its bytes.
+///
+/// The hash is computed once, when the string is made, from its bytes
+/// alone — never from an address or a per-process seed — so equal texts
+/// hash equal in every process. Cloning shares the allocation. Equality
+/// checks for one shared allocation, then the hashes, then the bytes;
+/// order is byte order, as for `str`. The text dereferences to `&str`.
+#[derive(Clone)]
+pub struct Str(Arc<Hashed>);
+
+/// What a [`Str`] points at: a thin pointer keeps [`Value`] two words.
+struct Hashed {
+    hash: u64,
+    text: Arc<str>,
+}
+
+impl Str {
+    /// Shares `text` and hashes its bytes.
+    pub fn new(text: impl Into<Arc<str>>) -> Self {
+        let text = text.into();
+        let mut hasher = FxHasher::default();
+        hasher.write(text.as_bytes());
+        // The length tells apart texts that differ only in trailing NULs,
+        // which the word-padded byte hash does not.
+        hasher.write_usize(text.len());
+        Str(Arc::new(Hashed {
+            hash: hasher.finish(),
+            text,
+        }))
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0.text
+    }
+
+    /// The shared text itself, for callers that keep it (the document
+    /// store interns it without a copy).
+    pub fn as_arc(&self) -> &Arc<str> {
+        &self.0.text
+    }
+}
+
+impl Deref for Str {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0.text
+    }
+}
+
+impl PartialEq for Str {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.hash == other.0.hash && self.0.text == other.0.text)
+    }
+}
+
+impl Eq for Str {}
+
+impl Hash for Str {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
+        self.0.text.cmp(&other.0.text)
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+/// A single cell value in a relation: two words.
 #[derive(Debug, Clone)]
 pub enum Value {
-    /// A string. Shared via `Arc` so copying tuples through joins is cheap.
-    Str(Arc<str>),
+    /// A string, hashed once when it was made; cloning shares it.
+    Str(Str),
     /// A span ⟨d, i, j⟩ into an interned document.
     Span(Span),
     /// A 64-bit signed integer.
@@ -33,9 +134,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// Builds a string value from anything string-like.
+    /// Builds a string value from anything string-like, hashing its
+    /// text. To put one string in many cells, build it once and clone.
     pub fn str(s: impl Into<Arc<str>>) -> Self {
-        Value::Str(s.into())
+        Value::Str(Str::new(s))
     }
 
     /// The runtime type of this value.
@@ -52,7 +154,7 @@ impl Value {
     /// Returns the string content if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -198,10 +300,57 @@ impl From<f64> for Value {
     }
 }
 
+// A cell is two words: the thin `Str` pointer, or a 12-byte span, next
+// to the tag.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::doc::DocId;
+    use crate::rows::hash_cells;
+
+    #[test]
+    fn a_strings_hash_depends_only_on_its_bytes() {
+        let text = "the same words";
+        let built = [
+            Value::str(text),
+            Value::str(text.to_string()),
+            Value::str(Arc::<str>::from(text)),
+            Value::from(text),
+            Value::Str(Str::new(text)),
+        ];
+        for value in &built {
+            assert_eq!(value, &built[0]);
+            assert_eq!(value.cmp(&built[0]), Ordering::Equal);
+            assert_eq!(hash_cells([value]), hash_cells([&built[0]]));
+        }
+        assert_ne!(
+            hash_cells([&Value::str("a")]),
+            hash_cells([&Value::str("a\0")])
+        );
+    }
+
+    #[test]
+    fn every_byte_of_a_string_reaches_its_hash() {
+        let mut bytes = vec![b'x'; 1000];
+        let a = Value::str(String::from_utf8(bytes.clone()).unwrap());
+        bytes[500] = b'y';
+        let b = Value::str(String::from_utf8(bytes).unwrap());
+        assert_ne!(a, b);
+        assert_ne!(hash_cells([&a]), hash_cells([&b]));
+    }
+
+    #[test]
+    fn strings_order_by_their_bytes() {
+        let mut values: Vec<Value> = ["b", "ab", "B", "a", "", "é"]
+            .into_iter()
+            .map(Value::str)
+            .collect();
+        values.sort();
+        let sorted: Vec<&str> = values.iter().filter_map(Value::as_str).collect();
+        assert_eq!(sorted, ["", "B", "a", "ab", "b", "é"]);
+    }
 
     #[test]
     fn type_introspection() {

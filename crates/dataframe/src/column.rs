@@ -1,13 +1,13 @@
 //! Typed columns.
 
-use spannerlib_core::{Span, Value, ValueType};
-use std::sync::Arc;
+use spannerlib_core::{Span, Str, Value, ValueType};
 
 /// A homogeneous column of values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
-    /// String column.
-    Str(Vec<Arc<str>>),
+    /// String column. A cell keeps the hash its string was made with,
+    /// so a frame built from values imports without hashing again.
+    Str(Vec<Str>),
     /// Span column.
     Span(Vec<Span>),
     /// Integer column.

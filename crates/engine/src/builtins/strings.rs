@@ -123,10 +123,14 @@ pub fn install(registry: &mut Registry) {
     });
 
     // as_str(x) -> (text) — explicit span→string (the paper writes
-    // str(y) in aggregation; in rule bodies this is the equivalent).
+    // str(y) in aggregation; in rule bodies this is the equivalent). A
+    // string passes through shared, its hash already taken.
     registry.register_closure("as_str", Some(1), |args, ctx| {
-        let s = as_text("as_str", &args[0], ctx)?;
-        Ok(vec![vec![Value::str(s)]])
+        let text = match &args[0] {
+            Value::Str(s) => Value::Str(s.clone()),
+            other => Value::str(as_text("as_str", other, ctx)?),
+        };
+        Ok(vec![vec![text]])
     });
 
     // starts_with / ends_with / str_contains: boolean filters.

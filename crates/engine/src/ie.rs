@@ -61,14 +61,14 @@ impl<'a> IeContext<'a> {
     /// Resolves a `str`-or-`span` value to a [`TextArg`] — the common
     /// entry point for text-consuming IE functions like `rgx`. The text
     /// is available immediately (zero-copy for string arguments, which
-    /// already share their `Arc<str>`); the backing *document* is minted
+    /// share their text); the backing *document* is minted
     /// lazily by [`TextArg::doc_base`], so functions whose output
     /// contains no spans over the text (`rgx_string`, filters, scalar
     /// extractors) never inflate the document store.
     pub fn text_arg(&self, v: &Value) -> Result<TextArg> {
         match v {
             Value::Str(s) => Ok(TextArg {
-                text: s.clone(),
+                text: Arc::clone(s.as_arc()),
                 origin: None,
             }),
             Value::Span(span) => Ok(TextArg {

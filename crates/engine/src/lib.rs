@@ -21,8 +21,8 @@
 //!   also derives the IE execution order inside each rule body (§3.1).
 //! * [`strata`] splits the program into the components of its predicate
 //!   dependency graph, in dependency order, rejecting negation or
-//!   aggregation inside one (extensions beyond the paper's core,
-//!   documented in DESIGN.md).
+//!   aggregation inside one (extensions beyond the paper's core; see
+//!   the README's *Evaluation* section).
 //! * [`eval`] fires the rules of a non-recursive component once and runs
 //!   semi-naive rounds inside recursive ones; naive bottom-up evaluation
 //!   — the algorithm the paper's implementation uses — is kept

@@ -869,8 +869,9 @@ fn project_head(
     }
 
     // Group-by: key = non-aggregate head columns; each aggregate folds
-    // the distinct (key, agg-vars) projections (set semantics — see
-    // DESIGN.md §4 "aggregation semantics"), grouped on the key columns.
+    // the distinct (key, agg-vars) projections, grouped on the key
+    // columns: set semantics, so two bindings that project alike count
+    // once (README, *Evaluation*).
     let mut distinct = Rows::new(plan.head.len());
     let mut seen = RowTable::default();
     for row in batch.rows.iter() {

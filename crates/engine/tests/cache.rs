@@ -134,6 +134,63 @@ fn warm_reruns_hit_the_memo() {
     );
 }
 
+/// A string's hash is a function of its bytes, so equal texts are one
+/// value however they arrived: from a CSV frame, `import_typed`, an IE
+/// function's output, the `str` conversion or `format`, they dedupe to
+/// one row of a relation and find one entry of the memo.
+#[test]
+fn equal_strings_from_every_source_are_one_row_and_one_memo_key() {
+    use spannerlib_core::ValueType;
+    use spannerlib_dataframe::DataFrame;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let calls = Arc::new(AtomicUsize::new(0));
+    let seen = calls.clone();
+    // One lane: two shards could both miss the key.
+    let mut session = Session::builder()
+        .parallelism(0)
+        .register("probe", Some(1), move |args, _| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![vec![args[0].clone()]])
+        })
+        .build();
+    let csv = DataFrame::from_csv_typed("name\nann\n", &[ValueType::Str]).unwrap();
+    session.import_dataframe(&csv, "Csv").unwrap();
+    session
+        .import_typed("Typed", vec![("ann".to_string(),)])
+        .unwrap();
+    session
+        .run(
+            r#"new Text(str)
+new Parts(str, str)
+Text("she is ann") Parts("an", "n")
+FromIe(x) <- Text(t), rgx_string("a[a-z]+", t) -> (x)
+FromStr(t, min(str(s))) <- Text(t), rgx("a[a-z]+", t) -> (s)
+FromFormat(x) <- Parts(a, b), format("{}{}", a, b) -> (x)
+Names(x) <- Csv(x)
+Names(x) <- Typed(x)
+Names(x) <- FromIe(x)
+Names(x) <- FromStr(_, x)
+Names(x) <- FromFormat(x)
+Probed(y) <- Csv(x), probe(x) -> (y)
+Probed(y) <- Typed(x), probe(x) -> (y)
+Probed(y) <- FromIe(x), probe(x) -> (y)
+Probed(y) <- FromStr(_, x), probe(x) -> (y)
+Probed(y) <- FromFormat(x), probe(x) -> (y)"#,
+        )
+        .unwrap();
+    let names: Vec<(String,)> = session.export_typed("?Names(x)").unwrap();
+    assert_eq!(names, [("ann".to_string(),)]);
+    let probed: Vec<(String,)> = session.export_typed("?Probed(y)").unwrap();
+    assert_eq!(probed, names);
+    // Five firings probe the memo for "ann": the first misses and calls,
+    // the other four find its entry.
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+    let cache = session.stats().cache;
+    assert_eq!(cache.hits, 4, "{cache:?}");
+}
+
 /// Re-registering a function under a cached name must invalidate its
 /// memoized results — the new body wins.
 #[test]

@@ -25,8 +25,10 @@
 //!
 //! Beyond the paper's core we also parse stratified **negation**
 //! (`not Atom(...)`) and comparison guards (`x != y`, `n < m`) — both are
-//! flagged as extensions in DESIGN.md and checked by the engine's safety
-//! and stratification passes.
+//! extensions beyond the paper's core. The engine's safety pass requires
+//! their variables to be bound elsewhere in the body, and its
+//! stratification pass rejects negation inside a recursive component
+//! (README, *Evaluation*).
 //!
 //! Statements are self-delimiting; a trailing `.` is accepted anywhere a
 //! statement ends. `#` starts a line comment. The unicode arrows `←` and

@@ -276,6 +276,26 @@ fn only_prepared_names_enter_the_body_cache() {
     thread.join().unwrap();
 }
 
+/// A string's hash is a function of its bytes: a query constant, parsed
+/// from the query text, finds the rows of a snapshot index whose equal
+/// strings were parsed from a JSON `/import`.
+#[test]
+fn a_query_constant_finds_strings_a_json_import_brought() {
+    let (addr, handle, thread) = boot();
+    let mut client = Client::new(addr);
+    ok(&mut client, "/register", r#"{"rules": "new R(int, str)"}"#);
+    ok(
+        &mut client,
+        "/import",
+        r#"{"relation": "R", "rows": [[1, "a"], [2, "b"], [3, "a"], [4, "ab"]]}"#,
+    );
+    let resp = ok(&mut client, "/execute", r#"{"query": "?R(x, \"a\")"}"#);
+    assert!(resp.body.contains(r#""rows":[[1],[3]]"#), "{}", resp.body);
+    assert_eq!(metric(&mut client, "snapshot_index_builds"), 1.0);
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
 /// A mutation the session refused changed nothing, so it publishes
 /// nothing. (Every command used to bump the write version: the `400`s
 /// below made the next `/execute` evaluate, mint a new ETag and start
