@@ -12,8 +12,8 @@
 //! component exactly once — nothing they read can still change — runs
 //! the standard delta refinement (Green et al., *Datalog and Recursive
 //! Query Processing*) on recursive ones, orders steps by estimated
-//! cost, reuses scan indexes across the run, and shards split-correct
-//! rules across the session's lanes. The two are kept behaviourally
+//! cost, reuses scan indexes across the run, and shards every firing
+//! across the session's lanes. The two are kept behaviourally
 //! identical — the equivalence is property-tested — which makes the
 //! naive strategy the one reference every shortcut is checked against.
 //!
@@ -39,6 +39,7 @@ use crate::registry::Registry;
 use crate::strata::Component;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
+use spannerlib_core::Rows;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -52,7 +53,7 @@ pub enum EvalStrategy {
     Naive,
     /// Production: fire non-recursive components once, evaluate rule
     /// variants against per-round deltas inside recursive ones; order
-    /// steps by cost, reuse scan indexes, shard split-correct rules.
+    /// steps by cost, reuse scan indexes, shard firings across lanes.
     #[default]
     SemiNaive,
 }
@@ -189,8 +190,8 @@ pub struct EvalCtx<'a> {
     pub limits: EvalLimits,
     /// IE memo table, when enabled.
     pub cache: Option<&'a SharedIeMemo>,
-    /// Lanes for split-correct parallel evaluation, the calling thread
-    /// included (`SessionBuilder::parallelism`); below 2 — and
+    /// Lanes a firing's shards run on, the calling thread included
+    /// (`SessionBuilder::parallelism`); below 2 — and
     /// [`EvalStrategy::Naive`] at any count — every firing runs on the
     /// calling thread.
     pub workers: usize,
@@ -228,12 +229,6 @@ pub(crate) type Deltas = FxHashMap<String, Range<usize>>;
 /// the plan that runs — the rule's own or a variant of it — and where
 /// its scans read.
 pub(crate) type Firing<'p, 'x> = (usize, &'p RulePlan, ExecCtx<'x>);
-
-/// Whether the compile-time split-correctness analysis cleared `rule`
-/// for shard-parallel execution.
-fn rule_is_parallel(rule: &RulePlan) -> bool {
-    rule.opt.as_ref().is_some_and(|o| o.split.is_parallel())
-}
 
 /// The document store and the indexes on loan to one evaluation: the
 /// documents behind the [`SharedDocs`] lock while rules fire, both moved
@@ -347,11 +342,6 @@ pub(crate) fn run(
             workers as u64,
             tally.shard_tasks.load(Ordering::Relaxed),
             tally.ie_batches.load(Ordering::Relaxed),
-            components
-                .iter()
-                .flat_map(|c| &c.rules)
-                .filter(|r| !rule_is_parallel(r))
-                .count() as u64,
         );
     }
     result.map(|()| run.stats)
@@ -551,21 +541,25 @@ fn fire_rule(
             return Err(e);
         }
     };
-    stats.tuples_derived += derived.len();
+    let derived_n = derived.iter().map(Rows::len).sum::<usize>();
+    stats.tuples_derived += derived_n;
     let new_before = stats.tuples_new;
     let mut within = Ok(());
-    for row in derived.iter() {
-        if db.insert_derived(&rule.head_predicate, row)? {
-            stats.tuples_new += 1;
-            within = limits.check_rows(stats, Some(rule));
-            if within.is_err() {
-                break;
+    // Shard by shard, each piece going once it is in.
+    'insert: for piece in derived {
+        for row in piece.iter() {
+            if db.insert_derived(&rule.head_predicate, row)? {
+                stats.tuples_new += 1;
+                within = limits.check_rows(stats, Some(rule));
+                if within.is_err() {
+                    break 'insert;
+                }
             }
         }
     }
     let new_n = stats.tuples_new - new_before;
     tr.trace
-        .rule_fired(tr.rule, derived.len() as u64, new_n as u64, t0);
+        .rule_fired(tr.rule, derived_n as u64, new_n as u64, t0);
     within.map(|()| new_n > 0)
 }
 

@@ -59,10 +59,7 @@ pub use error::{EngineError, LimitCulprit, Result};
 pub use eval::{EvalLimits, EvalStats, EvalStrategy};
 pub use ie::{filter_output, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
 pub use maintain::{EvalMode, FullReason};
-pub use optimizer::SplitClass;
-pub use prepared::{
-    CompiledProgram, PreparedProgram, PreparedQuery, ShardPlan, ShardRule, Snapshot,
-};
+pub use prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 pub use query::{QueryPlan, Selection};
 pub use registry::Registry;
 pub use session::{Session, SessionBuilder, SessionStats, DEFAULT_IE_CACHE_BYTES};

@@ -78,55 +78,6 @@ impl StepMeta {
 pub struct RuleOpt {
     /// One entry per plan step, in plan order.
     pub steps: Vec<StepMeta>,
-    /// Split-correctness verdict: may the rule's firings be sharded and
-    /// evaluated on worker threads?
-    pub split: SplitClass,
-}
-
-/// Compile-time split-correctness classification of one rule (after
-/// Doleschal et al.: a program split that evaluates each document
-/// independently is *split-correct* when the per-document unions equal
-/// the whole-corpus result).
-///
-/// The analysis is conservative: a rule is `Parallel` only when every
-/// IE call is rooted at a single scan, the one that binds the *document
-/// variable*. A firing then splits that scan: each shard reads a range
-/// of its row ids and runs the rest of the body over them — every step
-/// maps a binding row to rows, so the union over any partition of the
-/// scanned rows is the whole firing's result. Everything else —
-/// aggregation (which folds across documents), cross-document joins
-/// feeding IE — falls back to the serial path with a human-readable
-/// reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitClass {
-    /// Shard-parallel: the first scan to bind `doc_var` (a plan
-    /// variable index) is the one a firing splits by row-id range. It
-    /// names a scan, not a partition key: rows of one document may fall
-    /// into different shards.
-    Parallel {
-        /// Index of the document variable, which names the scan to split.
-        doc_var: usize,
-    },
-    /// Serial fallback, with the reason the analysis rejected sharding.
-    Serial {
-        /// Human-readable rejection reason (surfaced by `ShardPlan`).
-        reason: &'static str,
-    },
-}
-
-impl Default for SplitClass {
-    fn default() -> Self {
-        SplitClass::Serial {
-            reason: "unclassified",
-        }
-    }
-}
-
-impl SplitClass {
-    /// Whether the rule may run shard-parallel.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, SplitClass::Parallel { .. })
-    }
 }
 
 fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {
@@ -139,74 +90,12 @@ fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {
     }
 }
 
-impl RuleOpt {
-    /// The annotation of `plan`, given the metadata of its steps.
-    pub fn new(plan: &RulePlan, steps: Vec<StepMeta>) -> RuleOpt {
-        let split = classify(plan, &steps);
-        RuleOpt { steps, split }
-    }
-}
-
 /// Annotates a hand-built plan as it stands; [`crate::safety::analyze`]
 /// returns its plans annotated. A plan without the annotation executes
-/// in textual order on the calling thread.
+/// its steps in textual order.
 pub fn annotate(plan: &mut RulePlan) {
     let steps = plan.steps.iter().map(StepMeta::of).collect();
-    plan.opt = Some(RuleOpt::new(plan, steps));
-}
-
-/// Split-correctness analysis (see [`SplitClass`]). Walks the body in
-/// textual order tracing each variable back to the scan that *roots*
-/// it: scans root their own variables, IE outputs inherit the root of
-/// the IE inputs. A rule shards cleanly iff every IE call is fed from
-/// exactly one root — that root's first IE input variable becomes the
-/// document variable, whose scan the shards split.
-fn classify(plan: &RulePlan, metas: &[StepMeta]) -> SplitClass {
-    let serial = |reason| SplitClass::Serial { reason };
-    if plan.has_aggregation() {
-        return serial("aggregation folds across documents");
-    }
-    if !plan.steps.iter().any(|s| matches!(s, Step::Ie { .. })) {
-        return serial("no IE step to parallelize");
-    }
-    // For each variable: the index of the scan step that (transitively)
-    // produced it, or `None` while unbound.
-    let mut var_root: Vec<Option<usize>> = vec![None; plan.var_names.len()];
-    // The root of the IE calls so far, and the document variable.
-    let mut doc: Option<(usize, usize)> = None;
-    for (i, (step, meta)) in plan.steps.iter().zip(metas).enumerate() {
-        let root = match step {
-            Step::Scan { .. } => i,
-            Step::Ie { .. } => {
-                let mut roots: Vec<usize> = Vec::new();
-                for &v in &meta.needs {
-                    match var_root.get(v).copied().flatten() {
-                        Some(r) if roots.contains(&r) => {}
-                        Some(r) => roots.push(r),
-                        None => return serial("IE input not rooted at a scan"),
-                    }
-                }
-                match (&roots[..], doc) {
-                    ([], _) => return serial("IE call with constant-only inputs"),
-                    ([r], None) => doc = Some((*r, meta.needs[0])),
-                    ([r], Some((root, _))) if *r == root => {}
-                    ([_], _) => return serial("IE calls rooted at different scans"),
-                    _ => return serial("cross-document join feeds an IE call"),
-                }
-                roots[0]
-            }
-            Step::Negation { .. } | Step::Compare { .. } => continue,
-        };
-        for &v in &meta.binds {
-            if let Some(slot @ None) = var_root.get_mut(v) {
-                *slot = Some(root);
-            }
-        }
-    }
-    match doc {
-        Some((_, doc_var)) => SplitClass::Parallel { doc_var },
-        None => serial("IE call with constant-only inputs"),
-    }
+    plan.opt = Some(RuleOpt { steps });
 }
 
 /// Assumed output rows per input row of an IE call — a handful of

@@ -17,20 +17,22 @@
 //! insert catches what the projection folds.
 //!
 //! Every step maps one binding row to rows, against relations that are
-//! complete while the rule fires. A firing of a split-correct rule is
-//! therefore cut into *shards* — ranges of the row ids one of its scans
-//! reads — each of which runs scan, IE calls and head projection on one
-//! lane, start to finish (`run_sharded`).
+//! complete while the rule fires. Any firing is therefore cut into
+//! *shards* — ranges of the row ids one of its scans reads — each of
+//! which runs scan, IE calls and head projection on one lane, start to
+//! finish (`run_sharded`); an aggregate head folds every shard's rows
+//! once, on the caller.
 
 use crate::error::{EngineError, Result};
 use crate::ie::{IeContext, SharedDocs};
-use crate::optimizer::{self, IndexCache, RuleOpt, SplitClass, TupleIndex};
+use crate::optimizer::{self, IndexCache, RuleOpt, StepMeta, TupleIndex};
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use spannerlog_parser::CmpOp;
+use std::cmp::Reverse;
 use std::fmt::Display;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,7 +159,7 @@ pub struct ParTally {
     pub rows_scanned: AtomicU64,
     /// IE batch steps executed (once per shard of a sharded firing).
     pub ie_batches: AtomicU64,
-    /// Shard tasks spawned for split-correct rule firings.
+    /// Shard tasks spawned for rule firings.
     pub shard_tasks: AtomicU64,
 }
 
@@ -184,8 +186,8 @@ pub struct ExecCtx<'a> {
     pub indexes: Option<&'a IndexCache>,
     /// The document store, behind its lock for the whole evaluation.
     pub docs: &'a SharedDocs,
-    /// Lanes a split-correct firing's shards run on, the calling thread
-    /// included; below 2 every firing stays on the calling thread.
+    /// Lanes a firing's shards run on, the calling thread included;
+    /// below 2 a firing is one shard, on the calling thread.
     pub workers: usize,
     /// Shared evaluation-wide counters.
     pub tally: &'a ParTally,
@@ -206,23 +208,24 @@ pub struct TraceCtx<'a> {
 }
 
 /// Executes `plan` against the given relations, returning the derived
-/// head rows, repeats included. `ctx.delta`, when set, restricts one
-/// scan to a run of row ids (semi-naive evaluation). `ctx.cache`, when
-/// set, memoizes IE calls across rows, reruns, and executions. Join and
-/// IE-batch work is reported through `tr` (every call is a no-op when
-/// tracing is off).
+/// head rows in pieces — one per shard, in shard order — repeats
+/// included. `ctx.delta`, when set, restricts one scan to a run of row
+/// ids (semi-naive evaluation). `ctx.cache`, when set, memoizes IE calls
+/// across rows, reruns, and executions. Join and IE-batch work is
+/// reported through `tr` (every call is a no-op when tracing is off).
 ///
-/// A rule classified split-correct runs in two parts: on the caller the
-/// steps ordered before the scan that binds the rule's document
-/// variable, and then that scan, every later step and the head
-/// projection once per *shard* — a contiguous range of the scanned
-/// relation's row ids (`run_sharded`).
+/// A firing runs in three parts: on the caller the steps ordered before
+/// the scan it shards (`shard_scan`); then that scan, every later step
+/// and the head projection once per *shard* — a contiguous range of the
+/// scanned relation's row ids (`run_sharded`); then, for an aggregate
+/// head, the fold over every shard's rows, on the caller. A body with no
+/// scan to shard runs whole on the caller.
 pub fn execute_with(
     plan: &RulePlan,
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
-) -> Result<Rows> {
+) -> Result<Vec<Rows>> {
     validate_var_indexes(plan)?;
     let n_vars = plan.var_names.len();
     let mut rows = Rows::new(n_vars);
@@ -253,22 +256,16 @@ pub fn execute_with(
         }
         None => (0..plan.steps.len()).collect(),
     };
-    // Where a split-correct rule shards: the first scan binding its
-    // document variable.
-    let split_at = match plan.opt.as_ref().map(|opt| opt.split) {
-        Some(SplitClass::Parallel { doc_var }) => order.iter().position(|&i| {
-            matches!(&plan.steps[i], Step::Scan { terms, .. } if terms.contains(&PTerm::Var(doc_var)))
-        }),
-        _ => None,
-    };
+    let split_at = shard_scan(plan, &order, scan_rows).unwrap_or(order.len());
 
     let scanned_before = ctx.tally.rows_scanned.load(Ordering::Relaxed);
-    let (prefix, sharded) = order.split_at(split_at.unwrap_or(order.len()));
-    let derived =
-        run_steps(plan, prefix, batch, relations, ctx, tr).and_then(|batch| match sharded {
-            [] => project_head(plan, &batch, ctx.docs, ctx.registry),
+    let (prefix, sharded) = order.split_at(split_at);
+    let derived = run_steps(plan, prefix, batch, relations, ctx, tr)
+        .and_then(|batch| match sharded {
+            [] => project_head(plan, &batch).map(|rows| vec![rows]),
             _ => run_sharded(plan, sharded, &batch, relations, ctx, tr),
-        });
+        })
+        .and_then(|pieces| fold_aggregates(plan, pieces, ctx.docs, ctx.registry));
     // Rows scanned flow through the shared tally (shard workers race on
     // it) and fold into the trace once per firing.
     tr.trace.join_scanned(
@@ -279,6 +276,34 @@ pub fn execute_with(
             .saturating_sub(scanned_before),
     );
     derived
+}
+
+/// The position in `order` of the scan a firing shards: of the scans
+/// `scan_join` reads as a plain pass over a row range — no constant
+/// among their terms, no variable an earlier step binds — the one with
+/// the most rows by `scan_rows`, the earliest on a tie. `None` when no
+/// scan qualifies.
+fn shard_scan(
+    plan: &RulePlan,
+    order: &[usize],
+    mut scan_rows: impl FnMut(usize) -> usize,
+) -> Option<usize> {
+    let mut bound = vec![false; plan.var_names.len()];
+    let mut plain = Vec::new();
+    for (at, &i) in order.iter().enumerate() {
+        if let Step::Scan { terms, .. } = &plan.steps[i] {
+            if Columns::of(terms, &bound).key.is_empty() {
+                plain.push((at, scan_rows(i)));
+            }
+        }
+        StepMeta::of(&plan.steps[i])
+            .binds
+            .iter()
+            .for_each(|&v| bound[v] = true);
+    }
+    // `min_by_key` keeps the first of equal minima: the earliest.
+    let largest = plain.into_iter().min_by_key(|&(_, rows)| Reverse(rows));
+    largest.map(|(at, _)| at)
 }
 
 impl Batch {
@@ -294,9 +319,9 @@ impl Batch {
     }
 }
 
-/// Runs the pipeline steps selected by `order` over `batch`: the whole
-/// order of a serial rule, the steps a split-correct one runs before it
-/// shards, and those after its sharded scan once per shard.
+/// Runs the pipeline steps selected by `order` over `batch`: those a
+/// firing runs before it shards, and those after its sharded scan once
+/// per shard.
 fn run_steps(
     plan: &RulePlan,
     order: &[usize],
@@ -389,19 +414,19 @@ fn scan_step(
     joined
 }
 
-/// Runs the sharded part of a split-correct rule — `order[0]`, the scan
-/// that binds its document variable, the steps after it and the head
-/// projection — once per shard, returning the head rows in shard order.
-/// A shard is a contiguous range of the row ids that scan reads: of its
-/// delta or its seed when the firing restricts that scan, else of the
-/// whole relation (a delta on another scan holds alongside). A rule
-/// body maps a binding row to rows against relations that are complete
-/// while the rule fires, so any partition of the rows is split-correct.
+/// Runs the sharded part of a firing — `order[0]`, the scan it shards,
+/// the steps after it and the head projection — once per shard,
+/// returning the head rows of each, in shard order. A shard is a
+/// contiguous range of the row ids that scan reads: of its delta or its
+/// seed when the firing restricts that scan, else of the whole relation
+/// (a delta on another scan holds alongside). A rule body maps a binding row to rows
+/// against relations that are complete while the rule fires, so the
+/// shards' rows together are the firing's, however the range is cut.
 /// Shards borrow `batch`, what the steps before left. One shard — fewer
 /// than two lanes, a single row to scan — runs on the calling thread;
 /// more fork a trace each, run on `spannerlib_par::map_ranges` lanes,
-/// and merge rows and traces back in shard order, the first error in
-/// that stable order winning.
+/// and merge traces back in shard order, the first error in that stable
+/// order winning.
 fn run_sharded(
     plan: &RulePlan,
     order: &[usize],
@@ -409,8 +434,7 @@ fn run_sharded(
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
-) -> Result<Rows> {
-    let mut merged = Rows::new(plan.head.len());
+) -> Result<Vec<Rows>> {
     let scan = &plan.steps[order[0]];
     let Step::Scan { relation, terms } = scan else {
         return Err(internal(plan, "a firing shards at a scan".to_string()));
@@ -418,7 +442,7 @@ fn run_sharded(
     let (rel, delta) = scan_source(order[0], relation, relations, ctx);
     let scanned = delta.clone().unwrap_or(0..rel.map_or(0, Relation::len));
     if batch.rows.is_empty() || scanned.is_empty() {
-        return Ok(merged);
+        return Ok(Vec::new());
     }
     let shard = |range: Option<Range<usize>>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
         let mut shard = Batch {
@@ -427,10 +451,10 @@ fn run_sharded(
         };
         shard.bind(scan);
         let shard = run_steps(plan, &order[1..], shard, relations, ctx, tr)?;
-        project_head(plan, &shard, ctx.docs, ctx.registry)
+        project_head(plan, &shard)
     };
     if ctx.workers < 2 || scanned.len() < 2 {
-        return shard(delta, tr);
+        return shard(delta, tr).map(|rows| vec![rows]);
     }
     let trace = &*tr.trace;
     let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |i, range| {
@@ -454,10 +478,7 @@ fn run_sharded(
         tr.trace.merge_fork(tr.rule, tr.parent, fork);
         results.push(rows);
     }
-    for rows in results {
-        merged.append(rows?);
-    }
-    Ok(merged)
+    results.into_iter().collect()
 }
 
 /// A structured "the plan violated a binding invariant" error — the
@@ -841,19 +862,15 @@ fn anti_join(
     batch.rows.retain(|_, row| !matched(row));
 }
 
-/// Projects a batch through the head, grouping if any aggregate column
-/// is present.
-fn project_head(
-    plan: &RulePlan,
-    batch: &Batch,
-    docs: &SharedDocs,
-    registry: &Registry,
-) -> Result<Rows> {
+/// Projects a batch through the head, a row per binding row: one cell
+/// per head column, where an aggregate column takes its variable's.
+/// Runs once per shard; [`fold_aggregates`] groups what every shard
+/// projected.
+fn project_head(plan: &RulePlan, batch: &Batch) -> Result<Rows> {
     let mut out = Rows::new(plan.head.len());
     if batch.rows.is_empty() {
         return Ok(out);
     }
-    // One cell per head column; an aggregate column reads its variable.
     let as_term = |h: &HeadOut| match h {
         HeadOut::Const(c) => PTerm::Const(c.clone()),
         HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => PTerm::Var(*v),
@@ -862,24 +879,41 @@ fn project_head(
     for t in &head {
         operand(plan, t, &batch.bound, "head variable")?;
     }
-    let project = |row| head.iter().map(move |t| cell(t, row));
-    if !plan.has_aggregation() {
-        batch.rows.iter().for_each(|row| out.push(project(row)));
-        return Ok(out);
+    for row in batch.rows.iter() {
+        out.push(head.iter().map(|t| cell(t, row)));
     }
+    Ok(out)
+}
 
-    // Group-by: key = non-aggregate head columns; each aggregate folds
-    // the distinct (key, agg-vars) projections, grouped on the key
-    // columns: set semantics, so two bindings that project alike count
-    // once (README, *Evaluation*).
+/// The head rows of a firing from what its shards projected: the pieces
+/// themselves, or — when the head aggregates — one row per group. The
+/// key is the non-aggregate head columns, and each aggregate folds the
+/// distinct (key, agg-vars) projections, grouped on the key columns:
+/// set semantics, so two bindings that project alike count once
+/// (README, *Evaluation*). A commutative reduce over independent maps:
+/// it runs once, on the caller, over every shard's rows.
+fn fold_aggregates(
+    plan: &RulePlan,
+    pieces: Vec<Rows>,
+    docs: &SharedDocs,
+    registry: &Registry,
+) -> Result<Vec<Rows>> {
+    if !plan.has_aggregation() {
+        return Ok(pieces);
+    }
     let mut distinct = Rows::new(plan.head.len());
     let mut seen = RowTable::default();
-    for row in batch.rows.iter() {
-        distinct.push_distinct(&mut seen, project(row));
+    // Each piece goes as soon as its rows are in.
+    for piece in pieces {
+        for row in piece.iter() {
+            distinct.push_distinct(&mut seen, row.iter());
+        }
     }
+    drop(seen);
     let is_key = |c: &usize| !matches!(plan.head[*c], HeadOut::Aggregate { .. });
     let key_cols: Vec<usize> = (0..plan.head.len()).filter(is_key).collect();
     let groups = TupleIndex::build(&distinct, 0..distinct.len(), &key_cols);
+    let mut out = Rows::new(plan.head.len());
     let mut tuple: Vec<Value> = Vec::with_capacity(plan.head.len());
     for members in groups.groups() {
         for (c, h) in plan.head.iter().enumerate() {
@@ -909,7 +943,7 @@ fn project_head(
         out.push(&tuple);
         tuple.clear();
     }
-    Ok(out)
+    Ok(vec![out])
 }
 
 #[cfg(test)]
@@ -1150,7 +1184,64 @@ mod tests {
             parent: NO_SPAN,
         };
         let derived = execute_with(plan, relations, &ctx, &mut tr).unwrap();
-        derived.iter().map(<[Value]>::to_vec).collect()
+        derived
+            .iter()
+            .flat_map(Rows::iter)
+            .map(<[Value]>::to_vec)
+            .collect()
+    }
+
+    /// Where [`shard_scan`] cuts a firing: `order` over a plan of
+    /// `steps` on variables `0..4`, scan `i` holding `rows[i]` rows.
+    fn shard_at(steps: Vec<Step>, order: &[usize], rows: &[usize]) -> Option<usize> {
+        let plan = RulePlan {
+            head_predicate: "H".into(),
+            steps,
+            head: Vec::new(),
+            var_names: ["a", "b", "c", "d"].map(String::from).to_vec(),
+            line: 1,
+            source: String::new(),
+            dependencies: Vec::new(),
+            opt: None,
+        };
+        shard_scan(&plan, order, |i| rows[i])
+    }
+
+    fn scan(relation: &str, terms: &[PTerm]) -> Step {
+        let (relation, terms) = (relation.to_string(), terms.to_vec());
+        Step::Scan { relation, terms }
+    }
+
+    /// A firing shards its largest scan that reads a plain row range,
+    /// the earliest on a tie, and nothing when every scan is keyed.
+    #[test]
+    fn shard_scan_takes_the_largest_plain_scan() {
+        let (v, ignore) = (PTerm::Var, PTerm::Const(Value::str("ignore")));
+        // `IgnoredSection(d, x) <- Notes(d, t), note_sections(t) -> (x, c),
+        // SectionPolicy(c, "ignore")`, the 16-row constant-keyed lookup
+        // ordered first: the 4 000 notes are cut, not the lookup.
+        let notes = scan("Notes", &[v(0), v(1)]);
+        let sections = Step::Ie {
+            function: "note_sections".into(),
+            inputs: vec![v(1)],
+            outputs: vec![v(2), v(3)],
+        };
+        let policy = scan("SectionPolicy", &[v(3), ignore]);
+        let steps = vec![notes, sections, policy];
+        assert_eq!(shard_at(steps, &[2, 0, 1], &[4000, 0, 16]), Some(1));
+        // The delta variant of `Path(x, z) <- Edge(x, y), Path(y, z)`:
+        // the planner puts the 10-row delta first, and the larger `Edge`
+        // is then keyed on `y`.
+        let steps = vec![scan("Edge", &[v(0), v(1)]), scan("Path", &[v(1), v(2)])];
+        assert_eq!(shard_at(steps, &[1, 0], &[1200, 10]), Some(0));
+        // Every scan keyed: by a constant, then by a bound variable.
+        let one = PTerm::Const(Value::Int(1));
+        let steps = vec![scan("R", &[one, v(0)]), scan("S", &[v(0), v(1)])];
+        assert_eq!(shard_at(steps, &[0, 1], &[50, 50]), None);
+        // A cross product: the larger side, and the earlier of equals.
+        let steps = || vec![scan("A", &[v(0)]), scan("B", &[v(1), PTerm::Wildcard])];
+        assert_eq!(shard_at(steps(), &[0, 1], &[5, 9]), Some(1));
+        assert_eq!(shard_at(steps(), &[1, 0], &[7, 7]), Some(0));
     }
 
     /// Extends `order` to the lexicographically least order of `0..n`

@@ -1,19 +1,17 @@
 //! The prepare-once/execute-many layer: compiled programs, prepared
 //! queries, and immutable snapshots.
 //!
-//! Spanner programs admit a compile-once/run-per-document factoring
-//! (Doleschal et al., *Split-Correctness in Information Extraction*):
-//! parsing, safety analysis (which also sequences IE calls),
+//! Parsing, safety analysis (which also sequences IE calls),
 //! stratification, and planning depend only on the rules and the
-//! registry — not on the data. A [`CompiledProgram`] is that factored
-//! artifact; [`PreparedQuery`] pairs it with a parsed query so serving
+//! registry — not on the data. A [`CompiledProgram`] is that work done
+//! once; [`PreparedQuery`] pairs it with a parsed query so serving
 //! paths pay neither parsing nor planning per request, and [`Snapshot`]
 //! freezes a fully evaluated database for lock-free concurrent reads.
 
 use crate::database::Database;
 use crate::error::Result;
 use crate::maintain::{self, RuleVariants};
-use crate::optimizer::{IndexCache, SplitClass};
+use crate::optimizer::IndexCache;
 use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
@@ -40,58 +38,10 @@ pub struct CompiledProgram {
     /// Extensional relations the program reads (sorted): the only
     /// relations whose mutation can change derived content.
     pub(crate) input_relations: Vec<String>,
-    /// Per-rule split-correctness verdicts, for introspection.
-    pub(crate) shard_plan: ShardPlan,
     /// Per component, per rule: the plans incremental maintenance fires
     /// besides the rule's own.
     pub(crate) variants: Vec<Vec<RuleVariants>>,
 }
-
-/// One rule's split-correctness verdict, as recorded on a
-/// [`CompiledProgram`]'s [`ShardPlan`].
-#[derive(Debug, Clone)]
-pub struct ShardRule {
-    /// Head predicate of the rule.
-    pub head: String,
-    /// The rule's source text.
-    pub source: String,
-    /// Whether the rule may run shard-parallel.
-    pub parallel: bool,
-    /// For parallel rules: the name of the document variable, whose
-    /// scan the shards split by row range.
-    pub doc_var: Option<String>,
-    /// For serial rules: why the analysis rejected sharding.
-    pub reason: Option<&'static str>,
-}
-
-/// The compile-time shard plan of a program: which rules the
-/// split-correctness analysis cleared for document-parallel execution
-/// and which fall back to the serial path (with reasons). Purely
-/// informational — evaluation consults the per-rule verdicts directly.
-#[derive(Debug, Clone, Default)]
-pub struct ShardPlan {
-    /// One verdict per compiled rule, in evaluation order.
-    pub rules: Vec<ShardRule>,
-}
-
-impl ShardPlan {
-    /// Number of rules cleared for shard-parallel execution.
-    pub fn parallel_rules(&self) -> usize {
-        self.rules.iter().filter(|r| r.parallel).count()
-    }
-
-    /// Number of rules pinned to the serial path.
-    pub fn serial_rules(&self) -> usize {
-        self.rules.len() - self.parallel_rules()
-    }
-}
-
-// Compile-time guarantee: shard plans cross threads with the programs
-// that carry them.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ShardPlan>()
-};
 
 impl CompiledProgram {
     /// Compiles `rules` against the relation names known to `db` and the
@@ -137,35 +87,11 @@ impl CompiledProgram {
         input_relations.sort_unstable();
 
         let components = stratify(plans)?;
-        let shard_plan = ShardPlan {
-            rules: components
-                .iter()
-                .flat_map(|c| &c.rules)
-                .map(|plan| {
-                    let split = plan.opt.as_ref().map(|o| o.split).unwrap_or_default();
-                    let (doc_var, reason) = match split {
-                        SplitClass::Parallel { doc_var } => {
-                            (plan.var_names.get(doc_var).cloned(), None)
-                        }
-                        SplitClass::Serial { reason } => (None, Some(reason)),
-                    };
-                    ShardRule {
-                        head: plan.head_predicate.clone(),
-                        source: plan.source.clone(),
-                        parallel: split.is_parallel(),
-                        doc_var,
-                        reason,
-                    }
-                })
-                .collect(),
-        };
-
         Ok(CompiledProgram {
             id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
             variants: maintain::variants(&components),
             components,
             input_relations,
-            shard_plan,
         })
     }
 
@@ -183,12 +109,6 @@ impl CompiledProgram {
     /// The extensional relations this program reads, sorted by name.
     pub fn input_relations(&self) -> &[String] {
         &self.input_relations
-    }
-
-    /// The compile-time shard plan: which rules the split-correctness
-    /// analysis cleared for document-parallel execution.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.shard_plan
     }
 }
 

@@ -223,7 +223,7 @@ pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
         Step::Negation { relation, .. } => Some((relation.clone(), true)),
         _ => None,
     });
-    let mut plan = RulePlan {
+    Ok(RulePlan {
         head_predicate: rule.head_predicate.clone(),
         dependencies: dependencies.collect(),
         steps,
@@ -231,10 +231,8 @@ pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
         var_names,
         line: rule.line,
         source: rule.to_string(),
-        opt: None,
-    };
-    plan.opt = Some(RuleOpt::new(&plan, metas));
-    Ok(plan)
+        opt: Some(RuleOpt { steps: metas }),
+    })
 }
 
 #[cfg(test)]

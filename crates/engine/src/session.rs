@@ -37,16 +37,16 @@
 //! evaluation updates from, so the first write after an evaluation
 //! copies the database once, snapshot or not (unless the program can
 //! never be maintained: see `maintain::basis`).
-//! *Evaluation* scales through [`SessionBuilder::parallelism`]: rules
-//! the compile-time split-correctness analysis clears (see
-//! `CompiledProgram::shard_plan`) shard their firings — by row range
-//! of the scan that binds the document variable — across the driving
-//! thread and threads scoped to the firing (`spannerlib_par`), so no
-//! thread outlives the call that spawned it. Every evaluation — sharded
-//! or not — keeps the document store behind a read-write lock and the
-//! IE memo behind its usual mutex (taken twice per batch of IE calls,
-//! never across one) for the duration of the run, so an IE function meets the same locking
-//! discipline under `parallelism(0)` as on a many-core host. Parallel
+//! *Evaluation* scales through [`SessionBuilder::parallelism`]: a rule
+//! firing shards — by row range of its largest scan that reads a plain
+//! range (`plan::execute_with`) — across the driving thread and threads
+//! scoped to the firing (`spannerlib_par`), so no thread outlives the
+//! call that spawned it. Every evaluation — sharded or not — keeps the
+//! document store behind a read-write lock and the IE memo behind its
+//! usual mutex (taken twice per batch of IE calls, never across one)
+//! for the duration of the run, so an IE function meets the same
+//! locking discipline under `parallelism(0)` as on a many-core host.
+//! Parallel
 //! and serial runs derive identical tuple *sets* (property-tested).
 //! Registered IE functions must therefore be `Send + Sync` (the trait
 //! already requires it) and must tolerate concurrent invocation on
@@ -226,14 +226,14 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets how many threads split-correct parallel evaluation uses,
-    /// the calling thread included (default: the machine's available
-    /// parallelism). Rule firings the compile-time analysis clears as
-    /// split-correct are sharded by row range across the calling thread
-    /// and `workers − 1` threads spawned for the firing; `0` or `1`
-    /// keeps every firing on the calling thread (one shard), as do
-    /// [`EvalStrategy::Naive`] and a maintained evaluation, whose firings
-    /// cover a few changed rows. Parallel and serial evaluation derive
+    /// Sets how many threads parallel evaluation uses, the calling
+    /// thread included (default: the machine's available parallelism).
+    /// A rule firing is sharded by row range of one scan across the
+    /// calling thread and `workers − 1` threads spawned for the firing;
+    /// an aggregate head folds the shards' rows on the calling thread.
+    /// `0` or `1` keeps every firing on the calling thread (one shard),
+    /// as do [`EvalStrategy::Naive`] and a maintained evaluation, whose
+    /// firings cover a few changed rows. Parallel and serial evaluation derive
     /// identical tuple sets (property-tested). See the module docs'
     /// threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
@@ -349,8 +349,8 @@ pub struct Session {
     /// Profile of the most recent fixpoint run (including aborted ones);
     /// `None` until a run happens with tracing at `Summary` or above.
     last_profile: Option<Arc<EvalProfile>>,
-    /// Lanes for split-correct parallel evaluation, the calling thread
-    /// included ([`SessionBuilder::parallelism`]); `0`/`1` = serial.
+    /// Lanes for parallel evaluation, the calling thread included
+    /// ([`SessionBuilder::parallelism`]); `0`/`1` = serial.
     parallelism: usize,
     /// Monotonic count of fixpoint runs actually executed (skipped
     /// evaluations do not bump it). Stamped onto each run's
@@ -929,13 +929,6 @@ impl Session {
         let mut trace = RunTrace::new(self.trace_level, DEFAULT_SPAN_BUFFER_BYTES);
         self.eval_seq += 1;
         trace.serving_context(self.eval_seq, std::mem::take(&mut self.pending_request_ids));
-        // A program no rule of which clears the split-correctness
-        // analysis runs serially and reports no `par:` line.
-        let workers = if program.shard_plan.parallel_rules() > 0 {
-            self.parallelism
-        } else {
-            0
-        };
         let old = std::mem::replace(&mut self.basis, Err(FullReason::PreviousRunFailed));
         let last = self.last_eval.take();
         let last = last.as_ref().map(|fp| (fp.program_id, &fp.input_gens[..]));
@@ -948,7 +941,7 @@ impl Session {
             strategy: self.strategy,
             limits: self.limits,
             cache: self.ie_cache.as_ref(),
-            workers,
+            workers: self.parallelism,
         };
         // The regex prefilter counters are process-wide; deltas around
         // the run attribute its share to this profile.

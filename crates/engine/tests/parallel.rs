@@ -1,13 +1,12 @@
-//! Split-correct parallel evaluation: compile-time shard-plan verdicts,
-//! parallel ≡ serial result equivalence, serial fallback for rules the
-//! analysis rejects, and the `par:` summary in evaluation profiles.
+//! Shard-parallel evaluation: every kind of firing shards, parallel ≡
+//! serial result equivalence, and the `par:` summary in evaluation
+//! profiles.
 
 use spannerlib_core::Value;
 use spannerlog_engine::{Session, TraceLevel};
 
-/// A mixed program: one shardable extraction rule, one aggregation
-/// (serial), one IE-free join (serial), and one cross-document join
-/// feeding an IE call (serial).
+/// A mixed program: an extraction rule, an aggregation, an IE-free
+/// self-join, and a join of two relations feeding an IE call.
 const MIXED_RULES: &str = r#"
 Word(d, w) <- Texts(d, t), rgx_string("([a-z]+)", t) -> (w)
 Cnt(d, count(w)) <- Word(d, w)
@@ -34,49 +33,52 @@ fn load(session: &mut Session) {
         .unwrap();
 }
 
-/// The compile-time analysis classifies each rule, exposing verdicts
-/// (and serial-fallback reasons) through the prepared program.
+/// Every firing may shard, not only one an analysis cleared: at two
+/// lanes an IE-free recursive program (whose delta rounds shard their
+/// delta) and a `count` over an IE output (whose body shards, and whose
+/// groups fold on the calling thread) both run shard tasks, and derive
+/// what a serial session derives.
 #[test]
-fn shard_plan_classifies_rules() {
-    let mut session = Session::new();
-    load(&mut session);
-    session.run(MIXED_RULES).unwrap();
-    let program = session.prepare_program().unwrap();
-    let plan = program.program().shard_plan();
-    assert_eq!(plan.rules.len(), 4);
-    assert_eq!(plan.parallel_rules(), 1);
-    assert_eq!(plan.serial_rules(), 3);
-
-    let by_head = |head: &str| {
-        plan.rules
-            .iter()
-            .find(|r| r.head == head)
-            .unwrap_or_else(|| panic!("no verdict for {head}"))
-    };
-
-    let word = by_head("Word");
-    assert!(word.parallel, "single-scan IE rule shards: {word:?}");
-    assert_eq!(word.doc_var.as_deref(), Some("t"));
-    assert!(word.reason.is_none());
-
-    let cnt = by_head("Cnt");
-    assert!(!cnt.parallel);
-    assert_eq!(cnt.reason, Some("aggregation folds across documents"));
-
-    let shared = by_head("Shared");
-    assert!(!shared.parallel);
-    assert_eq!(shared.reason, Some("no IE step to parallelize"));
-
-    let cross = by_head("Cross");
-    assert!(!cross.parallel, "two scan roots feed rgx_string: {cross:?}");
-    assert_eq!(cross.reason, Some("cross-document join feeds an IE call"));
+fn recursive_and_aggregating_firings_shard() {
+    let programs = [
+        (
+            "Path(x, y) <- Edge(x, y)
+             Path(x, z) <- Path(x, y), Edge(y, z)",
+            "Path",
+        ),
+        (
+            r#"Cnt(d, count(w)) <- Texts(d, t), rgx_string("([a-z]+)", t) -> (w)"#,
+            "Cnt",
+        ),
+    ];
+    for (program, relation) in programs {
+        let run = |workers: usize| {
+            let mut session = Session::builder()
+                .parallelism(workers)
+                .tracing(TraceLevel::Summary)
+                .build();
+            load(&mut session);
+            session.run("new Edge(int, int)").unwrap();
+            for i in 0..12 {
+                let edge = [Value::Int(i), Value::Int((i * 5 + 1) % 12)];
+                session.add_fact("Edge", edge).unwrap();
+            }
+            session.run(program).unwrap();
+            session
+        };
+        let mut parallel = run(2);
+        let rows = canonical(&mut parallel, relation);
+        assert!(rows.len() > 10, "{relation}: {rows:?}");
+        assert_eq!(rows, canonical(&mut run(0), relation), "{relation}");
+        let profile = parallel.profile().expect("summary tracing");
+        assert_eq!(profile.par_workers, 2, "{relation}");
+        assert!(profile.par_shards > 0, "{relation}: {profile:?}");
+    }
 }
 
-/// An uncached function is classified by its roots like any other: the
-/// constant-time builtins — off the memo because a probe costs more
-/// than they do — leave a rule whose IE calls all hang off one scan
-/// split-correct (the shape of `covid.slog`'s `EvidenceKey`), and
-/// sharding it changes nothing.
+/// The constant-time builtins — off the memo because a probe costs more
+/// than they do — shard like any IE call (the shape of `covid.slog`'s
+/// `EvidenceKey`), and sharding them changes nothing.
 #[test]
 fn uncached_builtins_shard_like_any_ie_call() {
     let rules = r#"
@@ -91,11 +93,6 @@ MentionKey(d, k) <- Mention(d, m), span_start(m) -> (ms), span_end(m) -> (me),
         session
     };
     let mut parallel = run(4);
-    let program = parallel.prepare_program().unwrap();
-    let verdicts = &program.program().shard_plan().rules;
-    let key = verdicts.iter().find(|r| r.head == "MentionKey").unwrap();
-    assert!(key.parallel, "{key:?}");
-    assert_eq!((key.doc_var.as_deref(), key.reason), (Some("m"), None));
     let keys = canonical(&mut parallel, "MentionKey");
     assert_eq!(keys.len(), 12);
     assert_eq!(keys, canonical(&mut run(0), "MentionKey"));
@@ -130,9 +127,8 @@ fn canonical(session: &mut Session, name: &str) -> Vec<Vec<String>> {
     rows
 }
 
-/// Parallel and pinned-serial sessions derive identical relations —
-/// including the serial-fallback rules, which must still be correct
-/// when the rest of the program runs sharded.
+/// Parallel and pinned-serial sessions derive identical relations, for
+/// every rule of a mixed program.
 #[test]
 fn parallel_matches_serial_on_mixed_program() {
     let run = |workers: usize| {
@@ -155,8 +151,8 @@ fn parallel_matches_serial_on_mixed_program() {
     assert!(!canonical(&mut serial, "Cross").is_empty());
 }
 
-/// With workers and a shardable rule, the profile carries the parallel
-/// counters and renders the `par:` summary line.
+/// With workers, the profile carries the parallel counters and renders
+/// the `par:` summary line.
 #[test]
 fn profile_reports_parallel_summary() {
     let mut session = Session::builder()
@@ -172,7 +168,7 @@ fn profile_reports_parallel_summary() {
         profile.par_shards > 0,
         "the Word rule must fan out shard tasks (profile: {profile:?})"
     );
-    assert!(profile.par_serial_rules > 0);
+    assert_eq!(profile.par_serial_rules, 0, "no firing is kept serial");
     let table = profile.render();
     assert!(table.contains("par:"), "parallel summary line:\n{table}");
 }
@@ -221,8 +217,6 @@ fn parallelism_counts_the_calling_thread() {
         session
             .run("Seen(d, x) <- Texts(d, t), probe(t) -> (x)")
             .unwrap();
-        let program = session.prepare_program().unwrap();
-        assert_eq!(program.program().shard_plan().parallel_rules(), 1);
         assert_eq!(session.relation("Seen").unwrap().len(), 24);
         let seen = seen.lock().unwrap();
         assert!(seen.contains(&thread::current().id()), "{seen:?}");
@@ -253,8 +247,6 @@ fn doc_store_survives_a_panicking_ie_function() {
         session
             .run("Bad(d, x) <- Texts(d, t), boom(t) -> (x)")
             .unwrap();
-        let program = session.prepare_program().unwrap();
-        assert_eq!(program.program().shard_plan().parallel_rules(), 1);
         let unwound = catch_unwind(AssertUnwindSafe(|| session.ensure_evaluated()));
         assert!(unwound.is_err(), "the panic reaches the host");
 

@@ -9,7 +9,7 @@ use spannerlib_core::{Relation, Rows, Schema, Tuple, Value, ValueType};
 use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, NO_SPAN};
 use spannerlog_engine::optimizer::{self, IndexCache, RuleOpt, StepMeta};
 use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
-use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs, SplitClass};
+use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs};
 
 /// A hand-built (unannotated) plan skeleton for malformed-plan tests.
 fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePlan {
@@ -62,7 +62,10 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
         rule: 0,
         parent: NO_SPAN,
     };
-    plan::execute_with(plan, &inputs.relations, &ctx, &mut tr)
+    let pieces = plan::execute_with(plan, &inputs.relations, &ctx, &mut tr)?;
+    let mut rows = Rows::new(plan.head.len());
+    pieces.into_iter().for_each(|piece| rows.append(piece));
+    Ok(rows)
 }
 
 fn assert_internal(err: EngineError, detail_fragment: &str) {
@@ -201,10 +204,9 @@ fn filters_run_before_scans_once_runnable() {
     );
 }
 
-/// A split-correct plan whose last step binds the document variable
-/// leaves the shards nothing to run — `classify` never emits one, a
-/// caller of `execute_with` can. Its rows come back from every bin, not
-/// from the last one alone.
+/// A plan whose last step is the scan a firing shards leaves the shards
+/// nothing to run after it. Its rows come back from every bin, not from
+/// the last one alone.
 #[test]
 fn an_empty_suffix_keeps_every_bin() {
     let mut rel = Relation::new(Schema::new(vec![ValueType::Int]));
@@ -222,7 +224,6 @@ fn an_empty_suffix_keeps_every_bin() {
     };
     plan.opt = Some(RuleOpt {
         steps: vec![binds_t],
-        split: SplitClass::Parallel { doc_var: 0 },
     });
     let sharded = Inputs {
         relations: FxHashMap::from_iter([("R".to_string(), rel)]),

@@ -22,7 +22,7 @@ fn texts_frame(rows: &[(&str, &str)]) -> DataFrame {
 }
 
 /// One prepared query, re-executed across three fresh imports, must
-/// match a fresh session per batch (the split-correctness factoring).
+/// match a fresh session per batch (compile once, run per batch).
 #[test]
 fn prepared_query_reused_across_imports_matches_fresh_sessions() {
     let batches: Vec<Vec<(&str, &str)>> = vec![

@@ -54,7 +54,7 @@ fn render_text(codes: &[u8]) -> String {
 
 /// Random IE-heavy program shapes: span extraction with joins, scalar
 /// extraction with aggregation, boolean filters with negation, uncached
-/// builtins amid scans.
+/// builtins amid scans, recursion without IE, counts over IE bodies.
 const IE_PROGRAMS: &[(&str, &[&str])] = &[
     (
         r#"
@@ -91,6 +91,28 @@ const IE_PROGRAMS: &[(&str, &[&str])] = &[
                     format("{}@{}", d, b) -> (k)
         "#,
         &["Key", "In"],
+    ),
+    // An IE-free recursive component over documents and texts, a count
+    // over it, and an IE call reading it.
+    (
+        r#"
+        Hop(x, y) <- Texts(x, y)
+        Hop(y, x) <- Texts(x, y)
+        Reach(x, z) <- Hop(x, z)
+        Reach(x, z) <- Reach(x, y), Hop(y, z)
+        Reached(x, count(y)) <- Reach(x, y)
+        Lead(x, s) <- Reach(x, y), rgx("a+", y) -> (s)
+        "#,
+        &["Reach", "Reached", "Lead"],
+    ),
+    // Counts whose bodies call an IE function, and a count over a count.
+    (
+        r#"
+        Runs(d, count(s)) <- Texts(d, t), rgx("a+|b+", t) -> (s)
+        Words(d, count(w)) <- Texts(d, t), rgx_string("([ab]+)", t) -> (w)
+        Docs(n, count(d)) <- Runs(d, n)
+        "#,
+        &["Runs", "Words", "Docs"],
     ),
 ];
 
@@ -510,9 +532,9 @@ proptest! {
         }
     }
 
-    /// Split-correct parallel evaluation is semantically invisible:
-    /// `parallelism(k)` agrees tuple-for-tuple with a pinned-serial
-    /// session on random IE programs for several worker counts
+    /// Parallel evaluation is semantically invisible: `parallelism(k)`
+    /// agrees tuple-for-tuple with a pinned-serial session on random
+    /// programs — IE calls, recursion, aggregates — for several worker counts
     /// (including ones exceeding the row count). Shards are ranges of
     /// the scanned rows, so the rows are made to cut badly: several per
     /// document, a text under more than one document, and counts that

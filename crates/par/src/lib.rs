@@ -1,7 +1,7 @@
 //! Shard-parallel map over a range of row ids, on scoped threads.
 //!
-//! The engine shards a split-correct rule firing by row range of one
-//! scan, and the list of ranges is fixed before any of them runs — so
+//! The engine shards a rule firing by row range of one scan, and the
+//! list of ranges is fixed before any of them runs — so
 //! it needs a counter, not a scheduler. [`map_ranges`] cuts the range
 //! into contiguous pieces; the caller and a few `std::thread::scope`
 //! threads each claim the next piece from one atomic counter until

@@ -361,34 +361,64 @@ impl Parser<'_> {
         }
     }
 
+    /// The four hex digits of a `\u` escape — exactly four, no sign.
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
         let digits = self
             .bytes
-            .get(self.pos..end)
+            .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
+        let mut v = 0;
+        for &b in digits {
+            let digit = char::from(b).to_digit(16);
+            v = v * 16 + digit.ok_or_else(|| self.err("invalid \\u escape"))?;
+        }
+        self.pos += 4;
         Ok(v)
     }
 
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let run = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += run;
+        run
+    }
+
+    /// A number as RFC 8259 spells it:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        match self.peek() {
+            Some(b'0') if self.bytes.get(self.pos + 1).is_some_and(u8::is_ascii_digit) => {
+                return Err(self.err("leading zero in number"));
+            }
+            Some(b'0'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("invalid number")),
+        }
+        let int_end = self.pos;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after '.'"));
             }
         }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit in the exponent"));
+            }
+        }
+        let is_float = self.pos != int_end;
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
@@ -461,6 +491,38 @@ mod tests {
         }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err(), "depth cap");
+    }
+
+    /// RFC 8259's number grammar and four-hex-digit escapes, not what
+    /// `str::parse` and `u32::from_str_radix` accept: each of these is
+    /// an error that names the byte it stopped at.
+    #[test]
+    fn rejects_what_rfc_8259_does_not_spell() {
+        for (src, at) in [
+            (r#""\u+041""#, 3),
+            (r#""\u-041""#, 3),
+            ("01", 0),
+            ("-01", 1),
+            ("[1.]", 3),
+            ("-.5", 1),
+            ("1.e5", 2),
+            ("1e", 2),
+            ("1e+", 3),
+            ("+1", 0),
+        ] {
+            let err = Json::parse(src).expect_err(src);
+            assert!(err.ends_with(&format!("(at byte {at})")), "{src}: {err}");
+        }
+        for (src, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("0.5", Json::Float(0.5)),
+            ("-1.25e-2", Json::Float(-0.0125)),
+            ("2E+2", Json::Float(200.0)),
+        ] {
+            assert_eq!(Json::parse(src).unwrap(), value, "{src}");
+        }
     }
 
     /// String bodies are copied run by run, never re-validated from the

@@ -70,10 +70,11 @@ pub struct EvalProfile {
     /// Prefiltered searches resolved to "no match" without running the
     /// regex VM at all.
     pub prefilter_pruned: u64,
-    /// Lanes split-correct firings ran on, the calling thread included
-    /// (zero = the run was fully serial and the `par:` line is omitted).
+    /// Lanes rule firings ran their shards on, the calling thread
+    /// included (zero = the run was fully serial and the `par:` line is
+    /// omitted).
     pub par_workers: u64,
-    /// Shard tasks executed by split-correct parallel rule firings.
+    /// Shard tasks executed by rule firings on more than one lane.
     pub par_shards: u64,
     /// IE-call batches executed across the run's rule firings.
     pub par_ie_batches: u64,
@@ -82,7 +83,9 @@ pub struct EvalProfile {
     /// stay only because `perfbench` (which a change may not edit
     /// without re-baselining) reads them. ROADMAP item 1(g) removes them.
     pub par_stolen: u64,
-    /// Rules the split-correctness analysis forced onto the serial path.
+    /// Always 0: every rule firing may shard. Kept, with its
+    /// `par_serial_rules` JSON key, only because `perfbench` reads them;
+    /// ROADMAP item 1(h) removes them.
     pub par_serial_rules: u64,
 }
 
@@ -321,8 +324,8 @@ impl EvalProfile {
         if self.par_workers > 0 {
             let _ = writeln!(
                 out,
-                "par: {} workers | {} shard tasks, {} ie batches | {} serial-fallback rules",
-                self.par_workers, self.par_shards, self.par_ie_batches, self.par_serial_rules,
+                "par: {} workers | {} shard tasks, {} ie batches",
+                self.par_workers, self.par_shards, self.par_ie_batches,
             );
         }
         if !self.ie_functions.is_empty() {
@@ -561,7 +564,7 @@ mod tests {
             par_shards: 8,
             par_ie_batches: 3,
             par_stolen: 0,
-            par_serial_rules: 1,
+            par_serial_rules: 0,
         }
     }
 
@@ -574,8 +577,7 @@ mod tests {
         assert!(table.contains("plan: In[10] ⋈ f()"));
         assert!(table.contains("planner: 2 indexes built, 6 reused"));
         assert!(table.contains("prefilter: 10 searches, 4 pruned (40%)"));
-        assert!(table
-            .contains("par: 4 workers | 8 shard tasks, 3 ie batches | 1 serial-fallback rules"));
+        assert!(table.contains("par: 4 workers | 8 shard tasks, 3 ie batches\n"));
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub enum SpanKind {
     /// One batched IE-function step inside a rule firing (all distinct
     /// argument tuples of one `f(…) -> (…)` atom).
     IeBatch,
-    /// One document shard of a split-correct parallel rule firing,
-    /// executed on a worker thread and merged back deterministically.
+    /// One shard of a rule firing on more than one lane — a row range of
+    /// one scan — executed on one lane and merged back in shard order.
     Shard,
 }
 

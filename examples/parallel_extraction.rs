@@ -1,14 +1,12 @@
-//! Parallel extraction: split-correct shard-parallel evaluation.
+//! Parallel extraction: shard-parallel rule firings.
 //!
-//! Spanner programs whose rules extract from one document at a time
-//! admit *split-correctness* (Doleschal, Kimelfeld, Martens, Nahshon,
-//! Neven — "Split-Correctness in Information Extraction"): running the
-//! extractor per document shard and unioning the outputs equals running
-//! it over the whole corpus. The engine proves that property per rule
-//! at compile time and cuts each firing of a cleared rule into row
-//! ranges that the calling thread and threads scoped to the firing
-//! claim one at a time; everything else silently falls back to the
-//! serial path with identical results.
+//! Every step of a rule body maps one binding row to rows, so a firing
+//! can be cut into row ranges of one of its scans and the ranges'
+//! results unioned. The engine cuts each firing — extractions, joins,
+//! recursion, the body of an aggregate alike — into ranges that the
+//! calling thread and threads scoped to the firing claim one at a time;
+//! an aggregate folds the ranges' rows on the calling thread. The
+//! results are identical to a serial run.
 //!
 //! Run with: `cargo run --example parallel_extraction`
 
@@ -51,27 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "#,
     )?;
 
-    // The compile-time verdicts: which rules shard, which run serial
-    // (and why). The two `rgx_string` rules split the scan that binds
-    // their text variable into row ranges; the join has no IE call to
-    // parallelize, and the aggregation folds across documents.
-    let program = session.prepare_program()?;
-    println!("shard plan:");
-    for rule in &program.program().shard_plan().rules {
-        match (&rule.doc_var, rule.reason) {
-            (Some(var), _) if rule.parallel => {
-                println!("  parallel  {:<6} splits the scan of `{var}`", rule.head)
-            }
-            (_, Some(reason)) => println!("  serial    {:<6} {reason}", rule.head),
-            _ => println!("  serial    {:<6}", rule.head),
-        }
-    }
-
     let busiest = session.export("?Load(u, n)")?;
-    println!("\nper-unit error load:\n{busiest}");
+    println!("per-unit error load:\n{busiest}");
 
     // The evaluation profile's `par:` line reports threads, shard
-    // tasks, IE batches, and serial-fallback rule count.
+    // tasks and IE batches.
     if let Some(profile) = session.profile() {
         for line in profile.render().lines() {
             if line.trim_start().starts_with("par:") {
