@@ -25,7 +25,7 @@ pub trait Conversion: Send + Sync {
 
 /// An aggregation function folding a group's values into one value.
 pub trait AggFunction: Send + Sync {
-    /// Folds `values` (never empty) into the aggregate result.
+    /// Folds `values` (never empty, sorted) into the aggregate result.
     fn apply(&self, values: &[Value]) -> Result<Value>;
 }
 

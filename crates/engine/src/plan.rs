@@ -25,14 +25,13 @@
 
 use crate::error::{EngineError, Result};
 use crate::ie::{IeContext, SharedDocs};
-use crate::optimizer::{self, IndexCache, RuleOpt, StepMeta, TupleIndex};
+use crate::optimizer::{self, IndexCache, RuleOpt, TupleIndex};
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use spannerlog_parser::CmpOp;
-use std::cmp::Reverse;
 use std::fmt::Display;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -256,7 +255,7 @@ pub fn execute_with(
         }
         None => (0..plan.steps.len()).collect(),
     };
-    let split_at = shard_scan(plan, &order, scan_rows).unwrap_or(order.len());
+    let split_at = shard_scan(plan, &order).unwrap_or(order.len());
 
     let scanned_before = ctx.tally.rows_scanned.load(Ordering::Relaxed);
     let (prefix, sharded) = order.split_at(split_at);
@@ -278,32 +277,23 @@ pub fn execute_with(
     derived
 }
 
-/// The position in `order` of the scan a firing shards: of the scans
+/// The position in `order` of the scan a firing shards: the first that
 /// `scan_join` reads as a plain pass over a row range — no constant
-/// among their terms, no variable an earlier step binds — the one with
-/// the most rows by `scan_rows`, the earliest on a tie. `None` when no
+/// among its terms, no variable an earlier step binds. `None` when no
 /// scan qualifies.
-fn shard_scan(
-    plan: &RulePlan,
-    order: &[usize],
-    mut scan_rows: impl FnMut(usize) -> usize,
-) -> Option<usize> {
-    let mut bound = vec![false; plan.var_names.len()];
-    let mut plain = Vec::new();
-    for (at, &i) in order.iter().enumerate() {
-        if let Step::Scan { terms, .. } = &plan.steps[i] {
-            if Columns::of(terms, &bound).key.is_empty() {
-                plain.push((at, scan_rows(i)));
-            }
-        }
-        StepMeta::of(&plan.steps[i])
-            .binds
-            .iter()
-            .for_each(|&v| bound[v] = true);
-    }
-    // `min_by_key` keeps the first of equal minima: the earliest.
-    let largest = plain.into_iter().min_by_key(|&(_, rows)| Reverse(rows));
-    largest.map(|(at, _)| at)
+fn shard_scan(plan: &RulePlan, order: &[usize]) -> Option<usize> {
+    let n_vars = plan.var_names.len();
+    let mut prefix = Batch {
+        rows: Rows::new(n_vars),
+        bound: vec![false; n_vars],
+    };
+    order.iter().position(|&i| {
+        let step = &plan.steps[i];
+        let plain = matches!(step, Step::Scan { terms, .. }
+            if Columns::of(terms, &prefix.bound).key.is_empty());
+        prefix.bind(step);
+        plain
+    })
 }
 
 impl Batch {
@@ -890,8 +880,9 @@ fn project_head(plan: &RulePlan, batch: &Batch) -> Result<Rows> {
 /// key is the non-aggregate head columns, and each aggregate folds the
 /// distinct (key, agg-vars) projections, grouped on the key columns:
 /// set semantics, so two bindings that project alike count once
-/// (README, *Evaluation*). A commutative reduce over independent maps:
-/// it runs once, on the caller, over every shard's rows.
+/// (README, *Evaluation*). It runs once, on the caller, over every
+/// shard's rows, and hands each aggregate its group's values sorted, so
+/// the result does not depend on how the firing was cut.
 fn fold_aggregates(
     plan: &RulePlan,
     pieces: Vec<Rows>,
@@ -938,6 +929,10 @@ fn fold_aggregates(
                     .map(|v| conv.convert(v, &ctx))
                     .collect::<Result<_>>()?;
             }
+            // A group's members come in the order the shards' rows
+            // did, which the cut decides; a fold that is not
+            // associative (a float sum) sees them sorted instead.
+            values.sort_unstable();
             tuple.push(registry.aggregate(func)?.apply(&values)?);
         }
         out.push(&tuple);
@@ -1192,8 +1187,8 @@ mod tests {
     }
 
     /// Where [`shard_scan`] cuts a firing: `order` over a plan of
-    /// `steps` on variables `0..4`, scan `i` holding `rows[i]` rows.
-    fn shard_at(steps: Vec<Step>, order: &[usize], rows: &[usize]) -> Option<usize> {
+    /// `steps` on variables `0..4`.
+    fn shard_at(steps: Vec<Step>, order: &[usize]) -> Option<usize> {
         let plan = RulePlan {
             head_predicate: "H".into(),
             steps,
@@ -1204,7 +1199,7 @@ mod tests {
             dependencies: Vec::new(),
             opt: None,
         };
-        shard_scan(&plan, order, |i| rows[i])
+        shard_scan(&plan, order)
     }
 
     fn scan(relation: &str, terms: &[PTerm]) -> Step {
@@ -1212,14 +1207,14 @@ mod tests {
         Step::Scan { relation, terms }
     }
 
-    /// A firing shards its largest scan that reads a plain row range,
-    /// the earliest on a tie, and nothing when every scan is keyed.
+    /// A firing shards its first scan in plan order that reads a plain
+    /// row range, and nothing when every scan is keyed.
     #[test]
-    fn shard_scan_takes_the_largest_plain_scan() {
+    fn shard_scan_takes_the_first_plain_scan() {
         let (v, ignore) = (PTerm::Var, PTerm::Const(Value::str("ignore")));
         // `IgnoredSection(d, x) <- Notes(d, t), note_sections(t) -> (x, c),
-        // SectionPolicy(c, "ignore")`, the 16-row constant-keyed lookup
-        // ordered first: the 4 000 notes are cut, not the lookup.
+        // SectionPolicy(c, "ignore")` with the constant-keyed lookup
+        // ordered first: the lookup is keyed, so `Notes` is cut.
         let notes = scan("Notes", &[v(0), v(1)]);
         let sections = Step::Ie {
             function: "note_sections".into(),
@@ -1228,20 +1223,16 @@ mod tests {
         };
         let policy = scan("SectionPolicy", &[v(3), ignore]);
         let steps = vec![notes, sections, policy];
-        assert_eq!(shard_at(steps, &[2, 0, 1], &[4000, 0, 16]), Some(1));
+        assert_eq!(shard_at(steps, &[2, 0, 1]), Some(1));
         // The delta variant of `Path(x, z) <- Edge(x, y), Path(y, z)`:
-        // the planner puts the 10-row delta first, and the larger `Edge`
-        // is then keyed on `y`.
+        // the planner puts the delta first, and `Edge` is then keyed on
+        // `y`.
         let steps = vec![scan("Edge", &[v(0), v(1)]), scan("Path", &[v(1), v(2)])];
-        assert_eq!(shard_at(steps, &[1, 0], &[1200, 10]), Some(0));
+        assert_eq!(shard_at(steps, &[1, 0]), Some(0));
         // Every scan keyed: by a constant, then by a bound variable.
         let one = PTerm::Const(Value::Int(1));
         let steps = vec![scan("R", &[one, v(0)]), scan("S", &[v(0), v(1)])];
-        assert_eq!(shard_at(steps, &[0, 1], &[50, 50]), None);
-        // A cross product: the larger side, and the earlier of equals.
-        let steps = || vec![scan("A", &[v(0)]), scan("B", &[v(1), PTerm::Wildcard])];
-        assert_eq!(shard_at(steps(), &[0, 1], &[5, 9]), Some(1));
-        assert_eq!(shard_at(steps(), &[1, 0], &[7, 7]), Some(0));
+        assert_eq!(shard_at(steps, &[0, 1]), None);
     }
 
     /// Extends `order` to the lexicographically least order of `0..n`

@@ -38,7 +38,7 @@
 //! copies the database once, snapshot or not (unless the program can
 //! never be maintained: see `maintain::basis`).
 //! *Evaluation* scales through [`SessionBuilder::parallelism`]: a rule
-//! firing shards — by row range of its largest scan that reads a plain
+//! firing shards — by row range of its first scan that reads a plain
 //! range (`plan::execute_with`) — across the driving thread and threads
 //! scoped to the firing (`spannerlib_par`), so no thread outlives the
 //! call that spawned it. Every evaluation — sharded or not — keeps the

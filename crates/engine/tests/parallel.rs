@@ -37,14 +37,17 @@ fn load(session: &mut Session) {
 /// lanes an IE-free recursive program (whose delta rounds shard their
 /// delta) and a `count` over an IE output (whose body shards, and whose
 /// groups fold on the calling thread) both run shard tasks, and derive
-/// what a serial session derives.
+/// what a serial session derives. `Reach` walks a binary tree from its
+/// one-row root: the base rule and the recursive rule's full firing
+/// each scan at most that one row, which stays on the caller, so only
+/// the delta rounds — 2, 4, 8 and 16 new nodes — have rows to cut.
 #[test]
 fn recursive_and_aggregating_firings_shard() {
     let programs = [
         (
-            "Path(x, y) <- Edge(x, y)
-             Path(x, z) <- Path(x, y), Edge(y, z)",
-            "Path",
+            "Reach(y) <- Root(y)
+             Reach(y) <- Reach(x), Edge(x, y)",
+            "Reach",
         ),
         (
             r#"Cnt(d, count(w)) <- Texts(d, t), rgx_string("([a-z]+)", t) -> (w)"#,
@@ -58,10 +61,14 @@ fn recursive_and_aggregating_firings_shard() {
                 .tracing(TraceLevel::Summary)
                 .build();
             load(&mut session);
-            session.run("new Edge(int, int)").unwrap();
-            for i in 0..12 {
-                let edge = [Value::Int(i), Value::Int((i * 5 + 1) % 12)];
-                session.add_fact("Edge", edge).unwrap();
+            session.run("new Root(int)\nnew Edge(int, int)").unwrap();
+            session.add_fact("Root", [Value::Int(0)]).unwrap();
+            for i in 0..15 {
+                for child in [2 * i + 1, 2 * i + 2] {
+                    session
+                        .add_fact("Edge", [Value::Int(i), Value::Int(child)])
+                        .unwrap();
+                }
             }
             session.run(program).unwrap();
             session
@@ -73,6 +80,35 @@ fn recursive_and_aggregating_firings_shard() {
         let profile = parallel.profile().expect("summary tracing");
         assert_eq!(profile.par_workers, 2, "{relation}");
         assert!(profile.par_shards > 0, "{relation}: {profile:?}");
+    }
+}
+
+/// An aggregate folds a group's values in one order however its body
+/// was cut. Float addition is not associative — `1e16 + 1 − 1e16` is 0
+/// in one order and 1 in another — and an IE step groups its rows by
+/// argument within each shard, so the order in which the rows reach
+/// the fold depends on the cut; the sum must not.
+#[test]
+fn a_float_sum_does_not_depend_on_the_cut() {
+    let sum = |workers: usize| {
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .register("key", Some(1), |_, _| Ok(vec![vec![Value::str("k")]]))
+            .build();
+        session.run("new Docs(str, float)").unwrap();
+        for (t, w) in [("a", 1e16), ("b", 1.0), ("a", -1e16)] {
+            let row = [Value::str(t), Value::Float(w)];
+            session.add_fact("Docs", row).unwrap();
+        }
+        session
+            .run("T(k, sum(w)) <- Docs(t, w), key(t) -> (k)")
+            .unwrap();
+        canonical(&mut session, "T")
+    };
+    let serial = sum(0);
+    assert_eq!(serial.len(), 1, "{serial:?}");
+    for workers in [2, 4] {
+        assert_eq!(sum(workers), serial, "parallelism({workers})");
     }
 }
 
