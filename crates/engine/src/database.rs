@@ -11,7 +11,7 @@
 use crate::error::{EngineError, Result};
 use crate::optimizer::IndexCache;
 use rustc_hash::{FxHashMap, FxHashSet};
-use spannerlib_core::{DocumentStore, Relation, Schema, Tuple, Value};
+use spannerlib_core::{DocumentStore, Relation, Rows, Schema, Tuple, Value};
 use std::sync::Arc;
 
 /// The fact store of one session.
@@ -135,23 +135,39 @@ impl Database {
         Ok(new)
     }
 
-    /// Inserts a row derived by the fixpoint, cloning its cells only if
-    /// it is new. Unlike [`Database::insert`] it never bumps a
-    /// generation counter — derived content is a function of the EDB
-    /// and the program, so it must not invalidate the evaluation
-    /// fingerprint — and new rows landing in an *extensional* relation
-    /// are marked with derived provenance so the next
-    /// [`Database::clear_derived`] retracts them.
-    pub fn insert_derived(&mut self, name: &str, row: impl AsRef<[Value]>) -> Result<bool> {
-        let new = self.insert_row(name, row.as_ref())?;
-        if new && self.extensional.contains_key(name) {
-            let id = self.relations[name].len() - 1;
-            self.derived_marks
-                .entry(name.to_string())
-                .or_default()
-                .insert(id);
+    /// Inserts the rows of one shard's piece, derived by the fixpoint,
+    /// cloning a row's cells only if it is new and calling `on_new` after
+    /// each new row: its error (a row cap crossed) stops the insert
+    /// there. The relation is looked up once per piece. Unlike
+    /// [`Database::insert`] it never bumps a generation counter —
+    /// derived content is a function of the EDB and the program, so it
+    /// must not invalidate the evaluation fingerprint — and new rows
+    /// landing in an *extensional* relation are marked with derived
+    /// provenance so the next [`Database::clear_derived`] retracts them.
+    pub fn insert_derived(
+        &mut self,
+        name: &str,
+        piece: &Rows,
+        mut on_new: impl FnMut() -> Result<()>,
+    ) -> Result<()> {
+        let Some(first) = piece.iter().next() else {
+            return Ok(());
+        };
+        let rel = self.relations.entry(name.to_string()).or_insert_with(|| {
+            let types: Vec<_> = first.iter().map(Value::value_type).collect();
+            Relation::new(Schema::new(types))
+        });
+        let mut marks = (self.extensional.contains_key(name))
+            .then(|| self.derived_marks.entry(name.to_string()).or_default());
+        for row in piece.iter() {
+            if rel.insert_row(row)? {
+                if let Some(marks) = &mut marks {
+                    marks.insert(rel.len() - 1);
+                }
+                on_new()?;
+            }
         }
-        Ok(new)
+        Ok(())
     }
 
     fn insert_row(&mut self, name: &str, row: &[Value]) -> Result<bool> {
@@ -278,6 +294,44 @@ mod tests {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
+    /// Inserts `vals` into `name` as a derived piece of one row.
+    fn derive(db: &mut Database, name: &str, vals: &[i64]) {
+        let mut piece = Rows::new(vals.len());
+        piece.push(t(vals).values());
+        db.insert_derived(name, &piece, || Ok(())).unwrap();
+    }
+
+    /// A piece goes in row by row: repeats are no new rows, and the
+    /// error of the new row that crosses a cap stops the insert right
+    /// after that row, with the rows before it in.
+    #[test]
+    fn a_piece_stops_at_the_row_its_callback_refuses() {
+        let mut db = Database::new();
+        db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
+        derive(&mut db, "E", &[1]);
+        let mut piece = Rows::new(1);
+        for v in [1, 2, 2, 3, 4, 5] {
+            piece.push(&[Value::Int(v)]);
+        }
+        let mut new = 0;
+        let err = db.insert_derived("E", &piece, || {
+            new += 1;
+            match new {
+                3 => Err(EngineError::UnknownRelation("cap".into())),
+                _ => Ok(()),
+            }
+        });
+        assert!(matches!(err, Err(EngineError::UnknownRelation(_))));
+        assert_eq!(new, 3, "1 and the second 2 are repeats");
+        let rel = db.relation("E").unwrap();
+        assert_eq!(rel.sorted_tuples(), [t(&[1]), t(&[2]), t(&[3]), t(&[4])]);
+        db.clear_derived();
+        assert!(
+            db.relation("E").unwrap().is_empty(),
+            "derived rows are marked"
+        );
+    }
+
     #[test]
     fn declare_and_insert() {
         let mut db = Database::new();
@@ -345,8 +399,8 @@ mod tests {
         db.insert("E", t(&[1])).unwrap();
         assert_eq!(db.generation("E"), g_fact);
         // Derived inserts never bump.
-        db.insert_derived("D", t(&[2])).unwrap();
-        db.insert_derived("D", t(&[3])).unwrap();
+        derive(&mut db, "D", &[2]);
+        derive(&mut db, "D", &[3]);
         assert_eq!(db.generation("D"), 0);
         // Unrelated relations are independent.
         db.declare("F", Schema::new(vec![ValueType::Int])).unwrap();
@@ -362,8 +416,8 @@ mod tests {
         let mut db = Database::new();
         db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
         db.insert("E", t(&[1])).unwrap(); // fact
-        db.insert_derived("E", t(&[2])).unwrap(); // fixpoint-derived
-        db.insert_derived("E", t(&[1])).unwrap(); // duplicate of a fact: no mark
+        derive(&mut db, "E", &[2]); // fixpoint-derived
+        derive(&mut db, "E", &[1]); // duplicate of a fact: no mark
         db.clear_derived();
         let rel = db.relation("E").unwrap();
         assert!(rel.contains(&t(&[1])), "facts survive");
@@ -374,7 +428,7 @@ mod tests {
     fn fact_assertion_overrides_derived_provenance() {
         let mut db = Database::new();
         db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
-        db.insert_derived("E", t(&[7])).unwrap();
+        derive(&mut db, "E", &[7]);
         // The host now asserts the same tuple as a fact.
         assert!(!db.insert("E", t(&[7])).unwrap());
         db.clear_derived();
@@ -385,7 +439,7 @@ mod tests {
     fn put_relation_clears_stale_marks() {
         let mut db = Database::new();
         db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
-        db.insert_derived("E", t(&[1])).unwrap();
+        derive(&mut db, "E", &[1]);
         let mut replacement = Relation::new(Schema::new(vec![ValueType::Int]));
         replacement.insert(t(&[1])).unwrap();
         db.put_relation("E", replacement);
@@ -401,8 +455,8 @@ mod tests {
         let mut db = Database::new();
         db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
         db.insert("E", t(&[1])).unwrap();
-        db.insert_derived("E", t(&[2])).unwrap();
-        db.insert_derived("D", t(&[3])).unwrap();
+        derive(&mut db, "E", &[2]);
+        derive(&mut db, "D", &[3]);
         db.docs.intern("kept");
         let copy = db.without_derived();
         db.clear_derived();

@@ -544,23 +544,17 @@ fn fire_rule(
     let derived_n = derived.iter().map(Rows::len).sum::<usize>();
     stats.tuples_derived += derived_n;
     let new_before = stats.tuples_new;
-    let mut within = Ok(());
-    // Shard by shard, each piece going once it is in.
-    'insert: for piece in derived {
-        for row in piece.iter() {
-            if db.insert_derived(&rule.head_predicate, row)? {
-                stats.tuples_new += 1;
-                within = limits.check_rows(stats, Some(rule));
-                if within.is_err() {
-                    break 'insert;
-                }
-            }
-        }
-    }
+    // Shard by shard, the row cap checked after every new row.
+    let mut on_new = || {
+        stats.tuples_new += 1;
+        limits.check_rows(stats, Some(rule))
+    };
+    let inserted = (derived.iter())
+        .try_for_each(|piece| db.insert_derived(&rule.head_predicate, piece, &mut on_new));
     let new_n = stats.tuples_new - new_before;
     tr.trace
         .rule_fired(tr.rule, derived_n as u64, new_n as u64, t0);
-    within.map(|()| new_n > 0)
+    inserted.map(|()| new_n > 0)
 }
 
 /// The current end of every head relation of the scope's component: the

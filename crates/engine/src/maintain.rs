@@ -422,9 +422,7 @@ impl Maintenance<'_> {
         let mut exact = Vec::new();
         for (seeded, keyed) in losses.iter().zip(keyed) {
             match keyed {
-                Some(heads) => heads
-                    .iter()
-                    .try_for_each(|row| over.insert_derived(head, row).map(drop))?,
+                Some(heads) => over.insert_derived(head, heads.rows(), || Ok(()))?,
                 None => exact.push(seeded.firing(&old_exec)),
             }
         }
@@ -565,12 +563,7 @@ impl<'s> Seeded<'s> {
     /// derivation through the rows can have derived, found without
     /// calling an IE function again. `None` when the atom binds no head
     /// variable.
-    fn by_key<'h>(
-        &self,
-        head: &str,
-        old: &'h Relation,
-        indexes: &IndexCache,
-    ) -> Option<Vec<&'h [Value]>> {
+    fn by_key(&self, head: &str, old: &Relation, indexes: &IndexCache) -> Option<Relation> {
         let key = self.key?;
         let head_cols: Vec<usize> = key.iter().map(|&(_, h)| h).collect();
         let atom_cols: Vec<usize> = key.iter().map(|&(c, _)| c).collect();
@@ -579,7 +572,7 @@ impl<'s> Seeded<'s> {
         let keys = TupleIndex::build(rows, 0..rows.len(), &atom_cols);
         let firsts = keys.groups().iter().map(|ids| rows.row(ids[0]));
         let found = firsts.map(|row| index.get(old.rows(), atom_cols.iter().map(|&c| &row[c])));
-        Some(found.flatten().map(|&id| old.rows().row(id)).collect())
+        Some(old.subset(found.flatten().copied()))
     }
 }
 

@@ -17,15 +17,17 @@
 //!   then scans by estimated fan-out (relation size discounted per
 //!   bound join column).
 //! * [`IndexCache`] keeps the hash indexes keyed scan joins and
-//!   anti-joins probe ([`TupleIndex`]: key → row ids) alive for a whole
-//!   evaluation run — and, after a maintained one, for the next — one per
-//!   `(relation, key columns)`. Relations mostly grow (derived inserts
-//!   append to the arena), so row ids are stable and an index is
-//!   *extended* by the rows appended since it was last asked for:
-//!   fixpoint rounds, sibling rules and maintained evaluations share it,
-//!   and a recursive relation is never re-indexed from its first row. A
-//!   relation that is replaced drops its indexes; one that loses rows
-//!   renumbers them.
+//!   anti-joins probe ([`TupleIndex`]: key → row ids, ascending) alive
+//!   for a whole evaluation run — and, after a maintained one, for the
+//!   next — one per `(relation, key columns)`. Relations mostly grow
+//!   (derived inserts append to the arena), so row ids are stable and an
+//!   index is *extended* by the rows appended since it was last asked
+//!   for: fixpoint rounds, sibling rules, shards and maintained
+//!   evaluations share it, and a recursive relation is never re-indexed
+//!   from its first row. A scan over a range of the relation — a delta,
+//!   a shard's cut — probes the same index and keeps the ids inside its
+//!   range. A relation that is replaced drops its indexes; one that
+//!   loses rows renumbers them.
 //!
 //! Every safe order is observationally equivalent: scans, negations
 //! and comparisons are pure, IE functions are stateless mappings of

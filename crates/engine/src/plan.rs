@@ -154,7 +154,7 @@ const DEADLINE_STRIDE: usize = 4096;
 /// once per rule firing.
 #[derive(Debug, Default)]
 pub struct ParTally {
-    /// Relation rows scanned by join steps.
+    /// Candidate rows join steps examined (see `scan_join`).
     pub rows_scanned: AtomicU64,
     /// IE batch steps executed (once per shard of a sharded firing).
     pub ie_batches: AtomicU64,
@@ -207,11 +207,13 @@ pub struct TraceCtx<'a> {
 }
 
 /// Executes `plan` against the given relations, returning the derived
-/// head rows in pieces — one per shard, in shard order — repeats
+/// head rows in pieces — one per shard, in shard order, each for
+/// [`crate::Database::insert_derived`] to take in whole — repeats
 /// included. `ctx.delta`, when set, restricts one scan to a run of row
-/// ids (semi-naive evaluation). `ctx.cache`, when set, memoizes IE calls
-/// across rows, reruns, and executions. Join and IE-batch work is
-/// reported through `tr` (every call is a no-op when tracing is off).
+/// ids (semi-naive evaluation), which probes the run's indexes like any
+/// scan. `ctx.cache`, when set, memoizes IE calls across rows, reruns,
+/// and executions. Join and IE-batch work is reported through `tr`
+/// (every call is a no-op when tracing is off).
 ///
 /// A firing runs in three parts: on the caller the steps ordered before
 /// the scan it shards (`shard_scan`); then that scan, every later step
@@ -328,8 +330,8 @@ fn run_steps(
         }
         match step {
             Step::Scan { relation, terms } => {
-                let (rel, range) = scan_source(i, relation, relations, ctx);
-                batch.rows = scan_step(plan, (relation, terms), &batch, rel, range, ctx, tr)?;
+                let source = scan_source(i, relation, relations, ctx);
+                batch.rows = scan_step(plan, (relation, terms), &batch, source, ctx, tr)?;
             }
             Step::Ie {
                 function,
@@ -362,42 +364,55 @@ fn run_steps(
     Ok(batch)
 }
 
-/// What the scan of `relation` at step `i` reads: the firing's seed,
-/// all of it, when the seed is at `i` — as a range, so that no index of
-/// the run's, which are per relation name, answers for it — else the
-/// relation, over the firing's delta when that is at `i`.
+/// What one scan reads: `rel`, over `range` of its row ids — a delta, a
+/// shard's cut — or all of them. A `seed` is not the relation the scan
+/// names, so no index of the run's, which are per relation name,
+/// answers for it.
+#[derive(Clone)]
+struct Source<'r> {
+    rel: &'r Relation,
+    range: Option<Range<usize>>,
+    seed: bool,
+}
+
+/// What the scan of `relation` at step `i` reads: the firing's seed
+/// when that is at `i`, else the relation, over the firing's delta when
+/// that is at `i`. `None` when there is no such relation.
 fn scan_source<'r>(
     i: usize,
     relation: &str,
     relations: &'r FxHashMap<String, Relation>,
     ctx: &ExecCtx<'r>,
-) -> (Option<&'r Relation>, Option<Range<usize>>) {
+) -> Option<Source<'r>> {
     match ctx.seed {
-        Some((at, seed)) if at == i => (Some(seed), Some(0..seed.len())),
-        _ => (
-            relations.get(relation),
-            ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone()),
-        ),
+        Some((at, rel)) if at == i => Some(Source {
+            rel,
+            range: None,
+            seed: true,
+        }),
+        _ => relations.get(relation).map(|rel| Source {
+            rel,
+            range: ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone()),
+            seed: false,
+        }),
     }
 }
 
-/// The scan `relation(terms)` of `rel` joined with `batch` under its
-/// trace span: over `range` of the relation's row ids — a delta, a
-/// shard, a seed — or all.
+/// The scan `relation(terms)` of `source` joined with `batch` under its
+/// trace span.
 fn scan_step(
     plan: &RulePlan,
     (relation, terms): (&str, &[PTerm]),
     batch: &Batch,
-    rel: Option<&Relation>,
-    range: Option<Range<usize>>,
+    source: Option<Source<'_>>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Rows> {
     let span = tr
         .trace
         .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
-    let joined = match rel {
-        Some(rel) => scan_join(plan, relation, terms, batch, rel, range, ctx),
+    let joined = match source {
+        Some(source) => scan_join(plan, relation, terms, batch, source, ctx),
         None => Ok(Rows::new(batch.rows.width())),
     };
     tr.trace.close(span);
@@ -429,14 +444,20 @@ fn run_sharded(
     let Step::Scan { relation, terms } = scan else {
         return Err(internal(plan, "a firing shards at a scan".to_string()));
     };
-    let (rel, delta) = scan_source(order[0], relation, relations, ctx);
-    let scanned = delta.clone().unwrap_or(0..rel.map_or(0, Relation::len));
+    let Some(source) = scan_source(order[0], relation, relations, ctx) else {
+        return Ok(Vec::new());
+    };
+    let scanned = source.range.clone().unwrap_or(0..source.rel.len());
     if batch.rows.is_empty() || scanned.is_empty() {
         return Ok(Vec::new());
     }
     let shard = |range: Option<Range<usize>>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
+        let source = Source {
+            range,
+            ..source.clone()
+        };
         let mut shard = Batch {
-            rows: scan_step(plan, (relation, terms), batch, rel, range, ctx, tr)?,
+            rows: scan_step(plan, (relation, terms), batch, Some(source), ctx, tr)?,
             bound: batch.bound.clone(),
         };
         shard.bind(scan);
@@ -444,7 +465,7 @@ fn run_sharded(
         project_head(plan, &shard)
     };
     if ctx.workers < 2 || scanned.len() < 2 {
-        return shard(delta, tr).map(|rows| vec![rows]);
+        return shard(source.range.clone(), tr).map(|rows| vec![rows]);
     }
     let trace = &*tr.trace;
     let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |i, range| {
@@ -636,34 +657,33 @@ impl<'p> Columns<'p> {
     }
 }
 
-/// Hash join of a batch with a relation — all its rows, or `delta`.
+/// Hash join of a batch with a relation — all its rows, or a range of
+/// them.
 ///
 /// Columns whose term is a constant or an already-bound variable form the
 /// join key; remaining variable columns bind new variables (repeated new
 /// variables unify left-to-right). Constants participate as ordinary key
 /// columns, so rules filtering the same columns with *different*
-/// constants share an index. A scan without a key walks the rows. A
-/// keyed one probes an index of row ids: the run's cached one for a
-/// whole-relation scan (a delta is other rows every round), else one
-/// built here and dropped on return. Distinct binding rows extended by
-/// distinct tuples are distinct unless a `_` hides the difference: only
-/// then is the output deduplicated.
+/// constants share an index. A scan without a key walks its range once
+/// per binding row. A keyed one probes the run's index of the relation
+/// and keeps the ids inside its range — a delta, a shard's cut: a key's
+/// ids ascend, so two binary searches slice them. A seed, and the
+/// reference evaluator, probe an index built here over the range. The
+/// rows examined go to [`ParTally::rows_scanned`], however the firing
+/// was cut. Distinct binding rows extended by distinct tuples are
+/// distinct unless a `_` hides the difference: only then is the output
+/// deduplicated.
 fn scan_join(
     plan: &RulePlan,
     relation: &str,
     terms: &[PTerm],
     batch: &Batch,
-    rel: &Relation,
-    delta: Option<Range<usize>>,
+    Source { rel, range, seed }: Source<'_>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Rows> {
-    let cache = ctx.indexes.filter(|_| delta.is_none());
-    let range = delta.map_or(0..rel.len(), |d| {
+    let range = range.map_or(0..rel.len(), |d| {
         d.start.min(rel.len())..d.end.min(rel.len())
     });
-    ctx.tally
-        .rows_scanned
-        .fetch_add(range.len() as u64, Ordering::Relaxed);
     let mut out = Rows::new(batch.rows.width());
     if range.is_empty() {
         return Ok(out);
@@ -690,22 +710,28 @@ fn scan_join(
             _ => Ok(()),
         }
     };
-    if cols.key.is_empty() {
-        for input in batch.rows.iter() {
+    let joined = if cols.key.is_empty() {
+        batch.rows.iter().try_for_each(|input| {
             rows.range(range.clone())
-                .try_for_each(|tuple| emit(input, tuple))?;
-        }
-        return Ok(out);
-    }
-    let index = match cache {
-        Some(cache) => cache.index(relation, rel, &cols.key_cols()),
-        None => TupleIndex::build(rows, range, &cols.key_cols()).into(),
+                .try_for_each(|tuple| emit(input, tuple))
+        })
+    } else {
+        let index = match ctx.indexes.filter(|_| !seed) {
+            Some(cache) => cache.index(relation, rel, &cols.key_cols()),
+            None => TupleIndex::build(rows, range.clone(), &cols.key_cols()).into(),
+        };
+        batch.rows.iter().try_for_each(|input| {
+            let ids = index.get(rows, cols.key_of(input));
+            let (start, end) = (range.start, range.end);
+            let ids = &ids[ids.partition_point(|&id| id < start)..];
+            let ids = &ids[..ids.partition_point(|&id| id < end)];
+            ids.iter().try_for_each(|&id| emit(input, rows.row(id)))
+        })
     };
-    for input in batch.rows.iter() {
-        let mut matching = index.get(rows, cols.key_of(input)).iter();
-        matching.try_for_each(|&id| emit(input, rows.row(id)))?;
-    }
-    Ok(out)
+    ctx.tally
+        .rows_scanned
+        .fetch_add(examined as u64, Ordering::Relaxed);
+    joined.map(|()| out)
 }
 
 /// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
@@ -876,13 +902,13 @@ fn project_head(plan: &RulePlan, batch: &Batch) -> Result<Rows> {
 }
 
 /// The head rows of a firing from what its shards projected: the pieces
-/// themselves, or — when the head aggregates — one row per group. The
-/// key is the non-aggregate head columns, and each aggregate folds the
-/// distinct (key, agg-vars) projections, grouped on the key columns:
-/// set semantics, so two bindings that project alike count once
-/// (README, *Evaluation*). It runs once, on the caller, over every
-/// shard's rows, and hands each aggregate its group's values sorted, so
-/// the result does not depend on how the firing was cut.
+/// themselves, or — when the head aggregates — one row per group. It
+/// runs once, on the caller: one index on the key columns (the
+/// non-aggregate head columns) groups every shard's rows, and a group's
+/// aggregate projections are sorted and their repeats dropped, so each
+/// aggregate folds the distinct (key, agg-vars) projections — set
+/// semantics (README, *Evaluation*) — in an order the cut does not
+/// decide.
 fn fold_aggregates(
     plan: &RulePlan,
     pieces: Vec<Rows>,
@@ -892,33 +918,31 @@ fn fold_aggregates(
     if !plan.has_aggregation() {
         return Ok(pieces);
     }
-    let mut distinct = Rows::new(plan.head.len());
-    let mut seen = RowTable::default();
-    // Each piece goes as soon as its rows are in.
-    for piece in pieces {
-        for row in piece.iter() {
-            distinct.push_distinct(&mut seen, row.iter());
-        }
-    }
-    drop(seen);
+    let mut rows = Rows::new(plan.head.len());
+    pieces.into_iter().for_each(|piece| rows.append(piece));
     let is_key = |c: &usize| !matches!(plan.head[*c], HeadOut::Aggregate { .. });
-    let key_cols: Vec<usize> = (0..plan.head.len()).filter(is_key).collect();
-    let groups = TupleIndex::build(&distinct, 0..distinct.len(), &key_cols);
+    let (key_cols, agg_cols): (Vec<usize>, Vec<usize>) = (0..plan.head.len()).partition(is_key);
+    let groups = TupleIndex::build(&rows, 0..rows.len(), &key_cols);
     let mut out = Rows::new(plan.head.len());
     let mut tuple: Vec<Value> = Vec::with_capacity(plan.head.len());
-    for members in groups.groups() {
+    for group in groups.groups() {
+        let mut projections = Rows::new(agg_cols.len());
+        for row in group.iter().map(|&id| rows.row(id)) {
+            projections.push(agg_cols.iter().map(|&c| &row[c]));
+        }
+        let mut distinct: Vec<&[Value]> = projections.iter().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
         for (c, h) in plan.head.iter().enumerate() {
             let HeadOut::Aggregate {
                 func, conversions, ..
             } = h
             else {
-                tuple.push(distinct.row(members[0])[c].clone());
+                tuple.push(rows.row(group[0])[c].clone());
                 continue;
             };
-            let mut values: Vec<Value> = members
-                .iter()
-                .map(|&m| distinct.row(m)[c].clone())
-                .collect();
+            let a = agg_cols.partition_point(|&agg| agg < c);
+            let mut values: Vec<Value> = distinct.iter().map(|p| p[a].clone()).collect();
             // Conversions apply innermost-first; they are stored
             // outermost-first as written.
             for conv_name in conversions.iter().rev() {
@@ -929,9 +953,8 @@ fn fold_aggregates(
                     .map(|v| conv.convert(v, &ctx))
                     .collect::<Result<_>>()?;
             }
-            // A group's members come in the order the shards' rows
-            // did, which the cut decides; a fold that is not
-            // associative (a float sum) sees them sorted instead.
+            // A fold that is not associative (a float sum) sees its
+            // values in one order however the firing was cut: sorted.
             values.sort_unstable();
             tuple.push(registry.aggregate(func)?.apply(&values)?);
         }

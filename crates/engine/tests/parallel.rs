@@ -83,6 +83,71 @@ fn recursive_and_aggregating_firings_shard() {
     }
 }
 
+/// Cutting firings into shards moves work between lanes without adding
+/// any: over transitive closure — whose delta rounds cut one scan and
+/// probe the delta of `Path` from it once `ΔPath` outgrows `Edge` — a
+/// count over `Path` and a three-way join, every lane count derives
+/// the same relations from the same candidate rows (summed
+/// `join_rows_scanned`) and the same index builds. A delta indexed
+/// afresh in every shard, or a shard charged its whole relation, breaks
+/// the equality.
+#[test]
+fn lanes_do_not_multiply_join_work() {
+    let program = "
+        Path(x, y) <- Edge(x, y)
+        Path(x, z) <- Path(x, y), Edge(y, z)
+        Reach(x, count(y)) <- Path(x, y)
+        Q(x, z) <- A(x, y), B(y, z), C(z)";
+    // A seeded random graph of 120 nodes and 240 edges.
+    let mut state = 7u64;
+    let mut node = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        Value::Int((state >> 33) as i64 % 120)
+    };
+    let edges: Vec<[Value; 2]> = (0..240).map(|_| [node(), node()]).collect();
+    let run = |workers: usize| {
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .tracing(TraceLevel::Summary)
+            .build();
+        session
+            .run("new Edge(int, int) new A(int, int) new B(int, int) new C(int)")
+            .unwrap();
+        for edge in &edges {
+            session.add_fact("Edge", edge.clone()).unwrap();
+        }
+        for i in 0..2_000 {
+            let (i, m) = (Value::Int(i), Value::Int(i % 50));
+            session.add_fact("A", [i.clone(), m.clone()]).unwrap();
+            session.add_fact("B", [m, i]).unwrap();
+        }
+        (0..5).for_each(|z| session.add_fact("C", [Value::Int(z)]).unwrap());
+        session.run(program).unwrap();
+        let relations: Vec<_> = ["Path", "Reach", "Q"]
+            .map(|name| session.relation(name).unwrap().sorted_tuples())
+            .into();
+        let profile = session.profile().expect("summary tracing");
+        let rules = profile.strata.iter().flat_map(|s| &s.rules);
+        let scanned: u64 = rules.map(|r| r.join_rows_scanned).sum();
+        (relations, scanned, profile.index_builds, profile.par_shards)
+    };
+    let (relations, scanned, builds, shards) = run(0);
+    assert!(relations[0].len() > 1_000, "{} paths", relations[0].len());
+    assert_eq!(shards, 0);
+    for workers in [2, 4] {
+        let (lane_relations, lane_scanned, lane_builds, lane_shards) = run(workers);
+        assert!(lane_relations == relations, "parallelism({workers})");
+        assert_eq!(
+            (lane_scanned, lane_builds),
+            (scanned, builds),
+            "parallelism({workers}): (rows scanned, index builds)"
+        );
+        assert!(lane_shards > 0, "parallelism({workers})");
+    }
+}
+
 /// An aggregate folds a group's values in one order however its body
 /// was cut. Float addition is not associative — `1e16 + 1 − 1e16` is 0
 /// in one order and 1 in another — and an IE step groups its rows by
@@ -109,6 +174,41 @@ fn a_float_sum_does_not_depend_on_the_cut() {
     assert_eq!(serial.len(), 1, "{serial:?}");
     for workers in [2, 4] {
         assert_eq!(sum(workers), serial, "parallelism({workers})");
+    }
+}
+
+/// Several aggregates fold the distinct `(key, agg-vars)` projections
+/// of the body, not its bindings: a join that reaches every `(k, a, b)`
+/// of `S` through several rows of `T` counts and sums each once — and
+/// `count(a)` counts projections, not distinct `a` — on one lane and
+/// cut in shards.
+#[test]
+fn aggregates_fold_each_distinct_projection_once() {
+    let fold = |workers: usize| {
+        let mut session = Session::builder().parallelism(workers).build();
+        session
+            .run("new S(str, int, int, int)\nnew T(int, int)")
+            .unwrap();
+        let s = [("x", 1, 10), ("x", 2, 10), ("x", 2, 20), ("y", 1, 5)];
+        for (d, (k, a, b)) in (0..3).flat_map(|d| s.map(|row| (d, row))) {
+            let row = [Value::str(k), Value::Int(a), Value::Int(b), Value::Int(d)];
+            session.add_fact("S", row).unwrap();
+        }
+        for (d, e) in [(0, 0), (0, 1), (1, 0), (2, 5)] {
+            session
+                .add_fact("T", [Value::Int(d), Value::Int(e)])
+                .unwrap();
+        }
+        session
+            .run("R(k, count(a), sum(b)) <- S(k, a, b, d), T(d, e)")
+            .unwrap();
+        session
+            .export_typed::<(String, i64, i64)>("?R(k, n, s)")
+            .unwrap()
+    };
+    let expected = [("x".to_string(), 3, 40), ("y".to_string(), 1, 5)];
+    for workers in [0, 2] {
+        assert_eq!(fold(workers), expected, "parallelism({workers})");
     }
 }
 

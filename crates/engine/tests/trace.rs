@@ -267,6 +267,43 @@ fn row_limit_abort_names_the_inserting_rule() {
     assert!(session.profile().is_some());
 }
 
+/// A firing's rows go in a shard's piece at a time, and the row cap is
+/// still checked after every new row: one firing that derives 100 rows,
+/// 10 of them distinct, under a cap of 5 stops at the sixth new row —
+/// mid-piece, on one lane or cut in shards — as inserting row by row
+/// did, with the same culprit and the same `tuples_new`.
+#[test]
+fn a_row_cap_crossed_mid_piece_stops_at_the_crossing_row() {
+    for workers in [0, 2] {
+        let mut session = Session::builder()
+            .max_materialized_rows(5)
+            .parallelism(workers)
+            .tracing(TraceLevel::Summary)
+            .build();
+        session.run("new N(int)").unwrap();
+        (0..10).for_each(|i| session.add_fact("N", [Value::Int(i)]).unwrap());
+        session.run("H(x) <- N(x), N(y)").unwrap();
+        let err = session.ensure_evaluated().unwrap_err();
+        let EngineError::LimitExceeded {
+            resource,
+            limit,
+            culprit,
+        } = &err
+        else {
+            panic!("expected LimitExceeded, got {err:?}");
+        };
+        assert_eq!((*resource, *limit), ("materialized rows", 5));
+        assert_eq!(culprit.head, "H", "parallelism({workers})");
+        let profile = session.profile().unwrap();
+        let rule = &profile.strata[0].rules[0];
+        assert_eq!(
+            (profile.tuples_derived, profile.tuples_new, rule.tuples_new),
+            (100, 6, 6),
+            "parallelism({workers})"
+        );
+    }
+}
+
 #[test]
 fn tracing_off_yields_no_profile_and_set_tracing_forces_one() {
     let mut session = Session::new();

@@ -117,7 +117,10 @@ pub struct RuleProfile {
     pub tuples_derived: u64,
     /// Tuples actually new to the head relation.
     pub tuples_new: u64,
-    /// Rows scanned by this rule's join steps.
+    /// Candidate rows this rule's join steps examined: per binding row,
+    /// a plain scan's whole range and the rows a keyed scan's probe
+    /// found in it. However a firing is cut into shards, the sum is the
+    /// same.
     pub join_rows_scanned: u64,
     /// Wall time across all firings, in nanoseconds.
     pub total_ns: u64,
