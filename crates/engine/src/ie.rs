@@ -10,7 +10,8 @@
 //! Functions receive an [`IeContext`] giving access to the session's
 //! document store, so they can resolve spans to text and mint spans over
 //! new or existing documents. How calls are batched, memoised and
-//! bounded in time is the business of the rule executor (`plan.rs`).
+//! bounded in time is the business of the rule executor's IE step
+//! (`ie_join.rs`).
 
 use crate::error::{EngineError, Result};
 use parking_lot::RwLock;

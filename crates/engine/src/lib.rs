@@ -44,6 +44,7 @@ pub mod database;
 pub mod error;
 pub mod eval;
 pub mod ie;
+mod ie_join;
 pub mod maintain;
 pub mod optimizer;
 pub mod plan;
@@ -52,6 +53,7 @@ pub mod query;
 pub mod registry;
 pub mod safety;
 pub mod session;
+mod shard;
 pub mod strata;
 
 pub use database::Database;

@@ -24,13 +24,15 @@
 //! once, on the caller.
 
 use crate::error::{EngineError, Result};
-use crate::ie::{IeContext, SharedDocs};
+use crate::ie::SharedDocs;
+use crate::ie_join::ie_join;
 use crate::optimizer::{self, IndexCache, RuleOpt, TupleIndex};
 use crate::registry::Registry;
+use crate::shard::{fold_aggregates, project_head, run_sharded, shard_scan};
 use rustc_hash::FxHashMap;
 use spannerlib_cache::SharedIeMemo;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
-use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
+use spannerlib_trace::{RunTrace, SpanId, SpanKind};
 use spannerlog_parser::CmpOp;
 use std::fmt::Display;
 use std::ops::Range;
@@ -138,9 +140,9 @@ impl RulePlan {
 
 /// A batch of binding rows. *Which* variables are bound is the same for
 /// every row, so it is kept once; the other cells hold [`UNBOUND`].
-struct Batch {
-    rows: Rows,
-    bound: Vec<bool>,
+pub(crate) struct Batch {
+    pub(crate) rows: Rows,
+    pub(crate) bound: Vec<bool>,
 }
 
 /// The filler in the cells of variables no step has bound yet.
@@ -279,28 +281,9 @@ pub fn execute_with(
     derived
 }
 
-/// The position in `order` of the scan a firing shards: the first that
-/// `scan_join` reads as a plain pass over a row range — no constant
-/// among its terms, no variable an earlier step binds. `None` when no
-/// scan qualifies.
-fn shard_scan(plan: &RulePlan, order: &[usize]) -> Option<usize> {
-    let n_vars = plan.var_names.len();
-    let mut prefix = Batch {
-        rows: Rows::new(n_vars),
-        bound: vec![false; n_vars],
-    };
-    order.iter().position(|&i| {
-        let step = &plan.steps[i];
-        let plain = matches!(step, Step::Scan { terms, .. }
-            if Columns::of(terms, &prefix.bound).key.is_empty());
-        prefix.bind(step);
-        plain
-    })
-}
-
 impl Batch {
     /// Marks the variables `step` binds.
-    fn bind(&mut self, step: &Step) {
+    pub(crate) fn bind(&mut self, step: &Step) {
         if let Step::Scan { terms, .. } | Step::Ie { outputs: terms, .. } = step {
             for t in terms {
                 if let PTerm::Var(v) = t {
@@ -314,7 +297,7 @@ impl Batch {
 /// Runs the pipeline steps selected by `order` over `batch`: those a
 /// firing runs before it shards, and those after its sharded scan once
 /// per shard.
-fn run_steps(
+pub(crate) fn run_steps(
     plan: &RulePlan,
     order: &[usize],
     mut batch: Batch,
@@ -369,16 +352,16 @@ fn run_steps(
 /// names, so no index of the run's, which are per relation name,
 /// answers for it.
 #[derive(Clone)]
-struct Source<'r> {
-    rel: &'r Relation,
-    range: Option<Range<usize>>,
-    seed: bool,
+pub(crate) struct Source<'r> {
+    pub(crate) rel: &'r Relation,
+    pub(crate) range: Option<Range<usize>>,
+    pub(crate) seed: bool,
 }
 
 /// What the scan of `relation` at step `i` reads: the firing's seed
 /// when that is at `i`, else the relation, over the firing's delta when
 /// that is at `i`. `None` when there is no such relation.
-fn scan_source<'r>(
+pub(crate) fn scan_source<'r>(
     i: usize,
     relation: &str,
     relations: &'r FxHashMap<String, Relation>,
@@ -400,7 +383,7 @@ fn scan_source<'r>(
 
 /// The scan `relation(terms)` of `source` joined with `batch` under its
 /// trace span.
-fn scan_step(
+pub(crate) fn scan_step(
     plan: &RulePlan,
     (relation, terms): (&str, &[PTerm]),
     batch: &Batch,
@@ -419,83 +402,10 @@ fn scan_step(
     joined
 }
 
-/// Runs the sharded part of a firing — `order[0]`, the scan it shards,
-/// the steps after it and the head projection — once per shard,
-/// returning the head rows of each, in shard order. A shard is a
-/// contiguous range of the row ids that scan reads: of its delta or its
-/// seed when the firing restricts that scan, else of the whole relation
-/// (a delta on another scan holds alongside). A rule body maps a binding row to rows
-/// against relations that are complete while the rule fires, so the
-/// shards' rows together are the firing's, however the range is cut.
-/// Shards borrow `batch`, what the steps before left. One shard — fewer
-/// than two lanes, a single row to scan — runs on the calling thread;
-/// more fork a trace each, run on `spannerlib_par::map_ranges` lanes,
-/// and merge traces back in shard order, the first error in that stable
-/// order winning.
-fn run_sharded(
-    plan: &RulePlan,
-    order: &[usize],
-    batch: &Batch,
-    relations: &FxHashMap<String, Relation>,
-    ctx: &ExecCtx<'_>,
-    tr: &mut TraceCtx<'_>,
-) -> Result<Vec<Rows>> {
-    let scan = &plan.steps[order[0]];
-    let Step::Scan { relation, terms } = scan else {
-        return Err(internal(plan, "a firing shards at a scan".to_string()));
-    };
-    let Some(source) = scan_source(order[0], relation, relations, ctx) else {
-        return Ok(Vec::new());
-    };
-    let scanned = source.range.clone().unwrap_or(0..source.rel.len());
-    if batch.rows.is_empty() || scanned.is_empty() {
-        return Ok(Vec::new());
-    }
-    let shard = |range: Option<Range<usize>>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
-        let source = Source {
-            range,
-            ..source.clone()
-        };
-        let mut shard = Batch {
-            rows: scan_step(plan, (relation, terms), batch, Some(source), ctx, tr)?,
-            bound: batch.bound.clone(),
-        };
-        shard.bind(scan);
-        let shard = run_steps(plan, &order[1..], shard, relations, ctx, tr)?;
-        project_head(plan, &shard)
-    };
-    if ctx.workers < 2 || scanned.len() < 2 {
-        return shard(source.range.clone(), tr).map(|rows| vec![rows]);
-    }
-    let trace = &*tr.trace;
-    let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |i, range| {
-        let mut fork = trace.fork();
-        let label = || format!("shard {i} (rows {}..{})", range.start, range.end);
-        let span = fork.open(NO_SPAN, SpanKind::Shard, label);
-        let mut shard_tr = TraceCtx {
-            trace: &mut fork,
-            rule: 0,
-            parent: span,
-        };
-        let rows = shard(Some(range), &mut shard_tr);
-        fork.close(span);
-        (rows, fork)
-    });
-    ctx.tally
-        .shard_tasks
-        .fetch_add(shards.len() as u64, Ordering::Relaxed);
-    let mut results = Vec::new();
-    for (rows, fork) in shards {
-        tr.trace.merge_fork(tr.rule, tr.parent, fork);
-        results.push(rows);
-    }
-    results.into_iter().collect()
-}
-
 /// A structured "the plan violated a binding invariant" error — the
 /// degradation path for malformed plans that safety analysis would
 /// never produce.
-fn internal(plan: &RulePlan, detail: String) -> EngineError {
+pub(crate) fn internal(plan: &RulePlan, detail: String) -> EngineError {
     EngineError::Internal {
         rule: if plan.source.is_empty() {
             plan.head_predicate.clone()
@@ -539,7 +449,7 @@ fn validate_var_indexes(plan: &RulePlan) -> Result<()> {
 
 /// The cell of binding row `row` that `t` stands for: its constant, or
 /// its variable's column (`_`, which [`operand`] rejects, has none).
-fn cell<'a>(t: &'a PTerm, row: &'a [Value]) -> &'a Value {
+pub(crate) fn cell<'a>(t: &'a PTerm, row: &'a [Value]) -> &'a Value {
     match t {
         PTerm::Const(c) => c,
         PTerm::Var(v) => &row[*v],
@@ -549,7 +459,12 @@ fn cell<'a>(t: &'a PTerm, row: &'a [Value]) -> &'a Value {
 
 /// Checks that `t` has a value in every row of a batch binding `bound`;
 /// `role` names the term in the error a malformed plan gets otherwise.
-fn operand(plan: &RulePlan, t: &PTerm, bound: &[bool], role: impl Display) -> Result<()> {
+pub(crate) fn operand(
+    plan: &RulePlan,
+    t: &PTerm,
+    bound: &[bool],
+    role: impl Display,
+) -> Result<()> {
     match t {
         PTerm::Var(v) if !bound[*v] => Err(internal(
             plan,
@@ -592,10 +507,10 @@ fn compare(a: &Value, b: &Value, op: CmpOp) -> Result<bool> {
 
 /// How the columns of one atom — a scan's or negation's terms, an IE
 /// call's outputs — meet a batch.
-struct Columns<'p> {
+pub(crate) struct Columns<'p> {
     /// `(column, the cell it must equal)`: constants and bound
     /// variables. A scan's join key.
-    key: Vec<(usize, &'p PTerm)>,
+    pub(crate) key: Vec<(usize, &'p PTerm)>,
     /// `(column, earlier column)`: a variable the atom binds twice.
     same: Vec<(usize, usize)>,
     /// Per variable: the column that binds it here, if one does.
@@ -606,7 +521,7 @@ struct Columns<'p> {
 }
 
 impl<'p> Columns<'p> {
-    fn of(terms: &'p [PTerm], bound: &[bool]) -> Columns<'p> {
+    pub(crate) fn of(terms: &'p [PTerm], bound: &[bool]) -> Columns<'p> {
         let mut cols = Columns {
             key: Vec::new(),
             same: Vec::new(),
@@ -637,14 +552,20 @@ impl<'p> Columns<'p> {
 
     /// Whether `tuple` agrees with `input` on the key columns (a fact
     /// already when an index on them found it).
-    fn key_holds(&self, input: &[Value], tuple: &[Value]) -> bool {
+    pub(crate) fn key_holds(&self, input: &[Value], tuple: &[Value]) -> bool {
         self.key.iter().all(|&(c, t)| tuple[c] == *cell(t, input))
     }
 
     /// Appends `input` extended by what `tuple` binds, unless `tuple`
     /// disagrees with itself on a twice-bound variable — or `seen`, the
     /// table of `out`'s rows, has the row already.
-    fn emit(&self, input: &[Value], tuple: &[Value], out: &mut Rows, seen: &mut Option<RowTable>) {
+    pub(crate) fn emit(
+        &self,
+        input: &[Value],
+        tuple: &[Value],
+        out: &mut Rows,
+        seen: &mut Option<RowTable>,
+    ) {
         if self.same.iter().any(|&(a, b)| tuple[a] != tuple[b]) {
             return;
         }
@@ -734,124 +655,6 @@ fn scan_join(
     joined.map(|()| out)
 }
 
-/// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
-/// binding row extended by the rows the function returns for its
-/// argument vector (new output variables bind; bound ones and constants
-/// filter). A *cacheable* function's results may be reused, so rows are
-/// grouped by argument vector and each group is looked up or called
-/// once; an uncached one is called once per row.
-///
-/// Cached, uncached and cache-off sessions share this one path. With a
-/// memo the step takes its lock once to look every group up — by the
-/// borrowed cells of the group's first row: a probe builds no key — and
-/// copy the rows of the hits into the batch's own store, calls the
-/// misses with no lock held, and takes the lock once more to store what
-/// they returned. A row of the wrong arity fails the step before its
-/// call is stored. IE calls are where evaluation sinks open-ended time
-/// (user code, regex scans): the wall-clock budget is checked before
-/// each.
-fn ie_join(
-    plan: &RulePlan,
-    (function, inputs, outputs): (&str, &[PTerm], &[PTerm]),
-    batch: &Batch,
-    ctx: &ExecCtx<'_>,
-    tr: &mut TraceCtx<'_>,
-) -> Result<Rows> {
-    let f = ctx.registry.ie(function)?;
-    for t in inputs {
-        let role = format_args!("input of IE function {function:?}");
-        operand(plan, t, &batch.bound, role)?;
-    }
-    let var = |t: &PTerm| match t {
-        PTerm::Var(v) => Some(*v),
-        _ => None,
-    };
-    let arg_vars: Vec<usize> = inputs.iter().filter_map(var).collect();
-    let (rows, n) = (&batch.rows, outputs.len());
-    let by_args = (f.cacheable()).then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
-    let groups = by_args.as_ref().map_or(rows.len(), |ix| ix.groups().len());
-    let args = |g: usize| {
-        let first = rows.row(by_args.as_ref().map_or(g, |ix| ix.groups()[g][0]));
-        inputs.iter().map(move |t| cell(t, first))
-    };
-    ctx.tally.ie_batches.fetch_add(1, Ordering::Relaxed);
-    // Error paths may leak `span`; RunTrace::finish (and, on shard
-    // forks, merge_fork) closes leaked spans at the abort timestamp.
-    let span = tr.trace.open(tr.parent, SpanKind::IeBatch, || {
-        format!("{function} ×{groups}")
-    });
-
-    // The output rows of every group, and which of them are whose.
-    let mut returned = Rows::new(n);
-    let mut rows_of: Vec<Range<usize>> = vec![0..0; groups];
-    let mut misses: Vec<usize> = Vec::new();
-    let memo = ctx.cache.filter(|_| f.cacheable());
-    let t0 = tr.trace.now_ns();
-    let mut probe = memo.map(|memo| memo.lock());
-    for (g, rows_of) in rows_of.iter_mut().enumerate() {
-        let hit = probe
-            .as_mut()
-            .and_then(|memo| memo.lookup(function, args(g), &mut returned));
-        match hit {
-            Some(hit) => *rows_of = hit,
-            None => misses.push(g),
-        }
-    }
-    drop(probe);
-    let each = tr.trace.now_ns().saturating_sub(t0) / groups.max(1) as u64;
-    (misses.len()..groups).for_each(|_| tr.trace.ie_call_ns(function, Some(true), each));
-
-    let mut call_args: Vec<Value> = Vec::with_capacity(inputs.len());
-    let mut called = 0;
-    let outcome = misses.iter().try_for_each(|&g| {
-        if let Some(d) = ctx.deadline {
-            d.check(Some(plan))?;
-        }
-        call_args.clear();
-        call_args.extend(args(g).cloned());
-        let t0 = tr.trace.now_ns();
-        let out = f.call(&call_args, n, &mut IeContext::new(ctx.docs))?;
-        tr.trace.ie_call(function, memo.map(|_| false), t0);
-        if let Some(row) = out.iter().find(|row| row.len() != n) {
-            return Err(EngineError::IeOutputArity {
-                function: function.to_string(),
-                expected: n,
-                actual: row.len(),
-            });
-        }
-        rows_of[g].start = returned.len();
-        out.iter().for_each(|row| returned.push(row));
-        rows_of[g].end = returned.len();
-        called += 1;
-        Ok(())
-    });
-    // What was paid for before a call failed is kept.
-    if let Some(mut memo) = memo.map(|memo| memo.lock()) {
-        for &g in &misses[..called] {
-            memo.store(function, args(g), &returned, rows_of[g].clone());
-        }
-    }
-    outcome?;
-
-    let cols = Columns::of(outputs, &batch.bound);
-    let mut next = Rows::new(rows.width());
-    // Output rows can repeat and a `_` can fold distinct ones: always
-    // dedupe.
-    let mut seen = Some(RowTable::default());
-    for (g, rows_of) in rows_of.into_iter().enumerate() {
-        let solo = [g];
-        let members = by_args.as_ref().map_or(&solo[..], |ix| &ix.groups()[g]);
-        for input in members.iter().map(|&r| rows.row(r)) {
-            let out_rows = returned.range(rows_of.clone());
-            for out in out_rows.filter(|out| cols.key_holds(input, out)) {
-                cols.emit(input, out, &mut next, &mut seen);
-            }
-        }
-    }
-    tr.trace.close(span);
-    Ok(next)
-}
-
 /// Hash anti-join for `not relation(terms)`: drops every row for which
 /// `rel` holds a matching tuple. The non-wildcard columns form the key;
 /// the relation is indexed on them — by the run's cache, given it and
@@ -878,98 +681,13 @@ fn anti_join(
     batch.rows.retain(|_, row| !matched(row));
 }
 
-/// Projects a batch through the head, a row per binding row: one cell
-/// per head column, where an aggregate column takes its variable's.
-/// Runs once per shard; [`fold_aggregates`] groups what every shard
-/// projected.
-fn project_head(plan: &RulePlan, batch: &Batch) -> Result<Rows> {
-    let mut out = Rows::new(plan.head.len());
-    if batch.rows.is_empty() {
-        return Ok(out);
-    }
-    let as_term = |h: &HeadOut| match h {
-        HeadOut::Const(c) => PTerm::Const(c.clone()),
-        HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => PTerm::Var(*v),
-    };
-    let head: Vec<PTerm> = plan.head.iter().map(as_term).collect();
-    for t in &head {
-        operand(plan, t, &batch.bound, "head variable")?;
-    }
-    for row in batch.rows.iter() {
-        out.push(head.iter().map(|t| cell(t, row)));
-    }
-    Ok(out)
-}
-
-/// The head rows of a firing from what its shards projected: the pieces
-/// themselves, or — when the head aggregates — one row per group. It
-/// runs once, on the caller: one index on the key columns (the
-/// non-aggregate head columns) groups every shard's rows, and a group's
-/// aggregate projections are sorted and their repeats dropped, so each
-/// aggregate folds the distinct (key, agg-vars) projections — set
-/// semantics (README, *Evaluation*) — in an order the cut does not
-/// decide.
-fn fold_aggregates(
-    plan: &RulePlan,
-    pieces: Vec<Rows>,
-    docs: &SharedDocs,
-    registry: &Registry,
-) -> Result<Vec<Rows>> {
-    if !plan.has_aggregation() {
-        return Ok(pieces);
-    }
-    let mut rows = Rows::new(plan.head.len());
-    pieces.into_iter().for_each(|piece| rows.append(piece));
-    let is_key = |c: &usize| !matches!(plan.head[*c], HeadOut::Aggregate { .. });
-    let (key_cols, agg_cols): (Vec<usize>, Vec<usize>) = (0..plan.head.len()).partition(is_key);
-    let groups = TupleIndex::build(&rows, 0..rows.len(), &key_cols);
-    let mut out = Rows::new(plan.head.len());
-    let mut tuple: Vec<Value> = Vec::with_capacity(plan.head.len());
-    for group in groups.groups() {
-        let mut projections = Rows::new(agg_cols.len());
-        for row in group.iter().map(|&id| rows.row(id)) {
-            projections.push(agg_cols.iter().map(|&c| &row[c]));
-        }
-        let mut distinct: Vec<&[Value]> = projections.iter().collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for (c, h) in plan.head.iter().enumerate() {
-            let HeadOut::Aggregate {
-                func, conversions, ..
-            } = h
-            else {
-                tuple.push(rows.row(group[0])[c].clone());
-                continue;
-            };
-            let a = agg_cols.partition_point(|&agg| agg < c);
-            let mut values: Vec<Value> = distinct.iter().map(|p| p[a].clone()).collect();
-            // Conversions apply innermost-first; they are stored
-            // outermost-first as written.
-            for conv_name in conversions.iter().rev() {
-                let conv = registry.conversion(conv_name)?;
-                let ctx = IeContext::new(docs);
-                values = values
-                    .iter()
-                    .map(|v| conv.convert(v, &ctx))
-                    .collect::<Result<_>>()?;
-            }
-            // A fold that is not associative (a float sum) sees its
-            // values in one order however the firing was cut: sorted.
-            values.sort_unstable();
-            tuple.push(registry.aggregate(func)?.apply(&values)?);
-        }
-        out.push(&tuple);
-        tuple.clear();
-    }
-    Ok(vec![out])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::StepMeta;
     use proptest::prelude::*;
     use spannerlib_core::{hash_cells, Schema, Tuple, ValueType};
+    use spannerlib_trace::NO_SPAN;
     use std::collections::BTreeSet;
 
     /// A partial assignment of a rule's variables.
@@ -1207,55 +925,6 @@ mod tests {
             .flat_map(Rows::iter)
             .map(<[Value]>::to_vec)
             .collect()
-    }
-
-    /// Where [`shard_scan`] cuts a firing: `order` over a plan of
-    /// `steps` on variables `0..4`.
-    fn shard_at(steps: Vec<Step>, order: &[usize]) -> Option<usize> {
-        let plan = RulePlan {
-            head_predicate: "H".into(),
-            steps,
-            head: Vec::new(),
-            var_names: ["a", "b", "c", "d"].map(String::from).to_vec(),
-            line: 1,
-            source: String::new(),
-            dependencies: Vec::new(),
-            opt: None,
-        };
-        shard_scan(&plan, order)
-    }
-
-    fn scan(relation: &str, terms: &[PTerm]) -> Step {
-        let (relation, terms) = (relation.to_string(), terms.to_vec());
-        Step::Scan { relation, terms }
-    }
-
-    /// A firing shards its first scan in plan order that reads a plain
-    /// row range, and nothing when every scan is keyed.
-    #[test]
-    fn shard_scan_takes_the_first_plain_scan() {
-        let (v, ignore) = (PTerm::Var, PTerm::Const(Value::str("ignore")));
-        // `IgnoredSection(d, x) <- Notes(d, t), note_sections(t) -> (x, c),
-        // SectionPolicy(c, "ignore")` with the constant-keyed lookup
-        // ordered first: the lookup is keyed, so `Notes` is cut.
-        let notes = scan("Notes", &[v(0), v(1)]);
-        let sections = Step::Ie {
-            function: "note_sections".into(),
-            inputs: vec![v(1)],
-            outputs: vec![v(2), v(3)],
-        };
-        let policy = scan("SectionPolicy", &[v(3), ignore]);
-        let steps = vec![notes, sections, policy];
-        assert_eq!(shard_at(steps, &[2, 0, 1]), Some(1));
-        // The delta variant of `Path(x, z) <- Edge(x, y), Path(y, z)`:
-        // the planner puts the delta first, and `Edge` is then keyed on
-        // `y`.
-        let steps = vec![scan("Edge", &[v(0), v(1)]), scan("Path", &[v(1), v(2)])];
-        assert_eq!(shard_at(steps, &[1, 0]), Some(0));
-        // Every scan keyed: by a constant, then by a bound variable.
-        let one = PTerm::Const(Value::Int(1));
-        let steps = vec![scan("R", &[one, v(0)]), scan("S", &[v(0), v(1)])];
-        assert_eq!(shard_at(steps, &[0, 1]), None);
     }
 
     /// Extends `order` to the lexicographically least order of `0..n`
