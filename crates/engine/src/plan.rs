@@ -643,9 +643,8 @@ fn scan_join(
         };
         batch.rows.iter().try_for_each(|input| {
             let ids = index.get(rows, cols.key_of(input));
-            let (start, end) = (range.start, range.end);
-            let ids = &ids[ids.partition_point(|&id| id < start)..];
-            let ids = &ids[..ids.partition_point(|&id| id < end)];
+            let ids = &ids[ids.partition_point(|&id| id < range.start)..];
+            let ids = &ids[..ids.partition_point(|&id| id < range.end)];
             ids.iter().try_for_each(|&id| emit(input, rows.row(id)))
         })
     };

@@ -21,8 +21,8 @@
 //! waited behind it finds the publish current when its turn comes and
 //! reads it — N requests waiting on the same churn cost one fixpoint
 //! run (the `execute_coalesced` counter reports how often it happens).
-//! Inside that run `plan.rs` already batches cacheable IE calls per
-//! distinct argument tuple and probes the shared memo.
+//! Inside that run the engine's IE step already batches cacheable
+//! calls per distinct argument tuple and probes the shared memo.
 
 use crate::config::ServeConfig;
 use crate::error::ApiError;
