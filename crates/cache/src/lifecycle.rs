@@ -6,12 +6,11 @@
 //! that streams distinct documents grows without bound. A compaction
 //! pass closes the loop: the engine marks the document of every span in
 //! a relation, extensional or derived — relations are the only roots —
-//! compacts the store against that set, and has the IE memo drop the
-//! entries that name a dropped document (`IeMemo::retain_docs`).
-//! [`DocGc`] says *when* a pass runs: never (the historical append-only
-//! behavior), or whenever resident document bytes cross a threshold
-//! after an eviction-shaped mutation (`remove_relation`, a replacing
-//! import).
+//! and compacts the store against that set. (The IE memo is no root: it
+//! dies with the evaluation that filled it.) [`DocGc`] says *when* a
+//! pass runs: never (the historical append-only behavior), or whenever
+//! resident document bytes cross a threshold after an eviction-shaped
+//! mutation (`remove_relation`, a replacing import).
 //!
 //! Compaction is epoch-wise: every pass bumps the store's epoch, ids of
 //! survivors are stable, and ids of removed documents become permanent

@@ -1,26 +1,24 @@
 //! Cache observability counters.
 
-/// Counters describing one [`crate::IeMemo`]'s lifetime activity —
-/// exposed through `Session::stats()` so serving paths can watch hit
-/// rates and budget overflows without instrumenting IE functions.
+/// Counters of IE memo traffic — of one [`crate::IeMemo`], or summed
+/// over every evaluation of a session and exposed through
+/// `Session::stats()`, so serving paths can watch hit rates without
+/// instrumenting IE functions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the memo table.
     pub hits: u64,
     /// Lookups that fell through to the IE function.
     pub misses: u64,
-    /// Entries stored (one per miss of a cacheable call that fit the
-    /// budget).
+    /// Stores (one per miss of a cacheable call that returned).
     pub insertions: u64,
-    /// Entries dropped when the table overflowed its budget.
+    /// Always 0: a table lives for one evaluation and drops no entry
+    /// before it ends. Kept for the readers of `cache.memo.evictions`.
     pub evictions: u64,
-    /// Entries rejected outright because a single entry exceeded the
-    /// whole byte budget.
-    pub oversized: u64,
-    /// Entries currently resident.
+    /// Entries resident (summed: in the last evaluation's table).
     pub entries: usize,
-    /// Approximate bytes currently resident (keys + outputs + fixed
-    /// per-entry overhead).
+    /// Approximate bytes resident — keys, outputs and a fixed per-entry
+    /// overhead (summed: in the last evaluation's table).
     pub bytes: usize,
 }
 

@@ -166,8 +166,7 @@ impl DocumentStore {
     ///
     /// The caller is responsible for passing a `live` predicate that
     /// covers *every* id still reachable from its data structures (the
-    /// engine marks the spans of all relations, and drops the IE-memo
-    /// entries that name a removed document).
+    /// engine marks the spans of all relations).
     pub fn compact(&mut self, live: impl Fn(DocId) -> bool) -> CompactionReport {
         let mut removed_docs = 0;
         let mut reclaimed_bytes = 0;

@@ -65,10 +65,9 @@ impl SpannerPipeline {
     /// [`SpannerPipeline::profile`] then holds the per-rule breakdown
     /// of the fixpoint that classified the batch.
     pub fn with_tracing(level: TraceLevel) -> Result<SpannerPipeline> {
-        // Corpus batches repeat documents across classify_corpus calls
-        // in notebook-style use, so keep the IE memo on (default
-        // capacity) and let doc-store GC reclaim texts of replaced
-        // corpora once they outgrow the watermark.
+        // Notebook-style use replaces the corpus batch after batch: let
+        // doc-store GC reclaim the texts of replaced corpora once they
+        // outgrow the watermark.
         let mut session = Session::builder()
             .doc_gc(spannerlog_engine::DocGc::Threshold {
                 bytes: spannerlog_engine::DOC_GC_WATERMARK_BYTES,

@@ -37,8 +37,9 @@ use crate::optimizer::IndexCache;
 use crate::plan::{self, ExecCtx, ParTally, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
 use crate::strata::Component;
+use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-use spannerlib_cache::SharedIeMemo;
+use spannerlib_cache::IeMemo;
 use spannerlib_core::Rows;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use std::ops::Range;
@@ -188,8 +189,8 @@ pub struct EvalCtx<'a> {
     pub strategy: EvalStrategy,
     /// Resource limits.
     pub limits: EvalLimits,
-    /// IE memo table, when enabled.
-    pub cache: Option<&'a SharedIeMemo>,
+    /// The run's IE memo table, empty when the run starts.
+    pub cache: &'a Mutex<IeMemo>,
     /// Lanes a firing's shards run on, the calling thread included
     /// (`SessionBuilder::parallelism`); below 2 — and
     /// [`EvalStrategy::Naive`] at any count — every firing runs on the
@@ -260,8 +261,8 @@ impl Drop for Lent<'_> {
 
 /// Evaluates `components` in order, inserting derived tuples into `db`.
 /// A non-recursive component is complete after each of its rules fires
-/// once; a recursive one runs to fixpoint. `ctx.cache`, when set,
-/// memoizes IE calls across rounds and runs. Progress is reported
+/// once; a recursive one runs to fixpoint. `ctx.cache` memoizes IE
+/// calls across the rules and rounds of the run. Progress is reported
 /// through `trace` (free when tracing is off); on a limit abort the
 /// trace keeps the partial per-component progress.
 ///

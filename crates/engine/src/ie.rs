@@ -143,9 +143,9 @@ pub trait IeFunction: Send + Sync {
     /// use it for validation.
     fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput>;
 
-    /// Whether results may be reused: kept in the session's IE memo,
-    /// and shared by the rows of a batch that carry the same argument
-    /// vector. It means nothing else.
+    /// Whether results may be reused: kept in the evaluation's IE memo
+    /// for the rest of the run, and shared by the rows of a batch that
+    /// carry the same argument vector. It means nothing else.
     ///
     /// Defaults to `true`: the IE contract (paper §3.3) is a *stateless*
     /// mapping from inputs to output rows, which makes reuse

@@ -17,15 +17,15 @@ use std::sync::atomic::Ordering;
 /// grouped by argument vector and each group is looked up or called
 /// once; an uncached one is called once per row.
 ///
-/// Cached, uncached and cache-off sessions share this one path. With a
-/// memo the step takes its lock once to look every group up — by the
-/// borrowed cells of the group's first row: a probe builds no key — and
-/// copy the rows of the hits into the batch's own store, calls the
-/// misses with no lock held, and takes the lock once more to store what
-/// they returned. A row of the wrong arity fails the step before its
-/// call is stored. IE calls are where evaluation sinks open-ended time
-/// (user code, regex scans): the wall-clock budget is checked before
-/// each.
+/// Cacheable and uncached functions share this one path. For a
+/// cacheable one the step takes the run's memo lock once to look every
+/// group up — by the borrowed cells of the group's first row: a probe
+/// builds no key — and copy the rows of the hits into the batch's own
+/// store, calls the misses with no lock held, and takes the lock once
+/// more to store what they returned. A row of the wrong arity fails the
+/// step before its call is stored. IE calls are where evaluation sinks
+/// open-ended time (user code, regex scans): the wall-clock budget is
+/// checked before each.
 pub(crate) fn ie_join(
     plan: &RulePlan,
     (function, inputs, outputs): (&str, &[PTerm], &[PTerm]),
@@ -61,7 +61,7 @@ pub(crate) fn ie_join(
     let mut returned = Rows::new(n);
     let mut rows_of: Vec<Range<usize>> = vec![0..0; groups];
     let mut misses: Vec<usize> = Vec::new();
-    let memo = ctx.cache.filter(|_| f.cacheable());
+    let memo = f.cacheable().then_some(ctx.cache);
     let t0 = tr.trace.now_ns();
     let mut probe = memo.map(|memo| memo.lock());
     for (g, rows_of) in rows_of.iter_mut().enumerate() {

@@ -64,7 +64,7 @@ pub use maintain::{EvalMode, FullReason};
 pub use prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 pub use query::{QueryPlan, Selection};
 pub use registry::Registry;
-pub use session::{Session, SessionBuilder, SessionStats, DEFAULT_IE_CACHE_BYTES};
+pub use session::{Session, SessionBuilder, SessionStats};
 // The cache subsystem's user-facing vocabulary, re-exported so hosts
 // configure sessions without depending on spannerlib-cache directly.
 pub use spannerlib_cache::{CacheStats, DocGc, DOC_GC_WATERMARK_BYTES};

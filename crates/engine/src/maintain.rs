@@ -38,11 +38,12 @@
 //!   their maintained inputs.
 //!
 //! The over-delete calls IE functions over removed rows again and needs
-//! the answers the old run got — mostly from the memo — and the document
-//! ids their spans name: maintenance takes every IE function for pure
-//! and every document id for stable, and [`FullReason`] names each case
-//! where that, or anything else it relies on, does not hold. A
-//! maintained run fires on the calling thread.
+//! the answers the old run got, and the document ids their spans name:
+//! maintenance holds every IE function to the paper's contract — a pure
+//! function of its arguments, so a second call answers what the first
+//! did — and takes every document id for stable, and [`FullReason`]
+//! names each case where that, or anything else it relies on, does not
+//! hold. A maintained run fires on the calling thread.
 
 use crate::database::Database;
 use crate::error::Result;

@@ -29,8 +29,9 @@ use crate::ie_join::ie_join;
 use crate::optimizer::{self, IndexCache, RuleOpt, TupleIndex};
 use crate::registry::Registry;
 use crate::shard::{fold_aggregates, project_head, run_sharded, shard_scan};
+use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-use spannerlib_cache::SharedIeMemo;
+use spannerlib_cache::IeMemo;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_trace::{RunTrace, SpanId, SpanKind};
 use spannerlog_parser::CmpOp;
@@ -178,8 +179,8 @@ pub struct ExecCtx<'a> {
     /// in place of the one it names. The planner starts from it. `None`
     /// outside maintenance.
     pub seed: Option<(usize, &'a Relation)>,
-    /// IE memo table, when enabled.
-    pub cache: Option<&'a SharedIeMemo>,
+    /// The evaluation run's IE memo table.
+    pub cache: &'a Mutex<IeMemo>,
     /// The production evaluator's scan indexes, shared with its shard
     /// workers. `None` is the reference configuration
     /// (`EvalStrategy::Naive`): steps run in the order safety analysis
@@ -213,8 +214,8 @@ pub struct TraceCtx<'a> {
 /// [`crate::Database::insert_derived`] to take in whole — repeats
 /// included. `ctx.delta`, when set, restricts one scan to a run of row
 /// ids (semi-naive evaluation), which probes the run's indexes like any
-/// scan. `ctx.cache`, when set, memoizes IE calls across rows, reruns,
-/// and executions. Join and IE-batch work is reported through `tr`
+/// scan. `ctx.cache` memoizes IE calls across the rows, rules and
+/// rounds of the run. Join and IE-batch work is reported through `tr`
 /// (every call is a no-op when tracing is off).
 ///
 /// A firing runs in three parts: on the caller the steps ordered before
@@ -901,11 +902,12 @@ mod tests {
         indexes: Option<&IndexCache>,
     ) -> BTreeSet<Vec<Value>> {
         let (registry, docs, tally) = (Registry::new(), SharedDocs::default(), ParTally::default());
+        let memo = Mutex::default();
         let ctx = ExecCtx {
             registry: &registry,
             delta: delta.clone(),
             seed: None,
-            cache: None,
+            cache: &memo,
             indexes,
             docs: &docs,
             workers: 0,

@@ -200,13 +200,11 @@ pub struct Snapshot {
     /// Hash indexes over `db`, built on first use by a constant-bearing
     /// query and shared by every clone of this snapshot.
     indexes: Arc<IndexCache>,
-    /// The originating session's IE memo, shared for observability:
-    /// snapshot queries are pure reads that never invoke IE functions,
-    /// but handing the memo over lets serving threads watch hit rates
-    /// via [`Snapshot::cache_stats`]. (A snapshot's frozen store is
-    /// never compacted; the session's compaction prunes the memo
-    /// through its own handle.)
-    cache: Option<spannerlib_cache::SharedIeMemo>,
+    /// The originating session's IE memo counters when the snapshot was
+    /// taken, so serving threads can watch hit rates via
+    /// [`Snapshot::cache_stats`]. (Snapshot queries are pure reads that
+    /// never invoke IE functions.)
+    cache: spannerlib_cache::CacheStats,
     /// Profile of the fixpoint run that produced the frozen state
     /// (`None` when the session evaluated with tracing off).
     profile: Option<Arc<spannerlib_trace::EvalProfile>>,
@@ -221,7 +219,6 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("relations", &self.db.iter().count())
-            .field("cache_shared", &self.cache.is_some())
             .field("profiled", &self.profile.is_some())
             .finish()
     }
@@ -237,7 +234,7 @@ const _: () = {
 impl Snapshot {
     pub(crate) fn new(
         db: Arc<Database>,
-        cache: Option<spannerlib_cache::SharedIeMemo>,
+        cache: spannerlib_cache::CacheStats,
         profile: Option<Arc<spannerlib_trace::EvalProfile>>,
         fingerprint: u64,
         eval_seq: u64,
@@ -274,13 +271,10 @@ impl Snapshot {
         self.eval_seq
     }
 
-    /// Lifetime counters of the shared IE memo (all zero when the
-    /// originating session had the cache disabled).
+    /// The originating session's IE memo counters (`Session::stats`)
+    /// as of the evaluation this snapshot froze.
     pub fn cache_stats(&self) -> spannerlib_cache::CacheStats {
         self.cache
-            .as_ref()
-            .map(|c| c.lock().stats())
-            .unwrap_or_default()
     }
 
     /// Profile of the evaluation that produced this snapshot's derived

@@ -74,9 +74,9 @@ impl Registry {
         self.register_ie(name, Arc::new(ClosureIe::new(arity, f)));
     }
 
-    /// Registers a closure whose results are never memoized by the
-    /// session's IE cache: not a pure function of its arguments, or
-    /// cheaper to call than to look up (the constant-time builtins).
+    /// Registers a closure whose results are never memoized: not a pure
+    /// function of its arguments, or cheaper to call than to look up
+    /// (the constant-time builtins).
     pub fn register_closure_uncached<F>(&mut self, name: &str, arity: Option<usize>, f: F)
     where
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,

@@ -42,12 +42,13 @@
 //! range (`plan::execute_with`) — across the driving thread and threads
 //! scoped to the firing (`spannerlib_par`), so no thread outlives the
 //! call that spawned it. Every evaluation — sharded or not — keeps the
-//! document store behind a read-write lock and the IE memo behind its
-//! usual mutex (taken twice per batch of IE calls, never across one)
-//! for the duration of the run, so an IE function meets the same
-//! locking discipline under `parallelism(0)` as on a many-core host.
-//! Parallel
-//! and serial runs derive identical tuple *sets* (property-tested).
+//! document store behind a read-write lock for the duration of the run,
+//! and its own IE memo table behind a mutex (taken twice per batch of IE
+//! calls, never across one), so an IE function meets the same locking
+//! discipline under `parallelism(0)` as on a many-core host. The table
+//! is the run's: it starts empty and is dropped when the run returns.
+//! Parallel and serial runs derive identical tuple *sets*
+//! (property-tested).
 //! Registered IE functions must therefore be `Send + Sync` (the trait
 //! already requires it) and must tolerate concurrent invocation on
 //! distinct argument tuples. If an IE function panics, the panic
@@ -67,7 +68,7 @@ use crate::registry::Registry;
 use crate::safety::constant_value;
 use parking_lot::Mutex;
 use rustc_hash::FxHashSet;
-use spannerlib_cache::{CacheStats, DocGc, IeMemo, SharedIeMemo};
+use spannerlib_cache::{CacheStats, DocGc};
 use spannerlib_core::{
     CompactionReport, DocId, DocumentStore, Relation, Schema, Span, Tuple, Value,
 };
@@ -76,17 +77,14 @@ use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, DEFAULT_SPAN_BUFFER_BY
 use spannerlog_parser::{parse_program, Query, Rule, Statement};
 use std::sync::Arc;
 
-/// Default byte budget of the IE memo table (see
-/// [`SessionBuilder::ie_cache_capacity`]).
-pub const DEFAULT_IE_CACHE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Statistics of a session: the most recent fixpoint run plus the
-/// lifetime counters of the IE memo table.
+/// Statistics of a session: the most recent fixpoint run plus the IE
+/// memo counters of every run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Counters of the most recent fixpoint run.
     pub eval: EvalStats,
-    /// Lifetime IE-cache counters (all zero when the cache is disabled).
+    /// IE memo hits, misses and insertions summed over the session's
+    /// evaluations; `entries` and `bytes` of the last one's table.
     pub cache: CacheStats,
 }
 
@@ -120,7 +118,6 @@ pub struct SessionBuilder {
     strategy: EvalStrategy,
     limits: EvalLimits,
     registry: Registry,
-    ie_cache_capacity: usize,
     doc_gc: DocGc,
     trace_level: TraceLevel,
     parallelism: Option<usize>,
@@ -132,7 +129,6 @@ impl Default for SessionBuilder {
             strategy: EvalStrategy::default(),
             limits: EvalLimits::default(),
             registry: Registry::new(),
-            ie_cache_capacity: DEFAULT_IE_CACHE_BYTES,
             doc_gc: DocGc::Disabled,
             trace_level: TraceLevel::Off,
             parallelism: None,
@@ -185,30 +181,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the byte budget of the IE memo table, which caches
-    /// `(function, arguments) → output rows` across fixpoint reruns and
-    /// prepared-query executions ([`DEFAULT_IE_CACHE_BYTES`] by
-    /// default). Pass `0` to disable cross-run memoization.
-    ///
-    /// Note that closures registered via [`SessionBuilder::register`]
-    /// are held to the stateless IE contract regardless of this
-    /// setting: within one rule firing, binding rows sharing an
-    /// argument tuple are batched into a single call even with the
-    /// cache off. A closure that is *not* a pure function of its
-    /// arguments must be registered with
-    /// [`SessionBuilder::register_uncached`], which opts it out of both
-    /// memoization and batching.
-    pub fn ie_cache_capacity(mut self, bytes: usize) -> SessionBuilder {
-        self.ie_cache_capacity = bytes;
-        self
-    }
-
     /// Configures automatic document-store compaction. With
     /// [`DocGc::Threshold`], `remove_relation` and replacing imports
     /// trigger a compaction pass once live document text exceeds the
-    /// watermark, tombstoning documents referenced by no relation (and
-    /// dropping the memo entries that name them). Default:
-    /// [`DocGc::Disabled`] (compaction only via
+    /// watermark, tombstoning documents referenced by no relation.
+    /// Default: [`DocGc::Disabled`] (compaction only via
     /// [`Session::compact_docs`]).
     pub fn doc_gc(mut self, policy: DocGc) -> SessionBuilder {
         self.doc_gc = policy;
@@ -242,7 +219,12 @@ impl SessionBuilder {
     }
 
     /// Seeds the IE registry with a closure (same contract as
-    /// [`Session::register`]).
+    /// [`Session::register`]). The closure is held to the stateless IE
+    /// contract: binding rows sharing an argument tuple are batched into
+    /// a single call, and an evaluation asks it each tuple once. A
+    /// closure that is *not* a pure function of its arguments must be
+    /// registered with [`SessionBuilder::register_uncached`], which opts
+    /// it out of both memoization and batching.
     pub fn register<F>(mut self, name: &str, input_arity: Option<usize>, f: F) -> SessionBuilder
     where
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
@@ -276,8 +258,6 @@ impl SessionBuilder {
 
     /// Builds the session.
     pub fn build(self) -> Session {
-        let ie_cache = (self.ie_cache_capacity > 0)
-            .then(|| Arc::new(Mutex::new(IeMemo::new(self.ie_cache_capacity))));
         Session {
             db: Arc::new(Database::new()),
             basis: Err(FullReason::FirstEvaluation),
@@ -290,7 +270,7 @@ impl SessionBuilder {
             last_eval: None,
             last_fingerprint: 0,
             last_stats: EvalStats::default(),
-            ie_cache,
+            cache: CacheStats::default(),
             doc_gc: self.doc_gc,
             gc_rearm_bytes: 0,
             trace_level: self.trace_level,
@@ -332,10 +312,10 @@ pub struct Session {
     /// the program recompiled.
     last_fingerprint: u64,
     last_stats: EvalStats,
-    /// Memo table for IE calls (`None` = disabled). Shared with
-    /// evaluation runs and snapshots; keyed purely by call content, so
-    /// it survives program recompilation and EDB churn.
-    ie_cache: Option<SharedIeMemo>,
+    /// IE memo counters: hits, misses and insertions summed over every
+    /// fixpoint run (a failed one's included), `entries` and `bytes` of
+    /// the last run's table — each run fills a table of its own.
+    cache: CacheStats,
     /// When to compact the document store automatically.
     doc_gc: DocGc,
     /// Hysteresis for the threshold policy: the next automatic pass
@@ -411,9 +391,10 @@ impl Session {
     /// * `eval` describes only the **most recent** fixpoint run — a
     ///   call that skipped evaluation because nothing changed keeps the
     ///   previous run's counters, as [`Session::profile`] does;
-    /// * `cache` is **cumulative over the session's lifetime** (the memo
-    ///   table outlives individual runs by design); meter a window by
-    ///   subtracting two reads.
+    /// * `cache` counts hits, misses and insertions **over the session's
+    ///   lifetime** — meter a window by subtracting two reads — while
+    ///   `entries` and `bytes` describe the most recent run's table
+    ///   (each run starts an empty one and drops it when it ends).
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             eval: self.last_stats,
@@ -461,13 +442,9 @@ impl Session {
         self.pending_request_ids = ids;
     }
 
-    /// Lifetime counters of the IE memo table (all zero when the cache
-    /// is disabled).
+    /// The IE memo counters of [`Session::stats`].
     pub fn cache_stats(&self) -> CacheStats {
-        self.ie_cache
-            .as_ref()
-            .map(|c| c.lock().stats())
-            .unwrap_or_default()
+        self.cache
     }
 
     /// Marks compile-relevant state (rules, registrations, relation name
@@ -630,7 +607,7 @@ impl Session {
         self.ensure_evaluated()?;
         Ok(Snapshot::new(
             Arc::clone(&self.db),
-            self.ie_cache.clone(),
+            self.cache,
             self.last_profile.clone(),
             self.last_fingerprint,
             self.eval_seq,
@@ -660,8 +637,9 @@ impl Session {
 
     /// Registers a closure as an IE function (the paper's
     /// `session.register(foo, input=…, output=…)`). `input_arity` of
-    /// `None` means variadic. Results are memoized by the IE cache,
-    /// which assumes the paper's stateless contract — use
+    /// `None` means variadic. An evaluation shares one call's results
+    /// among every rule that asks the same arguments, which assumes the
+    /// paper's stateless contract — use
     /// [`Session::register_uncached`] for closures that are not pure
     /// functions of their arguments.
     pub fn register<F>(&mut self, name: &str, input_arity: Option<usize>, f: F)
@@ -669,7 +647,7 @@ impl Session {
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
     {
         self.registry.register_closure(name, input_arity, f);
-        self.after_registration(name);
+        self.invalidate_program();
     }
 
     /// Registers a closure whose results must never be memoized.
@@ -679,24 +657,13 @@ impl Session {
     {
         self.registry
             .register_closure_uncached(name, input_arity, f);
-        self.after_registration(name);
+        self.invalidate_program();
     }
 
     /// Registers an IE function object.
     pub fn register_ie(&mut self, name: &str, f: Arc<dyn IeFunction>) {
         self.registry.register_ie(name, f);
-        self.after_registration(name);
-    }
-
-    /// A (re-)registration may shadow an existing function: memoized
-    /// results under the old body are stale (entries of *other*
-    /// functions stay warm), and the compiled program may resolve
-    /// predicates differently.
-    fn after_registration(&mut self, name: &str) {
         self.invalidate_program();
-        if let Some(cache) = &self.ie_cache {
-            cache.lock().purge_function(name);
-        }
     }
 
     /// Registers an aggregation function.
@@ -842,11 +809,10 @@ impl Session {
 
     /// Compacts the document store now: documents referenced by no span
     /// in any relation (extensional or derived) are tombstoned and
-    /// their text released, and the IE memo drops every entry that
-    /// names one — relations are the only roots, so an entry dies with
-    /// its document. Surviving ids are unchanged, so spans held by the
-    /// host stay valid; the store's epoch is bumped. Snapshots taken
-    /// earlier keep their own frozen store (copy-on-write).
+    /// their text released — relations are the only roots. Surviving ids
+    /// are unchanged, so spans held by the host stay valid; the store's
+    /// epoch is bumped. Snapshots taken earlier keep their own frozen
+    /// store (copy-on-write).
     ///
     /// When everything is live the pass returns a zero report *without*
     /// touching the store — in particular, without forcing the
@@ -868,9 +834,6 @@ impl Session {
                 live_bytes: docs.bytes(),
             }
         } else {
-            if let Some(cache) = &self.ie_cache {
-                cache.lock().retain_docs(&live);
-            }
             self.db_mut().docs.compact(|id| live.contains(&id))
         };
         if let DocGc::Threshold { bytes } = self.doc_gc {
@@ -936,11 +899,14 @@ impl Session {
         let mode = seeds
             .as_ref()
             .map_or_else(|r| EvalMode::Full(*r), Seeds::mode);
+        // The run's IE memo: empty now, dropped below once its counters
+        // fold into the session's — a failed run's too.
+        let memo = Mutex::default();
         let ctx = EvalCtx {
             registry: &self.registry,
             strategy: self.strategy,
             limits: self.limits,
-            cache: self.ie_cache.as_ref(),
+            cache: &memo,
             workers: self.parallelism,
         };
         // The regex prefilter counters are process-wide; deltas around
@@ -949,6 +915,13 @@ impl Session {
         let result = match seeds {
             Ok(seeds) => seeds.run(Arc::make_mut(&mut self.db), program, &ctx, &mut trace),
             Err(_) => evaluate(cleared(&mut self.db), &program.components, &ctx, &mut trace),
+        };
+        let run = memo.into_inner().stats();
+        self.cache = CacheStats {
+            hits: self.cache.hits + run.hits,
+            misses: self.cache.misses + run.misses,
+            insertions: self.cache.insertions + run.insertions,
+            ..run
         };
         // Capture the profile before propagating errors: an aborted run
         // leaves its partial per-component progress in `profile()`.

@@ -1,8 +1,7 @@
-//! Integration tests for the `spannerlib_cache` subsystem: memoized IE
-//! evaluation (hit accounting, invalidation on re-registration) and the
-//! document-store lifecycle (bounded memory under long-lived churn,
-//! compaction correctness, memo entries dying with their documents,
-//! snapshot sharing).
+//! Integration tests for the `spannerlib_cache` subsystem: the IE memo
+//! of one evaluation (sharing within a run, hit accounting, an empty
+//! table per run) and the document-store lifecycle (bounded memory under
+//! long-lived churn, compaction correctness, snapshot counters).
 
 use spannerlog_engine::{DocGc, EvalMode, FullReason, Session};
 
@@ -26,10 +25,8 @@ const CHURN_RULE: &str = r#"Code(d, s) <- Texts(d, t), rgx("code-[0-9]+-[0-9]+",
 /// reclaims removed documents instead of growing without bound.
 #[test]
 fn long_lived_churn_keeps_doc_store_bounded() {
-    const MEMO_BUDGET: usize = 32 * 1024;
     const GC_WATERMARK: usize = 64 * 1024;
     let mut session = Session::builder()
-        .ie_cache_capacity(MEMO_BUDGET)
         .doc_gc(DocGc::Threshold {
             bytes: GC_WATERMARK,
         })
@@ -59,9 +56,9 @@ fn long_lived_churn_keeps_doc_store_bounded() {
         total_text_bytes > 180 * 1024,
         "workload too small to prove anything"
     );
-    // Bounded: watermark + one in-flight document, with the memo's
-    // budget to spare — the memo keeps no document alive.
-    let bound = GC_WATERMARK + MEMO_BUDGET + 8 * 1024;
+    // Bounded: watermark + one in-flight document — only relations
+    // root a document.
+    let bound = GC_WATERMARK + 8 * 1024;
     assert!(
         peak_bytes < bound,
         "doc store peaked at {peak_bytes} bytes (bound {bound})"
@@ -83,12 +80,12 @@ fn long_lived_churn_keeps_doc_store_bounded() {
     assert_eq!(session.docs().len(), 0);
 }
 
-/// Cold/warm accounting: re-running the fixpoint over unchanged
-/// documents serves IE calls from the memo, and the counters say so. A
-/// write to an input is maintained and asks the memo nothing about the
-/// unchanged documents; a rule change reruns everything.
+/// The memo lives for one evaluation: a run forced by a program change
+/// asks every question of the cold run again, misses each one and
+/// answers as the cold run did. (A write to an input is maintained and
+/// asks nothing about the unchanged documents.)
 #[test]
-fn warm_reruns_hit_the_memo() {
+fn each_evaluation_starts_with_an_empty_memo() {
     let mut session = Session::new();
     session
         .import_typed(
@@ -115,23 +112,53 @@ fn warm_reruns_hit_the_memo() {
     assert!(after_cold.misses > 0);
     assert_eq!(after_cold.hits, 0);
 
-    for i in 0..5 {
+    for i in 1..=5 {
         session.run(&format!("Ticked{i}(x) <- Tick(x)")).unwrap();
         let query = session.prepare("?Email(d, s)").unwrap();
-        let warm = query.execute(&mut session).unwrap();
-        assert_eq!(warm, cold);
+        let rerun = query.execute(&mut session).unwrap();
+        assert_eq!(rerun, cold);
         let mode = session.stats().eval.mode;
         assert_eq!(mode, EvalMode::Full(FullReason::ProgramChanged));
+        let cache = session.stats().cache;
+        assert_eq!(cache.misses, (i + 1) * after_cold.misses, "{cache:?}");
+        assert_eq!(cache.hits, 0, "{cache:?}");
+        assert_eq!(
+            (cache.entries, cache.bytes),
+            (after_cold.entries, after_cold.bytes)
+        );
     }
-    let after_warm = session.stats().cache;
-    assert!(
-        after_warm.hits >= 5 * 2,
-        "five forced reruns over two documents should all hit: {after_warm:?}"
-    );
-    assert_eq!(
-        after_warm.misses, after_cold.misses,
-        "no new IE computation on warm reruns"
-    );
+}
+
+/// Within one evaluation every rule that asks a cacheable function the
+/// same arguments shares one call: two rules over the same eight values
+/// run the body eight times, on one lane and on two.
+#[test]
+fn rules_of_one_evaluation_share_the_memo() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    for workers in [0, 2] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .register("probe", Some(1), move |args, _| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Ok(vec![vec![args[0].clone()]])
+            })
+            .build();
+        session
+            .import_typed("S", (0..8i64).map(|n| (n,)).collect::<Vec<_>>())
+            .unwrap();
+        session
+            .run("A(x, y) <- S(x), probe(x) -> (y)\nB(x, y) <- S(x), probe(x) -> (y)")
+            .unwrap();
+        assert_eq!(session.relation("A").unwrap().len(), 8);
+        assert_eq!(session.relation("B").unwrap().len(), 8);
+        assert_eq!(calls.load(Ordering::SeqCst), 8, "workers {workers}");
+        let cache = session.stats().cache;
+        assert_eq!((cache.misses, cache.hits), (8, 8), "workers {workers}");
+    }
 }
 
 /// A string's hash is a function of its bytes, so equal texts are one
@@ -365,53 +392,9 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
     }
 }
 
-/// Relations are the only roots of a document: once no relation holds a
-/// span into it, compaction drops it although the memo remembers calls
-/// over it — keyed by its text or by a span into it — and those entries
-/// go with it. The same text imported again is a new document: the
-/// calls miss, the spans they return resolve.
-#[test]
-fn memo_entries_die_with_their_documents() {
-    let both = vec![("keep", "alpha beta"), ("drop", "gamma delta")];
-    let mut session = Session::new();
-    session.import_typed("Texts", both.clone()).unwrap();
-    session
-        .run(
-            r#"Line(d, s) <- Texts(d, t), rgx("[a-z ]+", t) -> (s)
-Word(d, w) <- Line(d, s), rgx("[a-z]+", s) -> (w)"#,
-        )
-        .unwrap();
-    session.ensure_evaluated().unwrap();
-    let cold = session.stats().cache;
-    assert_eq!(
-        (cold.misses, cold.entries),
-        (4, 4),
-        "per text: by string, by span"
-    );
-    let dropped = session.docs().lookup("gamma delta").unwrap();
-
-    session.import_typed("Texts", both[..1].to_vec()).unwrap();
-    session.ensure_evaluated().unwrap();
-    let report = session.compact_docs();
-    assert_eq!((report.removed_docs, report.kept_docs), (1, 1));
-    assert_eq!(session.docs().bytes(), "alpha beta".len());
-    assert_eq!(session.stats().cache.entries, 2);
-
-    session.import_typed("Texts", both).unwrap();
-    let words = session.relation("Word").unwrap();
-    let warm = session.stats().cache;
-    assert_eq!((warm.misses, warm.entries), (cold.misses + 2, 4));
-    assert_ne!(session.docs().lookup("gamma delta"), Some(dropped));
-    let texts = words
-        .iter()
-        .map(|row| session.span_text(row[1].as_span().unwrap()));
-    let mut texts: Vec<String> = texts.collect::<Result<_, _>>().unwrap();
-    texts.sort();
-    assert_eq!(texts, ["alpha", "beta", "delta", "gamma"]);
-}
-
 /// Compaction keeps every id a live span references (across extensional
-/// *and* derived relations), and snapshots share the memo read-only.
+/// *and* derived relations), and snapshots carry the session's memo
+/// counters.
 #[test]
 fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
     let mut session = Session::new();
@@ -450,8 +433,7 @@ fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
         assert!(!session.span_text(span).unwrap().is_empty());
     }
 
-    // Snapshots share the memo: stats observed through the snapshot
-    // match the session's.
+    // Stats observed through the snapshot match the session's.
     let snapshot = session.snapshot().unwrap();
     assert_eq!(snapshot.cache_stats(), session.stats().cache);
 }

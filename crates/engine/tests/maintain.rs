@@ -6,7 +6,9 @@
 
 use spannerlib_core::Value;
 use spannerlog_engine::aggregate::AggFunction;
-use spannerlog_engine::{EngineError, EvalMode, EvalStrategy, FullReason, Session, TraceLevel};
+use spannerlog_engine::{
+    CacheStats, EngineError, EvalMode, EvalStrategy, FullReason, Session, TraceLevel,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -275,7 +277,10 @@ fn an_identical_re_import_makes_no_ie_call() {
         }
     );
     assert_eq!(calls.load(Ordering::SeqCst), called);
-    assert_eq!(session.stats().cache, cache, "not even a memo probe");
+    let now = session.stats().cache;
+    let traffic = |c: CacheStats| (c.hits, c.misses, c.insertions);
+    assert_eq!(traffic(now), traffic(cache), "not even a memo probe");
+    assert_eq!(now.entries, 0, "the maintained run's own table is empty");
 }
 
 #[test]

@@ -45,11 +45,12 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     let registry = Registry::new();
     let docs = SharedDocs::default();
     let tally = ParTally::default();
+    let memo = parking_lot::Mutex::default();
     let ctx = ExecCtx {
         registry: &registry,
         delta: inputs.delta.clone(),
         seed: None,
-        cache: None,
+        cache: &memo,
         indexes: inputs.indexes,
         docs: &docs,
         workers: inputs.workers,

@@ -87,7 +87,7 @@ fn main() {
     }
 
     // Clients import for as long as the daemon lives: texts no relation
-    // names any more go, and their memo entries with them.
+    // names any more go.
     let mut builder = Session::builder().doc_gc(DocGc::Threshold {
         bytes: DOC_GC_WATERMARK_BYTES,
     });

@@ -43,7 +43,7 @@
 //!   that observe a stale snapshot take turns on the session: the
 //!   first evaluates and publishes, the others find the publish
 //!   current, so one evaluation — with its plan-level IE batching and
-//!   shared memo — serves them all (see [`mod@self`]'s `state` module
+//!   its memo — serves them all (see [`mod@self`]'s `state` module
 //!   docs).
 //!
 //! ## Example

@@ -22,7 +22,7 @@
 //! reads it — N requests waiting on the same churn cost one fixpoint
 //! run (the `execute_coalesced` counter reports how often it happens).
 //! Inside that run the engine's IE step already batches cacheable
-//! calls per distinct argument tuple and probes the shared memo.
+//! calls per distinct argument tuple and probes the run's memo.
 
 use crate::config::ServeConfig;
 use crate::error::ApiError;
@@ -260,7 +260,7 @@ impl ServerState {
     }
 
     /// Drops the session once the last handler has returned, so its
-    /// registered IE functions and memo do not outlive `serve()` in a
+    /// registered IE functions do not outlive `serve()` in a
     /// process that keeps a `ServerHandle`.
     pub fn retire_session(&self) {
         let session = self.slot().take();
@@ -330,7 +330,6 @@ impl ServerState {
         for (name, value) in [
             ("ie_cache_entries", cache.entries as i64),
             ("ie_cache_bytes", cache.bytes as i64),
-            ("ie_cache_evictions_total", cache.evictions as i64),
             ("docstore_bytes", docs.bytes() as i64),
             ("docstore_docs", docs.len() as i64),
             ("docstore_epoch", docs.epoch() as i64),

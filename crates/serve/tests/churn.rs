@@ -1,6 +1,8 @@
 //! Bounded for ever: a served session under long replace-some-notes
 //! churn holds its document store and its IE memo under their bounds on
-//! every scrape, and still answers what a fresh session answers.
+//! every scrape, and still answers what a fresh session answers. The
+//! memo is one evaluation's: no table reaches twice the first, full
+//! evaluation's.
 
 use spannerlib_serve::{Client, Json, ServeConfig, Server, ServerHandle};
 use spannerlog_engine::{DocGc, Session};
@@ -9,11 +11,9 @@ use std::net::SocketAddr;
 const NOTES: usize = 240;
 const REPLACED: usize = 24;
 const CYCLES: usize = 200;
-/// Both far under what the churn streams through (≈ 1.5 MB of text)
-/// and the memo's under what one evaluation asks it to hold, so passes
-/// run and the table overflows many times over.
+/// Far under what the churn streams through (≈ 1.5 MB of text), so
+/// passes run many times over.
 const WATERMARK: usize = 64 * 1024;
-const MEMO_BUDGET: usize = 48 * 1024;
 
 const RULES: &str = r#"new Notes(str, str)
 Code(d, s) <- Notes(d, t), rgx("code-[0-9]+", t) -> (s)
@@ -82,21 +82,24 @@ fn metric(scrape: &str, name: &str) -> usize {
 fn long_churn_keeps_the_store_and_the_memo_under_their_bounds() {
     let session = Session::builder()
         .doc_gc(DocGc::Threshold { bytes: WATERMARK })
-        .ie_cache_capacity(MEMO_BUDGET)
         .build();
     let (addr, handle, thread) = boot(session);
     let mut client = Client::new(addr);
     setup(&mut client);
 
     let mut notes: Vec<Json> = (0..NOTES).map(note).collect();
-    let batch: usize = notes.iter().map(|n| n.render().len()).sum();
-    let bound = WATERMARK + MEMO_BUDGET + batch;
+    let rendered = |notes: &[Json]| notes.iter().map(|n| n.render().len()).sum::<usize>();
     let mut last = Vec::new();
+    let mut first_table = None;
     for cycle in 0..CYCLES {
         let at = cycle * REPLACED % NOTES;
         for (i, slot) in notes[at..at + REPLACED].iter_mut().enumerate() {
             *slot = note(NOTES + cycle * REPLACED + i);
         }
+        // A pass keeps what relations root — at most the notes before
+        // the write, none longer than today's — and the next one arms a
+        // watermark later; one cycle's new notes may land before it runs.
+        let bound = WATERMARK + rendered(&notes) + rendered(&notes[at..at + REPLACED]);
         last = serve(&mut client, &notes);
         assert_eq!(last.len(), 2 * NOTES, "cycle {cycle}");
 
@@ -106,16 +109,16 @@ fn long_churn_keeps_the_store_and_the_memo_under_their_bounds() {
             metric(&scrape, "ie_cache_bytes"),
         );
         assert!(store < bound, "cycle {cycle}: {store} doc bytes >= {bound}");
-        assert!(memo <= MEMO_BUDGET, "cycle {cycle}: {memo} memo bytes");
+        let first = *first_table.get_or_insert(memo);
+        assert!(
+            memo < 2 * first,
+            "cycle {cycle}: {memo} memo bytes, {first} at first"
+        );
         assert!(metric(&scrape, "docstore_docs") >= NOTES, "cycle {cycle}");
     }
 
     let scrape = client.get("/metrics").expect("metrics").body;
     assert!(metric(&scrape, "docstore_epoch") > 0, "no pass ever ran");
-    assert!(
-        metric(&scrape, "ie_cache_evictions_total") > 0,
-        "the table never overflowed"
-    );
 
     // A fresh daemon over the final notes answers the same.
     let (fresh_addr, fresh_handle, fresh_thread) = boot(Session::new());

@@ -1,54 +1,58 @@
-//! Long-lived serving with the `spannerlib_cache` subsystem: memoized
-//! IE evaluation plus document-store garbage collection.
+//! Long-lived serving with the `spannerlib_cache` subsystem: the IE memo
+//! of one evaluation plus document-store garbage collection.
 //!
 //! A serving session that streams batches for hours faces two costs the
 //! notebook workflow never sees: re-paying spanner evaluation for every
-//! write, and a document store that only ever grows. A write is
-//! maintained — only the rows it changed are extracted again — and this
-//! example wires both knobs of the cache subsystem on top:
+//! write, and a document store that only ever grows. This example shows
+//! what answers each:
 //!
-//! * `ie_cache_capacity` — a byte-budgeted memo over
-//!   `(function, args) → output rows`; a document that comes back, or
-//!   goes (its extraction is replayed to retract what it derived), is
-//!   answered from the memo (watch the hit counters climb);
+//! * maintained writes — only the rows a write changed are extracted
+//!   again;
+//! * the IE memo — within one evaluation, a second rule asking an IE
+//!   function what a first one already asked is answered from the run's
+//!   table (watch the hit counters climb); every evaluation starts an
+//!   empty table;
 //! * `doc_gc` — threshold-triggered compaction that tombstones
-//!   documents no relation holds a span into, bounding resident text;
-//!   the memo entries over a dropped document go with it.
+//!   documents no relation holds a span into, bounding resident text.
 //!
 //! Run with: `cargo run --example serving_cache`
 
 use spannerlib::prelude::*;
 
-const MEMO_BUDGET: usize = 64 * 1024;
+const WATERMARK: usize = 256 * 1024;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Build: memoized IE evaluation and automatic doc-store
-    //    compaction past a 256 KiB watermark. The two bounds add up:
-    //    the memo's budget counts its keys and outputs, the watermark
-    //    the document text, and the memo keeps no document alive.
+    // 1. Build: automatic doc-store compaction past a 256 KiB watermark.
     let mut session = Session::builder()
-        .ie_cache_capacity(MEMO_BUDGET)
-        .doc_gc(DocGc::Threshold { bytes: 256 * 1024 })
+        .doc_gc(DocGc::Threshold { bytes: WATERMARK })
         .build();
 
     // 2. Prepare once: an extraction program whose expensive part is
-    //    the rgx scan over each document.
+    //    the rgx scan over each document — and `Email` and `Contact`
+    //    ask it the same question of every text.
     session.import_typed("Texts", vec![("seed", "boot text ann@gmail.com")])?;
     session.run(
         r#"
         new Audit(int)
         Audited(x) <- Audit(x)
         Email(d, usr, dom) <- Texts(d, t), rgx_string("(\w+)@(\w+)\.\w+", t) -> (usr, dom).
+        Contact(usr) <- Texts(d, t), rgx_string("(\w+)@(\w+)\.\w+", t) -> (usr, dom).
         Mention(d, s) <- Texts(d, t), rgx("@\w+", t) -> (s)
     "#,
     )?;
     let emails = session.prepare("?Email(d, usr, dom)")?;
+    emails.execute(&mut session)?;
+    let cold = session.stats().cache;
+    println!(
+        "first evaluation: {} IE misses, {} hits (Contact asks what Email asked)",
+        cold.misses, cold.hits,
+    );
+    assert!(cold.hits > 0);
 
     // 3. Serve: every request re-imports the corpus and appends an audit
     //    fact, and every other one rewrites Wednesday's note. The session
     //    maintains each write: an identical re-import extracts nothing,
-    //    and a rewrite extracts only the note that changed — from the
-    //    memo, since the two versions alternate.
+    //    and a rewrite extracts only the note that changed.
     let corpus = vec![
         ("mon", "status from ann@gmail.com and bob@work.org"),
         ("tue", "ann@gmail.com pinged eve@mail.net again"),
@@ -72,21 +76,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = session.stats();
     println!(
         "after 50 requests: {maintained} maintained evaluations, {} IE hits, {} misses \
-         ({:.0}% hit rate), {} memo bytes",
+         ({:.0}% hit rate), {} entries in the last evaluation's memo",
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.hit_rate() * 100.0,
-        stats.cache.bytes,
+        stats.cache.entries,
     );
-    assert_eq!(maintained, 49, "every request after the first evaluation");
-    assert!(stats.cache.hits > stats.cache.misses);
+    assert_eq!(maintained, 50, "every request is a maintained write");
+    assert!(
+        stats.cache.hits > cold.hits,
+        "maintained runs share calls too"
+    );
 
     // 4. Churn: stream 200 *distinct* documents through import →
     //    execute → remove; span outputs intern each document (the
     //    `Mention` rule), and the GC threshold keeps resident text
     //    bounded where the old append-only store grew without limit.
-    //    The memo is keyed by those 2 KB texts, so the stream overflows
-    //    its 64 KiB: each time it would, the table is emptied instead.
     let mut peak = 0usize;
     for round in 0..200 {
         let mut unique = format!("ticket {round}: contact user{round}@host{round}.example now ");
@@ -103,26 +108,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         peak,
         session.docs().epoch(),
     );
+    assert!(peak < WATERMARK + 8 * 1024, "watermark + one document");
     let cache = session.stats().cache;
     println!(
-        "memo under churn: {} entries dropped on overflow, {} of {} budget bytes resident",
-        cache.evictions, cache.bytes, MEMO_BUDGET,
+        "the last evaluation's memo: {} entries, {} bytes — its own document's calls only",
+        cache.entries, cache.bytes,
     );
-    assert!(peak < 256 * 1024 + 8 * 1024, "watermark + one document");
-    assert!(cache.evictions > 0 && cache.bytes <= MEMO_BUDGET);
+    assert_eq!(cache.entries, 2, "one rgx and one rgx_string call");
 
-    // 5. Explicit compaction reports exactly what a pass reclaims:
-    //    only documents with spans in live relations survive, and the
-    //    memo forgets the calls over the others.
-    let entries = session.stats().cache.entries;
+    // 5. Explicit compaction reports exactly what a pass reclaims: only
+    //    documents with spans in live relations survive.
     let report = session.compact_docs();
     println!(
-        "manual pass: removed {} docs, reclaimed {} bytes, {} bytes live; memo entries {} -> {}",
-        report.removed_docs,
-        report.reclaimed_bytes,
-        report.live_bytes,
-        entries,
-        session.stats().cache.entries,
+        "manual pass: removed {} docs, reclaimed {} bytes, {} bytes live",
+        report.removed_docs, report.reclaimed_bytes, report.live_bytes,
     );
     Ok(())
 }

@@ -103,7 +103,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | spans, documents, values, relations |
-//! | [`cache`] | IE memo table + doc-store lifecycle (GC) |
+//! | [`cache`] | one evaluation's IE memo table + doc-store lifecycle (GC) |
 //! | [`regex`] | the regex-formula (document spanner) engine |
 //! | [`dataframe`] | the columnar host-side table type |
 //! | [`parser`] | Spannerlog lexer/parser/AST |
