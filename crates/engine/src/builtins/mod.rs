@@ -12,6 +12,8 @@ mod strings;
 
 use crate::registry::Registry;
 
+pub use rgx::fixed_rgx;
+
 /// Installs every builtin into `registry`.
 pub fn install_builtins(registry: &mut Registry) {
     rgx::install(registry);

@@ -10,14 +10,21 @@
 //!   spanner semantics ⟦γ⟧(d): every accepting run of every substring.
 //! * `rgx_is_match(pattern, text) -> ()` — boolean filter.
 //!
+//! A match that leaves a capture group undefined — an optional group, or
+//! one branch of an alternation — yields no row: an `rgx` atom reads the
+//! functional part of the spanner, the matches that define every variable
+//! it names (Maturana et al.'s schemaless spanners).
+//!
 //! `text` may be a string (spans refer to its interned document) or a
 //! span (output spans stay positioned in the *original* document, which
 //! is what lets rules compose extractions, e.g. matching inside an AST
 //! node's span).
 //!
-//! Compiled patterns are cached per function instance, keyed by pattern
-//! text — rules typically call `rgx` with a constant pattern over many
-//! documents. The cache is bounded ([`PATTERN_CACHE_CAP`]): a rule that
+//! [`fixed_rgx`] builds the same function over one text argument with
+//! its pattern compiled in (`spannerd`'s `/register` catalog). The
+//! builtins cache compiled patterns per function instance, keyed by
+//! pattern text — rules typically call `rgx` with a constant pattern over
+//! many documents. The cache is bounded ([`PATTERN_CACHE_CAP`]): a rule that
 //! binds its pattern from data recompiles what was evicted instead of
 //! growing the registry.
 
@@ -26,7 +33,7 @@ use crate::ie::{filter_output, IeContext, IeFunction, IeOutput};
 use crate::registry::Registry;
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-use spannerlib_core::{DocId, Span, Value};
+use spannerlib_core::{Span, Value};
 use spannerlib_regex::Regex;
 use std::sync::Arc;
 
@@ -52,13 +59,31 @@ const PATTERN_CACHE_CAP: usize = 256;
 /// Shared regex IE implementation parameterized by [`Mode`].
 struct RgxFunction {
     mode: Mode,
+    /// The pattern a [`fixed_rgx`] function was built with; `None` for
+    /// the builtins, whose first argument is the pattern.
+    fixed: Option<Arc<Regex>>,
     cache: Mutex<FxHashMap<String, Arc<Regex>>>,
+}
+
+/// `rgx(pattern, text)` — or, when `strings`, `rgx_string` — as a
+/// function of the text alone, with `regex` as the pattern: a call
+/// compiles nothing, and the memo keys on the text only.
+pub fn fixed_rgx(regex: Regex, strings: bool) -> Arc<dyn IeFunction> {
+    Arc::new(RgxFunction {
+        fixed: Some(Arc::new(regex)),
+        ..RgxFunction::new(if strings {
+            Mode::FindStrings
+        } else {
+            Mode::FindSpans
+        })
+    })
 }
 
 impl RgxFunction {
     fn new(mode: Mode) -> Self {
         RgxFunction {
             mode,
+            fixed: None,
             cache: Mutex::new(FxHashMap::default()),
         }
     }
@@ -84,60 +109,27 @@ impl RgxFunction {
     }
 }
 
-/// Builds one output row from group byte-ranges. `origin` is the
-/// `(doc, base)` pair span rows land in; string-returning mode ignores
-/// it (and its laziness keeps scalar extractions out of the doc store).
-fn row_from_groups(
-    mode: Mode,
-    groups: &[Option<(usize, usize)>],
-    whole: (usize, usize),
-    origin: Option<(DocId, usize)>,
-    text: &str,
-) -> Result<Vec<Value>> {
-    // Zero-group patterns export the whole match as a single column.
-    let ranges: Vec<(usize, usize)> = if groups.is_empty() {
-        vec![whole]
-    } else {
-        groups
-            .iter()
-            .map(|g| {
-                g.ok_or_else(|| EngineError::IeRuntime {
-                    function: "rgx".into(),
-                    msg: "a capture group did not participate in the match; \
-                          use alternation inside the group instead"
-                        .into(),
-                })
-            })
-            .collect::<Result<_>>()?
-    };
-    Ok(ranges
-        .into_iter()
-        .map(|(s, e)| match mode {
-            Mode::FindStrings => Value::str(&text[s..e]),
-            _ => {
-                let (doc, base) = origin.expect("span modes resolve an origin");
-                Value::Span(Span::new(doc, base + s, base + e))
-            }
-        })
-        .collect())
-}
-
 impl IeFunction for RgxFunction {
     fn input_arity(&self) -> Option<usize> {
-        Some(2)
+        Some(if self.fixed.is_some() { 1 } else { 2 })
     }
 
     fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput> {
-        let pattern = args[0].as_str().ok_or_else(|| EngineError::IeRuntime {
-            function: "rgx".into(),
-            msg: format!("pattern must be a string, got {}", args[0].value_type()),
-        })?;
-        let re = self.compiled(pattern)?;
+        let (re, text) = match &self.fixed {
+            Some(re) => (Arc::clone(re), &args[0]),
+            None => {
+                let pattern = args[0].as_str().ok_or_else(|| EngineError::IeRuntime {
+                    function: "rgx".into(),
+                    msg: format!("pattern must be a string, got {}", args[0].value_type()),
+                })?;
+                (self.compiled(pattern)?, &args[1])
+            }
+        };
         // Lazy text resolution: string arguments are only interned when
         // a span row actually needs a document (span modes, first
         // match) — `rgx_string`/`rgx_is_match` and matchless scans
         // leave the doc store untouched.
-        let mut arg = ctx.text_arg(&args[1])?;
+        let mut arg = ctx.text_arg(text)?;
         let text = arg.shared_text();
 
         if self.mode == Mode::IsMatch {
@@ -145,11 +137,7 @@ impl IeFunction for RgxFunction {
         }
 
         // Output arity check: groups (or 1 for group-free patterns).
-        let expected = if re.group_count() == 0 {
-            1
-        } else {
-            re.group_count()
-        };
+        let expected = re.group_count().max(1);
         if n_outputs != expected {
             return Err(EngineError::IeOutputArity {
                 function: "rgx".into(),
@@ -158,32 +146,39 @@ impl IeFunction for RgxFunction {
             });
         }
 
-        let mut out = Vec::new();
+        let mut out: IeOutput = Vec::new();
+        let strings = self.mode == Mode::FindStrings;
+        let mut row = |groups: &[Option<(usize, usize)>], whole| {
+            // Zero-group patterns export the whole match as a single
+            // column; a group the match leaves undefined, no row.
+            let ranges: Option<Vec<_>> = match groups.is_empty() {
+                true => Some(vec![whole]),
+                false => groups.iter().copied().collect(),
+            };
+            let Some(ranges) = ranges else { return };
+            // Only a span row needs the text's document.
+            let origin = (!strings).then(|| arg.doc_base(ctx));
+            let cell = |(s, e): (usize, usize)| match origin {
+                Some((doc, base)) => Value::Span(Span::new(doc, base + s, base + e)),
+                None => Value::str(&text[s..e]),
+            };
+            out.push(ranges.into_iter().map(cell).collect());
+        };
         match self.mode {
             Mode::FindSpans | Mode::FindStrings => {
                 for caps in re.captures_iter(&text) {
-                    let whole = caps.group(0).expect("group 0 present");
                     let groups: Vec<_> = caps.explicit_groups().collect();
-                    let origin = (self.mode == Mode::FindSpans).then(|| arg.doc_base(ctx));
-                    out.push(row_from_groups(self.mode, &groups, whole, origin, &text)?);
+                    row(&groups, caps.group(0).expect("group 0 present"));
                 }
             }
             Mode::AllSpans => {
                 for m in re.all_matches(&text) {
-                    let origin = Some(arg.doc_base(ctx));
-                    out.push(row_from_groups(
-                        self.mode,
-                        &m.groups,
-                        (m.start, m.end),
-                        origin,
-                        &text,
-                    )?);
+                    row(&m.groups, (m.start, m.end));
                 }
             }
             Mode::IsMatch => unreachable!("handled above"),
         }
-        // A failed optional group aborts the row; tolerate by dropping
-        // duplicates introduced through re-offsetting.
+        // Matches that differ outside the groups give the same row.
         out.dedup();
         Ok(out)
     }
@@ -420,25 +415,40 @@ mod tests {
     }
 
     #[test]
-    fn a_group_that_does_not_participate_is_an_error() {
-        let registry = Registry::new();
+    fn a_group_that_does_not_participate_yields_no_row() {
         let docs = SharedDocs::default();
-        for name in ["rgx", "rgx_string"] {
-            let f = registry.ie(name).unwrap().clone();
-            let mut ctx = IeContext::new(&docs);
-            let err = f
-                .call(&[Value::str("(a)|(b)"), Value::str("xxb")], 2, &mut ctx)
-                .unwrap_err();
-            let EngineError::IeRuntime { function, msg } = err else {
-                panic!("expected IeRuntime, got {err:?}");
-            };
-            assert_eq!(function, "rgx");
-            assert_eq!(
-                msg,
-                "a capture group did not participate in the match; \
-                 use alternation inside the group instead"
-            );
+        let text = Value::str("ab xa");
+        let (both, optional) = (Value::str("(a)|(b)"), Value::str("(a)(b)?"));
+        for name in ["rgx", "rgx_string", "rgx_all"] {
+            let rows = call(name, &[both.clone(), text.clone()], 2, &docs);
+            assert!(rows.is_empty(), "{name}: {rows:?}");
         }
+        assert!(docs.read().is_empty(), "no row, no document");
+        for name in ["rgx", "rgx_all"] {
+            let rows = call(name, &[optional.clone(), text.clone()], 2, &docs);
+            let doc = docs.read().lookup("ab xa").unwrap();
+            let ab = [(0, 1), (1, 2)].map(|(s, e)| Value::Span(Span::new(doc, s, e)));
+            assert_eq!(rows, vec![ab.to_vec()], "{name}");
+        }
+        let rows = call("rgx_string", &[optional, text], 2, &docs);
+        assert_eq!(rows, vec![vec![Value::str("a"), Value::str("b")]]);
+    }
+
+    #[test]
+    fn a_fixed_pattern_takes_the_text_alone() {
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new(&docs);
+        let pair = || Regex::new("([a-z]+)=([0-9]+)").unwrap();
+        let strings = fixed_rgx(pair(), true);
+        assert_eq!(strings.input_arity(), Some(1));
+        let rows = strings.call(&[Value::str("k=1 v")], 2, &mut ctx).unwrap();
+        assert_eq!(rows, vec![vec![Value::str("k"), Value::str("1")]]);
+        let rows = fixed_rgx(pair(), false)
+            .call(&[Value::str("k=1 v")], 2, &mut ctx)
+            .unwrap();
+        let doc = docs.read().lookup("k=1 v").unwrap();
+        let spans = [(0, 1), (2, 3)].map(|(s, e)| Value::Span(Span::new(doc, s, e)));
+        assert_eq!(rows, vec![spans.to_vec()]);
     }
 
     #[test]

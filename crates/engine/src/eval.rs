@@ -32,11 +32,12 @@
 use crate::database::Database;
 use crate::error::{EngineError, LimitCulprit, Result};
 use crate::ie::SharedDocs;
-use crate::maintain::{EvalMode, Maintenance};
+use crate::maintain::Maintenance;
 use crate::optimizer::IndexCache;
 use crate::plan::{self, ExecCtx, ParTally, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
 use crate::strata::Component;
+use crate::EvalMode;
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use spannerlib_cache::IeMemo;

@@ -6,6 +6,7 @@ use crate::ie::IeContext;
 use crate::optimizer::TupleIndex;
 use crate::plan::{cell, operand, Batch, Columns, ExecCtx, PTerm, RulePlan, TraceCtx};
 use spannerlib_core::{RowTable, Rows, Value};
+use spannerlib_regex::prefilter;
 use spannerlib_trace::SpanKind;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -86,7 +87,11 @@ pub(crate) fn ie_join(
         call_args.clear();
         call_args.extend(args(g).cloned());
         let t0 = tr.trace.now_ns();
-        let out = f.call(&call_args, n, &mut IeContext::new(ctx.docs))?;
+        // The call's regex searches run on this thread: they are its own.
+        let call = || f.call(&call_args, n, &mut IeContext::new(ctx.docs));
+        let (out, searched) = prefilter::counted(call);
+        tr.trace.prefilter(searched.searches, searched.pruned);
+        let out = out?;
         tr.trace.ie_call(function, memo.map(|_| false), t0);
         if let Some(row) = out.iter().find(|row| row.len() != n) {
             return Err(EngineError::IeOutputArity {

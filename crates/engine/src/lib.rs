@@ -33,7 +33,8 @@
 //! * [`builtins`] registers the `rgx` family and the string/span/number
 //!   helper functions the paper's examples assume.
 //! * [`Session`] is the host-facing object: import/export DataFrames,
-//!   run cells, register IE callbacks.
+//!   run cells, register IE callbacks; its evaluation driver decides
+//!   whether a run is skipped, maintained or full ([`FullReason`]).
 //! * [`prepared`] layers a prepare-once/execute-many lifecycle on top:
 //!   [`SessionBuilder`] → [`PreparedProgram`] / [`PreparedQuery`] →
 //!   [`Snapshot`] for lock-free concurrent reads.
@@ -60,10 +61,10 @@ pub use database::Database;
 pub use error::{EngineError, LimitCulprit, Result};
 pub use eval::{EvalLimits, EvalStats, EvalStrategy};
 pub use ie::{filter_output, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
-pub use maintain::{EvalMode, FullReason};
 pub use prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 pub use query::{QueryPlan, Selection};
 pub use registry::Registry;
+pub use session::driver::{EvalMode, FullReason};
 pub use session::{Session, SessionBuilder, SessionStats};
 // The cache subsystem's user-facing vocabulary, re-exported so hosts
 // configure sessions without depending on spannerlib-cache directly.

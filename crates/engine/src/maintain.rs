@@ -3,15 +3,13 @@
 //! instead of dropping them and deriving everything again.
 //!
 //! The session keeps the database as of its last successful evaluation
-//! — the *old* database, an `Arc` its snapshots already share, unless
-//! no evaluation of the program can be maintained (`basis`). When the
-//! program is the one that evaluation ran and only input relations
-//! moved, the rows each moved input gained and lost — a diff of its old
-//! and new rows, so an identical re-import changes nothing — seed the
-//! update. Every component, in evaluation order, turns the changes of
-//! what it reads into the changes of its heads, which seed the
-//! components that read those; a component no seed reaches is left
-//! alone.
+//! — the *old* database, an `Arc` its snapshots already share — and its
+//! evaluation driver decides when to maintain from it. The rows each
+//! moved input gained and lost — a diff of its old and new rows, so an
+//! identical re-import changes nothing — seed the update. Every
+//! component, in evaluation order, turns the changes of what it reads
+//! into the changes of its heads, which seed the components that read
+//! those; a component no seed reaches is left alone.
 //!
 //! * A non-recursive component runs delete-and-rederive (DRed; Gupta,
 //!   Mumick & Subrahmanian, SIGMOD 1993) over *seeded variants*: a rule
@@ -41,101 +39,24 @@
 //! the answers the old run got, and the document ids their spans name:
 //! maintenance holds every IE function to the paper's contract — a pure
 //! function of its arguments, so a second call answers what the first
-//! did — and takes every document id for stable, and [`FullReason`]
-//! names each case where that, or anything else it relies on, does not
-//! hold. A maintained run fires on the calling thread.
+//! did — and takes every document id for stable, and
+//! [`FullReason`](crate::FullReason) names each case where that, or
+//! anything else it relies on, does not hold. A maintained run fires on
+//! the calling thread.
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::eval::{self, EvalCtx, EvalStats, EvalStrategy, Firing, Run, Scope};
+use crate::eval::{self, EvalCtx, EvalStats, Firing, Run, Scope};
 use crate::optimizer::{self, IndexCache, TupleIndex};
 use crate::plan::{ExecCtx, HeadOut, PTerm, RulePlan, Step};
 use crate::prepared::CompiledProgram;
-use crate::registry::Registry;
 use crate::strata::Component;
+use crate::EvalMode;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, Value};
-use spannerlib_trace::{EvalProfile, RunTrace};
+use spannerlib_trace::RunTrace;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Why an evaluation derived everything again from its inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FullReason {
-    /// The session had not evaluated yet.
-    FirstEvaluation,
-    /// The rules, the registrations or the relation names changed since
-    /// the last evaluation, or it evaluated another program.
-    ProgramChanged,
-    /// The session evaluates with `EvalStrategy::Naive`, the reference.
-    NaiveStrategy,
-    /// The last evaluation failed or was aborted, so the derived
-    /// relations are partial.
-    PreviousRunFailed,
-    /// A rule derives into an extensional relation, where facts and
-    /// derived rows share one relation.
-    InputIsRuleHead,
-    /// The program calls an IE function the host registered as not
-    /// reusable (`register_uncached`): called again over a removed row,
-    /// it may not answer what it answered then.
-    UncachedFunction,
-    /// A compaction pass ran since the last evaluation: a removed row may
-    /// name a document that is gone.
-    DocumentsCompacted,
-    /// `Session::set_tracing` changed the trace level, which asks for
-    /// the profile of a full run.
-    TracingChanged,
-}
-
-impl FullReason {
-    /// A short description, as profiles print it.
-    pub fn describe(self) -> &'static str {
-        match self {
-            FullReason::FirstEvaluation => "first evaluation",
-            FullReason::ProgramChanged => "program changed",
-            FullReason::NaiveStrategy => "naive strategy",
-            FullReason::PreviousRunFailed => "previous run failed",
-            FullReason::InputIsRuleHead => "input relation is a rule head",
-            FullReason::UncachedFunction => "program calls an uncached IE function",
-            FullReason::DocumentsCompacted => "documents compacted",
-            FullReason::TracingChanged => "trace level changed",
-        }
-    }
-}
-
-/// How an evaluation brought the derived relations up to date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Every derived relation dropped and derived again from the inputs.
-    Full(FullReason),
-    /// The derived relations updated from the input rows that changed.
-    Maintained {
-        /// Input rows added since the last evaluation.
-        added: usize,
-        /// Input rows removed since the last evaluation.
-        removed: usize,
-    },
-}
-
-impl Default for EvalMode {
-    fn default() -> Self {
-        EvalMode::Full(FullReason::FirstEvaluation)
-    }
-}
-
-impl EvalMode {
-    /// Writes the mode onto the run's profile.
-    pub(crate) fn record(self, profile: &mut EvalProfile) {
-        match self {
-            EvalMode::Full(reason) => profile.full_reason = Some(reason.describe().to_string()),
-            EvalMode::Maintained { added, removed } => {
-                profile.maintained = true;
-                profile.seed_rows_added = added as u64;
-                profile.seed_rows_removed = removed as u64;
-            }
-        }
-    }
-}
 
 /// The plans maintenance fires for one rule besides the rule itself,
 /// compiled once per program.
@@ -265,60 +186,20 @@ pub(crate) struct Seeds {
     changes: FxHashMap<String, Change>,
 }
 
-/// What the evaluation of `program` that just left `db` hands the next
-/// one to maintain: `db` itself — or, when no evaluation of `program`
-/// under `strategy` can be maintained whatever the inputs do, why not,
-/// so that the session holds no second reference and a write changes
-/// `db` in place. A registration or a new rule resets it
-/// ([`FullReason::ProgramChanged`]).
-pub(crate) fn basis(
-    db: &Arc<Database>,
-    program: &CompiledProgram,
-    registry: &Registry,
-    strategy: EvalStrategy,
-) -> std::result::Result<Arc<Database>, FullReason> {
-    if strategy == EvalStrategy::Naive {
-        return Err(FullReason::NaiveStrategy);
-    }
-    let mut rules = program.components.iter().flat_map(|c| &c.rules);
-    if rules.clone().any(|r| db.is_extensional(&r.head_predicate)) {
-        return Err(FullReason::InputIsRuleHead);
-    }
-    let impure = |s: &Step| matches!(s, Step::Ie { function, .. } if !registry.is_pure(function));
-    if rules.any(|r| r.steps.iter().any(impure)) {
-        return Err(FullReason::UncachedFunction);
-    }
-    Ok(Arc::clone(db))
-}
-
-/// The seeds of the next evaluation of `program` over `db`, or why it
-/// must run in full. `old` is the [`basis`] the previous evaluation left,
-/// and `last` the id of the program that evaluation ran and the
-/// generations of its inputs then.
-pub(crate) fn seeds(
-    old: std::result::Result<Arc<Database>, FullReason>,
-    last: Option<(u64, &[u64])>,
-    db: &Database,
-    program: &CompiledProgram,
-) -> std::result::Result<Seeds, FullReason> {
-    let old = old?;
-    let inputs = &program.input_relations;
-    let same = |&(id, gens): &(u64, &[u64])| id == program.id && gens.len() == inputs.len();
-    let (_, gens) = last.filter(same).ok_or(FullReason::ProgramChanged)?;
-    if old.docs.epoch() != db.docs.epoch() {
-        return Err(FullReason::DocumentsCompacted);
-    }
-    let moved = inputs
-        .iter()
-        .zip(gens)
-        .filter(|(name, gen)| db.generation(name) != **gen);
-    let change = |name: &String| Change::between(old.relations().get(name), db.relation(name).ok());
-    let changes = moved.filter_map(|(name, _)| Some((name.clone(), change(name)?)));
-    let changes = changes.collect();
-    Ok(Seeds { old, changes })
-}
-
 impl Seeds {
+    /// What each input in `moved` gained and lost between `old`, the
+    /// database the last run left, and `db`.
+    pub(crate) fn new(old: Arc<Database>, db: &Database, moved: Vec<&String>) -> Seeds {
+        let changes = moved.into_iter().filter_map(|name| {
+            let change = Change::between(old.relations().get(name), db.relation(name).ok());
+            Some((name.clone(), change?))
+        });
+        Seeds {
+            changes: changes.collect(),
+            old,
+        }
+    }
+
     /// The mode the maintained run reports.
     pub(crate) fn mode(&self) -> EvalMode {
         let count =

@@ -162,8 +162,11 @@ impl PreparedQuery {
     /// fixpoint only if an input relation changed since the last
     /// evaluation of this program.
     pub fn execute(&self, session: &mut Session) -> Result<DataFrame> {
-        session.ensure_evaluated_with(&self.program)?;
-        run_query(session.database(), &self.plan, None)
+        run_query(
+            session.ensure_evaluated_with(&self.program)?,
+            &self.plan,
+            None,
+        )
     }
 
     /// Like [`PreparedQuery::execute`], converting each row via
@@ -196,23 +199,23 @@ impl PreparedQuery {
 /// snapshot queries are therefore pure reads.
 #[derive(Clone)]
 pub struct Snapshot {
-    db: Arc<Database>,
+    pub(crate) db: Arc<Database>,
     /// Hash indexes over `db`, built on first use by a constant-bearing
     /// query and shared by every clone of this snapshot.
-    indexes: Arc<IndexCache>,
+    pub(crate) indexes: Arc<IndexCache>,
     /// The originating session's IE memo counters when the snapshot was
     /// taken, so serving threads can watch hit rates via
     /// [`Snapshot::cache_stats`]. (Snapshot queries are pure reads that
     /// never invoke IE functions.)
-    cache: spannerlib_cache::CacheStats,
+    pub(crate) cache: spannerlib_cache::CacheStats,
     /// Profile of the fixpoint run that produced the frozen state
     /// (`None` when the session evaluated with tracing off).
-    profile: Option<Arc<spannerlib_trace::EvalProfile>>,
+    pub(crate) profile: Option<Arc<spannerlib_trace::EvalProfile>>,
     /// Evaluation fingerprint hash; see [`Snapshot::fingerprint`].
-    fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// Sequence number of the fixpoint run behind the frozen state; see
     /// [`Snapshot::eval_seq`].
-    eval_seq: u64,
+    pub(crate) eval_seq: u64,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -232,23 +235,6 @@ const _: () = {
 };
 
 impl Snapshot {
-    pub(crate) fn new(
-        db: Arc<Database>,
-        cache: spannerlib_cache::CacheStats,
-        profile: Option<Arc<spannerlib_trace::EvalProfile>>,
-        fingerprint: u64,
-        eval_seq: u64,
-    ) -> Snapshot {
-        Snapshot {
-            db,
-            indexes: Arc::default(),
-            cache,
-            profile,
-            fingerprint,
-            eval_seq,
-        }
-    }
-
     /// Hash of the evaluation fingerprint behind this snapshot: the
     /// compiled program's identity plus the generation of every
     /// relation it reads. Two snapshots of the same session carry equal

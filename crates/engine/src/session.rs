@@ -18,28 +18,31 @@
 //!    seeds the IE registry;
 //! 2. [`Session::prepare`] / [`Session::prepare_program`] run parse →
 //!    safety analysis → IE sequencing → stratification → planning
-//!    exactly once, yielding a [`PreparedQuery`] / [`PreparedProgram`];
-//! 3. [`PreparedQuery::execute`] runs repeatedly against freshly
-//!    imported relations — per-relation generation counters skip the
-//!    fixpoint whenever no input relation changed, and otherwise a
-//!    `SemiNaive` session maintains the derived relations from the rows
-//!    that changed (`crate::maintain`), falling back to a full
-//!    evaluation in the cases [`FullReason`] names;
+//!    exactly once, yielding a `PreparedQuery` / `PreparedProgram`;
+//! 3. `PreparedQuery::execute` runs repeatedly against freshly imported
+//!    relations: the evaluation driver (`driver.rs`) skips the fixpoint
+//!    when no input relation changed, or maintains the derived relations
+//!    from the rows that changed (`crate::maintain`), or — in the cases
+//!    [`FullReason`](crate::FullReason) names — evaluates in full;
 //! 4. [`Session::snapshot`] freezes the evaluated state into a
-//!    `Send + Sync` [`Snapshot`] for lock-free concurrent reads.
+//!    `Send + Sync` `Snapshot` for lock-free concurrent reads.
+//!
+//! This file keeps the builder and the mutation front: imports, facts,
+//! rules, registrations, declarations, the document lifecycle. Queries,
+//! exports, snapshots and stats are the read surface (`read.rs`).
 //!
 //! # Threading contract
 //!
 //! One thread drives a session at a time; concurrency enters at two
 //! deliberate seams. *Reads* scale through [`Session::snapshot`], which
-//! freezes an evaluated database into a `Send + Sync` [`Snapshot`] — the
+//! freezes an evaluated database into a `Send + Sync` snapshot — the
 //! `Arc` the session also keeps as the state its next maintained
 //! evaluation updates from, so the first write after an evaluation
 //! copies the database once, snapshot or not (unless the program can
-//! never be maintained: see `maintain::basis`).
+//! never be maintained: see `basis_for` in `driver.rs`).
 //! *Evaluation* scales through [`SessionBuilder::parallelism`]: a rule
 //! firing shards — by row range of its first scan that reads a plain
-//! range (`plan::execute_with`) — across the driving thread and threads
+//! range (`shard::shard_scan`) — across the driving thread and threads
 //! scoped to the firing (`spannerlib_par`), so no thread outlives the
 //! call that spawned it. Every evaluation — sharded or not — keeps the
 //! document store behind a read-write lock for the duration of the run,
@@ -52,50 +55,32 @@
 //! Registered IE functions must therefore be `Send + Sync` (the trait
 //! already requires it) and must tolerate concurrent invocation on
 //! distinct argument tuples. If an IE function panics, the panic
-//! propagates to the driving thread (after sibling shards drain, when
-//! it happened on a spawned thread); the document store is back in the session
-//! by then and derived relations are recomputed in full by the next
-//! evaluation, so a host that catches the unwind can keep using the session.
+//! propagates to the driving thread (after sibling shards drain, when it
+//! happened on a spawned thread); the document store is back in the
+//! session by then and derived relations are recomputed in full by the
+//! next evaluation, so a host that catches the unwind can keep using the
+//! session.
 
-use crate::database::{cleared, Database};
+use crate::database::Database;
 use crate::error::{EngineError, Result};
-use crate::eval::{evaluate, EvalCtx, EvalLimits, EvalStats, EvalStrategy};
+use crate::eval::{EvalLimits, EvalStats, EvalStrategy};
 use crate::ie::{IeContext, IeFunction, IeOutput};
-use crate::maintain::{self, EvalMode, FullReason, Seeds};
-use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
-use crate::query::{run_query, QueryPlan};
+use crate::prepared::CompiledProgram;
+use crate::query::QueryPlan;
 use crate::registry::Registry;
 use crate::safety::constant_value;
-use parking_lot::Mutex;
 use rustc_hash::FxHashSet;
 use spannerlib_cache::{CacheStats, DocGc};
-use spannerlib_core::{
-    CompactionReport, DocId, DocumentStore, Relation, Schema, Span, Tuple, Value,
-};
-use spannerlib_dataframe::{DataFrame, FromRow, IntoRows};
-use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES};
+use spannerlib_core::{CompactionReport, DocId, Relation, Schema, Tuple, Value};
+use spannerlib_dataframe::{DataFrame, IntoRows};
+use spannerlib_trace::{EvalProfile, TraceLevel};
 use spannerlog_parser::{parse_program, Query, Rule, Statement};
 use std::sync::Arc;
 
-/// Statistics of a session: the most recent fixpoint run plus the IE
-/// memo counters of every run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Counters of the most recent fixpoint run.
-    pub eval: EvalStats,
-    /// IE memo hits, misses and insertions summed over the session's
-    /// evaluations; `entries` and `bytes` of the last one's table.
-    pub cache: CacheStats,
-}
+pub(crate) mod driver;
+mod read;
 
-/// Fingerprint of the last fixpoint run: which program, and the
-/// generations its input relations had when it finished. Evaluation is
-/// skipped while both still match.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EvalFingerprint {
-    program_id: u64,
-    input_gens: Vec<u64>,
-}
+pub use read::SessionStats;
 
 /// Configures and builds a [`Session`]: evaluation strategy, resource
 /// limits, and IE registry seeding, in one fluent pass.
@@ -115,24 +100,32 @@ struct EvalFingerprint {
 /// # session.run("new S(str)").unwrap();
 /// ```
 pub struct SessionBuilder {
-    strategy: EvalStrategy,
-    limits: EvalLimits,
-    registry: Registry,
-    doc_gc: DocGc,
-    trace_level: TraceLevel,
-    parallelism: Option<usize>,
+    /// The session being configured, as [`SessionBuilder::build`]
+    /// returns it.
+    session: Session,
 }
 
 impl Default for SessionBuilder {
     fn default() -> Self {
-        SessionBuilder {
+        let session = Session {
+            db: Arc::new(Database::new()),
+            last: driver::NOT_EVALUATED,
+            registry: Registry::new(),
+            rules: Vec::new(),
             strategy: EvalStrategy::default(),
             limits: EvalLimits::default(),
-            registry: Registry::new(),
+            compiled: None,
+            last_stats: EvalStats::default(),
+            cache: CacheStats::default(),
             doc_gc: DocGc::Disabled,
+            gc_rearm_bytes: 0,
             trace_level: TraceLevel::Off,
-            parallelism: None,
-        }
+            last_profile: None,
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            eval_seq: 0,
+            pending_request_ids: Vec::new(),
+        };
+        SessionBuilder { session }
     }
 }
 
@@ -148,7 +141,7 @@ impl SessionBuilder {
     /// bodies in textual order, no index reuse, no sharding (see
     /// ablation A).
     pub fn strategy(mut self, strategy: EvalStrategy) -> SessionBuilder {
-        self.strategy = strategy;
+        self.session.strategy = strategy;
         self
     }
 
@@ -157,13 +150,13 @@ impl SessionBuilder {
     /// long-lived serving sessions; rules outside recursion fire once
     /// and are not counted).
     pub fn max_fixpoint_rounds(mut self, rounds: usize) -> SessionBuilder {
-        self.limits.max_rounds = Some(rounds);
+        self.session.limits.max_rounds = Some(rounds);
         self
     }
 
     /// Bounds the number of tuples one evaluation may materialize.
     pub fn max_materialized_rows(mut self, rows: usize) -> SessionBuilder {
-        self.limits.max_rows = Some(rows);
+        self.session.limits.max_rows = Some(rows);
         self
     }
 
@@ -177,7 +170,7 @@ impl SessionBuilder {
     /// [`Session::set_max_eval_millis`] for adjusting the budget between
     /// runs.
     pub fn max_eval_millis(mut self, millis: u64) -> SessionBuilder {
-        self.limits.max_millis = Some(millis);
+        self.session.limits.max_millis = Some(millis);
         self
     }
 
@@ -188,7 +181,7 @@ impl SessionBuilder {
     /// Default: [`DocGc::Disabled`] (compaction only via
     /// [`Session::compact_docs`]).
     pub fn doc_gc(mut self, policy: DocGc) -> SessionBuilder {
-        self.doc_gc = policy;
+        self.session.doc_gc = policy;
         self
     }
 
@@ -199,7 +192,7 @@ impl SessionBuilder {
     /// timed span events into a byte-bounded ring buffer. At `Off` the
     /// evaluation hot path pays only a branch per instrumentation site.
     pub fn tracing(mut self, level: TraceLevel) -> SessionBuilder {
-        self.trace_level = level;
+        self.session.trace_level = level;
         self
     }
 
@@ -214,7 +207,7 @@ impl SessionBuilder {
     /// identical tuple sets (property-tested). See the module docs'
     /// threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
-        self.parallelism = Some(workers);
+        self.session.parallelism = workers;
         self
     }
 
@@ -229,7 +222,7 @@ impl SessionBuilder {
     where
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
     {
-        self.registry.register_closure(name, input_arity, f);
+        self.session.registry.register_closure(name, input_arity, f);
         self
     }
 
@@ -245,72 +238,40 @@ impl SessionBuilder {
     where
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
     {
-        self.registry
-            .register_closure_uncached(name, input_arity, f);
+        (self.session.registry).register_closure_uncached(name, input_arity, f);
         self
     }
 
     /// Seeds the IE registry with a function object.
     pub fn register_ie(mut self, name: &str, f: Arc<dyn IeFunction>) -> SessionBuilder {
-        self.registry.register_ie(name, f);
+        self.session.registry.register_ie(name, f);
         self
     }
 
     /// Builds the session.
     pub fn build(self) -> Session {
-        Session {
-            db: Arc::new(Database::new()),
-            basis: Err(FullReason::FirstEvaluation),
-            registry: self.registry,
-            rules: Vec::new(),
-            strategy: self.strategy,
-            limits: self.limits,
-            rules_gen: 0,
-            compiled: None,
-            last_eval: None,
-            last_fingerprint: 0,
-            last_stats: EvalStats::default(),
-            cache: CacheStats::default(),
-            doc_gc: self.doc_gc,
-            gc_rearm_bytes: 0,
-            trace_level: self.trace_level,
-            last_profile: None,
-            parallelism: self
-                .parallelism
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-            eval_seq: 0,
-            pending_request_ids: Vec::new(),
-        }
+        self.session
     }
 }
 
 /// An embedded Spannerlog engine instance.
 pub struct Session {
-    /// Copy-on-write: snapshots and `basis` share this `Arc`; the first
-    /// mutation after an evaluation clones the database once
-    /// (`Arc::make_mut`), so `Session::snapshot` itself is O(1).
+    /// Copy-on-write: snapshots and the last run's basis share this
+    /// `Arc`; the first mutation after an evaluation clones the database
+    /// once (`Arc::make_mut`), so `Session::snapshot` itself is O(1).
     db: Arc<Database>,
-    /// The database as of the last successful evaluation, which the next
-    /// one maintains — or why that one must run in full, in which case
-    /// the session keeps no second reference to it.
-    basis: std::result::Result<Arc<Database>, FullReason>,
+    /// The last successful evaluation — the program, its inputs'
+    /// generations and the database the next run maintains — or why
+    /// there is none to build on.
+    last: driver::OrFull<driver::LastRun>,
     registry: Registry,
     rules: Vec<Rule>,
     strategy: EvalStrategy,
     limits: EvalLimits,
-    /// Bumped whenever the compiled program could change: rules added or
-    /// cleared, registrations, or the set of known relation names.
-    rules_gen: u64,
-    /// Cache of the current rule set's compilation, keyed by `rules_gen`.
-    compiled: Option<(u64, Arc<CompiledProgram>)>,
-    /// Fingerprint of the last fixpoint run (replaces the old global
-    /// `dirty` flag).
-    last_eval: Option<EvalFingerprint>,
-    /// Hash of `last_eval`, exposed through [`Snapshot::fingerprint`]
-    /// for ETag-style version headers. Stable while evaluation is
-    /// skipped; changes whenever a read relation's generation moved or
-    /// the program recompiled.
-    last_fingerprint: u64,
+    /// The current rule set's compilation; dropped whenever it could
+    /// change: rules added or cleared, registrations, or the set of
+    /// known relation names.
+    compiled: Option<Arc<CompiledProgram>>,
     last_stats: EvalStats,
     /// IE memo counters: hits, misses and insertions summed over every
     /// fixpoint run (a failed one's included), `entries` and `bytes` of
@@ -385,82 +346,8 @@ impl Session {
         self.limits.max_rows = rows;
     }
 
-    /// Statistics of the session, without resetting anything. The two
-    /// halves deliberately cover different windows:
-    ///
-    /// * `eval` describes only the **most recent** fixpoint run — a
-    ///   call that skipped evaluation because nothing changed keeps the
-    ///   previous run's counters, as [`Session::profile`] does;
-    /// * `cache` counts hits, misses and insertions **over the session's
-    ///   lifetime** — meter a window by subtracting two reads — while
-    ///   `entries` and `bytes` describe the most recent run's table
-    ///   (each run starts an empty one and drops it when it ends).
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            eval: self.last_stats,
-            cache: self.cache_stats(),
-        }
-    }
-
-    /// Profile of the most recent fixpoint run — per-rule wall times,
-    /// firings, tuple counts, join rows scanned, and per-IE-function
-    /// call/memo/latency statistics. `None` until a run happens with
-    /// tracing enabled (see [`SessionBuilder::tracing`]). An aborted run
-    /// (limit exceeded) still leaves its partial profile here, with
-    /// [`EvalProfile::error`] set. Skipped evaluations (unchanged
-    /// inputs) keep the previous profile.
-    pub fn profile(&self) -> Option<Arc<EvalProfile>> {
-        self.last_profile.clone()
-    }
-
-    /// Changes the trace level of subsequent evaluations and forces the
-    /// next query to re-evaluate in full (so a freshly enabled level
-    /// yields a profile without requiring an input mutation).
-    pub fn set_tracing(&mut self, level: TraceLevel) {
-        if self.trace_level != level {
-            self.trace_level = level;
-            self.last_eval = None;
-            self.basis = Err(FullReason::TracingChanged);
-        }
-    }
-
-    /// The sequence number of the most recent fixpoint run — zero
-    /// before the first run, bumped only when evaluation actually
-    /// executes (fingerprint-skipped calls keep the number).
-    pub fn eval_seq(&self) -> u64 {
-        self.eval_seq
-    }
-
-    /// Attributes the *next* fixpoint run to serving requests: `ids`
-    /// land on that run's [`EvalProfile::request_ids`]. The pending set
-    /// is consumed by the next `ensure_evaluated` call — attached if it
-    /// evaluates, discarded if the fingerprint lets it skip (the
-    /// requests were then served by already-current state and owe no
-    /// evaluation). Outside a serving front end there is rarely a
-    /// reason to call this.
-    pub fn set_request_ids(&mut self, ids: Vec<String>) {
-        self.pending_request_ids = ids;
-    }
-
-    /// The IE memo counters of [`Session::stats`].
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-    }
-
-    /// Marks compile-relevant state (rules, registrations, relation name
-    /// set) as changed. The next evaluation runs in full — even that of
-    /// a program prepared before, which may call a function registered
-    /// since.
-    fn invalidate_program(&mut self) {
-        self.rules_gen += 1;
-        self.compiled = None;
-        if self.basis.is_ok() {
-            self.basis = Err(FullReason::ProgramChanged);
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Pillar 2: host → engine (import) and engine → host (export)
+    // Pillar 2: host → engine (import; the export side is `read.rs`)
     // ------------------------------------------------------------------
 
     /// Imports a DataFrame as relation `name`, replacing any previous
@@ -519,25 +406,6 @@ impl Session {
         self.import_relation(name, relation)
     }
 
-    /// Evaluates a query string (`?R(x, "c")`) and exports the result as
-    /// a DataFrame (the paper's `session.export('?R(usr, "gmail")')`).
-    ///
-    /// Thin wrapper over the prepared lifecycle: equivalent to
-    /// `self.prepare(query_src)?.execute(self)`, re-parsing the query
-    /// each call. Serving paths should prepare once instead.
-    pub fn export(&mut self, query_src: &str) -> Result<DataFrame> {
-        let plan = QueryPlan::parse(query_src)?;
-        self.ensure_evaluated()?;
-        run_query(&self.db, &plan, None)
-    }
-
-    /// Like [`Session::export`], converting each row into a typed host
-    /// value via [`FromRow`]:
-    /// `session.export_typed::<(String, i64)>("?Count(d, n)")`.
-    pub fn export_typed<T: FromRow>(&mut self, query_src: &str) -> Result<Vec<T>> {
-        Ok(self.export(query_src)?.to_typed()?)
-    }
-
     /// Runs a cell of Spannerlog source. Declarations, facts, and rules
     /// mutate the session; queries evaluate eagerly and their results are
     /// returned in order.
@@ -562,73 +430,12 @@ impl Session {
                     self.invalidate_program();
                 }
                 Statement::Query(q) => {
-                    self.ensure_evaluated()?;
-                    let df = run_query(&self.db, &QueryPlan::compile(&q), None)?;
+                    let df = self.query(&QueryPlan::compile(&q))?;
                     outputs.push((q, df));
                 }
             }
         }
         Ok(outputs)
-    }
-
-    // ------------------------------------------------------------------
-    // Prepare once, execute many
-    // ------------------------------------------------------------------
-
-    /// Compiles the current rule set — parse already happened in
-    /// [`Session::run`]; this runs safety analysis (deriving IE
-    /// execution order), stratification, and planning — and returns the
-    /// artifact as a shareable [`PreparedProgram`].
-    ///
-    /// Unsafe rules and unstratifiable programs are rejected *here*,
-    /// with source positions, before any data is processed. Relations
-    /// the rules read must already be declared or imported (so the
-    /// compiler can distinguish relation atoms from IE filters); their
-    /// *content* may be re-imported freely between executions.
-    pub fn prepare_program(&mut self) -> Result<PreparedProgram> {
-        Ok(PreparedProgram {
-            inner: self.program()?,
-        })
-    }
-
-    /// Prepares one query: compiles the rules (cached per rule-set
-    /// revision) and parses `query_src` once. The returned
-    /// [`PreparedQuery`] executes repeatedly against freshly imported
-    /// data without re-parsing, re-checking, or re-planning.
-    pub fn prepare(&mut self, query_src: &str) -> Result<PreparedQuery> {
-        self.prepare_program()?.query(query_src)
-    }
-
-    /// Freezes the evaluated state into an immutable, `Send + Sync`
-    /// [`Snapshot`]. The snapshot runs prepared queries concurrently
-    /// across threads; the session remains free to mutate afterwards —
-    /// the two share no mutable state.
-    pub fn snapshot(&mut self) -> Result<Snapshot> {
-        self.ensure_evaluated()?;
-        Ok(Snapshot::new(
-            Arc::clone(&self.db),
-            self.cache,
-            self.last_profile.clone(),
-            self.last_fingerprint,
-            self.eval_seq,
-        ))
-    }
-
-    /// The compiled program for the current rule set (cached until the
-    /// rules, registrations, or relation name set change).
-    fn program(&mut self) -> Result<Arc<CompiledProgram>> {
-        if let Some((gen, program)) = &self.compiled {
-            if *gen == self.rules_gen {
-                return Ok(program.clone());
-            }
-        }
-        let program = Arc::new(CompiledProgram::compile(
-            &self.rules,
-            &self.db,
-            &self.registry,
-        )?);
-        self.compiled = Some((self.rules_gen, program.clone()));
-        Ok(program)
     }
 
     // ------------------------------------------------------------------
@@ -773,34 +580,9 @@ impl Session {
         Ok(())
     }
 
-    /// Reads a relation (evaluating pending rules first).
-    pub fn relation(&mut self, name: &str) -> Result<Relation> {
-        self.ensure_evaluated()?;
-        Ok(self.db.relation_or_empty(name))
-    }
-
-    // ------------------------------------------------------------------
-    // Document store access (spans created by host code)
-    // ------------------------------------------------------------------
-
-    /// The session's document store.
-    pub fn docs(&self) -> &DocumentStore {
-        &self.db.docs
-    }
-
     /// Interns a document, returning its id.
     pub fn intern(&mut self, text: &str) -> DocId {
         self.db_mut().docs.intern(text)
-    }
-
-    /// Creates a checked span over an interned document.
-    pub fn make_span(&self, doc: DocId, start: usize, end: usize) -> Result<Span> {
-        Ok(self.db.docs.span(doc, start, end)?)
-    }
-
-    /// Resolves a span to its text.
-    pub fn span_text(&self, span: &Span) -> Result<String> {
-        Ok(self.db.docs.span_text(span)?.to_string())
     }
 
     // ------------------------------------------------------------------
@@ -816,8 +598,8 @@ impl Session {
     ///
     /// When everything is live the pass returns a zero report *without*
     /// touching the store — in particular, without forcing the
-    /// copy-on-write database clone a live [`Snapshot`] would otherwise
-    /// pay — and the epoch stays put.
+    /// copy-on-write database clone a live snapshot would otherwise pay —
+    /// and the epoch stays put.
     pub fn compact_docs(&mut self) -> CompactionReport {
         let mut live: FxHashSet<DocId> = FxHashSet::default();
         for (_, relation) in self.db.iter() {
@@ -852,113 +634,6 @@ impl Session {
         if self.doc_gc.should_compact(bytes) && bytes > self.gc_rearm_bytes {
             self.compact_docs();
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Fixpoint
-    // ------------------------------------------------------------------
-
-    /// Forces evaluation of the current rule set now (queries call this
-    /// implicitly).
-    pub fn ensure_evaluated(&mut self) -> Result<()> {
-        let program = self.program()?;
-        self.ensure_evaluated_with(&program)
-    }
-
-    /// Brings the derived state up to date with `program`: nothing to do
-    /// when its fingerprint — the program identity plus the generations
-    /// of every input relation — matches the previous run (O(|inputs|));
-    /// otherwise a maintained evaluation from the input rows that changed
-    /// since, or, in the cases [`FullReason`] names, a full one. A full
-    /// evaluation over a database a snapshot shares copies only the
-    /// extensional relations and the documents.
-    pub(crate) fn ensure_evaluated_with(&mut self, program: &Arc<CompiledProgram>) -> Result<()> {
-        if let Some(fp) = &self.last_eval {
-            if fp.program_id == program.id
-                && fp.input_gens.len() == program.input_relations.len()
-                && program
-                    .input_relations
-                    .iter()
-                    .zip(&fp.input_gens)
-                    .all(|(name, gen)| self.db.generation(name) == *gen)
-            {
-                // Served by already-current state: the pending request
-                // ids owe no evaluation, so drop them rather than let
-                // them mis-attribute to a later, unrelated run.
-                self.pending_request_ids.clear();
-                return Ok(());
-            }
-        }
-        let mut trace = RunTrace::new(self.trace_level, DEFAULT_SPAN_BUFFER_BYTES);
-        self.eval_seq += 1;
-        trace.serving_context(self.eval_seq, std::mem::take(&mut self.pending_request_ids));
-        let old = std::mem::replace(&mut self.basis, Err(FullReason::PreviousRunFailed));
-        let last = self.last_eval.take();
-        let last = last.as_ref().map(|fp| (fp.program_id, &fp.input_gens[..]));
-        let seeds = maintain::seeds(old, last, &self.db, program);
-        let mode = seeds
-            .as_ref()
-            .map_or_else(|r| EvalMode::Full(*r), Seeds::mode);
-        // The run's IE memo: empty now, dropped below once its counters
-        // fold into the session's — a failed run's too.
-        let memo = Mutex::default();
-        let ctx = EvalCtx {
-            registry: &self.registry,
-            strategy: self.strategy,
-            limits: self.limits,
-            cache: &memo,
-            workers: self.parallelism,
-        };
-        // The regex prefilter counters are process-wide; deltas around
-        // the run attribute its share to this profile.
-        let prefilter_before = spannerlib_regex::prefilter::stats();
-        let result = match seeds {
-            Ok(seeds) => seeds.run(Arc::make_mut(&mut self.db), program, &ctx, &mut trace),
-            Err(_) => evaluate(cleared(&mut self.db), &program.components, &ctx, &mut trace),
-        };
-        let run = memo.into_inner().stats();
-        self.cache = CacheStats {
-            hits: self.cache.hits + run.hits,
-            misses: self.cache.misses + run.misses,
-            insertions: self.cache.insertions + run.insertions,
-            ..run
-        };
-        // Capture the profile before propagating errors: an aborted run
-        // leaves its partial per-component progress in `profile()`.
-        if let Some(mut profile) = trace.finish(result.as_ref().err().map(|e| e.to_string())) {
-            let prefilter_after = spannerlib_regex::prefilter::stats();
-            profile.prefilter_searches = prefilter_after.searches - prefilter_before.searches;
-            profile.prefilter_pruned = prefilter_after.pruned - prefilter_before.pruned;
-            mode.record(&mut profile);
-            self.last_profile = Some(Arc::new(profile));
-        }
-        self.last_stats = EvalStats { mode, ..result? };
-        // Generations are read *after* the run: rules may derive into
-        // extensional heads, and those inserts must not look like fresh
-        // external mutations on the next call.
-        let input_gens: Vec<u64> = program
-            .input_relations
-            .iter()
-            .map(|name| self.db.generation(name))
-            .collect();
-        {
-            use std::hash::{Hash, Hasher};
-            let mut h = rustc_hash::FxHasher::default();
-            program.id.hash(&mut h);
-            input_gens.hash(&mut h);
-            self.last_fingerprint = h.finish();
-        }
-        self.last_eval = Some(EvalFingerprint {
-            program_id: program.id,
-            input_gens,
-        });
-        self.basis = maintain::basis(&self.db, program, &self.registry, self.strategy);
-        Ok(())
-    }
-
-    /// Read access to the database for prepared-query execution.
-    pub(crate) fn database(&self) -> &Database {
-        &self.db
     }
 
     /// Mutable access; clones the database first if a live [`Snapshot`]

@@ -371,3 +371,41 @@ Hit(s) <- Texts(t), rgx("zebra+", t) -> (s)"#;
     assert!(profile.prefilter_pruned > 0);
     assert!(profile.render().contains("prefilter:"));
 }
+
+/// Two sessions evaluating at once, on two threads: the regex searches
+/// one runs while the other sits inside an IE call never land in the
+/// other's profile.
+#[test]
+fn prefilter_counters_stay_with_the_session_that_searched() {
+    use std::sync::{Arc, Barrier};
+    let traced = || {
+        let builder = Session::builder().tracing(TraceLevel::Summary);
+        builder.parallelism(0).build()
+    };
+    let (inside, done) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let mut quiet = traced();
+    let (held, released) = (Arc::clone(&inside), Arc::clone(&done));
+    quiet.register("hold", Some(1), move |args, _| {
+        held.wait();
+        released.wait();
+        Ok(vec![args.to_vec()])
+    });
+    quiet
+        .run("new S(int)\nS(1)\nH(y) <- S(x), hold(x) -> (y)")
+        .unwrap();
+    let busy = std::thread::spawn(move || {
+        let mut busy = traced();
+        let program = r#"new Docs(str)
+Docs("id 42 and id 7") Docs("no ids here")
+N(n) <- Docs(t), rgx_string("id ([0-9]+)", t) -> (n)"#;
+        busy.run(program).unwrap();
+        inside.wait();
+        let evaluated = busy.ensure_evaluated();
+        done.wait();
+        evaluated.unwrap();
+        busy.profile().unwrap().prefilter_searches
+    });
+    quiet.ensure_evaluated().unwrap();
+    assert!(busy.join().unwrap() > 0, "rgx_string searched");
+    assert_eq!(quiet.profile().unwrap().prefilter_searches, 0);
+}

@@ -19,26 +19,29 @@
 //! oracle in `tests/properties.rs`). Patterns that can match the empty
 //! string match *everywhere* and therefore never get a prefilter.
 //!
-//! Process-wide counters record how many searches consulted a prefilter
-//! and how many were pruned without launching the matcher at all; the engine's
-//! trace layer surfaces both in evaluation profiles.
+//! Per-thread counters record how many searches consulted a prefilter
+//! and how many were pruned without launching the matcher at all; the
+//! engine reads them around each batch of IE calls, so a profile counts
+//! its own evaluation's searches and no other thread's.
 
 use crate::ast::Ast;
 use crate::nfa::Program;
 use crate::pikevm::{self, SearchResult};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Longest literal we bother materializing for a counted repetition, so
 /// `a{1000000}` doesn't allocate a megabyte of needle.
 const MAX_REPEAT_LITERAL: usize = 64;
 
-static SEARCHES: AtomicU64 = AtomicU64::new(0);
-static PRUNED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static SEARCHES: Cell<u64> = const { Cell::new(0) };
+    static PRUNED: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Snapshot of the process-wide prefilter counters.
+/// Snapshot of the calling thread's prefilter counters.
 ///
-/// Monotonically increasing; consumers diff two snapshots to attribute
-/// activity to one evaluation.
+/// Monotonically increasing; consumers diff two snapshots taken on one
+/// thread to attribute the searches between them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefilterStats {
     /// Searches that consulted a prefilter.
@@ -47,12 +50,28 @@ pub struct PrefilterStats {
     pub pruned: u64,
 }
 
-/// Reads the current counter values.
+/// Reads the calling thread's counters.
 pub fn stats() -> PrefilterStats {
     PrefilterStats {
-        searches: SEARCHES.load(Ordering::Relaxed),
-        pruned: PRUNED.load(Ordering::Relaxed),
+        searches: SEARCHES.get(),
+        pruned: PRUNED.get(),
     }
+}
+
+/// Runs `f`, returning what it returns and the searches it ran on the
+/// calling thread.
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, PrefilterStats) {
+    let before = stats();
+    let out = f();
+    let after = stats();
+    let searches = after.searches - before.searches;
+    let pruned = after.pruned - before.pruned;
+    (out, PrefilterStats { searches, pruned })
+}
+
+/// Adds one to a counter of the calling thread.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.set(counter.get() + 1);
 }
 
 /// A literal obligation extracted from a pattern.
@@ -90,7 +109,7 @@ impl Prefilter {
     }
 
     /// Prefiltered equivalent of [`pikevm::search`]: same result, less
-    /// VM work. Updates the process-wide counters.
+    /// VM work. Updates the calling thread's counters.
     pub fn search(&self, program: &Program, text: &str, from: usize) -> Option<SearchResult> {
         self.search_with(text, from, |at, anchored| {
             if anchored {
@@ -105,14 +124,14 @@ impl Prefilter {
     /// asked for the match starting exactly at `at` (at each occurrence
     /// of a required prefix) or for the leftmost match at or after `at`
     /// (once, when a required infix is present). Updates the
-    /// process-wide counters.
+    /// calling thread's counters.
     pub(crate) fn search_with<T>(
         &self,
         text: &str,
         from: usize,
         mut run: impl FnMut(usize, bool) -> Option<T>,
     ) -> Option<T> {
-        SEARCHES.fetch_add(1, Ordering::Relaxed);
+        bump(&SEARCHES);
         match self {
             Prefilter::Prefix(lit) => {
                 // Candidate starts are exactly the occurrences of the
@@ -124,7 +143,7 @@ impl Prefilter {
                 loop {
                     let Some(off) = text[at..].find(lit.as_str()) else {
                         if !launched {
-                            PRUNED.fetch_add(1, Ordering::Relaxed);
+                            bump(&PRUNED);
                         }
                         return None;
                     };
@@ -142,7 +161,7 @@ impl Prefilter {
                 if text[from..].contains(lit.as_str()) {
                     run(from, false)
                 } else {
-                    PRUNED.fetch_add(1, Ordering::Relaxed);
+                    bump(&PRUNED);
                     None
                 }
             }
@@ -350,11 +369,25 @@ mod tests {
         let parsed = parse("needle[0-9]").unwrap();
         let program = compile(&parsed).unwrap();
         let pf = Prefilter::build(&parsed.ast).unwrap();
-        let before = stats();
-        assert!(pf.search(&program, "no match here", 0).is_none());
-        let after = stats();
-        // Other tests run concurrently, so assert deltas as lower bounds.
-        assert!(after.searches > before.searches);
-        assert!(after.pruned > before.pruned);
+        // The counters are this thread's: other tests never touch them.
+        let search = |text| counted(|| pf.search(&program, text, 0));
+        let (found, searched) = search("no match here");
+        assert!(found.is_none());
+        assert_eq!(
+            searched,
+            PrefilterStats {
+                searches: 1,
+                pruned: 1
+            }
+        );
+        let (found, searched) = search("a needle7");
+        assert!(found.is_some());
+        assert_eq!(
+            searched,
+            PrefilterStats {
+                searches: 1,
+                pruned: 0
+            }
+        );
     }
 }

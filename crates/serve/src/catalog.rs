@@ -10,8 +10,8 @@
 //! and the IE memo keys stay small).
 
 use crate::error::ApiError;
-use spannerlib_core::{Span, Value};
 use spannerlib_regex::Regex;
+use spannerlog_engine::builtins::fixed_rgx;
 use spannerlog_engine::Session;
 
 /// Declarative description of a catalog IE function, as carried by a
@@ -28,46 +28,15 @@ pub struct IeSpec {
     pub strings: bool,
 }
 
-/// Compiles `spec` and registers it on `session`. One input argument
-/// (str or span); one output column per explicit capture group, or the
-/// whole match when the pattern has none — mirroring the built-in `rgx`
-/// family's conventions.
+/// Compiles `spec` and registers it on `session` as the engine's `rgx`
+/// (`rgx_string` for strings) with the pattern fixed: one input
+/// argument (str or span); one output column per explicit capture
+/// group, or the whole match when the pattern has none; a match that
+/// leaves a group undefined yields no row.
 pub fn register_ie(session: &mut Session, spec: &IeSpec) -> Result<(), ApiError> {
     let regex = Regex::new(&spec.pattern)
         .map_err(|e| ApiError::bad_request(format!("bad pattern {:?}: {e}", spec.pattern)))?;
-    let strings = spec.strings;
-    session.register(&spec.name, Some(1), move |args, ctx| {
-        let mut arg = ctx.text_arg(&args[0])?;
-        let text = arg.shared_text();
-        let mut out = Vec::new();
-        for caps in regex.captures_iter(&text) {
-            let whole = caps.group(0).expect("group 0 is the whole match");
-            let ranges: Vec<(usize, usize)> = if regex.group_count() == 0 {
-                vec![whole]
-            } else {
-                // A non-participating optional group has no span to
-                // report; skip the row rather than fail the request.
-                match caps.explicit_groups().collect::<Option<Vec<_>>>() {
-                    Some(groups) => groups,
-                    None => continue,
-                }
-            };
-            let row: Vec<Value> = if strings {
-                ranges
-                    .iter()
-                    .map(|&(s, e)| Value::str(&text[s..e]))
-                    .collect()
-            } else {
-                let (doc, base) = arg.doc_base(ctx);
-                ranges
-                    .iter()
-                    .map(|&(s, e)| Value::Span(Span::new(doc, base + s, base + e)))
-                    .collect()
-            };
-            out.push(row);
-        }
-        Ok(out)
-    });
+    session.register_ie(&spec.name, fixed_rgx(regex, spec.strings));
     Ok(())
 }
 

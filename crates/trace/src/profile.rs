@@ -19,9 +19,10 @@ pub struct EvalProfile {
     /// Monotonic per-session evaluation sequence number (0 when the
     /// run was not attributed — e.g. constructed by hand).
     pub eval_seq: u64,
-    /// Serving request ids whose work this evaluation performed: under
-    /// coalescing, one evaluation can pay for many requests, and this
-    /// is the attribution trail back to them. Empty outside serving.
+    /// Serving request ids attributed to this evaluation: `spannerd`
+    /// attaches the one request that evaluated. Requests coalesced onto
+    /// its result are not listed; `spannerd` counts them in its
+    /// `execute_coalesced` metric. Empty outside serving.
     pub request_ids: Vec<String>,
     /// Total evaluation wall time, in nanoseconds.
     pub total_ns: u64,
@@ -81,7 +82,7 @@ pub struct EvalProfile {
     /// Always 0. Shards are claimed from one counter, so no task ever
     /// migrates between queues; the field and its `par_stolen` JSON key
     /// stay only because `perfbench` (which a change may not edit
-    /// without re-baselining) reads them. ROADMAP item 1(g) removes them.
+    /// without re-baselining) reads them. ROADMAP item 1(h) removes them.
     pub par_stolen: u64,
     /// Always 0: every rule firing may shard. Kept, with its
     /// `par_serial_rules` JSON key, only because `perfbench` reads them;

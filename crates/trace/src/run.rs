@@ -75,6 +75,8 @@ struct EvalTotals {
     tuples_new: u64,
     index_hits: u64,
     index_builds: u64,
+    prefilter_searches: u64,
+    prefilter_pruned: u64,
     par_workers: u64,
     par_shards: u64,
     par_ie_batches: u64,
@@ -235,6 +237,16 @@ impl RunTrace {
         self.totals.index_builds += builds;
     }
 
+    /// Accumulates the run's regex prefilter totals: searches that
+    /// consulted a literal prefilter, and those it pruned.
+    pub fn prefilter(&mut self, searches: u64, pruned: u64) {
+        if !self.enabled() {
+            return;
+        }
+        self.totals.prefilter_searches += searches;
+        self.totals.prefilter_pruned += pruned;
+    }
+
     /// Records one IE-function invocation: `memo_hit` is `Some(true)`
     /// for a cache hit, `Some(false)` for a miss, `None` when the call
     /// bypassed the memo (uncacheable or no cache configured); timed
@@ -333,6 +345,7 @@ impl RunTrace {
         self.totals.rule_firings += fork.totals.rule_firings;
         self.totals.tuples_derived += fork.totals.tuples_derived;
         self.totals.tuples_new += fork.totals.tuples_new;
+        self.prefilter(fork.totals.prefilter_searches, fork.totals.prefilter_pruned);
         if let Some(r) = self.rules.get_mut(rule) {
             r.firings += shard_rule.firings;
             r.tuples_derived += shard_rule.tuples_derived;
@@ -481,10 +494,8 @@ impl RunTrace {
             spans_dropped,
             index_hits: self.totals.index_hits,
             index_builds: self.totals.index_builds,
-            // Filled by the session from the regex crate's process-wide
-            // prefilter counters (the trace crate never sees regexes).
-            prefilter_searches: 0,
-            prefilter_pruned: 0,
+            prefilter_searches: self.totals.prefilter_searches,
+            prefilter_pruned: self.totals.prefilter_pruned,
             par_workers: self.totals.par_workers,
             par_shards: self.totals.par_shards,
             par_ie_batches: self.totals.par_ie_batches,
@@ -611,6 +622,7 @@ mod tests {
         fork.close(batch);
         fork.close(shard);
         fork.join_scanned(0, 7);
+        fork.prefilter(3, 2);
         fork.ie_call_ns("f", Some(false), 123);
         fork.ie_call_ns("g", None, 456);
 
@@ -618,6 +630,7 @@ mod tests {
         trace.close(root);
         let p = trace.finish(None).unwrap();
         assert_eq!(p.strata[0].rules[0].join_rows_scanned, 12);
+        assert_eq!((p.prefilter_searches, p.prefilter_pruned), (3, 2));
         let f = p.ie_functions.iter().find(|i| i.name == "f").unwrap();
         assert_eq!((f.calls, f.memo_hits, f.memo_misses), (2, 1, 1));
         assert!(p.ie_functions.iter().any(|i| i.name == "g"));
