@@ -18,6 +18,8 @@
 //! * [`Relation`] / [`Tuple`] — set-semantics relations over a [`Schema`],
 //!   stored flat: [`Rows`] is the row arena, [`RowTable`] its hash table
 //!   of row ids;
+//! * [`sort_order`] — the one row order: `Value`'s, computed from
+//!   packed normalized keys by a radix sort;
 //! * [`CoreError`] — shared error type.
 //!
 //! Everything higher in the stack (the regex-formula engine, the Spannerlog
@@ -25,6 +27,7 @@
 
 pub mod doc;
 pub mod error;
+pub mod order;
 pub mod relation;
 pub mod rows;
 pub mod schema;
@@ -34,6 +37,7 @@ pub mod value;
 
 pub use doc::{CompactionReport, DocId, DocumentStore};
 pub use error::CoreError;
+pub use order::{sort_order, Order};
 pub use relation::Relation;
 pub use rows::{hash_cells, RowTable, Rows};
 pub use schema::{Schema, ValueType};

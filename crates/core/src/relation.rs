@@ -7,9 +7,11 @@
 //! for exactly as long as the relation only grows: what a round of
 //! evaluation appended is a range of ids, and an index over the first
 //! `n` rows is extended, not rebuilt, when more arrive. Removal compacts
-//! and renumbers. Export paths ([`Relation::sorted_tuples`]) sort.
+//! and renumbers. Export paths ([`Relation::sorted_tuples`]) sort, all
+//! with [`sort_order`].
 
 use crate::error::CoreError;
+use crate::order::sort_order;
 use crate::rows::{hash_cells, RowTable, Rows};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -135,11 +137,16 @@ impl Relation {
     }
 
     /// All tuples, sorted lexicographically — the deterministic export
-    /// order used by `Session::export` and the DataFrame bridge.
+    /// order used by `Session::export` and the DataFrame bridge, which
+    /// [`sort_order`] computes.
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut rows: Vec<&[Value]> = self.iter().collect();
-        rows.sort_unstable();
-        rows.into_iter().map(|r| Tuple::new(r.to_vec())).collect()
+        let rows: Vec<&[Value]> = self.iter().collect();
+        let cols: Vec<usize> = (0..self.schema.arity()).collect();
+        let order = sort_order(&rows, &cols);
+        order
+            .iter()
+            .map(|id| Tuple::new(rows[id].to_vec()))
+            .collect()
     }
 }
 

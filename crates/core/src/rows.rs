@@ -94,13 +94,6 @@ impl Rows {
         new
     }
 
-    /// Moves every row of `other` to the end of this store.
-    pub fn append(&mut self, mut other: Rows) {
-        assert_eq!(self.width, other.width, "row width");
-        self.cells.append(&mut other.cells);
-        self.len += other.len;
-    }
-
     /// Keeps the rows `keep(id, row)` holds for, in order, and closes
     /// the gaps — row ids change.
     pub fn retain(&mut self, mut keep: impl FnMut(usize, &[Value]) -> bool) {

@@ -192,7 +192,7 @@ impl Value {
     }
 
     /// Rank used to order values of different types; stable across runs.
-    fn type_rank(&self) -> u8 {
+    pub(crate) fn type_rank(&self) -> u8 {
         match self {
             Value::Str(_) => 0,
             Value::Span(_) => 1,

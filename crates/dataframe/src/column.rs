@@ -82,6 +82,38 @@ impl Column {
         true
     }
 
+    /// A column of `value_type` holding `cells` in order, matching the
+    /// type once for the whole column; `Err` carries the type of the
+    /// first cell that is not a `value_type`.
+    pub fn gather(
+        value_type: ValueType,
+        cells: impl Iterator<Item = Value>,
+    ) -> Result<Column, ValueType> {
+        fn typed<T>(
+            cells: impl Iterator<Item = Value>,
+            cell: impl Fn(Value) -> Result<T, Value>,
+        ) -> Result<Vec<T>, ValueType> {
+            let mut out = Vec::with_capacity(cells.size_hint().0);
+            for value in cells {
+                out.push(cell(value).map_err(|other| other.value_type())?);
+            }
+            Ok(out)
+        }
+        Ok(match value_type {
+            ValueType::Str => Column::Str(typed(cells, |v| match v {
+                Value::Str(s) => Ok(s),
+                other => Err(other),
+            })?),
+            ValueType::Span => Column::Span(typed(cells, |v| match v {
+                Value::Span(s) => Ok(s),
+                other => Err(other),
+            })?),
+            ValueType::Int => Column::Int(typed(cells, |v| v.as_int().ok_or(v))?),
+            ValueType::Bool => Column::Bool(typed(cells, |v| v.as_bool().ok_or(v))?),
+            ValueType::Float => Column::Float(typed(cells, |v| v.as_float().ok_or(v))?),
+        })
+    }
+
     /// A new column keeping only the rows whose indices appear in `keep`,
     /// in the given order.
     pub fn take(&self, keep: &[usize]) -> Column {
@@ -123,6 +155,20 @@ mod tests {
         assert!(c.push(Value::Span(s)));
         assert_eq!(c.get(0), Some(Value::Span(s)));
         assert_eq!(c.value_type(), ValueType::Span);
+    }
+
+    #[test]
+    fn gather_types_a_column_once() {
+        let cells = [Value::Int(3), Value::Int(-1)];
+        let column = Column::gather(ValueType::Int, cells.into_iter()).unwrap();
+        assert_eq!(column, Column::Int(vec![3, -1]));
+        let mixed = [Value::Int(3), Value::str("x")];
+        assert_eq!(
+            Column::gather(ValueType::Int, mixed.into_iter()),
+            Err(ValueType::Str)
+        );
+        let empty = Column::gather(ValueType::Span, std::iter::empty()).unwrap();
+        assert_eq!(empty, Column::empty(ValueType::Span));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::error::FrameError;
-use spannerlib_core::{Relation, Schema, Value, ValueType};
+use spannerlib_core::{sort_order, Relation, Schema, Value, ValueType};
 use std::fmt;
 
 /// A named-column, typed, row-aligned table.
@@ -229,20 +229,19 @@ impl DataFrame {
                 actual: rel.schema().arity(),
             });
         }
-        let mut df = DataFrame {
-            columns: rel
-                .schema()
-                .types()
-                .iter()
-                .map(|&t| Column::empty(t))
-                .collect(),
-            names,
+        let rows: Vec<&[Value]> = rel.iter().collect();
+        // Ordered by every column: column `col` is the order's `col`-th.
+        let cols: Vec<usize> = (0..rel.schema().arity()).collect();
+        let order = sort_order(&rows, &cols);
+        let column = |(col, &value_type): (usize, &ValueType)| {
+            let cells = (0..order.len()).map(|pos| order.value(&rows, pos, col));
+            Column::gather(value_type, cells).expect("relation rows are schema-checked")
         };
-        for tuple in rel.sorted_tuples() {
-            df.push_row(tuple.into_values().collect())
-                .expect("relation rows are schema-checked");
-        }
-        Ok(df)
+        let columns = rel.schema().types().iter().enumerate().map(column);
+        Ok(DataFrame {
+            columns: columns.collect(),
+            names,
+        })
     }
 }
 

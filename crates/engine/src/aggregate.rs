@@ -84,7 +84,12 @@ pub fn builtin_aggregates() -> Vec<(String, Arc<dyn AggFunction>)> {
         "sum".into(),
         Arc::new(FnAgg("sum", |vs: &[Value]| {
             if vs.iter().all(|v| matches!(v, Value::Int(_))) {
-                Ok(Value::Int(vs.iter().map(|v| v.as_int().unwrap()).sum()))
+                // Summed in 128 bits, so only a total past the 64-bit
+                // range fails, not a partial sum on the way to it.
+                let total: i128 = vs.iter().filter_map(Value::as_int).map(i128::from).sum();
+                i64::try_from(total)
+                    .map(Value::Int)
+                    .map_err(|_| agg_err("sum", format!("{total} overflows a 64-bit int")))
             } else {
                 let mut acc = 0.0;
                 for v in vs {
@@ -243,6 +248,24 @@ mod tests {
                 .unwrap(),
             Value::Float(2.5)
         );
+    }
+
+    #[test]
+    fn sum_of_ints_past_the_range_is_an_error() {
+        let err = agg("sum")
+            .apply(&[Value::Int(i64::MAX), Value::Int(1)])
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::AggRuntime { function, .. } if function == "sum"),
+            "{err}"
+        );
+        let low = [Value::Int(i64::MIN), Value::Int(-1)];
+        assert!(agg("sum").apply(&low).is_err());
+        let fits = [Value::Int(-1), Value::Int(1), Value::Int(i64::MAX)];
+        assert_eq!(agg("sum").apply(&fits).unwrap(), Value::Int(i64::MAX));
+        // A partial sum past the range is not an error when the total fits.
+        let back = [Value::Int(i64::MIN), Value::Int(-1), Value::Int(i64::MAX)];
+        assert_eq!(agg("sum").apply(&back).unwrap(), Value::Int(-2));
     }
 
     #[test]

@@ -389,7 +389,90 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer;
+    use crate::plan::tests::{colliding_ints, safe_plan};
+    use proptest::prelude::*;
     use spannerlib_core::{Schema, Tuple, ValueType};
+
+    /// Extends `order` to the lexicographically least order of `0..n`
+    /// whose every prefix `is_safe`, by exhaustive search.
+    fn least_safe_order(
+        n: usize,
+        is_safe: &dyn Fn(&[usize]) -> bool,
+        order: &mut Vec<usize>,
+    ) -> bool {
+        if order.len() == n {
+            return true;
+        }
+        for i in (0..n).filter(|i| !order.contains(i)).collect::<Vec<_>>() {
+            order.push(i);
+            if is_safe(order) && least_safe_order(n, is_safe, order) {
+                return true;
+            }
+            order.pop();
+        }
+        false
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one scheduler, held to the definition over bodies written
+        /// in any order — IE steps included, which can leave a body
+        /// without a safe order: at uniform cost (safety analysis) it
+        /// returns the lexicographically least order with `needs ⊆
+        /// bound` at every step and is stuck iff there is none; at the
+        /// cardinality cost (a firing) its order is a permutation with
+        /// the same invariant.
+        #[test]
+        fn one_scheduler_serves_safety_and_planning(
+            arities in prop::collection::vec(1usize..4, 3),
+            atoms in prop::collection::vec(
+                (0usize..3, prop::collection::vec((0u8..6, 0usize..5), 3), any::<bool>()), 1..3),
+            compares in prop::collection::vec((0usize..4, 0u8..12, 0usize..5), 0..3),
+            ies in prop::collection::vec(
+                (prop::collection::vec(0usize..6, 0..3), prop::collection::vec(0usize..6, 0..3)), 0..4),
+            keys in prop::collection::vec(any::<u8>(), 7),
+            sizes in prop::collection::vec(0usize..5000, 7),
+        ) {
+            let mut plan = safe_plan(&arities, &atoms, &compares, &[], &colliding_ints());
+            // Variables 4 and 5 are bound by IE outputs or not at all.
+            plan.var_names = (0..6).map(|v| format!("v{v}")).collect();
+            let vars = |vs: &Vec<usize>| vs.iter().map(|&v| PTerm::Var(v)).collect();
+            plan.steps.extend(ies.iter().map(|(inputs, outputs)| Step::Ie {
+                function: "f".into(),
+                inputs: vars(inputs),
+                outputs: vars(outputs),
+            }));
+            let mut keyed: Vec<(u8, Step)> = keys.into_iter().zip(plan.steps).collect();
+            keyed.sort_by_key(|(key, _)| *key);
+            plan.steps = keyed.into_iter().map(|(_, step)| step).collect();
+
+            let metas: Vec<StepMeta> = plan.steps.iter().map(StepMeta::of).collect();
+            let is_safe = |order: &[usize]| {
+                let mut bound = [false; 6];
+                order.iter().all(|&i| {
+                    let runnable = metas[i].needs.iter().all(|&v| bound[v]);
+                    metas[i].binds.iter().for_each(|&v| bound[v] = true);
+                    runnable
+                })
+            };
+            let n = metas.len();
+            let mut least = Vec::new();
+            let exists = least_safe_order(n, &is_safe, &mut least);
+            match optimizer::schedule(&metas, 6, |_, _| 0) {
+                Ok(order) => prop_assert_eq!((exists, &order), (true, &least), "{:?}", plan.steps),
+                Err(pending) => prop_assert!(!exists, "stuck on {:?} of {:?}", pending, plan.steps),
+            }
+            optimizer::annotate(&mut plan);
+            let opt = plan.opt.as_ref().expect("annotated");
+            let planned = optimizer::order_steps(&plan, opt, |i| sizes[i]);
+            let mut sorted = planned.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+            prop_assert!(is_safe(&planned) || !exists, "{:?} of {:?}", planned, plan.steps);
+        }
+    }
 
     /// An index carried through a removal answers every key as one built
     /// over the rows left — groups that lose every row included — and

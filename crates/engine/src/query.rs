@@ -10,19 +10,20 @@
 //! projection, and it is evaluated as one: a [`QueryPlan`] holds
 //! everything that depends only on the query text, a [`Selection`]
 //! picks the matching rows *by reference* into the relation's arena,
-//! and only those survivors are sorted (by the full row, so the order
-//! is that of `Relation::sorted_tuples`) and have their projected cells
-//! cloned. Over a frozen database (a `Snapshot`) a constant-bearing
-//! query does not even scan: it probes a hash index of row ids on its
-//! bound columns, built on first use and shared by every reader
-//! ([`IndexCache`]). A live `Session`, whose database still mutates,
-//! takes the scan.
+//! and only those survivors are ordered and have their projected cells
+//! cloned, a typed column at a time. The order is `Value`'s total order
+//! over the full row — that of `Relation::sorted_tuples` — produced by
+//! the one order kernel, [`spannerlib_core::sort_order`]. Over a frozen
+//! database (a `Snapshot`) a constant-bearing query does not even scan:
+//! it probes a hash index of row ids on its bound columns, built on
+//! first use and shared by every reader ([`IndexCache`]). A live
+//! `Session`, whose database still mutates, takes the scan.
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::optimizer::IndexCache;
 use crate::safety::constant_value;
-use spannerlib_core::{Relation, Value, ValueType};
+use spannerlib_core::{sort_order, Relation, Value, ValueType};
 use spannerlib_dataframe::{Column, DataFrame, FrameError};
 use spannerlog_parser::{parse_program, Query, Statement, Term};
 
@@ -97,7 +98,7 @@ impl QueryPlan {
 /// The answer to one query over one (already fixpointed) database, not
 /// yet materialised: [`select`] only resolves the relation and checks
 /// the arity, [`Selection::num_rows`] reads the relation once to find
-/// the matching tuples, and [`Selection::into_frame`] sorts and projects
+/// the matching tuples, and [`Selection::into_frame`] orders and projects
 /// them. A caller that may refuse the answer — a row cap, a matching
 /// `ETag` — stops before paying for the later stages.
 #[derive(Debug)]
@@ -197,12 +198,13 @@ impl<'a> Selection<'a> {
         }
     }
 
-    /// Materialises the answer: survivors in full-tuple order, projected
-    /// cells only. Column types come from the relation's schema, so an
-    /// empty answer is typed too; only a relation the database has never
-    /// seen falls back to string columns.
+    /// Materialises the answer: survivors in full-tuple order
+    /// ([`sort_order`]), projected cells only. Column types come from
+    /// the relation's schema, so an empty answer is typed too; only a
+    /// relation the database has never seen falls back to string
+    /// columns.
     pub fn into_frame(mut self) -> Result<DataFrame> {
-        let mut survivors = std::mem::take(self.survivors());
+        let survivors = std::mem::take(self.survivors());
         let plan = self.plan;
         if plan.projection.is_empty() {
             let holds = Column::Bool(vec![!survivors.is_empty()]);
@@ -211,24 +213,20 @@ impl<'a> Selection<'a> {
                 holds,
             )])?);
         }
-        survivors.sort_unstable();
+        // Ordered by every column: column `col` is the order's `col`-th.
+        let order = sort_order(&survivors, &(0..plan.arity).collect::<Vec<_>>());
         let mut columns = Vec::with_capacity(plan.projection.len());
         for (name, col) in &plan.projection {
             let value_type = self
                 .relation
                 .map_or(ValueType::Str, |r| r.schema().types()[*col]);
-            let mut column = Column::empty(value_type);
-            for tuple in &survivors {
-                let value = &tuple[*col];
-                if !column.push(value.clone()) {
-                    return Err(FrameError::TypeMismatch {
-                        column: name.clone(),
-                        expected: value_type,
-                        actual: value.value_type(),
-                    }
-                    .into());
-                }
-            }
+            let cells = (0..order.len()).map(|pos| order.value(&survivors, pos, *col));
+            let column =
+                Column::gather(value_type, cells).map_err(|actual| FrameError::TypeMismatch {
+                    column: name.clone(),
+                    expected: value_type,
+                    actual,
+                })?;
             columns.push((name.clone(), column));
         }
         Ok(DataFrame::from_columns(columns)?)

@@ -4,14 +4,13 @@
 
 use crate::error::Result;
 use crate::ie::{IeContext, SharedDocs};
-use crate::optimizer::TupleIndex;
 use crate::plan::{
     cell, internal, operand, run_steps, scan_source, scan_step, Batch, Columns, ExecCtx, HeadOut,
     PTerm, RulePlan, Source, Step, TraceCtx,
 };
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
-use spannerlib_core::{Relation, Rows, Value};
+use spannerlib_core::{sort_order, Relation, Rows, Value};
 use spannerlib_trace::{SpanKind, NO_SPAN};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -133,12 +132,14 @@ pub(crate) fn project_head(plan: &RulePlan, batch: &Batch) -> Result<Rows> {
 
 /// The head rows of a firing from what its shards projected: the pieces
 /// themselves, or — when the head aggregates — one row per group. It
-/// runs once, on the caller: one index on the key columns (the
-/// non-aggregate head columns) groups every shard's rows, and a group's
-/// aggregate projections are sorted and their repeats dropped, so each
-/// aggregate folds the distinct (key, agg-vars) projections — set
-/// semantics (README, *Evaluation*) — in an order the cut does not
-/// decide.
+/// runs once, on the caller, over the pieces where they lie: one
+/// [`sort_order`] pass orders every shard's rows by the key columns (the
+/// non-aggregate head columns), then the aggregate columns, so a group
+/// is a run of rows and a repeated (key, agg-vars) projection follows
+/// its twin, both told apart by the packed keys where those decide.
+/// Each aggregate folds the distinct projections of its group — set
+/// semantics (README, *Evaluation*) — as values sorted after their
+/// conversions, in an order the cut does not decide.
 pub(crate) fn fold_aggregates(
     plan: &RulePlan,
     pieces: Vec<Rows>,
@@ -148,50 +149,70 @@ pub(crate) fn fold_aggregates(
     if !plan.has_aggregation() {
         return Ok(pieces);
     }
-    let mut rows = Rows::new(plan.head.len());
-    pieces.into_iter().for_each(|piece| rows.append(piece));
+    let mut rows: Vec<&[Value]> = Vec::with_capacity(pieces.iter().map(Rows::len).sum());
+    rows.extend(pieces.iter().flat_map(Rows::iter));
     let is_key = |c: &usize| !matches!(plan.head[*c], HeadOut::Aggregate { .. });
     let (key_cols, agg_cols): (Vec<usize>, Vec<usize>) = (0..plan.head.len()).partition(is_key);
-    let groups = TupleIndex::build(&rows, 0..rows.len(), &key_cols);
+    let cols = [key_cols.as_slice(), &agg_cols].concat();
+    let order = sort_order(&rows, &cols);
+    // Head column `c` is the order's column `at_of[c]`.
+    let mut at_of = vec![0; cols.len()];
+    cols.iter().enumerate().for_each(|(at, &c)| at_of[c] = at);
+    let cell = |pos: usize, c: usize| order.value(&rows, pos, at_of[c]);
     let mut out = Rows::new(plan.head.len());
-    let mut tuple: Vec<Value> = Vec::with_capacity(plan.head.len());
-    for group in groups.groups() {
-        let mut projections = Rows::new(agg_cols.len());
-        for row in group.iter().map(|&id| rows.row(id)) {
-            projections.push(agg_cols.iter().map(|&c| &row[c]));
+    // Where in the order the distinct projections of the group being
+    // read sit.
+    let mut group: Vec<usize> = Vec::new();
+    for (pos, (_, shared)) in order.iter_shared(&rows).enumerate() {
+        if shared < key_cols.len() && !group.is_empty() {
+            out.push(&fold_group(plan, &group, &cell, docs, registry)?);
+            group.clear();
         }
-        let mut distinct: Vec<&[Value]> = projections.iter().collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for (c, h) in plan.head.iter().enumerate() {
-            let HeadOut::Aggregate {
-                func, conversions, ..
-            } = h
-            else {
-                tuple.push(rows.row(group[0])[c].clone());
-                continue;
-            };
-            let a = agg_cols.partition_point(|&agg| agg < c);
-            let mut values: Vec<Value> = distinct.iter().map(|p| p[a].clone()).collect();
-            // Conversions apply innermost-first; they are stored
-            // outermost-first as written.
-            for conv_name in conversions.iter().rev() {
-                let conv = registry.conversion(conv_name)?;
-                let ctx = IeContext::new(docs);
-                values = values
-                    .iter()
-                    .map(|v| conv.convert(v, &ctx))
-                    .collect::<Result<_>>()?;
-            }
-            // A fold that is not associative (a float sum) sees its
-            // values in one order however the firing was cut: sorted.
-            values.sort_unstable();
-            tuple.push(registry.aggregate(func)?.apply(&values)?);
+        if shared < cols.len() {
+            group.push(pos);
         }
-        out.push(&tuple);
-        tuple.clear();
+    }
+    if !group.is_empty() {
+        out.push(&fold_group(plan, &group, &cell, docs, registry)?);
     }
     Ok(vec![out])
+}
+
+/// The head row of one group from its distinct (key, agg-vars)
+/// projections: `cell(pos, c)` is head column `c` of the one at `pos`.
+fn fold_group(
+    plan: &RulePlan,
+    group: &[usize],
+    cell: &dyn Fn(usize, usize) -> Value,
+    docs: &SharedDocs,
+    registry: &Registry,
+) -> Result<Vec<Value>> {
+    let mut tuple = Vec::with_capacity(plan.head.len());
+    for (c, h) in plan.head.iter().enumerate() {
+        let HeadOut::Aggregate {
+            func, conversions, ..
+        } = h
+        else {
+            tuple.push(cell(group[0], c));
+            continue;
+        };
+        let mut values: Vec<Value> = group.iter().map(|&pos| cell(pos, c)).collect();
+        // Conversions apply innermost-first; they are stored
+        // outermost-first as written.
+        for conv_name in conversions.iter().rev() {
+            let conv = registry.conversion(conv_name)?;
+            let ctx = IeContext::new(docs);
+            values = values
+                .iter()
+                .map(|v| conv.convert(v, &ctx))
+                .collect::<Result<_>>()?;
+        }
+        // A fold that is not associative (a float sum) sees its values
+        // in one order however the firing was cut: sorted.
+        values.sort_unstable();
+        tuple.push(registry.aggregate(func)?.apply(&values)?);
+    }
+    Ok(tuple)
 }
 
 #[cfg(test)]

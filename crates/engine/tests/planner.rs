@@ -65,7 +65,10 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     };
     let pieces = plan::execute_with(plan, &inputs.relations, &ctx, &mut tr)?;
     let mut rows = Rows::new(plan.head.len());
-    pieces.into_iter().for_each(|piece| rows.append(piece));
+    pieces
+        .iter()
+        .flat_map(Rows::iter)
+        .for_each(|row| rows.push(row));
     Ok(rows)
 }
 

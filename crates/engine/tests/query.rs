@@ -56,9 +56,11 @@ fn reference(db: &Database, query: &Query) -> Result<DataFrame> {
         )?);
     }
     let names: Vec<String> = var_cols.iter().map(|(v, _)| v.clone()).collect();
+    let mut tuples: Vec<Vec<Value>> = relation.iter().map(<[Value]>::to_vec).collect();
+    tuples.sort();
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    for tuple in relation.sorted_tuples() {
-        if matches(tuple.values()) {
+    for tuple in tuples {
+        if matches(&tuple) {
             rows.push(var_cols.iter().map(|&(_, i)| tuple[i].clone()).collect());
         }
     }
@@ -78,27 +80,51 @@ const TYPES: [ValueType; 5] = [
     ValueType::Float,
 ];
 
+/// Strings that tie on 8 and 16 bytes, differ by a trailing NUL, or
+/// are empty or not ASCII, besides a few plain ones.
+const STRS: [&str; 12] = [
+    "ann",
+    "bob",
+    "a \"quoted\" one",
+    "",
+    "a",
+    "a\0",
+    "abcdefgh",
+    "abcdefgh\0",
+    "abcdefghijklmnop",
+    "abcdefghijklmnopq",
+    "é",
+    "日本",
+];
+const INTS: [i64; 6] = [-1, 0, 7, i64::MIN, i64::MAX, 1 << 40];
+/// No NaN: frames compare floats as IEEE does, under which a NaN cell
+/// never equals itself (the order kernel's own oracle covers NaN).
+const FLOATS: [f64; 6] = [-0.5, 0.0, 2.25, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+
 /// The `pick`-th value of a small per-type pool, so constants hit and
-/// repeated variables unify often. Spans point into `doc`.
-fn pool_value(value_type: ValueType, pick: u8, doc: DocId) -> Value {
-    let pick = usize::from(pick % 3);
+/// repeated variables unify often. Spans point into one of `docs`.
+fn pool_value(value_type: ValueType, pick: u8, docs: [DocId; 2]) -> Value {
+    let pick = usize::from(pick);
     match value_type {
-        ValueType::Str => Value::str(["ann", "bob", "a \"quoted\" one"][pick]),
-        ValueType::Span => Value::Span(Span::new(doc, pick, pick + 2)),
-        ValueType::Int => Value::Int([-1, 0, 7][pick]),
-        ValueType::Bool => Value::Bool(pick == 0),
-        ValueType::Float => Value::Float([-0.5, 0.0, 2.25][pick]),
+        ValueType::Str => Value::str(STRS[pick % STRS.len()]),
+        ValueType::Span => {
+            let start = pick % 3;
+            Value::Span(Span::new(docs[pick / 3 % 2], start, start + pick % 2 + 1))
+        }
+        ValueType::Int => Value::Int(INTS[pick % INTS.len()]),
+        ValueType::Bool => Value::Bool(pick % 2 == 0),
+        ValueType::Float => Value::Float(FLOATS[pick % FLOATS.len()]),
     }
 }
 
 /// A query constant out of the same pools (spans have no literal).
 fn pool_constant(kind: u8, pick: u8) -> Constant {
-    let pick = usize::from(pick % 3);
+    let pick = usize::from(pick);
     match kind % 4 {
-        0 => Constant::Str(["ann", "bob", "a \"quoted\" one"][pick].to_string()),
-        1 => Constant::Int([-1, 0, 7][pick]),
-        2 => Constant::Bool(pick == 0),
-        _ => Constant::Float([-0.5, 0.0, 2.25][pick]),
+        0 => Constant::Str(STRS[pick % STRS.len()].to_string()),
+        1 => Constant::Int(INTS[pick % INTS.len()]),
+        2 => Constant::Bool(pick % 2 == 0),
+        _ => Constant::Float(FLOATS[pick % FLOATS.len()]),
     }
 }
 
@@ -109,8 +135,8 @@ type Case = (Vec<u8>, Vec<Vec<u8>>, Vec<(u8, u8, u8)>, u8);
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
         prop::collection::vec(0u8..5, 1..4),
-        prop::collection::vec(prop::collection::vec(0u8..3, 3), 0..24),
-        prop::collection::vec((0u8..8, 0u8..4, 0u8..3), 0..5),
+        prop::collection::vec(prop::collection::vec(0u8..12, 3), 0..24),
+        prop::collection::vec((0u8..8, 0u8..4, 0u8..12), 0..5),
         0u8..10,
     )
 }
@@ -119,10 +145,10 @@ fn build(case: &Case) -> (Database, Query) {
     let (type_picks, rows, terms, name_pick) = case;
     let types: Vec<ValueType> = type_picks.iter().map(|&t| TYPES[usize::from(t)]).collect();
     let mut db = Database::new();
-    let doc = db.docs.intern("a document to point spans into");
+    let docs = ["a document to point spans into", "and a second one"].map(|t| db.docs.intern(t));
     db.declare("R", Schema::new(types.clone())).unwrap();
     for row in rows {
-        let tuple = types.iter().zip(row).map(|(&t, &p)| pool_value(t, p, doc));
+        let tuple = types.iter().zip(row).map(|(&t, &p)| pool_value(t, p, docs));
         db.insert("R", Tuple::new(tuple)).unwrap();
     }
     // Mostly the relation's own arity (the generated length decides only
