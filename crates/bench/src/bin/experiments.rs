@@ -9,7 +9,6 @@ use spannerlib_covid::native::report::SurveillanceReport;
 use spannerlib_covid::native::NativePipeline;
 use spannerlib_covid::spanner::SpannerPipeline;
 use spannerlib_regex::Regex;
-use spannerlog_engine::{EvalStrategy, Session};
 use std::time::Instant;
 
 fn heading(title: &str) {
@@ -77,44 +76,6 @@ fn main() {
     println!("{report}");
     let counts = spanner.session_mut().export("?StatusCount(s, n)").unwrap();
     println!("\nStatusCount(s, count(d)) <- Status(d, s):\n{counts}");
-
-    // ---------------------------------------------------------------
-    heading("Ablation A — naive vs semi-naive evaluation (transitive closure)");
-    println!(
-        "{:>8} {:>14} {:>14} {:>9} {:>9}",
-        "chain n", "naive", "semi-naive", "rounds", "firings"
-    );
-    for n in [16usize, 32, 64] {
-        let edges = spannerlib_bench::chain_graph(n);
-        let mut naive_time = std::time::Duration::ZERO;
-        let mut semi_time = std::time::Duration::ZERO;
-        let mut stats = (0usize, 0usize);
-        for (strategy, slot) in [
-            (EvalStrategy::Naive, 0usize),
-            (EvalStrategy::SemiNaive, 1usize),
-        ] {
-            let mut session = Session::with_strategy(strategy);
-            spannerlib_bench::load_edges(&mut session, &edges);
-            session.run(spannerlib_bench::TC_PROGRAM).unwrap();
-            let t0 = Instant::now();
-            session.ensure_evaluated().unwrap();
-            let dt = t0.elapsed();
-            if slot == 0 {
-                naive_time = dt;
-            } else {
-                semi_time = dt;
-                stats = (
-                    session.stats().eval.rounds,
-                    session.stats().eval.rule_firings,
-                );
-            }
-        }
-        println!(
-            "{:>8} {:>12.2?} {:>12.2?} {:>9} {:>9}",
-            n, naive_time, semi_time, stats.0, stats.1
-        );
-    }
-    println!("expected shape: semi-naive ≤ naive, gap growing with n  ✓/✗ above");
 
     // ---------------------------------------------------------------
     heading("Ablation B — findall vs all-matches regex semantics");

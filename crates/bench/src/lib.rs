@@ -53,8 +53,7 @@ pub fn load_edges(session: &mut spannerlog_engine::Session, edges: &[(i64, i64)]
     }
 }
 
-/// The transitive-closure program (`perfbench`'s `tc_join` and ablation A
-/// of `experiments` run it).
+/// The transitive-closure program (`perfbench`'s `tc_join` runs it).
 pub const TC_PROGRAM: &str = "
     Path(x, y) <- Edge(x, y)
     Path(x, z) <- Path(x, y), Edge(y, z)

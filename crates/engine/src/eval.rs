@@ -1,21 +1,17 @@
-//! Bottom-up evaluation, component by component: naive and semi-naive.
+//! Bottom-up evaluation, component by component, semi-naive.
 //!
 //! The program arrives as the components of its predicate dependency
 //! graph, dependencies first ([`crate::strata`]). The paper's
 //! implementation "extended the naive bottom-up evaluation method to
-//! include evaluation of IE clauses" (§3.1). [`EvalStrategy::Naive`]
-//! reproduces that and nothing else: every component loops until a
-//! round derives nothing new, rule bodies run in the order safety
-//! analysis emitted, every scan builds and drops its own index, and
-//! all of it happens on the calling thread. [`EvalStrategy::SemiNaive`]
-//! is the production evaluator: it fires the rules of a non-recursive
-//! component exactly once — nothing they read can still change — runs
-//! the standard delta refinement (Green et al., *Datalog and Recursive
-//! Query Processing*) on recursive ones, orders steps by estimated
-//! cost, reuses scan indexes across the run, and shards every firing
-//! across the session's lanes. The two are kept behaviourally
-//! identical — the equivalence is property-tested — which makes the
-//! naive strategy the one reference every shortcut is checked against.
+//! include evaluation of IE clauses" (§3.1). This evaluator derives
+//! what that loop derives, with less work: it fires the rules of a
+//! non-recursive component exactly once — nothing they read can still
+//! change — runs the standard delta refinement (Green et al., *Datalog
+//! and Recursive Query Processing*) on recursive ones, orders steps by
+//! estimated cost, reuses scan indexes across the run, and shards every
+//! firing across the session's lanes. The paper's loop itself lives in
+//! the engine's tests, as a reference evaluator that shares none of this
+//! code; the property tests hold every configuration of this one to it.
 //!
 //! Evaluation respects the session's [`EvalLimits`]: a bound on the
 //! rounds of recursive components guards against runaway recursion, a
@@ -45,20 +41,6 @@ use spannerlib_core::Rows;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-
-/// Fixpoint algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalStrategy {
-    /// The reference: re-evaluate every rule of a component against
-    /// full relations until a round derives nothing new, steps in
-    /// textual order, an index per scan, on the calling thread.
-    Naive,
-    /// Production: fire non-recursive components once, evaluate rule
-    /// variants against per-round deltas inside recursive ones; order
-    /// steps by cost, reuse scan indexes, shard firings across lanes.
-    #[default]
-    SemiNaive,
-}
 
 /// Resource limits applied to one fixpoint run (`None` = unlimited).
 /// Configured through `SessionBuilder`.
@@ -167,8 +149,7 @@ impl EvalLimits {
 /// Counters filled during evaluation (consumed by benches and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Rounds across all components (one per non-recursive component
-    /// under [`EvalStrategy::SemiNaive`]).
+    /// Rounds across all components (one per non-recursive component).
     pub rounds: usize,
     /// Rule-plan executions (including semi-naive variants).
     pub rule_firings: usize,
@@ -186,22 +167,18 @@ pub struct EvalStats {
 pub struct EvalCtx<'a> {
     /// IE / aggregate / conversion registry.
     pub registry: &'a Registry,
-    /// Fixpoint algorithm.
-    pub strategy: EvalStrategy,
     /// Resource limits.
     pub limits: EvalLimits,
     /// The run's IE memo table, empty when the run starts.
     pub cache: &'a Mutex<IeMemo>,
     /// Lanes a firing's shards run on, the calling thread included
-    /// (`SessionBuilder::parallelism`); below 2 — and
-    /// [`EvalStrategy::Naive`] at any count — every firing runs on the
+    /// (`SessionBuilder::parallelism`); below 2 every firing runs on the
     /// calling thread.
     pub workers: usize,
 }
 
 /// The state of one evaluation run, shared by every component.
 pub(crate) struct Run<'a> {
-    strategy: EvalStrategy,
     limits: EvalLimits,
     trace: &'a mut RunTrace,
     stats: EvalStats,
@@ -298,8 +275,6 @@ pub(crate) fn run(
         db,
     };
     let db = &mut *lent.db;
-    let production = ctx.strategy == EvalStrategy::SemiNaive;
-    let workers = if production { ctx.workers } else { 0 };
     let tally = ParTally::default();
     // The database's indexes serve the whole run: relations only grow
     // while it executes (derived state was cleared before it, or
@@ -309,7 +284,6 @@ pub(crate) fn run(
     let index_cache = &lent.indexes;
     let (hits, builds) = (index_cache.hits(), index_cache.builds());
     let mut run = Run {
-        strategy: ctx.strategy,
         limits: ctx.limits,
         trace,
         stats: EvalStats::default(),
@@ -319,9 +293,9 @@ pub(crate) fn run(
             delta: None,
             seed: None,
             cache: ctx.cache,
-            indexes: production.then_some(index_cache),
+            indexes: index_cache,
             docs: &lent.docs,
-            workers,
+            workers: ctx.workers,
             tally: &tally,
             deadline: EvalDeadline::start(&ctx.limits),
         },
@@ -339,9 +313,9 @@ pub(crate) fn run(
     // success and the abort path.
     let (hits, builds) = (index_cache.hits() - hits, index_cache.builds() - builds);
     run.trace.index_cache(hits, builds);
-    if workers > 1 {
+    if ctx.workers > 1 {
         run.trace.parallel_summary(
-            workers as u64,
+            ctx.workers as u64,
             tally.shard_tasks.load(Ordering::Relaxed),
             tally.ie_batches.load(Ordering::Relaxed),
         );
@@ -379,22 +353,14 @@ impl Run<'_> {
             span,
             driver: None,
         };
-        let result = match (maintenance, self.strategy, component.recursive) {
-            (Some(maintenance), ..) => maintenance.component(self, db, &mut scope),
-            (None, EvalStrategy::Naive, _) => self.naive(db, &mut scope),
-            (None, EvalStrategy::SemiNaive, false) => self.round(db, &mut scope, None).map(drop),
-            (None, EvalStrategy::SemiNaive, true) => self.seminaive(db, &mut scope),
+        let result = match (maintenance, component.recursive) {
+            (Some(maintenance), _) => maintenance.component(self, db, &mut scope),
+            (None, false) => self.round(db, &mut scope, None).map(drop),
+            (None, true) => self.seminaive(db, &mut scope),
         };
         self.trace.stratum_done(index, t0);
         self.trace.close(span);
         result
-    }
-
-    /// The paper's loop: every rule against the full relations, until a
-    /// round derives nothing new.
-    fn naive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
-        while self.round(db, scope, None)? {}
-        Ok(())
     }
 
     /// Round 1 fires every rule in full (everything read from outside

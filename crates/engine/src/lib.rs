@@ -24,9 +24,10 @@
 //!   aggregation inside one (extensions beyond the paper's core; see
 //!   the README's *Evaluation* section).
 //! * [`eval`] fires the rules of a non-recursive component once and runs
-//!   semi-naive rounds inside recursive ones; naive bottom-up evaluation
-//!   — the algorithm the paper's implementation uses — is kept
-//!   observationally equivalent (property-tested) as the reference.
+//!   semi-naive rounds inside recursive ones. Naive bottom-up evaluation
+//!   — the algorithm the paper's implementation uses — lives in the
+//!   tests, as the reference evaluator every configuration of the engine
+//!   is property-tested against.
 //! * [`maintain`] updates the derived relations after a write from the
 //!   input rows that changed (delete-and-rederive, the delta loop)
 //!   instead of evaluating again from scratch.
@@ -59,7 +60,7 @@ pub mod strata;
 
 pub use database::Database;
 pub use error::{EngineError, LimitCulprit, Result};
-pub use eval::{EvalLimits, EvalStats, EvalStrategy};
+pub use eval::{EvalLimits, EvalStats};
 pub use ie::{filter_output, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
 pub use prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 pub use query::{QueryPlan, Selection};

@@ -1,4 +1,4 @@
-//! Incremental maintenance: after a write, a `SemiNaive` session updates
+//! Incremental maintenance: after a write, a session updates
 //! the derived relations it holds from the input rows that changed,
 //! instead of dropping them and deriving everything again.
 //!
@@ -259,7 +259,7 @@ impl Maintenance<'_> {
         let component = scope.component;
         let old_exec = ExecCtx {
             delta: None,
-            indexes: Some(&self.old.indexes),
+            indexes: &self.old.indexes,
             ..run.exec
         };
         let losses = self.seeded(scope.index, component, false);
@@ -293,10 +293,11 @@ impl Maintenance<'_> {
         // key reaches most of the head, so would the rederivation, and
         // deriving the head again costs less.
         let head = &component.rules[0].head_predicate;
-        let old_head = db.relation(head).ok().zip(run.exec.indexes);
-        let by_key = |s: &Seeded<'_>| old_head.and_then(|(old, ix)| s.by_key(head, old, ix));
+        let old_head = db.relation(head).ok();
+        let by_key =
+            |s: &Seeded<'_>| old_head.and_then(|old| s.by_key(head, old, run.exec.indexes));
         let keyed: Vec<_> = losses.iter().map(by_key).collect();
-        let most = old_head.map_or(0, |(old, _)| old.len()) / 2;
+        let most = old_head.map_or(0, Relation::len) / 2;
         if keyed.iter().flatten().any(|heads| heads.len() > most) {
             return self.recompute(run, db, scope);
         }
@@ -312,7 +313,7 @@ impl Maintenance<'_> {
         let over = over.relation(head).ok();
         if let Some(over) = over {
             let new_ids = db.remove_derived(head, Some(over));
-            renumber(run, head, &new_ids);
+            run.exec.indexes.renumber(head, &new_ids);
         }
         // What the head holds past `kept` is rederived or inserted — and
         // a rederivation may reach heads the old database lacked.
@@ -398,7 +399,7 @@ impl Maintenance<'_> {
         let heads = eval::head_ends(db, scope);
         for head in heads.keys() {
             let new_ids = db.remove_derived(head, None);
-            renumber(run, head, &new_ids);
+            run.exec.indexes.renumber(head, &new_ids);
         }
         run.seminaive(db, scope)?;
         for head in heads.keys() {
@@ -455,13 +456,5 @@ impl<'s> Seeded<'s> {
         let firsts = keys.groups().iter().map(|ids| rows.row(ids[0]));
         let found = firsts.map(|row| index.get(old.rows(), atom_cols.iter().map(|&c| &row[c])));
         Some(old.subset(found.flatten().copied()))
-    }
-}
-
-/// Carries the run's indexes of `relation` through the renumbering of
-/// its rows.
-fn renumber(run: &Run<'_>, relation: &str, new_ids: &[Option<usize>]) {
-    if let Some(indexes) = run.exec.indexes {
-        indexes.renumber(relation, new_ids);
     }
 }

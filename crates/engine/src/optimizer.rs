@@ -8,10 +8,10 @@
 //!
 //! * [`crate::safety`] calls it once per rule at **uniform cost**: the
 //!   lexicographically least safe order of the body as written, which
-//!   the plan stores its steps in and `EvalStrategy::Naive` executes;
-//!   a body without one is an unsafe rule. The metadata it scheduled by
-//!   ([`StepMeta`]: the variables a step **needs** bound and those it
-//!   can **bind**) stays on the plan ([`RuleOpt`]).
+//!   the plan stores its steps in; a body without one is an unsafe
+//!   rule. The metadata it scheduled by ([`StepMeta`]: the variables a
+//!   step **needs** bound and those it can **bind**) stays on the plan
+//!   ([`RuleOpt`]).
 //! * [`order_steps`] calls it per rule firing, when cardinalities are
 //!   known, at the **cardinality cost**: filters first, then IE calls,
 //!   then scans by estimated fan-out (relation size discounted per
@@ -33,9 +33,9 @@
 //! and comparisons are pure, IE functions are stateless mappings of
 //! their inputs (§3.3) whether or not their results are memoised, joins
 //! commute, and the head projection works on set semantics. The
-//! `production_agrees_with_reference_*` property tests
-//! (`crates/engine/tests/properties.rs`) pin that equivalence against
-//! `EvalStrategy::Naive`, which never reorders.
+//! model-based property test (`crates/engine/tests/properties.rs`)
+//! holds every order the planner picks to a reference evaluator of the
+//! tests' own, which runs bodies as nested loops in textual order.
 
 use crate::plan::{PTerm, RulePlan, Step};
 use rustc_hash::FxHashMap;

@@ -181,11 +181,10 @@ pub struct ExecCtx<'a> {
     pub seed: Option<(usize, &'a Relation)>,
     /// The evaluation run's IE memo table.
     pub cache: &'a Mutex<IeMemo>,
-    /// The production evaluator's scan indexes, shared with its shard
-    /// workers. `None` is the reference configuration
-    /// (`EvalStrategy::Naive`): steps run in the order safety analysis
-    /// emitted and every keyed scan builds and drops its own index.
-    pub indexes: Option<&'a IndexCache>,
+    /// The run's indexes of the relations its scans and negations read,
+    /// shared with its shard workers. Only a scan of a maintenance seed,
+    /// which is not the relation it names, builds an index of its own.
+    pub indexes: &'a IndexCache,
     /// The document store, behind its lock for the whole evaluation.
     pub docs: &'a SharedDocs,
     /// Lanes a firing's shards run on, the calling thread included;
@@ -251,7 +250,7 @@ pub fn execute_with(
         }
     };
 
-    let order: Vec<usize> = match plan.opt.as_ref().filter(|_| ctx.indexes.is_some()) {
+    let order: Vec<usize> = match &plan.opt {
         Some(opt) => {
             let order = optimizer::order_steps(plan, opt, scan_rows);
             tr.trace
@@ -324,8 +323,7 @@ pub(crate) fn run_steps(
             } => batch.rows = ie_join(plan, (function, inputs, outputs), &batch, ctx, tr)?,
             Step::Negation { relation, terms } => {
                 if let Some(rel) = relations.get(relation) {
-                    let cached = ctx.indexes.map(|cache| (cache, relation.as_str()));
-                    anti_join(&mut batch, rel, terms, cached);
+                    anti_join(&mut batch, (relation, rel), terms, ctx.indexes);
                 }
             }
             Step::Compare { left, op, right } => {
@@ -589,12 +587,11 @@ impl<'p> Columns<'p> {
 /// constants share an index. A scan without a key walks its range once
 /// per binding row. A keyed one probes the run's index of the relation
 /// and keeps the ids inside its range — a delta, a shard's cut: a key's
-/// ids ascend, so two binary searches slice them. A seed, and the
-/// reference evaluator, probe an index built here over the range. The
-/// rows examined go to [`ParTally::rows_scanned`], however the firing
-/// was cut. Distinct binding rows extended by distinct tuples are
-/// distinct unless a `_` hides the difference: only then is the output
-/// deduplicated.
+/// ids ascend, so two binary searches slice them. A seed probes an
+/// index built here over the range. The rows examined go to
+/// [`ParTally::rows_scanned`], however the firing was cut. Distinct
+/// binding rows extended by distinct tuples are distinct unless a `_`
+/// hides the difference: only then is the output deduplicated.
 fn scan_join(
     plan: &RulePlan,
     relation: &str,
@@ -638,9 +635,9 @@ fn scan_join(
                 .try_for_each(|tuple| emit(input, tuple))
         })
     } else {
-        let index = match ctx.indexes.filter(|_| !seed) {
-            Some(cache) => cache.index(relation, rel, &cols.key_cols()),
-            None => TupleIndex::build(rows, range.clone(), &cols.key_cols()).into(),
+        let index = match seed {
+            false => ctx.indexes.index(relation, rel, &cols.key_cols()),
+            true => TupleIndex::build(rows, range.clone(), &cols.key_cols()).into(),
         };
         batch.rows.iter().try_for_each(|input| {
             let ids = index.get(rows, cols.key_of(input));
@@ -656,15 +653,14 @@ fn scan_join(
 }
 
 /// Hash anti-join for `not relation(terms)`: drops every row for which
-/// `rel` holds a matching tuple. The non-wildcard columns form the key;
-/// the relation is indexed on them — by the run's cache, given it and
-/// the name `rel` is stored under, else for the step alone — and probed
-/// once per row.
+/// `rel`, stored as `relation`, holds a matching tuple. The non-wildcard
+/// columns form the key; the run's index of the relation on them is
+/// probed once per row.
 fn anti_join(
     batch: &mut Batch,
-    rel: &Relation,
+    (relation, rel): (&str, &Relation),
     terms: &[PTerm],
-    cached: Option<(&IndexCache, &str)>,
+    indexes: &IndexCache,
 ) {
     let cols = Columns::of(terms, &batch.bound);
     // Relations are uniform in arity: either every tuple can match or
@@ -673,10 +669,7 @@ fn anti_join(
     if unbound || rel.is_empty() || rel.schema().arity() != terms.len() {
         return;
     }
-    let index = match cached {
-        Some((cache, relation)) => cache.index(relation, rel, &cols.key_cols()),
-        None => TupleIndex::build(rel.rows(), 0..rel.len(), &cols.key_cols()).into(),
-    };
+    let index = indexes.index(relation, rel, &cols.key_cols());
     let matched = |row: &[Value]| !index.get(rel.rows(), cols.key_of(row)).is_empty();
     batch.rows.retain(|_, row| !matched(row));
 }

@@ -210,7 +210,7 @@ fn execute(
     plan: &RulePlan,
     relations: &FxHashMap<String, Relation>,
     delta: &Option<(usize, Range<usize>)>,
-    indexes: Option<&IndexCache>,
+    indexes: &IndexCache,
 ) -> BTreeSet<Vec<Value>> {
     let (registry, docs, tally) = (Registry::new(), SharedDocs::default(), ParTally::default());
     let memo = Mutex::default();
@@ -242,16 +242,14 @@ fn execute(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `execute_with` — in textual order with an index per scan, and
-    /// planned with the run's extended indexes — derives exactly
-    /// the head tuples the definition gives, over constants,
-    /// wildcards, variables repeated within an atom, negation and
-    /// comparisons, for full firings and delta variants. Production
-    /// and `EvalStrategy::Naive` share `run_steps`, so holding them
-    /// to each other cannot see a bug in it; this can. (Planted to
-    /// check that it does: a delta range taken one row short, and
-    /// `TupleIndex::group_of` accepting the first candidate its
-    /// table offers without comparing key cells.)
+    /// `execute_with` — in textual order, and planned, each with the
+    /// run's extended indexes — derives exactly the head tuples the
+    /// definition gives, over constants, wildcards, variables
+    /// repeated within an atom, negation and comparisons, for full
+    /// firings and delta variants. (Planted to check that it does: a
+    /// delta range taken one row short, and `TupleIndex::group_of`
+    /// accepting the first candidate its table offers without
+    /// comparing key cells.)
     #[test]
     fn execute_with_agrees_with_nested_loops(
         arities in prop::collection::vec(1usize..4, 3),
@@ -279,11 +277,12 @@ proptest! {
             (at % scans, from..from + len % (rows - from + 1))
         });
         let expected = nested_loops(&plan, &relations, &delta);
-        prop_assert_eq!(&execute(&plan, &relations, &delta, None), &expected, "reference");
+        let textual = execute(&plan, &relations, &delta, &IndexCache::default());
+        prop_assert_eq!(&textual, &expected, "textual order");
         optimizer::annotate(&mut plan);
         let indexes = IndexCache::default();
         for _ in 0..2 {
-            let got = execute(&plan, &relations, &delta, Some(&indexes));
+            let got = execute(&plan, &relations, &delta, &indexes);
             prop_assert_eq!(&got, &expected, "planned: {:?}", plan.steps);
         }
     }
@@ -315,9 +314,10 @@ proptest! {
             .filter(|row| !exists_match(&rel, &terms, &env(row)))
             .collect();
         let indexes = IndexCache::default();
-        for cached in [None, Some((&indexes, "R"))] {
+        // The second probe reads the index the first built.
+        for _ in 0..2 {
             let mut kept = Batch { rows: batch.clone(), bound: bound.clone() };
-            anti_join(&mut kept, &rel, &terms, cached);
+            anti_join(&mut kept, ("R", &rel), &terms, &indexes);
             prop_assert_eq!(kept.rows.iter().collect::<Vec<_>>(), expected.clone(), "terms {:?}", terms);
         }
     }

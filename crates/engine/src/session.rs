@@ -63,7 +63,7 @@
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
-use crate::eval::{EvalLimits, EvalStats, EvalStrategy};
+use crate::eval::{EvalLimits, EvalStats};
 use crate::ie::{IeContext, IeFunction, IeOutput};
 use crate::prepared::CompiledProgram;
 use crate::query::QueryPlan;
@@ -82,14 +82,13 @@ mod read;
 
 pub use read::SessionStats;
 
-/// Configures and builds a [`Session`]: evaluation strategy, resource
-/// limits, and IE registry seeding, in one fluent pass.
+/// Configures and builds a [`Session`]: resource limits, tracing,
+/// parallelism, and IE registry seeding, in one fluent pass.
 ///
 /// ```
-/// # use spannerlog_engine::{Session, EvalStrategy};
+/// # use spannerlog_engine::Session;
 /// # use spannerlib_core::Value;
 /// let mut session = Session::builder()
-///     .strategy(EvalStrategy::SemiNaive)
 ///     .max_fixpoint_rounds(10_000)
 ///     .max_materialized_rows(1_000_000)
 ///     .register("shout", Some(1), |args, _ctx| {
@@ -112,7 +111,6 @@ impl Default for SessionBuilder {
             last: driver::NOT_EVALUATED,
             registry: Registry::new(),
             rules: Vec::new(),
-            strategy: EvalStrategy::default(),
             limits: EvalLimits::default(),
             compiled: None,
             last_stats: EvalStats::default(),
@@ -130,19 +128,9 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder with builtin IE functions and semi-naive evaluation.
+    /// A builder with builtin IE functions.
     pub fn new() -> SessionBuilder {
         SessionBuilder::default()
-    }
-
-    /// Selects the evaluator: [`EvalStrategy::SemiNaive`] (the default)
-    /// is the production path; [`EvalStrategy::Naive`] is the reference
-    /// it is tested against — the paper's loop-until-unchanged, rule
-    /// bodies in textual order, no index reuse, no sharding (see
-    /// ablation A).
-    pub fn strategy(mut self, strategy: EvalStrategy) -> SessionBuilder {
-        self.session.strategy = strategy;
-        self
     }
 
     /// Bounds the number of fixpoint rounds per evaluation, summed over
@@ -202,10 +190,9 @@ impl SessionBuilder {
     /// calling thread and `workers − 1` threads spawned for the firing;
     /// an aggregate head folds the shards' rows on the calling thread.
     /// `0` or `1` keeps every firing on the calling thread (one shard),
-    /// as do [`EvalStrategy::Naive`] and a maintained evaluation, whose
-    /// firings cover a few changed rows. Parallel and serial evaluation derive
-    /// identical tuple sets (property-tested). See the module docs'
-    /// threading contract.
+    /// as does a maintained evaluation, whose firings cover a few changed
+    /// rows. Parallel and serial evaluation derive identical tuple sets
+    /// (property-tested). See the module docs' threading contract.
     pub fn parallelism(mut self, workers: usize) -> SessionBuilder {
         self.session.parallelism = workers;
         self
@@ -266,7 +253,6 @@ pub struct Session {
     last: driver::OrFull<driver::LastRun>,
     registry: Registry,
     rules: Vec<Rule>,
-    strategy: EvalStrategy,
     limits: EvalLimits,
     /// The current rule set's compilation; dropped whenever it could
     /// change: rules added or cleared, registrations, or the set of
@@ -311,21 +297,15 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A fresh session with builtin IE functions and semi-naive
-    /// evaluation.
+    /// A fresh session with builtin IE functions.
     pub fn new() -> Session {
         Session::builder().build()
     }
 
-    /// Starts configuring a session (strategy, limits, registry seeds).
+    /// Starts configuring a session (limits, tracing, parallelism,
+    /// registry seeds).
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// A fresh session with an explicit evaluation strategy (the naive
-    /// strategy reproduces the paper's implementation; see ablation A).
-    pub fn with_strategy(strategy: EvalStrategy) -> Session {
-        Session::builder().strategy(strategy).build()
     }
 
     /// Adjusts the wall-clock budget of *subsequent* evaluations (see

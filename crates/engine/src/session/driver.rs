@@ -11,7 +11,7 @@
 use super::Session;
 use crate::database::{cleared, Database};
 use crate::error::Result;
-use crate::eval::{evaluate, EvalCtx, EvalStats, EvalStrategy};
+use crate::eval::{evaluate, EvalCtx, EvalStats};
 use crate::maintain::Seeds;
 use crate::plan::Step;
 use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery};
@@ -30,8 +30,6 @@ pub enum FullReason {
     /// The rules, the registrations or the relation names changed since
     /// the last evaluation, or it evaluated another program.
     ProgramChanged,
-    /// The session evaluates with `EvalStrategy::Naive`, the reference.
-    NaiveStrategy,
     /// The last evaluation failed or was aborted, so the derived
     /// relations are partial.
     PreviousRunFailed,
@@ -56,7 +54,6 @@ impl FullReason {
         match self {
             FullReason::FirstEvaluation => "first evaluation",
             FullReason::ProgramChanged => "program changed",
-            FullReason::NaiveStrategy => "naive strategy",
             FullReason::PreviousRunFailed => "previous run failed",
             FullReason::InputIsRuleHead => "input relation is a rule head",
             FullReason::UncachedFunction => "program calls an uncached IE function",
@@ -178,9 +175,6 @@ impl Session {
     /// evaluation of `program` can be maintained whatever the inputs do,
     /// why not.
     fn basis_for(&self, program: &CompiledProgram) -> OrFull<Arc<Database>> {
-        if self.strategy == EvalStrategy::Naive {
-            return Err(FullReason::NaiveStrategy);
-        }
         let mut rules = program.components.iter().flat_map(|c| &c.rules);
         if rules
             .clone()
@@ -278,7 +272,6 @@ impl Session {
         let memo = Mutex::default();
         let ctx = EvalCtx {
             registry: &self.registry,
-            strategy: self.strategy,
             limits: self.limits,
             cache: &memo,
             workers: self.parallelism,

@@ -1,8 +1,8 @@
 //! Aggregate heads against a fold written here: `count`, `sum`, `min`,
 //! `max` and `lex_concat` over random heads and random body relations,
-//! on one lane and on two. The other suites hold the production
-//! evaluator to `EvalStrategy::Naive`, which folds aggregates with the
-//! same code, so only a reference of its own can see a bug in the fold.
+//! on one lane and on two: a second oracle for the fold, beside the
+//! reference evaluator (`support`) the model-based test in
+//! `properties.rs` holds every relation to.
 
 use proptest::prelude::*;
 use spannerlib_core::Value;

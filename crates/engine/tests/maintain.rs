@@ -1,13 +1,16 @@
 //! Incremental maintenance, case by case: what a write removes and adds
 //! is carried through delete-and-rederive, negation, aggregation and
-//! recursion to the same relations a fresh `EvalStrategy::Naive` session
-//! derives; every reason for a full evaluation is reported as such; and
-//! a maintained evaluation that fails leaves the session exact.
+//! recursion to the same relations the reference evaluator derives from
+//! the inputs as they stand; every reason for a full evaluation is
+//! reported as such; and a maintained evaluation that fails leaves the
+//! session exact.
+
+mod support;
 
 use spannerlib_core::Value;
 use spannerlog_engine::aggregate::AggFunction;
 use spannerlog_engine::{
-    CacheStats, EngineError, EvalMode, EvalStrategy, FullReason, Session, TraceLevel,
+    CacheStats, EngineError, EvalMode, FullReason, Registry, Session, TraceLevel,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,15 +23,25 @@ fn rows(session: &mut Session, name: &str) -> Vec<Vec<String>> {
     rel.sorted_tuples().iter().map(render).collect()
 }
 
-/// `session` holds what a fresh `Naive` session over the same `cell` of
-/// declarations and facts derives with `program`, in every relation of
-/// `names`.
+/// `session` holds what the reference derives from the same `cell` of
+/// declarations and facts with `program`, in every relation of `names`.
 fn assert_reference(session: &mut Session, cell: &str, program: &str, names: &[&str]) {
-    let mut reference = Session::with_strategy(EvalStrategy::Naive);
-    reference.run(cell).unwrap();
-    reference.run(program).unwrap();
+    assert_derives(
+        session,
+        &format!("{cell}\n{program}"),
+        &Registry::new(),
+        names,
+    );
+}
+
+/// `session` holds what the reference derives from `source`, calling the
+/// functions of `registry`, in every relation of `names`.
+fn assert_derives(session: &mut Session, source: &str, registry: &Registry, names: &[&str]) {
+    let reference = support::evaluate(source, &[], registry).unwrap();
     for name in names {
-        assert_eq!(rows(session, name), rows(&mut reference, name), "{name}");
+        let rel = session.relation(name).unwrap();
+        let rows = support::canonical(rel.iter(), session.docs());
+        assert_eq!(rows, reference.canonical(name), "{name}");
     }
 }
 
@@ -154,13 +167,6 @@ fn a_re_registered_aggregate_reaches_every_group_of_a_stale_prepared_query() {
     query.execute(&mut session).unwrap();
     assert_eq!(mode(&session), EvalMode::Full(FullReason::ProgramChanged));
 
-    let mut reference = Session::with_strategy(EvalStrategy::Naive);
-    reference.register_aggregate("count", Arc::new(Tenfold));
-    reference
-        .run("new G(str, int)\nG(\"a\", 1) G(\"b\", 1) G(\"b\", 2)")
-        .unwrap();
-    reference.run(program).unwrap();
-    assert_eq!(rows(&mut session, "C"), rows(&mut reference, "C"));
     assert_eq!(
         rows(&mut session, "C"),
         [["Str(\"a\")", "Int(10)"], ["Str(\"b\")", "Int(20)"]]
@@ -339,13 +345,6 @@ fn every_reason_for_a_full_evaluation_is_named() {
     write(&mut session);
     assert_eq!(full(&session), Some(FullReason::DocumentsCompacted));
 
-    let mut naive = Session::with_strategy(EvalStrategy::Naive);
-    naive.run(cell).unwrap();
-    naive.run("D(x) <- S(x)").unwrap();
-    write(&mut naive);
-    write(&mut naive);
-    assert_eq!(full(&naive), Some(FullReason::NaiveStrategy));
-
     let mut heads = Session::new();
     heads
         .run("new S(int)\nnew T(int)\nS(1)\nT(x) <- S(x)")
@@ -396,17 +395,14 @@ fn a_panic_inside_a_maintained_evaluation_leaves_the_session_exact() {
         mode(&session),
         EvalMode::Full(FullReason::PreviousRunFailed)
     );
-    let mut reference = Session::with_strategy(EvalStrategy::Naive);
-    reference.register("fragile", Some(1), |args, _| {
+    let mut registry = Registry::new();
+    registry.register_closure("fragile", Some(1), |args, _| {
         Ok(vec![vec![Value::Int(
             args[0].as_str().unwrap_or_default().len() as i64,
         )]])
     });
-    reference
-        .run("new Texts(str)\nTexts(\"calm\") Texts(\"new\")")
-        .unwrap();
-    reference.run(FRAGILE_RULES).unwrap();
-    assert_eq!(rows(&mut session, "F"), rows(&mut reference, "F"));
+    let source = format!("new Texts(str)\nTexts(\"calm\") Texts(\"new\")\n{FRAGILE_RULES}");
+    assert_derives(&mut session, &source, &registry, &["F"]);
 }
 
 #[test]
@@ -449,13 +445,13 @@ fn a_deadline_expiring_inside_a_maintained_evaluation_leaves_the_session_exact()
         mode(&session),
         EvalMode::Full(FullReason::PreviousRunFailed)
     );
-    let mut reference = Session::with_strategy(EvalStrategy::Naive);
-    register(&mut reference);
-    reference
-        .run("new Texts(str)\nTexts(\"a\") Texts(\"bb\") Texts(\"ccc\") Texts(\"dddd\")")
-        .unwrap();
-    reference.run(program).unwrap();
-    assert_eq!(rows(&mut session, "Slow"), rows(&mut reference, "Slow"));
+    let texts = "new Texts(str)\nTexts(\"a\") Texts(\"bb\") Texts(\"ccc\") Texts(\"dddd\")";
+    let reference = support::evaluate(&format!("{texts}\n{program}"), &[], session.registry());
+    let slow = session.relation("Slow").unwrap();
+    assert_eq!(
+        support::canonical(slow.iter(), session.docs()),
+        reference.unwrap().canonical("Slow")
+    );
 }
 
 /// A full evaluation over a database a snapshot shares builds the new

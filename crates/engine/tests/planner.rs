@@ -6,10 +6,10 @@
 
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, Rows, Schema, Tuple, Value, ValueType};
-use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, NO_SPAN};
+use spannerlib_trace::{RunTrace, TraceLevel, NO_SPAN};
 use spannerlog_engine::optimizer::{self, IndexCache, RuleOpt, StepMeta};
 use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
-use spannerlog_engine::{EngineError, EvalStrategy, Registry, Session, SharedDocs};
+use spannerlog_engine::{EngineError, Registry, Session, SharedDocs};
 
 /// A hand-built (unannotated) plan skeleton for malformed-plan tests.
 fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePlan {
@@ -26,8 +26,8 @@ fn bare_plan(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePl
 }
 
 /// Where one scan of [`run_expect_err`] reads: the full relations
-/// (through `indexes`, when given) or, for the scan at the step `delta`
-/// names, that run of row ids.
+/// (through `indexes`, when given, else a fresh cache) or, for the scan
+/// at the step `delta` names, that run of row ids.
 #[derive(Default)]
 struct Inputs<'a> {
     relations: FxHashMap<String, Relation>,
@@ -46,12 +46,13 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     let docs = SharedDocs::default();
     let tally = ParTally::default();
     let memo = parking_lot::Mutex::default();
+    let fresh = IndexCache::default();
     let ctx = ExecCtx {
         registry: &registry,
         delta: inputs.delta.clone(),
         seed: None,
         cache: &memo,
-        indexes: inputs.indexes,
+        indexes: inputs.indexes.unwrap_or(&fresh),
         docs: &docs,
         workers: inputs.workers,
         tally: &tally,
@@ -259,52 +260,10 @@ Path(x, z) <- Path(x, y), Edge(y, z)";
     assert!(table.contains("indexes built"), "planner summary:\n{table}");
 }
 
-/// `EvalStrategy::Naive` is the reference configuration: the same
-/// relations, but no step leaves its textual position, no index is
-/// kept, and nothing is sharded even with four lanes to shard across.
-#[test]
-fn naive_strategy_never_reorders_and_never_shards() {
-    let program = r#"new Pats(str)
-Pats("b+")
-Word(d, w) <- Texts(d, t), rgx_string("([a-z]+)", t) -> (w)
-Late(d, p) <- Texts(d, _), Pats(p)"#;
-    let run = |strategy: EvalStrategy| {
-        let mut session = Session::builder()
-            .strategy(strategy)
-            .parallelism(4)
-            .tracing(TraceLevel::Summary)
-            .build();
-        let texts = [
-            ("d1", "alpha beta"),
-            ("d2", "gamma delta"),
-            ("d3", "epsilon"),
-        ];
-        session.import_typed("Texts", texts.to_vec()).unwrap();
-        session.run(program).unwrap();
-        let rows = ["Word", "Late"].map(|name| session.relation(name).unwrap().sorted_tuples());
-        (rows, session.profile().expect("summary tracing"))
-    };
-    let plans = |profile: &EvalProfile| -> Vec<String> {
-        let rules = profile.strata.iter().flat_map(|s| &s.rules);
-        rules.map(|r| r.plan.clone()).collect()
-    };
-    let (rows, production) = run(EvalStrategy::SemiNaive);
-    let (reference_rows, reference) = run(EvalStrategy::Naive);
-    assert_eq!(rows, reference_rows);
-
-    // The program gives production something to move and to shard…
-    assert!(plans(&production).iter().any(|p| p.contains('*')));
-    assert!(production.par_shards > 0, "{production:?}");
-    // …and the reference does neither.
-    assert!(plans(&reference).iter().all(|p| !p.contains('*')));
-    assert_eq!((reference.index_builds, reference.index_hits), (0, 0));
-    assert_eq!((reference.par_workers, reference.par_shards), (0, 0));
-}
-
 /// A scan whose term count is not the relation's arity is the same
 /// `EngineError::Arity` whichever way the scan gets at its rows: a walk
 /// of the arena, an index built into the cache, one found in the cache,
-/// or one built for a delta and dropped.
+/// or one a delta slices.
 #[test]
 fn arity_mismatch_is_one_error_on_every_scan_route() {
     let mut rel = Relation::new(Schema::new(vec![ValueType::Int; 2]));

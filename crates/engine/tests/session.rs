@@ -1,9 +1,11 @@
 //! End-to-end session tests: every code snippet from the paper, plus
 //! recursion, negation, aggregation, and failure-injection suites.
 
+mod support;
+
 use spannerlib_core::{Schema, Value, ValueType};
 use spannerlib_dataframe::DataFrame;
-use spannerlog_engine::{filter_output, EngineError, EvalStrategy, Session};
+use spannerlog_engine::{filter_output, EngineError, Registry, Session};
 
 fn strings(df: &DataFrame, col: usize) -> Vec<String> {
     df.iter_rows()
@@ -142,21 +144,22 @@ fn recursion_transitive_closure() {
 }
 
 #[test]
-fn naive_and_seminaive_agree_on_recursion() {
+fn recursion_agrees_with_the_reference() {
     let program = r#"
         new Edge(int, int)
         Edge(1, 2) Edge(2, 3) Edge(3, 4) Edge(4, 1) Edge(3, 5)
         Path(x, y) <- Edge(x, y)
         Path(x, z) <- Path(x, y), Edge(y, z)
     "#;
-    let mut naive = Session::with_strategy(EvalStrategy::Naive);
-    naive.run(program).unwrap();
-    let mut semi = Session::with_strategy(EvalStrategy::SemiNaive);
-    semi.run(program).unwrap();
-    let a = naive.relation("Path").unwrap();
-    let b = semi.relation("Path").unwrap();
-    assert_eq!(a.sorted_tuples(), b.sorted_tuples());
-    assert_eq!(a.len(), 20); // 4×4 pairs within the cycle + 4 nodes reaching 5
+    let mut session = Session::new();
+    session.run(program).unwrap();
+    let path = session.relation("Path").unwrap();
+    let reference = support::evaluate(program, &[], &Registry::new()).unwrap();
+    assert_eq!(
+        support::canonical(path.iter(), session.docs()),
+        reference.canonical("Path")
+    );
+    assert_eq!(path.len(), 20); // 4×4 pairs within the cycle + 4 nodes reaching 5
 }
 
 #[test]
@@ -414,7 +417,7 @@ fn spans_compose_through_rules() {
 
 #[test]
 fn eval_stats_populated() {
-    let mut session = Session::with_strategy(EvalStrategy::Naive);
+    let mut session = Session::new();
     session
         .run(
             r#"
@@ -426,16 +429,16 @@ fn eval_stats_populated() {
         )
         .unwrap();
     session.ensure_evaluated().unwrap();
-    // Round 1 derives all three paths (the second rule already sees the
-    // first one's inserts); round 2 re-derives them and stops.
+    // Round 1 fires both rules in full and derives all three paths (the
+    // second rule already sees the first one's inserts); round 2 fires
+    // the second rule's delta variant, finds nothing new, and stops.
     let eval = session.stats().eval;
-    assert_eq!((eval.rounds, eval.rule_firings, eval.tuples_new), (2, 4, 3));
+    assert_eq!((eval.rounds, eval.rule_firings, eval.tuples_new), (2, 3, 3));
 }
 
 /// A program without recursion needs no fixpoint: every rule fires
 /// exactly once, one round per component, whatever mix of joins,
-/// negation, multi-rule heads and aggregation connects them. The naive
-/// strategy pays the confirming second round everywhere.
+/// negation, multi-rule heads and aggregation connects them.
 #[test]
 fn non_recursive_program_fires_every_rule_once() {
     let program = r#"
@@ -463,16 +466,6 @@ fn non_recursive_program_fires_every_rule_once() {
     assert_eq!((eval.rule_firings, eval.rounds), (rules, components));
     let busy: Vec<(i64,)> = session.export_typed("?Stats(n)").unwrap();
     assert_eq!(busy, vec![(3,)]);
-
-    let mut naive = Session::with_strategy(EvalStrategy::Naive);
-    naive.run(program).unwrap();
-    naive.ensure_evaluated().unwrap();
-    let eval = naive.stats().eval;
-    assert_eq!(
-        (eval.rule_firings, eval.rounds),
-        (2 * rules, 2 * components)
-    );
-    assert_eq!(naive.export_typed::<(i64,)>("?Stats(n)").unwrap(), busy);
 }
 
 /// An answer with no rows keeps the relation's column types — whether

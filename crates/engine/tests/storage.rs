@@ -6,9 +6,11 @@
 //! (The `Relation` model test lives here rather than in
 //! `spannerlib-core`, which has no `proptest` dev-dependency.)
 
+mod support;
+
 use proptest::prelude::*;
 use spannerlib_core::{DocId, Relation, Schema, Span, Tuple, Value, ValueType};
-use spannerlog_engine::{EngineError, EvalStrategy, Session, TraceLevel};
+use spannerlog_engine::{EngineError, Registry, Session, TraceLevel};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -95,17 +97,14 @@ fn chain(relation: &str, nodes: usize) -> String {
     format!("new {relation}(int, int)\n{}\n", edges.join(" "))
 }
 
-/// Evaluates `program` under `strategy`; the relations named, sorted,
-/// and the run's `(rounds, index_builds)`.
-fn evaluate(program: &str, names: &[&str], strategy: EvalStrategy) -> (Vec<Vec<Tuple>>, u64, u64) {
-    let mut session = Session::builder()
-        .strategy(strategy)
-        .tracing(TraceLevel::Summary)
-        .build();
+/// Evaluates `program`; the relations named, as the reference writes
+/// them, and the run's `(rounds, index_builds)`.
+fn evaluate(program: &str, names: &[&str]) -> (Vec<BTreeSet<Vec<String>>>, u64, u64) {
+    let mut session = Session::builder().tracing(TraceLevel::Summary).build();
     session.run(program).unwrap();
     let relations = names
         .iter()
-        .map(|name| session.relation(name).unwrap().sorted_tuples())
+        .map(|name| support::canonical(session.relation(name).unwrap().iter(), session.docs()))
         .collect();
     let profile = session.profile().unwrap();
     (relations, profile.rounds, profile.index_builds)
@@ -132,8 +131,9 @@ fn recursive_relations_are_indexed_once_however_many_rounds() {
         let mut rounds_seen = Vec::new();
         for (nodes, pairs) in [8, 64].into_iter().zip(pairs) {
             let program = chain(edge, nodes) + rules;
-            let (rows, rounds, builds) = evaluate(&program, names, EvalStrategy::SemiNaive);
-            let (reference, _, _) = evaluate(&program, names, EvalStrategy::Naive);
+            let (rows, rounds, builds) = evaluate(&program, names);
+            let reference = support::evaluate(&program, &[], &Registry::new()).unwrap();
+            let reference: Vec<_> = names.iter().map(|name| reference.canonical(name)).collect();
             assert_eq!(rows, reference, "{rules} over {nodes} nodes");
             assert_eq!(builds, pairs, "{rules} over {nodes} nodes, {rounds} rounds");
             rounds_seen.push(rounds);
@@ -141,7 +141,7 @@ fn recursive_relations_are_indexed_once_however_many_rounds() {
         assert!(rounds_seen[0] < rounds_seen[1], "{rounds_seen:?}");
     }
     let program = chain("Edge", 64) + closure;
-    let (rows, _, _) = evaluate(&program, &["Path"], EvalStrategy::SemiNaive);
+    let (rows, _, _) = evaluate(&program, &["Path"]);
     assert_eq!(rows[0].len(), 63 * 64 / 2);
 }
 

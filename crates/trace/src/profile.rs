@@ -60,9 +60,8 @@ pub struct EvalProfile {
     pub spans: Vec<SpanEvent>,
     /// Span events dropped by the ring buffer's byte budget.
     pub spans_dropped: u64,
-    /// Scan-join index lookups answered by the planner's per-run index
-    /// cache (zero under the engine's reference strategy, which keeps
-    /// no index).
+    /// Scan-join and anti-join index lookups answered by the run's
+    /// index cache.
     pub index_hits: u64,
     /// Scan-join indexes the run actually built (cache misses).
     pub index_builds: u64,
@@ -126,8 +125,8 @@ pub struct RuleProfile {
     /// Wall time across all firings, in nanoseconds.
     pub total_ns: u64,
     /// The step order the planner chose for the rule's first firing,
-    /// with estimated input cardinalities (empty under the reference
-    /// strategy, which plans nothing, or when the run was untraced).
+    /// with estimated input cardinalities (empty when the run was
+    /// untraced, or for a hand-built plan without planner metadata).
     /// Steps that moved relative to the textual body are starred.
     pub plan: String,
 }

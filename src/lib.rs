@@ -13,7 +13,7 @@
 //! ## The three pillars (paper §3)
 //!
 //! 1. **Spannerlog implementation** — [`spannerlog_engine`] evaluates
-//!    programs bottom-up (naive or semi-naive), with a semantic safety
+//!    programs bottom-up (semi-naive), with a semantic safety
 //!    checker that also sequences IE calls inside each rule body, stratified
 //!    negation, and aggregation.
 //! 2. **Embedding Spannerlog in Rust** — a [`Session`] accepts "cells" of
@@ -33,7 +33,7 @@
 //! ```
 //! use spannerlib::prelude::*;
 //!
-//! // 1. Build: strategy, resource limits, IE registry seeding.
+//! // 1. Build: resource limits, IE registry seeding.
 //! let mut session = Session::builder()
 //!     .max_fixpoint_rounds(10_000)
 //!     .max_materialized_rows(1_000_000)
@@ -140,8 +140,7 @@ pub mod prelude {
     pub use crate::core::{DocumentStore, Relation, Schema, Span, Tuple, Value, ValueType};
     pub use crate::dataframe::{DataFrame, FromRow, FromValue, IntoRow, IntoRows, IntoValue};
     pub use crate::engine::{
-        CacheStats, DocGc, EngineError, EvalMode, EvalProfile, EvalStrategy, IeFunction,
-        PreparedProgram, PreparedQuery, Session, SessionBuilder, SessionStats, Snapshot,
-        TraceLevel,
+        CacheStats, DocGc, EngineError, EvalMode, EvalProfile, IeFunction, PreparedProgram,
+        PreparedQuery, Session, SessionBuilder, SessionStats, Snapshot, TraceLevel,
     };
 }

@@ -1,6 +1,6 @@
-//! The body order safety analysis derives, pinned rule by rule: the
-//! reference loop (`EvalStrategy::Naive`) runs exactly these sequences,
-//! and the production planner starts from them. The table below was
+//! The body order safety analysis derives, pinned rule by rule: a plan
+//! stores its steps in exactly these sequences, and the planner starts
+//! from them. The table below was
 //! computed at the commit before safety analysis and the planner came
 //! to share one scheduler; it must never change by accident.
 
