@@ -109,7 +109,8 @@ pub const GRAPH_PROGRAMS: &[&str] = &[
     ",
 ];
 
-/// The program the model-based test joins with its layered one.
+/// The `pick`th of [`IE_PROGRAMS`], [`RECURSIVE_IE_PROGRAMS`] and
+/// [`GRAPH_PROGRAMS`], in that order.
 pub fn program_at(pick: usize) -> &'static str {
     let all = IE_PROGRAMS
         .iter()

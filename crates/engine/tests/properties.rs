@@ -2,13 +2,18 @@
 //! — at any parallelism and trace level, with IE functions cacheable or
 //! not — across a random sequence of writes to what a reference
 //! evaluator written for tests only (`support`) derives from the inputs
-//! as they stand after each write. Aggregation must match a hand-rolled
-//! fold, and `rgx` direct use of the regex library.
+//! as they stand after each write. Focused tests hold one program
+//! family, or one configuration axis, to the same reference.
+//! Aggregation must match a hand-rolled fold, and `rgx` direct use of
+//! the regex library.
 
 mod programs;
 mod support;
 
-use programs::{layered_program, layered_program_strategy, program_at, PROGRAMS};
+use programs::{
+    layered_program, layered_program_strategy, program_at, IE_PROGRAMS, PROGRAMS,
+    RECURSIVE_IE_PROGRAMS,
+};
 use proptest::prelude::*;
 use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
 use spannerlog_engine::{EvalMode, IeContext, IeFunction, IeOutput, Session, TraceLevel};
@@ -142,6 +147,14 @@ impl IeFunction for Uncached {
 /// Every cacheable function the programs call.
 const CACHEABLE: [&str; 5] = ["rgx", "rgx_string", "rgx_is_match", "range", "expand"];
 
+/// Registers every cacheable function of `session` again as uncached.
+fn register_uncached(session: &mut Session) {
+    for name in CACHEABLE {
+        let f = session.registry().ie(name).unwrap().clone();
+        session.register_ie(name, Arc::new(Uncached(f)));
+    }
+}
+
 /// A session configuration: parallelism, trace level, and whether the
 /// cacheable functions are registered again as uncached.
 type Config = (usize, TraceLevel, bool);
@@ -158,6 +171,54 @@ fn engine_rows(session: &mut Session, name: &str) -> BTreeSet<Vec<String>> {
         return BTreeSet::new();
     };
     support::canonical(rel.iter(), session.docs())
+}
+
+/// Holds every relation of `reference` to the session's, spans compared
+/// by their text; `context` says where in a test the check fails.
+fn check_against(
+    session: &mut Session,
+    reference: &support::Model,
+    context: &dyn std::fmt::Display,
+) {
+    for name in reference.relations.keys() {
+        prop_assert_eq!(
+            engine_rows(session, name),
+            reference.canonical(name),
+            "relation {} {}",
+            name,
+            context
+        );
+    }
+}
+
+/// Evaluates `program` over `edges` and holds it to the reference.
+fn graph_matches_reference(edges: &[(u8, u8)], program: &str) {
+    let mut session = Session::new();
+    load_graph(&mut session, edges);
+    session.run(program).unwrap();
+    let inputs = Inputs {
+        edges: edges.iter().copied().collect(),
+        texts: Vec::new(),
+        skip: 0,
+    };
+    check_against(
+        &mut session,
+        &inputs.reference(program),
+        &format!("program:\n{program}"),
+    )
+}
+
+/// `Texts` with one row per document `d{i}`.
+fn one_text_per_doc(texts: &[Vec<u8>]) -> Inputs {
+    let texts = texts
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (format!("d{i}"), render_text(t)));
+    Inputs {
+        edges: BTreeSet::new(),
+        texts: texts.collect(),
+        skip: 0,
+    }
 }
 
 proptest! {
@@ -191,10 +252,7 @@ proptest! {
         let mut inputs = Inputs { edges: edges.iter().copied().collect(), texts: texts.collect(), skip: 0 };
         let mut session = Session::builder().parallelism(parallelism).tracing(level).build();
         if uncached {
-            for name in CACHEABLE {
-                let f = session.registry().ie(name).unwrap().clone();
-                session.register_ie(name, Arc::new(Uncached(f)));
-            }
+            register_uncached(&mut session);
         }
         load_graph(&mut session, &edges);
         session.import_typed("Texts", inputs.texts()).unwrap();
@@ -204,15 +262,8 @@ proptest! {
                 inputs.write(&mut session, write);
             }
             let seq = session.eval_seq();
-            let reference = inputs.reference(&program);
-            for name in reference.relations.keys() {
-                prop_assert_eq!(
-                    engine_rows(&mut session, name),
-                    reference.canonical(name),
-                    "relation {} after {} of {:?}, at {:?}\nprogram:\n{}",
-                    name, step, writes, inputs, program
-                );
-            }
+            let context = format!("after {step} of {writes:?}, at {inputs:?}\nprogram:\n{program}");
+            check_against(&mut session, &inputs.reference(&program), &context);
             let mode = session.stats().eval.mode;
             if step > 0 && session.eval_seq() > seq && !uncached {
                 prop_assert!(matches!(mode, EvalMode::Maintained { .. }), "{:?}", mode);
@@ -221,6 +272,146 @@ proptest! {
         if uncached {
             let memo = session.stats().cache;
             prop_assert_eq!(memo.hits + memo.misses, 0, "{:?}", memo);
+        }
+    }
+
+    /// Transitive closure: the engine's semi-naive delta rounds derive
+    /// what the reference's naive loop derives, on random graphs.
+    #[test]
+    fn strategies_agree_on_transitive_closure(edges in edges_strategy()) {
+        graph_matches_reference(&edges, "
+            Path(x, y) <- Edge(x, y)
+            Path(x, z) <- Path(x, y), Edge(y, z)
+        ");
+    }
+
+    /// Same-generation: recursion through a three-way join.
+    #[test]
+    fn strategies_agree_on_same_generation(edges in edges_strategy()) {
+        graph_matches_reference(&edges, "
+            Sg(x, x) <- Edge(x, _)
+            Sg(x, x) <- Edge(_, x)
+            Sg(x, y) <- Edge(px, x), Sg(px, py), Edge(py, y)
+        ");
+    }
+
+    /// Mutual recursion: two predicates in one component, each fed only
+    /// by the other's delta.
+    #[test]
+    fn strategies_agree_on_mutual_recursion(edges in edges_strategy()) {
+        graph_matches_reference(&edges, "
+            Even(0) <- Edge(0, _)
+            Odd(y) <- Even(x), Edge(x, y)
+            Even(y) <- Odd(x), Edge(x, y)
+        ");
+    }
+
+    /// Stratified negation over a recursive relation.
+    #[test]
+    fn strategies_agree_with_negation(edges in edges_strategy()) {
+        graph_matches_reference(&edges, "
+            Reach(y) <- Edge(0, y)
+            Reach(z) <- Reach(y), Edge(y, z)
+            Node(x) <- Edge(x, _)
+            Node(y) <- Edge(_, y)
+            Dead(x) <- Node(x), not Reach(x)
+        ");
+    }
+
+    /// Random layered programs — multi-rule heads, negation chains,
+    /// recursive and non-recursive components side by side: the
+    /// fire-once shortcut and the delta loop derive what the reference
+    /// derives, relation for relation.
+    #[test]
+    fn strategies_agree_on_random_layered_programs(
+        edges in edges_strategy(),
+        heads in layered_program_strategy(),
+    ) {
+        graph_matches_reference(&edges, &layered_program(&heads));
+    }
+
+    /// Recursion, a self-join and negation of a recursive relation in
+    /// one program: cost-ordered steps and scan indexes reused across
+    /// rounds derive what the reference's nested loops derive.
+    #[test]
+    fn production_agrees_with_reference_on_graphs(edges in edges_strategy()) {
+        graph_matches_reference(&edges, "
+            Path(x, y) <- Edge(x, y)
+            Path(x, z) <- Path(x, y), Edge(y, z)
+            Node(x) <- Edge(x, _)
+            Node(y) <- Edge(_, y)
+            Dead(x) <- Node(x), not Path(x, x)
+        ");
+    }
+
+    /// IE-heavy programs: reordering around IE calls and negation,
+    /// grouped and memoised calls, and sharding by document derive what
+    /// the reference derives calling each function once per row.
+    #[test]
+    fn production_agrees_with_reference_on_ie_programs(
+        texts in texts_strategy(),
+        prog in 0..IE_PROGRAMS.len(),
+    ) {
+        let program = IE_PROGRAMS[prog];
+        let inputs = one_text_per_doc(&texts);
+        let mut session = Session::new();
+        session.import_typed("Texts", inputs.texts()).unwrap();
+        session.run(program).unwrap();
+        check_against(&mut session, &inputs.reference(program), &format!("program:\n{program}"));
+    }
+
+    /// The IE memo is semantically invisible: a session, and one whose
+    /// cacheable IE functions are registered again uncached — memo and
+    /// batching both off — both hold the reference across re-imports
+    /// of `Texts`. The first asks the memo; the second never does.
+    #[test]
+    fn cache_on_and_off_agree_tuple_for_tuple(
+        texts in texts_strategy(),
+        prog in 0..IE_PROGRAMS.len(),
+    ) {
+        let program = IE_PROGRAMS[prog];
+        let mut inputs = one_text_per_doc(&texts);
+        let mut cached = Session::new();
+        let mut uncached = Session::new();
+        register_uncached(&mut uncached);
+        for round in 0..3 {
+            inputs.skip = round;
+            let reference = inputs.reference(program);
+            for session in [&mut cached, &mut uncached] {
+                session.import_typed("Texts", inputs.texts()).unwrap();
+                if round == 0 {
+                    session.run(program).unwrap();
+                }
+                check_against(session, &reference, &format!("on round {round}\nprogram:\n{program}"));
+            }
+        }
+        let (on, off) = (cached.stats().cache, uncached.stats().cache);
+        prop_assert!(on.hits + on.misses > 0, "{:?}", on);
+        prop_assert_eq!(off.hits + off.misses, 0, "{:?}", off);
+    }
+
+    /// Parallel evaluation is semantically invisible: at several worker
+    /// counts (some above the row count) a session holds the reference
+    /// on the IE programs and on those recursive through IE calls.
+    /// Shards are ranges of the scanned rows, so the rows are made to
+    /// cut badly: several per document, a text under more than one
+    /// document, and counts that are no multiple of a range.
+    #[test]
+    fn parallelism_is_semantically_invisible(
+        texts in texts_strategy(),
+        rows in prop::collection::vec((0u8..3, 0usize..6), 1..14),
+        prog in 0..IE_PROGRAMS.len() + RECURSIVE_IE_PROGRAMS.len(),
+    ) {
+        let program = program_at(prog);
+        let texts = rows.iter().map(|&(d, i)| (format!("d{d}"), render_text(&texts[i % texts.len()])));
+        let inputs = Inputs { edges: BTreeSet::new(), texts: texts.collect(), skip: 0 };
+        let reference = inputs.reference(program);
+        for workers in [0usize, 2, 4, 7] {
+            let mut session = Session::builder().parallelism(workers).build();
+            session.import_typed("Texts", inputs.texts()).unwrap();
+            session.run(program).unwrap();
+            let context = format!("at parallelism({workers})\nprogram:\n{program}");
+            check_against(&mut session, &reference, &context);
         }
     }
 

@@ -1,12 +1,15 @@
 //! Observability integration tests: `EvalProfile` agreement with
 //! `EvalStats`, partial profiles and culprit attribution on aborted
-//! runs, stats draining, and the span-buffer budget. That tracing never
-//! changes what a session derives is part of the model-based test in
-//! `properties.rs`.
+//! runs, stats draining, the span-buffer budget, and the property that
+//! tracing never changes query results.
 
+mod support;
+
+use proptest::prelude::*;
 use spannerlib_core::Value;
 use spannerlib_trace::{SpanKind, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES, NO_SPAN};
 use spannerlog_engine::{EngineError, EvalStats, Session};
+use std::fmt::Write as _;
 
 /// Transitive closure over a six-edge chain: one recursive component,
 /// deep enough to need several rounds.
@@ -379,4 +382,37 @@ fn profile_renders_a_table_and_exports_json_lines() {
     assert!(json.contains(r#""type":"profile""#));
     assert!(json.contains(r#""type":"rule""#));
     assert!(json.contains(r#""type":"span""#));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Tracing is observation only: for random edge sets, the derived
+    /// relation is the reference's with tracing off, at summary level
+    /// and at full span capture.
+    #[test]
+    fn tracing_level_never_changes_results(
+        edges in prop::collection::vec((0..6i64, 0..6i64), 1..12),
+    ) {
+        let mut facts = String::new();
+        for (a, b) in &edges {
+            write!(facts, "Edge({a}, {b}) ").unwrap();
+        }
+        let program = format!(
+            "new Edge(int, int)\n{facts}\nPath(x, y) <- Edge(x, y)\nPath(x, z) <- Path(x, y), Edge(y, z)"
+        );
+        let reference = support::evaluate(&program, &[], &Default::default()).unwrap();
+        let mut expected: Vec<(i64, i64)> = reference.relations["Path"]
+            .iter()
+            .map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap()))
+            .collect();
+        expected.sort_unstable();
+        for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
+            let mut session = Session::builder().tracing(level).build();
+            session.run(&program).unwrap();
+            let mut rows: Vec<(i64, i64)> = session.export_typed("?Path(x, y)").unwrap();
+            rows.sort_unstable();
+            prop_assert_eq!(&rows, &expected, "at {:?}", level);
+        }
+    }
 }
