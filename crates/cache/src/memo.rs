@@ -1,22 +1,27 @@
-//! The content-addressed IE memo table of one evaluation run.
+//! The IE memo of one evaluation run: the table of its *shared calls*.
 //!
 //! IE functions are stateless mappings from an input tuple to a relation
-//! of output rows, so `(function name, argument values, output arity)`
-//! fully determines the result. One evaluation asks the same question
-//! more than once — two rules calling one function over the same
-//! sentence, the rounds of a recursive component, two shards of one
-//! firing — and the memo answers the repeats. It lives exactly as long
+//! of output rows, so a call and its argument values fully determine the
+//! result. A *call* is what an IE atom asks — the function, the
+//! constants at its input positions, its output arity — and the planner
+//! numbers, per program, the calls more than one site asks: two rules
+//! calling one function over the same sentence, or one site inside a
+//! recursive component, whose rounds ask again. Only those reach the
+//! memo; a call no other site asks is answered once per distinct argument
+//! vector of its batch and kept nowhere. The memo lives exactly as long
 //! as the run: the engine starts each evaluation with an empty table and
 //! drops it when the run ends, so no entry outlives the program, the
 //! registered functions or the documents it was computed under.
 //!
-//! Entries live in arenas, one table per `(function, argument count,
-//! output arity)`: the argument vectors of a table are the rows of one
-//! [`Rows`] with a [`RowTable`] over them, the output rows of all its
-//! entries sit back to back in a second `Rows`, and an entry is a range
-//! of that store's row ids — the shape relations have. Nothing is
-//! allocated per entry, a key owns nothing (a probe hands over borrowed
-//! cells), and a table drops as a handful of vectors.
+//! Entries live in arenas, one table per call id: the argument vectors
+//! of a table are the rows of one [`Rows`] with a [`RowTable`] over
+//! them, the output rows of all its entries sit back to back in a second
+//! `Rows`, and an entry is a range of that store's row ids — the shape
+//! relations have. An entry holds the output rows some site of the call
+//! reads — the caller narrows them — not necessarily all the function
+//! returned. Nothing is allocated per entry, a key owns nothing (a probe
+//! hands over borrowed cells), and a table drops as a handful of
+//! vectors.
 //!
 //! Sizes are estimated (string payloads, enum footprints and a fixed
 //! per-entry share of the index) for [`CacheStats::bytes`]: a reading,
@@ -38,9 +43,8 @@ fn entry_bytes<'a>(cells: impl Iterator<Item = &'a Value>) -> usize {
     ENTRY_BYTES + cells.map(cell).sum::<usize>()
 }
 
-/// The entries of one `(function, argument count, output arity)`.
+/// The entries of one call.
 struct Table {
-    function: String,
     /// One row per entry: its argument vector. Row id = entry id.
     args: Rows,
     /// The entry ids, under [`hash_cells`] of their argument vectors.
@@ -52,19 +56,13 @@ struct Table {
 }
 
 impl Table {
-    fn new(function: &str, n_args: usize, n_outputs: usize) -> Table {
+    fn new(n_args: usize, n_outputs: usize) -> Table {
         Table {
-            function: function.to_string(),
             args: Rows::new(n_args),
             index: RowTable::default(),
             outputs: Rows::new(n_outputs),
             spans: Vec::new(),
         }
-    }
-
-    fn is(&self, function: &str, n_args: usize, n_outputs: usize) -> bool {
-        (self.args.width(), self.outputs.width()) == (n_args, n_outputs)
-            && self.function == function
     }
 
     /// The entry whose argument vector is `args`, hashing to `hash`.
@@ -95,19 +93,21 @@ impl Table {
     }
 }
 
-/// The memo of IE call results of one evaluation run, kept in
-/// per-function arenas (see the module docs).
+/// The memo of shared IE calls of one evaluation run, kept in per-call
+/// arenas (see the module docs). A call is named by its id, which the
+/// planner hands out per program, dense from 0; every argument vector
+/// and output row of one call has the width of the first stored.
 ///
 /// A lookup copies the rows of a hit into the caller's batch; a store
 /// copies them in. The memo is single-threaded by itself; a run shares
-/// it with its shard threads behind a mutex, which a batch of IE calls
+/// it with its shard threads behind a mutex, which a batch of calls
 /// takes twice — once to look every distinct argument vector up, once
 /// to store what the misses returned — never once per call, and never
 /// across a call.
 #[derive(Default)]
 pub struct IeMemo {
-    /// A handful: found by walking.
-    tables: Vec<Table>,
+    /// By call id; `None` until the call's first store.
+    tables: Vec<Option<Table>>,
     /// Sum of [`entry_bytes`] over every entry.
     bytes: usize,
     stats: CacheStats,
@@ -117,26 +117,25 @@ impl IeMemo {
     /// The counters of this table, with `entries`/`bytes` reflecting
     /// what it holds.
     pub fn stats(&self) -> CacheStats {
+        let entries = self.tables.iter().flatten().map(|t| t.spans.len()).sum();
         CacheStats {
-            entries: self.tables.iter().map(|t| t.spans.len()).sum(),
+            entries,
             bytes: self.bytes,
             ..self.stats
         }
     }
 
-    /// Looks up the call `function(args)` at the output arity
-    /// `out.width()`, counting a hit or miss. A hit appends the cached
-    /// rows to `out` and returns their row ids there.
+    /// Looks up `args` under the call `call`, counting a hit or miss. A
+    /// hit appends the stored rows to `out` and returns their row ids
+    /// there.
     pub fn lookup<'a>(
         &mut self,
-        function: &str,
-        args: impl ExactSizeIterator<Item = &'a Value> + Clone,
+        call: usize,
+        args: impl Iterator<Item = &'a Value> + Clone,
         out: &mut Rows,
     ) -> Option<Range<usize>> {
-        let mut tables = self.tables.iter();
-        let hit = tables
-            .find(|t| t.is(function, args.len(), out.width()))
-            .and_then(|t| Some((t, t.find(hash_cells(args.clone()), args)?)));
+        let table = self.tables.get(call).and_then(Option::as_ref);
+        let hit = table.and_then(|t| Some((t, t.find(hash_cells(args.clone()), args)?)));
         self.stats.hits += u64::from(hit.is_some());
         self.stats.misses += u64::from(hit.is_none());
         let (table, id) = hit?;
@@ -145,29 +144,25 @@ impl IeMemo {
         Some(start..out.len())
     }
 
-    /// Stores the result of the call `function(args)`: the rows of
-    /// `rows` with ids in `output`. A key the memo already holds keeps
-    /// its rows: two shards that missed one key both store it — the
-    /// same rows, a stateless function being what it is.
+    /// Stores `output`, rows of `width` cells, as the answer of the call
+    /// `call` to `args`. A key the memo already holds keeps its rows: two
+    /// shards that missed one key both store it — the same rows, a
+    /// stateless function being what it is.
     pub fn store<'a>(
         &mut self,
-        function: &str,
+        call: usize,
         args: impl ExactSizeIterator<Item = &'a Value> + Clone,
-        rows: &'a Rows,
-        output: Range<usize>,
+        width: usize,
+        output: impl Iterator<Item = &'a [Value]> + Clone,
     ) {
         self.stats.insertions += 1;
-        let (n_args, n_outputs) = (args.len(), rows.width());
-        let at = (self.tables.iter())
-            .position(|t| t.is(function, n_args, n_outputs))
-            .unwrap_or_else(|| {
-                self.tables.push(Table::new(function, n_args, n_outputs));
-                self.tables.len() - 1
-            });
-        let table = &mut self.tables[at];
+        if self.tables.len() <= call {
+            self.tables.resize_with(call + 1, || None);
+        }
+        let n_args = args.len();
+        let table = self.tables[call].get_or_insert_with(|| Table::new(n_args, width));
         let hash = hash_cells(args.clone());
         if table.find(hash, args.clone()).is_none() {
-            let output = rows.range(output);
             self.bytes += entry_bytes(args.clone().chain(output.clone().flatten()));
             table.push(hash, args, output);
         }
@@ -189,36 +184,21 @@ mod tests {
 
     type Output = Vec<Vec<Value>>;
 
-    /// Stores `output` — rows of `n` cells, after one of another call.
-    fn store_at(
-        memo: &mut IeMemo,
-        function: &str,
-        args: &[Value],
-        n: usize,
-        output: &[Vec<Value>],
-    ) {
-        let mut rows = Rows::new(n);
-        rows.push(&vec![Value::Bool(false); n]);
-        output.iter().for_each(|row| rows.push(row));
-        memo.store(function, args.iter(), &rows, 1..rows.len());
+    /// Stores `output`, rows of `n` cells, under `call`.
+    fn store_at(memo: &mut IeMemo, call: usize, args: &[Value], n: usize, output: &[Vec<Value>]) {
+        memo.store(call, args.iter(), n, output.iter().map(Vec::as_slice));
     }
 
-    fn store(memo: &mut IeMemo, function: &str, args: &[Value], output: &[Vec<Value>]) {
-        store_at(
-            memo,
-            function,
-            args,
-            output.first().map_or(0, Vec::len),
-            output,
-        );
+    fn store(memo: &mut IeMemo, call: usize, args: &[Value], output: &[Vec<Value>]) {
+        store_at(memo, call, args, output.first().map_or(0, Vec::len), output);
     }
 
-    /// The rows cached for `function(args)` at output arity `n`.
-    fn lookup(memo: &mut IeMemo, function: &str, args: &[Value], n: usize) -> Option<Output> {
+    /// The rows stored for `args` under `call`, rows of `n` cells.
+    fn lookup(memo: &mut IeMemo, call: usize, args: &[Value], n: usize) -> Option<Output> {
         // Rows of another batch come first: a hit is a range, not the lot.
         let mut out = Rows::new(n);
         out.push(&vec![Value::Bool(true); n]);
-        let hit = memo.lookup(function, args.iter(), &mut out)?;
+        let hit = memo.lookup(call, args.iter(), &mut out)?;
         assert_eq!((hit.start, hit.end), (1, out.len()));
         Some(out.range(hit).map(<[Value]>::to_vec).collect())
     }
@@ -235,10 +215,10 @@ mod tests {
     #[test]
     fn hit_returns_shared_output_and_counts() {
         let mut memo = IeMemo::default();
-        assert!(lookup(&mut memo, "f", &int(1), 1).is_none());
-        store(&mut memo, "f", &int(1), &[int(10), int(11)]);
+        assert!(lookup(&mut memo, 0, &int(1), 1).is_none());
+        store(&mut memo, 0, &int(1), &[int(10), int(11)]);
         assert_eq!(
-            lookup(&mut memo, "f", &int(1), 1),
+            lookup(&mut memo, 0, &int(1), 1),
             Some(vec![int(10), int(11)])
         );
         let stats = memo.stats();
@@ -252,25 +232,28 @@ mod tests {
         let text = "a document text ".repeat(128);
         let key = |text: &str| [Value::str("p"), Value::str(text)];
         let mut memo = IeMemo::default();
-        store(&mut memo, "rgx", &key(&text), &[int(1)]);
+        store(&mut memo, 0, &key(&text), &[int(1)]);
         // Another allocation of the same cells is the same address …
-        assert!(lookup(&mut memo, "rgx", &key(&text), 1).is_some());
+        assert!(lookup(&mut memo, 0, &key(&text), 1).is_some());
         // … and neither a prefix of them, nor other cells, nor another
-        // function is.
-        assert!(lookup(&mut memo, "rgx", &key(&text)[..1], 1).is_none());
-        assert!(lookup(&mut memo, "rgx", &key(&text.replace('a', "b")), 1).is_none());
-        assert!(lookup(&mut memo, "rgx_string", &key(&text), 1).is_none());
+        // call is.
+        assert!(lookup(&mut memo, 0, &key(&text)[..1], 1).is_none());
+        assert!(lookup(&mut memo, 0, &key(&text.replace('a', "b")), 1).is_none());
+        assert!(lookup(&mut memo, 1, &key(&text), 1).is_none());
     }
 
+    /// One function asked at two output arities is two calls, with two
+    /// ids: two tables.
     #[test]
     fn distinct_arities_are_distinct_addresses() {
         let mut memo = IeMemo::default();
-        store(&mut memo, "f", &int(1), &[int(1)]);
-        assert!(lookup(&mut memo, "f", &int(1), 2).is_none());
+        store(&mut memo, 0, &int(1), &[int(1)]);
+        assert!(lookup(&mut memo, 1, &int(1), 0).is_none());
         // An empty output is an entry like any other, at its arity.
-        store(&mut memo, "f", &int(1), &[]);
-        assert_eq!(lookup(&mut memo, "f", &int(1), 0), Some(vec![]));
-        assert_eq!(lookup(&mut memo, "f", &int(1), 1), Some(vec![int(1)]));
+        store_at(&mut memo, 1, &int(1), 0, &[]);
+        assert_eq!(lookup(&mut memo, 1, &int(1), 0), Some(vec![]));
+        assert_eq!(lookup(&mut memo, 0, &int(1), 1), Some(vec![int(1)]));
+        assert_eq!(memo.stats().entries, 2);
     }
 
     /// Two shards that miss one key at once both call the function and
@@ -280,14 +263,14 @@ mod tests {
         let mut memo = IeMemo::default();
         let output = [vec![Value::str("sentence"), Value::Int(1)]];
         for _shard in 0..2 {
-            assert!(lookup(&mut memo, "f", &int(1), 2).is_none());
+            assert!(lookup(&mut memo, 0, &int(1), 2).is_none());
         }
         for _shard in 0..2 {
-            store(&mut memo, "f", &int(1), &output);
+            store(&mut memo, 0, &int(1), &output);
         }
         let stats = memo.stats();
         assert_eq!((stats.entries, stats.bytes), (1, charged(&int(1), &output)));
-        assert_eq!(lookup(&mut memo, "f", &int(1), 2), Some(output.to_vec()));
+        assert_eq!(lookup(&mut memo, 0, &int(1), 2), Some(output.to_vec()));
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 2, 2));
     }
@@ -302,10 +285,10 @@ mod tests {
             *state >> 24
         }
         let span = |doc: u64| Value::Span(Span::new(DocId::from_index(doc as u32), 0, 1));
-        // 2 functions x 6 documents in the key; up to 3 rows naming one
+        // 2 calls x 6 documents in the key; up to 3 rows naming one
         // of 6 documents next to a text of some length in the output.
         let call = |r: u64| {
-            let key = (["f", "g"][(r % 2) as usize], span(r / 2 % 6));
+            let key = ((r % 2) as usize, span(r / 2 % 6));
             let text = Value::str("x".repeat((r / 72 % 40) as usize));
             let output: Output = vec![vec![span(r / 12 % 6), text]; (r / 2880 % 4) as usize];
             (key, output)
@@ -314,17 +297,17 @@ mod tests {
             let mut rng = case;
             let mut memo = IeMemo::default();
             // key -> (output, bytes)
-            let mut model: FxHashMap<(&str, Value), (Output, usize)> = FxHashMap::default();
+            let mut model: FxHashMap<(usize, Value), (Output, usize)> = FxHashMap::default();
             for _ in 0..120 {
                 let r = next(&mut rng);
                 let (key, output) = call(r / 8);
-                let (function, args) = (key.0, [key.1.clone()]);
+                let (id, args) = (key.0, [key.1.clone()]);
                 if r % 8 < 4 {
-                    store_at(&mut memo, function, &args, 2, &output);
+                    store_at(&mut memo, id, &args, 2, &output);
                     let bytes = charged(&args, &output);
                     model.entry(key.clone()).or_insert((output, bytes));
                 }
-                let hit = lookup(&mut memo, function, &args, 2);
+                let hit = lookup(&mut memo, id, &args, 2);
                 assert_eq!(hit.as_ref(), model.get(&key).map(|e| &e.0), "case {case}");
                 let modelled: usize = model.values().map(|e| e.1).sum();
                 let stats = memo.stats();

@@ -10,7 +10,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the IE function.
     pub misses: u64,
-    /// Stores (one per miss of a cacheable call that returned).
+    /// Stores (one per miss of a shared call that returned).
     pub insertions: u64,
     /// Always 0: a table lives for one evaluation and drops no entry
     /// before it ends. Kept for the readers of `cache.memo.evictions`.

@@ -13,6 +13,7 @@ mod strings;
 use crate::registry::Registry;
 
 pub use rgx::fixed_rgx;
+pub(crate) use rgx::unassigned_matches;
 
 /// Installs every builtin into `registry`.
 pub fn install_builtins(registry: &mut Registry) {

@@ -13,7 +13,9 @@
 //! A match that leaves a capture group undefined — an optional group, or
 //! one branch of an alternation — yields no row: an `rgx` atom reads the
 //! functional part of the spanner, the matches that define every variable
-//! it names (Maturana et al.'s schemaless spanners).
+//! it names (Maturana et al.'s schemaless spanners). `rgx` and
+//! `rgx_string` count those matches per thread ([`unassigned_matches`]),
+//! and evaluation charges each call's count to its run's profile.
 //!
 //! `text` may be a string (spans refer to its interned document) or a
 //! span (output spans stay positioned in the *original* document, which
@@ -35,7 +37,19 @@ use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Span, Value};
 use spannerlib_regex::Regex;
+use std::cell::Cell;
 use std::sync::Arc;
+
+thread_local! {
+    static UNASSIGNED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many `rgx` / `rgx_string` matches the calling thread has dropped
+/// for leaving a capture group undefined. Monotonic: diff two readings
+/// taken on one thread to count the calls between them.
+pub(crate) fn unassigned_matches() -> u64 {
+    UNASSIGNED.get()
+}
 
 /// Which semantics and output representation a `RgxFunction` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +162,7 @@ impl IeFunction for RgxFunction {
 
         let mut out: IeOutput = Vec::new();
         let strings = self.mode == Mode::FindStrings;
+        // Whether the match gave a row.
         let mut row = |groups: &[Option<(usize, usize)>], whole| {
             // Zero-group patterns export the whole match as a single
             // column; a group the match leaves undefined, no row.
@@ -155,7 +170,7 @@ impl IeFunction for RgxFunction {
                 true => Some(vec![whole]),
                 false => groups.iter().copied().collect(),
             };
-            let Some(ranges) = ranges else { return };
+            let Some(ranges) = ranges else { return false };
             // Only a span row needs the text's document.
             let origin = (!strings).then(|| arg.doc_base(ctx));
             let cell = |(s, e): (usize, usize)| match origin {
@@ -163,13 +178,17 @@ impl IeFunction for RgxFunction {
                 None => Value::str(&text[s..e]),
             };
             out.push(ranges.into_iter().map(cell).collect());
+            true
         };
         match self.mode {
             Mode::FindSpans | Mode::FindStrings => {
+                let mut unassigned = 0;
                 for caps in re.captures_iter(&text) {
                     let groups: Vec<_> = caps.explicit_groups().collect();
-                    row(&groups, caps.group(0).expect("group 0 present"));
+                    let whole = caps.group(0).expect("group 0 present");
+                    unassigned += u64::from(!row(&groups, whole));
                 }
+                UNASSIGNED.set(UNASSIGNED.get() + unassigned);
             }
             Mode::AllSpans => {
                 for m in re.all_matches(&text) {

@@ -169,7 +169,7 @@ pub struct EvalCtx<'a> {
     pub registry: &'a Registry,
     /// Resource limits.
     pub limits: EvalLimits,
-    /// The run's IE memo table, empty when the run starts.
+    /// The run's memo of shared IE calls, empty when the run starts.
     pub cache: &'a Mutex<IeMemo>,
     /// Lanes a firing's shards run on, the calling thread included
     /// (`SessionBuilder::parallelism`); below 2 every firing runs on the
@@ -239,8 +239,8 @@ impl Drop for Lent<'_> {
 
 /// Evaluates `components` in order, inserting derived tuples into `db`.
 /// A non-recursive component is complete after each of its rules fires
-/// once; a recursive one runs to fixpoint. `ctx.cache` memoizes IE
-/// calls across the rules and rounds of the run. Progress is reported
+/// once; a recursive one runs to fixpoint. `ctx.cache` memoizes the
+/// shared IE calls across the rules and rounds of the run. Progress is reported
 /// through `trace` (free when tracing is off); on a limit abort the
 /// trace keeps the partial per-component progress.
 ///

@@ -143,9 +143,12 @@ pub trait IeFunction: Send + Sync {
     /// use it for validation.
     fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput>;
 
-    /// Whether results may be reused: kept in the evaluation's IE memo
-    /// for the rest of the run, and shared by the rows of a batch that
-    /// carry the same argument vector. It means nothing else.
+    /// Whether results may be reused: shared by the rows of a batch that
+    /// carry the same argument vector, and — for a *shared call*, one
+    /// that two IE atoms of the program ask with the same constants, or
+    /// one atom inside a recursive component — kept in the evaluation's
+    /// memo of shared calls for the rest of the run. It means nothing
+    /// else.
     ///
     /// Defaults to `true`: the IE contract (paper §3.3) is a *stateless*
     /// mapping from inputs to output rows, which makes reuse
@@ -156,10 +159,13 @@ pub trait IeFunction: Send + Sync {
     /// outweigh several times over — or register closures via
     /// `register_uncached`. An uncached function is called once per
     /// distinct binding row of its step's input — per shard, when the
-    /// firing is sharded — and its results are never stored; *where* in
-    /// the rule body that happens is the planner's choice, as for every
-    /// other step. A cacheable one may still be called twice for one
-    /// argument vector, by two shards that miss it at once.
+    /// firing is sharded — and its results are never stored, shared call
+    /// or not; *where* in the rule body that happens is the planner's
+    /// choice, as for every other step. A cacheable one is called once
+    /// per distinct argument vector of a batch — again, whenever an atom
+    /// no other asks meets the vector in another batch — and may be
+    /// called twice for one vector of a shared call, by two shards that
+    /// miss it at once.
     fn cacheable(&self) -> bool {
         true
     }

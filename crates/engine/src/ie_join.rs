@@ -1,9 +1,11 @@
 //! The IE step of a rule body: a batch of binding rows joined with an
-//! IE atom, one call per distinct argument vector, through the memo.
+//! IE atom, one call per distinct argument vector — through the run's
+//! memo of shared calls when the planner marked the step as one.
 
+use crate::builtins;
 use crate::error::{EngineError, Result};
 use crate::ie::IeContext;
-use crate::optimizer::TupleIndex;
+use crate::optimizer::{SharedCall, TupleIndex};
 use crate::plan::{cell, operand, Batch, Columns, ExecCtx, PTerm, RulePlan, TraceCtx};
 use spannerlib_core::{RowTable, Rows, Value};
 use spannerlib_regex::prefilter;
@@ -15,21 +17,25 @@ use std::sync::atomic::Ordering;
 /// binding row extended by the rows the function returns for its
 /// argument vector (new output variables bind; bound ones and constants
 /// filter). A *cacheable* function's results may be reused, so rows are
-/// grouped by argument vector and each group is looked up or called
-/// once; an uncached one is called once per row.
+/// grouped by argument vector and each group is answered once; an
+/// uncached one is called once per row.
 ///
-/// Cacheable and uncached functions share this one path. For a
-/// cacheable one the step takes the run's memo lock once to look every
-/// group up — by the borrowed cells of the group's first row: a probe
-/// builds no key — and copy the rows of the hits into the batch's own
-/// store, calls the misses with no lock held, and takes the lock once
-/// more to store what they returned. A row of the wrong arity fails the
-/// step before its call is stored. IE calls are where evaluation sinks
-/// open-ended time (user code, regex scans): the wall-clock budget is
-/// checked before each.
+/// The run's memo is the table of *shared calls*: only a step the
+/// planner marked (`shared`, see `optimizer::share_calls`) of a
+/// cacheable function reaches it. Such a step takes the memo lock once
+/// to look every group up — by the borrowed cells of the group's first
+/// row: a probe builds no key — and copy the rows of the hits into the
+/// batch's own store, calls the misses with no lock held, and takes the
+/// lock once more to store what they returned, narrowed to the rows
+/// that hold the constants every site of the call reads. Any other step
+/// calls every group and takes no lock. A row of the wrong arity fails
+/// the step before its call is stored. IE calls are where evaluation
+/// sinks open-ended time (user code, regex scans): the wall-clock budget
+/// is checked before each.
 pub(crate) fn ie_join(
     plan: &RulePlan,
     (function, inputs, outputs): (&str, &[PTerm], &[PTerm]),
+    shared: Option<&SharedCall>,
     batch: &Batch,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
@@ -62,13 +68,15 @@ pub(crate) fn ie_join(
     let mut returned = Rows::new(n);
     let mut rows_of: Vec<Range<usize>> = vec![0..0; groups];
     let mut misses: Vec<usize> = Vec::new();
-    let memo = f.cacheable().then_some(ctx.cache);
+    let memo = shared
+        .filter(|_| f.cacheable())
+        .map(|call| (call, ctx.cache));
     let t0 = tr.trace.now_ns();
-    let mut probe = memo.map(|memo| memo.lock());
+    let mut probe = memo.map(|(call, memo)| (call.id, memo.lock()));
     for (g, rows_of) in rows_of.iter_mut().enumerate() {
         let hit = probe
             .as_mut()
-            .and_then(|memo| memo.lookup(function, args(g), &mut returned));
+            .and_then(|(id, memo)| memo.lookup(*id, args(g), &mut returned));
         match hit {
             Some(hit) => *rows_of = hit,
             None => misses.push(g),
@@ -89,8 +97,10 @@ pub(crate) fn ie_join(
         let t0 = tr.trace.now_ns();
         // The call's regex searches run on this thread: they are its own.
         let call = || f.call(&call_args, n, &mut IeContext::new(ctx.docs));
+        let unassigned = builtins::unassigned_matches();
         let (out, searched) = prefilter::counted(call);
         tr.trace.prefilter(searched.searches, searched.pruned);
+        (tr.trace).unassigned_matches(builtins::unassigned_matches() - unassigned);
         let out = out?;
         tr.trace.ie_call(function, memo.map(|_| false), t0);
         if let Some(row) = out.iter().find(|row| row.len() != n) {
@@ -107,9 +117,13 @@ pub(crate) fn ie_join(
         Ok(())
     });
     // What was paid for before a call failed is kept.
-    if let Some(mut memo) = memo.map(|memo| memo.lock()) {
+    if let Some((call, memo)) = memo {
+        let mut memo = memo.lock();
         for &g in &misses[..called] {
-            memo.store(function, args(g), &returned, rows_of[g].clone());
+            let read = returned
+                .range(rows_of[g].clone())
+                .filter(|row| call.keeps(row));
+            memo.store(call.id, args(g), n, read);
         }
     }
     outcome?;

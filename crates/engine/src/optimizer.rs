@@ -16,6 +16,9 @@
 //!   known, at the **cardinality cost**: filters first, then IE calls,
 //!   then scans by estimated fan-out (relation size discounted per
 //!   bound join column).
+//! * `share_calls` marks, once per program, the IE steps whose call
+//!   another site asks too ([`SharedCall`]): only those reach the run's
+//!   IE memo.
 //! * [`IndexCache`] keeps the hash indexes keyed scan joins and
 //!   anti-joins probe ([`TupleIndex`]: key → row ids, ascending) alive
 //!   for a whole evaluation run — and, after a maintained one, for the
@@ -38,18 +41,42 @@
 //! tests' own, which runs bodies as nested loops in textual order.
 
 use crate::plan::{PTerm, RulePlan, Step};
+use crate::strata::Component;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{hash_cells, Relation, RowTable, Rows, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Per-step scheduling metadata, as [`schedule`] reads it.
+/// Per-step scheduling metadata, as [`schedule`] reads it, and the
+/// shared call an IE step asks.
 #[derive(Debug, Clone, Default)]
 pub struct StepMeta {
     /// Variables that must already be bound for the step to run.
     pub needs: Vec<usize>,
     /// Variables the step can bind.
     pub binds: Vec<usize>,
+    /// For an IE step whose call another site asks too: that call
+    /// (`share_calls`). `None` for every other step.
+    pub shared: Option<SharedCall>,
+}
+
+/// An IE call more than one site asks — or one site, round after round
+/// of a recursive component: the one kind of call the run's memo keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SharedCall {
+    /// The call's id within its program: its table in the run's memo.
+    pub(crate) id: usize,
+    /// `(output column, constant)` wherever every site of the call reads
+    /// the same constant. No site reads another row, so the memo keeps
+    /// only the output rows that hold all of them.
+    pub(crate) fixed: Vec<(usize, Value)>,
+}
+
+impl SharedCall {
+    /// Whether an output row of the call is one some site reads.
+    pub(crate) fn keeps(&self, row: &[Value]) -> bool {
+        self.fixed.iter().all(|(c, v)| row[*c] == *v)
+    }
 }
 
 impl StepMeta {
@@ -80,6 +107,85 @@ impl StepMeta {
 pub struct RuleOpt {
     /// One entry per plan step, in plan order.
     pub steps: Vec<StepMeta>,
+}
+
+/// Marks the IE steps of `components` that share a call. A *call* is
+/// what an IE atom asks whatever its variables bind: the function, the
+/// constants at its input positions and its output arity. It is shared
+/// when two sites — IE atoms of any rules — ask it, or when its one site
+/// sits in a recursive component, whose rounds ask again. Each shared
+/// site's [`StepMeta::shared`] names the call's id, dense from 0 in
+/// program order; every other IE step keeps `None`, and so stays out of
+/// the memo.
+pub(crate) fn share_calls(components: &mut [Component]) {
+    let constant = |t: &PTerm| match t {
+        PTerm::Const(c) => Some(c.clone()),
+        _ => None,
+    };
+    /// The sites of one call as (component, rule, step), whether one of
+    /// them recurs, and per output column the constant all of them read
+    /// there, if they agree on one.
+    struct Sites {
+        at: Vec<(usize, usize, usize)>,
+        recurs: bool,
+        fixed: Vec<Option<Value>>,
+    }
+    // Calls in order of first appearance, and where each is by key.
+    let mut calls: Vec<Sites> = Vec::new();
+    let mut call_of: FxHashMap<(&str, Vec<Option<Value>>, usize), usize> = FxHashMap::default();
+    for (c, component) in components.iter().enumerate() {
+        for (r, rule) in component.rules.iter().enumerate() {
+            for (i, step) in rule.steps.iter().enumerate() {
+                let Step::Ie {
+                    function,
+                    inputs,
+                    outputs,
+                } = step
+                else {
+                    continue;
+                };
+                let fixed: Vec<Option<Value>> = outputs.iter().map(constant).collect();
+                let call = (
+                    function.as_str(),
+                    inputs.iter().map(constant).collect(),
+                    fixed.len(),
+                );
+                let at = *call_of.entry(call).or_insert_with(|| {
+                    let at = Vec::new();
+                    let fixed = fixed.clone();
+                    calls.push(Sites {
+                        at,
+                        recurs: false,
+                        fixed,
+                    });
+                    calls.len() - 1
+                });
+                let sites = &mut calls[at];
+                // A column stays fixed while every site reads one constant there.
+                for (agreed, own) in sites.fixed.iter_mut().zip(fixed) {
+                    if *agreed != own {
+                        *agreed = None;
+                    }
+                }
+                sites.at.push((c, r, i));
+                sites.recurs |= component.recursive;
+            }
+        }
+    }
+    let shared = calls.into_iter().filter(|s| s.at.len() > 1 || s.recurs);
+    for (id, sites) in shared.enumerate() {
+        let fixed = sites.fixed.into_iter().enumerate();
+        let call = SharedCall {
+            id,
+            fixed: fixed.filter_map(|(col, c)| Some((col, c?))).collect(),
+        };
+        for (c, r, i) in sites.at {
+            let opt = components[c].rules[r].opt.as_mut();
+            if let Some(meta) = opt.and_then(|opt| opt.steps.get_mut(i)) {
+                meta.shared = Some(call.clone());
+            }
+        }
+    }
 }
 
 fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {

@@ -179,7 +179,8 @@ pub struct ExecCtx<'a> {
     /// in place of the one it names. The planner starts from it. `None`
     /// outside maintenance.
     pub seed: Option<(usize, &'a Relation)>,
-    /// The evaluation run's IE memo table.
+    /// The evaluation run's memo of shared IE calls
+    /// ([`crate::optimizer::SharedCall`]).
     pub cache: &'a Mutex<IeMemo>,
     /// The run's indexes of the relations its scans and negations read,
     /// shared with its shard workers. Only a scan of a maintenance seed,
@@ -213,7 +214,7 @@ pub struct TraceCtx<'a> {
 /// [`crate::Database::insert_derived`] to take in whole — repeats
 /// included. `ctx.delta`, when set, restricts one scan to a run of row
 /// ids (semi-naive evaluation), which probes the run's indexes like any
-/// scan. `ctx.cache` memoizes IE calls across the rows, rules and
+/// scan. `ctx.cache` memoizes shared IE calls across the rows, rules and
 /// rounds of the run. Join and IE-batch work is reported through `tr`
 /// (every call is a no-op when tracing is off).
 ///
@@ -320,7 +321,14 @@ pub(crate) fn run_steps(
                 function,
                 inputs,
                 outputs,
-            } => batch.rows = ie_join(plan, (function, inputs, outputs), &batch, ctx, tr)?,
+            } => {
+                let shared = plan
+                    .opt
+                    .as_ref()
+                    .and_then(|opt| opt.steps.get(i)?.shared.as_ref());
+                let atom = (&function[..], &inputs[..], &outputs[..]);
+                batch.rows = ie_join(plan, atom, shared, &batch, ctx, tr)?;
+            }
             Step::Negation { relation, terms } => {
                 if let Some(rel) = relations.get(relation) {
                     anti_join(&mut batch, (relation, rel), terms, ctx.indexes);

@@ -11,7 +11,7 @@
 use crate::database::Database;
 use crate::error::Result;
 use crate::maintain::{self, RuleVariants};
-use crate::optimizer::IndexCache;
+use crate::optimizer::{self, IndexCache};
 use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
@@ -27,7 +27,7 @@ use std::sync::Arc;
 static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A rule set taken through safety analysis, IE sequencing,
-/// stratification, and planning exactly once.
+/// stratification, IE call sharing and planning exactly once.
 #[derive(Debug)]
 pub struct CompiledProgram {
     /// Instance id, unique per compilation (fingerprints evaluation).
@@ -86,7 +86,8 @@ impl CompiledProgram {
             .collect();
         input_relations.sort_unstable();
 
-        let components = stratify(plans)?;
+        let mut components = stratify(plans)?;
+        optimizer::share_calls(&mut components);
         Ok(CompiledProgram {
             id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
             variants: maintain::variants(&components),

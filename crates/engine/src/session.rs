@@ -46,10 +46,13 @@
 //! scoped to the firing (`spannerlib_par`), so no thread outlives the
 //! call that spawned it. Every evaluation — sharded or not — keeps the
 //! document store behind a read-write lock for the duration of the run,
-//! and its own IE memo table behind a mutex (taken twice per batch of IE
-//! calls, never across one), so an IE function meets the same locking
-//! discipline under `parallelism(0)` as on a many-core host. The table
-//! is the run's: it starts empty and is dropped when the run returns.
+//! and its own IE memo — the table of the program's *shared calls*, those
+//! two IE atoms ask alike or one asks inside a recursion — behind a mutex
+//! (taken twice per batch of a shared call, never across a call, and
+//! never by a call only one atom asks), so an IE function meets the same
+//! locking discipline under `parallelism(0)` as on a many-core host. The
+//! table is the run's: it starts empty and is dropped when the run
+//! returns.
 //! Parallel and serial runs derive identical tuple *sets*
 //! (property-tested).
 //! Registered IE functions must therefore be `Send + Sync` (the trait

@@ -81,9 +81,10 @@ fn long_lived_churn_keeps_doc_store_bounded() {
 }
 
 /// The memo lives for one evaluation: a run forced by a program change
-/// asks every question of the cold run again, misses each one and
-/// answers as the cold run did. (A write to an input is maintained and
-/// asks nothing about the unchanged documents.)
+/// asks every question of the cold run again — a first site misses
+/// each, a second site asking the same call finds what the first stored
+/// — and answers as the cold run did. (A write to an input is maintained
+/// and asks nothing about the unchanged documents.)
 #[test]
 fn each_evaluation_starts_with_an_empty_memo() {
     let mut session = Session::new();
@@ -100,7 +101,10 @@ fn each_evaluation_starts_with_an_empty_memo() {
         )
         .unwrap();
     session
-        .run(r#"Email(d, s) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (s)"#)
+        .run(
+            r#"Email(d, s) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (s)
+Mailed(d) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (_)"#,
+        )
         .unwrap();
     // A side relation new rules can read: each one changes the program,
     // which forces a full rerun.
@@ -110,7 +114,7 @@ fn each_evaluation_starts_with_an_empty_memo() {
     let cold = query.execute(&mut session).unwrap();
     let after_cold = session.stats().cache;
     assert!(after_cold.misses > 0);
-    assert_eq!(after_cold.hits, 0);
+    assert_eq!(after_cold.hits, after_cold.misses);
 
     for i in 1..=5 {
         session.run(&format!("Ticked{i}(x) <- Tick(x)")).unwrap();
@@ -121,7 +125,7 @@ fn each_evaluation_starts_with_an_empty_memo() {
         assert_eq!(mode, EvalMode::Full(FullReason::ProgramChanged));
         let cache = session.stats().cache;
         assert_eq!(cache.misses, (i + 1) * after_cold.misses, "{cache:?}");
-        assert_eq!(cache.hits, 0, "{cache:?}");
+        assert_eq!(cache.hits, (i + 1) * after_cold.hits, "{cache:?}");
         assert_eq!(
             (cache.entries, cache.bytes),
             (after_cold.entries, after_cold.bytes)
@@ -267,8 +271,8 @@ fn uncached_closures_bypass_the_memo() {
 }
 
 /// The constant-time builtins are registered uncached — a memo probe
-/// costs more than they do — so a rule calling them leaves the memo
-/// holding only what the expensive functions produced.
+/// costs more than they do — so two rules asking them the same calls
+/// leave the memo holding only what the expensive functions produced.
 #[test]
 fn cheap_builtins_bypass_the_memo() {
     let mut session = Session::new();
@@ -277,13 +281,16 @@ fn cheap_builtins_bypass_the_memo() {
             r#"new Texts(str)
 Texts("aa b aaa") Texts("a bb")
 Run(b, n) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) -> (b),
-             format("{}:{}", b, n) -> (k), starts_with(k, "0"), add(n, 1) -> (m), m > 1"#,
+             format("{}:{}", b, n) -> (k), starts_with(k, "0"), add(n, 1) -> (m), m > 1
+Again(s) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) -> (b),
+            format("{}:{}", b, n) -> (k), starts_with(k, "0"), add(n, 1) -> (m), m > 1"#,
         )
         .unwrap();
     let rows: Vec<(i64, i64)> = session.export_typed("?Run(b, n)").unwrap();
     assert_eq!(rows, [(0, 1), (0, 2)]);
+    assert_eq!(session.relation("Again").unwrap().len(), 2);
     let cache = session.stats().cache;
-    assert_eq!((cache.misses, cache.hits), (2, 0), "one rgx call per text");
+    assert_eq!((cache.misses, cache.hits), (2, 2), "one rgx call per text");
     assert_eq!(cache.entries, 2);
 }
 
@@ -353,7 +360,8 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
 /// A call whose output has the wrong arity fails its rule before
 /// anything of it reaches the memo: no entry stays resident under a key
 /// that could only ever fail again, and re-registering the function
-/// corrected evaluates cleanly.
+/// corrected evaluates cleanly. Two rules ask the call, so it is one the
+/// memo keeps.
 #[test]
 fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
     use spannerlib_core::Value;
@@ -374,7 +382,7 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
             .import_typed("N", (0..6i64).map(|n| (n,)).collect::<Vec<_>>())
             .unwrap();
         session
-            .run("P(x, a, b) <- N(x), pair(x) -> (a, b)")
+            .run("P(x, a, b) <- N(x), pair(x) -> (a, b)\nQ(x, a) <- N(x), pair(x) -> (a, _)")
             .unwrap();
         let err = session.ensure_evaluated().unwrap_err();
         assert!(
@@ -388,6 +396,7 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
             Ok(vec![vec![args[0].clone(), Value::Int(1)]])
         });
         assert_eq!(session.relation("P").unwrap().len(), 6);
+        assert_eq!(session.relation("Q").unwrap().len(), 6);
         assert_eq!(session.stats().cache.entries, 6);
     }
 }

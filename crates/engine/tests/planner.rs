@@ -226,6 +226,7 @@ fn an_empty_suffix_keeps_every_bin() {
     let binds_t = StepMeta {
         needs: Vec::new(),
         binds: vec![0],
+        ..StepMeta::default()
     };
     plan.opt = Some(RuleOpt {
         steps: vec![binds_t],

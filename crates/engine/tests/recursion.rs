@@ -111,6 +111,19 @@ fn check(program: &str, texts: &[String], language: fn(&str) -> bool) {
     }
 }
 
+/// A span of `S` four levels deep right after an older one: the whole
+/// text is in `S` only by joining the two, a derivation of the
+/// concatenating rule's delta variant that reads its *second* scan of
+/// `S`. A round's later firings see what its earlier ones inserted, so a
+/// dropped variant shows on no shallower text.
+#[test]
+fn a_deep_span_after_an_older_one_joins_it() {
+    // `abaaaabbbb` with `a` opening and `b` closing, and the reverse.
+    for text in ["()(((())))", "(((())))()"] {
+        check(DYCK, &[text.to_string()], balanced);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

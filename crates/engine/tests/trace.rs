@@ -141,6 +141,35 @@ fn ie_profile_counts_calls_memo_hits_and_latency() {
         .any(|s| s.kind == SpanKind::IeBatch && s.label.starts_with("rgx_string")));
 }
 
+/// A match that leaves an optional group undefined gives `rgx` and
+/// `rgx_string` no row; the profile counts it, on one lane and on two,
+/// and so does its JSON record.
+#[test]
+fn unassigned_matches_count_the_rows_an_optional_group_drops() {
+    for workers in [0, 2] {
+        let mut session = Session::builder()
+            .tracing(TraceLevel::Summary)
+            .parallelism(workers)
+            .build();
+        session
+            .run(
+                r#"new Texts(str)
+Texts("ab a ab") Texts("a a b") Texts("b")
+S(s, b) <- Texts(t), rgx("(a)(b)?", t) -> (s, b)
+W(w) <- Texts(t), rgx_string("a(b)?", t) -> (w)"#,
+            )
+            .unwrap();
+        // "ab a ab": two rows and one unassigned match per pattern;
+        // "a a b": none and two; "b": no match at all.
+        assert_eq!(session.relation("S").unwrap().len(), 2);
+        assert_eq!(session.relation("W").unwrap().len(), 1);
+        let profile = session.profile().unwrap();
+        assert_eq!(profile.unassigned_matches, 6, "workers {workers}");
+        let json = profile.to_json_lines();
+        assert!(json.contains("\"unassigned_matches\":6,"), "{json}");
+    }
+}
+
 #[test]
 fn round_limit_abort_names_the_driving_rule_and_keeps_partial_profile() {
     let mut session = Session::builder()

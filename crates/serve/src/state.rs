@@ -22,7 +22,10 @@
 //! reads it — N requests waiting on the same churn cost one fixpoint
 //! run (the `execute_coalesced` counter reports how often it happens).
 //! Inside that run the engine's IE step already batches cacheable
-//! calls per distinct argument tuple and probes the run's memo.
+//! calls per distinct argument tuple, and a *shared call* — one two
+//! registered rules ask alike, or one rule inside a recursion — probes
+//! the run's memo, the table of those calls; the `ie_cache_*` gauges
+//! read that table as the last run left it.
 
 use crate::config::ServeConfig;
 use crate::error::ApiError;

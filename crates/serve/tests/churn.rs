@@ -1,8 +1,8 @@
 //! Bounded for ever: a served session under long replace-some-notes
 //! churn holds its document store and its IE memo under their bounds on
 //! every scrape, and still answers what a fresh session answers. The
-//! memo is one evaluation's: no table reaches twice the first, full
-//! evaluation's.
+//! memo is one evaluation's, and keeps the one call two rules share: no
+//! table reaches twice the first, full evaluation's.
 
 use spannerlib_serve::{Client, Json, ServeConfig, Server, ServerHandle};
 use spannerlog_engine::{DocGc, Session};
@@ -17,6 +17,7 @@ const WATERMARK: usize = 64 * 1024;
 
 const RULES: &str = r#"new Notes(str, str)
 Code(d, s) <- Notes(d, t), rgx("code-[0-9]+", t) -> (s)
+Coded(d) <- Notes(d, t), rgx("code-[0-9]+", t) -> (_)
 Word(d, w) <- Notes(d, t), rgx_string("w[0-9]+x", t) -> (w)"#;
 
 fn boot(session: Session) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {

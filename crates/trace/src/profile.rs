@@ -70,6 +70,10 @@ pub struct EvalProfile {
     /// Prefiltered searches resolved to "no match" without running the
     /// regex VM at all.
     pub prefilter_pruned: u64,
+    /// `rgx` / `rgx_string` matches that yielded no row because they
+    /// left a capture group undefined (an optional group, one branch of
+    /// an alternation).
+    pub unassigned_matches: u64,
     /// Lanes rule firings ran their shards on, the calling thread
     /// included (zero = the run was fully serial and the `par:` line is
     /// omitted).
@@ -412,7 +416,8 @@ impl EvalProfile {
              \"rule_firings\":{},\"tuples_derived\":{},\"tuples_new\":{},\
              \"strata\":{},\"spans_dropped\":{},\"index_hits\":{},\
              \"index_builds\":{},\"prefilter_searches\":{},\
-             \"prefilter_pruned\":{},\"par_workers\":{},\"par_shards\":{},\
+             \"prefilter_pruned\":{},\"unassigned_matches\":{},\
+             \"par_workers\":{},\"par_shards\":{},\
              \"par_ie_batches\":{},\"par_stolen\":{},\
              \"par_serial_rules\":{},\"mode\":{},\"full_reason\":{},\
              \"seed_rows_added\":{},\"seed_rows_removed\":{},\"error\":{}}}",
@@ -430,6 +435,7 @@ impl EvalProfile {
             self.index_builds,
             self.prefilter_searches,
             self.prefilter_pruned,
+            self.unassigned_matches,
             self.par_workers,
             self.par_shards,
             self.par_ie_batches,
@@ -563,6 +569,7 @@ mod tests {
             index_builds: 2,
             prefilter_searches: 10,
             prefilter_pruned: 4,
+            unassigned_matches: 5,
             par_workers: 4,
             par_shards: 8,
             par_ie_batches: 3,
@@ -660,6 +667,7 @@ mod tests {
         assert!(lines[0].contains("\"type\":\"profile\""));
         assert!(lines[0].contains("\"schema\":1"));
         assert!(lines[0].contains("\"eval_seq\":42"));
+        assert!(lines[0].contains("\"unassigned_matches\":5,"));
         assert!(lines[0].contains("\"request_ids\":[\"req-\\\"quoted\\\"\"]"));
         assert!(lines.iter().all(|l| l.contains("\"schema\":1")));
         assert!(lines[1].contains("\"type\":\"rule\""));

@@ -77,6 +77,7 @@ struct EvalTotals {
     index_builds: u64,
     prefilter_searches: u64,
     prefilter_pruned: u64,
+    unassigned_matches: u64,
     par_workers: u64,
     par_shards: u64,
     par_ie_batches: u64,
@@ -247,6 +248,15 @@ impl RunTrace {
         self.totals.prefilter_pruned += pruned;
     }
 
+    /// Accumulates the run's regex matches that yielded no row because
+    /// they left a capture group undefined.
+    pub fn unassigned_matches(&mut self, matches: u64) {
+        if !self.enabled() {
+            return;
+        }
+        self.totals.unassigned_matches += matches;
+    }
+
     /// Records one IE-function invocation: `memo_hit` is `Some(true)`
     /// for a cache hit, `Some(false)` for a miss, `None` when the call
     /// bypassed the memo (uncacheable or no cache configured); timed
@@ -346,6 +356,7 @@ impl RunTrace {
         self.totals.tuples_derived += fork.totals.tuples_derived;
         self.totals.tuples_new += fork.totals.tuples_new;
         self.prefilter(fork.totals.prefilter_searches, fork.totals.prefilter_pruned);
+        self.unassigned_matches(fork.totals.unassigned_matches);
         if let Some(r) = self.rules.get_mut(rule) {
             r.firings += shard_rule.firings;
             r.tuples_derived += shard_rule.tuples_derived;
@@ -496,6 +507,7 @@ impl RunTrace {
             index_builds: self.totals.index_builds,
             prefilter_searches: self.totals.prefilter_searches,
             prefilter_pruned: self.totals.prefilter_pruned,
+            unassigned_matches: self.totals.unassigned_matches,
             par_workers: self.totals.par_workers,
             par_shards: self.totals.par_shards,
             par_ie_batches: self.totals.par_ie_batches,

@@ -8,10 +8,11 @@
 //!
 //! * maintained writes — only the rows a write changed are extracted
 //!   again;
-//! * the IE memo — within one evaluation, a second rule asking an IE
-//!   function what a first one already asked is answered from the run's
-//!   table (watch the hit counters climb); every evaluation starts an
-//!   empty table;
+//! * the IE memo — the table of one evaluation's *shared calls*: a
+//!   second rule asking an IE function what a first one already asked is
+//!   answered from the run's table (watch the hit counters climb), while
+//!   a call only one rule asks is made and kept nowhere; every
+//!   evaluation starts an empty table;
 //! * `doc_gc` — threshold-triggered compaction that tombstones
 //!   documents no relation holds a span into, bounding resident text.
 //!
@@ -29,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Prepare once: an extraction program whose expensive part is
     //    the rgx scan over each document — and `Email` and `Contact`
-    //    ask it the same question of every text.
+    //    ask it the same question of every text: a shared call. The
+    //    `rgx` of `Mention` has one site, so the memo never keeps it.
     session.import_typed("Texts", vec![("seed", "boot text ann@gmail.com")])?;
     session.run(
         r#"
@@ -111,10 +113,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(peak < WATERMARK + 8 * 1024, "watermark + one document");
     let cache = session.stats().cache;
     println!(
-        "the last evaluation's memo: {} entries, {} bytes — its own document's calls only",
+        "the last evaluation's memo: {} entries, {} bytes — its own document's shared call only",
         cache.entries, cache.bytes,
     );
-    assert_eq!(cache.entries, 2, "one rgx and one rgx_string call");
+    assert_eq!(
+        cache.entries, 1,
+        "the rgx_string call Email and Contact share"
+    );
 
     // 5. Explicit compaction reports exactly what a pass reclaims: only
     //    documents with spans in live relations survive.
