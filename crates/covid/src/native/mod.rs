@@ -73,7 +73,7 @@ impl NativePipeline {
                 analyzed.push(AnalyzedMention {
                     start: sentence.start + m.start,
                     end: sentence.start + m.end,
-                    label: m.label.clone(),
+                    label: m.label.to_string(),
                     categories: assertion.categories,
                 });
             }

@@ -13,6 +13,10 @@
 //! sentence boundary. Targets inside the scope acquire the cue's
 //! category. This is the algorithm medSpaCy's `ConText` component
 //! implements, reproduced here over byte-offset spans.
+//!
+//! The cue lexicon is one [`PhraseMatcher`] whose phrase *i* is rule
+//! *i*, so a cue match names its rule and its token range directly
+//! ([`crate::PhraseMatch::index`], [`crate::PhraseMatch::tokens`]).
 
 mod rules;
 
@@ -156,8 +160,10 @@ impl ContextEngine {
     /// Compiles a rule set.
     pub fn new(rules: Vec<ModifierRule>) -> Self {
         let mut matcher = PhraseMatcher::new();
-        for (i, rule) in rules.iter().enumerate() {
-            matcher.add(&i.to_string(), &rule.phrase);
+        // Rule `i` is the matcher's phrase `i`: a match's index is its
+        // rule.
+        for rule in &rules {
+            matcher.add(rule.category.name(), &rule.phrase);
         }
         ContextEngine { rules, matcher }
     }
@@ -179,8 +185,8 @@ impl ContextEngine {
         let tokens: Vec<Token> = tokenize(sent_text);
 
         // Cue and termination occurrences, in token space.
-        struct Cue {
-            rule: usize,
+        struct Cue<'r> {
+            rule: &'r ModifierRule,
             start_tok: usize,
             end_tok: usize,
             start: usize,
@@ -190,27 +196,17 @@ impl ContextEngine {
         let mut terminators: Vec<usize> = Vec::new(); // token indices
         let mut pseudo_ranges: Vec<(usize, usize)> = Vec::new();
         for m in self.matcher.find(&tokens, sent_text) {
-            let rule_idx: usize = m.label.parse().expect("labels are indices");
-            let start_tok = tokens
-                .iter()
-                .position(|t| t.start == m.start)
-                .expect("match starts on a token");
-            let end_tok = tokens
-                .iter()
-                .position(|t| t.end == m.end)
-                .expect("match ends on a token");
-            if self.rules[rule_idx].direction == ModifierDirection::Terminate {
-                terminators.push(start_tok);
-            } else if self.rules[rule_idx].direction == ModifierDirection::Pseudo {
-                pseudo_ranges.push((m.start, m.end));
-            } else {
-                cues.push(Cue {
-                    rule: rule_idx,
-                    start_tok,
-                    end_tok,
+            let rule = &self.rules[m.index];
+            match rule.direction {
+                ModifierDirection::Terminate => terminators.push(m.tokens.start),
+                ModifierDirection::Pseudo => pseudo_ranges.push((m.start, m.end)),
+                _ => cues.push(Cue {
+                    rule,
+                    start_tok: m.tokens.start,
+                    end_tok: m.tokens.end - 1,
                     start: m.start,
                     end: m.end,
-                });
+                }),
             }
         }
 
@@ -231,7 +227,7 @@ impl ContextEngine {
 
         let mut out = Vec::new();
         for cue in &cues {
-            let rule = &self.rules[cue.rule];
+            let rule = cue.rule;
             let window = rule.max_scope.unwrap_or(usize::MAX);
 
             let forward = |out: &mut Vec<ContextModifier>| {

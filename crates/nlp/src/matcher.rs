@@ -6,28 +6,66 @@
 //! `"covidiom"` — and longest-match-wins among overlapping phrases with
 //! the same start, which is how medSpaCy's `TargetMatcher` resolves
 //! overlaps.
+//!
+//! A search allocates its output and at most one buffer, in which it
+//! lowercases each token that has an uppercase or non-ASCII byte before
+//! looking it up as a phrase's first word ([`lowercase`]). An ASCII
+//! token whose first byte and length no first word has is skipped
+//! unread, and a phrase's later words are compared with the tokens in
+//! place. A [`PhraseMatch`] borrows its label and phrase from the
+//! matcher, and names the phrase by its index and the tokens it covers,
+//! so a caller that keys its own table on the phrase (ConText's rules)
+//! needs no lookup by text.
 
-use crate::tokenizer::{lowered, Token};
+use crate::tokenizer::{lowercase, Token};
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 
-/// A phrase occurrence.
+/// A phrase occurrence, borrowing from the [`PhraseMatcher`] that found
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhraseMatch {
+pub struct PhraseMatch<'m> {
     /// Byte offset of the first matched token.
     pub start: usize,
     /// Byte offset one past the last matched token.
     pub end: usize,
+    /// The matched tokens, as indices into the searched token slice.
+    pub tokens: Range<usize>,
+    /// Which phrase matched: the number of [`PhraseMatcher::add`] calls
+    /// made before the one that loaded it.
+    pub index: usize,
     /// Label of the matched phrase.
-    pub label: String,
+    pub label: &'m str,
     /// The canonical (lexicon) form of the phrase.
-    pub phrase: String,
+    pub phrase: &'m str,
+}
+
+/// One loaded phrase.
+#[derive(Debug, Clone)]
+struct Phrase {
+    index: usize,
+    /// Lowercased whitespace-separated words.
+    tokens: Vec<String>,
+    label: String,
+    phrase: String,
 }
 
 /// A compiled phrase lexicon.
 #[derive(Debug, Clone, Default)]
 pub struct PhraseMatcher {
-    /// First-token → list of (token sequence, label, canonical phrase).
-    by_first: FxHashMap<String, Vec<(Vec<String>, String, String)>>,
+    /// First token → the phrases starting with it, in the order added.
+    by_first: FxHashMap<String, Vec<Phrase>>,
+    /// Number of `add` calls so far.
+    added: usize,
+    /// Per ASCII byte, one bit per byte length (the last bit standing
+    /// for 63 and more) of the first words that start with that byte.
+    /// An ASCII token lowercases to a word of its own length and first
+    /// byte, so one whose bit is clear starts no phrase.
+    ascii_firsts: Vec<u64>,
+}
+
+fn length_bit(len: usize) -> u64 {
+    1 << len.min(63)
 }
 
 impl PhraseMatcher {
@@ -39,18 +77,28 @@ impl PhraseMatcher {
     /// Adds a phrase under a label. Phrases are tokenized on whitespace
     /// and matched case-insensitively.
     pub fn add(&mut self, label: &str, phrase: &str) {
+        let index = self.added;
+        self.added += 1;
         let tokens: Vec<String> = phrase
             .split_whitespace()
             .map(|w| w.to_lowercase())
             .collect();
-        if tokens.is_empty() {
+        let Some(first) = tokens.first() else {
             return;
+        };
+        if let Some(&b) = first.as_bytes().first().filter(|b| b.is_ascii()) {
+            self.ascii_firsts.resize(128, 0);
+            self.ascii_firsts[usize::from(b)] |= length_bit(first.len());
         }
-        self.by_first.entry(tokens[0].clone()).or_default().push((
-            tokens,
-            label.to_string(),
-            phrase.to_string(),
-        ));
+        self.by_first
+            .entry(first.clone())
+            .or_default()
+            .push(Phrase {
+                index,
+                tokens,
+                label: label.to_string(),
+                phrase: phrase.to_string(),
+            });
     }
 
     /// Adds many phrases under one label.
@@ -71,41 +119,65 @@ impl PhraseMatcher {
     }
 
     /// Finds all phrase occurrences over a tokenized text. Matches with
-    /// the same start keep only the longest; matches starting inside a
-    /// previous match are allowed (ConText needs nested cues).
-    pub fn find(&self, tokens: &[Token], source: &str) -> Vec<PhraseMatch> {
-        let lower = lowered(tokens, source);
+    /// the same start keep only the longest (the first added among
+    /// equals); matches starting inside a previous match are allowed
+    /// (ConText needs nested cues).
+    pub fn find(&self, tokens: &[Token], source: &str) -> Vec<PhraseMatch<'_>> {
         let mut out = Vec::new();
-        for i in 0..tokens.len() {
-            let Some(candidates) = self.by_first.get(lower[i].as_str()) else {
+        let mut buf = String::new();
+        for (i, first) in tokens.iter().enumerate() {
+            let text = first.text(source);
+            if text.is_ascii() && !self.may_start(text) {
+                continue;
+            }
+            let Some(candidates) = self.by_first.get(lowercase(text, &mut buf)) else {
                 continue;
             };
-            let mut best: Option<(usize, &str, &str)> = None; // (token_len, label, phrase)
-            for (seq, label, phrase) in candidates {
-                if i + seq.len() > tokens.len() {
-                    continue;
-                }
-                if seq
-                    .iter()
-                    .zip(&lower[i..i + seq.len()])
-                    .all(|(a, b)| a == b)
-                {
-                    match best {
-                        Some((blen, _, _)) if blen >= seq.len() => {}
-                        _ => best = Some((seq.len(), label, phrase)),
-                    }
+            let mut best: Option<&Phrase> = None;
+            for candidate in candidates {
+                let len = candidate.tokens.len();
+                let fits = tokens.get(i + 1..i + len).is_some_and(|rest| {
+                    candidate.tokens[1..]
+                        .iter()
+                        .zip(rest)
+                        .all(|(word, t)| lowercases_to(t.text(source), word))
+                });
+                if fits && best.is_none_or(|b| b.tokens.len() < len) {
+                    best = Some(candidate);
                 }
             }
-            if let Some((len, label, phrase)) = best {
+            if let Some(phrase) = best {
+                let matched = i..i + phrase.tokens.len();
                 out.push(PhraseMatch {
-                    start: tokens[i].start,
-                    end: tokens[i + len - 1].end,
-                    label: label.to_string(),
-                    phrase: phrase.to_string(),
+                    start: first.start,
+                    end: tokens[matched.end - 1].end,
+                    tokens: matched,
+                    index: phrase.index,
+                    label: &phrase.label,
+                    phrase: &phrase.phrase,
                 });
             }
         }
         out
+    }
+
+    /// Whether ASCII text could lowercase to some phrase's first word.
+    fn may_start(&self, ascii: &str) -> bool {
+        ascii
+            .as_bytes()
+            .first()
+            .and_then(|b| self.ascii_firsts.get(usize::from(b.to_ascii_lowercase())))
+            .is_some_and(|bits| bits & length_bit(ascii.len()) != 0)
+    }
+}
+
+/// Whether `text` lowercases to `word`, itself a lowercased string. ASCII
+/// text lowercases byte by byte, so it is compared in place.
+fn lowercases_to(text: &str, word: &str) -> bool {
+    if text.is_ascii() {
+        text.eq_ignore_ascii_case(word)
+    } else {
+        text.to_lowercase() == word
     }
 }
 
@@ -126,10 +198,11 @@ mod tests {
 
     fn find(src: &str) -> Vec<(String, String)> {
         let tokens = tokenize(src);
-        matcher()
+        let matcher = matcher();
+        matcher
             .find(&tokens, src)
             .into_iter()
-            .map(|m| (m.label, src[m.start..m.end].to_string()))
+            .map(|m| (m.label.to_string(), src[m.start..m.end].to_string()))
             .collect()
     }
 
@@ -170,7 +243,8 @@ mod tests {
     fn byte_offsets_correct() {
         let src = "note: covid positive";
         let tokens = tokenize(src);
-        let m = &matcher().find(&tokens, src)[0];
+        let matcher = matcher();
+        let m = &matcher.find(&tokens, src)[0];
         assert_eq!(&src[m.start..m.end], "covid");
         assert_eq!(m.start, 6);
     }

@@ -5,8 +5,15 @@
 //! mentions differently per section — e.g. a COVID mention under *family
 //! history* does not make the patient positive. A section starts at a
 //! recognized header and runs until the next header or end of note.
+//!
+//! A header table is compiled before use: lowercased header →
+//! category, plus the most words a header has. [`detect_sections`]
+//! compiles the default table once per process; [`detect_sections_with`]
+//! compiles the table it is given on each call.
 
+use crate::tokenizer::lowercase;
 use rustc_hash::FxHashMap;
+use std::sync::OnceLock;
 
 /// A detected section.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,57 +69,75 @@ pub fn default_headers() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Detects sections using the default header table.
+/// Detects sections using the default header table, compiled on the
+/// first call and kept for the life of the process.
 pub fn detect_sections(text: &str) -> Vec<Section> {
-    detect_sections_with(text, &default_headers())
+    static DEFAULT: OnceLock<Headers> = OnceLock::new();
+    DEFAULT
+        .get_or_init(|| Headers::new(&default_headers()))
+        .detect(text)
 }
 
 /// Detects sections with a custom header table. Headers match at line
 /// starts, case-insensitively, and must be followed by `:`.
 pub fn detect_sections_with(text: &str, headers: &[(&str, &str)]) -> Vec<Section> {
-    let by_lower: FxHashMap<String, String> = headers
-        .iter()
-        .map(|(h, c)| (h.to_lowercase(), c.to_string()))
-        .collect();
-    let max_header_words = headers
-        .iter()
-        .map(|(h, _)| h.split_whitespace().count())
-        .max()
-        .unwrap_or(1);
+    Headers::new(headers).detect(text)
+}
 
-    let mut found: Vec<(usize, usize, String)> = Vec::new(); // (start, end incl ':', category)
-    let mut line_start = 0usize;
-    for line in text.split_inclusive('\n') {
-        let trimmed = line.trim_start();
-        let indent = line.len() - trimmed.len();
-        if let Some(colon_rel) = trimmed.find(':') {
-            let candidate = &trimmed[..colon_rel];
-            if candidate.split_whitespace().count() <= max_header_words {
-                let key = candidate.trim().to_lowercase();
-                if let Some(category) = by_lower.get(&key) {
-                    let start = line_start + indent;
-                    let end = line_start + indent + colon_rel + 1;
-                    found.push((start, end, category.clone()));
-                }
-            }
+/// A header table compiled for lookup.
+struct Headers {
+    /// Lowercased header → category.
+    by_lower: FxHashMap<String, String>,
+    /// The most words any header has.
+    max_words: usize,
+}
+
+impl Headers {
+    fn new(headers: &[(&str, &str)]) -> Headers {
+        Headers {
+            by_lower: headers
+                .iter()
+                .map(|(h, c)| (h.to_lowercase(), c.to_string()))
+                .collect(),
+            max_words: headers
+                .iter()
+                .map(|(h, _)| h.split_whitespace().count())
+                .max()
+                .unwrap_or(1),
         }
-        line_start += line.len();
     }
 
-    let mut sections = Vec::with_capacity(found.len());
-    for (i, (start, end, category)) in found.iter().enumerate() {
-        let body_end = found
-            .get(i + 1)
-            .map(|(next_start, _, _)| *next_start)
-            .unwrap_or(text.len());
-        sections.push(Section {
-            category: category.clone(),
-            header_start: *start,
-            header_end: *end,
-            body_end,
-        });
+    fn detect(&self, text: &str) -> Vec<Section> {
+        let mut sections: Vec<Section> = Vec::new();
+        let mut buf = String::new();
+        let mut line_start = 0usize;
+        for line in text.split_inclusive('\n') {
+            let trimmed = line.trim_start();
+            let start = line_start + (line.len() - trimmed.len());
+            line_start += line.len();
+            let Some(colon) = trimmed.find(':') else {
+                continue;
+            };
+            let candidate = &trimmed[..colon];
+            if candidate.split_whitespace().count() > self.max_words {
+                continue;
+            }
+            let Some(category) = self.by_lower.get(lowercase(candidate.trim(), &mut buf)) else {
+                continue;
+            };
+            // A section's body runs to the next header.
+            if let Some(previous) = sections.last_mut() {
+                previous.body_end = start;
+            }
+            sections.push(Section {
+                category: category.clone(),
+                header_start: start,
+                header_end: start + colon + 1,
+                body_end: text.len(),
+            });
+        }
+        sections
     }
-    sections
 }
 
 /// The category of the section containing byte offset `pos`, if any.

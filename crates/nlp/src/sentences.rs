@@ -7,7 +7,7 @@
 //! `PyRuSH`-style splitters behave on notes.
 
 use crate::lexicon::ABBREVIATIONS;
-use crate::tokenizer::{tokenize, TokenKind};
+use crate::tokenizer::{lowercase, tokenize, TokenKind};
 
 /// A sentence: a byte range of the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +29,7 @@ impl Sentence {
 pub fn split_sentences(text: &str) -> Vec<Sentence> {
     let tokens = tokenize(text);
     let mut boundaries: Vec<usize> = Vec::new(); // byte offsets *after* which a sentence ends
+    let mut buf = String::new();
 
     for (i, tok) in tokens.iter().enumerate() {
         if tok.kind != TokenKind::Punct {
@@ -42,8 +43,8 @@ pub fn split_sentences(text: &str) -> Vec<Sentence> {
             // Abbreviation? look at the previous token.
             if let Some(prev) = i.checked_sub(1).map(|p| &tokens[p]) {
                 if prev.end == tok.start && prev.kind == TokenKind::Word {
-                    let w = prev.text(text).to_lowercase();
-                    if ABBREVIATIONS.contains(&w.as_str()) {
+                    let w = lowercase(prev.text(text), &mut buf);
+                    if ABBREVIATIONS.contains(&w) {
                         continue;
                     }
                     // Single-letter initials ("J. Smith").

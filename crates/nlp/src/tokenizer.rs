@@ -5,6 +5,16 @@
 //! stay inside the token, as in `patient's` and `COVID-19` — the latter
 //! mixes digits and is still one token), digit runs are numbers, and any
 //! other non-whitespace character is a single punctuation token.
+//!
+//! [`tokenize`] is one forward scan over the bytes: an ASCII byte is
+//! its own character, and only a non-ASCII byte is decoded. Every rule
+//! is decided by the `char` predicates (`is_whitespace`,
+//! `is_alphabetic`, `is_alphanumeric`, `is_ascii_digit`), so a token
+//! boundary falls where it would over the decoded characters, and
+//! nothing but the output vector is allocated. [`lowercase`] is the
+//! normalization the other modules compare text under; it hands back
+//! text that is lowercase ASCII already, and lowercases the rest into a
+//! buffer its caller reuses.
 
 use std::fmt;
 
@@ -71,72 +81,91 @@ fn continues_number(c: char, next: Option<char>) -> bool {
     (c == '.' || c == ',') && next.is_some_and(|n| n.is_ascii_digit())
 }
 
+/// The character that starts at byte `i` of `text`, if any. An ASCII
+/// byte is its own character; anything else is decoded.
+#[inline]
+fn char_at(text: &str, i: usize) -> Option<char> {
+    let b = *text.as_bytes().get(i)?;
+    if b.is_ascii() {
+        Some(char::from(b))
+    } else {
+        text.get(i..)?.chars().next()
+    }
+}
+
+/// The byte offset where a run that `continues` accepts, starting at
+/// byte `i`, ends. A byte `ascii` accepts is a character `continues`
+/// accepts whatever follows it, so a run of those is skipped unread.
+#[inline]
+fn run_end(
+    text: &str,
+    mut i: usize,
+    ascii: impl Fn(&u8) -> bool,
+    continues: impl Fn(char, Option<char>) -> bool,
+) -> usize {
+    let bytes = text.as_bytes();
+    loop {
+        while bytes.get(i).is_some_and(&ascii) {
+            i += 1;
+        }
+        let Some(c) = char_at(text, i) else {
+            return i;
+        };
+        if !continues(c, char_at(text, i + c.len_utf8())) {
+            return i;
+        }
+        i += c.len_utf8();
+    }
+}
+
 /// Tokenizes `text` into words, numbers, and punctuation.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let chars: Vec<(usize, char)> = text.char_indices().collect();
-    let n = chars.len();
+    // Prose averages more than four bytes a token.
+    let mut tokens = Vec::with_capacity(text.len() / 4);
     let mut i = 0;
-    while i < n {
-        let (start, c) = chars[i];
+    while let Some(c) = char_at(text, i) {
+        let start = i;
+        i += c.len_utf8();
         if c.is_whitespace() {
-            i += 1;
             continue;
         }
-        if c.is_alphabetic() {
-            let mut j = i + 1;
-            while j < n {
-                let next = chars.get(j + 1).map(|&(_, ch)| ch);
-                if continues_word(chars[j].1, next) {
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let end = chars.get(j).map_or(text.len(), |&(b, _)| b);
-            tokens.push(Token {
-                start,
-                end,
-                kind: TokenKind::Word,
-            });
-            i = j;
+        let kind = if c.is_alphabetic() {
+            i = run_end(text, i, u8::is_ascii_alphanumeric, continues_word);
+            TokenKind::Word
         } else if c.is_ascii_digit() {
-            let mut j = i + 1;
-            while j < n {
-                let next = chars.get(j + 1).map(|&(_, ch)| ch);
-                if continues_number(chars[j].1, next) {
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let end = chars.get(j).map_or(text.len(), |&(b, _)| b);
-            tokens.push(Token {
-                start,
-                end,
-                kind: TokenKind::Number,
-            });
-            i = j;
+            i = run_end(text, i, u8::is_ascii_digit, continues_number);
+            TokenKind::Number
         } else {
-            let end = chars.get(i + 1).map_or(text.len(), |&(b, _)| b);
-            tokens.push(Token {
-                start,
-                end,
-                kind: TokenKind::Punct,
-            });
-            i += 1;
-        }
+            TokenKind::Punct
+        };
+        tokens.push(Token {
+            start,
+            end: i,
+            kind,
+        });
     }
     tokens
 }
 
-/// Lowercased text of each token — the normalization used by the phrase
-/// matcher and ConText.
-pub fn lowered(tokens: &[Token], source: &str) -> Vec<String> {
-    tokens
-        .iter()
-        .map(|t| t.text(source).to_lowercase())
-        .collect()
+/// `text` lowercased — the normalization the phrase matcher, ConText
+/// and the section detector compare text under. Text with no uppercase
+/// or non-ASCII byte is lowercase already and comes back as it is; any
+/// other is lowercased into `buf`, which a caller reuses across calls.
+pub fn lowercase<'a>(text: &'a str, buf: &'a mut String) -> &'a str {
+    if !text
+        .bytes()
+        .any(|b| b.is_ascii_uppercase() || !b.is_ascii())
+    {
+        return text;
+    }
+    if text.is_ascii() {
+        buf.clear();
+        buf.push_str(text);
+        buf.make_ascii_lowercase();
+    } else {
+        *buf = text.to_lowercase();
+    }
+    buf
 }
 
 #[cfg(test)]
@@ -196,6 +225,11 @@ mod tests {
     fn lowered_normalizes() {
         let src = "COVID Positive";
         let toks = tokenize(src);
-        assert_eq!(lowered(&toks, src), vec!["covid", "positive"]);
+        let mut buf = String::new();
+        let lowered: Vec<String> = toks
+            .iter()
+            .map(|t| lowercase(t.text(src), &mut buf).to_string())
+            .collect();
+        assert_eq!(lowered, vec!["covid", "positive"]);
     }
 }

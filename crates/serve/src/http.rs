@@ -7,13 +7,27 @@
 //! the admission-control stance that a request's cost must be knowable
 //! before it is read. Connections are keep-alive by default (HTTP/1.1
 //! semantics); [`Request::wants_close`] reports the client's choice.
+//!
+//! Reading a request allocates at most its body cap plus a small
+//! multiple of [`MAX_HEAD_BYTES`]: a head holds at most 100 fields, and
+//! an error quotes at most 64 characters of the line it refuses. Every
+//! refusal ends with `(at byte N)`, the offset into the request of the
+//! line, or the byte, at which reading stopped
+//! (`tests/wire_props.rs` holds both to arbitrary and mutated input).
 
 use std::io::{self, BufRead, Read, Write};
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Total bytes allowed for the request line plus all headers.
-const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Most header fields a request may carry. Without it an 8 KiB head of
+/// one-byte fields built a table of over 100 KiB.
+const MAX_HEADERS: usize = 100;
+
+/// Most characters of a request line or header an error quotes.
+const QUOTED_CHARS: usize = 64;
 
 /// How many consecutive socket-timeout ticks a *partially received*
 /// request may survive before the connection is dropped. With spannerd's
@@ -72,16 +86,29 @@ pub enum ReadOutcome {
     Bad {
         /// Suggested HTTP status (400 / 408 / 411 / 413 / 431).
         status: u16,
-        /// Human-readable reason, for the JSON error body.
+        /// Human-readable reason, for the JSON error body. It ends with
+        /// `(at byte N)`: the offset into the request of the line, or
+        /// the byte, at which reading stopped.
         message: String,
     },
 }
 
-fn bad(status: u16, message: impl Into<String>) -> ReadOutcome {
+fn bad(status: u16, at: usize, message: impl std::fmt::Display) -> ReadOutcome {
     ReadOutcome::Bad {
         status,
-        message: message.into(),
+        message: format!("{message} (at byte {at})"),
     }
+}
+
+/// `text` for an error message: debug-quoted, cut to its first
+/// `QUOTED_CHARS` characters.
+fn quoted(text: &str) -> String {
+    let cut = text
+        .char_indices()
+        .nth(QUOTED_CHARS)
+        .map_or(text, |(i, _)| &text[..i]);
+    let more = if cut.len() < text.len() { "…" } else { "" };
+    format!("{cut:?}{more}")
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -106,14 +133,14 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> ReadOutcome 
             break pos;
         }
         if head.len() >= MAX_HEAD_BYTES {
-            return bad(431, "request head exceeds 8 KiB");
+            return bad(431, head.len(), "request head exceeds 8 KiB");
         }
         let chunk = match reader.fill_buf() {
             Ok([]) => {
                 return if head.is_empty() {
                     ReadOutcome::Closed
                 } else {
-                    bad(400, "connection closed mid-request")
+                    bad(400, head.len(), "connection closed mid-request")
                 };
             }
             Ok(chunk) => chunk,
@@ -124,7 +151,7 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> ReadOutcome 
                 }
                 stalls += 1;
                 if stalls > MAX_STALL_TICKS {
-                    return bad(408, "timed out reading request head");
+                    return bad(408, head.len(), "timed out reading request head");
                 }
                 continue;
             }
@@ -144,69 +171,104 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> ReadOutcome 
 
     let head_text = match std::str::from_utf8(&head[..head_end]) {
         Ok(t) => t,
-        Err(_) => return bad(400, "request head is not UTF-8"),
+        Err(e) => return bad(400, e.valid_up_to(), "request head is not UTF-8"),
     };
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split(' ');
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return bad(400, format!("malformed request line {request_line:?}"));
+        return bad(
+            400,
+            0,
+            format!("malformed request line {}", quoted(request_line)),
+        );
     };
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
-        return bad(400, format!("malformed request line {request_line:?}"));
+        return bad(
+            400,
+            0,
+            format!("malformed request line {}", quoted(request_line)),
+        );
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
+    // Each header with the offset of its line in the head.
     let mut headers = Vec::new();
+    let mut offsets = Vec::new();
+    let mut at = request_line.len() + 2;
     for line in lines {
+        let line_at = at;
+        at += line.len() + 2;
         if line.is_empty() {
             continue;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return bad(400, format!("malformed header line {line:?}"));
+            return bad(
+                400,
+                line_at,
+                format!("malformed header line {}", quoted(line)),
+            );
         };
+        if headers.len() == MAX_HEADERS {
+            return bad(
+                431,
+                line_at,
+                format!("more than {MAX_HEADERS} header fields"),
+            );
+        }
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        offsets.push(line_at);
     }
-
-    let req = Request {
-        method: method.to_ascii_uppercase(),
-        path,
-        headers,
-        body: Vec::new(),
+    let fields = || {
+        headers
+            .iter()
+            .zip(&offsets)
+            .map(|((k, v), &at)| (k, v.as_str(), at))
     };
-    if req
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
-        return bad(411, "chunked bodies are not accepted; send Content-Length");
+
+    if let Some((_, value, at)) = fields().find(|(k, _, _)| *k == "transfer-encoding") {
+        if !value.eq_ignore_ascii_case("identity") {
+            return bad(
+                411,
+                at,
+                "chunked bodies are not accepted; send Content-Length",
+            );
+        }
     }
     // The body is framed by *the* Content-Length: two that disagree
     // would let the surplus bytes pass for the next request.
-    let lengths = req.headers.iter().filter(|(k, _)| k == "content-length");
-    let mut lengths = lengths.map(|(_, v)| v.as_str());
-    let content_length = match lengths.next() {
-        None => 0,
-        Some(v) if lengths.any(|other| other != v) => {
-            return bad(400, "conflicting Content-Length headers");
+    let mut lengths = fields().filter(|(k, _, _)| *k == "content-length");
+    let (content_length, length_at) = match lengths.next() {
+        None => (0, 0),
+        Some((_, v, at)) => {
+            if let Some((_, _, other_at)) = lengths.find(|(_, other, _)| *other != v) {
+                return bad(400, other_at, "conflicting Content-Length headers");
+            }
+            // 1*DIGIT: `usize::from_str` by itself takes a sign.
+            match v.parse::<usize>() {
+                Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => (n, at),
+                _ => return bad(400, at, format!("invalid Content-Length {}", quoted(v))),
+            }
         }
-        // 1*DIGIT: `usize::from_str` by itself takes a sign.
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
-            _ => return bad(400, format!("invalid Content-Length {v:?}")),
-        },
     };
     if content_length > max_body {
         return bad(
             413,
+            length_at,
             format!("body of {content_length} bytes exceeds the {max_body}-byte limit"),
         );
     }
     let mut body = vec![0u8; content_length];
-    if let Err(outcome) = read_exact_patient(reader, &mut body) {
+    if let Err(outcome) = read_exact_patient(reader, &mut body, head_end + 4) {
         return outcome;
     }
-    ReadOutcome::Request(Request { body, ..req })
+    ReadOutcome::Request(Request {
+        method: method.to_ascii_uppercase(),
+        path,
+        headers,
+        body,
+    })
 }
 
 /// Locates the end of the head: byte offset of `\r\n\r\n`, if present.
@@ -215,13 +277,18 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// `read_exact` that rides out socket read timeouts (bounded, as in the
-/// head loop) and maps failures to protocol outcomes.
-fn read_exact_patient<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), ReadOutcome> {
+/// head loop) and maps failures to protocol outcomes; `offset` is where
+/// `buf` starts in the request.
+fn read_exact_patient<R: Read>(
+    reader: &mut R,
+    buf: &mut [u8],
+    offset: usize,
+) -> Result<(), ReadOutcome> {
     let mut filled = 0usize;
     let mut stalls = 0usize;
     while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(bad(400, "connection closed mid-body")),
+            Ok(0) => return Err(bad(400, offset + filled, "connection closed mid-body")),
             Ok(n) => {
                 filled += n;
                 stalls = 0;
@@ -230,7 +297,7 @@ fn read_exact_patient<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), Rea
             Err(e) if is_timeout(&e) => {
                 stalls += 1;
                 if stalls > MAX_STALL_TICKS {
-                    return Err(bad(408, "timed out reading request body"));
+                    return Err(bad(408, offset + filled, "timed out reading request body"));
                 }
             }
             Err(_) => return Err(ReadOutcome::Closed),
@@ -429,6 +496,68 @@ mod tests {
             assert!(
                 matches!(out, ReadOutcome::Bad { status: 400, .. }),
                 "{rejected:?}: {out:?}"
+            );
+        }
+    }
+
+    /// Each field costs a table entry of two `String`s, so 2 000 one-byte
+    /// fields in an 8 KiB head built a ~100 KiB table; past
+    /// `MAX_HEADERS` the head is refused.
+    #[test]
+    fn a_head_of_too_many_fields_is_refused_with_431() {
+        let head = |fields: usize| {
+            let raw = format!("GET / HTTP/1.1\r\n{}\r\n", "a:\r\n".repeat(fields));
+            parse(raw.as_bytes())
+        };
+        assert!(matches!(head(MAX_HEADERS), ReadOutcome::Request(_)));
+        let at = "GET / HTTP/1.1\r\n".len() + 4 * MAX_HEADERS;
+        let ReadOutcome::Bad { status, message } = head(MAX_HEADERS + 1) else {
+            panic!("too many fields must fail");
+        };
+        assert_eq!(status, 431);
+        assert!(message.ends_with(&format!("(at byte {at})")), "{message}");
+    }
+
+    /// An error used to quote the whole offending line, debug-escaped:
+    /// an 8 KiB line of control bytes made a ~50 KiB message.
+    #[test]
+    fn errors_quote_a_short_prefix_of_a_long_line() {
+        let mut raw = vec![1u8; MAX_HEAD_BYTES - 8];
+        raw.extend_from_slice(b"\r\n\r\n");
+        let ReadOutcome::Bad { status, message } = parse(&raw) else {
+            panic!("a line of control bytes is malformed");
+        };
+        assert_eq!(status, 400);
+        assert!(message.len() < 8 * QUOTED_CHARS, "{} bytes", message.len());
+        assert!(message.contains('…'), "{message}");
+    }
+
+    /// Every refusal ends with the offset into the request of the line,
+    /// or the byte, at which reading stopped.
+    #[test]
+    fn errors_name_the_byte_they_stopped_at() {
+        for (raw, at) in [
+            (&b"GARBAGE\r\n\r\n"[..], 0),
+            (b"GET /x HTTP/1.1\r\nok: 1\r\nno-colon\r\n\r\n", 24),
+            (
+                b"GET /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n",
+                36,
+            ),
+            (b"POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 18),
+            (
+                b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                18,
+            ),
+            (b"GET /x HTTP/1.1\r\n\xff: 1\r\n\r\n", 17),
+            (b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab", 41),
+            (b"GET /x HTTP/1.1\r\nHost", 21),
+        ] {
+            let ReadOutcome::Bad { message, .. } = parse(raw) else {
+                panic!("{raw:?} must fail");
+            };
+            assert!(
+                message.ends_with(&format!("(at byte {at})")),
+                "{raw:?}: {message}"
             );
         }
     }

@@ -7,6 +7,11 @@
 //! that escapes control characters. [`Json::Raw`] lets callers splice
 //! pre-rendered JSON (e.g. histogram summaries from the trace crate)
 //! into a tree without re-parsing it.
+//!
+//! Every parse error ends with `(at byte N)`. A parse allocates at most
+//! 64 bytes per input byte: a 32-byte [`Json`] per two bytes of input,
+//! doubled at worst by a vector's growth (`tests/wire_props.rs` checks
+//! both on arbitrary, mutated and dense input).
 
 use std::fmt::Write as _;
 
