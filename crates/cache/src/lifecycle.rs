@@ -6,8 +6,8 @@
 //! that streams distinct documents grows without bound. A compaction
 //! pass closes the loop: the engine marks the document of every span in
 //! a relation, extensional or derived — relations are the only roots —
-//! and compacts the store against that set. (The IE memo is no root: it
-//! dies with the evaluation that filled it.) [`DocGc`] says *when* a
+//! and compacts the store against that set — the engine's relations of
+//! shared IE calls among them. [`DocGc`] says *when* a
 //! pass runs: never (the historical append-only behavior), or whenever
 //! resident document bytes cross a threshold after an eviction-shaped
 //! mutation (`remove_relation`, a replacing import).

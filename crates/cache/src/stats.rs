@@ -1,24 +1,21 @@
 //! Cache observability counters.
 
-/// Counters of IE memo traffic — of one [`crate::IeMemo`], or summed
-/// over every evaluation of a session and exposed through
-/// `Session::stats()`, so serving paths can watch hit rates without
-/// instrumenting IE functions.
+/// Counters of the IE memo the engine once kept. A call two rules share
+/// is now a derived relation, so every field reads 0; the type stays for
+/// `Session::stats`, `Session::cache_stats` and `Snapshot::cache_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the memo table.
+    /// Lookups answered from the memo: 0.
     pub hits: u64,
-    /// Lookups that fell through to the IE function.
+    /// Lookups that fell through to the IE function: 0.
     pub misses: u64,
-    /// Stores (one per miss of a shared call that returned).
+    /// Stores: 0.
     pub insertions: u64,
-    /// Always 0: a table lives for one evaluation and drops no entry
-    /// before it ends. Kept for the readers of `cache.memo.evictions`.
+    /// Entries dropped: 0.
     pub evictions: u64,
-    /// Entries resident (summed: in the last evaluation's table).
+    /// Entries resident: 0.
     pub entries: usize,
-    /// Approximate bytes resident — keys, outputs and a fixed per-entry
-    /// overhead (summed: in the last evaluation's table).
+    /// Approximate bytes resident: 0.
     pub bytes: usize,
 }
 
@@ -26,12 +23,7 @@ impl CacheStats {
     /// Fraction of lookups served from the memo, in `[0, 1]`; `0.0`
     /// before any lookup.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 

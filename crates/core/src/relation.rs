@@ -80,7 +80,13 @@ impl Relation {
     /// schema; the cells are cloned only if the row is new.
     pub fn insert_row(&mut self, row: &[Value]) -> Result<bool, CoreError> {
         self.schema.check(row)?;
-        Ok(self.rows.push_distinct(&mut self.table, row.iter()))
+        Ok(self.insert_row_unchecked(row))
+    }
+
+    /// [`Relation::insert_row`] for a relation whose columns may hold
+    /// values of several types: the caller guarantees the row's arity.
+    pub fn insert_row_unchecked(&mut self, row: &[Value]) -> bool {
+        self.rows.push_distinct(&mut self.table, row.iter())
     }
 
     /// The id of the row equal to `row`, if the relation holds one.

@@ -12,7 +12,7 @@
 //! A cell is two words (16 bytes). A string is a [`Str`]: one pointer to
 //! its shared text and the hash of that text, taken once from its bytes
 //! when the string is made. Hashing a string cell — to dedupe a row,
-//! group a batch or probe the IE memo — therefore costs one word, however
+//! group a batch or index a relation — therefore costs one word, however
 //! long the document, and two strings with different hashes compare
 //! unequal without reading their bytes.
 

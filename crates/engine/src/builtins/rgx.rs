@@ -81,7 +81,7 @@ struct RgxFunction {
 
 /// `rgx(pattern, text)` — or, when `strings`, `rgx_string` — as a
 /// function of the text alone, with `regex` as the pattern: a call
-/// compiles nothing, and the memo keys on the text only.
+/// compiles nothing, and a shared call's relation keys on the text only.
 pub fn fixed_rgx(regex: Regex, strings: bool) -> Arc<dyn IeFunction> {
     Arc::new(RgxFunction {
         fixed: Some(Arc::new(regex)),

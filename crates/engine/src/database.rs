@@ -10,6 +10,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::optimizer::IndexCache;
+use crate::share::is_auxiliary;
 use rustc_hash::{FxHashMap, FxHashSet};
 use spannerlib_core::{DocumentStore, Relation, Rows, Schema, Tuple, Value};
 use std::sync::Arc;
@@ -106,13 +107,22 @@ impl Database {
             .ok_or_else(|| EngineError::UnknownRelation(name.to_string()))
     }
 
-    /// The relation named `name`, or an empty placeholder if it does not
-    /// exist (used for derived relations that produced no tuples).
+    /// The relation named `name` as a host sees it: none for one of the
+    /// engine's own (`crate::share`), which no host reads or writes.
+    pub fn visible(&self, name: &str) -> Option<&Relation> {
+        self.relations.get(name).filter(|_| !is_auxiliary(name))
+    }
+
+    /// Refuses a name `#` reserves for the engine's own relations.
+    pub fn check_name(name: &str) -> Result<()> {
+        let reserved = || EngineError::ReservedName(name.to_string());
+        (!is_auxiliary(name)).then_some(()).ok_or_else(reserved)
+    }
+
+    /// [`Database::visible`], or an empty placeholder where there is none.
     pub fn relation_or_empty(&self, name: &str) -> Relation {
-        self.relations
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| Relation::new(Schema::empty()))
+        let visible = self.visible(name).cloned();
+        visible.unwrap_or_else(|| Relation::new(Schema::empty()))
     }
 
     /// Inserts a host-asserted fact, creating a derived relation with
@@ -159,8 +169,14 @@ impl Database {
         });
         let mut marks = (self.extensional.contains_key(name))
             .then(|| self.derived_marks.entry(name.to_string()).or_default());
+        // Two sites of a shared call may pass it values of two types.
+        let untyped = is_auxiliary(name);
         for row in piece.iter() {
-            if rel.insert_row(row)? {
+            let new = match untyped {
+                true => rel.insert_row_unchecked(row),
+                false => rel.insert_row(row)?,
+            };
+            if new {
                 if let Some(marks) = &mut marks {
                     marks.insert(rel.len() - 1);
                 }

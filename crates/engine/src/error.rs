@@ -5,10 +5,11 @@ use spannerlog_parser::{caret_snippet, ParseError};
 use std::fmt;
 use thiserror::Error;
 
-/// The rule an evaluation limit is attributed to. For the row limit
-/// this is the rule whose insert crossed the bound; for the round limit
-/// — which only trips *between* rounds — it is the last rule that
-/// derived new tuples, i.e. the one still driving the fixpoint.
+/// The rule an evaluation limit — or an IE panic — is attributed to.
+/// For the row limit this is the rule whose insert crossed the bound;
+/// for the round limit — which only trips *between* rounds — it is the
+/// last rule that derived new tuples, i.e. the one still driving the
+/// fixpoint; for a panic, the rule whose firing made the call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LimitCulprit {
     /// Head predicate of the rule.
@@ -102,6 +103,11 @@ pub enum EngineError {
     #[error("unknown conversion function {0:?}")]
     UnknownConversion(String),
 
+    /// A declaration or import names a relation `#` reserves for the
+    /// engine's relations of shared IE calls.
+    #[error("relation name {0:?} is reserved: `#` marks the engine's own relations")]
+    ReservedName(String),
+
     /// A declaration or import collides with an existing relation.
     #[error("relation {0:?} already exists")]
     DuplicateRelation(String),
@@ -191,6 +197,19 @@ pub enum EngineError {
         function: String,
         /// Explanation from the callback.
         msg: String,
+    },
+
+    /// An IE function panicked. The panic stops at the call, on the
+    /// calling thread or a shard's; the run fails, and the session's next
+    /// evaluation runs in full.
+    #[error("IE function {function:?} panicked: {msg} ({rule})")]
+    IePanicked {
+        /// Function name.
+        function: String,
+        /// The panic's message.
+        msg: String,
+        /// The rule whose firing called it.
+        rule: Box<LimitCulprit>,
     },
 
     /// An IE callback returned a row of unexpected arity.

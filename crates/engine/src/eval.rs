@@ -34,9 +34,7 @@ use crate::plan::{self, ExecCtx, ParTally, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
 use crate::strata::Component;
 use crate::EvalMode;
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-use spannerlib_cache::IeMemo;
 use spannerlib_core::Rows;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use std::ops::Range;
@@ -94,15 +92,15 @@ impl EvalDeadline {
     }
 }
 
-/// The rule a limit overrun is blamed on, as a boxed error payload.
-fn culprit_of(rule: Option<&RulePlan>) -> Box<LimitCulprit> {
+/// The rule an error is blamed on, boxed; none for a shared call's own.
+pub(crate) fn culprit_of(rule: Option<&RulePlan>) -> Box<LimitCulprit> {
     Box::new(match rule {
-        Some(r) => LimitCulprit {
+        Some(r) if r.is_written() => LimitCulprit {
             head: r.head_predicate.clone(),
             source: r.source.clone(),
             line: r.line,
         },
-        None => LimitCulprit::unknown(),
+        _ => LimitCulprit::unknown(),
     })
 }
 
@@ -149,9 +147,10 @@ impl EvalLimits {
 /// Counters filled during evaluation (consumed by benches and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Rounds across all components (one per non-recursive component).
+    /// Rounds of the components holding a rule as written (one per
+    /// non-recursive component).
     pub rounds: usize,
-    /// Rule-plan executions (including semi-naive variants).
+    /// Plan executions of the rules as written, semi-naive variants too.
     pub rule_firings: usize,
     /// Tuples derived (including duplicates rejected by set semantics).
     pub tuples_derived: usize,
@@ -169,8 +168,6 @@ pub struct EvalCtx<'a> {
     pub registry: &'a Registry,
     /// Resource limits.
     pub limits: EvalLimits,
-    /// The run's memo of shared IE calls, empty when the run starts.
-    pub cache: &'a Mutex<IeMemo>,
     /// Lanes a firing's shards run on, the calling thread included
     /// (`SessionBuilder::parallelism`); below 2 every firing runs on the
     /// calling thread.
@@ -239,8 +236,7 @@ impl Drop for Lent<'_> {
 
 /// Evaluates `components` in order, inserting derived tuples into `db`.
 /// A non-recursive component is complete after each of its rules fires
-/// once; a recursive one runs to fixpoint. `ctx.cache` memoizes the
-/// shared IE calls across the rules and rounds of the run. Progress is reported
+/// once; a recursive one runs to fixpoint. Progress is reported
 /// through `trace` (free when tracing is off); on a limit abort the
 /// trace keeps the partial per-component progress.
 ///
@@ -292,7 +288,6 @@ pub(crate) fn run(
             registry: ctx.registry,
             delta: None,
             seed: None,
-            cache: ctx.cache,
             indexes: index_cache,
             docs: &lent.docs,
             workers: ctx.workers,
@@ -440,11 +435,14 @@ impl Run<'_> {
             return Ok(false);
         }
         let component = scope.component;
-        self.stats.rounds += 1;
+        // A round of the rules a shared call adds alone is no round.
+        if component.rules.iter().any(RulePlan::is_written) {
+            self.stats.rounds += 1;
+            self.trace.round(scope.index);
+        }
         // Only a recursive component can run away; a long chain of
         // non-recursive ones must not trip the guard meant for that.
         self.charged_rounds += usize::from(component.recursive);
-        self.trace.round(scope.index);
         let rounds = self.stats.rounds;
         let round_span = self
             .trace
@@ -499,13 +497,13 @@ fn fire_rule(
     stats: &mut EvalStats,
     tr: &mut TraceCtx<'_>,
 ) -> Result<bool> {
-    stats.rule_firings += 1;
+    stats.rule_firings += usize::from(rule.is_written());
     let t0 = tr.trace.now_ns();
     let relations = reads.unwrap_or(db).relations();
     let derived = match plan::execute_with(rule, relations, exec, tr) {
         Ok(d) => d,
         Err(e) => {
-            tr.trace.rule_fired(tr.rule, 0, 0, t0);
+            tr.trace.rule_fired(tr.rule, 0, 0, t0, rule.is_written());
             return Err(e);
         }
     };
@@ -520,8 +518,9 @@ fn fire_rule(
     let inserted = (derived.iter())
         .try_for_each(|piece| db.insert_derived(&rule.head_predicate, piece, &mut on_new));
     let new_n = stats.tuples_new - new_before;
+    let (derived_n, new_n) = (derived_n as u64, new_n as u64);
     tr.trace
-        .rule_fired(tr.rule, derived_n as u64, new_n as u64, t0);
+        .rule_fired(tr.rule, derived_n, new_n, t0, rule.is_written());
     inserted.map(|()| new_n > 0)
 }
 

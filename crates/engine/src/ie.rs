@@ -9,9 +9,10 @@
 //!
 //! Functions receive an [`IeContext`] giving access to the session's
 //! document store, so they can resolve spans to text and mint spans over
-//! new or existing documents. How calls are batched, memoised and
-//! bounded in time is the business of the rule executor's IE step
-//! (`ie_join.rs`).
+//! new or existing documents. How calls are batched and bounded in time
+//! is the business of the rule executor's IE step (`ie_join.rs`); a call
+//! two atoms share is planned as a relation of the program
+//! (`share.rs`).
 
 use crate::error::{EngineError, Result};
 use parking_lot::RwLock;
@@ -146,26 +147,25 @@ pub trait IeFunction: Send + Sync {
     /// Whether results may be reused: shared by the rows of a batch that
     /// carry the same argument vector, and — for a *shared call*, one
     /// that two IE atoms of the program ask with the same constants, or
-    /// one atom inside a recursive component — kept in the evaluation's
-    /// memo of shared calls for the rest of the run. It means nothing
-    /// else.
+    /// one atom inside a recursive component — planned as a relation of
+    /// the program (`f#k`), which an evaluation fills once per argument
+    /// vector and a maintained evaluation keeps. It means nothing else.
     ///
     /// Defaults to `true`: the IE contract (paper §3.3) is a *stateless*
     /// mapping from inputs to output rows, which makes reuse
     /// transparent. Override to `false` when reuse is wrong *or costs
     /// more than the call*: functions whose answer must stay fresh
     /// (clocks, RNGs, external lookups), and functions as cheap as the
-    /// constant-time builtins, which a memo probe and insert would
-    /// outweigh several times over — or register closures via
+    /// constant-time builtins, which a row of a relation would outweigh
+    /// several times over — or register closures via
     /// `register_uncached`. An uncached function is called once per
-    /// distinct binding row of its step's input — per shard, when the
-    /// firing is sharded — and its results are never stored, shared call
-    /// or not; *where* in the rule body that happens is the planner's
+    /// distinct binding row of its step's input, at every site — per
+    /// shard, when the firing is sharded — and is never planned as a
+    /// relation; *where* in the rule body that happens is the planner's
     /// choice, as for every other step. A cacheable one is called once
     /// per distinct argument vector of a batch — again, whenever an atom
-    /// no other asks meets the vector in another batch — and may be
-    /// called twice for one vector of a shared call, by two shards that
-    /// miss it at once.
+    /// no other asks meets the vector in another batch or shard — and
+    /// once per vector of a shared call.
     fn cacheable(&self) -> bool {
         true
     }
@@ -191,8 +191,8 @@ where
         }
     }
 
-    /// Wraps a closure whose results are never memoized: it is not a
-    /// pure function of its arguments, or cheaper to call than to look up.
+    /// Wraps a closure whose results are never reused: it is not a pure
+    /// function of its arguments, or cheaper to call than to look up.
     pub fn uncached(arity: Option<usize>, f: F) -> Self {
         ClosureIe {
             arity,

@@ -19,6 +19,9 @@
 //!
 //! * [`safety`] implements the paper's semantic safety checker, which
 //!   also derives the IE execution order inside each rule body (§3.1).
+//! * `share` rewrites each IE call two atoms ask alike — or one asks in
+//!   a recursion — into ordinary rules over a demand relation and a call
+//!   relation (`f#k?`, `f#k`), which the steps below treat like any other.
 //! * [`strata`] splits the program into the components of its predicate
 //!   dependency graph, in dependency order, rejecting negation or
 //!   aggregation inside one (extensions beyond the paper's core; see
@@ -56,6 +59,7 @@ pub mod registry;
 pub mod safety;
 pub mod session;
 mod shard;
+mod share;
 pub mod strata;
 
 pub use database::Database;

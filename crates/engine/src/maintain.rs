@@ -80,7 +80,7 @@ pub(crate) struct RuleVariants {
 /// The variants of every rule of `components`, in their order.
 pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
     let of = |rule: &RulePlan| {
-        // The rule's steps keep their annotation, shared calls included.
+        // The rule's steps keep their annotation.
         let with = |at: usize, scan: Step| {
             let mut plan = rule.clone();
             if let Some(opt) = &mut plan.opt {
@@ -456,7 +456,7 @@ impl<'s> Seeded<'s> {
         let index = indexes.index(head, old, &head_cols);
         let rows = self.rows.rows();
         let keys = TupleIndex::build(rows, 0..rows.len(), &atom_cols);
-        let firsts = keys.groups().iter().map(|ids| rows.row(ids[0]));
+        let firsts = (0..keys.len()).map(|g| rows.row(keys.group(g)[0]));
         let found = firsts.map(|row| index.get(old.rows(), atom_cols.iter().map(|&c| &row[c])));
         Some(old.subset(found.flatten().copied()))
     }

@@ -16,9 +16,6 @@
 //!   known, at the **cardinality cost**: filters first, then IE calls,
 //!   then scans by estimated fan-out (relation size discounted per
 //!   bound join column).
-//! * `share_calls` marks, once per program, the IE steps whose call
-//!   another site asks too ([`SharedCall`]): only those reach the run's
-//!   IE memo.
 //! * [`IndexCache`] keeps the hash indexes keyed scan joins and
 //!   anti-joins probe ([`TupleIndex`]: key → row ids, ascending) alive
 //!   for a whole evaluation run — and, after a maintained one, for the
@@ -34,49 +31,26 @@
 //!
 //! Every safe order is observationally equivalent: scans, negations
 //! and comparisons are pure, IE functions are stateless mappings of
-//! their inputs (§3.3) whether or not their results are memoised, joins
+//! their inputs (§3.3) however often they are called, joins
 //! commute, and the head projection works on set semantics. The
 //! model-based property test (`crates/engine/tests/properties.rs`)
 //! holds every order the planner picks to a reference evaluator of the
 //! tests' own, which runs bodies as nested loops in textual order.
 
 use crate::plan::{PTerm, RulePlan, Step};
-use crate::strata::Component;
+use crate::share::is_auxiliary;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{hash_cells, Relation, RowTable, Rows, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Per-step scheduling metadata, as [`schedule`] reads it, and the
-/// shared call an IE step asks.
+/// Per-step scheduling metadata, as [`schedule`] reads it.
 #[derive(Debug, Clone, Default)]
 pub struct StepMeta {
     /// Variables that must already be bound for the step to run.
     pub needs: Vec<usize>,
     /// Variables the step can bind.
     pub binds: Vec<usize>,
-    /// For an IE step whose call another site asks too: that call
-    /// (`share_calls`). `None` for every other step.
-    pub shared: Option<SharedCall>,
-}
-
-/// An IE call more than one site asks — or one site, round after round
-/// of a recursive component: the one kind of call the run's memo keeps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedCall {
-    /// The call's id within its program: its table in the run's memo.
-    pub(crate) id: usize,
-    /// `(output column, constant)` wherever every site of the call reads
-    /// the same constant. No site reads another row, so the memo keeps
-    /// only the output rows that hold all of them.
-    pub(crate) fixed: Vec<(usize, Value)>,
-}
-
-impl SharedCall {
-    /// Whether an output row of the call is one some site reads.
-    pub(crate) fn keeps(&self, row: &[Value]) -> bool {
-        self.fixed.iter().all(|(c, v)| row[*c] == *v)
-    }
 }
 
 impl StepMeta {
@@ -107,85 +81,6 @@ impl StepMeta {
 pub struct RuleOpt {
     /// One entry per plan step, in plan order.
     pub steps: Vec<StepMeta>,
-}
-
-/// Marks the IE steps of `components` that share a call. A *call* is
-/// what an IE atom asks whatever its variables bind: the function, the
-/// constants at its input positions and its output arity. It is shared
-/// when two sites — IE atoms of any rules — ask it, or when its one site
-/// sits in a recursive component, whose rounds ask again. Each shared
-/// site's [`StepMeta::shared`] names the call's id, dense from 0 in
-/// program order; every other IE step keeps `None`, and so stays out of
-/// the memo.
-pub(crate) fn share_calls(components: &mut [Component]) {
-    let constant = |t: &PTerm| match t {
-        PTerm::Const(c) => Some(c.clone()),
-        _ => None,
-    };
-    /// The sites of one call as (component, rule, step), whether one of
-    /// them recurs, and per output column the constant all of them read
-    /// there, if they agree on one.
-    struct Sites {
-        at: Vec<(usize, usize, usize)>,
-        recurs: bool,
-        fixed: Vec<Option<Value>>,
-    }
-    // Calls in order of first appearance, and where each is by key.
-    let mut calls: Vec<Sites> = Vec::new();
-    let mut call_of: FxHashMap<(&str, Vec<Option<Value>>, usize), usize> = FxHashMap::default();
-    for (c, component) in components.iter().enumerate() {
-        for (r, rule) in component.rules.iter().enumerate() {
-            for (i, step) in rule.steps.iter().enumerate() {
-                let Step::Ie {
-                    function,
-                    inputs,
-                    outputs,
-                } = step
-                else {
-                    continue;
-                };
-                let fixed: Vec<Option<Value>> = outputs.iter().map(constant).collect();
-                let call = (
-                    function.as_str(),
-                    inputs.iter().map(constant).collect(),
-                    fixed.len(),
-                );
-                let at = *call_of.entry(call).or_insert_with(|| {
-                    let at = Vec::new();
-                    let fixed = fixed.clone();
-                    calls.push(Sites {
-                        at,
-                        recurs: false,
-                        fixed,
-                    });
-                    calls.len() - 1
-                });
-                let sites = &mut calls[at];
-                // A column stays fixed while every site reads one constant there.
-                for (agreed, own) in sites.fixed.iter_mut().zip(fixed) {
-                    if *agreed != own {
-                        *agreed = None;
-                    }
-                }
-                sites.at.push((c, r, i));
-                sites.recurs |= component.recursive;
-            }
-        }
-    }
-    let shared = calls.into_iter().filter(|s| s.at.len() > 1 || s.recurs);
-    for (id, sites) in shared.enumerate() {
-        let fixed = sites.fixed.into_iter().enumerate();
-        let call = SharedCall {
-            id,
-            fixed: fixed.filter_map(|(col, c)| Some((col, c?))).collect(),
-        };
-        for (c, r, i) in sites.at {
-            let opt = components[c].rules[r].opt.as_mut();
-            if let Some(meta) = opt.and_then(|opt| opt.steps.get_mut(i)) {
-                meta.shared = Some(call.clone());
-            }
-        }
-    }
 }
 
 fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {
@@ -224,7 +119,7 @@ fn step_cost(
         Step::Compare { .. } => 0,
         Step::Negation { .. } => 1,
         Step::Ie { .. } => IE_FANOUT,
-        Step::Scan { terms, .. } => {
+        Step::Scan { relation, terms } => {
             let n = scan_rows(index);
             // Each bound join column is assumed ~8x selective.
             let k = terms
@@ -235,10 +130,14 @@ fn step_cost(
                     PTerm::Wildcard => false,
                 })
                 .count();
-            if k == 0 {
-                n
-            } else {
-                (n >> (3 * k).min(63)).max(1)
+            // Every column bound: a membership test, at most one row. A
+            // shared IE call's relation, keyed, answers what the call
+            // did, and costs no more than it (`crate::share`).
+            match k {
+                0 => n,
+                k if k == terms.len() => n.min(1),
+                _ if is_auxiliary(relation) => (n >> (3 * k).min(63)).clamp(1, IE_FANOUT),
+                k => (n >> (3 * k).min(63)).max(1),
             }
         }
     }
@@ -334,7 +233,24 @@ pub struct TupleIndex {
     /// Group numbers, under the hash of the group's key.
     keys: RowTable,
     /// Per distinct key, in order of first appearance: its row ids.
-    groups: Vec<Vec<usize>>,
+    groups: Vec<Ids>,
+}
+
+/// The row ids of one key, ascending. Most keys of most indexes — a
+/// sentence, a document — have one row, which takes no allocation.
+#[derive(Debug, Clone)]
+enum Ids {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Ids {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Ids::One(id) => std::slice::from_ref(id),
+            Ids::Many(ids) => ids,
+        }
+    }
 }
 
 impl TupleIndex {
@@ -354,21 +270,30 @@ impl TupleIndex {
         for id in self.end..end {
             let row = rows.row(id);
             let hash = hash_cells(self.key_cols.iter().map(|&c| &row[c]));
+            let (groups, key_cols) = (&self.groups, &self.key_cols);
             let same_key = |g: usize| {
-                let first = rows.row(self.groups[g][0]);
-                self.key_cols.iter().all(|&c| first[c] == row[c])
+                let first = rows.row(groups[g].as_slice()[0]);
+                key_cols.iter().all(|&c| first[c] == row[c])
             };
             match self.keys.find_or_insert(hash, self.groups.len(), same_key) {
-                Some(g) => self.groups[g].push(id),
-                None => self.groups.push(vec![id]),
+                Some(g) => match &mut self.groups[g] {
+                    Ids::One(first) => self.groups[g] = Ids::Many(vec![*first, id]),
+                    Ids::Many(ids) => ids.push(id),
+                },
+                None => self.groups.push(Ids::One(id)),
             }
             self.end = id + 1;
         }
     }
 
-    /// The row ids of every distinct key, keys by first appearance.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
+    /// The number of distinct keys.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The row ids of the `g`th distinct key, keys by first appearance.
+    pub(crate) fn group(&self, g: usize) -> &[usize] {
+        self.groups[g].as_slice()
     }
 
     /// Follows its store through a renumbering: `new_ids[id]` is the new
@@ -377,9 +302,15 @@ impl TupleIndex {
     pub(crate) fn renumber(&mut self, new_ids: &[Option<usize>]) {
         let mut new_group = Vec::with_capacity(self.groups.len());
         let mut kept = 0;
+        let renumbered = |id: &mut usize| new_ids[*id].map(|new| *id = new).is_some();
         self.groups.retain_mut(|ids| {
-            ids.retain_mut(|id| new_ids[*id].map(|new| *id = new).is_some());
-            let keeps = !ids.is_empty();
+            let keeps = match ids {
+                Ids::One(id) => renumbered(id),
+                Ids::Many(ids) => {
+                    ids.retain_mut(renumbered);
+                    !ids.is_empty()
+                }
+            };
             new_group.push(keeps.then_some(kept));
             kept += usize::from(keeps);
             keeps
@@ -391,10 +322,10 @@ impl TupleIndex {
     /// The ids of the rows whose key is `key`: a cell per key column.
     pub fn get<'a>(&self, rows: &Rows, key: impl Iterator<Item = &'a Value> + Clone) -> &[usize] {
         let group = self.keys.find(hash_cells(key.clone()), |g| {
-            let first = rows.row(self.groups[g][0]);
+            let first = rows.row(self.group(g)[0]);
             self.key_cols.iter().map(|&c| &first[c]).eq(key.clone())
         });
-        group.map_or(&[], |g| &self.groups[g])
+        group.map_or(&[], |g| self.group(g))
     }
 }
 

@@ -29,9 +29,7 @@ use crate::ie_join::ie_join;
 use crate::optimizer::{self, IndexCache, RuleOpt, TupleIndex};
 use crate::registry::Registry;
 use crate::shard::{fold_aggregates, project_head, run_sharded, shard_scan};
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-use spannerlib_cache::IeMemo;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_trace::{RunTrace, SpanId, SpanKind};
 use spannerlog_parser::CmpOp;
@@ -179,9 +177,6 @@ pub struct ExecCtx<'a> {
     /// in place of the one it names. The planner starts from it. `None`
     /// outside maintenance.
     pub seed: Option<(usize, &'a Relation)>,
-    /// The evaluation run's memo of shared IE calls
-    /// ([`crate::optimizer::SharedCall`]).
-    pub cache: &'a Mutex<IeMemo>,
     /// The run's indexes of the relations its scans and negations read,
     /// shared with its shard workers. Only a scan of a maintenance seed,
     /// which is not the relation it names, builds an index of its own.
@@ -214,8 +209,7 @@ pub struct TraceCtx<'a> {
 /// [`crate::Database::insert_derived`] to take in whole — repeats
 /// included. `ctx.delta`, when set, restricts one scan to a run of row
 /// ids (semi-naive evaluation), which probes the run's indexes like any
-/// scan. `ctx.cache` memoizes shared IE calls across the rows, rules and
-/// rounds of the run. Join and IE-batch work is reported through `tr`
+/// scan. Join and IE-batch work is reported through `tr`
 /// (every call is a no-op when tracing is off).
 ///
 /// A firing runs in three parts: on the caller the steps ordered before
@@ -322,12 +316,8 @@ pub(crate) fn run_steps(
                 inputs,
                 outputs,
             } => {
-                let shared = plan
-                    .opt
-                    .as_ref()
-                    .and_then(|opt| opt.steps.get(i)?.shared.as_ref());
                 let atom = (&function[..], &inputs[..], &outputs[..]);
-                batch.rows = ie_join(plan, atom, shared, &batch, ctx, tr)?;
+                batch.rows = ie_join(plan, atom, &batch, ctx, tr)?;
             }
             Step::Negation { relation, terms } => {
                 if let Some(rel) = relations.get(relation) {

@@ -213,12 +213,10 @@ fn execute(
     indexes: &IndexCache,
 ) -> BTreeSet<Vec<Value>> {
     let (registry, docs, tally) = (Registry::new(), SharedDocs::default(), ParTally::default());
-    let memo = Mutex::default();
     let ctx = ExecCtx {
         registry: &registry,
         delta: delta.clone(),
         seed: None,
-        cache: &memo,
         indexes,
         docs: &docs,
         workers: 0,

@@ -11,11 +11,12 @@
 use crate::database::Database;
 use crate::error::Result;
 use crate::maintain::{self, RuleVariants};
-use crate::optimizer::{self, IndexCache};
+use crate::optimizer::IndexCache;
 use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
 use crate::session::Session;
+use crate::share::share_calls;
 use crate::strata::{stratify, Component};
 use rustc_hash::FxHashSet;
 use spannerlib_core::{DocumentStore, Relation, Span};
@@ -27,7 +28,8 @@ use std::sync::Arc;
 static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A rule set taken through safety analysis, IE sequencing,
-/// stratification, IE call sharing and planning exactly once.
+/// stratification, the planning of shared IE calls as relations
+/// (`crate::share`) and planning exactly once.
 #[derive(Debug)]
 pub struct CompiledProgram {
     /// Instance id, unique per compilation (fingerprints evaluation).
@@ -86,8 +88,7 @@ impl CompiledProgram {
             .collect();
         input_relations.sort_unstable();
 
-        let mut components = stratify(plans)?;
-        optimizer::share_calls(&mut components);
+        let components = share_calls(rules, &ctx, stratify(plans)?)?;
         Ok(CompiledProgram {
             id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
             variants: maintain::variants(&components),
@@ -204,11 +205,6 @@ pub struct Snapshot {
     /// Hash indexes over `db`, built on first use by a constant-bearing
     /// query and shared by every clone of this snapshot.
     pub(crate) indexes: Arc<IndexCache>,
-    /// The originating session's IE memo counters when the snapshot was
-    /// taken, so serving threads can watch hit rates via
-    /// [`Snapshot::cache_stats`]. (Snapshot queries are pure reads that
-    /// never invoke IE functions.)
-    pub(crate) cache: spannerlib_cache::CacheStats,
     /// Profile of the fixpoint run that produced the frozen state
     /// (`None` when the session evaluated with tracing off).
     pub(crate) profile: Option<Arc<spannerlib_trace::EvalProfile>>,
@@ -221,8 +217,9 @@ pub struct Snapshot {
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let relations = self.db.iter().filter(|(n, _)| self.db.visible(n).is_some());
         f.debug_struct("Snapshot")
-            .field("relations", &self.db.iter().count())
+            .field("relations", &relations.count())
             .field("profiled", &self.profile.is_some())
             .finish()
     }
@@ -258,10 +255,9 @@ impl Snapshot {
         self.eval_seq
     }
 
-    /// The originating session's IE memo counters (`Session::stats`)
-    /// as of the evaluation this snapshot froze.
+    /// The session's IE memo counters (`Session::stats`): always zero.
     pub fn cache_stats(&self) -> spannerlib_cache::CacheStats {
-        self.cache
+        spannerlib_cache::CacheStats::default()
     }
 
     /// Profile of the evaluation that produced this snapshot's derived

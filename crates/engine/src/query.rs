@@ -123,11 +123,7 @@ pub fn select<'a>(
     plan: &'a QueryPlan,
     indexes: Option<&'a IndexCache>,
 ) -> Result<Selection<'a>> {
-    let relation = match db.relation(&plan.predicate) {
-        Ok(relation) => Some(relation),
-        Err(EngineError::UnknownRelation(_)) => None,
-        Err(e) => return Err(e),
-    };
+    let relation = db.visible(&plan.predicate);
     if let Some(relation) = relation {
         if relation.schema().arity() != plan.arity {
             return Err(EngineError::Arity {

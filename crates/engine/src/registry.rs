@@ -13,7 +13,7 @@ pub struct Registry {
     ie: FxHashMap<String, Arc<dyn IeFunction>>,
     /// IE functions the host registered as not reusable, which the
     /// engine cannot take for pure. The builtins are not reused only
-    /// because they are cheaper than a memo probe.
+    /// because they are cheaper than a row of a relation.
     unreusable: FxHashSet<String>,
     aggregates: FxHashMap<String, Arc<dyn AggFunction>>,
     conversions: FxHashMap<String, Arc<dyn Conversion>>,
@@ -74,7 +74,7 @@ impl Registry {
         self.register_ie(name, Arc::new(ClosureIe::new(arity, f)));
     }
 
-    /// Registers a closure whose results are never memoized: not a pure
+    /// Registers a closure whose results are never reused: not a pure
     /// function of its arguments, or cheaper to call than to look up
     /// (the constant-time builtins).
     pub fn register_closure_uncached<F>(&mut self, name: &str, arity: Option<usize>, f: F)

@@ -125,6 +125,18 @@ fn lower(
     })
 }
 
+/// The body of `rule` lowered to plan steps as written, one per body
+/// element, and the rule's variable table.
+pub(crate) fn lower_body(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<(Vec<Step>, Vec<String>)> {
+    let mut names: Vec<String> = Vec::new();
+    let lowered = rule
+        .body
+        .iter()
+        .map(|b| lower(b, rule.line, ctx, &mut names));
+    let steps = lowered.collect::<Result<_>>()?;
+    Ok((steps, names))
+}
+
 /// Analyzes one rule: checks safety and produces the executable plan,
 /// its steps stored in the order they were scheduled and annotated with
 /// the metadata the planner reschedules them by.
@@ -133,12 +145,7 @@ pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
         line: rule.line,
         msg,
     };
-    let mut var_names: Vec<String> = Vec::new();
-    let lowered = rule
-        .body
-        .iter()
-        .map(|b| lower(b, rule.line, ctx, &mut var_names));
-    let steps: Vec<Step> = lowered.collect::<Result<_>>()?;
+    let (steps, mut var_names) = lower_body(rule, ctx)?;
     let metas: Vec<StepMeta> = steps.iter().map(StepMeta::of).collect();
 
     // Which variables the steps at `scheduled` leave bound.

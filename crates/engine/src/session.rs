@@ -46,23 +46,21 @@
 //! scoped to the firing (`spannerlib_par`), so no thread outlives the
 //! call that spawned it. Every evaluation — sharded or not — keeps the
 //! document store behind a read-write lock for the duration of the run,
-//! and its own IE memo — the table of the program's *shared calls*, those
-//! two IE atoms ask alike or one asks inside a recursion — behind a mutex
-//! (taken twice per batch of a shared call, never across a call, and
-//! never by a call only one atom asks), so an IE function meets the same
-//! locking discipline under `parallelism(0)` as on a many-core host. The
-//! table is the run's: it starts empty and is dropped when the run
-//! returns.
+//! so an IE function meets the same locking discipline under
+//! `parallelism(0)` as on a many-core host. (A call two IE atoms ask
+//! alike, or one asks inside a recursion, is no shared state: the
+//! program plans it as a relation, `crate::share`.)
 //! Parallel and serial runs derive identical tuple *sets*
 //! (property-tested).
 //! Registered IE functions must therefore be `Send + Sync` (the trait
 //! already requires it) and must tolerate concurrent invocation on
-//! distinct argument tuples. If an IE function panics, the panic
-//! propagates to the driving thread (after sibling shards drain, when it
-//! happened on a spawned thread); the document store is back in the
-//! session by then and derived relations are recomputed in full by the
-//! next evaluation, so a host that catches the unwind can keep using the
-//! session.
+//! distinct argument tuples. If an IE function panics, the panic stops
+//! at the call — on the driving thread or a shard's — and the run fails
+//! (after sibling shards drain) with [`EngineError::IePanicked`], naming
+//! the function and, if one rule asked the call, the rule; the document
+//! store is back in the session by then and derived relations are
+//! recomputed in full by the next evaluation
+//! (`FullReason::PreviousRunFailed`), so the session stays usable.
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
@@ -73,7 +71,7 @@ use crate::query::QueryPlan;
 use crate::registry::Registry;
 use crate::safety::constant_value;
 use rustc_hash::FxHashSet;
-use spannerlib_cache::{CacheStats, DocGc};
+use spannerlib_cache::DocGc;
 use spannerlib_core::{CompactionReport, DocId, Relation, Schema, Tuple, Value};
 use spannerlib_dataframe::{DataFrame, IntoRows};
 use spannerlib_trace::{EvalProfile, TraceLevel};
@@ -117,7 +115,6 @@ impl Default for SessionBuilder {
             limits: EvalLimits::default(),
             compiled: None,
             last_stats: EvalStats::default(),
-            cache: CacheStats::default(),
             doc_gc: DocGc::Disabled,
             gc_rearm_bytes: 0,
             trace_level: TraceLevel::Off,
@@ -207,7 +204,7 @@ impl SessionBuilder {
     /// a single call, and an evaluation asks it each tuple once. A
     /// closure that is *not* a pure function of its arguments must be
     /// registered with [`SessionBuilder::register_uncached`], which opts
-    /// it out of both memoization and batching.
+    /// it out of both sharing and batching.
     pub fn register<F>(mut self, name: &str, input_arity: Option<usize>, f: F) -> SessionBuilder
     where
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
@@ -217,7 +214,7 @@ impl SessionBuilder {
     }
 
     /// Seeds the IE registry with a closure whose results must never be
-    /// memoized (not a pure function of its arguments — clocks, RNGs,
+    /// reused (not a pure function of its arguments — clocks, RNGs,
     /// live external lookups).
     pub fn register_uncached<F>(
         mut self,
@@ -262,10 +259,6 @@ pub struct Session {
     /// known relation names.
     compiled: Option<Arc<CompiledProgram>>,
     last_stats: EvalStats,
-    /// IE memo counters: hits, misses and insertions summed over every
-    /// fixpoint run (a failed one's included), `entries` and `bytes` of
-    /// the last run's table — each run fills a table of its own.
-    cache: CacheStats,
     /// When to compact the document store automatically.
     doc_gc: DocGc,
     /// Hysteresis for the threshold policy: the next automatic pass
@@ -346,6 +339,7 @@ impl Session {
     /// Imports an already-built relation (same schema rules as
     /// [`Session::import_dataframe`]).
     pub fn import_relation(&mut self, name: &str, relation: Relation) -> Result<()> {
+        Database::check_name(name)?;
         if let Some(existing) = self.db.extensional_schema(name) {
             if existing != relation.schema() {
                 return Err(EngineError::SchemaMismatch {
@@ -440,7 +434,7 @@ impl Session {
         self.invalidate_program();
     }
 
-    /// Registers a closure whose results must never be memoized.
+    /// Registers a closure whose results must never be reused.
     pub fn register_uncached<F>(&mut self, name: &str, input_arity: Option<usize>, f: F)
     where
         F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
@@ -479,6 +473,7 @@ impl Session {
 
     /// Declares a relation programmatically.
     pub fn declare(&mut self, name: &str, schema: Schema) -> Result<()> {
+        Database::check_name(name)?;
         self.db_mut().declare(name, schema)?;
         self.invalidate_program();
         Ok(())
@@ -495,7 +490,7 @@ impl Session {
     pub fn remove_relation(&mut self, name: &str) -> Result<()> {
         // Existence check before db_mut: Arc::make_mut would deep-clone
         // a snapshot-shared database just to fail.
-        if !self.db.contains(name) {
+        if self.db.visible(name).is_none() {
             return Err(EngineError::UnknownRelation(name.to_string()));
         }
         self.db_mut().remove(name);

@@ -15,9 +15,7 @@ use crate::eval::{evaluate, EvalCtx, EvalStats};
 use crate::maintain::Seeds;
 use crate::plan::Step;
 use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery};
-use parking_lot::Mutex;
 use rustc_hash::FxBuildHasher;
-use spannerlib_cache::CacheStats;
 use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES};
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -267,25 +265,14 @@ impl Session {
         let mode = seeds
             .as_ref()
             .map_or_else(|r| EvalMode::Full(*r), Seeds::mode);
-        // The run's IE memo: empty now, dropped below once its counters
-        // fold into the session's — a failed run's too.
-        let memo = Mutex::default();
         let ctx = EvalCtx {
             registry: &self.registry,
             limits: self.limits,
-            cache: &memo,
             workers: self.parallelism,
         };
         let result = match seeds {
             Ok(seeds) => seeds.run(Arc::make_mut(&mut self.db), program, &ctx, &mut trace),
             Err(_) => evaluate(cleared(&mut self.db), &program.components, &ctx, &mut trace),
-        };
-        let run = memo.into_inner().stats();
-        self.cache = CacheStats {
-            hits: self.cache.hits + run.hits,
-            misses: self.cache.misses + run.misses,
-            insertions: self.cache.insertions + run.insertions,
-            ..run
         };
         // Capture the profile before propagating errors: an aborted run
         // leaves its partial per-component progress in `profile()`.

@@ -14,14 +14,13 @@ use spannerlib_dataframe::{DataFrame, FromRow};
 use spannerlib_trace::EvalProfile;
 use std::sync::Arc;
 
-/// Statistics of a session: the most recent fixpoint run plus the IE
-/// memo counters of every run.
+/// Statistics of a session: the most recent fixpoint run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Counters of the most recent fixpoint run.
     pub eval: EvalStats,
-    /// IE memo hits, misses and insertions summed over the session's
-    /// evaluations; `entries` and `bytes` of the last one's table.
+    /// Always zero: the IE memo these counted is gone, and a call two
+    /// rules share is a relation of the program. Kept for its readers.
     pub cache: CacheStats,
 }
 
@@ -50,7 +49,8 @@ impl Session {
         run_query(&self.db, plan, None)
     }
 
-    /// Reads a relation (evaluating pending rules first).
+    /// Reads a relation (evaluating pending rules first); empty if it
+    /// does not exist.
     pub fn relation(&mut self, name: &str) -> Result<Relation> {
         self.ensure_evaluated()?;
         Ok(self.db.relation_or_empty(name))
@@ -67,23 +67,16 @@ impl Session {
         Ok(Snapshot {
             db: Arc::clone(&self.db),
             indexes: Arc::default(),
-            cache: self.cache,
             profile: self.last_profile.clone(),
             fingerprint: self.last.as_ref().map_or(0, LastRun::fingerprint),
             eval_seq: self.eval_seq,
         })
     }
 
-    /// Statistics of the session, without resetting anything. The two
-    /// halves deliberately cover different windows:
-    ///
-    /// * `eval` describes only the **most recent** fixpoint run — a
-    ///   call that skipped evaluation because nothing changed keeps the
-    ///   previous run's counters, as [`Session::profile`] does;
-    /// * `cache` counts hits, misses and insertions **over the session's
-    ///   lifetime** — meter a window by subtracting two reads — while
-    ///   `entries` and `bytes` describe the most recent run's table
-    ///   (each run starts an empty one and drops it when it ends).
+    /// Statistics of the session, without resetting anything: `eval`
+    /// describes only the **most recent** fixpoint run — a call that
+    /// skipped evaluation because nothing changed keeps the previous
+    /// run's counters, as [`Session::profile`] does.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             eval: self.last_stats,
@@ -93,7 +86,7 @@ impl Session {
 
     /// Profile of the most recent fixpoint run — per-rule wall times,
     /// firings, tuple counts, join rows scanned, and per-IE-function
-    /// call/memo/latency statistics. `None` until a run happens with
+    /// body-call/latency statistics. `None` until a run happens with
     /// tracing enabled (see [`SessionBuilder::tracing`]). An aborted run
     /// (limit exceeded) still leaves its partial profile here, with
     /// [`EvalProfile::error`] set. Skipped evaluations (unchanged
@@ -104,9 +97,9 @@ impl Session {
         self.last_profile.clone()
     }
 
-    /// The IE memo counters of [`Session::stats`].
+    /// The IE memo counters of [`Session::stats`]: always zero.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache
+        CacheStats::default()
     }
 
     /// The sequence number of the most recent fixpoint run — zero

@@ -1,9 +1,19 @@
-//! Integration tests for the `spannerlib_cache` subsystem: the IE memo
-//! of one evaluation (sharing within a run, hit accounting, an empty
-//! table per run) and the document-store lifecycle (bounded memory under
-//! long-lived churn, compaction correctness, snapshot counters).
+//! Integration tests for reuse within one evaluation — IE calls the
+//! rules of a run share, counted as body executions (the profile's
+//! `calls`), and every evaluation asking afresh — and for the
+//! `spannerlib_cache` subsystem's document-store lifecycle (bounded
+//! memory under long-lived churn, compaction correctness, snapshot
+//! counters).
 
-use spannerlog_engine::{DocGc, EvalMode, FullReason, Session};
+use spannerlog_engine::{DocGc, EvalMode, FullReason, Session, TraceLevel};
+
+/// The body executions of IE function `name` in the session's last
+/// (traced) evaluation.
+fn body_calls(session: &Session, name: &str) -> u64 {
+    let profile = session.profile().expect("a traced session");
+    let f = profile.ie_functions.iter().find(|f| f.name == name);
+    f.map_or(0, |f| f.calls)
+}
 
 /// One synthetic "clinical note"-sized document, unique per round.
 fn churn_doc(round: usize) -> String {
@@ -80,14 +90,14 @@ fn long_lived_churn_keeps_doc_store_bounded() {
     assert_eq!(session.docs().len(), 0);
 }
 
-/// The memo lives for one evaluation: a run forced by a program change
-/// asks every question of the cold run again — a first site misses
-/// each, a second site asking the same call finds what the first stored
-/// — and answers as the cold run did. (A write to an input is maintained
-/// and asks nothing about the unchanged documents.)
+/// Nothing is kept from one evaluation for the next: a run forced by a
+/// program change asks every question of the cold run again — once per
+/// distinct text, though two rules ask it — and answers as the cold run
+/// did. (A write to an input is maintained and asks nothing about the
+/// unchanged documents.)
 #[test]
 fn each_evaluation_starts_with_an_empty_memo() {
-    let mut session = Session::new();
+    let mut session = Session::builder().tracing(TraceLevel::Summary).build();
     session
         .import_typed(
             "Texts",
@@ -112,9 +122,7 @@ Mailed(d) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (_)"#,
     let query = session.prepare("?Email(d, s)").unwrap();
 
     let cold = query.execute(&mut session).unwrap();
-    let after_cold = session.stats().cache;
-    assert!(after_cold.misses > 0);
-    assert_eq!(after_cold.hits, after_cold.misses);
+    assert_eq!(body_calls(&session, "rgx_string"), 2, "one per text");
 
     for i in 1..=5 {
         session.run(&format!("Ticked{i}(x) <- Tick(x)")).unwrap();
@@ -123,13 +131,7 @@ Mailed(d) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (_)"#,
         assert_eq!(rerun, cold);
         let mode = session.stats().eval.mode;
         assert_eq!(mode, EvalMode::Full(FullReason::ProgramChanged));
-        let cache = session.stats().cache;
-        assert_eq!(cache.misses, (i + 1) * after_cold.misses, "{cache:?}");
-        assert_eq!(cache.hits, (i + 1) * after_cold.hits, "{cache:?}");
-        assert_eq!(
-            (cache.entries, cache.bytes),
-            (after_cold.entries, after_cold.bytes)
-        );
+        assert_eq!(body_calls(&session, "rgx_string"), 2, "rerun {i}");
     }
 }
 
@@ -160,15 +162,14 @@ fn rules_of_one_evaluation_share_the_memo() {
         assert_eq!(session.relation("A").unwrap().len(), 8);
         assert_eq!(session.relation("B").unwrap().len(), 8);
         assert_eq!(calls.load(Ordering::SeqCst), 8, "workers {workers}");
-        let cache = session.stats().cache;
-        assert_eq!((cache.misses, cache.hits), (8, 8), "workers {workers}");
     }
 }
 
 /// A string's hash is a function of its bytes, so equal texts are one
 /// value however they arrived: from a CSV frame, `import_typed`, an IE
 /// function's output, the `str` conversion or `format`, they dedupe to
-/// one row of a relation and find one entry of the memo.
+/// one row of a relation and one row of the demand of a call five rules
+/// share.
 #[test]
 fn equal_strings_from_every_source_are_one_row_and_one_memo_key() {
     use spannerlib_core::ValueType;
@@ -215,11 +216,8 @@ Probed(y) <- FromFormat(x), probe(x) -> (y)"#,
     assert_eq!(names, [("ann".to_string(),)]);
     let probed: Vec<(String,)> = session.export_typed("?Probed(y)").unwrap();
     assert_eq!(probed, names);
-    // Five firings probe the memo for "ann": the first misses and calls,
-    // the other four find its entry.
+    // Five rules ask `probe("ann")`: the body runs once.
     assert_eq!(calls.load(Ordering::SeqCst), 1);
-    let cache = session.stats().cache;
-    assert_eq!(cache.hits, 4, "{cache:?}");
 }
 
 /// Re-registering a function under a cached name must invalidate its
@@ -270,12 +268,13 @@ fn uncached_closures_bypass_the_memo() {
     assert_eq!(session.stats().cache.hits, 0);
 }
 
-/// The constant-time builtins are registered uncached — a memo probe
-/// costs more than they do — so two rules asking them the same calls
-/// leave the memo holding only what the expensive functions produced.
+/// The constant-time builtins are registered uncached — a row of a
+/// relation costs more than they do — so two rules asking them the same
+/// calls share only the expensive function: `rgx` runs once per text,
+/// the builtins once per binding row at each rule.
 #[test]
 fn cheap_builtins_bypass_the_memo() {
-    let mut session = Session::new();
+    let mut session = Session::builder().tracing(TraceLevel::Summary).build();
     session
         .run(
             r#"new Texts(str)
@@ -289,9 +288,16 @@ Again(s) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) -> 
     let rows: Vec<(i64, i64)> = session.export_typed("?Run(b, n)").unwrap();
     assert_eq!(rows, [(0, 1), (0, 2)]);
     assert_eq!(session.relation("Again").unwrap().len(), 2);
-    let cache = session.stats().cache;
-    assert_eq!((cache.misses, cache.hits), (2, 2), "one rgx call per text");
-    assert_eq!(cache.entries, 2);
+    assert_eq!(body_calls(&session, "rgx"), 2, "one rgx call per text");
+    // Three runs of `a` in the texts, at each of the two rules.
+    assert_eq!(body_calls(&session, "span_len"), 2 * 3);
+    let profile = session.profile().unwrap();
+    let mut shared: Vec<&str> = (profile.strata.iter().flat_map(|s| &s.rules))
+        .map(|r| r.head.as_str())
+        .filter(|h| h.contains('#'))
+        .collect();
+    shared.sort_unstable();
+    assert_eq!(shared, ["rgx#0", "rgx#0?"]);
 }
 
 /// Binding rows that share an argument tuple are deduplicated into one
@@ -357,11 +363,10 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
     }
 }
 
-/// A call whose output has the wrong arity fails its rule before
-/// anything of it reaches the memo: no entry stays resident under a key
-/// that could only ever fail again, and re-registering the function
-/// corrected evaluates cleanly. Two rules ask the call, so it is one the
-/// memo keeps.
+/// A call whose output has the wrong arity fails its rule before any
+/// row of it is kept, and re-registering the function corrected
+/// evaluates cleanly. Two rules ask the call, so it is one the program
+/// plans as a relation, which runs the body once per argument.
 #[test]
 fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
     use spannerlib_core::Value;
@@ -370,6 +375,7 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
     for workers in [0, 2] {
         let mut session = Session::builder()
             .parallelism(workers)
+            .tracing(TraceLevel::Summary)
             .register("pair", Some(1), |args, _| {
                 Ok(vec![vec![
                     args[0].clone(),
@@ -389,21 +395,18 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
             matches!(&err, EngineError::IeOutputArity { function, expected: 2, actual: 3 } if function == "pair"),
             "{err:?}"
         );
-        let cache = session.stats().cache;
-        assert_eq!((cache.entries, cache.bytes), (0, 0), "{cache:?}");
-
         session.register("pair", Some(1), |args, _| {
             Ok(vec![vec![args[0].clone(), Value::Int(1)]])
         });
         assert_eq!(session.relation("P").unwrap().len(), 6);
         assert_eq!(session.relation("Q").unwrap().len(), 6);
-        assert_eq!(session.stats().cache.entries, 6);
+        assert_eq!(body_calls(&session, "pair"), 6);
     }
 }
 
 /// Compaction keeps every id a live span references (across extensional
 /// *and* derived relations), and snapshots carry the session's memo
-/// counters.
+/// counters (zero: there is no memo).
 #[test]
 fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
     let mut session = Session::new();

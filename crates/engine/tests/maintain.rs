@@ -9,9 +9,7 @@ mod support;
 
 use spannerlib_core::Value;
 use spannerlog_engine::aggregate::AggFunction;
-use spannerlog_engine::{
-    CacheStats, EngineError, EvalMode, FullReason, Registry, Session, TraceLevel,
-};
+use spannerlog_engine::{EngineError, EvalMode, FullReason, Registry, Session, TraceLevel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -253,6 +251,8 @@ fn a_rederivation_reaching_a_new_head_seeds_the_components_after() {
     assert!(maintained(&session));
 }
 
+/// Two rules share `words(t)`: the cold run calls it once per text, and a
+/// re-import of the same rows is maintained without a single call.
 #[test]
 fn an_identical_re_import_makes_no_ie_call() {
     let calls = Arc::new(AtomicUsize::new(0));
@@ -267,11 +267,12 @@ fn an_identical_re_import_makes_no_ie_call() {
     let texts = vec![("a", "one two"), ("b", "three")];
     session.import_typed("Texts", texts.clone()).unwrap();
     session
-        .run("W(d, w) <- Texts(d, t), words(t) -> (w)")
+        .run("W(d, w) <- Texts(d, t), words(t) -> (w)\nV(w) <- Texts(_, t), words(t) -> (w)")
         .unwrap();
     let query = session.prepare("?W(d, w)").unwrap();
     let first = query.execute(&mut session).unwrap();
-    let (called, cache) = (calls.load(Ordering::SeqCst), session.stats().cache);
+    let called = calls.load(Ordering::SeqCst);
+    assert_eq!(called, 2, "one call per text, though two rules ask it");
 
     session.import_typed("Texts", texts).unwrap();
     assert_eq!(query.execute(&mut session).unwrap(), first);
@@ -282,11 +283,7 @@ fn an_identical_re_import_makes_no_ie_call() {
             removed: 0
         }
     );
-    assert_eq!(calls.load(Ordering::SeqCst), called);
-    let now = session.stats().cache;
-    let traffic = |c: CacheStats| (c.hits, c.misses, c.insertions);
-    assert_eq!(traffic(now), traffic(cache), "not even a memo probe");
-    assert_eq!(now.entries, 0, "the maintained run's own table is empty");
+    assert_eq!(calls.load(Ordering::SeqCst), called, "no call at all");
 }
 
 #[test]
@@ -385,7 +382,14 @@ fn a_panic_inside_a_maintained_evaluation_leaves_the_session_exact() {
     let mut session = fragile_session();
     session.add_fact("Texts", [Value::str("boom")]).unwrap();
     let unwound = catch_unwind(AssertUnwindSafe(|| session.ensure_evaluated()));
-    assert!(unwound.is_err(), "the IE panic propagates");
+    let err = unwound
+        .expect("the IE panic stops at the call")
+        .unwrap_err();
+    assert!(
+        matches!(&err, EngineError::IePanicked { function, rule, .. }
+            if function == "fragile" && rule.head == "F"),
+        "{err:?}"
+    );
 
     session
         .import_typed("Texts", vec![("calm".to_string(),), ("new".to_string(),)])

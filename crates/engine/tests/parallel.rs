@@ -3,7 +3,7 @@
 //! profiles.
 
 use spannerlib_core::Value;
-use spannerlog_engine::{Session, TraceLevel};
+use spannerlog_engine::{EngineError, EvalMode, FullReason, Session, TraceLevel};
 
 /// A mixed program: an extraction rule, an aggregation, an IE-free
 /// self-join, and a join of two relations feeding an IE call.
@@ -361,9 +361,9 @@ fn parallelism_counts_the_calling_thread() {
 }
 
 /// An IE function that panics mid-evaluation — on a shard worker or on
-/// the calling thread — unwinds to the host, and the document store is
-/// back in the session when it gets there: spans handed out before the
-/// run still resolve, and the session evaluates the next program.
+/// the calling thread — fails the run with an error, and the document
+/// store is back in the session when it returns: spans handed out before
+/// the run still resolve, and the session evaluates the next program.
 #[test]
 fn doc_store_survives_a_panicking_ie_function() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -384,7 +384,8 @@ fn doc_store_survives_a_panicking_ie_function() {
             .run("Bad(d, x) <- Texts(d, t), boom(t) -> (x)")
             .unwrap();
         let unwound = catch_unwind(AssertUnwindSafe(|| session.ensure_evaluated()));
-        assert!(unwound.is_err(), "the panic reaches the host");
+        let err = unwound.expect("the panic stops at the call").unwrap_err();
+        assert!(matches!(err, EngineError::IePanicked { .. }), "{err:?}");
 
         assert_eq!(session.span_text(&held).unwrap(), "held");
         session.clear_rules();
@@ -399,5 +400,71 @@ fn doc_store_survives_a_panicking_ie_function() {
                 "relation {name} after the unwind, parallelism({workers})"
             );
         }
+    }
+}
+
+/// An IE function that panics inside an embedded session — on the
+/// calling thread, or on a shard's lane — returns an error naming the
+/// function and the rule, and the session's next evaluation runs in full
+/// and succeeds.
+#[test]
+fn an_ie_panic_is_an_error_naming_the_function_and_the_rule() {
+    for workers in [0, 2] {
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .register("boom", Some(1), |args, _| match args[0].as_str() {
+                Some(text) if text.contains("beta7") => panic!("boom met beta7"),
+                _ => Ok(vec![vec![Value::Int(1)]]),
+            })
+            .build();
+        load(&mut session);
+        session
+            .run("Bad(d, x) <- Texts(d, t), boom(t) -> (x)")
+            .unwrap();
+        let err = session.ensure_evaluated().unwrap_err();
+        let EngineError::IePanicked {
+            function,
+            msg,
+            rule,
+        } = &err
+        else {
+            panic!("{err:?}");
+        };
+        assert_eq!(
+            (function.as_str(), msg.as_str()),
+            ("boom", "boom met beta7")
+        );
+        assert_eq!((rule.head.as_str(), rule.line), ("Bad", 1));
+        assert!(
+            err.to_string().contains("Bad(d, x) <- Texts(d, t)"),
+            "{err}"
+        );
+
+        let calm: Vec<(String, String)> = (corpus().into_iter())
+            .filter(|(_, t)| !t.contains("beta7"))
+            .collect();
+        session.import_typed("Texts", calm.clone()).unwrap();
+        session.ensure_evaluated().unwrap();
+        let mode = session.stats().eval.mode;
+        assert_eq!(mode, EvalMode::Full(FullReason::PreviousRunFailed));
+        assert_eq!(session.relation("Bad").unwrap().len(), calm.len());
+
+        // Two rules share the call: its answers are one relation's, asked
+        // on behalf of both, so the error names the function and no rule
+        // — neither of the two, nor one the program does not state.
+        session
+            .run("Also(d, x) <- Texts(d, t), boom(t) -> (x)")
+            .unwrap();
+        session.import_typed("Texts", corpus()).unwrap();
+        let err = session.ensure_evaluated().unwrap_err();
+        let EngineError::IePanicked { function, rule, .. } = &err else {
+            panic!("{err:?}");
+        };
+        assert_eq!(function, "boom");
+        assert!(!rule.is_known(), "{rule:?}");
+        assert!(!err.to_string().contains('#'), "{err}");
+        session.import_typed("Texts", calm.clone()).unwrap();
+        session.ensure_evaluated().unwrap();
+        assert_eq!(session.relation("Also").unwrap().len(), calm.len());
     }
 }

@@ -45,13 +45,11 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     let registry = Registry::new();
     let docs = SharedDocs::default();
     let tally = ParTally::default();
-    let memo = parking_lot::Mutex::default();
     let fresh = IndexCache::default();
     let ctx = ExecCtx {
         registry: &registry,
         delta: inputs.delta.clone(),
         seed: None,
-        cache: &memo,
         indexes: inputs.indexes.unwrap_or(&fresh),
         docs: &docs,
         workers: inputs.workers,
@@ -226,7 +224,6 @@ fn an_empty_suffix_keeps_every_bin() {
     let binds_t = StepMeta {
         needs: Vec::new(),
         binds: vec![0],
-        ..StepMeta::default()
     };
     plan.opt = Some(RuleOpt {
         steps: vec![binds_t],

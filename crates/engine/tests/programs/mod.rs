@@ -51,6 +51,26 @@ pub const IE_PROGRAMS: &[&str] = &[
     Words(d, count(w)) <- Texts(d, t), rgx_string("([ab]+)", t) -> (w)
     Docs(n, count(d)) <- Runs(d, n)
     "#,
+    // One call at three sites with different body prefixes — a join, a
+    // negation, and another IE atom the call does not need — and a
+    // fourth site that reads a constant the others do not.
+    r#"
+    HasX(d) <- Texts(d, t), rgx_is_match("x", t)
+    Near(d, s) <- Texts(d, t), HasX(d), rgx("a+", t) -> (s)
+    Far(d, s) <- Texts(d, t), not HasX(d), rgx("a+", t) -> (s)
+    Inside(d, s) <- Texts(d, t), rgx("[ab]+", t) -> (w), rgx("a+", t) -> (s), contains(w, s)
+    Str(d, u) <- Texts(d, t), rgx_string("(a+)|b+", t) -> (u)
+    Aa(d) <- Texts(d, t), rgx_string("(a+)|b+", t) -> ("aa")
+    "#,
+    // Calls whose input another IE atom binds: at `Run` the atom of a
+    // call two sites share, at `Lone` one of a call nobody else asks.
+    r#"
+    Word(d, w) <- Texts(d, t), rgx_string("[ab]+", t) -> (w)
+    Run(d, s) <- Texts(d, t), rgx_string("[ab]+", t) -> (w), rgx("a+", w) -> (s)
+    Solo(d, s) <- Texts(d, t), rgx("a+", t) -> (s)
+    Lone(d, s) <- Texts(d, t), rgx_string("b[ab]*", t) -> (w), rgx("b+", w) -> (s)
+    Also(d, s) <- Texts(d, t), rgx("b+", t) -> (s)
+    "#,
 ];
 
 /// Programs whose recursive rules call `rgx`, `rgx_string` or `expand`
@@ -72,6 +92,13 @@ pub const RECURSIVE_IE_PROGRAMS: &[&str] = &[
     Tail(d, t) <- Texts(d, t)
     Tail(d, u) <- Tail(d, t), rgx_string("[ab x]([ab x]*)", t) -> (u)
     Long(d, count(w)) <- Grow(d, w)
+    "#,
+    // One call inside a recursion and outside it, over spans inside and
+    // over texts outside: the call's argument column holds both.
+    r#"
+    Piece(d, s) <- Texts(d, t), rgx("[ab]+", t) -> (s)
+    Piece(d, p) <- Piece(d, s), rgx("a+|b", s) -> (p)
+    End(d, p) <- Texts(d, t), rgx("a+|b", t) -> (p)
     "#,
     // Balanced strings, `a` opening and `b` closing: `ab`, a balanced
     // span that `a` and `b` wrap, and two that touch, as one span.

@@ -7,7 +7,7 @@
 //! precompiled pattern applied to one text argument, emitting spans or
 //! strings — which covers the paper's `rgx` family with the pattern
 //! baked in at registration time (so requests pay no per-call compile
-//! and the IE memo keys stay small).
+//! and no argument row carries the pattern).
 
 use crate::error::ApiError;
 use spannerlib_regex::Regex;

@@ -3,8 +3,9 @@
 use crate::json::Json;
 use spannerlog_engine::EngineError;
 
-/// Culprit-rule attribution for evaluation-limit overruns: which rule
-/// blew the budget, where it lives in the program source.
+/// Culprit-rule attribution for evaluation-limit overruns and IE
+/// panics: which rule blew the budget or made the call, where it lives
+/// in the program source.
 #[derive(Debug, Clone)]
 pub struct ErrorCulprit {
     /// Head predicate of the culprit rule.
@@ -65,30 +66,26 @@ impl ApiError {
     ///   time; retrying later, or with a larger budget, may succeed),
     /// * row/round limits → 429 `limit` (the query is too expensive as
     ///   admitted; retrying unchanged cannot succeed),
+    /// * an IE function that panicked → 500 `ie_panic`, naming the rule
+    ///   that called it, if one rule did (the session is back in service;
+    ///   its next evaluation runs in full),
     /// * everything else (parse errors, unknown relations, unsafe
     ///   rules, …) → 400 `bad_request`.
     pub fn from_engine(err: &EngineError) -> ApiError {
-        match err {
+        let (status, kind, culprit) = match err {
             EngineError::LimitExceeded {
                 resource, culprit, ..
-            } => {
-                let wall_clock = *resource == "eval wall-clock millis";
-                let mut api = ApiError::new(
-                    if wall_clock { 503 } else { 429 },
-                    if wall_clock { "deadline" } else { "limit" },
-                    err.to_string(),
-                );
-                if culprit.is_known() {
-                    api.culprit = Some(Box::new(ErrorCulprit {
-                        rule: culprit.head.clone(),
-                        line: culprit.line,
-                        source: culprit.source.clone(),
-                    }));
-                }
-                api
-            }
-            other => ApiError::bad_request(other.to_string()),
-        }
+            } if *resource == "eval wall-clock millis" => (503, "deadline", Some(culprit)),
+            EngineError::LimitExceeded { culprit, .. } => (429, "limit", Some(culprit)),
+            EngineError::IePanicked { rule, .. } => (500, "ie_panic", Some(rule)),
+            _ => (400, "bad_request", None),
+        };
+        let mut api = ApiError::new(status, kind, err.to_string());
+        api.culprit = culprit.filter(|c| c.is_known()).map(|c| {
+            let (rule, line, source) = (c.head.clone(), c.line, c.source.clone());
+            Box::new(ErrorCulprit { rule, line, source })
+        });
+        api
     }
 
     /// Renders the JSON body:

@@ -25,10 +25,11 @@
 //! ```
 //!
 //! * **One session, snapshot readers** — a request that mutates or
-//!   evaluates checks the session out and puts it back, also when a
-//!   registered IE function panics under it (that request reads 500,
-//!   the next one finds a working session); `/execute` over a current
-//!   publish never waits for it.
+//!   evaluates checks the session out and puts it back, also when its
+//!   handler panics (that request reads 500, the next one finds a
+//!   working session); a registered IE function that panics fails its
+//!   request with a 500 `ie_panic` error naming the function and, if
+//!   one rule asked the call, the rule. `/execute` over a current publish never waits for it.
 //! * **Deadlines** — `deadline_ms` becomes an engine wall-clock budget
 //!   (`SessionBuilder::max_eval_millis`) checked between fixpoint
 //!   rounds, before each IE call, and every few thousand candidate
@@ -43,7 +44,7 @@
 //!   that observe a stale snapshot take turns on the session: the
 //!   first evaluates and publishes, the others find the publish
 //!   current, so one evaluation — with its plan-level IE batching and
-//!   its memo — serves them all (see [`mod@self`]'s `state` module
+//!   its shared IE calls — serves them all (see [`mod@self`]'s `state` module
 //!   docs).
 //!
 //! ## Example

@@ -284,10 +284,11 @@ fn route(req: &Request, state: &ServerState) -> Response {
         etag: None,
         eval_seq: None,
     };
-    // A handler that panics — a registered closure is arbitrary host
-    // code — has already returned the session (`Checkout`'s drop runs
-    // while unwinding): the request is answered 500, the connection and
-    // the daemon carry on.
+    // A handler that panics has already returned the session
+    // (`Checkout`'s drop runs while unwinding): the request is answered
+    // 500, the connection and the daemon carry on. (A registered IE
+    // function that panics does not get here: the engine answers it with
+    // an error naming the function and the rule.)
     let dispatch = || match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => ("/healthz", healthz(state)),
         ("GET", "/metrics") => ("/metrics", metrics(state)),
@@ -742,8 +743,8 @@ fn encode_frame(frame: &DataFrame, published: &Published) -> String {
 }
 
 /// `GET /profile` — per-route latency histograms, request counters,
-/// IE-cache stats, publish version/fingerprint, and the evaluation
-/// profile of the last published snapshot (when tracing is on).
+/// publish version/fingerprint, and the evaluation profile of the last
+/// published snapshot (when tracing is on).
 fn profile(state: &ServerState) -> Result<Response, ApiError> {
     let published = state.published.read().clone();
     let endpoints: Vec<(String, Json)> = state
@@ -758,7 +759,6 @@ fn profile(state: &ServerState) -> Result<Response, ApiError> {
         .into_iter()
         .map(|(name, v)| (name, Json::Int(v as i64)))
         .collect();
-    let cache = published.snapshot.cache_stats();
     let eval_profile = published.snapshot.profile().map_or(Json::Null, |p| {
         Json::Arr(
             p.to_json_lines()
@@ -779,16 +779,6 @@ fn profile(state: &ServerState) -> Result<Response, ApiError> {
         ),
         ("endpoints".into(), Json::Obj(endpoints)),
         ("counters".into(), Json::Obj(counters)),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Int(cache.hits as i64)),
-                ("misses".into(), Json::Int(cache.misses as i64)),
-                ("entries".into(), Json::Int(cache.entries as i64)),
-                ("bytes".into(), Json::Int(cache.bytes as i64)),
-                ("hit_rate".into(), Json::Float(cache.hit_rate())),
-            ]),
-        ),
         ("eval_profile".into(), eval_profile),
     ]);
     Ok(Response::json(200, body.render()))

@@ -23,9 +23,9 @@
 //! run (the `execute_coalesced` counter reports how often it happens).
 //! Inside that run the engine's IE step already batches cacheable
 //! calls per distinct argument tuple, and a *shared call* — one two
-//! registered rules ask alike, or one rule inside a recursion — probes
-//! the run's memo, the table of those calls; the `ie_cache_*` gauges
-//! read that table as the last run left it.
+//! registered rules ask alike, or one rule inside a recursion — is a
+//! derived relation of the program, which the run fills once and a
+//! later write maintains like any other.
 
 use crate::config::ServeConfig;
 use crate::error::ApiError;
@@ -329,10 +329,8 @@ impl ServerState {
         {
             maintained.inc();
         }
-        let (cache, docs) = (snapshot.cache_stats(), session.docs());
+        let docs = session.docs();
         for (name, value) in [
-            ("ie_cache_entries", cache.entries as i64),
-            ("ie_cache_bytes", cache.bytes as i64),
             ("docstore_bytes", docs.bytes() as i64),
             ("docstore_docs", docs.len() as i64),
             ("docstore_epoch", docs.epoch() as i64),

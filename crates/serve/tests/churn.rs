@@ -1,12 +1,16 @@
 //! Bounded for ever: a served session under long replace-some-notes
-//! churn holds its document store and its IE memo under their bounds on
-//! every scrape, and still answers what a fresh session answers. The
-//! memo is one evaluation's, and keeps the one call two rules share: no
-//! table reaches twice the first, full evaluation's.
+//! churn holds its document store under its bound on every scrape, and
+//! still answers what a fresh session answers. The call two rules share
+//! is a relation the session maintains: a full evaluation (the first,
+//! and one after a compaction pass) asks it once per note, and a
+//! maintained one once per note the write added.
 
+use spannerlib_core::Value;
 use spannerlib_serve::{Client, Json, ServeConfig, Server, ServerHandle};
-use spannerlog_engine::{DocGc, Session};
+use spannerlog_engine::{DocGc, Registry, Session};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const NOTES: usize = 240;
 const REPLACED: usize = 24;
@@ -16,8 +20,8 @@ const CYCLES: usize = 200;
 const WATERMARK: usize = 64 * 1024;
 
 const RULES: &str = r#"new Notes(str, str)
-Code(d, s) <- Notes(d, t), rgx("code-[0-9]+", t) -> (s)
-Coded(d) <- Notes(d, t), rgx("code-[0-9]+", t) -> (_)
+Code(d, s) <- Notes(d, t), code(t) -> (s)
+Coded(d) <- Notes(d, t), code(t) -> (_)
 Word(d, w) <- Notes(d, t), rgx_string("w[0-9]+x", t) -> (w)"#;
 
 fn boot(session: Session) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
@@ -79,11 +83,25 @@ fn metric(scrape: &str, name: &str) -> usize {
     value.parse().expect("gauges are integers")
 }
 
+/// `code(t) -> (s)`: the `code-[0-9]+` spans of `t`, its body calls
+/// counted in `calls`.
+fn with_code(session: Session, calls: &Arc<AtomicUsize>) -> Session {
+    let (rgx, seen) = (Registry::new().ie("rgx").unwrap().clone(), calls.clone());
+    let mut session = session;
+    session.register("code", Some(1), move |args, ctx| {
+        seen.fetch_add(1, Ordering::SeqCst);
+        rgx.call(&[Value::str("code-[0-9]+"), args[0].clone()], 1, ctx)
+    });
+    session
+}
+
 #[test]
 fn long_churn_keeps_the_store_and_the_memo_under_their_bounds() {
+    let calls = Arc::new(AtomicUsize::new(0));
     let session = Session::builder()
         .doc_gc(DocGc::Threshold { bytes: WATERMARK })
         .build();
+    let session = with_code(session, &calls);
     let (addr, handle, thread) = boot(session);
     let mut client = Client::new(addr);
     setup(&mut client);
@@ -91,7 +109,7 @@ fn long_churn_keeps_the_store_and_the_memo_under_their_bounds() {
     let mut notes: Vec<Json> = (0..NOTES).map(note).collect();
     let rendered = |notes: &[Json]| notes.iter().map(|n| n.render().len()).sum::<usize>();
     let mut last = Vec::new();
-    let mut first_table = None;
+    let mut maintained = 0;
     for cycle in 0..CYCLES {
         let at = cycle * REPLACED % NOTES;
         for (i, slot) in notes[at..at + REPLACED].iter_mut().enumerate() {
@@ -101,28 +119,30 @@ fn long_churn_keeps_the_store_and_the_memo_under_their_bounds() {
         // the write, none longer than today's — and the next one arms a
         // watermark later; one cycle's new notes may land before it runs.
         let bound = WATERMARK + rendered(&notes) + rendered(&notes[at..at + REPLACED]);
+        let before = calls.load(Ordering::SeqCst);
         last = serve(&mut client, &notes);
         assert_eq!(last.len(), 2 * NOTES, "cycle {cycle}");
+        let asked = calls.load(Ordering::SeqCst) - before;
 
         let scrape = client.get("/metrics").expect("metrics").body;
-        let (store, memo) = (
-            metric(&scrape, "docstore_bytes"),
-            metric(&scrape, "ie_cache_bytes"),
-        );
+        let was = std::mem::replace(&mut maintained, metric(&scrape, "evals_maintained_total"));
+        let added = if maintained > was { REPLACED } else { NOTES };
+        assert_eq!(asked, added, "cycle {cycle}: once per note added");
+        let store = metric(&scrape, "docstore_bytes");
         assert!(store < bound, "cycle {cycle}: {store} doc bytes >= {bound}");
-        let first = *first_table.get_or_insert(memo);
-        assert!(
-            memo < 2 * first,
-            "cycle {cycle}: {memo} memo bytes, {first} at first"
-        );
         assert!(metric(&scrape, "docstore_docs") >= NOTES, "cycle {cycle}");
     }
 
     let scrape = client.get("/metrics").expect("metrics").body;
     assert!(metric(&scrape, "docstore_epoch") > 0, "no pass ever ran");
+    assert!(
+        maintained > CYCLES / 2,
+        "{maintained} maintained evaluations"
+    );
 
     // A fresh daemon over the final notes answers the same.
-    let (fresh_addr, fresh_handle, fresh_thread) = boot(Session::new());
+    let fresh_session = with_code(Session::new(), &Arc::default());
+    let (fresh_addr, fresh_handle, fresh_thread) = boot(fresh_session);
     let mut fresh = Client::new(fresh_addr);
     setup(&mut fresh);
     assert_eq!(serve(&mut fresh, &notes), last);

@@ -500,7 +500,7 @@ fn request_id_flows_to_header_access_log_and_slow_query_profile() {
     let profile = record.get("profile").unwrap().as_array().unwrap();
     assert!(!profile.is_empty(), "{record:?}");
     assert_eq!(profile[0].get("type").unwrap().as_str(), Some("profile"));
-    assert_eq!(profile[0].get("schema").unwrap(), &Json::Int(1));
+    assert_eq!(profile[0].get("schema").unwrap(), &Json::Int(2));
     assert!(
         profile[0]
             .get("request_ids")
@@ -607,7 +607,14 @@ fn a_panicking_ie_function_fails_its_own_request_and_no_other() {
         .unwrap();
     assert_eq!(resp.status, 500, "{}", resp.body);
     let body = resp.json().unwrap();
-    assert_eq!(error_kind(&body), Some("internal"), "{body:?}");
+    assert_eq!(error_kind(&body), Some("ie_panic"), "{body:?}");
+    let error = body.get("error").unwrap();
+    assert_eq!(error.get("rule").unwrap().as_str(), Some("Out"));
+    let message = error.get("message").unwrap().as_str().unwrap();
+    assert!(
+        message.contains("\"fragile\" panicked: fragile(13)"),
+        "{message}"
+    );
     assert_eq!(resp.header("x-request-id"), Some("doomed-13"));
     let echoed = body.get("error").unwrap().get("request_id").unwrap();
     assert_eq!(echoed.as_str(), Some("doomed-13"));
@@ -623,7 +630,8 @@ fn a_panicking_ie_function_fails_its_own_request_and_no_other() {
     assert_eq!(status, 200, "{body:?}");
     assert_eq!(body.get("rows").unwrap().render(), "[[2]]");
     assert_eq!(client.get("/healthz").unwrap().status, 200);
-    assert_eq!(metric(&mut client, "handler_panics_total"), 1.0);
+    // The engine answered the panic: no handler unwound.
+    assert_eq!(metric(&mut client, "handler_panics_total"), 0.0);
 
     // `boot`'s thread expects `serve()` to return `Ok`: no handler
     // thread died of the panic, so the scope joins them all cleanly.
@@ -834,6 +842,43 @@ fn a_rule_that_does_not_compile_is_refused_at_register_and_leaves_no_trace() {
     assert_eq!(status, 200, "{body:?}");
     assert_eq!(body.get("row_count").unwrap(), &Json::Int(0));
 
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// Two registered rules share an `rgx` call, which the program plans as
+/// the relations `rgx#0?` and `rgx#0`: the daemon answers the rules, and
+/// neither an import nor a query can name those relations.
+#[test]
+fn the_relations_of_a_shared_call_are_not_served() {
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let rules = r#"{"rules": "new T(str)\nA(s) <- T(t), rgx(\"a+\", t) -> (s)\nB(s) <- T(t), rgx(\"a+\", t) -> (s)"}"#;
+    assert_eq!(post(&mut client, "/register", rules).0, 200);
+    let import = r#"{"relation": "T", "rows": [["aa b a"]]}"#;
+    assert_eq!(post(&mut client, "/import", import).0, 200);
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?B(s)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(
+        body.get("rows").and_then(Json::as_array).map(<[Json]>::len),
+        Some(2)
+    );
+
+    let (status, body) = post(
+        &mut client,
+        "/import",
+        r#"{"relation": "rgx#0", "rows": [["x", 1]]}"#,
+    );
+    assert_eq!(
+        (status, error_kind(&body)),
+        (400, Some("bad_request")),
+        "{body:?}"
+    );
+    for query in ["?rgx#0(t, s)", "?rgx#0?(t)"] {
+        let body = Json::Obj(vec![("query".into(), Json::str(query))]).render();
+        let (status, body) = post(&mut client, "/execute", &body);
+        assert_eq!(status, 400, "{query}: {body:?}");
+    }
     handle.shutdown();
     thread.join().unwrap();
 }

@@ -19,7 +19,7 @@
 //! - **Reporting** ([`EvalProfile`] with [`EvalProfile::render`] and
 //!   [`EvalProfile::to_json_lines`]): the per-run report — per-rule
 //!   wall time, firings, tuple and join-row counts, per-IE-function
-//!   call / memo-hit / latency statistics.
+//!   body-call / latency statistics.
 //! - **Metrics** ([`MetricsRegistry`], [`encode_prometheus`]): a
 //!   long-lived, thread-safe registry of counters, gauges, and
 //!   fixed-bucket latency [`Histogram`]s with p50/p90/p99 that a host
@@ -34,7 +34,7 @@
 //! let rule = trace.register_rule(0, "Out", "Out(x) <- In(x).", 1);
 //! trace.round(0);
 //! let t0 = trace.now_ns();
-//! trace.rule_fired(rule, 12, 9, t0);
+//! trace.rule_fired(rule, 12, 9, t0, true);
 //! trace.close(root);
 //!
 //! // …and finishing it yields the run's EvalProfile.

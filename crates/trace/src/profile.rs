@@ -26,9 +26,11 @@ pub struct EvalProfile {
     pub request_ids: Vec<String>,
     /// Total evaluation wall time, in nanoseconds.
     pub total_ns: u64,
-    /// Rounds across all strata (a stratum without recursion takes one).
+    /// Rounds across all strata (a stratum without recursion takes one),
+    /// but none of a stratum of the engine's own rules alone.
     pub rounds: u64,
-    /// Rule-plan executions across all strata and rounds.
+    /// Rule-plan executions across all strata and rounds, but those of
+    /// the engine's own rules (see `RunTrace::rule_fired`).
     pub rule_firings: u64,
     /// Tuples produced by rule heads (before deduplication).
     pub tuples_derived: u64,
@@ -140,12 +142,8 @@ pub struct RuleProfile {
 pub struct IeFunctionProfile {
     /// Registered function name.
     pub name: String,
-    /// Distinct-argument invocations requested by the evaluation.
+    /// Executions of the function's body.
     pub calls: u64,
-    /// Calls answered from the IE memo cache.
-    pub memo_hits: u64,
-    /// Calls that executed the function (memo miss or uncacheable).
-    pub memo_misses: u64,
     /// Latency distribution of the calls, in nanoseconds.
     pub latency: HistogramSnapshot,
 }
@@ -154,7 +152,7 @@ pub struct IeFunctionProfile {
 /// stamped as `"schema"` on every emitted line. Bump when a field is
 /// renamed or removed (additions are backward-compatible and don't
 /// require a bump).
-pub const PROFILE_JSON_SCHEMA: u32 = 1;
+pub const PROFILE_JSON_SCHEMA: u32 = 2;
 
 /// Formats nanoseconds compactly: `17ns`, `3.4µs`, `1.2ms`, `5.0s`.
 pub fn fmt_ns(ns: u64) -> String {
@@ -345,11 +343,9 @@ impl EvalProfile {
                 .unwrap_or(11);
             let _ = writeln!(
                 out,
-                "{} {} {} {} {} {} {}",
+                "{} {} {} {} {}",
                 pad("ie function", name_w),
                 rpad("calls", 8),
-                rpad("hits", 8),
-                rpad("misses", 8),
                 rpad("p50", 9),
                 rpad("p99", 9),
                 rpad("total", 9),
@@ -367,11 +363,9 @@ impl EvalProfile {
                 };
                 let _ = writeln!(
                     out,
-                    "{} {} {} {} {} {} {}",
+                    "{} {} {} {} {}",
                     pad(&f.name, name_w),
                     rpad(&f.calls.to_string(), 8),
-                    rpad(&f.memo_hits.to_string(), 8),
-                    rpad(&f.memo_misses.to_string(), 8),
                     rpad(&cell(f.latency.p50()), 9),
                     rpad(&cell(f.latency.p99()), 9),
                     rpad(&cell(f.latency.sum), 9),
@@ -399,7 +393,7 @@ impl EvalProfile {
     /// ```
     /// use spannerlib_trace::EvalProfile;
     /// let lines = EvalProfile::default().to_json_lines();
-    /// assert!(lines.starts_with("{\"type\":\"profile\",\"schema\":1"));
+    /// assert!(lines.starts_with("{\"type\":\"profile\",\"schema\":2"));
     /// assert_eq!(lines.trim_end().lines().count(), 1);
     /// ```
     pub fn to_json_lines(&self) -> String {
@@ -478,13 +472,10 @@ impl EvalProfile {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"ie\",\"schema\":{PROFILE_JSON_SCHEMA},\
-                 \"name\":{},\"calls\":{},\"memo_hits\":{},\
-                 \"memo_misses\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\
-                 \"max_ns\":{},\"total_ns\":{}}}",
+                 \"name\":{},\"calls\":{},\"p50_ns\":{},\"p90_ns\":{},\
+                 \"p99_ns\":{},\"max_ns\":{},\"total_ns\":{}}}",
                 json_str(&f.name),
                 f.calls,
-                f.memo_hits,
-                f.memo_misses,
                 f.latency.p50(),
                 f.latency.p90(),
                 f.latency.p99(),
@@ -552,8 +543,6 @@ mod tests {
             ie_functions: vec![IeFunctionProfile {
                 name: "f".into(),
                 calls: 2,
-                memo_hits: 1,
-                memo_misses: 1,
                 latency,
             }],
             spans: vec![SpanEvent {
@@ -665,11 +654,11 @@ mod tests {
             .collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"type\":\"profile\""));
-        assert!(lines[0].contains("\"schema\":1"));
+        assert!(lines[0].contains("\"schema\":2"));
         assert!(lines[0].contains("\"eval_seq\":42"));
         assert!(lines[0].contains("\"unassigned_matches\":5,"));
         assert!(lines[0].contains("\"request_ids\":[\"req-\\\"quoted\\\"\"]"));
-        assert!(lines.iter().all(|l| l.contains("\"schema\":1")));
+        assert!(lines.iter().all(|l| l.contains("\"schema\":2")));
         assert!(lines[1].contains("\"type\":\"rule\""));
         assert!(lines[2].contains("\"type\":\"ie\""));
         assert!(lines[3].contains("\"type\":\"span\""));

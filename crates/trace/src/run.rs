@@ -47,7 +47,7 @@ struct StratumAcc {
 /// trace.round(0);
 /// let t0 = trace.now_ns();
 /// // ... execute the rule plan ...
-/// trace.rule_fired(rule, 10, 7, t0);
+/// trace.rule_fired(rule, 10, 7, t0, true);
 /// let profile = trace.finish(None).unwrap();
 /// assert_eq!(profile.rule_firings, 1);
 /// assert_eq!(profile.strata[0].rules[0].tuples_new, 7);
@@ -184,13 +184,14 @@ impl RunTrace {
     /// Records one firing of rule `rule` (a handle from
     /// [`RunTrace::register_rule`]): `derived` head tuples produced,
     /// `new` of them actually new, timed from `t0` (a
-    /// [`RunTrace::now_ns`] timestamp taken before the firing).
-    pub fn rule_fired(&mut self, rule: usize, derived: u64, new: u64, t0: u64) {
+    /// [`RunTrace::now_ns`] timestamp taken before the firing). Only a
+    /// `counted` firing adds to the run's `rule_firings`.
+    pub fn rule_fired(&mut self, rule: usize, derived: u64, new: u64, t0: u64, counted: bool) {
         if !self.enabled() {
             return;
         }
         let dur = self.now_ns().saturating_sub(t0);
-        self.totals.rule_firings += 1;
+        self.totals.rule_firings += u64::from(counted);
         self.totals.tuples_derived += derived;
         self.totals.tuples_new += new;
         if let Some(r) = self.rules.get_mut(rule) {
@@ -257,24 +258,12 @@ impl RunTrace {
         self.totals.unassigned_matches += matches;
     }
 
-    /// Records one IE-function invocation: `memo_hit` is `Some(true)`
-    /// for a cache hit, `Some(false)` for a miss, `None` when the call
-    /// bypassed the memo (uncacheable or no cache configured); timed
-    /// from `t0`.
-    pub fn ie_call(&mut self, function: &str, memo_hit: Option<bool>, t0: u64) {
+    /// Records one execution of an IE function's body, timed from `t0`.
+    pub fn ie_call(&mut self, function: &str, t0: u64) {
         if !self.enabled() {
             return;
         }
-        let dur = self.now_ns().saturating_sub(t0);
-        self.ie_call_ns(function, memo_hit, dur);
-    }
-
-    /// Like [`RunTrace::ie_call`] but with a pre-measured duration — for
-    /// calls timed on a worker thread and recorded serially afterwards.
-    pub fn ie_call_ns(&mut self, function: &str, memo_hit: Option<bool>, dur_ns: u64) {
-        if !self.enabled() {
-            return;
-        }
+        let dur_ns = self.now_ns().saturating_sub(t0);
         let entry = self
             .ie
             .entry(function.to_string())
@@ -283,10 +272,6 @@ impl RunTrace {
                 ..IeFunctionProfile::default()
             });
         entry.calls += 1;
-        match memo_hit {
-            Some(true) => entry.memo_hits += 1,
-            Some(false) | None => entry.memo_misses += 1,
-        }
         entry.latency.record(dur_ns);
     }
 
@@ -370,8 +355,6 @@ impl RunTrace {
                 ..IeFunctionProfile::default()
             });
             entry.calls += profile.calls;
-            entry.memo_hits += profile.memo_hits;
-            entry.memo_misses += profile.memo_misses;
             entry.latency.merge(&profile.latency);
         }
         let offset = self.next_span;
@@ -534,8 +517,8 @@ mod tests {
         assert_eq!(trace.now_ns(), 0);
         let rule = trace.register_rule(0, "A", "A(x) <- B(x).", 1);
         trace.round(0);
-        trace.rule_fired(rule, 5, 5, 0);
-        trace.ie_call("f", Some(true), 0);
+        trace.rule_fired(rule, 5, 5, 0, true);
+        trace.ie_call("f", 0);
         trace.plan_chosen(rule, || unreachable!());
         trace.index_cache(3, 1);
         let id = trace.open(NO_SPAN, SpanKind::Execute, || unreachable!());
@@ -552,13 +535,13 @@ mod tests {
         trace.round(0);
         trace.round(0);
         trace.round(1);
-        trace.rule_fired(r0, 10, 6, trace.now_ns());
-        trace.rule_fired(r0, 4, 0, trace.now_ns());
-        trace.rule_fired(r1, 6, 6, trace.now_ns());
+        trace.rule_fired(r0, 10, 6, trace.now_ns(), true);
+        trace.rule_fired(r0, 4, 0, trace.now_ns(), true);
+        trace.rule_fired(r1, 6, 6, trace.now_ns(), true);
         trace.join_scanned(r0, 14);
-        trace.ie_call("f", Some(false), trace.now_ns());
-        trace.ie_call("f", Some(true), trace.now_ns());
-        trace.ie_call("g", None, trace.now_ns());
+        trace.ie_call("f", trace.now_ns());
+        trace.ie_call("f", trace.now_ns());
+        trace.ie_call("g", trace.now_ns());
         let p = trace.finish(None).unwrap();
         assert_eq!(p.rounds, 3);
         assert_eq!(p.rule_firings, 3);
@@ -571,10 +554,7 @@ mod tests {
         assert_eq!(p.strata[1].rules[0].head, "C");
         assert_eq!(p.ie_functions.len(), 2);
         let f = &p.ie_functions[0];
-        assert_eq!(
-            (f.name.as_str(), f.calls, f.memo_hits, f.memo_misses),
-            ("f", 2, 1, 1)
-        );
+        assert_eq!((f.name.as_str(), f.calls), ("f", 2));
         // Summary level records no span events.
         assert!(p.spans.is_empty());
     }
@@ -626,7 +606,7 @@ mod tests {
         let r = trace.register_rule(0, "A", "A(x) <- B(x).", 1);
         let root = trace.open(NO_SPAN, SpanKind::Rule, || "A".into());
         trace.join_scanned(r, 5);
-        trace.ie_call("f", Some(true), trace.now_ns());
+        trace.ie_call("f", trace.now_ns());
 
         let mut fork = trace.fork();
         let shard = fork.open(NO_SPAN, SpanKind::Shard, || "shard 0".into());
@@ -635,8 +615,8 @@ mod tests {
         fork.close(shard);
         fork.join_scanned(0, 7);
         fork.prefilter(3, 2);
-        fork.ie_call_ns("f", Some(false), 123);
-        fork.ie_call_ns("g", None, 456);
+        fork.ie_call("f", fork.now_ns());
+        fork.ie_call("g", fork.now_ns());
 
         trace.merge_fork(r, root, fork);
         trace.close(root);
@@ -644,7 +624,7 @@ mod tests {
         assert_eq!(p.strata[0].rules[0].join_rows_scanned, 12);
         assert_eq!((p.prefilter_searches, p.prefilter_pruned), (3, 2));
         let f = p.ie_functions.iter().find(|i| i.name == "f").unwrap();
-        assert_eq!((f.calls, f.memo_hits, f.memo_misses), (2, 1, 1));
+        assert_eq!(f.calls, 2);
         assert!(p.ie_functions.iter().any(|i| i.name == "g"));
         // Fork spans are renumbered into the parent id space and the
         // shard root hangs off the rule span.

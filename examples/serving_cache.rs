@@ -1,18 +1,18 @@
-//! Long-lived serving with the `spannerlib_cache` subsystem: the IE memo
-//! of one evaluation plus document-store garbage collection.
+//! Long-lived serving with the `spannerlib_cache` subsystem's
+//! document-store garbage collection, beside the two ways an evaluation
+//! avoids asking an IE function twice.
 //!
 //! A serving session that streams batches for hours faces two costs the
 //! notebook workflow never sees: re-paying spanner evaluation for every
 //! write, and a document store that only ever grows. This example shows
 //! what answers each:
 //!
+//! * shared calls — a second rule asking an IE function what a first one
+//!   asks is no second call: the program plans the call as a relation of
+//!   its own, which the evaluation fills once per distinct argument
+//!   (watch the body-call counts of the profile);
 //! * maintained writes — only the rows a write changed are extracted
-//!   again;
-//! * the IE memo — the table of one evaluation's *shared calls*: a
-//!   second rule asking an IE function what a first one already asked is
-//!   answered from the run's table (watch the hit counters climb), while
-//!   a call only one rule asks is made and kept nowhere; every
-//!   evaluation starts an empty table;
+//!   again, and the shared call's relation is maintained like any other;
 //! * `doc_gc` — threshold-triggered compaction that tombstones
 //!   documents no relation holds a span into, bounding resident text.
 //!
@@ -22,16 +22,25 @@ use spannerlib::prelude::*;
 
 const WATERMARK: usize = 256 * 1024;
 
+/// How often the last evaluation ran the body of `function`.
+fn body_calls(session: &Session, function: &str) -> u64 {
+    let profile = session.profile().expect("a traced session");
+    let f = profile.ie_functions.iter().find(|f| f.name == function);
+    f.map_or(0, |f| f.calls)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Build: automatic doc-store compaction past a 256 KiB watermark.
+    // 1. Build: automatic doc-store compaction past a 256 KiB watermark,
+    //    and a per-run profile to count IE body calls with.
     let mut session = Session::builder()
         .doc_gc(DocGc::Threshold { bytes: WATERMARK })
+        .tracing(TraceLevel::Summary)
         .build();
 
     // 2. Prepare once: an extraction program whose expensive part is
     //    the rgx scan over each document — and `Email` and `Contact`
     //    ask it the same question of every text: a shared call. The
-    //    `rgx` of `Mention` has one site, so the memo never keeps it.
+    //    `rgx` of `Mention` has one site and stays a plain IE step.
     session.import_typed("Texts", vec![("seed", "boot text ann@gmail.com")])?;
     session.run(
         r#"
@@ -44,12 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let emails = session.prepare("?Email(d, usr, dom)")?;
     emails.execute(&mut session)?;
-    let cold = session.stats().cache;
+    let cold = body_calls(&session, "rgx_string");
     println!(
-        "first evaluation: {} IE misses, {} hits (Contact asks what Email asked)",
-        cold.misses, cold.hits,
+        "first evaluation: rgx_string ran {cold} time for 1 text (Email and Contact share it)"
     );
-    assert!(cold.hits > 0);
+    assert_eq!(cold, 1);
 
     // 3. Serve: every request re-imports the corpus and appends an audit
     //    fact, and every other one rewrites Wednesday's note. The session
@@ -60,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("tue", "ann@gmail.com pinged eve@mail.net again"),
         ("wed", "quiet day, no addresses"),
     ];
-    let mut maintained = 0;
+    let (mut maintained, mut calls) = (0, 0);
     for request in 0..50i64 {
         let mut batch = corpus.clone();
         if request % 2 == 1 {
@@ -74,21 +82,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             session.stats().eval.mode,
             EvalMode::Maintained { .. }
         ));
+        calls += body_calls(&session, "rgx_string");
     }
-    let stats = session.stats();
     println!(
-        "after 50 requests: {maintained} maintained evaluations, {} IE hits, {} misses \
-         ({:.0}% hit rate), {} entries in the last evaluation's memo",
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.hit_rate() * 100.0,
-        stats.cache.entries,
+        "after 50 requests: {maintained} maintained evaluations, rgx_string ran {calls} times \
+         (3 texts, then the one note each request rewrites)"
     );
     assert_eq!(maintained, 50, "every request is a maintained write");
-    assert!(
-        stats.cache.hits > cold.hits,
-        "maintained runs share calls too"
-    );
+    assert_eq!(calls, 3 + 49, "once per text a write added");
 
     // 4. Churn: stream 200 *distinct* documents through import →
     //    execute → remove; span outputs intern each document (the
@@ -111,15 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.docs().epoch(),
     );
     assert!(peak < WATERMARK + 8 * 1024, "watermark + one document");
-    let cache = session.stats().cache;
-    println!(
-        "the last evaluation's memo: {} entries, {} bytes — its own document's shared call only",
-        cache.entries, cache.bytes,
-    );
-    assert_eq!(
-        cache.entries, 1,
-        "the rgx_string call Email and Contact share"
-    );
+    let last = body_calls(&session, "rgx_string");
+    println!("the last evaluation ran rgx_string {last} time: its own document, for both rules");
+    assert_eq!(last, 1);
 
     // 5. Explicit compaction reports exactly what a pass reclaims: only
     //    documents with spans in live relations survive.

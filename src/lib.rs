@@ -103,7 +103,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | spans, documents, values, relations |
-//! | [`cache`] | one evaluation's IE memo table + doc-store lifecycle (GC) |
+//! | [`cache`] | doc-store lifecycle (GC); `CacheStats`, which reads zero |
 //! | [`regex`] | the regex-formula (document spanner) engine |
 //! | [`dataframe`] | the columnar host-side table type |
 //! | [`parser`] | Spannerlog lexer/parser/AST |
