@@ -19,45 +19,33 @@ use crate::ast::NodeKind;
 use crate::parser::parse_source;
 use crate::pattern::AstPattern;
 use spannerlib_core::{Span, Value};
-use spannerlog_engine::{EngineError, Session};
-
-fn ie_err(function: &str, msg: impl Into<String>) -> EngineError {
-    EngineError::IeRuntime {
-        function: function.to_string(),
-        msg: msg.into(),
-    }
-}
+use spannerlog_engine::Session;
 
 /// Registers the AST IE functions on a session.
 pub fn register_ast_functions(session: &mut Session) {
     // ast(pattern, doc) -> (span)
-    session.register("ast", Some(2), |args, ctx| {
+    session.register("ast", Some(2), |args, out, ctx| {
         let pattern_src = args[0]
             .as_str()
-            .ok_or_else(|| ie_err("ast", "pattern must be a string"))?;
-        let pattern = AstPattern::new(pattern_src).map_err(|e| ie_err("ast", e.to_string()))?;
+            .ok_or_else(|| ctx.error("pattern must be a string"))?;
+        let pattern = AstPattern::new(pattern_src).map_err(|e| ctx.error(e.to_string()))?;
         let mut arg = ctx.text_arg(&args[1])?;
         let source = arg.shared_text();
-        let root = parse_source(&source).map_err(|e| ie_err("ast", e.to_string()))?;
-        let mut rows = Vec::new();
+        let root = parse_source(&source).map_err(|e| ctx.error(e.to_string()))?;
         for n in pattern.find(&root) {
             // Lazy: interning happens only once a node span is minted.
             let (doc, base) = arg.doc_base(ctx);
-            rows.push(vec![Value::Span(Span::new(
-                doc,
-                base + n.start,
-                base + n.end,
-            ))]);
+            out.push(&[Value::Span(Span::new(doc, base + n.start, base + n.end))])?;
         }
-        Ok(rows)
+        Ok(())
     });
 
     // ast_name(decl) -> (name)
-    session.register("ast_name", Some(1), |args, ctx| {
+    session.register("ast_name", Some(1), |args, out, ctx| {
         // Scalar output: the text is read but never interned.
         let arg = ctx.text_arg(&args[0])?;
         let source = arg.shared_text();
-        let root = parse_source(&source).map_err(|e| ie_err("ast_name", e.to_string()))?;
+        let root = parse_source(&source).map_err(|e| ctx.error(e.to_string()))?;
         // The span is expected to cover exactly one declaration; take the
         // first declaration found (depth-first).
         let name = root
@@ -65,32 +53,27 @@ pub fn register_ast_functions(session: &mut Session) {
             .into_iter()
             .find(|n| matches!(n.kind, NodeKind::FuncDecl | NodeKind::ClassDecl))
             .and_then(|n| n.name.clone());
-        Ok(match name {
-            Some(n) => vec![vec![Value::str(n)]],
-            None => vec![],
-        })
+        name.map_or(Ok(()), |n| out.push(&[Value::str(n)]))
     });
 
     // ast_calls(doc) -> (caller_span, callee_name)
-    session.register("ast_calls", Some(1), |args, ctx| {
+    session.register("ast_calls", Some(1), |args, out, ctx| {
         let mut arg = ctx.text_arg(&args[0])?;
         let source = arg.shared_text();
-        let root = parse_source(&source).map_err(|e| ie_err("ast_calls", e.to_string()))?;
-        let mut rows = Vec::new();
+        let root = parse_source(&source).map_err(|e| ctx.error(e.to_string()))?;
         for func in root.find_kind(NodeKind::FuncDecl) {
             for call in func.find_kind(NodeKind::Call) {
                 let callee = call.name.clone().unwrap_or_default();
                 // Method-style callee `X.y` attributes to `y` as well.
                 let short = callee.rsplit('.').next().unwrap_or(&callee).to_string();
                 let (doc, base) = arg.doc_base(ctx);
-                rows.push(vec![
+                out.push(&[
                     Value::Span(Span::new(doc, base + func.start, base + func.end)),
                     Value::str(short),
-                ]);
+                ])?;
             }
         }
-        rows.dedup();
-        Ok(rows)
+        Ok(())
     });
 }
 

@@ -76,6 +76,12 @@ impl Rows {
         assert_eq!(self.cells.len(), self.len * self.width, "row width");
     }
 
+    /// Removes every row, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+        self.len = 0;
+    }
+
     /// Appends `cells` as a row unless `table` — which must hold exactly
     /// this store's row ids, each under [`hash_cells`] of its row — has
     /// an equal one. Returns whether the row was new.

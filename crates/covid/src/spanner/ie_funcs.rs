@@ -25,57 +25,50 @@ pub fn register_ie_functions(
     // All four adapters resolve their text argument lazily: the document
     // is only interned once a result span actually needs one, so texts
     // with no sentences/sections/mentions never enter the doc store.
-    session.register("sents", Some(1), |args, ctx| {
+    session.register("sents", Some(1), |args, out, ctx| {
         let mut arg = ctx.text_arg(&args[0])?;
         let text = arg.shared_text();
-        let mut rows = Vec::new();
         for s in split_sentences(&text) {
             let (doc, base) = arg.doc_base(ctx);
-            rows.push(vec![Value::Span(Span::new(
-                doc,
-                base + s.start,
-                base + s.end,
-            ))]);
+            out.push(&[Value::Span(Span::new(doc, base + s.start, base + s.end))])?;
         }
-        Ok(rows)
+        Ok(())
     });
 
     // note_sections(text) -> (section_span, category)
-    session.register("note_sections", Some(1), |args, ctx| {
+    session.register("note_sections", Some(1), |args, out, ctx| {
         let mut arg = ctx.text_arg(&args[0])?;
         let text = arg.shared_text();
-        let mut rows = Vec::new();
         for s in detect_sections(&text) {
             let (doc, base) = arg.doc_base(ctx);
-            rows.push(vec![
+            out.push(&[
                 Value::Span(Span::new(doc, base + s.header_start, base + s.body_end)),
                 Value::str(s.category),
-            ]);
+            ])?;
         }
-        Ok(rows)
+        Ok(())
     });
 
     // mentions(sentence_span) -> (mention_span, label)
     let matcher = targets.clone();
-    session.register("mentions", Some(1), move |args, ctx| {
+    session.register("mentions", Some(1), move |args, out, ctx| {
         let mut arg = ctx.text_arg(&args[0])?;
         let text = arg.shared_text();
         let tokens = tokenize(&text);
-        let mut rows = Vec::new();
         for m in matcher.find(&tokens, &text) {
             let (doc, base) = arg.doc_base(ctx);
-            rows.push(vec![
+            out.push(&[
                 Value::Span(Span::new(doc, base + m.start, base + m.end)),
                 Value::str(m.label),
-            ]);
+            ])?;
         }
-        Ok(rows)
+        Ok(())
     });
 
     // assertions(sentence_span) -> (mention_span, category)
     let matcher = targets;
     let engine = context;
-    session.register("assertions", Some(1), move |args, ctx| {
+    session.register("assertions", Some(1), move |args, out, ctx| {
         let mut arg = ctx.text_arg(&args[0])?;
         let text = arg.shared_text();
         let tokens = tokenize(&text);
@@ -84,22 +77,17 @@ pub fn register_ie_functions(
             .into_iter()
             .map(|m| (m.start, m.end))
             .collect();
-        let mut rows = Vec::new();
         for assertion in engine.assert_targets(&text, (0, text.len()), &spans) {
             for category in &assertion.categories {
                 let (doc, base) = arg.doc_base(ctx);
-                rows.push(vec![
-                    Value::Span(Span::new(
-                        doc,
-                        base + assertion.target.0,
-                        base + assertion.target.1,
-                    )),
+                let (start, end) = assertion.target;
+                out.push(&[
+                    Value::Span(Span::new(doc, base + start, base + end)),
                     Value::str(category.name()),
-                ]);
+                ])?;
             }
         }
-        rows.dedup();
-        Ok(rows)
+        Ok(())
     });
 }
 

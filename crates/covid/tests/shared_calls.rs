@@ -12,7 +12,7 @@
 use spannerlib_core::Value;
 use spannerlib_covid::corpus::generate_corpus;
 use spannerlib_covid::spanner::SpannerPipeline;
-use spannerlog_engine::{IeContext, IeFunction, IeOutput, Result, TraceLevel};
+use spannerlog_engine::{IeContext, IeFunction, IeRows, Result, TraceLevel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -28,9 +28,9 @@ impl IeFunction for Counted {
         self.f.input_arity()
     }
 
-    fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput> {
+    fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()> {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        self.f.call(args, n_outputs, ctx)
+        self.f.call(args, out, ctx)
     }
 
     fn cacheable(&self) -> bool {

@@ -304,7 +304,7 @@ mod tests {
         let docs = SharedDocs::default();
         let id = docs.write().intern("hello");
         let span = docs.read().span(id, 1, 4).unwrap();
-        let ctx = IeContext::new(&docs);
+        let ctx = IeContext::new("str", &docs);
         assert_eq!(
             conv("str").convert(&Value::Span(span), &ctx).unwrap(),
             Value::str("ell")
@@ -320,7 +320,7 @@ mod tests {
         let docs = SharedDocs::default();
         let id = docs.write().intern("hello");
         let span = docs.read().span(id, 0, 2).unwrap();
-        let ctx = IeContext::new(&docs);
+        let ctx = IeContext::new("len", &docs);
         assert_eq!(
             conv("len").convert(&Value::Span(span), &ctx).unwrap(),
             Value::Int(2)

@@ -1,104 +1,91 @@
 //! Arithmetic IE functions — the numeric primitives the paper mentions as
 //! a natural extension of the string/span core (§2).
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
+use crate::ie::{IeContext, IeRows};
 use crate::registry::Registry;
 use spannerlib_core::Value;
 
-fn num(function: &str, v: &Value) -> Result<f64> {
+fn num(v: &Value, ctx: &IeContext<'_>) -> Result<f64> {
     match v {
         Value::Int(i) => Ok(*i as f64),
         Value::Float(f) => Ok(*f),
-        other => Err(EngineError::IeRuntime {
-            function: function.to_string(),
-            msg: format!("expected a number, got {}", other.value_type()),
-        }),
+        other => Err(ctx.error(format!("expected a number, got {}", other.value_type()))),
     }
 }
 
-fn both_int(a: &Value, b: &Value) -> bool {
-    matches!((a, b), (Value::Int(_), Value::Int(_)))
+/// An arithmetic builtin over two numbers: `int` on two ints, where an
+/// overflow fails the call rather than wrap, and `float` otherwise.
+fn arithmetic(
+    int: fn(i64, i64) -> Option<i64>,
+    float: fn(f64, f64) -> f64,
+) -> impl Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> {
+    move |args, out, ctx| {
+        let value = match (&args[0], &args[1]) {
+            (&Value::Int(a), &Value::Int(b)) => Value::Int(
+                int(a, b).ok_or_else(|| ctx.error(format!("{a} and {b} overflow a 64-bit int")))?,
+            ),
+            (a, b) => Value::Float(float(num(a, ctx)?, num(b, ctx)?)),
+        };
+        out.push(&[value])
+    }
 }
 
 /// Installs the arithmetic builtins.
 pub fn install(registry: &mut Registry) {
-    registry.register_closure_uncached("add", Some(2), |args, _ctx| {
-        Ok(vec![vec![if both_int(&args[0], &args[1]) {
-            Value::Int(args[0].as_int().unwrap() + args[1].as_int().unwrap())
-        } else {
-            Value::Float(num("add", &args[0])? + num("add", &args[1])?)
-        }]])
-    });
+    let add = arithmetic(i64::checked_add, |a, b| a + b);
+    registry.register_closure_uncached("add", Some(2), add);
+    let sub = arithmetic(i64::checked_sub, |a, b| a - b);
+    registry.register_closure_uncached("sub", Some(2), sub);
+    let mul = arithmetic(i64::checked_mul, |a, b| a * b);
+    registry.register_closure_uncached("mul", Some(2), mul);
 
-    registry.register_closure_uncached("sub", Some(2), |args, _ctx| {
-        Ok(vec![vec![if both_int(&args[0], &args[1]) {
-            Value::Int(args[0].as_int().unwrap() - args[1].as_int().unwrap())
-        } else {
-            Value::Float(num("sub", &args[0])? - num("sub", &args[1])?)
-        }]])
-    });
-
-    registry.register_closure_uncached("mul", Some(2), |args, _ctx| {
-        Ok(vec![vec![if both_int(&args[0], &args[1]) {
-            Value::Int(args[0].as_int().unwrap() * args[1].as_int().unwrap())
-        } else {
-            Value::Float(num("mul", &args[0])? * num("mul", &args[1])?)
-        }]])
-    });
-
-    registry.register_closure_uncached("div", Some(2), |args, _ctx| {
-        let b = num("div", &args[1])?;
+    registry.register_closure_uncached("div", Some(2), |args, out, ctx| {
+        let b = num(&args[1], ctx)?;
         if b == 0.0 {
-            return Err(EngineError::IeRuntime {
-                function: "div".into(),
-                msg: "division by zero".into(),
-            });
+            return Err(ctx.error("division by zero"));
         }
-        Ok(vec![vec![Value::Float(num("div", &args[0])? / b)]])
+        out.push(&[Value::Float(num(&args[0], ctx)? / b)])
     });
 
     // range(n) -> (0), (1), …, (n-1): a row generator, handy in tests and
     // synthetic workloads.
-    registry.register_closure("range", Some(1), |args, _ctx| {
-        let n = args[0].as_int().ok_or_else(|| EngineError::IeRuntime {
-            function: "range".into(),
-            msg: "expected an int".into(),
-        })?;
-        Ok((0..n.max(0)).map(|i| vec![Value::Int(i)]).collect())
+    registry.register_closure("range", Some(1), |args, out, ctx| {
+        let n = args[0]
+            .as_int()
+            .ok_or_else(|| ctx.error("expected an int"))?;
+        (0..n.max(0)).try_for_each(|i| out.push(&[Value::Int(i)]))
     });
 
     // to_int(s) -> (n): parse a string/span as an integer; no rows when
     // unparseable (a filtering parse, convenient in pipelines).
-    registry.register_closure("to_int", Some(1), |args, ctx| {
+    registry.register_closure("to_int", Some(1), |args, out, ctx| {
         let text = match &args[0] {
             Value::Str(s) => s.to_string(),
             Value::Span(s) => ctx.span_text(s)?,
-            Value::Int(i) => return Ok(vec![vec![Value::Int(*i)]]),
+            Value::Int(i) => return out.push(&[Value::Int(*i)]),
             other => {
-                return Err(EngineError::IeRuntime {
-                    function: "to_int".into(),
-                    msg: format!("expected str/span/int, got {}", other.value_type()),
-                })
+                let got = other.value_type();
+                return Err(ctx.error(format!("expected str/span/int, got {got}")));
             }
         };
-        Ok(match text.trim().parse::<i64>() {
-            Ok(n) => vec![vec![Value::Int(n)]],
-            Err(_) => vec![],
-        })
+        match text.trim().parse::<i64>() {
+            Ok(n) => out.push(&[Value::Int(n)]),
+            Err(_) => Ok(()),
+        }
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::{IeContext, IeOutput, SharedDocs};
+    use crate::ie::tests::rows_of;
+    use crate::ie::SharedDocs;
 
-    fn call(name: &str, args: &[Value]) -> Result<IeOutput> {
+    fn call(name: &str, args: &[Value]) -> Result<Vec<Vec<Value>>> {
         let registry = Registry::new();
         let f = registry.ie(name).unwrap().clone();
-        let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        f.call(args, 1, &mut ctx)
+        rows_of(&*f, name, args, 1, &SharedDocs::default())
     }
 
     #[test]

@@ -30,13 +30,13 @@
 //! binds its pattern from data recompiles what was evicted instead of
 //! growing the registry.
 
-use crate::error::{EngineError, Result};
-use crate::ie::{filter_output, IeContext, IeFunction, IeOutput};
+use crate::error::Result;
+use crate::ie::{IeContext, IeFunction, IeRows};
 use crate::registry::Registry;
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Span, Value};
-use spannerlib_regex::Regex;
+use spannerlib_regex::{Regex, RegexError};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -102,14 +102,11 @@ impl RgxFunction {
         }
     }
 
-    fn compiled(&self, pattern: &str) -> Result<Arc<Regex>> {
+    fn compiled(&self, pattern: &str) -> std::result::Result<Arc<Regex>, RegexError> {
         if let Some(re) = self.cache.lock().get(pattern) {
             return Ok(re.clone());
         }
-        let re = Arc::new(Regex::new(pattern).map_err(|e| EngineError::IeRuntime {
-            function: "rgx".into(),
-            msg: format!("bad pattern {pattern:?}: {e}"),
-        })?);
+        let re = Arc::new(Regex::new(pattern)?);
         let mut cache = self.cache.lock();
         if cache.len() >= PATTERN_CACHE_CAP {
             // Any victim will do: an evicted pattern that comes back is
@@ -128,15 +125,14 @@ impl IeFunction for RgxFunction {
         Some(if self.fixed.is_some() { 1 } else { 2 })
     }
 
-    fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput> {
+    fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()> {
         let (re, text) = match &self.fixed {
             Some(re) => (Arc::clone(re), &args[0]),
             None => {
-                let pattern = args[0].as_str().ok_or_else(|| EngineError::IeRuntime {
-                    function: "rgx".into(),
-                    msg: format!("pattern must be a string, got {}", args[0].value_type()),
-                })?;
-                (self.compiled(pattern)?, &args[1])
+                let got = || format!("pattern must be a string, got {}", args[0].value_type());
+                let pattern = args[0].as_str().ok_or_else(|| ctx.error(got()))?;
+                let bad = |e| ctx.error(format!("bad pattern {pattern:?}: {e}"));
+                (self.compiled(pattern).map_err(bad)?, &args[1])
             }
         };
         // Lazy text resolution: string arguments are only interned when
@@ -147,59 +143,53 @@ impl IeFunction for RgxFunction {
         let text = arg.shared_text();
 
         if self.mode == Mode::IsMatch {
-            return Ok(filter_output(re.is_match(&text)));
+            return out.keep(re.is_match(&text));
         }
+        // One column per group (or one for a group-free pattern): an
+        // atom of another width fails whether or not the text matches.
+        out.check(re.group_count().max(1))?;
 
-        // Output arity check: groups (or 1 for group-free patterns).
-        let expected = re.group_count().max(1);
-        if n_outputs != expected {
-            return Err(EngineError::IeOutputArity {
-                function: "rgx".into(),
-                expected: n_outputs,
-                actual: expected,
-            });
-        }
-
-        let mut out: IeOutput = Vec::new();
         let strings = self.mode == Mode::FindStrings;
+        let mut cells = Vec::with_capacity(out.width());
         // Whether the match gave a row.
         let mut row = |groups: &[Option<(usize, usize)>], whole| {
-            // Zero-group patterns export the whole match as a single
-            // column; a group the match leaves undefined, no row.
-            let ranges: Option<Vec<_>> = match groups.is_empty() {
-                true => Some(vec![whole]),
-                false => groups.iter().copied().collect(),
-            };
-            let Some(ranges) = ranges else { return false };
+            // A group the match leaves undefined, no row.
+            if groups.contains(&None) {
+                return Ok(false);
+            }
             // Only a span row needs the text's document.
             let origin = (!strings).then(|| arg.doc_base(ctx));
             let cell = |(s, e): (usize, usize)| match origin {
                 Some((doc, base)) => Value::Span(Span::new(doc, base + s, base + e)),
                 None => Value::str(&text[s..e]),
             };
-            out.push(ranges.into_iter().map(cell).collect());
-            true
+            cells.clear();
+            // Zero-group patterns export the whole match as one column.
+            match groups.is_empty() {
+                true => cells.push(cell(whole)),
+                false => cells.extend(groups.iter().flatten().copied().map(cell)),
+            }
+            out.push(&cells).map(|()| true)
         };
         match self.mode {
             Mode::FindSpans | Mode::FindStrings => {
-                let mut unassigned = 0;
+                let (mut unassigned, mut groups) = (0, Vec::new());
                 for caps in re.captures_iter(&text) {
-                    let groups: Vec<_> = caps.explicit_groups().collect();
+                    groups.clear();
+                    groups.extend(caps.explicit_groups());
                     let whole = caps.group(0).expect("group 0 present");
-                    unassigned += u64::from(!row(&groups, whole));
+                    unassigned += u64::from(!row(&groups, whole)?);
                 }
                 UNASSIGNED.set(UNASSIGNED.get() + unassigned);
             }
             Mode::AllSpans => {
                 for m in re.all_matches(&text) {
-                    row(&m.groups, (m.start, m.end));
+                    row(&m.groups, (m.start, m.end))?;
                 }
             }
             Mode::IsMatch => unreachable!("handled above"),
         }
-        // Matches that differ outside the groups give the same row.
-        out.dedup();
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -214,13 +204,22 @@ pub fn install(registry: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
+    use crate::ie::tests::rows_of;
     use crate::ie::SharedDocs;
 
-    fn call(name: &str, args: &[Value], n_outputs: usize, docs: &SharedDocs) -> IeOutput {
-        let registry = Registry::new();
-        let f = registry.ie(name).unwrap().clone();
-        let mut ctx = IeContext::new(docs);
-        f.call(args, n_outputs, &mut ctx).unwrap()
+    fn call(name: &str, args: &[Value], width: usize, docs: &SharedDocs) -> Vec<Vec<Value>> {
+        try_call(name, args, width, docs).unwrap()
+    }
+
+    fn try_call(
+        name: &str,
+        args: &[Value],
+        width: usize,
+        docs: &SharedDocs,
+    ) -> Result<Vec<Vec<Value>>> {
+        let f = Registry::new().ie(name).unwrap().clone();
+        rows_of(&*f, name, args, width, docs)
     }
 
     #[test]
@@ -322,25 +321,25 @@ mod tests {
 
     #[test]
     fn wrong_output_arity_is_an_error() {
-        let registry = Registry::new();
-        let f = registry.ie("rgx").unwrap().clone();
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        let err = f
-            .call(&[Value::str("x{a}y{b}"), Value::str("ab")], 1, &mut ctx)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::IeOutputArity { .. }));
+        for text in ["ab", "no match"] {
+            let args = [Value::str("x{a}y{b}"), Value::str(text)];
+            let err = try_call("rgx", &args, 1, &docs).unwrap_err();
+            assert!(matches!(
+                err,
+                EngineError::IeOutputArity {
+                    expected: 1,
+                    actual: 2,
+                    ..
+                }
+            ));
+        }
     }
 
     #[test]
     fn bad_pattern_reports() {
-        let registry = Registry::new();
-        let f = registry.ie("rgx").unwrap().clone();
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        let err = f
-            .call(&[Value::str("a("), Value::str("x")], 1, &mut ctx)
-            .unwrap_err();
+        let err = try_call("rgx", &[Value::str("a("), Value::str("x")], 1, &docs).unwrap_err();
         assert!(matches!(err, EngineError::IeRuntime { .. }));
     }
 
@@ -456,15 +455,13 @@ mod tests {
     #[test]
     fn a_fixed_pattern_takes_the_text_alone() {
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
         let pair = || Regex::new("([a-z]+)=([0-9]+)").unwrap();
         let strings = fixed_rgx(pair(), true);
         assert_eq!(strings.input_arity(), Some(1));
-        let rows = strings.call(&[Value::str("k=1 v")], 2, &mut ctx).unwrap();
+        let text = [Value::str("k=1 v")];
+        let rows = rows_of(&*strings, "kv", &text, 2, &docs).unwrap();
         assert_eq!(rows, vec![vec![Value::str("k"), Value::str("1")]]);
-        let rows = fixed_rgx(pair(), false)
-            .call(&[Value::str("k=1 v")], 2, &mut ctx)
-            .unwrap();
+        let rows = rows_of(&*fixed_rgx(pair(), false), "kv", &text, 2, &docs).unwrap();
         let doc = docs.read().lookup("k=1 v").unwrap();
         let spans = [(0, 1), (2, 3)].map(|(s, e)| Value::Span(Span::new(doc, s, e)));
         assert_eq!(rows, vec![spans.to_vec()]);
@@ -474,14 +471,12 @@ mod tests {
     fn pattern_cache_is_bounded() {
         let f = RgxFunction::new(Mode::FindStrings);
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
         for i in 0..10 * PATTERN_CACHE_CAP {
             // Patterns bound from data: each one distinct, each one right.
             let pattern = format!("k{i}=(\\d+)");
             let text = format!("k{i}=7 k{}=8 k{i}=9", i + 1);
-            let rows = f
-                .call(&[Value::str(pattern), Value::str(text)], 1, &mut ctx)
-                .unwrap();
+            let args = [Value::str(pattern), Value::str(text)];
+            let rows = rows_of(&f, "rgx_string", &args, 1, &docs).unwrap();
             assert_eq!(rows, vec![vec![Value::str("7")], vec![Value::str("9")]]);
             assert!(f.cache.lock().len() <= PATTERN_CACHE_CAP);
         }

@@ -12,86 +12,65 @@
 //! resolves unknown relation atoms against the IE registry, as the plain
 //! atom `contains(a, b)` exactly like the paper does.
 
-use crate::error::{EngineError, Result};
-use crate::ie::filter_output;
+use crate::error::Result;
+use crate::ie::{IeContext, IeRows};
 use crate::registry::Registry;
 use spannerlib_core::{Span, Value};
 
-fn span_arg(function: &str, v: &Value) -> Result<Span> {
-    v.as_span().copied().ok_or_else(|| EngineError::IeRuntime {
-        function: function.to_string(),
-        msg: format!("expected a span, got {}", v.value_type()),
-    })
+fn span_arg(v: &Value, ctx: &IeContext<'_>) -> Result<Span> {
+    let got = || ctx.error(format!("expected a span, got {}", v.value_type()));
+    v.as_span().copied().ok_or_else(got)
+}
+
+/// A filter on two spans: keeps the binding row when `holds`.
+fn span_filter(
+    holds: fn(&Span, &Span) -> bool,
+) -> impl Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> {
+    move |args, out, ctx| out.keep(holds(&span_arg(&args[0], ctx)?, &span_arg(&args[1], ctx)?))
 }
 
 /// Installs the span builtins.
 pub fn install(registry: &mut Registry) {
     // contains(outer, inner): filter — outer span contains inner span.
-    registry.register_closure_uncached("contains", Some(2), |args, _ctx| {
-        let outer = span_arg("contains", &args[0])?;
-        let inner = span_arg("contains", &args[1])?;
-        Ok(filter_output(outer.contains(&inner)))
-    });
-
+    let contains = span_filter(|outer, inner| outer.contains(inner));
+    registry.register_closure_uncached("contains", Some(2), contains);
     // contained_in(inner, outer): the flipped reading, matching the
     // argument order of the paper's example `contains(pos, s)` where the
     // *scope* s contains the cursor pos.
-    registry.register_closure_uncached("contained_in", Some(2), |args, _ctx| {
-        let inner = span_arg("contained_in", &args[0])?;
-        let outer = span_arg("contained_in", &args[1])?;
-        Ok(filter_output(outer.contains(&inner)))
-    });
-
-    registry.register_closure_uncached("overlaps", Some(2), |args, _ctx| {
-        let a = span_arg("overlaps", &args[0])?;
-        let b = span_arg("overlaps", &args[1])?;
-        Ok(filter_output(a.overlaps(&b)))
-    });
-
-    registry.register_closure_uncached("precedes", Some(2), |args, _ctx| {
-        let a = span_arg("precedes", &args[0])?;
-        let b = span_arg("precedes", &args[1])?;
-        Ok(filter_output(a.precedes(&b)))
-    });
-
+    let contained_in = span_filter(|inner, outer| outer.contains(inner));
+    registry.register_closure_uncached("contained_in", Some(2), contained_in);
+    registry.register_closure_uncached("overlaps", Some(2), span_filter(Span::overlaps));
+    registry.register_closure_uncached("precedes", Some(2), span_filter(Span::precedes));
     // same_doc(a, b): filter — both spans point into one document.
-    registry.register_closure_uncached("same_doc", Some(2), |args, _ctx| {
-        let a = span_arg("same_doc", &args[0])?;
-        let b = span_arg("same_doc", &args[1])?;
-        Ok(filter_output(a.doc == b.doc))
-    });
+    let same_doc = span_filter(|a, b| a.doc == b.doc);
+    registry.register_closure_uncached("same_doc", Some(2), same_doc);
 
     // span_start/span_end/span_len: span -> int.
-    registry.register_closure_uncached("span_start", Some(1), |args, _ctx| {
-        let s = span_arg("span_start", &args[0])?;
-        Ok(vec![vec![Value::Int(s.start as i64)]])
+    registry.register_closure_uncached("span_start", Some(1), |args, out, ctx| {
+        out.push(&[Value::Int(span_arg(&args[0], ctx)?.start as i64)])
     });
-    registry.register_closure_uncached("span_end", Some(1), |args, _ctx| {
-        let s = span_arg("span_end", &args[0])?;
-        Ok(vec![vec![Value::Int(s.end as i64)]])
+    registry.register_closure_uncached("span_end", Some(1), |args, out, ctx| {
+        out.push(&[Value::Int(span_arg(&args[0], ctx)?.end as i64)])
     });
-    registry.register_closure_uncached("span_len", Some(1), |args, _ctx| {
-        let s = span_arg("span_len", &args[0])?;
-        Ok(vec![vec![Value::Int(s.len() as i64)]])
+    registry.register_closure_uncached("span_len", Some(1), |args, out, ctx| {
+        out.push(&[Value::Int(span_arg(&args[0], ctx)?.len() as i64)])
     });
 
     // expand(span, left, right) -> (span) — widen a span, clamped to the
-    // document bounds. Useful for context windows around a match.
-    registry.register_closure("expand", Some(3), |args, ctx| {
-        let s = span_arg("expand", &args[0])?;
-        let left = args[1].as_int().ok_or_else(|| EngineError::IeRuntime {
-            function: "expand".into(),
-            msg: "left margin must be an int".into(),
-        })?;
-        let right = args[2].as_int().ok_or_else(|| EngineError::IeRuntime {
-            function: "expand".into(),
-            msg: "right margin must be an int".into(),
-        })?;
-        let doc_len = ctx.doc_text(s.doc)?.len();
-        let mut start = (s.start as i64 - left).max(0) as usize;
-        let mut end = ((s.end as i64 + right).max(0) as usize).min(doc_len);
-        // Snap to char boundaries.
+    // document bounds; a margin past them saturates. Useful for context
+    // windows around a match.
+    registry.register_closure("expand", Some(3), |args, out, ctx| {
+        let s = span_arg(&args[0], ctx)?;
+        let margin = |v: &Value, side: &str| {
+            let msg = || ctx.error(format!("{side} margin must be an int"));
+            v.as_int().ok_or_else(msg)
+        };
+        let (left, right) = (margin(&args[1], "left")?, margin(&args[2], "right")?);
         let text = ctx.doc_text(s.doc)?;
+        let clamp = |at: i64| at.clamp(0, text.len() as i64) as usize;
+        let mut start = clamp((s.start as i64).saturating_sub(left));
+        let mut end = clamp((s.end as i64).saturating_add(right));
+        // Snap to char boundaries.
         while start > 0 && !text.is_char_boundary(start) {
             start -= 1;
         }
@@ -101,23 +80,25 @@ pub fn install(registry: &mut Registry) {
         if start > end {
             start = end;
         }
-        Ok(vec![vec![Value::Span(ctx.make_span(s.doc, start, end)?)]])
+        out.push(&[Value::Span(ctx.make_span(s.doc, start, end)?)])
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::{IeContext, IeOutput, SharedDocs};
+    use crate::ie::tests::rows_of;
+    use crate::ie::SharedDocs;
 
     fn setup() -> (Registry, SharedDocs) {
         (Registry::new(), SharedDocs::default())
     }
 
-    fn call(registry: &Registry, docs: &SharedDocs, name: &str, args: &[Value]) -> IeOutput {
+    /// The rows of `name(args)`, at width 0 for a filter and 1 otherwise.
+    fn call(registry: &Registry, docs: &SharedDocs, name: &str, args: &[Value]) -> Vec<Vec<Value>> {
         let f = registry.ie(name).unwrap().clone();
-        let mut ctx = IeContext::new(docs);
-        f.call(args, 1, &mut ctx).unwrap()
+        let filter = ["contains", "contained_in", "overlaps", "precedes"].contains(&name);
+        rows_of(&*f, name, args, usize::from(!filter), docs).unwrap()
     }
 
     #[test]
@@ -185,9 +166,7 @@ mod tests {
     fn non_span_argument_errors() {
         let (r, docs) = setup();
         let f = r.ie("contains").unwrap().clone();
-        let mut ctx = IeContext::new(&docs);
-        assert!(f
-            .call(&[Value::Int(1), Value::Int(2)], 0, &mut ctx)
-            .is_err());
+        let args = [Value::Int(1), Value::Int(2)];
+        assert!(rows_of(&*f, "contains", &args, 0, &docs).is_err());
     }
 }

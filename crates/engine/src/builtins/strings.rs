@@ -6,162 +6,145 @@
 //! resolved to its text first, which keeps rules free of explicit
 //! conversions.
 
-use crate::error::{EngineError, Result};
-use crate::ie::{filter_output, IeContext};
+use crate::error::Result;
+use crate::ie::{IeContext, IeRows};
 use crate::registry::Registry;
 use spannerlib_core::Value;
 
-fn err(function: &str, msg: impl Into<String>) -> EngineError {
-    EngineError::IeRuntime {
-        function: function.to_string(),
-        msg: msg.into(),
-    }
-}
-
 /// Resolves a value to text: strings pass through, spans resolve.
-fn as_text(function: &str, v: &Value, ctx: &IeContext<'_>) -> Result<String> {
+fn as_text(v: &Value, ctx: &IeContext<'_>) -> Result<String> {
     match v {
         Value::Str(s) => Ok(s.to_string()),
         Value::Span(s) => ctx.span_text(s),
-        other => Err(err(
-            function,
-            format!("expected str or span, got {}", other.value_type()),
-        )),
+        other => Err(ctx.error(format!("expected str or span, got {}", other.value_type()))),
     }
+}
+
+/// A function of one text argument with one output cell.
+fn text_map(
+    map: fn(String) -> Value,
+) -> impl Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> {
+    move |args, out, ctx| out.push(&[map(as_text(&args[0], ctx)?)])
+}
+
+/// A filter on two text arguments: keeps the binding row when `holds`.
+fn text_filter(
+    holds: fn(&str, &str) -> bool,
+) -> impl Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> {
+    move |args, out, ctx| out.keep(holds(&as_text(&args[0], ctx)?, &as_text(&args[1], ctx)?))
 }
 
 /// Installs the string builtins.
 pub fn install(registry: &mut Registry) {
     // concat(a, b) -> (a ++ b)
-    registry.register_closure_uncached("concat", Some(2), |args, ctx| {
-        let a = as_text("concat", &args[0], ctx)?;
-        let b = as_text("concat", &args[1], ctx)?;
-        Ok(vec![vec![Value::str(format!("{a}{b}"))]])
+    registry.register_closure_uncached("concat", Some(2), |args, out, ctx| {
+        let (a, b) = (as_text(&args[0], ctx)?, as_text(&args[1], ctx)?);
+        out.push(&[Value::str(format!("{a}{b}"))])
     });
 
     // format(template, x1, …, xn) -> (filled) — `{}` placeholders.
-    registry.register_closure_uncached("format", None, |args, ctx| {
+    registry.register_closure_uncached("format", None, |args, out, ctx| {
         let template = args
             .first()
             .and_then(Value::as_str)
-            .ok_or_else(|| err("format", "first argument must be a template string"))?;
+            .ok_or_else(|| ctx.error("first argument must be a template string"))?;
         let mut pieces = template.split("{}");
-        let mut out = String::new();
-        out.push_str(pieces.next().unwrap_or(""));
+        let mut filled = String::new();
+        filled.push_str(pieces.next().unwrap_or(""));
         let mut used = 0usize;
         for (i, piece) in pieces.enumerate() {
             let arg = args.get(i + 1).ok_or_else(|| {
-                err(
-                    "format",
-                    format!(
-                        "template has more placeholders than the {} argument(s)",
-                        args.len() - 1
-                    ),
-                )
+                ctx.error(format!(
+                    "template has more placeholders than the {} argument(s)",
+                    args.len() - 1
+                ))
             })?;
             match arg {
-                Value::Str(s) => out.push_str(s),
-                Value::Span(s) => out.push_str(&ctx.span_text(s)?),
-                Value::Int(x) => out.push_str(&x.to_string()),
-                Value::Float(x) => out.push_str(&x.to_string()),
-                Value::Bool(x) => out.push_str(&x.to_string()),
+                Value::Str(s) => filled.push_str(s),
+                Value::Span(s) => filled.push_str(&ctx.span_text(s)?),
+                Value::Int(x) => filled.push_str(&x.to_string()),
+                Value::Float(x) => filled.push_str(&x.to_string()),
+                Value::Bool(x) => filled.push_str(&x.to_string()),
             }
             used = i + 1;
-            out.push_str(piece);
+            filled.push_str(piece);
         }
         if used != args.len() - 1 {
-            return Err(err(
-                "format",
-                format!(
-                    "template has {used} placeholder(s) but {} argument(s) were given",
-                    args.len() - 1
-                ),
-            ));
+            return Err(ctx.error(format!(
+                "template has {used} placeholder(s) but {} argument(s) were given",
+                args.len() - 1
+            )));
         }
-        Ok(vec![vec![Value::str(out)]])
+        out.push(&[Value::str(filled)])
     });
 
-    // upper/lower/trim: one in, one out.
-    registry.register_closure("upper", Some(1), |args, ctx| {
-        let s = as_text("upper", &args[0], ctx)?;
-        Ok(vec![vec![Value::str(s.to_uppercase())]])
-    });
-    registry.register_closure("lower", Some(1), |args, ctx| {
-        let s = as_text("lower", &args[0], ctx)?;
-        Ok(vec![vec![Value::str(s.to_lowercase())]])
-    });
-    registry.register_closure("trim", Some(1), |args, ctx| {
-        let s = as_text("trim", &args[0], ctx)?;
-        Ok(vec![vec![Value::str(s.trim())]])
-    });
+    // upper/lower/trim/str_len: one in, one out.
+    registry.register_closure("upper", Some(1), text_map(|s| Value::str(s.to_uppercase())));
+    registry.register_closure("lower", Some(1), text_map(|s| Value::str(s.to_lowercase())));
+    registry.register_closure("trim", Some(1), text_map(|s| Value::str(s.trim())));
+    registry.register_closure("str_len", Some(1), text_map(|s| Value::Int(s.len() as i64)));
 
     // replace(s, from, to) -> (s')
-    registry.register_closure("replace", Some(3), |args, ctx| {
-        let s = as_text("replace", &args[0], ctx)?;
-        let from = as_text("replace", &args[1], ctx)?;
-        let to = as_text("replace", &args[2], ctx)?;
-        Ok(vec![vec![Value::str(s.replace(&from, &to))]])
+    registry.register_closure("replace", Some(3), |args, out, ctx| {
+        let s = as_text(&args[0], ctx)?;
+        let (from, to) = (as_text(&args[1], ctx)?, as_text(&args[2], ctx)?);
+        out.push(&[Value::str(s.replace(&from, &to))])
     });
 
     // split(delim, s) -> (part) — one row per part; empty parts skipped.
-    registry.register_closure("split", Some(2), |args, ctx| {
-        let delim = as_text("split", &args[0], ctx)?;
-        let s = as_text("split", &args[1], ctx)?;
+    registry.register_closure("split", Some(2), |args, out, ctx| {
+        let (delim, s) = (as_text(&args[0], ctx)?, as_text(&args[1], ctx)?);
         if delim.is_empty() {
-            return Err(err("split", "delimiter must be non-empty"));
+            return Err(ctx.error("delimiter must be non-empty"));
         }
-        Ok(s.split(&delim)
-            .filter(|p| !p.is_empty())
-            .map(|p| vec![Value::str(p)])
-            .collect())
-    });
-
-    // str_len(s) -> (n)
-    registry.register_closure("str_len", Some(1), |args, ctx| {
-        let s = as_text("str_len", &args[0], ctx)?;
-        Ok(vec![vec![Value::Int(s.len() as i64)]])
+        let mut parts = s.split(&delim).filter(|p| !p.is_empty());
+        parts.try_for_each(|p| out.push(&[Value::str(p)]))
     });
 
     // as_str(x) -> (text) — explicit span→string (the paper writes
     // str(y) in aggregation; in rule bodies this is the equivalent). A
     // string passes through shared, its hash already taken.
-    registry.register_closure("as_str", Some(1), |args, ctx| {
-        let text = match &args[0] {
-            Value::Str(s) => Value::Str(s.clone()),
-            other => Value::str(as_text("as_str", other, ctx)?),
-        };
-        Ok(vec![vec![text]])
+    registry.register_closure("as_str", Some(1), |args, out, ctx| match &args[0] {
+        Value::Str(_) => out.push(&args[..1]),
+        other => out.push(&[Value::str(as_text(other, ctx)?)]),
     });
 
     // starts_with / ends_with / str_contains: boolean filters.
-    registry.register_closure_uncached("starts_with", Some(2), |args, ctx| {
-        let s = as_text("starts_with", &args[0], ctx)?;
-        let prefix = as_text("starts_with", &args[1], ctx)?;
-        Ok(filter_output(s.starts_with(&prefix)))
-    });
-    registry.register_closure_uncached("ends_with", Some(2), |args, ctx| {
-        let s = as_text("ends_with", &args[0], ctx)?;
-        let suffix = as_text("ends_with", &args[1], ctx)?;
-        Ok(filter_output(s.ends_with(&suffix)))
-    });
-    registry.register_closure_uncached("str_contains", Some(2), |args, ctx| {
-        let s = as_text("str_contains", &args[0], ctx)?;
-        let needle = as_text("str_contains", &args[1], ctx)?;
-        Ok(filter_output(s.contains(&needle)))
-    });
+    registry.register_closure_uncached(
+        "starts_with",
+        Some(2),
+        text_filter(|s, prefix| s.starts_with(prefix)),
+    );
+    registry.register_closure_uncached(
+        "ends_with",
+        Some(2),
+        text_filter(|s, suffix| s.ends_with(suffix)),
+    );
+    registry.register_closure_uncached(
+        "str_contains",
+        Some(2),
+        text_filter(|s, needle| s.contains(needle)),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::{IeOutput, SharedDocs};
+    use crate::ie::tests::rows_of;
+    use crate::ie::SharedDocs;
 
-    fn call(name: &str, args: &[Value]) -> Result<IeOutput> {
+    /// The rows of `name(args)`, at width 0 for a filter and 1 otherwise.
+    fn call(name: &str, args: &[Value]) -> Result<Vec<Vec<Value>>> {
         let registry = Registry::new();
         let f = registry.ie(name).unwrap().clone();
-        let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        f.call(args, 1, &mut ctx)
+        let filter = ["starts_with", "ends_with", "str_contains"].contains(&name);
+        rows_of(
+            &*f,
+            name,
+            args,
+            usize::from(!filter),
+            &SharedDocs::default(),
+        )
     }
 
     fn one(name: &str, args: &[Value]) -> Value {
@@ -183,10 +166,8 @@ mod tests {
         let docs = SharedDocs::default();
         let id = docs.write().intern("hello world");
         let span = docs.read().span(id, 0, 5).unwrap();
-        let mut ctx = IeContext::new(&docs);
-        let out = f
-            .call(&[Value::Span(span), Value::str("!")], 1, &mut ctx)
-            .unwrap();
+        let args = [Value::Span(span), Value::str("!")];
+        let out = rows_of(&*f, "concat", &args, 1, &docs).unwrap();
         assert_eq!(out[0][0], Value::str("hello!"));
     }
 

@@ -212,14 +212,14 @@ pub enum EngineError {
         rule: Box<LimitCulprit>,
     },
 
-    /// An IE callback returned a row of unexpected arity.
-    #[error("IE function {function:?} returned a row of arity {actual}, atom expects {expected}")]
+    /// An IE function wrote (or `rgx` would write) a row of another arity.
+    #[error("IE function {function:?} wrote a row of arity {actual}, atom expects {expected}")]
     IeOutputArity {
         /// Function name.
         function: String,
         /// Arity expected by the IE atom.
         expected: usize,
-        /// Arity of the offending returned row.
+        /// Arity of the offending row.
         actual: usize,
     },
 

@@ -7,16 +7,23 @@
 //! an IE atom `f(inputs) -> (outputs)`, turning host code into a callback
 //! of the declarative layer.
 //!
-//! Functions receive an [`IeContext`] giving access to the session's
-//! document store, so they can resolve spans to text and mint spans over
-//! new or existing documents. How calls are batched and bounded in time
-//! is the business of the rule executor's IE step (`ie_join.rs`); a call
-//! two atoms share is planned as a relation of the program
-//! (`share.rs`).
+//! A call writes its output tuples, one [`IeRows::push`] each, straight
+//! into the rows of the step that asked it — the paper's Python IE
+//! functions *yield* tuples, and so do these. The sink refuses a row
+//! whose width is not the calling atom's, and a refused row fails the
+//! step even when the function drops the error. A *filter* (an atom
+//! with no outputs) answers with [`IeRows::keep`].
+//!
+//! Functions receive an [`IeContext`] naming the function called and
+//! giving access to the session's document store, so they can resolve
+//! spans to text and mint spans over new or existing documents. How
+//! calls are batched and bounded in time is the business of the rule
+//! executor's IE step (`ie_join.rs`); a call two atoms share is planned
+//! as a relation of the program (`share.rs`).
 
 use crate::error::{EngineError, Result};
 use parking_lot::RwLock;
-use spannerlib_core::{DocId, DocumentStore, Span, Value};
+use spannerlib_core::{DocId, DocumentStore, Rows, Span, Value};
 use std::sync::Arc;
 
 /// The session's document store as every IE call sees it: behind a
@@ -27,17 +34,32 @@ use std::sync::Arc;
 /// workers racing to intern the same text converge on one id.
 pub type SharedDocs = RwLock<DocumentStore>;
 
-/// Execution context handed to every IE call. Each store access locks
-/// for its own duration only, so a function may be invoked concurrently
-/// on distinct argument tuples.
+/// Execution context handed to every IE call (and conversion). Each
+/// store access locks for its own duration only, so a function may be
+/// invoked concurrently on distinct argument tuples.
 pub struct IeContext<'a> {
+    function: &'a str,
     docs: &'a SharedDocs,
 }
 
 impl<'a> IeContext<'a> {
-    /// Wraps the shared document store.
-    pub fn new(docs: &'a SharedDocs) -> Self {
-        IeContext { docs }
+    /// The context of a call to the function registered as `function`,
+    /// over the shared document store.
+    pub fn new(function: &'a str, docs: &'a SharedDocs) -> Self {
+        IeContext { function, docs }
+    }
+
+    /// The name the function was called by.
+    pub fn function(&self) -> &str {
+        self.function
+    }
+
+    /// An [`EngineError::IeRuntime`] naming the function called.
+    pub fn error(&self, msg: impl Into<String>) -> EngineError {
+        EngineError::IeRuntime {
+            function: self.function.to_string(),
+            msg: msg.into(),
+        }
     }
 
     /// Resolves a span to its substring.
@@ -77,10 +99,7 @@ impl<'a> IeContext<'a> {
                 text: Arc::from(self.docs.read().span_text(span)?),
                 origin: Some((span.doc, span.start_usize())),
             }),
-            other => Err(EngineError::IeRuntime {
-                function: "<text argument>".into(),
-                msg: format!("expected str or span, got {}", other.value_type()),
-            }),
+            other => Err(self.error(format!("expected str or span, got {}", other.value_type()))),
         }
     }
 }
@@ -124,8 +143,78 @@ impl TextArg {
     }
 }
 
-/// Output of an IE call: a list of rows.
-pub type IeOutput = Vec<Vec<Value>>;
+/// Where an IE call writes its answer: the rows of the step that asked
+/// it, each of the calling atom's width.
+pub struct IeRows<'a> {
+    function: &'a str,
+    rows: &'a mut Rows,
+    /// The width of the first row refused, if any.
+    refused: Option<usize>,
+}
+
+impl<'a> IeRows<'a> {
+    /// A sink for `function`'s rows, appending to `rows`, whose width is
+    /// the calling atom's output arity.
+    pub fn new(function: &'a str, rows: &'a mut Rows) -> Self {
+        IeRows {
+            function,
+            rows,
+            refused: None,
+        }
+    }
+
+    /// The width every row must have: the calling atom's output arity.
+    pub fn width(&self) -> usize {
+        self.rows.width()
+    }
+
+    /// Writes one output row. A row of the wrong width is refused
+    /// ([`IeRows::check`]).
+    pub fn push(&mut self, row: &[Value]) -> Result<()> {
+        self.check(row.len())?;
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// A filter's answer: one empty row — the binding row kept — when
+    /// `keep` holds, none otherwise.
+    pub fn keep(&mut self, keep: bool) -> Result<()> {
+        match keep {
+            true => self.push(&[]),
+            false => Ok(()),
+        }
+    }
+
+    /// Refuses `width` unless it is [`IeRows::width`], with
+    /// [`EngineError::IeOutputArity`]. A refusal fails the call at
+    /// [`IeRows::finish`] whatever the function returns. A function
+    /// whose width is known before any row (`rgx`: its pattern's groups)
+    /// checks it up front, so a mis-sized atom fails without a match.
+    pub fn check(&mut self, width: usize) -> Result<()> {
+        if width == self.width() {
+            return Ok(());
+        }
+        self.refused.get_or_insert(width);
+        Err(self.arity_error(width))
+    }
+
+    /// The call's outcome: the first refusal if a row was refused, else
+    /// what the function returned.
+    pub fn finish(self, called: Result<()>) -> Result<()> {
+        match self.refused {
+            Some(width) => Err(self.arity_error(width)),
+            None => called,
+        }
+    }
+
+    fn arity_error(&self, actual: usize) -> EngineError {
+        EngineError::IeOutputArity {
+            function: self.function.to_string(),
+            expected: self.width(),
+            actual,
+        }
+    }
+}
 
 /// A registered IE function.
 ///
@@ -138,11 +227,10 @@ pub trait IeFunction: Send + Sync {
     /// Number of inputs, or `None` for variadic functions (e.g. `format`).
     fn input_arity(&self) -> Option<usize>;
 
-    /// Invokes the function on one input tuple. `n_outputs` is the arity
-    /// expected by the calling IE atom — functions with shape-dependent
-    /// output (like `rgx`, whose arity is the pattern's group count) may
-    /// use it for validation.
-    fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput>;
+    /// Invokes the function on one input tuple, writing its output rows
+    /// to `out`, whose [`IeRows::width`] is the calling atom's output
+    /// arity.
+    fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()>;
 
     /// Whether results may be reused: shared by the rows of a batch that
     /// carry the same argument vector, and — for a *shared call*, one
@@ -180,7 +268,7 @@ pub struct ClosureIe<F> {
 
 impl<F> ClosureIe<F>
 where
-    F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync,
+    F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync,
 {
     /// Wraps `f` with a fixed (or variadic, `None`) input arity.
     pub fn new(arity: Option<usize>, f: F) -> Self {
@@ -204,14 +292,14 @@ where
 
 impl<F> IeFunction for ClosureIe<F>
 where
-    F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync,
+    F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync,
 {
     fn input_arity(&self) -> Option<usize> {
         self.arity
     }
 
-    fn call(&self, args: &[Value], _n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput> {
-        (self.f)(args, ctx)
+    fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()> {
+        (self.f)(args, out, ctx)
     }
 
     fn cacheable(&self) -> bool {
@@ -219,24 +307,29 @@ where
     }
 }
 
-/// Helper for boolean *filter* functions (zero outputs): `true` keeps the
-/// binding row, `false` drops it.
-pub fn filter_output(keep: bool) -> IeOutput {
-    if keep {
-        vec![vec![]]
-    } else {
-        vec![]
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The rows `f`, registered as `name`, writes for `args` at `width`.
+    pub(crate) fn rows_of(
+        f: &dyn IeFunction,
+        name: &str,
+        args: &[Value],
+        width: usize,
+        docs: &SharedDocs,
+    ) -> Result<Vec<Vec<Value>>> {
+        let mut rows = Rows::new(width);
+        let mut out = IeRows::new(name, &mut rows);
+        let called = f.call(args, &mut out, &mut IeContext::new(name, docs));
+        out.finish(called)?;
+        Ok(rows.iter().map(<[Value]>::to_vec).collect())
+    }
 
     #[test]
     fn context_interns_and_resolves() {
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
+        let mut ctx = IeContext::new("f", &docs);
         let id = ctx.intern("hello world");
         let span = ctx.make_span(id, 0, 5).unwrap();
         assert_eq!(ctx.span_text(&span).unwrap(), "hello");
@@ -246,7 +339,7 @@ mod tests {
     #[test]
     fn text_arg_interns_strings_at_doc_base() {
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
+        let mut ctx = IeContext::new("f", &docs);
         let mut arg = ctx.text_arg(&Value::str("abc")).unwrap();
         let (doc, base) = arg.doc_base(&mut ctx);
         assert_eq!((arg.text(), base), ("abc", 0));
@@ -258,7 +351,7 @@ mod tests {
         let docs = SharedDocs::default();
         let id = docs.write().intern("xxabcxx");
         let span = docs.read().span(id, 2, 5).unwrap();
-        let mut ctx = IeContext::new(&docs);
+        let mut ctx = IeContext::new("f", &docs);
         let mut arg = ctx.text_arg(&Value::Span(span)).unwrap();
         assert_eq!(arg.text(), "abc");
         assert_eq!(arg.doc_base(&mut ctx), (id, 2));
@@ -267,14 +360,17 @@ mod tests {
     #[test]
     fn text_arg_rejects_ints() {
         let docs = SharedDocs::default();
-        let ctx = IeContext::new(&docs);
-        assert!(ctx.text_arg(&Value::Int(3)).is_err());
+        let ctx = IeContext::new("rgx_string", &docs);
+        let err = ctx.text_arg(&Value::Int(3)).err();
+        assert!(
+            matches!(err, Some(EngineError::IeRuntime { function, .. }) if function == "rgx_string")
+        );
     }
 
     #[test]
     fn lazy_text_arg_does_not_intern_until_doc_base() {
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
+        let mut ctx = IeContext::new("f", &docs);
         let mut arg = ctx.text_arg(&Value::str("scalar only")).unwrap();
         assert_eq!(arg.text(), "scalar only");
         assert!(
@@ -297,7 +393,7 @@ mod tests {
         let docs = SharedDocs::default();
         let id = docs.write().intern("xxabcxx");
         let span = docs.read().span(id, 2, 5).unwrap();
-        let mut ctx = IeContext::new(&docs);
+        let mut ctx = IeContext::new("f", &docs);
         let mut arg = ctx.text_arg(&Value::Span(span)).unwrap();
         assert_eq!(arg.text(), "abc");
         let (doc, base) = arg.doc_base(&mut ctx);
@@ -311,28 +407,36 @@ mod tests {
 
     #[test]
     fn closures_default_cacheable_with_uncached_escape_hatch() {
-        let pure = ClosureIe::new(Some(0), |_: &[Value], _: &mut IeContext<'_>| Ok(vec![]));
-        let impure = ClosureIe::uncached(Some(0), |_: &[Value], _: &mut IeContext<'_>| Ok(vec![]));
-        assert!(pure.cacheable());
-        assert!(!impure.cacheable());
+        let none = |_: &[Value], _: &mut IeRows<'_>, _: &mut IeContext<'_>| Ok(());
+        assert!(ClosureIe::new(Some(0), none).cacheable());
+        assert!(!ClosureIe::uncached(Some(0), none).cacheable());
     }
 
     #[test]
     fn closure_adapter() {
-        let f = ClosureIe::new(Some(1), |args: &[Value], _ctx: &mut IeContext<'_>| {
-            let n = args[0].as_int().unwrap();
-            Ok((0..n).map(|i| vec![Value::Int(i)]).collect())
-        });
+        let f = ClosureIe::new(
+            Some(1),
+            |args: &[Value], out: &mut IeRows<'_>, _: &mut IeContext<'_>| {
+                (0..args[0].as_int().unwrap()).try_for_each(|i| out.push(&[Value::Int(i)]))
+            },
+        );
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        let out = f.call(&[Value::Int(3)], 1, &mut ctx).unwrap();
+        let out = rows_of(&f, "f", &[Value::Int(3)], 1, &docs).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(f.input_arity(), Some(1));
     }
 
     #[test]
-    fn filter_output_shapes() {
-        assert_eq!(filter_output(true), vec![Vec::<Value>::new()]);
-        assert!(filter_output(false).is_empty());
+    fn keep_writes_one_empty_row_or_none() {
+        let docs = SharedDocs::default();
+        let filter = ClosureIe::new(
+            Some(1),
+            |args: &[Value], out: &mut IeRows<'_>, _: &mut IeContext<'_>| {
+                out.keep(args[0] == Value::Bool(true))
+            },
+        );
+        let keep = |b| rows_of(&filter, "f", &[Value::Bool(b)], 0, &docs).unwrap();
+        assert_eq!(keep(true), vec![Vec::<Value>::new()]);
+        assert!(keep(false).is_empty());
     }
 }

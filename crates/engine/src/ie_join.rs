@@ -6,23 +6,24 @@
 use crate::builtins;
 use crate::error::{EngineError, Result};
 use crate::eval::culprit_of;
-use crate::ie::IeContext;
+use crate::ie::{IeContext, IeRows};
 use crate::optimizer::TupleIndex;
 use crate::plan::{cell, operand, Batch, Columns, ExecCtx, PTerm, RulePlan, TraceCtx};
 use spannerlib_core::{RowTable, Rows, Value};
 use spannerlib_regex::prefilter;
 use spannerlib_trace::SpanKind;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
 /// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
-/// binding row extended by the rows the function returns for its
+/// binding row extended by the rows the function writes for its
 /// argument vector (new output variables bind; bound ones and constants
 /// filter). A *cacheable* function's results may be reused, so rows are
 /// grouped by argument vector and each group is answered once; an
-/// uncached one is called once per row. A row of the wrong arity fails
-/// the step, and so does a call that panics: the panic stops at the call
+/// uncached one is called once per row. Each call writes its rows into
+/// one arena of the step ([`IeRows`]), which its binding rows join
+/// before the next call reuses it; a row of the wrong arity fails the
+/// step, and so does a call that panics: the panic stops at the call
 /// ([`EngineError::IePanicked`]), on whichever lane it ran. IE calls are
 /// where evaluation sinks open-ended time (user code, regex scans): the
 /// wall-clock budget is checked before each.
@@ -46,10 +47,6 @@ pub(crate) fn ie_join(
     let (rows, n) = (&batch.rows, outputs.len());
     let by_args = (f.cacheable()).then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
     let groups = by_args.as_ref().map_or(rows.len(), TupleIndex::len);
-    let args = |g: usize| {
-        let first = rows.row(by_args.as_ref().map_or(g, |ix| ix.group(g)[0]));
-        inputs.iter().map(move |t| cell(t, first))
-    };
     ctx.tally.ie_batches.fetch_add(1, Ordering::Relaxed);
     // Error paths may leak `span`; RunTrace::finish (and, on shard
     // forks, merge_fork) closes leaked spans at the abort timestamp.
@@ -57,48 +54,37 @@ pub(crate) fn ie_join(
         format!("{function} ×{groups}")
     });
 
-    // The output rows of every group, and which of them are whose.
-    let mut returned = Rows::new(n);
-    let mut rows_of: Vec<Range<usize>> = vec![0..0; groups];
-    let mut call_args: Vec<Value> = Vec::with_capacity(inputs.len());
-    for (g, rows_of) in rows_of.iter_mut().enumerate() {
-        if let Some(d) = ctx.deadline {
-            d.check(Some(plan))?;
-        }
-        call_args.clear();
-        call_args.extend(args(g).cloned());
-        let t0 = tr.trace.now_ns();
-        // The call's regex searches run on this thread: they are its own.
-        let call = || f.call(&call_args, n, &mut IeContext::new(ctx.docs));
-        let unassigned = builtins::unassigned_matches();
-        let (out, searched) = prefilter::counted(|| catch_unwind(AssertUnwindSafe(call)));
-        tr.trace.prefilter(searched.searches, searched.pruned);
-        (tr.trace).unassigned_matches(builtins::unassigned_matches() - unassigned);
-        let out = out.map_err(|panic| panicked(function, plan, panic))??;
-        tr.trace.ie_call(function, t0);
-        if let Some(row) = out.iter().find(|row| row.len() != n) {
-            return Err(EngineError::IeOutputArity {
-                function: function.to_string(),
-                expected: n,
-                actual: row.len(),
-            });
-        }
-        rows_of.start = returned.len();
-        out.iter().for_each(|row| returned.push(row));
-        rows_of.end = returned.len();
-    }
-
     let cols = Columns::of(outputs, &batch.bound);
     let mut next = Rows::new(rows.width());
     // Output rows can repeat and a `_` can fold distinct ones: always
     // dedupe.
     let mut seen = Some(RowTable::default());
-    for (g, rows_of) in rows_of.into_iter().enumerate() {
+    // One group's output rows, as its call writes them.
+    let mut returned = Rows::new(n);
+    let mut call_args: Vec<Value> = Vec::with_capacity(inputs.len());
+    for g in 0..groups {
+        if let Some(d) = ctx.deadline {
+            d.check(Some(plan))?;
+        }
         let solo = [g];
         let members = by_args.as_ref().map_or(&solo[..], |ix| ix.group(g));
+        let first = rows.row(members[0]);
+        call_args.clear();
+        call_args.extend(inputs.iter().map(|t| cell(t, first)).cloned());
+        returned.clear();
+        let t0 = tr.trace.now_ns();
+        let mut call_ctx = IeContext::new(function, ctx.docs);
+        let mut out = IeRows::new(function, &mut returned);
+        // The call's regex searches run on this thread: they are its own.
+        let call = || f.call(&call_args, &mut out, &mut call_ctx);
+        let unassigned = builtins::unassigned_matches();
+        let (called, searched) = prefilter::counted(|| catch_unwind(AssertUnwindSafe(call)));
+        tr.trace.prefilter(searched.searches, searched.pruned);
+        (tr.trace).unassigned_matches(builtins::unassigned_matches() - unassigned);
+        out.finish(called.map_err(|panic| panicked(function, plan, panic))?)?;
+        tr.trace.ie_call(function, t0);
         for input in members.iter().map(|&r| rows.row(r)) {
-            let out_rows = returned.range(rows_of.clone());
-            for out in out_rows.filter(|out| cols.key_holds(input, out)) {
+            for out in returned.iter().filter(|out| cols.key_holds(input, out)) {
                 cols.emit(input, out, &mut next, &mut seen);
             }
         }

@@ -65,7 +65,7 @@ pub mod strata;
 pub use database::Database;
 pub use error::{EngineError, LimitCulprit, Result};
 pub use eval::{EvalLimits, EvalStats};
-pub use ie::{filter_output, IeContext, IeFunction, IeOutput, SharedDocs, TextArg};
+pub use ie::{IeContext, IeFunction, IeRows, SharedDocs, TextArg};
 pub use prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 pub use query::{QueryPlan, Selection};
 pub use registry::Registry;

@@ -3,7 +3,7 @@
 use crate::aggregate::{builtin_aggregates, builtin_conversions, AggFunction, Conversion};
 use crate::builtins::install_builtins;
 use crate::error::{EngineError, Result};
-use crate::ie::{ClosureIe, IeContext, IeFunction, IeOutput};
+use crate::ie::{ClosureIe, IeContext, IeFunction, IeRows};
 use rustc_hash::{FxHashMap, FxHashSet};
 use spannerlib_core::Value;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ impl Registry {
     /// variadic).
     pub fn register_closure<F>(&mut self, name: &str, arity: Option<usize>, f: F)
     where
-        F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.register_ie(name, Arc::new(ClosureIe::new(arity, f)));
     }
@@ -79,7 +79,7 @@ impl Registry {
     /// (the constant-time builtins).
     pub fn register_closure_uncached<F>(&mut self, name: &str, arity: Option<usize>, f: F)
     where
-        F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.register_ie(name, Arc::new(ClosureIe::uncached(arity, f)));
     }
@@ -125,7 +125,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ie::{filter_output, SharedDocs};
+    use crate::ie::tests::rows_of;
+    use crate::ie::SharedDocs;
 
     #[test]
     fn builtins_present() {
@@ -149,14 +150,14 @@ mod tests {
     #[test]
     fn closure_registration_and_call() {
         let mut r = Registry::new();
-        r.register_closure("is_even", Some(1), |args, _ctx| {
-            Ok(filter_output(args[0].as_int().unwrap() % 2 == 0))
+        r.register_closure("is_even", Some(1), |args, out, _ctx| {
+            out.keep(args[0].as_int().unwrap() % 2 == 0)
         });
         let f = r.ie("is_even").unwrap().clone();
         let docs = SharedDocs::default();
-        let mut ctx = IeContext::new(&docs);
-        assert_eq!(f.call(&[Value::Int(4)], 0, &mut ctx).unwrap().len(), 1);
-        assert_eq!(f.call(&[Value::Int(3)], 0, &mut ctx).unwrap().len(), 0);
+        let rows = |n| rows_of(&*f, "is_even", &[Value::Int(n)], 0, &docs).unwrap();
+        assert_eq!(rows(4).len(), 1);
+        assert_eq!(rows(3).len(), 0);
     }
 
     #[test]
@@ -175,7 +176,7 @@ mod tests {
     #[test]
     fn user_function_can_shadow_builtin() {
         let mut r = Registry::new();
-        r.register_closure("concat", Some(1), |_args, _ctx| Ok(vec![]));
+        r.register_closure("concat", Some(1), |_args, _out, _ctx| Ok(()));
         assert_eq!(r.ie("concat").unwrap().input_arity(), Some(1));
     }
 }

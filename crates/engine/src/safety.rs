@@ -302,7 +302,7 @@ mod tests {
         assert!(matches!(plan, Err(EngineError::UnknownIeFunction(_))));
 
         let (rels, mut registry) = ctx_with(&["Texts"]);
-        registry.register_closure("foo", Some(2), |_args, _ctx| Ok(vec![]));
+        registry.register_closure("foo", Some(2), |_args, _out, _ctx| Ok(()));
         let plan = analyze(
             &rule(r#"T(z, v, w) <- Texts(d, t), rgx("x{.}y{.}", z) -> (w, v), foo(d, t) -> (z)"#),
             &SafetyContext {
@@ -329,8 +329,8 @@ mod tests {
     #[test]
     fn circular_ie_dependency_is_unsafe() {
         let (rels, mut registry) = ctx_with(&[]);
-        registry.register_closure("f", Some(1), |_a, _c| Ok(vec![]));
-        registry.register_closure("g", Some(1), |_a, _c| Ok(vec![]));
+        registry.register_closure("f", Some(1), |_a, _o, _c| Ok(()));
+        registry.register_closure("g", Some(1), |_a, _o, _c| Ok(()));
         let err = analyze(
             &rule("R(x) <- f(x) -> (y), g(y) -> (x)"),
             &SafetyContext {

@@ -65,7 +65,7 @@
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::eval::{EvalLimits, EvalStats};
-use crate::ie::{IeContext, IeFunction, IeOutput};
+use crate::ie::{IeContext, IeFunction, IeRows};
 use crate::prepared::CompiledProgram;
 use crate::query::QueryPlan;
 use crate::registry::Registry;
@@ -92,9 +92,9 @@ pub use read::SessionStats;
 /// let mut session = Session::builder()
 ///     .max_fixpoint_rounds(10_000)
 ///     .max_materialized_rows(1_000_000)
-///     .register("shout", Some(1), |args, _ctx| {
+///     .register("shout", Some(1), |args, out, _ctx| {
 ///         let s = args[0].as_str().unwrap_or_default().to_uppercase();
-///         Ok(vec![vec![Value::str(s)]])
+///         out.push(&[Value::str(s)])
 ///     })
 ///     .build();
 /// # session.run("new S(str)").unwrap();
@@ -207,7 +207,7 @@ impl SessionBuilder {
     /// it out of both sharing and batching.
     pub fn register<F>(mut self, name: &str, input_arity: Option<usize>, f: F) -> SessionBuilder
     where
-        F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.session.registry.register_closure(name, input_arity, f);
         self
@@ -223,7 +223,7 @@ impl SessionBuilder {
         f: F,
     ) -> SessionBuilder
     where
-        F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         (self.session.registry).register_closure_uncached(name, input_arity, f);
         self
@@ -421,14 +421,15 @@ impl Session {
 
     /// Registers a closure as an IE function (the paper's
     /// `session.register(foo, input=…, output=…)`). `input_arity` of
-    /// `None` means variadic. An evaluation shares one call's results
-    /// among every rule that asks the same arguments, which assumes the
-    /// paper's stateless contract — use
+    /// `None` means variadic. `f(args, out, ctx)` writes each output row
+    /// with [`IeRows::push`] (a filter: [`IeRows::keep`]). An evaluation
+    /// shares one call's results among every rule that asks the same
+    /// arguments, which assumes the paper's stateless contract — use
     /// [`Session::register_uncached`] for closures that are not pure
     /// functions of their arguments.
     pub fn register<F>(&mut self, name: &str, input_arity: Option<usize>, f: F)
     where
-        F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.registry.register_closure(name, input_arity, f);
         self.invalidate_program();
@@ -437,7 +438,7 @@ impl Session {
     /// Registers a closure whose results must never be reused.
     pub fn register_uncached<F>(&mut self, name: &str, input_arity: Option<usize>, f: F)
     where
-        F: Fn(&[Value], &mut IeContext<'_>) -> Result<IeOutput> + Send + Sync + 'static,
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.registry
             .register_closure_uncached(name, input_arity, f);

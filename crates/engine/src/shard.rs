@@ -201,7 +201,7 @@ fn fold_group(
         // outermost-first as written.
         for conv_name in conversions.iter().rev() {
             let conv = registry.conversion(conv_name)?;
-            let ctx = IeContext::new(docs);
+            let ctx = IeContext::new(conv_name, docs);
             values = values
                 .iter()
                 .map(|v| conv.convert(v, &ctx))

@@ -148,9 +148,9 @@ fn rules_of_one_evaluation_share_the_memo() {
         let seen = calls.clone();
         let mut session = Session::builder()
             .parallelism(workers)
-            .register("probe", Some(1), move |args, _| {
+            .register("probe", Some(1), move |args, out, _| {
                 seen.fetch_add(1, Ordering::SeqCst);
-                Ok(vec![vec![args[0].clone()]])
+                out.push(&[args[0].clone()])
             })
             .build();
         session
@@ -182,9 +182,9 @@ fn equal_strings_from_every_source_are_one_row_and_one_memo_key() {
     // One lane: two shards could both miss the key.
     let mut session = Session::builder()
         .parallelism(0)
-        .register("probe", Some(1), move |args, _| {
+        .register("probe", Some(1), move |args, out, _| {
             seen.fetch_add(1, Ordering::SeqCst);
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         })
         .build();
     let csv = DataFrame::from_csv_typed("name\nann\n", &[ValueType::Str]).unwrap();
@@ -225,15 +225,17 @@ Probed(y) <- FromFormat(x), probe(x) -> (y)"#,
 #[test]
 fn reregistration_invalidates_memoized_results() {
     let mut session = Session::new();
-    session.register("probe", Some(1), |args, _| Ok(vec![vec![args[0].clone()]]));
+    session.register("probe", Some(1), |args, out, _| {
+        out.push(&[args[0].clone()])
+    });
     session
         .run("new S(int)\nS(1)\nD(y) <- S(x), probe(x) -> (y)")
         .unwrap();
     let first: Vec<(i64,)> = session.export_typed("?D(y)").unwrap();
     assert_eq!(first, vec![(1,)]);
 
-    session.register("probe", Some(1), |args, _| {
-        Ok(vec![vec![(args[0].as_int().unwrap() + 100).into()]])
+    session.register("probe", Some(1), |args, out, _| {
+        out.push(&[(args[0].as_int().unwrap() + 100).into()])
     });
     let second: Vec<(i64,)> = session.export_typed("?D(y)").unwrap();
     assert_eq!(second, vec![(101,)], "stale memo served the old body");
@@ -248,9 +250,9 @@ fn uncached_closures_bypass_the_memo() {
     let calls = Arc::new(AtomicUsize::new(0));
     let seen = calls.clone();
     let mut session = Session::builder()
-        .register_uncached("volatile", Some(1), move |args, _| {
+        .register_uncached("volatile", Some(1), move |args, out, _| {
             seen.fetch_add(1, Ordering::SeqCst);
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         })
         .build();
     session
@@ -317,10 +319,11 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = calls.clone();
         let f = move |args: &[spannerlib_core::Value],
+                      out: &mut spannerlog_engine::IeRows<'_>,
                       _: &mut spannerlog_engine::IeContext<'_>|
-              -> spannerlog_engine::Result<spannerlog_engine::IeOutput> {
+              -> spannerlog_engine::Result<()> {
             seen.fetch_add(1, Ordering::SeqCst);
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         };
         let builder = Session::builder().parallelism(workers);
         let mut session = if register_uncached {
@@ -364,7 +367,8 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
 }
 
 /// A call whose output has the wrong arity fails its rule before any
-/// row of it is kept, and re-registering the function corrected
+/// row of it is kept — also when the function drops the error its
+/// refused row returned — and re-registering the function corrected
 /// evaluates cleanly. Two rules ask the call, so it is one the program
 /// plans as a relation, which runs the body once per argument.
 #[test]
@@ -372,16 +376,16 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
     use spannerlib_core::Value;
     use spannerlog_engine::EngineError;
 
-    for workers in [0, 2] {
+    for (workers, drops_the_error) in [(0, false), (2, false), (0, true), (2, true)] {
         let mut session = Session::builder()
             .parallelism(workers)
             .tracing(TraceLevel::Summary)
-            .register("pair", Some(1), |args, _| {
-                Ok(vec![vec![
-                    args[0].clone(),
-                    args[0].clone(),
-                    args[0].clone(),
-                ]])
+            .register("pair", Some(1), move |args, out, _| {
+                let refused = out.push(&[args[0].clone(), args[0].clone(), args[0].clone()]);
+                match drops_the_error {
+                    true => Ok(()),
+                    false => refused,
+                }
             })
             .build();
         session
@@ -395,8 +399,8 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
             matches!(&err, EngineError::IeOutputArity { function, expected: 2, actual: 3 } if function == "pair"),
             "{err:?}"
         );
-        session.register("pair", Some(1), |args, _| {
-            Ok(vec![vec![args[0].clone(), Value::Int(1)]])
+        session.register("pair", Some(1), |args, out, _| {
+            out.push(&[args[0].clone(), Value::Int(1)])
         });
         assert_eq!(session.relation("P").unwrap().len(), 6);
         assert_eq!(session.relation("Q").unwrap().len(), 6);

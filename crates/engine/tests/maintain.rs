@@ -258,10 +258,10 @@ fn an_identical_re_import_makes_no_ie_call() {
     let calls = Arc::new(AtomicUsize::new(0));
     let seen = calls.clone();
     let mut session = Session::builder()
-        .register("words", Some(1), move |args, _| {
+        .register("words", Some(1), move |args, out, _| {
             seen.fetch_add(1, Ordering::SeqCst);
             let text = args[0].as_str().unwrap_or_default();
-            Ok(text.split(' ').map(|w| vec![Value::str(w)]).collect())
+            text.split(' ').try_for_each(|w| out.push(&[Value::str(w)]))
         })
         .build();
     let texts = vec![("a", "one two"), ("b", "three")];
@@ -351,7 +351,7 @@ fn every_reason_for_a_full_evaluation_is_named() {
     assert_eq!(full(&heads), Some(FullReason::InputIsRuleHead));
 
     let mut uncached = Session::new();
-    uncached.register_uncached("same", Some(1), |args, _| Ok(vec![args.to_vec()]));
+    uncached.register_uncached("same", Some(1), |args, out, _| out.push(args));
     uncached
         .run("new S(int)\nS(1)\nD(y) <- S(x), same(x) -> (y)")
         .unwrap();
@@ -366,10 +366,10 @@ const FRAGILE_RULES: &str = "F(t, n) <- Texts(t), fragile(t) -> (n)";
 
 fn fragile_session() -> Session {
     let mut session = Session::new();
-    session.register("fragile", Some(1), |args, _| {
+    session.register("fragile", Some(1), |args, out, _| {
         let text = args[0].as_str().unwrap_or_default();
         assert_ne!(text, "boom", "fragile met its input");
-        Ok(vec![vec![Value::Int(text.len() as i64)]])
+        out.push(&[Value::Int(text.len() as i64)])
     });
     session.run(FRAGILE).unwrap();
     session.run(FRAGILE_RULES).unwrap();
@@ -400,10 +400,8 @@ fn a_panic_inside_a_maintained_evaluation_leaves_the_session_exact() {
         EvalMode::Full(FullReason::PreviousRunFailed)
     );
     let mut registry = Registry::new();
-    registry.register_closure("fragile", Some(1), |args, _| {
-        Ok(vec![vec![Value::Int(
-            args[0].as_str().unwrap_or_default().len() as i64,
-        )]])
+    registry.register_closure("fragile", Some(1), |args, out, _| {
+        out.push(&[Value::Int(args[0].as_str().unwrap_or_default().len() as i64)])
     });
     let source = format!("new Texts(str)\nTexts(\"calm\") Texts(\"new\")\n{FRAGILE_RULES}");
     assert_derives(&mut session, &source, &registry, &["F"]);
@@ -413,11 +411,9 @@ fn a_panic_inside_a_maintained_evaluation_leaves_the_session_exact() {
 fn a_deadline_expiring_inside_a_maintained_evaluation_leaves_the_session_exact() {
     let program = "Slow(t, n) <- Texts(t), sleepy(t) -> (n)";
     let register = |session: &mut Session| {
-        session.register("sleepy", Some(1), |args, _| {
+        session.register("sleepy", Some(1), |args, out, _| {
             std::thread::sleep(std::time::Duration::from_millis(30));
-            Ok(vec![vec![Value::Int(
-                args[0].as_str().unwrap_or_default().len() as i64,
-            )]])
+            out.push(&[Value::Int(args[0].as_str().unwrap_or_default().len() as i64)])
         });
     };
     let mut session = Session::builder().parallelism(1).build();

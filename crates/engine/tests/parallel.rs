@@ -158,7 +158,7 @@ fn a_float_sum_does_not_depend_on_the_cut() {
     let sum = |workers: usize| {
         let mut session = Session::builder()
             .parallelism(workers)
-            .register("key", Some(1), |_, _| Ok(vec![vec![Value::str("k")]]))
+            .register("key", Some(1), |_, out, _| out.push(&[Value::str("k")]))
             .build();
         session.run("new Docs(str, float)").unwrap();
         for (t, w) in [("a", 1e16), ("b", 1.0), ("a", -1e16)] {
@@ -340,10 +340,10 @@ fn parallelism_counts_the_calling_thread() {
         let record = Arc::clone(&seen);
         let mut session = Session::builder()
             .parallelism(lanes)
-            .register("probe", Some(1), move |_, _| {
+            .register("probe", Some(1), move |_, out, _| {
                 record.lock().unwrap().insert(thread::current().id());
                 thread::sleep(std::time::Duration::from_millis(1));
-                Ok(vec![vec![Value::Int(1)]])
+                out.push(&[Value::Int(1)])
             })
             .build();
         let texts: Vec<_> = (0..24)
@@ -371,9 +371,9 @@ fn doc_store_survives_a_panicking_ie_function() {
     for workers in [4, 0] {
         let mut session = Session::builder()
             .parallelism(workers)
-            .register("boom", Some(1), |args, _| match args[0].as_str() {
+            .register("boom", Some(1), |args, out, _| match args[0].as_str() {
                 Some(text) if text.contains("beta7") => panic!("boom"),
-                _ => Ok(vec![vec![Value::Int(1)]]),
+                _ => out.push(&[Value::Int(1)]),
             })
             .build();
         load(&mut session);
@@ -412,9 +412,9 @@ fn an_ie_panic_is_an_error_naming_the_function_and_the_rule() {
     for workers in [0, 2] {
         let mut session = Session::builder()
             .parallelism(workers)
-            .register("boom", Some(1), |args, _| match args[0].as_str() {
+            .register("boom", Some(1), |args, out, _| match args[0].as_str() {
                 Some(text) if text.contains("beta7") => panic!("boom met beta7"),
-                _ => Ok(vec![vec![Value::Int(1)]]),
+                _ => out.push(&[Value::Int(1)]),
             })
             .build();
         load(&mut session);

@@ -345,10 +345,10 @@ fn prefilter_counters_stay_with_the_session_that_searched() {
     let (inside, done) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
     let mut quiet = traced();
     let (held, released) = (Arc::clone(&inside), Arc::clone(&done));
-    quiet.register("hold", Some(1), move |args, _| {
+    quiet.register("hold", Some(1), move |args, out, _| {
         held.wait();
         released.wait();
-        Ok(vec![args.to_vec()])
+        out.push(args)
     });
     quiet
         .run("new S(int)\nS(1)\nH(y) <- S(x), hold(x) -> (y)")

@@ -63,9 +63,9 @@ fn unchanged_edb_skips_the_fixpoint() {
     let calls = Arc::new(AtomicUsize::new(0));
     let seen = calls.clone();
     let mut session = Session::builder()
-        .register("probe", Some(1), move |args, _ctx| {
+        .register("probe", Some(1), move |args, out, _ctx| {
             seen.fetch_add(1, Ordering::SeqCst);
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         })
         .build();
     session

@@ -16,7 +16,7 @@ use programs::{
 };
 use proptest::prelude::*;
 use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
-use spannerlog_engine::{EvalMode, IeContext, IeFunction, IeOutput, Session, TraceLevel};
+use spannerlog_engine::{EvalMode, IeContext, IeFunction, IeRows, Session, TraceLevel};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -133,10 +133,10 @@ impl IeFunction for Uncached {
     fn call(
         &self,
         args: &[Value],
-        n_outputs: usize,
+        out: &mut IeRows<'_>,
         ctx: &mut IeContext<'_>,
-    ) -> spannerlog_engine::Result<IeOutput> {
-        self.0.call(args, n_outputs, ctx)
+    ) -> spannerlog_engine::Result<()> {
+        self.0.call(args, out, ctx)
     }
 
     fn cacheable(&self) -> bool {

@@ -8,9 +8,9 @@
 //! their own.
 
 use proptest::prelude::*;
-use spannerlib_core::Value;
+use spannerlib_core::{Rows, Value};
 use spannerlib_regex::Spanner;
-use spannerlog_engine::{IeContext, Registry, SharedDocs};
+use spannerlog_engine::{IeContext, IeRows, Registry, SharedDocs};
 use std::collections::BTreeSet;
 
 /// A pattern over `a`, `b` and space in which some capture groups are
@@ -62,8 +62,11 @@ fn call(function: &str, pattern: &str, text: &str) -> Vec<Vec<Value>> {
     let groups = pattern.matches('(').count();
     let f = Registry::new().ie(function).unwrap().clone();
     let args = [Value::str(pattern), Value::str(text)];
-    let docs = SharedDocs::default();
-    f.call(&args, groups, &mut IeContext::new(&docs)).unwrap()
+    let (docs, mut rows) = (SharedDocs::default(), Rows::new(groups));
+    let mut out = IeRows::new(function, &mut rows);
+    let called = f.call(&args, &mut out, &mut IeContext::new(function, &docs));
+    out.finish(called).unwrap();
+    rows.iter().map(<[Value]>::to_vec).collect()
 }
 
 /// A row of span cells as byte ranges.

@@ -5,7 +5,7 @@ mod support;
 
 use spannerlib_core::{Schema, Value, ValueType};
 use spannerlib_dataframe::DataFrame;
-use spannerlog_engine::{filter_output, EngineError, Registry, Session};
+use spannerlog_engine::{EngineError, Registry, Session};
 
 fn strings(df: &DataFrame, col: usize) -> Vec<String> {
     df.iter_rows()
@@ -103,11 +103,11 @@ fn paper_section_3_3_callback_composition() {
     let mut session = Session::new();
     // foo(x, y) -> (z): returns the concatenation reversed (arbitrary
     // host logic standing in for the paper's `foo`).
-    session.register("foo", Some(2), |args, _ctx| {
+    session.register("foo", Some(2), |args, out, _ctx| {
         let x = args[0].as_str().unwrap_or_default();
         let y = args[1].as_str().unwrap_or_default();
         let z: String = format!("{x}{y}").chars().rev().collect();
-        Ok(vec![vec![Value::str(z)]])
+        out.push(&[Value::str(z)])
     });
     session
         .run(
@@ -210,7 +210,7 @@ fn unsafe_rule_rejected_at_query_time() {
 #[test]
 fn ie_error_propagates() {
     let mut session = Session::new();
-    session.register("boom", Some(1), |_args, _ctx| {
+    session.register("boom", Some(1), |_args, _out, _ctx| {
         Err(EngineError::IeRuntime {
             function: "boom".into(),
             msg: "injected failure".into(),
@@ -333,11 +333,69 @@ fn head_constants_and_boolean_queries() {
     assert_eq!(out.get(0, 0), Some(Value::Bool(true)));
 }
 
+/// Integer arithmetic fails on overflow, in release builds too, rather
+/// than wrap; `expand` saturates a margin past the document instead.
+#[test]
+fn integer_builtins_neither_wrap_nor_overflow() {
+    for (function, x, y) in [
+        ("add", i64::MAX, 1),
+        ("sub", i64::MIN, 1),
+        ("mul", i64::MAX, 2),
+    ] {
+        let mut session = Session::new();
+        session.import_typed("N", vec![(x, y)]).unwrap();
+        session
+            .run(&format!("A(z) <- N(x, y), {function}(x, y) -> (z)"))
+            .unwrap();
+        let err = session.export("?A(z)").unwrap_err();
+        assert!(
+            matches!(&err, EngineError::IeRuntime { function: f, .. } if f == function),
+            "{function}: {err:?}"
+        );
+    }
+
+    let mut session = Session::new();
+    session
+        .run(
+            r#"new T(str)
+T("hello world")
+W(w) <- T(t), rgx("world", t) -> (w)
+Wide(s) <- W(w), expand(w, 0, 9223372036854775807) -> (s)
+Left(s) <- W(w), expand(w, 9223372036854775807, 0) -> (s)"#,
+        )
+        .unwrap();
+    let mut offsets = |name: &str| -> Vec<(usize, usize)> {
+        let rows = session.relation(name).unwrap().sorted_tuples();
+        let span = |t: &spannerlib_core::Tuple| *t[0].as_span().unwrap();
+        let range = |s: spannerlib_core::Span| (s.start_usize(), s.end_usize());
+        rows.iter().map(span).map(range).collect()
+    };
+    assert_eq!(offsets("Wide"), [(6, 11)]);
+    assert_eq!(offsets("Left"), [(0, 11)]);
+}
+
+/// An IE function's error names the function the rule called, also
+/// when it comes from a helper the `rgx` family shares.
+#[test]
+fn ie_errors_name_the_function_called() {
+    for (function, call) in [
+        ("rgx_string", r#"rgx_string("a", t) -> (x)"#),
+        ("rgx_all", r#"rgx_all("a(", "text") -> (x)"#),
+        ("rgx_is_match", r#"rgx_is_match(t, "text")"#),
+    ] {
+        let mut session = Session::new();
+        let rule = format!("R(t) <- N(t), {call}");
+        session.run(&format!("new N(int)\nN(3)\n{rule}")).unwrap();
+        let err = session.export("?R(x)").unwrap_err().to_string();
+        assert!(err.contains(&format!("{function:?}")), "{err}");
+    }
+}
+
 #[test]
 fn zero_output_registered_filter() {
     let mut session = Session::new();
-    session.register("is_long", Some(1), |args, _ctx| {
-        Ok(filter_output(args[0].as_str().is_some_and(|s| s.len() > 3)))
+    session.register("is_long", Some(1), |args, out, _ctx| {
+        out.keep(args[0].as_str().is_some_and(|s| s.len() > 3))
     });
     session
         .run(

@@ -13,7 +13,7 @@ mod support;
 
 use spannerlib_core::{Schema, Value, ValueType};
 use spannerlog_engine::{
-    EngineError, IeContext, IeFunction, IeOutput, Registry, Result, Session, TraceLevel,
+    EngineError, IeContext, IeFunction, IeRows, Registry, Result, Session, TraceLevel,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -29,9 +29,9 @@ impl IeFunction for Counted {
         self.f.input_arity()
     }
 
-    fn call(&self, args: &[Value], n_outputs: usize, ctx: &mut IeContext<'_>) -> Result<IeOutput> {
+    fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()> {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        self.f.call(args, n_outputs, ctx)
+        self.f.call(args, out, ctx)
     }
 
     fn cacheable(&self) -> bool {
@@ -43,14 +43,11 @@ impl IeFunction for Counted {
 /// `(2x, "A")` — or, when `only_a`, the two `"A"` rows alone.
 fn labels(only_a: bool) -> Arc<dyn IeFunction> {
     let mut registry = Registry::new();
-    registry.register_closure("f", Some(1), move |args, _| {
+    registry.register_closure("f", Some(1), move |args, out, _| {
         let x = args[0].as_int().expect("an int argument");
-        let row = |m: i64, l: &str| vec![Value::Int(m), Value::str(l)];
-        let mut rows = vec![row(x, "A"), row(x + 100, "B"), row(2 * x, "A")];
-        if only_a {
-            rows.retain(|r| r[1] == Value::str("A"));
-        }
-        Ok(rows)
+        let rows = [(x, "A"), (x + 100, "B"), (2 * x, "A")];
+        let mut rows = rows.into_iter().filter(|&(_, l)| !only_a || l == "A");
+        rows.try_for_each(|(m, l)| out.push(&[Value::Int(m), Value::str(l)]))
     });
     registry.ie("f").unwrap().clone()
 }
@@ -232,7 +229,9 @@ fn an_uncached_function_skips_the_memo_at_a_shared_site() {
     let cached = labels(false);
     let body = cached.clone();
     let mut registry = Registry::new();
-    registry.register_closure_uncached("f", Some(1), move |args, ctx| body.call(args, 2, ctx));
+    registry.register_closure_uncached("f", Some(1), move |args, out, ctx| {
+        body.call(args, out, ctx)
+    });
     let uncached = registry.ie("f").unwrap().clone();
     for parallelism in [0, 2] {
         let (mut session, calls) = session("f", &cached, parallelism);
@@ -258,8 +257,8 @@ fn an_uncached_function_skips_the_memo_at_a_shared_site() {
 fn fresh_values() -> Arc<dyn IeFunction> {
     let next = AtomicI64::new(1000);
     let mut registry = Registry::new();
-    registry.register_closure_uncached("feed", Some(1), move |_, _| {
-        Ok(vec![vec![Value::Int(next.fetch_add(1, Ordering::SeqCst))]])
+    registry.register_closure_uncached("feed", Some(1), move |_, out, _| {
+        out.push(&[Value::Int(next.fetch_add(1, Ordering::SeqCst))])
     });
     registry.ie("feed").unwrap().clone()
 }
@@ -267,8 +266,8 @@ fn fresh_values() -> Arc<dyn IeFunction> {
 /// `g(x) -> (x + 10)`.
 fn plus_ten() -> Arc<dyn IeFunction> {
     let mut registry = Registry::new();
-    registry.register_closure("g", Some(1), |args, _| {
-        Ok(vec![vec![Value::Int(args[0].as_int().unwrap() + 10)]])
+    registry.register_closure("g", Some(1), |args, out, _| {
+        out.push(&[Value::Int(args[0].as_int().unwrap() + 10)])
     });
     registry.ie("g").unwrap().clone()
 }

@@ -208,9 +208,9 @@ fn wall_clock_budget_interrupts_one_slow_ie_batch() {
         let mut session = Session::builder()
             .max_eval_millis(20)
             .parallelism(workers)
-            .register("slow", Some(1), |args, _| {
+            .register("slow", Some(1), |args, out, _| {
                 std::thread::sleep(Duration::from_millis(2));
-                Ok(vec![vec![args[0].clone()]])
+                out.push(&[args[0].clone()])
             })
             .build();
         session.run("new N(int)").unwrap();

@@ -14,8 +14,8 @@
 
 #![allow(dead_code)]
 
-use spannerlib_core::{DocumentStore, Value};
-use spannerlog_engine::{IeContext, Registry, SharedDocs};
+use spannerlib_core::{DocumentStore, Rows, Value};
+use spannerlog_engine::{IeContext, IeRows, Registry, SharedDocs};
 use spannerlog_parser::{
     parse_program, Atom, BodyElem, CmpOp, Constant, HeadTerm, IeAtom, Rule, Statement, Term,
 };
@@ -229,8 +229,12 @@ impl Eval<'_> {
                     .map(|t| bound(t, &env))
                     .collect::<Res<Vec<_>>>()?;
                 let f = self.registry.ie(function)?;
-                for row in f.call(&args, outputs.len(), &mut IeContext::new(&self.docs))? {
-                    if let Some(env) = unify(outputs, &row, &env)? {
+                let mut rows = Rows::new(outputs.len());
+                let mut sink = IeRows::new(function, &mut rows);
+                let called = f.call(&args, &mut sink, &mut IeContext::new(function, &self.docs));
+                sink.finish(called)?;
+                for row in rows.iter() {
+                    if let Some(env) = unify(outputs, row, &env)? {
                         self.walk(rest, rels, env, out)?;
                     }
                 }
@@ -248,8 +252,8 @@ impl Eval<'_> {
     /// sorted, then folded — the builtins here, any other function
     /// through the registry.
     fn aggregate(&self, func: &str, convs: &[String], mut values: Vec<Value>) -> Res<Value> {
-        let ctx = IeContext::new(&self.docs);
         for name in convs.iter().rev() {
+            let ctx = IeContext::new(name, &self.docs);
             let conversion = self.registry.conversion(name)?;
             let converted = values.iter().map(|v| conversion.convert(v, &ctx));
             values = converted.collect::<Result<_, _>>()?;

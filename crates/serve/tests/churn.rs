@@ -88,9 +88,9 @@ fn metric(scrape: &str, name: &str) -> usize {
 fn with_code(session: Session, calls: &Arc<AtomicUsize>) -> Session {
     let (rgx, seen) = (Registry::new().ie("rgx").unwrap().clone(), calls.clone());
     let mut session = session;
-    session.register("code", Some(1), move |args, ctx| {
+    session.register("code", Some(1), move |args, out, ctx| {
         seen.fetch_add(1, Ordering::SeqCst);
-        rgx.call(&[Value::str("code-[0-9]+"), args[0].clone()], 1, ctx)
+        rgx.call(&[Value::str("code-[0-9]+"), args[0].clone()], out, ctx)
     });
     session
 }

@@ -274,9 +274,9 @@ fn row_budget_overrun_is_429_naming_the_culprit_rule() {
 /// A session with an uncached IE function that sleeps per call.
 fn sleepy_session(millis: u64) -> Session {
     Session::builder()
-        .register_uncached("sleepy", Some(1), move |args, _ctx| {
+        .register_uncached("sleepy", Some(1), move |args, out, _ctx| {
             std::thread::sleep(Duration::from_millis(millis));
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         })
         .build()
 }
@@ -578,9 +578,9 @@ fn graceful_shutdown_drains_in_flight_requests_and_healthz_turns_503() {
 #[test]
 fn a_panicking_ie_function_fails_its_own_request_and_no_other() {
     let session = Session::builder()
-        .register_uncached("fragile", Some(1), |args, _ctx| {
+        .register_uncached("fragile", Some(1), |args, out, _ctx| {
             assert!(args[0] != Value::Int(13), "fragile(13)");
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         })
         .build();
     let (addr, handle, thread) = boot(session, ServeConfig::default());
@@ -649,10 +649,10 @@ fn a_deadline_is_a_deadline_while_another_request_evaluates() {
     // while the session is checked out, not merely "a bit later".
     let (entered_tx, entered_rx) = mpsc::channel();
     let session = Session::builder()
-        .register_uncached("sleepy", Some(1), move |args, _ctx| {
+        .register_uncached("sleepy", Some(1), move |args, out, _ctx| {
             let _ = entered_tx.send(());
             std::thread::sleep(Duration::from_millis(400));
-            Ok(vec![vec![args[0].clone()]])
+            out.push(&[args[0].clone()])
         })
         .build();
     let (addr, handle, thread) = boot(session, ServeConfig::default());

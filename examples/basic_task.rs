@@ -14,13 +14,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sentence splitting is seeded into the registry at build time (a
     // thin wrapper over host code, as the paper prescribes).
     let mut session = Session::builder()
-        .register("sents", Some(1), |args, ctx| {
+        .register("sents", Some(1), |args, out, ctx| {
             let mut text = ctx.text_arg(&args[0])?;
             let (doc, base) = text.doc_base(ctx);
-            Ok(split_sentences(text.text())
-                .into_iter()
-                .map(|s| vec![Value::Span(Span::new(doc, base + s.start, base + s.end))])
-                .collect())
+            let mut sentences = split_sentences(text.text()).into_iter();
+            sentences.try_for_each(|s| {
+                out.push(&[Value::Span(Span::new(doc, base + s.start, base + s.end))])
+            })
         })
         .build();
 
@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The LLM is an opaque str -> str IE function (here the deterministic
     // TemplateLlm standing in for a chat-model API).
     let llm = TemplateLlm::new();
-    session.register("llm", Some(1), move |args, _ctx| {
+    session.register("llm", Some(1), move |args, out, _ctx| {
         let prompt = args[0].as_str().unwrap_or_default();
-        Ok(vec![vec![Value::str(llm.complete(prompt))]])
+        out.push(&[Value::str(llm.complete(prompt))])
     });
 
     session.run(

@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     register_ast_functions(&mut session);
 
     let llm = TemplateLlm::new();
-    session.register("llm", Some(1), move |args, _ctx| {
+    session.register("llm", Some(1), move |args, out, _ctx| {
         let prompt = args[0].as_str().unwrap_or_default();
-        Ok(vec![vec![Value::str(llm.complete(prompt))]])
+        out.push(&[Value::str(llm.complete(prompt))])
     });
 
     // Files(name, content) and Cursor(pos): the cursor sits inside

@@ -15,9 +15,9 @@ use spannerlib::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let llm = TemplateLlm::new();
     let mut session = Session::builder()
-        .register("llm", Some(1), move |args, _ctx| {
+        .register("llm", Some(1), move |args, out, _ctx| {
             let prompt = args[0].as_str().unwrap_or_default();
-            Ok(vec![vec![Value::str(llm.complete(prompt))]])
+            out.push(&[Value::str(llm.complete(prompt))])
         })
         .build();
 
@@ -39,9 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
         2,
     );
-    session.register("retrieve", Some(1), move |args, _ctx| {
+    session.register("retrieve", Some(1), move |args, out, _ctx| {
         let question = args[0].as_str().unwrap_or_default();
-        Ok(vec![vec![Value::str(retriever.augment(question))]])
+        out.push(&[Value::str(retriever.augment(question))])
     });
 
     session.run(
@@ -61,9 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.record("summarize the admission note", "SUMMARY: ADMITTED STABLE");
     store.record("summarize the discharge note", "SUMMARY: DISCHARGED WELL");
     store.record("translate to german", "guten tag");
-    session.register("fewshot", Some(1), move |args, _ctx| {
+    session.register("fewshot", Some(1), move |args, out, _ctx| {
         let input = args[0].as_str().unwrap_or_default();
-        Ok(vec![vec![Value::str(store.prompt(input, 2))]])
+        out.push(&[Value::str(store.prompt(input, 2))])
     });
 
     session.run(

@@ -10,19 +10,14 @@ use spannerlib::prelude::*;
 #[test]
 fn scenario_basic_task_identical_sentences() {
     let mut session = Session::new();
-    session.register("sents", Some(1), |args, ctx| {
+    session.register("sents", Some(1), |args, out, ctx| {
         let mut text = ctx.text_arg(&args[0])?;
         let (doc, base) = text.doc_base(ctx);
-        Ok(spannerlib::nlp::split_sentences(text.text())
-            .into_iter()
-            .map(|s| {
-                vec![Value::Span(spannerlib::Span::new(
-                    doc,
-                    base + s.start,
-                    base + s.end,
-                ))]
-            })
-            .collect())
+        let mut sentences = spannerlib::nlp::split_sentences(text.text()).into_iter();
+        sentences.try_for_each(|s| {
+            let span = spannerlib::Span::new(doc, base + s.start, base + s.end);
+            out.push(&[Value::Span(span)])
+        })
     });
     session
         .run(
@@ -45,10 +40,10 @@ fn scenario_end_to_end_documentation() {
     let mut session = Session::new();
     spannerlib::codeast::ie::register_ast_functions(&mut session);
     let llm = TemplateLlm::new();
-    session.register("llm", Some(1), move |args, _ctx| {
-        Ok(vec![vec![Value::str(
+    session.register("llm", Some(1), move |args, out, _ctx| {
+        out.push(&[Value::str(
             llm.complete(args[0].as_str().unwrap_or_default()),
-        )]])
+        )])
     });
     session.run("new Files(str, str)").unwrap();
     session

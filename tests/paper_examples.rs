@@ -70,13 +70,13 @@ fn section_3_1_aggregation() {
 #[test]
 fn section_3_3_callbacks() {
     let mut session = Session::new();
-    session.register("foo", Some(2), |args, _ctx| {
+    session.register("foo", Some(2), |args, out, _ctx| {
         let joined = format!(
             "{} {}",
             args[0].as_str().unwrap_or(""),
             args[1].as_str().unwrap_or("")
         );
-        Ok(vec![vec![Value::str(joined)]])
+        out.push(&[Value::str(joined)])
     });
     session
         .run(
@@ -169,13 +169,13 @@ fn dataframe_bridges_round_trip() {
 #[test]
 fn bidirectional_embedding() {
     let mut session = Session::new();
-    session.register("shout", Some(1), |args, ctx| {
+    session.register("shout", Some(1), |args, out, ctx| {
         let text = match &args[0] {
             Value::Span(s) => ctx.span_text(s)?,
             Value::Str(s) => s.to_string(),
             _ => String::new(),
         };
-        Ok(vec![vec![Value::str(text.to_uppercase())]])
+        out.push(&[Value::str(text.to_uppercase())])
     });
     session
         .run(

@@ -138,7 +138,7 @@ fn safety_order_is_the_recorded_one() {
     let mut session = Session::new();
     spannerlib::codeast::ie::register_ast_functions(&mut session);
     for (name, arity) in [("foo", 2), ("shout", 1), ("f", 1), ("g", 1)] {
-        session.register(name, Some(arity), |_, _| Ok(vec![]));
+        session.register(name, Some(arity), |_, _, _| Ok(()));
     }
     let extensional = ["Texts", "S", "T", "Files", "Cursor", "Docs"];
     let table = [
