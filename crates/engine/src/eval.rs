@@ -30,7 +30,7 @@ use crate::error::{EngineError, LimitCulprit, Result};
 use crate::ie::SharedDocs;
 use crate::maintain::Maintenance;
 use crate::optimizer::IndexCache;
-use crate::plan::{self, ExecCtx, ParTally, RulePlan, Step, TraceCtx};
+use crate::plan::{self, ExecCtx, RulePlan, Step, TraceCtx};
 use crate::registry::Registry;
 use crate::strata::Component;
 use crate::EvalMode;
@@ -38,7 +38,6 @@ use rustc_hash::FxHashMap;
 use spannerlib_core::Rows;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 /// Resource limits applied to one fixpoint run (`None` = unlimited).
 /// Configured through `SessionBuilder`.
@@ -271,7 +270,6 @@ pub(crate) fn run(
         db,
     };
     let db = &mut *lent.db;
-    let tally = ParTally::default();
     // The database's indexes serve the whole run: relations only grow
     // while it executes (derived state was cleared before it, or
     // maintenance renumbers what it shrinks), so row ids are stable and
@@ -291,7 +289,6 @@ pub(crate) fn run(
             indexes: index_cache,
             docs: &lent.docs,
             workers: ctx.workers,
-            tally: &tally,
             deadline: EvalDeadline::start(&ctx.limits),
         },
     };
@@ -304,17 +301,12 @@ pub(crate) fn run(
     if result.is_ok() {
         run.trace.close(root);
     }
-    // The planner and parallel counters fold into the trace on both the
-    // success and the abort path.
+    // The index counters and the lanes fold into the trace on both the
+    // success and the abort path; shards and IE batches were counted
+    // where they ran.
     let (hits, builds) = (index_cache.hits() - hits, index_cache.builds() - builds);
     run.trace.index_cache(hits, builds);
-    if ctx.workers > 1 {
-        run.trace.parallel_summary(
-            ctx.workers as u64,
-            tally.shard_tasks.load(Ordering::Relaxed),
-            tally.ie_batches.load(Ordering::Relaxed),
-        );
-    }
+    run.trace.parallel_summary(ctx.workers as u64, 0, 0);
     result.map(|()| run.stats)
 }
 

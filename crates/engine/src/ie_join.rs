@@ -13,7 +13,6 @@ use spannerlib_core::{RowTable, Rows, Value};
 use spannerlib_regex::prefilter;
 use spannerlib_trace::SpanKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 
 /// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
 /// binding row extended by the rows the function writes for its
@@ -47,7 +46,7 @@ pub(crate) fn ie_join(
     let (rows, n) = (&batch.rows, outputs.len());
     let by_args = (f.cacheable()).then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
     let groups = by_args.as_ref().map_or(rows.len(), TupleIndex::len);
-    ctx.tally.ie_batches.fetch_add(1, Ordering::Relaxed);
+    (tr.trace).parallel_summary(ctx.workers as u64, 0, 1);
     // Error paths may leak `span`; RunTrace::finish (and, on shard
     // forks, merge_fork) closes leaked spans at the abort timestamp.
     let span = tr.trace.open(tr.parent, SpanKind::IeBatch, || {

@@ -35,7 +35,6 @@ use spannerlib_trace::{RunTrace, SpanId, SpanKind};
 use spannerlog_parser::CmpOp;
 use std::fmt::Display;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A term resolved against the rule's variable table.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,19 +149,6 @@ static UNBOUND: Value = Value::Bool(false);
 /// Candidate rows a join loop examines between two looks at the clock.
 const DEADLINE_STRIDE: usize = 4096;
 
-/// Evaluation-wide counters that shard workers race on during parallel
-/// firings — relaxed atomics, folded into the (single-threaded) trace
-/// once per rule firing.
-#[derive(Debug, Default)]
-pub struct ParTally {
-    /// Candidate rows join steps examined (see `scan_join`).
-    pub rows_scanned: AtomicU64,
-    /// IE batch steps executed (once per shard of a sharded firing).
-    pub ie_batches: AtomicU64,
-    /// Shard tasks spawned for rule firings.
-    pub shard_tasks: AtomicU64,
-}
-
 /// The execution environment of [`execute_with`], bundled so the
 /// signature stays within clippy's argument budget.
 pub struct ExecCtx<'a> {
@@ -186,8 +172,6 @@ pub struct ExecCtx<'a> {
     /// Lanes a firing's shards run on, the calling thread included;
     /// below 2 a firing is one shard, on the calling thread.
     pub workers: usize,
-    /// Shared evaluation-wide counters.
-    pub tally: &'a ParTally,
     /// Wall-clock budget of the run (`EvalLimits::max_millis`), checked
     /// before each IE call and inside join loops; `None` = unlimited.
     pub deadline: Option<crate::eval::EvalDeadline>,
@@ -256,24 +240,13 @@ pub fn execute_with(
     };
     let split_at = shard_scan(plan, &order).unwrap_or(order.len());
 
-    let scanned_before = ctx.tally.rows_scanned.load(Ordering::Relaxed);
     let (prefix, sharded) = order.split_at(split_at);
-    let derived = run_steps(plan, prefix, batch, relations, ctx, tr)
+    run_steps(plan, prefix, batch, relations, ctx, tr)
         .and_then(|batch| match sharded {
             [] => project_head(plan, &batch).map(|rows| vec![rows]),
             _ => run_sharded(plan, sharded, &batch, relations, ctx, tr),
         })
-        .and_then(|pieces| fold_aggregates(plan, pieces, ctx.docs, ctx.registry));
-    // Rows scanned flow through the shared tally (shard workers race on
-    // it) and fold into the trace once per firing.
-    tr.trace.join_scanned(
-        tr.rule,
-        ctx.tally
-            .rows_scanned
-            .load(Ordering::Relaxed)
-            .saturating_sub(scanned_before),
-    );
-    derived
+        .and_then(|pieces| fold_aggregates(plan, pieces, ctx.docs, ctx.registry))
 }
 
 impl Batch {
@@ -379,7 +352,7 @@ pub(crate) fn scan_source<'r>(
 }
 
 /// The scan `relation(terms)` of `source` joined with `batch` under its
-/// trace span.
+/// trace span, the rows it examined charged to the rule.
 pub(crate) fn scan_step(
     plan: &RulePlan,
     (relation, terms): (&str, &[PTerm]),
@@ -391,10 +364,12 @@ pub(crate) fn scan_step(
     let span = tr
         .trace
         .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
+    let mut examined = 0;
     let joined = match source {
-        Some(source) => scan_join(plan, relation, terms, batch, source, ctx),
+        Some(source) => scan_join(plan, relation, terms, batch, source, ctx, &mut examined),
         None => Ok(Rows::new(batch.rows.width())),
     };
+    tr.trace.join_scanned(tr.rule, examined as u64);
     tr.trace.close(span);
     joined
 }
@@ -586,8 +561,8 @@ impl<'p> Columns<'p> {
 /// per binding row. A keyed one probes the run's index of the relation
 /// and keeps the ids inside its range — a delta, a shard's cut: a key's
 /// ids ascend, so two binary searches slice them. A seed probes an
-/// index built here over the range. The rows examined go to
-/// [`ParTally::rows_scanned`], however the firing was cut. Distinct
+/// index built here over the range. The rows examined go to `scanned`,
+/// on the error path too, however the firing was cut. Distinct
 /// binding rows extended by distinct tuples are distinct unless a `_`
 /// hides the difference: only then is the output deduplicated.
 fn scan_join(
@@ -597,6 +572,7 @@ fn scan_join(
     batch: &Batch,
     Source { rel, range, seed }: Source<'_>,
     ctx: &ExecCtx<'_>,
+    scanned: &mut usize,
 ) -> Result<Rows> {
     let range = range.map_or(0..rel.len(), |d| {
         d.start.min(rel.len())..d.end.min(rel.len())
@@ -610,8 +586,8 @@ fn scan_join(
     if rel.schema().arity() != terms.len() {
         return Err(EngineError::Arity {
             relation: relation.to_string(),
-            expected: terms.len(),
-            actual: rel.schema().arity(),
+            expected: rel.schema().arity(),
+            actual: terms.len(),
         });
     }
     let cols = Columns::of(terms, &batch.bound);
@@ -644,9 +620,7 @@ fn scan_join(
             ids.iter().try_for_each(|&id| emit(input, rows.row(id)))
         })
     };
-    ctx.tally
-        .rows_scanned
-        .fetch_add(examined as u64, Ordering::Relaxed);
+    *scanned = examined;
     joined.map(|()| out)
 }
 

@@ -212,7 +212,7 @@ fn execute(
     delta: &Option<(usize, Range<usize>)>,
     indexes: &IndexCache,
 ) -> BTreeSet<Vec<Value>> {
-    let (registry, docs, tally) = (Registry::new(), SharedDocs::default(), ParTally::default());
+    let (registry, docs) = (Registry::new(), SharedDocs::default());
     let ctx = ExecCtx {
         registry: &registry,
         delta: delta.clone(),
@@ -220,7 +220,6 @@ fn execute(
         indexes,
         docs: &docs,
         workers: 0,
-        tally: &tally,
         deadline: None,
     };
     let mut trace = RunTrace::disabled();

@@ -14,8 +14,8 @@
 //!
 //! Serving paths use the layered lifecycle instead:
 //!
-//! 1. [`Session::builder`] configures strategy, resource limits, and
-//!    seeds the IE registry;
+//! 1. [`Session::builder`] configures parallelism, tracing, resource
+//!    limits, and seeds the IE registry;
 //! 2. [`Session::prepare`] / [`Session::prepare_program`] run parse →
 //!    safety analysis → IE sequencing → stratification → planning
 //!    exactly once, yielding a `PreparedQuery` / `PreparedProgram`;

@@ -13,7 +13,6 @@ use rustc_hash::FxHashMap;
 use spannerlib_core::{sort_order, Relation, Rows, Value};
 use spannerlib_trace::{SpanKind, NO_SPAN};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 /// The position in `order` of the scan a firing shards: the first that
 /// `scan_join` reads as a plain pass over a row range — no constant
@@ -96,9 +95,7 @@ pub(crate) fn run_sharded(
         fork.close(span);
         (rows, fork)
     });
-    ctx.tally
-        .shard_tasks
-        .fetch_add(shards.len() as u64, Ordering::Relaxed);
+    (tr.trace).parallel_summary(ctx.workers as u64, shards.len() as u64, 0);
     let mut results = Vec::new();
     for (rows, fork) in shards {
         tr.trace.merge_fork(tr.rule, tr.parent, fork);

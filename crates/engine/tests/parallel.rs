@@ -468,3 +468,60 @@ fn an_ie_panic_is_an_error_naming_the_function_and_the_rule() {
         assert_eq!(session.relation("Also").unwrap().len(), calm.len());
     }
 }
+
+/// The profile's lane counters, pinned: the rows each rule's scans
+/// examined, the lanes, the shard tasks and the IE batches of one
+/// program with an IE rule and a recursive rule, serial and at two
+/// lanes. Serial runs report no lanes, shards or batches; at two lanes
+/// every IE step counts one batch per shard it ran in, and the scans
+/// examine the rows they examine serially.
+#[test]
+fn lane_counters_read_as_pinned() {
+    let program = r#"
+        Word(d, w) <- Texts(d, t), rgx_string("([a-z]+)", t) -> (w)
+        Lit(w) <- rgx_string("([a-z]+)", "alpha beta") -> (w)
+        Reach(y) <- Root(y)
+        Reach(y) <- Reach(x), Edge(x, y)"#;
+    let run = |workers: usize| {
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .tracing(TraceLevel::Summary)
+            .build();
+        load(&mut session);
+        session.run("new Root(int)\nnew Edge(int, int)").unwrap();
+        session.add_fact("Root", [Value::Int(0)]).unwrap();
+        for i in 0..15 {
+            for child in [2 * i + 1, 2 * i + 2] {
+                session
+                    .add_fact("Edge", [Value::Int(i), Value::Int(child)])
+                    .unwrap();
+            }
+        }
+        session.run(program).unwrap();
+        session.ensure_evaluated().unwrap();
+        let profile = session.profile().expect("summary tracing");
+        let mut rules: Vec<(String, u32, u64)> = (profile.strata.iter().flat_map(|s| &s.rules))
+            .map(|r| (r.head.clone(), r.line, r.join_rows_scanned))
+            .collect();
+        rules.sort();
+        let lanes = (profile.par_workers, profile.par_shards);
+        (rules, lanes, profile.par_ie_batches)
+    };
+    let scanned = |rules: [(&str, u32, u64); 4]| {
+        rules
+            .map(|(head, line, rows)| (head.to_string(), line, rows))
+            .to_vec()
+    };
+    // `Word` scans 12 texts; `Lit` has no scan; `Reach` scans its root,
+    // then each round's delta against `Edge`.
+    let rules = scanned([
+        ("Lit", 3, 0),
+        ("Reach", 4, 1),
+        ("Reach", 5, 64),
+        ("Word", 2, 12),
+    ]);
+    assert_eq!(run(0), (rules.clone(), (0, 0), 0));
+    // Two lanes cut `Word`'s 12 texts into 6 shards, and `Reach`'s delta
+    // rounds into 23 more; `Lit`'s one batch runs on the caller.
+    assert_eq!(run(2), (rules, (2, 29), 7));
+}

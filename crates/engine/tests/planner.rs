@@ -8,7 +8,7 @@ use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, Rows, Schema, Tuple, Value, ValueType};
 use spannerlib_trace::{RunTrace, TraceLevel, NO_SPAN};
 use spannerlog_engine::optimizer::{self, IndexCache, RuleOpt, StepMeta};
-use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, ParTally, RulePlan, Step, TraceCtx};
+use spannerlog_engine::plan::{self, ExecCtx, HeadOut, PTerm, RulePlan, Step, TraceCtx};
 use spannerlog_engine::{EngineError, Registry, Session, SharedDocs};
 
 /// A hand-built (unannotated) plan skeleton for malformed-plan tests.
@@ -44,7 +44,6 @@ fn run_expect_err(plan: &RulePlan, inputs: &Inputs<'_>) -> EngineError {
 fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
     let registry = Registry::new();
     let docs = SharedDocs::default();
-    let tally = ParTally::default();
     let fresh = IndexCache::default();
     let ctx = ExecCtx {
         registry: &registry,
@@ -53,7 +52,6 @@ fn run(plan: &RulePlan, inputs: &Inputs<'_>) -> Result<Rows, EngineError> {
         indexes: inputs.indexes.unwrap_or(&fresh),
         docs: &docs,
         workers: inputs.workers,
-        tally: &tally,
         deadline: None,
     };
     let mut trace = RunTrace::disabled();
@@ -284,7 +282,7 @@ fn arity_mismatch_is_one_error_on_every_scan_route() {
     let assert_arity = |err: EngineError, route: &str| {
         let same = matches!(
             &err,
-            EngineError::Arity { relation, expected: 3, actual: 2 } if relation == "R"
+            EngineError::Arity { relation, expected: 2, actual: 3 } if relation == "R"
         );
         assert!(same, "{route}: {err:?}");
     };

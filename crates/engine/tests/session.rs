@@ -301,6 +301,29 @@ fn fact_type_errors_are_reported() {
     assert!(matches!(err, EngineError::Arity { .. }));
 }
 
+/// A fact, a query and a rule's scan report an arity mismatch alike:
+/// `expected` is the declared arity, `actual` the arity used.
+#[test]
+fn arity_errors_name_the_declared_arity_first() {
+    let mut session = Session::new();
+    session.run("new R(int, int)\nR(1, 2)").unwrap();
+    let declared_2_used_3 = |err: EngineError, route: &str| {
+        let same = matches!(
+            &err,
+            EngineError::Arity { relation, expected: 2, actual: 3 } if relation == "R"
+        );
+        assert!(same, "{route}: {err:?}");
+        assert!(
+            err.to_string().contains("declared 2, used with 3"),
+            "{route}: {err}"
+        );
+    };
+    declared_2_used_3(session.run("R(1, 2, 3)").unwrap_err(), "fact");
+    declared_2_used_3(session.export("?R(x, y, z)").unwrap_err(), "query");
+    session.run("S(x) <- R(x, y, z)").unwrap();
+    declared_2_used_3(session.ensure_evaluated().unwrap_err(), "rule");
+}
+
 #[test]
 fn fact_for_undeclared_relation_rejected() {
     let mut session = Session::new();

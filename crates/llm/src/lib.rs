@@ -11,7 +11,8 @@
 //! [`TemplateLlm`] provides one: it parses the structured prompts the
 //! examples build (code context, questions, retrieved passages, few-shot
 //! examples) and produces deterministic completions, so tests can assert
-//! exact outputs.
+//! exact outputs. As in the paper, the §4.1 prompt is assembled inside a
+//! rule, with `format`.
 //!
 //! The retrieval half of the scenario is real, built from scratch:
 //! [`tfidf::TfIdfIndex`] implements TF-IDF vectors with cosine
@@ -22,12 +23,10 @@
 
 pub mod fewshot;
 pub mod model;
-pub mod prompt;
 pub mod rag;
 pub mod tfidf;
 
 pub use fewshot::FewShotStore;
 pub use model::{LlmModel, TemplateLlm};
-pub use prompt::PromptBuilder;
 pub use rag::RagRetriever;
 pub use tfidf::TfIdfIndex;

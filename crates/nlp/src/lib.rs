@@ -8,14 +8,13 @@
 //! splitter, a phrase matcher for *target* concepts, the **ConText**
 //! algorithm for assertion modifiers (negation, hypothetical, family
 //! history, …), a clinical *section* detector, and a document classifier.
-//! This crate implements each of those from scratch:
+//! This crate implements each of those from scratch but the classifier,
+//! which is the case study's own (`spannerlib-covid`):
 //!
 //! | module | role | spaCy analogue |
 //! |---|---|---|
 //! | [`tokenizer`] | span-carrying word/number/punct tokens | `Tokenizer` |
 //! | [`sentences`] | abbreviation-aware sentence splitting | `Sentencizer` |
-//! | [`pos`] | lexicon + suffix-rule part-of-speech tags | `Tagger` |
-//! | [`lemma`] | rule + exception-table lemmatizer | `Lemmatizer` |
 //! | [`matcher`] | case-insensitive multi-token phrase matching | `PhraseMatcher` |
 //! | [`context`] | the ConText assertion algorithm | `medspacy_context` |
 //! | [`sections`] | clinical note section detection | `medspacy_sections` |
@@ -25,10 +24,7 @@
 //! relations.
 
 pub mod context;
-pub mod lemma;
-pub mod lexicon;
 pub mod matcher;
-pub mod pos;
 pub mod sections;
 pub mod sentences;
 pub mod tokenizer;
@@ -37,7 +33,6 @@ pub use context::{
     ContextEngine, ContextModifier, ModifierCategory, ModifierDirection, ModifierRule,
 };
 pub use matcher::{PhraseMatch, PhraseMatcher};
-pub use pos::{tag_tokens, PosTag};
 pub use sections::{detect_sections, Section};
 pub use sentences::split_sentences;
 pub use tokenizer::{tokenize, Token, TokenKind};

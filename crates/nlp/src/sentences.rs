@@ -6,8 +6,15 @@
 //! blank lines and bullet-ish newlines, which is how medSpaCy's
 //! `PyRuSH`-style splitters behave on notes.
 
-use crate::lexicon::ABBREVIATIONS;
 use crate::tokenizer::{lowercase, tokenize, TokenKind};
+
+/// Abbreviations that do not end a sentence despite a trailing period.
+const ABBREVIATIONS: &[&str] = &[
+    "dr", "mr", "mrs", "ms", "prof", "st", "jr", "sr", "vs", "etc", "e.g", "i.e", "fig", "al",
+    "pt", "pts", "dx", "hx", "tx", "rx", "sx", "fx", "wt", "ht", "temp", "resp", "approx", "appt",
+    "dept", "est", "min", "max", "mon", "tue", "wed", "thu", "fri", "sat", "sun", "jan", "feb",
+    "mar", "apr", "jun", "jul", "aug", "sep", "sept", "oct", "nov", "dec", "no", "neg", "pos",
+];
 
 /// A sentence: a byte range of the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,6 +175,21 @@ mod tests {
     fn empty_input() {
         assert!(split_sentences("").is_empty());
         assert!(split_sentences("   \n\n  ").is_empty());
+    }
+
+    #[test]
+    fn abbreviations_are_lowercase() {
+        for w in ABBREVIATIONS {
+            assert_eq!(*w, w.to_lowercase(), "entry {w:?} must be lowercase");
+        }
+    }
+
+    #[test]
+    fn no_duplicate_abbreviations() {
+        let mut seen = std::collections::HashSet::new();
+        for a in ABBREVIATIONS {
+            assert!(seen.insert(a), "duplicate abbreviation {a:?}");
+        }
     }
 
     #[test]

@@ -277,9 +277,12 @@ impl RunTrace {
 
     /// Accumulates one parallel-evaluation summary: lanes the shards
     /// ran on (`workers`, the calling thread included; kept as a max),
-    /// shard tasks executed, and IE batches.
+    /// shard tasks executed, and IE batches. The engine reports each
+    /// where it happens — a firing its shards, an IE step its batch —
+    /// and the run its lanes. Work on fewer than two lanes is serial
+    /// and records nothing.
     pub fn parallel_summary(&mut self, workers: u64, shards: u64, ie_batches: u64) {
-        if !self.enabled() {
+        if !self.enabled() || workers < 2 {
             return;
         }
         self.totals.par_workers = self.totals.par_workers.max(workers);
@@ -316,7 +319,8 @@ impl RunTrace {
     }
 
     /// Folds a shard fork back into this run: the fork's anonymous rule
-    /// counters are charged to rule `rule`, its IE profiles merge into
+    /// counters are charged to rule `rule`, its run totals (IE batches
+    /// included) add to this run's, its IE profiles merge into
     /// this run's, and its span events are renumbered into this run's id
     /// space with their roots re-parented under `parent`. Call serially
     /// (after the parallel scope), in a deterministic shard order.
@@ -342,6 +346,8 @@ impl RunTrace {
         self.totals.tuples_new += fork.totals.tuples_new;
         self.prefilter(fork.totals.prefilter_searches, fork.totals.prefilter_pruned);
         self.unassigned_matches(fork.totals.unassigned_matches);
+        let par = &fork.totals;
+        self.parallel_summary(par.par_workers, par.par_shards, par.par_ie_batches);
         if let Some(r) = self.rules.get_mut(rule) {
             r.firings += shard_rule.firings;
             r.tuples_derived += shard_rule.tuples_derived;
@@ -655,6 +661,20 @@ mod tests {
         assert_eq!(p.par_ie_batches, 3);
         assert_eq!(p.par_stolen, 0);
         assert_eq!(p.par_serial_rules, 0);
+    }
+
+    #[test]
+    fn serial_summaries_record_nothing_and_forks_fold_theirs() {
+        let mut trace = RunTrace::new(TraceLevel::Summary, 0);
+        trace.parallel_summary(1, 3, 1);
+        trace.parallel_summary(0, 0, 1);
+        let mut fork = trace.fork();
+        fork.parallel_summary(2, 0, 1);
+        fork.parallel_summary(2, 0, 1);
+        trace.merge_fork(0, NO_SPAN, fork);
+        trace.parallel_summary(2, 4, 0);
+        let p = trace.finish(None).unwrap();
+        assert_eq!((p.par_workers, p.par_shards, p.par_ie_batches), (2, 4, 2));
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     session.export("?Path(x, y)")?;
 
     // 3. The profile: per-stratum, per-rule wall times, firings, tuple
-    //    and join-row counts, per-IE-function memo statistics.
+    //    and join-row counts, per-IE-function body calls and latency.
     let profile = session.profile().expect("tracing is on");
     println!("{}", profile.render());
 
