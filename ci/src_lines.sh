@@ -3,11 +3,21 @@
 # up to its first line that *begins* with `#[cfg(test)]` (a test module at
 # the top level), and nothing of crates/engine/src/plan/tests.rs. An
 # indented attribute or a doc comment that mentions `#[cfg(test)]` does
-# not end the count. Prints the total; run it from the repository root.
+# not end the count. A file whose first such attribute is not followed by
+# a `mod` line (a test-only impl or function, which would hide the
+# non-test lines after it) fails the count, naming the file. Prints the
+# total; run it from the repository root.
 set -eu
-find crates/*/src -name '*.rs' ! -path crates/engine/src/plan/tests.rs -exec awk '
-    FNR == 1 { counting = 1 }
-    /^#\[cfg\(test\)\]/ { counting = 0 }
+counts=$(find crates/*/src -name '*.rs' ! -path crates/engine/src/plan/tests.rs -exec awk '
+    FNR == 1 { counting = 1; attribute = 0 }
+    attribute {
+        attribute = 0
+        if ($0 !~ /^(pub(\(crate\))? )?mod /) {
+            print FILENAME ": the first top-level #[cfg(test)] is not on a mod" > "/dev/stderr"
+            failed = 1
+        }
+    }
+    counting && /^#\[cfg\(test\)\]/ { counting = 0; attribute = 1 }
     counting { n++ }
-    END { print n + 0 }' {} + |
-    awk '{ total += $1 } END { print total }'
+    END { print n + 0; exit failed }' {} +)
+echo "$counts" | awk '{ total += $1 } END { print total }'

@@ -1,5 +1,5 @@
 //! Runs every reproduced artifact of the paper and prints a
-//! paper-vs-measured report — the source of EXPERIMENTS.md.
+//! paper-vs-measured report.
 //!
 //! Usage: `cargo run -p spannerlib-bench --bin experiments --release`
 

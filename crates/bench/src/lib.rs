@@ -4,7 +4,8 @@
 //! regenerated by the `table1` binary) and explicitly defers performance
 //! work (§6: "SpannerLib does not yet put an emphasis on processing
 //! performance"). The `experiments` binary runs every reproduced
-//! artifact plus three ablations and prints paper-vs-measured output.
+//! artifact plus two ablations (B and C) and prints paper-vs-measured
+//! output.
 //!
 //! Everything the repository *measures* lives in `perfbench/`; this
 //! library holds the workload generators its `tc_join` workload and

@@ -110,25 +110,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// A new schema consisting of the columns selected by `indices`,
-    /// in the order given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn project(&self, indices: &[usize]) -> Schema {
-        Schema {
-            types: indices.iter().map(|&i| self.types[i]).collect(),
-        }
-    }
-
-    /// Concatenates two schemas (used by joins).
-    pub fn concat(&self, other: &Schema) -> Schema {
-        let mut types = self.types.clone();
-        types.extend_from_slice(&other.types);
-        Schema { types }
-    }
 }
 
 impl fmt::Display for Schema {
@@ -190,23 +171,6 @@ mod tests {
         assert_eq!(s.arity(), 2);
         assert_eq!(s.column(1), Some(ValueType::Span));
         assert_eq!(s.column(2), None);
-    }
-
-    #[test]
-    fn projection_reorders_columns() {
-        let s = Schema::new(vec![ValueType::Str, ValueType::Span, ValueType::Int]);
-        let p = s.project(&[2, 0]);
-        assert_eq!(p.types(), &[ValueType::Int, ValueType::Str]);
-    }
-
-    #[test]
-    fn concat_appends() {
-        let a = Schema::new(vec![ValueType::Str]);
-        let b = Schema::new(vec![ValueType::Int, ValueType::Bool]);
-        assert_eq!(
-            a.concat(&b).types(),
-            &[ValueType::Str, ValueType::Int, ValueType::Bool]
-        );
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! relations and rule bodies keep them flat (see [`crate::rows`]) and
 //! pass `&[Value]` slices around.
 
-use crate::schema::Schema;
 use crate::value::Value;
-use crate::CoreError;
 use std::fmt;
 use std::ops::Index;
 
@@ -54,29 +52,6 @@ impl Tuple {
     /// Appends a value in place.
     pub fn push(&mut self, v: Value) {
         self.values.push(v);
-    }
-
-    /// A new tuple holding the columns selected by `indices`, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
-        }
-    }
-
-    /// Concatenates two tuples (join output).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        Tuple { values }
-    }
-
-    /// Checks this tuple against a schema: arity and per-column types.
-    pub fn check_schema(&self, schema: &Schema) -> Result<(), CoreError> {
-        schema.check(&self.values)
     }
 
     /// Iterates over the values.
@@ -132,7 +107,8 @@ impl fmt::Display for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ValueType;
+    use crate::schema::{Schema, ValueType};
+    use crate::CoreError;
 
     fn t(vals: &[i64]) -> Tuple {
         vals.iter().map(|&v| Value::Int(v)).collect()
@@ -148,17 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn projection_and_concat() {
-        let tup = t(&[10, 20, 30]);
-        assert_eq!(tup.project(&[2, 0]), t(&[30, 10]));
-        assert_eq!(t(&[1]).concat(&t(&[2, 3])), t(&[1, 2, 3]));
-    }
-
-    #[test]
     fn schema_check_accepts_matching() {
         let tup = Tuple::new([Value::str("a"), Value::Int(1)]);
         let schema = Schema::new(vec![ValueType::Str, ValueType::Int]);
-        assert!(tup.check_schema(&schema).is_ok());
+        assert!(schema.check(tup.values()).is_ok());
     }
 
     #[test]
@@ -166,7 +135,7 @@ mod tests {
         let tup = t(&[1]);
         let schema = Schema::new(vec![ValueType::Int, ValueType::Int]);
         assert_eq!(
-            tup.check_schema(&schema).unwrap_err(),
+            schema.check(tup.values()).unwrap_err(),
             CoreError::ArityMismatch {
                 expected: 2,
                 actual: 1
@@ -179,7 +148,7 @@ mod tests {
         let tup = Tuple::new([Value::str("a")]);
         let schema = Schema::new(vec![ValueType::Int]);
         assert_eq!(
-            tup.check_schema(&schema).unwrap_err(),
+            schema.check(tup.values()).unwrap_err(),
             CoreError::TypeMismatch {
                 column: 0,
                 expected: ValueType::Int,

@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::error::FrameError;
-use spannerlib_core::{sort_order, Relation, Schema, Value, ValueType};
+use spannerlib_core::{Relation, Schema, Value, ValueType};
 use std::fmt;
 
 /// A named-column, typed, row-aligned table.
@@ -218,31 +218,6 @@ impl DataFrame {
         }
         rel
     }
-
-    /// Builds a frame from a relation, with the given column names
-    /// (deterministic sorted row order).
-    pub fn from_relation(names: Vec<String>, rel: &Relation) -> Result<DataFrame, FrameError> {
-        check_unique(names.iter().map(|s| s.as_str()))?;
-        if names.len() != rel.schema().arity() {
-            return Err(FrameError::ArityMismatch {
-                expected: names.len(),
-                actual: rel.schema().arity(),
-            });
-        }
-        let rows: Vec<&[Value]> = rel.iter().collect();
-        // Ordered by every column: column `col` is the order's `col`-th.
-        let cols: Vec<usize> = (0..rel.schema().arity()).collect();
-        let order = sort_order(&rows, &cols);
-        let column = |(col, &value_type): (usize, &ValueType)| {
-            let cells = (0..order.len()).map(|pos| order.value(&rows, pos, col));
-            Column::gather(value_type, cells).expect("relation rows are schema-checked")
-        };
-        let columns = rel.schema().types().iter().enumerate().map(column);
-        Ok(DataFrame {
-            columns: columns.collect(),
-            names,
-        })
-    }
 }
 
 fn check_unique<'a>(names: impl Iterator<Item = &'a str>) -> Result<(), FrameError> {
@@ -387,20 +362,6 @@ mod tests {
         assert_eq!(df.get(0, 0), Some(Value::str("bob")));
         let top = df.head(1);
         assert_eq!(top.num_rows(), 1);
-    }
-
-    #[test]
-    fn relation_round_trip() {
-        let df = sample();
-        let rel = df.to_relation();
-        assert_eq!(rel.len(), 3);
-        let back = DataFrame::from_relation(vec!["name".into(), "age".into()], &rel).unwrap();
-        // Relation ordering is sorted, so compare as sets of rows.
-        let mut a: Vec<_> = df.iter_rows().collect();
-        let mut b: Vec<_> = back.iter_rows().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   of spans.
 //! * `rgx_all(pattern, text) -> (span, …)` — the formal all-matches
 //!   spanner semantics ⟦γ⟧(d): every accepting run of every substring.
+//!   A call that would enumerate more than [`RGX_ALL_MAX_MATCHES`]
+//!   matches fails instead.
 //! * `rgx_is_match(pattern, text) -> ()` — boolean filter.
 //!
 //! A match that leaves a capture group undefined — an optional group, or
@@ -69,6 +71,15 @@ enum Mode {
 /// sees as many patterns as `P` has rows, and every resident `Regex`
 /// owns its DFA caches, so the cache must not grow with the data.
 const PATTERN_CACHE_CAP: usize = 256;
+
+/// Most matches one `rgx_all` call enumerates; a call with more fails.
+/// The all-matches relation of a formula grows with a power of the text
+/// length (`x{a*}y{a*}` over `aⁿ` has C(n + 3, 3) rows), and a row of
+/// two variables costs about 200 bytes while the call holds it (its
+/// dedupe-set entry, its groups, its place in the sorted list), so this
+/// caps one call near 50 MB before any row cap or deadline of the run
+/// can look at it.
+const RGX_ALL_MAX_MATCHES: usize = 1 << 18;
 
 /// Shared regex IE implementation parameterized by [`Mode`].
 struct RgxFunction {
@@ -183,7 +194,12 @@ impl IeFunction for RgxFunction {
                 UNASSIGNED.set(UNASSIGNED.get() + unassigned);
             }
             Mode::AllSpans => {
-                for m in re.all_matches(&text) {
+                let matches = re.all_matches_bounded(&text, RGX_ALL_MAX_MATCHES + 1);
+                if matches.len() > RGX_ALL_MAX_MATCHES {
+                    let msg = format!("more than {RGX_ALL_MAX_MATCHES} matches");
+                    return Err(ctx.error(msg));
+                }
+                for m in matches {
                     row(&m.groups, (m.start, m.end))?;
                 }
             }
@@ -291,6 +307,22 @@ mod tests {
         assert_eq!(all.len(), 6);
         for row in &find {
             assert!(all.contains(row));
+        }
+    }
+
+    #[test]
+    fn rgx_all_past_its_match_bound_fails_naming_it() {
+        // `x{a*}y{a*}` over `aⁿ` has C(n + 3, 3) matches: 1 771 for
+        // n = 20; 302 621 for n = 120, over the bound.
+        let docs = SharedDocs::default();
+        let args = |n| [Value::str("x{a*}y{a*}"), Value::str("a".repeat(n))];
+        assert_eq!(call("rgx_all", &args(20), 2, &docs).len(), 1_771);
+        match try_call("rgx_all", &args(120), 2, &docs) {
+            Err(EngineError::IeRuntime { function, msg }) => {
+                assert_eq!(function, "rgx_all");
+                assert!(msg.contains(&RGX_ALL_MAX_MATCHES.to_string()), "{msg}");
+            }
+            other => panic!("expected IeRuntime, got {other:?}"),
         }
     }
 

@@ -409,17 +409,16 @@ impl Run<'_> {
                 (ri, rule, exec)
             }));
         }
-        self.fire_round(db, None, scope, firings)
+        self.fire_round(db, scope, firings)
     }
 
-    /// One round of `firings`, which read `reads` — `db` when `None` —
-    /// and insert what they derive into `db`. Checks the run's limits
-    /// once the round is over and returns whether anything new was
-    /// derived; a round with nothing to fire is no round.
+    /// One round of `firings`, which read `db` and insert what they
+    /// derive into it. Checks the run's limits once the round is over and
+    /// returns whether anything new was derived; a round with nothing to
+    /// fire is no round.
     pub(crate) fn fire_round(
         &mut self,
         db: &mut Database,
-        reads: Option<&Database>,
         scope: &mut Scope<'_>,
         firings: Vec<Firing<'_, '_>>,
     ) -> Result<bool> {
@@ -449,15 +448,7 @@ impl Run<'_> {
                 rule: scope.rule_ids[ri],
                 parent: rule_span,
             };
-            let fired = fire_rule(
-                reads,
-                db,
-                plan,
-                &exec,
-                self.limits,
-                &mut self.stats,
-                &mut tr,
-            );
+            let fired = fire_rule(db, plan, &exec, self.limits, &mut self.stats, &mut tr);
             self.trace.close(rule_span);
             if fired? {
                 changed = true;
@@ -475,13 +466,12 @@ impl Run<'_> {
     }
 }
 
-/// Executes one rule plan over `reads` (`db` when `None`) and inserts its
-/// derivations into `db` — the new ones go to the end of the head's
-/// arena, which is all a delta needs — reporting the firing to the trace
-/// (also on the limit-abort path, so an aborted run still profiles the
-/// culprit's partial work). Returns whether any tuple was new.
+/// Executes one rule plan over `db` and inserts its derivations into it —
+/// the new ones go to the end of the head's arena, which is all a delta
+/// needs — reporting the firing to the trace (also on the limit-abort
+/// path, so an aborted run still profiles the culprit's partial work).
+/// Returns whether any tuple was new.
 fn fire_rule(
-    reads: Option<&Database>,
     db: &mut Database,
     rule: &RulePlan,
     exec: &ExecCtx<'_>,
@@ -491,8 +481,7 @@ fn fire_rule(
 ) -> Result<bool> {
     stats.rule_firings += usize::from(rule.is_written());
     let t0 = tr.trace.now_ns();
-    let relations = reads.unwrap_or(db).relations();
-    let derived = match plan::execute_with(rule, relations, exec, tr) {
+    let derived = match plan::execute_with(rule, db.relations(), exec, tr) {
         Ok(d) => d,
         Err(e) => {
             tr.trace.rule_fired(tr.rule, 0, 0, t0, rule.is_written());

@@ -17,12 +17,10 @@
 //!   is a seed like a positive one with the roles swapped — rows it gains
 //!   delete, rows it loses insert — and its variant joins a positive scan
 //!   of them to the rule, negation included.
-//!   1. Over-delete: the variants whose atom reads what it lost, every
-//!      other atom reading the old database, derive each head one of
-//!      whose old derivations no longer holds. An atom that binds head
-//!      variables over-deletes by key instead: every head that agrees
-//!      with a lost row there, a superset found by index lookups without
-//!      calling an IE function again.
+//!   1. Over-delete: an atom that lost rows and binds head variables
+//!      deletes every head that agrees with a lost row there — a
+//!      superset of what a derivation through the row can have derived,
+//!      found by index lookups without calling an IE function again.
 //!   2. Those heads leave the relation.
 //!   3. Rederive: the ones a `Cand(head) ⋈ body` plan still derives over
 //!      the new database come back.
@@ -31,18 +29,19 @@
 //! * A recursive component that only gained input rows continues the
 //!   semi-naive delta loop from its seeded variants (Peterfreund et al.,
 //!   *Recursive Programs for Document Spanners*, for spanner programs).
-//! * An aggregating component, a recursive one that lost input rows, and
-//!   one a key would over-delete most of derive their heads again from
-//!   their maintained inputs.
+//! * An aggregating component, a recursive one that lost input rows, one
+//!   with an atom that lost rows and binds no head variable, and one a key
+//!   would over-delete most of derive their heads again from their
+//!   maintained inputs.
 //!
-//! The over-delete calls IE functions over removed rows again and needs
-//! the answers the old run got, and the document ids their spans name:
-//! maintenance holds every IE function to the paper's contract — a pure
-//! function of its arguments, so a second call answers what the first
-//! did — and takes every document id for stable, and
-//! [`FullReason`](crate::FullReason) names each case where that, or
-//! anything else it relies on, does not hold. A maintained run fires on
-//! the calling thread.
+//! A maintained run fires every rule over the new database only. It still
+//! calls IE functions — to rederive, and to insert what a negated atom's
+//! lost rows let through — and keeps the rows the old run derived, so it
+//! holds every IE function to the paper's contract: a pure function of
+//! its arguments, so a second call answers what the first did. It takes
+//! every document id for stable, and [`FullReason`](crate::FullReason)
+//! names each case where that, or anything else it relies on, does not
+//! hold. A maintained run fires on the calling thread.
 
 use crate::database::Database;
 use crate::error::Result;
@@ -223,8 +222,7 @@ impl Seeds {
         trace: &mut RunTrace,
     ) -> Result<EvalStats> {
         // `db` copied the old database's indexes along with its rows when
-        // the write copied them; the old one hands them over, and builds
-        // what few an exact over-delete asks it for again.
+        // the write copied them; the old one hands them over.
         self.old.indexes.clear();
         let maintenance = Maintenance {
             old: &self.old,
@@ -260,11 +258,6 @@ impl Maintenance<'_> {
         scope: &mut Scope<'_>,
     ) -> Result<()> {
         let component = scope.component;
-        let old_exec = ExecCtx {
-            delta: None,
-            indexes: &self.old.indexes,
-            ..run.exec
-        };
         let losses = self.seeded(scope.index, component, false);
         let gains = self.seeded(scope.index, component, true);
         if losses.is_empty() && gains.is_empty() {
@@ -277,7 +270,7 @@ impl Maintenance<'_> {
         }
         if component.recursive {
             let ends = eval::head_ends(db, scope);
-            run.fire_round(db, None, scope, gains)?;
+            run.fire_round(db, scope, gains)?;
             run.delta_rounds(db, scope, ends.clone())?;
             for (head, Range { end, .. }) in ends {
                 let rel = db.relation(&head).ok();
@@ -291,29 +284,29 @@ impl Maintenance<'_> {
         }
 
         // Delete and rederive; a non-recursive component has one head,
-        // which holds its old rows until the removal below. A lost row of
-        // an atom that binds head variables over-deletes by key; when a
-        // key reaches most of the head, so would the rederivation, and
-        // deriving the head again costs less.
+        // which holds its old rows until the removal below. A lost row
+        // over-deletes by key: every head that agrees with it on the head
+        // variables its atom binds. An atom that binds none would have to
+        // fire the rule over the old database, and when a key reaches most
+        // of the head, so would the rederivation: deriving the head again
+        // costs less.
         let head = &component.rules[0].head_predicate;
         let old_head = db.relation(head).ok();
-        let by_key =
-            |s: &Seeded<'_>| old_head.and_then(|old| s.by_key(head, old, run.exec.indexes));
-        let keyed: Vec<_> = losses.iter().map(by_key).collect();
         let most = old_head.map_or(0, Relation::len) / 2;
-        if keyed.iter().flatten().any(|heads| heads.len() > most) {
-            return self.recompute(run, db, scope);
-        }
-        let mut over = Database::new();
-        let mut exact = Vec::new();
-        for (seeded, keyed) in losses.iter().zip(keyed) {
-            match keyed {
-                Some(heads) => over.insert_derived(head, heads.rows(), || Ok(()))?,
-                None => exact.push(seeded.firing(&old_exec)),
+        let mut over = Vec::new();
+        for seeded in &losses {
+            let Some(key) = seeded.key else {
+                return self.recompute(run, db, scope);
+            };
+            let Some(old) = old_head else { continue };
+            let heads = seeded.by_key(key, head, old, run.exec.indexes);
+            if heads.len() > most {
+                return self.recompute(run, db, scope);
             }
+            over.extend(heads);
         }
-        run.fire_round(&mut over, Some(self.old), scope, exact)?;
-        let over = over.relation(head).ok();
+        let over = old_head.map(|old| old.subset(over));
+        let over = over.as_ref().filter(|over| !over.is_empty());
         if let Some(over) = over {
             let new_ids = db.remove_derived(head, Some(over));
             run.exec.indexes.renumber(head, &new_ids);
@@ -332,9 +325,9 @@ impl Maintenance<'_> {
                 Some((ri, variants.rederive.as_ref()?, exec))
             });
             let rederive = rederive.collect();
-            run.fire_round(db, None, scope, rederive)?;
+            run.fire_round(db, scope, rederive)?;
         }
-        run.fire_round(db, None, scope, gains)?;
+        run.fire_round(db, scope, gains)?;
         let (old, new) = (self.old.relations().get(head), db.relation(head).ok());
         let added = missing(new, kept..new.map_or(0, Relation::len), old);
         let removed = missing(over, 0..over.map_or(0, Relation::len), new);
@@ -372,8 +365,8 @@ impl Maintenance<'_> {
                     true => &change.added,
                     false => &change.removed,
                 };
-                // A relation of another arity fails the exact firing, which
-                // says so.
+                // A relation of another arity has no key: the component is
+                // derived again, and its firing says so.
                 let key = variants.keys.iter().find(|(at, _)| *at == i);
                 let key = key.filter(|_| rows.schema().arity() == terms.len());
                 if !rows.is_empty() {
@@ -443,14 +436,18 @@ impl<'s> Seeded<'s> {
         (self.rule, self.plan, exec)
     }
 
-    /// The over-delete by key, for an atom that binds head variables:
-    /// every head of `old` — stored as `head`, indexed by `indexes` —
-    /// that agrees with one of the rows on them, which is all a
-    /// derivation through the rows can have derived, found without
-    /// calling an IE function again. `None` when the atom binds no head
-    /// variable.
-    fn by_key(&self, head: &str, old: &Relation, indexes: &IndexCache) -> Option<Relation> {
-        let key = self.key?;
+    /// The over-delete by `key`, the atom's: the ids of every head of
+    /// `old` — stored as `head`, indexed by `indexes` — that agrees with
+    /// one of the rows on the head variables the atom binds, which is all
+    /// a derivation through the rows can have derived, found without
+    /// calling an IE function again.
+    fn by_key(
+        &self,
+        key: &[(usize, usize)],
+        head: &str,
+        old: &Relation,
+        indexes: &IndexCache,
+    ) -> Vec<usize> {
         let head_cols: Vec<usize> = key.iter().map(|&(_, h)| h).collect();
         let atom_cols: Vec<usize> = key.iter().map(|&(c, _)| c).collect();
         let index = indexes.index(head, old, &head_cols);
@@ -458,6 +455,6 @@ impl<'s> Seeded<'s> {
         let keys = TupleIndex::build(rows, 0..rows.len(), &atom_cols);
         let firsts = (0..keys.len()).map(|g| rows.row(keys.group(g)[0]));
         let found = firsts.map(|row| index.get(old.rows(), atom_cols.iter().map(|&c| &row[c])));
-        Some(old.subset(found.flatten().copied()))
+        found.flatten().copied().collect()
     }
 }

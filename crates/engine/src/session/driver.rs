@@ -35,11 +35,14 @@ pub enum FullReason {
     /// derived rows share one relation.
     InputIsRuleHead,
     /// The program calls an IE function the host registered as not
-    /// reusable (`register_uncached`): called again over a removed row,
-    /// it may not answer what it answered then.
+    /// reusable (`register_uncached`): a maintained run keeps the rows
+    /// the last one derived and calls the function again only to
+    /// rederive and to insert, which may answer otherwise than the calls
+    /// those rows came from.
     UncachedFunction,
-    /// A compaction pass ran since the last evaluation: a removed row may
-    /// name a document that is gone.
+    /// A compaction pass ran since the last evaluation: a row the last
+    /// run derived or an input lost may name a document that is gone, or
+    /// an id the pass gave another document.
     DocumentsCompacted,
     /// `Session::set_tracing` changed the trace level, which asks for
     /// the profile of a full run.

@@ -228,7 +228,7 @@ const SHARED_PAIR: &str = r#"
 "#;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
 
     /// The model-based test. A session, configured at random, evaluates
     /// a random layered program over `Edge` joined with one of the

@@ -1,20 +1,14 @@
-//! The spanner algebra: composing regex formulas as relations of spans.
+//! Regex formulas as document spanners: a [`Spanner`] evaluates to a
+//! [`SpanRelation`] of variable-to-span assignments under the formal
+//! all-matches semantics of [`crate::allmatches`].
 //!
-//! Fagin et al. (2015) define *core spanners* as regex formulas closed
-//! under union, projection, natural join, and string-equality selection.
-//! This module mirrors that structure:
-//!
-//! * **Formula-level** combinators — [`Spanner::union`],
-//!   [`Spanner::concat`], [`Spanner::star`], [`Spanner::project`] — operate
-//!   on the AST (renumbering capture variables so aligned variables share
-//!   slots) and recompile, so the result is again a single automaton.
-//! * **Relation-level** operators — [`SpanRelation::natural_join`],
-//!   [`SpanRelation::select_string_eq`], [`SpanRelation::union`],
-//!   [`SpanRelation::project`] — operate on materialized results, which is
-//!   how the Spannerlog engine combines IE output with relational atoms.
-//!
-//! Evaluation uses the formal all-matches semantics of
-//! [`crate::allmatches`].
+//! Fagin et al. (2015) close regex formulas under union, projection,
+//! natural join and string-equality selection. Of those, this module
+//! keeps union at both levels — [`Spanner::union`] merges two formulas
+//! into one automaton (renumbering capture variables so aligned
+//! variables share slots), [`SpanRelation::union`] merges two results —
+//! and the two agree. The Spannerlog engine joins, projects and selects
+//! in its rule bodies instead.
 
 use crate::allmatches::all_matches;
 use crate::ast::Ast;
@@ -70,11 +64,6 @@ impl Spanner {
         &self.vars
     }
 
-    /// The compiled automaton.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     /// Evaluates the spanner on `text` under the all-matches semantics,
     /// returning the relation of variable assignments (deduplicated).
     pub fn evaluate(&self, text: &str) -> SpanRelation {
@@ -111,113 +100,27 @@ impl Spanner {
         let ast = Ast::alternation(vec![self.ast.clone(), right_ast]);
         Spanner::from_parts(ast, self.vars.clone())
     }
-
-    /// Spanner concatenation: variable sets must be disjoint.
-    pub fn concat(&self, other: &Spanner) -> Result<Spanner, RegexError> {
-        if self.vars.iter().any(|v| other.vars.contains(v)) {
-            return Err(RegexError::VariableMismatch {
-                op: "concat",
-                left: self.vars.clone(),
-                right: other.vars.clone(),
-            });
-        }
-        let offset = self.vars.len() as u32;
-        let remap: Vec<u32> = (1..=other.vars.len() as u32).map(|i| i + offset).collect();
-        let right_ast = remap_groups(&other.ast, &remap);
-        let ast = Ast::concat(vec![self.ast.clone(), right_ast]);
-        let mut vars = self.vars.clone();
-        vars.extend(other.vars.iter().cloned());
-        Spanner::from_parts(ast, vars)
-    }
-
-    /// Kleene star of the spanner. Variables inside the star rebind per
-    /// iteration; under all-matches semantics each accepting run reports
-    /// the bindings of its own iterations (last write per run wins),
-    /// matching the reference VSA construction.
-    pub fn star(&self) -> Result<Spanner, RegexError> {
-        let ast = Ast::Repeat {
-            node: Box::new(self.ast.clone()),
-            min: 0,
-            max: None,
-            greedy: true,
-        };
-        Spanner::from_parts(ast, self.vars.clone())
-    }
-
-    /// Projection onto `keep` (names): capture groups for the dropped
-    /// variables are erased from the automaton.
-    pub fn project(&self, keep: &[&str]) -> Result<Spanner, RegexError> {
-        for k in keep {
-            if !self.vars.iter().any(|v| v == k) {
-                return Err(RegexError::UnknownVariable((*k).to_string()));
-            }
-        }
-        let kept: Vec<String> = self
-            .vars
-            .iter()
-            .filter(|v| keep.contains(&v.as_str()))
-            .cloned()
-            .collect();
-        // Old index -> new index (0 = drop).
-        let remap: Vec<u32> = self
-            .vars
-            .iter()
-            .map(|v| {
-                kept.iter()
-                    .position(|k| k == v)
-                    .map(|p| (p + 1) as u32)
-                    .unwrap_or(0)
-            })
-            .collect();
-        let ast = remap_or_erase_groups(&self.ast, &remap);
-        Spanner::from_parts(ast, kept)
-    }
 }
 
 /// Rewrites every `Group { index }` to `remap[index - 1]`.
 fn remap_groups(ast: &Ast, remap: &[u32]) -> Ast {
-    remap_or_erase_groups(
-        ast, // Identity erase-map: all indices kept.
-        remap,
-    )
-}
-
-/// Rewrites group indices; a mapped index of 0 erases the group, splicing
-/// its body in place.
-fn remap_or_erase_groups(ast: &Ast, remap: &[u32]) -> Ast {
     match ast {
-        Ast::Group { index, name, node } => {
-            let new_index = remap[(*index - 1) as usize];
-            let body = remap_or_erase_groups(node, remap);
-            if new_index == 0 {
-                body
-            } else {
-                Ast::Group {
-                    index: new_index,
-                    name: name.clone(),
-                    node: Box::new(body),
-                }
-            }
+        Ast::Group { index, name, node } => Ast::Group {
+            index: remap[(*index - 1) as usize],
+            name: name.clone(),
+            node: Box::new(remap_groups(node, remap)),
+        },
+        Ast::Concat(parts) => Ast::Concat(parts.iter().map(|p| remap_groups(p, remap)).collect()),
+        Ast::Alternation(parts) => {
+            Ast::Alternation(parts.iter().map(|p| remap_groups(p, remap)).collect())
         }
-        Ast::Concat(parts) => Ast::Concat(
-            parts
-                .iter()
-                .map(|p| remap_or_erase_groups(p, remap))
-                .collect(),
-        ),
-        Ast::Alternation(parts) => Ast::Alternation(
-            parts
-                .iter()
-                .map(|p| remap_or_erase_groups(p, remap))
-                .collect(),
-        ),
         Ast::Repeat {
             node,
             min,
             max,
             greedy,
         } => Ast::Repeat {
-            node: Box::new(remap_or_erase_groups(node, remap)),
+            node: Box::new(remap_groups(node, remap)),
             min: *min,
             max: *max,
             greedy: *greedy,
@@ -263,43 +166,6 @@ impl SpanRelation {
         self.rows.is_empty()
     }
 
-    /// Natural join on shared variables (spans must be equal; two `None`s
-    /// are considered equal). Output columns: self's vars, then other's
-    /// non-shared vars.
-    pub fn natural_join(&self, other: &SpanRelation) -> SpanRelation {
-        let shared: Vec<(usize, usize)> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| other.vars.iter().position(|w| w == v).map(|j| (i, j)))
-            .collect();
-        let extra: Vec<usize> = (0..other.vars.len())
-            .filter(|j| !shared.iter().any(|(_, sj)| sj == j))
-            .collect();
-        let mut vars = self.vars.clone();
-        vars.extend(extra.iter().map(|&j| other.vars[j].clone()));
-
-        // Hash the smaller probe side by shared-key.
-        let mut index: rustc_hash::FxHashMap<Vec<VarSpan>, Vec<&Vec<VarSpan>>> =
-            rustc_hash::FxHashMap::default();
-        for row in &other.rows {
-            let key: Vec<VarSpan> = shared.iter().map(|&(_, j)| row[j]).collect();
-            index.entry(key).or_default().push(row);
-        }
-        let mut out = Vec::new();
-        for row in &self.rows {
-            let key: Vec<VarSpan> = shared.iter().map(|&(i, _)| row[i]).collect();
-            if let Some(matches) = index.get(&key) {
-                for m in matches {
-                    let mut r = row.clone();
-                    r.extend(extra.iter().map(|&j| m[j]));
-                    out.push(r);
-                }
-            }
-        }
-        SpanRelation::from_rows(vars, out)
-    }
-
     /// Union with a relation over the same variables (aligned by name).
     pub fn union(&self, other: &SpanRelation) -> Result<SpanRelation, RegexError> {
         let lset: BTreeSet<&String> = self.vars.iter().collect();
@@ -324,53 +190,6 @@ impl SpanRelation {
             self.vars.clone(),
             self.rows.iter().cloned().chain(aligned),
         ))
-    }
-
-    /// Projection onto `keep` (names, in the given order).
-    pub fn project(&self, keep: &[&str]) -> Result<SpanRelation, RegexError> {
-        let idx: Vec<usize> = keep
-            .iter()
-            .map(|k| {
-                self.vars
-                    .iter()
-                    .position(|v| v == k)
-                    .ok_or_else(|| RegexError::UnknownVariable((*k).to_string()))
-            })
-            .collect::<Result<_, _>>()?;
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| idx.iter().map(|&i| r[i]).collect::<Vec<_>>());
-        Ok(SpanRelation::from_rows(
-            keep.iter().map(|k| k.to_string()).collect(),
-            rows,
-        ))
-    }
-
-    /// String-equality selection ζ=: keeps rows where the spans bound to
-    /// `a` and `b` cover **equal substrings** of `text` (the operator that
-    /// lifts core spanners beyond regular relations).
-    pub fn select_string_eq(
-        &self,
-        a: &str,
-        b: &str,
-        text: &str,
-    ) -> Result<SpanRelation, RegexError> {
-        let ia = self
-            .vars
-            .iter()
-            .position(|v| v == a)
-            .ok_or_else(|| RegexError::UnknownVariable(a.to_string()))?;
-        let ib = self
-            .vars
-            .iter()
-            .position(|v| v == b)
-            .ok_or_else(|| RegexError::UnknownVariable(b.to_string()))?;
-        let rows = self.rows.iter().filter(|r| match (r[ia], r[ib]) {
-            (Some((s1, e1)), Some((s2, e2))) => text[s1..e1] == text[s2..e2],
-            _ => false,
-        });
-        Ok(SpanRelation::from_rows(self.vars.clone(), rows.cloned()))
     }
 }
 
@@ -417,113 +236,6 @@ mod tests {
         let automaton = a.union(&b).unwrap().evaluate("aab");
         let relational = a.evaluate("aab").union(&b.evaluate("aab")).unwrap();
         assert_eq!(automaton, relational);
-    }
-
-    #[test]
-    fn concat_requires_disjoint_vars() {
-        let a = Spanner::new("x{a}").unwrap();
-        assert!(a.concat(&a).is_err());
-    }
-
-    #[test]
-    fn concat_sequences_patterns() {
-        let a = Spanner::new("x{a+}").unwrap();
-        let b = Spanner::new("y{b+}").unwrap();
-        let c = a.concat(&b).unwrap();
-        assert_eq!(c.vars(), &["x".to_string(), "y".to_string()]);
-        let rel = c.evaluate("aabb");
-        // Row with x=[0,2) y=[2,4) must exist.
-        assert!(rel
-            .rows()
-            .iter()
-            .any(|r| r[0] == Some((0, 2)) && r[1] == Some((2, 4))));
-    }
-
-    #[test]
-    fn star_evaluates() {
-        let a = Spanner::new("x{ab}").unwrap();
-        let s = a.star().unwrap();
-        let rel = s.evaluate("abab");
-        // Runs exist where x is the first or second "ab" (or unbound for
-        // the zero-iteration empty run).
-        assert!(spans(&rel, "x").contains(&(0, 2)));
-        assert!(spans(&rel, "x").contains(&(2, 4)));
-        assert!(rel.rows().iter().any(|r| r[0].is_none()));
-    }
-
-    #[test]
-    fn projection_drops_columns() {
-        let sp = Spanner::new("x{a+}y{b+}").unwrap();
-        let p = sp.project(&["y"]).unwrap();
-        assert_eq!(p.vars(), &["y".to_string()]);
-        let rel = p.evaluate("ab");
-        assert_eq!(spans(&rel, "y"), vec![(1, 2)]);
-    }
-
-    #[test]
-    fn projection_matches_relation_projection() {
-        let sp = Spanner::new("x{a+}y{b+}").unwrap();
-        let via_automaton = sp.project(&["y"]).unwrap().evaluate("aabb");
-        let via_relation = sp.evaluate("aabb").project(&["y"]).unwrap();
-        assert_eq!(via_automaton, via_relation);
-    }
-
-    #[test]
-    fn projection_unknown_var_errors() {
-        let sp = Spanner::new("x{a}").unwrap();
-        assert!(sp.project(&["z"]).is_err());
-    }
-
-    #[test]
-    fn natural_join_on_shared_span() {
-        let a = SpanRelation::from_rows(
-            vec!["x".into(), "y".into()],
-            vec![
-                vec![Some((0, 1)), Some((1, 2))],
-                vec![Some((2, 3)), Some((3, 4))],
-            ],
-        );
-        let b = SpanRelation::from_rows(
-            vec!["y".into(), "z".into()],
-            vec![
-                vec![Some((1, 2)), Some((5, 6))],
-                vec![Some((9, 9)), Some((5, 6))],
-            ],
-        );
-        let j = a.natural_join(&b);
-        assert_eq!(
-            j.vars(),
-            &["x".to_string(), "y".to_string(), "z".to_string()]
-        );
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.rows()[0], vec![Some((0, 1)), Some((1, 2)), Some((5, 6))]);
-    }
-
-    #[test]
-    fn join_with_no_shared_vars_is_cross_product() {
-        let a = SpanRelation::from_rows(
-            vec!["x".into()],
-            vec![vec![Some((0, 1))], vec![Some((1, 2))]],
-        );
-        let b = SpanRelation::from_rows(vec!["y".into()], vec![vec![Some((2, 3))]]);
-        assert_eq!(a.natural_join(&b).len(), 2);
-    }
-
-    #[test]
-    fn string_eq_selection() {
-        // Find pairs of equal substrings: x{.}y{.} with ζ= x,y.
-        let sp = Spanner::new("x{.}.*y{.}").unwrap();
-        let text = "abca";
-        let rel = sp.evaluate(text);
-        let eq = rel.select_string_eq("x", "y", text).unwrap();
-        // Only x='a'@0, y='a'@3 qualifies among (x before y) pairs.
-        assert!(eq.rows().iter().all(|r| {
-            text[r[0].unwrap().0..r[0].unwrap().1] == text[r[1].unwrap().0..r[1].unwrap().1]
-        }));
-        assert!(eq
-            .rows()
-            .iter()
-            .any(|r| r[0] == Some((0, 1)) && r[1] == Some((3, 4))));
     }
 
     #[test]

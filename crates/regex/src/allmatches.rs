@@ -33,22 +33,17 @@ pub fn all_matches(program: &Program, text: &str) -> Vec<AllMatch> {
     all_matches_bounded(program, text, usize::MAX)
 }
 
-/// Like [`all_matches`] but stops after `limit` rows have been collected
-/// (the rows collected so far are returned, sorted).
+/// Like [`all_matches`] but stops once `limit` distinct rows have been
+/// collected, never holding more (the rows collected so far are
+/// returned, sorted). The time spent before it stops is not bounded.
 pub fn all_matches_bounded(program: &Program, text: &str, limit: usize) -> Vec<AllMatch> {
     let mut out: FxHashSet<AllMatch> = FxHashSet::default();
-    let boundaries: Vec<usize> = text
-        .char_indices()
-        .map(|(i, _)| i)
-        .chain(std::iter::once(text.len()))
-        .collect();
-    'starts: for &start in &boundaries {
-        for m in matches_from(program, text, start) {
-            out.insert(m);
-            if out.len() >= limit {
-                break 'starts;
-            }
+    let boundaries = text.char_indices().map(|(i, _)| i);
+    for start in boundaries.chain(std::iter::once(text.len())) {
+        if out.len() >= limit {
+            break;
         }
+        matches_from(program, text, start, limit, &mut out);
     }
     let mut rows: Vec<AllMatch> = out.into_iter().collect();
     rows.sort();
@@ -62,9 +57,15 @@ struct Config {
     slots: Vec<Option<u32>>,
 }
 
-/// Enumerates every accepting run that starts at byte `start`.
-fn matches_from(program: &Program, text: &str, start: usize) -> Vec<AllMatch> {
-    let mut results = Vec::new();
+/// Adds to `out` every accepting run that starts at byte `start`, until
+/// `out` holds `limit` rows.
+fn matches_from(
+    program: &Program,
+    text: &str,
+    start: usize,
+    limit: usize,
+    out: &mut FxHashSet<AllMatch>,
+) {
     let len = text.len();
     let mut prev_char = if start == 0 {
         None
@@ -96,7 +97,10 @@ fn matches_from(program: &Program, text: &str, start: usize) -> Vec<AllMatch> {
         // Record accepting configurations at this position.
         for c in &configs {
             if matches!(program.inst(c.pc), Inst::Match) {
-                results.push(config_to_match(program, c, start, at));
+                out.insert(config_to_match(program, c, start, at));
+                if out.len() >= limit {
+                    return;
+                }
             }
         }
         let Some(ch) = cur_char else { break };
@@ -138,7 +142,6 @@ fn matches_from(program: &Program, text: &str, start: usize) -> Vec<AllMatch> {
         cur_char = next_char;
         at = next_at;
     }
-    results
 }
 
 /// Epsilon closure that keeps *all* distinct `(state, slots)`
@@ -294,6 +297,19 @@ mod tests {
         let program = compile(&parse("a*").unwrap()).unwrap();
         let ms = all_matches_bounded(&program, &"a".repeat(100), 10);
         assert_eq!(ms.len(), 10);
+    }
+
+    #[test]
+    fn bounded_enumeration_returns_exactly_the_limit() {
+        // 2 001 · 2 002 / 2 = 2 003 001 rows unbounded; the limit is
+        // reached inside the first start position's runs.
+        let program = compile(&parse("x{a*}").unwrap()).unwrap();
+        let text = "a".repeat(2_000);
+        for limit in [1, 7, 100, 2_001] {
+            let ms = all_matches_bounded(&program, &text, limit);
+            assert_eq!(ms.len(), limit);
+            assert!(ms.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

@@ -147,19 +147,6 @@ pub(crate) struct Cache {
     reverse: Lazy,
 }
 
-#[cfg(test)]
-impl Cache {
-    /// `u32` words resident in the state tables of both directions.
-    pub(crate) fn words(&self) -> usize {
-        self.forward.words + self.reverse.words
-    }
-
-    /// How often either direction hit the budget and started over.
-    pub(crate) fn emptied(&self) -> usize {
-        self.forward.emptied + self.reverse.emptied
-    }
-}
-
 /// What one direction determinises: a program over the shared alphabet.
 #[derive(Clone, Copy)]
 struct Side<'a> {
@@ -420,29 +407,40 @@ impl Lazy {
     }
 }
 
-/// A fixed, aperiodic text over `{a, b}` (xorshift) for the tests that
-/// need more distinct substrings than a DFA cache holds.
 #[cfg(test)]
-pub(crate) fn ab_text(len: usize, mut x: u64) -> String {
-    let mut next = || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        if x & 1 == 0 {
-            'a'
-        } else {
-            'b'
-        }
-    };
-    (0..len).map(|_| next()).collect()
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::parser::parse;
     use crate::pikevm;
+
+    impl Cache {
+        /// `u32` words resident in the state tables of both directions.
+        pub(crate) fn words(&self) -> usize {
+            self.forward.words + self.reverse.words
+        }
+
+        /// How often either direction hit the budget and started over.
+        pub(crate) fn emptied(&self) -> usize {
+            self.forward.emptied + self.reverse.emptied
+        }
+    }
+
+    /// A fixed, aperiodic text over `{a, b}` (xorshift) for the tests that
+    /// need more distinct substrings than a DFA cache holds.
+    pub(crate) fn ab_text(len: usize, mut x: u64) -> String {
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x & 1 == 0 {
+                'a'
+            } else {
+                'b'
+            }
+        };
+        (0..len).map(|_| next()).collect()
+    }
 
     /// `(start, end)` through both DFAs.
     fn window(pattern: &str, text: &str, from: usize) -> Option<(usize, usize)> {

@@ -1,8 +1,8 @@
-//! Error type for pattern parsing and spanner-algebra composition.
+//! Error type for pattern parsing and spanner union.
 
 use thiserror::Error;
 
-/// Errors raised while parsing a pattern or composing spanners.
+/// Errors raised while parsing a pattern or uniting spanners.
 #[derive(Debug, Error, Clone, PartialEq, Eq)]
 pub enum RegexError {
     /// Syntax error in the pattern, with byte position and explanation.
@@ -27,9 +27,7 @@ pub enum RegexError {
     #[error("duplicate capture variable {0:?}")]
     DuplicateVariable(String),
 
-    /// Algebra operation applied to spanners with incompatible variable
-    /// sets (union needs equal sets; concatenation/join preconditions
-    /// differ — see the operation's documentation).
+    /// A union of spanners or span relations whose variable sets differ.
     #[error("incompatible variable sets for {op}: {left:?} vs {right:?}")]
     VariableMismatch {
         /// Name of the algebra operation.
@@ -39,10 +37,6 @@ pub enum RegexError {
         /// Variables of the right operand.
         right: Vec<String>,
     },
-
-    /// Projection onto a variable the spanner does not bind.
-    #[error("unknown variable {0:?} in projection")]
-    UnknownVariable(String),
 }
 
 impl RegexError {

@@ -22,10 +22,12 @@
 //! extended with *spanner variable groups* `x{...}` as written in the
 //! paper — `x{a+}c+y{b+}` binds variables `x` and `y`.
 //!
-//! On top of single formulas, [`algebra`] provides the spanner-algebra
-//! combinators (union, concatenation, Kleene star, projection at the
-//! automaton level; natural join, selection, union at the relation level)
-//! that make the representation closed under the relational operators.
+//! On top of single formulas, [`algebra`] evaluates a formula as a
+//! [`Spanner`] to a [`SpanRelation`] of variable assignments, and unites
+//! two of either: a union of formulas is again one automaton, and it
+//! evaluates to the union of their relations. The Spannerlog engine does
+//! the rest of the relational work (join, projection, selection) in its
+//! rule bodies.
 //!
 //! Internals: patterns parse to an [`ast::Ast`] and compile to a Thompson
 //! NFA with capture slots ([`nfa::Program`]). A scan ([`Regex::find_iter`],

@@ -15,8 +15,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Construction parses and compiles once; matching never re-parses. The
 /// two entry points correspond to the two semantics described in the crate
 /// docs: [`Regex::find_iter`] (Python-style scanning, used by the `rgx` IE
-/// function) and [`Regex::all_matches`] (formal spanner semantics, used by
-/// `rgx_all` and the spanner algebra).
+/// function) and [`Regex::all_matches`] (formal spanner semantics, which
+/// `rgx_all` enumerates through [`Regex::all_matches_bounded`]).
 ///
 /// A `Regex` is `Send + Sync` and meant to be shared (`Arc<Regex>`):
 /// the lazily built DFA states live in caches that a scan checks out of
@@ -355,7 +355,7 @@ fn resume_after(text: &str, start: usize, end: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfa::ab_text;
+    use crate::dfa::tests::ab_text;
 
     fn spans(pattern: &str, text: &str) -> Vec<(usize, usize)> {
         Regex::new(pattern)
