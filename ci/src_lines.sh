@@ -6,7 +6,8 @@
 # not end the count. A file whose first such attribute is not followed by
 # a `mod` line (a test-only impl or function, which would hide the
 # non-test lines after it) fails the count, naming the file. Prints the
-# total; run it from the repository root.
+# total on stdout and each crate's count, `crates/<name> <lines>`, on
+# stderr; run it from the repository root.
 set -eu
 counts=$(find crates/*/src -name '*.rs' ! -path crates/engine/src/plan/tests.rs -exec awk '
     FNR == 1 { counting = 1; attribute = 0 }
@@ -18,6 +19,18 @@ counts=$(find crates/*/src -name '*.rs' ! -path crates/engine/src/plan/tests.rs 
         }
     }
     counting && /^#\[cfg\(test\)\]/ { counting = 0; attribute = 1 }
-    counting { n++ }
-    END { print n + 0; exit failed }' {} +)
-echo "$counts" | awk '{ total += $1 } END { print total }'
+    counting { n[FILENAME]++ }
+    END {
+        for (f in n) {
+            split(f, path, "/")
+            print path[1] "/" path[2], n[f]
+        }
+        exit failed
+    }' {} +)
+echo "$counts" | awk '
+    { crate[$1] += $2; total += $2 }
+    END {
+        for (c in crate) print c, crate[c] | "sort >&2"
+        close("sort >&2")
+        print total + 0
+    }'

@@ -92,8 +92,8 @@ impl MentionKind {
 
 /// Mention kinds for the `screen for` template: note that the
 /// hypothetical "Will screen for…" uses `screening for`'s sibling cue —
-/// the templates above only use phrases present in the default ConText
-/// rule set.
+/// the templates above only use phrases present in the case study's
+/// ConText table (`native::context_rules::MODIFIER_TABLE`).
 const ALL_KINDS: &[MentionKind] = &[
     MentionKind::Positive,
     MentionKind::Negated,

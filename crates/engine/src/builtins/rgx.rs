@@ -9,7 +9,8 @@
 //! * `rgx_all(pattern, text) -> (span, …)` — the formal all-matches
 //!   spanner semantics ⟦γ⟧(d): every accepting run of every substring.
 //!   A call that would enumerate more than [`RGX_ALL_MAX_MATCHES`]
-//!   matches fails instead.
+//!   matches fails instead, and so does one that runs past the run's
+//!   deadline ([`IeContext::deadline_passed`]).
 //! * `rgx_is_match(pattern, text) -> ()` — boolean filter.
 //!
 //! A match that leaves a capture group undefined — an optional group, or
@@ -159,6 +160,13 @@ impl IeFunction for RgxFunction {
         // One column per group (or one for a group-free pattern): an
         // atom of another width fails whether or not the text matches.
         out.check(re.group_count().max(1))?;
+        // `rgx_all` enumerates before any row, asking the run's deadline.
+        let (limit, stop) = (RGX_ALL_MAX_MATCHES + 1, || ctx.deadline_passed());
+        let all = match self.mode {
+            Mode::AllSpans => re.all_matches_bounded(&text, limit, &stop),
+            _ => Some(Vec::new()),
+        };
+        let all = all.ok_or_else(|| ctx.error("stopped at the evaluation deadline"))?;
 
         let strings = self.mode == Mode::FindStrings;
         let mut cells = Vec::with_capacity(out.width());
@@ -194,12 +202,11 @@ impl IeFunction for RgxFunction {
                 UNASSIGNED.set(UNASSIGNED.get() + unassigned);
             }
             Mode::AllSpans => {
-                let matches = re.all_matches_bounded(&text, RGX_ALL_MAX_MATCHES + 1);
-                if matches.len() > RGX_ALL_MAX_MATCHES {
+                if all.len() > RGX_ALL_MAX_MATCHES {
                     let msg = format!("more than {RGX_ALL_MAX_MATCHES} matches");
                     return Err(ctx.error(msg));
                 }
-                for m in matches {
+                for m in all {
                     row(&m.groups, (m.start, m.end))?;
                 }
             }

@@ -248,19 +248,6 @@ pub enum EngineError {
     /// A query used in `export` must be a single query statement.
     #[error("expected a single query statement (e.g. ?R(x, \"c\")), got {0}")]
     NotAQuery(String),
-
-    /// An invariant the planner relies on was violated at execution time
-    /// (e.g. a step consumed a variable no earlier step bound). Safety
-    /// analysis makes these impossible for plans it produced; a
-    /// hand-built or corrupted plan degrades to this error instead of a
-    /// process abort.
-    #[error("internal planner error in rule {rule:?}: {detail}")]
-    Internal {
-        /// Head predicate (or source text) of the offending rule.
-        rule: String,
-        /// What invariant was violated.
-        detail: String,
-    },
 }
 
 /// Convenience alias.

@@ -49,16 +49,16 @@ pub struct EvalLimits {
     /// Maximum newly materialized tuples across the whole run.
     pub max_rows: Option<usize>,
     /// Wall-clock budget in milliseconds for the whole run (checked
-    /// between fixpoint rounds, before each IE call, and every few
-    /// thousand rows inside a join).
+    /// between fixpoint rounds, before each IE call, every few thousand
+    /// rows inside a join, and inside an `rgx_all` call).
     pub max_millis: Option<u64>,
 }
 
 /// The wall-clock budget of one evaluation run
 /// ([`EvalLimits::max_millis`]), anchored when the run starts. Checked
-/// once per fixpoint round, before every IE call, and every few thousand
-/// candidate rows inside a join loop — the three places an evaluation
-/// can sink unbounded time — so an overrun surfaces as
+/// once per fixpoint round, before every IE call, inside `rgx_all` and
+/// every few thousand candidate rows inside a join loop — where an
+/// evaluation can sink unbounded time — so an overrun surfaces as
 /// [`EngineError::LimitExceeded`] naming the rule that was executing,
 /// not as a hung serving request.
 #[derive(Debug, Clone, Copy)]
@@ -77,10 +77,15 @@ impl EvalDeadline {
         })
     }
 
+    /// Whether the budget is spent.
+    pub(crate) fn passed(&self) -> bool {
+        std::time::Instant::now() >= self.at
+    }
+
     /// Errors with the wall-clock [`EngineError::LimitExceeded`]
     /// (blaming `rule`) once the budget is spent.
     pub(crate) fn check(&self, rule: Option<&RulePlan>) -> Result<()> {
-        if std::time::Instant::now() >= self.at {
+        if self.passed() {
             return Err(EngineError::LimitExceeded {
                 resource: "eval wall-clock millis",
                 limit: self.limit_ms as usize,
@@ -162,7 +167,7 @@ pub struct EvalStats {
 
 /// Everything one evaluation run needs besides the database, the
 /// program, and the trace collector.
-pub struct EvalCtx<'a> {
+pub(crate) struct EvalCtx<'a> {
     /// IE / aggregate / conversion registry.
     pub registry: &'a Registry,
     /// Resource limits.
@@ -244,7 +249,7 @@ impl Drop for Lent<'_> {
 /// the calling thread exactly as on shard workers — and move back on
 /// every exit (see the threading contract in `crate::session`), as do
 /// the database's indexes, which the run reads and extends.
-pub fn evaluate(
+pub(crate) fn evaluate(
     db: &mut Database,
     components: &[Component],
     ctx: &EvalCtx<'_>,

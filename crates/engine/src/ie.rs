@@ -40,18 +40,29 @@ pub type SharedDocs = RwLock<DocumentStore>;
 pub struct IeContext<'a> {
     function: &'a str,
     docs: &'a SharedDocs,
+    pub(crate) deadline: Option<crate::eval::EvalDeadline>,
 }
 
 impl<'a> IeContext<'a> {
     /// The context of a call to the function registered as `function`,
-    /// over the shared document store.
+    /// over the shared document store, with no deadline.
     pub fn new(function: &'a str, docs: &'a SharedDocs) -> Self {
-        IeContext { function, docs }
+        IeContext {
+            function,
+            docs,
+            deadline: None,
+        }
     }
 
     /// The name the function was called by.
     pub fn function(&self) -> &str {
         self.function
+    }
+
+    /// Whether the calling run's wall-clock budget is spent: a call that
+    /// then fails fails the run on the budget (`LimitExceeded`).
+    pub fn deadline_passed(&self) -> bool {
+        self.deadline.is_some_and(|d| d.passed())
     }
 
     /// An [`EngineError::IeRuntime`] naming the function called.

@@ -8,7 +8,7 @@ use crate::error::{EngineError, Result};
 use crate::eval::culprit_of;
 use crate::ie::{IeContext, IeRows};
 use crate::optimizer::TupleIndex;
-use crate::plan::{cell, operand, Batch, Columns, ExecCtx, PTerm, RulePlan, TraceCtx};
+use crate::plan::{cell, Batch, Columns, ExecCtx, PTerm, RulePlan, TraceCtx};
 use spannerlib_core::{RowTable, Rows, Value};
 use spannerlib_regex::prefilter;
 use spannerlib_trace::SpanKind;
@@ -25,7 +25,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// step, and so does a call that panics: the panic stops at the call
 /// ([`EngineError::IePanicked`]), on whichever lane it ran. IE calls are
 /// where evaluation sinks open-ended time (user code, regex scans): the
-/// wall-clock budget is checked before each.
+/// wall-clock budget is checked before each, and a call may ask it too
+/// ([`IeContext::deadline_passed`]).
 pub(crate) fn ie_join(
     plan: &RulePlan,
     (function, inputs, outputs): (&str, &[PTerm], &[PTerm]),
@@ -34,10 +35,6 @@ pub(crate) fn ie_join(
     tr: &mut TraceCtx<'_>,
 ) -> Result<Rows> {
     let f = ctx.registry.ie(function)?;
-    for t in inputs {
-        let role = format_args!("input of IE function {function:?}");
-        operand(plan, t, &batch.bound, role)?;
-    }
     let var = |t: &PTerm| match t {
         PTerm::Var(v) => Some(*v),
         _ => None,
@@ -73,6 +70,7 @@ pub(crate) fn ie_join(
         returned.clear();
         let t0 = tr.trace.now_ns();
         let mut call_ctx = IeContext::new(function, ctx.docs);
+        call_ctx.deadline = ctx.deadline;
         let mut out = IeRows::new(function, &mut returned);
         // The call's regex searches run on this thread: they are its own.
         let call = || f.call(&call_args, &mut out, &mut call_ctx);
@@ -80,7 +78,12 @@ pub(crate) fn ie_join(
         let (called, searched) = prefilter::counted(|| catch_unwind(AssertUnwindSafe(call)));
         tr.trace.prefilter(searched.searches, searched.pruned);
         (tr.trace).unassigned_matches(builtins::unassigned_matches() - unassigned);
-        out.finish(called.map_err(|panic| panicked(function, plan, panic))?)?;
+        let called = called.map_err(|panic| panicked(function, plan, panic))?;
+        // A call failing past the deadline (`rgx_all` stops there) fails on it.
+        if let (Err(_), Some(d)) = (&called, ctx.deadline) {
+            d.check(Some(plan))?;
+        }
+        out.finish(called)?;
         tr.trace.ie_call(function, t0);
         for input in members.iter().map(|&r| rows.row(r)) {
             for out in returned.iter().filter(|out| cols.key_holds(input, out)) {

@@ -19,6 +19,8 @@
 //!
 //! * [`safety`] implements the paper's semantic safety checker, which
 //!   also derives the IE execution order inside each rule body (§3.1).
+//!   Its plans are the only ones the crate's executor runs; a rule it
+//!   cannot order safely is an [`EngineError::Unsafe`] before any run.
 //! * `share` rewrites each IE call two atoms ask alike — or one asks in
 //!   a recursion — into ordinary rules over a demand relation and a call
 //!   relation (`f#k?`, `f#k`), which the steps below treat like any other.

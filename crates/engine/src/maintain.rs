@@ -46,7 +46,7 @@
 use crate::database::Database;
 use crate::error::Result;
 use crate::eval::{self, EvalCtx, EvalStats, Firing, Run, Scope};
-use crate::optimizer::{IndexCache, StepMeta, TupleIndex};
+use crate::optimizer::{IndexCache, TupleIndex};
 use crate::plan::{ExecCtx, HeadOut, PTerm, RulePlan, Step};
 use crate::prepared::CompiledProgram;
 use crate::strata::Component;
@@ -79,12 +79,9 @@ pub(crate) struct RuleVariants {
 /// The variants of every rule of `components`, in their order.
 pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
     let of = |rule: &RulePlan| {
-        // The rule's steps keep their annotation.
+        // A scan needs nothing bound: the steps stay in a safe order.
         let with = |at: usize, scan: Step| {
             let mut plan = rule.clone();
-            if let Some(opt) = &mut plan.opt {
-                opt.steps.insert(at, StepMeta::of(&scan));
-            }
             plan.steps.insert(at, scan);
             plan
         };

@@ -2,20 +2,20 @@
 //! one greedy loop at two costs — and per-execution index reuse.
 //!
 //! A body order is *safe* when every step's needed variables are bound
-//! by the steps before it (paper §3.1), and [`schedule`] is the only
+//! by the steps before it (paper §3.1), and `schedule` is the only
 //! loop that picks a next step: the runnable one of least cost, ties to
 //! the lowest index.
 //!
 //! * [`crate::safety`] calls it once per rule at **uniform cost**: the
 //!   lexicographically least safe order of the body as written, which
 //!   the plan stores its steps in; a body without one is an unsafe
-//!   rule. The metadata it scheduled by ([`StepMeta`]: the variables a
-//!   step **needs** bound and those it can **bind**) stays on the plan
-//!   ([`RuleOpt`]).
-//! * [`order_steps`] calls it per rule firing, when cardinalities are
+//!   rule. It schedules by each step's [`StepMeta`]: the variables the
+//!   step **needs** bound and those it can **bind**, read off the step.
+//! * `order_steps` calls it per rule firing, when cardinalities are
 //!   known, at the **cardinality cost**: filters first, then IE calls,
 //!   then scans by estimated fan-out (relation size discounted per
-//!   bound join column).
+//!   bound join column). It derives the metadata again from the plan's
+//!   steps, whose stored order is safe, so it always finds an order.
 //! * [`IndexCache`] keeps the hash indexes keyed scan joins and
 //!   anti-joins probe ([`TupleIndex`]: key → row ids, ascending) alive
 //!   for a whole evaluation run — and, after a maintained one, for the
@@ -44,7 +44,7 @@ use spannerlib_core::{hash_cells, Relation, RowTable, Rows, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Per-step scheduling metadata, as [`schedule`] reads it.
+/// Per-step scheduling metadata, as `schedule` reads it.
 #[derive(Debug, Clone, Default)]
 pub struct StepMeta {
     /// Variables that must already be bound for the step to run.
@@ -75,14 +75,6 @@ impl StepMeta {
     }
 }
 
-/// Compile-time planner annotation of one rule, stored on
-/// [`RulePlan::opt`].
-#[derive(Debug, Clone, Default)]
-pub struct RuleOpt {
-    /// One entry per plan step, in plan order.
-    pub steps: Vec<StepMeta>,
-}
-
 fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {
     for t in terms {
         if let PTerm::Var(v) = t {
@@ -91,14 +83,6 @@ fn term_vars(terms: &[PTerm], out: &mut Vec<usize>) {
             }
         }
     }
-}
-
-/// Annotates a hand-built plan as it stands; [`crate::safety::analyze`]
-/// returns its plans annotated. A plan without the annotation executes
-/// its steps in textual order.
-pub fn annotate(plan: &mut RulePlan) {
-    let steps = plan.steps.iter().map(StepMeta::of).collect();
-    plan.opt = Some(RuleOpt { steps });
 }
 
 /// Assumed output rows per input row of an IE call — a handful of
@@ -126,7 +110,7 @@ fn step_cost(
                 .iter()
                 .filter(|t| match t {
                     PTerm::Const(_) => true,
-                    PTerm::Var(v) => bound.get(*v).copied().unwrap_or(false),
+                    PTerm::Var(v) => bound[*v],
                     PTerm::Wildcard => false,
                 })
                 .count();
@@ -148,7 +132,7 @@ fn step_cost(
 /// pick is the runnable step of least `cost(step, bound variables)`,
 /// ties to the lowest index; when none is runnable no such order
 /// exists, and the pending steps come back as the error.
-pub fn schedule(
+pub(crate) fn schedule(
     metas: &[StepMeta],
     n_vars: usize,
     mut cost: impl FnMut(usize, &[bool]) -> usize,
@@ -157,7 +141,7 @@ pub fn schedule(
     let mut bound = vec![false; n_vars];
     let mut pending: Vec<usize> = (0..metas.len()).collect();
     while !pending.is_empty() {
-        let is_bound = |v: &usize| bound.get(*v) == Some(&true);
+        let is_bound = |v: &usize| bound[*v];
         let runnable = pending
             .iter()
             .enumerate()
@@ -167,32 +151,20 @@ pub fn schedule(
             return Err(pending);
         };
         let pick = pending.remove(at);
-        for &v in &metas[pick].binds {
-            if let Some(b) = bound.get_mut(v) {
-                *b = true;
-            }
-        }
+        metas[pick].binds.iter().for_each(|&v| bound[v] = true);
         order.push(pick);
     }
     Ok(order)
 }
 
 /// Orders the steps of `plan` for one firing: [`schedule`] at the
-/// cardinality cost, `scan_rows(i)` being the (delta-aware) cardinality
-/// of the relation step `i` scans. A plan from safety analysis always
-/// has an order — the stored one is safe; a malformed hand-built one
-/// keeps its textual order, and execution reports what is wrong.
-pub fn order_steps(
-    plan: &RulePlan,
-    opt: &RuleOpt,
-    mut scan_rows: impl FnMut(usize) -> usize,
-) -> Vec<usize> {
-    let textual = || (0..plan.steps.len()).collect();
-    if opt.steps.len() != plan.steps.len() {
-        return textual();
-    }
-    let cost = |i: usize, bound: &[bool]| step_cost(&plan.steps[i], i, bound, &mut scan_rows);
-    schedule(&opt.steps, plan.var_names.len(), cost).unwrap_or_else(|_| textual())
+/// cardinality cost, `rows(i)` being the (delta-aware) cardinality of
+/// the relation step `i` scans.
+pub(crate) fn order_steps(plan: &RulePlan, mut rows: impl FnMut(usize) -> usize) -> Vec<usize> {
+    let metas: Vec<StepMeta> = plan.steps.iter().map(StepMeta::of).collect();
+    let cost = |i: usize, bound: &[bool]| step_cost(&plan.steps[i], i, bound, &mut rows);
+    schedule(&metas, plan.var_names.len(), cost)
+        .expect("a compiled plan stores its steps in a safe order, so one exists")
 }
 
 /// Renders a chosen order as a one-line plan description for the trace,
@@ -459,8 +431,8 @@ mod tests {
         /// without a safe order: at uniform cost (safety analysis) it
         /// returns the lexicographically least order with `needs ⊆
         /// bound` at every step and is stuck iff there is none; at the
-        /// cardinality cost (a firing) its order is a permutation with
-        /// the same invariant.
+        /// cardinality cost (a firing, whose body has a safe order) its
+        /// order is a permutation with the same invariant.
         #[test]
         fn one_scheduler_serves_safety_and_planning(
             arities in prop::collection::vec(1usize..4, 3),
@@ -501,13 +473,14 @@ mod tests {
                 Ok(order) => prop_assert_eq!((exists, &order), (true, &least), "{:?}", plan.steps),
                 Err(pending) => prop_assert!(!exists, "stuck on {:?} of {:?}", pending, plan.steps),
             }
-            optimizer::annotate(&mut plan);
-            let opt = plan.opt.as_ref().expect("annotated");
-            let planned = optimizer::order_steps(&plan, opt, |i| sizes[i]);
-            let mut sorted = planned.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-            prop_assert!(is_safe(&planned) || !exists, "{:?} of {:?}", planned, plan.steps);
+            // A firing's plan is compiled: a safe order exists.
+            if exists {
+                let planned = optimizer::order_steps(&plan, |i| sizes[i]);
+                let mut sorted = planned.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+                prop_assert!(is_safe(&planned), "{:?} of {:?}", planned, plan.steps);
+            }
         }
     }
 

@@ -22,18 +22,21 @@
 //! which runs scan, IE calls and head projection on one lane, start to
 //! finish (`run_sharded`); an aggregate head folds every shard's rows
 //! once, on the caller.
+//!
+//! Only the engine builds the plans that run ([`crate::safety::analyze`],
+//! and maintenance's copies with a scan added), in a safe step order:
+//! the executor relies on every variable it reads being bound.
 
 use crate::error::{EngineError, Result};
 use crate::ie::SharedDocs;
 use crate::ie_join::ie_join;
-use crate::optimizer::{self, IndexCache, RuleOpt, TupleIndex};
+use crate::optimizer::{self, IndexCache, TupleIndex};
 use crate::registry::Registry;
 use crate::shard::{fold_aggregates, project_head, run_sharded, shard_scan};
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
 use spannerlib_trace::{RunTrace, SpanId, SpanKind};
 use spannerlog_parser::CmpOp;
-use std::fmt::Display;
 use std::ops::Range;
 
 /// A term resolved against the rule's variable table.
@@ -121,10 +124,6 @@ pub struct RulePlan {
     /// `(predicate, through_negation_or_aggregation)` dependencies for
     /// stratification.
     pub dependencies: Vec<(String, bool)>,
-    /// Planner annotation: safety analysis fills it, and
-    /// [`crate::optimizer::annotate`] for a hand-built plan. `None`
-    /// executes the steps in textual order.
-    pub opt: Option<RuleOpt>,
 }
 
 impl RulePlan {
@@ -151,7 +150,7 @@ const DEADLINE_STRIDE: usize = 4096;
 
 /// The execution environment of [`execute_with`], bundled so the
 /// signature stays within clippy's argument budget.
-pub struct ExecCtx<'a> {
+pub(crate) struct ExecCtx<'a> {
     /// IE / aggregate / conversion registry.
     pub registry: &'a Registry,
     /// Semi-naive evaluation: the step whose scan reads only a delta —
@@ -179,7 +178,7 @@ pub struct ExecCtx<'a> {
 
 /// Where one [`execute_with`] call reports its trace data: the run's
 /// collector, the rule's profiling handle, and the enclosing rule span.
-pub struct TraceCtx<'a> {
+pub(crate) struct TraceCtx<'a> {
     /// The evaluation run's collector.
     pub trace: &'a mut RunTrace,
     /// Handle from `RunTrace::register_rule` for the executing rule.
@@ -202,13 +201,12 @@ pub struct TraceCtx<'a> {
 /// scanned relation's row ids (`run_sharded`); then, for an aggregate
 /// head, the fold over every shard's rows, on the caller. A body with no
 /// scan to shard runs whole on the caller.
-pub fn execute_with(
+pub(crate) fn execute_with(
     plan: &RulePlan,
     relations: &FxHashMap<String, Relation>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Vec<Rows>> {
-    validate_var_indexes(plan)?;
     let n_vars = plan.var_names.len();
     let mut rows = Rows::new(n_vars);
     rows.push(std::iter::repeat_n(&UNBOUND, n_vars));
@@ -229,21 +227,14 @@ pub fn execute_with(
         }
     };
 
-    let order: Vec<usize> = match &plan.opt {
-        Some(opt) => {
-            let order = optimizer::order_steps(plan, opt, scan_rows);
-            tr.trace
-                .plan_chosen(tr.rule, || optimizer::describe(plan, &order, scan_rows));
-            order
-        }
-        None => (0..plan.steps.len()).collect(),
-    };
+    let order = optimizer::order_steps(plan, scan_rows);
+    (tr.trace).plan_chosen(tr.rule, || optimizer::describe(plan, &order, scan_rows));
     let split_at = shard_scan(plan, &order).unwrap_or(order.len());
 
     let (prefix, sharded) = order.split_at(split_at);
     run_steps(plan, prefix, batch, relations, ctx, tr)
         .and_then(|batch| match sharded {
-            [] => project_head(plan, &batch).map(|rows| vec![rows]),
+            [] => Ok(vec![project_head(plan, &batch)]),
             _ => run_sharded(plan, sharded, &batch, relations, ctx, tr),
         })
         .and_then(|pieces| fold_aggregates(plan, pieces, ctx.docs, ctx.registry))
@@ -298,8 +289,6 @@ pub(crate) fn run_steps(
                 }
             }
             Step::Compare { left, op, right } => {
-                operand(plan, left, &batch.bound, "comparison operand")?;
-                operand(plan, right, &batch.bound, "comparison operand")?;
                 let mut failed = None;
                 batch.rows.retain(|_, row| {
                     compare(cell(left, row), cell(right, row), *op).unwrap_or_else(|e| {
@@ -374,76 +363,13 @@ pub(crate) fn scan_step(
     joined
 }
 
-/// A structured "the plan violated a binding invariant" error — the
-/// degradation path for malformed plans that safety analysis would
-/// never produce.
-pub(crate) fn internal(plan: &RulePlan, detail: String) -> EngineError {
-    EngineError::Internal {
-        rule: if plan.source.is_empty() {
-            plan.head_predicate.clone()
-        } else {
-            plan.source.clone()
-        },
-        detail,
-    }
-}
-
-/// One cheap pass over the plan so every raw `row[v]` index below is in
-/// range: a malformed plan (variable index past the variable table)
-/// degrades to [`EngineError::Internal`] instead of an index panic.
-fn validate_var_indexes(plan: &RulePlan) -> Result<()> {
-    let n = plan.var_names.len();
-    let terms = plan.steps.iter().flat_map(|step| -> Vec<&PTerm> {
-        match step {
-            Step::Scan { terms, .. } | Step::Negation { terms, .. } => terms.iter().collect(),
-            Step::Ie {
-                inputs, outputs, ..
-            } => inputs.iter().chain(outputs).collect(),
-            Step::Compare { left, right, .. } => vec![left, right],
-        }
-    });
-    let body_vars = terms.filter_map(|t| match t {
-        PTerm::Var(v) => Some(*v),
-        _ => None,
-    });
-    let head_vars = plan.head.iter().filter_map(|h| match h {
-        HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => Some(*v),
-        HeadOut::Const(_) => None,
-    });
-    match body_vars.chain(head_vars).find(|&v| v >= n) {
-        Some(v) => Err(internal(
-            plan,
-            format!("variable index {v} out of range ({n} variables)"),
-        )),
-        None => Ok(()),
-    }
-}
-
 /// The cell of binding row `row` that `t` stands for: its constant, or
-/// its variable's column (`_`, which [`operand`] rejects, has none).
+/// its variable's column (a `_` has none: no operand or key is one).
 pub(crate) fn cell<'a>(t: &'a PTerm, row: &'a [Value]) -> &'a Value {
     match t {
         PTerm::Const(c) => c,
         PTerm::Var(v) => &row[*v],
         PTerm::Wildcard => &UNBOUND,
-    }
-}
-
-/// Checks that `t` has a value in every row of a batch binding `bound`;
-/// `role` names the term in the error a malformed plan gets otherwise.
-pub(crate) fn operand(
-    plan: &RulePlan,
-    t: &PTerm,
-    bound: &[bool],
-    role: impl Display,
-) -> Result<()> {
-    match t {
-        PTerm::Var(v) if !bound[*v] => Err(internal(
-            plan,
-            format!("{role} {:?} is unbound", plan.var_names[*v]),
-        )),
-        PTerm::Wildcard => Err(internal(plan, format!("{role} is a wildcard"))),
-        _ => Ok(()),
     }
 }
 

@@ -202,24 +202,27 @@ pub(crate) fn safe_plan(
         line: 1,
         source: "H(..) <- generated".into(),
         dependencies: Vec::new(),
-        opt: None,
     }
 }
 
-fn execute(
+/// The rows `plan` derives from `relations`, the scan at `delta`'s step
+/// reading only that run of row ids, through `indexes`, its firings cut
+/// into shards over `workers` lanes.
+fn run(
     plan: &RulePlan,
     relations: &FxHashMap<String, Relation>,
-    delta: &Option<(usize, Range<usize>)>,
+    delta: Option<(usize, Range<usize>)>,
     indexes: &IndexCache,
-) -> BTreeSet<Vec<Value>> {
+    workers: usize,
+) -> Result<Rows> {
     let (registry, docs) = (Registry::new(), SharedDocs::default());
     let ctx = ExecCtx {
         registry: &registry,
-        delta: delta.clone(),
+        delta,
         seed: None,
         indexes,
         docs: &docs,
-        workers: 0,
+        workers,
         deadline: None,
     };
     let mut trace = RunTrace::disabled();
@@ -228,25 +231,35 @@ fn execute(
         rule: 0,
         parent: NO_SPAN,
     };
-    let derived = execute_with(plan, relations, &ctx, &mut tr).unwrap();
-    derived
+    let pieces = execute_with(plan, relations, &ctx, &mut tr)?;
+    let mut rows = Rows::new(plan.head.len());
+    pieces
         .iter()
         .flat_map(Rows::iter)
-        .map(<[Value]>::to_vec)
-        .collect()
+        .for_each(|row| rows.push(row));
+    Ok(rows)
+}
+
+fn execute(
+    plan: &RulePlan,
+    relations: &FxHashMap<String, Relation>,
+    delta: &Option<(usize, Range<usize>)>,
+    indexes: &IndexCache,
+) -> BTreeSet<Vec<Value>> {
+    let rows = run(plan, relations, delta.clone(), indexes, 0).unwrap();
+    rows.iter().map(<[Value]>::to_vec).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `execute_with` — in textual order, and planned, each with the
-    /// run's extended indexes — derives exactly the head tuples the
-    /// definition gives, over constants, wildcards, variables
-    /// repeated within an atom, negation and comparisons, for full
-    /// firings and delta variants. (Planted to check that it does: a
-    /// delta range taken one row short, and `TupleIndex::group_of`
-    /// accepting the first candidate its table offers without
-    /// comparing key cells.)
+    /// `execute_with`, planned, with the run's extended indexes,
+    /// derives exactly the head tuples the definition gives, over
+    /// constants, wildcards, variables repeated within an atom,
+    /// negation and comparisons, for full firings and delta variants.
+    /// (Planted to check that it does: a delta range taken one row
+    /// short, and `TupleIndex::group_of` accepting the first candidate
+    /// its table offers without comparing key cells.)
     #[test]
     fn execute_with_agrees_with_nested_loops(
         arities in prop::collection::vec(1usize..4, 3),
@@ -262,7 +275,7 @@ proptest! {
         let relations: FxHashMap<String, Relation> = (0..3)
             .map(|r| (format!("R{r}"), relation(arities[r], &tuples[r], &ints)))
             .collect();
-        let mut plan = safe_plan(&arities, &atoms, &compares, &head, &ints);
+        let plan = safe_plan(&arities, &atoms, &compares, &head, &ints);
         // A delta: some run of the rows of one positive atom.
         let scans = plan.steps.iter().filter(|s| matches!(s, Step::Scan { .. })).count();
         let delta = delta.map(|(at, from, len)| {
@@ -274,9 +287,6 @@ proptest! {
             (at % scans, from..from + len % (rows - from + 1))
         });
         let expected = nested_loops(&plan, &relations, &delta);
-        let textual = execute(&plan, &relations, &delta, &IndexCache::default());
-        prop_assert_eq!(&textual, &expected, "textual order");
-        optimizer::annotate(&mut plan);
         let indexes = IndexCache::default();
         for _ in 0..2 {
             let got = execute(&plan, &relations, &delta, &indexes);
@@ -318,4 +328,142 @@ proptest! {
             prop_assert_eq!(kept.rows.iter().collect::<Vec<_>>(), expected.clone(), "terms {:?}", terms);
         }
     }
+}
+
+/// A plan of `steps` and `head` over the variables `var_names`.
+fn plan_of(steps: Vec<Step>, head: Vec<HeadOut>, var_names: &[&str]) -> RulePlan {
+    RulePlan {
+        head_predicate: "Broken".into(),
+        steps,
+        head,
+        var_names: var_names.iter().map(|s| s.to_string()).collect(),
+        line: 1,
+        source: "Broken(x) <- ...".into(),
+        dependencies: Vec::new(),
+    }
+}
+
+#[test]
+fn order_steps_moves_selective_scan_first() {
+    // Big(x, y) ⋈ Small(y, z): textual order scans Big unkeyed (1000
+    // rows); cost order starts from Small (4 rows) so the Big probe is
+    // keyed on y.
+    let plan = plan_of(
+        vec![
+            Step::Scan {
+                relation: "Big".into(),
+                terms: vec![PTerm::Var(0), PTerm::Var(1)],
+            },
+            Step::Scan {
+                relation: "Small".into(),
+                terms: vec![PTerm::Var(1), PTerm::Var(2)],
+            },
+        ],
+        vec![HeadOut::Var(0), HeadOut::Var(2)],
+        &["x", "y", "z"],
+    );
+    let sizes = |i: usize| if i == 0 { 1000 } else { 4 };
+    assert_eq!(optimizer::order_steps(&plan, sizes), vec![1, 0]);
+    // With the sizes reversed the textual order already wins.
+    let sizes = |i: usize| if i == 0 { 4 } else { 1000 };
+    assert_eq!(optimizer::order_steps(&plan, sizes), vec![0, 1]);
+    let label = optimizer::describe(&plan, &[1, 0], |i| if i == 0 { 1000 } else { 4 });
+    assert_eq!(label, "Small[4]* ⋈ Big[1000]*");
+}
+
+#[test]
+fn filters_run_before_scans_once_runnable() {
+    // Scan(x) then compare x < 3 then scan joining on x: the compare
+    // should run immediately after its producer, ahead of the second
+    // scan.
+    let plan = plan_of(
+        vec![
+            Step::Scan {
+                relation: "A".into(),
+                terms: vec![PTerm::Var(0)],
+            },
+            Step::Scan {
+                relation: "B".into(),
+                terms: vec![PTerm::Var(0), PTerm::Var(1)],
+            },
+            Step::Compare {
+                left: PTerm::Var(0),
+                op: CmpOp::Lt,
+                right: PTerm::Const(Value::Int(3)),
+            },
+        ],
+        vec![HeadOut::Var(1)],
+        &["x", "y"],
+    );
+    assert_eq!(
+        optimizer::order_steps(&plan, |_| 100),
+        vec![0, 2, 1],
+        "the comparison must be hoisted ahead of the second scan"
+    );
+}
+
+/// A plan whose last step is the scan a firing shards leaves the shards
+/// nothing to run after it. Its rows come back from every bin, not from
+/// the last one alone.
+#[test]
+fn an_empty_suffix_keeps_every_bin() {
+    let mut rel = Relation::new(Schema::new(vec![ValueType::Int]));
+    for i in 0..8 {
+        rel.insert(Tuple::new([Value::Int(i)])).unwrap();
+    }
+    let scan = Step::Scan {
+        relation: "R".into(),
+        terms: vec![PTerm::Var(0)],
+    };
+    let plan = plan_of(vec![scan], vec![HeadOut::Var(0)], &["t"]);
+    let relations = FxHashMap::from_iter([("R".to_string(), rel)]);
+    let sharded = run(&plan, &relations, None, &IndexCache::default(), 2);
+    assert_eq!(sharded.unwrap().len(), 8);
+}
+
+/// A scan whose term count is not the relation's arity is the same
+/// `EngineError::Arity` whichever way the scan gets at its rows: a walk
+/// of the arena, an index built into the cache, one found in the cache,
+/// or one a delta slices.
+#[test]
+fn arity_mismatch_is_one_error_on_every_scan_route() {
+    let mut rel = Relation::new(Schema::new(vec![ValueType::Int; 2]));
+    rel.insert(Tuple::new([Value::Int(1), Value::Int(2)]))
+        .unwrap();
+    let scan = |terms: Vec<PTerm>| {
+        let head = vec![HeadOut::Var(1)];
+        let scan = Step::Scan {
+            relation: "R".into(),
+            terms,
+        };
+        plan_of(vec![scan], head, &["x", "y", "z"])
+    };
+    // A constant keys the scan on column 0; without one it has no key.
+    let keyed = PTerm::Const(Value::Int(1));
+    let fits = scan(vec![keyed.clone(), PTerm::Var(1)]);
+    let too_wide = scan(vec![keyed, PTerm::Var(1), PTerm::Var(2)]);
+    let unkeyed = scan(vec![PTerm::Var(0), PTerm::Var(1), PTerm::Var(2)]);
+    let relations = FxHashMap::from_iter([("R".to_string(), rel)]);
+    let assert_arity = |err: EngineError, route: &str| {
+        let same = matches!(
+            &err,
+            EngineError::Arity { relation, expected: 2, actual: 3 } if relation == "R"
+        );
+        assert!(same, "{route}: {err:?}");
+    };
+
+    let indexes = IndexCache::default();
+    let cached = |plan: &RulePlan| run(plan, &relations, None, &indexes, 0);
+    assert_arity(cached(&unkeyed).unwrap_err(), "arena walk");
+    assert_eq!(indexes.builds(), 0, "a key-less scan needs no index");
+    assert_arity(cached(&too_wide).unwrap_err(), "first build");
+    // Both plans key the scan on column 0, so the well-formed one
+    // leaves behind exactly the entry the malformed one looks up.
+    assert_eq!(cached(&fits).unwrap().len(), 1);
+    assert_eq!(indexes.builds(), 1);
+    assert_arity(cached(&too_wide).unwrap_err(), "cache hit");
+
+    let delta = |plan: &RulePlan| run(plan, &relations, Some((0, 0..1)), &IndexCache::default(), 0);
+    assert_arity(delta(&too_wide).unwrap_err(), "delta scan");
+    assert_eq!(delta(&fits).unwrap().len(), 1);
 }

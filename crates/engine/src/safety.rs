@@ -7,12 +7,13 @@
 //!
 //! 1. every variable of an IE atom's **input** must be bound by other
 //!    body elements scheduled before it;
-//! 2. every variable of a negated atom or comparison must be bound;
+//! 2. every variable of a negated atom or comparison must be bound, and
+//!    no IE input or comparison operand is `_`, which has no value;
 //! 3. every head variable (including aggregated ones) must be bound by
 //!    the positive body.
 //!
 //! The checker lowers the body to plan steps as written and hands them
-//! to the planner's scheduler ([`optimizer::schedule`]) at uniform
+//! to the planner's scheduler (`optimizer::schedule`) at uniform
 //! cost — the first schedulable element in source order, again and
 //! again — which *derives the IE execution order* and rejects unsafe
 //! rules in one pass: e.g. circular IE dependencies such as
@@ -24,7 +25,7 @@
 //! zero-output IE steps here.
 
 use crate::error::{EngineError, Result};
-use crate::optimizer::{self, RuleOpt, StepMeta};
+use crate::optimizer::{self, StepMeta};
 use crate::plan::{HeadOut, PTerm, RulePlan, Step};
 use crate::registry::Registry;
 use rustc_hash::FxHashSet;
@@ -75,7 +76,7 @@ fn lower(
     names: &mut Vec<String>,
 ) -> Result<Step> {
     let mut terms = |ts: &[Term]| ts.iter().map(|t| pterm(names, t)).collect();
-    Ok(match b {
+    let step = match b {
         BodyElem::Relation(a) if ctx.relations.contains(&a.predicate) => Step::Scan {
             relation: a.predicate.clone(),
             terms: terms(&a.terms),
@@ -106,11 +107,6 @@ fn lower(
                     });
                 }
             }
-            // Wildcards cannot be IE inputs (nothing to pass).
-            if ie.inputs.iter().any(|t| matches!(t, Term::Wildcard)) {
-                let msg = format!("IE function {:?} has a wildcard input", ie.function);
-                return Err(EngineError::Unsafe { line, msg });
-            }
             Step::Ie {
                 function: ie.function.clone(),
                 inputs: terms(&ie.inputs),
@@ -122,7 +118,20 @@ fn lower(
             op: *op,
             right: pterm(names, right),
         },
-    })
+    };
+    // A `_` has no value to pass to either form of IE atom or to compare.
+    let msg = match &step {
+        Step::Ie {
+            function, inputs, ..
+        } if inputs.contains(&PTerm::Wildcard) => {
+            format!("IE function {function:?} has a wildcard input")
+        }
+        Step::Compare { left, right, .. } if [left, right].contains(&&PTerm::Wildcard) => {
+            format!("comparison {b} has a wildcard operand")
+        }
+        _ => return Ok(step),
+    };
+    Err(EngineError::Unsafe { line, msg })
 }
 
 /// The body of `rule` lowered to plan steps as written, one per body
@@ -138,8 +147,8 @@ pub(crate) fn lower_body(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<(Vec<St
 }
 
 /// Analyzes one rule: checks safety and produces the executable plan,
-/// its steps stored in the order they were scheduled and annotated with
-/// the metadata the planner reschedules them by.
+/// its steps stored in the order they were scheduled. That order is
+/// safe, which every firing's planner relies on.
 pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
     let unsafe_err = |msg: String| EngineError::Unsafe {
         line: rule.line,
@@ -223,8 +232,7 @@ pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
     }
 
     let negative_deps = rule.has_aggregation();
-    let pick = |i: &usize| (steps[*i].clone(), metas[*i].clone());
-    let (steps, metas): (Vec<Step>, Vec<StepMeta>) = order.iter().map(pick).unzip();
+    let steps: Vec<Step> = order.iter().map(|&i| steps[i].clone()).collect();
     let dependencies = steps.iter().filter_map(|step| match step {
         Step::Scan { relation, .. } => Some((relation.clone(), negative_deps)),
         Step::Negation { relation, .. } => Some((relation.clone(), true)),
@@ -238,7 +246,6 @@ pub fn analyze(rule: &Rule, ctx: &SafetyContext<'_>) -> Result<RulePlan> {
         var_names,
         line: rule.line,
         source: rule.to_string(),
-        opt: Some(RuleOpt { steps: metas }),
     })
 }
 
@@ -401,6 +408,24 @@ mod tests {
     fn wildcard_ie_input_rejected() {
         let err = analyze_src(r#"R(x) <- S(x), rgx("a", _) -> (y)"#, &["S"]).unwrap_err();
         assert!(matches!(err, EngineError::Unsafe { .. }));
+    }
+
+    /// A `_` has no value to compare or pass: `x < _` and a
+    /// relation-style IE atom's `_` input are unsafe, on either side.
+    #[test]
+    fn wildcard_operands_and_filter_inputs_rejected() {
+        for src in [
+            "R(x) <- S(x), x < _",
+            "R(x) <- S(x), _ = x",
+            "R(x) <- S(x), contains(x, _)",
+            "R(x) <- S(x), contains(_, x)",
+        ] {
+            let err = analyze_src(src, &["S"]).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Unsafe { line: 1, .. }),
+                "{src}: {err:?}"
+            );
+        }
     }
 
     #[test]

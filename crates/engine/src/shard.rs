@@ -5,8 +5,8 @@
 use crate::error::Result;
 use crate::ie::{IeContext, SharedDocs};
 use crate::plan::{
-    cell, internal, operand, run_steps, scan_source, scan_step, Batch, Columns, ExecCtx, HeadOut,
-    PTerm, RulePlan, Source, Step, TraceCtx,
+    run_steps, scan_source, scan_step, Batch, Columns, ExecCtx, HeadOut, RulePlan, Source, Step,
+    TraceCtx,
 };
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
@@ -56,7 +56,7 @@ pub(crate) fn run_sharded(
 ) -> Result<Vec<Rows>> {
     let scan = &plan.steps[order[0]];
     let Step::Scan { relation, terms } = scan else {
-        return Err(internal(plan, "a firing shards at a scan".to_string()));
+        unreachable!("a firing shards at a scan (`shard_scan`)");
     };
     let Some(source) = scan_source(order[0], relation, relations, ctx) else {
         return Ok(Vec::new());
@@ -76,7 +76,7 @@ pub(crate) fn run_sharded(
         };
         shard.bind(scan);
         let shard = run_steps(plan, &order[1..], shard, relations, ctx, tr)?;
-        project_head(plan, &shard)
+        Ok(project_head(plan, &shard))
     };
     if ctx.workers < 2 || scanned.len() < 2 {
         return shard(source.range.clone(), tr).map(|rows| vec![rows]);
@@ -108,23 +108,15 @@ pub(crate) fn run_sharded(
 /// per head column, where an aggregate column takes its variable's.
 /// Runs once per shard; [`fold_aggregates`] groups what every shard
 /// projected.
-pub(crate) fn project_head(plan: &RulePlan, batch: &Batch) -> Result<Rows> {
+pub(crate) fn project_head(plan: &RulePlan, batch: &Batch) -> Rows {
     let mut out = Rows::new(plan.head.len());
-    if batch.rows.is_empty() {
-        return Ok(out);
-    }
-    let as_term = |h: &HeadOut| match h {
-        HeadOut::Const(c) => PTerm::Const(c.clone()),
-        HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => PTerm::Var(*v),
-    };
-    let head: Vec<PTerm> = plan.head.iter().map(as_term).collect();
-    for t in &head {
-        operand(plan, t, &batch.bound, "head variable")?;
-    }
     for row in batch.rows.iter() {
-        out.push(head.iter().map(|t| cell(t, row)));
+        out.push(plan.head.iter().map(|h| match h {
+            HeadOut::Const(c) => c,
+            HeadOut::Var(v) | HeadOut::Aggregate { var: v, .. } => &row[*v],
+        }));
     }
-    Ok(out)
+    out
 }
 
 /// The head rows of a firing from what its shards projected: the pieces
@@ -215,6 +207,7 @@ fn fold_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PTerm;
 
     /// Where [`shard_scan`] cuts a firing: `order` over a plan of
     /// `steps` on variables `0..4`.
@@ -227,7 +220,6 @@ mod tests {
             line: 1,
             source: String::new(),
             dependencies: Vec::new(),
-            opt: None,
         };
         shard_scan(&plan, order)
     }

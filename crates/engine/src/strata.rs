@@ -153,7 +153,6 @@ mod tests {
             line: 1,
             source: format!("{head}() <- …."),
             dependencies: deps.iter().map(|(d, n)| (d.to_string(), *n)).collect(),
-            opt: None,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The flat row store under the fixpoint, from the outside: the arena
 //! `Relation` against a set model, recursion whose relations are
 //! re-indexed by extension, a head without columns, and the wall-clock
-//! budget inside one join.
+//! budget inside one join, one IE batch and one `rgx_all` call.
 //!
 //! (The `Relation` model test lives here rather than in
 //! `spannerlib-core`, which has no `proptest` dev-dependency.)
@@ -197,6 +197,37 @@ fn wall_clock_budget_interrupts_one_large_join() {
     assert_eq!(culprit.head, "Big");
     assert!(culprit.source.contains("N(x), N(y), N(z)"), "{culprit:?}");
     assert!(took < Duration::from_secs(2), "gave up after {took:?}");
+}
+
+/// One `rgx_all` call can enumerate for seconds: `x{a*}y{a*}b` over
+/// 400 `a`s matches nothing, through Θ(n³) configurations. The call asks
+/// the run's deadline as it goes and stops there, and the run fails on
+/// its budget, not on the call.
+#[test]
+fn wall_clock_budget_interrupts_one_rgx_all_call() {
+    let mut session = Session::builder().max_eval_millis(200).build();
+    let text = "a".repeat(400);
+    session.run("new Docs(str)").unwrap();
+    session
+        .add_fact("Docs", [Value::str(text.as_str())])
+        .unwrap();
+    session
+        .run(r#"M(x, y) <- Docs(t), rgx_all("x{a*}y{a*}b", t) -> (x, y)"#)
+        .unwrap();
+    let started = Instant::now();
+    let err = session.ensure_evaluated().unwrap_err();
+    let took = started.elapsed();
+    let EngineError::LimitExceeded {
+        resource,
+        limit,
+        culprit,
+    } = &err
+    else {
+        panic!("expected LimitExceeded, got {err:?}");
+    };
+    assert_eq!((*resource, *limit), ("eval wall-clock millis", 200));
+    assert_eq!(culprit.head, "M");
+    assert!(took < Duration::from_secs(3), "gave up after {took:?}");
 }
 
 /// One IE step over many rows is a single batch: the look at the clock

@@ -18,10 +18,6 @@
 //! *i*, so a cue match names its rule and its token range directly
 //! ([`crate::PhraseMatch::index`], [`crate::PhraseMatch::tokens`]).
 
-mod rules;
-
-pub use rules::default_rules;
-
 use crate::matcher::PhraseMatcher;
 use crate::tokenizer::{tokenize, Token};
 
@@ -148,12 +144,6 @@ impl TargetAssertion {
 pub struct ContextEngine {
     rules: Vec<ModifierRule>,
     matcher: PhraseMatcher,
-}
-
-impl Default for ContextEngine {
-    fn default() -> Self {
-        ContextEngine::new(default_rules())
-    }
 }
 
 impl ContextEngine {
@@ -321,8 +311,32 @@ impl ContextEngine {
 mod tests {
     use super::*;
 
+    /// The cues these tests read, each as a clinical lexicon writes it
+    /// (the case study's is `spannerlib_covid`'s `MODIFIER_TABLE`).
     fn engine() -> ContextEngine {
-        ContextEngine::default()
+        use ModifierCategory::*;
+        use ModifierDirection::*;
+        let rules = [
+            ("denies", NegatedExistence, Forward, Some(10)),
+            ("no", NegatedExistence, Forward, Some(10)),
+            ("no evidence of", NegatedExistence, Forward, Some(10)),
+            ("ruled out", NegatedExistence, Backward, Some(10)),
+            ("was ruled out", NegatedExistence, Backward, Some(10)),
+            ("confirmed", PositiveExistence, Forward, Some(10)),
+            ("evidence of", PositiveExistence, Forward, Some(10)),
+            ("tested positive for", PositiveExistence, Forward, Some(10)),
+            ("if", Hypothetical, Forward, Some(12)),
+            ("return if", Hypothetical, Forward, Some(12)),
+            ("history of", Historical, Forward, Some(10)),
+            ("mother", FamilyExperiencer, Forward, Some(12)),
+            ("possible", Uncertain, Forward, Some(10)),
+            ("history of present illness", Uncertain, Pseudo, None),
+            ("but", Uncertain, Terminate, None),
+        ];
+        let rules = rules.map(|(phrase, category, direction, max_scope)| {
+            ModifierRule::new(phrase, category, direction, max_scope)
+        });
+        ContextEngine::new(rules.to_vec())
     }
 
     /// Helper: assert categories for the given target substring within

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use spannerlib_covid::corpus::generate_corpus;
 use spannerlib_covid::native::context_rules::modifier_rules;
 use spannerlib_covid::native::target_rules::{build_target_matcher, lexicon_rows};
-use spannerlib_nlp::context::{default_rules, ContextModifier, TargetAssertion};
+use spannerlib_nlp::context::{ContextModifier, TargetAssertion};
 use spannerlib_nlp::sections::{default_headers, detect_sections, detect_sections_with};
 use spannerlib_nlp::tokenizer::tokenize;
 use spannerlib_nlp::{split_sentences, ContextEngine, ModifierRule, PhraseMatcher};
@@ -30,7 +30,6 @@ mod reference {
     #![allow(dead_code)]
 
     use rustc_hash::FxHashMap;
-    use spannerlib_nlp::context::default_rules;
     use spannerlib_nlp::context::{ContextModifier, TargetAssertion};
     use spannerlib_nlp::sections::Section;
     use spannerlib_nlp::{ModifierCategory, ModifierDirection, ModifierRule, Token, TokenKind};
@@ -273,12 +272,6 @@ mod reference {
     pub struct ContextEngine {
         rules: Vec<ModifierRule>,
         matcher: PhraseMatcher,
-    }
-
-    impl Default for ContextEngine {
-        fn default() -> Self {
-            ContextEngine::new(default_rules())
-        }
     }
 
     impl ContextEngine {
@@ -609,7 +602,7 @@ proptest! {
             .step_by(every)
             .map(|t| (t.start, t.end))
             .collect();
-        same_assertions(&default_rules(), &text, &targets);
+        same_assertions(&modifier_rules(), &text, &targets);
     }
 }
 

@@ -11,7 +11,8 @@
 //! configurations `(state, slots)`. This can grow combinatorially for
 //! adversarial patterns (the spanner can genuinely have exponentially many
 //! rows, e.g. `x{a*}y{a*}` over `aⁿ` has Θ(n²) rows), so callers can bound
-//! the output with [`all_matches_bounded`].
+//! the output with [`all_matches_bounded`], and its time with the stop
+//! check it asks every few thousand configurations.
 
 use crate::nfa::{assertion_holds, Inst, Program, StateId};
 use rustc_hash::FxHashSet;
@@ -30,24 +31,38 @@ pub struct AllMatch {
 /// Enumerates every match of `program` over `text` under spanner
 /// semantics, sorted by `(start, end, groups)`.
 pub fn all_matches(program: &Program, text: &str) -> Vec<AllMatch> {
-    all_matches_bounded(program, text, usize::MAX)
+    all_matches_bounded(program, text, usize::MAX, &|| false).expect("nothing stops it")
 }
+
+/// Configurations the simulation steps between two stop checks.
+const STOP_STRIDE: usize = 4096;
 
 /// Like [`all_matches`] but stops once `limit` distinct rows have been
 /// collected, never holding more (the rows collected so far are
-/// returned, sorted). The time spent before it stops is not bounded.
-pub fn all_matches_bounded(program: &Program, text: &str, limit: usize) -> Vec<AllMatch> {
+/// returned, sorted). Every 4 096 configurations it steps it asks
+/// `stop`, and gives up with `None` once that answers `true`.
+pub fn all_matches_bounded(
+    program: &Program,
+    text: &str,
+    limit: usize,
+    stop: &dyn Fn() -> bool,
+) -> Option<Vec<AllMatch>> {
     let mut out: FxHashSet<AllMatch> = FxHashSet::default();
+    let mut stepped = 0usize;
+    let mut stopped = || {
+        stepped += 1;
+        stepped.is_multiple_of(STOP_STRIDE) && stop()
+    };
     let boundaries = text.char_indices().map(|(i, _)| i);
     for start in boundaries.chain(std::iter::once(text.len())) {
         if out.len() >= limit {
             break;
         }
-        matches_from(program, text, start, limit, &mut out);
+        matches_from(program, text, start, limit, &mut out, &mut stopped)?;
     }
     let mut rows: Vec<AllMatch> = out.into_iter().collect();
     rows.sort();
-    rows
+    Some(rows)
 }
 
 /// Configuration of the all-runs simulation.
@@ -58,14 +73,16 @@ struct Config {
 }
 
 /// Adds to `out` every accepting run that starts at byte `start`, until
-/// `out` holds `limit` rows.
+/// `out` holds `limit` rows. `None` when `stopped`, asked once per
+/// configuration stepped, says to stop.
 fn matches_from(
     program: &Program,
     text: &str,
     start: usize,
     limit: usize,
     out: &mut FxHashSet<AllMatch>,
-) {
+    stopped: &mut dyn FnMut() -> bool,
+) -> Option<()> {
     let len = text.len();
     let mut prev_char = if start == 0 {
         None
@@ -99,7 +116,7 @@ fn matches_from(
             if matches!(program.inst(c.pc), Inst::Match) {
                 out.insert(config_to_match(program, c, start, at));
                 if out.len() >= limit {
-                    return;
+                    return Some(());
                 }
             }
         }
@@ -110,6 +127,9 @@ fn matches_from(
         let mut next_configs: Vec<Config> = Vec::new();
         let mut next_seen: FxHashSet<Config> = FxHashSet::default();
         for c in configs.drain(..) {
+            if stopped() {
+                return None;
+            }
             let advance = match program.inst(c.pc) {
                 Inst::Char { c: want, next } => (ch == *want).then_some(*next),
                 Inst::Class { set, next } => set.contains(ch).then_some(*next),
@@ -142,6 +162,7 @@ fn matches_from(
         cur_char = next_char;
         at = next_at;
     }
+    Some(())
 }
 
 /// Epsilon closure that keeps *all* distinct `(state, slots)`
@@ -295,7 +316,7 @@ mod tests {
     #[test]
     fn bounded_enumeration_stops_early() {
         let program = compile(&parse("a*").unwrap()).unwrap();
-        let ms = all_matches_bounded(&program, &"a".repeat(100), 10);
+        let ms = all_matches_bounded(&program, &"a".repeat(100), 10, &|| false).unwrap();
         assert_eq!(ms.len(), 10);
     }
 
@@ -306,7 +327,7 @@ mod tests {
         let program = compile(&parse("x{a*}").unwrap()).unwrap();
         let text = "a".repeat(2_000);
         for limit in [1, 7, 100, 2_001] {
-            let ms = all_matches_bounded(&program, &text, limit);
+            let ms = all_matches_bounded(&program, &text, limit, &|| false).unwrap();
             assert_eq!(ms.len(), limit);
             assert!(ms.windows(2).all(|w| w[0] < w[1]));
         }

@@ -298,9 +298,15 @@ impl Regex {
         all_matches(&self.program, text)
     }
 
-    /// [`Regex::all_matches`] truncated after `limit` rows.
-    pub fn all_matches_bounded(&self, text: &str, limit: usize) -> Vec<AllMatch> {
-        all_matches_bounded(&self.program, text, limit)
+    /// [`Regex::all_matches`] truncated after `limit` rows; `None` once
+    /// `stop`, asked every few thousand configurations, answers `true`.
+    pub fn all_matches_bounded(
+        &self,
+        text: &str,
+        limit: usize,
+        stop: &dyn Fn() -> bool,
+    ) -> Option<Vec<AllMatch>> {
+        all_matches_bounded(&self.program, text, limit, stop)
     }
 }
 

@@ -846,6 +846,33 @@ fn a_rule_that_does_not_compile_is_refused_at_register_and_leaves_no_trace() {
     thread.join().unwrap();
 }
 
+/// A `_` comparison operand has no value to compare: the rule is
+/// unsafe, refused at `/register`, and the program keeps answering.
+#[test]
+fn a_wildcard_comparison_operand_is_refused_at_register() {
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let rules = r#"{"rules": "new S(int)\nS(1)\nGood(x) <- S(x)"}"#;
+    assert_eq!(post(&mut client, "/register", rules).0, 200);
+
+    let bad = r#"{"rules": "Bad(x) <- S(x), x < _"}"#;
+    let (status, body) = post(&mut client, "/register", bad);
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(error_kind(&body), Some("bad_request"));
+    let message = body.get("error").unwrap().get("message").unwrap();
+    assert!(
+        message.as_str().unwrap().contains("wildcard operand"),
+        "{message:?}"
+    );
+
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?Good(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
 /// Two registered rules share an `rgx` call, which the program plans as
 /// the relations `rgx#0?` and `rgx#0`: the daemon answers the rules, and
 /// neither an import nor a query can name those relations.

@@ -73,7 +73,7 @@ R(x) <- x < 10, S(x), x != y, S(y)
 R(x, y) <- S(x, y), contains(x, y)
 "#;
 
-/// The six unsafe rules `safety.rs`'s unit tests provoke.
+/// The eight unsafe rules `safety.rs`'s unit tests provoke.
 const UNSAFE: &str = r#"
 R(x) <- f(x) -> (y), g(y) -> (x)
 R(x, y) <- S(x)
@@ -81,6 +81,8 @@ R(x) <- S(x), not T(y)
 R(x) <- S(x), x < y
 R(_) <- S(x)
 R(x) <- S(x), rgx("a", _) -> (y)
+R(x) <- S(x), x < _
+R(x) <- S(x), contains(x, _)
 "#;
 
 const GOLDEN: &str = r#"covid.slog
@@ -128,6 +130,8 @@ unsafe
   R(x) <- S(x), x < y. => unsafe rule (line 5): no safe evaluation order: cannot schedule x < y
   R(_) <- S(x). => unsafe rule (line 6): wildcard in rule head
   R(x) <- S(x), rgx("a", _) -> (y). => unsafe rule (line 7): IE function "rgx" has a wildcard input
+  R(x) <- S(x), x < _. => unsafe rule (line 8): comparison x < _ has a wildcard operand
+  R(x) <- S(x), contains(x, _). => unsafe rule (line 9): IE function "contains" has a wildcard input
 "#;
 
 #[test]
