@@ -266,6 +266,14 @@ impl Database {
         new_ids
     }
 
+    /// Puts the rows of `name` in the order of `ids`, a permutation of its
+    /// row ids, keeping its generation; its indexes must be forgotten.
+    pub(crate) fn reorder(&mut self, name: &str, ids: impl IntoIterator<Item = usize>) {
+        if let Some(rel) = self.relations.get_mut(name) {
+            *rel = rel.subset(ids);
+        }
+    }
+
     /// Removes a relation entirely. Returns `true` when it existed.
     pub fn remove(&mut self, name: &str) -> bool {
         let existed = self.relations.remove(name).is_some();

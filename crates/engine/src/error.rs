@@ -142,14 +142,18 @@ pub enum EngineError {
     },
 
     /// An atom used a relation with the wrong number of arguments.
-    #[error("arity mismatch for {relation:?}: declared {expected}, used with {actual}")]
+    #[error(
+        "arity mismatch for {relation:?}: declared {expected}, used with {actual} (line {line})"
+    )]
     Arity {
         /// Relation name.
         relation: String,
-        /// Declared arity.
+        /// Declared arity (or that of the relation's first rule head).
         expected: usize,
         /// Arity at the use site.
         actual: usize,
+        /// Source line of the rule that used it; `0` outside a rule.
+        line: usize,
     },
 
     /// An IE function was called with the wrong number of inputs.

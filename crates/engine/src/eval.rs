@@ -1,17 +1,19 @@
-//! Bottom-up evaluation, component by component, semi-naive.
+//! Bottom-up evaluation, component by component, in one delta loop.
 //!
 //! The program arrives as the components of its predicate dependency
 //! graph, dependencies first ([`crate::strata`]). The paper's
 //! implementation "extended the naive bottom-up evaluation method to
-//! include evaluation of IE clauses" (§3.1). This evaluator derives
-//! what that loop derives, with less work: it fires the rules of a
-//! non-recursive component exactly once — nothing they read can still
-//! change — runs the standard delta refinement (Green et al., *Datalog
-//! and Recursive Query Processing*) on recursive ones, orders steps by
-//! estimated cost, reuses scan indexes across the run, and shards every
-//! firing across the session's lanes. The paper's loop itself lives in
-//! the engine's tests, as a reference evaluator that shares none of this
-//! code; the property tests hold every configuration of this one to it.
+//! include evaluation of IE clauses" (§3.1). This evaluator derives what
+//! that loop derives, with less work: every run turns the rows each
+//! component's inputs gained and lost into those its heads gained and
+//! lost ([`crate::maintain`]) — a full run from the empty database, so
+//! each rule fires once and a recursive component then runs the standard
+//! delta refinement (Green et al., *Datalog and Recursive Query
+//! Processing*). Steps are ordered by estimated cost, scan indexes are
+//! reused across the run, and a full run shards every firing across the
+//! session's lanes. The paper's loop itself lives in the engine's tests,
+//! as a reference evaluator that shares none of this code; the property
+//! tests hold every configuration of this one to it.
 //!
 //! Evaluation respects the session's [`EvalLimits`]: a bound on the
 //! rounds of recursive components guards against runaway recursion, a
@@ -28,16 +30,15 @@
 use crate::database::Database;
 use crate::error::{EngineError, LimitCulprit, Result};
 use crate::ie::SharedDocs;
-use crate::maintain::Maintenance;
+use crate::maintain::Seeds;
 use crate::optimizer::IndexCache;
-use crate::plan::{self, ExecCtx, RulePlan, Step, TraceCtx};
+use crate::plan::{self, ExecCtx, RulePlan, Source, TraceCtx};
+use crate::prepared::CompiledProgram;
 use crate::registry::Registry;
 use crate::strata::Component;
 use crate::EvalMode;
-use rustc_hash::FxHashMap;
 use spannerlib_core::Rows;
 use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
-use std::ops::Range;
 
 /// Resource limits applied to one fixpoint run (`None` = unlimited).
 /// Configured through `SessionBuilder`.
@@ -185,8 +186,8 @@ pub(crate) struct Run<'a> {
     stats: EvalStats,
     /// Rounds charged against [`EvalLimits::max_rounds`].
     charged_rounds: usize,
-    /// The execution environment of a full firing; delta variants
-    /// override `delta`, maintenance variants `seed`.
+    /// The execution environment of every firing; each firing brings its
+    /// own sources.
     pub(crate) exec: ExecCtx<'a>,
 }
 
@@ -201,14 +202,10 @@ pub(crate) struct Scope<'a> {
     driver: Option<usize>,
 }
 
-/// Per-round deltas of a recursive component's predicates: the row ids
-/// a round appended to each (relations are append-only arenas).
-pub(crate) type Deltas = FxHashMap<String, Range<usize>>;
-
 /// One rule firing of a round: the index of the rule in its component,
-/// the plan that runs — the rule's own or a variant of it — and where
-/// its scans read.
-pub(crate) type Firing<'p, 'x> = (usize, &'p RulePlan, ExecCtx<'x>);
+/// the plan that runs — the rule's own or a variant of it — and, per
+/// step, what its scan reads in place of the whole relation.
+pub(crate) type Firing<'p> = (usize, &'p RulePlan, Vec<(usize, Source<'p>)>);
 
 /// The document store and the indexes on loan to one evaluation: the
 /// documents behind the [`SharedDocs`] lock while rules fire, both moved
@@ -238,48 +235,36 @@ impl Drop for Lent<'_> {
     }
 }
 
-/// Evaluates `components` in order, inserting derived tuples into `db`.
-/// A non-recursive component is complete after each of its rules fires
-/// once; a recursive one runs to fixpoint. Progress is reported
-/// through `trace` (free when tracing is off); on a limit abort the
-/// trace keeps the partial per-component progress.
+/// Brings the derived relations of `db` up to date under `program`, from
+/// what `seeds` say its inputs gained and lost since the old database,
+/// each component under its own trace scope. Progress is reported
+/// through `trace` (free when tracing is off); on a limit abort the trace
+/// keeps the partial per-component progress.
 ///
 /// For the duration of the run the documents sit behind a
 /// [`SharedDocs`] lock — IE functions resolve and intern through it on
 /// the calling thread exactly as on shard workers — and move back on
 /// every exit (see the threading contract in `crate::session`), as do
 /// the database's indexes, which the run reads and extends.
-pub(crate) fn evaluate(
-    db: &mut Database,
-    components: &[Component],
-    ctx: &EvalCtx<'_>,
-    trace: &mut RunTrace,
-) -> Result<EvalStats> {
-    run(db, components, ctx, trace, None)
-}
-
-/// [`evaluate`] — or, given `maintenance`, the update of the derived
-/// relations `db` already holds to the inputs it holds now, component by
-/// component from the rows that changed (`crate::maintain`).
 pub(crate) fn run(
     db: &mut Database,
-    components: &[Component],
+    program: &CompiledProgram,
     ctx: &EvalCtx<'_>,
     trace: &mut RunTrace,
-    mut maintenance: Option<Maintenance<'_>>,
+    mut seeds: Seeds,
 ) -> Result<EvalStats> {
     let lent = Lent {
         docs: SharedDocs::new(std::mem::take(&mut db.docs)),
         indexes: std::mem::take(&mut db.indexes),
-        keep: maintenance.is_some(),
+        keep: !seeds.is_full(),
         db,
     };
     let db = &mut *lent.db;
     // The database's indexes serve the whole run: relations only grow
-    // while it executes (derived state was cleared before it, or
-    // maintenance renumbers what it shrinks), so row ids are stable and
-    // an index is extended, never rebuilt, across fixpoint rounds, rules,
-    // and components.
+    // while it executes (derived state was cleared before it, or a
+    // maintained run renumbers what it shrinks), so row ids are stable
+    // and an index is extended, never rebuilt, across fixpoint rounds,
+    // rules, and components.
     let index_cache = &lent.indexes;
     let (hits, builds) = (index_cache.hits(), index_cache.builds());
     let mut run = Run {
@@ -289,53 +274,29 @@ pub(crate) fn run(
         charged_rounds: 0,
         exec: ExecCtx {
             registry: ctx.registry,
-            delta: None,
-            seed: None,
+            sources: &[],
             indexes: index_cache,
             docs: &lent.docs,
-            workers: ctx.workers,
+            // A run over a few changed rows fires on the calling thread: a
+            // shard's fixed cost (a thread, a trace fork and a batch per
+            // range) outweighs what another lane saves it — on the
+            // two-core reference host even the insertions of 24 new notes
+            // run faster on one.
+            workers: if seeds.is_full() { ctx.workers } else { 0 },
             deadline: EvalDeadline::start(&ctx.limits),
         },
     };
+    let components = &program.components;
     let root = run.trace.open(NO_SPAN, SpanKind::Execute, || {
         format!("evaluate ({} components)", components.len())
     });
     let result = (components.iter().enumerate()).try_for_each(|(index, component)| {
-        run.component(db, component, index, root, maintenance.as_mut())
-    });
-    if result.is_ok() {
-        run.trace.close(root);
-    }
-    // The index counters and the lanes fold into the trace on both the
-    // success and the abort path; shards and IE batches were counted
-    // where they ran.
-    let (hits, builds) = (index_cache.hits() - hits, index_cache.builds() - builds);
-    run.trace.index_cache(hits, builds);
-    run.trace.parallel_summary(ctx.workers as u64, 0, 0);
-    result.map(|()| run.stats)
-}
-
-impl Run<'_> {
-    /// Evaluates — or maintains — one component under its own trace
-    /// scope.
-    fn component(
-        &mut self,
-        db: &mut Database,
-        component: &Component,
-        index: usize,
-        root: SpanId,
-        maintenance: Option<&mut Maintenance<'_>>,
-    ) -> Result<()> {
         let rules = &component.rules;
-        let rule_ids = rules
-            .iter()
-            .map(|r| {
-                self.trace
-                    .register_rule(index, &r.head_predicate, &r.source, r.line as u32)
-            })
+        let rule_ids = (rules.iter())
+            .map(|r| (run.trace).register_rule(index, &r.head_predicate, &r.source, r.line as u32))
             .collect();
-        let t0 = self.trace.now_ns();
-        let span = self.trace.open(root, SpanKind::Stratum, || {
+        let t0 = run.trace.now_ns();
+        let span = run.trace.open(root, SpanKind::Stratum, || {
             format!("component {index} ({} rules)", rules.len())
         });
         let mut scope = Scope {
@@ -345,90 +306,36 @@ impl Run<'_> {
             span,
             driver: None,
         };
-        let result = match (maintenance, component.recursive) {
-            (Some(maintenance), _) => maintenance.component(self, db, &mut scope),
-            (None, false) => self.round(db, &mut scope, None).map(drop),
-            (None, true) => self.seminaive(db, &mut scope),
-        };
-        self.trace.stratum_done(index, t0);
-        self.trace.close(span);
+        let result = seeds.component(&mut run, db, &mut scope, &program.variants[index]);
+        run.trace.stratum_done(index, t0);
+        run.trace.close(span);
         result
+    });
+    if result.is_ok() {
+        run.trace.close(root);
     }
+    // The index counters and the lanes fold into the trace on both the
+    // success and the abort path; shards and IE batches were counted
+    // where they ran.
+    let (hits, builds) = (index_cache.hits() - hits, index_cache.builds() - builds);
+    run.trace.index_cache(hits, builds);
+    run.trace.parallel_summary(run.exec.workers as u64, 0, 0);
+    result.map(|()| run.stats)
+}
 
-    /// Round 1 fires every rule in full (everything read from outside
-    /// the component is complete; its own relations hold at most
-    /// imported facts), and the delta loop takes it from there.
-    pub(crate) fn seminaive(&mut self, db: &mut Database, scope: &mut Scope<'_>) -> Result<()> {
-        let ends = head_ends(db, scope);
-        self.round(db, scope, None)?;
-        self.delta_rounds(db, scope, ends)
-    }
-
-    /// The delta loop of a recursive component, once its heads have grown
-    /// past `ends`: each round fires, per rule and per scan over a
-    /// predicate of the component, the variant with that scan reading
-    /// the delta — the rows the round before appended — until a round
-    /// appends nothing.
-    pub(crate) fn delta_rounds(
-        &mut self,
-        db: &mut Database,
-        scope: &mut Scope<'_>,
-        mut deltas: Deltas,
-    ) -> Result<()> {
-        loop {
-            for (head, delta) in &mut deltas {
-                *delta = delta.end..db.relation(head).map_or(0, |rel| rel.len());
-            }
-            if deltas.values().all(Range::is_empty) {
-                return Ok(());
-            }
-            self.round(db, scope, Some(&deltas))?;
-        }
-    }
-
-    /// One round over the component's rules: full firings, or — given
-    /// `deltas` — the delta variants.
-    fn round(
-        &mut self,
-        db: &mut Database,
-        scope: &mut Scope<'_>,
-        deltas: Option<&Deltas>,
-    ) -> Result<bool> {
-        let mut firings = Vec::new();
-        for (ri, rule) in scope.component.rules.iter().enumerate() {
-            // `None` is the full firing; `Some((i, delta))` the variant
-            // whose scan at step `i` — over a predicate of the component
-            // — reads only `delta`.
-            let variants: Vec<Option<(usize, Range<usize>)>> = match deltas {
-                None => vec![None],
-                Some(deltas) => (rule.steps.iter().enumerate())
-                    .filter_map(|(i, s)| match s {
-                        Step::Scan { relation, .. } => Some((i, deltas.get(relation)?.clone())),
-                        _ => None,
-                    })
-                    .map(Some)
-                    .collect(),
-            };
-            firings.extend(variants.into_iter().map(|delta| {
-                let exec = ExecCtx { delta, ..self.exec };
-                (ri, rule, exec)
-            }));
-        }
-        self.fire_round(db, scope, firings)
-    }
-
+impl Run<'_> {
     /// One round of `firings`, which read `db` and insert what they
-    /// derive into it. Checks the run's limits once the round is over and
-    /// returns whether anything new was derived; a round with nothing to
-    /// fire is no round.
+    /// derive into it — a firing sees what those before it in the round
+    /// inserted. Checks the run's limits once the round is over; a round
+    /// with nothing to fire is no round.
     pub(crate) fn fire_round(
         &mut self,
         db: &mut Database,
         scope: &mut Scope<'_>,
-        firings: Vec<Firing<'_, '_>>,
-    ) -> Result<bool> {
+        firings: Vec<Firing<'_>>,
+    ) -> Result<()> {
         if firings.is_empty() {
-            return Ok(false);
+            return Ok(());
         }
         let component = scope.component;
         // A round of the rules a shared call adds alone is no round.
@@ -443,8 +350,7 @@ impl Run<'_> {
         let round_span = self
             .trace
             .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
-        let mut changed = false;
-        for (ri, plan, exec) in firings {
+        for (ri, plan, sources) in firings {
             let rule_span = self
                 .trace
                 .open(round_span, SpanKind::Rule, || plan.source.clone());
@@ -453,10 +359,13 @@ impl Run<'_> {
                 rule: scope.rule_ids[ri],
                 parent: rule_span,
             };
+            let exec = ExecCtx {
+                sources: &sources,
+                ..self.exec
+            };
             let fired = fire_rule(db, plan, &exec, self.limits, &mut self.stats, &mut tr);
             self.trace.close(rule_span);
             if fired? {
-                changed = true;
                 scope.driver = Some(ri);
             }
         }
@@ -467,7 +376,7 @@ impl Run<'_> {
         if let Some(d) = self.exec.deadline {
             d.check(driver)?;
         }
-        Ok(changed)
+        Ok(())
     }
 }
 
@@ -508,12 +417,4 @@ fn fire_rule(
     tr.trace
         .rule_fired(tr.rule, derived_n, new_n, t0, rule.is_written());
     inserted.map(|()| new_n > 0)
-}
-
-/// The current end of every head relation of the scope's component: the
-/// deltas the delta loop starts from.
-pub(crate) fn head_ends(db: &Database, scope: &Scope<'_>) -> Deltas {
-    let heads = scope.component.rules.iter().map(|r| &r.head_predicate);
-    let len = |head: &str| db.relation(head).map_or(0, |rel| rel.len());
-    heads.map(|h| (h.clone(), 0..len(h))).collect()
 }

@@ -1,74 +1,66 @@
-//! Incremental maintenance: after a write, a session updates
-//! the derived relations it holds from the input rows that changed,
-//! instead of dropping them and deriving everything again.
+//! The one evaluation loop. Every run takes the components in order, and
+//! each turns the rows its inputs gained and lost since an *old* database
+//! into the rows its heads gained and lost, which seed the components
+//! after (`Seeds`). After a write the old database is the one the last
+//! successful evaluation left (an `Arc` its snapshots already share), and
+//! a moved input's changes are a diff of its old and new rows; a full run
+//! starts from the empty database, over which every relation gained all
+//! of its rows ([`FullReason`](crate::FullReason) says why). A relation's
+//! gains are a range of its arena, its rows from an id on: relations only
+//! grow during a run, and an input a write changed, or a head derived
+//! again, is put in that order once.
 //!
-//! The session keeps the database as of its last successful evaluation
-//! — the *old* database, an `Arc` its snapshots already share — and its
-//! evaluation driver decides when to maintain from it. The rows each
-//! moved input gained and lost — a diff of its old and new rows, so an
-//! identical re-import changes nothing — seed the update. Every
-//! component, in evaluation order, turns the changes of what it reads
-//! into the changes of its heads, which seed the components that read
-//! those; a component no seed reaches is left alone.
+//! * **Inserts** take the standard delta form (Peterfreund et al.,
+//!   *Recursive Programs for Document Spanners*): per atom whose relation
+//!   gained rows, the rule with that atom reading them, each later atom
+//!   that gained rows reading the rows it held before, and each earlier
+//!   one all of its rows, so a derivation is made once. A negated atom
+//!   seeds through the rows it lost. A variant one of whose later atoms
+//!   held no row is skipped: a full run fires each rule once, and a rule
+//!   that scans nothing fires only there. A recursive component then runs
+//!   rounds of the same variants over what the round before appended.
+//! * **Deletes** come first, where an atom of a non-recursive component
+//!   lost rows (a negated one: gained them): delete-and-rederive (Gupta,
+//!   Mumick & Subrahmanian, SIGMOD 1993) over-deletes, by the atom's key,
+//!   every head that agrees with a lost row on the head variables the
+//!   atom binds, with no IE call, and rederives what a `Cand(head) ⋈ body`
+//!   plan still derives. An aggregating component something reached, and
+//!   one whose deletes this does not serve — it is recursive, the atom
+//!   binds no head variable, a key reaches most of the head — clear their
+//!   heads and run the loop with every input gained.
 //!
-//! * A non-recursive component runs delete-and-rederive (DRed; Gupta,
-//!   Mumick & Subrahmanian, SIGMOD 1993) over *seeded variants*: a rule
-//!   with one of its atoms reading the rows that changed. A negated atom
-//!   is a seed like a positive one with the roles swapped — rows it gains
-//!   delete, rows it loses insert — and its variant joins a positive scan
-//!   of them to the rule, negation included.
-//!   1. Over-delete: an atom that lost rows and binds head variables
-//!      deletes every head that agrees with a lost row there — a
-//!      superset of what a derivation through the row can have derived,
-//!      found by index lookups without calling an IE function again.
-//!   2. Those heads leave the relation.
-//!   3. Rederive: the ones a `Cand(head) ⋈ body` plan still derives over
-//!      the new database come back.
-//!   4. Insert: the variants whose atom reads what it gained, every other
-//!      atom reading the new database, add the new derivations.
-//! * A recursive component that only gained input rows continues the
-//!   semi-naive delta loop from its seeded variants (Peterfreund et al.,
-//!   *Recursive Programs for Document Spanners*, for spanner programs).
-//! * An aggregating component, a recursive one that lost input rows, one
-//!   with an atom that lost rows and binds no head variable, and one a key
-//!   would over-delete most of derive their heads again from their
-//!   maintained inputs.
-//!
-//! A maintained run fires every rule over the new database only. It still
-//! calls IE functions — to rederive, and to insert what a negated atom's
-//! lost rows let through — and keeps the rows the old run derived, so it
-//! holds every IE function to the paper's contract: a pure function of
-//! its arguments, so a second call answers what the first did. It takes
-//! every document id for stable, and [`FullReason`](crate::FullReason)
-//! names each case where that, or anything else it relies on, does not
-//! hold. A maintained run fires on the calling thread.
+//! A run after a write keeps the rows the old run derived and calls IE
+//! functions on what changed only, so it holds them to the paper's
+//! contract (a pure function of their arguments) and takes every document
+//! id for stable; each case where that does not hold is a `FullReason`.
+//! It fires on the calling thread.
 
-use crate::database::Database;
+use crate::database::{cleared, Database};
 use crate::error::Result;
-use crate::eval::{self, EvalCtx, EvalStats, Firing, Run, Scope};
+use crate::eval::{Firing, Run, Scope};
 use crate::optimizer::{IndexCache, TupleIndex};
-use crate::plan::{ExecCtx, HeadOut, PTerm, RulePlan, Step};
-use crate::prepared::CompiledProgram;
+use crate::plan::{HeadOut, PTerm, RulePlan, Source, Step};
+use crate::session::driver::OrFull;
 use crate::strata::Component;
 use crate::EvalMode;
 use rustc_hash::FxHashMap;
-use spannerlib_core::{Relation, Value};
-use spannerlib_trace::RunTrace;
+use spannerlib_core::Relation;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The plans maintenance fires for one rule besides the rule itself,
-/// compiled once per program.
+/// The plans a run fires for one rule besides the rule itself, compiled
+/// once per program.
 #[derive(Debug)]
 pub(crate) struct RuleVariants {
-    /// `Cand(head) ⋈ body`: the rule behind a scan of candidate heads at
-    /// step 0, which binds the head variables a body scan binds. `None`
-    /// for an aggregating rule, which is recomputed.
+    /// `Cand(head) ⋈ body ⋈ Cand(head)`: the rule between two scans of
+    /// candidate heads — the first binds the head variables a body scan
+    /// binds, the last keeps the candidates among what the body derives.
+    /// `None` for an aggregating rule, which is derived again.
     rederive: Option<RulePlan>,
     /// Per negated atom, by step: the rule with a positive scan of the
-    /// atom, over the rows its relation gained or lost, after its last
-    /// step. The negation stays: with a `_` in it, a lost row need not
-    /// make it hold, nor a gained one make it fail.
+    /// atom, over the rows its relation lost, after its last step. The
+    /// negation stays: with a `_` in it, a lost row need not make it
+    /// hold.
     negated: Vec<(usize, RulePlan)>,
     /// Per atom that binds head variables, by step: `(atom column, head
     /// column)` for each. A derivation through a row of the atom derives
@@ -85,11 +77,9 @@ pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
             plan.steps.insert(at, scan);
             plan
         };
-        // A head variable only an IE output binds is no join key: the
-        // plan would pair every candidate with every binding of the rest
-        // of the body. Reading it as `_` rederives, instead, every head
-        // the candidates' other columns reach — more than the candidates,
-        // but all of it derivable.
+        // A head variable only an IE output binds is no join key at step
+        // 0: the plan would pair every candidate with every binding of
+        // the rest of the body. It is read as `_` there.
         let scanned = |v: &usize| {
             let scans = rule.steps.iter().filter_map(|s| match s {
                 Step::Scan { terms, .. } => Some(terms),
@@ -97,15 +87,30 @@ pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
             });
             scans.flatten().any(|t| *t == PTerm::Var(*v))
         };
-        let head: Option<Vec<PTerm>> = (rule.head.iter())
-            .map(|h| match h {
-                HeadOut::Var(v) if scanned(v) => Some(PTerm::Var(*v)),
-                HeadOut::Var(_) => Some(PTerm::Wildcard),
-                HeadOut::Const(c) => Some(PTerm::Const(c.clone())),
-                HeadOut::Aggregate { .. } => None,
-            })
-            .collect();
-        let relation = rule.head_predicate.clone();
+        let term = |h: &HeadOut, key: bool| match h {
+            HeadOut::Var(v) if !key || scanned(v) => Some(PTerm::Var(*v)),
+            HeadOut::Var(_) => Some(PTerm::Wildcard),
+            HeadOut::Const(c) => Some(PTerm::Const(c.clone())),
+            HeadOut::Aggregate { .. } => None,
+        };
+        let relation = &rule.head_predicate;
+        let rederive = (rule.head.iter().map(|h| term(h, true)))
+            .collect::<Option<Vec<_>>>()
+            .map(|terms| {
+                let mut plan = with(
+                    0,
+                    Step::Scan {
+                        relation: relation.clone(),
+                        terms,
+                    },
+                );
+                let terms = rule.head.iter().filter_map(|h| term(h, false)).collect();
+                plan.steps.push(Step::Scan {
+                    relation: relation.clone(),
+                    terms,
+                });
+                plan
+            });
         let negated = (rule.steps.iter().enumerate()).filter_map(|(i, step)| match step {
             Step::Negation { relation, terms } => {
                 let (relation, terms) = (relation.clone(), terms.clone());
@@ -126,7 +131,7 @@ pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
             _ => None,
         });
         RuleVariants {
-            rederive: head.map(|terms| with(0, Step::Scan { relation, terms })),
+            rederive,
             negated: negated.collect(),
             keys: keys.collect(),
         }
@@ -135,323 +140,370 @@ pub(crate) fn variants(components: &[Component]) -> Vec<Vec<RuleVariants>> {
     components.iter().map(rules).collect()
 }
 
-/// The rows a relation gained and lost since the last evaluation.
-#[derive(Debug)]
-struct Change {
-    added: Relation,
-    removed: Relation,
+/// Every head of `component`, over the rows it holds now.
+type Ends = FxHashMap<String, Range<usize>>;
+
+fn head_ends(db: &Database, component: &Component) -> Ends {
+    let heads = component.rules.iter().map(|r| &r.head_predicate);
+    let len = |head: &str| db.relation(head).map_or(0, Relation::len);
+    heads.map(|h| (h.clone(), 0..len(h))).collect()
 }
 
-impl Change {
-    /// `None` when nothing changed.
-    fn of(added: Relation, removed: Relation) -> Option<Change> {
-        (!added.is_empty() || !removed.is_empty()).then_some(Change { added, removed })
-    }
-
-    /// What `new` holds and `old` lacks, and the reverse — hashing each
-    /// row of `new` once, and none of `old`.
-    fn between(old: Option<&Relation>, new: Option<&Relation>) -> Option<Change> {
-        let mut kept = vec![false; old.map_or(0, Relation::len)];
-        let mut lacks = |row: &[Value]| match old.and_then(|old| old.row_id(row)) {
-            Some(id) => {
-                kept[id] = true;
-                false
-            }
-            None => true,
-        };
-        let added = new.map_or_else(Relation::default, |new| {
-            new.subset((0..new.len()).filter(|&id| lacks(new.rows().row(id))))
-        });
-        let removed = old.map_or_else(Relation::default, |old| {
-            old.subset((0..old.len()).filter(|&id| !kept[id]))
-        });
-        Change::of(added, removed)
-    }
-}
-
-/// The rows of `rel` with ids in `ids` that `other` lacks.
-fn missing(rel: Option<&Relation>, ids: Range<usize>, other: Option<&Relation>) -> Relation {
-    let Some(rel) = rel else {
-        return Relation::default();
-    };
-    let lacks = |id: &usize| other.is_none_or(|other| other.row_id(rel.rows().row(*id)).is_none());
-    rel.subset(ids.filter(lacks))
-}
-
-/// What a maintained evaluation starts from: the database the last one
-/// left and what each moved input gained and lost since.
+/// What one run starts from: the database the last run left — or why it
+/// starts from the empty one — and what every relation gained and lost
+/// since, the inputs' first and then each head's.
 pub(crate) struct Seeds {
-    old: Arc<Database>,
-    changes: FxHashMap<String, Change>,
+    old: OrFull<Arc<Database>>,
+    /// Per relation that gained rows: the row id they start at. Over the
+    /// empty database every relation gained all of its rows.
+    gained: FxHashMap<String, usize>,
+    /// Per relation that lost rows: those rows.
+    lost: FxHashMap<String, Relation>,
 }
 
 impl Seeds {
-    /// What each input in `moved` gained and lost between `old`, the
-    /// database the last run left, and `db`.
-    pub(crate) fn new(old: Arc<Database>, db: &Database, moved: Vec<&String>) -> Seeds {
-        let changes = moved.into_iter().filter_map(|name| {
-            let change = Change::between(old.relations().get(name), db.relation(name).ok());
-            Some((name.clone(), change?))
-        });
-        Seeds {
-            changes: changes.collect(),
-            old,
-        }
-    }
-
-    /// The mode the maintained run reports.
-    pub(crate) fn mode(&self) -> EvalMode {
-        let count =
-            |side: fn(&Change) -> &Relation| self.changes.values().map(|c| side(c).len()).sum();
-        EvalMode::Maintained {
-            added: count(|c| &c.added),
-            removed: count(|c| &c.removed),
-        }
-    }
-
-    /// Brings the derived relations of `db` — the old database's, under
-    /// the inputs `db` holds now — up to date under `program`.
-    pub(crate) fn run(
-        self,
-        db: &mut Database,
-        program: &CompiledProgram,
-        ctx: &EvalCtx<'_>,
-        trace: &mut RunTrace,
-    ) -> Result<EvalStats> {
+    /// What a run over `db` starts from: the database the last run left,
+    /// with what each input that `moved` since gained and lost — or, `db`
+    /// cleared of its derived rows, the empty one, and why.
+    pub(crate) fn new(
+        basis: OrFull<(Arc<Database>, Vec<&String>)>,
+        db: &mut Arc<Database>,
+    ) -> Seeds {
+        let (gained, lost) = (FxHashMap::default(), FxHashMap::default());
+        let (old, moved) = match basis {
+            Ok(basis) => basis,
+            Err(reason) => {
+                cleared(db);
+                let old = Err(reason);
+                return Seeds { old, gained, lost };
+            }
+        };
         // `db` copied the old database's indexes along with its rows when
         // the write copied them; the old one hands them over.
-        self.old.indexes.clear();
-        let maintenance = Maintenance {
-            old: &self.old,
-            variants: &program.variants,
-            changes: self.changes,
-        };
-        // Firings over a few changed rows: a shard's fixed cost (a thread,
-        // a trace fork and a batch per range) outweighs what another lane
-        // saves them — on the two-core reference host even the insertions
-        // of 24 new notes run faster on one.
-        let ctx = EvalCtx { workers: 0, ..*ctx };
-        eval::run(db, &program.components, &ctx, trace, Some(maintenance))
+        old.indexes.clear();
+        let db = Arc::make_mut(db);
+        let indexes = std::mem::take(&mut db.indexes);
+        let (old_rels, old) = (old.relations(), Ok(Arc::clone(&old)));
+        let mut seeds = Seeds { old, gained, lost };
+        for name in moved {
+            let (gained, lost) = diff(old_rels.get(name), db, name, &indexes);
+            seeds.record(name, gained, lost);
+        }
+        db.indexes = indexes;
+        seeds
     }
-}
 
-/// The state of one maintained evaluation.
-pub(crate) struct Maintenance<'a> {
-    /// The database the run updates from, read through its own indexes.
-    old: &'a Database,
-    variants: &'a [Vec<RuleVariants>],
-    /// What every input and every head maintained so far gained and
-    /// lost: the seeds of the components after.
-    changes: FxHashMap<String, Change>,
-}
+    /// Whether the run is full: from the empty database.
+    pub(crate) fn is_full(&self) -> bool {
+        self.old.is_err()
+    }
 
-impl Maintenance<'_> {
-    /// Maintains the scope's component and records what its heads
-    /// gained and lost.
+    /// The mode the run reports, over `db`, before it runs.
+    pub(crate) fn mode(&self, db: &Database) -> EvalMode {
+        let len = |name: &String| db.relation(name).map_or(0, Relation::len);
+        match self.old {
+            Err(reason) => EvalMode::Full(reason),
+            Ok(_) => EvalMode::Maintained {
+                added: self.gained.iter().map(|(r, from)| len(r) - from).sum(),
+                removed: self.lost.values().map(Relation::len).sum(),
+            },
+        }
+    }
+
+    /// The rows of `relation` gained since the old database.
+    fn gained(&self, relation: &str) -> Option<Range<usize>> {
+        let from = self.gained.get(relation).copied();
+        from.or(self.is_full().then_some(0))
+            .map(|from| from..usize::MAX)
+    }
+
+    /// Keeps what `relation` gained — its rows from `gained` on; over the
+    /// empty database, all of them — and lost, for the components after.
+    fn record(&mut self, relation: &str, gained: Option<usize>, lost: Option<Relation>) {
+        if let Some(from) = gained.filter(|_| !self.is_full()) {
+            self.gained.insert(relation.to_string(), from);
+        }
+        if let Some(lost) = lost {
+            self.lost.insert(relation.to_string(), lost);
+        }
+    }
+
+    /// Brings the heads of the scope's component, whose rules have
+    /// `variants`, up to date, and records what they gained and lost.
     pub(crate) fn component(
         &mut self,
         run: &mut Run<'_>,
         db: &mut Database,
         scope: &mut Scope<'_>,
+        variants: &[RuleVariants],
     ) -> Result<()> {
         let component = scope.component;
-        let losses = self.seeded(scope.index, component, false);
-        let gains = self.seeded(scope.index, component, true);
-        if losses.is_empty() && gains.is_empty() {
-            return Ok(());
-        }
-        let gains = gains.iter().map(|s| s.firing(&run.exec)).collect();
-        let recompute = component.recursive && !losses.is_empty();
-        if recompute || component.rules.iter().any(RulePlan::has_aggregation) {
-            return self.recompute(run, db, scope);
-        }
-        if component.recursive {
-            let ends = eval::head_ends(db, scope);
-            run.fire_round(db, scope, gains)?;
-            run.delta_rounds(db, scope, ends.clone())?;
-            for (head, Range { end, .. }) in ends {
-                let rel = db.relation(&head).ok();
-                let grown = end..rel.map_or(end, Relation::len);
-                self.record(
-                    &head,
-                    Change::of(missing(rel, grown, None), Relation::default()),
-                );
-            }
-            return Ok(());
-        }
-
-        // Delete and rederive; a non-recursive component has one head,
-        // which holds its old rows until the removal below. A lost row
-        // over-deletes by key: every head that agrees with it on the head
-        // variables its atom binds. An atom that binds none would have to
-        // fire the rule over the old database, and when a key reaches most
-        // of the head, so would the rederivation: deriving the head again
-        // costs less.
+        let firings = inserts(
+            component,
+            variants,
+            &|relation: &str| self.gained(relation),
+            &|relation: &str| self.lost.get(relation),
+            self.is_full(),
+        );
+        let reached = !firings.is_empty();
+        let Some(over) = self.over_delete(db, component, variants, run.exec.indexes, reached)
+        else {
+            return self.recompute(run, db, scope, variants);
+        };
+        // A non-recursive component has one head, which holds the old
+        // database's rows until the removal below.
         let head = &component.rules[0].head_predicate;
-        let old_head = db.relation(head).ok();
-        let most = old_head.map_or(0, Relation::len) / 2;
-        let mut over = Vec::new();
-        for seeded in &losses {
-            let Some(key) = seeded.key else {
-                return self.recompute(run, db, scope);
-            };
-            let Some(old) = old_head else { continue };
-            let heads = seeded.by_key(key, head, old, run.exec.indexes);
-            if heads.len() > most {
-                return self.recompute(run, db, scope);
-            }
-            over.extend(heads);
-        }
-        let over = old_head.map(|old| old.subset(over));
-        let over = over.as_ref().filter(|over| !over.is_empty());
-        if let Some(over) = over {
+        let held = db.relation(head).ok().filter(|_| !over.is_empty());
+        let over = held.map(|held| held.subset(over));
+        if let Some(over) = &over {
             let new_ids = db.remove_derived(head, Some(over));
             run.exec.indexes.renumber(head, &new_ids);
-        }
-        // What the head holds past `kept` is rederived or inserted — and
-        // a rederivation may reach heads the old database lacked.
-        let kept = db.relation(head).map_or(0, Relation::len);
-        if let Some(over) = over {
-            let rederive = self.variants[scope.index].iter().enumerate();
-            let rederive = rederive.filter_map(|(ri, variants)| {
-                let exec = ExecCtx {
-                    delta: None,
-                    seed: Some((0, over)),
-                    ..run.exec
-                };
-                Some((ri, variants.rederive.as_ref()?, exec))
+            let rederive = variants.iter().enumerate().filter_map(|(ri, variants)| {
+                let plan = variants.rederive.as_ref()?;
+                let cands = [0, plan.steps.len() - 1].map(|i| (i, Source::seed(over)));
+                Some((ri, plan, cands.to_vec()))
             });
-            let rederive = rederive.collect();
-            run.fire_round(db, scope, rederive)?;
+            run.fire_round(db, scope, rederive.collect())?;
         }
-        run.fire_round(db, scope, gains)?;
-        let (old, new) = (self.old.relations().get(head), db.relation(head).ok());
-        let added = missing(new, kept..new.map_or(0, Relation::len), old);
-        let removed = missing(over, 0..over.map_or(0, Relation::len), new);
-        self.record(head, Change::of(added, removed));
+        // What the heads hold now they held in the old database.
+        let held = head_ends(db, component);
+        derive(run, db, scope, variants, firings, held.clone())?;
+        for (head, held) in held {
+            let len = db.relation(&head).map_or(0, Relation::len);
+            self.record(&head, Some(held.end).filter(|&end| end < len), None);
+        }
+        if let Some(over) = over {
+            let new = db.relation(head).ok();
+            let lacks =
+                |id: &usize| new.is_none_or(|new| new.row_id(over.rows().row(*id)).is_none());
+            let lost = over.subset((0..over.len()).filter(lacks));
+            self.record(head, None, Some(lost).filter(|lost| !lost.is_empty()));
+        }
         Ok(())
     }
 
-    /// The seeded variants of the rules of `component` — the one at
-    /// `index`: per atom reading a changed relation, the plan with a scan
-    /// of what it lost or, for `gains`, what it gained (the other way
-    /// round for a negated atom).
-    fn seeded<'s>(
-        &'s self,
-        index: usize,
-        component: &'s Component,
-        gains: bool,
-    ) -> Vec<Seeded<'s>> {
-        let mut seeded = Vec::new();
-        let rules = component.rules.iter().zip(&self.variants[index]);
-        for (ri, (rule, variants)) in rules.enumerate() {
+    /// The ids of the heads a non-recursive component may have derived
+    /// through rows that are gone — lost by a positive atom's relation,
+    /// gained by a negated one's — in the old database's rows its head
+    /// holds in `db`: by each such atom's key, every head that agrees with
+    /// one of the rows on the head variables the atom binds. `None` when
+    /// the component, `reached` by inserts or not, is derived again
+    /// instead (see the module docs).
+    fn over_delete(
+        &self,
+        db: &Database,
+        component: &Component,
+        variants: &[RuleVariants],
+        indexes: &IndexCache,
+        reached: bool,
+    ) -> Option<Vec<usize>> {
+        let aggregates = component.rules.iter().any(RulePlan::has_aggregation);
+        if self.is_full() {
+            return Some(Vec::new());
+        } else if reached && aggregates {
+            return None;
+        }
+        let head = &component.rules[0].head_predicate;
+        let mut over = Vec::new();
+        for (rule, variants) in component.rules.iter().zip(variants) {
             for (i, step) in rule.steps.iter().enumerate() {
-                let (relation, terms, plan, at, positive) = match step {
-                    Step::Scan { relation, terms } => (relation, terms, rule, i, true),
+                let (gone, terms) = match step {
+                    Step::Scan { relation, terms } => (
+                        self.lost.get(relation).map(|rel| (rel, 0..rel.len())),
+                        terms,
+                    ),
                     Step::Negation { relation, terms } => {
-                        let negated = variants.negated.iter().find(|(at, _)| *at == i);
-                        let Some((_, plan)) = negated else { continue };
-                        (relation, terms, plan, rule.steps.len(), false)
+                        let rel = db.relation(relation).ok().zip(self.gained.get(relation));
+                        (rel.map(|(rel, &from)| (rel, from..rel.len())), terms)
                     }
                     _ => continue,
                 };
-                let Some(change) = self.changes.get(relation) else {
+                let Some(gone) = gone else { continue };
+                // A relation of another arity has no key: the component
+                // is derived again, and its firing says so.
+                let key = variants.keys.iter().find(|(at, _)| *at == i);
+                let key = key.filter(|_| gone.0.schema().arity() == terms.len());
+                let (Some((_, key)), false) = (key, component.recursive || aggregates) else {
+                    return None;
+                };
+                let Ok(held) = db.relation(head) else {
                     continue;
                 };
-                let rows = match positive == gains {
-                    true => &change.added,
-                    false => &change.removed,
-                };
-                // A relation of another arity has no key: the component is
-                // derived again, and its firing says so.
-                let key = variants.keys.iter().find(|(at, _)| *at == i);
-                let key = key.filter(|_| rows.schema().arity() == terms.len());
-                if !rows.is_empty() {
-                    let key = key.map(|(_, cols)| &cols[..]);
-                    seeded.push(Seeded {
-                        rule: ri,
-                        plan,
-                        at,
-                        rows,
-                        key,
-                    });
+                let heads = by_key(key, gone, head, held, indexes);
+                if heads.len() > held.len() / 2 {
+                    return None;
                 }
+                over.extend(heads);
             }
         }
-        seeded
+        Some(over)
     }
 
-    /// Derives the heads of the scope's component again from their
-    /// maintained inputs and records what they gained and lost.
+    /// Clears the heads of the scope's component, derives them again
+    /// from their inputs — the same loop, every input gained — and
+    /// records what they gained and lost since the old database.
     fn recompute(
         &mut self,
         run: &mut Run<'_>,
         db: &mut Database,
         scope: &mut Scope<'_>,
+        variants: &[RuleVariants],
     ) -> Result<()> {
-        let heads = eval::head_ends(db, scope);
-        for head in heads.keys() {
+        let component = scope.component;
+        let heads: Vec<&String> = component.rules.iter().map(|r| &r.head_predicate).collect();
+        for head in &heads {
             let new_ids = db.remove_derived(head, None);
             run.exec.indexes.renumber(head, &new_ids);
         }
-        run.seminaive(db, scope)?;
-        for head in heads.keys() {
-            let old = self.old.relations().get(head);
-            self.record(head, Change::between(old, db.relation(head).ok()));
+        let firings = inserts(
+            component,
+            variants,
+            &|_| Some(Source::ALL.range),
+            &|_| None,
+            true,
+        );
+        let ends = head_ends(db, component);
+        derive(run, db, scope, variants, firings, ends)?;
+        let old = self.old.as_ref().ok().cloned();
+        for head in heads {
+            let old = old.as_ref().and_then(|old| old.relations().get(head));
+            let (gained, lost) = diff(old, db, head, run.exec.indexes);
+            self.record(head, gained, lost);
         }
         Ok(())
     }
+}
 
-    /// Keeps what `head` gained and lost for the components after.
-    fn record(&mut self, head: &str, change: Option<Change>) {
-        if let Some(change) = change {
-            self.changes.insert(head.to_string(), change);
+/// The insert firings of one round over the rules of `component`, in the
+/// standard delta form: per atom whose relation `gained` rows — a negated
+/// atom's `lost` them — the rule with that atom reading those rows and
+/// every later atom that gained rows reading only the rows it held
+/// before. Any order of the atoms makes each derivation once; this one
+/// restricts the atoms a body probes by the keys of those before, which
+/// the planner can run ahead of the IE calls they would otherwise feed. A
+/// variant where one of those holds no row is skipped. A rule that scans
+/// nothing fires only `from_empty`: from the empty database.
+fn inserts<'p>(
+    component: &'p Component,
+    variants: &'p [RuleVariants],
+    gained: &dyn Fn(&str) -> Option<Range<usize>>,
+    lost: &dyn Fn(&str) -> Option<&'p Relation>,
+    from_empty: bool,
+) -> Vec<Firing<'p>> {
+    let mut firings = Vec::new();
+    for (ri, (rule, variants)) in component.rules.iter().zip(variants).enumerate() {
+        // The rows each later atom that gained rows held before.
+        let mut held: Vec<(usize, Source<'p>)> = Vec::new();
+        let mut scans = false;
+        for (i, step) in rule.steps.iter().enumerate().rev() {
+            let (plan, at, rows) = match step {
+                Step::Scan { relation, .. } => {
+                    scans = true;
+                    let Some(rows) = gained(relation) else {
+                        continue;
+                    };
+                    (rule, i, Source::rows(rows))
+                }
+                Step::Negation { relation, .. } => {
+                    let plan = variants.negated.iter().find(|(at, _)| *at == i);
+                    let (Some(rows), Some((_, plan))) = (lost(relation), plan) else {
+                        continue;
+                    };
+                    (plan, rule.steps.len(), Source::seed(rows))
+                }
+                _ => continue,
+            };
+            if held.iter().all(|(_, source)| !source.range.is_empty()) {
+                let sources = held.iter().cloned().chain([(at, rows.clone())]);
+                firings.push((ri, plan, sources.collect()));
+            }
+            if rows.seed.is_none() {
+                held.push((i, Source::rows(0..rows.range.start)));
+            }
+        }
+        if !scans && from_empty {
+            firings.push((ri, rule, Vec::new()));
         }
     }
+    firings
 }
 
-/// One atom of a rule over the rows its relation gained or lost.
-struct Seeded<'s> {
-    /// The rule's index in its component.
-    rule: usize,
-    /// The plan whose scan at step `at` reads `rows`.
-    plan: &'s RulePlan,
-    at: usize,
-    rows: &'s Relation,
-    /// `(atom column, head column)` per head variable the atom binds.
-    key: Option<&'s [(usize, usize)]>,
+/// Fires `firings`, the round the run's changes open, and — in a
+/// recursive component — the delta loop after it: rounds of the
+/// variants over what the round before appended to each head past
+/// `ends`, until a round appends nothing.
+fn derive(
+    run: &mut Run<'_>,
+    db: &mut Database,
+    scope: &mut Scope<'_>,
+    variants: &[RuleVariants],
+    firings: Vec<Firing<'_>>,
+    mut deltas: Ends,
+) -> Result<()> {
+    run.fire_round(db, scope, firings)?;
+    if !scope.component.recursive {
+        return Ok(());
+    }
+    loop {
+        for (head, delta) in &mut deltas {
+            *delta = delta.end..db.relation(head).map_or(0, Relation::len);
+        }
+        if deltas.values().all(Range::is_empty) {
+            return Ok(());
+        }
+        let delta = |relation: &str| deltas.get(relation).cloned();
+        let firings = inserts(scope.component, variants, &delta, &|_| None, false);
+        run.fire_round(db, scope, firings)?;
+    }
 }
 
-impl<'s> Seeded<'s> {
-    /// The variant's firing under `exec`.
-    fn firing(&self, exec: &ExecCtx<'s>) -> Firing<'s, 's> {
-        let exec = ExecCtx {
-            delta: None,
-            seed: Some((self.at, self.rows)),
-            ..*exec
-        };
-        (self.rule, self.plan, exec)
+/// What `name` gained and lost since `old`, over its rows in `db`, which
+/// this puts in the order that makes its gained rows the last (forgetting
+/// its `indexes` if that moves a row): the id they start at, if any, and
+/// the rows it lost, if any.
+fn diff(
+    old: Option<&Relation>,
+    db: &mut Database,
+    name: &str,
+    indexes: &IndexCache,
+) -> (Option<usize>, Option<Relation>) {
+    let mut kept = vec![false; old.map_or(0, Relation::len)];
+    let new = db.relation(name).ok();
+    let ids = 0..new.map_or(0, Relation::len);
+    let (held, gained): (Vec<usize>, Vec<usize>) = ids.partition(|&id| {
+        let at = old
+            .zip(new)
+            .and_then(|(old, new)| old.row_id(new.rows().row(id)));
+        at.inspect(|&at| kept[at] = true).is_some()
+    });
+    let from = held.len();
+    if gained.first().is_some_and(|&id| id < from) {
+        db.reorder(name, held.into_iter().chain(gained.iter().copied()));
+        indexes.forget(name);
     }
+    let lost = old.map(|old| old.subset((0..old.len()).filter(|&id| !kept[id])));
+    let gained = (!gained.is_empty()).then_some(from);
+    (gained, lost.filter(|lost| !lost.is_empty()))
+}
 
-    /// The over-delete by `key`, the atom's: the ids of every head of
-    /// `old` — stored as `head`, indexed by `indexes` — that agrees with
-    /// one of the rows on the head variables the atom binds, which is all
-    /// a derivation through the rows can have derived, found without
-    /// calling an IE function again.
-    fn by_key(
-        &self,
-        key: &[(usize, usize)],
-        head: &str,
-        old: &Relation,
-        indexes: &IndexCache,
-    ) -> Vec<usize> {
-        let head_cols: Vec<usize> = key.iter().map(|&(_, h)| h).collect();
-        let atom_cols: Vec<usize> = key.iter().map(|&(c, _)| c).collect();
-        let index = indexes.index(head, old, &head_cols);
-        let rows = self.rows.rows();
-        let keys = TupleIndex::build(rows, 0..rows.len(), &atom_cols);
-        let firsts = (0..keys.len()).map(|g| rows.row(keys.group(g)[0]));
-        let found = firsts.map(|row| index.get(old.rows(), atom_cols.iter().map(|&c| &row[c])));
-        found.flatten().copied().collect()
-    }
+/// The over-delete by `key`, an atom's, of the `gone` rows of its
+/// relation: the ids of every head of `held` — stored as `head`, indexed
+/// by `indexes` — that agrees with one of the rows on the head variables
+/// the atom binds, which is all a derivation through the rows can have
+/// derived, found without calling an IE function again.
+fn by_key(
+    key: &[(usize, usize)],
+    (gone, range): (&Relation, Range<usize>),
+    head: &str,
+    held: &Relation,
+    indexes: &IndexCache,
+) -> Vec<usize> {
+    let head_cols: Vec<usize> = key.iter().map(|&(_, h)| h).collect();
+    let atom_cols: Vec<usize> = key.iter().map(|&(c, _)| c).collect();
+    let index = indexes.index(head, held, &head_cols);
+    let rows = gone.rows();
+    let keys = TupleIndex::build(rows, range, &atom_cols);
+    let firsts = (0..keys.len()).map(|g| rows.row(keys.group(g)[0]));
+    let found = firsts.map(|row| index.get(held.rows(), atom_cols.iter().map(|&c| &row[c])));
+    found.flatten().copied().collect()
 }

@@ -153,18 +153,13 @@ const DEADLINE_STRIDE: usize = 4096;
 pub(crate) struct ExecCtx<'a> {
     /// IE / aggregate / conversion registry.
     pub registry: &'a Registry,
-    /// Semi-naive evaluation: the step whose scan reads only a delta —
-    /// the row ids the last round appended to its relation. `None` for
-    /// a full evaluation.
-    pub delta: Option<(usize, Range<usize>)>,
-    /// Incremental maintenance: the step whose scan reads this relation —
-    /// the rows a write changed, or the heads a rederivation rechecks —
-    /// in place of the one it names. The planner starts from it. `None`
-    /// outside maintenance.
-    pub seed: Option<(usize, &'a Relation)>,
+    /// Per step, what its scan reads in place of every row of the
+    /// relation it names (see [`Source`]); a scan without an entry reads
+    /// them all.
+    pub sources: &'a [(usize, Source<'a>)],
     /// The run's indexes of the relations its scans and negations read,
-    /// shared with its shard workers. Only a scan of a maintenance seed,
-    /// which is not the relation it names, builds an index of its own.
+    /// shared with its shard workers. Only a scan of a seed, which is not
+    /// the relation it names, builds an index of its own.
     pub indexes: &'a IndexCache,
     /// The document store, behind its lock for the whole evaluation.
     pub docs: &'a SharedDocs,
@@ -190,9 +185,9 @@ pub(crate) struct TraceCtx<'a> {
 /// Executes `plan` against the given relations, returning the derived
 /// head rows in pieces — one per shard, in shard order, each for
 /// [`crate::Database::insert_derived`] to take in whole — repeats
-/// included. `ctx.delta`, when set, restricts one scan to a run of row
-/// ids (semi-naive evaluation), which probes the run's indexes like any
-/// scan. Join and IE-batch work is reported through `tr`
+/// included. `ctx.sources` restricts scans to runs of row ids or to
+/// seeds; the planner costs each scan at the rows it reads. Join and
+/// IE-batch work is reported through `tr`
 /// (every call is a no-op when tracing is off).
 ///
 /// A firing runs in three parts: on the caller the steps ordered before
@@ -213,18 +208,12 @@ pub(crate) fn execute_with(
     let bound = vec![false; n_vars];
     let batch = Batch { rows, bound };
 
-    // Delta-aware cardinality of the relation scanned by step `i` —
-    // the planner's cost input and the trace's estimate column. A seed
-    // is the change a firing starts from: it reads as free.
-    let scan_rows = |i: usize| -> usize {
-        match (&ctx.delta, plan.steps.get(i)) {
-            _ if ctx.seed.is_some_and(|(at, _)| at == i) => 0,
-            (Some((at, delta)), _) if *at == i => delta.len(),
-            (_, Some(Step::Scan { relation, .. })) => {
-                relations.get(relation).map_or(0, Relation::len)
-            }
-            _ => 0,
-        }
+    // The rows the scan at step `i` reads — the planner's cost input
+    // and the trace's estimate column.
+    let scan_rows = |i: usize| match &plan.steps[i] {
+        Step::Scan { relation, .. } => scan_source(i, relation, relations, ctx)
+            .map_or(0, |(rel, source)| source.rows_of(rel).len()),
+        _ => 0,
     };
 
     let order = optimizer::order_steps(plan, scan_rows);
@@ -272,8 +261,8 @@ pub(crate) fn run_steps(
         }
         match step {
             Step::Scan { relation, terms } => {
-                let source = scan_source(i, relation, relations, ctx);
-                batch.rows = scan_step(plan, (relation, terms), &batch, source, ctx, tr)?;
+                let read = scan_source(i, relation, relations, ctx);
+                batch.rows = scan_step(plan, (relation, terms), &batch, read, ctx, tr)?;
             }
             Step::Ie {
                 function,
@@ -306,38 +295,53 @@ pub(crate) fn run_steps(
     Ok(batch)
 }
 
-/// What one scan reads: `rel`, over `range` of its row ids — a delta, a
-/// shard's cut — or all of them. A `seed` is not the relation the scan
-/// names, so no index of the run's, which are per relation name,
-/// answers for it.
+/// What one scan reads: a run of the row ids of the relation it names —
+/// what it gained, the rows it held before, a delta, a shard's cut — or
+/// of a `seed` in its place (rows a relation lost, the heads a
+/// rederivation rechecks), which no index of the run's answers for.
 #[derive(Clone)]
 pub(crate) struct Source<'r> {
-    pub(crate) rel: &'r Relation,
-    pub(crate) range: Option<Range<usize>>,
-    pub(crate) seed: bool,
+    pub(crate) seed: Option<&'r Relation>,
+    /// Row ids, cut to the relation's end when read.
+    pub(crate) range: Range<usize>,
 }
 
-/// What the scan of `relation` at step `i` reads: the firing's seed
-/// when that is at `i`, else the relation, over the firing's delta when
-/// that is at `i`. `None` when there is no such relation.
+impl<'r> Source<'r> {
+    /// Every row of the relation the scan names, however far it grows.
+    pub(crate) const ALL: Source<'static> = Source::rows(0..usize::MAX);
+
+    /// The rows `range` of the relation the scan names.
+    pub(crate) const fn rows(range: Range<usize>) -> Source<'r> {
+        Source { seed: None, range }
+    }
+
+    /// Every row of `seed`.
+    pub(crate) const fn seed(seed: &'r Relation) -> Source<'r> {
+        Source {
+            seed: Some(seed),
+            ..Source::ALL
+        }
+    }
+
+    /// The ids read of `rel`, the relation this source reads.
+    pub(crate) fn rows_of(&self, rel: &Relation) -> Range<usize> {
+        self.range.start.min(rel.len())..self.range.end.min(rel.len())
+    }
+}
+
+/// What the scan of `relation` at step `i` reads: the relation — its
+/// own or a seed — and the rows of it, as the firing's sources say.
+/// `None` when there is no such relation.
 pub(crate) fn scan_source<'r>(
     i: usize,
     relation: &str,
     relations: &'r FxHashMap<String, Relation>,
     ctx: &ExecCtx<'r>,
-) -> Option<Source<'r>> {
-    match ctx.seed {
-        Some((at, rel)) if at == i => Some(Source {
-            rel,
-            range: None,
-            seed: true,
-        }),
-        _ => relations.get(relation).map(|rel| Source {
-            rel,
-            range: ctx.delta.as_ref().filter(|d| d.0 == i).map(|d| d.1.clone()),
-            seed: false,
-        }),
-    }
+) -> Option<(&'r Relation, Source<'r>)> {
+    let source = ctx.sources.iter().find(|(at, _)| *at == i);
+    let source = source.map_or(Source::ALL, |(_, source)| source.clone());
+    let rel = source.seed.or_else(|| relations.get(relation))?;
+    Some((rel, source))
 }
 
 /// The scan `relation(terms)` of `source` joined with `batch` under its
@@ -346,7 +350,7 @@ pub(crate) fn scan_step(
     plan: &RulePlan,
     (relation, terms): (&str, &[PTerm]),
     batch: &Batch,
-    source: Option<Source<'_>>,
+    read: Option<(&Relation, Source<'_>)>,
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Rows> {
@@ -354,8 +358,8 @@ pub(crate) fn scan_step(
         .trace
         .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
     let mut examined = 0;
-    let joined = match source {
-        Some(source) => scan_join(plan, relation, terms, batch, source, ctx, &mut examined),
+    let joined = match read {
+        Some(read) => scan_join(plan, (relation, terms), batch, read, ctx, &mut examined),
         None => Ok(Rows::new(batch.rows.width())),
     };
     tr.trace.join_scanned(tr.rule, examined as u64);
@@ -487,22 +491,19 @@ impl<'p> Columns<'p> {
 /// per binding row. A keyed one probes the run's index of the relation
 /// and keeps the ids inside its range — a delta, a shard's cut: a key's
 /// ids ascend, so two binary searches slice them. A seed probes an
-/// index built here over the range. The rows examined go to `scanned`,
+/// index built here over its range. The rows examined go to `scanned`,
 /// on the error path too, however the firing was cut. Distinct
 /// binding rows extended by distinct tuples are distinct unless a `_`
 /// hides the difference: only then is the output deduplicated.
 fn scan_join(
     plan: &RulePlan,
-    relation: &str,
-    terms: &[PTerm],
+    (relation, terms): (&str, &[PTerm]),
     batch: &Batch,
-    Source { rel, range, seed }: Source<'_>,
+    (rel, source): (&Relation, Source<'_>),
     ctx: &ExecCtx<'_>,
     scanned: &mut usize,
 ) -> Result<Rows> {
-    let range = range.map_or(0..rel.len(), |d| {
-        d.start.min(rel.len())..d.end.min(rel.len())
-    });
+    let range = source.rows_of(rel);
     let mut out = Rows::new(batch.rows.width());
     if range.is_empty() {
         return Ok(out);
@@ -514,6 +515,7 @@ fn scan_join(
             relation: relation.to_string(),
             expected: rel.schema().arity(),
             actual: terms.len(),
+            line: plan.line,
         });
     }
     let cols = Columns::of(terms, &batch.bound);
@@ -535,14 +537,17 @@ fn scan_join(
                 .try_for_each(|tuple| emit(input, tuple))
         })
     } else {
-        let index = match seed {
-            false => ctx.indexes.index(relation, rel, &cols.key_cols()),
-            true => TupleIndex::build(rows, range.clone(), &cols.key_cols()).into(),
+        let index = match source.seed {
+            None => ctx.indexes.index(relation, rel, &cols.key_cols()),
+            Some(_) => TupleIndex::build(rows, range.clone(), &cols.key_cols()).into(),
         };
+        let whole = range == (0..rel.len());
         batch.rows.iter().try_for_each(|input| {
-            let ids = index.get(rows, cols.key_of(input));
-            let ids = &ids[ids.partition_point(|&id| id < range.start)..];
-            let ids = &ids[..ids.partition_point(|&id| id < range.end)];
+            let mut ids = index.get(rows, cols.key_of(input));
+            if !whole {
+                ids = &ids[ids.partition_point(|&id| id < range.start)..];
+                ids = &ids[..ids.partition_point(|&id| id < range.end)];
+            }
             ids.iter().try_for_each(|&id| emit(input, rows.row(id)))
         })
     };

@@ -216,10 +216,13 @@ fn run(
     workers: usize,
 ) -> Result<Rows> {
     let (registry, docs) = (Registry::new(), SharedDocs::default());
+    let sources: Vec<_> = delta
+        .map(|(at, range)| (at, Source::rows(range)))
+        .into_iter()
+        .collect();
     let ctx = ExecCtx {
         registry: &registry,
-        delta,
-        seed: None,
+        sources: &sources,
         indexes,
         docs: &docs,
         workers,
@@ -447,7 +450,7 @@ fn arity_mismatch_is_one_error_on_every_scan_route() {
     let assert_arity = |err: EngineError, route: &str| {
         let same = matches!(
             &err,
-            EngineError::Arity { relation, expected: 2, actual: 3 } if relation == "R"
+            EngineError::Arity { relation, expected: 2, actual: 3, .. } if relation == "R"
         );
         assert!(same, "{route}: {err:?}");
     };

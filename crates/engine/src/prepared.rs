@@ -9,7 +9,7 @@
 //! freezes a fully evaluated database for lock-free concurrent reads.
 
 use crate::database::Database;
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::maintain::{self, RuleVariants};
 use crate::optimizer::IndexCache;
 use crate::query::{run_query, select, QueryPlan, Selection};
@@ -18,8 +18,8 @@ use crate::safety::{analyze, SafetyContext};
 use crate::session::Session;
 use crate::share::share_calls;
 use crate::strata::{stratify, Component};
-use rustc_hash::FxHashSet;
-use spannerlib_core::{DocumentStore, Relation, Span};
+use rustc_hash::{FxHashMap, FxHashSet};
+use spannerlib_core::{DocumentStore, Relation, Schema, Span};
 use spannerlib_dataframe::{DataFrame, FromRow};
 use spannerlog_parser::Rule;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +47,9 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Compiles `rules` against the relation names known to `db` and the
-    /// IE/aggregation `registry`. Unsafe rules and unstratifiable
-    /// programs are rejected here — before any data is touched.
+    /// IE/aggregation `registry`. Unsafe rules, heads whose arity is not
+    /// their relation's and unstratifiable programs are rejected here —
+    /// before any data is touched.
     pub(crate) fn compile(
         rules: &[Rule],
         db: &Database,
@@ -69,6 +70,24 @@ impl CompiledProgram {
             .iter()
             .map(|r| analyze(r, &ctx))
             .collect::<Result<Vec<_>>>()?;
+        // A relation has one arity: its declaration's, else its first head's.
+        let mut arities = FxHashMap::default();
+        for plan in &plans {
+            let (relation, actual, line) = (&plan.head_predicate, plan.head.len(), plan.line);
+            let declared = db
+                .extensional_schema(relation)
+                .map_or(actual, Schema::arity);
+            let expected = *arities.entry(relation).or_insert(declared);
+            if actual != expected {
+                let relation = relation.clone();
+                return Err(EngineError::Arity {
+                    relation,
+                    expected,
+                    actual,
+                    line,
+                });
+            }
+        }
 
         // Every predicate a rule depends on is a fingerprint input —
         // including rule heads. Derived inserts bypass the generation

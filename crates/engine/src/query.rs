@@ -130,6 +130,7 @@ pub fn select<'a>(
                 relation: plan.predicate.clone(),
                 expected: relation.schema().arity(),
                 actual: plan.arity,
+                line: 0,
             });
         }
     }

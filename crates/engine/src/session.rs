@@ -543,6 +543,7 @@ impl Session {
                 relation: relation.to_string(),
                 expected: schema.arity(),
                 actual: tuple.arity(),
+                line: 0,
             });
         }
         for (i, (v, t)) in tuple.values().iter().zip(schema.types()).enumerate() {

@@ -4,14 +4,16 @@
 //! The session keeps one record of its last run ([`LastRun`]) — or why
 //! there is none to build on. Each evaluation compares the generations
 //! of its program's inputs with that record once: nothing moved under
-//! the same program skips the run; otherwise the moved inputs seed a
-//! maintained run (`crate::maintain`), unless a [`FullReason`] says the
-//! derived relations must be derived again.
+//! the same program skips the run. Otherwise one run brings the derived
+//! relations up to date (`crate::maintain`): from the database the last
+//! run left and what the moved inputs gained and lost since — or, when a
+//! [`FullReason`] says that cannot be built on, from the empty database,
+//! after the derived relations are cleared.
 
 use super::Session;
-use crate::database::{cleared, Database};
+use crate::database::Database;
 use crate::error::Result;
-use crate::eval::{evaluate, EvalCtx, EvalStats};
+use crate::eval::{self, EvalCtx, EvalStats};
 use crate::maintain::Seeds;
 use crate::plan::Step;
 use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery};
@@ -124,16 +126,20 @@ impl LastRun {
 /// What a session that has not evaluated yet knows of its last run.
 pub(super) const NOT_EVALUATED: OrFull<LastRun> = Err(FullReason::FirstEvaluation);
 
-/// The seeds of a maintained run over `db` from `last`, given the inputs
-/// that `moved` since — `None` when `last` ran another program — or why
-/// the run must be full.
-fn seeds(last: OrFull<LastRun>, moved: Option<Vec<&String>>, db: &Database) -> OrFull<Seeds> {
+/// The database a run over `db` builds on — `last`'s, given the inputs
+/// that `moved` since (`None` when `last` ran another program) — or why
+/// it must start from the empty database.
+fn basis<'m>(
+    last: OrFull<LastRun>,
+    moved: Option<Vec<&'m String>>,
+    db: &Database,
+) -> OrFull<(Arc<Database>, Vec<&'m String>)> {
     let old = last?.basis?;
     let moved = moved.ok_or(FullReason::ProgramChanged)?;
     if old.docs.epoch() != db.docs.epoch() {
         return Err(FullReason::DocumentsCompacted);
     }
-    Ok(Seeds::new(old, db, moved))
+    Ok((old, moved))
 }
 
 impl Session {
@@ -234,9 +240,9 @@ impl Session {
 
     /// Brings the derived state up to date with `program` and returns
     /// it: nothing to do when the last run ran it and none of its inputs
-    /// moved since (O(|inputs|)); otherwise a maintained evaluation from
-    /// the input rows that changed, or, in the cases [`FullReason`]
-    /// names, a full one. A full evaluation over a database a snapshot
+    /// moved since (O(|inputs|)); otherwise one run from the input rows
+    /// that changed — all of them, from the empty database, in the cases
+    /// [`FullReason`] names. A full evaluation over a database a snapshot
     /// shares copies only the extensional relations and the documents.
     pub(crate) fn ensure_evaluated_with(&mut self, program: &CompiledProgram) -> Result<&Database> {
         // The one comparison of input generations: `None` when the last
@@ -264,19 +270,15 @@ impl Session {
         self.eval_seq += 1;
         trace.serving_context(self.eval_seq, std::mem::take(&mut self.pending_request_ids));
         let last = std::mem::replace(&mut self.last, Err(FullReason::PreviousRunFailed));
-        let seeds = seeds(last, moved, &self.db);
-        let mode = seeds
-            .as_ref()
-            .map_or_else(|r| EvalMode::Full(*r), Seeds::mode);
+        let seeds = Seeds::new(basis(last, moved, &self.db), &mut self.db);
+        let mode = seeds.mode(&self.db);
         let ctx = EvalCtx {
             registry: &self.registry,
             limits: self.limits,
             workers: self.parallelism,
         };
-        let result = match seeds {
-            Ok(seeds) => seeds.run(Arc::make_mut(&mut self.db), program, &ctx, &mut trace),
-            Err(_) => evaluate(cleared(&mut self.db), &program.components, &ctx, &mut trace),
-        };
+        let db = Arc::make_mut(&mut self.db);
+        let result = eval::run(db, program, &ctx, &mut trace, seeds);
         // Capture the profile before propagating errors: an aborted run
         // leaves its partial per-component progress in `profile()`.
         if let Some(mut profile) = trace.finish(result.as_ref().err().map(|e| e.to_string())) {

@@ -36,9 +36,9 @@ pub(crate) fn shard_scan(plan: &RulePlan, order: &[usize]) -> Option<usize> {
 /// Runs the sharded part of a firing — `order[0]`, the scan it shards,
 /// the steps after it and the head projection — once per shard,
 /// returning the head rows of each, in shard order. A shard is a
-/// contiguous range of the row ids that scan reads: of its delta or its
-/// seed when the firing restricts that scan, else of the whole relation
-/// (a delta on another scan holds alongside). A rule body maps a binding row to rows
+/// contiguous range of the row ids that scan reads: of its source when
+/// the firing restricts that scan, else of the whole relation (sources
+/// of other scans hold alongside). A rule body maps a binding row to rows
 /// against relations that are complete while the rule fires, so the
 /// shards' rows together are the firing's, however the range is cut.
 /// Shards borrow `batch`, what the steps before left. One shard — fewer
@@ -58,20 +58,20 @@ pub(crate) fn run_sharded(
     let Step::Scan { relation, terms } = scan else {
         unreachable!("a firing shards at a scan (`shard_scan`)");
     };
-    let Some(source) = scan_source(order[0], relation, relations, ctx) else {
+    let Some((rel, source)) = scan_source(order[0], relation, relations, ctx) else {
         return Ok(Vec::new());
     };
-    let scanned = source.range.clone().unwrap_or(0..source.rel.len());
+    let scanned = source.rows_of(rel);
     if batch.rows.is_empty() || scanned.is_empty() {
         return Ok(Vec::new());
     }
-    let shard = |range: Option<Range<usize>>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
+    let shard = |range: Range<usize>, tr: &mut TraceCtx<'_>| -> Result<Rows> {
         let source = Source {
             range,
             ..source.clone()
         };
         let mut shard = Batch {
-            rows: scan_step(plan, (relation, terms), batch, Some(source), ctx, tr)?,
+            rows: scan_step(plan, (relation, terms), batch, Some((rel, source)), ctx, tr)?,
             bound: batch.bound.clone(),
         };
         shard.bind(scan);
@@ -79,7 +79,7 @@ pub(crate) fn run_sharded(
         Ok(project_head(plan, &shard))
     };
     if ctx.workers < 2 || scanned.len() < 2 {
-        return shard(source.range.clone(), tr).map(|rows| vec![rows]);
+        return shard(scanned, tr).map(|rows| vec![rows]);
     }
     let trace = &*tr.trace;
     let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |i, range| {
@@ -91,7 +91,7 @@ pub(crate) fn run_sharded(
             rule: 0,
             parent: span,
         };
-        let rows = shard(Some(range), &mut shard_tr);
+        let rows = shard(range, &mut shard_tr);
         fork.close(span);
         (rows, fork)
     });

@@ -29,6 +29,7 @@ fn reference(db: &Database, query: &Query) -> Result<DataFrame> {
             relation: query.predicate.clone(),
             expected: relation.schema().arity(),
             actual: query.terms.len(),
+            line: 0,
         });
     }
     let mut var_cols: Vec<(String, usize)> = Vec::new();

@@ -310,7 +310,7 @@ fn arity_errors_name_the_declared_arity_first() {
     let declared_2_used_3 = |err: EngineError, route: &str| {
         let same = matches!(
             &err,
-            EngineError::Arity { relation, expected: 2, actual: 3 } if relation == "R"
+            EngineError::Arity { relation, expected: 2, actual: 3, .. } if relation == "R"
         );
         assert!(same, "{route}: {err:?}");
         assert!(
@@ -322,6 +322,34 @@ fn arity_errors_name_the_declared_arity_first() {
     declared_2_used_3(session.export("?R(x, y, z)").unwrap_err(), "query");
     session.run("S(x) <- R(x, y, z)").unwrap();
     declared_2_used_3(session.ensure_evaluated().unwrap_err(), "rule");
+}
+
+/// A head whose arity is not its relation's — set by a declaration, or
+/// by the head of the relation's first rule — fails to compile, naming
+/// the relation and the line of the rule.
+#[test]
+fn a_head_of_another_arity_fails_to_compile() {
+    let cell = "new S(int)\nS(1) S(2)";
+    for (rules, relation, expected) in [
+        ("R(x) <- S(x)\nR(x, y) <- S(x), S(y)", "R", 1),
+        ("S(x, y) <- S(x), S(y)", "S", 1),
+    ] {
+        let mut session = Session::new();
+        session.run(cell).unwrap();
+        session.run(rules).unwrap();
+        let err = session.prepare_program().unwrap_err();
+        let line = rules.lines().count();
+        let named = matches!(
+            &err,
+            EngineError::Arity { relation: r, expected: e, actual: 2, line: l }
+                if r == relation && *e == expected && *l == line
+        );
+        assert!(named, "{rules}: {err:?}");
+        assert!(matches!(
+            session.ensure_evaluated(),
+            Err(EngineError::Arity { .. })
+        ));
+    }
 }
 
 #[test]
