@@ -22,10 +22,9 @@
 //!
 //! Every run is threaded through a [`RunTrace`] (see `spannerlib_trace`):
 //! at `TraceLevel::Off` each call is a branch; at `Summary` per-rule and
-//! per-IE counters and wall times accumulate; at `Spans` the hierarchy
-//! execute → stratum → round → rule → join / IE batch is recorded as
-//! timed span events — a component is what the trace crate calls a
-//! *stratum*: components are the finest stratification.
+//! per-IE counters and wall times accumulate. A component is what the
+//! trace crate calls a *stratum*: components are the finest
+//! stratification.
 
 use crate::database::Database;
 use crate::error::{EngineError, LimitCulprit, Result};
@@ -38,7 +37,7 @@ use crate::registry::Registry;
 use crate::strata::Component;
 use crate::EvalMode;
 use spannerlib_core::Rows;
-use spannerlib_trace::{RunTrace, SpanId, SpanKind, NO_SPAN};
+use spannerlib_trace::RunTrace;
 
 /// Resource limits applied to one fixpoint run (`None` = unlimited).
 /// Configured through `SessionBuilder`.
@@ -191,13 +190,12 @@ pub(crate) struct Run<'a> {
     pub(crate) exec: ExecCtx<'a>,
 }
 
-/// The component a [`Run`] is currently evaluating: its index, span,
-/// and per-rule profiling handles.
+/// The component a [`Run`] is currently evaluating: its index and
+/// per-rule profiling handles.
 pub(crate) struct Scope<'a> {
     pub(crate) component: &'a Component,
     pub(crate) index: usize,
     rule_ids: Vec<usize>,
-    span: SpanId,
     /// Last rule to derive a new tuple — the round-limit culprit.
     driver: Option<usize>,
 }
@@ -287,33 +285,22 @@ pub(crate) fn run(
         },
     };
     let components = &program.components;
-    let root = run.trace.open(NO_SPAN, SpanKind::Execute, || {
-        format!("evaluate ({} components)", components.len())
-    });
     let result = (components.iter().enumerate()).try_for_each(|(index, component)| {
         let rules = &component.rules;
         let rule_ids = (rules.iter())
             .map(|r| (run.trace).register_rule(index, &r.head_predicate, &r.source, r.line as u32))
             .collect();
         let t0 = run.trace.now_ns();
-        let span = run.trace.open(root, SpanKind::Stratum, || {
-            format!("component {index} ({} rules)", rules.len())
-        });
         let mut scope = Scope {
             component,
             index,
             rule_ids,
-            span,
             driver: None,
         };
         let result = seeds.component(&mut run, db, &mut scope, &program.variants[index]);
         run.trace.stratum_done(index, t0);
-        run.trace.close(span);
         result
     });
-    if result.is_ok() {
-        run.trace.close(root);
-    }
     // The index counters and the lanes fold into the trace on both the
     // success and the abort path; shards and IE batches were counted
     // where they ran.
@@ -346,30 +333,19 @@ impl Run<'_> {
         // Only a recursive component can run away; a long chain of
         // non-recursive ones must not trip the guard meant for that.
         self.charged_rounds += usize::from(component.recursive);
-        let rounds = self.stats.rounds;
-        let round_span = self
-            .trace
-            .open(scope.span, SpanKind::Round, || format!("round {rounds}"));
         for (ri, plan, sources) in firings {
-            let rule_span = self
-                .trace
-                .open(round_span, SpanKind::Rule, || plan.source.clone());
             let mut tr = TraceCtx {
                 trace: &mut *self.trace,
                 rule: scope.rule_ids[ri],
-                parent: rule_span,
             };
             let exec = ExecCtx {
                 sources: &sources,
                 ..self.exec
             };
-            let fired = fire_rule(db, plan, &exec, self.limits, &mut self.stats, &mut tr);
-            self.trace.close(rule_span);
-            if fired? {
+            if fire_rule(db, plan, &exec, self.limits, &mut self.stats, &mut tr)? {
                 scope.driver = Some(ri);
             }
         }
-        self.trace.close(round_span);
         let driver = scope.driver.map(|ri| &component.rules[ri]);
         self.limits
             .check(&self.stats, self.charged_rounds, driver)?;

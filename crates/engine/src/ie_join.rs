@@ -11,7 +11,6 @@ use crate::optimizer::TupleIndex;
 use crate::plan::{cell, Batch, Columns, ExecCtx, PTerm, RulePlan, TraceCtx};
 use spannerlib_core::{RowTable, Rows, Value};
 use spannerlib_regex::prefilter;
-use spannerlib_trace::SpanKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
@@ -44,11 +43,6 @@ pub(crate) fn ie_join(
     let by_args = (f.cacheable()).then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
     let groups = by_args.as_ref().map_or(rows.len(), TupleIndex::len);
     (tr.trace).parallel_summary(ctx.workers as u64, 0, 1);
-    // Error paths may leak `span`; RunTrace::finish (and, on shard
-    // forks, merge_fork) closes leaked spans at the abort timestamp.
-    let span = tr.trace.open(tr.parent, SpanKind::IeBatch, || {
-        format!("{function} ×{groups}")
-    });
 
     let cols = Columns::of(outputs, &batch.bound);
     let mut next = Rows::new(rows.width());
@@ -91,7 +85,6 @@ pub(crate) fn ie_join(
             }
         }
     }
-    tr.trace.close(span);
     Ok(next)
 }
 

@@ -80,5 +80,5 @@ pub use spannerlib_core::CompactionReport;
 // Observability vocabulary from the trace crate, re-exported so hosts
 // configure tracing and consume profiles without a direct dependency.
 pub use spannerlib_trace::{
-    EvalProfile, IeFunctionProfile, RuleProfile, SpanEvent, SpanKind, StratumProfile, TraceLevel,
+    EvalProfile, IeFunctionProfile, RuleProfile, StratumProfile, TraceLevel,
 };

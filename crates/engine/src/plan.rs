@@ -35,7 +35,7 @@ use crate::registry::Registry;
 use crate::shard::{fold_aggregates, project_head, run_sharded, shard_scan};
 use rustc_hash::FxHashMap;
 use spannerlib_core::{Relation, RowTable, Rows, Value};
-use spannerlib_trace::{RunTrace, SpanId, SpanKind};
+use spannerlib_trace::RunTrace;
 use spannerlog_parser::CmpOp;
 use std::ops::Range;
 
@@ -172,14 +172,12 @@ pub(crate) struct ExecCtx<'a> {
 }
 
 /// Where one [`execute_with`] call reports its trace data: the run's
-/// collector, the rule's profiling handle, and the enclosing rule span.
+/// collector and the rule's profiling handle.
 pub(crate) struct TraceCtx<'a> {
     /// The evaluation run's collector.
     pub trace: &'a mut RunTrace,
     /// Handle from `RunTrace::register_rule` for the executing rule.
     pub rule: usize,
-    /// The rule span join/IE-batch spans nest under.
-    pub parent: SpanId,
 }
 
 /// Executes `plan` against the given relations, returning the derived
@@ -344,8 +342,8 @@ pub(crate) fn scan_source<'r>(
     Some((rel, source))
 }
 
-/// The scan `relation(terms)` of `source` joined with `batch` under its
-/// trace span, the rows it examined charged to the rule.
+/// The scan `relation(terms)` of `source` joined with `batch`, the rows
+/// it examined charged to the rule.
 pub(crate) fn scan_step(
     plan: &RulePlan,
     (relation, terms): (&str, &[PTerm]),
@@ -354,16 +352,12 @@ pub(crate) fn scan_step(
     ctx: &ExecCtx<'_>,
     tr: &mut TraceCtx<'_>,
 ) -> Result<Rows> {
-    let span = tr
-        .trace
-        .open(tr.parent, SpanKind::Join, || format!("scan {relation}"));
     let mut examined = 0;
     let joined = match read {
         Some(read) => scan_join(plan, (relation, terms), batch, read, ctx, &mut examined),
         None => Ok(Rows::new(batch.rows.width())),
     };
     tr.trace.join_scanned(tr.rule, examined as u64);
-    tr.trace.close(span);
     joined
 }
 

@@ -1,7 +1,6 @@
 use super::*;
 use proptest::prelude::*;
 use spannerlib_core::{hash_cells, Schema, Tuple, ValueType};
-use spannerlib_trace::NO_SPAN;
 use std::collections::BTreeSet;
 
 /// A partial assignment of a rule's variables.
@@ -232,7 +231,6 @@ fn run(
     let mut tr = TraceCtx {
         trace: &mut trace,
         rule: 0,
-        parent: NO_SPAN,
     };
     let pieces = execute_with(plan, relations, &ctx, &mut tr)?;
     let mut rows = Rows::new(plan.head.len());

@@ -176,9 +176,8 @@ impl SessionBuilder {
     /// Sets how much each evaluation records ([`TraceLevel::Off`] by
     /// default): `Summary` produces an [`EvalProfile`] (per-rule and
     /// per-IE-function counters and wall times, read via
-    /// [`Session::profile`]); `Spans` additionally records hierarchical
-    /// timed span events into a byte-bounded ring buffer. At `Off` the
-    /// evaluation hot path pays only a branch per instrumentation site.
+    /// [`Session::profile`]). At `Off` the evaluation hot path pays only
+    /// a branch per instrumentation site.
     pub fn tracing(mut self, level: TraceLevel) -> SessionBuilder {
         self.session.trace_level = level;
         self

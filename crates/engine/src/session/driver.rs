@@ -18,7 +18,7 @@ use crate::maintain::Seeds;
 use crate::plan::Step;
 use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery};
 use rustc_hash::FxBuildHasher;
-use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES};
+use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel};
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
@@ -46,8 +46,9 @@ pub enum FullReason {
     /// run derived or an input lost may name a document that is gone, or
     /// an id the pass gave another document.
     DocumentsCompacted,
-    /// `Session::set_tracing` changed the trace level, which asks for
-    /// the profile of a full run.
+    /// `Session::set_tracing` switched tracing on, which asks for the
+    /// profile of a full run. Switching it off keeps the last run as the
+    /// basis.
     TracingChanged,
 }
 
@@ -143,14 +144,15 @@ fn basis<'m>(
 }
 
 impl Session {
-    /// Changes the trace level of subsequent evaluations and forces the
-    /// next query to re-evaluate in full (so a freshly enabled level
-    /// yields a profile without requiring an input mutation).
+    /// Changes the trace level of subsequent evaluations. Switching
+    /// tracing on forces the next query to re-evaluate in full, so it
+    /// yields a profile without requiring an input mutation; switching it
+    /// off keeps the last run as the next one's basis.
     pub fn set_tracing(&mut self, level: TraceLevel) {
-        if self.trace_level != level {
-            self.trace_level = level;
+        if self.trace_level != level && level.summarizes() {
             self.last = Err(FullReason::TracingChanged);
         }
+        self.trace_level = level;
     }
 
     /// Attributes the *next* fixpoint run to serving requests: `ids`
@@ -266,7 +268,7 @@ impl Session {
             self.pending_request_ids.clear();
             return Ok(&self.db);
         }
-        let mut trace = RunTrace::new(self.trace_level, DEFAULT_SPAN_BUFFER_BYTES);
+        let mut trace = RunTrace::new(self.trace_level);
         self.eval_seq += 1;
         trace.serving_context(self.eval_seq, std::mem::take(&mut self.pending_request_ids));
         let last = std::mem::replace(&mut self.last, Err(FullReason::PreviousRunFailed));
@@ -280,11 +282,13 @@ impl Session {
         let db = Arc::make_mut(&mut self.db);
         let result = eval::run(db, program, &ctx, &mut trace, seeds);
         // Capture the profile before propagating errors: an aborted run
-        // leaves its partial per-component progress in `profile()`.
-        if let Some(mut profile) = trace.finish(result.as_ref().err().map(|e| e.to_string())) {
+        // leaves its partial per-component progress in `profile()`, and an
+        // untraced run leaves none.
+        let profile = trace.finish(result.as_ref().err().map(|e| e.to_string()));
+        self.last_profile = profile.map(|mut profile| {
             mode.record(&mut profile);
-            self.last_profile = Some(Arc::new(profile));
-        }
+            Arc::new(profile)
+        });
         self.last_stats = EvalStats { mode, ..result? };
         // Generations are read *after* the run: rules may derive into
         // extensional heads, and those inserts must not look like fresh

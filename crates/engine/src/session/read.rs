@@ -87,10 +87,11 @@ impl Session {
     /// Profile of the most recent fixpoint run — per-rule wall times,
     /// firings, tuple counts, join rows scanned, and per-IE-function
     /// body-call/latency statistics. `None` until a run happens with
-    /// tracing enabled (see [`SessionBuilder::tracing`]). An aborted run
-    /// (limit exceeded) still leaves its partial profile here, with
-    /// [`EvalProfile::error`] set. Skipped evaluations (unchanged
-    /// inputs) keep the previous profile.
+    /// tracing enabled (see [`SessionBuilder::tracing`]), and again after
+    /// a run with tracing off: a profile always describes the latest run.
+    /// An aborted run (limit exceeded) still leaves its partial profile
+    /// here, with [`EvalProfile::error`] set. Skipped evaluations
+    /// (unchanged inputs) run nothing and keep the previous profile.
     ///
     /// [`SessionBuilder::tracing`]: super::SessionBuilder::tracing
     pub fn profile(&self) -> Option<Arc<EvalProfile>> {

@@ -11,7 +11,6 @@ use crate::plan::{
 use crate::registry::Registry;
 use rustc_hash::FxHashMap;
 use spannerlib_core::{sort_order, Relation, Rows, Value};
-use spannerlib_trace::{SpanKind, NO_SPAN};
 use std::ops::Range;
 
 /// The position in `order` of the scan a firing shards: the first that
@@ -82,23 +81,19 @@ pub(crate) fn run_sharded(
         return shard(scanned, tr).map(|rows| vec![rows]);
     }
     let trace = &*tr.trace;
-    let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |i, range| {
+    let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |_, range| {
         let mut fork = trace.fork();
-        let label = || format!("shard {i} (rows {}..{})", range.start, range.end);
-        let span = fork.open(NO_SPAN, SpanKind::Shard, label);
         let mut shard_tr = TraceCtx {
             trace: &mut fork,
             rule: 0,
-            parent: span,
         };
         let rows = shard(range, &mut shard_tr);
-        fork.close(span);
         (rows, fork)
     });
     (tr.trace).parallel_summary(ctx.workers as u64, shards.len() as u64, 0);
     let mut results = Vec::new();
     for (rows, fork) in shards {
-        tr.trace.merge_fork(tr.rule, tr.parent, fork);
+        tr.trace.merge_fork(tr.rule, fork);
         results.push(rows);
     }
     results.into_iter().collect()

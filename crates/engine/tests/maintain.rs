@@ -316,7 +316,8 @@ fn every_reason_for_a_full_evaluation_is_named() {
     session.ensure_evaluated().unwrap();
     assert_eq!(full(&session), Some(FullReason::ProgramChanged));
 
-    session.set_tracing(TraceLevel::Spans);
+    session.set_tracing(TraceLevel::Off);
+    session.set_tracing(TraceLevel::Summary);
     session.ensure_evaluated().unwrap();
     assert_eq!(full(&session), Some(FullReason::TracingChanged));
 

@@ -1,14 +1,14 @@
 //! Observability integration tests: `EvalProfile` agreement with
 //! `EvalStats`, partial profiles and culprit attribution on aborted
-//! runs, stats draining, the span-buffer budget, and the property that
-//! tracing never changes query results.
+//! runs, stats draining, what switching tracing off keeps, and the
+//! property that tracing never changes query results.
 
 mod support;
 
 use proptest::prelude::*;
 use spannerlib_core::Value;
-use spannerlib_trace::{SpanKind, TraceLevel, DEFAULT_SPAN_BUFFER_BYTES, NO_SPAN};
-use spannerlog_engine::{EngineError, EvalStats, Session};
+use spannerlib_trace::TraceLevel;
+use spannerlog_engine::{EngineError, EvalMode, EvalStats, Session};
 use std::fmt::Write as _;
 
 /// Transitive closure over a six-edge chain: one recursive component,
@@ -45,8 +45,6 @@ fn profile_counters_agree_with_eval_stats() {
     assert_eq!(profile.tuples_derived, eval.tuples_derived as u64);
     assert_eq!(profile.tuples_new, eval.tuples_new as u64);
     assert_eq!(profile.error, None);
-    assert_eq!(profile.level, TraceLevel::Summary);
-    assert!(profile.spans.is_empty(), "no span events below Spans");
 
     // The per-rule breakdown sums back to the totals.
     let rules: Vec<_> = profile.strata.iter().flat_map(|s| &s.rules).collect();
@@ -69,47 +67,7 @@ fn profile_counters_agree_with_eval_stats() {
 }
 
 #[test]
-fn spans_level_records_a_well_formed_tree() {
-    let mut session = traced_session(TraceLevel::Spans);
-    session.run(TC_PROGRAM).unwrap();
-    session.export("?Path(x, y)").unwrap();
-
-    let profile = session.profile().unwrap();
-    assert!(!profile.spans.is_empty());
-    assert_eq!(profile.spans_dropped, 0);
-
-    // Exactly one root (the Execute span); every other parent resolves.
-    let ids: std::collections::HashSet<_> = profile.spans.iter().map(|s| s.id).collect();
-    let roots: Vec<_> = profile
-        .spans
-        .iter()
-        .filter(|s| s.parent == NO_SPAN)
-        .collect();
-    assert_eq!(roots.len(), 1);
-    assert_eq!(roots[0].kind, SpanKind::Execute);
-    for span in &profile.spans {
-        assert!(span.parent == NO_SPAN || ids.contains(&span.parent));
-    }
-    for kind in [SpanKind::Stratum, SpanKind::Round, SpanKind::Rule] {
-        assert!(
-            profile.spans.iter().any(|s| s.kind == kind),
-            "missing {kind:?} spans"
-        );
-    }
-    // Sorted by start time, and rule spans carry the rule source.
-    assert!(profile
-        .spans
-        .windows(2)
-        .all(|w| w[0].start_ns <= w[1].start_ns));
-    assert!(profile
-        .spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Rule)
-        .all(|s| s.label.contains("Path")));
-}
-
-#[test]
-fn ie_profile_counts_calls_memo_hits_and_latency() {
+fn ie_profile_counts_body_calls_and_latency() {
     // A second rule asks the call the first one did — as covid's
     // `Mention` and `Asserted` both ask `mentions(s)` — and the program
     // asks it once: `calls` counts body executions.
@@ -128,15 +86,6 @@ fn ie_profile_counts_calls_memo_hits_and_latency() {
         .expect("rgx_string profiled");
     assert_eq!(ie.calls, 1);
     assert_eq!(ie.latency.count, ie.calls);
-
-    // The span level adds IE-batch spans for the same run.
-    session.set_tracing(TraceLevel::Spans);
-    session.export("?R(usr, dom)").unwrap();
-    let profile = session.profile().unwrap();
-    assert!(profile
-        .spans
-        .iter()
-        .any(|s| s.kind == SpanKind::IeBatch && s.label.starts_with("rgx_string")));
 }
 
 /// A match that leaves an optional group undefined gives `rgx` and
@@ -347,6 +296,47 @@ fn tracing_off_yields_no_profile_and_set_tracing_forces_one() {
     assert!(session.profile().is_some());
 }
 
+/// Switching tracing off changes nothing a run derives, so the next
+/// query skips evaluation and a write is maintained from the last run.
+#[test]
+fn switching_tracing_off_keeps_the_last_run_as_the_basis() {
+    let mut session = traced_session(TraceLevel::Summary);
+    session.run(TC_PROGRAM).unwrap();
+    session.export("?Path(x, y)").unwrap();
+    assert_eq!(session.eval_seq(), 1);
+
+    session.set_tracing(TraceLevel::Off);
+    assert_eq!(session.export("?Path(x, y)").unwrap().num_rows(), 21);
+    assert_eq!(session.eval_seq(), 1, "nothing changed: no run");
+
+    session
+        .add_fact("Edge", [Value::Int(7), Value::Int(8)])
+        .unwrap();
+    assert_eq!(session.export("?Path(x, y)").unwrap().num_rows(), 28);
+    assert_eq!(session.eval_seq(), 2);
+    let mode = session.stats().eval.mode;
+    assert!(matches!(mode, EvalMode::Maintained { .. }), "{mode:?}");
+}
+
+/// A profile describes the latest run: a run with tracing off leaves
+/// none behind, on the session and on its snapshots.
+#[test]
+fn an_untraced_run_leaves_no_stale_profile() {
+    let mut session = traced_session(TraceLevel::Summary);
+    session.run(TC_PROGRAM).unwrap();
+    session.export("?Path(x, y)").unwrap();
+    assert_eq!(session.profile().unwrap().eval_seq, 1);
+
+    session.set_tracing(TraceLevel::Off);
+    session
+        .add_fact("Edge", [Value::Int(7), Value::Int(8)])
+        .unwrap();
+    session.ensure_evaluated().unwrap();
+    assert_eq!(session.eval_seq(), 2);
+    assert_eq!(session.profile(), None);
+    assert_eq!(session.snapshot().unwrap().profile(), None);
+}
+
 #[test]
 fn snapshot_carries_the_producing_runs_profile() {
     let mut session = traced_session(TraceLevel::Summary);
@@ -359,40 +349,8 @@ fn snapshot_carries_the_producing_runs_profile() {
 }
 
 #[test]
-fn span_buffer_budget_bounds_resident_spans_under_churn() {
-    // Single-source reachability down a long chain: one round per edge,
-    // a handful of spans per round, few tuples.
-    let mut session = traced_session(TraceLevel::Spans);
-    session
-        .run("new Edge(int, int) new Start(int) Start(0)")
-        .unwrap();
-    for i in 0..4_000 {
-        let edge = [Value::Int(i), Value::Int(i + 1)];
-        session.add_fact("Edge", edge).unwrap();
-    }
-    session
-        .run("Reach(x) <- Start(x)\nReach(y) <- Reach(x), Edge(x, y)")
-        .unwrap();
-    session.export("?Reach(x)").unwrap();
-
-    let budget = DEFAULT_SPAN_BUFFER_BYTES;
-    let profile = session.profile().unwrap();
-    assert!(
-        profile.spans_dropped > 0,
-        "a deep recursion overflows the {budget}-byte ring"
-    );
-    let resident: usize = profile.spans.iter().map(|s| s.bytes()).sum();
-    assert!(
-        resident <= budget,
-        "resident {resident} bytes exceed the {budget}-byte budget"
-    );
-    // Eviction drops oldest-first, so the survivors are the tail.
-    assert!(!profile.spans.is_empty());
-}
-
-#[test]
 fn profile_renders_a_table_and_exports_json_lines() {
-    let mut session = traced_session(TraceLevel::Spans);
+    let mut session = traced_session(TraceLevel::Summary);
     session.run(TC_PROGRAM).unwrap();
     session.export("?Path(x, y)").unwrap();
     let profile = session.profile().unwrap();
@@ -402,21 +360,20 @@ fn profile_renders_a_table_and_exports_json_lines() {
     assert!(table.contains("stratum"), "{table}");
 
     let json = profile.to_json_lines();
-    assert!(json.lines().count() >= 1 + 2 + profile.spans.len());
+    assert_eq!(json.lines().count(), 1 + 2);
     for line in json.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
     }
     assert!(json.contains(r#""type":"profile""#));
     assert!(json.contains(r#""type":"rule""#));
-    assert!(json.contains(r#""type":"span""#));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Tracing is observation only: for random edge sets, the derived
-    /// relation is the reference's with tracing off, at summary level
-    /// and at full span capture.
+    /// relation is the reference's with tracing off and at summary
+    /// level.
     #[test]
     fn tracing_level_never_changes_results(
         edges in prop::collection::vec((0..6i64, 0..6i64), 1..12),
@@ -434,7 +391,7 @@ proptest! {
             .map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap()))
             .collect();
         expected.sort_unstable();
-        for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
+        for level in [TraceLevel::Off, TraceLevel::Summary] {
             let mut session = Session::builder().tracing(level).build();
             session.run(&program).unwrap();
             let mut rows: Vec<(i64, i64)> = session.export_typed("?Path(x, y)").unwrap();

@@ -500,7 +500,7 @@ fn request_id_flows_to_header_access_log_and_slow_query_profile() {
     let profile = record.get("profile").unwrap().as_array().unwrap();
     assert!(!profile.is_empty(), "{record:?}");
     assert_eq!(profile[0].get("type").unwrap().as_str(), Some("profile"));
-    assert_eq!(profile[0].get("schema").unwrap(), &Json::Int(2));
+    assert_eq!(profile[0].get("schema").unwrap(), &Json::Int(3));
     assert!(
         profile[0]
             .get("request_ids")

@@ -30,7 +30,7 @@ fn profile_json_lines_round_trip_through_the_json_parser() {
             .unwrap_or_else(|e| panic!("profile line is not valid JSON ({e}): {line}"));
         assert_eq!(
             json.get("schema").and_then(Json::as_i64),
-            Some(2),
+            Some(3),
             "every record carries the schema version: {line}"
         );
         parsed.push(json);

@@ -7,15 +7,12 @@
 //! The crate is deliberately **zero-dependency** (std only) and splits
 //! into four layers:
 //!
-//! - **Vocabulary** ([`TraceLevel`], [`SpanKind`], [`SpanEvent`]): what
-//!   gets recorded. Levels are ordered `Off < Summary < Spans`; spans
-//!   form the hierarchy execute → stratum → round → rule → join /
-//!   IE batch.
-//! - **Collection** ([`RunTrace`], [`SpanRing`]): a single-threaded
-//!   collector the engine threads through one fixpoint evaluation, and
-//!   the byte-bounded ring buffer its span events land in. Every
-//!   `RunTrace` method is a no-op at `Off`, so the untraced hot path
-//!   pays only a branch.
+//! - **Level** ([`TraceLevel`]): whether a run records anything —
+//!   `Off`, or its `Summary` profile.
+//! - **Collection** ([`RunTrace`]): a single-threaded collector the
+//!   engine threads through one fixpoint evaluation. Every `RunTrace`
+//!   method is a no-op at `Off`, so the untraced hot path pays only a
+//!   branch.
 //! - **Reporting** ([`EvalProfile`] with [`EvalProfile::render`] and
 //!   [`EvalProfile::to_json_lines`]): the per-run report — per-rule
 //!   wall time, firings, tuple and join-row counts, per-IE-function
@@ -26,16 +23,14 @@
 //!   feeds from each run's profile, and its text exposition.
 //!
 //! ```
-//! use spannerlib_trace::{RunTrace, SpanKind, TraceLevel, NO_SPAN};
+//! use spannerlib_trace::{RunTrace, TraceLevel};
 //!
 //! // The engine drives a RunTrace through one evaluation…
-//! let mut trace = RunTrace::new(TraceLevel::Spans, 0);
-//! let root = trace.open(NO_SPAN, SpanKind::Execute, || "eval".into());
+//! let mut trace = RunTrace::new(TraceLevel::Summary);
 //! let rule = trace.register_rule(0, "Out", "Out(x) <- In(x).", 1);
 //! trace.round(0);
 //! let t0 = trace.now_ns();
 //! trace.rule_fired(rule, 12, 9, t0, true);
-//! trace.close(root);
 //!
 //! // …and finishing it yields the run's EvalProfile.
 //! let profile = trace.finish(None).expect("tracing was on");
@@ -46,7 +41,6 @@
 mod expo;
 mod metrics;
 mod profile;
-mod ring;
 mod run;
 mod span;
 
@@ -56,6 +50,5 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use profile::{fmt_ns, EvalProfile, IeFunctionProfile, RuleProfile, StratumProfile};
-pub use ring::SpanRing;
-pub use run::{RunTrace, DEFAULT_SPAN_BUFFER_BYTES};
-pub use span::{SpanEvent, SpanId, SpanKind, TraceLevel, NO_SPAN};
+pub use run::RunTrace;
+pub use span::TraceLevel;

@@ -3,19 +3,17 @@
 //! JSON-lines exporter for offline analysis.
 
 use crate::metrics::HistogramSnapshot;
-use crate::span::{SpanEvent, TraceLevel};
 use std::fmt::Write as _;
 
 /// The profile of one fixpoint evaluation: totals, per-stratum and
-/// per-rule breakdowns, per-IE-function call statistics, and (at
-/// [`TraceLevel::Spans`]) the recorded span events.
+/// per-rule breakdowns, and per-IE-function call statistics.
 ///
 /// Obtain one from `Session::profile()` / `Snapshot::profile()` after
-/// evaluating with tracing at [`TraceLevel::Summary`] or above.
+/// evaluating with tracing at [`TraceLevel::Summary`].
+///
+/// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalProfile {
-    /// The level the run was traced at.
-    pub level: TraceLevel,
     /// Monotonic per-session evaluation sequence number (0 when the
     /// run was not attributed — e.g. constructed by hand).
     pub eval_seq: u64,
@@ -58,10 +56,6 @@ pub struct EvalProfile {
     pub strata: Vec<StratumProfile>,
     /// Per-IE-function call statistics, sorted by name.
     pub ie_functions: Vec<IeFunctionProfile>,
-    /// Recorded span events (empty below [`TraceLevel::Spans`]).
-    pub spans: Vec<SpanEvent>,
-    /// Span events dropped by the ring buffer's byte budget.
-    pub spans_dropped: u64,
     /// Scan-join and anti-join index lookups answered by the run's
     /// index cache.
     pub index_hits: u64,
@@ -152,7 +146,7 @@ pub struct IeFunctionProfile {
 /// stamped as `"schema"` on every emitted line. Bump when a field is
 /// renamed or removed (additions are backward-compatible and don't
 /// require a bump).
-pub const PROFILE_JSON_SCHEMA: u32 = 2;
+pub const PROFILE_JSON_SCHEMA: u32 = 3;
 
 /// Formats nanoseconds compactly: `17ns`, `3.4µs`, `1.2ms`, `5.0s`.
 pub fn fmt_ns(ns: u64) -> String {
@@ -372,19 +366,11 @@ impl EvalProfile {
                 );
             }
         }
-        if !self.spans.is_empty() || self.spans_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "spans: {} recorded, {} dropped",
-                self.spans.len(),
-                self.spans_dropped
-            );
-        }
         out
     }
 
     /// Exports the profile as JSON lines: one `profile` record, then
-    /// one record per rule, IE function, and span. Each line is a
+    /// one record per rule and IE function. Each line is a
     /// self-contained JSON object with a `"type"` discriminator and a
     /// `"schema"` version (`PROFILE_JSON_SCHEMA`), so the output
     /// streams into `jq`/pandas without a wrapping array and consumers
@@ -393,7 +379,7 @@ impl EvalProfile {
     /// ```
     /// use spannerlib_trace::EvalProfile;
     /// let lines = EvalProfile::default().to_json_lines();
-    /// assert!(lines.starts_with("{\"type\":\"profile\",\"schema\":2"));
+    /// assert!(lines.starts_with("{\"type\":\"profile\",\"schema\":3"));
     /// assert_eq!(lines.trim_end().lines().count(), 1);
     /// ```
     pub fn to_json_lines(&self) -> String {
@@ -406,9 +392,9 @@ impl EvalProfile {
             out,
             "{{\"type\":\"profile\",\"schema\":{PROFILE_JSON_SCHEMA},\
              \"eval_seq\":{},\"request_ids\":{},\
-             \"level\":{},\"total_ns\":{},\"rounds\":{},\
+             \"total_ns\":{},\"rounds\":{},\
              \"rule_firings\":{},\"tuples_derived\":{},\"tuples_new\":{},\
-             \"strata\":{},\"spans_dropped\":{},\"index_hits\":{},\
+             \"strata\":{},\"index_hits\":{},\
              \"index_builds\":{},\"prefilter_searches\":{},\
              \"prefilter_pruned\":{},\"unassigned_matches\":{},\
              \"par_workers\":{},\"par_shards\":{},\
@@ -417,14 +403,12 @@ impl EvalProfile {
              \"seed_rows_added\":{},\"seed_rows_removed\":{},\"error\":{}}}",
             self.eval_seq,
             request_ids,
-            json_str(self.level.name()),
             self.total_ns,
             self.rounds,
             self.rule_firings,
             self.tuples_derived,
             self.tuples_new,
             self.strata.len(),
-            self.spans_dropped,
             self.index_hits,
             self.index_builds,
             self.prefilter_searches,
@@ -483,20 +467,6 @@ impl EvalProfile {
                 f.latency.sum,
             );
         }
-        for span in &self.spans {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"span\",\"schema\":{PROFILE_JSON_SCHEMA},\
-                 \"id\":{},\"parent\":{},\"kind\":{},\
-                 \"label\":{},\"start_ns\":{},\"duration_ns\":{}}}",
-                span.id,
-                span.parent,
-                json_str(span.kind.name()),
-                json_str(&span.label),
-                span.start_ns,
-                span.duration_ns,
-            );
-        }
         out
     }
 }
@@ -504,14 +474,12 @@ impl EvalProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanKind, NO_SPAN};
 
     fn sample() -> EvalProfile {
         let mut latency = HistogramSnapshot::default();
         latency.record(500);
         latency.record(2_000);
         EvalProfile {
-            level: TraceLevel::Spans,
             eval_seq: 42,
             request_ids: vec!["req-\"quoted\"".into()],
             total_ns: 5_000,
@@ -545,15 +513,6 @@ mod tests {
                 calls: 2,
                 latency,
             }],
-            spans: vec![SpanEvent {
-                id: 1,
-                parent: NO_SPAN,
-                kind: SpanKind::Execute,
-                label: "eval \"with quotes\"".into(),
-                start_ns: 0,
-                duration_ns: 5_000,
-            }],
-            spans_dropped: 2,
             index_hits: 6,
             index_builds: 2,
             prefilter_searches: 10,
@@ -572,7 +531,6 @@ mod tests {
         let table = sample().render();
         assert!(table.contains("Out(x) <- In(x), f(x) -> (y)."));
         assert!(table.contains("ie function"));
-        assert!(table.contains("spans: 1 recorded, 2 dropped"));
         assert!(table.contains("plan: In[10] ⋈ f()"));
         assert!(table.contains("planner: 2 indexes built, 6 reused"));
         assert!(table.contains("prefilter: 10 searches, 4 pruned (40%)"));
@@ -652,18 +610,15 @@ mod tests {
             .lines()
             .map(String::from)
             .collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"type\":\"profile\""));
-        assert!(lines[0].contains("\"schema\":2"));
+        assert!(lines[0].contains("\"schema\":3"));
         assert!(lines[0].contains("\"eval_seq\":42"));
         assert!(lines[0].contains("\"unassigned_matches\":5,"));
         assert!(lines[0].contains("\"request_ids\":[\"req-\\\"quoted\\\"\"]"));
-        assert!(lines.iter().all(|l| l.contains("\"schema\":2")));
+        assert!(lines.iter().all(|l| l.contains("\"schema\":3")));
         assert!(lines[1].contains("\"type\":\"rule\""));
         assert!(lines[2].contains("\"type\":\"ie\""));
-        assert!(lines[3].contains("\"type\":\"span\""));
-        // Quotes in labels must be escaped.
-        assert!(lines[3].contains("eval \\\"with quotes\\\""));
     }
 
     #[test]

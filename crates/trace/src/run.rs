@@ -1,27 +1,12 @@
 //! `RunTrace`: the single-threaded collector the engine threads through
 //! one fixpoint evaluation. It accumulates per-rule / per-stratum /
-//! per-IE counters and (at [`TraceLevel::Spans`]) timed span events,
-//! and is folded into an [`EvalProfile`] when the run finishes.
+//! per-IE counters and wall times, and is folded into an
+//! [`EvalProfile`] when the run finishes.
 
 use crate::profile::{EvalProfile, IeFunctionProfile, RuleProfile, StratumProfile};
-use crate::ring::SpanRing;
-use crate::span::{SpanEvent, SpanId, SpanKind, TraceLevel, NO_SPAN};
+use crate::span::TraceLevel;
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Default byte budget for the per-run span ring buffer (256 KiB —
-/// roughly a few thousand spans).
-pub const DEFAULT_SPAN_BUFFER_BYTES: usize = 256 * 1024;
-
-/// A span opened but not yet closed.
-#[derive(Debug)]
-struct OpenSpan {
-    id: SpanId,
-    parent: SpanId,
-    kind: SpanKind,
-    label: String,
-    start_ns: u64,
-}
 
 /// Per-stratum accumulator.
 #[derive(Debug, Default)]
@@ -42,7 +27,7 @@ struct StratumAcc {
 ///
 /// ```
 /// use spannerlib_trace::{RunTrace, TraceLevel};
-/// let mut trace = RunTrace::new(TraceLevel::Summary, 0);
+/// let mut trace = RunTrace::new(TraceLevel::Summary);
 /// let rule = trace.register_rule(0, "Out", "Out(x) <- In(x).", 1);
 /// trace.round(0);
 /// let t0 = trace.now_ns();
@@ -56,9 +41,6 @@ struct StratumAcc {
 pub struct RunTrace {
     level: TraceLevel,
     epoch: Instant,
-    next_span: SpanId,
-    open: Vec<OpenSpan>,
-    ring: SpanRing,
     strata: Vec<StratumAcc>,
     rules: Vec<RuleProfile>,
     ie: BTreeMap<String, IeFunctionProfile>,
@@ -84,23 +66,11 @@ struct EvalTotals {
 }
 
 impl RunTrace {
-    /// A collector for one run at `level`. `span_budget_bytes` bounds
-    /// the span ring buffer; `0` selects [`DEFAULT_SPAN_BUFFER_BYTES`].
-    /// Below [`TraceLevel::Spans`] no ring memory is reserved.
-    pub fn new(level: TraceLevel, span_budget_bytes: usize) -> RunTrace {
-        let budget = if !level.records_spans() {
-            0
-        } else if span_budget_bytes == 0 {
-            DEFAULT_SPAN_BUFFER_BYTES
-        } else {
-            span_budget_bytes
-        };
+    /// A collector for one run at `level`.
+    pub fn new(level: TraceLevel) -> RunTrace {
         RunTrace {
             level,
             epoch: Instant::now(),
-            next_span: NO_SPAN,
-            open: Vec::new(),
-            ring: SpanRing::new(budget),
             strata: Vec::new(),
             rules: Vec::new(),
             ie: BTreeMap::new(),
@@ -112,7 +82,7 @@ impl RunTrace {
 
     /// A collector that records nothing ([`TraceLevel::Off`]).
     pub fn disabled() -> RunTrace {
-        RunTrace::new(TraceLevel::Off, 0)
+        RunTrace::new(TraceLevel::Off)
     }
 
     /// Attributes this run to its serving context: the session's eval
@@ -125,11 +95,6 @@ impl RunTrace {
         }
         self.eval_seq = eval_seq;
         self.request_ids = request_ids;
-    }
-
-    /// The level this run records at.
-    pub fn level(&self) -> TraceLevel {
-        self.level
     }
 
     /// Whether any profiling is happening (level ≥ `Summary`).
@@ -294,21 +259,11 @@ impl RunTrace {
     /// rule firing. The fork shares this run's level and epoch (so its
     /// timestamps land on the same axis) but owns all of its state;
     /// slot `0` is its single anonymous rule accumulator, which
-    /// [`RunTrace::merge_fork`] folds back into a real rule. Forks get a
-    /// small private span ring — shards are short-lived and merged
-    /// eagerly, so they never need the full run budget.
+    /// [`RunTrace::merge_fork`] folds back into a real rule.
     pub fn fork(&self) -> RunTrace {
-        let budget = if self.level.records_spans() {
-            64 * 1024
-        } else {
-            0
-        };
         RunTrace {
             level: self.level,
             epoch: self.epoch,
-            next_span: NO_SPAN,
-            open: Vec::new(),
-            ring: SpanRing::new(budget),
             strata: Vec::new(),
             rules: vec![RuleProfile::default()],
             ie: BTreeMap::new(),
@@ -320,25 +275,12 @@ impl RunTrace {
 
     /// Folds a shard fork back into this run: the fork's anonymous rule
     /// counters are charged to rule `rule`, its run totals (IE batches
-    /// included) add to this run's, its IE profiles merge into
-    /// this run's, and its span events are renumbered into this run's id
-    /// space with their roots re-parented under `parent`. Call serially
-    /// (after the parallel scope), in a deterministic shard order.
-    pub fn merge_fork(&mut self, rule: usize, parent: SpanId, mut fork: RunTrace) {
+    /// included) add to this run's, and its IE profiles merge into
+    /// this run's. Call serially (after the parallel scope), in a
+    /// deterministic shard order.
+    pub fn merge_fork(&mut self, rule: usize, fork: RunTrace) {
         if !self.enabled() {
             return;
-        }
-        // Close anything the shard left open (e.g. its error path).
-        let end = fork.now_ns();
-        while let Some(span) = fork.open.pop() {
-            fork.ring.push(SpanEvent {
-                id: span.id,
-                parent: span.parent,
-                kind: span.kind,
-                label: span.label,
-                start_ns: span.start_ns,
-                duration_ns: end.saturating_sub(span.start_ns),
-            });
         }
         let shard_rule = &fork.rules[0];
         self.totals.rule_firings += fork.totals.rule_firings;
@@ -355,7 +297,7 @@ impl RunTrace {
             r.join_rows_scanned += shard_rule.join_rows_scanned;
             r.total_ns += shard_rule.total_ns;
         }
-        for (name, profile) in std::mem::take(&mut fork.ie) {
+        for (name, profile) in fork.ie {
             let entry = self.ie.entry(name).or_insert_with(|| IeFunctionProfile {
                 name: profile.name.clone(),
                 ..IeFunctionProfile::default()
@@ -363,18 +305,6 @@ impl RunTrace {
             entry.calls += profile.calls;
             entry.latency.merge(&profile.latency);
         }
-        let offset = self.next_span;
-        for mut event in fork.ring.drain() {
-            event.id += offset;
-            event.parent = if event.parent == NO_SPAN {
-                parent
-            } else {
-                event.parent + offset
-            };
-            self.ring.push(event);
-        }
-        self.ring.add_dropped(fork.ring.dropped());
-        self.next_span += fork.next_span;
     }
 
     /// Charges wall time from `t0` to `stratum` (call when the stratum
@@ -389,78 +319,14 @@ impl RunTrace {
         }
     }
 
-    /// Opens a span under `parent` ([`NO_SPAN`] for the root). The
-    /// label closure only runs when spans are recorded, so the off- and
-    /// summary-paths never format strings. Returns [`NO_SPAN`] when
-    /// spans are off — safe to pass to [`RunTrace::close`] and as a
-    /// `parent`.
-    pub fn open(
-        &mut self,
-        parent: SpanId,
-        kind: SpanKind,
-        label: impl FnOnce() -> String,
-    ) -> SpanId {
-        if !self.level.records_spans() {
-            return NO_SPAN;
-        }
-        self.next_span += 1;
-        let id = self.next_span;
-        let start_ns = self.now_ns();
-        self.open.push(OpenSpan {
-            id,
-            parent,
-            kind,
-            label: label(),
-            start_ns,
-        });
-        id
-    }
-
-    /// Closes span `id`, recording its event in the ring buffer.
-    /// Closing [`NO_SPAN`] or an unknown id is a no-op.
-    pub fn close(&mut self, id: SpanId) {
-        if id == NO_SPAN {
-            return;
-        }
-        // Spans close in stack order in practice, so scan from the end.
-        let Some(pos) = self.open.iter().rposition(|s| s.id == id) else {
-            return;
-        };
-        let span = self.open.swap_remove(pos);
-        let end = self.now_ns();
-        self.ring.push(SpanEvent {
-            id: span.id,
-            parent: span.parent,
-            kind: span.kind,
-            label: span.label,
-            start_ns: span.start_ns,
-            duration_ns: end.saturating_sub(span.start_ns),
-        });
-    }
-
     /// Ends the run and assembles the [`EvalProfile`] — `None` when
     /// disabled. `error` marks an aborted run (the profile then shows
-    /// the partial progress); any spans still open (unwound by the
-    /// abort) are closed at the finish timestamp.
-    pub fn finish(mut self, error: Option<String>) -> Option<EvalProfile> {
+    /// the partial progress).
+    pub fn finish(self, error: Option<String>) -> Option<EvalProfile> {
         if !self.enabled() {
             return None;
         }
         let total_ns = self.now_ns();
-        // Close leaked spans innermost-first so parents outlive children.
-        while let Some(span) = self.open.pop() {
-            self.ring.push(SpanEvent {
-                id: span.id,
-                parent: span.parent,
-                kind: span.kind,
-                label: span.label,
-                start_ns: span.start_ns,
-                duration_ns: total_ns.saturating_sub(span.start_ns),
-            });
-        }
-        let spans_dropped = self.ring.dropped();
-        let mut spans = self.ring.drain();
-        spans.sort_by_key(|s| (s.start_ns, s.id));
         let rules = self.rules;
         let strata = self
             .strata
@@ -474,7 +340,6 @@ impl RunTrace {
             })
             .collect();
         Some(EvalProfile {
-            level: self.level,
             eval_seq: self.eval_seq,
             request_ids: self.request_ids,
             total_ns,
@@ -490,8 +355,6 @@ impl RunTrace {
             seed_rows_removed: 0,
             strata,
             ie_functions: self.ie.into_values().collect(),
-            spans,
-            spans_dropped,
             index_hits: self.totals.index_hits,
             index_builds: self.totals.index_builds,
             prefilter_searches: self.totals.prefilter_searches,
@@ -527,15 +390,12 @@ mod tests {
         trace.ie_call("f", 0);
         trace.plan_chosen(rule, || unreachable!());
         trace.index_cache(3, 1);
-        let id = trace.open(NO_SPAN, SpanKind::Execute, || unreachable!());
-        assert_eq!(id, NO_SPAN);
-        trace.close(id);
         assert!(trace.finish(None).is_none());
     }
 
     #[test]
     fn summary_run_accumulates_per_rule_and_per_ie() {
-        let mut trace = RunTrace::new(TraceLevel::Summary, 0);
+        let mut trace = RunTrace::new(TraceLevel::Summary);
         let r0 = trace.register_rule(0, "A", "A(x) <- B(x).", 1);
         let r1 = trace.register_rule(1, "C", "C(x) <- A(x).", 2);
         trace.round(0);
@@ -561,13 +421,11 @@ mod tests {
         assert_eq!(p.ie_functions.len(), 2);
         let f = &p.ie_functions[0];
         assert_eq!((f.name.as_str(), f.calls), ("f", 2));
-        // Summary level records no span events.
-        assert!(p.spans.is_empty());
     }
 
     #[test]
     fn plan_chosen_keeps_first_and_index_totals_accumulate() {
-        let mut trace = RunTrace::new(TraceLevel::Summary, 0);
+        let mut trace = RunTrace::new(TraceLevel::Summary);
         let r = trace.register_rule(0, "A", "A(x) <- B(x).", 1);
         trace.plan_chosen(r, || "B[5]".into());
         // A semi-naive delta re-plan must not overwrite the full plan.
@@ -580,79 +438,30 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_and_leaked_spans_close_on_finish() {
-        let mut trace = RunTrace::new(TraceLevel::Spans, 0);
-        let root = trace.open(NO_SPAN, SpanKind::Execute, || "eval".into());
-        let stratum = trace.open(root, SpanKind::Stratum, || "stratum 0".into());
-        let round = trace.open(stratum, SpanKind::Round, || "round 1".into());
-        trace.close(round);
-        // `stratum` and `root` leak (as on an abort path).
-        let p = trace.finish(Some("boom".into())).unwrap();
-        assert_eq!(p.spans.len(), 3);
-        assert_eq!(p.error.as_deref(), Some("boom"));
-        let root_ev = p
-            .spans
-            .iter()
-            .find(|s| s.kind == SpanKind::Execute)
-            .unwrap();
-        let stratum_ev = p
-            .spans
-            .iter()
-            .find(|s| s.kind == SpanKind::Stratum)
-            .unwrap();
-        let round_ev = p.spans.iter().find(|s| s.kind == SpanKind::Round).unwrap();
-        assert_eq!(stratum_ev.parent, root_ev.id);
-        assert_eq!(round_ev.parent, stratum_ev.id);
-        assert!(root_ev.duration_ns >= stratum_ev.duration_ns);
-    }
-
-    #[test]
     fn fork_merges_counters_ie_and_spans_back() {
-        let mut trace = RunTrace::new(TraceLevel::Spans, 0);
+        let mut trace = RunTrace::new(TraceLevel::Summary);
         let r = trace.register_rule(0, "A", "A(x) <- B(x).", 1);
-        let root = trace.open(NO_SPAN, SpanKind::Rule, || "A".into());
         trace.join_scanned(r, 5);
         trace.ie_call("f", trace.now_ns());
 
         let mut fork = trace.fork();
-        let shard = fork.open(NO_SPAN, SpanKind::Shard, || "shard 0".into());
-        let batch = fork.open(shard, SpanKind::IeBatch, || "f".into());
-        fork.close(batch);
-        fork.close(shard);
         fork.join_scanned(0, 7);
         fork.prefilter(3, 2);
         fork.ie_call("f", fork.now_ns());
         fork.ie_call("g", fork.now_ns());
 
-        trace.merge_fork(r, root, fork);
-        trace.close(root);
+        trace.merge_fork(r, fork);
         let p = trace.finish(None).unwrap();
         assert_eq!(p.strata[0].rules[0].join_rows_scanned, 12);
         assert_eq!((p.prefilter_searches, p.prefilter_pruned), (3, 2));
         let f = p.ie_functions.iter().find(|i| i.name == "f").unwrap();
         assert_eq!(f.calls, 2);
         assert!(p.ie_functions.iter().any(|i| i.name == "g"));
-        // Fork spans are renumbered into the parent id space and the
-        // shard root hangs off the rule span.
-        assert_eq!(p.spans.len(), 3);
-        let rule_ev = p.spans.iter().find(|s| s.kind == SpanKind::Rule).unwrap();
-        let shard_ev = p.spans.iter().find(|s| s.kind == SpanKind::Shard).unwrap();
-        let batch_ev = p
-            .spans
-            .iter()
-            .find(|s| s.kind == SpanKind::IeBatch)
-            .unwrap();
-        assert_eq!(shard_ev.parent, rule_ev.id);
-        assert_eq!(batch_ev.parent, shard_ev.id);
-        let mut ids: Vec<_> = p.spans.iter().map(|s| s.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 3, "merged span ids must stay unique");
     }
 
     #[test]
     fn parallel_summary_accumulates_and_reaches_the_profile() {
-        let mut trace = RunTrace::new(TraceLevel::Summary, 0);
+        let mut trace = RunTrace::new(TraceLevel::Summary);
         trace.parallel_summary(4, 6, 2);
         trace.parallel_summary(4, 2, 1);
         let p = trace.finish(None).unwrap();
@@ -665,28 +474,15 @@ mod tests {
 
     #[test]
     fn serial_summaries_record_nothing_and_forks_fold_theirs() {
-        let mut trace = RunTrace::new(TraceLevel::Summary, 0);
+        let mut trace = RunTrace::new(TraceLevel::Summary);
         trace.parallel_summary(1, 3, 1);
         trace.parallel_summary(0, 0, 1);
         let mut fork = trace.fork();
         fork.parallel_summary(2, 0, 1);
         fork.parallel_summary(2, 0, 1);
-        trace.merge_fork(0, NO_SPAN, fork);
+        trace.merge_fork(0, fork);
         trace.parallel_summary(2, 4, 0);
         let p = trace.finish(None).unwrap();
         assert_eq!((p.par_workers, p.par_shards, p.par_ie_batches), (2, 4, 2));
-    }
-
-    #[test]
-    fn span_budget_bounds_memory() {
-        let mut trace = RunTrace::new(TraceLevel::Spans, 2_048);
-        for i in 0..1_000 {
-            let id = trace.open(NO_SPAN, SpanKind::Round, || format!("round {i}"));
-            trace.close(id);
-        }
-        let p = trace.finish(None).unwrap();
-        assert!(p.spans_dropped > 0);
-        let resident: usize = p.spans.iter().map(|s| s.bytes()).sum();
-        assert!(resident <= 2_048);
     }
 }

@@ -1,13 +1,11 @@
-//! Observability with `spannerlib_trace`: per-rule profiling and span
-//! capture.
+//! Observability with `spannerlib_trace`: per-rule profiling.
 //!
 //! Datalog hides the execution plan on purpose — which is exactly why a
 //! slow program is hard to reason about from the rules alone. The trace
 //! subsystem answers "where did the time go" without changing results:
 //!
 //! * `SessionBuilder::tracing(TraceLevel)` — `Off` (default, a few
-//!   dormant probes), `Summary` (per-rule counters and wall times), or
-//!   `Spans` (plus a byte-bounded ring of hierarchical span events);
+//!   dormant probes) or `Summary` (per-rule counters and wall times);
 //! * `Session::profile()` — the `EvalProfile` of the latest fixpoint,
 //!   renderable as a table or exportable as JSON lines.
 //!
@@ -16,8 +14,8 @@
 use spannerlib::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Build: profile every evaluation and record its spans.
-    let mut session = Session::builder().tracing(TraceLevel::Spans).build();
+    // 1. Build: profile every evaluation.
+    let mut session = Session::builder().tracing(TraceLevel::Summary).build();
 
     // 2. A program with something to measure: recursive reachability
     //    plus a regex extraction, so the profile shows joins, rounds,
@@ -43,7 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. The profile: per-stratum, per-rule wall times, firings, tuple
     //    and join-row counts, per-IE-function body calls and latency.
     let profile = session.profile().expect("tracing is on");
-    println!("{}", profile.render());
+    let table = profile.render();
+    println!("{table}");
+    for rule in ["Path(x, z) <- Path(x, y), Edge(y, z)", "Email(d, usr, dom)"] {
+        assert!(table.contains(rule), "the table lists {rule}:\n{table}");
+    }
+    let rgx = profile.ie_functions.iter().find(|f| f.name == "rgx_string");
+    assert!(rgx.is_some_and(|f| f.calls >= 1), "rgx_string was called");
 
     // 4. The same data as JSON lines, for offline analysis.
     let json = profile.to_json_lines();
@@ -51,5 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for line in json.lines().take(2) {
         println!("{line}");
     }
+    let first = json.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with(r#"{"type":"profile","schema":3,"#),
+        "{first}"
+    );
     Ok(())
 }
