@@ -2,7 +2,7 @@
 
 /// Counters of the IE memo the engine once kept. A call two rules share
 /// is now a derived relation, so every field reads 0; the type stays for
-/// `Session::stats`, `Session::cache_stats` and `Snapshot::cache_stats`.
+/// the readers of `Session::cache_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the memo: 0.

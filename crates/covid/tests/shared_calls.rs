@@ -32,10 +32,6 @@ impl IeFunction for Counted {
         self.calls.fetch_add(1, Ordering::SeqCst);
         self.f.call(args, out, ctx)
     }
-
-    fn cacheable(&self) -> bool {
-        self.f.cacheable()
-    }
 }
 
 #[test]

@@ -34,13 +34,13 @@ fn arithmetic(
 /// Installs the arithmetic builtins.
 pub fn install(registry: &mut Registry) {
     let add = arithmetic(i64::checked_add, |a, b| a + b);
-    registry.register_closure_uncached("add", Some(2), add);
+    registry.register_per_row("add", Some(2), add);
     let sub = arithmetic(i64::checked_sub, |a, b| a - b);
-    registry.register_closure_uncached("sub", Some(2), sub);
+    registry.register_per_row("sub", Some(2), sub);
     let mul = arithmetic(i64::checked_mul, |a, b| a * b);
-    registry.register_closure_uncached("mul", Some(2), mul);
+    registry.register_per_row("mul", Some(2), mul);
 
-    registry.register_closure_uncached("div", Some(2), |args, out, ctx| {
+    registry.register_per_row("div", Some(2), |args, out, ctx| {
         let b = num(&args[1], ctx)?;
         if b == 0.0 {
             return Err(ctx.error("division by zero"));

@@ -33,26 +33,26 @@ fn span_filter(
 pub fn install(registry: &mut Registry) {
     // contains(outer, inner): filter — outer span contains inner span.
     let contains = span_filter(|outer, inner| outer.contains(inner));
-    registry.register_closure_uncached("contains", Some(2), contains);
+    registry.register_per_row("contains", Some(2), contains);
     // contained_in(inner, outer): the flipped reading, matching the
     // argument order of the paper's example `contains(pos, s)` where the
     // *scope* s contains the cursor pos.
     let contained_in = span_filter(|inner, outer| outer.contains(inner));
-    registry.register_closure_uncached("contained_in", Some(2), contained_in);
-    registry.register_closure_uncached("overlaps", Some(2), span_filter(Span::overlaps));
-    registry.register_closure_uncached("precedes", Some(2), span_filter(Span::precedes));
+    registry.register_per_row("contained_in", Some(2), contained_in);
+    registry.register_per_row("overlaps", Some(2), span_filter(Span::overlaps));
+    registry.register_per_row("precedes", Some(2), span_filter(Span::precedes));
     // same_doc(a, b): filter — both spans point into one document.
     let same_doc = span_filter(|a, b| a.doc == b.doc);
-    registry.register_closure_uncached("same_doc", Some(2), same_doc);
+    registry.register_per_row("same_doc", Some(2), same_doc);
 
     // span_start/span_end/span_len: span -> int.
-    registry.register_closure_uncached("span_start", Some(1), |args, out, ctx| {
+    registry.register_per_row("span_start", Some(1), |args, out, ctx| {
         out.push(&[Value::Int(span_arg(&args[0], ctx)?.start as i64)])
     });
-    registry.register_closure_uncached("span_end", Some(1), |args, out, ctx| {
+    registry.register_per_row("span_end", Some(1), |args, out, ctx| {
         out.push(&[Value::Int(span_arg(&args[0], ctx)?.end as i64)])
     });
-    registry.register_closure_uncached("span_len", Some(1), |args, out, ctx| {
+    registry.register_per_row("span_len", Some(1), |args, out, ctx| {
         out.push(&[Value::Int(span_arg(&args[0], ctx)?.len() as i64)])
     });
 

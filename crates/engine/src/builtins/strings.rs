@@ -37,13 +37,13 @@ fn text_filter(
 /// Installs the string builtins.
 pub fn install(registry: &mut Registry) {
     // concat(a, b) -> (a ++ b)
-    registry.register_closure_uncached("concat", Some(2), |args, out, ctx| {
+    registry.register_per_row("concat", Some(2), |args, out, ctx| {
         let (a, b) = (as_text(&args[0], ctx)?, as_text(&args[1], ctx)?);
         out.push(&[Value::str(format!("{a}{b}"))])
     });
 
     // format(template, x1, …, xn) -> (filled) — `{}` placeholders.
-    registry.register_closure_uncached("format", None, |args, out, ctx| {
+    registry.register_per_row("format", None, |args, out, ctx| {
         let template = args
             .first()
             .and_then(Value::as_str)
@@ -110,17 +110,17 @@ pub fn install(registry: &mut Registry) {
     });
 
     // starts_with / ends_with / str_contains: boolean filters.
-    registry.register_closure_uncached(
+    registry.register_per_row(
         "starts_with",
         Some(2),
         text_filter(|s, prefix| s.starts_with(prefix)),
     );
-    registry.register_closure_uncached(
+    registry.register_per_row(
         "ends_with",
         Some(2),
         text_filter(|s, suffix| s.ends_with(suffix)),
     );
-    registry.register_closure_uncached(
+    registry.register_per_row(
         "str_contains",
         Some(2),
         text_filter(|s, needle| s.contains(needle)),

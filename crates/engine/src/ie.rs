@@ -227,7 +227,8 @@ impl<'a> IeRows<'a> {
     }
 }
 
-/// A registered IE function.
+/// A registered IE function: a pure function of its arguments, whose
+/// rows the engine shares within a run and keeps across maintained runs.
 ///
 /// `call` may run concurrently on distinct argument tuples — shard
 /// workers share one function object, hence `Send + Sync`. It reaches
@@ -242,38 +243,11 @@ pub trait IeFunction: Send + Sync {
     /// to `out`, whose [`IeRows::width`] is the calling atom's output
     /// arity.
     fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()>;
-
-    /// Whether results may be reused: shared by the rows of a batch that
-    /// carry the same argument vector, and — for a *shared call*, one
-    /// that two IE atoms of the program ask with the same constants, or
-    /// one atom inside a recursive component — planned as a relation of
-    /// the program (`f#k`), which an evaluation fills once per argument
-    /// vector and a maintained evaluation keeps. It means nothing else.
-    ///
-    /// Defaults to `true`: the IE contract (paper §3.3) is a *stateless*
-    /// mapping from inputs to output rows, which makes reuse
-    /// transparent. Override to `false` when reuse is wrong *or costs
-    /// more than the call*: functions whose answer must stay fresh
-    /// (clocks, RNGs, external lookups), and functions as cheap as the
-    /// constant-time builtins, which a row of a relation would outweigh
-    /// several times over — or register closures via
-    /// `register_uncached`. An uncached function is called once per
-    /// distinct binding row of its step's input, at every site — per
-    /// shard, when the firing is sharded — and is never planned as a
-    /// relation; *where* in the rule body that happens is the planner's
-    /// choice, as for every other step. A cacheable one is called once
-    /// per distinct argument vector of a batch — again, whenever an atom
-    /// no other asks meets the vector in another batch or shard — and
-    /// once per vector of a shared call.
-    fn cacheable(&self) -> bool {
-        true
-    }
 }
 
 /// Adapter turning a closure into an [`IeFunction`].
 pub struct ClosureIe<F> {
     arity: Option<usize>,
-    cacheable: bool,
     f: F,
 }
 
@@ -283,21 +257,7 @@ where
 {
     /// Wraps `f` with a fixed (or variadic, `None`) input arity.
     pub fn new(arity: Option<usize>, f: F) -> Self {
-        ClosureIe {
-            arity,
-            cacheable: true,
-            f,
-        }
-    }
-
-    /// Wraps a closure whose results are never reused: it is not a pure
-    /// function of its arguments, or cheaper to call than to look up.
-    pub fn uncached(arity: Option<usize>, f: F) -> Self {
-        ClosureIe {
-            arity,
-            cacheable: false,
-            f,
-        }
+        ClosureIe { arity, f }
     }
 }
 
@@ -311,10 +271,6 @@ where
 
     fn call(&self, args: &[Value], out: &mut IeRows<'_>, ctx: &mut IeContext<'_>) -> Result<()> {
         (self.f)(args, out, ctx)
-    }
-
-    fn cacheable(&self) -> bool {
-        self.cacheable
     }
 }
 
@@ -414,13 +370,6 @@ pub(crate) mod tests {
             1,
             "span arguments never intern a new doc"
         );
-    }
-
-    #[test]
-    fn closures_default_cacheable_with_uncached_escape_hatch() {
-        let none = |_: &[Value], _: &mut IeRows<'_>, _: &mut IeContext<'_>| Ok(());
-        assert!(ClosureIe::new(Some(0), none).cacheable());
-        assert!(!ClosureIe::uncached(Some(0), none).cacheable());
     }
 
     #[test]

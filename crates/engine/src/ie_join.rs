@@ -16,16 +16,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Joins a batch with an IE atom `function(inputs) -> (outputs)`: every
 /// binding row extended by the rows the function writes for its
 /// argument vector (new output variables bind; bound ones and constants
-/// filter). A *cacheable* function's results may be reused, so rows are
-/// grouped by argument vector and each group is answered once; an
-/// uncached one is called once per row. Each call writes its rows into
-/// one arena of the step ([`IeRows`]), which its binding rows join
-/// before the next call reuses it; a row of the wrong arity fails the
-/// step, and so does a call that panics: the panic stops at the call
-/// ([`EngineError::IePanicked`]), on whichever lane it ran. IE calls are
-/// where evaluation sinks open-ended time (user code, regex scans): the
-/// wall-clock budget is checked before each, and a call may ask it too
-/// ([`IeContext::deadline_passed`]).
+/// filter). Rows are grouped by argument vector and each group is
+/// answered once — but a constant-time builtin
+/// ([`Registry::per_row`](crate::registry::Registry::per_row)) is called
+/// once per row, which costs less than the grouping. Each call writes
+/// its rows into one arena of the step ([`IeRows`]), which its binding
+/// rows join before the next call reuses it; a row of the wrong arity
+/// fails the step, and so does a call that panics: the panic stops at
+/// the call ([`EngineError::IePanicked`]), on whichever lane it ran. IE
+/// calls are where evaluation sinks open-ended time (user code, regex
+/// scans): the wall-clock budget is checked before each, and a call may
+/// ask it too ([`IeContext::deadline_passed`]).
 pub(crate) fn ie_join(
     plan: &RulePlan,
     (function, inputs, outputs): (&str, &[PTerm], &[PTerm]),
@@ -40,7 +41,8 @@ pub(crate) fn ie_join(
     };
     let arg_vars: Vec<usize> = inputs.iter().filter_map(var).collect();
     let (rows, n) = (&batch.rows, outputs.len());
-    let by_args = (f.cacheable()).then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
+    let grouped = !ctx.registry.per_row(function);
+    let by_args = grouped.then(|| TupleIndex::build(rows, 0..rows.len(), &arg_vars));
     let groups = by_args.as_ref().map_or(rows.len(), TupleIndex::len);
     (tr.trace).parallel_summary(ctx.workers as u64, 0, 1);
 

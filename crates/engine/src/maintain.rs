@@ -31,8 +31,8 @@
 //!
 //! A run after a write keeps the rows the old run derived and calls IE
 //! functions on what changed only, so it holds them to the paper's
-//! contract (a pure function of their arguments) and takes every document
-//! id for stable; each case where that does not hold is a `FullReason`.
+//! contract (a pure function of their arguments). It takes every document
+//! id for stable, and a compaction that breaks that is a `FullReason`.
 //! It fires on the calling thread.
 
 use crate::database::{cleared, Database};

@@ -10,8 +10,8 @@
 //! rows are one [`Rows`] of `rows × n_vars` cells, a scan reads the
 //! relation's arena (or a delta: a range of its row ids), and the head
 //! projection writes one more flat batch for the evaluator to insert. A
-//! batch holds no row twice — so an uncached IE function runs once
-//! per distinct binding — but only the steps that can *create* a repeat
+//! batch holds no row twice — so a per-row builtin runs once per
+//! distinct binding — but only the steps that can *create* a repeat
 //! pay for a dedupe: a scan with a `_` column, and every IE step. The
 //! others map distinct rows to distinct rows, and the head relation's
 //! insert catches what the projection folds.

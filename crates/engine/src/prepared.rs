@@ -274,11 +274,6 @@ impl Snapshot {
         self.eval_seq
     }
 
-    /// The session's IE memo counters (`Session::stats`): always zero.
-    pub fn cache_stats(&self) -> spannerlib_cache::CacheStats {
-        spannerlib_cache::CacheStats::default()
-    }
-
     /// Profile of the evaluation that produced this snapshot's derived
     /// state — `None` when the session traced at `TraceLevel::Off` (see
     /// `SessionBuilder::tracing`). Snapshot queries themselves are pure

@@ -1,4 +1,9 @@
 //! Registries for IE functions, aggregation functions, and conversions.
+//!
+//! Every IE function is a pure function of its arguments. Which ones an
+//! IE step calls once per binding row — the constant-time builtins, not
+//! worth a group or a relation — is the registry's own record
+//! (`Registry::per_row`), and no host registration enters it.
 
 use crate::aggregate::{builtin_aggregates, builtin_conversions, AggFunction, Conversion};
 use crate::builtins::install_builtins;
@@ -11,10 +16,10 @@ use std::sync::Arc;
 /// The session-wide registry of callable host functionality.
 pub struct Registry {
     ie: FxHashMap<String, Arc<dyn IeFunction>>,
-    /// IE functions the host registered as not reusable, which the
-    /// engine cannot take for pure. The builtins are not reused only
-    /// because they are cheaper than a row of a relation.
-    unreusable: FxHashSet<String>,
+    /// The constant-time builtins, called once per binding row: a row
+    /// of a relation, or a group of rows by argument vector, costs more
+    /// than the call. A host registration of the name leaves the set.
+    per_row: FxHashSet<String>,
     aggregates: FxHashMap<String, Arc<dyn AggFunction>>,
     conversions: FxHashMap<String, Arc<dyn Conversion>>,
 }
@@ -32,12 +37,11 @@ impl Registry {
     pub fn new() -> Self {
         let mut r = Registry {
             ie: FxHashMap::default(),
-            unreusable: FxHashSet::default(),
+            per_row: FxHashSet::default(),
             aggregates: FxHashMap::default(),
             conversions: FxHashMap::default(),
         };
         install_builtins(&mut r);
-        r.unreusable.clear();
         for (name, agg) in builtin_aggregates() {
             r.aggregates.insert(name, agg);
         }
@@ -47,21 +51,27 @@ impl Registry {
         r
     }
 
-    /// Registers (or replaces) an IE function object.
+    /// Registers (or replaces) an IE function object — grouped by
+    /// argument vector, also under a builtin's name.
     pub fn register_ie(&mut self, name: &str, f: Arc<dyn IeFunction>) {
-        match f.cacheable() {
-            true => self.unreusable.remove(name),
-            false => self.unreusable.insert(name.to_string()),
-        };
+        self.per_row.remove(name);
         self.ie.insert(name.to_string(), f);
     }
 
-    /// Whether `name` may be taken for a pure function of its arguments:
-    /// a builtin, or a host function registered as reusable. Incremental
-    /// maintenance re-derives what a removed row derived by calling
-    /// functions again and expects the same answers.
-    pub(crate) fn is_pure(&self, name: &str) -> bool {
-        !self.unreusable.contains(name)
+    /// Registers a constant-time builtin, which an IE step calls once
+    /// per binding row: never grouped by argument vector, and never
+    /// planned as the relation of a shared call.
+    pub(crate) fn register_per_row<F>(&mut self, name: &str, arity: Option<usize>, f: F)
+    where
+        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
+    {
+        self.register_closure(name, arity, f);
+        self.per_row.insert(name.to_string());
+    }
+
+    /// Whether `name` is a builtin [`Registry::register_per_row`] put in.
+    pub(crate) fn per_row(&self, name: &str) -> bool {
+        self.per_row.contains(name)
     }
 
     /// Registers a closure as an IE function — the `session.register(foo,
@@ -72,16 +82,6 @@ impl Registry {
         F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.register_ie(name, Arc::new(ClosureIe::new(arity, f)));
-    }
-
-    /// Registers a closure whose results are never reused: not a pure
-    /// function of its arguments, or cheaper to call than to look up
-    /// (the constant-time builtins).
-    pub fn register_closure_uncached<F>(&mut self, name: &str, arity: Option<usize>, f: F)
-    where
-        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
-    {
-        self.register_ie(name, Arc::new(ClosureIe::uncached(arity, f)));
     }
 
     /// Looks up an IE function.

@@ -198,33 +198,12 @@ impl SessionBuilder {
     }
 
     /// Seeds the IE registry with a closure (same contract as
-    /// [`Session::register`]). The closure is held to the stateless IE
-    /// contract: binding rows sharing an argument tuple are batched into
-    /// a single call, and an evaluation asks it each tuple once. A
-    /// closure that is *not* a pure function of its arguments must be
-    /// registered with [`SessionBuilder::register_uncached`], which opts
-    /// it out of both sharing and batching.
+    /// [`Session::register`]).
     pub fn register<F>(mut self, name: &str, input_arity: Option<usize>, f: F) -> SessionBuilder
     where
         F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.session.registry.register_closure(name, input_arity, f);
-        self
-    }
-
-    /// Seeds the IE registry with a closure whose results must never be
-    /// reused (not a pure function of its arguments — clocks, RNGs,
-    /// live external lookups).
-    pub fn register_uncached<F>(
-        mut self,
-        name: &str,
-        input_arity: Option<usize>,
-        f: F,
-    ) -> SessionBuilder
-    where
-        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
-    {
-        (self.session.registry).register_closure_uncached(name, input_arity, f);
         self
     }
 
@@ -421,26 +400,14 @@ impl Session {
     /// Registers a closure as an IE function (the paper's
     /// `session.register(foo, input=…, output=…)`). `input_arity` of
     /// `None` means variadic. `f(args, out, ctx)` writes each output row
-    /// with [`IeRows::push`] (a filter: [`IeRows::keep`]). An evaluation
-    /// shares one call's results among every rule that asks the same
-    /// arguments, which assumes the paper's stateless contract — use
-    /// [`Session::register_uncached`] for closures that are not pure
-    /// functions of their arguments.
+    /// with [`IeRows::push`] (a filter: [`IeRows::keep`]). `f` must be a
+    /// pure function of its arguments, because its answers are shared
+    /// within a run and kept across maintained runs.
     pub fn register<F>(&mut self, name: &str, input_arity: Option<usize>, f: F)
     where
         F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.registry.register_closure(name, input_arity, f);
-        self.invalidate_program();
-    }
-
-    /// Registers a closure whose results must never be reused.
-    pub fn register_uncached<F>(&mut self, name: &str, input_arity: Option<usize>, f: F)
-    where
-        F: Fn(&[Value], &mut IeRows<'_>, &mut IeContext<'_>) -> Result<()> + Send + Sync + 'static,
-    {
-        self.registry
-            .register_closure_uncached(name, input_arity, f);
         self.invalidate_program();
     }
 

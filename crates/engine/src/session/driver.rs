@@ -15,7 +15,6 @@ use crate::database::Database;
 use crate::error::Result;
 use crate::eval::{self, EvalCtx, EvalStats};
 use crate::maintain::Seeds;
-use crate::plan::Step;
 use crate::prepared::{CompiledProgram, PreparedProgram, PreparedQuery};
 use rustc_hash::FxBuildHasher;
 use spannerlib_trace::{EvalProfile, RunTrace, TraceLevel};
@@ -36,12 +35,6 @@ pub enum FullReason {
     /// A rule derives into an extensional relation, where facts and
     /// derived rows share one relation.
     InputIsRuleHead,
-    /// The program calls an IE function the host registered as not
-    /// reusable (`register_uncached`): a maintained run keeps the rows
-    /// the last one derived and calls the function again only to
-    /// rederive and to insert, which may answer otherwise than the calls
-    /// those rows came from.
-    UncachedFunction,
     /// A compaction pass ran since the last evaluation: a row the last
     /// run derived or an input lost may name a document that is gone, or
     /// an id the pass gave another document.
@@ -60,7 +53,6 @@ impl FullReason {
             FullReason::ProgramChanged => "program changed",
             FullReason::PreviousRunFailed => "previous run failed",
             FullReason::InputIsRuleHead => "input relation is a rule head",
-            FullReason::UncachedFunction => "program calls an uncached IE function",
             FullReason::DocumentsCompacted => "documents compacted",
             FullReason::TracingChanged => "trace level changed",
         }
@@ -185,16 +177,8 @@ impl Session {
     /// why not.
     fn basis_for(&self, program: &CompiledProgram) -> OrFull<Arc<Database>> {
         let mut rules = program.components.iter().flat_map(|c| &c.rules);
-        if rules
-            .clone()
-            .any(|r| self.db.is_extensional(&r.head_predicate))
-        {
+        if rules.any(|r| self.db.is_extensional(&r.head_predicate)) {
             return Err(FullReason::InputIsRuleHead);
-        }
-        let pure = |f: &String| self.registry.is_pure(f);
-        let impure = |s: &Step| matches!(s, Step::Ie { function, .. } if !pure(function));
-        if rules.any(|r| r.steps.iter().any(impure)) {
-            return Err(FullReason::UncachedFunction);
         }
         Ok(Arc::clone(&self.db))
     }

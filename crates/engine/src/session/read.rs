@@ -19,9 +19,6 @@ use std::sync::Arc;
 pub struct SessionStats {
     /// Counters of the most recent fixpoint run.
     pub eval: EvalStats,
-    /// Always zero: the IE memo these counted is gone, and a call two
-    /// rules share is a relation of the program. Kept for its readers.
-    pub cache: CacheStats,
 }
 
 impl Session {
@@ -80,7 +77,6 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             eval: self.last_stats,
-            cache: self.cache_stats(),
         }
     }
 
@@ -98,7 +94,8 @@ impl Session {
         self.last_profile.clone()
     }
 
-    /// The IE memo counters of [`Session::stats`]: always zero.
+    /// The counters of the IE memo the engine once kept: always zero, for
+    /// the readers that still print them.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }

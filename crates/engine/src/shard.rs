@@ -81,7 +81,7 @@ pub(crate) fn run_sharded(
         return shard(scanned, tr).map(|rows| vec![rows]);
     }
     let trace = &*tr.trace;
-    let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |_, range| {
+    let shards = spannerlib_par::map_ranges(ctx.workers, scanned, |range| {
         let mut fork = trace.fork();
         let mut shard_tr = TraceCtx {
             trace: &mut fork,

@@ -3,12 +3,14 @@
 //! In Spannerlog an IE atom `f(x) -> (y)` is a relation with input and
 //! output columns (paper §3.1). A *call* is what an IE atom asks whatever
 //! its variables bind: the function, the constants at its input positions
-//! and its output arity. A call of a cacheable function is *shared* when
-//! two sites — IE atoms of any rules — ask it, or when its one site sits
-//! in a recursive component, whose rounds ask again. [`share_calls`]
-//! rewrites the program so that each shared call `k` of `f` is answered
-//! once per argument vector, by ordinary rules — the magic-set
-//! construction (Bancilhon et al.) restricted to IE inputs:
+//! and its output arity. A call is *shared* when two sites — IE atoms of
+//! any rules — ask it, or when its one site sits in a recursive
+//! component, whose rounds ask again — unless its function is a
+//! constant-time builtin, which costs less than a row of a relation
+//! ([`Registry::per_row`](crate::registry::Registry::per_row)).
+//! [`share_calls`] rewrites the program so that each shared call `k` of
+//! `f` is answered once per argument vector, by ordinary rules — the
+//! magic-set construction (Bancilhon et al.) restricted to IE inputs:
 //!
 //! ```text
 //! f#k?(x…)     <- <a site's body before the call>     one per site
@@ -69,12 +71,12 @@ struct Call<'a> {
 /// A rule's body lowered as written, and its uniform-cost safe order.
 type Lowered = (Vec<Step>, Vec<usize>);
 
-/// The components of `rules` with every shared call of a cacheable
-/// function planned as relations — or `components`, those of `rules` as
-/// written, when no call is shared. A call whose rules would leave the
-/// program unstratifiable (its sites sit in different strata, and a
-/// demand rule would close a cycle through negation or an aggregate)
-/// stays a plain IE atom.
+/// The components of `rules` with every shared call planned as
+/// relations — or `components`, those of `rules` as written, when no
+/// call is shared. A call whose rules would leave the program
+/// unstratifiable (its sites sit in different strata, and a demand rule
+/// would close a cycle through negation or an aggregate) stays a plain
+/// IE atom.
 pub(crate) fn share_calls(
     rules: &[Rule],
     ctx: &SafetyContext<'_>,
@@ -95,8 +97,9 @@ pub(crate) fn share_calls(
         registry: ctx.registry,
     };
     // Keep every call whose rules stratify and whose demand rules ask IE
-    // functions only through kept calls (a plain IE atom there runs again
-    // at the site, and may answer anew); a kept call may feed one passed.
+    // functions only through kept calls (a plain IE atom there would run
+    // at the demand rule and again at the site); a kept call may feed one
+    // passed.
     let (mut kept, mut best) = (Vec::new(), components);
     let mut pending: Vec<&Call> = calls.iter().collect();
     while let Some(at) = pending.iter().position(|c| c.fed_by(&kept, &lowered)) {
@@ -111,9 +114,9 @@ pub(crate) fn share_calls(
     Ok(best)
 }
 
-/// The shared calls of cacheable functions in `rules`, numbered by first
-/// appearance. A call with no variable input is left out: there is no
-/// argument vector to share.
+/// The shared calls in `rules`, numbered by first appearance. A call of a
+/// per-row builtin is left out, and so is one with no variable input:
+/// there is no argument vector to share.
 fn calls_of<'a>(
     rules: &'a [Rule],
     lowered: &'a [Lowered],
@@ -139,7 +142,7 @@ fn calls_of<'a>(
             else {
                 continue;
             };
-            if !ctx.registry.ie(function).is_ok_and(|f| f.cacheable()) {
+            if ctx.registry.per_row(function) {
                 continue;
             }
             let constants: Vec<Option<Value>> = inputs.iter().map(constant).collect();

@@ -2,8 +2,7 @@
 //! rules of a run share, counted as body executions (the profile's
 //! `calls`), and every evaluation asking afresh — and for the
 //! `spannerlib_cache` subsystem's document-store lifecycle (bounded
-//! memory under long-lived churn, compaction correctness, snapshot
-//! counters).
+//! memory under long-lived churn, compaction correctness).
 
 use spannerlog_engine::{DocGc, EvalMode, FullReason, Session, TraceLevel};
 
@@ -135,7 +134,7 @@ Mailed(d) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (_)"#,
     }
 }
 
-/// Within one evaluation every rule that asks a cacheable function the
+/// Within one evaluation every rule that asks a host function the
 /// same arguments shares one call: two rules over the same eight values
 /// run the body eight times, on one lane and on two.
 #[test]
@@ -241,38 +240,9 @@ fn reregistration_invalidates_memoized_results() {
     assert_eq!(second, vec![(101,)], "stale memo served the old body");
 }
 
-/// Uncached closures are re-invoked on every rerun even with the cache
-/// enabled.
-#[test]
-fn uncached_closures_bypass_the_memo() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    let calls = Arc::new(AtomicUsize::new(0));
-    let seen = calls.clone();
-    let mut session = Session::builder()
-        .register_uncached("volatile", Some(1), move |args, out, _| {
-            seen.fetch_add(1, Ordering::SeqCst);
-            out.push(&[args[0].clone()])
-        })
-        .build();
-    session
-        .run("new S(int)\nnew Tick(int)\nS(1)\nTicked(x) <- Tick(x)\nD(y) <- S(x), volatile(x) -> (y)")
-        .unwrap();
-    let query = session.prepare("?D(y)").unwrap();
-    query.execute(&mut session).unwrap();
-    let baseline = calls.load(Ordering::SeqCst);
-    session.add_fact("Tick", [1i64.into()]).unwrap();
-    query.execute(&mut session).unwrap();
-    assert!(
-        calls.load(Ordering::SeqCst) > baseline,
-        "uncached function was served from the memo"
-    );
-    assert_eq!(session.stats().cache.hits, 0);
-}
-
-/// The constant-time builtins are registered uncached — a row of a
-/// relation costs more than they do — so two rules asking them the same
-/// calls share only the expensive function: `rgx` runs once per text,
+/// The constant-time builtins are called once per binding row — a row of
+/// a relation costs more than they do — so two rules asking them the
+/// same calls share only the expensive function: `rgx` runs once per text,
 /// the builtins once per binding row at each rule.
 #[test]
 fn cheap_builtins_bypass_the_memo() {
@@ -303,34 +273,30 @@ Again(s) <- Texts(t), rgx("a+", t) -> (s), span_len(s) -> (n), span_start(s) -> 
 }
 
 /// Binding rows that share an argument tuple are deduplicated into one
-/// call for cacheable functions — but an *uncached* function is invoked
-/// once per row (its repeated calls may legitimately differ). Once per
-/// *distinct* row, that is: a scan whose `_` column folds three tuples
-/// into one binding hands the function one row, cached or not. Both
-/// hold per shard: a sharded firing cuts the scanned rows into ranges,
-/// and rows of different ranges meet only in the memo, which two shards
-/// can miss at once.
+/// call of a host function — but a constant-time builtin is called once
+/// per row, which costs less than the grouping. Once per *distinct*
+/// row, that is: a scan whose `_` column folds three tuples into one
+/// binding hands either function one row. Both hold per shard: a
+/// sharded firing cuts the scanned rows into ranges, and an atom no
+/// other asks groups only the rows of its own range.
 #[test]
-fn shared_argument_rows_batch_only_for_cacheable_functions() {
+fn shared_argument_rows_batch_except_at_per_row_builtins() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn run_with(workers: usize, register_uncached: bool, rule: &str) -> usize {
+    /// The body calls of the host `probe(x) -> (x)` and the builtin `add`
+    /// where `rule` asks them, at `workers`.
+    fn run_with(workers: usize, rule: &str) -> (usize, u64) {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = calls.clone();
-        let f = move |args: &[spannerlib_core::Value],
-                      out: &mut spannerlog_engine::IeRows<'_>,
-                      _: &mut spannerlog_engine::IeContext<'_>|
-              -> spannerlog_engine::Result<()> {
-            seen.fetch_add(1, Ordering::SeqCst);
-            out.push(&[args[0].clone()])
-        };
-        let builder = Session::builder().parallelism(workers);
-        let mut session = if register_uncached {
-            builder.register_uncached("probe", Some(1), f).build()
-        } else {
-            builder.register("probe", Some(1), f).build()
-        };
+        let mut session = Session::builder()
+            .parallelism(workers)
+            .tracing(TraceLevel::Summary)
+            .register("probe", Some(1), move |args, out, _| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                out.push(&[args[0].clone()])
+            })
+            .build();
         // Three rows project the same argument value 7.
         session
             .import_typed("S", vec![(7i64, 1i64), (7, 2), (7, 3)])
@@ -338,32 +304,58 @@ fn shared_argument_rows_batch_only_for_cacheable_functions() {
         session.run(rule).unwrap();
         session.ensure_evaluated().unwrap();
         assert_eq!(session.relation("D").unwrap().len(), 1, "{rule}");
-        calls.load(Ordering::SeqCst)
+        (calls.load(Ordering::SeqCst), body_calls(&session, "add"))
     }
 
-    let named = "D(a, y) <- S(a, b), probe(a) -> (y)";
+    let named = "D(a, y, z) <- S(a, b), probe(a) -> (y), add(a, 1) -> (z)";
     assert_eq!(
-        run_with(0, false, named),
-        1,
-        "cacheable: one call per distinct tuple"
+        run_with(0, named),
+        (1, 3),
+        "probe once per distinct tuple, add once per binding row"
     );
+    let folded = "D(a, y, z) <- S(a, _), probe(a) -> (y), add(a, 1) -> (z)";
     assert_eq!(
-        run_with(0, true, named),
-        3,
-        "uncached: one call per binding row"
-    );
-    let folded = "D(a, y) <- S(a, _), probe(a) -> (y)";
-    assert_eq!(run_with(0, false, folded), 1);
-    assert_eq!(
-        run_with(0, true, folded),
-        1,
-        "uncached: the three tuples are one binding"
+        run_with(0, folded),
+        (1, 1),
+        "the three tuples are one binding"
     );
     // Two workers cut the three rows into three shards.
     for rule in [named, folded] {
-        assert!((1..=3).contains(&run_with(2, false, rule)), "{rule}");
-        assert_eq!(run_with(2, true, rule), 3, "{rule}");
+        let (probe, add) = run_with(2, rule);
+        assert!((1..=3).contains(&probe), "{rule}");
+        assert_eq!(add, 3, "{rule}");
     }
+}
+
+/// The per-row selection is the builtins' own: a host function
+/// registered under a builtin's name is grouped by argument vector like
+/// any other. Over two rows that ask `add(1, 1)`, the host `add` runs
+/// once and the builtin twice (on one lane: two would cut the rows into
+/// two shards).
+#[test]
+fn registering_a_builtins_name_makes_it_grouped() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let program = "new R(int, int)\nR(1, 10) R(1, 20)\nS(a, s) <- R(a, b), add(a, a) -> (s)";
+    let one_lane = || Session::builder().parallelism(0);
+    let mut builtin = one_lane().tracing(TraceLevel::Summary).build();
+    builtin.run(program).unwrap();
+    let sums: Vec<(i64, i64)> = builtin.export_typed("?S(a, s)").unwrap();
+    assert_eq!(sums, [(1, 2)]);
+    assert_eq!(body_calls(&builtin, "add"), 2, "once per binding row");
+
+    let calls = Arc::new(AtomicUsize::new(0));
+    let seen = calls.clone();
+    let mut host = one_lane().build();
+    host.register("add", Some(2), move |args, out, _| {
+        seen.fetch_add(1, Ordering::SeqCst);
+        let sum = args[0].as_int().unwrap() + args[1].as_int().unwrap();
+        out.push(&[sum.into()])
+    });
+    host.run(program).unwrap();
+    assert_eq!(host.export_typed::<(i64, i64)>("?S(a, s)").unwrap(), sums);
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "once per argument vector");
 }
 
 /// A call whose output has the wrong arity fails its rule before any
@@ -409,10 +401,9 @@ fn wrong_arity_outputs_are_rejected_before_they_are_memoised() {
 }
 
 /// Compaction keeps every id a live span references (across extensional
-/// *and* derived relations), and snapshots carry the session's memo
-/// counters (zero: there is no memo).
+/// *and* derived relations).
 #[test]
-fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
+fn compaction_preserves_live_spans() {
     let mut session = Session::new();
     session
         .import_typed(
@@ -448,8 +439,4 @@ fn compaction_preserves_live_spans_and_snapshots_observe_stats() {
         let span = tuple[1].as_span().unwrap();
         assert!(!session.span_text(span).unwrap().is_empty());
     }
-
-    // Stats observed through the snapshot match the session's.
-    let snapshot = session.snapshot().unwrap();
-    assert_eq!(snapshot.cache_stats(), session.stats().cache);
 }

@@ -350,15 +350,6 @@ fn every_reason_for_a_full_evaluation_is_named() {
     write(&mut heads);
     write(&mut heads);
     assert_eq!(full(&heads), Some(FullReason::InputIsRuleHead));
-
-    let mut uncached = Session::new();
-    uncached.register_uncached("same", Some(1), |args, out, _| out.push(args));
-    uncached
-        .run("new S(int)\nS(1)\nD(y) <- S(x), same(x) -> (y)")
-        .unwrap();
-    write(&mut uncached);
-    write(&mut uncached);
-    assert_eq!(full(&uncached), Some(FullReason::UncachedFunction));
 }
 
 /// Texts, one of which makes `fragile` panic.

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 /// Random IE-heavy program shapes over `Texts(d, t)`: span extraction
 /// with joins, scalar extraction with aggregation, boolean filters with
-/// negation, uncached builtins amid scans, recursion without IE, counts
+/// negation, per-row builtins amid scans, recursion without IE, counts
 /// over IE bodies.
 pub const IE_PROGRAMS: &[&str] = &[
     r#"
@@ -25,7 +25,7 @@ pub const IE_PROGRAMS: &[&str] = &[
     Plain(d) <- Texts(d, _), not HasX(d)
     Mark(d, s) <- Texts(d, t), HasX(d), rgx("x", t) -> (s)
     "#,
-    // Uncached builtins between two scans: the planner may move them
+    // Per-row builtins between two scans: the planner may move them
     // like any other step, and `Key` — every IE call rooted at its
     // first scan — is sharded.
     r#"

@@ -1,9 +1,9 @@
 //! Property tests for the engine. The model-based test holds a session
-//! — at any parallelism and trace level, with IE functions cacheable or
-//! not — across a random sequence of writes to what a reference
-//! evaluator written for tests only (`support`) derives from the inputs
-//! as they stand after each write. Focused tests hold one program
-//! family, or one configuration axis, to the same reference.
+//! — at any parallelism and trace level — across a random sequence of
+//! writes to what a reference evaluator written for tests only
+//! (`support`) derives from the inputs as they stand after each write.
+//! Focused tests hold one program family, or one configuration axis, to
+//! the same reference.
 //! Aggregation must match a hand-rolled fold, and `rgx` direct use of
 //! the regex library.
 
@@ -16,9 +16,8 @@ use programs::{
 };
 use proptest::prelude::*;
 use spannerlib_core::{Relation, Schema, Tuple, Value, ValueType};
-use spannerlog_engine::{EvalMode, IeContext, IeFunction, IeRows, Session, TraceLevel};
+use spannerlog_engine::{EvalMode, Session, TraceLevel};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Random edge relation over a small node universe.
 fn edges_strategy() -> impl Strategy<Value = Vec<(u8, u8)>> {
@@ -121,47 +120,12 @@ impl Inputs {
     }
 }
 
-/// An IE function with its memo and batching switched off: what
-/// `register_uncached` makes of a closure.
-struct Uncached(Arc<dyn IeFunction>);
-
-impl IeFunction for Uncached {
-    fn input_arity(&self) -> Option<usize> {
-        self.0.input_arity()
-    }
-
-    fn call(
-        &self,
-        args: &[Value],
-        out: &mut IeRows<'_>,
-        ctx: &mut IeContext<'_>,
-    ) -> spannerlog_engine::Result<()> {
-        self.0.call(args, out, ctx)
-    }
-
-    fn cacheable(&self) -> bool {
-        false
-    }
-}
-
-/// Every cacheable function the programs call.
-const CACHEABLE: [&str; 5] = ["rgx", "rgx_string", "rgx_is_match", "range", "expand"];
-
-/// Registers every cacheable function of `session` again as uncached.
-fn register_uncached(session: &mut Session) {
-    for name in CACHEABLE {
-        let f = session.registry().ie(name).unwrap().clone();
-        session.register_ie(name, Arc::new(Uncached(f)));
-    }
-}
-
-/// A session configuration: parallelism, trace level, and whether the
-/// cacheable functions are registered again as uncached.
-type Config = (usize, TraceLevel, bool);
+/// A session configuration: parallelism and trace level.
+type Config = (usize, TraceLevel);
 
 fn config_strategy() -> impl Strategy<Value = Config> {
     let levels = [TraceLevel::Off, TraceLevel::Summary];
-    (0usize..3, 0usize..2, any::<bool>()).prop_map(move |(p, l, u)| (2 * p, levels[l], u))
+    (0usize..3, 0usize..2).prop_map(move |(p, l)| (2 * p, levels[l]))
 }
 
 /// The rows of `name` in the session, in the reference's form.
@@ -221,12 +185,6 @@ fn one_text_per_doc(texts: &[Vec<u8>]) -> Inputs {
     }
 }
 
-/// Two rules asking one call: the shared call the memo keeps.
-const SHARED_PAIR: &str = r#"
-    Twice(d, s) <- Texts(d, t), rgx("a+|b+", t) -> (s)
-    Again(d, s) <- Texts(d, t), rgx("a+|b+", t) -> (s)
-"#;
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
 
@@ -239,9 +197,7 @@ proptest! {
     /// derives from the inputs as they stand then, spans compared by
     /// their text. `Texts` rows are cut to shard badly: several per
     /// document, a text under more than one document. A write that
-    /// moves an input is maintained, not evaluated again in full,
-    /// unless the functions are uncached — and then the memo is never
-    /// asked.
+    /// moves an input is maintained, not evaluated again in full.
     #[test]
     fn maintained_sessions_match_a_fresh_reference(
         heads in layered_program_strategy(),
@@ -252,14 +208,11 @@ proptest! {
         config in config_strategy(),
         writes in writes_strategy(),
     ) {
-        let (parallelism, level, uncached) = config;
+        let (parallelism, level) = config;
         let program = format!("{}{}", layered_program(&heads), program_at(pick));
         let texts = rows.iter().map(|&(d, i)| (format!("d{d}"), render_text(&texts[i % texts.len()])));
         let mut inputs = Inputs { edges: edges.iter().copied().collect(), texts: texts.collect(), skip: 0 };
         let mut session = Session::builder().parallelism(parallelism).tracing(level).build();
-        if uncached {
-            register_uncached(&mut session);
-        }
         load_graph(&mut session, &edges);
         session.import_typed("Texts", inputs.texts()).unwrap();
         session.run(&program).unwrap();
@@ -271,13 +224,9 @@ proptest! {
             let context = format!("after {step} of {writes:?}, at {inputs:?}\nprogram:\n{program}");
             check_against(&mut session, &inputs.reference(&program), &context);
             let mode = session.stats().eval.mode;
-            if step > 0 && session.eval_seq() > seq && !uncached {
+            if step > 0 && session.eval_seq() > seq {
                 prop_assert!(matches!(mode, EvalMode::Maintained { .. }), "{:?}", mode);
             }
-        }
-        if uncached {
-            let memo = session.stats().cache;
-            prop_assert_eq!(memo.hits + memo.misses, 0, "{:?}", memo);
         }
     }
 
@@ -364,39 +313,6 @@ proptest! {
         session.import_typed("Texts", inputs.texts()).unwrap();
         session.run(program).unwrap();
         check_against(&mut session, &inputs.reference(program), &format!("program:\n{program}"));
-    }
-
-    /// Sharing is semantically invisible: a session, and one whose
-    /// cacheable IE functions are registered again uncached — sharing
-    /// and batching both off — both hold the reference across re-imports
-    /// of `Texts`. Two rules beside the drawn program share a call, so
-    /// the first plans it as relations; the second never does.
-    #[test]
-    fn cache_on_and_off_agree_tuple_for_tuple(
-        texts in texts_strategy(),
-        prog in 0..IE_PROGRAMS.len(),
-    ) {
-        let program = &format!("{}{SHARED_PAIR}", IE_PROGRAMS[prog]);
-        let mut inputs = one_text_per_doc(&texts);
-        let mut cached = Session::new();
-        let mut uncached = Session::new();
-        register_uncached(&mut uncached);
-        for round in 0..3 {
-            inputs.skip = round;
-            let reference = inputs.reference(program);
-            for session in [&mut cached, &mut uncached] {
-                session.import_typed("Texts", inputs.texts()).unwrap();
-                if round == 0 {
-                    session.run(program).unwrap();
-                }
-                check_against(session, &reference, &format!("on round {round}\nprogram:\n{program}"));
-            }
-        }
-        // The shared pair is planned as relations only where the
-        // function is cacheable: its demand and call rules are components
-        // of their own.
-        let components = |s: &mut Session| s.prepare_program().unwrap().program().component_count();
-        prop_assert!(components(&mut cached) > components(&mut uncached));
     }
 
     /// Parallel evaluation is semantically invisible: at several worker

@@ -10,7 +10,7 @@
 //!
 //! ```
 //! let words = ["alpha", "beta", "gamma", "delta", "epsilon"];
-//! let lens = spannerlib_par::map_ranges(2, 0..words.len(), |_, rows| {
+//! let lens = spannerlib_par::map_ranges(2, 0..words.len(), |rows| {
 //!     words[rows].iter().map(|w| w.len()).sum::<usize>()
 //! });
 //! assert_eq!(lens.iter().sum::<usize>(), 26);
@@ -25,8 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const PIECES_PER_LANE: usize = 4;
 
 /// Applies `f` to each of up to `lanes × PIECES_PER_LANE` contiguous
-/// pieces of `rows` — `f(i, piece)` for the `i`-th piece — and returns
-/// the results in piece order.
+/// pieces of `rows` and returns the results in piece order.
 ///
 /// The lanes are the calling thread plus `lanes − 1` scoped threads
 /// (never more threads than pieces); each claims the next unclaimed
@@ -38,7 +37,7 @@ const PIECES_PER_LANE: usize = 4;
 pub fn map_ranges<R, F>(lanes: usize, rows: Range<usize>, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
+    F: Fn(Range<usize>) -> R + Sync,
 {
     let len = rows.len();
     if len == 0 {
@@ -51,7 +50,7 @@ where
         start..rows.end.min(start + size)
     };
     if lanes <= 1 || pieces == 1 {
-        return (0..pieces).map(|i| f(i, piece(i))).collect();
+        return (0..pieces).map(|i| f(piece(i))).collect();
     }
     // Relaxed: the counter hands out indexes and publishes no data;
     // results come back through `join` and the end of the scope.
@@ -63,7 +62,7 @@ where
             if i >= pieces {
                 return done;
             }
-            done.push((i, f(i, piece(i))));
+            done.push((i, f(piece(i))));
         }
     };
     let mut done = std::thread::scope(|s| {
@@ -89,18 +88,21 @@ mod tests {
     use std::thread::{self, ThreadId};
     use std::time::Duration;
 
+    /// The pieces `map_ranges` handed out, in the order it returned them.
+    fn pieces(lanes: usize, rows: Range<usize>) -> Vec<Range<usize>> {
+        map_ranges(lanes, rows, |piece| piece)
+    }
+
     /// Every row of `rows`, collected from the pieces `map_ranges`
-    /// handed out, with the piece indexes it returned.
-    fn covered(lanes: usize, rows: Range<usize>) -> (Vec<usize>, Vec<usize>) {
-        let pieces = map_ranges(lanes, rows, |i, piece| (i, piece));
-        let order = pieces.iter().map(|(i, _)| *i).collect();
-        (order, pieces.into_iter().flat_map(|(_, p)| p).collect())
+    /// handed out.
+    fn covered(lanes: usize, rows: Range<usize>) -> Vec<usize> {
+        pieces(lanes, rows).into_iter().flatten().collect()
     }
 
     /// The threads `map_ranges` ran `f` on.
     fn threads(lanes: usize, rows: Range<usize>) -> HashSet<ThreadId> {
         let seen = Mutex::new(HashSet::new());
-        map_ranges(lanes, rows, |_, _| {
+        map_ranges(lanes, rows, |_| {
             seen.lock().unwrap().insert(thread::current().id());
             thread::sleep(Duration::from_millis(1));
         });
@@ -110,24 +112,27 @@ mod tests {
     #[test]
     fn executes_every_task_once() {
         for (lanes, rows) in [(2, 0..100), (3, 5..6), (4, 10..17), (2, 0..8), (8, 3..1000)] {
-            let (order, covered) = covered(lanes, rows.clone());
-            assert_eq!(covered, rows.clone().collect::<Vec<_>>(), "{lanes} lanes");
-            assert_eq!(order, (0..order.len()).collect::<Vec<_>>());
-            assert!(order.len() <= lanes * PIECES_PER_LANE);
+            // In piece order, the pieces' rows are the range's in order.
+            assert_eq!(
+                covered(lanes, rows.clone()),
+                rows.clone().collect::<Vec<_>>(),
+                "{lanes} lanes"
+            );
+            assert!(pieces(lanes, rows).len() <= lanes * PIECES_PER_LANE);
         }
     }
 
     #[test]
     fn tasks_borrow_the_callers_stack() {
         let words = ["alpha", "beta", "gamma", "delta"];
-        let lens = map_ranges(2, 0..words.len(), |_, rows| words[rows][0].len());
+        let lens = map_ranges(2, 0..words.len(), |rows| words[rows][0].len());
         assert_eq!(lens, vec![5, 4, 5, 5]);
     }
 
     #[test]
     fn an_empty_range_runs_nothing() {
         let runs = AtomicUsize::new(0);
-        let out: Vec<()> = map_ranges(4, 7..7, |_, _| {
+        let out: Vec<()> = map_ranges(4, 7..7, |_| {
             runs.fetch_add(1, Ordering::Relaxed);
         });
         assert!(out.is_empty());
@@ -140,14 +145,13 @@ mod tests {
         assert_eq!(threads(0, 0..20), caller);
         assert_eq!(threads(1, 0..20), caller);
         assert_eq!(threads(4, 9..10), caller, "a single row is a single piece");
-        assert_eq!(covered(0, 0..20).1, (0..20).collect::<Vec<_>>());
+        assert_eq!(covered(0, 0..20), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn more_lanes_than_pieces_cover_every_row_once() {
-        let (order, rows) = covered(1_000_000, 0..10);
-        assert_eq!(order.len(), 10);
-        assert_eq!(rows, (0..10).collect::<Vec<_>>());
+        assert_eq!(pieces(1_000_000, 0..10).len(), 10);
+        assert_eq!(covered(1_000_000, 0..10), (0..10).collect::<Vec<_>>());
         assert!(threads(1_000, 0..3).len() <= 3);
     }
 
@@ -155,12 +159,12 @@ mod tests {
     fn panics_propagate_after_siblings_finish() {
         let finished = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            map_ranges(2, 0..16, |i, _| {
-                if i == 0 {
+            map_ranges(2, 0..16, |piece| {
+                if piece.start == 0 {
                     panic!("boom");
                 }
                 // Keeps the other lane busy when the panic lands; the
-                // assertion below holds whichever lane takes piece 0.
+                // assertion below holds whichever lane takes the first piece.
                 thread::sleep(Duration::from_millis(1));
                 finished.fetch_add(1, Ordering::Relaxed);
             })

@@ -21,8 +21,8 @@
 //! waited behind it finds the publish current when its turn comes and
 //! reads it — N requests waiting on the same churn cost one fixpoint
 //! run (the `execute_coalesced` counter reports how often it happens).
-//! Inside that run the engine's IE step already batches cacheable
-//! calls per distinct argument tuple, and a *shared call* — one two
+//! Inside that run the engine's IE step already batches calls per
+//! distinct argument tuple, and a *shared call* — one two
 //! registered rules ask alike, or one rule inside a recursion — is a
 //! derived relation of the program, which the run fills once and a
 //! later write maintains like any other.

@@ -271,10 +271,10 @@ fn row_budget_overrun_is_429_naming_the_culprit_rule() {
     thread.join().unwrap();
 }
 
-/// A session with an uncached IE function that sleeps per call.
+/// A session with an IE function that sleeps per call.
 fn sleepy_session(millis: u64) -> Session {
     Session::builder()
-        .register_uncached("sleepy", Some(1), move |args, out, _ctx| {
+        .register("sleepy", Some(1), move |args, out, _ctx| {
             std::thread::sleep(Duration::from_millis(millis));
             out.push(&[args[0].clone()])
         })
@@ -578,7 +578,7 @@ fn graceful_shutdown_drains_in_flight_requests_and_healthz_turns_503() {
 #[test]
 fn a_panicking_ie_function_fails_its_own_request_and_no_other() {
     let session = Session::builder()
-        .register_uncached("fragile", Some(1), |args, out, _ctx| {
+        .register("fragile", Some(1), |args, out, _ctx| {
             assert!(args[0] != Value::Int(13), "fragile(13)");
             out.push(&[args[0].clone()])
         })
@@ -649,7 +649,7 @@ fn a_deadline_is_a_deadline_while_another_request_evaluates() {
     // while the session is checked out, not merely "a bit later".
     let (entered_tx, entered_rx) = mpsc::channel();
     let session = Session::builder()
-        .register_uncached("sleepy", Some(1), move |args, out, _ctx| {
+        .register("sleepy", Some(1), move |args, out, _ctx| {
             let _ = entered_tx.send(());
             std::thread::sleep(Duration::from_millis(400));
             out.push(&[args[0].clone()])
