@@ -100,12 +100,12 @@ impl SpannerPipeline {
         let modifiers_df = DataFrame::from_csv(MODIFIER_POLICIES_CSV)?;
         session.import_dataframe(&modifiers_df, "ModifierPolicy")?;
 
-        // The declarative program.
-        session.run(RULES)?;
-
-        // Declare the corpus relation so the program compiles before the
-        // first import, then prepare the export queries once.
+        // The corpus relation is declared ahead of the program: `run`
+        // compiles the rules as they arrive, so every relation they read
+        // must be known by then. The export queries are prepared once,
+        // over the program that `run` compiled.
         session.declare("Notes", Schema::new(vec![ValueType::Str, ValueType::Str]))?;
+        session.run(RULES)?;
         let program = session.prepare_program()?;
         let status_query = program.query("?Status(d, s)")?;
         let evidence_query = program.query("?Evidence(d, m, e)")?;

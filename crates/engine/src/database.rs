@@ -61,15 +61,13 @@ impl Database {
         self.generations.insert(name.to_string(), self.tick);
     }
 
-    /// Declares an extensional relation with an explicit schema.
+    /// Declares an extensional relation with an explicit schema; a name
+    /// only rules derive is free, whatever rows a run left under it.
     pub fn declare(&mut self, name: &str, schema: Schema) -> Result<()> {
-        if self.relations.contains_key(name) {
+        if self.extensional.contains_key(name) {
             return Err(EngineError::DuplicateRelation(name.to_string()));
         }
-        self.extensional.insert(name.to_string(), schema.clone());
-        self.relations
-            .insert(name.to_string(), Relation::new(schema));
-        self.bump(name);
+        self.put_relation(name, Relation::new(schema));
         Ok(())
     }
 
@@ -127,9 +125,9 @@ impl Database {
 
     /// Inserts a host-asserted fact, creating a derived relation with
     /// the tuple's own schema on first insertion. Returns `true` when the
-    /// tuple is new. Inserts into extensional relations bump the
-    /// relation's generation; derived inserts (the fixpoint hot path) do
-    /// not.
+    /// tuple is a new fact: a new row, or one a rule derived. Inserts into
+    /// extensional relations bump the relation's generation; derived
+    /// inserts (the fixpoint hot path) do not.
     pub fn insert(&mut self, name: &str, tuple: Tuple) -> Result<bool> {
         let new = self.insert_row(name, tuple.values())?;
         if new && self.extensional.contains_key(name) {
@@ -139,7 +137,7 @@ impl Database {
             // rule once derived this tuple, it now survives
             // clear_derived.
             if let Some(id) = self.relations[name].row_id(tuple.values()) {
-                marks.remove(&id);
+                return Ok(marks.remove(&id));
             }
         }
         Ok(new)
@@ -284,6 +282,21 @@ impl Database {
             self.bump(name);
         }
         existed
+    }
+
+    /// Takes `rows`, host-asserted facts, back out of `name`. One a rule
+    /// had derived goes too, for the next evaluation to derive again.
+    pub(crate) fn retract(&mut self, name: &str, rows: &[Vec<Value>]) {
+        let Some(rel) = self.relations.get_mut(name) else {
+            return;
+        };
+        let gone: FxHashSet<usize> = rows.iter().filter_map(|row| rel.row_id(row)).collect();
+        let new_ids = rel.retain(|id, _| !gone.contains(&id));
+        self.indexes.renumber(name, &new_ids);
+        if let Some(marks) = self.derived_marks.get_mut(name) {
+            *marks = marks.iter().filter_map(|&id| new_ids[id]).collect();
+        }
+        self.bump(name);
     }
 
     /// Iterates over `(name, relation)` pairs in unspecified order.
@@ -453,8 +466,8 @@ mod tests {
         let mut db = Database::new();
         db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
         derive(&mut db, "E", &[7]);
-        // The host now asserts the same tuple as a fact.
-        assert!(!db.insert("E", t(&[7])).unwrap());
+        // The host now asserts the same tuple as a fact: a new fact.
+        assert!(db.insert("E", t(&[7])).unwrap());
         db.clear_derived();
         assert!(db.relation("E").unwrap().contains(&t(&[7])));
     }

@@ -12,6 +12,7 @@ use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::maintain::{self, RuleVariants};
 use crate::optimizer::IndexCache;
+use crate::plan::Step;
 use crate::query::{run_query, select, QueryPlan, Selection};
 use crate::registry::Registry;
 use crate::safety::{analyze, SafetyContext};
@@ -47,9 +48,9 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Compiles `rules` against the relation names known to `db` and the
-    /// IE/aggregation `registry`. Unsafe rules, heads whose arity is not
-    /// their relation's and unstratifiable programs are rejected here —
-    /// before any data is touched.
+    /// IE/aggregation `registry`. Unsafe rules, heads and atoms whose
+    /// arity is not their relation's and unstratifiable programs are
+    /// rejected here — before any data is touched.
     pub(crate) fn compile(
         rules: &[Rule],
         db: &Database,
@@ -70,22 +71,33 @@ impl CompiledProgram {
             .iter()
             .map(|r| analyze(r, &ctx))
             .collect::<Result<Vec<_>>>()?;
-        // A relation has one arity: its declaration's, else its first head's.
+        // A relation has one arity, which each head and atom of it has:
+        // its declaration's, else its first head's, else its stored rows'.
         let mut arities = FxHashMap::default();
         for plan in &plans {
-            let (relation, actual, line) = (&plan.head_predicate, plan.head.len(), plan.line);
-            let declared = db
-                .extensional_schema(relation)
-                .map_or(actual, Schema::arity);
-            let expected = *arities.entry(relation).or_insert(declared);
-            if actual != expected {
-                let relation = relation.clone();
-                return Err(EngineError::Arity {
-                    relation,
-                    expected,
-                    actual,
-                    line,
-                });
+            let declared = db.extensional_schema(&plan.head_predicate);
+            let arity = declared.map_or(plan.head.len(), Schema::arity);
+            arities.entry(&plan.head_predicate).or_insert(arity);
+        }
+        for plan in &plans {
+            let atoms = plan.steps.iter().filter_map(|step| match step {
+                Step::Scan { relation, terms } | Step::Negation { relation, terms } => {
+                    Some((relation, terms.len()))
+                }
+                _ => None,
+            });
+            for (relation, actual) in atoms.chain([(&plan.head_predicate, plan.head.len())]) {
+                let stored = || db.relation(relation).map_or(actual, |r| r.schema().arity());
+                let expected = arities.get(relation).copied().unwrap_or_else(stored);
+                if actual != expected {
+                    let (relation, line) = (relation.clone(), plan.line);
+                    return Err(EngineError::Arity {
+                        relation,
+                        expected,
+                        actual,
+                        line,
+                    });
+                }
             }
         }
 

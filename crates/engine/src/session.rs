@@ -7,7 +7,9 @@
 //!
 //! * [`Session::import_dataframe`] — host table → engine relation;
 //! * [`Session::run`] — execute a cell of Spannerlog source
-//!   (declarations, facts, rules, queries);
+//!   (declarations, facts, rules, queries), checked as it runs: a cell
+//!   that adds rules or declares under them compiles the rule set, and a
+//!   cell that fails is undone;
 //! * [`Session::export`] — evaluate a query, returning a `DataFrame`;
 //! * [`Session::register`] — host closure → IE function callable from
 //!   rules.
@@ -16,9 +18,10 @@
 //!
 //! 1. [`Session::builder`] configures parallelism, tracing, resource
 //!    limits, and seeds the IE registry;
-//! 2. [`Session::prepare`] / [`Session::prepare_program`] run parse →
-//!    safety analysis → IE sequencing → stratification → planning
-//!    exactly once, yielding a `PreparedQuery` / `PreparedProgram`;
+//! 2. [`Session::prepare`] / [`Session::prepare_program`] hand out the
+//!    rule set's compilation — parse → safety analysis → IE sequencing →
+//!    stratification → planning, run once, by the `run` that loaded the
+//!    rules — as a `PreparedQuery` / `PreparedProgram`;
 //! 3. `PreparedQuery::execute` runs repeatedly against freshly imported
 //!    relations: the evaluation driver (`driver.rs`) skips the fixpoint
 //!    when no input relation changed, or maintains the derived relations
@@ -70,7 +73,7 @@ use crate::prepared::CompiledProgram;
 use crate::query::QueryPlan;
 use crate::registry::Registry;
 use crate::safety::constant_value;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use spannerlib_cache::DocGc;
 use spannerlib_core::{CompactionReport, DocId, Relation, Schema, Tuple, Value};
 use spannerlib_dataframe::{DataFrame, IntoRows};
@@ -264,6 +267,16 @@ pub struct Session {
     pending_request_ids: Vec<String>,
 }
 
+/// What a cell of [`Session::run`] declared and added — names and rows,
+/// not a copy of the database — for `run` to take back out if it fails.
+#[derive(Default)]
+struct Cell {
+    /// The number of rules loaded before the cell.
+    rules: usize,
+    declared: Vec<String>,
+    facts: FxHashMap<String, Vec<Vec<Value>>>,
+}
+
 impl Default for Session {
     fn default() -> Self {
         Self::new()
@@ -363,22 +376,43 @@ impl Session {
 
     /// Runs a cell of Spannerlog source. Declarations, facts, and rules
     /// mutate the session; queries evaluate eagerly and their results are
-    /// returned in order.
+    /// returned in order. A cell that adds rules, or declares a relation
+    /// while rules are loaded, compiles the rule set before `run` returns,
+    /// so a wrong rule or a declaration at odds with the rules fails its
+    /// own cell. A cell that fails — at a statement, at that check or at
+    /// a query — is undone: its rules, declarations and facts go, and the
+    /// session holds what it held before the call.
     pub fn run(&mut self, source: &str) -> Result<Vec<(Query, DataFrame)>> {
         let program = parse_program(source)?;
+        let mut cell = Cell {
+            rules: self.rules.len(),
+            ..Cell::default()
+        };
+        let outputs = self.run_cell(program.statements, &mut cell);
+        if outputs.is_err() {
+            self.undo(cell);
+        }
+        outputs
+    }
+
+    /// Runs the statements of a cell, noting in `cell` what to undo.
+    fn run_cell(
+        &mut self,
+        statements: Vec<Statement>,
+        cell: &mut Cell,
+    ) -> Result<Vec<(Query, DataFrame)>> {
         let mut outputs = Vec::new();
-        for statement in program.statements {
+        for statement in statements {
             match statement {
                 Statement::Declaration(d) => {
-                    self.db_mut()
-                        .declare(&d.name, Schema::new(d.types.clone()))?;
-                    self.invalidate_program();
+                    self.declare(&d.name, Schema::new(d.types))?;
+                    cell.declared.push(d.name);
                 }
                 Statement::Fact(f) => {
-                    self.add_fact_values(
-                        &f.predicate,
-                        f.values.iter().map(constant_value).collect(),
-                    )?;
+                    let row: Vec<Value> = f.values.iter().map(constant_value).collect();
+                    if self.add_fact_values(&f.predicate, row.clone())? {
+                        cell.facts.entry(f.predicate).or_default().push(row);
+                    }
                 }
                 Statement::Rule(r) => {
                     self.rules.push(r);
@@ -390,7 +424,37 @@ impl Session {
                 }
             }
         }
+        // New rules, or a declaration that may give a name the rules
+        // use another arity: compile the rule set before the cell is done.
+        if !self.rules.is_empty() && (self.rules.len() > cell.rules || !cell.declared.is_empty()) {
+            self.program()?;
+        }
         Ok(outputs)
+    }
+
+    /// Takes a failed cell back out: the rules it loaded, the relations it
+    /// declared and the facts it added.
+    fn undo(&mut self, cell: Cell) {
+        if self.rules.len() > cell.rules || !cell.declared.is_empty() {
+            self.rules.truncate(cell.rules);
+            self.invalidate_program();
+        }
+        if !cell.declared.is_empty() || !cell.facts.is_empty() {
+            let db = self.db_mut();
+            for name in &cell.declared {
+                db.remove(name);
+            }
+            for (name, rows) in &cell.facts {
+                db.retract(name, rows);
+            }
+        }
+        // A fact of the cell may have taken over a row a rule derived into
+        // its extensional head, and went with it. A head is no input, so
+        // its moving would not make the next evaluation run: make it run.
+        let mut heads = self.rules.iter().map(|r| &r.head_predicate);
+        if self.last.is_ok() && heads.any(|head| cell.facts.contains_key(head)) {
+            self.last = Err(driver::FullReason::InputIsRuleHead);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -438,7 +502,9 @@ impl Session {
     // Direct fact/relation access
     // ------------------------------------------------------------------
 
-    /// Declares a relation programmatically.
+    /// Declares a relation programmatically. Unlike a cell's `new`, it
+    /// is not checked against the rules loaded: a schema at odds with
+    /// them fails the next evaluation, until [`Session::remove_relation`].
     pub fn declare(&mut self, name: &str, schema: Schema) -> Result<()> {
         Database::check_name(name)?;
         self.db_mut().declare(name, schema)?;
@@ -447,8 +513,9 @@ impl Session {
     }
 
     /// Removes a relation (facts and schema) so long-lived sessions can
-    /// evict state instead of being rebuilt. Rules referencing it will
-    /// fail to compile until it is re-declared or re-imported.
+    /// evict state instead of being rebuilt. Rules that read it, which
+    /// `run` compiled, fail to compile again until it is re-declared or
+    /// re-imported, or [`Session::clear_rules`] drops them.
     ///
     /// Document texts interned by removed tuples are reclaimed by
     /// doc-store compaction: automatically under a
@@ -466,20 +533,11 @@ impl Session {
         Ok(())
     }
 
-    /// Removes every rule (facts and registrations are kept).
+    /// Removes every rule (facts and registrations are kept); a cell
+    /// whose rules do not compile leaves none behind to remove.
     pub fn clear_rules(&mut self) {
         self.rules.clear();
         self.invalidate_program();
-    }
-
-    /// Removes the rules loaded after the first `len` — what a host
-    /// that checks a cell's rules when it loads them (`prepare_program`)
-    /// calls to take a rejected cell back out.
-    pub fn truncate_rules(&mut self, len: usize) {
-        if len < self.rules.len() {
-            self.rules.truncate(len);
-            self.invalidate_program();
-        }
     }
 
     /// Number of rules currently loaded.
@@ -494,25 +552,25 @@ impl Session {
         values: impl IntoIterator<Item = Value>,
     ) -> Result<()> {
         self.add_fact_values(relation, values.into_iter().collect())
+            .map(drop)
     }
 
-    fn add_fact_values(&mut self, relation: &str, values: Vec<Value>) -> Result<()> {
-        if !self.db.is_extensional(relation) {
+    /// Adds one fact; `true` when the relation did not hold it yet.
+    fn add_fact_values(&mut self, relation: &str, values: Vec<Value>) -> Result<bool> {
+        let Some(schema) = self.db.extensional_schema(relation) else {
             return Err(EngineError::UnknownRelation(format!(
                 "{relation} (declare it with `new {relation}(…)` before adding facts)"
             )));
-        }
-        let schema = self.db.relation(relation)?.schema().clone();
-        let tuple = Tuple::new(values);
-        if tuple.arity() != schema.arity() {
+        };
+        if values.len() != schema.arity() {
             return Err(EngineError::Arity {
                 relation: relation.to_string(),
                 expected: schema.arity(),
-                actual: tuple.arity(),
+                actual: values.len(),
                 line: 0,
             });
         }
-        for (i, (v, t)) in tuple.values().iter().zip(schema.types()).enumerate() {
+        for (i, (v, t)) in values.iter().zip(schema.types()).enumerate() {
             if v.value_type() != *t {
                 return Err(EngineError::FactType {
                     relation: relation.to_string(),
@@ -522,8 +580,7 @@ impl Session {
                 });
             }
         }
-        self.db_mut().insert(relation, tuple)?;
-        Ok(())
+        self.db_mut().insert(relation, Tuple::new(values))
     }
 
     /// Interns a document, returning its id.

@@ -183,16 +183,16 @@ impl Session {
         Ok(Arc::clone(&self.db))
     }
 
-    /// Compiles the current rule set — parse already happened in
-    /// [`Session::run`]; this runs safety analysis (deriving IE
-    /// execution order), stratification, and planning — and returns the
-    /// artifact as a shareable [`PreparedProgram`].
+    /// The current rule set's compilation — safety analysis (deriving IE
+    /// execution order), stratification, and planning — as a shareable
+    /// [`PreparedProgram`].
     ///
-    /// Unsafe rules and unstratifiable programs are rejected *here*,
-    /// with source positions, before any data is processed. Relations
-    /// the rules read must already be declared or imported (so the
-    /// compiler can distinguish relation atoms from IE filters); their
-    /// *content* may be re-imported freely between executions.
+    /// [`Session::run`] compiled the rules when they arrived, refusing
+    /// unsafe and unstratifiable ones; this compiles again only if a
+    /// registration or the relation names changed since. Relations the
+    /// rules read must be declared or imported before the rules arrive
+    /// (so the compiler can distinguish relation atoms from IE filters);
+    /// their *content* may be re-imported freely between executions.
     pub fn prepare_program(&mut self) -> Result<PreparedProgram> {
         Ok(PreparedProgram {
             inner: self.program()?,
@@ -209,7 +209,7 @@ impl Session {
 
     /// The compiled program for the current rule set (cached until the
     /// rules, registrations, or relation name set change).
-    fn program(&mut self) -> Result<Arc<CompiledProgram>> {
+    pub(super) fn program(&mut self) -> Result<Arc<CompiledProgram>> {
         if let Some(program) = &self.compiled {
             return Ok(Arc::clone(program));
         }

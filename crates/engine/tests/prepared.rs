@@ -241,13 +241,12 @@ fn snapshot_concurrent_queries_agree_with_serial() {
     assert_eq!(snapshot.execute(&query).unwrap(), serial);
 }
 
-/// Safety-checker rejection surfaces at prepare() time, carrying the
-/// offending rule's source position.
+/// The safety checker's rejection surfaces at `run`, the cell's own
+/// call, carrying the offending rule's source position.
 #[test]
-fn unsafe_rule_rejected_at_prepare_time_with_position() {
+fn unsafe_rule_rejected_at_run_with_position() {
     let mut session = Session::new();
-    session.run("new S(str)\nR(x, y) <- S(x)").unwrap();
-    let err = session.prepare("?R(x, y)").unwrap_err();
+    let err = session.run("new S(str)\nR(x, y) <- S(x)").unwrap_err();
     match err {
         EngineError::Unsafe { line, ref msg } => {
             assert_eq!(line, 2, "span points at the rule head: {msg}");
@@ -335,25 +334,56 @@ fn clear_rules_keeps_facts() {
     assert_eq!(session.export("?S(x)").unwrap().num_rows(), 1);
 }
 
-/// truncate_rules takes a rejected cell back out: the rules loaded
-/// before it evaluate again.
+/// A cell that fails is taken back out whole — its declarations, its
+/// facts and its rules — wherever in the cell it fails: at a statement,
+/// at the check of its rules, or at a query after an evaluation inside
+/// the cell saw its facts. The rules loaded before it evaluate again.
 #[test]
-fn truncate_rules_takes_a_rejected_cell_back_out() {
+fn a_rejected_cell_is_rolled_back() {
     let mut session = Session::new();
     session.run("new S(int)\nS(1)\nD(x) <- S(x)").unwrap();
     let loaded = session.rule_count();
-    session
-        .run("Bad(x, y) <- S(x)\nAlso(x) <- S(x)")
-        .expect("run only stores rules");
-    assert!(session.prepare_program().is_err());
-    assert!(session.export("?D(x)").is_err(), "one bad rule fails all");
-    session.truncate_rules(loaded);
-    assert_eq!(session.rule_count(), loaded);
-    assert_eq!(session.export("?D(x)").unwrap().num_rows(), 1);
-    assert_eq!(session.export("?Also(x)").unwrap().num_rows(), 0);
-    // Past the end there is nothing to drop.
-    session.truncate_rules(loaded + 5);
-    assert_eq!(session.rule_count(), loaded);
+    for (cell, kind) in [
+        (
+            "new T(int)\nT(7)\nS(2)\nAlso(x) <- S(x)\nBad(x, y) <- S(x)",
+            "Unsafe",
+        ),
+        (
+            "new T(int)\nS(2)\nAlso(x) <- T(x)\n?Also(x)\nT(\"no\")",
+            "FactType",
+        ),
+        ("S(2)\nS(3)\n?D(x)\nAlso(x) <- S(x), not Nope(x)", "Unknown"),
+    ] {
+        let err = session.run(cell).unwrap_err();
+        assert!(format!("{err:?}").starts_with(kind), "{cell}: {err:?}");
+        assert_eq!(session.rule_count(), loaded, "{cell}");
+        assert_eq!(session.export("?S(x)").unwrap().num_rows(), 1, "{cell}");
+        assert_eq!(session.export("?D(x)").unwrap().num_rows(), 1, "{cell}");
+        assert_eq!(session.export("?Also(x)").unwrap().num_rows(), 0, "{cell}");
+        assert_eq!(session.export("?T(x)").unwrap().num_rows(), 0, "{cell}");
+    }
+    // The declaration went with its cell, so the name is free again.
+    session.run("new T(int)\nT(7)").unwrap();
+    assert_eq!(session.export("?T(x)").unwrap().num_rows(), 1);
+}
+
+/// A fact that a refused cell asserted over a row a rule derived does
+/// not stay behind as a fact: once the rule no longer derives the row,
+/// it is gone, as in a session that never ran the cell. That holds for
+/// a cell refused at its rules and for one refused at a later fact.
+#[test]
+fn a_rejected_cell_leaves_a_derived_row_derived() {
+    for cell in ["S(1)\nBad(x, y) <- T(x)", "S(1)\nS(\"x\")"] {
+        let mut session = Session::new();
+        session
+            .run("new S(int)\nnew T(int)\nT(1)\nS(x) <- T(x)")
+            .unwrap();
+        session.ensure_evaluated().unwrap();
+        assert!(session.run(cell).is_err());
+        assert_eq!(session.export("?S(x)").unwrap().num_rows(), 1, "{cell}");
+        session.import_typed("T", Vec::<(i64,)>::new()).unwrap();
+        assert_eq!(session.export("?S(x)").unwrap().num_rows(), 0, "{cell}");
+    }
 }
 
 /// Builder-configured resource limits abort runaway evaluations.

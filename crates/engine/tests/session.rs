@@ -185,26 +185,81 @@ fn stratified_negation() {
 #[test]
 fn negation_through_recursion_rejected() {
     let mut session = Session::new();
-    session
-        .run(
-            r#"
-            new S(str)
-            S("a")
-            P(x) <- S(x), not Q(x)
-            Q(x) <- S(x), not P(x)
-        "#,
-        )
-        .unwrap();
-    let err = session.export("?P(x)").unwrap_err();
+    session.run("new S(str)\nS(\"a\")").unwrap();
+    let err = session
+        .run("P(x) <- S(x), not Q(x)\nQ(x) <- S(x), not P(x)")
+        .unwrap_err();
     assert!(matches!(err, EngineError::NotStratifiable(_)));
+    assert_eq!(session.rule_count(), 0);
+    assert_eq!(session.export("?P(x)").unwrap().num_rows(), 0);
 }
 
 #[test]
-fn unsafe_rule_rejected_at_query_time() {
+fn unsafe_rule_rejected_at_run() {
     let mut session = Session::new();
-    session.run("new S(str)\nR(x, y) <- S(x)").unwrap();
-    let err = session.export("?R(x, y)").unwrap_err();
+    session.run("new S(str)").unwrap();
+    let err = session.run("R(x, y) <- S(x)").unwrap_err();
     assert!(matches!(err, EngineError::Unsafe { .. }));
+    assert_eq!(session.rule_count(), 0);
+    assert_eq!(session.export("?R(x, y)").unwrap().num_rows(), 0);
+}
+
+/// A wrong rule fails its own cell: every error the compiler finds
+/// without data — `x < _` among them, which once compiled and then failed
+/// every later query — is the answer of `run`, which leaves the rules
+/// as they were, so the next evaluation succeeds.
+#[test]
+fn data_free_errors_fail_at_run() {
+    let mut session = Session::new();
+    session
+        .run("new S(str)\nS(\"a\")\nGood(x) <- S(x)")
+        .unwrap();
+    for (rules, kind) in [
+        ("R(x, y) <- S(x)", "Unsafe"),
+        ("R(x) <- S(x), x < _", "Unsafe"),
+        ("R(x) <- S(x), not Nope(x)", "UnknownRelation"),
+        (
+            "R(x) <- S(x), not rgx_is_match(\"a\", x)",
+            "UnknownRelation",
+        ),
+        ("P(x) <- S(x), not P(x)", "NotStratifiable"),
+        (
+            "P(x) <- S(x), not Q(x)\nQ(x) <- S(x), not P(x)",
+            "NotStratifiable",
+        ),
+        ("C(x, count(y)) <- S(x), C(y, n)", "NotStratifiable"),
+        ("R(x) <- S(x), Nope(x)", "UnknownPredicate"),
+        ("R(y) <- S(x), nope(x) -> (y)", "UnknownIeFunction"),
+        ("R(y) <- S(x), rgx(x) -> (y)", "IeArity"),
+        ("R(x) <- S(x, y)", "Arity"),
+        ("R(x) <- S(x)\nR(x, y) <- S(x), S(y)", "Arity"),
+        ("new Good(int, int)", "Arity"),
+    ] {
+        let err = session.run(rules).unwrap_err();
+        assert!(format!("{err:?}").starts_with(kind), "{rules}: {err:?}");
+        assert_eq!(session.rule_count(), 1, "{rules}");
+        session.ensure_evaluated().unwrap();
+        assert_eq!(session.export("?Good(x)").unwrap().num_rows(), 1);
+    }
+}
+
+/// `new R(…)` over a name only rules derive is a declaration, whether or
+/// not an evaluation has left rows under the name; the rule then derives
+/// into the declared relation. Declaring it twice is a duplicate.
+#[test]
+fn declaring_a_derived_name_does_not_depend_on_evaluation() {
+    for evaluated in [false, true] {
+        let mut session = Session::new();
+        session.run("new S(int)\nS(1)\nR(x) <- S(x)").unwrap();
+        if evaluated {
+            session.ensure_evaluated().unwrap();
+        }
+        session.run("new R(int)").unwrap();
+        let again = session.declare("R", Schema::new(vec![ValueType::Int]));
+        assert!(matches!(again, Err(EngineError::DuplicateRelation(_))));
+        let rows = session.export_typed::<(i64,)>("?R(x)").unwrap();
+        assert_eq!(rows, [(1,)], "evaluated first: {evaluated}");
+    }
 }
 
 #[test]
@@ -301,7 +356,7 @@ fn fact_type_errors_are_reported() {
     assert!(matches!(err, EngineError::Arity { .. }));
 }
 
-/// A fact, a query and a rule's scan report an arity mismatch alike:
+/// A fact, a query and a rule's atom report an arity mismatch alike:
 /// `expected` is the declared arity, `actual` the arity used.
 #[test]
 fn arity_errors_name_the_declared_arity_first() {
@@ -320,13 +375,12 @@ fn arity_errors_name_the_declared_arity_first() {
     };
     declared_2_used_3(session.run("R(1, 2, 3)").unwrap_err(), "fact");
     declared_2_used_3(session.export("?R(x, y, z)").unwrap_err(), "query");
-    session.run("S(x) <- R(x, y, z)").unwrap();
-    declared_2_used_3(session.ensure_evaluated().unwrap_err(), "rule");
+    declared_2_used_3(session.run("S(x) <- R(x, y, z)").unwrap_err(), "rule");
 }
 
 /// A head whose arity is not its relation's — set by a declaration, or
-/// by the head of the relation's first rule — fails to compile, naming
-/// the relation and the line of the rule.
+/// by the head of the relation's first rule — fails to compile at `run`,
+/// naming the relation and the line of the rule, and leaves no rule.
 #[test]
 fn a_head_of_another_arity_fails_to_compile() {
     let cell = "new S(int)\nS(1) S(2)";
@@ -336,8 +390,7 @@ fn a_head_of_another_arity_fails_to_compile() {
     ] {
         let mut session = Session::new();
         session.run(cell).unwrap();
-        session.run(rules).unwrap();
-        let err = session.prepare_program().unwrap_err();
+        let err = session.run(rules).unwrap_err();
         let line = rules.lines().count();
         let named = matches!(
             &err,
@@ -345,10 +398,8 @@ fn a_head_of_another_arity_fails_to_compile() {
                 if r == relation && *e == expected && *l == line
         );
         assert!(named, "{rules}: {err:?}");
-        assert!(matches!(
-            session.ensure_evaluated(),
-            Err(EngineError::Arity { .. })
-        ));
+        assert_eq!(session.rule_count(), 0);
+        session.ensure_evaluated().unwrap();
     }
 }
 

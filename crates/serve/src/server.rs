@@ -424,22 +424,8 @@ fn register(req: &Request, state: &ServerState) -> Result<Response, ApiError> {
     let json = body_json(req)?;
     if let Some(rules) = json.get("rules").and_then(Json::as_str) {
         let mut session = state.checkout(None)?;
-        let loaded = session.rule_count();
-        // The cell's rules are compiled here, not at the next
-        // `/execute`: nothing on the wire removes a rule, so one that
-        // cannot compile would fail every later evaluation.
-        let outcome = session.run(rules).and_then(|_| {
-            if session.rule_count() > loaded {
-                session.prepare_program()?;
-            }
-            Ok(())
-        });
-        if outcome.is_err() {
-            session.truncate_rules(loaded);
-        }
-        // Declarations and facts ahead of a failing statement stay.
+        session.run(rules).map_err(|e| ApiError::from_engine(&e))?;
         session.mark_changed();
-        outcome.map_err(|e| ApiError::from_engine(&e))?;
     } else if let Some(ie) = json.get("ie") {
         let spec = parse_ie_spec(ie)?;
         let mut session = state.checkout(None)?;

@@ -798,11 +798,11 @@ fn churn_cycles_are_maintained_evaluations() {
     thread.join().unwrap();
 }
 
-/// `/register` used to answer `200` to the unsafe rule below —
-/// `Session::run` only stores rules — and from then on every
-/// `/execute`, `?Good(x)` included, and every later valid rule read
-/// `400 unsafe rule (line 1): head variable "y" is not bound by the
-/// body`, with nothing on the wire to take the rule back out.
+/// `/register` once answered `200` to the unsafe rule below — `run`
+/// only stored rules — and from then on every `/execute`, `?Good(x)`
+/// included, and every later valid rule read `400 unsafe rule (line 1):
+/// head variable "y" is not bound by the body`, with nothing on the wire
+/// to take the rule back out. `run` compiles the cell now.
 #[test]
 fn a_rule_that_does_not_compile_is_refused_at_register_and_leaves_no_trace() {
     let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
@@ -866,6 +866,59 @@ fn a_wildcard_comparison_operand_is_refused_at_register() {
     );
 
     let (status, body) = post(&mut client, "/execute", r#"{"query": "?Good(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// A refused cell is refused whole: the declaration and the fact ahead
+/// of its unsafe rule do not stay, the name is free to declare again,
+/// and the publish version does not move. `?T(x)` over the name no
+/// relation holds reads empty, as any query over an unknown name does.
+#[test]
+fn a_refused_register_cell_leaves_nothing_behind() {
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let version = |client: &mut Client| {
+        let health = client.get("/healthz").expect("healthz").json().unwrap();
+        health.get("version").cloned().unwrap()
+    };
+    let before = version(&mut client);
+    let cell = r#"{"rules": "new T(int)\nT(1)\nBad(x, y) <- T(x)"}"#;
+    let (status, body) = post(&mut client, "/register", cell);
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(version(&mut client), before);
+    let (status, body) = post(&mut client, "/execute", r#"{"query": "?T(x)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(0), "T(1) went");
+    let (status, body) = post(&mut client, "/register", r#"{"rules": "new T(int)"}"#);
+    assert_eq!(status, 200, "{body:?}");
+
+    // A declaration that gives a rule head another arity is refused, and
+    // the queries go on answering.
+    assert_eq!(
+        post(&mut client, "/register", r#"{"rules": "Good(x) <- T(x)"}"#).0,
+        200
+    );
+    let import = r#"{"relation": "T", "rows": [[1]]}"#;
+    assert_eq!(post(&mut client, "/import", import).0, 200);
+    let good = r#"{"query": "?Good(x)"}"#;
+    assert_eq!(
+        post(&mut client, "/execute", good)
+            .1
+            .get("row_count")
+            .unwrap(),
+        &Json::Int(1)
+    );
+    let (status, body) = post(
+        &mut client,
+        "/register",
+        r#"{"rules": "new Good(int, int)"}"#,
+    );
+    assert_eq!(status, 400, "{body:?}");
+    let (status, body) = post(&mut client, "/execute", good);
     assert_eq!(status, 200, "{body:?}");
     assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
 
