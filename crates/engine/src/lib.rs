@@ -72,7 +72,7 @@ pub use prepared::{CompiledProgram, PreparedProgram, PreparedQuery, Snapshot};
 pub use query::{QueryPlan, Selection};
 pub use registry::Registry;
 pub use session::driver::{EvalMode, FullReason};
-pub use session::{Session, SessionBuilder, SessionStats};
+pub use session::{Session, SessionBuilder};
 // The cache subsystem's user-facing vocabulary, re-exported so hosts
 // configure sessions without depending on spannerlib-cache directly.
 pub use spannerlib_cache::{CacheStats, DocGc, DOC_GC_WATERMARK_BYTES};

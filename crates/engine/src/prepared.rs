@@ -57,9 +57,11 @@ impl CompiledProgram {
         registry: &Registry,
     ) -> Result<CompiledProgram> {
         // Predicates that resolve to relations: extensional names plus
-        // every rule head.
+        // every rule head — not the derived relations an earlier run of
+        // other rules left behind.
+        let extensional = db.iter().filter(|(name, _)| db.is_extensional(name));
         let mut relation_names: FxHashSet<String> =
-            db.iter().map(|(name, _)| name.clone()).collect();
+            extensional.map(|(name, _)| name.clone()).collect();
         let heads: FxHashSet<String> = rules.iter().map(|r| r.head_predicate.clone()).collect();
         relation_names.extend(heads.iter().cloned());
 
@@ -72,7 +74,7 @@ impl CompiledProgram {
             .map(|r| analyze(r, &ctx))
             .collect::<Result<Vec<_>>>()?;
         // A relation has one arity, which each head and atom of it has:
-        // its declaration's, else its first head's, else its stored rows'.
+        // its declaration's, else its first head's.
         let mut arities = FxHashMap::default();
         for plan in &plans {
             let declared = db.extensional_schema(&plan.head_predicate);
@@ -87,8 +89,11 @@ impl CompiledProgram {
                 _ => None,
             });
             for (relation, actual) in atoms.chain([(&plan.head_predicate, plan.head.len())]) {
-                let stored = || db.relation(relation).map_or(actual, |r| r.schema().arity());
-                let expected = arities.get(relation).copied().unwrap_or_else(stored);
+                let declared = || {
+                    db.extensional_schema(relation)
+                        .map_or(actual, Schema::arity)
+                };
+                let expected = arities.get(relation).copied().unwrap_or_else(declared);
                 if actual != expected {
                     let (relation, line) = (relation.clone(), plan.line);
                     return Err(EngineError::Arity {

@@ -84,8 +84,6 @@ use std::sync::Arc;
 pub(crate) mod driver;
 mod read;
 
-pub use read::SessionStats;
-
 /// Configures and builds a [`Session`]: resource limits, tracing,
 /// parallelism, and IE registry seeding, in one fluent pass.
 ///
@@ -328,26 +326,41 @@ impl Session {
     }
 
     /// Imports an already-built relation (same schema rules as
-    /// [`Session::import_dataframe`]).
+    /// [`Session::import_dataframe`]). A name that was no extensional
+    /// relation is checked against the rules loaded, as a cell's `new`
+    /// is: an import that gives a rule head another arity is refused,
+    /// and leaves the name as it was.
     pub fn import_relation(&mut self, name: &str, relation: Relation) -> Result<()> {
         Database::check_name(name)?;
-        if let Some(existing) = self.db.extensional_schema(name) {
-            if existing != relation.schema() {
-                return Err(EngineError::SchemaMismatch {
-                    relation: name.to_string(),
-                    expected: existing.to_string(),
-                    actual: relation.schema().to_string(),
-                });
-            }
-        } else {
-            // A brand-new name can resolve predicates differently, and a
-            // name that was only rule-derived until now becomes
-            // extensional — either way the compiled program's view of
-            // the EDB changes.
-            self.invalidate_program();
+        let existing = self.db.extensional_schema(name);
+        if let Some(existing) = existing.filter(|&s| s != relation.schema()) {
+            return Err(EngineError::SchemaMismatch {
+                relation: name.to_string(),
+                expected: existing.to_string(),
+                actual: relation.schema().to_string(),
+            });
         }
+        let new_name = existing.is_none();
         self.db_mut().put_relation(name, relation);
+        if new_name {
+            self.check_new_extensional(name)?;
+        }
         self.maybe_compact_docs();
+        Ok(())
+    }
+
+    /// After a write made `name` extensional: a brand-new name can
+    /// resolve predicates differently, and a name only rules derived
+    /// until now may take another arity than their heads, so the rules
+    /// loaded compile again now. If they do not, the name goes again.
+    fn check_new_extensional(&mut self, name: &str) -> Result<()> {
+        self.invalidate_program();
+        if !self.rules.is_empty() {
+            if let Err(err) = self.program() {
+                self.db_mut().remove(name);
+                return Err(err);
+            }
+        }
         Ok(())
     }
 
@@ -405,7 +418,7 @@ impl Session {
         for statement in statements {
             match statement {
                 Statement::Declaration(d) => {
-                    self.declare(&d.name, Schema::new(d.types))?;
+                    self.declare_unchecked(&d.name, Schema::new(d.types))?;
                     cell.declared.push(d.name);
                 }
                 Statement::Fact(f) => {
@@ -502,10 +515,17 @@ impl Session {
     // Direct fact/relation access
     // ------------------------------------------------------------------
 
-    /// Declares a relation programmatically. Unlike a cell's `new`, it
-    /// is not checked against the rules loaded: a schema at odds with
-    /// them fails the next evaluation, until [`Session::remove_relation`].
+    /// Declares a relation programmatically. Like a cell's `new`, it is
+    /// checked against the rules loaded: a schema that gives a rule head
+    /// another arity is refused, and the name stays undeclared.
     pub fn declare(&mut self, name: &str, schema: Schema) -> Result<()> {
+        self.declare_unchecked(name, schema)?;
+        self.check_new_extensional(name)
+    }
+
+    /// [`Session::declare`] without the check of the rules, which a cell
+    /// makes once it has run all its statements.
+    fn declare_unchecked(&mut self, name: &str, schema: Schema) -> Result<()> {
         Database::check_name(name)?;
         self.db_mut().declare(name, schema)?;
         self.invalidate_program();
@@ -515,7 +535,8 @@ impl Session {
     /// Removes a relation (facts and schema) so long-lived sessions can
     /// evict state instead of being rebuilt. Rules that read it, which
     /// `run` compiled, fail to compile again until it is re-declared or
-    /// re-imported, or [`Session::clear_rules`] drops them.
+    /// re-imported, or [`Session::clear_rules`] drops them; until then a
+    /// write that makes another name extensional fails with them.
     ///
     /// Document texts interned by removed tuples are reclaimed by
     /// doc-store compaction: automatically under a

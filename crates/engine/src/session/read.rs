@@ -14,13 +14,6 @@ use spannerlib_dataframe::{DataFrame, FromRow};
 use spannerlib_trace::EvalProfile;
 use std::sync::Arc;
 
-/// Statistics of a session: the most recent fixpoint run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Counters of the most recent fixpoint run.
-    pub eval: EvalStats,
-}
-
 impl Session {
     /// Evaluates a query string (`?R(x, "c")`) and exports the result as
     /// a DataFrame (the paper's `session.export('?R(usr, "gmail")')`).
@@ -70,14 +63,11 @@ impl Session {
         })
     }
 
-    /// Statistics of the session, without resetting anything: `eval`
-    /// describes only the **most recent** fixpoint run — a call that
-    /// skipped evaluation because nothing changed keeps the previous
-    /// run's counters, as [`Session::profile`] does.
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            eval: self.last_stats,
-        }
+    /// Counters of the **most recent** fixpoint run, without resetting
+    /// anything — a call that skipped evaluation because nothing changed
+    /// keeps the previous run's counters, as [`Session::profile`] does.
+    pub fn stats(&self) -> EvalStats {
+        self.last_stats
     }
 
     /// Profile of the most recent fixpoint run — per-rule wall times,

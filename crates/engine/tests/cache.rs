@@ -128,7 +128,7 @@ Mailed(d) <- Texts(d, t), rgx_string("[a-z]+@[a-z]+", t) -> (_)"#,
         let query = session.prepare("?Email(d, s)").unwrap();
         let rerun = query.execute(&mut session).unwrap();
         assert_eq!(rerun, cold);
-        let mode = session.stats().eval.mode;
+        let mode = session.stats().mode;
         assert_eq!(mode, EvalMode::Full(FullReason::ProgramChanged));
         assert_eq!(body_calls(&session, "rgx_string"), 2, "rerun {i}");
     }

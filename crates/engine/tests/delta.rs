@@ -39,7 +39,7 @@ fn a_head_two_changed_atoms_reach_is_derived_once() {
     let expected = [("a", "a"), ("c", "c")].map(|(d, x)| (d.to_string(), x.to_string()));
     assert_eq!(rows, expected);
     assert_eq!(
-        session.stats().eval.mode,
+        session.stats().mode,
         EvalMode::Maintained {
             added: 2,
             removed: 2
@@ -65,14 +65,14 @@ fn a_rule_that_scans_nothing_fires_from_the_empty_database() {
     let lit = |session: &mut Session| session.export_typed::<(String,)>("?Lit(w)").unwrap();
     assert_eq!(lit(&mut session), texts(&["alpha", "beta"]));
     assert_eq!(
-        session.stats().eval.mode,
+        session.stats().mode,
         EvalMode::Full(FullReason::FirstEvaluation)
     );
 
     session.add_fact("S", [Value::Int(2)]).unwrap();
     assert_eq!(lit(&mut session), texts(&["alpha", "beta"]));
     assert_eq!(
-        session.stats().eval.mode,
+        session.stats().mode,
         EvalMode::Maintained {
             added: 1,
             removed: 0
@@ -86,7 +86,7 @@ fn a_rule_that_scans_nothing_fires_from_the_empty_database() {
     session.set_tracing(TraceLevel::Summary);
     assert_eq!(lit(&mut session), texts(&["alpha", "beta"]));
     assert_eq!(
-        session.stats().eval.mode,
+        session.stats().mode,
         EvalMode::Full(FullReason::TracingChanged)
     );
 }

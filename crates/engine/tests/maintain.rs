@@ -44,7 +44,7 @@ fn assert_derives(session: &mut Session, source: &str, registry: &Registry, name
 }
 
 fn mode(session: &Session) -> EvalMode {
-    session.stats().eval.mode
+    session.stats().mode
 }
 
 fn maintained(session: &Session) -> bool {

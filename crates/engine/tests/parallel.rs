@@ -445,7 +445,7 @@ fn an_ie_panic_is_an_error_naming_the_function_and_the_rule() {
             .collect();
         session.import_typed("Texts", calm.clone()).unwrap();
         session.ensure_evaluated().unwrap();
-        let mode = session.stats().eval.mode;
+        let mode = session.stats().mode;
         assert_eq!(mode, EvalMode::Full(FullReason::PreviousRunFailed));
         assert_eq!(session.relation("Bad").unwrap().len(), calm.len());
 

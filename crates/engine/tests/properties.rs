@@ -223,7 +223,7 @@ proptest! {
             let seq = session.eval_seq();
             let context = format!("after {step} of {writes:?}, at {inputs:?}\nprogram:\n{program}");
             check_against(&mut session, &inputs.reference(&program), &context);
-            let mode = session.stats().eval.mode;
+            let mode = session.stats().mode;
             if step > 0 && session.eval_seq() > seq {
                 prop_assert!(matches!(mode, EvalMode::Maintained { .. }), "{:?}", mode);
             }

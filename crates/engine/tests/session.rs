@@ -262,6 +262,44 @@ fn declaring_a_derived_name_does_not_depend_on_evaluation() {
     }
 }
 
+/// An import or a declaration that gives a rule head another arity is
+/// refused as a cell's `new` is, and takes the name back out: the rule
+/// goes on deriving into it.
+#[test]
+fn a_write_that_gives_a_rule_head_another_arity_is_refused() {
+    let mut session = Session::new();
+    session.run("new S(int)\nS(1)\nGood(x) <- S(x)").unwrap();
+    assert_eq!(session.export_typed::<(i64,)>("?Good(x)").unwrap(), [(1,)]);
+    let imported = session.import_typed("Good", vec![(1i64, 2i64)]);
+    let declared = session.declare("Good", Schema::new(vec![ValueType::Int; 2]));
+    for err in [imported, declared] {
+        assert!(
+            matches!(&err, Err(EngineError::Arity { relation, .. }) if relation == "Good"),
+            "{err:?}"
+        );
+        assert_eq!(session.export_typed::<(i64,)>("?Good(x)").unwrap(), [(1,)]);
+    }
+}
+
+/// The names a rule can read are the extensional relations and the rule
+/// heads, not whatever relations an earlier evaluation left behind.
+#[test]
+fn a_derived_name_no_rule_derives_is_unknown() {
+    for evaluated in [false, true] {
+        let mut session = Session::new();
+        session.run("new S(int)\nS(1)\nD(x) <- S(x)").unwrap();
+        if evaluated {
+            session.ensure_evaluated().unwrap();
+        }
+        session.clear_rules();
+        let err = session.run("E(x) <- D(x)").unwrap_err();
+        assert!(
+            matches!(&err, EngineError::UnknownPredicate(name) if name == "D"),
+            "evaluated first: {evaluated}: {err:?}"
+        );
+    }
+}
+
 #[test]
 fn ie_error_propagates() {
     let mut session = Session::new();
@@ -592,7 +630,7 @@ fn eval_stats_populated() {
     // Round 1 fires both rules in full and derives all three paths (the
     // second rule already sees the first one's inserts); round 2 fires
     // the second rule's delta variant, finds nothing new, and stops.
-    let eval = session.stats().eval;
+    let eval = session.stats();
     assert_eq!((eval.rounds, eval.rule_firings, eval.tuples_new), (2, 3, 3));
 }
 
@@ -622,7 +660,7 @@ fn non_recursive_program_fires_every_rule_once() {
     );
     assert_eq!((rules, components), (8, 6));
     session.ensure_evaluated().unwrap();
-    let eval = session.stats().eval;
+    let eval = session.stats();
     assert_eq!((eval.rule_firings, eval.rounds), (rules, components));
     let busy: Vec<(i64,)> = session.export_typed("?Stats(n)").unwrap();
     assert_eq!(busy, vec![(3,)]);

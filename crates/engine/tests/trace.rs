@@ -34,7 +34,7 @@ fn profile_counters_agree_with_eval_stats() {
     assert_eq!(session.export("?Path(x, y)").unwrap().num_rows(), 21);
 
     let profile = session.profile().expect("Summary level yields a profile");
-    let eval: EvalStats = session.stats().eval;
+    let eval: EvalStats = session.stats();
     // Round 1 fires both rules in full (paths of length 1 and 2); each
     // later round fires the recursive rule's one delta variant and finds
     // the next length, until round 6 finds nothing.
@@ -174,7 +174,7 @@ E(count(x)) <- D(x)";
         .build();
     session.run(chain).unwrap();
     assert_eq!(session.export_typed::<(i64,)>("?E(n)").unwrap(), [(5,)]);
-    assert_eq!(session.stats().eval.rounds, 5);
+    assert_eq!(session.stats().rounds, 5);
 
     session
         .run("Path(x, y) <- D(x), Edge(x, y)\nPath(x, z) <- Path(x, y), Edge(y, z)")
@@ -314,7 +314,7 @@ fn switching_tracing_off_keeps_the_last_run_as_the_basis() {
         .unwrap();
     assert_eq!(session.export("?Path(x, y)").unwrap().num_rows(), 28);
     assert_eq!(session.eval_seq(), 2);
-    let mode = session.stats().eval.mode;
+    let mode = session.stats().mode;
     assert!(matches!(mode, EvalMode::Maintained { .. }), "{mode:?}");
 }
 

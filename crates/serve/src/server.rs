@@ -407,7 +407,7 @@ fn metrics(state: &ServerState) -> Result<Response, ApiError> {
         .metrics
         .gauge("snapshot_index_builds")
         .set(published.snapshot.index_builds() as i64);
-    let body = encode_prometheus(&state.metrics.snapshot());
+    let body = encode_prometheus(&state.metrics);
     Ok(Response {
         status: 200,
         headers: vec![(
@@ -728,23 +728,11 @@ fn encode_frame(frame: &DataFrame, published: &Published) -> String {
     out
 }
 
-/// `GET /profile` — per-route latency histograms, request counters,
-/// publish version/fingerprint, and the evaluation profile of the last
-/// published snapshot (when tracing is on).
+/// `GET /profile` — publish version/fingerprint, and the evaluation
+/// profile of the last published snapshot (when tracing is on). The
+/// request and evaluation numbers are `/metrics`'.
 fn profile(state: &ServerState) -> Result<Response, ApiError> {
     let published = state.published.read().clone();
-    let endpoints: Vec<(String, Json)> = state
-        .metrics
-        .histograms()
-        .into_iter()
-        .map(|(name, snap)| (name, Json::Raw(snap.summary_json())))
-        .collect();
-    let counters: Vec<(String, Json)> = state
-        .metrics
-        .counters()
-        .into_iter()
-        .map(|(name, v)| (name, Json::Int(v as i64)))
-        .collect();
     let eval_profile = published.snapshot.profile().map_or(Json::Null, |p| {
         Json::Arr(
             p.to_json_lines()
@@ -763,8 +751,6 @@ fn profile(state: &ServerState) -> Result<Response, ApiError> {
             "eval_seq".into(),
             Json::Int(published.snapshot.eval_seq() as i64),
         ),
-        ("endpoints".into(), Json::Obj(endpoints)),
-        ("counters".into(), Json::Obj(counters)),
         ("eval_profile".into(), eval_profile),
     ]);
     Ok(Response::json(200, body.render()))

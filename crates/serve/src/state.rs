@@ -325,7 +325,7 @@ impl ServerState {
         // the rows a write changed instead of deriving it again.
         let maintained = self.metrics.counter("evals_maintained_total");
         if session.eval_seq() > eval_seq
-            && matches!(session.stats().eval.mode, EvalMode::Maintained { .. })
+            && matches!(session.stats().mode, EvalMode::Maintained { .. })
         {
             maintained.inc();
         }

@@ -112,23 +112,17 @@ fn full_lifecycle_register_import_prepare_execute() {
     assert_eq!(status, 404);
     assert_eq!(error_kind(&body), Some("not_found"));
 
-    // /profile reports the per-route histograms and publish version.
+    // /profile reports the publish version and the evaluation profile,
+    // and nothing else.
     let resp = client.get("/profile").expect("profile");
     assert_eq!(resp.status, 200);
     let profile = resp.json().unwrap();
     assert!(profile.get("version").unwrap().as_i64().unwrap() >= 2);
-    let Json::Obj(endpoints) = profile.get("endpoints").unwrap() else {
-        panic!("endpoints must be an object");
+    let Json::Obj(members) = &profile else {
+        panic!("/profile must be an object");
     };
-    // The execute histogram is labeled per route and status class.
-    let execute_count: i64 = endpoints
-        .iter()
-        .filter(|(name, _)| {
-            name.starts_with("http_request_duration_ns") && name.contains("/execute")
-        })
-        .filter_map(|(_, h)| h.get("count")?.as_i64())
-        .sum();
-    assert!(execute_count >= 3, "{endpoints:?}");
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["version", "fingerprint", "eval_seq", "eval_profile"]);
 
     // /metrics after real traffic is a well-formed Prometheus body that
     // carries the request, evaluation and read-path families.
@@ -143,6 +137,13 @@ fn full_lifecycle_register_import_prepare_execute() {
     ] {
         assert!(metrics.contains(family), "{family} missing:\n{metrics}");
     }
+    // The execute histogram is labeled per route and status class.
+    let execute_count: f64 = metrics
+        .lines()
+        .filter(|line| line.starts_with("http_request_duration_ns_count{route=\"/execute\""))
+        .filter_map(|line| line.rsplit_once(' ')?.1.parse::<f64>().ok())
+        .sum();
+    assert!(execute_count >= 3.0, "{metrics}");
 
     handle.shutdown();
     thread.join().unwrap();
@@ -926,6 +927,35 @@ fn a_refused_register_cell_leaves_nothing_behind() {
     thread.join().unwrap();
 }
 
+/// An `/import` that gives a rule head another arity is refused `400`,
+/// leaves the publish version where it was, and the rule's relation
+/// goes on answering.
+#[test]
+fn an_import_that_gives_a_rule_head_another_arity_is_refused() {
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let rules = r#"{"rules": "new S(int)\nS(1)\nGood(x) <- S(x)"}"#;
+    assert_eq!(post(&mut client, "/register", rules).0, 200);
+    let good = r#"{"query": "?Good(x)"}"#;
+    assert_eq!(post(&mut client, "/execute", good).0, 200);
+    let version = |client: &mut Client| {
+        let health = client.get("/healthz").expect("healthz").json().unwrap();
+        health.get("version").cloned().unwrap()
+    };
+    let before = version(&mut client);
+
+    let import = r#"{"relation": "Good", "rows": [[1, 2]]}"#;
+    let (status, body) = post(&mut client, "/import", import);
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(version(&mut client), before);
+    let (status, body) = post(&mut client, "/execute", good);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("row_count").unwrap(), &Json::Int(1));
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
 /// Two registered rules share an `rgx` call, which the program plans as
 /// the relations `rgx#0?` and `rgx#0`: the daemon answers the rules, and
 /// neither an import nor a query can name those relations.
@@ -959,6 +989,123 @@ fn the_relations_of_a_shared_call_are_not_served() {
         let (status, body) = post(&mut client, "/execute", &body);
         assert_eq!(status, 400, "{query}: {body:?}");
     }
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// The families and series `/metrics` serves after a fixed request
+/// script: one of each endpoint, a body-cache hit, a 404, a 405 and a
+/// malformed body. Pins the exposition's content — which `# TYPE`
+/// lines, which series with which label pairs — apart from sample
+/// values, bucket bounds and line order.
+#[test]
+fn metrics_serve_a_fixed_set_of_families_and_series() {
+    let (addr, handle, thread) = boot(Session::new(), ServeConfig::default());
+    let mut client = Client::new(addr);
+    let script = [
+        (
+            "/register",
+            r#"{"rules": "new Doc(str)\nLen(d) <- Doc(d)"}"#,
+        ),
+        ("/import", r#"{"relation": "Doc", "rows": [["a"], ["b"]]}"#),
+        ("/prepare", r#"{"name": "docs", "query": "?Len(d)"}"#),
+        ("/execute", r#"{"prepared": "docs"}"#),
+        ("/execute", r#"{"prepared": "docs"}"#),
+        ("/execute", r#"{"query": "?Doc(d)"}"#),
+    ];
+    for (path, body) in script {
+        assert_eq!(post(&mut client, path, body).0, 200, "{path} {body}");
+    }
+    assert_eq!(metric(&mut client, "execute_body_cache_hits"), 1.0);
+    assert_eq!(client.get("/nowhere").unwrap().status, 404);
+    assert_eq!(client.get("/execute").unwrap().status, 405);
+    let malformed = client
+        .request("POST", "/execute", &[], Some("{not json"))
+        .unwrap();
+    assert_eq!(malformed.status, 400);
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    assert_eq!(client.get("/profile").unwrap().status, 200);
+
+    let body = client.get("/metrics").expect("metrics").body;
+    spannerlib_trace::check_exposition(&body)
+        .unwrap_or_else(|e| panic!("/metrics does not parse: {e}\n{body}"));
+    let mut types = Vec::new();
+    let mut series = std::collections::BTreeSet::new();
+    for line in body.lines() {
+        if line.starts_with("# TYPE ") {
+            types.push(line);
+            continue;
+        }
+        let key = line.rsplit_once(' ').expect("a sample has a value").0;
+        // `le` is the last pair of a bucket's labels.
+        let key = match key.split_once(",le=\"") {
+            Some((series, _)) => format!("{series}}}"),
+            None if key.contains("{le=\"") => key.split_once('{').unwrap().0.to_string(),
+            None => key.to_string(),
+        };
+        series.insert(key);
+    }
+    types.sort_unstable();
+    let expected_types = [
+        "# TYPE connections_active gauge",
+        "# TYPE docstore_bytes gauge",
+        "# TYPE docstore_docs gauge",
+        "# TYPE docstore_epoch gauge",
+        "# TYPE eval_duration_ns histogram",
+        "# TYPE evals_maintained_total counter",
+        "# TYPE evals_total counter",
+        "# TYPE execute_body_cache_entries gauge",
+        "# TYPE execute_body_cache_hits counter",
+        "# TYPE http_connections_total counter",
+        "# TYPE http_errors_total counter",
+        "# TYPE http_request_duration_ns histogram",
+        "# TYPE http_requests_total counter",
+        "# TYPE pool_workers gauge",
+        "# TYPE published_eval_seq gauge",
+        "# TYPE snapshot_index_builds gauge",
+    ];
+    assert_eq!(types, expected_types, "{body}");
+    let mut expected_series: Vec<String> = [
+        "connections_active",
+        "docstore_bytes",
+        "docstore_docs",
+        "docstore_epoch",
+        "eval_duration_ns_bucket",
+        "eval_duration_ns_count",
+        "eval_duration_ns_sum",
+        "evals_maintained_total",
+        "evals_total",
+        "execute_body_cache_entries",
+        "execute_body_cache_hits",
+        "http_connections_total",
+        "http_errors_total",
+        "pool_workers",
+        "published_eval_seq",
+        "snapshot_index_builds",
+    ]
+    .map(String::from)
+    .into();
+    let routes = [
+        ("/execute", "2xx"),
+        ("/execute", "4xx"),
+        ("/healthz", "2xx"),
+        ("/import", "2xx"),
+        ("/metrics", "2xx"),
+        ("/prepare", "2xx"),
+        ("/profile", "2xx"),
+        ("/register", "2xx"),
+        ("other", "4xx"),
+    ];
+    for (route, status) in routes {
+        let labels = format!("{{route=\"{route}\",status=\"{status}\"}}");
+        expected_series.push(format!("http_requests_total{labels}"));
+        for part in ["bucket", "count", "sum"] {
+            expected_series.push(format!("http_request_duration_ns_{part}{labels}"));
+        }
+    }
+    let expected_series: std::collections::BTreeSet<String> = expected_series.into_iter().collect();
+    assert_eq!(series, expected_series, "{body}");
+
     handle.shutdown();
     thread.join().unwrap();
 }

@@ -1,188 +1,117 @@
-//! Prometheus text-format exposition for [`MetricsSnapshot`].
+//! Prometheus text-format exposition of a [`MetricsRegistry`].
 //!
-//! [`encode_prometheus`] renders every series of a snapshot in the
+//! [`encode_prometheus`] renders every series of a registry in the
 //! [text exposition format] scrapers understand: `# TYPE` comments,
 //! one `name{labels} value` line per series, and power-of-two latency
 //! histograms expanded into cumulative `_bucket{le=...}` / `_sum` /
-//! `_count` families. Metric and label *names* outside the exposition
-//! grammar are sanitized to `_`; label *values* are escaped
-//! (`\\`, `\"`, `\n`) so arbitrary route strings survive.
+//! `_count` families. Names and label pairs are written as registered:
+//! the registry takes them as constants already in the grammar.
 //!
 //! [`check_exposition`] is the matching validator: a tiny line-level
-//! parser used by proptests, the serving smoke bench, and CI's boot
-//! check to gate that a live `/metrics` body actually parses.
+//! parser with which `spannerlib-serve`'s end-to-end tests check a live
+//! `/metrics` body, and this crate's proptests the encoder.
 //!
 //! [text exposition format]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use crate::metrics::{HistogramSnapshot, Labels, MetricsSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{
+    lock, Families, HistogramSnapshot, Label, MetricsRegistry, HISTOGRAM_BUCKETS,
+};
+use std::fmt::{Display, Write as _};
 
-/// Rewrites `name` into the exposition metric-name grammar
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*`: out-of-grammar bytes become `_`, and an
-/// empty or digit-leading name gains a `_` prefix. Internal dotted
-/// names like `ie.ticket.calls` come out as `ie_ticket_calls`.
-pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        if ok {
-            out.push(c);
-        } else if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-            out.push(c);
-        } else {
-            out.push('_');
-        }
+/// Writes one sample line: `name{k="v",…,le="…"} value`, without braces
+/// when there is no pair.
+fn sample(
+    out: &mut String,
+    name: &str,
+    labels: &[Label],
+    le: Option<&dyn Display>,
+    value: impl Display,
+) {
+    out.push_str(name);
+    let mut sep = '{';
+    for (k, v) in labels {
+        let _ = write!(out, "{sep}{k}=\"{v}\"");
+        sep = ',';
     }
-    if out.is_empty() {
-        out.push('_');
+    if let Some(le) = le {
+        let _ = write!(out, "{sep}le=\"{le}\"");
+        sep = ',';
     }
-    out
+    if sep == ',' {
+        out.push('}');
+    }
+    let _ = writeln!(out, " {value}");
 }
 
-/// Rewrites `name` into the label-name grammar `[a-zA-Z_][a-zA-Z0-9_]*`
-/// (no colons, unlike metric names).
-fn sanitize_label_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || (i > 0 && c.is_ascii_digit());
-        if ok {
-            out.push(c);
-        } else if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// Escapes a label value per the exposition format: backslash, double
-/// quote, and newline.
-fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders `{k="v",...}` (or nothing for the empty set), with an
-/// optional extra pair appended — used for histogram `le`.
-fn render_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
-    let mut pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", sanitize_label_name(k), escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push(format!("{k}=\"{v}\""));
-    }
-    if pairs.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", pairs.join(","))
-    }
-}
-
-fn encode_histogram(out: &mut String, name: &str, labels: &Labels, h: &HistogramSnapshot) {
+fn encode_histogram(out: &mut String, name: &str, labels: &[Label], h: &HistogramSnapshot) {
     // Cumulative buckets. Bucket `i` covers [2^i, 2^(i+1)) ns, so its
     // inclusive upper bound is 2^(i+1)-1 — except the last bucket,
     // which is a catch-all and only surfaces via +Inf. Trailing empty
     // buckets are elided (cumulative values make them redundant), but
     // at least one finite bucket is always emitted.
-    let mut highest = 0usize;
-    for (i, &b) in h.buckets.iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
-        if b > 0 {
-            highest = i;
-        }
-    }
+    let finite = &h.buckets[..HISTOGRAM_BUCKETS - 1];
+    let highest = finite.iter().rposition(|&b| b > 0).unwrap_or(0);
+    let bucket = format!("{name}_bucket");
     let mut cumulative = 0u64;
-    for (i, &b) in h.buckets.iter().enumerate().take(highest + 1) {
+    for (i, &b) in finite.iter().enumerate().take(highest + 1) {
         cumulative += b;
         let le = (1u64 << (i + 1)) - 1;
-        out.push_str(&format!(
-            "{name}_bucket{} {cumulative}\n",
-            render_labels(labels, Some(("le", &le.to_string())))
-        ));
+        sample(out, &bucket, labels, Some(&le), cumulative);
     }
-    out.push_str(&format!(
-        "{name}_bucket{} {}\n",
-        render_labels(labels, Some(("le", "+Inf"))),
-        h.count
-    ));
-    out.push_str(&format!(
-        "{name}_sum{} {}\n",
-        render_labels(labels, None),
-        h.sum
-    ));
-    out.push_str(&format!(
-        "{name}_count{} {}\n",
-        render_labels(labels, None),
-        h.count
-    ));
+    sample(out, &bucket, labels, Some(&"+Inf"), h.count);
+    sample(out, &format!("{name}_sum"), labels, None, h.sum);
+    sample(out, &format!("{name}_count"), labels, None, h.count);
 }
 
-/// Encodes `snap` as a Prometheus text-format exposition body.
+/// Writes each family of `families` — a `# TYPE name kind` line, then
+/// its series through `series`.
+fn encode_families<T>(
+    out: &mut String,
+    kind: &str,
+    families: &Families<T>,
+    mut series: impl FnMut(&mut String, &str, &[Label], &T),
+) {
+    for (name, family) in lock(families).iter() {
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for (labels, instrument) in family {
+            series(out, name, labels, instrument);
+        }
+    }
+}
+
+/// Encodes `reg` as a Prometheus text-format exposition body.
 ///
 /// Families are emitted counters first, then gauges, then histograms,
-/// each preceded by a `# TYPE` line on its first series. Series within
-/// a family keep snapshot order. The output always ends with `\n` (or
-/// is empty for an empty snapshot).
+/// each by name and preceded by its `# TYPE` line; series within a
+/// family are ordered by their label pairs. The output always ends with
+/// `\n` (or is empty for an empty registry).
 ///
 /// ```
 /// use spannerlib_trace::{encode_prometheus, MetricsRegistry};
 /// let reg = MetricsRegistry::new();
 /// reg.counter_with("http_requests_total", &[("route", "/execute")]).inc();
-/// let body = encode_prometheus(&reg.snapshot());
+/// let body = encode_prometheus(&reg);
 /// assert!(body.contains("# TYPE http_requests_total counter"));
 /// assert!(body.contains("http_requests_total{route=\"/execute\"} 1"));
 /// ```
-pub fn encode_prometheus(snap: &MetricsSnapshot) -> String {
+pub fn encode_prometheus(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
-    let mut last_family = String::new();
-    for s in &snap.counters {
-        let name = sanitize_metric_name(&s.name);
-        if name != last_family {
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            last_family = name.clone();
-        }
-        out.push_str(&format!(
-            "{name}{} {}\n",
-            render_labels(&s.labels, None),
-            s.value
-        ));
-    }
-    last_family.clear();
-    for s in &snap.gauges {
-        let name = sanitize_metric_name(&s.name);
-        if name != last_family {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            last_family = name.clone();
-        }
-        out.push_str(&format!(
-            "{name}{} {}\n",
-            render_labels(&s.labels, None),
-            s.value
-        ));
-    }
-    last_family.clear();
-    for s in &snap.histograms {
-        let name = sanitize_metric_name(&s.name);
-        if name != last_family {
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            last_family = name.clone();
-        }
-        encode_histogram(&mut out, &name, &s.labels, &s.value);
-    }
+    encode_families(
+        &mut out,
+        "counter",
+        &reg.counters,
+        |out, name, labels, c| sample(out, name, labels, None, c.get()),
+    );
+    encode_families(&mut out, "gauge", &reg.gauges, |out, name, labels, g| {
+        sample(out, name, labels, None, g.get())
+    });
+    encode_families(
+        &mut out,
+        "histogram",
+        &reg.histograms,
+        |out, name, labels, h| encode_histogram(out, name, labels, &h.snapshot()),
+    );
     out
 }
 
@@ -341,7 +270,7 @@ mod tests {
         reg.gauge("connections_active").set(2);
         reg.histogram("eval_ns").record(5);
         reg.histogram("eval_ns").record(1_000);
-        let body = encode_prometheus(&reg.snapshot());
+        let body = encode_prometheus(&reg);
 
         assert!(body.contains("# TYPE evals counter\nevals 3\n"));
         assert!(body.contains("http_requests_total{route=\"/execute\",status=\"2xx\"} 7\n"));
@@ -361,14 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn sanitizes_dotted_names_and_escapes_values() {
+    fn labeled_histogram_buckets_carry_le_last() {
         let reg = MetricsRegistry::new();
-        reg.counter("ie.ticket.calls").inc();
-        reg.counter_with("weird", &[("q", "a\"b\\c\nd")]).inc();
-        let body = encode_prometheus(&reg.snapshot());
-        assert!(body.contains("ie_ticket_calls 1\n"));
-        assert!(body.contains(r#"weird{q="a\"b\\c\nd"} 1"#));
-        check_exposition(&body).expect("escaped body parses");
+        let labels = [("route", "/execute"), ("status", "2xx")];
+        reg.histogram_with("lat_ns", &labels).record(3);
+        let body = encode_prometheus(&reg);
+        assert_eq!(
+            body,
+            "# TYPE lat_ns histogram\n\
+             lat_ns_bucket{route=\"/execute\",status=\"2xx\",le=\"1\"} 0\n\
+             lat_ns_bucket{route=\"/execute\",status=\"2xx\",le=\"3\"} 1\n\
+             lat_ns_bucket{route=\"/execute\",status=\"2xx\",le=\"+Inf\"} 1\n\
+             lat_ns_sum{route=\"/execute\",status=\"2xx\"} 3\n\
+             lat_ns_count{route=\"/execute\",status=\"2xx\"} 1\n"
+        );
     }
 
     #[test]

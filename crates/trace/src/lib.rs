@@ -19,8 +19,9 @@
 //!   body-call / latency statistics.
 //! - **Metrics** ([`MetricsRegistry`], [`encode_prometheus`]): a
 //!   long-lived, thread-safe registry of counters, gauges, and
-//!   fixed-bucket latency [`Histogram`]s with p50/p90/p99 that a host
-//!   feeds from each run's profile, and its text exposition.
+//!   fixed-bucket latency [`Histogram`]s under constant names and label
+//!   pairs — `spannerd`'s request and evaluation numbers — and its
+//!   Prometheus text exposition.
 //!
 //! ```
 //! use spannerlib_trace::{RunTrace, TraceLevel};
@@ -44,10 +45,9 @@ mod profile;
 mod run;
 mod span;
 
-pub use expo::{check_exposition, encode_prometheus, sanitize_metric_name, ExpositionStats};
+pub use expo::{check_exposition, encode_prometheus, ExpositionStats};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Labels, MetricsRegistry, MetricsSnapshot, Series,
-    HISTOGRAM_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, Label, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 pub use profile::{fmt_ns, EvalProfile, IeFunctionProfile, RuleProfile, StratumProfile};
 pub use run::RunTrace;

@@ -1,11 +1,11 @@
 //! The metrics registry: counters, gauges, and fixed-bucket latency
 //! histograms with quantile estimation.
 //!
-//! Everything here is lock-free on the update path — plain relaxed
-//! atomics — so instruments can be shared across serving threads and
-//! bumped from the evaluation hot loop without coordination. The only
-//! lock is the registry's name table, taken on (rare) instrument
-//! registration, never on update.
+//! Instruments update through plain relaxed atomics, so they can be
+//! shared across serving threads. Finding one takes the lock of its
+//! kind's name table: `spannerd` looks its instruments up per request,
+//! which costs a lock and a map lookup, and allocates only the first
+//! time a series is seen.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -130,17 +130,6 @@ impl Histogram {
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Folds a previously taken snapshot into this histogram (used to
-    /// aggregate per-run profiles into a long-lived registry).
-    pub fn merge(&self, snap: &HistogramSnapshot) {
-        for (b, n) in self.buckets.iter().zip(snap.buckets.iter()) {
-            b.fetch_add(*n, Ordering::Relaxed);
-        }
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        self.max.fetch_max(snap.max, Ordering::Relaxed);
-    }
-
     /// A consistent-enough point-in-time copy (individual fields are
     /// read relaxed; concurrent recording may skew them by a sample).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -236,161 +225,61 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Mean observed value (ns); `0` when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Renders the snapshot's summary statistics as one JSON object —
-    /// the wire shape served by `spannerd`'s `/profile` endpoint.
-    ///
-    /// ```
-    /// use spannerlib_trace::Histogram;
-    /// let h = Histogram::new();
-    /// h.record(1_000);
-    /// assert_eq!(
-    ///     h.snapshot().summary_json(),
-    ///     r#"{"count":1,"mean_ns":1000,"p50_ns":1000,"p90_ns":1000,"p99_ns":1000,"max_ns":1000}"#
-    /// );
-    /// ```
-    pub fn summary_json(&self) -> String {
-        format!(
-            r#"{{"count":{},"mean_ns":{},"p50_ns":{},"p90_ns":{},"p99_ns":{},"max_ns":{}}}"#,
-            self.count,
-            self.mean(),
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.max
-        )
-    }
 }
 
-/// An interned, immutable label set (`route="/execute"`, …), shared by
-/// every instrument and snapshot series carrying it.
-pub type Labels = Arc<[(String, String)]>;
+/// One label pair of a series: `("route", "/execute")`.
+pub type Label = (&'static str, &'static str);
 
-/// The registry's label-set table: each distinct set of label pairs is
-/// interned once and addressed by a small id, so instruments key on
-/// `(name, label-set id)` instead of re-hashing label vectors.
-#[derive(Debug)]
-struct LabelTable {
-    /// Id → interned set. Id `0` is always the empty set.
-    sets: Vec<Labels>,
-    /// Reverse index for interning.
-    ids: BTreeMap<Vec<(String, String)>, u32>,
-}
-
-impl Default for LabelTable {
-    fn default() -> Self {
-        LabelTable {
-            sets: vec![Arc::from(Vec::new().into_boxed_slice())],
-            ids: BTreeMap::new(),
-        }
-    }
-}
-
-impl LabelTable {
-    /// The id of `labels`, interning on first sight. Pair order is
-    /// preserved (callers pass a stable order per call site).
-    fn intern(&mut self, labels: &[(&str, &str)]) -> u32 {
-        if labels.is_empty() {
-            return 0;
-        }
-        let key: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if let Some(id) = self.ids.get(&key) {
-            return *id;
-        }
-        let id = self.sets.len() as u32;
-        self.sets.push(Arc::from(key.clone().into_boxed_slice()));
-        self.ids.insert(key, id);
-        id
-    }
-
-    fn get(&self, id: u32) -> Labels {
-        self.sets[id as usize].clone()
-    }
-}
-
-/// One observed time series in a [`MetricsSnapshot`]: a metric name, an
-/// interned label set, and the value at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Series<T> {
-    /// Metric (family) name as registered.
-    pub name: String,
-    /// Label pairs, in registration order; empty for unlabeled series.
-    pub labels: Labels,
-    /// The value captured by the snapshot.
-    pub value: T,
-}
-
-/// A point-in-time copy of every series in a [`MetricsRegistry`] —
-/// the input to the Prometheus exposition encoder
-/// ([`crate::encode_prometheus`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter series, ordered by (name, label-set registration order).
-    pub counters: Vec<Series<u64>>,
-    /// Gauge series, same order contract.
-    pub gauges: Vec<Series<i64>>,
-    /// Histogram series, same order contract.
-    pub histograms: Vec<Series<HistogramSnapshot>>,
-}
+/// Families by name, each the series by their label pairs: what the
+/// exposition encoder reads.
+pub(crate) type Families<T> = Mutex<BTreeMap<&'static str, BTreeMap<Vec<Label>, Arc<T>>>>;
 
 /// A named registry of [`Counter`]s, [`Gauge`]s, and [`Histogram`]s,
 /// optionally dimensioned by label pairs.
 ///
-/// Instruments are created on first use and shared thereafter
-/// (`Arc`-handed-out), so call sites can cache the handle and skip the
-/// name lookup on the hot path. Labeled variants address one series of
-/// a family: `counter_with("http_requests_total",
-/// &[("route", "/execute"), ("status", "2xx")])` — label sets are
-/// interned once in a side table, so repeated lookups hash a small id,
-/// not the pairs.
+/// Names and label pairs are constants of the calling code, so they are
+/// `&'static str`, already in the exposition grammar: a name matches
+/// `[a-zA-Z_:][a-zA-Z0-9_:]*`, a label name `[a-zA-Z_][a-zA-Z0-9_]*`,
+/// and a label value holds no `"`, `\` or newline. An instrument is
+/// created on first use and shared thereafter; a labeled variant
+/// addresses one series of a family: `counter_with("http_requests_total",
+/// &[("route", "/execute"), ("status", "2xx")])`.
 ///
 /// ```
-/// use spannerlib_trace::MetricsRegistry;
+/// use spannerlib_trace::{encode_prometheus, MetricsRegistry};
 /// let reg = MetricsRegistry::new();
 /// reg.counter("evals").inc();
 /// reg.counter("evals").add(2);
 /// reg.histogram("eval_ns").record(1_500);
 /// assert_eq!(reg.counter("evals").get(), 3);
-/// assert_eq!(reg.counters()[0], ("evals".to_string(), 3));
 ///
-/// let ok = reg.counter_with("http_requests_total", &[("status", "2xx")]);
-/// ok.inc();
-/// assert_eq!(
-///     reg.counters().iter().find(|(n, _)| n.contains("2xx")).unwrap().1,
-///     1,
-/// );
+/// reg.counter_with("http_requests_total", &[("status", "2xx")]).inc();
+/// let body = encode_prometheus(&reg);
+/// assert!(body.contains("evals 3\n"));
+/// assert!(body.contains("http_requests_total{status=\"2xx\"} 1\n"));
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    labels: Mutex<LabelTable>,
-    counters: Mutex<BTreeMap<(String, u32), Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<(String, u32), Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<(String, u32), Arc<Histogram>>>,
+    pub(crate) counters: Families<Counter>,
+    pub(crate) gauges: Families<Gauge>,
+    pub(crate) histograms: Families<Histogram>,
 }
 
 /// Std-mutex lock that shrugs off poisoning: metrics must never turn a
 /// panicking evaluation into a second panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Renders `name{k="v",…}` for human-readable listings (the exposition
-/// encoder does its own escaping; this is for [`MetricsRegistry::counters`]
-/// and friends).
-fn series_name(name: &str, labels: &Labels) -> String {
-    if labels.is_empty() {
-        return name.to_string();
+/// The series `name{labels}` of `families`, created on first use. A
+/// lookup of an existing series allocates nothing.
+fn series<T: Default>(families: &Families<T>, name: &'static str, labels: &[Label]) -> Arc<T> {
+    let mut families = lock(families);
+    let family = families.entry(name).or_default();
+    if let Some(series) = family.get(labels) {
+        return Arc::clone(series);
     }
-    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
-    format!("{name}{{{}}}", pairs.join(","))
+    Arc::clone(family.entry(labels.to_vec()).or_default())
 }
 
 impl MetricsRegistry {
@@ -399,115 +288,29 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn label_id(&self, labels: &[(&str, &str)]) -> u32 {
-        lock(&self.labels).intern(labels)
-    }
-
     /// The unlabeled counter named `name`, created at zero on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
         self.counter_with(name, &[])
     }
 
     /// The counter series `name{labels}`, created at zero on first use.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let id = self.label_id(labels);
-        lock(&self.counters)
-            .entry((name.to_string(), id))
-            .or_default()
-            .clone()
+    pub fn counter_with(&self, name: &'static str, labels: &[Label]) -> Arc<Counter> {
+        series(&self.counters, name, labels)
     }
 
     /// The unlabeled gauge named `name`, created at zero on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, &[])
-    }
-
-    /// The gauge series `name{labels}`, created at zero on first use.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let id = self.label_id(labels);
-        lock(&self.gauges)
-            .entry((name.to_string(), id))
-            .or_default()
-            .clone()
+    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
+        series(&self.gauges, name, &[])
     }
 
     /// The unlabeled histogram named `name`, created empty on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
         self.histogram_with(name, &[])
     }
 
     /// The histogram series `name{labels}`, created empty on first use.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let id = self.label_id(labels);
-        lock(&self.histograms)
-            .entry((name.to_string(), id))
-            .or_default()
-            .clone()
-    }
-
-    /// All counter values, sorted by name; labeled series render as
-    /// `name{k="v"}`.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        let labels = lock(&self.labels);
-        lock(&self.counters)
-            .iter()
-            .map(|((name, id), v)| (series_name(name, &labels.get(*id)), v.get()))
-            .collect()
-    }
-
-    /// All gauge values, sorted by name; labeled series render as
-    /// `name{k="v"}`.
-    pub fn gauges(&self) -> Vec<(String, i64)> {
-        let labels = lock(&self.labels);
-        lock(&self.gauges)
-            .iter()
-            .map(|((name, id), v)| (series_name(name, &labels.get(*id)), v.get()))
-            .collect()
-    }
-
-    /// Snapshots of all histograms, sorted by name; labeled series
-    /// render as `name{k="v"}`.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        let labels = lock(&self.labels);
-        lock(&self.histograms)
-            .iter()
-            .map(|((name, id), v)| (series_name(name, &labels.get(*id)), v.snapshot()))
-            .collect()
-    }
-
-    /// A structured point-in-time copy of every series — the input to
-    /// the exposition encoder.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let labels = lock(&self.labels);
-        let counters = lock(&self.counters)
-            .iter()
-            .map(|((name, id), v)| Series {
-                name: name.clone(),
-                labels: labels.get(*id),
-                value: v.get(),
-            })
-            .collect();
-        let gauges = lock(&self.gauges)
-            .iter()
-            .map(|((name, id), v)| Series {
-                name: name.clone(),
-                labels: labels.get(*id),
-                value: v.get(),
-            })
-            .collect();
-        let histograms = lock(&self.histograms)
-            .iter()
-            .map(|((name, id), v)| Series {
-                name: name.clone(),
-                labels: labels.get(*id),
-                value: v.snapshot(),
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+    pub fn histogram_with(&self, name: &'static str, labels: &[Label]) -> Arc<Histogram> {
+        series(&self.histograms, name, labels)
     }
 }
 
@@ -544,26 +347,25 @@ mod tests {
         assert!(s.p50() >= 1_000 && s.p50() < 2_048, "p50 = {}", s.p50());
         assert!(s.p99() >= 1_000_000, "p99 = {}", s.p99());
         assert_eq!(s.max, 1_000_000);
-        assert_eq!(s.mean(), (90 * 1_000 + 10 * 1_000_000) / 100);
+        assert_eq!(s.sum, 90 * 1_000 + 10 * 1_000_000);
     }
 
     #[test]
     fn empty_histogram_is_all_zeros() {
         let s = Histogram::new().snapshot();
-        assert_eq!((s.p50(), s.p99(), s.mean(), s.count), (0, 0, 0, 0));
+        assert_eq!((s.p50(), s.p99(), s.sum, s.count), (0, 0, 0, 0));
     }
 
     #[test]
     fn merge_accumulates() {
-        let a = Histogram::new();
+        let mut a = HistogramSnapshot::default();
         a.record(10);
         let b = Histogram::new();
         b.record(1_000);
-        b.merge(&a.snapshot());
-        let s = b.snapshot();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 1_010);
-        assert_eq!(s.max, 1_000);
+        a.merge(&b.snapshot());
+        assert_eq!((a.count, a.sum, a.max), (2, 1_010, 1_000));
+        assert_eq!(a.buckets[bucket_index(10)], 1);
+        assert_eq!(a.buckets[bucket_index(1_000)], 1);
     }
 
     #[test]
@@ -574,9 +376,18 @@ mod tests {
         c1.inc();
         c2.inc();
         assert_eq!(reg.counter("x").get(), 2);
+        let labels = [("route", "/execute"), ("status", "2xx")];
+        reg.counter_with("x", &labels).inc();
+        assert!(Arc::ptr_eq(
+            &reg.counter_with("x", &labels),
+            &reg.counter_with("x", &labels)
+        ));
+        assert_eq!(reg.counter("x").get(), 2, "another series of the family");
         reg.gauge("g").set(-5);
-        assert_eq!(reg.gauges(), vec![("g".to_string(), -5)]);
+        assert_eq!(reg.gauge("g").get(), -5);
         reg.histogram("h").record(3);
-        assert_eq!(reg.histograms()[0].1.count, 1);
+        assert_eq!(reg.histogram("h").snapshot().count, 1);
+        let families = lock(&reg.counters);
+        assert_eq!(families["x"].len(), 2);
     }
 }

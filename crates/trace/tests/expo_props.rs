@@ -1,52 +1,12 @@
 //! Property tests closing the loop between `encode_prometheus` and
-//! `check_exposition`: arbitrary instrument names and label values must
-//! survive sanitization/escaping into a body the checker accepts, and
-//! histogram expansion must always be a valid cumulative distribution.
+//! `check_exposition`: histogram expansion must always be a body the
+//! checker accepts and a valid cumulative distribution.
 
 use proptest::prelude::*;
 use spannerlib_trace::{check_exposition, encode_prometheus, MetricsRegistry};
 
-/// Strings drawn from a hostile palette: exposition metacharacters,
-/// escape triggers, unicode, and grammar-legal identifier characters.
-fn wild_string() -> impl Strategy<Value = String> {
-    const PALETTE: &[char] = &[
-        'a', 'Z', '_', ':', '.', '-', '0', '7', '"', '\\', '\n', '{', '}', '=', ',', ' ', 'é', 'λ',
-        '\t',
-    ];
-    prop::collection::vec(0usize..PALETTE.len(), 0..12)
-        .prop_map(|idx| idx.into_iter().map(|i| PALETTE[i]).collect())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Whatever the names and label pairs are, the encoded body passes
-    /// the checker and carries every family.
-    #[test]
-    fn arbitrary_names_and_labels_encode_validly(
-        counter_name in wild_string(),
-        histogram_name in wild_string(),
-        pairs in prop::collection::vec((wild_string(), wild_string()), 0..4),
-        samples in prop::collection::vec(any::<u64>(), 0..8),
-    ) {
-        let reg = MetricsRegistry::new();
-        let borrowed: Vec<(&str, &str)> =
-            pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        reg.counter_with(&counter_name, &borrowed).add(3);
-        reg.gauge_with("wild_gauge", &borrowed).set(-9);
-        let h = reg.histogram_with(&histogram_name, &borrowed);
-        for &s in &samples {
-            h.record(s);
-        }
-
-        let body = encode_prometheus(&reg.snapshot());
-        let stats = check_exposition(&body)
-            .unwrap_or_else(|e| panic!("{e}\n--- body ---\n{body}"));
-        // Counter + gauge + histogram (>= one finite bucket, +Inf,
-        // _sum, _count even when empty).
-        prop_assert!(stats.samples >= 6, "{body}");
-        prop_assert_eq!(stats.families, 3);
-    }
 
     /// The expanded histogram is a genuine cumulative distribution:
     /// finite-bucket values never decrease, `+Inf` dominates them all,
@@ -61,7 +21,7 @@ proptest! {
             h.record(s);
         }
 
-        let body = encode_prometheus(&reg.snapshot());
+        let body = encode_prometheus(&reg);
         prop_assert!(check_exposition(&body).is_ok(), "{body}");
 
         let mut finite: Vec<(u64, u64)> = Vec::new(); // (le, cumulative)

@@ -78,10 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.add_fact("Audit", [Value::Int(request)])?;
         let out = emails.execute(&mut session)?;
         assert_eq!(out.num_rows(), 4 + request as usize % 2);
-        maintained += usize::from(matches!(
-            session.stats().eval.mode,
-            EvalMode::Maintained { .. }
-        ));
+        maintained += usize::from(matches!(session.stats().mode, EvalMode::Maintained { .. }));
         calls += body_calls(&session, "rgx_string");
     }
     println!(

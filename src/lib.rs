@@ -131,8 +131,8 @@ pub use spannerlog_parser as parser;
 pub use spannerlib_core::{DocId, DocumentStore, Relation, Schema, Span, Tuple, Value, ValueType};
 pub use spannerlib_dataframe::DataFrame;
 pub use spannerlog_engine::{
-    CacheStats, DocGc, EvalProfile, PreparedProgram, PreparedQuery, Session, SessionBuilder,
-    SessionStats, Snapshot, TraceLevel,
+    CacheStats, DocGc, EvalProfile, EvalStats, PreparedProgram, PreparedQuery, Session,
+    SessionBuilder, Snapshot, TraceLevel,
 };
 
 /// Everything a typical embedding needs, in one import.
@@ -140,7 +140,7 @@ pub mod prelude {
     pub use crate::core::{DocumentStore, Relation, Schema, Span, Tuple, Value, ValueType};
     pub use crate::dataframe::{DataFrame, FromRow, FromValue, IntoRow, IntoRows, IntoValue};
     pub use crate::engine::{
-        CacheStats, DocGc, EngineError, EvalMode, EvalProfile, IeFunction, PreparedProgram,
-        PreparedQuery, Session, SessionBuilder, SessionStats, Snapshot, TraceLevel,
+        CacheStats, DocGc, EngineError, EvalMode, EvalProfile, EvalStats, IeFunction,
+        PreparedProgram, PreparedQuery, Session, SessionBuilder, Snapshot, TraceLevel,
     };
 }
