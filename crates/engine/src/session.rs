@@ -78,7 +78,7 @@ use spannerlib_cache::DocGc;
 use spannerlib_core::{CompactionReport, DocId, Relation, Schema, Tuple, Value};
 use spannerlib_dataframe::{DataFrame, IntoRows};
 use spannerlib_trace::{EvalProfile, TraceLevel};
-use spannerlog_parser::{parse_program, Query, Rule, Statement};
+use spannerlog_parser::{parse_program, BodyElem, Query, Rule, Statement};
 use std::sync::Arc;
 
 pub(crate) mod driver;
@@ -349,19 +349,31 @@ impl Session {
         Ok(())
     }
 
-    /// After a write made `name` extensional: a brand-new name can
-    /// resolve predicates differently, and a name only rules derived
-    /// until now may take another arity than their heads, so the rules
-    /// loaded compile again now. If they do not, the name goes again.
+    /// After a write made `name` extensional: a name the loaded rules
+    /// use can resolve their predicates differently, and a name only
+    /// rules derived until now may take another arity than their heads,
+    /// so those rules compile again now. If they do not, the name goes
+    /// again. A name no rule uses cannot change how they compile.
     fn check_new_extensional(&mut self, name: &str) -> Result<()> {
         self.invalidate_program();
-        if !self.rules.is_empty() {
+        if self.rules_use(name) {
             if let Err(err) = self.program() {
                 self.db_mut().remove(name);
                 return Err(err);
             }
         }
         Ok(())
+    }
+
+    /// Whether a loaded rule has `name` as its head or as a body atom.
+    fn rules_use(&self, name: &str) -> bool {
+        self.rules.iter().any(|rule| {
+            rule.head_predicate == name
+                || rule.body.iter().any(|elem| {
+                    matches!(elem, BodyElem::Relation(atom) | BodyElem::Negated(atom)
+                        if atom.predicate == name)
+                })
+        })
     }
 
     /// Imports typed host rows as relation `name` — the symmetric
@@ -439,7 +451,7 @@ impl Session {
         }
         // New rules, or a declaration that may give a name the rules
         // use another arity: compile the rule set before the cell is done.
-        if !self.rules.is_empty() && (self.rules.len() > cell.rules || !cell.declared.is_empty()) {
+        if self.rules.len() > cell.rules || cell.declared.iter().any(|name| self.rules_use(name)) {
             self.program()?;
         }
         Ok(outputs)
@@ -534,9 +546,10 @@ impl Session {
 
     /// Removes a relation (facts and schema) so long-lived sessions can
     /// evict state instead of being rebuilt. Rules that read it, which
-    /// `run` compiled, fail to compile again until it is re-declared or
-    /// re-imported, or [`Session::clear_rules`] drops them; until then a
-    /// write that makes another name extensional fails with them.
+    /// `run` compiled, fail to compile again — and so every evaluation
+    /// fails — until it is re-declared or re-imported, or
+    /// [`Session::clear_rules`] drops them. A write of a name no rule
+    /// uses is not held up by them.
     ///
     /// Document texts interned by removed tuples are reclaimed by
     /// doc-store compaction: automatically under a

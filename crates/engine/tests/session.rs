@@ -281,6 +281,39 @@ fn a_write_that_gives_a_rule_head_another_arity_is_refused() {
     }
 }
 
+/// Rules left reading a removed relation hold up only the writes of names
+/// they use: an unrelated import or declaration goes through, the removed
+/// name comes back, and a head's arity is still checked.
+#[test]
+fn a_removed_relation_holds_up_only_the_names_the_rules_use() {
+    let mut session = Session::new();
+    session.run("new S(int)\nS(1)\nGood(x) <- S(x)").unwrap();
+    session.remove_relation("S").unwrap();
+    let err = session.ensure_evaluated().unwrap_err();
+    assert!(
+        matches!(&err, EngineError::UnknownPredicate(name) if name == "S"),
+        "{err:?}"
+    );
+    session.import_typed("T", vec![(1i64,)]).unwrap();
+    session
+        .declare("U", Schema::new(vec![ValueType::Str]))
+        .unwrap();
+    session.run("new V(int)").unwrap();
+    let declared = session.declare("Good", Schema::new(vec![ValueType::Int; 2]));
+    assert!(
+        matches!(&declared, Err(EngineError::UnknownPredicate(name)) if name == "S"),
+        "{declared:?}"
+    );
+    session.import_typed("S", vec![(2i64,)]).unwrap();
+    assert_eq!(session.export_typed::<(i64,)>("?Good(x)").unwrap(), [(2,)]);
+    let declared = session.declare("Good", Schema::new(vec![ValueType::Int; 2]));
+    assert!(
+        matches!(&declared, Err(EngineError::Arity { relation, .. }) if relation == "Good"),
+        "{declared:?}"
+    );
+    assert_eq!(session.export_typed::<(i64,)>("?T(x)").unwrap(), [(1,)]);
+}
+
 /// The names a rule can read are the extensional relations and the rule
 /// heads, not whatever relations an earlier evaluation left behind.
 #[test]

@@ -23,6 +23,12 @@
 //! the program's `Char`/`Class`/`Any` instructions; ASCII maps through a
 //! table, everything else through a binary search.
 //!
+//! When a step of the forward scan stays in a live, non-`Match` state
+//! (`\d{4}-…`'s start state over letters), the scan skips the ASCII bytes
+//! that state's row maps back to it, each tested against the row alone
+//! instead of after the previous byte's transition. Everything else takes
+//! the one-step path.
+//!
 //! States are built on first use and kept in a [`Cache`] that the caller
 //! owns for the duration of a scan. A cache never holds more than
 //! [`CACHE_BUDGET_WORDS`] per direction: when a new state would exceed
@@ -207,8 +213,12 @@ impl Dfa {
                 break;
             }
             let (class, width) = self.classes.at(text, at);
-            sid = lazy.next(side, sid, class);
+            let next = lazy.next(side, sid, class);
             at += width;
+            if next == sid && sid & MATCH_FLAG == 0 {
+                at = lazy.skip_self_loop(&self.classes, text.as_bytes(), next, at);
+            }
+            sid = next;
         }
         end
     }
@@ -293,6 +303,21 @@ impl Lazy {
             UNKNOWN => self.determinise(side, from, class),
             next => next,
         }
+    }
+
+    /// Where the run of ASCII bytes from `at` ends that the live,
+    /// unflagged `sid` maps back to itself.
+    #[inline]
+    fn skip_self_loop(&self, classes: &CharClasses, text: &[u8], sid: u32, mut at: usize) -> usize {
+        let stride = classes.len();
+        let row = &self.trans[sid as usize * stride..][..stride];
+        while let Some(&b) = text.get(at) {
+            match classes.ascii.get(b as usize) {
+                Some(&c) if row[c as usize] == sid => at += 1,
+                _ => break,
+            }
+        }
+        at
     }
 
     #[cold]
@@ -484,6 +509,66 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn self_loop_runs_past_64_bytes_and_non_ascii_chars_agree() {
+        let letters = "lorem ipsum dolor sit amet ".repeat(4);
+        let text = format!("{letters}é{letters}2024-01-31 日{letters}😀 x{letters}9999-99-99");
+        let cases = [
+            r"\d{4}-\d{2}-\d{2}",
+            r"[^\d]+\d",
+            "[a-z ]+é",
+            "x[^9]+9",
+            "m.+?😀",
+        ];
+        let boundaries: Vec<usize> = (0..=text.len())
+            .filter(|&i| text.is_char_boundary(i))
+            .collect();
+        for pattern in cases {
+            for &from in boundaries.iter().step_by(7) {
+                assert_eq!(
+                    window(pattern, &text, from),
+                    reference(pattern, &text, from),
+                    "pattern {pattern:?} from {from}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_emptied_cache_mid_scan_agrees_with_the_pike_vm() {
+        let pattern = "(a|b)*a(a|b){14}";
+        let parsed = parse(pattern).unwrap();
+        let program = compile(&parsed).unwrap();
+        let dfa = Dfa::new(&program, &parsed).unwrap();
+        let mut cache = Cache::default();
+        // Long runs of one letter keep a state looping on itself; the
+        // aperiodic stretches between them overflow the cache.
+        let text = [
+            "b".repeat(200),
+            ab_text(8_000, 7),
+            "a".repeat(100),
+            ab_text(8_000, 11),
+        ]
+        .concat();
+        for from in [0, 150, 8_250, 16_000] {
+            for earliest in [false, true] {
+                let end = dfa.find_end(&program, &mut cache, &text, from, false, earliest);
+                let found = pikevm::search(&program, &text, from);
+                if earliest {
+                    assert_eq!(end.is_some(), found.is_some(), "from {from}");
+                    continue;
+                }
+                let start = end.map(|e| dfa.find_start(&mut cache, &text, from, e));
+                assert_eq!(
+                    start.zip(end),
+                    found.map(|r| r.group(0).unwrap()),
+                    "from {from}"
+                );
+            }
+        }
+        assert!(cache.emptied() > 0, "the scans must overflow the cache");
     }
 
     #[test]

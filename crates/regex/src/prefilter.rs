@@ -5,10 +5,11 @@
 //! **required prefix** — a literal every match must start with — or a
 //! **required infix** — a literal every match must contain somewhere. At
 //! search time the prefix variant launches the matcher *anchored* at each
-//! prefix occurrence (located with `str::find`, which runs a fast
-//! substring algorithm instead of walking an automaton over the text);
-//! the infix variant rejects a document outright when the literal is
-//! absent.
+//! prefix occurrence; the infix variant rejects a document outright when
+//! the literal is absent. Both locate the literal with one [`Finder`],
+//! built with the prefilter: it tests the literal's two rarest bytes at
+//! 64 candidate starts at once and verifies only the starts that pass, so
+//! it skips text without walking an automaton over it, byte by byte.
 //!
 //! Correctness: a prefilter never changes results, it only skips matcher
 //! work that provably cannot produce a match. The leftmost-first contract is
@@ -28,6 +29,7 @@ use crate::ast::Ast;
 use crate::nfa::Program;
 use crate::pikevm::{self, SearchResult};
 use std::cell::Cell;
+use std::ops::Deref;
 
 /// Longest literal we bother materializing for a counted repetition, so
 /// `a{1000000}` doesn't allocate a megabyte of needle.
@@ -74,13 +76,132 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     counter.set(counter.get() + 1);
 }
 
+/// Candidate starts a [`Finder`] tests at once.
+const BLOCK: usize = 64;
+
+/// Bytes a [`Finder`] may compare at failed candidates beyond the bytes
+/// it has skipped before it hands the rest of a text to `str::find`.
+const VERIFY_GRACE: usize = 1024;
+
+/// Bytes of English prose and code, most frequent first. A byte missing
+/// here (`:`, `@`, control and non-ASCII bytes) ranks as the rarest.
+const FREQUENT: &[u8] =
+    b" etaoinsrhldcumfpgwybv,.k\nTSAIMCxOBNDPEHRWLjFG0123456789-'\"qzJUVKYQXZ()/;_=";
+
+/// Finds a literal's first occurrence, as `str::find` does, by testing
+/// its two rarest bytes at 64 candidate starts at once (byte
+/// compares the compiler vectorises) and verifying the starts that pass.
+/// A `str` needle never starts with a UTF-8 continuation byte, so each
+/// byte-wise occurrence starts at a char boundary. Once failed
+/// verifications have compared more bytes than the scan skipped, the
+/// rest goes to `str::find`, whose two-way search is linear on any text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finder {
+    needle: String,
+    /// Offsets of the two rarest bytes in the needle (the same offset
+    /// twice for a one-byte needle).
+    rare: [usize; 2],
+}
+
+impl Finder {
+    /// A finder for `needle`.
+    pub fn new(needle: String) -> Finder {
+        let bytes = needle.as_bytes();
+        // `None` (not listed) sorts first, then the least frequent listed.
+        let rank = |&i: &usize| (FREQUENT.iter().rev().position(|&b| b == bytes[i]), i);
+        let first = (0..bytes.len()).min_by_key(rank).unwrap_or(0);
+        let second = (0..bytes.len()).filter(|&i| i != first).min_by_key(rank);
+        Finder {
+            rare: [first, second.unwrap_or(first)],
+            needle,
+        }
+    }
+
+    /// Byte offset of the needle's first occurrence in `haystack`.
+    pub fn find(&self, haystack: &str) -> Option<usize> {
+        self.scan(haystack.as_bytes()).unwrap_or_else(|at| {
+            let at = haystack.floor_char_boundary(at);
+            haystack[at..]
+                .find(self.needle.as_str())
+                .map(|off| at + off)
+        })
+    }
+
+    /// `Ok` with the first occurrence, or `Err(at)` on giving up, with no
+    /// occurrence before `at`.
+    fn scan(&self, hay: &[u8]) -> Result<Option<usize>, usize> {
+        let needle = self.needle.as_bytes();
+        let [i1, i2] = self.rare;
+        let (Some(&b1), Some(&b2)) = (needle.get(i1), needle.get(i2)) else {
+            return Ok(Some(0));
+        };
+        let Some(ends) = (hay.len() + 1).checked_sub(needle.len()) else {
+            return Ok(None);
+        };
+        let pass = |x: u8, y: u8| u8::from(x == b1) & u8::from(y == b2);
+        let mut wasted = 0;
+        let mut at = 0;
+        while at < ends {
+            let width = BLOCK.min(ends - at);
+            let (a, b) = (&hay[at + i1..][..width], &hay[at + i2..][..width]);
+            let mut mask = match (<&[u8; BLOCK]>::try_from(a), <&[u8; BLOCK]>::try_from(b)) {
+                (Ok(a), Ok(b)) => block_mask(a, b, pass),
+                _ => (0..width).fold(0, |m, k| m | u64::from(pass(a[k], b[k])) << k),
+            };
+            while mask != 0 {
+                let pos = at + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                if hay[pos..].starts_with(needle) {
+                    return Ok(Some(pos));
+                }
+                wasted += needle.len();
+                if wasted > pos + VERIFY_GRACE {
+                    return Err(pos + 1);
+                }
+            }
+            at += width;
+        }
+        Ok(None)
+    }
+}
+
+/// Bit `k` set where `pass(a[k], b[k])` is 1. One OR over the block,
+/// which the compiler turns into vector compares, settles most blocks;
+/// the rest gather each 8 lanes' low bits with one multiply.
+fn block_mask(a: &[u8; BLOCK], b: &[u8; BLOCK], pass: impl Fn(u8, u8) -> u8) -> u64 {
+    if (0..BLOCK).fold(0, |any, k| any | pass(a[k], b[k])) == 0 {
+        return 0;
+    }
+    let lanes: [u8; BLOCK] = std::array::from_fn(|k| pass(a[k], b[k]));
+    let gather = |lanes: &[u8]| {
+        let lanes = u64::from_le_bytes(lanes.try_into().expect("8 lanes"));
+        lanes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+    };
+    let chunks = lanes.chunks_exact(8).enumerate();
+    chunks.fold(0, |mask, (i, lanes)| mask | gather(lanes) << (8 * i))
+}
+
+impl From<&str> for Finder {
+    fn from(needle: &str) -> Finder {
+        Finder::new(needle.to_string())
+    }
+}
+
+impl Deref for Finder {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.needle
+    }
+}
+
 /// A literal obligation extracted from a pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Prefilter {
     /// Every match starts with this non-empty literal.
-    Prefix(String),
+    Prefix(Finder),
     /// Every match contains this non-empty literal.
-    Infix(String),
+    Infix(Finder),
 }
 
 impl Prefilter {
@@ -96,9 +217,9 @@ impl Prefilter {
         }
         let (prefix, _) = prefix_of(ast);
         if !prefix.is_empty() {
-            return Some(Prefilter::Prefix(prefix));
+            return Some(Prefilter::Prefix(Finder::new(prefix)));
         }
-        required_infix(ast).map(Prefilter::Infix)
+        required_infix(ast).map(|infix| Prefilter::Infix(Finder::new(infix)))
     }
 
     /// The literal this prefilter scans for.
@@ -134,14 +255,12 @@ impl Prefilter {
         bump(&SEARCHES);
         match self {
             Prefilter::Prefix(lit) => {
-                // Candidate starts are exactly the occurrences of the
-                // prefix; `str::find` locates them far faster than any
-                // automaton walks the text.
+                // Candidate starts are exactly the prefix's occurrences.
                 let step = lit.chars().next().map_or(1, char::len_utf8);
                 let mut at = from;
                 let mut launched = false;
                 loop {
-                    let Some(off) = text[at..].find(lit.as_str()) else {
+                    let Some(off) = lit.find(&text[at..]) else {
                         if !launched {
                             bump(&PRUNED);
                         }
@@ -158,7 +277,7 @@ impl Prefilter {
                 }
             }
             Prefilter::Infix(lit) => {
-                if text[from..].contains(lit.as_str()) {
+                if lit.find(&text[from..]).is_some() {
                     run(from, false)
                 } else {
                     bump(&PRUNED);
@@ -361,6 +480,33 @@ mod tests {
                     "pattern {pattern:?} text {text:?} from {from}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_text_where_every_block_passes_falls_back_to_str_find() {
+        // Each needle's two rarest bytes start every unit of its text, so
+        // every block of a megabyte of it passes the two-byte test, and
+        // every candidate fails to verify. The second gives up inside a
+        // char.
+        for (needle, unit, rare) in [("aaaaaaae", "a", *b"aa"), ("ééééx", "é", [0xC3, 0xA9])] {
+            let finder = Finder::from(needle);
+            assert_eq!(finder.rare.map(|i| finder.as_bytes()[i]), rare);
+            let hay = unit.repeat((1 << 20) / unit.len());
+            let at = match finder.scan(hay.as_bytes()) {
+                Err(at) if at < 2 * VERIFY_GRACE => hay.floor_char_boundary(at),
+                other => panic!("{needle:?} did not give up early: {other:?}"),
+            };
+            assert_eq!(finder.find(&hay), None);
+            // Occurrences around where the scan gave up, and one at the end.
+            for at in (at - 8..at + 8).filter(|&i| hay.is_char_boundary(i)) {
+                let planted = format!("{}{needle}{}", &hay[..at], &hay[at..]);
+                assert_eq!(finder.find(&planted), Some(at), "{needle:?} at {at}");
+            }
+            let planted = format!("{hay}日{needle}");
+            assert_eq!(finder.find(&planted), planted.find(needle));
+            let from = unit.len();
+            assert_eq!(finder.find(&planted[from..]), planted[from..].find(needle));
         }
     }
 

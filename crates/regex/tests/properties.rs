@@ -12,6 +12,7 @@ use oracle::{oracle_all_matches, oracle_find_iter};
 use proptest::prelude::*;
 use spannerlib_regex::ast::Ast;
 use spannerlib_regex::classes::{ClassRange, ClassSet};
+use spannerlib_regex::prefilter::Finder;
 use spannerlib_regex::{pikevm, AllMatch, Regex};
 
 /// Random pattern AST over {a, b, c}: small enough that the exponential
@@ -350,6 +351,79 @@ proptest! {
             let found = re.find_at(&text, from).map(|m| (m.start, m.end));
             prop_assert_eq!(found, expected.map(|m| (m.start, m.end)));
             prop_assert_eq!(re.is_match(&text[from..]), re.find(&text[from..]).is_some());
+        }
+    }
+}
+
+/// A needle of 1–8 chars and a haystack of at most 300 bytes made of loose
+/// chars, copies of the needle and copies of its prefixes, so occurrences
+/// overlap and near misses are common.
+fn needle_and_haystack() -> impl Strategy<Value = (String, String)> {
+    let ch = prop_oneof![
+        Just('a'),
+        Just('b'),
+        Just(' '),
+        Just('é'),
+        Just('日'),
+        Just('😀')
+    ];
+    // A piece is its char, or (when `copy` is set) the needle's first
+    // `len` chars.
+    let piece = (ch.clone(), any::<bool>(), 1usize..=8);
+    let needle = prop::collection::vec(ch, 1..=8);
+    (needle, prop::collection::vec(piece, 0..150)).prop_map(|(needle, pieces)| {
+        let mut haystack = String::new();
+        for (c, copy, len) in pieces {
+            let piece: String = match copy {
+                true => needle.iter().take(len).collect(),
+                false => c.to_string(),
+            };
+            if haystack.len() + piece.len() > 300 {
+                break;
+            }
+            haystack.push_str(&piece);
+        }
+        (needle.into_iter().collect(), haystack)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The prefilter's literal finder answers what `str::find` does, from
+    /// every char boundary.
+    #[test]
+    fn finder_agrees_with_str_find(case in needle_and_haystack()) {
+        let (needle, haystack) = case;
+        let finder = Finder::from(needle.as_str());
+        for from in (0..=haystack.len()).filter(|&i| haystack.is_char_boundary(i)) {
+            prop_assert_eq!(
+                finder.find(&haystack[from..]),
+                haystack[from..].find(needle.as_str()),
+                "needle {:?} haystack {:?} from {}", needle, haystack, from
+            );
+        }
+    }
+
+    /// `prefilter_is_transparent` over texts long enough to fill the
+    /// finder's blocks: prefiltered search equals the Pike VM's.
+    #[test]
+    fn prefilter_is_transparent_on_long_texts(
+        pattern in wide_ast_strategy().prop_map(rendered),
+        text in wide_text_strategy(),
+    ) {
+        let re = Regex::new(&pattern).expect("generated pattern parses");
+        if let Some(pf) = re.prefilter() {
+            let boundaries: Vec<usize> =
+                (0..=text.len()).filter(|&i| text.is_char_boundary(i)).collect();
+            let stride = (boundaries.len() / 16).max(1);
+            for &from in boundaries.iter().step_by(stride) {
+                prop_assert_eq!(
+                    pf.search(re.program(), &text, from),
+                    pikevm::search(re.program(), &text, from),
+                    "pattern {:?} text {:?} from {}", pattern, text, from
+                );
+            }
         }
     }
 }
