@@ -11,6 +11,7 @@
 
 use crate::error::CoreError;
 use crate::span::Span;
+use crate::value::Str;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -64,7 +65,8 @@ pub struct CompactionReport {
 pub struct DocumentStore {
     /// `None` = tombstoned by a compaction pass.
     texts: Vec<Option<Arc<str>>>,
-    by_content: FxHashMap<Arc<str>, DocId>,
+    /// Live documents by content, hashed by the hash each [`Str`] carries.
+    by_content: FxHashMap<Str, DocId>,
     /// Text bytes of live (non-tombstoned) documents.
     live_bytes: usize,
     /// Number of compaction passes this store has gone through.
@@ -109,30 +111,34 @@ impl DocumentStore {
     /// Interns `text`, returning its id. Repeated calls with equal content
     /// return the same id without storing a second copy.
     pub fn intern(&mut self, text: &str) -> DocId {
-        if let Some(&id) = self.by_content.get(text) {
-            return id;
-        }
-        self.push_new(Arc::from(text))
+        self.intern_str(&Str::new(text))
     }
 
     /// Interns an already-shared text without copying when it is new.
     pub fn intern_arc(&mut self, text: Arc<str>) -> DocId {
-        if let Some(&id) = self.by_content.get(text.as_ref()) {
-            return id;
-        }
-        self.push_new(text)
+        self.intern_str(&Str::new(text))
     }
 
-    fn push_new(&mut self, text: Arc<str>) -> DocId {
+    /// Interns a string by the hash it carries, sharing its text when it
+    /// is new; a later call with the same string compares one pointer.
+    pub fn intern_str(&mut self, text: &Str) -> DocId {
+        if let Some(id) = self.lookup_str(text) {
+            return id;
+        }
         let id = DocId(self.texts.len() as u32);
         self.live_bytes += text.len();
-        self.texts.push(Some(text.clone()));
-        self.by_content.insert(text, id);
+        self.texts.push(Some(text.as_arc().clone()));
+        self.by_content.insert(text.clone(), id);
         id
     }
 
     /// Looks up the id of `text` without interning it.
     pub fn lookup(&self, text: &str) -> Option<DocId> {
+        self.lookup_str(&Str::new(text))
+    }
+
+    /// Looks up the id of a string by the hash it carries.
+    pub fn lookup_str(&self, text: &Str) -> Option<DocId> {
         self.by_content.get(text).copied()
     }
 
@@ -176,11 +182,13 @@ impl DocumentStore {
                 if !live(id) {
                     removed_docs += 1;
                     reclaimed_bytes += text.len();
-                    self.by_content.remove(text.as_ref() as &str);
                     *slot = None;
                 }
             }
         }
+        let texts = &self.texts;
+        self.by_content
+            .retain(|_, id| texts[id.0 as usize].is_some());
         self.live_bytes -= reclaimed_bytes;
         self.epoch += 1;
         CompactionReport {
@@ -368,6 +376,26 @@ mod tests {
         assert_eq!(new.index() as usize, store.slots() - 1);
         assert!(store.resolve(old).is_err());
         assert_eq!(store.text(new), "text");
+    }
+
+    #[test]
+    fn a_string_and_its_text_intern_to_one_id() {
+        let mut store = DocumentStore::new();
+        let shared = Str::new("shared text");
+        let id = store.intern_str(&shared);
+        assert_eq!(store.intern("shared text"), id);
+        assert_eq!(store.intern_arc(Arc::from("shared text")), id);
+        assert_eq!(store.lookup("shared text"), Some(id));
+        assert_eq!(store.lookup_str(&Str::new("shared text")), Some(id));
+        let other = store.intern("the other way");
+        assert_eq!(store.intern_str(&Str::new("the other way")), other);
+        assert_eq!((store.len(), store.slots()), (2, 2));
+        // The store shares the string's text, not a copy.
+        assert!(Arc::ptr_eq(store.resolve(id).unwrap(), shared.as_arc()));
+        // After a compaction the survivor is still found.
+        store.compact(|doc| doc == other);
+        assert_eq!(store.lookup_str(&shared), None);
+        assert_eq!(store.lookup_str(&Str::new("the other way")), Some(other));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::error::{EngineError, Result};
 use parking_lot::RwLock;
-use spannerlib_core::{DocId, DocumentStore, Rows, Span, Value};
+use spannerlib_core::{DocId, DocumentStore, Rows, Span, Str, Value};
 use std::sync::Arc;
 
 /// The session's document store as every IE call sees it: behind a
@@ -104,11 +104,11 @@ impl<'a> IeContext<'a> {
         match v {
             Value::Str(s) => Ok(TextArg {
                 text: Arc::clone(s.as_arc()),
-                origin: None,
+                origin: Err(s.clone()),
             }),
             Value::Span(span) => Ok(TextArg {
                 text: Arc::from(self.docs.read().span_text(span)?),
-                origin: Some((span.doc, span.start_usize())),
+                origin: Ok((span.doc, span.start_usize())),
             }),
             other => Err(self.error(format!("expected str or span, got {}", other.value_type()))),
         }
@@ -125,8 +125,8 @@ impl<'a> IeContext<'a> {
 /// document store untouched.
 pub struct TextArg {
     text: Arc<str>,
-    /// `(doc, base)` — `None` until a string argument is interned.
-    origin: Option<(DocId, usize)>,
+    /// `(doc, base)`, or the string argument until it is interned.
+    origin: std::result::Result<(DocId, usize), Str>,
 }
 
 impl TextArg {
@@ -142,14 +142,18 @@ impl TextArg {
     }
 
     /// The document and base offset for spans over this text. The first
-    /// call on a string argument interns the text (sharing the existing
-    /// `Arc`); span arguments and subsequent calls are free.
+    /// call on a string argument finds the text by the hash its string
+    /// carries — under the read lock when the store holds it already, as
+    /// after an earlier call on the same string — or interns it (sharing
+    /// the string); span arguments and subsequent calls are free.
     pub fn doc_base(&mut self, ctx: &mut IeContext<'_>) -> (DocId, usize) {
-        if let Some(origin) = self.origin {
-            return origin;
-        }
-        let doc = ctx.docs.write().intern_arc(self.text.clone());
-        self.origin = Some((doc, 0));
+        let string = match &self.origin {
+            Ok(origin) => return *origin,
+            Err(string) => string,
+        };
+        let held = ctx.docs.read().lookup_str(string);
+        let doc = held.unwrap_or_else(|| ctx.docs.write().intern_str(string));
+        self.origin = Ok((doc, 0));
         (doc, 0)
     }
 }
@@ -353,6 +357,19 @@ pub(crate) mod tests {
         // Redundant: arg was dropped uninterned; doc_base is idempotent.
         let _ = arg.doc_base(&mut ctx);
         assert_eq!(docs.read().len(), 1);
+    }
+
+    #[test]
+    fn repeated_doc_base_adds_no_document() {
+        let docs = SharedDocs::default();
+        let mut ctx = IeContext::new("f", &docs);
+        let text = Value::str("one text, many calls");
+        let mut doc_base = |v: &Value| ctx.text_arg(v).unwrap().doc_base(&mut ctx);
+        let first = doc_base(&text);
+        assert_eq!(doc_base(&text), first);
+        // An equal string made apart finds the same document.
+        assert_eq!(doc_base(&Value::str("one text, many calls")), first);
+        assert_eq!((docs.read().len(), docs.read().slots()), (1, 1));
     }
 
     #[test]

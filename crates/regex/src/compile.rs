@@ -43,18 +43,19 @@ pub fn compile(parsed: &ParsedPattern) -> Result<Program, RegexError> {
     Ok(program)
 }
 
-/// Compiles the pattern read right to left, without capture slots: the
-/// program the reverse DFA walks backwards from a match's end to find
-/// its start. Reversal flips concatenations and nothing else; which
-/// branch or repetition count a match prefers does not change *whether*
-/// a span matches, so priorities are carried over but never consulted.
-pub(crate) fn compile_reversed(parsed: &ParsedPattern) -> Result<Program, RegexError> {
+/// Compiles a pattern — or the part of one before an inner literal — read
+/// right to left, without capture slots: the program a reverse DFA walks
+/// backwards from a match's end (or the literal) to find its start.
+/// Reversal flips concatenations and nothing else; which branch or
+/// repetition count a match prefers does not change *whether* a span
+/// matches, so priorities are carried over but never consulted.
+pub(crate) fn compile_reversed(ast: &Ast) -> Result<Program, RegexError> {
     let mut c = Compiler {
         insts: Vec::new(),
         reversed: true,
     };
     let match_state = c.push(Inst::Match)?;
-    let start = c.emit(&parsed.ast, match_state)?;
+    let start = c.emit(ast, match_state)?;
     let program = Program {
         insts: c.insts,
         start,
@@ -276,7 +277,7 @@ mod tests {
 
     #[test]
     fn reversed_program_reads_right_to_left_without_saves() {
-        let p = compile_reversed(&parse("x{ab}c+").unwrap()).unwrap();
+        let p = compile_reversed(&parse("x{ab}c+").unwrap().ast).unwrap();
         assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.slot_count, 0);
         assert!(!p.insts.iter().any(|i| matches!(i, Inst::Save { .. })));

@@ -17,7 +17,10 @@
 //! * the **reverse** DFA runs over the reversed pattern, backwards from
 //!   that end and never past the scan's `from`, keeping every thread
 //!   (longest match): the smallest start that reaches the end *is* the
-//!   leftmost one, so priority plays no part and states are plain sets.
+//!   leftmost one, so priority plays no part and states are plain sets;
+//! * the **prefix** DFA, for a pattern split at an inner literal, runs the
+//!   reversed part before the literal backwards from an occurrence in the
+//!   same way, to the smallest start, where the forward DFA runs anchored.
 //!
 //! The alphabet is the partition of `char` induced by the boundaries of
 //! the program's `Char`/`Class`/`Any` instructions; ASCII maps through a
@@ -40,9 +43,9 @@
 //! assertion sees depends on the neighbouring characters, not on the
 //! state — and stay on the Pike VM.
 
+use crate::ast::Ast;
 use crate::compile::compile_reversed;
 use crate::nfa::{Inst, Program, StateId, Visited};
-use crate::parser::ParsedPattern;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -143,14 +146,19 @@ impl CharClasses {
 pub(crate) struct Dfa {
     classes: CharClasses,
     reversed: Program,
+    /// The reversed prefix of a pattern split at an inner literal.
+    prefix: Option<Program>,
 }
 
-/// The mutable half: lazily built states of both directions. One scan
+/// The mutable half: lazily built states of every direction. One scan
 /// owns one cache; [`crate::Regex`] pools them.
 #[derive(Debug, Default)]
 pub(crate) struct Cache {
     forward: Lazy,
     reverse: Lazy,
+    prefix: Lazy,
+    /// Bytes read by forward scans and prefix walks, ever; callers diff.
+    pub(crate) walked: usize,
 }
 
 /// What one direction determinises: a program over the shared alphabet.
@@ -164,17 +172,21 @@ struct Side<'a> {
 }
 
 impl Dfa {
-    /// Builds the alphabet and the reversed program for `program`, or
-    /// `None` when the pattern has a look-around assertion.
-    pub(crate) fn new(program: &Program, parsed: &ParsedPattern) -> Option<Dfa> {
+    /// Builds the alphabet and the reversed programs for `program`, of
+    /// pattern `ast`, and for the `prefix` before an inner literal the
+    /// pattern is split at; `None` when it has a look-around assertion.
+    pub(crate) fn new(program: &Program, ast: &Ast, prefix: Option<&Ast>) -> Option<Dfa> {
         let asserts = |i: &Inst| matches!(i, Inst::Assert { .. });
         if program.insts.iter().any(asserts) {
             return None;
         }
+        let reversed = |ast| {
+            compile_reversed(ast).expect("the reversed program is no larger than the forward one")
+        };
         Some(Dfa {
             classes: CharClasses::new(program),
-            reversed: compile_reversed(parsed)
-                .expect("the reversed program is no larger than the forward one"),
+            reversed: reversed(ast),
+            prefix: prefix.map(reversed),
         })
     }
 
@@ -220,6 +232,7 @@ impl Dfa {
             }
             sid = next;
         }
+        cache.walked += at - from;
         end
     }
 
@@ -237,23 +250,32 @@ impl Dfa {
             classes: &self.classes,
             longest: true,
         };
-        let lazy = &mut cache.reverse;
-        let mut sid = lazy.start(side, true);
-        let mut at = end;
-        let mut start = end;
-        loop {
-            if sid & MATCH_FLAG != 0 {
-                start = at;
-            } else if sid == DEAD {
-                break;
-            }
-            if at <= from {
-                break;
-            }
-            let (class, width) = self.classes.before(text, at);
-            sid = lazy.next(side, sid, class);
-            at -= width;
-        }
+        cache
+            .reverse
+            .walk_back(side, text, from, end)
+            .0
+            .unwrap_or(end)
+    }
+
+    /// Smallest start ≥ `floor` from which a split pattern's prefix
+    /// reaches the inner literal at `literal`, walking back from there.
+    pub(crate) fn prefix_start(
+        &self,
+        cache: &mut Cache,
+        text: &str,
+        floor: usize,
+        literal: usize,
+    ) -> Option<usize> {
+        let side = Side {
+            program: self
+                .prefix
+                .as_ref()
+                .expect("a split pattern's DFA has its prefix"),
+            classes: &self.classes,
+            longest: true,
+        };
+        let (start, stop) = cache.prefix.walk_back(side, text, floor, literal);
+        cache.walked += literal - stop;
         start
     }
 }
@@ -293,6 +315,33 @@ impl Lazy {
         let (sid, _) = self.intern(side);
         self.starts[anchored as usize] = Some(sid);
         sid
+    }
+
+    /// Runs `side`'s reversed program back from `at`, never below `floor`:
+    /// the smallest offset at which it matched, and where it stopped.
+    fn walk_back(
+        &mut self,
+        side: Side<'_>,
+        text: &str,
+        floor: usize,
+        at: usize,
+    ) -> (Option<usize>, usize) {
+        let mut sid = self.start(side, true);
+        let (mut at, mut start) = (at, None);
+        loop {
+            if sid & MATCH_FLAG != 0 {
+                start = Some(at);
+            } else if sid == DEAD {
+                break;
+            }
+            if at <= floor {
+                break;
+            }
+            let (class, width) = side.classes.before(text, at);
+            sid = self.next(side, sid, class);
+            at -= width;
+        }
+        (start, at)
     }
 
     /// The state reached from `sid` over a character of `class`.
@@ -442,12 +491,12 @@ pub(crate) mod tests {
     impl Cache {
         /// `u32` words resident in the state tables of both directions.
         pub(crate) fn words(&self) -> usize {
-            self.forward.words + self.reverse.words
+            self.forward.words + self.reverse.words + self.prefix.words
         }
 
         /// How often either direction hit the budget and started over.
         pub(crate) fn emptied(&self) -> usize {
-            self.forward.emptied + self.reverse.emptied
+            self.forward.emptied + self.reverse.emptied + self.prefix.emptied
         }
     }
 
@@ -471,7 +520,7 @@ pub(crate) mod tests {
     fn window(pattern: &str, text: &str, from: usize) -> Option<(usize, usize)> {
         let parsed = parse(pattern).unwrap();
         let program = compile(&parsed).unwrap();
-        let dfa = Dfa::new(&program, &parsed).expect("no assertions");
+        let dfa = Dfa::new(&program, &parsed.ast, None).expect("no assertions");
         let mut cache = Cache::default();
         let end = dfa.find_end(&program, &mut cache, text, from, false, false)?;
         Some((dfa.find_start(&mut cache, text, from, end), end))
@@ -541,7 +590,7 @@ pub(crate) mod tests {
         let pattern = "(a|b)*a(a|b){14}";
         let parsed = parse(pattern).unwrap();
         let program = compile(&parsed).unwrap();
-        let dfa = Dfa::new(&program, &parsed).unwrap();
+        let dfa = Dfa::new(&program, &parsed.ast, None).unwrap();
         let mut cache = Cache::default();
         // Long runs of one letter keep a state looping on itself; the
         // aperiodic stretches between them overflow the cache.
@@ -575,7 +624,7 @@ pub(crate) mod tests {
     fn anchored_and_earliest_modes() {
         let parsed = parse("ab+").unwrap();
         let program = compile(&parsed).unwrap();
-        let dfa = Dfa::new(&program, &parsed).unwrap();
+        let dfa = Dfa::new(&program, &parsed.ast, None).unwrap();
         let mut cache = Cache::default();
         let text = "xxabbby";
         assert_eq!(
@@ -598,7 +647,7 @@ pub(crate) mod tests {
         for pattern in [r"\bcat\b", r"\Bcat", "^a", "a$"] {
             let parsed = parse(pattern).unwrap();
             let program = compile(&parsed).unwrap();
-            assert!(Dfa::new(&program, &parsed).is_none(), "{pattern}");
+            assert!(Dfa::new(&program, &parsed.ast, None).is_none(), "{pattern}");
         }
     }
 
@@ -625,7 +674,7 @@ pub(crate) mod tests {
         let text = ab_text(20_000, 0x2545_F491_4F6C_DD1D);
         let parsed = parse(pattern).unwrap();
         let program = compile(&parsed).unwrap();
-        let dfa = Dfa::new(&program, &parsed).unwrap();
+        let dfa = Dfa::new(&program, &parsed.ast, None).unwrap();
         let mut cache = Cache::default();
         // One state per distinct 15-character suffix: 2^15 of them.
         let side = Side {

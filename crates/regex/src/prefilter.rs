@@ -1,15 +1,20 @@
-//! Literal prefiltering: skip the matcher when a cheap substring scan
-//! proves no match can exist.
+//! Literal prefiltering: skip the matcher where a cheap substring scan
+//! proves no match can exist, and start it where one can.
 //!
-//! [`Prefilter::build`] walks the parsed [`Ast`] and extracts either a
-//! **required prefix** — a literal every match must start with — or a
-//! **required infix** — a literal every match must contain somewhere. At
-//! search time the prefix variant launches the matcher *anchored* at each
-//! prefix occurrence; the infix variant rejects a document outright when
-//! the literal is absent. Both locate the literal with one [`Finder`],
-//! built with the prefilter: it tests the literal's two rarest bytes at
-//! 64 candidate starts at once and verifies only the starts that pass, so
-//! it skips text without walking an automaton over it, byte by byte.
+//! [`Prefilter::build`] walks the parsed [`Ast`] for a literal every
+//! match holds, strongest form first: a **prefix** every match starts
+//! with (the matcher runs *anchored* at each occurrence); an **inner
+//! split** — the top-level concatenation is `P · L · S`, `L` a run of
+//! exact literals at part k ≥ 1 no commoner than the infix, and `P`
+//! consumes no char equal to `L`'s first — where a reversed DFA of `P`
+//! walks back from each occurrence of `L` to the smallest start and the
+//! matcher runs anchored from there (regex-automata's "reverse inner";
+//! look-around, which gets no DFA, rules it out); or an **infix** every
+//! match contains (a document without it is rejected, else scanned
+//! unanchored). All three locate the literal with one [`Finder`]: it
+//! tests the literal's two rarest bytes at 64 candidate starts at once
+//! and verifies only the starts that pass, so it skips text without
+//! walking an automaton over it, byte by byte.
 //!
 //! Correctness: a prefilter never changes results, it only skips matcher
 //! work that provably cannot produce a match. The leftmost-first contract is
@@ -20,6 +25,16 @@
 //! oracle in `tests/properties.rs`). Patterns that can match the empty
 //! string match *everywhere* and therefore never get a prefilter.
 //!
+//! A split keeps it too: as `P` cannot consume `L`'s first char, a match
+//! starting at or before an occurrence of `L` holds `L` there or at an
+//! earlier one. So if a match holds `L` at the first occurrence, the one
+//! from the smallest offset at which `P` reaches it (the walk) is the
+//! leftmost; if the walk or the anchored run fails, none does, and the
+//! search moves on. Walks never cross an earlier occurrence, but anchored
+//! runs from successive candidates can overlap (`a[^x]*y` over `aaa…`):
+//! once failed candidates have walked more bytes than the search skipped,
+//! plus a grace, the rest of the text gets one unanchored scan.
+//!
 //! Per-thread counters record how many searches consulted a prefilter
 //! and how many were pruned without launching the matcher at all; the
 //! engine reads them around each batch of IE calls, so a profile counts
@@ -29,6 +44,7 @@ use crate::ast::Ast;
 use crate::nfa::Program;
 use crate::pikevm::{self, SearchResult};
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::ops::Deref;
 
 /// Longest literal we bother materializing for a counted repetition, so
@@ -38,6 +54,9 @@ const MAX_REPEAT_LITERAL: usize = 64;
 thread_local! {
     static SEARCHES: Cell<u64> = const { Cell::new(0) };
     static PRUNED: Cell<u64> = const { Cell::new(0) };
+    /// Bytes failed candidates have walked, for the linear-time tests.
+    #[cfg(test)]
+    pub(crate) static WALKED: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Snapshot of the calling thread's prefilter counters.
@@ -80,13 +99,25 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
 const BLOCK: usize = 64;
 
 /// Bytes a [`Finder`] may compare at failed candidates beyond the bytes
-/// it has skipped before it hands the rest of a text to `str::find`.
-const VERIFY_GRACE: usize = 1024;
+/// it has skipped before it hands the rest of a text to `str::find`, and
+/// a search's failed candidates may walk before it scans the rest
+/// unanchored.
+pub(crate) const VERIFY_GRACE: usize = 1024;
 
 /// Bytes of English prose and code, most frequent first. A byte missing
 /// here (`:`, `@`, control and non-ASCII bytes) ranks as the rarest.
 const FREQUENT: &[u8] =
     b" etaoinsrhldcumfpgwybv,.k\nTSAIMCxOBNDPEHRWLjFG0123456789-'\"qzJUVKYQXZ()/;_=";
+
+/// How common `b` is: `None` (not listed) first, then the rarest listed.
+fn rank(b: u8) -> Option<usize> {
+    FREQUENT.iter().rev().position(|&f| f == b)
+}
+
+/// How common a literal's rarest byte is, as [`rank`] orders bytes.
+fn rarity(literal: &str) -> Option<usize> {
+    literal.bytes().map(rank).min().flatten()
+}
 
 /// Finds a literal's first occurrence, as `str::find` does, by testing
 /// its two rarest bytes at 64 candidate starts at once (byte
@@ -108,7 +139,7 @@ impl Finder {
     pub fn new(needle: String) -> Finder {
         let bytes = needle.as_bytes();
         // `None` (not listed) sorts first, then the least frequent listed.
-        let rank = |&i: &usize| (FREQUENT.iter().rev().position(|&b| b == bytes[i]), i);
+        let rank = |&i: &usize| (rank(bytes[i]), i);
         let first = (0..bytes.len()).min_by_key(rank).unwrap_or(0);
         let second = (0..bytes.len()).filter(|&i| i != first).min_by_key(rank);
         Finder {
@@ -202,13 +233,44 @@ pub enum Prefilter {
     Prefix(Finder),
     /// Every match contains this non-empty literal.
     Infix(Finder),
+    /// Every match is `prefix`, then `literal`, then the rest of the
+    /// pattern, and `prefix` consumes no char equal to `literal`'s first.
+    Inner {
+        /// The literal run at the split.
+        literal: Finder,
+        /// The top-level parts of the pattern before the split.
+        prefix: Ast,
+    },
+}
+
+/// What [`Prefilter::search_with`] asks its matcher for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Launch {
+    /// The match starting exactly at this offset.
+    At(usize),
+    /// The leftmost match starting at or after this offset.
+    From(usize),
+    /// The match holding the inner literal at `literal`, from the
+    /// smallest start ≥ `floor` at which the prefix reaches it.
+    Split { floor: usize, literal: usize },
+}
+
+impl Launch {
+    /// Where the Pike VM searches, and whether anchored: unable to walk
+    /// back, it answers a split with the leftmost match from the floor.
+    pub(crate) fn pike(self) -> (usize, bool) {
+        match self {
+            Launch::At(at) => (at, true),
+            Launch::From(at) | Launch::Split { floor: at, .. } => (at, false),
+        }
+    }
 }
 
 impl Prefilter {
     /// Extracts a prefilter from a parsed pattern, preferring the
-    /// stronger prefix form. Returns `None` when the pattern carries no
-    /// useful literal obligation (e.g. `[ab]+`, `.*`, or anything
-    /// nullable).
+    /// stronger prefix form, then an inner split. Returns `None` when the
+    /// pattern carries no useful literal obligation (e.g. `[ab]+`, `.*`,
+    /// or anything nullable).
     pub fn build(ast: &Ast) -> Option<Prefilter> {
         // An empty-capable pattern matches at every position; no literal
         // scan can rule any position out.
@@ -219,72 +281,84 @@ impl Prefilter {
         if !prefix.is_empty() {
             return Some(Prefilter::Prefix(Finder::new(prefix)));
         }
-        required_infix(ast).map(|infix| Prefilter::Infix(Finder::new(infix)))
+        let infix = required_infix(ast);
+        if let Some((literal, prefix)) = inner_split(ast, infix.as_deref()) {
+            let literal = Finder::new(literal);
+            return Some(Prefilter::Inner { literal, prefix });
+        }
+        infix.map(|infix| Prefilter::Infix(Finder::new(infix)))
     }
 
     /// The literal this prefilter scans for.
     pub fn literal(&self) -> &str {
         match self {
-            Prefilter::Prefix(s) | Prefilter::Infix(s) => s,
+            Prefilter::Prefix(s) | Prefilter::Infix(s) | Prefilter::Inner { literal: s, .. } => s,
         }
     }
 
     /// Prefiltered equivalent of [`pikevm::search`]: same result, less
     /// VM work. Updates the calling thread's counters.
     pub fn search(&self, program: &Program, text: &str, from: usize) -> Option<SearchResult> {
-        self.search_with(text, from, |at, anchored| {
-            if anchored {
-                pikevm::search_anchored(program, text, at)
-            } else {
-                pikevm::search(program, text, at)
-            }
+        self.search_with(text, from, |launch| {
+            let found = match launch.pike() {
+                (at, true) => pikevm::search_anchored(program, text, at),
+                (at, false) => pikevm::search(program, text, at),
+            };
+            found.ok_or(0)
         })
     }
 
-    /// Drives any matcher through the prefilter: `run(at, anchored)` is
-    /// asked for the match starting exactly at `at` (at each occurrence
-    /// of a required prefix) or for the leftmost match at or after `at`
-    /// (once, when a required infix is present). Updates the
-    /// calling thread's counters.
+    /// Drives any matcher through the prefilter: `run` is asked at each
+    /// occurrence of a prefix or split literal, or once from the start
+    /// when an infix occurs, and answers `Err` with the bytes it walked
+    /// when it finds no match. Updates the calling thread's counters.
     pub(crate) fn search_with<T>(
         &self,
         text: &str,
         from: usize,
-        mut run: impl FnMut(usize, bool) -> Option<T>,
+        mut run: impl FnMut(Launch) -> Result<T, usize>,
     ) -> Option<T> {
         bump(&SEARCHES);
-        match self {
-            Prefilter::Prefix(lit) => {
-                // Candidate starts are exactly the prefix's occurrences.
-                let step = lit.chars().next().map_or(1, char::len_utf8);
-                let mut at = from;
-                let mut launched = false;
-                loop {
-                    let Some(off) = lit.find(&text[at..]) else {
-                        if !launched {
-                            bump(&PRUNED);
-                        }
-                        return None;
-                    };
-                    let pos = at + off;
-                    launched = true;
-                    if let Some(r) = run(pos, true) {
-                        return Some(r);
-                    }
-                    // Occurrences may overlap; resume one char past this
-                    // candidate's start.
-                    at = pos + step;
+        let lit = match self {
+            Prefilter::Prefix(lit) | Prefilter::Inner { literal: lit, .. } => lit,
+            Prefilter::Infix(lit) if lit.find(&text[from..]).is_some() => {
+                return run(Launch::From(from)).ok();
+            }
+            Prefilter::Infix(_) => {
+                bump(&PRUNED);
+                return None;
+            }
+        };
+        let step = lit.chars().next().map_or(1, char::len_utf8);
+        let (mut at, mut walked) = (from, 0);
+        while let Some(off) = lit.find(&text[at..]) {
+            let pos = at + off;
+            let launch = match self {
+                Prefilter::Prefix(_) => Launch::At(pos),
+                _ => Launch::Split {
+                    floor: from,
+                    literal: pos,
+                },
+            };
+            match run(launch) {
+                Ok(found) => return Some(found),
+                Err(cost) => {
+                    walked += cost;
+                    #[cfg(test)]
+                    WALKED.set(WALKED.get() + cost);
                 }
             }
-            Prefilter::Infix(lit) => {
-                if lit.find(&text[from..]).is_some() {
-                    run(from, false)
-                } else {
-                    bump(&PRUNED);
-                    None
-                }
+            // Occurrences may overlap; resume one char past this
+            // candidate's start. No match starts at or before it.
+            at = pos + step;
+            if walked > pos - from + VERIFY_GRACE {
+                return run(Launch::From(at)).ok();
             }
         }
+        if at == from {
+            bump(&PRUNED);
+        }
+        None
     }
 }
 
@@ -404,6 +478,49 @@ fn consider(best: &mut Option<String>, cand: String) {
     }
 }
 
+/// The rarest literal run at a split of `ast`'s top-level concatenation
+/// (groups around it looked through) whose prefix, the parts before it,
+/// consumes no char equal to its first, and that prefix; the longer run
+/// wins a tie, then the earlier. No split with look-around, nor at a run
+/// commoner than the `infix`, whose pruning of documents it would lose.
+fn inner_split(ast: &Ast, infix: Option<&str>) -> Option<(String, Ast)> {
+    if any_leaf(ast, &|leaf| matches!(leaf, Ast::Anchor(_))) {
+        return None;
+    }
+    let mut ast = ast;
+    while let Ast::Group { node, .. } = ast {
+        ast = node;
+    }
+    let Ast::Concat(parts) = ast else {
+        return None;
+    };
+    let (run, k) = (1..parts.len())
+        .filter_map(|k| {
+            let run: String = parts[k..].iter().map_while(exact_literal).collect();
+            let first = run.chars().next()?;
+            let consumes = |leaf: &Ast| match leaf {
+                Ast::Literal(c) => *c == first,
+                Ast::Class(set) => set.contains(first),
+                Ast::AnyChar => first != '\n',
+                _ => false,
+            };
+            let free = !parts[..k].iter().any(|p| any_leaf(p, &consumes));
+            free.then_some((run, k))
+        })
+        .min_by_key(|(run, _)| (rarity(run), Reverse(run.len())))
+        .filter(|(run, _)| infix.is_none_or(|infix| rarity(run) <= rarity(infix)))?;
+    Some((run, Ast::concat(parts[..k].to_vec())))
+}
+
+/// Whether `leaf` holds for a literal, class, `.` or anchor of `ast`.
+fn any_leaf(ast: &Ast, leaf: &impl Fn(&Ast) -> bool) -> bool {
+    match ast {
+        Ast::Concat(parts) | Ast::Alternation(parts) => parts.iter().any(|p| any_leaf(p, leaf)),
+        Ast::Repeat { node, .. } | Ast::Group { node, .. } => any_leaf(node, leaf),
+        _ => leaf(ast),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,10 +549,54 @@ mod tests {
 
     #[test]
     fn falls_back_to_infix_literals() {
-        assert_eq!(build("[ab]foo"), Some(Prefilter::Infix("foo".into())));
-        assert_eq!(build(r"\d+-\d+"), Some(Prefilter::Infix("-".into())));
+        assert!(splits("[ab]foo", "foo", "[ab]"));
+        assert!(splits(r"\d+-\d+", "-", r"\d+"));
         // The longest run wins.
         assert_eq!(build(".ab.cdef."), Some(Prefilter::Infix("cdef".into())));
+    }
+
+    /// Whether `pattern` splits at `literal` after `prefix`.
+    fn splits(pattern: &str, literal: &str, prefix: &str) -> bool {
+        let prefix = parse(prefix).unwrap().ast;
+        build(pattern)
+            == Some(Prefilter::Inner {
+                literal: literal.into(),
+                prefix,
+            })
+    }
+
+    #[test]
+    fn class_led_patterns_split_at_their_rarest_free_literal() {
+        let cases = [
+            // `@` is rarer than `.com`, whose prefix could not consume `.`
+            // either.
+            (r"\w+@\w+\.com", "@", r"\w+"),
+            // Two equal runs: the first.
+            (r"\d{4}-\d{2}-\d{2}", "-", r"\d{4}"),
+            // Groups are looked through, and the whole-pattern one too.
+            (r"(\w+)@(\w+)\.\w+", "@", r"(\w+)"),
+            (r"(\w+@\w+)", "@", r"\w+"),
+            // The run may start inside a longer one: `\w+x` consumes `x`.
+            (r"\w+x@y", "@y", r"\w+x"),
+        ];
+        for (pattern, literal, prefix) in cases {
+            assert!(
+                splits(pattern, literal, prefix),
+                "{pattern}: {:?}",
+                build(pattern)
+            );
+        }
+        // Every prefix can consume the run's first char.
+        assert_eq!(build(".ab.cdef."), Some(Prefilter::Infix("cdef".into())));
+        // The only free run, ` `, is commoner than the infix.
+        let infix = Some(Prefilter::Infix("error".into()));
+        assert_eq!(build(r"\w+ \w+error"), infix);
+        assert_eq!(build(r"\w+x"), Some(Prefilter::Infix("x".into())));
+        // Look-around: the walk needs a DFA.
+        assert_eq!(build(r"\b\w+@\w+"), Some(Prefilter::Infix("@".into())));
+        assert_eq!(build(r"[ab]foo$"), Some(Prefilter::Infix("foo".into())));
+        // Literal-led patterns keep the prefix.
+        assert_eq!(build(r"@\w+\.com"), Some(Prefilter::Prefix("@".into())));
     }
 
     #[test]
@@ -535,5 +696,31 @@ mod tests {
                 pruned: 0
             }
         );
+    }
+
+    #[test]
+    fn a_split_counts_its_searches_as_the_infix_did() {
+        let re = crate::Regex::new(r"\w+@\w+\.com").unwrap();
+        assert!(matches!(re.prefilter(), Some(Prefilter::Inner { .. })));
+        let count = |text| counted(|| re.find_iter(text).count());
+        let pruned = PrefilterStats {
+            searches: 1,
+            pruned: 1,
+        };
+        assert_eq!(count("no address here"), (0, pruned));
+        assert_eq!(count(""), (0, pruned));
+        // A literal without a match is searched, not pruned; each match
+        // is a search of its own, and the one after the last finds no
+        // literal.
+        let launched = PrefilterStats {
+            searches: 1,
+            pruned: 0,
+        };
+        assert_eq!(count("a@b.org"), (0, launched));
+        let after = PrefilterStats {
+            searches: 3,
+            pruned: 1,
+        };
+        assert_eq!(count("a@b.com x@y.com"), (2, after));
     }
 }

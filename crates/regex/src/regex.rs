@@ -7,7 +7,7 @@ use crate::error::RegexError;
 use crate::nfa::Program;
 use crate::parser::{parse, ParsedPattern};
 use crate::pikevm;
-use crate::prefilter::Prefilter;
+use crate::prefilter::{Launch, Prefilter};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A compiled regex formula.
@@ -121,16 +121,14 @@ enum Want<'g> {
 /// One scan's hold on a DFA cache, returned to the pool on drop.
 struct Searcher<'r> {
     regex: &'r Regex,
+    /// Checked out at the scan's first DFA run: a scan its prefilter
+    /// prunes takes no lock.
     cache: Option<dfa::Cache>,
 }
 
 impl<'r> Searcher<'r> {
     fn new(regex: &'r Regex) -> Searcher<'r> {
-        let cache = regex.dfa.as_ref().map(|_| {
-            let idle = regex.idle_caches().pop();
-            idle.unwrap_or_default()
-        });
-        Searcher { regex, cache }
+        Searcher { regex, cache: None }
     }
 
     /// Single scan entry point: literal prefilter, then the DFA window —
@@ -140,41 +138,30 @@ impl<'r> Searcher<'r> {
     fn search_at(&mut self, text: &str, from: usize, mut want: Want<'_>) -> Option<(usize, usize)> {
         let regex = self.regex;
         let cache = &mut self.cache;
-        let mut run = |at: usize, anchored: bool| {
-            let (Some(dfa), Some(cache)) = (&regex.dfa, cache.as_mut()) else {
-                // The one fallback: look-around assertions depend on the
-                // neighbouring characters, which DFA states do not record.
+        let mut run = |launch: Launch| match &regex.dfa {
+            Some(dfa) => {
+                let cache = cache.get_or_insert_with(|| {
+                    let idle = regex.idle_caches().pop();
+                    idle.unwrap_or_default()
+                });
+                let walked = cache.walked;
+                let found = regex.window(dfa, cache, text, launch, &mut want);
+                found.ok_or(cache.walked - walked)
+            }
+            // The one fallback: look-around assertions depend on the
+            // neighbouring characters, which DFA states do not record.
+            None => {
                 let groups = match &mut want {
                     Want::Groups(groups) => Some(&mut **groups),
                     _ => None,
                 };
-                return pikevm::search_into(&regex.program, text, at, text.len(), anchored, groups);
-            };
-            let earliest = matches!(want, Want::Existence);
-            let end = dfa.find_end(&regex.program, cache, text, at, anchored, earliest)?;
-            if earliest {
-                return Some((at, end));
+                let (at, anchored) = launch.pike();
+                pikevm::search_into(&regex.program, text, at, text.len(), anchored, groups).ok_or(0)
             }
-            let start = if anchored {
-                at
-            } else {
-                dfa.find_start(cache, text, at, end)
-            };
-            if let Want::Groups(groups) = &mut want {
-                if regex.group_count() == 0 {
-                    groups.clear();
-                    groups.push(Some((start, end)));
-                } else {
-                    let whole =
-                        pikevm::search_into(&regex.program, text, start, end, true, Some(groups));
-                    debug_assert_eq!(whole, Some((start, end)));
-                }
-            }
-            Some((start, end))
         };
         match &regex.prefilter {
             Some(prefilter) => prefilter.search_with(text, from, run),
-            None => run(from, false),
+            None => run(Launch::From(from)).ok(),
         }
     }
 }
@@ -195,12 +182,56 @@ impl Regex {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The DFA's answer to one launch: the match's window, with its
+    /// groups written when they are wanted.
+    fn window(
+        &self,
+        dfa: &Dfa,
+        cache: &mut dfa::Cache,
+        text: &str,
+        launch: Launch,
+        want: &mut Want<'_>,
+    ) -> Option<(usize, usize)> {
+        let (at, anchored) = match launch {
+            Launch::At(at) => (at, true),
+            Launch::From(at) => (at, false),
+            Launch::Split { floor, literal } => {
+                (dfa.prefix_start(cache, text, floor, literal)?, true)
+            }
+        };
+        let earliest = matches!(want, Want::Existence);
+        let end = dfa.find_end(&self.program, cache, text, at, anchored, earliest)?;
+        if earliest {
+            return Some((at, end));
+        }
+        let start = if anchored {
+            at
+        } else {
+            dfa.find_start(cache, text, at, end)
+        };
+        if let Want::Groups(groups) = want {
+            if self.group_count() == 0 {
+                groups.clear();
+                groups.push(Some((start, end)));
+            } else {
+                let whole =
+                    pikevm::search_into(&self.program, text, start, end, true, Some(groups));
+                debug_assert_eq!(whole, Some((start, end)));
+            }
+        }
+        Some((start, end))
+    }
+
     /// Parses and compiles `pattern`.
     pub fn new(pattern: &str) -> Result<Regex, RegexError> {
         let parsed = parse(pattern)?;
         let program = compile(&parsed)?;
         let prefilter = Prefilter::build(&parsed.ast);
-        let dfa = Dfa::new(&program, &parsed);
+        let prefix = match &prefilter {
+            Some(Prefilter::Inner { prefix, .. }) => Some(prefix),
+            _ => None,
+        };
+        let dfa = Dfa::new(&program, &parsed.ast, prefix);
         Ok(Regex {
             pattern: pattern.to_string(),
             parsed,
@@ -628,6 +659,38 @@ mod tests {
             (THREADS..=2 * THREADS).contains(&idle),
             "one cache per concurrent scan, reused across documents: {idle}"
         );
+    }
+
+    #[test]
+    fn prefiltered_searches_walk_linear_time() {
+        use crate::prefilter::{VERIFY_GRACE, WALKED};
+        let cases = [
+            (r"\w+@\w+\.com", "a@".repeat(50_000), " b@c.com"),
+            (r"\w+@\w+\.com", "a".repeat(100_000) + "@", " b@c.com"),
+            (r"\d{4}-\d{2}-\d{2}", "1234-".repeat(20_000), "2024-01-31"),
+            // A prefix whose anchored runs all reach the end of the text.
+            ("a[^x]*y", "a".repeat(50_000), "y"),
+        ];
+        for (pattern, text, tail) in cases {
+            let re = Regex::new(pattern).unwrap();
+            let unanchored = Regex {
+                prefilter: None,
+                ..re.clone()
+            };
+            for text in [text.clone(), text + tail] {
+                // The counter is this thread's: other tests never touch it.
+                let before = WALKED.get();
+                let found: Vec<Match> = re.find_iter(&text).collect();
+                let walked = WALKED.get() - before;
+                assert_eq!(found, unanchored.find_iter(&text).collect::<Vec<_>>());
+                assert_eq!(found.len(), usize::from(text.ends_with(tail)));
+                assert!(
+                    walked <= 2 * text.len() + VERIFY_GRACE,
+                    "{pattern}: {walked} bytes walked over {}",
+                    text.len()
+                );
+            }
+        }
     }
 
     #[test]

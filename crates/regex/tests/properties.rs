@@ -355,6 +355,121 @@ proptest! {
     }
 }
 
+/// `P · L · S`: a class-led prefix `P` (`\w+`, `\d{1,4}`, `[^a]*`,
+/// `[ab]+`, a `.`-led part or `b|\w{3}`, one or two of them, each maybe
+/// a group),
+/// a literal `L` of 1–4 chars, and a wide suffix `S`, empty a third of
+/// the time so that more texts hold a match. Some `L`s start
+/// with a char `P` can consume (the pattern keeps an infix), some do not
+/// (it is split at `L`). Returns the pattern and `L`.
+fn split_pattern_strategy() -> impl Strategy<Value = (String, String)> {
+    let repeat = |set: ClassSet, min, max| Ast::Repeat {
+        node: Box::new(Ast::Class(set)),
+        min,
+        max,
+        greedy: true,
+    };
+    let part = prop_oneof![
+        Just(repeat(ClassSet::word(), 1, None)),
+        Just(repeat(ClassSet::digit(), 1, Some(4))),
+        Just(repeat(ClassSet::single('a').negate(), 0, None)),
+        Just(repeat(
+            ClassSet::from_ranges([ClassRange::new('a', 'b')]),
+            1,
+            None
+        )),
+        Just(Ast::concat(vec![
+            Ast::AnyChar,
+            repeat(ClassSet::word(), 0, None)
+        ])),
+        // Not closed under suffixes: `zbx` reaches its last char from 0
+        // and 1, `zb` its last from 1 only.
+        Just(Ast::alternation(vec![
+            Ast::Literal('b'),
+            repeat(ClassSet::word(), 3, Some(3))
+        ])),
+    ];
+    let part = (part, any::<bool>()).prop_map(|(node, grouped)| match grouped {
+        true => Ast::Group {
+            index: 1, // renumbered by `rendered`
+            name: None,
+            node: Box::new(node),
+        },
+        false => node,
+    });
+    let literal = prop_oneof![
+        Just('@'),
+        Just('-'),
+        Just('\n'),
+        Just('a'),
+        Just('b'),
+        Just('7'),
+        Just(' '),
+        Just('é'),
+        Just('日'),
+    ];
+    (
+        prop::collection::vec(part, 1..=2),
+        prop::collection::vec(literal, 1..=4),
+        prop_oneof![1 => Just(Ast::Empty), 2 => wide_ast_strategy()],
+    )
+        .prop_map(|(mut parts, literal, suffix)| {
+            parts.extend(literal.iter().map(|&c| Ast::Literal(c)));
+            parts.push(suffix);
+            (rendered(Ast::concat(parts)), literal.into_iter().collect())
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// Split patterns over texts with their literal planted: the scan,
+    /// `is_match`, and a search from every char boundary equal the Pike
+    /// VM, and the backtracking oracle where it can afford the text.
+    #[test]
+    fn split_patterns_agree_with_pikevm_and_oracle(
+        split in split_pattern_strategy(),
+        text in wide_text_strategy(),
+        plants in prop::collection::vec(any::<usize>(), 1..4),
+    ) {
+        let (pattern, literal) = split;
+        let mut text = text;
+        for plant in plants {
+            let at = text.floor_char_boundary(plant % (text.len() + 1));
+            text.insert_str(at, &literal);
+        }
+        let re = Regex::new(&pattern).expect("generated pattern parses");
+        let actual: Vec<_> = re
+            .captures_iter(&text)
+            .map(|c| row(|k| c.group(k), re.group_count()))
+            .collect();
+        let by_hand = pikevm_scan(&re, &text);
+        prop_assert_eq!(&actual, &by_hand, "pattern {:?} text {:?}", pattern, text);
+        let spans: Vec<_> = re.find_iter(&text).map(|m| (m.start, m.end)).collect();
+        let expected_spans: Vec<_> = by_hand.iter().map(|m| (m.start, m.end)).collect();
+        prop_assert_eq!(spans, expected_spans, "pattern {:?} text {:?}", pattern, text);
+        prop_assert_eq!(re.is_match(&text), !by_hand.is_empty());
+        if text.chars().count() <= ORACLE_MAX_CHARS {
+            let oracle = oracle_find_iter(re.parsed(), &text);
+            prop_assert_eq!(&actual, &oracle, "pattern {:?} text {:?}", pattern, text);
+        }
+        for from in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let expected = pikevm::search(re.program(), &text, from)
+                .map(|found| row(|k| found.group(k), re.group_count()));
+            let captures = re
+                .captures_at(&text, from)
+                .map(|c| row(|k| c.group(k), re.group_count()));
+            prop_assert_eq!(
+                &captures, &expected,
+                "pattern {:?} text {:?} from {}", pattern, text, from
+            );
+            let found = re.find_at(&text, from).map(|m| (m.start, m.end));
+            prop_assert_eq!(found, expected.map(|m| (m.start, m.end)));
+            prop_assert_eq!(re.is_match(&text[from..]), re.find(&text[from..]).is_some());
+        }
+    }
+}
+
 /// A needle of 1–8 chars and a haystack of at most 300 bytes made of loose
 /// chars, copies of the needle and copies of its prefixes, so occurrences
 /// overlap and near misses are common.
