@@ -193,11 +193,11 @@ impl IeFunction for RgxFunction {
         match self.mode {
             Mode::FindSpans | Mode::FindStrings => {
                 let (mut unassigned, mut groups) = (0, Vec::new());
-                for caps in re.captures_iter(&text) {
-                    groups.clear();
-                    groups.extend(caps.explicit_groups());
-                    let whole = caps.group(0).expect("group 0 present");
-                    unassigned += u64::from(!row(&groups, whole)?);
+                let mut matches = re.captures_iter(&text);
+                // `groups[0]` is the whole match, then the explicit groups.
+                while matches.next_into(&mut groups) {
+                    let whole = groups[0].expect("group 0 present");
+                    unassigned += u64::from(!row(&groups[1..], whole)?);
                 }
                 UNASSIGNED.set(UNASSIGNED.get() + unassigned);
             }

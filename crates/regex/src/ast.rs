@@ -92,6 +92,59 @@ impl Ast {
         }
     }
 
+    /// The length in bytes of every string the pattern matches, when
+    /// they all have one (`None` may also mean "not known").
+    pub(crate) fn width(&self) -> Option<usize> {
+        match self {
+            Ast::Empty | Ast::Anchor(_) => Some(0),
+            Ast::Literal(c) => Some(c.len_utf8()),
+            Ast::Class(set) => {
+                let (first, last) = (set.ranges().first()?, set.ranges().last()?);
+                let width = first.lo.len_utf8();
+                (width == last.hi.len_utf8()).then_some(width)
+            }
+            // Conservative: branches of one width are not looked for.
+            Ast::AnyChar | Ast::Alternation(_) => None,
+            Ast::Concat(parts) => parts.iter().map(Ast::width).sum(),
+            Ast::Repeat { node, min, max, .. } if *max == Some(*min) => {
+                node.width()?.checked_mul(*min as usize)
+            }
+            Ast::Repeat { .. } => None,
+            Ast::Group { node, .. } => node.width(),
+        }
+    }
+
+    /// For each of the pattern's `groups`, the bytes from a match's start
+    /// to the group's and from the group's end to the match's, when every
+    /// match has the same: the group sits in no repetition or alternation,
+    /// and what lies on either side has one width ([`Ast::width`]). A DFA
+    /// window then places the groups alone. `None` when one is not fixed so.
+    pub(crate) fn fixed_groups(&self, groups: usize) -> Option<Vec<(usize, usize)>> {
+        type Out = [Option<(usize, usize)>];
+        fn fix(ast: &Ast, before: Option<usize>, after: Option<usize>, out: &mut Out) {
+            match ast {
+                Ast::Group { index, node, .. } => {
+                    out[*index as usize - 1] = before.zip(after);
+                    fix(node, before, after, out);
+                }
+                Ast::Concat(parts) => {
+                    let widths: Vec<_> = parts.iter().map(Ast::width).collect();
+                    let plus =
+                        |x: Option<_>, ws: &[_]| ws.iter().try_fold(x?, |x, w| Some(x + (*w)?));
+                    for (i, part) in parts.iter().enumerate() {
+                        let (b, a) = (plus(before, &widths[..i]), plus(after, &widths[i + 1..]));
+                        fix(part, b, a, out);
+                    }
+                }
+                // A group below may be entered twice, or not at all.
+                _ => {}
+            }
+        }
+        let mut out = vec![None; groups];
+        fix(self, Some(0), Some(0), &mut out);
+        out.into_iter().collect()
+    }
+
     /// Collects `(index, name)` of every capture group, in index order.
     pub fn capture_groups(&self) -> Vec<(u32, Option<String>)> {
         fn walk(ast: &Ast, out: &mut Vec<(u32, Option<String>)>) {
@@ -265,6 +318,32 @@ mod tests {
             groups,
             vec![(1, Some("x".to_string())), (2, Some("y".to_string()))]
         );
+    }
+
+    #[test]
+    fn groups_at_fixed_distances_from_the_window_ends() {
+        let fixed = |pattern: &str| {
+            let parsed = crate::parser::parse(pattern).unwrap();
+            parsed.ast.fixed_groups(parsed.group_count())
+        };
+        assert_eq!(fixed("error: ([a-z]+)"), Some(vec![(7, 0)]));
+        assert_eq!(fixed(r"due (\d{4}-\d{2}-\d{2})"), Some(vec![(4, 0)]));
+        assert_eq!(fixed("a+"), Some(vec![]));
+        // The group itself may vary; what lies around it may not.
+        assert_eq!(fixed("é(.*)日[ab]"), Some(vec![(2, 4)]));
+        assert_eq!(fixed("(a(b)c)(d)"), Some(vec![(0, 1), (1, 2), (3, 0)]));
+        for varying in [
+            r"(\w+)@(\w+)\.\w+", // a group before `@\w+`
+            "x{a+}c+y{b+}",
+            "(a)|(b)",    // an alternation
+            "(a)(b)?",    // an optional group
+            "(ab)+",      // a repetition
+            "[aé](a)",    // a class of two widths
+            "a{1,2}(a)",  // a counted range
+            "((a)b(c*))", // group 2 before a repetition
+        ] {
+            assert_eq!(fixed(varying), None, "{varying}");
+        }
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //!    match ends (`is_match` stops here, at the first accepting state);
 //! 3. a **reverse DFA** over the reversed pattern, run backwards from
 //!    that end, finds where it starts;
-//! 4. the Pike VM ([`pikevm`]) runs once, anchored inside that window,
-//!    to assign the capture groups — only if the pattern has any.
+//! 4. the capture groups, if wanted, come from that window: at fixed
+//!    distances from its ends where every match has them there, else
+//!    from the Pike VM ([`pikevm`]) run once, anchored inside it.
 //!
 //! Patterns with look-around assertions (`\b`, `\B`, `^`, `$`) build no
 //! DFA — what an assertion sees is not a function of the state — and

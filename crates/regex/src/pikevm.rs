@@ -2,11 +2,13 @@
 //! leftmost-first (Perl/Python) matching in `O(n · m)` time.
 //!
 //! [`crate::Regex`] no longer scans with this machine: the lazy DFA (the
-//! crate's `dfa` module) finds where a match lies, and the VM runs once,
-//! anchored inside that window, to assign the capture groups. The
-//! unanchored [`search`] stays as the reference the DFA is tested
-//! against and as the one fallback for patterns with look-around
-//! assertions, which the DFA does not model.
+//! crate's `dfa` module) finds where a match lies. A pattern whose every
+//! match puts its groups at fixed distances from the window's ends takes
+//! them from the window; for any other pattern with groups the VM runs
+//! once, anchored inside that window, to assign them. The unanchored
+//! [`search`] stays as the reference the DFA is tested against and as
+//! the one fallback for patterns with look-around assertions, which the
+//! DFA does not model.
 //!
 //! Thread lists keep **priority order**: threads created earlier in a step
 //! outrank later ones, `Split` pushes its primary branch first, and new

@@ -35,9 +35,16 @@ pub struct Regex {
     /// Locates matches; `None` for patterns with look-around assertions,
     /// which stay on the Pike VM.
     dfa: Option<Dfa>,
+    /// Group offsets every match shares ([`crate::ast::Ast::fixed_groups`]).
+    fixed: Option<Vec<(usize, usize)>>,
     /// Idle DFA caches.
-    pool: Mutex<Vec<dfa::Cache>>,
+    pool: Mutex<Vec<Pooled>>,
 }
+
+/// A DFA cache as the pool keeps it: boxed, so that a checkout moves a
+/// pointer, not the cache's tables.
+#[derive(Debug, Default)]
+struct Pooled(Box<dfa::Cache>);
 
 impl Clone for Regex {
     fn clone(&self) -> Regex {
@@ -47,6 +54,7 @@ impl Clone for Regex {
             program: self.program.clone(),
             prefilter: self.prefilter.clone(),
             dfa: self.dfa.clone(),
+            fixed: self.fixed.clone(),
             pool: Mutex::default(),
         }
     }
@@ -123,7 +131,7 @@ struct Searcher<'r> {
     regex: &'r Regex,
     /// Checked out at the scan's first DFA run: a scan its prefilter
     /// prunes takes no lock.
-    cache: Option<dfa::Cache>,
+    cache: Option<Pooled>,
 }
 
 impl<'r> Searcher<'r> {
@@ -132,18 +140,18 @@ impl<'r> Searcher<'r> {
     }
 
     /// Single scan entry point: literal prefilter, then the DFA window —
-    /// forward for the end, backwards for the start — and, only when
-    /// groups are wanted and the pattern has any, one anchored Pike VM
-    /// run inside that window.
+    /// forward for the end, backwards for the start — and, only when they
+    /// are wanted, the window's groups ([`Regex::window`]).
     fn search_at(&mut self, text: &str, from: usize, mut want: Want<'_>) -> Option<(usize, usize)> {
         let regex = self.regex;
         let cache = &mut self.cache;
         let mut run = |launch: Launch| match &regex.dfa {
             Some(dfa) => {
-                let cache = cache.get_or_insert_with(|| {
+                let pooled = cache.get_or_insert_with(|| {
                     let idle = regex.idle_caches().pop();
                     idle.unwrap_or_default()
                 });
+                let cache = &mut pooled.0;
                 let walked = cache.walked;
                 let found = regex.window(dfa, cache, text, launch, &mut want);
                 found.ok_or(cache.walked - walked)
@@ -178,12 +186,13 @@ impl Drop for Searcher<'_> {
 impl Regex {
     /// The pool. Its only updates are `push` and `pop`, which leave it
     /// valid at every step, so a poisoned lock is still good to use.
-    fn idle_caches(&self) -> MutexGuard<'_, Vec<dfa::Cache>> {
+    fn idle_caches(&self) -> MutexGuard<'_, Vec<Pooled>> {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The DFA's answer to one launch: the match's window, with its
-    /// groups written when they are wanted.
+    /// groups written when they are wanted: at the offsets every match
+    /// shares, else by the Pike VM run anchored inside the window.
     fn window(
         &self,
         dfa: &Dfa,
@@ -210,14 +219,16 @@ impl Regex {
             dfa.find_start(cache, text, at, end)
         };
         if let Want::Groups(groups) = want {
-            if self.group_count() == 0 {
-                groups.clear();
-                groups.push(Some((start, end)));
-            } else {
-                let whole =
-                    pikevm::search_into(&self.program, text, start, end, true, Some(groups));
-                debug_assert_eq!(whole, Some((start, end)));
-            }
+            let whole = match &self.fixed {
+                Some(fixed) => {
+                    groups.clear();
+                    groups.push(Some((start, end)));
+                    groups.extend(fixed.iter().map(|&(a, b)| Some((start + a, end - b))));
+                    Some((start, end))
+                }
+                None => pikevm::search_into(&self.program, text, start, end, true, Some(groups)),
+            };
+            debug_assert_eq!(whole, Some((start, end)));
         }
         Some((start, end))
     }
@@ -234,6 +245,7 @@ impl Regex {
         let dfa = Dfa::new(&program, &parsed.ast, prefix);
         Ok(Regex {
             pattern: pattern.to_string(),
+            fixed: parsed.ast.fixed_groups(program.group_count()),
             parsed,
             program,
             prefilter,
@@ -366,15 +378,27 @@ pub struct CapturesIter<'r, 't> {
     pos: Option<usize>,
 }
 
+impl CapturesIter<'_, '_> {
+    /// [`Iterator::next`] writing the next match's groups (0 = whole match)
+    /// into `groups` instead of a fresh [`Captures`]; `false` when there
+    /// is none. A scan that reuses `groups` allocates nothing per match.
+    pub fn next_into(&mut self, groups: &mut Vec<Option<(usize, usize)>>) -> bool {
+        let want = Want::Groups(groups);
+        let found = (self.pos).and_then(|pos| self.searcher.search_at(self.text, pos, want));
+        let Some((start, end)) = found else {
+            return false;
+        };
+        self.pos = resume_after(self.text, start, end);
+        true
+    }
+}
+
 impl Iterator for CapturesIter<'_, '_> {
     type Item = Captures;
 
     fn next(&mut self) -> Option<Captures> {
         let mut groups = Vec::with_capacity(self.searcher.regex.group_count() + 1);
-        let want = Want::Groups(&mut groups);
-        let (start, end) = self.searcher.search_at(self.text, self.pos?, want)?;
-        self.pos = resume_after(self.text, start, end);
-        Some(Captures { groups })
+        self.next_into(&mut groups).then_some(Captures { groups })
     }
 }
 
@@ -596,8 +620,8 @@ mod tests {
         }
         let pool = re.pool.lock().unwrap();
         assert_eq!(pool.len(), 1, "sequential scans share one cache");
-        assert!(pool[0].emptied() > 0, "the scan must overflow the cache");
-        assert!(pool[0].words() <= 2 * dfa::CACHE_BUDGET_WORDS);
+        assert!(pool[0].0.emptied() > 0, "the scan must overflow the cache");
+        assert!(pool[0].0.words() <= 2 * dfa::CACHE_BUDGET_WORDS);
     }
 
     #[test]
@@ -689,6 +713,31 @@ mod tests {
                     "{pattern}: {walked} bytes walked over {}",
                     text.len()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_offsets_place_groups_as_the_pike_vm_does() {
+        let text = "error: disk due 2024-01-31 abbb aé日xé日b ann@mail.com abcd é日a";
+        for (pattern, fixed) in [
+            ("error: ([a-z]+)", true),
+            (r"due (\d{4}-\d{2}-(\d{2}))", true),
+            ("é(.*)日[ab]", true),
+            ("(a(b)c)(d)", true),
+            ("(a)b*", false),
+            (r"(\w+)@(\w+)\.com", false),
+            ("(a|é)(日)", false),
+        ] {
+            let re = Regex::new(pattern).unwrap();
+            assert_eq!(re.fixed.is_some(), fixed, "{pattern}");
+            let found: Vec<Captures> = re.captures_iter(text).collect();
+            assert!(!found.is_empty(), "{pattern}");
+            for caps in found {
+                let expected = pikevm::search(re.program(), text, caps.whole().start).unwrap();
+                for k in 0..caps.len() {
+                    assert_eq!(caps.group(k), expected.group(k), "{pattern} group {k}");
+                }
             }
         }
     }

@@ -470,6 +470,117 @@ proptest! {
     }
 }
 
+/// `(X)?(Y)|(Z)` over wide `X`, `Y`, `Z`: every pattern has groups, and a
+/// match leaves group 1 unassigned when `X` is skipped, groups 1 and 2
+/// when the second branch matches, group 3 when the first does.
+fn optional_groups_strategy() -> impl Strategy<Value = String> {
+    let group = |node| Ast::Group {
+        index: 1, // renumbered by `rendered`
+        name: None,
+        node: Box::new(node),
+    };
+    (
+        wide_ast_strategy(),
+        wide_ast_strategy(),
+        wide_ast_strategy(),
+    )
+        .prop_map(move |(x, y, z)| {
+            let optional = Ast::Repeat {
+                node: Box::new(group(x)),
+                min: 0,
+                max: Some(1),
+                greedy: true,
+            };
+            let first = Ast::concat(vec![optional, group(y)]);
+            rendered(Ast::alternation(vec![first, group(z)]))
+        })
+}
+
+/// `V (G) V ((G) V)` with wide `G`s and fixed-width `V`s (literals of
+/// one or two bytes, `\w`, `[ab]`, an exact count): the window alone
+/// places the groups when the `G`s hold none and the first has one
+/// width, the Pike VM run inside the window when not.
+fn fixed_groups_strategy() -> impl Strategy<Value = String> {
+    let group = |node| Ast::Group {
+        index: 1, // renumbered by `rendered`
+        name: None,
+        node: Box::new(node),
+    };
+    let leaf = prop_oneof![
+        Just(Ast::Literal('a')),
+        Just(Ast::Literal(' ')),
+        Just(Ast::Literal('é')),
+        Just(Ast::Class(ClassSet::word())),
+        Just(Ast::Class(ClassSet::from_ranges([ClassRange::new(
+            'a', 'b'
+        )]))),
+    ];
+    let part = (leaf, 1u32..3).prop_map(|(node, n)| Ast::Repeat {
+        node: Box::new(node),
+        min: n,
+        max: Some(n),
+        greedy: true,
+    });
+    let fixed = || prop::collection::vec(part.clone(), 0..2).prop_map(Ast::concat);
+    let parts = (
+        fixed(),
+        wide_ast_strategy(),
+        fixed(),
+        fixed(),
+        wide_ast_strategy(),
+        fixed(),
+    );
+    parts.prop_map(move |(v1, g1, v2, v3, g2, v4)| {
+        let inner = group(Ast::concat(vec![v3, group(g2)]));
+        rendered(Ast::concat(vec![v1, group(g1), v2, inner, v4]))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The groups of every match window — placed by the window alone
+    /// where they sit at fixed distances from its ends, else by the Pike
+    /// VM anchored inside it — equal the unanchored Pike VM's, searched
+    /// from every char boundary, and the scan drops as many matches for
+    /// an unassigned group on either path.
+    #[test]
+    fn window_groups_agree_with_pikevm(
+        pattern in prop_oneof![optional_groups_strategy(), fixed_groups_strategy()],
+        text in wide_text_strategy(),
+    ) {
+        let re = Regex::new(&pattern).expect("generated pattern parses");
+        let scan: Vec<_> = re
+            .captures_iter(&text)
+            .map(|c| row(|k| c.group(k), re.group_count()))
+            .collect();
+        let by_hand = pikevm_scan(&re, &text);
+        prop_assert_eq!(&scan, &by_hand, "pattern {:?} text {:?}", pattern, text);
+        for from in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let expected = pikevm::search(re.program(), &text, from)
+                .map(|found| row(|k| found.group(k), re.group_count()));
+            let captures = re
+                .captures_at(&text, from)
+                .map(|c| row(|k| c.group(k), re.group_count()));
+            prop_assert_eq!(
+                &captures, &expected,
+                "pattern {:?} text {:?} from {}", pattern, text, from
+            );
+        }
+        // `builtins::rgx`'s loop: one buffer for every match's groups, and
+        // its `unassigned_matches` count of those that leave one undefined.
+        let (mut matches, mut groups) = (re.captures_iter(&text), Vec::new());
+        let (mut reused, mut unassigned) = (Vec::new(), 0);
+        while matches.next_into(&mut groups) {
+            unassigned += usize::from(groups[1..].contains(&None));
+            reused.push(row(|k| groups[k], re.group_count()));
+        }
+        prop_assert_eq!(&reused, &by_hand);
+        let expected = by_hand.iter().filter(|m| m.groups.contains(&None)).count();
+        prop_assert_eq!(unassigned, expected, "pattern {:?} text {:?}", pattern, text);
+    }
+}
+
 /// A needle of 1–8 chars and a haystack of at most 300 bytes made of loose
 /// chars, copies of the needle and copies of its prefixes, so occurrences
 /// overlap and near misses are common.
