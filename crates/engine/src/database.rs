@@ -15,6 +15,15 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use spannerlib_core::{DocumentStore, Relation, Rows, Schema, Tuple, Value};
 use std::sync::Arc;
 
+/// What a [`Database`] holds under one name, its generation aside: the
+/// relation, whether it is extensional, and the rows a run derived in it.
+#[derive(Default)]
+pub(crate) struct Slot(
+    pub(crate) Option<Relation>,
+    pub(crate) bool,
+    pub(crate) Option<FxHashSet<usize>>,
+);
+
 /// The fact store of one session.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
@@ -67,20 +76,38 @@ impl Database {
         if self.extensional.contains_key(name) {
             return Err(EngineError::DuplicateRelation(name.to_string()));
         }
-        self.put_relation(name, Relation::new(schema));
+        self.swap(name, Slot(Some(Relation::new(schema)), true, None));
         Ok(())
     }
 
-    /// Inserts a whole relation under `name`, replacing any previous one
-    /// (used by `Session::import`). Every tuple of the replacement is a
-    /// host-asserted fact, so stale derived marks are dropped.
-    pub fn put_relation(&mut self, name: &str, relation: Relation) {
-        self.extensional
-            .insert(name.to_string(), relation.schema().clone());
-        self.relations.insert(name.to_string(), relation);
-        self.derived_marks.remove(name);
+    /// Puts `slot` under `name` and returns what it displaced, moved out.
+    /// The generation moves unless the name held nothing before or after.
+    pub(crate) fn swap(&mut self, name: &str, Slot(relation, extensional, marks): Slot) -> Slot {
+        let old = Slot(
+            self.relations.remove(name),
+            self.extensional.remove(name).is_some(),
+            self.derived_marks.remove(name),
+        );
         self.indexes.forget(name);
-        self.bump(name);
+        if old.0.is_some() || relation.is_some() {
+            self.bump(name);
+        }
+        if let Some(relation) = relation {
+            if extensional {
+                let schema = relation.schema().clone();
+                self.extensional.insert(name.to_string(), schema);
+            }
+            self.relations.insert(name.to_string(), relation);
+        }
+        if let Some(marks) = marks {
+            self.derived_marks.insert(name.to_string(), marks);
+        }
+        old
+    }
+
+    /// Sets the generation of `name` back to one it had.
+    pub(crate) fn set_generation(&mut self, name: &str, generation: u64) {
+        self.generations.insert(name.to_string(), generation);
     }
 
     /// The declared schema of an extensional relation, if `name` is one.
@@ -129,18 +156,25 @@ impl Database {
     /// extensional relations bump the relation's generation; derived
     /// inserts (the fixpoint hot path) do not.
     pub fn insert(&mut self, name: &str, tuple: Tuple) -> Result<bool> {
-        let new = self.insert_row(name, tuple.values())?;
-        if new && self.extensional.contains_key(name) {
-            self.bump(name);
-        } else if let Some(marks) = self.derived_marks.get_mut(name) {
-            // A fact assertion overrides derived provenance: even if a
-            // rule once derived this tuple, it now survives
-            // clear_derived.
-            if let Some(id) = self.relations[name].row_id(tuple.values()) {
-                return Ok(marks.remove(&id));
+        Ok(self.assert_fact(name, tuple.values())?.is_some())
+    }
+
+    /// [`Database::insert`] of `row`: `None` when `name` held it as a fact
+    /// already, else whether a rule had derived it.
+    pub(crate) fn assert_fact(&mut self, name: &str, row: &[Value]) -> Result<Option<bool>> {
+        if self.insert_row(name, row)? {
+            if self.extensional.contains_key(name) {
+                self.bump(name);
             }
+            return Ok(Some(false));
         }
-        Ok(new)
+        // A fact assertion overrides derived provenance: even if a rule
+        // once derived this tuple, it now survives clear_derived.
+        let id = self.relations[name].row_id(row);
+        let marks = self.derived_marks.get_mut(name);
+        Ok(marks
+            .zip(id)
+            .and_then(|(marks, id)| marks.remove(&id).then_some(true)))
     }
 
     /// Inserts the rows of one shard's piece, derived by the fixpoint,
@@ -272,30 +306,27 @@ impl Database {
         }
     }
 
-    /// Removes a relation entirely. Returns `true` when it existed.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let existed = self.relations.remove(name).is_some();
-        self.extensional.remove(name);
-        self.derived_marks.remove(name);
-        self.indexes.forget(name);
-        if existed {
-            self.bump(name);
-        }
-        existed
-    }
-
-    /// Takes `rows`, host-asserted facts, back out of `name`. One a rule
-    /// had derived goes too, for the next evaluation to derive again.
-    pub(crate) fn retract(&mut self, name: &str, rows: &[Vec<Value>]) {
+    /// Takes host-asserted facts back out of `name`: a row a rule had
+    /// derived before it was asserted (`true`) is marked derived again,
+    /// and any other goes.
+    pub(crate) fn retract(&mut self, name: &str, rows: &[(Vec<Value>, bool)]) {
         let Some(rel) = self.relations.get_mut(name) else {
             return;
         };
-        let gone: FxHashSet<usize> = rows.iter().filter_map(|row| rel.row_id(row)).collect();
+        let marks = self.derived_marks.entry(name.to_string()).or_default();
+        let mut gone = FxHashSet::default();
+        for (row, derived) in rows {
+            if let Some(id) = rel.row_id(row) {
+                let _ = if *derived {
+                    marks.insert(id)
+                } else {
+                    gone.insert(id)
+                };
+            }
+        }
         let new_ids = rel.retain(|id, _| !gone.contains(&id));
         self.indexes.renumber(name, &new_ids);
-        if let Some(marks) = self.derived_marks.get_mut(name) {
-            *marks = marks.iter().filter_map(|&id| new_ids[id]).collect();
-        }
+        *marks = marks.iter().filter_map(|&id| new_ids[id]).collect();
         self.bump(name);
     }
 
@@ -442,10 +473,12 @@ mod tests {
         // Unrelated relations are independent.
         db.declare("F", Schema::new(vec![ValueType::Int])).unwrap();
         assert_eq!(db.generation("E"), g_fact);
-        // Removal is a mutation.
-        assert!(db.remove("E"));
-        assert!(db.generation("E") > g_fact);
-        assert!(!db.remove("E"));
+        // Removal is a mutation; removing nothing is none.
+        assert!(db.swap("E", Slot::default()).0.is_some());
+        let g_removed = db.generation("E");
+        assert!(g_removed > g_fact);
+        assert!(db.swap("E", Slot::default()).0.is_none());
+        assert_eq!(db.generation("E"), g_removed);
     }
 
     #[test]
@@ -473,13 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn put_relation_clears_stale_marks() {
+    fn a_swapped_in_relation_clears_stale_marks() {
         let mut db = Database::new();
         db.declare("E", Schema::new(vec![ValueType::Int])).unwrap();
         derive(&mut db, "E", &[1]);
         let mut replacement = Relation::new(Schema::new(vec![ValueType::Int]));
         replacement.insert(t(&[1])).unwrap();
-        db.put_relation("E", replacement);
+        db.swap("E", Slot(Some(replacement), true, None));
         db.clear_derived();
         assert!(
             db.relation("E").unwrap().contains(&t(&[1])),

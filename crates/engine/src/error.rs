@@ -116,7 +116,7 @@ pub enum EngineError {
     /// schema.
     #[error(
         "import into {relation:?} would change its schema from {expected} to {actual} \
-         (remove_relation first to retype it)"
+         (remove_relation first to retype it, once no loaded rule reads it)"
     )]
     SchemaMismatch {
         /// Relation name.

@@ -7,9 +7,7 @@
 //!
 //! * [`Session::import_dataframe`] — host table → engine relation;
 //! * [`Session::run`] — execute a cell of Spannerlog source
-//!   (declarations, facts, rules, queries), checked as it runs: a cell
-//!   that adds rules or declares under them compiles the rule set, and a
-//!   cell that fails is undone;
+//!   (declarations, facts, rules, queries) as one write;
 //! * [`Session::export`] — evaluate a query, returning a `DataFrame`;
 //! * [`Session::register`] — host closure → IE function callable from
 //!   rules.
@@ -33,6 +31,9 @@
 //! This file keeps the builder and the mutation front: imports, facts,
 //! rules, registrations, declarations, the document lifecycle. Queries,
 //! exports, snapshots and stats are the read surface (`read.rs`).
+//!
+//! Every write takes one path (`write.rs`): after it the loaded rules
+//! compile, and a refused one is undone whole.
 //!
 //! # Threading contract
 //!
@@ -70,19 +71,22 @@ use crate::error::{EngineError, Result};
 use crate::eval::{EvalLimits, EvalStats};
 use crate::ie::{IeContext, IeFunction, IeRows};
 use crate::prepared::CompiledProgram;
-use crate::query::QueryPlan;
 use crate::registry::Registry;
 use crate::safety::constant_value;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use spannerlib_cache::DocGc;
 use spannerlib_core::{CompactionReport, DocId, Relation, Schema, Tuple, Value};
 use spannerlib_dataframe::{DataFrame, IntoRows};
 use spannerlib_trace::{EvalProfile, TraceLevel};
-use spannerlog_parser::{parse_program, BodyElem, Query, Rule, Statement};
+use spannerlog_parser::{parse_program, Query, Rule, Statement};
+use std::iter::once;
 use std::sync::Arc;
 
 pub(crate) mod driver;
 mod read;
+mod write;
+
+use write::Edit;
 
 /// Configures and builds a [`Session`]: resource limits, tracing,
 /// parallelism, and IE registry seeding, in one fluent pass.
@@ -265,16 +269,6 @@ pub struct Session {
     pending_request_ids: Vec<String>,
 }
 
-/// What a cell of [`Session::run`] declared and added — names and rows,
-/// not a copy of the database — for `run` to take back out if it fails.
-#[derive(Default)]
-struct Cell {
-    /// The number of rules loaded before the cell.
-    rules: usize,
-    declared: Vec<String>,
-    facts: FxHashMap<String, Vec<Vec<Value>>>,
-}
-
 impl Default for Session {
     fn default() -> Self {
         Self::new()
@@ -326,10 +320,8 @@ impl Session {
     }
 
     /// Imports an already-built relation (same schema rules as
-    /// [`Session::import_dataframe`]). A name that was no extensional
-    /// relation is checked against the rules loaded, as a cell's `new`
-    /// is: an import that gives a rule head another arity is refused,
-    /// and leaves the name as it was.
+    /// [`Session::import_dataframe`]). An import that gives a rule head
+    /// another arity is refused, and leaves the name as it was.
     pub fn import_relation(&mut self, name: &str, relation: Relation) -> Result<()> {
         Database::check_name(name)?;
         let existing = self.db.extensional_schema(name);
@@ -340,40 +332,9 @@ impl Session {
                 actual: relation.schema().to_string(),
             });
         }
-        let new_name = existing.is_none();
-        self.db_mut().put_relation(name, relation);
-        if new_name {
-            self.check_new_extensional(name)?;
-        }
+        self.write(once(Edit::Put(name, Some(relation))))?;
         self.maybe_compact_docs();
         Ok(())
-    }
-
-    /// After a write made `name` extensional: a name the loaded rules
-    /// use can resolve their predicates differently, and a name only
-    /// rules derived until now may take another arity than their heads,
-    /// so those rules compile again now. If they do not, the name goes
-    /// again. A name no rule uses cannot change how they compile.
-    fn check_new_extensional(&mut self, name: &str) -> Result<()> {
-        self.invalidate_program();
-        if self.rules_use(name) {
-            if let Err(err) = self.program() {
-                self.db_mut().remove(name);
-                return Err(err);
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether a loaded rule has `name` as its head or as a body atom.
-    fn rules_use(&self, name: &str) -> bool {
-        self.rules.iter().any(|rule| {
-            rule.head_predicate == name
-                || rule.body.iter().any(|elem| {
-                    matches!(elem, BodyElem::Relation(atom) | BodyElem::Negated(atom)
-                        if atom.predicate == name)
-                })
-        })
     }
 
     /// Imports typed host rows as relation `name` — the symmetric
@@ -401,85 +362,20 @@ impl Session {
 
     /// Runs a cell of Spannerlog source. Declarations, facts, and rules
     /// mutate the session; queries evaluate eagerly and their results are
-    /// returned in order. A cell that adds rules, or declares a relation
-    /// while rules are loaded, compiles the rule set before `run` returns,
-    /// so a wrong rule or a declaration at odds with the rules fails its
-    /// own cell. A cell that fails — at a statement, at that check or at
-    /// a query — is undone: its rules, declarations and facts go, and the
-    /// session holds what it held before the call.
+    /// returned in order. The cell is one write: if it fails — at a
+    /// statement, at a query or because its rules do not compile — it is
+    /// undone, and the session holds what it held before the call.
     pub fn run(&mut self, source: &str) -> Result<Vec<(Query, DataFrame)>> {
-        let program = parse_program(source)?;
-        let mut cell = Cell {
-            rules: self.rules.len(),
-            ..Cell::default()
-        };
-        let outputs = self.run_cell(program.statements, &mut cell);
-        if outputs.is_err() {
-            self.undo(cell);
-        }
-        outputs
-    }
-
-    /// Runs the statements of a cell, noting in `cell` what to undo.
-    fn run_cell(
-        &mut self,
-        statements: Vec<Statement>,
-        cell: &mut Cell,
-    ) -> Result<Vec<(Query, DataFrame)>> {
-        let mut outputs = Vec::new();
-        for statement in statements {
-            match statement {
-                Statement::Declaration(d) => {
-                    self.declare_unchecked(&d.name, Schema::new(d.types))?;
-                    cell.declared.push(d.name);
-                }
-                Statement::Fact(f) => {
-                    let row: Vec<Value> = f.values.iter().map(constant_value).collect();
-                    if self.add_fact_values(&f.predicate, row.clone())? {
-                        cell.facts.entry(f.predicate).or_default().push(row);
-                    }
-                }
-                Statement::Rule(r) => {
-                    self.rules.push(r);
-                    self.invalidate_program();
-                }
-                Statement::Query(q) => {
-                    let df = self.query(&QueryPlan::compile(&q))?;
-                    outputs.push((q, df));
-                }
-            }
-        }
-        // New rules, or a declaration that may give a name the rules
-        // use another arity: compile the rule set before the cell is done.
-        if self.rules.len() > cell.rules || cell.declared.iter().any(|name| self.rules_use(name)) {
-            self.program()?;
-        }
-        Ok(outputs)
-    }
-
-    /// Takes a failed cell back out: the rules it loaded, the relations it
-    /// declared and the facts it added.
-    fn undo(&mut self, cell: Cell) {
-        if self.rules.len() > cell.rules || !cell.declared.is_empty() {
-            self.rules.truncate(cell.rules);
-            self.invalidate_program();
-        }
-        if !cell.declared.is_empty() || !cell.facts.is_empty() {
-            let db = self.db_mut();
-            for name in &cell.declared {
-                db.remove(name);
-            }
-            for (name, rows) in &cell.facts {
-                db.retract(name, rows);
-            }
-        }
-        // A fact of the cell may have taken over a row a rule derived into
-        // its extensional head, and went with it. A head is no input, so
-        // its moving would not make the next evaluation run: make it run.
-        let mut heads = self.rules.iter().map(|r| &r.head_predicate);
-        if self.last.is_ok() && heads.any(|head| cell.facts.contains_key(head)) {
-            self.last = Err(driver::FullReason::InputIsRuleHead);
-        }
+        let statements = parse_program(source)?.statements;
+        self.write(statements.into_iter().map(|statement| match statement {
+            Statement::Declaration(d) => Edit::Declare(d.name.into(), Schema::new(d.types)),
+            Statement::Fact(f) => Edit::Fact(
+                f.predicate.into(),
+                f.values.iter().map(constant_value).collect(),
+            ),
+            Statement::Rule(r) => Edit::Rule(r),
+            Statement::Query(q) => Edit::Query(q),
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -531,38 +427,27 @@ impl Session {
     /// checked against the rules loaded: a schema that gives a rule head
     /// another arity is refused, and the name stays undeclared.
     pub fn declare(&mut self, name: &str, schema: Schema) -> Result<()> {
-        self.declare_unchecked(name, schema)?;
-        self.check_new_extensional(name)
-    }
-
-    /// [`Session::declare`] without the check of the rules, which a cell
-    /// makes once it has run all its statements.
-    fn declare_unchecked(&mut self, name: &str, schema: Schema) -> Result<()> {
-        Database::check_name(name)?;
-        self.db_mut().declare(name, schema)?;
-        self.invalidate_program();
-        Ok(())
+        self.write(once(Edit::Declare(name.into(), schema)))
+            .map(drop)
     }
 
     /// Removes a relation (facts and schema) so long-lived sessions can
-    /// evict state instead of being rebuilt. Rules that read it, which
-    /// `run` compiled, fail to compile again — and so every evaluation
-    /// fails — until it is re-declared or re-imported, or
-    /// [`Session::clear_rules`] drops them. A write of a name no rule
-    /// uses is not held up by them.
+    /// evict state instead of being rebuilt. A relation a loaded rule
+    /// reads is refused, as the rules would no longer compile: the host
+    /// clears or replaces those rules first, or empties the relation
+    /// with an import instead.
     ///
     /// Document texts interned by removed tuples are reclaimed by
     /// doc-store compaction: automatically under a
     /// [`SessionBuilder::doc_gc`] threshold policy, or explicitly via
     /// [`Session::compact_docs`].
     pub fn remove_relation(&mut self, name: &str) -> Result<()> {
-        // Existence check before db_mut: Arc::make_mut would deep-clone
-        // a snapshot-shared database just to fail.
+        // Before db_mut: Arc::make_mut would deep-clone a snapshot-shared
+        // database just to fail.
         if self.db.visible(name).is_none() {
             return Err(EngineError::UnknownRelation(name.to_string()));
         }
-        self.db_mut().remove(name);
-        self.invalidate_program();
+        self.write(once(Edit::Put(name, None)))?;
         self.maybe_compact_docs();
         Ok(())
     }
@@ -585,36 +470,8 @@ impl Session {
         relation: &str,
         values: impl IntoIterator<Item = Value>,
     ) -> Result<()> {
-        self.add_fact_values(relation, values.into_iter().collect())
-            .map(drop)
-    }
-
-    /// Adds one fact; `true` when the relation did not hold it yet.
-    fn add_fact_values(&mut self, relation: &str, values: Vec<Value>) -> Result<bool> {
-        let Some(schema) = self.db.extensional_schema(relation) else {
-            return Err(EngineError::UnknownRelation(format!(
-                "{relation} (declare it with `new {relation}(…)` before adding facts)"
-            )));
-        };
-        if values.len() != schema.arity() {
-            return Err(EngineError::Arity {
-                relation: relation.to_string(),
-                expected: schema.arity(),
-                actual: values.len(),
-                line: 0,
-            });
-        }
-        for (i, (v, t)) in values.iter().zip(schema.types()).enumerate() {
-            if v.value_type() != *t {
-                return Err(EngineError::FactType {
-                    relation: relation.to_string(),
-                    column: i,
-                    expected: *t,
-                    actual: v.value_type(),
-                });
-            }
-        }
-        self.db_mut().insert(relation, Tuple::new(values))
+        let fact = Edit::Fact(relation.into(), values.into_iter().collect());
+        self.write(once(fact)).map(drop)
     }
 
     /// Interns a document, returning its id.

@@ -164,8 +164,16 @@ impl Session {
     /// since.
     pub(super) fn invalidate_program(&mut self) {
         self.compiled = None;
+        self.rebase(None);
+    }
+
+    /// After the rules compiled into `program` (`None`: before they
+    /// compile again), the last run stays the next one's basis only if it
+    /// ran that program: one compiled before may read a name a write gave
+    /// other rows, or call a function registered since.
+    pub(super) fn rebase(&mut self, program: Option<&CompiledProgram>) {
         if let Ok(last) = &mut self.last {
-            if last.basis.is_ok() {
+            if last.basis.is_ok() && program.is_none_or(|p| p.id != last.program_id) {
                 last.basis = Err(FullReason::ProgramChanged);
             }
         }

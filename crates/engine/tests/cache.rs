@@ -29,9 +29,10 @@ fn churn_doc(round: usize) -> String {
 const CHURN_RULE: &str = r#"Code(d, s) <- Texts(d, t), rgx("code-[0-9]+-[0-9]+", t) -> (s)"#;
 
 /// The ROADMAP churn scenario: a long-lived session streaming distinct
-/// documents through import → execute → remove_relation. With a GC
-/// threshold configured, doc-store bytes stay bounded — compaction
-/// reclaims removed documents instead of growing without bound.
+/// documents through import → execute → an empty import (the rule reads
+/// `Texts`, so it is emptied rather than removed). With a GC threshold
+/// configured, doc-store bytes stay bounded — compaction reclaims
+/// dropped documents instead of growing without bound.
 #[test]
 fn long_lived_churn_keeps_doc_store_bounded() {
     const GC_WATERMARK: usize = 64 * 1024;
@@ -56,7 +57,9 @@ fn long_lived_churn_keeps_doc_store_bounded() {
             .unwrap();
         let out = query.execute(&mut session).unwrap();
         assert!(out.num_rows() > 0, "round {round} extracted nothing");
-        session.remove_relation("Texts").unwrap();
+        session
+            .import_typed("Texts", Vec::<(String, String)>::new())
+            .unwrap();
         peak_bytes = peak_bytes.max(session.docs().bytes());
     }
 

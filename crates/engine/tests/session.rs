@@ -281,37 +281,66 @@ fn a_write_that_gives_a_rule_head_another_arity_is_refused() {
     }
 }
 
-/// Rules left reading a removed relation hold up only the writes of names
-/// they use: an unrelated import or declaration goes through, the removed
-/// name comes back, and a head's arity is still checked.
+/// A relation a rule reads is not removed: the removal is refused, names
+/// the relation and leaves the rules answering. Once the rules are
+/// cleared it goes through, and writes of names no rule uses go through
+/// all along.
 #[test]
-fn a_removed_relation_holds_up_only_the_names_the_rules_use() {
+fn a_relation_the_rules_read_is_not_removed() {
     let mut session = Session::new();
     session.run("new S(int)\nS(1)\nGood(x) <- S(x)").unwrap();
-    session.remove_relation("S").unwrap();
-    let err = session.ensure_evaluated().unwrap_err();
+    let err = session.remove_relation("S").unwrap_err();
     assert!(
         matches!(&err, EngineError::UnknownPredicate(name) if name == "S"),
         "{err:?}"
     );
+    assert_eq!(session.export_typed::<(i64,)>("?Good(x)").unwrap(), [(1,)]);
     session.import_typed("T", vec![(1i64,)]).unwrap();
     session
         .declare("U", Schema::new(vec![ValueType::Str]))
         .unwrap();
     session.run("new V(int)").unwrap();
-    let declared = session.declare("Good", Schema::new(vec![ValueType::Int; 2]));
-    assert!(
-        matches!(&declared, Err(EngineError::UnknownPredicate(name)) if name == "S"),
-        "{declared:?}"
-    );
-    session.import_typed("S", vec![(2i64,)]).unwrap();
-    assert_eq!(session.export_typed::<(i64,)>("?Good(x)").unwrap(), [(2,)]);
-    let declared = session.declare("Good", Schema::new(vec![ValueType::Int; 2]));
-    assert!(
-        matches!(&declared, Err(EngineError::Arity { relation, .. }) if relation == "Good"),
-        "{declared:?}"
-    );
-    assert_eq!(session.export_typed::<(i64,)>("?T(x)").unwrap(), [(1,)]);
+    session.remove_relation("T").unwrap();
+    session.clear_rules();
+    session.remove_relation("S").unwrap();
+    assert!(session.export("?S(x)").unwrap().num_rows() == 0);
+    assert_eq!(session.export_typed::<(i64,)>("?Good(x)").unwrap(), []);
+}
+
+/// A refused write changes nothing, and a write of a name no rule uses
+/// changes nothing the rules read: after either, the next evaluation
+/// has nothing to do and the last run's answers stand.
+#[test]
+fn a_refused_or_unrelated_write_keeps_the_last_run() {
+    let mut session = Session::new();
+    session.run("new S(int)\nS(1)\nGood(x) <- S(x)").unwrap();
+    session.ensure_evaluated().unwrap();
+    type Write = fn(&mut Session) -> bool;
+    let writes: [(&str, Write); 5] = [
+        ("import Good", |s| {
+            s.import_typed("Good", vec![(1i64, 2i64)]).is_err()
+        }),
+        ("declare Good", |s| {
+            let schema = Schema::new(vec![ValueType::Int; 2]);
+            s.declare("Good", schema).is_err()
+        }),
+        ("unsafe rule", |s| s.run("Bad(x, y) <- S(x)").is_err()),
+        ("fact cell", |s| s.run("S(2)\nS(\"x\")").is_err()),
+        ("import T", |s| s.import_typed("T", vec![(1i64,)]).is_ok()),
+    ];
+    for (write, expected) in writes {
+        let seq = session.eval_seq();
+        assert!(expected(&mut session), "{write}");
+        session.ensure_evaluated().unwrap();
+        assert_eq!(
+            session.eval_seq(),
+            seq,
+            "{write}: {:?}",
+            session.stats().mode
+        );
+        let good = session.export_typed::<(i64,)>("?Good(x)").unwrap();
+        assert_eq!(good, [(1,)], "{write}");
+    }
 }
 
 /// The names a rule can read are the extensional relations and the rule

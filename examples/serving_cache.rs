@@ -89,7 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(calls, 3 + 49, "once per text a write added");
 
     // 4. Churn: stream 200 *distinct* documents through import →
-    //    execute → remove; span outputs intern each document (the
+    //    execute → an empty import (the rules read `Texts`, so it is
+    //    emptied, not removed); span outputs intern each document (the
     //    `Mention` rule), and the GC threshold keeps resident text
     //    bounded where the old append-only store grew without limit.
     let mut peak = 0usize;
@@ -98,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         unique.push_str(&"lorem ipsum dolor sit amet ".repeat(80));
         session.import_typed("Texts", vec![(format!("t{round}"), unique)])?;
         emails.execute(&mut session)?;
-        session.remove_relation("Texts")?;
+        session.import_typed("Texts", Vec::<(String, String)>::new())?;
         peak = peak.max(session.docs().bytes());
     }
     println!(
